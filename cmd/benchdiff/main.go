@@ -10,13 +10,13 @@
 // parse keeps the MINIMUM ns/op across repeated runs of the same benchmark
 // (-count=N): the minimum is the least noisy estimator of the true cost on
 // shared CI hardware. compare exits non-zero when any benchmark present in
-// both snapshots regressed by more than the threshold percentage; benchmarks
-// only present in the current run are registered, not gated (they gate once
-// the baseline is refreshed). speedup reads a single snapshot, pairs every
-// X/serial sub-benchmark with its X/parallel (or X/radix) sibling, and exits
-// non-zero when a -require'd pair is missing or below its minimum serial ÷
-// parallel ratio — the multi-core CI lane's proof that parallel paths
-// actually beat serial ones.
+// both snapshots regressed by more than the threshold percentage in ns/op or
+// allocs/op; benchmarks only present in the current run are registered, not
+// gated (they gate once the baseline is refreshed). speedup reads a single
+// snapshot, pairs every X/serial sub-benchmark with its X/parallel (or
+// X/radix) sibling, and exits non-zero when a -require'd pair is missing or
+// below its minimum serial ÷ parallel ratio — the multi-core CI lane's proof
+// that parallel paths actually beat serial ones.
 package main
 
 import (
@@ -182,7 +182,7 @@ func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	basePath := fs.String("baseline", "", "baseline snapshot JSON")
 	curPath := fs.String("current", "", "current snapshot JSON")
-	threshold := fs.Float64("threshold", 25, "max allowed ns/op regression in percent")
+	threshold := fs.Float64("threshold", 25, "max allowed ns/op and allocs/op regression in percent")
 	_ = fs.Parse(args)
 	if *basePath == "" || *curPath == "" {
 		usage()
@@ -197,6 +197,19 @@ func cmdCompare(args []string) {
 		fatal(err)
 	}
 
+	if failed := runCompare(base, cur, *threshold, os.Stdout); failed > 0 {
+		fmt.Printf("\nbenchdiff: %d benchmark(s) regressed more than %.0f%% vs baseline\n", failed, *threshold)
+		os.Exit(1)
+	}
+	fmt.Printf("\nbenchdiff: no regression beyond %.0f%%\n", *threshold)
+}
+
+// runCompare writes the per-benchmark comparison and returns how many
+// benchmarks present in both snapshots regressed by more than threshold
+// percent — in ns/op, or in allocs/op where both snapshots recorded them
+// (-benchmem). Allocation counts are deterministic, so one threshold serves
+// both: it bounds time against noise and allocations against real growth.
+func runCompare(base, cur *Snapshot, threshold float64, w io.Writer) int {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -208,16 +221,23 @@ func cmdCompare(args []string) {
 		b := base.Benchmarks[name]
 		c, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Printf("MISSING  %-45s (in baseline, not in current run)\n", name)
+			fmt.Fprintf(w, "MISSING  %-45s (in baseline, not in current run)\n", name)
 			continue
 		}
 		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
+		regressed := delta > threshold
+		allocs := ""
+		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
+			allocDelta := (c.AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp * 100
+			regressed = regressed || allocDelta > threshold
+			allocs = fmt.Sprintf("  %10.0f -> %10.0f allocs/op  (%+.1f%%)", b.AllocsPerOp, c.AllocsPerOp, allocDelta)
+		}
 		status := "ok"
-		if delta > *threshold {
+		if regressed {
 			status = "REGRESSED"
 			failed++
 		}
-		fmt.Printf("%-9s %-45s %12.0f -> %12.0f ns/op  (%+.1f%%)\n", status, name, b.NsPerOp, c.NsPerOp, delta)
+		fmt.Fprintf(w, "%-9s %-45s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n", status, name, b.NsPerOp, c.NsPerOp, delta, allocs)
 	}
 	var newNames []string
 	for name := range cur.Benchmarks {
@@ -230,14 +250,9 @@ func cmdCompare(args []string) {
 		// A benchmark missing from the baseline is registered, not gated: it
 		// starts gating regressions once the baseline is refreshed, and its
 		// absence never fails the build.
-		fmt.Printf("NEW      %-45s %12.0f ns/op (registered, not gated — refresh baseline to gate)\n", name, cur.Benchmarks[name].NsPerOp)
+		fmt.Fprintf(w, "NEW      %-45s %12.0f ns/op (registered, not gated — refresh baseline to gate)\n", name, cur.Benchmarks[name].NsPerOp)
 	}
-
-	if failed > 0 {
-		fmt.Printf("\nbenchdiff: %d benchmark(s) regressed more than %.0f%% vs baseline\n", failed, *threshold)
-		os.Exit(1)
-	}
-	fmt.Printf("\nbenchdiff: no regression beyond %.0f%%\n", *threshold)
+	return failed
 }
 
 // requirement is one -require Name=ratio gate for the speedup subcommand.

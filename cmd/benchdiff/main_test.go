@@ -126,3 +126,46 @@ func TestRequireFlagParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareGatesAllocs injects regressions into a copy of a baseline: time
+// and allocations each trip the one threshold on their own, growth within it
+// passes, and a snapshot without -benchmem numbers is gated on time alone.
+func TestCompareGatesAllocs(t *testing.T) {
+	base := &Snapshot{Benchmarks: map[string]Result{
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096, Runs: 5},
+		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 100, Runs: 5},
+		"BenchmarkC": {NsPerOp: 1000, Runs: 5}, // recorded without -benchmem
+	}}
+	cases := []struct {
+		name   string
+		cur    map[string]Result
+		failed int
+		want   string
+	}{
+		{"unchanged", map[string]Result{
+			"BenchmarkA": base.Benchmarks["BenchmarkA"], "BenchmarkB": base.Benchmarks["BenchmarkB"], "BenchmarkC": base.Benchmarks["BenchmarkC"],
+		}, 0, "ok        BenchmarkA"},
+		{"allocs within threshold", map[string]Result{
+			"BenchmarkA": {NsPerOp: 1100, AllocsPerOp: 125}, "BenchmarkB": {NsPerOp: 900, AllocsPerOp: 50}, "BenchmarkC": {NsPerOp: 1000, AllocsPerOp: 7},
+		}, 0, "(+25.0%)"},
+		{"allocs regressed, time flat", map[string]Result{
+			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 150}, "BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 100}, "BenchmarkC": {NsPerOp: 1000},
+		}, 1, "REGRESSED BenchmarkA"},
+		{"time regressed, allocs flat", map[string]Result{
+			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100}, "BenchmarkB": {NsPerOp: 1500, AllocsPerOp: 100}, "BenchmarkC": {NsPerOp: 1000},
+		}, 1, "REGRESSED BenchmarkB"},
+		{"both regressed counts once", map[string]Result{
+			"BenchmarkA": {NsPerOp: 2000, AllocsPerOp: 200}, "BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 100}, "BenchmarkC": {NsPerOp: 1000},
+		}, 1, "REGRESSED BenchmarkA"},
+	}
+	for _, tc := range cases {
+		var out strings.Builder
+		got := runCompare(base, &Snapshot{Benchmarks: tc.cur}, 25, &out)
+		if got != tc.failed {
+			t.Errorf("%s: %d regressions, want %d\n%s", tc.name, got, tc.failed, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: output lacks %q\n%s", tc.name, tc.want, out.String())
+		}
+	}
+}

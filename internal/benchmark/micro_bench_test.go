@@ -75,18 +75,18 @@ func BenchmarkMicroJoin(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name     string
-		strategy operators.JoinStrategy
-		sched    scheduler.Scheduler
+		name  string
+		mode  operators.ParallelMode
+		sched scheduler.Scheduler
 	}{
-		{"serial", operators.JoinStrategySerial, nil},
-		{"radix", operators.JoinStrategyRadix, sched},
+		{"serial", operators.ParallelSerial, nil},
+		{"radix", operators.ParallelForce, sched},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.JoinStrategy = tc.strategy
+				ctx.Parallel = tc.mode
 				join := operators.NewHashJoin(operators.JoinModeInner,
 					&tableSource{l}, &tableSource{r},
 					&expression.BoundColumn{Index: 0}, &expression.BoundColumn{Index: 0}, nil)
@@ -129,19 +129,19 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name      string
-		sched     scheduler.Scheduler
-		threshold int
+		name  string
+		mode  operators.ParallelMode
+		sched scheduler.Scheduler
 	}{
-		{"serial", nil, -1},
-		{"parallel", sched, 1},
+		{"serial", operators.ParallelSerial, nil},
+		{"parallel", operators.ParallelForce, sched},
 	}
 	col := func(i int) *expression.BoundColumn { return &expression.BoundColumn{Index: i} }
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.ParallelMergeThreshold = tc.threshold
+				ctx.Parallel = tc.mode
 				agg := operators.NewAggregate(&tableSource{table},
 					[]expression.Expression{col(0)},
 					[]*expression.Aggregate{
@@ -188,13 +188,13 @@ func BenchmarkMicroTPCHQ3(b *testing.B) {
 	}{
 		{"serial", func() pipeline.Config {
 			cfg := pipeline.DefaultConfig()
-			cfg.JoinStrategy = operators.JoinStrategySerial
+			cfg.ParallelMode = operators.ParallelSerial
 			return cfg
 		}},
 		{"radix", func() pipeline.Config {
 			cfg := pipeline.DefaultConfig()
 			cfg.UseScheduler = true
-			cfg.JoinStrategy = operators.JoinStrategyRadix
+			cfg.ParallelMode = operators.ParallelForce
 			return cfg
 		}},
 	}

@@ -54,9 +54,9 @@ func BenchmarkMicroScanParallel(b *testing.B) {
 		Hi:    expression.NewLiteral(types.Int(750_000)),
 	}
 	cases := []struct {
-		name     string
-		strategy operators.ParallelStrategy
-		sched    scheduler.Scheduler
+		name  string
+		mode  operators.ParallelMode
+		sched scheduler.Scheduler
 	}{
 		{"serial", operators.ParallelSerial, nil},
 		{"parallel", operators.ParallelForce, sched},
@@ -65,7 +65,7 @@ func BenchmarkMicroScanParallel(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.ScanStrategy = tc.strategy
+				ctx.Parallel = tc.mode
 				scan := operators.NewTableScan(&tableSource{table}, pred)
 				out, err := operators.Execute(scan, ctx)
 				if err != nil {
@@ -86,9 +86,9 @@ func BenchmarkMicroSort(b *testing.B) {
 	defer sched.Shutdown()
 
 	cases := []struct {
-		name     string
-		strategy operators.ParallelStrategy
-		sched    scheduler.Scheduler
+		name  string
+		mode  operators.ParallelMode
+		sched scheduler.Scheduler
 	}{
 		{"serial", operators.ParallelSerial, nil},
 		{"parallel", operators.ParallelForce, sched},
@@ -97,7 +97,7 @@ func BenchmarkMicroSort(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
-				ctx.Parallel.SortStrategy = tc.strategy
+				ctx.Parallel = tc.mode
 				sort := operators.NewSort(&tableSource{table}, []operators.SortKey{
 					{Expr: &expression.BoundColumn{Index: 0}},
 					{Expr: &expression.BoundColumn{Index: 1}, Desc: true},

@@ -77,7 +77,7 @@ type chunkGroups struct {
 
 // Run implements Operator: per-chunk partial aggregation (parallel under a
 // multi-worker scheduler), then an order-independent merge — sequential for
-// few groups, hash-sharded parallel beyond Parallel.ParallelMergeThreshold.
+// few groups, hash-sharded parallel once decideParallel says so.
 // The two-phase shape is what makes chunked tables an "inherent
 // partitioning" for multiprocessing (paper §2.2).
 func (op *Aggregate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
@@ -129,18 +129,13 @@ func (op *Aggregate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 	return op.buildOutput(groups)
 }
 
-// defaultParallelMergeThreshold is the partial-group count at which the
-// sharded parallel merge starts to pay for its fan-out.
-const defaultParallelMergeThreshold = 4096
-
 // mergeShardCancelStride is how many groups a merge shard processes between
 // cancellation checks.
 const mergeShardCancelStride = 4096
 
 // mergePartials folds the per-chunk partial maps into the final group list,
 // ordered by each group's first appearance in the data. The result is
-// independent of the order in which partials arrive or merge (the satellite
-// bugfix: merge no longer assumes chunk-ordered partials).
+// independent of the order in which partials arrive or merge.
 func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) ([]*group, error) {
 	totalGroups := 0
 	for i := range partials {
@@ -150,27 +145,14 @@ func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) ([]
 		totalGroups += len(partials[i].order)
 	}
 
-	threshold := ctx.Parallel.ParallelMergeThreshold
-	if threshold == 0 {
-		threshold = defaultParallelMergeThreshold
-	}
-	workers := 1
-	if ctx.Scheduler != nil {
-		workers = ctx.Scheduler.WorkerCount()
-	}
-
-	start := time.Now()
-	var out []*group
 	shards := 1
-	if threshold > 0 && totalGroups >= threshold && workers > 1 {
-		shards = nextPow2(min(workers, 64))
-		var err error
-		out, err = mergeSharded(ctx, op.Aggs, partials, shards)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		out = mergeSerial(op.Aggs, partials)
+	if ctx.decideParallel(opAggregateMerge, totalGroups) {
+		shards = ctx.mergeFanOut()
+	}
+	start := time.Now()
+	out, err := mergeSharded(ctx, op.Aggs, partials, shards)
+	if err != nil {
+		return nil, err
 	}
 	// Stable output order derived from the data: ascending first appearance.
 	// (Each row belongs to exactly one group, so firstSeen is unique.)
@@ -179,29 +161,10 @@ func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) ([]
 	return out, nil
 }
 
-// mergeSerial merges all partials on the calling goroutine.
-func mergeSerial(aggs []*expression.Aggregate, partials []chunkGroups) []*group {
-	merged := make(map[string]*group)
-	out := make([]*group, 0, len(partials))
-	for pi := range partials {
-		p := &partials[pi]
-		for _, key := range p.order {
-			partial := p.groups[key]
-			g, ok := merged[key]
-			if !ok {
-				merged[key] = partial
-				out = append(out, partial)
-				continue
-			}
-			mergeGroup(g, partial, aggs)
-		}
-	}
-	return out
-}
-
-// mergeSharded fans the merge out over hash shards: shard s owns every
-// group whose key hash lands in it, so shards share no state and the
-// result is independent of scheduling order.
+// mergeSharded merges over shards hash shards (a power of two; 1 merges on
+// the calling goroutine): shard s owns every group whose key hash lands in
+// it, so shards share no state and the result is independent of scheduling
+// order.
 func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, partials []chunkGroups, shards int) ([]*group, error) {
 	mask := uint64(shards - 1)
 	results := make([][]*group, shards)

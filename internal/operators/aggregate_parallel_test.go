@@ -98,15 +98,15 @@ func TestAggregateParallelMergeMatchesSerial(t *testing.T) {
 
 	sched := scheduler.NewNodeQueueScheduler(1, 4)
 	defer sched.Shutdown()
-	for _, threshold := range []int{1, 100000} {
+	for _, mode := range []ParallelMode{ParallelForce, ParallelSerial} {
 		ctx := NewExecContext(nil, sched, nil)
-		ctx.Parallel.ParallelMergeThreshold = threshold
+		ctx.Parallel = mode
 		out, err := Execute(op, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := tableRows(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("threshold=%d: parallel merge differs from serial\ngot %d rows, want %d rows", threshold, len(got), len(want))
+			t.Fatalf("mode=%d: merge differs from serial\ngot %d rows, want %d rows", mode, len(got), len(want))
 		}
 	}
 }

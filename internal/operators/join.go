@@ -3,7 +3,6 @@ package operators
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
@@ -215,66 +214,6 @@ func compositeKey(sb *strings.Builder, vals []types.Value) (string, bool) {
 	return sb.String(), true
 }
 
-// evalKeysOverTable evaluates several key expressions for every row,
-// chunk-parallel under a multi-worker scheduler.
-func evalKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expression.Expression) ([][]types.Value, types.PosList, error) {
-	chunks := t.Chunks()
-	type chunkKeys struct {
-		vals [][]types.Value
-		rows types.PosList
-		err  error
-	}
-	partials := make([]chunkKeys, len(chunks))
-	jobs := make([]func(), len(chunks))
-	for ci, c := range chunks {
-		ci, c := ci, c
-		jobs[ci] = func() {
-			n := c.Size()
-			if n == 0 {
-				return
-			}
-			ec := ctx.evalContext(t, c, n)
-			vecs := make([]*expression.Vector, len(keys))
-			for i, k := range keys {
-				v, err := expression.Evaluate(k, ec)
-				if err != nil {
-					partials[ci].err = err
-					return
-				}
-				vecs[i] = v
-			}
-			vals := make([][]types.Value, n)
-			rows := make(types.PosList, n)
-			for row := 0; row < n; row++ {
-				tuple := make([]types.Value, len(keys))
-				for i, v := range vecs {
-					tuple[i] = v.ValueAt(row)
-				}
-				vals[row] = tuple
-				rows[row] = types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(row)}
-			}
-			partials[ci].vals = vals
-			partials[ci].rows = rows
-		}
-	}
-	ctx.runJobs(jobs)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	total := t.RowCount()
-	vals := make([][]types.Value, 0, total)
-	rows := make(types.PosList, 0, total)
-	for _, p := range partials {
-		if p.err != nil {
-			return nil, nil, p.err
-		}
-		vals = append(vals, p.vals...)
-		rows = append(rows, p.rows...)
-	}
-	return vals, rows, nil
-}
-
 // HashJoin is the equi-join: it builds a hash table over the right input's
 // keys and probes it with the left input (cf. paper §2.1: joins are
 // implemented as sort-merge, hash, or nested-loop joins, chosen per plan).
@@ -324,80 +263,41 @@ func (ps *pairSet) append(l, r types.RowID, li, ri int32) {
 	ps.rightIdx = append(ps.rightIdx, ri)
 }
 
-// Run implements Operator: the build/probe either runs single-threaded
-// (serial strategy, small inputs, or no multi-worker scheduler) or through
-// the radix-partitioned parallel path (join_radix.go). On the radix path,
-// key evaluation is fused with partitioning (partitionKeysOverTable): each
-// morsel's keys scatter into hash buckets as they materialize, so the scan
-// output streams into the partitioner without an intermediate table-wide key
-// array. Both paths produce pairs in identical order, so results are
-// bit-for-bit equal.
+// Run implements Operator. decideParallel picks the partition count — 1
+// keeps build and probe on the calling task, more fans them out per radix
+// partition (join_radix.go) — and everything else is one path.
 func (j *HashJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	leftT, rightT := inputs[0], inputs[1]
-
-	var ps pairSet
-	var leftRows, rightRows types.PosList
-	if parts := ctx.radixPartitions(leftT.RowCount() + rightT.RowCount()); parts > 1 {
-		build, rRows, err := partitionKeysOverTable(ctx, rightT, j.RightKeys, parts)
-		if err != nil {
-			return nil, err
-		}
-		probe, lRows, err := partitionKeysOverTable(ctx, leftT, j.LeftKeys, parts)
-		if err != nil {
-			return nil, err
-		}
-		leftRows, rightRows = lRows, rRows
-		ps, err = radixJoinPairs(ctx, j, build, probe, leftRows, rightRows, parts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rightVals, rRows, err := evalKeysOverTable(ctx, rightT, j.RightKeys)
-		if err != nil {
-			return nil, err
-		}
-		leftVals, lRows, err := evalKeysOverTable(ctx, leftT, j.LeftKeys)
-		if err != nil {
-			return nil, err
-		}
-		leftRows, rightRows = lRows, rRows
-		ps = j.serialPairs(ctx, leftVals, rightVals, leftRows, rightRows)
+	parts := 1
+	if ctx.decideParallel(opJoin, leftT.RowCount()+rightT.RowCount()) {
+		parts = ctx.joinFanOut()
 	}
+	return j.run(ctx, leftT, rightT, parts)
+}
 
+// run joins over parts hash partitions (a power of two). Key evaluation is
+// fused with partitioning (partitionKeysOverTable): each morsel's keys
+// scatter into hash buckets as they materialize, so no table-wide key array
+// is built. Every partition count emits the pairs in the same order, so
+// results are bit-for-bit equal.
+func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int) (*storage.Table, error) {
+	build, rightRows, err := partitionKeysOverTable(ctx, rightT, j.RightKeys, parts)
+	if err != nil {
+		return nil, err
+	}
+	probe, leftRows, err := partitionKeysOverTable(ctx, leftT, j.LeftKeys, parts)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := radixJoinPairs(ctx, j, build, probe, leftRows, rightRows, parts)
+	if err != nil {
+		return nil, err
+	}
 	surviving, err := j.filterResiduals(ctx, leftT, rightT, ps.left, ps.right)
 	if err != nil {
 		return nil, err
 	}
 	return j.finish(leftT, rightT, leftRows, rightRows, ps, surviving)
-}
-
-// serialPairs is the classic single-threaded build (right) + probe (left).
-func (j *HashJoin) serialPairs(ctx *ExecContext, leftVals, rightVals [][]types.Value, leftRows, rightRows types.PosList) pairSet {
-	var sb strings.Builder
-	buildStart := time.Now()
-	ht := make(map[string][]int32, len(rightVals))
-	for i, tuple := range rightVals {
-		k, ok := compositeKey(&sb, tuple)
-		if !ok {
-			continue
-		}
-		ht[k] = append(ht[k], int32(i))
-	}
-	buildNS := time.Since(buildStart).Nanoseconds()
-
-	probeStart := time.Now()
-	var ps pairSet
-	for i, tuple := range leftVals {
-		k, ok := compositeKey(&sb, tuple)
-		if !ok {
-			continue
-		}
-		for _, ri := range ht[k] {
-			ps.append(leftRows[i], rightRows[ri], int32(i), ri)
-		}
-	}
-	ctx.noteJoinPhases(j, 1, buildNS, time.Since(probeStart).Nanoseconds())
-	return ps
 }
 
 // finish translates surviving pairs into the mode-specific output.

@@ -17,10 +17,11 @@ import (
 
 // --- differential join tests ----------------------------------------------
 //
-// Every join implementation and strategy is checked against an independent
-// naive nested-loop reference computed directly over the row values. The
-// radix path must additionally match the serial path row for row (not just
-// as a set): both emit the serial probe order by construction.
+// Every join implementation and partition count is checked against an
+// independent naive nested-loop reference computed directly over the row
+// values. The hash join must additionally emit the same rows in the same
+// order for every partition count (not just the same set): all of them
+// restore global probe order by construction.
 
 // refJoin computes the expected join output as row strings, independent of
 // any operator code. Key column is 0 on both sides; NULL keys never match.
@@ -149,20 +150,21 @@ func TestJoinDifferentialAgainstReference(t *testing.T) {
 					return tableRows(out)
 				}
 
-				serialCtx := NewExecContext(nil, nil, nil)
-				serialCtx.Parallel.JoinStrategy = JoinStrategySerial
-				serial := runWith("serial", serialCtx,
-					NewHashJoin(mode, tableOp(l), tableOp(r), col(0), col(0), nil))
-
+				hashJoin := func(ctx *ExecContext, parts int) []string {
+					t.Helper()
+					j := NewHashJoin(mode, tableOp(l), tableOp(r), col(0), col(0), nil)
+					out, err := j.run(ctx, l, r, parts)
+					if err != nil {
+						t.Fatalf("hash join, %d partitions: %v", parts, err)
+					}
+					return tableRows(out)
+				}
+				serial := hashJoin(NewExecContext(nil, nil, nil), 1)
 				for _, parts := range []int{2, 8} {
-					radixCtx := NewExecContext(nil, sched, nil)
-					radixCtx.Parallel.JoinStrategy = JoinStrategyRadix
-					radixCtx.Parallel.JoinPartitions = parts
-					radix := runWith(fmt.Sprintf("radix%d", parts), radixCtx,
-						NewHashJoin(mode, tableOp(l), tableOp(r), col(0), col(0), nil))
-					// Radix must match serial exactly, including row order.
+					radix := hashJoin(NewExecContext(nil, sched, nil), parts)
+					// Must match one partition exactly, including row order.
 					if !reflect.DeepEqual(radix, serial) {
-						t.Fatalf("radix(%d partitions) order differs from serial\nradix:  %v\nserial: %v", parts, radix, serial)
+						t.Fatalf("%d partitions: order differs from 1 partition\nradix:  %v\nserial: %v", parts, radix, serial)
 					}
 				}
 
@@ -190,32 +192,6 @@ func TestJoinDifferentialAgainstReference(t *testing.T) {
 	}
 }
 
-// TestRadixJoinAutoThreshold checks the auto strategy: small inputs stay
-// serial, large multi-worker inputs go radix.
-func TestRadixJoinAutoThreshold(t *testing.T) {
-	ctx := NewExecContext(nil, nil, nil)
-	if got := ctx.radixPartitions(1 << 20); got != 1 {
-		t.Errorf("no scheduler: partitions = %d, want 1", got)
-	}
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
-	defer sched.Shutdown()
-	ctx = NewExecContext(nil, sched, nil)
-	if got := ctx.radixPartitions(100); got != 1 {
-		t.Errorf("small input: partitions = %d, want 1", got)
-	}
-	if got := ctx.radixPartitions(radixJoinMinRows); got != 4 {
-		t.Errorf("large input: partitions = %d, want 4", got)
-	}
-	ctx.Parallel.JoinPartitions = 5
-	if got := ctx.radixPartitions(radixJoinMinRows); got != 8 {
-		t.Errorf("explicit partitions rounded: %d, want 8", got)
-	}
-	ctx.Parallel.JoinStrategy = JoinStrategySerial
-	if got := ctx.radixPartitions(1 << 20); got != 1 {
-		t.Errorf("serial strategy: partitions = %d, want 1", got)
-	}
-}
-
 // TestRadixJoinCancellation cancels a radix join mid-flight and verifies the
 // operator returns the context error and every scheduled task completes (no
 // deadlock: Shutdown would hang on stuck tasks, and WaitAll inside the join
@@ -236,8 +212,7 @@ func TestRadixJoinCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	ctx := NewExecContext(nil, sched, nil)
 	ctx.Ctx = cctx
-	ctx.Parallel.JoinStrategy = JoinStrategyRadix
-	ctx.Parallel.JoinPartitions = 8
+	ctx.Parallel = ParallelForce
 
 	done := make(chan error, 1)
 	go func() {

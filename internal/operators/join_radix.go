@@ -11,67 +11,22 @@ import (
 	"hyrise/internal/types"
 )
 
-// This file implements the radix-partitioned, morsel-style parallel hash
-// join path. Both inputs are partitioned by a hash prefix of their join key
-// into P partitions (P ~ worker count); build and probe then run per
-// partition as independent scheduler tasks. Each partition's hash table
-// stays small and cache-resident, and the partitions never share mutable
-// state — the paper's §2.9 point that chunked tables are "an inherent
-// partitioning for multiprocessing", applied to the join hot path.
+// This file implements the hash join's build/probe kernels. Both inputs are
+// partitioned by a hash prefix of their join key into P partitions (P = 1
+// when decideParallel keeps the join serial, else about the worker count);
+// build and probe then run per partition as independent scheduler tasks. Each
+// partition's hash table stays small and cache-resident, and the partitions
+// never share mutable state — the paper's §2.9 point that chunked tables are
+// "an inherent partitioning for multiprocessing", applied to the join hot
+// path.
 //
 // Determinism: partitioning keeps rows in global row order within each
-// partition, and the final pair merge restores global probe order, so the
-// radix path emits exactly the pair sequence of the serial build/probe.
-
-// radixJoinMinRows is the combined input size below which the auto strategy
-// stays serial: partitioning overhead only amortizes on larger inputs.
-const radixJoinMinRows = 8192
-
-// maxJoinPartitions caps the fan-out; beyond this, per-partition fixed
-// costs (map allocation, task scheduling) dominate.
-const maxJoinPartitions = 256
+// partition, and the final pair merge restores global probe order, so every
+// partition count emits exactly the pair sequence of a single build/probe.
 
 // radixCancelStride is how many probe rows a partition task processes
 // between cancellation checks.
 const radixCancelStride = 4096
-
-// radixPartitions decides the hash join fan-out for n total input rows.
-// 1 means "use the serial path".
-func (ctx *ExecContext) radixPartitions(n int) int {
-	switch ctx.Parallel.JoinStrategy {
-	case JoinStrategySerial:
-		return 1
-	case JoinStrategyRadix:
-		// Forced: parallel even under an inline scheduler (tests, benches).
-	default: // JoinStrategyAuto
-		if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 || n < radixJoinMinRows {
-			return 1
-		}
-	}
-	p := ctx.Parallel.JoinPartitions
-	if p <= 0 {
-		p = 1
-		if ctx.Scheduler != nil {
-			p = ctx.Scheduler.WorkerCount()
-		}
-	}
-	if p < 2 {
-		p = 2
-	}
-	if p > maxJoinPartitions {
-		p = maxJoinPartitions
-	}
-	return nextPow2(p)
-}
-
-// nextPow2 rounds n up to a power of two (hash masking needs one).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
 
 // fnv64str hashes a composite key string (FNV-1a).
 func fnv64str(s string) uint64 {
@@ -83,12 +38,13 @@ func fnv64str(s string) uint64 {
 	return h
 }
 
-// joinPartition is one side's rows falling into one hash partition. idx
-// holds global row indices (into the side's rows slice) in ascending order;
-// keys are the pre-rendered composite key strings.
-type joinPartition struct {
-	keys []string
-	idx  []int32
+// joinBuckets is one morsel of one side, scattered by hash partition:
+// keys[p] holds the pre-rendered composite key strings of the morsel's rows
+// in partition p and idx[p] their global row indices (into the side's rows
+// slice), ascending.
+type joinBuckets struct {
+	keys [][]string
+	idx  [][]int32
 }
 
 // partitionKeysOverTable fuses key materialization with hash partitioning:
@@ -96,15 +52,16 @@ type joinPartition struct {
 // TableScan dispatches) evaluates the key expressions over its chunks and
 // scatters rows into private per-partition buckets as soon as they
 // materialize. The scan's output streams straight into the radix partitioner
-// — no table-wide [][]Value key array is ever built, which both removes the
+// — no table-wide key array is ever built, which both removes the
 // materialization barrier between the phases and halves the passes over the
 // keys. NULL-key rows are dropped (NULL never joins); they remain visible to
 // finish through the returned global rows slice.
 //
-// Each morsel covers a contiguous global row range and buckets are
-// concatenated in morsel order, so every partition keeps ascending global
-// row order — the invariant mergePairSets needs to reproduce serial output.
-func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expression.Expression, parts int) ([]joinPartition, types.PosList, error) {
+// Each morsel covers a contiguous global row range and the buckets come back
+// in morsel order, so walking them in order visits every partition's rows in
+// ascending global row order — the invariant mergePairSets needs to restore
+// probe order.
+func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expression.Expression, parts int) ([]joinBuckets, types.PosList, error) {
 	chunks := t.Chunks()
 	// base[ci] is the global row index of chunk ci's first row.
 	base := make([]int, len(chunks))
@@ -117,17 +74,13 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 	mask := uint64(parts - 1)
 
 	morsels := morselRanges(chunks, ctx.morselTargetRows())
-	type morselBuckets struct {
-		keys [][]string
-		idx  [][]int32
-		err  error
-	}
-	buckets := make([]morselBuckets, len(morsels))
+	buckets := make([]joinBuckets, len(morsels))
+	errs := make([]error, len(morsels))
 	jobs := make([]func(), len(morsels))
 	for mi, m := range morsels {
 		mi, m := mi, m
 		jobs[mi] = func() {
-			b := morselBuckets{keys: make([][]string, parts), idx: make([][]int32, parts)}
+			b := joinBuckets{keys: make([][]string, parts), idx: make([][]int32, parts)}
 			var sb strings.Builder
 			tuple := make([]types.Value, len(keys))
 			for ci := m.lo; ci < m.hi; ci++ {
@@ -144,8 +97,7 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 				for i, k := range keys {
 					v, err := expression.Evaluate(k, ec)
 					if err != nil {
-						b.err = err
-						buckets[mi] = b
+						errs[mi] = err
 						return
 					}
 					vecs[i] = v
@@ -163,7 +115,10 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 					if !ok {
 						continue
 					}
-					p := fnv64str(k) & mask
+					var p uint64
+					if mask != 0 {
+						p = fnv64str(k) & mask
+					}
 					b.keys[p] = append(b.keys[p], k)
 					b.idx[p] = append(b.idx[p], int32(gi))
 				}
@@ -175,69 +130,54 @@ func partitionKeysOverTable(ctx *ExecContext, t *storage.Table, keys []expressio
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	for mi := range buckets {
-		if buckets[mi].err != nil {
-			return nil, nil, buckets[mi].err
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-
-	// Concatenate the morsel buckets per partition, in morsel order, so each
-	// partition keeps ascending global row order.
-	out := make([]joinPartition, parts)
-	concat := make([]func(), parts)
-	for p := 0; p < parts; p++ {
-		p := p
-		concat[p] = func() {
-			n := 0
-			for mi := range buckets {
-				n += len(buckets[mi].keys[p])
-			}
-			if n == 0 {
-				return
-			}
-			ks := make([]string, 0, n)
-			idx := make([]int32, 0, n)
-			for mi := range buckets {
-				ks = append(ks, buckets[mi].keys[p]...)
-				idx = append(idx, buckets[mi].idx[p]...)
-			}
-			out[p] = joinPartition{keys: ks, idx: idx}
-		}
-	}
-	ctx.runJobs(concat)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return out, rows, nil
+	return buckets, rows, nil
 }
 
-// radixJoinPairs runs the partitioned build+probe over pre-partitioned sides
-// and returns the candidate pairs in serial probe order.
-func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition, leftRows, rightRows types.PosList, parts int) (pairSet, error) {
+// partitionRows counts one side's rows in partition p.
+func partitionRows(side []joinBuckets, p int) int {
+	n := 0
+	for i := range side {
+		n += len(side[i].idx[p])
+	}
+	return n
+}
+
+// radixJoinPairs runs the build+probe over pre-partitioned sides, one task
+// per partition, and returns the candidate pairs in global probe order.
+func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinBuckets, leftRows, rightRows types.PosList, parts int) (pairSet, error) {
 	results := make([]pairSet, parts)
 	var buildNS, probeNS atomic.Int64
 	jobs := make([]func(), parts)
 	for p := 0; p < parts; p++ {
 		p := p
 		jobs[p] = func() {
-			b, pr := &build[p], &probe[p]
-			if len(pr.idx) == 0 {
+			if partitionRows(probe, p) == 0 {
 				return
 			}
 			t0 := time.Now()
-			ht := make(map[string][]int32, len(b.keys))
-			for i, k := range b.keys {
-				ht[k] = append(ht[k], b.idx[i])
+			ht := make(map[string][]int32, partitionRows(build, p))
+			for _, b := range build {
+				for i, k := range b.keys[p] {
+					ht[k] = append(ht[k], b.idx[p][i])
+				}
 			}
 			t1 := time.Now()
 			buildNS.Add(t1.Sub(t0).Nanoseconds())
 			var out pairSet
-			for i, k := range pr.keys {
-				if i%radixCancelStride == 0 && ctx.Err() != nil {
-					return
-				}
-				for _, ri := range ht[k] {
-					out.append(leftRows[pr.idx[i]], rightRows[ri], pr.idx[i], ri)
+			for _, pr := range probe {
+				for i, k := range pr.keys[p] {
+					if i%radixCancelStride == 0 && ctx.Err() != nil {
+						return
+					}
+					li := pr.idx[p][i]
+					for _, ri := range ht[k] {
+						out.append(leftRows[li], rightRows[ri], li, ri)
+					}
 				}
 			}
 			probeNS.Add(time.Since(t1).Nanoseconds())
@@ -255,8 +195,11 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe []joinPartition,
 // mergePairSets concatenates per-partition pairs and restores global probe
 // order. Each partition's pairs are already ascending in leftIdx and every
 // left row lives in exactly one partition, so a stable sort by leftIdx
-// reproduces the serial pair sequence exactly.
+// reproduces the single-partition pair sequence exactly.
 func mergePairSets(results []pairSet) pairSet {
+	if len(results) == 1 {
+		return results[0]
+	}
 	total := 0
 	for i := range results {
 		total += len(results[i].left)

@@ -33,67 +33,6 @@ type Operator interface {
 	Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error)
 }
 
-// JoinStrategy selects the hash join execution path (paper-style
-// extensibility: the parallel kernel is a pluggable strategy, not a
-// rewrite — the serial path stays selectable).
-type JoinStrategy uint8
-
-// Join strategies.
-const (
-	// JoinStrategyAuto picks radix partitioning when a multi-worker
-	// scheduler is available and the inputs are large enough to amortize
-	// partitioning; serial otherwise.
-	JoinStrategyAuto JoinStrategy = iota
-	// JoinStrategySerial always runs the single-threaded build/probe.
-	JoinStrategySerial
-	// JoinStrategyRadix always runs the partitioned path (under an inline
-	// scheduler the partition tasks just run sequentially).
-	JoinStrategyRadix
-)
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case JoinStrategySerial:
-		return "serial"
-	case JoinStrategyRadix:
-		return "radix"
-	default:
-		return "auto"
-	}
-}
-
-// ParallelOptions tunes the partitioned operator execution paths.
-type ParallelOptions struct {
-	// JoinStrategy selects the hash join path.
-	JoinStrategy JoinStrategy
-	// JoinPartitions overrides the radix fan-out (0 = one per scheduler
-	// worker, rounded up to a power of two).
-	JoinPartitions int
-	// ParallelMergeThreshold is the partial-group count at or above which
-	// the aggregate merge runs hash-sharded in parallel. 0 selects the
-	// default; negative disables the parallel merge entirely.
-	ParallelMergeThreshold int
-	// ScanStrategy selects the table scan path: Auto (morsel-parallel when
-	// the estimated cost — rows × selectivity from the statistics
-	// histograms — clears ScanParallelThreshold), Serial, or Force.
-	ScanStrategy ParallelStrategy
-	// ScanParallelThreshold is the estimated scan cost at or above which the
-	// auto strategy dispatches morsels. 0 selects the default (16384);
-	// negative disables parallel scans.
-	ScanParallelThreshold int
-	// ScanMorselRows is the row budget of one scan morsel (0 = default
-	// 65536): consecutive chunks coalesce until the budget fills.
-	ScanMorselRows int
-	// SortStrategy selects the sort path: Auto (parallel run sort + k-way
-	// merge above SortParallelThreshold rows), Serial, or Force.
-	SortStrategy ParallelStrategy
-	// SortParallelThreshold is the input row count at or above which the
-	// auto strategy sorts in parallel. 0 selects the default (32768);
-	// negative disables parallel sorts.
-	SortParallelThreshold int
-}
-
 // ExecContext carries the per-execution state: the transaction, the
 // scheduler, and the subquery result cache.
 type ExecContext struct {
@@ -136,13 +75,18 @@ type ExecContext struct {
 	// LockWait bounds how long DML waits for a contended row claim before
 	// aborting with a conflict. Zero preserves immediate aborts.
 	LockWait time.Duration
-	// Parallel tunes the radix join, parallel aggregate merge, morsel scan,
-	// and parallel sort paths.
-	Parallel ParallelOptions
+	// Parallel overrides decideParallel for every operator at once (scan,
+	// sort, hash join, aggregate merge). Tests and benchmarks only; the zero
+	// value lets the engine decide.
+	Parallel ParallelMode
 	// Estimator, when non-nil, returns cached table statistics for the
 	// parallelism cost gates (nil result = unknown table). It must be cheap:
 	// a cache lookup, never a statistics build.
 	Estimator Estimator
+
+	// morselRows, when > 0, replaces the morselRows constant; in-package
+	// tests shrink it so that small fixtures split into several morsels.
+	morselRows int
 
 	// subqueryCache memoizes subquery executions by (id, params) so
 	// correlated subqueries re-execute only once per distinct parameter
@@ -184,6 +128,7 @@ func (ctx *ExecContext) child(params []types.Value) *ExecContext {
 		LockWait:      ctx.LockWait,
 		Parallel:      ctx.Parallel,
 		Estimator:     ctx.Estimator,
+		morselRows:    ctx.morselRows,
 	}
 }
 

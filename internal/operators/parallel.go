@@ -8,60 +8,126 @@ import (
 	"hyrise/internal/storage"
 )
 
-// This file implements the cost gate for morsel-driven intra-operator
-// parallelism (paper §2.9): scans and sorts split their input into morsels —
-// fixed-size runs of consecutive chunks — dispatched as scheduler tasks. The
-// serial-vs-parallel decision is not a fixed row-count switch: the scan gate
-// estimates its output cardinality as rows × selectivity from the
-// statistics histograms, so a highly selective scan over a large table still
-// parallelizes (the rows must be visited either way) while a small or
-// cheaply-pruned input skips the task-dispatch overhead.
+// This file holds every serial-vs-parallel decision of the engine (paper
+// §2.9): scans and sorts split their input into morsels — runs of consecutive
+// chunks — hash joins into radix partitions, and the aggregate merge into
+// hash shards, all dispatched as scheduler tasks. Whether an operator fans
+// out at all is decided in one place, decideParallel, from a size estimate
+// the operator derives from its input and the statistics it already has;
+// nothing here is user-tunable.
 
-// ParallelStrategy selects how an operator chooses between its serial and
-// morsel-parallel execution paths.
-type ParallelStrategy uint8
+// ParallelMode overrides the automatic serial-vs-parallel decisions of every
+// operator at once. It exists for tests and benchmarks that must pin a path;
+// production configurations leave it at ParallelAuto.
+type ParallelMode uint8
 
-// Parallel strategies.
+// Parallel modes.
 const (
-	// ParallelAuto parallelizes when a multi-worker scheduler is available
-	// and the estimator-based cost model clears the threshold.
-	ParallelAuto ParallelStrategy = iota
-	// ParallelSerial always runs the single-threaded path.
+	// ParallelAuto lets decideParallel choose per operator execution.
+	ParallelAuto ParallelMode = iota
+	// ParallelSerial keeps every operator on its single-task path.
 	ParallelSerial
-	// ParallelForce always runs the morsel-parallel path (under an inline
-	// scheduler the morsel tasks just run sequentially) — tests, benches.
+	// ParallelForce fans every operator out regardless of input size (under
+	// an inline scheduler the tasks just run one after another).
 	ParallelForce
 )
 
-// String names the strategy.
-func (s ParallelStrategy) String() string {
-	switch s {
-	case ParallelSerial:
-		return "serial"
-	case ParallelForce:
-		return "parallel"
-	default:
-		return "auto"
-	}
+// parallelOp names an operator that has a serial and a fanned-out shape.
+type parallelOp uint8
+
+const (
+	opScan parallelOp = iota
+	opSort
+	opJoin
+	opAggregateMerge
+)
+
+// parallelMinRows is the size estimate at which fanning an operator out
+// starts to pay for task dispatch and the merge of the partial results. They
+// are constants, not options: no binary, example or benchmark workload ever
+// needed different values. TestDecideParallel pins them, and
+// TestTPCHParallelDecisionParity pins what they decide for TPC-H.
+var parallelMinRows = [...]int{
+	// Estimated scan cost: input rows × predicate selectivity, the
+	// selectivity floored at scanSelectivityFloor. Small or cheaply pruned
+	// inputs skip the dispatch; a selective scan over a large table still
+	// fans out because the rows must be visited either way.
+	opScan: 16384,
+	// Input rows: splitting into runs only amortizes once the run sorts
+	// dominate the k-way merge that follows them.
+	opSort: 32768,
+	// Build plus probe rows: partitioning is one extra pass over both sides
+	// and only amortizes on larger inputs.
+	opJoin: 8192,
+	// Partial groups summed over all chunks: every shard walks all partials,
+	// so the fan-out wins only when hash-map inserts dominate that walk.
+	opAggregateMerge: 4096,
 }
 
 const (
-	// defaultScanParallelThreshold is the estimated scan cost (rows ×
-	// selectivity, floored — see scanSelectivityFloor) at which the auto
-	// strategy goes parallel.
-	defaultScanParallelThreshold = 16384
-	// defaultSortParallelThreshold is the input row count at which the auto
-	// strategy sorts per-morsel runs in parallel.
-	defaultSortParallelThreshold = 32768
-	// defaultMorselRows is the row budget of one scan morsel: consecutive
-	// chunks are coalesced until the budget fills, so many small chunks
-	// become one task while a large chunk stays its own morsel.
-	defaultMorselRows = 65536
-	// scanSelectivityFloor bounds the selectivity used by the cost model
-	// from below: even a point lookup must visit every row of an unpruned
-	// segment, so per-row scan cost never drops to zero with the estimate.
+	// morselRows is the row budget of one scan morsel: consecutive chunks are
+	// coalesced until the budget fills, so many small chunks become one task
+	// while a large chunk stays its own morsel.
+	morselRows = 65536
+	// scanSelectivityFloor bounds the selectivity used by the scan cost from
+	// below: even a point lookup must visit every row of an unpruned segment,
+	// so per-row scan cost never drops to zero with the estimate.
 	scanSelectivityFloor = 1.0 / 16
+	// maxRadixPartitions caps the radix fan-out; beyond this, per-partition
+	// fixed costs (map allocation, task scheduling) dominate.
+	maxRadixPartitions = 256
+	// maxMergeShards caps the aggregate merge fan-out: every shard scans all
+	// partials, so shards beyond the core count only add passes.
+	maxMergeShards = 64
 )
+
+// decideParallel is the engine's one serial-vs-parallel gate: an operator
+// fans out when a multi-worker scheduler is attached and its size estimate
+// reaches the operator's entry in parallelMinRows. ctx.Parallel overrides the
+// answer for every operator alike.
+func (ctx *ExecContext) decideParallel(op parallelOp, estRows int) bool {
+	switch ctx.Parallel {
+	case ParallelSerial:
+		return false
+	case ParallelForce:
+		return true
+	}
+	return ctx.workers() > 1 && estRows >= parallelMinRows[op]
+}
+
+// workers is the scheduler's worker count (1 without a scheduler).
+func (ctx *ExecContext) workers() int {
+	if ctx.Scheduler == nil {
+		return 1
+	}
+	return ctx.Scheduler.WorkerCount()
+}
+
+// fanOut is how many tasks a fanned-out operator splits into: one per
+// scheduler worker, at least 2 so forced-parallel paths still exercise their
+// split/merge logic under an inline scheduler.
+func (ctx *ExecContext) fanOut() int {
+	return max(ctx.workers(), 2)
+}
+
+// joinFanOut is the radix partition count (a power of two, for hash masking).
+func (ctx *ExecContext) joinFanOut() int {
+	return nextPow2(min(ctx.fanOut(), maxRadixPartitions))
+}
+
+// mergeFanOut is the aggregate merge shard count (a power of two).
+func (ctx *ExecContext) mergeFanOut() int {
+	return nextPow2(min(ctx.fanOut(), maxMergeShards))
+}
+
+// nextPow2 rounds n up to a power of two.
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
 
 // morsel is a run of consecutive chunks scanned by one task.
 type morsel struct {
@@ -73,9 +139,6 @@ type morsel struct {
 // order, so per-chunk outputs keep their slots and the merged result is
 // bit-for-bit equal to a serial scan.
 func morselRanges(chunks []*storage.Chunk, targetRows int) []morsel {
-	if targetRows <= 0 {
-		targetRows = defaultMorselRows
-	}
 	var out []morsel
 	lo, acc := 0, 0
 	for ci, c := range chunks {
@@ -91,12 +154,13 @@ func morselRanges(chunks []*storage.Chunk, targetRows int) []morsel {
 	return out
 }
 
-// morselTargetRows resolves the configured morsel row budget.
+// morselTargetRows is morselRows unless an in-package test shrank it so that
+// small fixtures fan out.
 func (ctx *ExecContext) morselTargetRows() int {
-	if n := ctx.Parallel.ScanMorselRows; n > 0 {
-		return n
+	if ctx.morselRows > 0 {
+		return ctx.morselRows
 	}
-	return defaultMorselRows
+	return morselRows
 }
 
 // estimateScanSelectivity estimates the fraction of rows a simple predicate
@@ -137,96 +201,36 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 	return 1
 }
 
-// decideScanParallel is the scan's cost gate: it returns whether to dispatch
-// morsels to the scheduler and the estimated qualifying rows that informed
-// the decision (-1 when no estimate was made because the strategy forced the
-// choice).
-func (ctx *ExecContext) decideScanParallel(input *storage.Table, simple *simplePredicate) (parallel bool, estRows int64) {
-	switch ctx.Parallel.ScanStrategy {
-	case ParallelSerial:
-		return false, -1
-	case ParallelForce:
-		return true, -1
-	}
-	if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 {
-		return false, -1
+// scanCost is the scan's size estimate for decideParallel — input rows ×
+// estimated selectivity, floored — plus the estimated qualifying rows for the
+// trace. When the decision cannot depend on it (override set, or no
+// multi-worker scheduler) the estimator is not consulted and estRows is -1.
+func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate) (cost int, estRows int64) {
+	if ctx.Parallel != ParallelAuto || ctx.workers() <= 1 {
+		return 0, -1
 	}
 	total := input.RowCount()
 	if total == 0 {
-		return false, 0
-	}
-	threshold := ctx.Parallel.ScanParallelThreshold
-	if threshold == 0 {
-		threshold = defaultScanParallelThreshold
-	}
-	if threshold < 0 {
-		return false, -1
+		return 0, 0
 	}
 	sel := ctx.estimateScanSelectivity(input, simple)
-	estRows = int64(float64(total) * sel)
-	cost := float64(total) * maxFloat(sel, scanSelectivityFloor)
-	return cost >= float64(threshold), estRows
+	return int(float64(total) * max(sel, scanSelectivityFloor)), int64(float64(total) * sel)
 }
 
-// decideSortParallel is the sort's cost gate: run-splitting only amortizes
-// when the input is large enough to dominate the k-way merge overhead.
-func (ctx *ExecContext) decideSortParallel(totalRows int) bool {
-	switch ctx.Parallel.SortStrategy {
-	case ParallelSerial:
-		return false
-	case ParallelForce:
-		return totalRows > 1
-	}
-	if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 {
-		return false
-	}
-	threshold := ctx.Parallel.SortParallelThreshold
-	if threshold == 0 {
-		threshold = defaultSortParallelThreshold
-	}
-	if threshold < 0 {
-		return false
-	}
-	return totalRows >= threshold
-}
-
-// parallelWorkers returns how many concurrent tasks are worth dispatching
-// (the scheduler's worker count, at least 2 so forced-parallel paths still
-// exercise their split/merge logic under an inline scheduler).
-func (ctx *ExecContext) parallelWorkers() int {
-	w := 1
-	if ctx.Scheduler != nil {
-		w = ctx.Scheduler.WorkerCount()
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
-// noteScanParallel files a morsel scan's fan-out and wall time into the
-// metrics registry and the trace span, so EXPLAIN ANALYZE shows both the
-// decision and its cost. estRows < 0 means "no estimate" (forced strategy).
-func (ctx *ExecContext) noteScanParallel(op Operator, morsels int, wallNS, estRows int64) {
-	if m := ctx.Metrics; m != nil {
+// noteScan records a scan's decision on the trace span, so EXPLAIN ANALYZE
+// shows it with the estimate behind it (estRows < 0: none was made, see
+// scanCost). Only a real fan-out reaches the metrics registry, so
+// scan.morsels and scan.parallel_ns measure morsel-parallel scans alone.
+func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS, estRows int64) {
+	if m := ctx.Metrics; m != nil && parallel {
 		m.ScanMorsels.Add(int64(morsels))
 		m.ScanParallelNS.Add(wallNS)
 	}
 	if tr := ctx.Trace; tr != nil {
 		tr.AddOpAttr(op, "morsels", int64(morsels))
-		tr.AddOpAttr(op, "parallel_ns", wallNS)
-		if estRows >= 0 {
-			tr.AddOpAttr(op, "est_rows", estRows)
+		if parallel {
+			tr.AddOpAttr(op, "parallel_ns", wallNS)
 		}
-	}
-}
-
-// noteScanSerial records a serial-path decision on the trace (auto strategy
-// chose not to parallelize); metrics stay untouched so scan.morsels counts
-// only real fan-out.
-func (ctx *ExecContext) noteScanSerial(op Operator, estRows int64) {
-	if tr := ctx.Trace; tr != nil {
-		tr.AddOpAttr(op, "morsels", 1)
 		if estRows >= 0 {
 			tr.AddOpAttr(op, "est_rows", estRows)
 		}
@@ -261,13 +265,6 @@ func sinceNS(t0 time.Time) int64 {
 		return 0
 	}
 	return time.Since(t0).Nanoseconds()
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Estimator is the narrow statistics hook operators use for cost gating:

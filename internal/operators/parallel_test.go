@@ -16,7 +16,7 @@ import (
 
 // Differential harness for the morsel-parallel scan and parallel sort: every
 // dataset × predicate/keys combination runs once serially and once with the
-// strategy forced parallel on a real multi-worker scheduler, and the outputs
+// mode forced parallel on a real multi-worker scheduler, and the outputs
 // must be bit-for-bit equal — same rows, same order. Run under -race this
 // also shakes out data races in the disjoint-slot writes.
 
@@ -24,9 +24,8 @@ import (
 // morsels, so even small fixtures fan out across several tasks.
 func parallelCtx(sm *storage.StorageManager, sched scheduler.Scheduler) *ExecContext {
 	ctx := NewExecContext(sm, sched, nil)
-	ctx.Parallel.ScanStrategy = ParallelForce
-	ctx.Parallel.SortStrategy = ParallelForce
-	ctx.Parallel.ScanMorselRows = 7 // coalesces a few 5-row chunks per morsel
+	ctx.Parallel = ParallelForce
+	ctx.morselRows = 7 // coalesces a few 5-row chunks per morsel
 	return ctx
 }
 
@@ -89,7 +88,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 		for name, pred := range scanPredicates() {
 			t.Run(table.Name()+"/"+name, func(t *testing.T) {
 				sctx := NewExecContext(sm, nil, nil)
-				sctx.Parallel.ScanStrategy = ParallelSerial
+				sctx.Parallel = ParallelSerial
 				serial, err := Execute(NewTableScan(&GetTable{TableName: table.Name()}, pred), sctx)
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +124,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		for name, keys := range keySets {
 			t.Run(table.Name()+"/"+name, func(t *testing.T) {
 				sctx := NewExecContext(sm, nil, nil)
-				sctx.Parallel.SortStrategy = ParallelSerial
+				sctx.Parallel = ParallelSerial
 				serial, err := Execute(NewSort(&GetTable{TableName: table.Name()}, keys), sctx)
 				if err != nil {
 					t.Fatal(err)
@@ -189,10 +188,77 @@ func TestParallelScanCancellation(t *testing.T) {
 	})
 }
 
-// TestScanParallelDecision exercises the estimator cost gate: the auto
-// strategy must weigh rows × selectivity against the threshold, not a bare
-// row count.
-func TestScanParallelDecision(t *testing.T) {
+// TestDecideParallel pins the one serial-vs-parallel gate: every operator
+// flips exactly at its parallelMinRows entry, a missing or single-worker
+// scheduler keeps everything serial, and the mode override beats both.
+func TestDecideParallel(t *testing.T) {
+	sched4 := scheduler.NewNodeQueueScheduler(1, 4)
+	defer sched4.Shutdown()
+	sched1 := scheduler.NewNodeQueueScheduler(1, 1)
+	defer sched1.Shutdown()
+
+	ops := map[string]parallelOp{"scan": opScan, "sort": opSort, "join": opJoin, "aggregate_merge": opAggregateMerge}
+	wantMin := map[string]int{"scan": 16384, "sort": 32768, "join": 8192, "aggregate_merge": 4096}
+	const huge = 1 << 30
+	for name, op := range ops {
+		threshold := parallelMinRows[op]
+		if threshold != wantMin[name] {
+			t.Errorf("%s: parallelMinRows = %d, want %d", name, threshold, wantMin[name])
+		}
+		cases := []struct {
+			name  string
+			sched scheduler.Scheduler
+			mode  ParallelMode
+			est   int
+			want  bool
+		}{
+			{"below_threshold", sched4, ParallelAuto, threshold - 1, false},
+			{"at_threshold", sched4, ParallelAuto, threshold, true},
+			{"one_worker", sched1, ParallelAuto, huge, false},
+			{"nil_scheduler", nil, ParallelAuto, huge, false},
+			{"serial_mode", sched4, ParallelSerial, huge, false},
+			{"force_mode_nil_scheduler", nil, ParallelForce, 0, true},
+			{"force_mode", sched4, ParallelForce, 0, true},
+		}
+		for _, tc := range cases {
+			ctx := NewExecContext(nil, tc.sched, nil)
+			ctx.Parallel = tc.mode
+			if got := ctx.decideParallel(op, tc.est); got != tc.want {
+				t.Errorf("%s/%s: decideParallel(%d) = %v, want %v", name, tc.name, tc.est, got, tc.want)
+			}
+		}
+	}
+
+	// Fan-out: one task per worker, at least 2, join and merge rounded up to
+	// a power of two and capped.
+	sched300 := scheduler.NewNodeQueueScheduler(1, 300)
+	defer sched300.Shutdown()
+	sched5 := scheduler.NewNodeQueueScheduler(1, 5)
+	defer sched5.Shutdown()
+	for _, tc := range []struct {
+		sched                scheduler.Scheduler
+		fanOut, join, shards int
+	}{
+		{nil, 2, 2, 2},
+		{sched4, 4, 4, 4},
+		{sched5, 5, 8, 8},
+		{sched300, 300, 256, 64},
+	} {
+		ctx := NewExecContext(nil, tc.sched, nil)
+		if ctx.fanOut() != tc.fanOut || ctx.joinFanOut() != tc.join || ctx.mergeFanOut() != tc.shards {
+			t.Errorf("workers=%d: fanOut/join/merge = %d/%d/%d, want %d/%d/%d", ctx.workers(),
+				ctx.fanOut(), ctx.joinFanOut(), ctx.mergeFanOut(), tc.fanOut, tc.join, tc.shards)
+		}
+	}
+	if morselRows != 65536 {
+		t.Errorf("morselRows = %d, want 65536", morselRows)
+	}
+}
+
+// TestScanCost exercises the scan's size estimate: rows × selectivity from
+// the statistics cache with the 1/16 floor, not a bare row count — and no
+// estimate at all when the decision cannot depend on one.
+func TestScanCost(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 64, 2_000)
 	sched := scheduler.NewNodeQueueScheduler(1, 4)
@@ -200,12 +266,8 @@ func TestScanParallelDecision(t *testing.T) {
 	cache := statistics.NewCache(statistics.EqualHeight)
 	cache.Get(table) // build once; the gate only ever Peeks
 
-	newAuto := func(threshold int) *ExecContext {
-		ctx := NewExecContext(sm, sched, nil)
-		ctx.Parallel.ScanParallelThreshold = threshold
-		ctx.Estimator = cache.Peek
-		return ctx
-	}
+	ctx := NewExecContext(sm, sched, nil)
+	ctx.Estimator = cache.Peek
 	selective := analyzeSimplePredicate(eq(col(0), lit(types.Int(3))), nil)
 	wide := analyzeSimplePredicate(
 		&expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Int(0))}, nil)
@@ -213,19 +275,29 @@ func TestScanParallelDecision(t *testing.T) {
 		t.Fatal("predicates not recognized as simple")
 	}
 
-	if got, _ := newAuto(1_000).decideScanParallel(table, wide); !got {
-		t.Fatal("wide predicate over threshold: want parallel")
+	if cost, est := ctx.scanCost(table, wide); cost != 2000 || est != 2000 {
+		t.Errorf("wide predicate: cost, est = %d, %d, want 2000, 2000", cost, est)
 	}
-	// ~1/2000 selectivity floors at 1/16: 2000 * 1/16 = 125 < 1000.
-	if got, _ := newAuto(1_000).decideScanParallel(table, selective); got {
-		t.Fatal("selective predicate under threshold: want serial")
+	// ~1/2000 selectivity floors at 1/16: 2000 * 1/16 = 125.
+	if cost, est := ctx.scanCost(table, selective); cost != 125 || est > 2 {
+		t.Errorf("selective predicate: cost, est = %d, %d, want 125, <= 2", cost, est)
 	}
-	if got, _ := newAuto(-1).decideScanParallel(table, wide); got {
-		t.Fatal("negative threshold: want serial always")
+	// Not simple, or no statistics: the raw row count.
+	if cost, _ := ctx.scanCost(table, nil); cost != 2000 {
+		t.Errorf("complex predicate: cost = %d, want 2000", cost)
 	}
-	serialCtx := newAuto(1_000)
-	serialCtx.Scheduler = nil
-	if got, _ := serialCtx.decideScanParallel(table, wide); got {
-		t.Fatal("no scheduler: want serial")
+	ctx.Estimator = nil
+	if cost, _ := ctx.scanCost(table, selective); cost != 2000 {
+		t.Errorf("no estimator: cost = %d, want 2000", cost)
+	}
+	// Decision fixed elsewhere: the estimator is not consulted.
+	for _, c := range []*ExecContext{NewExecContext(sm, nil, nil), {Scheduler: sched, Parallel: ParallelForce}} {
+		c.Estimator = func(*storage.Table) *statistics.TableStatistics {
+			t.Error("estimator consulted although the decision does not depend on it")
+			return nil
+		}
+		if _, est := c.scanCost(table, wide); est != -1 {
+			t.Errorf("est = %d, want -1", est)
+		}
 	}
 }

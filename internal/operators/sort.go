@@ -43,7 +43,7 @@ func (op *Sort) Name() string {
 // Inputs implements Operator.
 func (op *Sort) Inputs() []Operator { return []Operator{op.input} }
 
-// Run implements Operator. Above the cost gate (decideSortParallel), key
+// Run implements Operator. When decideParallel fans the sort out, key
 // materialization runs chunk-parallel, the permutation is split into
 // contiguous runs sorted concurrently, and a k-way merge combines them.
 // Each run covers a contiguous range of ascending global row indices and
@@ -54,7 +54,7 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 	input := inputs[0]
 	chunks := input.Chunks()
 	total := input.RowCount()
-	parallel := ctx.decideSortParallel(total)
+	parallel := total > 1 && ctx.decideParallel(opSort, total)
 
 	// Materialize the key vectors column-major into fixed per-chunk slots
 	// (disjoint ranges, so chunks may fill concurrently).
@@ -141,11 +141,12 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 	for i := range perm {
 		perm[i] = i
 	}
-	if parallel && total > 1 {
-		if err := op.sortParallel(ctx, perm, keyLess); err != nil {
+	if parallel {
+		nRuns := min(ctx.fanOut(), total)
+		if err := sortParallel(ctx, perm, nRuns, keyLess); err != nil {
 			return nil, err
 		}
-		ctx.noteSortParallel(op, sortRunCount(total, ctx.parallelWorkers()), sinceNS(t0))
+		ctx.noteSortParallel(op, nRuns, sinceNS(t0))
 	} else {
 		sort.SliceStable(perm, func(a, b int) bool { return keyLess(perm[a], perm[b]) })
 	}
@@ -161,23 +162,13 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 // checks.
 const sortMergeCancelStride = 4096
 
-// sortRunCount decides how many runs to split totalRows into (one per
-// scheduler worker, never more runs than rows).
-func sortRunCount(totalRows, workers int) int {
-	if workers > totalRows {
-		return totalRows
-	}
-	return workers
-}
-
 // sortParallel stable-sorts perm (an identity permutation over contiguous
-// global row indices) by splitting it into contiguous runs, sorting them
-// concurrently, and k-way merging the sorted runs. Because the runs
+// global row indices) by splitting it into nRuns contiguous runs, sorting
+// them concurrently, and k-way merging the sorted runs. Because the runs
 // partition the index space in ascending order, within-run stability plus
 // an earlier-run-wins tie-break reproduces sort.SliceStable's output.
-func (op *Sort) sortParallel(ctx *ExecContext, perm []int, keyLess func(a, b int) bool) error {
+func sortParallel(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int) bool) error {
 	total := len(perm)
-	nRuns := sortRunCount(total, ctx.parallelWorkers())
 	runSize := (total + nRuns - 1) / nRuns
 	type runRange struct{ lo, hi int }
 	runs := make([]runRange, 0, nRuns)

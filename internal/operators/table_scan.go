@@ -2,6 +2,7 @@ package operators
 
 import (
 	"sort"
+	"time"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
@@ -34,87 +35,50 @@ func (op *TableScan) Name() string { return "TableScan(" + op.Predicate.String()
 func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
 
 // Run implements Operator: the chunk list is split into morsels (runs of
-// consecutive chunks, see morselRanges) and each morsel runs the prune →
-// encoded-scan → typed-scan ladder as one scheduler task. Per-chunk position
-// lists land in fixed slots and merge in chunk order, so the output is
-// bit-for-bit equal to a serial scan. The estimator cost gate
-// (decideScanParallel) picks serial execution when the fan-out would not
-// amortize.
+// consecutive chunks, see morselRanges) and each morsel runs the scan ladder
+// (chunkScan) as one scheduler task. decideParallel keeps the scan in one
+// morsel when the fan-out would not amortize.
 func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
 	chunks := input.Chunks()
+	scan := newChunkScan(ctx, input, op.Predicate)
+
+	// One morsel over every chunk is the serial scan.
+	morsels := []morsel{{lo: 0, hi: len(chunks)}}
+	var t0 time.Time
+	cost, estRows := ctx.scanCost(input, scan.simple)
+	parallel := ctx.decideParallel(opScan, cost)
+	if parallel {
+		morsels = morselRanges(chunks, ctx.morselTargetRows())
+		t0 = ctx.scanWallClock()
+	}
+	out, err := scanMorsels(ctx, input, chunks, morsels, scan.run)
+	ctx.noteScan(op, parallel, len(morsels), sinceNS(t0), estRows)
+	return out, err
+}
+
+// scanMorsels runs scanChunk over every chunk, one task per morsel, and
+// assembles the reference table. Per-chunk position lists land in fixed
+// slots and merge in chunk order, so the output is bit-for-bit equal for
+// every split of the chunk list.
+func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk, morsels []morsel,
+	scanChunk func(ci int, c *storage.Chunk) (types.PosList, error)) (*storage.Table, error) {
 	rowsPerChunk := make([]types.PosList, len(chunks))
 	errs := make([]error, len(chunks))
-
-	simple := analyzeSimplePredicate(op.Predicate, ctx.Params)
-	cell := ctx.scanStatsCell(input, simple)
-	point := simple != nil && simple.pred.Op.IsPoint()
-
-	// scanChunk is the per-chunk scan ladder; morsel tasks and the serial
-	// loop share it, so both paths compute identical position lists.
-	scanChunk := func(ci int, c *storage.Chunk) {
-		n := c.Size()
-		if n == 0 {
-			return
-		}
-		if simple != nil && !ctx.DynamicAccess {
-			if matches, enc, kind, ok := scanChunkSpecialized(c, simple); ok {
-				rowsPerChunk[ci] = offsetsToRows(types.ChunkID(ci), matches)
-				noteScanPath(ctx, kind, enc)
-				if cell != nil {
-					cell.Record(kind, point, int64(n), int64(len(matches)))
+	jobs := make([]func(), len(morsels))
+	for mi, m := range morsels {
+		m := m
+		jobs[mi] = func() {
+			for ci := m.lo; ci < m.hi; ci++ {
+				// Chunk-granular cancellation inside a running morsel.
+				if ctx.Err() != nil {
+					return
 				}
-				return
+				rowsPerChunk[ci], errs[ci] = scanChunk(ci, chunks[ci])
 			}
-		}
-		// Fallback: vectorized expression evaluation over materialized
-		// columns.
-		ec := ctx.evalContext(input, c, n)
-		countDecodedSegments(ctx, c, ec)
-		keep, err := expression.EvaluateBool(op.Predicate, ec)
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		var rows types.PosList
-		for o, k := range keep {
-			if k {
-				rows = append(rows, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
-			}
-		}
-		rowsPerChunk[ci] = rows
-		if cell != nil {
-			cell.Record(observe.ScanPathFallback, point, int64(n), int64(len(rows)))
 		}
 	}
-
-	if parallel, estRows := ctx.decideScanParallel(input, simple); parallel {
-		morsels := morselRanges(chunks, ctx.morselTargetRows())
-		t0 := ctx.scanWallClock()
-		jobs := make([]func(), len(morsels))
-		for mi, m := range morsels {
-			m := m
-			jobs[mi] = func() {
-				for ci := m.lo; ci < m.hi; ci++ {
-					// Chunk-granular cancellation inside a running morsel.
-					if ctx.Err() != nil {
-						return
-					}
-					scanChunk(ci, chunks[ci])
-				}
-			}
-		}
-		ctx.runJobs(jobs)
-		ctx.noteScanParallel(op, len(morsels), sinceNS(t0), estRows)
-	} else {
-		ctx.noteScanSerial(op, estRows)
-		for ci, c := range chunks {
-			if ctx.Err() != nil {
-				break
-			}
-			scanChunk(ci, c)
-		}
-	}
+	ctx.runJobs(jobs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -124,6 +88,64 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 		}
 	}
 	return buildReferenceTable(input, rowsPerChunk, nil), nil
+}
+
+// chunkScan is the per-chunk scan ladder TableScan and IndexScan share:
+// segment min-max prune → encoded scan → typed scan over unencoded values →
+// vectorized expression evaluation over materialized columns. Everything a
+// chunk needs is resolved once per operator run; run is safe to call from
+// concurrent tasks on distinct chunks.
+type chunkScan struct {
+	ctx    *ExecContext
+	input  *storage.Table
+	pred   expression.Expression
+	simple *simplePredicate         // nil when pred is not `column OP literal`
+	cell   *observe.ColumnScanStats // nil without workload telemetry
+	point  bool
+}
+
+func newChunkScan(ctx *ExecContext, input *storage.Table, pred expression.Expression) *chunkScan {
+	simple := analyzeSimplePredicate(pred, ctx.Params)
+	return &chunkScan{
+		ctx: ctx, input: input, pred: pred, simple: simple,
+		cell:  ctx.scanStatsCell(input, simple),
+		point: simple != nil && simple.pred.Op.IsPoint(),
+	}
+}
+
+// run returns the qualifying positions of chunk ci.
+func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
+	n := c.Size()
+	if n == 0 {
+		return nil, nil
+	}
+	ctx := s.ctx
+	if s.simple != nil && !ctx.DynamicAccess {
+		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple); ok {
+			noteScanPath(ctx, kind, enc)
+			if s.cell != nil {
+				s.cell.Record(kind, s.point, int64(n), int64(len(matches)))
+			}
+			return offsetsToRows(types.ChunkID(ci), matches), nil
+		}
+	}
+	// Fallback: vectorized expression evaluation over materialized columns.
+	ec := ctx.evalContext(s.input, c, n)
+	countDecodedSegments(ctx, c, ec)
+	keep, err := expression.EvaluateBool(s.pred, ec)
+	if err != nil {
+		return nil, err
+	}
+	var rows types.PosList
+	for o, k := range keep {
+		if k {
+			rows = append(rows, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
+		}
+	}
+	if s.cell != nil {
+		s.cell.Record(observe.ScanPathFallback, s.point, int64(n), int64(len(rows)))
+	}
+	return rows, nil
 }
 
 // simplePredicate is a `column OP literal`, `column BETWEEN lit AND lit`, or
@@ -368,7 +390,7 @@ func sortOffsets(offsets []types.ChunkOffset) []types.ChunkOffset {
 }
 
 // IndexScan evaluates a simple predicate through per-chunk secondary
-// indexes, falling back to a specialized scan for chunks without one
+// indexes; chunks without one go through the same scan ladder as TableScan
 // (paper §2.4: indexes "return qualifying positions for a certain predicate
 // directly without scanning through the data").
 type IndexScan struct {
@@ -390,52 +412,24 @@ func (op *IndexScan) Inputs() []Operator { return []Operator{op.input} }
 // Run implements Operator.
 func (op *IndexScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
-	simple := analyzeSimplePredicate(op.Predicate, ctx.Params)
+	scan := newChunkScan(ctx, input, op.Predicate)
+	simple := scan.simple
 	if simple == nil {
 		// Not index-eligible after all: degrade to a table scan.
 		return NewTableScan(op.input, op.Predicate).Run(ctx, inputs)
 	}
-	cell := ctx.scanStatsCell(input, simple)
-	point := simple.pred.Op.IsPoint()
 	// Indexes hold non-null values only; null checks go through the scan
-	// paths even on indexed chunks.
+	// ladder even on indexed chunks.
 	nullCheck := simple.pred.Op == encoding.ScanIsNull || simple.pred.Op == encoding.ScanIsNotNull
 	chunks := input.Chunks()
-	rowsPerChunk := make([]types.PosList, len(chunks))
-	jobs := make([]func(), len(chunks))
-	for ci, c := range chunks {
-		ci, c := ci, c
-		jobs[ci] = func() {
-			n := c.Size()
-			if n == 0 {
-				return
-			}
-			idx := c.GetIndex(simple.column)
-			if idx == nil || nullCheck {
-				if matches, enc, kind, ok := scanChunkSpecialized(c, simple); ok {
-					rowsPerChunk[ci] = offsetsToRows(types.ChunkID(ci), matches)
-					noteScanPath(ctx, kind, enc)
-					if cell != nil {
-						cell.Record(kind, point, int64(n), int64(len(matches)))
-					}
-					return
-				}
-				// Unspecializable chunk: dynamic per-row fallback.
-				matches := dynamicScan(c, simple)
-				rowsPerChunk[ci] = offsetsToRows(types.ChunkID(ci), matches)
-				if cell != nil {
-					cell.Record(observe.ScanPathFallback, point, int64(n), int64(len(matches)))
-				}
-				return
-			}
-			rowsPerChunk[ci] = offsetsToRows(types.ChunkID(ci), indexProbe(idx, simple))
+	// One task per chunk: a probe is cheap where there is an index and a
+	// full scan where there is none.
+	return scanMorsels(ctx, input, chunks, morselRanges(chunks, 1), func(ci int, c *storage.Chunk) (types.PosList, error) {
+		if idx := c.GetIndex(simple.column); idx != nil && !nullCheck && c.Size() > 0 {
+			return offsetsToRows(types.ChunkID(ci), indexProbe(idx, simple)), nil
 		}
-	}
-	ctx.runJobs(jobs)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return buildReferenceTable(input, rowsPerChunk, nil), nil
+		return scan.run(ci, c)
+	})
 }
 
 func indexProbe(idx storage.ChunkIndex, p *simplePredicate) []types.ChunkOffset {
@@ -481,49 +475,4 @@ func removeOffsets(offsets []types.ChunkOffset, drop map[types.ChunkOffset]bool)
 		}
 	}
 	return out
-}
-
-// dynamicScan is the last-resort per-row scan through the Segment
-// interface.
-func dynamicScan(c *storage.Chunk, p *simplePredicate) []types.ChunkOffset {
-	seg := c.GetSegment(p.column)
-	var out []types.ChunkOffset
-	for o := 0; o < seg.Len(); o++ {
-		if matchValue(seg.ValueAt(types.ChunkOffset(o)), p) {
-			out = append(out, types.ChunkOffset(o))
-		}
-	}
-	return out
-}
-
-func matchValue(v types.Value, p *simplePredicate) bool {
-	pr := &p.pred
-	switch pr.Op {
-	case encoding.ScanIsNull:
-		return v.IsNull()
-	case encoding.ScanIsNotNull:
-		return !v.IsNull()
-	case encoding.ScanBetween:
-		c1, ok1 := types.Compare(v, pr.Lo)
-		c2, ok2 := types.Compare(v, pr.Hi)
-		return ok1 && ok2 && c1 >= 0 && c2 <= 0
-	}
-	c, ok := types.Compare(v, pr.Value)
-	if !ok {
-		return false
-	}
-	switch pr.Op {
-	case encoding.ScanEq:
-		return c == 0
-	case encoding.ScanNe:
-		return c != 0
-	case encoding.ScanLt:
-		return c < 0
-	case encoding.ScanLe:
-		return c <= 0
-	case encoding.ScanGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
 }

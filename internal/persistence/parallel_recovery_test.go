@@ -192,8 +192,13 @@ func TestSnapshotV2ParallelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(img[:8]) != snapMagicV2 {
-		t.Fatalf("snapshot magic = %q, want %q", img[:8], snapMagicV2)
+	if string(img[:8]) != snapMagic {
+		t.Fatalf("snapshot magic = %q, want %q", img[:8], snapMagic)
+	}
+	// Any other magic (older format versions included) is a hard error.
+	other := append([]byte("HYSNAP00"), img[8:]...)
+	if _, _, err := DecodeSnapshot(other, storage.NewStorageManager()); err == nil {
+		t.Fatal("image with an unknown magic decoded without error")
 	}
 
 	for _, workers := range []int{-1, 4} {
@@ -208,74 +213,6 @@ func TestSnapshotV2ParallelRoundTrip(t *testing.T) {
 		tm2 := concurrency.NewTransactionManager()
 		if !rowsEqual(visibleRows(tm2, got), want) {
 			t.Fatalf("workers=%d: restored rows diverged", workers)
-		}
-	}
-}
-
-// TestSnapshotV1BackCompat hand-encodes a version-1 image (no chunk length
-// prefixes) and checks the decoder still reads it sequentially.
-func TestSnapshotV1BackCompat(t *testing.T) {
-	table := storage.NewTable("legacy", testDefs(), 4, false)
-	for i := 0; i < 10; i++ {
-		if _, err := table.AppendRow([]types.Value{
-			types.Int(int64(i)), types.Str("x"), types.Float(float64(i)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	table.FinalizeLastChunk()
-
-	w := &writer{}
-	w.bytes([]byte(snapMagic))
-	w.uvarint(42) // lsn
-	w.uvarint(7)  // lastCID
-	w.uvarint(1)  // one table
-	w.string_(table.Name())
-	w.uvarint(uint64(table.TargetChunkSize()))
-	w.byte(0) // no MVCC
-	defs := table.ColumnDefinitions()
-	w.uvarint(uint64(len(defs)))
-	for _, d := range defs {
-		w.string_(d.Name)
-		w.byte(byte(d.Type))
-		if d.Nullable {
-			w.byte(1)
-		} else {
-			w.byte(0)
-		}
-	}
-	chunks := table.Chunks()
-	w.uvarint(uint64(len(chunks)))
-	for _, c := range chunks {
-		// v1 layout: the chunk body follows immediately, no length prefix.
-		if err := encodeChunk(w, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.uvarint(0) // no views
-	crc := crc32.ChecksumIEEE(w.buf[len(snapMagic):])
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
-
-	sm := storage.NewStorageManager()
-	lsn, cid, err := DecodeSnapshot(w.buf, sm)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot(v1): %v", err)
-	}
-	if lsn != 42 || cid != 7 {
-		t.Fatalf("cut = (%d, %d), want (42, 7)", lsn, cid)
-	}
-	got, err := sm.GetTable("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RowCount() != 10 || got.ChunkCount() != 3 {
-		t.Fatalf("restored %d rows in %d chunks, want 10 in 3", got.RowCount(), got.ChunkCount())
-	}
-	for i := 0; i < 10; i++ {
-		rid := types.RowID{Chunk: types.ChunkID(i / 4), Offset: types.ChunkOffset(i % 4)}
-		v := got.GetChunk(rid.Chunk).GetSegment(0).ValueAt(rid.Offset)
-		if v.I != int64(i) {
-			t.Fatalf("row %d = %v", i, v)
 		}
 	}
 }
@@ -298,7 +235,7 @@ func TestSnapshotV2CorruptChunkBody(t *testing.T) {
 
 	buildImage := func(mutate func(w *writer, body []byte)) []byte {
 		w := &writer{}
-		w.bytes([]byte(snapMagicV2))
+		w.bytes([]byte(snapMagic))
 		w.uvarint(0) // lsn
 		w.uvarint(0) // lastCID
 		w.uvarint(1) // one table
@@ -323,7 +260,7 @@ func TestSnapshotV2CorruptChunkBody(t *testing.T) {
 		}
 		mutate(w, cw.buf)
 		w.uvarint(0) // no views
-		crc := crc32.ChecksumIEEE(w.buf[len(snapMagicV2):])
+		crc := crc32.ChecksumIEEE(w.buf[len(snapMagic):])
 		return binary.LittleEndian.AppendUint32(w.buf, crc)
 	}
 

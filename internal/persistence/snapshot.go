@@ -17,18 +17,16 @@ import (
 // whatever physical form they currently have (value, dictionary, run-length,
 // frame-of-reference), so an encoded immutable chunk restores encoded.
 //
-// Version 2 (HYSNAP02, written since PR 10) prefixes every chunk body with
-// its byte length, which lets recovery decode chunks in parallel: the chunk
-// boundaries can be sliced out without decoding any segment. Version 1
-// snapshots (no prefixes, strictly sequential decode) remain readable.
+// Every chunk body is prefixed with its byte length, which lets recovery
+// decode chunks in parallel: the chunk boundaries can be sliced out without
+// decoding any segment. Any other magic is rejected.
 //
 // MVCC state collapses to two bitmaps per chunk — committed (begin != ∞)
 // and deleted (end != ∞). Restored rows are stamped begin=0 (visible since
 // the beginning of time) or left invisible; WAL replay over the snapshot
 // re-stamps rows whose commits landed after the snapshot cut.
 const (
-	snapMagic   = "HYSNAP01"
-	snapMagicV2 = "HYSNAP02"
+	snapMagic = "HYSNAP02"
 	// SnapshotFileName is the name of the snapshot inside the data directory.
 	SnapshotFileName = "snapshot.db"
 	// WALFileName is the name of the write-ahead log inside the data directory.
@@ -39,7 +37,7 @@ const (
 // with the WAL cut (lsn, lastCID).
 func encodeSnapshot(sm *storage.StorageManager, lsn int64, lastCID types.CommitID) ([]byte, error) {
 	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.bytes([]byte(snapMagicV2))
+	w.bytes([]byte(snapMagic))
 	w.uvarint(uint64(lsn))
 	w.uvarint(uint64(lastCID))
 
@@ -62,7 +60,7 @@ func encodeSnapshot(sm *storage.StorageManager, lsn int64, lastCID types.CommitI
 		w.string_(views[name])
 	}
 
-	crc := crc32.ChecksumIEEE(w.buf[len(snapMagicV2):])
+	crc := crc32.ChecksumIEEE(w.buf[len(snapMagic):])
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
 	return w.buf, nil
 }
@@ -104,9 +102,9 @@ func encodeTable(w *writer, t *storage.Table) error {
 	w.uvarint(uint64(len(chunks)))
 	cw := &writer{buf: make([]byte, 0, 1<<12)} // scratch, reused per chunk
 	for _, c := range chunks {
-		// Encode the chunk body into the scratch writer first so the v2
-		// format can prefix it with its byte length (what makes parallel
-		// chunk decode possible on restore).
+		// Encode the chunk body into the scratch writer first so it can be
+		// prefixed with its byte length (what makes parallel chunk decode
+		// possible on restore).
 		cw.buf = cw.buf[:0]
 		if err := encodeChunk(cw, c); err != nil {
 			return err
@@ -118,7 +116,7 @@ func encodeTable(w *writer, t *storage.Table) error {
 }
 
 // encodeChunk serializes one chunk body (immutability flag, row count,
-// segments, MVCC bitmaps) — the unit a v2 snapshot length-prefixes.
+// segments, MVCC bitmaps) — the unit a snapshot length-prefixes.
 func encodeChunk(w *writer, c *storage.Chunk) error {
 	segs, rows := c.SnapshotSegments()
 	if c.IsImmutable() {
@@ -181,18 +179,8 @@ func DecodeSnapshot(buf []byte, sm *storage.StorageManager) (lsn int64, lastCID 
 
 // DecodeSnapshotWorkers is DecodeSnapshot with an explicit worker budget for
 // the parallel chunk decode (0 = one per CPU, <= 1 after resolution = serial).
-// Only v2 snapshots (length-prefixed chunk bodies) decode in parallel; v1
-// images always decode sequentially.
 func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
-	if len(buf) < len(snapMagic)+4 {
-		return 0, 0, fmt.Errorf("not a snapshot image")
-	}
-	v2 := false
-	switch string(buf[:len(snapMagic)]) {
-	case snapMagic:
-	case snapMagicV2:
-		v2 = true
-	default:
+	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
 		return 0, 0, fmt.Errorf("not a snapshot image")
 	}
 	body := buf[len(snapMagic) : len(buf)-4]
@@ -211,7 +199,7 @@ func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) 
 		r.fail("table count exceeds snapshot size")
 	}
 	for i := uint64(0); i < nTables && r.err == nil; i++ {
-		t, err := decodeTable(r, v2, workers)
+		t, err := decodeTable(r, workers)
 		if err != nil {
 			return 0, 0, fmt.Errorf("persistence: snapshot table %d: %w", i, err)
 		}
@@ -242,7 +230,7 @@ func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) 
 	return lsn, lastCID, nil
 }
 
-func decodeTable(r *reader, v2 bool, workers int) (*storage.Table, error) {
+func decodeTable(r *reader, workers int) (*storage.Table, error) {
 	name := r.string_()
 	chunkSize := int(r.uvarint())
 	useMvcc := r.byte_() == 1
@@ -273,23 +261,7 @@ func decodeTable(r *reader, v2 bool, workers int) (*storage.Table, error) {
 		return nil, r.err
 	}
 
-	if !v2 {
-		// v1: no length prefixes, so chunk boundaries only emerge while
-		// decoding — strictly sequential.
-		for ci := uint64(0); ci < nChunks && r.err == nil; ci++ {
-			chunk, err := decodeChunk(r, defs, chunkSize)
-			if err != nil {
-				return nil, fmt.Errorf("chunk %d: %w", ci, err)
-			}
-			t.AppendChunk(chunk)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		return t, nil
-	}
-
-	// v2: slice out the length-prefixed chunk bodies sequentially (cheap),
+	// Slice out the length-prefixed chunk bodies sequentially (cheap),
 	// decode the bodies in parallel, then append in chunk order so chunk ids
 	// come out identical to a serial restore.
 	bodies := make([][]byte, 0, nChunks)
@@ -327,9 +299,8 @@ func decodeTable(r *reader, v2 bool, workers int) (*storage.Table, error) {
 	return t, nil
 }
 
-// decodeChunk decodes one chunk body (the unit encodeChunk writes) from r.
-// Both snapshot versions share it; v2 calls it concurrently over disjoint
-// body slices.
+// decodeChunk decodes one chunk body (the unit encodeChunk writes) from r;
+// decodeTable calls it concurrently over disjoint body slices.
 func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*storage.Chunk, error) {
 	immutable := r.byte_() == 1
 	rows := int(r.uvarint())

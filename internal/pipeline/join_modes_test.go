@@ -56,10 +56,10 @@ func TestRightAndFullOuterJoinSQL(t *testing.T) {
 	}
 }
 
-// TestJoinStrategiesAgreeOverSQL runs the same join+aggregation workload
-// under the serial and radix strategies (and the parallel aggregate merge)
-// and demands identical rows in identical order.
-func TestJoinStrategiesAgreeOverSQL(t *testing.T) {
+// TestParallelModesAgreeOverSQL runs the same join+aggregation workload with
+// every operator pinned serial and with every operator forced parallel and
+// demands identical rows in identical order.
+func TestParallelModesAgreeOverSQL(t *testing.T) {
 	queries := []string{
 		`SELECT d_name, e_name FROM dept JOIN emp ON d_id = e_dept ORDER BY e_name`,
 		`SELECT d_name, e_name FROM dept LEFT JOIN emp ON d_id = e_dept ORDER BY d_name, e_name`,
@@ -77,19 +77,18 @@ func TestJoinStrategiesAgreeOverSQL(t *testing.T) {
 	}
 
 	serialCfg := DefaultConfig()
-	serialCfg.JoinStrategy = operators.JoinStrategySerial
+	serialCfg.ParallelMode = operators.ParallelSerial
 	want := run(serialCfg)
 
 	radixCfg := DefaultConfig()
 	radixCfg.UseScheduler = true
 	radixCfg.SchedulerWorkers = 4
-	radixCfg.JoinStrategy = operators.JoinStrategyRadix
-	radixCfg.ParallelMergeThreshold = 1
+	radixCfg.ParallelMode = operators.ParallelForce
 	got := run(radixCfg)
 
 	for i := range queries {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("query %q: radix/parallel rows differ\ngot:  %v\nwant: %v", queries[i], got[i], want[i])
+			t.Errorf("query %q: forced-parallel rows differ\ngot:  %v\nwant: %v", queries[i], got[i], want[i])
 		}
 	}
 }

@@ -91,44 +91,12 @@ type Config struct {
 	// SnapshotInterval, when > 0 and DataDir is set, checkpoints in the
 	// background at this cadence, truncating the WAL each time.
 	SnapshotInterval time.Duration
-	// JoinStrategy selects the hash-join execution path: Auto (radix-
-	// partitioned parallel build/probe when the scheduler has multiple
-	// workers and the input is large enough), Serial (always single
-	// build/probe), or Radix (always partitioned — mainly for tests and
-	// benchmarks). Results are identical either way.
-	JoinStrategy operators.JoinStrategy
-	// JoinPartitions overrides the radix join fan-out (0 = one partition
-	// per scheduler worker, rounded up to a power of two).
-	JoinPartitions int
-	// ParallelMergeThreshold is the partial-group count beyond which the
-	// aggregate merge runs hash-sharded in parallel (0 = default 4096,
-	// negative disables the parallel merge).
-	ParallelMergeThreshold int
-	// ScanStrategy selects the table-scan execution path: Auto (morsel-
-	// parallel when the estimator's rows x selectivity cost clears
-	// ScanParallelThreshold and the scheduler has multiple workers), Serial
-	// (always single-threaded), or Force (always morsel-parallel — mainly
-	// for tests and benchmarks). Results are identical either way.
-	ScanStrategy operators.ParallelStrategy
-	// ScanParallelThreshold is the estimated output-row cost (input rows x
-	// predicate selectivity) at which the auto scan strategy goes parallel
-	// (0 = default 16384, negative disables parallel scans under Auto).
-	ScanParallelThreshold int
-	// ScanMorselRows is the target number of rows per scan/partition morsel
-	// (0 = default 65536). Consecutive chunks are coalesced into one morsel
-	// until the budget fills.
-	ScanMorselRows int
-	// SortStrategy selects the sort execution path: Auto (parallel run sort
-	// plus k-way merge above SortParallelThreshold rows), Serial, or Force.
-	// Output order is identical either way.
-	SortStrategy operators.ParallelStrategy
-	// SortParallelThreshold is the input row count at which the auto sort
-	// strategy goes parallel (0 = default 32768, negative disables).
-	SortParallelThreshold int
-	// RecoveryWorkers bounds parallel recovery (snapshot chunk decode and
-	// WAL redo-batch decode; apply stays in commit order). 0 = one worker
-	// per CPU, negative = serial.
-	RecoveryWorkers int
+	// ParallelMode overrides the engine's own serial-vs-parallel decisions
+	// (operators.ParallelAuto, the zero value) for every operator at once:
+	// ParallelSerial keeps scans, sorts, hash joins and aggregate merges on
+	// one task, ParallelForce fans all of them out regardless of input size.
+	// Tests and benchmarks only — results are identical in every mode.
+	ParallelMode operators.ParallelMode
 }
 
 // DefaultConfig enables everything except the scheduler, mirroring the
@@ -253,7 +221,6 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 			Dir:              cfg.DataDir,
 			Mode:             mode,
 			SnapshotInterval: cfg.SnapshotInterval,
-			RecoveryWorkers:  cfg.RecoveryWorkers,
 			Registry:         e.registry,
 		})
 		if err != nil {
@@ -868,16 +835,7 @@ func (s *Session) executePlan(ctx context.Context, plan *cachedPlan, stmt sqlpar
 	ectx.Waits = engine.metrics.waits
 	ectx.Active = s.activeQ
 	ectx.LockWait = engine.cfg.LockWaitTimeout
-	ectx.Parallel = operators.ParallelOptions{
-		JoinStrategy:           engine.cfg.JoinStrategy,
-		JoinPartitions:         engine.cfg.JoinPartitions,
-		ParallelMergeThreshold: engine.cfg.ParallelMergeThreshold,
-		ScanStrategy:           engine.cfg.ScanStrategy,
-		ScanParallelThreshold:  engine.cfg.ScanParallelThreshold,
-		ScanMorselRows:         engine.cfg.ScanMorselRows,
-		SortStrategy:           engine.cfg.SortStrategy,
-		SortParallelThreshold:  engine.cfg.SortParallelThreshold,
-	}
+	ectx.Parallel = engine.cfg.ParallelMode
 	// The estimator feeds the scan cost gate. Peek is a pure cache lookup —
 	// never a statistics build — so attaching it costs nothing per query.
 	ectx.Estimator = engine.stats.Peek

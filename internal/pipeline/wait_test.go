@@ -59,8 +59,7 @@ func TestWaitSpansRadixJoinConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseScheduler = true
 	cfg.SchedulerWorkers = 4
-	cfg.JoinStrategy = operators.JoinStrategyRadix
-	cfg.JoinPartitions = 8
+	cfg.ParallelMode = operators.ParallelForce
 	e, _ := newObserveEngine(t, cfg, 300)
 
 	const sessions = 4

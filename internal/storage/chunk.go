@@ -203,6 +203,12 @@ type Chunk struct {
 	// rowCount is maintained explicitly because appends to the individual
 	// value segments happen under the table's append lock.
 	rowCount atomic.Int64
+
+	// viewed is set when a reader is handed segment memory (GetSegment,
+	// SnapshotSegments) and cleared when overwriteRow moves the segments to
+	// fresh arrays: while it is clear, nobody else can see the arrays and log
+	// replay may write into them in place.
+	viewed atomic.Bool
 }
 
 // NewChunk creates a chunk over the given segments. mvcc may be nil when
@@ -230,6 +236,7 @@ func (c *Chunk) ColumnCount() int { return len(c.segments) }
 func (c *Chunk) GetSegment(col types.ColumnID) Segment {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	c.viewed.Store(true)
 	seg := c.segments[col]
 	if c.immutable.Load() {
 		return seg
@@ -254,6 +261,7 @@ func (c *Chunk) GetSegment(col types.ColumnID) Segment {
 func (c *Chunk) SnapshotSegments() ([]Segment, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	c.viewed.Store(true)
 	size := int(c.rowCount.Load())
 	immutable := c.immutable.Load()
 	out := make([]Segment, len(c.segments))
@@ -382,6 +390,25 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 	}
 	metadata += 128 // struct headers, slice headers, atomics
 	return data, metadata
+}
+
+// overwriteRow replaces the values of an existing row: log replay filling a
+// placeholder (Table.RestoreRowAt). Readers scan the views they were handed
+// without a lock, so once any view is out the row is written into copies of
+// the value segments that replace the originals under the chunk lock; the
+// views keep the old arrays. Caller must hold the table's append lock.
+func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fresh := c.viewed.Swap(false)
+	for i, v := range vals {
+		seg, err := valueSegmentWith(c.segments[i], off, v, fresh)
+		if err != nil {
+			return err
+		}
+		c.segments[i] = seg
+	}
+	return nil
 }
 
 // appendRow adds one row to the chunk's value segments. Caller must hold

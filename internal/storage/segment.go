@@ -233,6 +233,37 @@ func AppendValueTo(seg Segment, v types.Value) error {
 	return nil
 }
 
+// with returns the segment with row i set to (v, null): s itself when fresh
+// is false, else a copy over new backing arrays of the same capacity.
+func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *ValueSegment[T] {
+	if fresh {
+		cp := &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), nullable: s.nullable}
+		if s.nulls != nil {
+			cp.nulls = append(make([]bool, 0, cap(s.nulls)), s.nulls...)
+		}
+		s = cp
+	}
+	s.values[i] = v
+	if s.nulls != nil {
+		s.nulls[i] = null
+	}
+	return s
+}
+
+// valueSegmentWith is ValueSegment.with for the dynamic value v.
+func valueSegmentWith(seg Segment, i types.ChunkOffset, v types.Value, fresh bool) (Segment, error) {
+	switch s := seg.(type) {
+	case *ValueSegment[int64]:
+		return s.with(i, v.AsInt(), v.IsNull(), fresh), nil
+	case *ValueSegment[float64]:
+		return s.with(i, v.AsFloat(), v.IsNull(), fresh), nil
+	case *ValueSegment[string]:
+		return s.with(i, v.S, v.IsNull(), fresh), nil
+	default:
+		return nil, fmt.Errorf("storage: cannot overwrite a row of segment type %T", seg)
+	}
+}
+
 // NewValueSegmentOfType creates an empty value segment for the dynamic type.
 func NewValueSegmentOfType(t types.DataType, capacity int, nullable bool) Segment {
 	switch t {

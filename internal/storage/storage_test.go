@@ -2,6 +2,7 @@ package storage
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -440,6 +441,84 @@ func TestConcurrentAppends(t *testing.T) {
 	for i := 0; i < workers*per; i++ {
 		if seen[int64(i)] != 1 {
 			t.Fatalf("value %d seen %d times", i, seen[int64(i)])
+		}
+	}
+}
+
+// TestRestoreRowAtFillsPlaceholdersUnderReaders replays rows in descending
+// offset order — the first call pads every lower offset with a placeholder,
+// every later call overwrites one — while readers scan the segment views they
+// were handed without a lock. Under -race this fails if an overwrite ever
+// lands in memory a reader can see; afterwards every row must hold its
+// values, across the sealed first chunk and the mutable second one.
+func TestRestoreRowAtFillsPlaceholdersUnderReaders(t *testing.T) {
+	const chunkSize, rows = 32, 48
+	table := NewTable("r", testDefs(), chunkSize, true)
+	rowOf := func(i int) []types.Value {
+		price := types.Value(types.Float(float64(i) / 4))
+		if i%5 == 0 {
+			price = types.NullValue
+		}
+		return []types.Value{types.Int(int64(i)), price, types.Str(strings.Repeat("x", i%7+1))}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, c := range table.Chunks() {
+					for col := 0; col < c.ColumnCount(); col++ {
+						seg := c.GetSegment(types.ColumnID(col))
+						for o := 0; o < seg.Len(); o++ {
+							_ = seg.ValueAt(types.ChunkOffset(o))
+						}
+					}
+				}
+			}
+		}()
+	}
+	for i := rows - 1; i >= 0; i-- {
+		rid := types.RowID{Chunk: types.ChunkID(i / chunkSize), Offset: types.ChunkOffset(i % chunkSize)}
+		existed, err := table.RestoreRowAt(rid, rowOf(i))
+		if err != nil {
+			t.Fatalf("RestoreRowAt(%v): %v", rid, err)
+		}
+		if want := i != rows-1; existed != want {
+			// Only the first call appends; it pads all of chunk 0 on the way.
+			t.Fatalf("RestoreRowAt(%v): existed = %v, want %v", rid, existed, want)
+		}
+		mvcc := table.GetChunk(rid.Chunk).MvccData()
+		mvcc.SetBegin(rid.Offset, 1)
+		mvcc.SetEnd(rid.Offset, types.MaxCommitID)
+	}
+	close(stop)
+	wg.Wait()
+
+	if !table.GetChunk(0).IsImmutable() || table.GetChunk(1).IsImmutable() {
+		t.Fatal("chunk 0 must be sealed and chunk 1 still mutable")
+	}
+	for i := 0; i < rows; i++ {
+		rid := types.RowID{Chunk: types.ChunkID(i / chunkSize), Offset: types.ChunkOffset(i % chunkSize)}
+		got, want := table.RowAsValues(rid), rowOf(i)
+		for col := range want {
+			if got[col] != want[col] {
+				t.Fatalf("row %d column %d = %v, want %v", i, col, got[col], want[col])
+			}
+		}
+		// A stamped row is real: replaying its frame again must not touch it.
+		if existed, err := table.RestoreRowAt(rid, rowOf(i+1)); err != nil || !existed {
+			t.Fatalf("re-apply at %v: existed = %v, err = %v", rid, existed, err)
+		}
+		if got := table.RowAsValues(rid)[0]; got != want[0] {
+			t.Fatalf("re-apply at %v overwrote a restored row: id = %v", rid, got)
 		}
 	}
 }

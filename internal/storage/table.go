@@ -213,12 +213,15 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	}, nil
 }
 
-// RestoreRowAt places a row at an exact RowID during log replay. Offsets
-// skipped because their transactions never committed are padded with
-// invisible placeholder rows (begin = MaxCommitID, end = 0), so the chunk
-// geometry the log's RowIDs reference is reproduced exactly. It reports
-// whether the row already existed (replay over a snapshot that already
-// contains it is idempotent).
+// RestoreRowAt places a row at an exact RowID during log replay. The log
+// carries transactions in commit order, which under concurrent sessions is
+// not offset order: offsets below the target that no replayed commit has
+// filled yet are padded with invisible placeholder rows (begin = MaxCommitID,
+// end = 0), so the chunk geometry the log's RowIDs reference is reproduced
+// exactly, and a later commit that owns such an offset overwrites the
+// placeholder with its values. It reports whether the offset already existed;
+// a row that is there for real (restored from the snapshot, or an already
+// applied frame) is left alone, which keeps replay idempotent.
 func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool, err error) {
 	if t.tableType != DataTable {
 		return false, fmt.Errorf("storage: cannot restore into reference table")
@@ -245,40 +248,61 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	defer t.appendMu.Unlock()
 
 	// Create missing chunks up to the target; like AppendRow, opening a new
-	// chunk finalizes its predecessor.
+	// chunk finalizes its predecessor. The live table opened the new chunk
+	// because the predecessor was full, so the predecessor's slots the log has
+	// not filled yet belong to transactions that commit later (or never):
+	// reserve them before sealing it.
 	for t.ChunkCount() <= int(row.Chunk) {
-		t.mu.Lock()
-		if n := len(t.chunks); n > 0 {
-			t.chunks[n-1].Finalize()
+		if n := t.ChunkCount(); n > 0 {
+			last := t.GetChunk(types.ChunkID(n - 1))
+			if !last.IsImmutable() && last.MvccData() != nil {
+				if err := t.padChunk(last, t.targetChunkSize); err != nil {
+					return false, err
+				}
+			}
+			last.Finalize()
 		}
+		t.mu.Lock()
 		t.chunks = append(t.chunks, t.newMutableChunk())
 		t.mu.Unlock()
 	}
 
 	chunk := t.GetChunk(row.Chunk)
+	mvcc := chunk.MvccData()
 	if int(row.Offset) < chunk.Size() {
+		if mvcc != nil && mvcc.Begin(row.Offset) == types.MaxCommitID && mvcc.End(row.Offset) == 0 {
+			return true, chunk.overwriteRow(row.Offset, vals)
+		}
 		return true, nil
 	}
 	if chunk.IsImmutable() {
 		return false, fmt.Errorf("storage: restore offset %d beyond immutable chunk %d of table %q", row.Offset, row.Chunk, t.name)
 	}
-	mvcc := chunk.MvccData()
 	if mvcc == nil && chunk.Size() < int(row.Offset) {
 		return false, fmt.Errorf("storage: cannot pad rows of table %q without MVCC data", t.name)
 	}
-	for chunk.Size() < int(row.Offset) {
-		off := types.ChunkOffset(chunk.Size())
-		if err := chunk.appendRow(t.placeholderRow()); err != nil {
-			return false, err
-		}
-		// Placeholders stand in for aborted or uncommitted rows: never
-		// visible to anyone.
-		mvcc.SetEnd(off, 0)
+	if err := t.padChunk(chunk, int(row.Offset)); err != nil {
+		return false, err
 	}
 	if err := chunk.appendRow(vals); err != nil {
 		return false, err
 	}
 	return false, nil
+}
+
+// padChunk appends placeholder rows until the chunk holds size rows.
+// Placeholders stand in for rows whose transaction has not been replayed
+// (yet): invisible to everyone until RestoreRowAt overwrites them.
+func (t *Table) padChunk(chunk *Chunk, size int) error {
+	placeholder := t.placeholderRow()
+	for chunk.Size() < size {
+		off := types.ChunkOffset(chunk.Size())
+		if err := chunk.appendRow(placeholder); err != nil {
+			return err
+		}
+		chunk.MvccData().SetEnd(off, 0)
+	}
+	return nil
 }
 
 // placeholderRow builds a typed all-zero row used to pad recovery gaps.
