@@ -246,40 +246,6 @@ func BenchmarkFig7Memory(b *testing.B) {
 	}
 }
 
-// --- §2.7: JIT / fusion ------------------------------------------------------------
-
-// BenchmarkJITFusion compares the traditional operator pipeline against the
-// fused engine on a complex-expression aggregation over dictionary-encoded
-// TPC-H data. Expect the traditional path to WIN here: its specialized
-// scans filter on dictionary codes while fusion decodes first — the
-// paper's own caveat ("the encoding-specific optimizations have not made
-// it into the JIT component yet"). The unencoded-input comparison (where
-// fusion reaches parity and beats interpreted execution by 5-16x) is in
-// cmd/hyrise-bench jit.
-func BenchmarkJITFusion(b *testing.B) {
-	const sql = `SELECT sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)),
-		sum(CASE WHEN l_quantity > 25 THEN l_extendedprice ELSE l_extendedprice * 0.5 END)
-		FROM lineitem WHERE l_quantity BETWEEN 5 AND 45`
-	for _, fused := range []bool{false, true} {
-		name := "traditional"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := pipeline.DefaultConfig()
-			cfg.UseFusion = fused
-			e := tpchEngine(b, cfg, storage.DefaultChunkSize)
-			s := e.NewSession()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ExecuteOne(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- §2.9: scheduler -----------------------------------------------------------------
 
 // BenchmarkScheduler measures TPC-H Q6 with immediate execution and with

@@ -6,7 +6,7 @@
 //	hyrise-bench fig6  [-sf 0.1]   TPC-H per-query comparison across engines
 //	hyrise-bench fig7  [-sf 0.1]   throughput vs chunk capacity
 //	hyrise-bench fig7mem [-sf 0.1] memory footprint vs chunk capacity
-//	hyrise-bench jit               fused (JIT-analog) vs traditional execution
+//	hyrise-bench jit               interpreted vs dynamic vs vectorized execution
 //	hyrise-bench sched             scheduler on/off and scalability
 //	hyrise-bench cache             query plan cache effect
 //	hyrise-bench all               everything above

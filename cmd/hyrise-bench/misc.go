@@ -12,15 +12,16 @@ import (
 	"hyrise/internal/tpch"
 )
 
-// runJIT reproduces the §2.7 claim that code specialization + operator
-// fusion help most "when complex expressions have to be calculated": a
+// runJIT reproduces the shape of the §2.7 claim that code specialization
+// helps most "when complex expressions have to be calculated": a
 // scan+aggregate with a heavy arithmetic/CASE expression runs through the
-// traditional engine and the fused (JIT-analog) engine.
+// tuple-at-a-time interpreter, the per-value dynamic access path and the
+// vectorized operator pipeline. (The fused closure engine that used to be a
+// fourth column was deleted; see EXPERIMENTS.md §2.7.)
 func runJIT(runs int) {
-	fmt.Println("== §2.7: fused (JIT-analog) vs traditional execution")
-	fmt.Println("   three engines: dynamic = per-value virtual calls (the paper's 22x baseline),")
-	fmt.Println("   vectorized = the traditional operator pipeline, fused = compiled single pass.")
-	fmt.Println("   (fused vs vectorized parity reproduces Kersten et al. [24], which the paper cites)")
+	fmt.Println("== §2.7: specialized (vectorized) vs unspecialized execution")
+	fmt.Println("   interpreted = tuple-at-a-time row engine, dynamic = per-value virtual calls")
+	fmt.Println("   (the paper's 22x baseline), vectorized = the operator pipeline.")
 	queries := []struct {
 		name string
 		sql  string
@@ -32,16 +33,11 @@ func runJIT(runs int) {
 			FROM numbers WHERE v1 + v2 > 100000 AND v1 BETWEEN 1000 AND 990000`},
 	}
 
-	var traditionalSM *storage.StorageManager
-	build := func(useFusion, dynamic bool) *pipeline.Session {
+	build := func(dynamic bool) (*pipeline.Session, *storage.StorageManager) {
 		cfg := pipeline.DefaultConfig()
-		cfg.UseFusion = useFusion
 		cfg.DynamicAccess = dynamic
 		cfg.PlanCacheSize = 0 // measure full pipeline work every run
 		engine := pipeline.NewEngine(cfg, nil)
-		if !useFusion && !dynamic {
-			traditionalSM = engine.StorageManager()
-		}
 		s := engine.NewSession()
 		mustExec(s, "CREATE TABLE numbers (v1 FLOAT NOT NULL, v2 FLOAT NOT NULL)")
 		var sb strings.Builder
@@ -58,17 +54,16 @@ func runJIT(runs int) {
 			}
 			mustExec(s, sb.String())
 		}
-		return s
+		return s, engine.StorageManager()
 	}
 
-	dynamic := build(false, true)
-	traditional := build(false, false)
-	fused := build(true, false)
+	dynamic, _ := build(true)
+	vectorized, vectorizedSM := build(false)
 	// The tuple-at-a-time interpreter is the closest analog of the
 	// pre-specialization execution the paper's 22x refers to.
-	interpreted := rowengine.NewFromStorage(traditionalSM)
+	interpreted := rowengine.NewFromStorage(vectorizedSM)
 
-	fmt.Printf("%-22s %14s %13s %15s %11s %11s %11s\n", "query", "interpret(ms)", "dynamic(ms)", "vectorized(ms)", "fused (ms)", "int/fused", "vec/fused")
+	fmt.Printf("%-22s %14s %13s %15s %11s %11s\n", "query", "interpret(ms)", "dynamic(ms)", "vectorized(ms)", "int/vec", "dyn/vec")
 	for _, q := range queries {
 		intMS := bestOf(runs, func() {
 			if _, _, err := interpreted.Query(q.sql); err != nil {
@@ -76,10 +71,9 @@ func runJIT(runs int) {
 			}
 		})
 		dynMS := bestOf(runs, func() { mustExec(dynamic, q.sql) })
-		tradMS := bestOf(runs, func() { mustExec(traditional, q.sql) })
-		fusedMS := bestOf(runs, func() { mustExec(fused, q.sql) })
-		fmt.Printf("%-22s %14.2f %13.2f %15.2f %11.2f %10.2fx %10.2fx\n",
-			q.name, intMS, dynMS, tradMS, fusedMS, intMS/fusedMS, tradMS/fusedMS)
+		vecMS := bestOf(runs, func() { mustExec(vectorized, q.sql) })
+		fmt.Printf("%-22s %14.2f %13.2f %15.2f %10.2fx %10.2fx\n",
+			q.name, intMS, dynMS, vecMS, intMS/vecMS, dynMS/vecMS)
 	}
 	fmt.Println()
 }

@@ -36,7 +36,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "scheduler workers (0 = one per core)")
 		optimizer   = flag.Bool("optimizer", true, "enable the optimizer")
 		mvcc        = flag.Bool("mvcc", true, "enable MVCC")
-		fusionFlag  = flag.Bool("jit", false, "enable the fused (JIT-analog) engine")
 		queriesArg  = flag.String("queries", "", "comma-separated query numbers (default: all 22)")
 		output      = flag.String("output", "", "write JSON to this file (default: stdout)")
 		custom      = flag.String("custom", "", "directory with a custom benchmark (*.csv, *.schema, *.sql)")
@@ -49,7 +48,6 @@ func main() {
 	cfg.UseMvcc = *mvcc
 	cfg.UseScheduler = *scheduler
 	cfg.SchedulerWorkers = *workers
-	cfg.UseFusion = *fusionFlag
 	engine := pipeline.NewEngine(cfg, nil)
 	defer engine.Close()
 

@@ -150,9 +150,7 @@ func (n *ValidateNode) String() string { return "Validate" }
 // index the input schema.
 type PredicateNode struct {
 	Predicate expression.Expression
-	// UseIndex is an optimizer hint: evaluate via chunk indexes.
-	UseIndex bool
-	input    Node
+	input     Node
 }
 
 // NewPredicateNode builds a filter.
@@ -170,13 +168,7 @@ func (n *PredicateNode) SetInput(i int, in Node) { n.input = in }
 func (n *PredicateNode) Schema() Schema { return n.input.Schema() }
 
 // String implements Node.
-func (n *PredicateNode) String() string {
-	s := "Predicate(" + n.Predicate.String()
-	if n.UseIndex {
-		s += ", index"
-	}
-	return s + ")"
-}
+func (n *PredicateNode) String() string { return "Predicate(" + n.Predicate.String() + ")" }
 
 // ProjectionNode computes expressions over its input. Names are the output
 // column names (aliases or canonical renderings).

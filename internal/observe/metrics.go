@@ -313,7 +313,7 @@ func (r *Registry) Snapshot() []Metric {
 // updates on every query — held by pointer in the execution context so the
 // hot path never touches the registry's maps.
 type ExecMetrics struct {
-	// RowsScanned counts rows examined by TableScan/IndexScan operators.
+	// RowsScanned counts rows examined by TableScan operators.
 	RowsScanned *Counter
 	// OperatorsExecuted counts physical operator invocations.
 	OperatorsExecuted *Counter
@@ -331,6 +331,9 @@ type ExecMetrics struct {
 	// ScanSegmentsPruned counts segments skipped entirely because min-max
 	// statistics proved the predicate matches zero rows.
 	ScanSegmentsPruned *Counter
+	// ScanSegmentsIndexProbed counts segment scans answered by a probe of
+	// the chunk's secondary index.
+	ScanSegmentsIndexProbed *Counter
 	// ScanEncodedDictionary / ScanEncodedFOR / ScanEncodedRLE count segment
 	// scans answered directly on the encoded representation (value-id
 	// comparison, offset-domain block scan, per-run scan respectively).
@@ -370,13 +373,14 @@ func NewExecMetrics(r *Registry) *ExecMetrics {
 		JoinProbeNS:       r.Counter("operator.join.probe_ns"),
 		AggregateMergeNS:  r.Counter("operator.aggregate.merge_ns"),
 
-		ScanSegmentsPruned:    r.Counter("scan.segments_pruned"),
-		ScanEncodedDictionary: r.Counter("scan.encoded_dictionary"),
-		ScanEncodedFOR:        r.Counter("scan.encoded_for"),
-		ScanEncodedRLE:        r.Counter("scan.encoded_rle"),
-		ScanSegmentsUnencoded: r.Counter("scan.segments_unencoded"),
-		ScanSegmentsDecoded:   r.Counter("scan.segments_decoded"),
-		ScanEncodedAggregates: r.Counter("scan.encoded_aggregates"),
+		ScanSegmentsPruned:      r.Counter("scan.segments_pruned"),
+		ScanSegmentsIndexProbed: r.Counter("scan.segments_index_probed"),
+		ScanEncodedDictionary:   r.Counter("scan.encoded_dictionary"),
+		ScanEncodedFOR:          r.Counter("scan.encoded_for"),
+		ScanEncodedRLE:          r.Counter("scan.encoded_rle"),
+		ScanSegmentsUnencoded:   r.Counter("scan.segments_unencoded"),
+		ScanSegmentsDecoded:     r.Counter("scan.segments_decoded"),
+		ScanEncodedAggregates:   r.Counter("scan.encoded_aggregates"),
 
 		ScanMorsels:    r.Counter("operator.scan.morsels"),
 		ScanParallelNS: r.Counter("scan.parallel_ns"),

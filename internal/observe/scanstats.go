@@ -13,6 +13,8 @@ type ScanPathKind uint8
 const (
 	// ScanPathPruned: the segment was skipped via min-max statistics.
 	ScanPathPruned ScanPathKind = iota
+	// ScanPathIndex: the chunk's secondary index returned the positions.
+	ScanPathIndex
 	// ScanPathEncoded: the predicate ran directly on the encoded codes.
 	ScanPathEncoded
 	// ScanPathUnencoded: a plain value segment was scanned as typed slices.
@@ -29,6 +31,7 @@ const (
 type ColumnScanStats struct {
 	scans     atomic.Int64 // segment scans, all paths
 	pruned    atomic.Int64
+	index     atomic.Int64
 	encoded   atomic.Int64
 	unencoded atomic.Int64
 	fallback  atomic.Int64
@@ -44,6 +47,8 @@ func (c *ColumnScanStats) Record(path ScanPathKind, point bool, rowsIn, rowsOut 
 	switch path {
 	case ScanPathPruned:
 		c.pruned.Add(1)
+	case ScanPathIndex:
+		c.index.Add(1)
 	case ScanPathEncoded:
 		c.encoded.Add(1)
 	case ScanPathUnencoded:
@@ -65,6 +70,7 @@ type ColumnScanSnapshot struct {
 	Table, Column string
 	Scans         int64
 	Pruned        int64
+	Index         int64
 	Encoded       int64
 	Unencoded     int64
 	Fallback      int64
@@ -139,6 +145,7 @@ func (s *ScanStats) Snapshot() []ColumnScanSnapshot {
 			Column:    names[1],
 			Scans:     c.scans.Load(),
 			Pruned:    c.pruned.Load(),
+			Index:     c.index.Load(),
 			Encoded:   c.encoded.Load(),
 			Unencoded: c.unencoded.Load(),
 			Fallback:  c.fallback.Load(),

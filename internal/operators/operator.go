@@ -270,8 +270,7 @@ func Execute(root Operator, ctx *ExecContext) (*storage.Table, error) {
 			}
 			if ctx.Metrics != nil {
 				ctx.Metrics.OperatorsExecuted.Inc()
-				switch op.(type) {
-				case *TableScan, *IndexScan:
+				if _, ok := op.(*TableScan); ok {
 					for _, in := range inTables {
 						if in != nil {
 							ctx.Metrics.RowsScanned.Add(int64(in.RowCount()))

@@ -9,7 +9,6 @@ import (
 	"hyrise/internal/concurrency"
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
-	"hyrise/internal/index"
 	"hyrise/internal/scheduler"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -262,37 +261,6 @@ func TestTableScanOnReferenceInput(t *testing.T) {
 	seg := out.GetChunk(0).GetSegment(0).(*storage.ReferenceSegment)
 	if seg.ReferencedTable().Name() != "numbers" {
 		t.Errorf("composition failed: references %q", seg.ReferencedTable().Name())
-	}
-}
-
-func TestIndexScan(t *testing.T) {
-	sm := storage.NewStorageManager()
-	table := numbersTable(t, sm, 25, 100)
-	// Index only some chunks: the rest must fall back to scanning.
-	if err := index.AddIndexToChunk(index.BTree, table.GetChunk(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := index.AddIndexToChunk(index.ART, table.GetChunk(2), 0); err != nil {
-		t.Fatal(err)
-	}
-	ctx := newCtx(t, sm)
-	for _, tc := range []struct {
-		pred expression.Expression
-		want int
-	}{
-		{eq(col(0), lit(types.Int(55))), 1},
-		{&expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Int(30))}, 30},
-		{&expression.Comparison{Op: expression.Gt, Left: col(0), Right: lit(types.Int(89))}, 10},
-		{&expression.Between{Child: col(0), Lo: lit(types.Int(20)), Hi: lit(types.Int(80))}, 61},
-		{&expression.Comparison{Op: expression.Ne, Left: col(0), Right: lit(types.Int(5))}, 99},
-	} {
-		out, err := Execute(NewIndexScan(&GetTable{TableName: "numbers"}, tc.pred), ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.RowCount() != tc.want {
-			t.Errorf("%s: %d rows, want %d", tc.pred, out.RowCount(), tc.want)
-		}
 	}
 }
 

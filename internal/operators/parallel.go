@@ -73,6 +73,11 @@ const (
 	// below: even a point lookup must visit every row of an unpruned segment,
 	// so per-row scan cost never drops to zero with the estimate.
 	scanSelectivityFloor = 1.0 / 16
+	// indexProbeMaxSelectivity is the estimated selectivity up to which a
+	// chunk's secondary index answers a scan: a probe returns positions that
+	// must be sorted back into offset order, which only beats a sequential
+	// scan of the segment when few rows qualify.
+	indexProbeMaxSelectivity = 0.01
 	// maxRadixPartitions caps the radix fan-out; beyond this, per-partition
 	// fixed costs (map allocation, task scheduling) dominate.
 	maxRadixPartitions = 256
@@ -201,27 +206,31 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 	return 1
 }
 
-// scanCost is the scan's size estimate for decideParallel — input rows ×
-// estimated selectivity, floored — plus the estimated qualifying rows for the
-// trace. When the decision cannot depend on it (override set, or no
-// multi-worker scheduler) the estimator is not consulted and estRows is -1.
-func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate) (cost int, estRows int64) {
-	if ctx.Parallel != ParallelAuto || ctx.workers() <= 1 {
-		return 0, -1
+// scanCost is the scan's one selectivity estimate per operator run and what
+// it is needed for: the size estimate for decideParallel — input rows ×
+// estimated selectivity, floored — the estimated qualifying rows for the
+// trace, and the selectivity itself, which opens or closes the index rung.
+// When nothing can depend on it (override set or no multi-worker scheduler,
+// and no chunk of the input indexed) the estimator is not consulted and
+// estRows is -1.
+func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate, indexed bool) (cost int, estRows int64, sel float64) {
+	if !indexed && (ctx.Parallel != ParallelAuto || ctx.workers() <= 1) {
+		return 0, -1, 1
 	}
 	total := input.RowCount()
 	if total == 0 {
-		return 0, 0
+		return 0, 0, 1
 	}
-	sel := ctx.estimateScanSelectivity(input, simple)
-	return int(float64(total) * max(sel, scanSelectivityFloor)), int64(float64(total) * sel)
+	sel = ctx.estimateScanSelectivity(input, simple)
+	return int(float64(total) * max(sel, scanSelectivityFloor)), int64(float64(total) * sel), sel
 }
 
 // noteScan records a scan's decision on the trace span, so EXPLAIN ANALYZE
 // shows it with the estimate behind it (estRows < 0: none was made, see
 // scanCost). Only a real fan-out reaches the metrics registry, so
 // scan.morsels and scan.parallel_ns measure morsel-parallel scans alone.
-func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS, estRows int64) {
+// indexChunks is how many chunks answered through their index.
+func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS, estRows, indexChunks int64) {
 	if m := ctx.Metrics; m != nil && parallel {
 		m.ScanMorsels.Add(int64(morsels))
 		m.ScanParallelNS.Add(wallNS)
@@ -233,6 +242,9 @@ func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS
 		}
 		if estRows >= 0 {
 			tr.AddOpAttr(op, "est_rows", estRows)
+		}
+		if indexChunks > 0 {
+			tr.AddOpAttr(op, "index_chunks", indexChunks)
 		}
 	}
 }

@@ -275,19 +275,19 @@ func TestScanCost(t *testing.T) {
 		t.Fatal("predicates not recognized as simple")
 	}
 
-	if cost, est := ctx.scanCost(table, wide); cost != 2000 || est != 2000 {
+	if cost, est, _ := ctx.scanCost(table, wide, false); cost != 2000 || est != 2000 {
 		t.Errorf("wide predicate: cost, est = %d, %d, want 2000, 2000", cost, est)
 	}
 	// ~1/2000 selectivity floors at 1/16: 2000 * 1/16 = 125.
-	if cost, est := ctx.scanCost(table, selective); cost != 125 || est > 2 {
+	if cost, est, _ := ctx.scanCost(table, selective, false); cost != 125 || est > 2 {
 		t.Errorf("selective predicate: cost, est = %d, %d, want 125, <= 2", cost, est)
 	}
 	// Not simple, or no statistics: the raw row count.
-	if cost, _ := ctx.scanCost(table, nil); cost != 2000 {
+	if cost, _, _ := ctx.scanCost(table, nil, false); cost != 2000 {
 		t.Errorf("complex predicate: cost = %d, want 2000", cost)
 	}
 	ctx.Estimator = nil
-	if cost, _ := ctx.scanCost(table, selective); cost != 2000 {
+	if cost, _, _ := ctx.scanCost(table, selective, false); cost != 2000 {
 		t.Errorf("no estimator: cost = %d, want 2000", cost)
 	}
 	// Decision fixed elsewhere: the estimator is not consulted.
@@ -296,7 +296,7 @@ func TestScanCost(t *testing.T) {
 			t.Error("estimator consulted although the decision does not depend on it")
 			return nil
 		}
-		if _, est := c.scanCost(table, wide); est != -1 {
+		if _, est, _ := c.scanCost(table, wide, false); est != -1 {
 			t.Errorf("est = %d, want -1", est)
 		}
 	}

@@ -1,14 +1,11 @@
 package operators
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/filter"
-	"hyrise/internal/index"
 	"hyrise/internal/observe"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -125,107 +122,4 @@ func TestTableScanMinMaxPrune(t *testing.T) {
 			t.Errorf("scan.segments_pruned = %d, want 0", got)
 		}
 	})
-}
-
-// execCounters snapshots the scan.* counters one scan moved.
-func execCounters(m *observe.ExecMetrics) map[string]int64 {
-	return map[string]int64{
-		"pruned":     m.ScanSegmentsPruned.Value(),
-		"unencoded":  m.ScanSegmentsUnencoded.Value(),
-		"decoded":    m.ScanSegmentsDecoded.Value(),
-		"dictionary": m.ScanEncodedDictionary.Value(),
-		"for":        m.ScanEncodedFOR.Value(),
-		"rle":        m.ScanEncodedRLE.Value(),
-	}
-}
-
-// TestIndexScanSharesScanLadder runs IndexScan over a table where only chunks
-// 0 and 2 carry an index, in every encoding × compression. Its rows must
-// equal TableScan's, and for the chunks it has to scan itself it must move
-// the scan.* counters and the per-column workload statistics exactly as a
-// TableScan over just those chunks does — including the materializing
-// fallback (a float probe on an encoded int column) and DynamicAccess, which
-// IndexScan's former private per-row loop neither counted nor honored.
-func TestIndexScanSharesScanLadder(t *testing.T) {
-	specs := []encoding.Spec{
-		{Encoding: encoding.Unencoded},
-		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
-		{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
-		{Encoding: encoding.RunLength},
-		{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned},
-		{Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128},
-	}
-	preds := []struct {
-		pred      expression.Expression
-		nullCheck bool // null checks bypass the index on every chunk
-	}{
-		{pred: eq(col(0), lit(types.Int(55)))},
-		{pred: &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Int(30))}},
-		{pred: &expression.Between{Child: col(0), Lo: lit(types.Int(20)), Hi: lit(types.Int(130))}},
-		{pred: &expression.Comparison{Op: expression.Ne, Left: col(0), Right: lit(types.Int(5))}},
-		// Non-integral probe on an int column: encoded segments refuse it and
-		// the chunk lands on the materializing fallback.
-		{pred: &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Float(50.5))}},
-		{pred: &expression.IsNull{Child: col(1)}, nullCheck: true},
-	}
-	defs := []storage.ColumnDefinition{
-		{Name: "id", Type: types.TypeInt64},
-		{Name: "tag", Type: types.TypeString, Nullable: true},
-	}
-	rows := make([][]types.Value, 200)
-	for i := range rows {
-		tag := types.Value(types.Str("t"))
-		if i%7 == 0 {
-			tag = types.NullValue
-		}
-		rows[i] = []types.Value{types.Int(int64(i)), tag}
-	}
-
-	for _, spec := range specs {
-		sm := storage.NewStorageManager()
-		table := makeTable(t, sm, "mixed", defs, 50, rows) // 4 chunks
-		if spec.Encoding != encoding.Unencoded {
-			if err := encoding.EncodeTable(table, spec, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, ci := range []types.ChunkID{0, 2} {
-			for c := types.ColumnID(0); c < 2; c++ {
-				if err := index.AddIndexToChunk(index.BTree, table.GetChunk(ci), c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, p := range preds {
-			for _, dynamic := range []bool{false, true} {
-				name := fmt.Sprintf("%s-%s/%s/dynamic=%v", spec.Encoding, spec.Compression, p.pred, dynamic)
-				run := func(op Operator) ([]string, map[string]int64, []observe.ColumnScanSnapshot) {
-					ctx, m, s := meteredCtx(t, sm)
-					ctx.DynamicAccess = dynamic
-					out, err := Execute(op, ctx)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					return tableRows(out), execCounters(m), s.Snapshot()
-				}
-				wantRows, fullCounters, fullStats := run(NewTableScan(&GetTable{TableName: "mixed"}, p.pred))
-				gotRows, gotCounters, gotStats := run(NewIndexScan(&GetTable{TableName: "mixed"}, p.pred))
-				if !reflect.DeepEqual(gotRows, wantRows) {
-					t.Errorf("%s: IndexScan rows differ from TableScan\ngot:  %v\nwant: %v", name, gotRows, wantRows)
-				}
-				wantCounters, wantStats := fullCounters, fullStats
-				if !p.nullCheck {
-					// The reference for the unindexed chunks alone.
-					_, wantCounters, wantStats = run(NewTableScan(
-						&GetTable{TableName: "mixed", PrunedChunks: []types.ChunkID{0, 2}}, p.pred))
-				}
-				if !reflect.DeepEqual(gotCounters, wantCounters) {
-					t.Errorf("%s: IndexScan counters = %v, TableScan over the scanned chunks = %v", name, gotCounters, wantCounters)
-				}
-				if !reflect.DeepEqual(gotStats, wantStats) {
-					t.Errorf("%s: IndexScan column stats = %+v, want %+v", name, gotStats, wantStats)
-				}
-			}
-		}
-	}
 }

@@ -1,7 +1,8 @@
 package operators
 
 import (
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"hyrise/internal/encoding"
@@ -16,8 +17,10 @@ import (
 // encoding.ScannableSegment (paper §2.3): value-id comparison for
 // dictionaries, offset-domain block scans for frame-of-reference, per-run
 // evaluation for run-length — after a segment-level min-max prune that skips
-// segments the predicate provably cannot match. Everything else falls back
-// to the vectorized expression evaluator over materialized columns.
+// segments the predicate provably cannot match and, for a selective
+// predicate on a chunk that carries a secondary index (paper §2.4), an index
+// probe. Everything else falls back to the vectorized expression evaluator
+// over materialized columns.
 type TableScan struct {
 	Predicate expression.Expression
 	input     Operator
@@ -46,14 +49,16 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 	// One morsel over every chunk is the serial scan.
 	morsels := []morsel{{lo: 0, hi: len(chunks)}}
 	var t0 time.Time
-	cost, estRows := ctx.scanCost(input, scan.simple)
+	indexed := scan.indexed(chunks)
+	cost, estRows, sel := ctx.scanCost(input, scan.simple, indexed)
+	scan.probe = indexed && sel <= indexProbeMaxSelectivity
 	parallel := ctx.decideParallel(opScan, cost)
 	if parallel {
 		morsels = morselRanges(chunks, ctx.morselTargetRows())
 		t0 = ctx.scanWallClock()
 	}
 	out, err := scanMorsels(ctx, input, chunks, morsels, scan.run)
-	ctx.noteScan(op, parallel, len(morsels), sinceNS(t0), estRows)
+	ctx.noteScan(op, parallel, len(morsels), sinceNS(t0), estRows, scan.probed.Load())
 	return out, err
 }
 
@@ -90,11 +95,11 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 	return buildReferenceTable(input, rowsPerChunk, nil), nil
 }
 
-// chunkScan is the per-chunk scan ladder TableScan and IndexScan share:
-// segment min-max prune → encoded scan → typed scan over unencoded values →
-// vectorized expression evaluation over materialized columns. Everything a
-// chunk needs is resolved once per operator run; run is safe to call from
-// concurrent tasks on distinct chunks.
+// chunkScan is the per-chunk scan ladder: segment min-max prune → index
+// probe → encoded scan → typed scan over unencoded values → vectorized
+// expression evaluation over materialized columns. Each chunk takes the first
+// rung that applies to it. Everything a chunk needs is resolved once per
+// operator run; run is safe to call from concurrent tasks on distinct chunks.
 type chunkScan struct {
 	ctx    *ExecContext
 	input  *storage.Table
@@ -102,6 +107,8 @@ type chunkScan struct {
 	simple *simplePredicate         // nil when pred is not `column OP literal`
 	cell   *observe.ColumnScanStats // nil without workload telemetry
 	point  bool
+	probe  bool         // the index rung is open (TableScan.Run decides)
+	probed atomic.Int64 // chunks the index rung answered
 }
 
 func newChunkScan(ctx *ExecContext, input *storage.Table, pred expression.Expression) *chunkScan {
@@ -121,8 +128,11 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 	}
 	ctx := s.ctx
 	if s.simple != nil && !ctx.DynamicAccess {
-		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple); ok {
+		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe); ok {
 			noteScanPath(ctx, kind, enc)
+			if kind == observe.ScanPathIndex {
+				s.probed.Add(1)
+			}
 			if s.cell != nil {
 				s.cell.Record(kind, s.point, int64(n), int64(len(matches)))
 			}
@@ -148,11 +158,43 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 	return rows, nil
 }
 
+// indexed reports whether some chunk could answer through the index rung:
+// the predicate compares the column with operands of the column's own type
+// (index keys are built from column values, so a 2.5 probing an INT index
+// would be truncated; indexes hold no NULLs, so null checks scan) and a chunk
+// carries an index on that column.
+func (s *chunkScan) indexed(chunks []*storage.Chunk) bool {
+	p := s.simple
+	defs := s.input.ColumnDefinitions()
+	if p == nil || s.ctx.DynamicAccess || int(p.column) >= len(defs) || !p.operandsTyped(defs[p.column].Type) {
+		return false
+	}
+	for _, c := range chunks {
+		if c.GetIndex(p.column) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // simplePredicate is a `column OP literal`, `column BETWEEN lit AND lit`, or
 // `column IS [NOT] NULL` predicate eligible for the encoded scan paths.
 type simplePredicate struct {
 	column types.ColumnID
 	pred   encoding.ScanPredicate
+}
+
+// operandsTyped reports whether the predicate has operands and each is of
+// type dt.
+func (p *simplePredicate) operandsTyped(dt types.DataType) bool {
+	switch pr := &p.pred; pr.Op {
+	case encoding.ScanIsNull, encoding.ScanIsNotNull:
+		return false
+	case encoding.ScanBetween:
+		return pr.Lo.Type == dt && pr.Hi.Type == dt
+	default:
+		return pr.Value.Type == dt
+	}
 }
 
 // scanOpOf maps comparison operators onto encoded scan operators.
@@ -274,6 +316,8 @@ func noteScanPath(ctx *ExecContext, kind observe.ScanPathKind, enc encoding.Scan
 	switch kind {
 	case observe.ScanPathPruned:
 		m.ScanSegmentsPruned.Inc()
+	case observe.ScanPathIndex:
+		m.ScanSegmentsIndexProbed.Inc()
 	case observe.ScanPathUnencoded:
 		m.ScanSegmentsUnencoded.Inc()
 	case observe.ScanPathEncoded:
@@ -346,16 +390,21 @@ func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
 	return false
 }
 
-// scanChunkSpecialized runs the pruning and per-encoding fast paths. ok is
-// false when no specialization applies (the caller falls back to the
-// evaluator). The returned kind labels which path answered; enc identifies
-// the encoding when kind is ScanPathEncoded.
-func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate) (matches []types.ChunkOffset, enc encoding.ScanPath, kind observe.ScanPathKind, ok bool) {
+// scanChunkSpecialized runs the pruning, index and per-encoding fast paths
+// (probe opens the index rung). ok is false when no specialization applies
+// (the caller falls back to the evaluator). The returned kind labels which
+// path answered; enc identifies the encoding when kind is ScanPathEncoded.
+func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (matches []types.ChunkOffset, enc encoding.ScanPath, kind observe.ScanPathKind, ok bool) {
 	if int(p.column) >= c.ColumnCount() {
 		return nil, 0, 0, false
 	}
 	if pruneChunkScan(c, p) {
 		return nil, 0, observe.ScanPathPruned, true
+	}
+	if probe {
+		if idx := c.GetIndex(p.column); idx != nil {
+			return indexProbe(idx, p), 0, observe.ScanPathIndex, true
+		}
 	}
 	seg := c.GetSegment(p.column)
 	if ss, sok := seg.(encoding.ScannableSegment); sok {
@@ -382,97 +431,34 @@ func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate) (matches []types
 	return nil, 0, 0, false
 }
 
-// sortOffsets restores position order after offsets were collected from
-// several index postings.
-func sortOffsets(offsets []types.ChunkOffset) []types.ChunkOffset {
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
-	return offsets
-}
-
-// IndexScan evaluates a simple predicate through per-chunk secondary
-// indexes; chunks without one go through the same scan ladder as TableScan
-// (paper §2.4: indexes "return qualifying positions for a certain predicate
-// directly without scanning through the data").
-type IndexScan struct {
-	Predicate expression.Expression
-	input     Operator
-}
-
-// NewIndexScan builds an index scan.
-func NewIndexScan(in Operator, pred expression.Expression) *IndexScan {
-	return &IndexScan{Predicate: pred, input: in}
-}
-
-// Name implements Operator.
-func (op *IndexScan) Name() string { return "IndexScan(" + op.Predicate.String() + ")" }
-
-// Inputs implements Operator.
-func (op *IndexScan) Inputs() []Operator { return []Operator{op.input} }
-
-// Run implements Operator.
-func (op *IndexScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
-	input := inputs[0]
-	scan := newChunkScan(ctx, input, op.Predicate)
-	simple := scan.simple
-	if simple == nil {
-		// Not index-eligible after all: degrade to a table scan.
-		return NewTableScan(op.input, op.Predicate).Run(ctx, inputs)
-	}
-	// Indexes hold non-null values only; null checks go through the scan
-	// ladder even on indexed chunks.
-	nullCheck := simple.pred.Op == encoding.ScanIsNull || simple.pred.Op == encoding.ScanIsNotNull
-	chunks := input.Chunks()
-	// One task per chunk: a probe is cheap where there is an index and a
-	// full scan where there is none.
-	return scanMorsels(ctx, input, chunks, morselRanges(chunks, 1), func(ci int, c *storage.Chunk) (types.PosList, error) {
-		if idx := c.GetIndex(simple.column); idx != nil && !nullCheck && c.Size() > 0 {
-			return offsetsToRows(types.ChunkID(ci), indexProbe(idx, simple)), nil
-		}
-		return scan.run(ci, c)
-	})
-}
-
+// indexProbe answers the predicate from a chunk's secondary index (paper
+// §2.4: indexes "return qualifying positions for a certain predicate directly
+// without scanning through the data"), in offset order like every other rung.
 func indexProbe(idx storage.ChunkIndex, p *simplePredicate) []types.ChunkOffset {
 	pr := &p.pred
+	var lo, hi *types.Value // nil = open; <> walks the whole index
 	switch pr.Op {
-	case encoding.ScanBetween:
-		return sortOffsets(idx.Range(&pr.Lo, &pr.Hi))
 	case encoding.ScanEq:
 		return idx.Equals(pr.Value)
-	case encoding.ScanLt:
-		// Exclusive bound: range to value, then drop equals.
-		all := idx.Range(nil, &pr.Value)
-		eq := offsetSet(idx.Equals(pr.Value))
-		return sortOffsets(removeOffsets(all, eq))
-	case encoding.ScanLe:
-		return sortOffsets(idx.Range(nil, &pr.Value))
-	case encoding.ScanGt:
-		all := idx.Range(&pr.Value, nil)
-		eq := offsetSet(idx.Equals(pr.Value))
-		return sortOffsets(removeOffsets(all, eq))
-	case encoding.ScanGe:
-		return sortOffsets(idx.Range(&pr.Value, nil))
-	default: // Ne
-		all := idx.Range(nil, nil)
-		eq := offsetSet(idx.Equals(pr.Value))
-		return sortOffsets(removeOffsets(all, eq))
+	case encoding.ScanBetween:
+		lo, hi = &pr.Lo, &pr.Hi
+	case encoding.ScanLt, encoding.ScanLe:
+		hi = &pr.Value
+	case encoding.ScanGt, encoding.ScanGe:
+		lo = &pr.Value
 	}
-}
-
-func offsetSet(offsets []types.ChunkOffset) map[types.ChunkOffset]bool {
-	m := make(map[types.ChunkOffset]bool, len(offsets))
-	for _, o := range offsets {
-		m[o] = true
-	}
-	return m
-}
-
-func removeOffsets(offsets []types.ChunkOffset, drop map[types.ChunkOffset]bool) []types.ChunkOffset {
-	out := offsets[:0]
-	for _, o := range offsets {
-		if !drop[o] {
-			out = append(out, o)
+	out := idx.Range(lo, hi)
+	switch pr.Op {
+	case encoding.ScanLt, encoding.ScanGt, encoding.ScanNe:
+		// Range bounds are inclusive: drop the rows equal to the operand.
+		equal := idx.Equals(pr.Value)
+		drop := make(map[types.ChunkOffset]bool, len(equal))
+		for _, o := range equal {
+			drop[o] = true
 		}
+		out = slices.DeleteFunc(out, func(o types.ChunkOffset) bool { return drop[o] })
 	}
+	// Postings come in key order; every rung returns offset order.
+	slices.Sort(out)
 	return out
 }

@@ -70,9 +70,6 @@ func (t *Translator) translate(node lqp.Node) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.UseIndex {
-			return NewIndexScan(in, pred), nil
-		}
 		return NewTableScan(in, pred), nil
 
 	case *lqp.ProjectionNode:

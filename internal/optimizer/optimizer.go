@@ -46,7 +46,6 @@ func NewDefault(stats *statistics.Cache) *Optimizer {
 			&PredicateReorderingRule{},
 			&BetweenCompositionRule{},
 			&ChunkPruningRule{},
-			&IndexScanRule{},
 		},
 		Est:       NewEstimator(stats),
 		MaxPasses: 5,

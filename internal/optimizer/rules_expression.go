@@ -309,9 +309,7 @@ func (r *BetweenCompositionRule) Apply(root lqp.Node, est *Estimator) (lqp.Node,
 		}
 		if between, ok := composeBetween(pred.Predicate, child.Predicate); ok {
 			changed = true
-			merged := lqp.NewPredicateNode(child.Inputs()[0], between)
-			merged.UseIndex = pred.UseIndex || child.UseIndex
-			return merged
+			return lqp.NewPredicateNode(child.Inputs()[0], between)
 		}
 		return n
 	}

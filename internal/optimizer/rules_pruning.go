@@ -125,58 +125,6 @@ func pruningBounds(e expression.Expression) (types.ColumnID, *types.Value, *type
 	}
 }
 
-// IndexScanRule flags highly selective simple predicates over indexed
-// stored tables to be evaluated through the chunk indexes (the paper's
-// "optimizer's hints": "a logical predicate node contains the information
-// that a secondary index can and should be used").
-type IndexScanRule struct{}
-
-// indexScanSelectivityThreshold: index scans beat full scans only for
-// selective predicates.
-const indexScanSelectivityThreshold = 0.01
-
-// Name implements Rule.
-func (r *IndexScanRule) Name() string { return "IndexScan" }
-
-// Iterative implements Rule.
-func (r *IndexScanRule) Iterative() bool { return false }
-
-// Apply implements Rule.
-func (r *IndexScanRule) Apply(root lqp.Node, est *Estimator) (lqp.Node, bool, error) {
-	changed := false
-	lqp.VisitPlan(root, func(n lqp.Node) {
-		pred, ok := n.(*lqp.PredicateNode)
-		if !ok || pred.UseIndex {
-			return
-		}
-		stored := storedTableBelow(pred.Inputs()[0])
-		if stored == nil || stored.Table == nil {
-			return
-		}
-		col, _, _, ok := pruningBounds(pred.Predicate)
-		if !ok {
-			return
-		}
-		// Require an index on at least half the chunks.
-		indexed := 0
-		chunks := stored.Table.Chunks()
-		for _, c := range chunks {
-			if c.GetIndex(col) != nil {
-				indexed++
-			}
-		}
-		if indexed == 0 || indexed*2 < len(chunks) {
-			return
-		}
-		if est.Selectivity(pred.Predicate, pred.Inputs()[0]) > indexScanSelectivityThreshold {
-			return
-		}
-		pred.UseIndex = true
-		changed = true
-	})
-	return root, changed, nil
-}
-
 // PredicateReorderingRule orders adjacent predicate nodes so the most
 // selective runs first (the paper lists predicate ordering among the
 // statistics-driven rules).

@@ -35,7 +35,7 @@ func (r *PredicatePushdownRule) Apply(root lqp.Node, est *Estimator) (lqp.Node, 
 		if !ok {
 			return n
 		}
-		below, placed := pushInto(pred.Inputs()[0], pred.Predicate, pred.UseIndex)
+		below, placed := pushInto(pred.Inputs()[0], pred.Predicate)
 		if !placed {
 			return n
 		}
@@ -79,13 +79,13 @@ func allAtLeast(cols []int, n int) bool {
 
 // pushInto tries to place pred somewhere strictly below node. placed is
 // false when the predicate must stay above node (the caller keeps it).
-func pushInto(node lqp.Node, pred expression.Expression, useIndex bool) (lqp.Node, bool) {
+func pushInto(node lqp.Node, pred expression.Expression) (lqp.Node, bool) {
 	switch n := node.(type) {
 	case *lqp.PredicateNode, *lqp.AliasNode:
 		// Same-schema unary nodes: sink through them when the predicate can
 		// move further down; otherwise leave it above (no benefit, avoids
 		// rule ping-pong).
-		below, placed := pushInto(n.Inputs()[0], pred, useIndex)
+		below, placed := pushInto(n.Inputs()[0], pred)
 		if !placed {
 			return node, false
 		}
@@ -98,9 +98,9 @@ func pushInto(node lqp.Node, pred expression.Expression, useIndex bool) (lqp.Nod
 		// chunk pruning applies, and Validate sees fewer rows. Predicates
 		// over MVCC tables are visibility-independent, so the result set is
 		// unchanged.
-		below, placed := pushInto(n.Inputs()[0], pred, useIndex)
+		below, placed := pushInto(n.Inputs()[0], pred)
 		if !placed {
-			below = newPredicate(n.Inputs()[0], pred, useIndex)
+			below = lqp.NewPredicateNode(n.Inputs()[0], pred)
 		}
 		n.SetInput(0, below)
 		return node, true
@@ -108,9 +108,9 @@ func pushInto(node lqp.Node, pred expression.Expression, useIndex bool) (lqp.Nod
 	case *lqp.SortNode:
 		// Filtering before sorting always helps; place directly below when
 		// it cannot sink further.
-		below, placed := pushInto(n.Inputs()[0], pred, useIndex)
+		below, placed := pushInto(n.Inputs()[0], pred)
 		if !placed {
-			below = newPredicate(n.Inputs()[0], pred, useIndex)
+			below = lqp.NewPredicateNode(n.Inputs()[0], pred)
 		}
 		n.SetInput(0, below)
 		return node, true
@@ -122,25 +122,19 @@ func pushInto(node lqp.Node, pred expression.Expression, useIndex bool) (lqp.Nod
 		if !ok {
 			return node, false
 		}
-		below, placed := pushInto(n.Inputs()[0], rewritten, useIndex)
+		below, placed := pushInto(n.Inputs()[0], rewritten)
 		if !placed {
-			below = newPredicate(n.Inputs()[0], rewritten, useIndex)
+			below = lqp.NewPredicateNode(n.Inputs()[0], rewritten)
 		}
 		n.SetInput(0, below)
 		return node, true
 
 	case *lqp.JoinNode:
-		return pushIntoJoin(n, pred, useIndex)
+		return pushIntoJoin(n, pred)
 
 	default:
 		return node, false
 	}
-}
-
-func newPredicate(in lqp.Node, pred expression.Expression, useIndex bool) *lqp.PredicateNode {
-	p := lqp.NewPredicateNode(in, pred)
-	p.UseIndex = useIndex
-	return p
 }
 
 func rewriteThroughProjection(pred expression.Expression, proj *lqp.ProjectionNode) (expression.Expression, bool) {
@@ -167,7 +161,7 @@ func rewriteThroughProjection(pred expression.Expression, proj *lqp.ProjectionNo
 	return out, true
 }
 
-func pushIntoJoin(join *lqp.JoinNode, pred expression.Expression, useIndex bool) (lqp.Node, bool) {
+func pushIntoJoin(join *lqp.JoinNode, pred expression.Expression) (lqp.Node, bool) {
 	nLeft := len(join.Inputs()[0].Schema())
 	cols := referencedColumns(pred)
 
@@ -177,9 +171,9 @@ func pushIntoJoin(join *lqp.JoinNode, pred expression.Expression, useIndex bool)
 		if input == 1 {
 			p = shiftColumns(pred, -nLeft)
 		}
-		below, placed := pushInto(target, p, useIndex)
+		below, placed := pushInto(target, p)
 		if !placed {
-			below = newPredicate(target, p, useIndex)
+			below = lqp.NewPredicateNode(target, p)
 		}
 		join.SetInput(input, below)
 		return join, true

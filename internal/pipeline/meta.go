@@ -27,15 +27,16 @@ func (e *Engine) registerMetaTables() {
 }
 
 // buildMetaColumnScans snapshots the per-column scan workload statistics:
-// one row per scanned table.column with the code-path mix (pruned, encoded,
-// unencoded, fallback), predicate shape counts, and row selectivity. This is
-// the same feed the encoding advisor consumes to steer re-encoding.
+// one row per scanned table.column with the code-path mix (pruned, index,
+// encoded, unencoded, fallback), predicate shape counts, and row selectivity.
+// This is the same feed the encoding advisor consumes to steer re-encoding.
 func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
 		{Name: "column_name", Type: types.TypeString},
 		{Name: "scans", Type: types.TypeInt64},
 		{Name: "pruned", Type: types.TypeInt64},
+		{Name: "index", Type: types.TypeInt64},
 		{Name: "encoded", Type: types.TypeInt64},
 		{Name: "unencoded", Type: types.TypeInt64},
 		{Name: "fallback", Type: types.TypeInt64},
@@ -51,6 +52,7 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 			types.Str(s.Column),
 			types.Int(s.Scans),
 			types.Int(s.Pruned),
+			types.Int(s.Index),
 			types.Int(s.Encoded),
 			types.Int(s.Unencoded),
 			types.Int(s.Fallback),

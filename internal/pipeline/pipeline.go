@@ -18,7 +18,6 @@ import (
 	"hyrise/internal/cache"
 	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
-	"hyrise/internal/fusion"
 	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
 	"hyrise/internal/operators"
@@ -53,10 +52,6 @@ type Config struct {
 	PlanCacheSize int
 	// JoinImpl selects the physical equi-join.
 	JoinImpl operators.JoinImplementation
-	// UseFusion enables the fused scan-aggregate engine (the JIT analog,
-	// paper §2.7: explicitly enabled, with automatic fallback for
-	// non-fusible plans).
-	UseFusion bool
 	// DynamicAccess forces the interface-call-per-value access path
 	// (Hyrise1-style dynamic polymorphism): the naive-columnar baseline of
 	// the Figure 6 comparison.
@@ -915,9 +910,6 @@ func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing) (*cachedPla
 	physical, err := pqpTr.Translate(logical)
 	if err != nil {
 		return nil, err
-	}
-	if e.cfg.UseFusion {
-		physical, _ = fusion.TryFuse(physical)
 	}
 	timing.ToPQP = time.Since(start)
 

@@ -36,6 +36,7 @@ type Task struct {
 	successors   []*Task
 	predecessors []*Task
 	scheduled    atomic.Bool
+	enqueued     atomic.Bool
 	started      atomic.Bool
 	finished     atomic.Bool
 	done         chan struct{}
@@ -370,6 +371,11 @@ func (s *NodeQueueScheduler) Schedule(tasks ...*Task) {
 }
 
 func (s *NodeQueueScheduler) enqueueReady(t *Task) {
+	// Schedule and the last predecessor to finish can both find the task
+	// ready; only the first of them queues it.
+	if !t.enqueued.CompareAndSwap(false, true) {
+		return
+	}
 	node := t.preferredNode
 	if node < 0 || node >= len(s.queues) {
 		node = int(s.rr.Add(1)) % len(s.queues)

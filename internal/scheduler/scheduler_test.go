@@ -313,3 +313,23 @@ func TestTaskGroupQueueWaitObserver(t *testing.T) {
 		t.Fatalf("inline group fired observer %d times, want 0", fired.Load())
 	}
 }
+
+// TestReadyTaskEnqueuedOnce: a dependent task can become ready twice over —
+// Schedule finds its predecessor count at zero while the predecessor's
+// worker, finishing at that moment, finds it scheduled. Both used to push it
+// and stamp its enqueue time (a data race, and a phantom entry in
+// scheduler.queue_depth until popped). Meaningful under -race.
+func TestReadyTaskEnqueuedOnce(t *testing.T) {
+	s := NewNodeQueueScheduler(1, 4)
+	defer s.Shutdown()
+	for i := 0; i < 2000; i++ {
+		pred := NewTask(func() {})
+		succ := NewTask(func() {}).ObserveQueueWait(func(int64) {})
+		succ.DependsOn(pred)
+		s.Schedule(pred, succ)
+		succ.Wait()
+	}
+	if st := s.Stats(); st.TasksRun != 4000 {
+		t.Errorf("tasks run = %d, want 4000", st.TasksRun)
+	}
+}
