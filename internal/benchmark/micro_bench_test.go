@@ -1,6 +1,7 @@
 package benchmark
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -206,6 +207,67 @@ func BenchmarkMicroTPCHQ3(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := s.ExecuteOne(q3); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// statementRouteOps is how many executions make one benchmark op: the CI
+// gate runs -benchtime=1x, and one ~20 µs statement would be all noise.
+const statementRouteOps = 2000
+
+// BenchmarkMicroStatementRoute measures what the statement route adds around
+// a small plan on each entry point: a text the cache holds (neither lexed nor
+// parsed), a prepared handle, and a named prepared statement. The three cost
+// the same since they are one route; the CI gate tracks their ns/op and
+// allocs/op, pipeline.TestCacheHitParsesNothing pins the exact allocation
+// counts (a parse creeping back into the hit path is +37 per execution, a
+// fingerprint +25 — under the gate's 25 %).
+func BenchmarkMicroStatementRoute(b *testing.B) {
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	b.Cleanup(e.Close)
+	s := e.NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE kv (id INT NOT NULL, a INT NOT NULL, b INT NOT NULL, c VARCHAR(10) NOT NULL)",
+		"INSERT INTO kv VALUES (1, 6, 1, 'x'), (2, 7, 2, 'y'), (2, 9, 2, 'y'), (3, 8, 3, 'z')",
+	} {
+		if _, err := s.Execute(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const text = "SELECT id, a, b, c FROM kv WHERE id = 2 AND a > 5 ORDER BY a LIMIT 3"
+	const parameterized = "SELECT id, a, b, c FROM kv WHERE id = $1 AND a > $2 ORDER BY a LIMIT 3"
+	params := []types.Value{types.Int(2), types.Int(5)}
+	ps, err := s.PrepareStatement(parameterized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Prepare("by_id", parameterized); err != nil {
+		b.Fatal(err)
+	}
+	routes := []struct {
+		name string
+		run  func() (*pipeline.Result, error)
+	}{
+		{"simple_hit", func() (*pipeline.Result, error) { return s.ExecuteOne(text) }},
+		{"prepared", func() (*pipeline.Result, error) {
+			return s.ExecutePreparedStatement(context.Background(), ps, params)
+		}},
+		{"named", func() (*pipeline.Result, error) { return s.ExecutePrepared("by_id", params) }},
+	}
+	for _, r := range routes {
+		b.Run(r.name, func(b *testing.B) {
+			if _, err := r.run(); err != nil { // warm: the text is cached from here on
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < statementRouteOps; j++ {
+					if res, err := r.run(); err != nil || res.Table.RowCount() != 2 {
+						b.Fatalf("rows = %v, err = %v", res, err)
+					}
 				}
 			}
 		})

@@ -406,11 +406,9 @@ func TestBindParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := BindParameters(stmt, []types.Value{types.Float(100), types.Str("1995-01-01")}); err != nil {
-		t.Fatal(err)
-	}
+	bound := BindParameters(stmt, []types.Value{types.Float(100), types.Str("1995-01-01")})
 	tr := &Translator{SM: sm}
-	plan, err := tr.Translate(stmt)
+	plan, err := tr.Translate(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +421,28 @@ func TestBindParameters(t *testing.T) {
 	})
 	if paramLeft {
 		t.Error("parameters should be substituted by literals")
+	}
+
+	// Binding copies: the statement keeps its placeholders — also the ones
+	// inside a subquery — and can be bound, and translated, again.
+	stmt, err = sqlparser.ParseOne("SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bal := range []float64{0, 1e9} {
+		if _, err := tr.Translate(BindParameters(stmt, []types.Value{types.Float(bal)})); err != nil {
+			t.Fatalf("bound copy (c_acctbal > %g): %v", bal, err)
+		}
+	}
+	params := 0
+	sqlparser.Rewrite(stmt, nil, func(e expression.Expression) expression.Expression {
+		if _, ok := e.(*expression.Parameter); ok {
+			params++
+		}
+		return nil
+	})
+	if params != 1 {
+		t.Errorf("the statement kept %d placeholders after being bound twice, want 1", params)
 	}
 }
 

@@ -149,13 +149,17 @@ func (s *scope) bind(e expression.Expression) (expression.Expression, error) {
 			if !ok {
 				return nil, fmt.Errorf("lqp: subquery %d holds %T", n.ID, n.Plan)
 			}
-			subScope := &scope{tr: s.tr, outer: s, sub: n}
+			// A fresh node carries the plan and collects the correlated
+			// expressions: the AST — a cached statement's, say — stays as
+			// parsed and can be translated again.
+			sub := &expression.Subquery{ID: n.ID}
+			subScope := &scope{tr: s.tr, outer: s, sub: sub}
 			plan, err := s.tr.translateSelect(ast, subScope)
 			if err != nil {
 				return nil, err
 			}
-			n.Plan = plan
-			return nil, nil
+			sub.Plan = plan
+			return sub, nil
 		default:
 			return nil, nil
 		}
@@ -540,82 +544,14 @@ func (t *Translator) translateTableRef(ref sqlparser.TableRef, sc *scope) (Node,
 	}
 }
 
-// BindParameters substitutes literal values for the Parameter placeholders
-// of a prepared statement's AST before translation.
-func BindParameters(stmt sqlparser.Statement, params []types.Value) error {
-	var bind func(e expression.Expression) expression.Expression
-	bind = func(e expression.Expression) expression.Expression {
-		return expression.Transform(e, func(x expression.Expression) expression.Expression {
-			switch n := x.(type) {
-			case *expression.Parameter:
-				if n.ID < len(params) {
-					return expression.NewLiteral(params[n.ID])
-				}
-			case *expression.Subquery:
-				// Placeholders inside a not-yet-translated subquery AST.
-				if ast, ok := n.Plan.(*sqlparser.SelectStatement); ok {
-					bindSelectParams(ast, bind)
-				}
-			}
-			return nil
-		})
-	}
-	switch s := stmt.(type) {
-	case *sqlparser.SelectStatement:
-		bindSelectParams(s, bind)
-	case *sqlparser.InsertStatement:
-		for _, row := range s.Rows {
-			for i := range row {
-				row[i] = bind(row[i])
-			}
+// BindParameters returns a copy of a prepared statement's AST with literal
+// values substituted for its Parameter placeholders, ready for translation.
+// stmt is left untouched and can be bound again.
+func BindParameters(stmt sqlparser.Statement, params []types.Value) sqlparser.Statement {
+	return sqlparser.Rewrite(stmt, nil, func(x expression.Expression) expression.Expression {
+		if p, ok := x.(*expression.Parameter); ok && p.ID < len(params) {
+			return expression.NewLiteral(params[p.ID])
 		}
-	case *sqlparser.UpdateStatement:
-		for i := range s.Set {
-			s.Set[i].Expr = bind(s.Set[i].Expr)
-		}
-		if s.Where != nil {
-			s.Where = bind(s.Where)
-		}
-	case *sqlparser.DeleteStatement:
-		if s.Where != nil {
-			s.Where = bind(s.Where)
-		}
-	}
-	return nil
-}
-
-func bindSelectParams(s *sqlparser.SelectStatement, bind func(expression.Expression) expression.Expression) {
-	for i := range s.Items {
-		if s.Items[i].Expr != nil {
-			s.Items[i].Expr = bind(s.Items[i].Expr)
-		}
-	}
-	if s.Where != nil {
-		s.Where = bind(s.Where)
-	}
-	for i := range s.GroupBy {
-		s.GroupBy[i] = bind(s.GroupBy[i])
-	}
-	if s.Having != nil {
-		s.Having = bind(s.Having)
-	}
-	for i := range s.OrderBy {
-		s.OrderBy[i].Expr = bind(s.OrderBy[i].Expr)
-	}
-	for i := range s.From {
-		bindFromParams(&s.From[i], bind)
-	}
-}
-
-func bindFromParams(ref *sqlparser.TableRef, bind func(expression.Expression) expression.Expression) {
-	if ref.Subquery != nil {
-		bindSelectParams(ref.Subquery, bind)
-	}
-	if ref.Join != nil {
-		bindFromParams(&ref.Join.Left, bind)
-		bindFromParams(&ref.Join.Right, bind)
-		if ref.Join.On != nil {
-			ref.Join.On = bind(ref.Join.On)
-		}
-	}
+		return nil
+	})
 }

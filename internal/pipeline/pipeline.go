@@ -108,7 +108,7 @@ func DefaultConfig() Config {
 }
 
 // Engine bundles the storage manager, transaction manager, scheduler,
-// optimizer, and plan caches — everything a session needs to run SQL.
+// optimizer, and statement cache — everything a session needs to run SQL.
 type Engine struct {
 	cfg   Config
 	sm    *storage.StorageManager
@@ -117,7 +117,10 @@ type Engine struct {
 	stats *statistics.Cache
 	opt   *optimizer.Optimizer
 
-	planCache *cache.LRU[string, *cachedPlan]
+	// stmtCache is the one statement cache (paper §2.6): prepared handles
+	// keyed by trimmed SQL text, shared by every session and entry point and
+	// bounded by Config.PlanCacheSize. See prepared.go.
+	stmtCache *cache.LRU[string, *PreparedStatement]
 
 	registry  *observe.Registry
 	metrics   *engineMetrics
@@ -137,17 +140,12 @@ type Engine struct {
 	promoteFn atomic.Pointer[func() error]
 	replRows  atomic.Pointer[func() []ReplicationRow]
 
-	// Prepared-plan reuse counters (extended-protocol Parse hitting a
-	// session's cached parameterized plan vs. planning afresh).
-	preparedHits   atomic.Int64
-	preparedMisses atomic.Int64
-
 	// Executor-pool wiring (see the server package): poolRows feeds the
 	// meta_executor_pool table when a wire server installs its pool.
 	poolRows atomic.Pointer[func() []PoolRow]
 
 	mu       sync.Mutex
-	prepared map[string]string // name -> SQL text
+	prepared map[string]*PreparedStatement // Engine.Prepare's names
 }
 
 // engineMetrics holds the pre-resolved hot-path metric handles so statement
@@ -167,10 +165,6 @@ type cachedPlan struct {
 	root     operators.Operator
 	columns  []string
 	colTypes []types.DataType
-	// epoch is the catalog epoch the plan was built at. Plans embed
-	// *storage.Table pointers, so one built before a DROP or re-CREATE must
-	// never run again; readers compare epochs and rebuild on mismatch.
-	epoch int64
 }
 
 // NewEngine creates an engine over (or with) a storage manager. It panics
@@ -197,8 +191,8 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		sm:        sm,
 		tm:        concurrency.NewTransactionManager(),
 		stats:     statistics.NewCache(cfg.HistogramType),
-		planCache: cache.NewLRU[string, *cachedPlan](cfg.PlanCacheSize),
-		prepared:  make(map[string]string),
+		stmtCache: cache.NewLRU[string, *PreparedStatement](cfg.PlanCacheSize),
+		prepared:  make(map[string]*PreparedStatement),
 	}
 	e.opt = optimizer.NewDefault(e.stats)
 	if cfg.UseScheduler {
@@ -260,11 +254,9 @@ func (e *Engine) initObservability() {
 	r.RegisterFunc("active_queries", func() int64 { return int64(e.active.Len()) })
 	r.RegisterFunc("statement_stats_entries", func() int64 { return int64(e.stmtStats.Len()) })
 	r.RegisterFunc("statement_stats_dropped", func() int64 { return e.stmtStats.Dropped() })
-	r.RegisterFunc("prepared_plan_hits", func() int64 { return e.preparedHits.Load() })
-	r.RegisterFunc("prepared_plan_misses", func() int64 { return e.preparedMisses.Load() })
-	r.RegisterFunc("plan_cache_hits", func() int64 { h, _ := e.planCache.Stats(); return h })
-	r.RegisterFunc("plan_cache_misses", func() int64 { _, m := e.planCache.Stats(); return m })
-	r.RegisterFunc("plan_cache_size", func() int64 { return int64(e.planCache.Len()) })
+	r.RegisterFunc("plan_cache_hits", func() int64 { h, _ := e.stmtCache.Stats(); return h })
+	r.RegisterFunc("plan_cache_misses", func() int64 { _, m := e.stmtCache.Stats(); return m })
+	r.RegisterFunc("plan_cache_size", func() int64 { return int64(e.stmtCache.Len()) })
 	r.RegisterFunc("transactions_started", func() int64 { s, _, _ := e.tm.Stats(); return s })
 	r.RegisterFunc("transactions_committed", func() int64 { _, c, _ := e.tm.Stats(); return c })
 	r.RegisterFunc("transactions_aborted", func() int64 { _, _, a := e.tm.Stats(); return a })
@@ -297,8 +289,8 @@ func (e *Engine) Scheduler() scheduler.Scheduler { return e.sched }
 // Statistics exposes the statistics cache.
 func (e *Engine) Statistics() *statistics.Cache { return e.stats }
 
-// PlanCacheStats returns plan cache hit/miss counters.
-func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.planCache.Stats() }
+// PlanCacheStats returns the statement cache's hit/miss counters.
+func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.stmtCache.Stats() }
 
 // Metrics exposes the engine's metrics registry (also queryable through the
 // meta_metrics table and the debug endpoint's /metrics dump).
@@ -381,21 +373,11 @@ type Session struct {
 	backendPID int64
 	activeQ    *observe.ActiveQuery
 	lastTrace  *observe.Trace
-
-	// prepCache reuses parsed/planned prepared statements across repeated
-	// Parse messages of the same SQL (drivers without a statement cache
-	// re-Parse on every query). Keyed by fingerprint, guarded by exact SQL
-	// text and catalog epoch; see Session.PrepareStatement.
-	prepCache *cache.LRU[string, *PreparedStatement]
 }
 
 // NewSession opens a session.
 func (e *Engine) NewSession() *Session {
-	return &Session{
-		engine:    e,
-		id:        e.sessionIDs.Add(1),
-		prepCache: cache.NewLRU[string, *PreparedStatement](preparedCacheSize),
-	}
+	return &Session{engine: e, id: e.sessionIDs.Add(1)}
 }
 
 // ID returns the engine-assigned session number (shown in
@@ -413,13 +395,11 @@ func (s *Session) LastTrace() *observe.Trace { return s.lastTrace }
 
 // beginQuery registers the statement in the live-query registry and returns
 // a derived context that Engine.CancelQuery kills, plus a finish callback.
-// The active entry starts in the parsing state.
-func (s *Session) beginQuery(ctx context.Context, sql string) (context.Context, func()) {
+func (s *Session) beginQuery(ctx context.Context, ps *PreparedStatement) (context.Context, func()) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	trimmed := strings.TrimSpace(sql)
-	q, qctx := s.engine.active.Begin(ctx, s.id, s.backendPID, trimmed, sqlparser.Fingerprint(trimmed))
+	q, qctx := s.engine.active.Begin(ctx, s.id, s.backendPID, ps.SQL, ps.Fingerprint)
 	s.activeQ = q
 	return qctx, func() {
 		q.Finish()
@@ -492,21 +472,16 @@ func (s *Session) Execute(sql string) ([]*Result, error) {
 // context.Canceled or context.DeadlineExceeded. Statements already
 // completed keep their results.
 func (s *Session) ExecuteContext(ctx context.Context, sql string) ([]*Result, error) {
-	ctx, finish := s.beginQuery(ctx, sql)
-	defer finish()
-	start := time.Now()
-	stmts, err := sqlparser.Parse(sql)
+	handles, err := s.engine.statements(sql, true)
 	if err != nil {
 		return nil, err
 	}
-	parseTime := time.Since(start)
-	results := make([]*Result, 0, len(stmts))
-	for _, stmt := range stmts {
-		res, err := s.executeStatement(ctx, stmt, sql, len(stmts) == 1)
+	results := make([]*Result, 0, len(handles))
+	for _, ps := range handles {
+		res, err := s.execute(ctx, ps, nil, false)
 		if err != nil {
 			return results, err
 		}
-		res.Timing.Parse = parseTime
 		results = append(results, res)
 	}
 	return results, nil
@@ -526,102 +501,118 @@ func (s *Session) ExecuteOneContext(ctx context.Context, sql string) (*Result, e
 	return results[len(results)-1], nil
 }
 
-func (s *Session) executeStatement(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool) (*Result, error) {
+// execute is the one statement route: every entry point hands its handles
+// here. It registers the statement as a live query, enforces the parameter
+// count and the replica's read-only rule, runs transaction control, DDL and
+// the control functions directly and everything else through runPlanned.
+// explain forces a trace (Session.Explain).
+func (s *Session) execute(ctx context.Context, ps *PreparedStatement, params []types.Value, explain bool) (*Result, error) {
+	if ps.Empty() {
+		return nil, fmt.Errorf("pipeline: cannot execute an empty statement")
+	}
+	if len(params) != ps.NumParams {
+		return nil, fmt.Errorf("pipeline: bind supplies %d parameters, but the statement requires %d", len(params), ps.NumParams)
+	}
+	ctx, finish := s.beginQuery(ctx, ps)
+	defer finish()
 	// Read-only enforcement for replica engines: writes and DDL fail fast,
-	// before planning, touching no state. promote_replica() is exempt — it
-	// is the one "write" a replica accepts.
-	if s.engine.readOnly.Load() && !promoteReplicaCall(stmt) {
-		if name := writeStatementName(stmt); name != "" {
+	// before planning, touching no state. promote_replica() — the one "write"
+	// a replica accepts — is a SELECT and passes.
+	if s.engine.readOnly.Load() {
+		if name := writeStatementName(ps.Stmt); name != "" {
 			return nil, fmt.Errorf("%w: cannot execute %s", ErrReadOnly, name)
 		}
 	}
-	switch st := stmt.(type) {
+	switch st := ps.Stmt.(type) {
 	case *sqlparser.TransactionStatement:
 		return s.executeTransactionStatement(st)
+	case *sqlparser.CreateTableStatement, *sqlparser.CreateViewStatement, *sqlparser.DropStatement:
+		if err := s.engine.executeDDL(st); err != nil {
+			return nil, err
+		}
+		s.engine.invalidatePlans()
+		return &Result{Tag: ps.Tag}, nil
+	}
+	if fc := controlCall(ps.Stmt); fc != nil {
+		if fc.Name == "cancel_query" {
+			return s.execCancelQuery(fc.Args[0], params)
+		}
+		return s.execPromoteReplica()
+	}
+	return s.runPlanned(ctx, ps, params, explain)
+}
+
+// executeDDL applies a CREATE/DROP to the catalog and, on a durable engine,
+// logs it; a CREATE whose log write fails is undone.
+func (e *Engine) executeDDL(stmt sqlparser.Statement) error {
+	switch st := stmt.(type) {
 	case *sqlparser.CreateTableStatement:
 		defs := make([]storage.ColumnDefinition, len(st.Columns))
 		for i, c := range st.Columns {
 			defs[i] = storage.ColumnDefinition{Name: c.Name, Type: c.Type, Nullable: c.Nullable}
 		}
-		table := storage.NewTable(st.Name, defs, 0, s.engine.cfg.UseMvcc)
-		if err := s.engine.sm.AddTable(table); err != nil {
-			return nil, err
+		table := storage.NewTable(st.Name, defs, 0, e.cfg.UseMvcc)
+		if err := e.sm.AddTable(table); err != nil {
+			return err
 		}
-		if p := s.engine.persist; p != nil {
+		if p := e.persist; p != nil {
 			if err := p.LogCreateTable(table); err != nil {
-				_ = s.engine.sm.DropTable(st.Name)
-				return nil, err
+				_ = e.sm.DropTable(st.Name)
+				return err
 			}
 		}
-		s.engine.invalidatePlans()
-		return &Result{Tag: "CREATE TABLE"}, nil
 	case *sqlparser.CreateViewStatement:
-		if err := s.engine.sm.AddView(st.Name, st.SQL); err != nil {
-			return nil, err
+		if err := e.sm.AddView(st.Name, st.SQL); err != nil {
+			return err
 		}
-		if p := s.engine.persist; p != nil {
+		if p := e.persist; p != nil {
 			if err := p.LogCreateView(st.Name, st.SQL); err != nil {
-				_ = s.engine.sm.DropView(st.Name)
-				return nil, err
+				_ = e.sm.DropView(st.Name)
+				return err
 			}
 		}
-		s.engine.invalidatePlans()
-		return &Result{Tag: "CREATE VIEW"}, nil
 	case *sqlparser.DropStatement:
 		if st.IsView {
-			if err := s.engine.sm.DropView(st.Name); err != nil {
-				return nil, err
+			if err := e.sm.DropView(st.Name); err != nil {
+				return err
 			}
-			if p := s.engine.persist; p != nil {
-				if err := p.LogDropView(st.Name); err != nil {
-					return nil, err
-				}
+			if p := e.persist; p != nil {
+				return p.LogDropView(st.Name)
 			}
-			s.engine.invalidatePlans()
-			return &Result{Tag: "DROP VIEW"}, nil
+			return nil
 		}
-		if err := s.engine.sm.DropTable(st.Name); err != nil {
-			return nil, err
+		if err := e.sm.DropTable(st.Name); err != nil {
+			return err
 		}
-		if p := s.engine.persist; p != nil {
-			if err := p.LogDropTable(st.Name); err != nil {
-				return nil, err
-			}
+		if p := e.persist; p != nil {
+			return p.LogDropTable(st.Name)
 		}
-		s.engine.invalidatePlans()
-		return &Result{Tag: "DROP TABLE"}, nil
-	default:
-		if arg, ok := cancelQueryCall(stmt); ok {
-			return s.execCancelQuery(arg)
-		}
-		if promoteReplicaCall(stmt) {
-			return s.execPromoteReplica()
-		}
-		return s.runPlanned(ctx, stmt, sqlText, cacheable, nil, nil)
 	}
+	return nil
 }
 
-// cancelQueryCall matches "SELECT cancel_query(<expr>)" — a FROM-less
-// single-item select of the cancel_query function. The parser treats unknown
-// functions as ordinary expressions, so the call is intercepted here, before
-// planning, and executed against the live-query registry.
-func cancelQueryCall(stmt sqlparser.Statement) (expression.Expression, bool) {
+// controlCall matches the control functions "SELECT cancel_query(<expr>)"
+// and "SELECT promote_replica()" — a FROM-less single-item select. The parser
+// treats unknown functions as ordinary expressions, so the calls are
+// intercepted here, before planning: one runs against the live-query
+// registry, the other against the replication wiring (replication.go).
+func controlCall(stmt sqlparser.Statement) *expression.FunctionCall {
 	sel, ok := stmt.(*sqlparser.SelectStatement)
 	if !ok || len(sel.From) != 0 || len(sel.Items) != 1 || sel.Items[0].Star {
-		return nil, false
+		return nil
 	}
 	fc, ok := sel.Items[0].Expr.(*expression.FunctionCall)
-	if !ok || fc.Name != "cancel_query" || len(fc.Args) != 1 {
-		return nil, false
+	if ok && (fc.Name == "cancel_query" && len(fc.Args) == 1 || fc.Name == "promote_replica" && len(fc.Args) == 0) {
+		return fc
 	}
-	return fc.Args[0], true
+	return nil
 }
 
 // execCancelQuery evaluates the target query id and cancels it, returning a
 // one-row result: 1 when an in-flight statement was found and signaled, 0
 // otherwise (already finished, or never existed).
-func (s *Session) execCancelQuery(arg expression.Expression) (*Result, error) {
-	v, err := expression.Evaluate(arg, &expression.Context{N: 1})
+func (s *Session) execCancelQuery(arg expression.Expression, params []types.Value) (*Result, error) {
+	v, err := expression.Evaluate(arg, &expression.Context{N: 1, Params: params})
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: cancel_query: %w", err)
 	}
@@ -682,33 +673,16 @@ func isDMLStatement(stmt sqlparser.Statement) bool {
 	return false
 }
 
-func tagOf(stmt sqlparser.Statement) string {
-	switch stmt.(type) {
-	case *sqlparser.InsertStatement:
-		return "INSERT"
-	case *sqlparser.UpdateStatement:
-		return "UPDATE"
-	case *sqlparser.DeleteStatement:
-		return "DELETE"
-	default:
-		return "SELECT"
-	}
-}
-
 // runPlanned executes SELECT/INSERT/UPDATE/DELETE through the planning
-// pipeline, using the plan cache for repeated SELECTs. It creates the
-// per-statement context (applying the engine's StatementTimeout on top of
-// the caller's context), updates the engine metrics — including the
-// cancellation counters — and, when a trace sink is installed, records and
-// delivers a per-execution trace. A non-nil pre skips planning and runs
-// that plan (the prepared-statement path); params bind the statement's
-// placeholder slots for this execution.
-func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, pre *cachedPlan, params []types.Value) (*Result, error) {
+// pipeline. It creates the per-statement context (applying the engine's
+// StatementTimeout on top of the caller's context), updates the engine
+// metrics — including the cancellation counters — and the per-fingerprint
+// statement statistics, and, when a trace sink is installed or explain is
+// set, records a per-execution trace. params bind the statement's placeholder
+// slots for this execution.
+func (s *Session) runPlanned(ctx context.Context, ps *PreparedStatement, params []types.Value, explain bool) (*Result, error) {
 	engine := s.engine
 	m := engine.metrics
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if d := engine.cfg.StatementTimeout; d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
@@ -716,15 +690,24 @@ func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlT
 	}
 	var trace *observe.Trace
 	sink := engine.traceSink.Load()
-	if sink != nil {
-		trace = observe.NewTrace(strings.TrimSpace(sqlText))
+	if sink != nil || explain {
+		trace = observe.NewTrace(ps.SQL)
 		s.lastTrace = trace
 	}
 	s.activeQ.SetState(observe.StatePlanning)
 	start := time.Now()
-	res, err := s.execPlanned(ctx, stmt, sqlText, cacheable, trace, pre, params)
+	res, err := s.executePlan(ctx, ps, params, trace)
 	m.statements.Inc()
-	s.recordStatementStats(sqlText, time.Since(start), res, err)
+	var rows int64
+	if res != nil {
+		if res.RowsAffected > 0 {
+			rows = res.RowsAffected
+		} else if res.Table != nil {
+			rows = int64(res.Table.RowCount())
+		}
+	}
+	// The pg_stat_statements-style aggregation, keyed by the fingerprint.
+	engine.stmtStats.Record(ps.Fingerprint, time.Since(start), rows, res != nil && res.Timing.CacheHit, err != nil)
 	if err != nil {
 		m.errors.Inc()
 		switch {
@@ -735,83 +718,64 @@ func (s *Session) runPlanned(ctx context.Context, stmt sqlparser.Statement, sqlT
 			m.canceled.Inc()
 			err = fmt.Errorf("canceling statement due to user request: %w", err)
 		}
-		if trace != nil {
+	} else {
+		m.queryUS.Observe(time.Since(start).Microseconds())
+	}
+	if trace != nil {
+		if err != nil {
 			trace.Canceled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-			trace.SetTotal(time.Since(start))
+		} else {
+			trace.CacheHit = res.Timing.CacheHit
+			recordStages(trace, res.Timing)
+		}
+		trace.SetTotal(time.Since(start))
+		if sink != nil {
 			(*sink)(trace)
 		}
-		return nil, err
 	}
-	m.queryUS.Observe(time.Since(start).Microseconds())
-	if trace != nil {
-		trace.CacheHit = res.Timing.CacheHit
-		recordStages(trace, res.Timing)
-		trace.SetTotal(time.Since(start))
-		(*sink)(trace)
-	}
-	return res, nil
+	return res, err
 }
 
-// recordStatementStats files one planned-statement execution into the
-// pg_stat_statements-style aggregation, keyed by the normalized fingerprint.
-func (s *Session) recordStatementStats(sqlText string, d time.Duration, res *Result, err error) {
-	fp := ""
-	if s.activeQ != nil {
-		fp = s.activeQ.Fingerprint()
-	}
-	if fp == "" {
-		fp = sqlparser.Fingerprint(strings.TrimSpace(sqlText))
-	}
-	var rows int64
-	cacheHit := false
-	if res != nil {
-		cacheHit = res.Timing.CacheHit
-		if res.RowsAffected > 0 {
-			rows = res.RowsAffected
-		} else if res.Table != nil {
-			rows = int64(res.Table.RowCount())
-		}
-	}
-	s.engine.stmtStats.Record(fp, d, rows, cacheHit, err != nil)
-}
-
-// execPlanned resolves the physical plan (pre-built, cache, or fresh build)
-// and runs it.
-func (s *Session) execPlanned(ctx context.Context, stmt sqlparser.Statement, sqlText string, cacheable bool, trace *observe.Trace, pre *cachedPlan, params []types.Value) (*Result, error) {
+// executePlan resolves the handle's physical plan — replayed, or prepared
+// or built now — and runs it under the session's transaction (explicit when
+// open, auto-commit otherwise). Timing.CacheHit reports a replay: this
+// execution ran a plan it did not have to build.
+func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params []types.Value, trace *observe.Trace) (*Result, error) {
 	engine := s.engine
-	isDML := isDMLStatement(stmt)
-	timing := Timing{}
-
-	key := strings.TrimSpace(sqlText)
-	plan := pre
-	if plan != nil {
-		timing.CacheHit = true
-	}
-	// DML plans are not cached: they capture literal rows.
-	if plan == nil && cacheable && !isDML {
-		if p, ok := engine.planCache.Get(key); ok && p.epoch == engine.sm.Epoch() {
-			plan = p
-			timing.CacheHit = true
-		}
-	}
-	if plan == nil {
-		var err error
-		plan, err = engine.buildPlan(stmt, &timing)
+	timing := Timing{Parse: ps.parse}
+	if ps.plan != nil && ps.epoch != engine.sm.Epoch() {
+		// A DDL ran since preparation. Resolve the text again through the
+		// cache: whoever gets there first re-prepares it against the new
+		// catalog, every later execution of this handle replays that plan.
+		handles, err := engine.statements(ps.SQL, true)
 		if err != nil {
 			return nil, err
 		}
-		if cacheable && !isDML {
-			engine.planCache.Put(key, plan)
+		ps = handles[0]
+	}
+	var err error
+	if ps.lazy && ps.cacheable {
+		if ps, err = engine.prepare(ps, &timing); err != nil {
+			return nil, err
+		}
+	} else {
+		timing.CacheHit = ps.plan != nil
+	}
+	plan := ps.plan
+	if plan == nil {
+		// Planned per execution (see PreparedStatement.plan); parameters, if
+		// any, are the ones prepare could not leave as placeholders.
+		if ps.NumParams > 0 {
+			plan, err = engine.planBound(ps.Stmt, params, &timing)
+			params = nil
+		} else {
+			plan, err = engine.buildPlan(ps.Stmt, &timing, nil)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return s.executePlan(ctx, plan, stmt, &timing, trace, params)
-}
 
-// executePlan runs an already-built physical plan under the session's
-// transaction (explicit when open, auto-commit otherwise). params bind the
-// plan's Parameter slots for this execution.
-func (s *Session) executePlan(ctx context.Context, plan *cachedPlan, stmt sqlparser.Statement, timing *Timing, trace *observe.Trace, params []types.Value) (*Result, error) {
-	engine := s.engine
 	tx := s.tx
 	autoCommit := false
 	if engine.cfg.UseMvcc && tx == nil {
@@ -863,8 +827,8 @@ func (s *Session) executePlan(ctx context.Context, plan *cachedPlan, stmt sqlpar
 		trace.SetPlanText(operators.AnnotatedPlanString(plan.root, trace))
 	}
 
-	res := &Result{Table: out, Columns: plan.columns, Tag: tagOf(stmt), Timing: *timing}
-	if isDMLStatement(stmt) && out != nil && out.RowCount() > 0 {
+	res := &Result{Table: out, Columns: plan.columns, Tag: ps.Tag, Timing: timing}
+	if isDMLStatement(ps.Stmt) && out != nil && out.RowCount() > 0 {
 		res.RowsAffected = out.GetValue(0, types.RowID{}).I
 	}
 	return res, nil
@@ -882,12 +846,15 @@ func recordStages(tr *observe.Trace, t Timing) {
 	tr.AddStage("execute", t.Execute)
 }
 
-// buildPlan runs translate/optimize/PQP-translate.
-func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing) (*cachedPlan, error) {
-	// Capture the epoch before resolving any table: a concurrent DDL after
-	// this point makes the plan stale, and a pre-build epoch guarantees the
-	// staleness is visible to the next epoch comparison.
-	epoch := e.sm.Epoch()
+// planArtifacts are the intermediary plans of one build, as text (see
+// Engine.Plans); a stage that was not reached stays empty.
+type planArtifacts struct {
+	unoptimized, optimized string
+}
+
+// buildPlan runs translate/optimize/PQP-translate, timing each stage. A
+// non-nil art receives the logical plans on the way.
+func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing, art *planArtifacts) (*cachedPlan, error) {
 	start := time.Now()
 	tr := &lqp.Translator{SM: e.sm, UseMvcc: e.cfg.UseMvcc}
 	logical, err := tr.Translate(stmt)
@@ -895,6 +862,9 @@ func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing) (*cachedPla
 		return nil, err
 	}
 	timing.Translate = time.Since(start)
+	if art != nil {
+		art.unoptimized = lqp.PlanString(logical)
+	}
 
 	start = time.Now()
 	if e.cfg.UseOptimizer {
@@ -904,6 +874,9 @@ func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing) (*cachedPla
 		}
 	}
 	timing.Optimize = time.Since(start)
+	if art != nil {
+		art.optimized = lqp.PlanString(logical)
+	}
 
 	start = time.Now()
 	pqpTr := &operators.Translator{JoinImpl: e.cfg.JoinImpl}
@@ -918,41 +891,36 @@ func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing) (*cachedPla
 	for i, c := range sch {
 		colTypes[i] = c.DT
 	}
-	return &cachedPlan{
-		root:     physical,
-		columns:  sch.Names(),
-		colTypes: colTypes,
-		epoch:    epoch,
-	}, nil
+	return &cachedPlan{root: physical, columns: sch.Names(), colTypes: colTypes}, nil
+}
+
+// single returns the one non-empty statement of a SQL text, parsed afresh
+// and kept out of the statement cache (Plans, Explain).
+func (e *Engine) single(sql string) (*PreparedStatement, error) {
+	handles, err := e.statements(sql, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(handles) != 1 || handles[0].Empty() {
+		return nil, fmt.Errorf("pipeline: expected exactly one statement")
+	}
+	return handles[0], nil
 }
 
 // Plans exposes the intermediary artifacts of a SQL string for inspection
 // (paper: "all intermediary artifacts can be inspected by the developer in
 // their text or graph forms").
 func (e *Engine) Plans(sql string) (logicalUnoptimized, logicalOptimized string, physical string, err error) {
-	stmt, err := sqlparser.ParseOne(sql)
+	ps, err := e.single(sql)
 	if err != nil {
 		return "", "", "", err
 	}
-	tr := &lqp.Translator{SM: e.sm, UseMvcc: e.cfg.UseMvcc}
-	logical, err := tr.Translate(stmt)
+	var art planArtifacts
+	plan, err := e.buildPlan(ps.Stmt, &Timing{}, &art)
 	if err != nil {
-		return "", "", "", err
+		return art.unoptimized, art.optimized, "", err
 	}
-	logicalUnoptimized = lqp.PlanString(logical)
-	if e.cfg.UseOptimizer {
-		logical, err = e.opt.Optimize(logical)
-		if err != nil {
-			return logicalUnoptimized, "", "", err
-		}
-	}
-	logicalOptimized = lqp.PlanString(logical)
-	pqpTr := &operators.Translator{JoinImpl: e.cfg.JoinImpl}
-	root, err := pqpTr.Translate(logical)
-	if err != nil {
-		return logicalUnoptimized, logicalOptimized, "", err
-	}
-	return logicalUnoptimized, logicalOptimized, operators.PlanString(root), nil
+	return art.unoptimized, art.optimized, operators.PlanString(plan.root), nil
 }
 
 // ExplainResult is the outcome of an EXPLAIN ANALYZE-style execution: the
@@ -969,35 +937,25 @@ type ExplainResult struct {
 // Explain executes the statement with tracing enabled and returns the
 // annotated plan (paper §2.6 extended from static plan text to runtime
 // behavior: per-stage wall times and per-operator durations, row counts,
-// and pruning). The plan is always built fresh — Explain measures the whole
-// pipeline, bypassing and not populating the plan cache.
+// and pruning). The statement takes the same route as any other — it obeys
+// StatementTimeout and shows up in the metrics and statement statistics —
+// except that its plan is always built fresh: Explain measures the whole
+// pipeline, bypassing and not populating the statement cache.
 func (s *Session) Explain(sql string) (*ExplainResult, error) {
-	engine := s.engine
 	start := time.Now()
-	stmt, err := sqlparser.ParseOne(sql)
+	ps, err := s.engine.single(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch stmt.(type) {
-	case *sqlparser.SelectStatement, *sqlparser.InsertStatement,
-		*sqlparser.UpdateStatement, *sqlparser.DeleteStatement:
-	default:
-		return nil, fmt.Errorf("pipeline: EXPLAIN supports SELECT/INSERT/UPDATE/DELETE, not %T", stmt)
+	if !plannedStatement(ps.Stmt) {
+		return nil, fmt.Errorf("pipeline: EXPLAIN supports SELECT/INSERT/UPDATE/DELETE, not %s", ps.Tag)
 	}
-	timing := Timing{Parse: time.Since(start)}
-	plan, err := engine.buildPlan(stmt, &timing)
+	res, err := s.execute(context.Background(), ps, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := s.beginQuery(context.Background(), sql)
-	defer finish()
-	trace := observe.NewTrace(strings.TrimSpace(sql))
-	res, err := s.executePlan(ctx, plan, stmt, &timing, trace, nil)
-	if err != nil {
-		return nil, err
-	}
-	recordStages(trace, res.Timing)
-	trace.SetTotal(time.Since(start))
+	trace := s.lastTrace
+	trace.SetTotal(time.Since(start)) // parse included
 
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE: ")
@@ -1016,22 +974,21 @@ func (s *Session) Explain(sql string) (*ExplainResult, error) {
 		b.WriteString(observe.FormatWaits(ws))
 		b.WriteByte('\n')
 	}
-	b.WriteString(operators.AnnotatedPlanString(plan.root, trace))
+	b.WriteString(trace.PlanText())
 	return &ExplainResult{Text: b.String(), Trace: trace, Result: res}, nil
 }
 
 // Prepare registers a named prepared statement (paper §2.6: "for prepared
-// statements, we store placeholders instead of actual values"). The
-// statement is validated at prepare time; each execution re-parses the
-// stored text so parameter substitution never mutates shared state —
-// parsing is cheap (paper: "the cost of query planning is comparatively
-// low").
+// statements, we store placeholders instead of actual values"): a name for
+// the handle PrepareStatement returns. The statement is validated and planned
+// here, once; executions bind their values into that plan.
 func (e *Engine) Prepare(name, sql string) error {
-	if _, err := sqlparser.ParseOne(sql); err != nil {
+	ps, err := e.prepareStatement(sql)
+	if err != nil {
 		return err
 	}
 	e.mu.Lock()
-	e.prepared[name] = sql
+	e.prepared[name] = ps
 	e.mu.Unlock()
 	return nil
 }
@@ -1039,44 +996,12 @@ func (e *Engine) Prepare(name, sql string) error {
 // ExecutePrepared binds parameter values and executes a prepared statement.
 func (s *Session) ExecutePrepared(name string, params []types.Value) (*Result, error) {
 	s.engine.mu.Lock()
-	sql, ok := s.engine.prepared[name]
+	ps, ok := s.engine.prepared[name]
 	s.engine.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("pipeline: no prepared statement %q", name)
 	}
-	ctx, finish := s.beginQuery(context.Background(), sql)
-	defer finish()
-	stmt, err := sqlparser.ParseOne(sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := lqp.BindParameters(stmt, params); err != nil {
-		return nil, err
-	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil)
-}
-
-// ExecuteWithParams parses the SQL, substitutes the '?' placeholders with
-// the given values, and executes — a one-shot prepared statement (used by
-// the wire protocol's extended query flow).
-func (s *Session) ExecuteWithParams(sql string, params []types.Value) (*Result, error) {
-	return s.ExecuteWithParamsContext(context.Background(), sql, params)
-}
-
-// ExecuteWithParamsContext is ExecuteWithParams with cooperative
-// cancellation (the wire server threads the connection's statement context
-// through here for the extended query flow).
-func (s *Session) ExecuteWithParamsContext(ctx context.Context, sql string, params []types.Value) (*Result, error) {
-	ctx, finish := s.beginQuery(ctx, sql)
-	defer finish()
-	stmt, err := sqlparser.ParseOne(sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := lqp.BindParameters(stmt, params); err != nil {
-		return nil, err
-	}
-	return s.runPlanned(ctx, stmt, sql, false, nil, nil)
+	return s.execute(context.Background(), ps, params, false)
 }
 
 // RowStrings renders a result table as printable rows (boundary helper for

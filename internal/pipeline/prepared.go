@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/lqp"
@@ -12,35 +13,48 @@ import (
 	"hyrise/internal/types"
 )
 
-// This file implements the extended-query protocol's server side of prepared
-// statements (paper §2.6: "for prepared statements, we store placeholders
-// instead of actual values"). Parse-time work — lexing, parsing, semantic
-// validation, parameter-type inference, and planning — happens once per SQL
-// text per session; Execute binds values into the cached physical plan
-// through ExecContext.Params without touching the AST, so one plan serves
-// arbitrarily many executions concurrently.
+// This file is the front half of the one statement route (paper §2.6: the
+// plan cache in which "prepared statements and implicitly cached queries
+// share the same structure", storing "placeholders instead of actual
+// values"). Every entry point — Session.Execute*, the wire protocol's simple
+// and extended flows, the named Prepare/ExecutePrepared facade, Explain —
+// turns SQL text into PreparedStatement handles here and runs them through
+// Session.execute. A handle is lexed, parsed, validated, typed and planned
+// once; executions bind values into its plan through ExecContext.Params
+// without touching the AST, so one handle serves any number of sessions at
+// once.
 
-// preparedCacheSize bounds the per-session prepared-plan cache. Each entry
-// is one parsed/planned statement; OLTP workloads cycle through a handful.
-const preparedCacheSize = 256
+// invalidatePlans is the engine's DDL hook: every cached statement goes
+// (plans embed *storage.Table pointers and must not survive a drop or
+// re-create of a referenced table — epoch comparisons catch stale handles on
+// read anyway, the eager clear just frees them promptly), and so do the
+// statistics of tables that left the catalog, which nothing else would ever
+// release.
+func (e *Engine) invalidatePlans() {
+	e.stmtCache.Clear()
+	names := e.sm.TableNames()
+	live := make([]*storage.Table, 0, len(names))
+	for _, name := range names {
+		if t, err := e.sm.GetTable(name); err == nil {
+			live = append(live, t)
+		}
+	}
+	e.stats.Retain(live)
+}
 
-// invalidatePlans drops every cached physical plan. Called after DDL: plans
-// embed *storage.Table pointers and must not survive a drop or re-create of
-// a referenced table. Epoch comparisons catch stale plans on read anyway;
-// the eager clear just frees them promptly.
-func (e *Engine) invalidatePlans() { e.planCache.Clear() }
-
-// PreparedStatement is the parsed, validated, and (when possible) planned
-// form of one SQL text, produced by the extended protocol's Parse message.
-// It is immutable after preparation and safe to execute repeatedly.
+// PreparedStatement is the executable form of one statement: what
+// Session.Statements and Session.PrepareStatement return and what
+// Session.ExecutePreparedStatement runs. It is immutable and safe to execute
+// from any number of sessions of the engine that produced it.
 type PreparedStatement struct {
-	// SQL is the trimmed statement text.
+	// SQL is the trimmed text the statement came from (for a statement of a
+	// multi-statement batch, the whole batch).
 	SQL string
-	// Fingerprint is the normalized statement key (statement statistics,
-	// session plan cache).
+	// Fingerprint is the normalized form of SQL, the key of statement
+	// statistics and of the executor pool's slow-statement routing.
 	Fingerprint string
-	// Stmt is the parsed AST; nil for an empty statement (Execute must
-	// answer EmptyQueryResponse).
+	// Stmt is the parsed AST; nil for an empty statement (the wire protocol
+	// answers EmptyQueryResponse).
 	Stmt sqlparser.Statement
 	// NumParams is the number of placeholder slots ($1..$N / ?).
 	NumParams int
@@ -50,19 +64,42 @@ type PreparedStatement struct {
 	ParamTypes []types.DataType
 	// Columns and ColumnTypes describe the result set; nil when the
 	// statement returns no rows (DML, DDL, transaction control — the
-	// protocol's Describe answers NoData then).
+	// protocol's Describe answers NoData then) or has not been prepared yet.
 	Columns     []string
 	ColumnTypes []types.DataType
 	// Tag is the CommandComplete tag stem ("SELECT", "INSERT", "BEGIN", ...).
 	Tag string
+	// RoutableRead reports whether a read replica may serve the statement: a
+	// SELECT over base tables or views. FROM-less selects (control functions
+	// like cancel_query and promote_replica, constant expressions) and meta_*
+	// reads stay on the local engine — their answers are engine-local state,
+	// not replicated data.
+	RoutableRead bool
 
-	// plan is the parameterized physical plan (Parameter nodes intact,
-	// bound per execution via ExecContext.Params). nil when the statement
-	// shape requires per-execution literal binding; see PrepareStatement.
+	// plan is the parameterized physical plan (Parameter nodes intact, bound
+	// per execution via ExecContext.Params). nil for statements that run
+	// without one (DDL, transaction control, control functions) and for those
+	// planned at every execution: a statement of a batch — an earlier one may
+	// create what it reads —, a statement the cache does not retain, and one
+	// whose parameters must be bound as literals (see prepare).
 	plan *cachedPlan
-	// epoch is the catalog epoch at preparation; a mismatch at execution
-	// falls back to a fresh parse+plan (a DDL ran in between).
+	// epoch is the catalog epoch of preparation; when it has moved, a DDL ran
+	// since and plan may embed a dropped table.
 	epoch int64
+	// lazy marks a handle fresh from the parser whose catalog-dependent half
+	// (parameter types, result columns, plan) is still missing.
+	// PrepareStatement completes it on the spot, so errors surface at Parse
+	// time; the text route completes a cacheable one inside its first
+	// execution, so that planning is metered, traced and bounded by
+	// StatementTimeout like the rest of the statement.
+	lazy bool
+	// cacheable marks a statement the cache retains once prepared: a single
+	// statement that is not parameterless DML, which captures literal rows
+	// that never recur.
+	cacheable bool
+	// parse is what lexing and parsing SQL took, reported by the execution
+	// that follows it; zero on a handle that came from the cache.
+	parse time.Duration
 }
 
 // Empty reports whether the statement is the empty query.
@@ -71,126 +108,145 @@ func (p *PreparedStatement) Empty() bool { return p.Stmt == nil }
 // ReturnsRows reports whether Execute produces DataRow messages.
 func (p *PreparedStatement) ReturnsRows() bool { return len(p.Columns) > 0 }
 
+// Statements resolves SQL text to one handle per statement it contains,
+// executing nothing. A single statement whose text the engine has prepared
+// before — through any session and any entry point — comes back from the
+// statement cache without being lexed or parsed. Anything else is parsed
+// once; those handles are completed when they execute (see
+// PreparedStatement.lazy). Lexical and syntax errors surface here.
+func (s *Session) Statements(sql string) ([]*PreparedStatement, error) {
+	return s.engine.statements(sql, true)
+}
+
+// statements is Session.Statements; without useCache the text is parsed
+// afresh and the handles stay out of the cache (Explain, Plans).
+func (e *Engine) statements(sql string, useCache bool) ([]*PreparedStatement, error) {
+	text := strings.TrimSpace(sql)
+	if useCache {
+		if ps, ok := e.stmtCache.Get(text); ok && ps.epoch == e.sm.Epoch() {
+			return []*PreparedStatement{ps}, nil
+		}
+	}
+	if strings.Trim(text, "; \t\r\n") == "" {
+		return []*PreparedStatement{{SQL: text}}, nil
+	}
+	start := time.Now()
+	stmts, err := sqlparser.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	parse := time.Since(start)
+	fp := sqlparser.Fingerprint(text)
+	handles := make([]*PreparedStatement, len(stmts))
+	for i, stmt := range stmts {
+		ps := &PreparedStatement{SQL: text, Fingerprint: fp, Stmt: stmt, Tag: statementTag(stmt), lazy: true, parse: parse}
+		sel, isSelect := stmt.(*sqlparser.SelectStatement)
+		ps.RoutableRead = isSelect && len(sel.From) > 0
+		sqlparser.Rewrite(stmt, func(name, _ string) {
+			if strings.HasPrefix(strings.ToLower(name), "meta_") {
+				ps.RoutableRead = false
+			}
+		}, func(x expression.Expression) expression.Expression {
+			// Highest ID + 1: $1/$3 without $2 still reserves three slots,
+			// matching Postgres.
+			if p, ok := x.(*expression.Parameter); ok && p.ID+1 > ps.NumParams {
+				ps.NumParams = p.ID + 1
+			}
+			return nil
+		})
+		ps.cacheable = useCache && len(stmts) == 1 && (ps.NumParams > 0 || !isDMLStatement(stmt))
+		handles[i] = ps
+	}
+	return handles, nil
+}
+
 // PrepareStatement parses, validates, and plans one SQL text for repeated
 // execution. Errors — lexical, syntactic, or semantic (unknown table or
 // column) — surface here, at Parse time, exactly like Postgres reports them.
-// Results are cached per session keyed by fingerprint, guarded by exact SQL
-// text (different literals share a fingerprint) and by catalog epoch (plans
-// embed table pointers), so a driver that re-Parses every query still plans
-// each distinct statement once.
+// The handle comes from and goes to the engine's statement cache, keyed by
+// the text, so a driver that re-Parses every query — on this connection or
+// any other — still plans each distinct statement once.
 func (s *Session) PrepareStatement(sql string) (*PreparedStatement, error) {
-	e := s.engine
-	trimmed := strings.TrimSpace(sql)
-	fp := sqlparser.Fingerprint(trimmed)
-	epoch := e.sm.Epoch()
-	if ps, ok := s.prepCache.Get(fp); ok && ps.SQL == trimmed && ps.epoch == epoch {
-		e.preparedHits.Add(1)
-		return ps, nil
-	}
-	e.preparedMisses.Add(1)
-	ps, err := e.prepare(trimmed, fp, epoch)
-	if err != nil {
-		return nil, err
-	}
-	s.prepCache.Put(fp, ps)
-	return ps, nil
+	return s.engine.prepareStatement(sql)
 }
 
-// prepare builds a PreparedStatement from scratch.
-func (e *Engine) prepare(sql, fp string, epoch int64) (*PreparedStatement, error) {
-	ps := &PreparedStatement{SQL: sql, Fingerprint: fp, epoch: epoch}
-	if sql == "" {
-		return ps, nil
-	}
-	stmts, err := sqlparser.Parse(sql)
+func (e *Engine) prepareStatement(sql string) (*PreparedStatement, error) {
+	handles, err := e.statements(sql, true)
 	if err != nil {
 		return nil, err
 	}
-	switch len(stmts) {
-	case 0:
-		return ps, nil
-	case 1:
-	default:
+	if len(handles) != 1 {
 		return nil, fmt.Errorf("pipeline: cannot insert multiple commands into a prepared statement")
 	}
-	stmt := stmts[0]
-	ps.Stmt = stmt
-	ps.NumParams = countParams(stmt)
-	ps.ParamTypes = e.inferParamTypes(stmt, ps.NumParams)
-	ps.Tag = statementTag(stmt)
-
-	switch stmt.(type) {
-	case *sqlparser.SelectStatement, *sqlparser.InsertStatement,
-		*sqlparser.UpdateStatement, *sqlparser.DeleteStatement:
-	default:
-		// DDL and transaction control: no plan, no result set.
-		return ps, nil
+	if ps := handles[0]; ps.lazy {
+		return e.prepare(ps, &Timing{})
 	}
-	// Control functions are intercepted before planning (executeStatement
-	// handles them); they answer a single int64 column.
-	if _, ok := cancelQueryCall(stmt); ok {
-		ps.Columns = []string{"cancel_query"}
-		ps.ColumnTypes = []types.DataType{types.TypeInt64}
-		return ps, nil
-	}
-	if promoteReplicaCall(stmt) {
-		ps.Columns = []string{"promote_replica"}
-		ps.ColumnTypes = []types.DataType{types.TypeInt64}
-		return ps, nil
-	}
-
-	if ps.NumParams > 0 && statementHasSubquery(stmt) {
-		// Subquery plans bind their own Parameter slots per outer row
-		// (correlation), so prepared parameters reaching a subquery plan
-		// would collide with correlation slots. Validate the shape with
-		// dummy bindings and re-bind literals per execution instead.
-		return e.prepareFallback(ps)
-	}
-	var timing Timing
-	plan, err := e.buildPlan(stmt, &timing)
-	if err != nil {
-		if ps.NumParams == 0 {
-			return nil, err
-		}
-		// Planning around unbound parameters can fail where the bound form
-		// would not (say, a bare parameter in the projection list has no
-		// type yet). Retry with dummy values: success means only the
-		// parameterized plan is unsupported — fall back to per-execution
-		// binding; failure is a genuine semantic error, reported at Parse
-		// time as Postgres does.
-		return e.prepareFallback(ps)
-	}
-	ps.plan = plan
-	if ps.Tag == "SELECT" {
-		ps.Columns = plan.columns
-		ps.ColumnTypes = plan.colTypes
-	}
-	return ps, nil
+	return handles[0], nil
 }
 
-// prepareFallback validates a statement that cannot carry a parameterized
-// plan by planning a dummy-bound copy. The throwaway plan supplies the
-// result-set shape for Describe; execution re-parses and binds literal
-// values each time.
-func (e *Engine) prepareFallback(ps *PreparedStatement) (*PreparedStatement, error) {
-	stmts, err := sqlparser.Parse(ps.SQL) // fresh AST: binding mutates it
-	if err != nil {
-		return nil, err
+// plannedStatement reports whether a statement runs through the planning
+// pipeline: SELECT/INSERT/UPDATE/DELETE other than the control functions
+// Session.execute intercepts.
+func plannedStatement(stmt sqlparser.Statement) bool {
+	if _, ok := stmt.(*sqlparser.SelectStatement); !ok && !isDMLStatement(stmt) {
+		return false
 	}
-	stmt := stmts[0]
-	if err := lqp.BindParameters(stmt, dummyParams(ps.ParamTypes)); err != nil {
-		return nil, err
+	return controlCall(stmt) == nil
+}
+
+// prepare completes a lazy handle against the current catalog — inferred
+// parameter types, result columns, the parameterized plan — and files the
+// result in the statement cache when the handle is cacheable. The stage
+// times of the plan build land in timing.
+func (e *Engine) prepare(lazy *PreparedStatement, timing *Timing) (*PreparedStatement, error) {
+	ps := *lazy
+	ps.lazy, ps.parse = false, 0
+	// Captured before any table is resolved: a concurrent DDL after this
+	// point makes the handle stale, and a pre-build epoch guarantees the next
+	// epoch comparison sees that.
+	ps.epoch = e.sm.Epoch()
+	if ps.NumParams > 0 {
+		ps.ParamTypes = e.inferParamTypes(ps.Stmt, ps.NumParams)
 	}
-	var timing Timing
-	plan, err := e.buildPlan(stmt, &timing)
-	if err != nil {
-		return nil, err
+	if fc := controlCall(ps.Stmt); fc != nil {
+		// Intercepted before planning; answers a single int64 column.
+		ps.Columns, ps.ColumnTypes = []string{fc.Name}, []types.DataType{types.TypeInt64}
+	} else if plannedStatement(ps.Stmt) {
+		// Subquery plans bind their own Parameter slots per outer row
+		// (correlation), so prepared parameters reaching a subquery plan would
+		// collide with correlation slots: no parameterized plan then.
+		var err error
+		if ps.NumParams == 0 || !statementHasSubquery(ps.Stmt) {
+			ps.plan, err = e.buildPlan(ps.Stmt, timing, nil)
+		}
+		shape := ps.plan
+		if ps.plan == nil && ps.NumParams > 0 {
+			// That, or planning around unbound parameters failed where the
+			// bound form may not (say, a bare parameter in the projection list
+			// has no type yet). Plan with dummy values: success means only the
+			// parameterized plan is unavailable — executions bind literals,
+			// see executePlan — and supplies the result shape for Describe;
+			// failure is a genuine semantic error, reported at Parse time as
+			// Postgres does.
+			shape, err = e.planBound(ps.Stmt, dummyParams(ps.ParamTypes), &Timing{})
+		}
+		if err != nil {
+			return nil, err
+		}
+		if ps.Tag == "SELECT" {
+			ps.Columns, ps.ColumnTypes = shape.columns, shape.colTypes
+		}
 	}
-	if ps.Tag == "SELECT" {
-		ps.Columns = plan.columns
-		ps.ColumnTypes = plan.colTypes
+	if ps.cacheable {
+		e.stmtCache.Put(ps.SQL, &ps)
 	}
-	return ps, nil
+	return &ps, nil
+}
+
+// planBound plans a statement around literal values for its parameters: the
+// route of the statements prepare leaves without a parameterized plan.
+func (e *Engine) planBound(stmt sqlparser.Statement, params []types.Value, timing *Timing) (*cachedPlan, error) {
+	return e.buildPlan(lqp.BindParameters(stmt, params), timing, nil)
 }
 
 // dummyParams builds typed zero values for shape validation.
@@ -209,57 +265,15 @@ func dummyParams(paramTypes []types.DataType) []types.Value {
 	return out
 }
 
-// ExecutePreparedStatement runs a prepared statement with the given
-// parameter values. Statements carrying a parameterized plan execute it
-// directly (no parsing, no planning); the rest re-parse and bind literals.
+// ExecutePreparedStatement runs a handle with the given parameter values: a
+// prepared one replays its plan (no lexing, no parsing, no planning).
 func (s *Session) ExecutePreparedStatement(ctx context.Context, ps *PreparedStatement, params []types.Value) (*Result, error) {
-	e := s.engine
-	if ps.Empty() {
-		return nil, fmt.Errorf("pipeline: cannot execute an empty prepared statement")
-	}
-	if len(params) != ps.NumParams {
-		return nil, fmt.Errorf("pipeline: bind supplies %d parameters, but the statement requires %d", len(params), ps.NumParams)
-	}
-	switch ps.Stmt.(type) {
-	case *sqlparser.SelectStatement, *sqlparser.InsertStatement,
-		*sqlparser.UpdateStatement, *sqlparser.DeleteStatement:
-	default:
-		// Transaction control and DDL run outside the planned path. The AST
-		// is reusable: their execution never mutates it.
-		qctx, finish := s.beginQuery(ctx, ps.SQL)
-		defer finish()
-		return s.executeStatement(qctx, ps.Stmt, ps.SQL, false)
-	}
-	qctx, finish := s.beginQuery(ctx, ps.SQL)
-	defer finish()
-	if e.readOnly.Load() && !promoteReplicaCall(ps.Stmt) {
-		if name := writeStatementName(ps.Stmt); name != "" {
-			return nil, fmt.Errorf("%w: cannot execute %s", ErrReadOnly, name)
-		}
-	}
-	if ps.plan != nil && ps.epoch == e.sm.Epoch() {
-		return s.runPlanned(qctx, ps.Stmt, ps.SQL, false, ps.plan, params)
-	}
-	// No parameterized plan (unsupported shape, control function) or the
-	// catalog moved since Parse: re-parse and bind literal values.
-	stmts, err := sqlparser.Parse(ps.SQL)
-	if err != nil {
-		return nil, err
-	}
-	stmt := stmts[0]
-	if ps.NumParams > 0 {
-		if err := lqp.BindParameters(stmt, params); err != nil {
-			return nil, err
-		}
-	}
-	return s.executeStatement(qctx, stmt, ps.SQL, false)
+	return s.execute(ctx, ps, params, false)
 }
 
 // statementTag names the CommandComplete tag stem for any statement kind.
 func statementTag(stmt sqlparser.Statement) string {
 	switch st := stmt.(type) {
-	case *sqlparser.SelectStatement:
-		return "SELECT"
 	case *sqlparser.InsertStatement:
 		return "INSERT"
 	case *sqlparser.UpdateStatement:
@@ -289,95 +303,14 @@ func statementTag(stmt sqlparser.Statement) string {
 	}
 }
 
-// --- statement traversal ---------------------------------------------------
-
-// walkStatement visits every expression of a statement, recursing into
-// subquery selects — both expression subqueries (scalar, IN, EXISTS) and
-// derived tables — so placeholder discovery sees the whole tree.
-func walkStatement(stmt sqlparser.Statement, f func(expression.Expression)) {
-	switch st := stmt.(type) {
-	case *sqlparser.SelectStatement:
-		walkSelect(st, f)
-	case *sqlparser.InsertStatement:
-		for _, row := range st.Rows {
-			for _, e := range row {
-				walkExpr(e, f)
-			}
-		}
-	case *sqlparser.UpdateStatement:
-		for _, sc := range st.Set {
-			walkExpr(sc.Expr, f)
-		}
-		walkExpr(st.Where, f)
-	case *sqlparser.DeleteStatement:
-		walkExpr(st.Where, f)
-	}
-}
-
-func walkSelect(sel *sqlparser.SelectStatement, f func(expression.Expression)) {
-	if sel == nil {
-		return
-	}
-	for _, it := range sel.Items {
-		walkExpr(it.Expr, f)
-	}
-	for i := range sel.From {
-		walkTableRef(&sel.From[i], f)
-	}
-	walkExpr(sel.Where, f)
-	for _, e := range sel.GroupBy {
-		walkExpr(e, f)
-	}
-	walkExpr(sel.Having, f)
-	for _, o := range sel.OrderBy {
-		walkExpr(o.Expr, f)
-	}
-}
-
-func walkTableRef(ref *sqlparser.TableRef, f func(expression.Expression)) {
-	if ref.Subquery != nil {
-		walkSelect(ref.Subquery, f)
-	}
-	if ref.Join != nil {
-		walkTableRef(&ref.Join.Left, f)
-		walkTableRef(&ref.Join.Right, f)
-		walkExpr(ref.Join.On, f)
-	}
-}
-
-func walkExpr(e expression.Expression, f func(expression.Expression)) {
-	if e == nil {
-		return
-	}
-	expression.VisitAll(e, func(x expression.Expression) {
-		f(x)
-		if sq, ok := x.(*expression.Subquery); ok {
-			if sel, ok := sq.Plan.(*sqlparser.SelectStatement); ok {
-				walkSelect(sel, f)
-			}
-		}
-	})
-}
-
-// countParams returns the number of placeholder slots (highest ID + 1, so
-// $1/$3 without $2 still reserves three slots, matching Postgres).
-func countParams(stmt sqlparser.Statement) int {
-	n := 0
-	walkStatement(stmt, func(e expression.Expression) {
-		if p, ok := e.(*expression.Parameter); ok && p.ID+1 > n {
-			n = p.ID + 1
-		}
-	})
-	return n
-}
-
 // statementHasSubquery reports whether any expression subquery occurs.
 func statementHasSubquery(stmt sqlparser.Statement) bool {
 	found := false
-	walkStatement(stmt, func(e expression.Expression) {
+	sqlparser.Rewrite(stmt, nil, func(e expression.Expression) expression.Expression {
 		if _, ok := e.(*expression.Subquery); ok {
 			found = true
 		}
+		return nil
 	})
 	return found
 }
@@ -390,12 +323,13 @@ type boundStmtTable struct {
 	table *storage.Table
 }
 
-// gatherTables resolves every base table a statement references. Views and
-// meta-tables are skipped — inference is best-effort and must not
-// materialize telemetry snapshots during Parse.
+// gatherTables resolves every base table a statement references, subquery
+// selects included (their columns are in scope for the expressions we
+// inspect). Views and meta-tables are skipped — inference is best-effort and
+// must not materialize telemetry snapshots during Parse.
 func (e *Engine) gatherTables(stmt sqlparser.Statement) []boundStmtTable {
 	var out []boundStmtTable
-	add := func(name, alias string) {
+	sqlparser.Rewrite(stmt, func(name, alias string) {
 		if !e.sm.HasTable(name) {
 			return
 		}
@@ -403,52 +337,11 @@ func (e *Engine) gatherTables(stmt sqlparser.Statement) []boundStmtTable {
 		if err != nil {
 			return
 		}
-		key := strings.ToLower(alias)
-		if key == "" {
-			key = strings.ToLower(name)
+		if alias == "" {
+			alias = name
 		}
-		out = append(out, boundStmtTable{alias: key, table: t})
-	}
-	var addRef func(ref *sqlparser.TableRef)
-	var addSelect func(sel *sqlparser.SelectStatement)
-	addRef = func(ref *sqlparser.TableRef) {
-		switch {
-		case ref.Join != nil:
-			addRef(&ref.Join.Left)
-			addRef(&ref.Join.Right)
-		case ref.Subquery != nil:
-			addSelect(ref.Subquery)
-		case ref.Name != "":
-			add(ref.Name, ref.Alias)
-		}
-	}
-	addSelect = func(sel *sqlparser.SelectStatement) {
-		if sel == nil {
-			return
-		}
-		for i := range sel.From {
-			addRef(&sel.From[i])
-		}
-	}
-	switch st := stmt.(type) {
-	case *sqlparser.SelectStatement:
-		addSelect(st)
-	case *sqlparser.InsertStatement:
-		add(st.Table, "")
-	case *sqlparser.UpdateStatement:
-		add(st.Table, "")
-	case *sqlparser.DeleteStatement:
-		add(st.Table, "")
-	}
-	// Subquery selects contribute their tables too (their columns are in
-	// scope for the expressions we inspect).
-	walkStatement(stmt, func(e expression.Expression) {
-		if sq, ok := e.(*expression.Subquery); ok {
-			if sel, ok := sq.Plan.(*sqlparser.SelectStatement); ok {
-				addSelect(sel)
-			}
-		}
-	})
+		out = append(out, boundStmtTable{alias: strings.ToLower(alias), table: t})
+	}, nil)
 	return out
 }
 
@@ -477,9 +370,6 @@ func columnTypeIn(tables []boundStmtTable, qualifier, name string) types.DataTyp
 // column keeps '123' as a string instead of coercing it to an integer.
 func (e *Engine) inferParamTypes(stmt sqlparser.Statement, n int) []types.DataType {
 	out := make([]types.DataType, n)
-	if n == 0 {
-		return out
-	}
 	tables := e.gatherTables(stmt)
 	assign := func(id int, dt types.DataType) {
 		if id >= 0 && id < n && out[id] == types.TypeNull && dt != types.TypeNull {
@@ -549,7 +439,7 @@ func (e *Engine) inferParamTypes(stmt sqlparser.Statement, n int) []types.DataTy
 		}
 	}
 
-	walkStatement(stmt, func(ex expression.Expression) {
+	sqlparser.Rewrite(stmt, nil, func(ex expression.Expression) expression.Expression {
 		switch x := ex.(type) {
 		case *expression.Comparison:
 			if id, ok := paramID(x.Left); ok {
@@ -581,6 +471,7 @@ func (e *Engine) inferParamTypes(stmt sqlparser.Statement, n int) []types.DataTy
 				}
 			}
 		}
+		return nil
 	})
 	return out
 }

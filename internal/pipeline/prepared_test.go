@@ -92,16 +92,17 @@ func TestPreparedPlanReuse(t *testing.T) {
 			t.Fatalf("id=%d: execution did not reuse the prepared plan", i)
 		}
 	}
-	// Re-Parse of the same text hits the session cache: same statement back.
-	ps2, err := s.PrepareStatement(sql)
+	// Re-Parse of the same text — on any session — hits the engine's
+	// statement cache: same handle back.
+	ps2, err := e.NewSession().PrepareStatement(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ps2 != ps1 {
-		t.Fatal("re-prepare did not hit the session cache")
+		t.Fatal("re-prepare did not hit the statement cache")
 	}
-	if e.preparedHits.Load() == 0 {
-		t.Fatal("prepared_plan_hits not counted")
+	if hits, _ := e.PlanCacheStats(); hits == 0 {
+		t.Fatal("plan_cache_hits not counted")
 	}
 	// Same fingerprint, different literals must NOT collide.
 	other, err := s.PrepareStatement("SELECT name FROM items WHERE id = 2")
@@ -164,7 +165,7 @@ func TestPreparedStatementSurvivesDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ps2 == ps {
-		t.Fatal("session cache served a statement prepared before DDL")
+		t.Fatal("statement cache served a statement prepared before DDL")
 	}
 }
 

@@ -3,9 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"strings"
 
-	"hyrise/internal/expression"
 	"hyrise/internal/persistence"
 	"hyrise/internal/sqlparser"
 	"hyrise/internal/storage"
@@ -13,10 +11,10 @@ import (
 )
 
 // This file is the engine's replication surface: read-only enforcement for
-// follower engines, the promote_replica() control function, the
-// meta_replication virtual table, and the statement classifier the pgwire
-// server uses to route reads to replicas. The replication machinery itself
-// lives in internal/replication; the facade wires the two together.
+// follower engines, the promote_replica() control function,
+// and the meta_replication virtual table. The replication machinery itself
+// lives in internal/replication; the facade wires the two together. (What the
+// pgwire server may route to a replica is PreparedStatement.RoutableRead.)
 
 // ErrReadOnly marks statements rejected because the engine serves a read
 // replica. The pgwire server maps it to SQLSTATE 25006
@@ -130,18 +128,6 @@ func writeStatementName(stmt sqlparser.Statement) string {
 	return ""
 }
 
-// promoteReplicaCall matches "SELECT promote_replica()" — intercepted before
-// planning like cancel_query, and before the read-only guard: promotion is
-// precisely the write a replica accepts.
-func promoteReplicaCall(stmt sqlparser.Statement) bool {
-	sel, ok := stmt.(*sqlparser.SelectStatement)
-	if !ok || len(sel.From) != 0 || len(sel.Items) != 1 || sel.Items[0].Star {
-		return false
-	}
-	fc, ok := sel.Items[0].Expr.(*expression.FunctionCall)
-	return ok && fc.Name == "promote_replica" && len(fc.Args) == 0
-}
-
 // execPromoteReplica promotes a follower engine to standalone read-write,
 // returning a one-row result: 1 when the engine was promoted now, 0 when it
 // was not a replica (or already promoted).
@@ -160,49 +146,4 @@ func (s *Session) execPromoteReplica() (*Result, error) {
 	}
 	out.FinalizeLastChunk()
 	return &Result{Table: out, Columns: []string{"promote_replica"}, Tag: "SELECT"}, nil
-}
-
-// RoutableRead reports whether a SQL batch is safe to route to a read
-// replica: every statement is a SELECT over base tables or views. FROM-less
-// selects (control functions like cancel_query, promote_replica, constant
-// expressions) and meta_* reads stay on the local engine — their answers are
-// engine-local state, not replicated data.
-func RoutableRead(sql string) bool {
-	stmts, err := sqlparser.Parse(sql)
-	if err != nil || len(stmts) == 0 {
-		return false
-	}
-	for _, stmt := range stmts {
-		sel, ok := stmt.(*sqlparser.SelectStatement)
-		if !ok || len(sel.From) == 0 {
-			return false
-		}
-		for i := range sel.From {
-			if refersToMeta(&sel.From[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// refersToMeta walks a FROM entry (including joins and derived tables) for
-// meta_* table references.
-func refersToMeta(ref *sqlparser.TableRef) bool {
-	if strings.HasPrefix(strings.ToLower(ref.Name), "meta_") {
-		return true
-	}
-	if ref.Subquery != nil {
-		for i := range ref.Subquery.From {
-			if refersToMeta(&ref.Subquery.From[i]) {
-				return true
-			}
-		}
-	}
-	if ref.Join != nil {
-		if refersToMeta(&ref.Join.Left) || refersToMeta(&ref.Join.Right) {
-			return true
-		}
-	}
-	return false
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"hyrise/internal/pipeline"
 	"hyrise/internal/types"
@@ -244,18 +243,7 @@ func (c *clientConn) handleExecute(payload []byte) {
 	}
 	if !p.executed {
 		ps := p.stmt.ps
-		ctx, done := statementContext(c.b)
-		start := time.Now()
-		var res *pipeline.Result
-		var err error
-		runErr := c.srv.runOnPool(ctx, c.srv.execClass(c.session, ps.Tag, ps.Fingerprint), func() {
-			res, err = c.session.ExecutePreparedStatement(ctx, ps, p.params)
-		})
-		done()
-		if runErr != nil {
-			c.protoError(sqlStateFor(runErr), runErr.Error())
-			return
-		}
+		res, err := c.execute(c.session, ps, p.params)
 		if err != nil {
 			c.protoError(sqlStateFor(err), err.Error())
 			return
@@ -265,7 +253,6 @@ func (c *clientConn) handleExecute(payload []byte) {
 		if ps.ReturnsRows() && res.Table != nil {
 			p.rows = pipeline.ValueRows(res.Table)
 		}
-		c.srv.noteQuery(c.session, ps.SQL, time.Since(start), len(p.rows))
 	}
 	limit := len(p.rows) - p.pos
 	if maxRows > 0 && maxRows < limit {
@@ -279,18 +266,11 @@ func (c *clientConn) handleExecute(payload []byte) {
 		c.w.writeMessage('s', nil) // PortalSuspended
 		return
 	}
+	selected := -1
 	if p.stmt.ps.ReturnsRows() {
-		c.w.writeCommandComplete(fmt.Sprintf("SELECT %d", len(p.rows)))
-		return
+		selected = len(p.rows)
 	}
-	switch p.tag {
-	case "INSERT":
-		c.w.writeCommandComplete(fmt.Sprintf("INSERT 0 %d", p.rowsAffected))
-	case "UPDATE", "DELETE":
-		c.w.writeCommandComplete(fmt.Sprintf("%s %d", p.tag, p.rowsAffected))
-	default:
-		c.w.writeCommandComplete(p.tag)
-	}
+	c.w.writeCompletion(p.tag, p.rowsAffected, selected)
 }
 
 // handleClose deallocates a named statement or portal. Closing a name that
@@ -627,10 +607,6 @@ func typlenFor(dt types.DataType) uint16 {
 // writeDataRowFormats emits one DataRow honoring per-column result formats:
 // binary int8/float8 big-endian encodings where requested, text otherwise.
 func (w *wire) writeDataRowFormats(row []types.Value, fmts []int16) {
-	if len(fmts) == 0 {
-		w.writeDataRow(row)
-		return
-	}
 	var payload []byte
 	n := make([]byte, 2)
 	binary.BigEndian.PutUint16(n, uint16(len(row)))

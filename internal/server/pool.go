@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,9 +209,9 @@ func (s *Server) execClass(session *pipeline.Session, tag, fingerprint string) s
 		return ""
 	}
 	switch tag {
-	case "BEGIN", "COMMIT", "ROLLBACK", "":
+	case "BEGIN", "COMMIT", "ROLLBACK":
 		return ""
-	case "SELECT", "SHOW", "EXPLAIN":
+	case "SELECT":
 		p := s.pool.Load()
 		if p != nil && fingerprint != "" &&
 			s.engine.StatementMeanNS(fingerprint) >= p.slowAfter.Nanoseconds() {
@@ -221,22 +220,5 @@ func (s *Server) execClass(session *pipeline.Session, tag, fingerprint string) s
 		return "read"
 	default:
 		return "write"
-	}
-}
-
-// simpleTag classifies a simple-protocol statement by its leading keyword,
-// enough to pick a queue (the engine parses it properly afterwards).
-func simpleTag(sql string) string {
-	fields := strings.Fields(sql)
-	if len(fields) == 0 {
-		return ""
-	}
-	switch kw := strings.ToUpper(fields[0]); kw {
-	case "SELECT", "SHOW", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK":
-		return kw
-	case "START", "END": // START TRANSACTION / END
-		return "BEGIN"
-	default:
-		return kw
 	}
 }

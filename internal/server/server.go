@@ -22,7 +22,6 @@ import (
 
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
-	"hyrise/internal/sqlparser"
 	"hyrise/internal/types"
 )
 
@@ -386,7 +385,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 		case 'Q':
 			sql := cString(payload)
 			delete(c.portals, "") // simple Query destroys the unnamed portal
-			s.simpleQuery(w, session, b, sql)
+			c.simpleQuery(sql)
 		case 'P': // Parse
 			inBatch = true
 			c.handleParse(payload)
@@ -573,46 +572,99 @@ func statementContext(b *backend) (ctx context.Context, done func()) {
 	}
 }
 
-func (s *Server) simpleQuery(w *wire, session *pipeline.Session, b *backend, sql string) {
-	trimmed := strings.TrimSpace(sql)
-	if trimmed == "" || trimmed == ";" {
-		w.writeMessage('I', nil) // EmptyQueryResponse
-		w.writeReady(session)
-		return
+// simpleQuery answers a Query message: every statement of the text runs in
+// order through the same route as an extended-protocol Execute; the first
+// failure ends the batch, earlier results stand.
+func (c *clientConn) simpleQuery(sql string) {
+	if err := c.runSimple(sql); err != nil {
+		c.w.writeErrorCode(sqlStateFor(err), err.Error())
 	}
-	ctx, done := statementContext(b)
-	start := time.Now()
-	exec := session
-	if router := s.readRouter(); router != nil && !session.InTransaction() && pipeline.RoutableRead(sql) {
-		if eng, ok := router.AcquireRead(ctx); ok {
+	c.w.writeReady(c.session)
+}
+
+func (c *clientConn) runSimple(sql string) error {
+	handles, err := c.session.Statements(sql)
+	if err != nil {
+		return err
+	}
+	exec := c.session
+	if router := c.srv.readRouter(); router != nil && !c.session.InTransaction() && allRoutable(handles) {
+		ctx, done := statementContext(c.b)
+		eng, ok := router.AcquireRead(ctx)
+		done()
+		if ok {
+			// Handles belong to the engine that made them: the replica
+			// resolves the text against its own catalog and cache.
 			exec = eng.NewSession()
-			s.routedReads.Inc()
+			if handles, err = exec.Statements(sql); err != nil {
+				return err
+			}
+			c.srv.routedReads.Inc()
 		}
 	}
-	var results []*pipeline.Result
+	for _, ps := range handles {
+		if ps.Empty() {
+			c.w.writeMessage('I', nil) // EmptyQueryResponse
+			continue
+		}
+		res, err := c.execute(exec, ps, nil)
+		if err != nil {
+			return err
+		}
+		if res.Table == nil || len(res.Columns) == 0 {
+			c.w.writeCompletion(res.Tag, res.RowsAffected, -1)
+			continue
+		}
+		defs := res.Table.ColumnDefinitions()
+		dts := make([]types.DataType, len(defs))
+		for i, d := range defs {
+			dts[i] = d.Type
+		}
+		c.w.writeRowDescriptionCols(res.Columns, dts, nil)
+		rows := pipeline.ValueRows(res.Table)
+		for _, row := range rows {
+			c.w.writeDataRowFormats(row, nil)
+		}
+		c.w.writeCompletion(res.Tag, 0, len(rows))
+	}
+	return nil
+}
+
+// allRoutable reports whether a read replica may serve the whole batch.
+func allRoutable(handles []*pipeline.PreparedStatement) bool {
+	for _, ps := range handles {
+		if !ps.RoutableRead {
+			return false
+		}
+	}
+	return true
+}
+
+// execute runs one statement handle for the connection, simple and extended
+// protocol alike: it picks the executor-pool class, opens the cancellation
+// window, waits for a pool worker to run the statement on session, and feeds
+// the slow-query log.
+func (c *clientConn) execute(session *pipeline.Session, ps *pipeline.PreparedStatement, params []types.Value) (*pipeline.Result, error) {
+	ctx, done := statementContext(c.b)
+	defer done()
+	start := time.Now()
+	var res *pipeline.Result
 	var err error
-	class := s.execClass(session, simpleTag(trimmed), sqlparser.Fingerprint(trimmed))
-	runErr := s.runOnPool(ctx, class, func() {
-		results, err = exec.ExecuteContext(ctx, sql)
+	runErr := c.srv.runOnPool(ctx, c.srv.execClass(c.session, ps.Tag, ps.Fingerprint), func() {
+		res, err = session.ExecutePreparedStatement(ctx, ps, params)
 	})
-	done()
 	if runErr != nil {
-		w.writeErrorCode(sqlStateFor(runErr), runErr.Error())
-		w.writeReady(session)
-		return
+		return nil, runErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	rows := 0
-	for _, res := range results {
-		if res.Table != nil {
-			rows += res.Table.RowCount()
-		}
-		w.writeResult(res)
+	if res.Table != nil && len(res.Columns) > 0 {
+		rows = res.Table.RowCount()
 	}
-	s.noteQuery(exec, sql, time.Since(start), rows)
-	if err != nil {
-		w.writeErrorCode(sqlStateFor(err), err.Error())
-	}
-	w.writeReady(session)
+	c.srv.noteQuery(session, ps.SQL, time.Since(start), rows)
+	return res, nil
 }
 
 // inferParam guesses the type of a text-format parameter whose slot the
@@ -731,81 +783,19 @@ func (w *wire) writeErrorCode(code, msg string) {
 	w.writeMessage('E', payload)
 }
 
-// writeResult renders a pipeline result as RowDescription + DataRows +
-// CommandComplete.
-func (w *wire) writeResult(res *pipeline.Result) {
-	if res == nil {
-		return
-	}
-	if res.Table != nil && len(res.Columns) > 0 {
-		w.writeRowDescription(res)
-		rows := pipeline.ValueRows(res.Table)
-		for _, row := range rows {
-			w.writeDataRow(row)
-		}
-		w.writeCommandComplete(fmt.Sprintf("SELECT %d", len(rows)))
-		return
-	}
-	switch res.Tag {
-	case "INSERT":
-		w.writeCommandComplete(fmt.Sprintf("INSERT 0 %d", res.RowsAffected))
-	case "UPDATE", "DELETE":
-		w.writeCommandComplete(fmt.Sprintf("%s %d", res.Tag, res.RowsAffected))
+// writeCompletion emits CommandComplete for a statement that returned
+// selected rows, or — selected < 0 — none: DML reports the rows it affected.
+func (w *wire) writeCompletion(tag string, affected int64, selected int) {
+	switch {
+	case selected >= 0:
+		w.writeCommandComplete(fmt.Sprintf("SELECT %d", selected))
+	case tag == "INSERT":
+		w.writeCommandComplete(fmt.Sprintf("INSERT 0 %d", affected))
+	case tag == "UPDATE" || tag == "DELETE":
+		w.writeCommandComplete(fmt.Sprintf("%s %d", tag, affected))
 	default:
-		w.writeCommandComplete(res.Tag)
+		w.writeCommandComplete(tag)
 	}
-}
-
-func (w *wire) writeRowDescription(res *pipeline.Result) {
-	defs := res.Table.ColumnDefinitions()
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(defs)))
-	payload = append(payload, n...)
-	for i, d := range defs {
-		name := d.Name
-		if i < len(res.Columns) {
-			name = res.Columns[i]
-		}
-		payload = append(payload, []byte(name)...)
-		payload = append(payload, 0)
-		field := make([]byte, 18)
-		var oid uint32
-		switch d.Type {
-		case types.TypeInt64:
-			oid = oidInt8
-		case types.TypeFloat64:
-			oid = oidFloat8
-		default:
-			oid = oidText
-		}
-		binary.BigEndian.PutUint32(field[6:10], oid)
-		binary.BigEndian.PutUint16(field[10:12], 0xFFFF) // variable size
-		binary.BigEndian.PutUint32(field[12:16], 0xFFFFFFFF)
-		payload = append(payload, field...)
-	}
-	w.writeMessage('T', payload)
-}
-
-func (w *wire) writeDataRow(row []types.Value) {
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(row)))
-	payload = append(payload, n...)
-	for _, v := range row {
-		if v.IsNull() {
-			null := make([]byte, 4)
-			binary.BigEndian.PutUint32(null, 0xFFFFFFFF)
-			payload = append(payload, null...)
-			continue
-		}
-		text := v.String()
-		length := make([]byte, 4)
-		binary.BigEndian.PutUint32(length, uint32(len(text)))
-		payload = append(payload, length...)
-		payload = append(payload, []byte(text)...)
-	}
-	w.writeMessage('D', payload)
 }
 
 func (w *wire) writeCommandComplete(tag string) {

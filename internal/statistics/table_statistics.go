@@ -228,15 +228,38 @@ func (c *Cache) Peek(t *storage.Table) *TableStatistics {
 	return nil
 }
 
-// Get returns (building if needed) the statistics of a table.
+// Get returns (building if needed) the statistics of a table. The build runs
+// outside the cache lock, so one table's histograms never stall another
+// session's Peek; sessions racing on the same stale table each build and the
+// last store wins — statistics need not be exact.
 func (c *Cache) Get(t *storage.Table) *TableStatistics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rc := t.RowCount()
-	if e, ok := c.entries[t]; ok && e.rowCount == rc {
+	c.mu.Lock()
+	e, ok := c.entries[t]
+	c.mu.Unlock()
+	if ok && e.rowCount == rc {
 		return e.stats
 	}
 	stats := BuildTableStatistics(t, c.kind)
+	c.mu.Lock()
 	c.entries[t] = cacheEntry{stats: stats, rowCount: rc}
+	c.mu.Unlock()
 	return stats
+}
+
+// Retain drops the statistics of every table not in live. Entries are keyed
+// by table pointer and pin the table, its chunks and its histograms, so
+// whoever removes tables from the catalog must call this.
+func (c *Cache) Retain(live []*storage.Table) {
+	keep := make(map[*storage.Table]bool, len(live))
+	for _, t := range live {
+		keep[t] = true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for t := range c.entries {
+		if !keep[t] {
+			delete(c.entries, t)
+		}
+	}
 }
