@@ -2,9 +2,11 @@ package benchmark
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hyrise/internal/expression"
@@ -271,5 +273,56 @@ func BenchmarkMicroStatementRoute(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// statsAfterWriteOps is how many INSERT+plan pairs make one benchmark op
+// (same reason as statementRouteOps): more than one histogram bin's worth of
+// the table's 100 000 rows (1/64), so every op contains a fold.
+const statsAfterWriteOps = 2000
+
+// BenchmarkMicroStatsAfterWrite measures planning against a table that was
+// just written: one single-row INSERT, then the plan (not the execution) of a
+// point SELECT with a literal the statement cache has not seen. The SELECT
+// has two predicates because ordering predicates is what makes the optimizer
+// consult the table's statistics.
+func BenchmarkMicroStatsAfterWrite(b *testing.B) {
+	const rows = 100_000
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	b.Cleanup(e.Close)
+	s := e.NewSession()
+	if _, err := s.Execute("CREATE TABLE kv (id INT NOT NULL, a INT NOT NULL, c VARCHAR(10) NOT NULL)"); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < rows; lo += 1000 {
+		var sql strings.Builder
+		sql.WriteString("INSERT INTO kv VALUES ")
+		for id := lo; id < lo+1000; id++ {
+			if id > lo {
+				sql.WriteByte(',')
+			}
+			fmt.Fprintf(&sql, "(%d, %d, 'c%d')", id, id%100, id%1000)
+		}
+		if _, err := s.Execute(sql.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := rows
+	pair := func() {
+		if _, err := s.ExecuteOne(fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, 'new')", next, next%100)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.PrepareStatement(fmt.Sprintf("SELECT a, c FROM kv WHERE id = %d AND a >= 0", next)); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	pair() // the table's first statistics build
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < statsAfterWriteOps; j++ {
+			pair()
+		}
 	}
 }

@@ -65,7 +65,8 @@ func columnOrigin(node lqp.Node, index int) (*lqp.StoredTableNode, types.ColumnI
 	return nil, 0, false
 }
 
-// tableStats fetches statistics for a stored table node.
+// tableStats fetches statistics for a stored table node: built on the
+// table's first use, kept current by the cache from then on.
 func (e *Estimator) tableStats(n *lqp.StoredTableNode) *statistics.TableStatistics {
 	if e.Stats == nil || n.Table == nil {
 		return nil

@@ -248,6 +248,7 @@ func (e *Engine) initObservability() {
 		exec:       observe.NewExecMetrics(r),
 		waits:      observe.NewWaitMetrics(r),
 	}
+	e.stats.Instrument(r)
 	e.active = observe.NewActiveRegistry()
 	e.stmtStats = observe.NewStatementStats(0)
 	e.scanStats = observe.NewScanStats()
@@ -795,8 +796,8 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	ectx.Active = s.activeQ
 	ectx.LockWait = engine.cfg.LockWaitTimeout
 	ectx.Parallel = engine.cfg.ParallelMode
-	// The estimator feeds the scan cost gate. Peek is a pure cache lookup —
-	// never a statistics build — so attaching it costs nothing per query.
+	// The estimator feeds the scan cost gate. Peek never pays a table's first
+	// statistics build: a table the optimizer has not planned yields nil.
 	ectx.Estimator = engine.stats.Peek
 	if tx != nil {
 		tx.SetWaitObserver(engine.waitObserver(s.activeQ, trace))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -189,5 +190,62 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 	}
 	if rows := pipeline.RowStrings(res.Table); rows[0][0] != "500" {
 		t.Errorf("count = %v", rows)
+	}
+}
+
+// TestAdvisorsSkipValuelessColumns: an all-NULL column has no domain (its
+// statistics used to say Min=+Inf, Max=-Inf, so Max-Min < anything and it
+// counted as a dense integer domain) and an empty table has no rows; the
+// advisors leave both alone.
+func TestAdvisorsSkipValuelessColumns(t *testing.T) {
+	sm := storage.NewStorageManager()
+	table := storage.NewTable("sparse", []storage.ColumnDefinition{
+		{Name: "seq", Type: types.TypeInt64},
+		{Name: "gone", Type: types.TypeInt64, Nullable: true},
+	}, 500, false)
+	for i := 0; i < 2000; i++ {
+		_, _ = table.AppendRow([]types.Value{types.Int(int64(i)), types.NullValue})
+	}
+	table.FinalizeLastChunk()
+	_ = sm.AddTable(table)
+	_ = sm.AddTable(storage.NewTable("nothing", []storage.ColumnDefinition{{Name: "x", Type: types.TypeInt64}}, 500, false))
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), sm)
+	t.Cleanup(e.Close)
+
+	if cs := e.Statistics().Get(table).Columns[1]; !cs.Empty() || cs.Min != 0 || cs.Max != 0 {
+		t.Fatalf("all-NULL column statistics: %+v", cs)
+	}
+	idx := &IndexSelectionPlugin{}
+	if err := idx.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	if joined := strings.Join(idx.Created(), ","); strings.Contains(joined, "gone") || strings.Contains(joined, "nothing") {
+		t.Errorf("indexed a column without values: %v", idx.Created())
+	}
+	enc := &EncodingAdvisorPlugin{}
+	if err := enc.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ { // range-heavy: the dense-domain branch of the workload pass
+		e.ScanStats().Column("sparse", "gone").Record(observe.ScanPathUnencoded, false, 2000, 0)
+	}
+	if err := enc.AdviseFromWorkload(); err != nil {
+		t.Fatal(err)
+	}
+	applied := enc.Applied()
+	if !strings.Contains(applied["sparse.seq"], "FrameOfReference") {
+		t.Errorf("seq should be FOR, got %q", applied["sparse.seq"])
+	}
+	if spec, ok := applied["sparse.gone"]; ok {
+		t.Errorf("all-NULL column was advised %q", spec)
+	}
+	if _, ok := enc.Reencoded()["sparse.gone"]; ok {
+		t.Error("all-NULL column was re-encoded from the workload")
+	}
+	if _, ok := table.GetChunk(0).GetSegment(1).(*storage.ValueSegment[int64]); !ok {
+		t.Errorf("all-NULL segment is %T, want it left unencoded", table.GetChunk(0).GetSegment(1))
+	}
+	if _, ok := applied["nothing.x"]; ok {
+		t.Error("empty table was advised")
 	}
 }

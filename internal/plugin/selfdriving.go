@@ -230,7 +230,11 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 		ts := stats.Get(t)
 		perColumn := make(map[types.ColumnID]encoding.Spec)
 		for col, def := range t.ColumnDefinitions() {
-			spec := p.choose(ts.Columns[col], rows, def.Type)
+			cs := ts.Columns[col]
+			if cs.Empty() {
+				continue // no value to read a data shape from: left as it is
+			}
+			spec := p.choose(cs, rows, def.Type)
 			perColumn[types.ColumnID(col)] = spec
 			p.mu.Lock()
 			p.applied[name+"."+def.Name] = spec.String()
@@ -305,7 +309,11 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 		if rows == 0 {
 			continue
 		}
-		want := p.chooseFromWorkload(snap, stats.Get(t).Columns[col], rows, dt)
+		cs := stats.Get(t).Columns[col]
+		if cs.Empty() {
+			continue // only NULLs: no domain to call dense or distinct
+		}
+		want := p.chooseFromWorkload(snap, cs, rows, dt)
 		changed := false
 		for _, c := range t.Chunks() {
 			if !c.IsImmutable() {

@@ -135,6 +135,53 @@ func (h *Histogram) BinCount() int { return len(h.binLo) }
 // TotalRows returns the number of rows the histogram covers.
 func (h *Histogram) TotalRows() float64 { return h.total }
 
+// bounds returns the smallest and largest value the histogram covers: bin
+// edges are values that occur, so these are the column's exact Min and Max.
+// A histogram of no rows (empty or all-NULL column) has the empty range 0, 0.
+func (h *Histogram) bounds() (lo, hi float64) {
+	if n := len(h.binLo); n > 0 {
+		return h.binLo[0], h.binHi[n-1]
+	}
+	return 0, 0
+}
+
+// clone returns a copy that shares no bin storage with h.
+func (h *Histogram) clone() *Histogram {
+	return &Histogram{
+		kind:    h.kind,
+		binLo:   append([]float64(nil), h.binLo...),
+		binHi:   append([]float64(nil), h.binHi...),
+		binRows: append([]float64(nil), h.binRows...),
+		binDist: append([]float64(nil), h.binDist...),
+		total:   h.total,
+	}
+}
+
+// add counts one more row of value v and reports whether v is certainly a
+// value the histogram had not seen: one outside every bin, which stretches
+// the nearer neighbouring bin's edge to v. The bin layout is otherwise kept,
+// whatever the kind — the next full build lays the bins out afresh.
+func (h *Histogram) add(v float64) (fresh bool) {
+	n := len(h.binLo)
+	i := sort.SearchFloat64s(h.binHi, v) // first bin whose upper edge is >= v
+	if fresh = i == n || v < h.binLo[i]; fresh {
+		switch {
+		case n == 0:
+			h.binLo, h.binHi = append(h.binLo, v), append(h.binHi, v)
+			h.binRows, h.binDist = append(h.binRows, 0), append(h.binDist, 0)
+		case i == n || (i > 0 && v-h.binHi[i-1] < h.binLo[i]-v):
+			i--
+			h.binHi[i] = v
+		default:
+			h.binLo[i] = v
+		}
+		h.binDist[i]++
+	}
+	h.binRows[i]++
+	h.total++
+	return fresh
+}
+
 // EstimateEquals estimates the rows equal to v (uniformity within bins).
 func (h *Histogram) EstimateEquals(v float64) float64 {
 	for i := range h.binLo {

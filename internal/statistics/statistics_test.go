@@ -234,21 +234,3 @@ func TestEstimateJoinCardinality(t *testing.T) {
 		t.Errorf("join cardinality on status = %f", got)
 	}
 }
-
-func TestStatisticsCache(t *testing.T) {
-	table := buildTestTable(t)
-	cache := NewCache(EqualHeight)
-	s1 := cache.Get(table)
-	s2 := cache.Get(table)
-	if s1 != s2 {
-		t.Error("cache should return the same object for unchanged table")
-	}
-	_, _ = table.AppendRow([]types.Value{types.Int(9999), types.Float(1), types.Str("open")})
-	s3 := cache.Get(table)
-	if s3 == s1 {
-		t.Error("cache must invalidate after row count change")
-	}
-	if s3.RowCount != 1001 {
-		t.Errorf("rebuilt RowCount = %f", s3.RowCount)
-	}
-}

@@ -3,8 +3,10 @@ package statistics
 import (
 	"math"
 	"sync"
+	"time"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/observe"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -30,8 +32,13 @@ func (c *ColumnStatistics) NullFraction() float64 {
 	return c.NullCount / c.RowCount
 }
 
+// Empty reports that the column holds no value (no rows, or only NULLs), so
+// Min, Max and the histogram describe nothing.
+func (c *ColumnStatistics) Empty() bool { return c.NullCount == c.RowCount }
+
 // TableStatistics summarizes a table. Statistics are built lazily by the
-// optimizer and cached per table (invalidation on row-count change).
+// optimizer, cached per table and kept current by Cache. A stored value is
+// never modified.
 type TableStatistics struct {
 	RowCount float64
 	Columns  []*ColumnStatistics
@@ -51,77 +58,165 @@ func ValueToDomain(v types.Value) (float64, bool) {
 	}
 }
 
+// mark is the high-water mark of the rows a pass has read: every row of the
+// chunks below chunk and the first offset rows of chunk. Tables are physically
+// append-only (an UPDATE invalidates and appends) and only the last chunk of
+// a table grows, so the rows past a mark are exactly the rows written since.
+type mark struct{ chunk, offset int }
+
+// chunkRows is one chunk's segments and the rows [lo, hi) of it a pass reads.
+type chunkRows struct {
+	segs   []storage.Segment
+	lo, hi int
+}
+
+// rowsSince snapshots the rows of t past from. Each chunk's segments come
+// with their row count from one SnapshotSegments call, so the rows a pass
+// counts and the mark it stores agree while appenders run.
+func rowsSince(t *storage.Table, from mark) (parts []chunkRows, to mark, rows int) {
+	to = from
+	chunks := t.Chunks()
+	for i := from.chunk; i < len(chunks); i++ {
+		segs, size := chunks[i].SnapshotSegments()
+		lo := 0
+		if i == from.chunk {
+			lo = from.offset
+		}
+		parts = append(parts, chunkRows{segs: segs, lo: lo, hi: size})
+		to = mark{chunk: i, offset: size}
+		rows += size - lo
+	}
+	return parts, to, rows
+}
+
+// eachRun calls f with every run of non-NULL values of column col in parts
+// (a column without NULLs is one run per chunk, so the callers' loops over a
+// run are the only per-value work) and returns the number of NULLs.
+func eachRun[T types.Ordered](parts []chunkRows, col int, f func([]T)) (nulls int) {
+	for _, p := range parts {
+		if p.lo == p.hi {
+			continue
+		}
+		vals, isNull := encoding.Materialize[T](p.segs[col])
+		start := p.lo
+		for i := p.lo; isNull != nil && i < p.hi; i++ {
+			if isNull[i] {
+				if i > start {
+					f(vals[start:i])
+				}
+				start = i + 1
+				nulls++
+			}
+		}
+		if p.hi > start {
+			f(vals[start:p.hi])
+		}
+	}
+	return nulls
+}
+
 // BuildTableStatistics scans a data table and builds statistics for every
 // column using the given histogram type.
 func BuildTableStatistics(t *storage.Table, kind HistogramType) *TableStatistics {
-	defs := t.ColumnDefinitions()
+	parts, _, rows := rowsSince(t, mark{})
+	return buildStatistics(t.ColumnDefinitions(), parts, rows, kind)
+}
+
+func buildStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows int, kind HistogramType) *TableStatistics {
 	ts := &TableStatistics{
-		RowCount: float64(t.RowCount()),
+		RowCount: float64(rows),
 		Columns:  make([]*ColumnStatistics, len(defs)),
 	}
-	chunks := t.Chunks()
 	for col := range defs {
 		counts := make(map[float64]int)
-		nullCount := 0
-		// The float domain embedding truncates strings to eight bytes, which
+		// The float domain embedding truncates strings to seven bytes, which
 		// collapses long shared prefixes; distinct counts for strings are
 		// therefore tracked on the exact values.
-		var strDistinct map[string]struct{}
-		if defs[col].Type == types.TypeString {
-			strDistinct = make(map[string]struct{})
-		}
-		for _, c := range chunks {
-			seg := c.GetSegment(types.ColumnID(col))
-			switch defs[col].Type {
-			case types.TypeInt64:
-				vals, nulls := encoding.Materialize[int64](seg)
-				for i, v := range vals {
-					if nulls != nil && nulls[i] {
-						nullCount++
-						continue
-					}
+		var exact map[string]struct{}
+		nullCount := 0
+		switch defs[col].Type {
+		case types.TypeInt64:
+			nullCount = eachRun(parts, col, func(run []int64) {
+				for _, v := range run {
 					counts[float64(v)]++
 				}
-			case types.TypeFloat64:
-				vals, nulls := encoding.Materialize[float64](seg)
-				for i, v := range vals {
-					if nulls != nil && nulls[i] {
-						nullCount++
-						continue
-					}
+			})
+		case types.TypeFloat64:
+			nullCount = eachRun(parts, col, func(run []float64) {
+				for _, v := range run {
 					counts[v]++
 				}
-			case types.TypeString:
-				vals, nulls := encoding.Materialize[string](seg)
-				for i, v := range vals {
-					if nulls != nil && nulls[i] {
-						nullCount++
-						continue
-					}
+			})
+		case types.TypeString:
+			exact = make(map[string]struct{})
+			nullCount = eachRun(parts, col, func(run []string) {
+				for _, v := range run {
 					counts[StringToDomain(v)]++
-					strDistinct[v] = struct{}{}
+					exact[v] = struct{}{}
 				}
-			}
+			})
 		}
-		distinct := float64(len(counts))
-		if strDistinct != nil {
-			distinct = float64(len(strDistinct))
+		distinct := len(counts)
+		if exact != nil {
+			distinct = len(exact)
 		}
 		cs := &ColumnStatistics{
 			Type:          defs[col].Type,
 			RowCount:      ts.RowCount,
 			NullCount:     float64(nullCount),
-			DistinctCount: distinct,
+			DistinctCount: float64(distinct),
 			Hist:          BuildHistogram(kind, counts, DefaultHistogramBins),
 		}
-		cs.Min, cs.Max = math.Inf(1), math.Inf(-1)
-		for v := range counts {
-			cs.Min = math.Min(cs.Min, v)
-			cs.Max = math.Max(cs.Max, v)
-		}
+		cs.Min, cs.Max = cs.Hist.bounds()
 		ts.Columns[col] = cs
 	}
 	return ts
+}
+
+// fold returns a copy of ts that also covers the appended rows in parts. Row,
+// NULL and bin row counts, Min and Max come out as a fresh build's would;
+// distinct counts grow only for values outside every bin, so a new value
+// inside an existing bin is not seen as new until the next full build.
+func (ts *TableStatistics) fold(parts []chunkRows, rows int) *TableStatistics {
+	out := &TableStatistics{
+		RowCount: ts.RowCount + float64(rows),
+		Columns:  make([]*ColumnStatistics, len(ts.Columns)),
+	}
+	for col, old := range ts.Columns {
+		cs := *old
+		cs.Hist = old.Hist.clone()
+		add := func(d float64) {
+			if cs.Hist.add(d) {
+				cs.DistinctCount++
+			}
+		}
+		nullCount := 0
+		switch cs.Type {
+		case types.TypeInt64:
+			nullCount = eachRun(parts, col, func(run []int64) {
+				for _, v := range run {
+					add(float64(v))
+				}
+			})
+		case types.TypeFloat64:
+			nullCount = eachRun(parts, col, func(run []float64) {
+				for _, v := range run {
+					add(v)
+				}
+			})
+		case types.TypeString:
+			nullCount = eachRun(parts, col, func(run []string) {
+				for _, v := range run {
+					add(StringToDomain(v))
+				}
+			})
+		}
+		cs.RowCount = out.RowCount
+		cs.NullCount += float64(nullCount)
+		cs.Min, cs.Max = cs.Hist.bounds()
+		out.Columns[col] = &cs
+	}
+	return out
 }
 
 // EstimateEquals estimates the selectivity (0..1) of column = v.
@@ -195,56 +290,89 @@ func clampSel(s float64) float64 {
 	return s
 }
 
-// Cache caches TableStatistics per table, invalidated when the row count
-// changes (cheap heuristic; statistics need not be exact).
+// Cache keeps the TableStatistics of every planned table current without
+// rescanning it: an entry remembers the mark of the rows it covers, and a
+// lookup after writes folds only the rows past the mark into a copy of it.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[*storage.Table]cacheEntry
 	kind    HistogramType
+
+	fullBuilds *observe.Counter
+	foldedRows *observe.Counter
+	maintainNS *observe.Histogram
 }
 
+// cacheEntry is immutable once stored; maintenance stores a new one.
 type cacheEntry struct {
-	stats    *TableStatistics
-	rowCount int
+	stats *TableStatistics
+	mark  mark // stats cover exactly the rows below it (stats.RowCount of them)
+	built int  // rows the histograms' bins were laid out from
 }
 
 // NewCache creates a statistics cache using the given histogram type.
 func NewCache(kind HistogramType) *Cache {
-	return &Cache{entries: make(map[*storage.Table]cacheEntry), kind: kind}
-}
-
-// Peek returns the cached statistics of a table without building anything —
-// the executor's parallelism cost gates call this per scan, so it must stay
-// a map lookup. Stale entries (row count drifted since the build) are still
-// returned: a slightly off selectivity only skews a serial-vs-parallel
-// choice, never a result. Returns nil when the optimizer has not built
-// statistics for the table yet.
-func (c *Cache) Peek(t *storage.Table) *TableStatistics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[t]; ok {
-		return e.stats
+	return &Cache{
+		entries:    make(map[*storage.Table]cacheEntry),
+		kind:       kind,
+		fullBuilds: &observe.Counter{},
+		foldedRows: &observe.Counter{},
+		maintainNS: &observe.Histogram{},
 	}
-	return nil
 }
 
-// Get returns (building if needed) the statistics of a table. The build runs
-// outside the cache lock, so one table's histograms never stall another
-// session's Peek; sessions racing on the same stale table each build and the
-// last store wins — statistics need not be exact.
-func (c *Cache) Get(t *storage.Table) *TableStatistics {
-	rc := t.RowCount()
+// Instrument publishes the cache's maintenance work in r: full builds, rows
+// folded, and the time of each build or fold. Call it before the first lookup.
+func (c *Cache) Instrument(r *observe.Registry) {
+	c.fullBuilds = r.Counter("statistics.full_builds")
+	c.foldedRows = r.Counter("statistics.folded_rows")
+	c.maintainNS = r.Histogram("statistics.maintain_ns")
+}
+
+// Get returns the statistics of a table, building them on first use.
+func (c *Cache) Get(t *storage.Table) *TableStatistics { return c.lookup(t, true) }
+
+// Peek is Get for a caller that must not pay a table's first build (the
+// executor's cost gates): it returns nil for a table never planned.
+func (c *Cache) Peek(t *storage.Table) *TableStatistics { return c.lookup(t, false) }
+
+// lookup holds the cache's one staleness rule. Rows written since the entry
+// was stored are ignored while they are fewer than one histogram bin's share
+// of the rows it covers, then folded in; once the rows folded outnumber the
+// rows the bins were laid out from, the table is rebuilt — so a table is
+// fully scanned O(log rows) times and each appended row is read O(1) times.
+// The work runs outside the cache lock, so one table's maintenance never
+// stalls a lookup of another; sessions racing on the same table each do it
+// and the last store wins — every entry is consistent in itself.
+func (c *Cache) lookup(t *storage.Table, build bool) *TableStatistics {
 	c.mu.Lock()
 	e, ok := c.entries[t]
 	c.mu.Unlock()
-	if ok && e.rowCount == rc {
-		return e.stats
+	if !ok && !build {
+		return nil
 	}
-	stats := BuildTableStatistics(t, c.kind)
+	rows := t.RowCount()
+	if ok {
+		covered := int(e.stats.RowCount)
+		if unfolded := rows - covered; unfolded == 0 || unfolded*DefaultHistogramBins < covered {
+			return e.stats
+		}
+	}
+	start := time.Now()
+	if !ok || rows-e.built > e.built {
+		parts, to, n := rowsSince(t, mark{})
+		e = cacheEntry{stats: buildStatistics(t.ColumnDefinitions(), parts, n, c.kind), mark: to, built: n}
+		c.fullBuilds.Inc()
+	} else {
+		parts, to, n := rowsSince(t, e.mark)
+		e = cacheEntry{stats: e.stats.fold(parts, n), mark: to, built: e.built}
+		c.foldedRows.Add(int64(n))
+	}
+	c.maintainNS.Observe(time.Since(start).Nanoseconds())
 	c.mu.Lock()
-	c.entries[t] = cacheEntry{stats: stats, rowCount: rc}
+	c.entries[t] = e
 	c.mu.Unlock()
-	return stats
+	return e.stats
 }
 
 // Retain drops the statistics of every table not in live. Entries are keyed

@@ -29,6 +29,15 @@ func waitBarrier(t *testing.T, primary, replica *Database) {
 	if err := replica.Follower().WaitForCommit(ctx, barrier); err != nil {
 		t.Fatalf("replica did not reach commit barrier %d: %v", barrier, err)
 	}
+	// The follower publishes the commit id it has applied before it reports
+	// the state it is in: a bootstrap that reached the barrier can still say
+	// "bootstrapping" for a moment, and AcquireRead skips such a replica.
+	for replica.Follower().Status().State != replication.StateStreaming {
+		if ctx.Err() != nil {
+			t.Fatalf("replica reached commit barrier %d but reports %q, not streaming", barrier, replica.Follower().Status().State)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func mustRows(t *testing.T, db *Database, sql string) [][]string {
