@@ -52,12 +52,12 @@ func main() {
 	sql := `SELECT count(*), sum(l_extendedprice) FROM lineitem
 		WHERE l_shipdate BETWEEN '1994-03-01' AND '1994-03-07'`
 	runTimed(db, sql)
-	_, optimized, _, err := db.Plans(sql)
+	ex, err := db.Explain(sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, line := range strings.Split(optimized, "\n") {
-		if strings.Contains(line, "pruned") {
+	for _, line := range strings.Split(ex.Text, "\n") {
+		if strings.Contains(line, "pruned=") {
 			fmt.Println("   plan:", strings.TrimSpace(line))
 		}
 	}

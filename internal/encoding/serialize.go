@@ -46,8 +46,6 @@ const (
 
 // --- primitive append helpers ------------------------------------------
 
-func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)

@@ -60,16 +60,12 @@ func (k JoinKind) String() string {
 
 // --- leaf nodes ------------------------------------------------------------
 
-// StoredTableNode reads a stored table. PrunedChunks is filled by the chunk
-// pruning rule: those chunks are skipped by the GetTable operator
-// (paper §2.4: pruning information is pushed to "the plan node that
-// initially represents the input table").
+// StoredTableNode reads a stored table.
 type StoredTableNode struct {
-	TableName    string
-	Alias        string
-	Table        *storage.Table
-	PrunedChunks []types.ChunkID
-	schema       Schema
+	TableName string
+	Alias     string
+	Table     *storage.Table
+	schema    Schema
 }
 
 // NewStoredTableNode builds the leaf for a stored table.
@@ -100,9 +96,6 @@ func (n *StoredTableNode) String() string {
 	s := "StoredTable(" + n.TableName
 	if n.Alias != "" && !strings.EqualFold(n.Alias, n.TableName) {
 		s += " AS " + n.Alias
-	}
-	if len(n.PrunedChunks) > 0 {
-		s += fmt.Sprintf(", %d/%d chunks pruned", len(n.PrunedChunks), n.Table.ChunkCount())
 	}
 	return s + ")"
 }

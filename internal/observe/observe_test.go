@@ -147,9 +147,10 @@ func TestTraceStagesAndOps(t *testing.T) {
 	tr.SetTotal(12 * time.Microsecond)
 
 	k1, k2 := new(int), new(int)
-	tr.RecordOp(k1, "GetTable(t)", time.Microsecond, 0, 10, 2)
-	tr.RecordOp(k2, "TableScan", 3*time.Microsecond, 10, 4, 0)
-	tr.RecordOp(k2, "TableScan", 2*time.Microsecond, 10, 3, 0) // subquery re-execution
+	tr.RecordOp(k1, "GetTable(t)", time.Microsecond, 0, 14)
+	tr.AddOpPruned(k2, 2, 4) // noted during Run, before the span is recorded
+	tr.RecordOp(k2, "TableScan", 3*time.Microsecond, 14, 4)
+	tr.RecordOp(k2, "TableScan", 2*time.Microsecond, 10, 3) // subquery re-execution
 
 	stages := tr.Stages()
 	if len(stages) != 2 || stages[0].Name != "parse" || stages[1].Name != "execute" {
@@ -166,8 +167,8 @@ func TestTraceStagesAndOps(t *testing.T) {
 	if scan.Calls != 2 || scan.Duration != 5*time.Microsecond || scan.RowsIn != 20 || scan.RowsOut != 7 {
 		t.Fatalf("accumulated scan span = %+v", scan)
 	}
-	if tr.Op(k1).ChunksPruned != 2 {
-		t.Fatalf("pruned = %d, want 2", tr.Op(k1).ChunksPruned)
+	if scan.ChunksPruned != 2 || tr.Op(k1).ChunksPruned != 0 {
+		t.Fatalf("pruned = %d on the scan, %d on its input, want 2 and 0", scan.ChunksPruned, tr.Op(k1).ChunksPruned)
 	}
 	if tr.Op(new(int)) != nil {
 		t.Fatal("Op on unknown key should be nil")
@@ -177,7 +178,7 @@ func TestTraceStagesAndOps(t *testing.T) {
 func TestTraceClampsZeroDurations(t *testing.T) {
 	tr := NewTrace("q")
 	k := new(int)
-	tr.RecordOp(k, "op", 0, 0, 0, 0)
+	tr.RecordOp(k, "op", 0, 0, 0)
 	if d := tr.Op(k).Duration; d <= 0 {
 		t.Fatalf("duration = %v, want > 0", d)
 	}

@@ -28,10 +28,11 @@ type OpSpan struct {
 	Calls int64
 	// Duration is the summed wall time across calls.
 	Duration time.Duration
-	// RowsIn / RowsOut are the summed input and output row counts.
+	// RowsIn / RowsOut are the summed input and output row counts; rows of
+	// pruned chunks are not input.
 	RowsIn, RowsOut int64
-	// ChunksPruned is the number of chunks the optimizer excluded before
-	// this operator touched the table (GetTable only).
+	// ChunksPruned is the number of input chunks the operator skipped because
+	// a chunk filter ruled them out (TableScan only).
 	ChunksPruned int64
 	// Attrs carries operator-specific measurements (e.g. the radix join's
 	// partition count and build/probe nanoseconds). Nil when the operator
@@ -174,24 +175,41 @@ func (t *Trace) PlanText() string {
 // RecordOp accumulates one operator execution under the given key (the
 // executor uses the operator instance itself). Durations clamp to at least
 // 1ns so every executed operator reports non-zero time.
-func (t *Trace) RecordOp(key any, name string, d time.Duration, rowsIn, rowsOut, chunksPruned int64) {
+func (t *Trace) RecordOp(key any, name string, d time.Duration, rowsIn, rowsOut int64) {
 	if d <= 0 {
 		d = 1
 	}
 	t.mu.Lock()
+	// The span may pre-exist with only what the operator noted during Run.
+	sp := t.span(key)
+	sp.Name = name
+	sp.Calls++
+	sp.Duration += d
+	sp.RowsIn += rowsIn
+	sp.RowsOut += rowsOut
+	t.mu.Unlock()
+}
+
+// span returns the span recorded under key, creating it on first use. The
+// caller holds t.mu.
+func (t *Trace) span(key any) *OpSpan {
 	sp, ok := t.ops[key]
 	if !ok {
 		t.seq++
 		sp = &OpSpan{Seq: t.seq}
 		t.ops[key] = sp
 	}
-	// The span may pre-exist with only attributes (AddOpAttr during Run).
-	sp.Name = name
-	sp.Calls++
-	sp.Duration += d
-	sp.RowsIn += rowsIn
-	sp.RowsOut += rowsOut
-	sp.ChunksPruned += chunksPruned
+	return sp
+}
+
+// AddOpPruned notes, from inside Run, that the operator skipped chunks input
+// chunks holding rows rows. RecordOp later adds the operator's whole input to
+// RowsIn, so the skipped rows are taken off here.
+func (t *Trace) AddOpPruned(key any, chunks, rows int64) {
+	t.mu.Lock()
+	sp := t.span(key)
+	sp.ChunksPruned += chunks
+	sp.RowsIn -= rows
 	t.mu.Unlock()
 }
 
@@ -201,12 +219,7 @@ func (t *Trace) RecordOp(key any, name string, d time.Duration, rowsIn, rowsOut,
 // sum, so per-partition contributions aggregate naturally.
 func (t *Trace) AddOpAttr(key any, name string, delta int64) {
 	t.mu.Lock()
-	sp, ok := t.ops[key]
-	if !ok {
-		t.seq++
-		sp = &OpSpan{Seq: t.seq}
-		t.ops[key] = sp
-	}
+	sp := t.span(key)
 	if sp.Attrs == nil {
 		sp.Attrs = make(map[string]int64)
 	}

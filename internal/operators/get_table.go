@@ -8,46 +8,22 @@ import (
 	"hyrise/internal/types"
 )
 
-// GetTable reads a stored table from the storage manager. Chunks pruned by
-// the optimizer's chunk pruning rule are excluded here, before any operator
-// touches the data (paper §2.4: pruning is propagated "down to the plan
-// node that initially represents the input table").
+// GetTable reads a stored table from the storage manager, whole: chunks are
+// skipped by the scan that reads them (chunkScan's prune rung), so every
+// operator above sees the table's own chunk ids.
 type GetTable struct {
-	TableName    string
-	PrunedChunks []types.ChunkID
+	TableName string
 }
 
 // Name implements Operator.
-func (op *GetTable) Name() string {
-	if len(op.PrunedChunks) > 0 {
-		return fmt.Sprintf("GetTable(%s, %d pruned)", op.TableName, len(op.PrunedChunks))
-	}
-	return fmt.Sprintf("GetTable(%s)", op.TableName)
-}
+func (op *GetTable) Name() string { return "GetTable(" + op.TableName + ")" }
 
 // Inputs implements Operator.
 func (op *GetTable) Inputs() []Operator { return nil }
 
 // Run implements Operator.
 func (op *GetTable) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, error) {
-	table, err := ctx.SM.GetTable(op.TableName)
-	if err != nil {
-		return nil, err
-	}
-	if len(op.PrunedChunks) == 0 {
-		return table, nil
-	}
-	pruned := make(map[types.ChunkID]bool, len(op.PrunedChunks))
-	for _, id := range op.PrunedChunks {
-		pruned[id] = true
-	}
-	var keep []*storage.Chunk
-	for i, c := range table.Chunks() {
-		if !pruned[types.ChunkID(i)] {
-			keep = append(keep, c)
-		}
-	}
-	return storage.NewTableView(table, keep, nil), nil
+	return ctx.SM.GetTable(op.TableName)
 }
 
 // DummyTable produces one row with a single unused column; it backs

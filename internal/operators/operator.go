@@ -270,13 +270,6 @@ func Execute(root Operator, ctx *ExecContext) (*storage.Table, error) {
 			}
 			if ctx.Metrics != nil {
 				ctx.Metrics.OperatorsExecuted.Inc()
-				if _, ok := op.(*TableScan); ok {
-					for _, in := range inTables {
-						if in != nil {
-							ctx.Metrics.RowsScanned.Add(int64(in.RowCount()))
-						}
-					}
-				}
 			}
 			mu.Lock()
 			if err != nil {
@@ -343,11 +336,7 @@ func recordSpan(tr *observe.Trace, op Operator, d time.Duration, inputs []*stora
 	if out != nil {
 		rowsOut = int64(out.RowCount())
 	}
-	var pruned int64
-	if gt, ok := op.(*GetTable); ok {
-		pruned = int64(len(gt.PrunedChunks))
-	}
-	tr.RecordOp(op, op.Name(), d, rowsIn, rowsOut, pruned)
+	tr.RecordOp(op, op.Name(), d, rowsIn, rowsOut)
 }
 
 // PlanString renders a PQP tree for the console's visualize command.

@@ -91,7 +91,7 @@ func eq(l, r expression.Expression) *expression.Comparison {
 
 // --- GetTable / Validate ---------------------------------------------------
 
-func TestGetTableAndPruning(t *testing.T) {
+func TestGetTable(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 10, 35) // 4 chunks
 	ctx := newCtx(t, sm)
@@ -101,14 +101,7 @@ func TestGetTableAndPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out != table {
-		t.Error("unpruned GetTable should return the stored table directly")
-	}
-	out, err = Execute(&GetTable{TableName: "numbers", PrunedChunks: []types.ChunkID{0, 2}}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ChunkCount() != 2 || out.RowCount() != 15 {
-		t.Errorf("pruned output: %d chunks, %d rows", out.ChunkCount(), out.RowCount())
+		t.Error("GetTable should return the stored table itself")
 	}
 	if _, err := Execute(&GetTable{TableName: "nope"}, ctx); err == nil {
 		t.Error("unknown table should fail")

@@ -188,12 +188,6 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 		return ts.EstimateEquals(col, pr.Value)
 	case encoding.ScanNe:
 		return ts.EstimateNotEquals(col, pr.Value)
-	case encoding.ScanLt, encoding.ScanLe:
-		return ts.EstimateRange(col, nil, &pr.Value)
-	case encoding.ScanGt, encoding.ScanGe:
-		return ts.EstimateRange(col, &pr.Value, nil)
-	case encoding.ScanBetween:
-		return ts.EstimateRange(col, &pr.Lo, &pr.Hi)
 	case encoding.ScanIsNull:
 		if cs := ts.Columns[col]; cs != nil {
 			return cs.NullFraction()
@@ -202,6 +196,9 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 		if cs := ts.Columns[col]; cs != nil {
 			return 1 - cs.NullFraction()
 		}
+	default: // <, <=, >, >=, BETWEEN
+		lo, hi, _ := scanInterval(pr)
+		return ts.EstimateRange(col, lo, hi)
 	}
 	return 1
 }
@@ -227,15 +224,23 @@ func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate, 
 
 // noteScan records a scan's decision on the trace span, so EXPLAIN ANALYZE
 // shows it with the estimate behind it (estRows < 0: none was made, see
-// scanCost). Only a real fan-out reaches the metrics registry, so
-// scan.morsels and scan.parallel_ns measure morsel-parallel scans alone.
-// indexChunks is how many chunks answered through their index.
-func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS, estRows, indexChunks int64) {
-	if m := ctx.Metrics; m != nil && parallel {
-		m.ScanMorsels.Add(int64(morsels))
-		m.ScanParallelNS.Add(wallNS)
+// scanCost), and what the ladder did: the chunks it pruned — their rows count
+// neither as the span's input nor as rows_scanned — and the chunks that
+// answered through their index. Only a real fan-out reaches scan.morsels and
+// scan.parallel_ns, which measure morsel-parallel scans alone.
+func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, morsels int, wallNS, estRows int64) {
+	pruned, prunedRows := scan.pruned.Load(), scan.prunedRows.Load()
+	if m := ctx.Metrics; m != nil {
+		m.RowsScanned.Add(int64(scan.input.RowCount()) - prunedRows)
+		if parallel {
+			m.ScanMorsels.Add(int64(morsels))
+			m.ScanParallelNS.Add(wallNS)
+		}
 	}
 	if tr := ctx.Trace; tr != nil {
+		if pruned > 0 {
+			tr.AddOpPruned(op, pruned, prunedRows)
+		}
 		tr.AddOpAttr(op, "morsels", int64(morsels))
 		if parallel {
 			tr.AddOpAttr(op, "parallel_ns", wallNS)
@@ -243,8 +248,8 @@ func (ctx *ExecContext) noteScan(op Operator, parallel bool, morsels int, wallNS
 		if estRows >= 0 {
 			tr.AddOpAttr(op, "est_rows", estRows)
 		}
-		if indexChunks > 0 {
-			tr.AddOpAttr(op, "index_chunks", indexChunks)
+		if n := scan.probed.Load(); n > 0 {
+			tr.AddOpAttr(op, "index_chunks", n)
 		}
 	}
 }

@@ -231,5 +231,5 @@ func (op *Alias) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table,
 			defs[i].Name = op.Names[i]
 		}
 	}
-	return storage.NewTableView(input, input.Chunks(), defs), nil
+	return storage.NewTableView(input, defs), nil
 }

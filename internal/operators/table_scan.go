@@ -16,14 +16,19 @@ import (
 // `column OP literal` run directly on the encoded representation via
 // encoding.ScannableSegment (paper §2.3): value-id comparison for
 // dictionaries, offset-domain block scans for frame-of-reference, per-run
-// evaluation for run-length — after a segment-level min-max prune that skips
-// segments the predicate provably cannot match and, for a selective
+// evaluation for run-length — after a prune that skips the chunks whose
+// filters prove that the predicate cannot match and, for a selective
 // predicate on a chunk that carries a secondary index (paper §2.4), an index
 // probe. Everything else falls back to the vectorized expression evaluator
 // over materialized columns.
 type TableScan struct {
 	Predicate expression.Expression
 	input     Operator
+	// chain holds the predicates of the scans above this one in the same
+	// conjunctive predicate chain, set by the translator on the scan that
+	// reads the stored table. They only prune here; each still runs as its
+	// own scan.
+	chain []expression.Expression
 }
 
 // NewTableScan builds a scan.
@@ -44,7 +49,7 @@ func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
 func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
 	chunks := input.Chunks()
-	scan := newChunkScan(ctx, input, op.Predicate)
+	scan := newChunkScan(ctx, input, op.Predicate, op.chain)
 
 	// One morsel over every chunk is the serial scan.
 	morsels := []morsel{{lo: 0, hi: len(chunks)}}
@@ -58,7 +63,7 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 		t0 = ctx.scanWallClock()
 	}
 	out, err := scanMorsels(ctx, input, chunks, morsels, scan.run)
-	ctx.noteScan(op, parallel, len(morsels), sinceNS(t0), estRows, scan.probed.Load())
+	ctx.noteScan(op, scan, parallel, len(morsels), sinceNS(t0), estRows)
 	return out, err
 }
 
@@ -95,28 +100,61 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 	return buildReferenceTable(input, rowsPerChunk, nil), nil
 }
 
-// chunkScan is the per-chunk scan ladder: segment min-max prune → index
-// probe → encoded scan → typed scan over unencoded values → vectorized
-// expression evaluation over materialized columns. Each chunk takes the first
-// rung that applies to it. Everything a chunk needs is resolved once per
-// operator run; run is safe to call from concurrent tasks on distinct chunks.
+// chunkScan is the per-chunk scan ladder: filter prune → index probe →
+// encoded scan → typed scan over unencoded values → vectorized expression
+// evaluation over materialized columns. Each chunk takes the first rung that
+// applies to it. The prune rung is the engine's only pruning site (paper
+// §2.4): it runs per execution, so it sees a prepared statement's bound
+// values and filters attached after the plan was cached, and the scan always
+// reads the stored table itself, whose chunk ids DML writes into its redo
+// records. Everything a chunk needs is resolved once per operator run; run is
+// safe to call from concurrent tasks on distinct chunks.
 type chunkScan struct {
 	ctx    *ExecContext
 	input  *storage.Table
 	pred   expression.Expression
 	simple *simplePredicate         // nil when pred is not `column OP literal`
-	cell   *observe.ColumnScanStats // nil without workload telemetry
-	point  bool
-	probe  bool         // the index rung is open (TableScan.Run decides)
-	probed atomic.Int64 // chunks the index rung answered
+	cell   *observe.ColumnScanStats // telemetry of simple's column; nil without
+	prune  []*simplePredicate       // simple and the chain's simple predicates that bound their column
+	probe  bool                     // the index rung is open (TableScan.Run decides)
+
+	pruned, prunedRows atomic.Int64 // chunks the prune rung skipped, and their rows
+	probed             atomic.Int64 // chunks the index rung answered
 }
 
-func newChunkScan(ctx *ExecContext, input *storage.Table, pred expression.Expression) *chunkScan {
-	simple := analyzeSimplePredicate(pred, ctx.Params)
-	return &chunkScan{
-		ctx: ctx, input: input, pred: pred, simple: simple,
-		cell:  ctx.scanStatsCell(input, simple),
-		point: simple != nil && simple.pred.Op.IsPoint(),
+func newChunkScan(ctx *ExecContext, input *storage.Table, pred expression.Expression, chain []expression.Expression) *chunkScan {
+	s := &chunkScan{ctx: ctx, input: input, pred: pred}
+	s.simple = s.analyze(pred)
+	s.cell = ctx.scanStatsCell(input, s.simple)
+	for _, e := range chain {
+		s.analyze(e)
+	}
+	return s
+}
+
+// analyze recognizes a simple predicate and enlists it for the prune rung
+// when it bounds its column.
+func (s *chunkScan) analyze(e expression.Expression) *simplePredicate {
+	p := analyzeSimplePredicate(e, s.ctx.Params)
+	if p != nil {
+		if _, _, ok := scanInterval(&p.pred); ok {
+			s.prune = append(s.prune, p)
+		}
+	}
+	return p
+}
+
+// record files one chunk's scan under the column of the predicate that
+// answered it: the rung, the rows it covered and the rows that qualified.
+func (s *chunkScan) record(p *simplePredicate, kind observe.ScanPathKind, rowsIn, rowsOut int) {
+	cell := s.cell
+	if p != s.simple {
+		// A predicate from further up the chain pruned the chunk; its column
+		// gets a cell only now that there is something to file under it.
+		cell = s.ctx.scanStatsCell(s.input, p)
+	}
+	if cell != nil {
+		cell.Record(kind, p.pred.Op.IsPoint(), int64(rowsIn), int64(rowsOut))
 	}
 }
 
@@ -127,15 +165,22 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 		return nil, nil
 	}
 	ctx := s.ctx
+	for _, p := range s.prune {
+		if pruneChunkScan(c, p) {
+			noteScanPath(ctx, observe.ScanPathPruned, 0)
+			s.pruned.Add(1)
+			s.prunedRows.Add(int64(n))
+			s.record(p, observe.ScanPathPruned, n, 0)
+			return nil, nil
+		}
+	}
 	if s.simple != nil && !ctx.DynamicAccess {
 		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe); ok {
 			noteScanPath(ctx, kind, enc)
 			if kind == observe.ScanPathIndex {
 				s.probed.Add(1)
 			}
-			if s.cell != nil {
-				s.cell.Record(kind, s.point, int64(n), int64(len(matches)))
-			}
+			s.record(s.simple, kind, n, len(matches))
 			return offsetsToRows(types.ChunkID(ci), matches), nil
 		}
 	}
@@ -152,8 +197,8 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 			rows = append(rows, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
 		}
 	}
-	if s.cell != nil {
-		s.cell.Record(observe.ScanPathFallback, s.point, int64(n), int64(len(rows)))
+	if s.simple != nil {
+		s.record(s.simple, observe.ScanPathFallback, n, len(rows))
 	}
 	return rows, nil
 }
@@ -182,6 +227,25 @@ func (s *chunkScan) indexed(chunks []*storage.Chunk) bool {
 type simplePredicate struct {
 	column types.ColumnID
 	pred   encoding.ScanPredicate
+}
+
+// scanInterval is the closed interval [lo, hi] a scan predicate confines its
+// column to (nil = open end; `=` has lo == hi). ok is false for <> and
+// IS [NOT] NULL, which bound nothing. Exclusive bounds count as inclusive:
+// what reads the interval (filters, index ranges, histograms) may keep too
+// much, never too little.
+func scanInterval(pr *encoding.ScanPredicate) (lo, hi *types.Value, ok bool) {
+	switch pr.Op {
+	case encoding.ScanEq:
+		return &pr.Value, &pr.Value, true
+	case encoding.ScanLt, encoding.ScanLe:
+		return nil, &pr.Value, true
+	case encoding.ScanGt, encoding.ScanGe:
+		return &pr.Value, nil, true
+	case encoding.ScanBetween:
+		return &pr.Lo, &pr.Hi, true
+	}
+	return nil, nil, false
 }
 
 // operandsTyped reports whether the predicate has operands and each is of
@@ -354,52 +418,30 @@ func countDecodedSegments(ctx *ExecContext, c *storage.Chunk, ec *expression.Con
 	}
 }
 
-// pruneChunkScan consults the chunk's min-max (and other) filters to decide
-// whether the predicate provably matches zero rows of the column's segment —
-// in which case the segment is never touched. Exclusive bounds are checked
-// as inclusive ranges: filters may fail to prune, never prune wrongly.
+// pruneChunkScan consults the chunk's filters (min-max, quotient filter,
+// range histogram) to decide whether the predicate provably matches zero rows
+// of the chunk — in which case no segment of it is touched.
 func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
-	filters := c.Filters(p.column)
-	if len(filters) == 0 {
-		return false
-	}
-	pr := &p.pred
-	for _, f := range filters {
-		switch pr.Op {
-		case encoding.ScanEq:
-			if f.CanPruneEquals(pr.Value) {
+	lo, hi, _ := scanInterval(&p.pred)
+	for _, f := range c.Filters(p.column) {
+		if p.pred.Op == encoding.ScanEq {
+			if f.CanPruneEquals(*lo) {
 				return true
 			}
-		case encoding.ScanLt, encoding.ScanLe:
-			if f.CanPruneRange(nil, &pr.Value) {
-				return true
-			}
-		case encoding.ScanGt, encoding.ScanGe:
-			if f.CanPruneRange(&pr.Value, nil) {
-				return true
-			}
-		case encoding.ScanBetween:
-			if f.CanPruneRange(&pr.Lo, &pr.Hi) {
-				return true
-			}
-		default:
-			// <>, IS [NOT] NULL: min-max statistics cannot refute these.
-			return false
+		} else if f.CanPruneRange(lo, hi) {
+			return true
 		}
 	}
 	return false
 }
 
-// scanChunkSpecialized runs the pruning, index and per-encoding fast paths
-// (probe opens the index rung). ok is false when no specialization applies
+// scanChunkSpecialized runs the index and per-encoding fast paths (probe
+// opens the index rung). ok is false when no specialization applies
 // (the caller falls back to the evaluator). The returned kind labels which
 // path answered; enc identifies the encoding when kind is ScanPathEncoded.
 func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (matches []types.ChunkOffset, enc encoding.ScanPath, kind observe.ScanPathKind, ok bool) {
 	if int(p.column) >= c.ColumnCount() {
 		return nil, 0, 0, false
-	}
-	if pruneChunkScan(c, p) {
-		return nil, 0, observe.ScanPathPruned, true
 	}
 	if probe {
 		if idx := c.GetIndex(p.column); idx != nil {
@@ -436,17 +478,10 @@ func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (mat
 // without scanning through the data"), in offset order like every other rung.
 func indexProbe(idx storage.ChunkIndex, p *simplePredicate) []types.ChunkOffset {
 	pr := &p.pred
-	var lo, hi *types.Value // nil = open; <> walks the whole index
-	switch pr.Op {
-	case encoding.ScanEq:
+	if pr.Op == encoding.ScanEq {
 		return idx.Equals(pr.Value)
-	case encoding.ScanBetween:
-		lo, hi = &pr.Lo, &pr.Hi
-	case encoding.ScanLt, encoding.ScanLe:
-		hi = &pr.Value
-	case encoding.ScanGt, encoding.ScanGe:
-		lo = &pr.Value
 	}
+	lo, hi, _ := scanInterval(pr) // <> bounds nothing and walks the whole index
 	out := idx.Range(lo, hi)
 	switch pr.Op {
 	case encoding.ScanLt, encoding.ScanGt, encoding.ScanNe:

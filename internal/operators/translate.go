@@ -49,28 +49,13 @@ func (t *Translator) Translate(node lqp.Node) (Operator, error) {
 func (t *Translator) translate(node lqp.Node) (Operator, error) {
 	switch n := node.(type) {
 	case *lqp.StoredTableNode:
-		return &GetTable{TableName: n.TableName, PrunedChunks: n.PrunedChunks}, nil
+		return &GetTable{TableName: n.TableName}, nil
 
 	case *lqp.DummyTableNode:
 		return &DummyTable{}, nil
 
-	case *lqp.ValidateNode:
-		in, err := t.Translate(n.Inputs()[0])
-		if err != nil {
-			return nil, err
-		}
-		return NewValidate(in), nil
-
-	case *lqp.PredicateNode:
-		in, err := t.Translate(n.Inputs()[0])
-		if err != nil {
-			return nil, err
-		}
-		pred, err := t.fixSubqueries(n.Predicate)
-		if err != nil {
-			return nil, err
-		}
-		return NewTableScan(in, pred), nil
+	case *lqp.ValidateNode, *lqp.PredicateNode:
+		return t.translateChain(node)
 
 	case *lqp.ProjectionNode:
 		in, err := t.Translate(n.Inputs()[0])
@@ -184,6 +169,57 @@ func (t *Translator) translate(node lqp.Node) (Operator, error) {
 	default:
 		return nil, fmt.Errorf("operators: cannot translate LQP node %T", node)
 	}
+}
+
+// translateChain translates a run of PredicateNodes and ValidateNodes — the
+// nodes that pass their input's rows on in place — into a stack of scans.
+// The scan that reads a stored table directly is handed the predicates of all
+// scans above it, so that its prune rung skips every chunk that some
+// predicate of the chain rules out (paper §2.4: pruning "can be propagated
+// through conjunctive predicate chains down to the plan node that initially
+// represents the input table"); each predicate still runs as its own scan.
+// The run is translated as a whole, without the memo: a scan that another
+// parent shares must not prune by this parent's predicates.
+func (t *Translator) translateChain(top lqp.Node) (Operator, error) {
+	var chain []lqp.Node
+	bottom := top
+	for inChain(bottom) {
+		chain = append(chain, bottom)
+		bottom = bottom.Inputs()[0]
+	}
+	op, err := t.Translate(bottom)
+	if err != nil {
+		return nil, err
+	}
+	var base *TableScan // the scan that reads the stored table
+	for i := len(chain) - 1; i >= 0; i-- {
+		n, ok := chain[i].(*lqp.PredicateNode)
+		if !ok {
+			op = NewValidate(op)
+			continue
+		}
+		pred, err := t.fixSubqueries(n.Predicate)
+		if err != nil {
+			return nil, err
+		}
+		scan := NewTableScan(op, pred)
+		if _, stored := op.(*GetTable); stored {
+			base = scan
+		} else if base != nil {
+			base.chain = append(base.chain, pred)
+		}
+		op = scan
+	}
+	return op, nil
+}
+
+// inChain reports whether n is a node translateChain stacks.
+func inChain(n lqp.Node) bool {
+	switch n.(type) {
+	case *lqp.PredicateNode, *lqp.ValidateNode:
+		return true
+	}
+	return false
 }
 
 func (t *Translator) translateJoin(n *lqp.JoinNode) (Operator, error) {

@@ -212,11 +212,7 @@ func (e *Estimator) Cardinality(node lqp.Node) float64 {
 		if n.Table == nil {
 			return 1000
 		}
-		rows := float64(n.Table.RowCount())
-		if total := n.Table.ChunkCount(); total > 0 && len(n.PrunedChunks) > 0 {
-			rows *= float64(total-len(n.PrunedChunks)) / float64(total)
-		}
-		return rows
+		return float64(n.Table.RowCount())
 	case *lqp.DummyTableNode:
 		return 1
 	case *lqp.ValidateNode, *lqp.AliasNode, *lqp.SortNode, *lqp.ProjectionNode:

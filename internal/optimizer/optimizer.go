@@ -33,8 +33,9 @@ type Optimizer struct {
 
 // NewDefault builds the default optimization pipeline (cf. paper: eight
 // rules at the time of writing; we implement the named ones — predicate
-// pushdown, join ordering via DPccp, chunk pruning — plus the supporting
-// rewrites they depend on).
+// pushdown, join ordering via DPccp — plus the supporting rewrites they
+// depend on; chunk pruning, a rule in the paper, happens in the scan that
+// reads the chunks, see operators.TableScan).
 func NewDefault(stats *statistics.Cache) *Optimizer {
 	return &Optimizer{
 		Rules: []Rule{
@@ -45,7 +46,6 @@ func NewDefault(stats *statistics.Cache) *Optimizer {
 			&JoinOrderingRule{},
 			&PredicateReorderingRule{},
 			&BetweenCompositionRule{},
-			&ChunkPruningRule{},
 		},
 		Est:       NewEstimator(stats),
 		MaxPasses: 5,
@@ -55,7 +55,7 @@ func NewDefault(stats *statistics.Cache) *Optimizer {
 // Optimize runs the pipeline to (bounded) fixpoint, then recursively
 // optimizes the plans of subqueries that survived as expressions (scalar
 // subselects the rewrite rules could not turn into joins still deserve
-// pushdown, join ordering, and chunk pruning of their own).
+// pushdown and join ordering of their own).
 func (o *Optimizer) Optimize(root lqp.Node) (lqp.Node, error) {
 	return o.optimize(root, 0)
 }

@@ -207,35 +207,6 @@ func TestJoinOrderingReordersByCardinality(t *testing.T) {
 	}
 }
 
-func TestChunkPruningUsesFilters(t *testing.T) {
-	sm := catalog(t)
-	// orders has 10 chunks of 100 rows; o_id is monotonically increasing, so
-	// o_id < 150 allows pruning 8 of 10 chunks via min-max filters.
-	out := optimize(t, sm, "SELECT o_id FROM orders WHERE o_id < 150")
-	var stored *lqp.StoredTableNode
-	lqp.VisitPlan(out, func(n lqp.Node) {
-		if st, ok := n.(*lqp.StoredTableNode); ok {
-			stored = st
-		}
-	})
-	if stored == nil {
-		t.Fatal("no stored table node")
-	}
-	if len(stored.PrunedChunks) != 8 {
-		t.Errorf("pruned %d chunks, want 8 (plan: %s)", len(stored.PrunedChunks), lqp.PlanString(out))
-	}
-	// Equality predicate prunes all but one chunk.
-	out2 := optimize(t, sm, "SELECT o_id FROM orders WHERE o_id = 555")
-	lqp.VisitPlan(out2, func(n lqp.Node) {
-		if st, ok := n.(*lqp.StoredTableNode); ok {
-			stored = st
-		}
-	})
-	if len(stored.PrunedChunks) != 9 {
-		t.Errorf("equality pruned %d chunks, want 9", len(stored.PrunedChunks))
-	}
-}
-
 func TestBetweenComposition(t *testing.T) {
 	sm := catalog(t)
 	out := optimize(t, sm, "SELECT o_id FROM orders WHERE o_id >= 100 AND o_id <= 200")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyrise/internal/concurrency"
+	"hyrise/internal/filter"
 	"hyrise/internal/index"
 	"hyrise/internal/observe"
 	"hyrise/internal/storage"
@@ -114,5 +115,25 @@ func TestIndexRungThroughSQL(t *testing.T) {
 	res := mustExec(t, s, "SELECT scans, index FROM meta_column_scans WHERE table_name = 't' AND column_name = 'id'")
 	if rows := ValueRows(res.Table); len(rows) != 1 || rows[0][1].AsInt() == 0 || rows[0][1].AsInt() >= rows[0][0].AsInt() {
 		t.Errorf("meta_column_scans for t.id = %v, want 0 < index < scans", rows)
+	}
+
+	// Filters and indexes together: the scan prunes three chunks and probes
+	// the index of the fourth. When pruning handed the scan a view of the
+	// table, the statistics cache did not know it and the rung stayed shut.
+	table, err := e.StorageManager().GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := filter.AttachDefaultFilters(table); err != nil {
+		t.Fatal(err)
+	}
+	if ex, err = s.Explain("SELECT v FROM t WHERE id = 1234"); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexChunksOf(ex.Trace); got != 1 || !strings.Contains(ex.Text, "pruned=3 chunks") {
+		t.Errorf("EXPLAIN ANALYZE of id = 1234 on a filtered, indexed table: index_chunks = %d, want 1 after 3 pruned\n%s", got, ex.Text)
+	}
+	if rows := ValueRows(ex.Result.Table); len(rows) != 1 || rows[0][0].AsInt() != 12340 {
+		t.Errorf("id = 1234: rows = %v, want [[12340]]", rows)
 	}
 }

@@ -1,0 +1,309 @@
+package pipeline
+
+import (
+	"context"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"hyrise/internal/concurrency"
+	"hyrise/internal/filter"
+	"hyrise/internal/observe"
+	"hyrise/internal/operators"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// pruneRows and pruneChunkRows size the pruning fixture: 12 sealed chunks.
+const pruneRows, pruneChunkRows = 1200, 100
+
+// pruneRow is row i of the pruning fixture: id ascends (chunks hold disjoint
+// ranges), k is clustered in overlapping bands, g cycles through three bands
+// chunk by chunk, and c strides over 0..999 inside every chunk, so that only a
+// membership filter can tell which chunks hold a given c.
+func pruneRow(i int64) []types.Value {
+	return []types.Value{
+		types.Int(i),
+		types.Int(i/150*100 + i%50),
+		types.Int(i/pruneChunkRows%3*100 + i%7),
+		types.Int(i * 37 % 1000),
+	}
+}
+
+// skipLog notes the chunks on which a filter proved a predicate empty.
+type skipLog struct {
+	mu     sync.Mutex
+	chunks map[int]bool
+}
+
+// take returns the noted chunk ids in order and forgets them.
+func (l *skipLog) take() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids := make([]int, 0, len(l.chunks))
+	for id := range l.chunks {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	l.chunks = nil
+	return ids
+}
+
+// loggedFilter is a chunk filter that reports every successful prune.
+type loggedFilter struct {
+	storage.ChunkFilter
+	chunk int
+	log   *skipLog
+}
+
+func (f loggedFilter) note(pruned bool) bool {
+	if pruned {
+		f.log.mu.Lock()
+		if f.log.chunks == nil {
+			f.log.chunks = make(map[int]bool)
+		}
+		f.log.chunks[f.chunk] = true
+		f.log.mu.Unlock()
+	}
+	return pruned
+}
+
+func (f loggedFilter) CanPruneEquals(v types.Value) bool {
+	return f.note(f.ChunkFilter.CanPruneEquals(v))
+}
+
+func (f loggedFilter) CanPruneRange(lo, hi *types.Value) bool {
+	return f.note(f.ChunkFilter.CanPruneRange(lo, hi))
+}
+
+// newPruneTable loads the fixture rows into sealed chunks, without filters.
+func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvcc bool) *storage.Table {
+	t.Helper()
+	table := storage.NewTable(name, []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "k", Type: types.TypeInt64},
+		{Name: "g", Type: types.TypeInt64},
+		{Name: "c", Type: types.TypeInt64},
+	}, pruneChunkRows, useMvcc)
+	for i := int64(0); i < pruneRows; i++ {
+		if _, err := table.AppendRow(pruneRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table.FinalizeLastChunk()
+	concurrency.MarkTableLoaded(table)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
+// attachLoggedFilters gives every column of every chunk the default filters
+// (min-max and range histogram) and column c a quotient filter on top, each
+// wrapped so that log learns which chunks they let a statement skip.
+func attachLoggedFilters(t *testing.T, table *storage.Table, log *skipLog) {
+	t.Helper()
+	for ci, c := range table.Chunks() {
+		for col := 0; col < c.ColumnCount(); col++ {
+			id := types.ColumnID(col)
+			kinds := []filter.FilterKind{filter.MinMax, filter.RangeHist}
+			if col == 3 {
+				kinds = append(kinds, filter.CQF)
+			}
+			for _, kind := range kinds {
+				f, err := filter.CreateFilter(kind, c.GetSegment(id), id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.AddFilter(loggedFilter{ChunkFilter: f, chunk: ci, log: log})
+			}
+		}
+	}
+}
+
+// prunedBySpans sums the chunks the trace's operators say they skipped.
+func prunedBySpans(tr *observe.Trace) int {
+	var n int64
+	for _, sp := range tr.OpSpans() {
+		n += sp.ChunksPruned
+	}
+	return int(n)
+}
+
+// TestPruningParity pins which chunks a statement skips, shape by shape, to
+// testdata/pruning_parity.json — recorded at the commit where an optimizer
+// rule still decided it at plan time (there the logged sets were also checked
+// to equal the chunk list that rule left on the stored-table node). The scan
+// ladder's prune rung must skip exactly those chunks, serial or fanned out,
+// also for predicates that sit further up the predicate chain than the scan
+// that reads the table, and a prepared `k < $1` must skip what its literal
+// twin skips. Re-record with
+// `go test ./internal/pipeline -run TestPruningParity -update-golden`.
+func TestPruningParity(t *testing.T) {
+	for _, mode := range []operators.ParallelMode{operators.ParallelAuto, operators.ParallelForce} {
+		testPruningParity(t, mode)
+	}
+}
+
+func testPruningParity(t *testing.T, mode operators.ParallelMode) {
+	cfg := DefaultConfig()
+	cfg.ParallelMode = mode
+	sm := storage.NewStorageManager()
+	log := &skipLog{}
+	attachLoggedFilters(t, newPruneTable(t, sm, "t", cfg.UseMvcc), log)
+	e := NewEngine(cfg, sm)
+	t.Cleanup(e.Close)
+	e.SetTraceSink(func(*observe.Trace) {})
+	s := e.NewSession()
+
+	shapes := []struct {
+		name, sql string
+		params    []types.Value
+		keep      func(r []types.Value) bool
+	}{
+		{"less-than", "SELECT count(*) FROM t WHERE k < 300", nil,
+			func(r []types.Value) bool { return r[1].I < 300 }},
+		{"range-pair", "SELECT count(*) FROM t WHERE id >= 800 AND id < 1000", nil,
+			func(r []types.Value) bool { return r[0].I >= 800 && r[0].I < 1000 }},
+		{"between", "SELECT count(*) FROM t WHERE id BETWEEN 250 AND 449", nil,
+			func(r []types.Value) bool { return r[0].I >= 250 && r[0].I <= 449 }},
+		{"equals-cqf", "SELECT count(*) FROM t WHERE c = 481", nil,
+			func(r []types.Value) bool { return r[3].I == 481 }},
+		{"two-columns", "SELECT count(*) FROM t WHERE id >= 400 AND g < 50", nil,
+			func(r []types.Value) bool { return r[0].I >= 400 && r[2].I < 50 }},
+		{"above-non-simple-scan", "SELECT count(*) FROM t WHERE id < 250 AND k % 2 = 0", nil,
+			func(r []types.Value) bool { return r[0].I < 250 && r[1].I%2 == 0 }},
+		{"prepared-less-than", "SELECT count(*) FROM t WHERE k < $1", []types.Value{types.Int(300)},
+			func(r []types.Value) bool { return r[1].I < 300 }},
+	}
+	got := make(map[string][]int)
+	spans := make(map[string]int)
+	for _, sh := range shapes {
+		log.take()
+		ps, err := s.PrepareStatement(sh.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		res, err := s.ExecutePreparedStatement(context.Background(), ps, sh.params)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		got[sh.name] = log.take()
+		spans[sh.name] = prunedBySpans(s.LastTrace())
+		var want int64
+		for i := int64(0); i < pruneRows; i++ {
+			if sh.keep(pruneRow(i)) {
+				want++
+			}
+		}
+		if n := ValueRows(res.Table)[0][0].AsInt(); n != want {
+			t.Errorf("%s: count = %d, want %d", sh.name, n, want)
+		}
+	}
+
+	var want map[string][]int
+	if !goldenJSON(t, "pruning_parity.json", got, &want) {
+		return
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d shapes, run produced %d", len(want), len(got))
+	}
+	for name, w := range want {
+		if g := got[name]; !reflect.DeepEqual(g, w) {
+			t.Errorf("%s (parallel mode %d): skipped chunks %v, want %v", name, mode, g, w)
+		}
+		if spans[name] != len(w) {
+			t.Errorf("%s: operator spans report %d pruned chunks, want %d", name, spans[name], len(w))
+		}
+	}
+	if !reflect.DeepEqual(got["prepared-less-than"], got["less-than"]) {
+		t.Errorf("prepared k < $1 skipped %v, its literal twin %v", got["prepared-less-than"], got["less-than"])
+	}
+}
+
+// TestPruningSeesLateFilters: a filter attached after a statement's plan was
+// cached prunes on the statement's next execution — the advisor loop of
+// ROADMAP item 2(b) attaches filters to tables that are already being queried.
+func TestPruningSeesLateFilters(t *testing.T) {
+	cfg := DefaultConfig()
+	sm := storage.NewStorageManager()
+	table := newPruneTable(t, sm, "late", cfg.UseMvcc)
+	e := NewEngine(cfg, sm)
+	t.Cleanup(e.Close)
+	e.SetTraceSink(func(*observe.Trace) {})
+	s := e.NewSession()
+
+	const sql = "SELECT count(*) FROM late WHERE id < 250 AND g < 50"
+	run := func() *observe.Trace {
+		t.Helper()
+		if n := ValueRows(mustExec(t, s, sql).Table)[0][0].AsInt(); n != 100 {
+			t.Fatalf("count = %d, want 100", n)
+		}
+		return s.LastTrace()
+	}
+	if n := prunedBySpans(run()); n != 0 {
+		t.Fatalf("pruned %d chunks of a table without filters", n)
+	}
+	if err := filter.AttachDefaultFilters(table); err != nil {
+		t.Fatal(err)
+	}
+	// Chunks 3-11 fail id < 250; of chunks 0-2, g < 50 keeps only chunk 0.
+	tr := run()
+	if !tr.CacheHit {
+		t.Fatal("second execution planned again; the case needs the cached plan")
+	}
+	if n := prunedBySpans(tr); n != 11 {
+		t.Errorf("cached plan pruned %d chunks after filters were attached, want 11", n)
+	}
+}
+
+// TestPruneTelemetry: the rows of pruned chunks count nowhere as
+// examined — not in the scan's span, not in rows_scanned — and the chunks show
+// up on the TableScan line of EXPLAIN ANALYZE, in scan.segments_pruned and in
+// meta_column_scans under the column whose filter ruled them out.
+func TestPruneTelemetry(t *testing.T) {
+	cfg := DefaultConfig()
+	sm := storage.NewStorageManager()
+	if err := filter.AttachDefaultFilters(newPruneTable(t, sm, "t", cfg.UseMvcc)); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(cfg, sm)
+	t.Cleanup(e.Close)
+	s := e.NewSession()
+
+	// id >= 400 alone keeps chunks 4-11; g < 50 keeps every third chunk, so
+	// the scan of g (the deeper one) reads chunks 6 and 9 only: 200 rows.
+	scanned, pruned := metric(t, e, "rows_scanned"), metric(t, e, "scan.segments_pruned")
+	ex, err := s.Explain("SELECT count(*) FROM t WHERE id >= 400 AND g < 50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ValueRows(ex.Result.Table)[0][0].AsInt(); n != 200 {
+		t.Fatalf("count = %d, want 200", n)
+	}
+	if !strings.Contains(ex.Text, "TableScan((t.g < 50))  [") || !strings.Contains(ex.Text, "in=200 rows, out=200 rows, pruned=10 chunks") {
+		t.Errorf("EXPLAIN ANALYZE does not show the base scan reading 200 rows after pruning 10 chunks:\n%s", ex.Text)
+	}
+	for _, sp := range ex.Trace.OpSpans() {
+		if strings.HasPrefix(sp.Name, "GetTable(") && (sp.ChunksPruned != 0 || sp.RowsOut != pruneRows) {
+			t.Errorf("%s: pruned = %d, out = %d, want the whole table", sp.Name, sp.ChunksPruned, sp.RowsOut)
+		}
+	}
+	// Both scans read 200 rows: the base scan after pruning, the one above
+	// it because that is all it is handed.
+	if got := metric(t, e, "rows_scanned") - scanned; got != 400 {
+		t.Errorf("rows_scanned moved by %d, want 400", got)
+	}
+	if got := metric(t, e, "scan.segments_pruned") - pruned; got != 10 {
+		t.Errorf("scan.segments_pruned moved by %d, want 10", got)
+	}
+	res := mustExec(t, s, "SELECT column_name, scans, pruned FROM meta_column_scans WHERE table_name = 't' ORDER BY column_name")
+	// The scan asks its own predicate's filters first: g < 50 rules out eight
+	// chunks, id >= 400 two of the other four (chunks 0 and 3).
+	want := [][]string{{"g", "10", "8"}, {"id", "2", "2"}}
+	if got := RowStrings(res.Table); !reflect.DeepEqual(got, want) {
+		t.Errorf("meta_column_scans (column, scans, pruned) = %v, want %v", got, want)
+	}
+}

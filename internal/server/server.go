@@ -765,10 +765,6 @@ func sqlStateFor(err error) string {
 	return codeInternalError
 }
 
-func (w *wire) writeError(msg string) {
-	w.writeErrorCode(codeInternalError, msg)
-}
-
 func (w *wire) writeErrorCode(code, msg string) {
 	var payload []byte
 	add := func(field byte, text string) {

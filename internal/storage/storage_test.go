@@ -179,18 +179,15 @@ func TestTableView(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i)), types.Float(0), types.Str("s")})
 	}
-	view := NewTableView(table, []*Chunk{table.GetChunk(0), table.GetChunk(2)}, nil)
-	if view.ChunkCount() != 2 || view.RowCount() != 4 {
-		t.Errorf("view chunks=%d rows=%d", view.ChunkCount(), view.RowCount())
-	}
-	if v := view.GetValue(0, types.RowID{Chunk: 1, Offset: 0}); v.I != 4 {
-		t.Errorf("view cell = %v, want 4", v)
-	}
-	renamed := NewTableView(table, table.Chunks(), []ColumnDefinition{
+	renamed := NewTableView(table, []ColumnDefinition{
 		{Name: "a", Type: types.TypeInt64},
 		{Name: "b", Type: types.TypeFloat64, Nullable: true},
 		{Name: "c", Type: types.TypeString},
 	})
+	// A view keeps every chunk under its own id: row ids mean the same in both.
+	if renamed.ChunkCount() != 3 || renamed.GetChunk(2) != table.GetChunk(2) {
+		t.Errorf("view has %d chunks, want the table's 3 in order", renamed.ChunkCount())
+	}
 	if id, err := renamed.ColumnID("b"); err != nil || id != 1 {
 		t.Errorf("renamed lookup = (%d, %v)", id, err)
 	}

@@ -356,19 +356,16 @@ func (t *Table) RowAsValues(row types.RowID) []types.Value {
 	return out
 }
 
-// NewTableView creates a table that shares the given chunks of src (used
-// by GetTable after chunk pruning and by Alias for column renames). The
-// view has src's type; segments are shared, not copied.
-func NewTableView(src *Table, chunks []*Chunk, defs []ColumnDefinition) *Table {
-	if defs == nil {
-		defs = src.defs
-	}
+// NewTableView creates a table that shares every chunk of src under other
+// column definitions (Alias renames columns with it). The view has src's
+// type and chunk numbering; segments are shared, not copied.
+func NewTableView(src *Table, defs []ColumnDefinition) *Table {
 	return &Table{
 		name:            src.name,
 		defs:            defs,
 		tableType:       src.tableType,
 		targetChunkSize: src.targetChunkSize,
 		useMvcc:         src.useMvcc,
-		chunks:          chunks,
+		chunks:          src.Chunks(),
 	}
 }
