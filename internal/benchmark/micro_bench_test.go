@@ -37,22 +37,26 @@ func microRows() int {
 	return 200_000
 }
 
-func microJoinTables(b *testing.B, n int) (*storage.Table, *storage.Table) {
+// microJoinTables builds the join inputs: (key, val), or with composite
+// (key, key2, val) where key2 is a function of key, so that joining on both
+// key columns finds the pairs joining on key alone does.
+func microJoinTables(b *testing.B, n int, composite bool) (*storage.Table, *storage.Table) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	defs := func(p string) []storage.ColumnDefinition {
-		return []storage.ColumnDefinition{
-			{Name: p + "_key", Type: types.TypeInt64},
-			{Name: p + "_val", Type: types.TypeInt64},
-		}
-	}
 	build := func(p string, rows int) *storage.Table {
-		t := storage.NewTable(p, defs(p), 65536, false)
+		defs := []storage.ColumnDefinition{{Name: p + "_key", Type: types.TypeInt64}}
+		if composite {
+			defs = append(defs, storage.ColumnDefinition{Name: p + "_key2", Type: types.TypeInt64})
+		}
+		defs = append(defs, storage.ColumnDefinition{Name: p + "_val", Type: types.TypeInt64})
+		t := storage.NewTable(p, defs, 65536, false)
 		for i := 0; i < rows; i++ {
-			if _, err := t.AppendRow([]types.Value{
-				types.Int(int64(rng.Intn(rows / 4))),
-				types.Int(int64(i)),
-			}); err != nil {
+			key := int64(rng.Intn(rows / 4))
+			row := []types.Value{types.Int(key)}
+			if composite {
+				row = append(row, types.Int(key%16))
+			}
+			if _, err := t.AppendRow(append(row, types.Int(int64(i)))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -73,7 +77,8 @@ func (s *tableSource) Run(*operators.ExecContext, []*storage.Table) (*storage.Ta
 
 func BenchmarkMicroJoin(b *testing.B) {
 	n := microRows()
-	l, r := microJoinTables(b, n)
+	l, r := microJoinTables(b, n, false)
+	l2, r2 := microJoinTables(b, n, true)
 	sched := scheduler.NewNodeQueueScheduler(1, 0) // 0 = one worker per CPU
 	defer sched.Shutdown()
 
@@ -81,18 +86,20 @@ func BenchmarkMicroJoin(b *testing.B) {
 		name  string
 		mode  operators.ParallelMode
 		sched scheduler.Scheduler
+		l, r  *storage.Table
+		keys  []expression.Expression
 	}{
-		{"serial", operators.ParallelSerial, nil},
-		{"radix", operators.ParallelForce, sched},
+		{"serial", operators.ParallelSerial, nil, l, r, microCols(0)},
+		{"radix", operators.ParallelForce, sched, l, r, microCols(0)},
+		{"composite", operators.ParallelSerial, nil, l2, r2, microCols(0, 1)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
 				ctx.Parallel = tc.mode
-				join := operators.NewHashJoin(operators.JoinModeInner,
-					&tableSource{l}, &tableSource{r},
-					&expression.BoundColumn{Index: 0}, &expression.BoundColumn{Index: 0}, nil)
+				join := operators.NewMultiKeyHashJoin(operators.JoinModeInner,
+					&tableSource{tc.l}, &tableSource{tc.r}, tc.keys, tc.keys, nil)
 				out, err := operators.Execute(join, ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -105,17 +112,35 @@ func BenchmarkMicroJoin(b *testing.B) {
 	}
 }
 
-func microAggTable(b *testing.B, n, groups int) *storage.Table {
+// microCols are bound column references to the given input columns.
+func microCols(idx ...int) []expression.Expression {
+	out := make([]expression.Expression, len(idx))
+	for i, c := range idx {
+		out[i] = &expression.BoundColumn{Index: c}
+	}
+	return out
+}
+
+// microAggTable builds the aggregate input (g, v) with the group column an
+// int or, with stringKeys, that int rendered into a string.
+func microAggTable(b *testing.B, n, groups int, stringKeys bool) *storage.Table {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
 	defs := []storage.ColumnDefinition{
 		{Name: "g", Type: types.TypeInt64},
 		{Name: "v", Type: types.TypeInt64},
 	}
+	if stringKeys {
+		defs[0].Type = types.TypeString
+	}
 	t := storage.NewTable("agg", defs, 65536, false)
 	for i := 0; i < n; i++ {
+		g := types.Int(int64(rng.Intn(groups)))
+		if stringKeys {
+			g = types.Str(fmt.Sprintf("group-%08d", g.I))
+		}
 		if _, err := t.AppendRow([]types.Value{
-			types.Int(int64(rng.Intn(groups))),
+			g,
 			types.Int(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -127,7 +152,8 @@ func microAggTable(b *testing.B, n, groups int) *storage.Table {
 
 func BenchmarkMicroAggregate(b *testing.B) {
 	n := microRows()
-	table := microAggTable(b, n, n/8) // group-heavy: the merge dominates
+	table := microAggTable(b, n, n/8, false) // group-heavy: the merge dominates
+	strTable := microAggTable(b, n, n/8, true)
 	sched := scheduler.NewNodeQueueScheduler(1, 0)
 	defer sched.Shutdown()
 
@@ -135,24 +161,25 @@ func BenchmarkMicroAggregate(b *testing.B) {
 		name  string
 		mode  operators.ParallelMode
 		sched scheduler.Scheduler
+		table *storage.Table
 	}{
-		{"serial", operators.ParallelSerial, nil},
-		{"parallel", operators.ParallelForce, sched},
+		{"serial", operators.ParallelSerial, nil, table},
+		{"parallel", operators.ParallelForce, sched, table},
+		{"string_keys", operators.ParallelSerial, nil, strTable},
 	}
-	col := func(i int) *expression.BoundColumn { return &expression.BoundColumn{Index: i} }
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
 				ctx.Parallel = tc.mode
-				agg := operators.NewAggregate(&tableSource{table},
-					[]expression.Expression{col(0)},
+				agg := operators.NewAggregate(&tableSource{tc.table},
+					microCols(0),
 					[]*expression.Aggregate{
 						{Fn: expression.AggCountStar},
-						{Fn: expression.AggSum, Arg: col(1)},
+						{Fn: expression.AggSum, Arg: microCols(1)[0]},
 					},
 					[]string{"g", "n", "s"},
-					[]types.DataType{types.TypeInt64, types.TypeInt64, types.TypeInt64})
+					[]types.DataType{tc.table.ColumnDefinitions()[0].Type, types.TypeInt64, types.TypeInt64})
 				out, err := operators.Execute(agg, ctx)
 				if err != nil {
 					b.Fatal(err)

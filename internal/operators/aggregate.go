@@ -3,6 +3,7 @@ package operators
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -52,27 +53,41 @@ type aggState struct {
 	sumInt   int64
 	count    int64
 	min, max types.Value
-	distinct map[types.Value]struct{}
 	seen     bool
 }
 
+// distinctPairs are the distinct (group, value) pairs one chunk holds for one
+// COUNT(DISTINCT): value row p was seen in the chunk's group groups[p]. NULL
+// values are left out. Counting waits for the merge (countDistinct), when
+// the chunks' groups have become final groups.
+type distinctPairs struct {
+	groups []int32
+	values *expression.Vector
+}
+
+// group is one group of the merged aggregation.
 type group struct {
-	keys   []types.Value
+	// states are the group's aggregate states, a window of its first
+	// partial's flat state slice.
 	states []aggState
-	// hash is the FNV-1a hash of the group's encoded key — the shard
-	// selector of the parallel merge.
-	hash uint64
 	// firstSeen is the global row ordinal of the group's first appearance.
 	// The output is ordered by it, which makes the merge order-independent:
 	// the order derives from the data, not from task completion order.
 	firstSeen int64
+	// key is the group's row in the merged key columns.
+	key int32
 }
 
-// chunkGroups is the partial aggregation of one chunk.
+// chunkGroups is the partial aggregation of one chunk: group g has its key
+// in row g of keys (copied from the row that opened the group, so the chunk's
+// key vectors are not retained), its first row ordinal in firstSeen[g] and
+// its states in states[g*len(Aggs) : (g+1)*len(Aggs)].
 type chunkGroups struct {
-	groups map[string]*group
-	order  []string
-	err    error
+	keys      []*expression.Vector
+	firstSeen []int64
+	states    []aggState
+	distinct  []distinctPairs // by aggregate; used for COUNT(DISTINCT) only
+	err       error
 }
 
 // Run implements Operator: per-chunk partial aggregation (parallel under a
@@ -116,108 +131,168 @@ func (op *Aggregate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 		return nil, err
 	}
 
-	groups, err := op.mergePartials(ctx, partials)
+	merged, err := op.mergePartials(ctx, partials)
 	if err != nil {
 		return nil, err
 	}
 
 	// SQL: aggregation without GROUP BY always yields one row.
-	if len(op.GroupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, &group{states: make([]aggState, len(op.Aggs))})
+	if len(op.GroupBy) == 0 && len(merged.groups) == 0 {
+		merged.groups = append(merged.groups, group{states: make([]aggState, len(op.Aggs))})
 	}
-
-	return op.buildOutput(groups)
+	return op.buildOutput(merged)
 }
 
 // mergeShardCancelStride is how many groups a merge shard processes between
 // cancellation checks.
 const mergeShardCancelStride = 4096
 
-// mergePartials folds the per-chunk partial maps into the final group list,
+// mergedGroups is the final group list and the key columns its groups' key
+// rows index: the partials' key columns laid end to end.
+type mergedGroups struct {
+	keys   []*expression.Vector
+	groups []group
+}
+
+// mergePartials folds the per-chunk partials into the final group list,
 // ordered by each group's first appearance in the data. The result is
 // independent of the order in which partials arrive or merge.
-func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) ([]*group, error) {
-	totalGroups := 0
+func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) (mergedGroups, error) {
+	total := 0
 	for i := range partials {
 		if partials[i].err != nil {
-			return nil, partials[i].err
+			return mergedGroups{}, partials[i].err
 		}
-		totalGroups += len(partials[i].order)
+		total += len(partials[i].firstSeen)
 	}
 
 	shards := 1
-	if ctx.decideParallel(opAggregateMerge, totalGroups) {
+	if ctx.decideParallel(opAggregateMerge, total) {
 		shards = ctx.mergeFanOut()
 	}
 	start := time.Now()
-	out, err := mergeSharded(ctx, op.Aggs, partials, shards)
+
+	// Lay the partials' groups end to end: partial group q has its key in
+	// row q of the concatenated key columns (one value per group was kept)
+	// and its states in all[q].
+	out := mergedGroups{keys: make([]*expression.Vector, len(op.GroupBy))}
+	for k := range out.keys {
+		vecs := make([]*expression.Vector, len(partials))
+		for i := range partials {
+			vecs[i] = partials[i].keys[k]
+		}
+		dt, err := keyType(vecs)
+		if err != nil {
+			return mergedGroups{}, err
+		}
+		out.keys[k] = concatKeys(vecs, nil, dt, total)
+	}
+	all := make([]group, 0, total)
+	nAggs := len(op.Aggs)
+	for i := range partials {
+		for g, first := range partials[i].firstSeen {
+			all = append(all, group{states: partials[i].states[g*nAggs : (g+1)*nAggs], firstSeen: first, key: int32(len(all))})
+		}
+	}
+
+	repOf, err := mergeSharded(ctx, op.Aggs, out.keys, all, shards)
 	if err != nil {
-		return nil, err
+		return mergedGroups{}, err
+	}
+	if err := countDistinct(op.Aggs, partials, all, repOf); err != nil {
+		return mergedGroups{}, err
+	}
+	for q, rep := range repOf {
+		if int(rep) == q {
+			out.groups = append(out.groups, all[q])
+		}
 	}
 	// Stable output order derived from the data: ascending first appearance.
 	// (Each row belongs to exactly one group, so firstSeen is unique.)
-	sort.Slice(out, func(i, j int) bool { return out[i].firstSeen < out[j].firstSeen })
-	ctx.noteAggregateMerge(op, shards, time.Since(start).Nanoseconds())
+	sort.Slice(out.groups, func(i, j int) bool { return out.groups[i].firstSeen < out.groups[j].firstSeen })
+	ctx.noteAggregateMerge(op, shards, len(out.groups), time.Since(start).Nanoseconds())
 	return out, nil
 }
 
-// mergeSharded merges over shards hash shards (a power of two; 1 merges on
-// the calling goroutine): shard s owns every group whose key hash lands in
-// it, so shards share no state and the result is independent of scheduling
-// order.
-func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, partials []chunkGroups, shards int) ([]*group, error) {
-	mask := uint64(shards - 1)
-	results := make([][]*group, shards)
+// mergeSharded merges the partial groups over shards hash shards (a power of
+// two; 1 merges on the calling goroutine): shard s owns every group whose key
+// hash has s in its top bits, so shards share no state and the result is
+// independent of scheduling order. Each shard folds the groups of one key, in
+// order, into the first of them; repOf[q] names that first one for group q.
+func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, keys []*expression.Vector, all []group, shards int) ([]int32, error) {
+	hashes := hashRows(keys, 0, len(all))
+	shift := 64 - bits.TrailingZeros(uint(shards)) // shards == 1: every hash >> 64 is 0
+	repOf := make([]int32, len(all))
 	jobs := make([]func(), shards)
 	for s := 0; s < shards; s++ {
 		s := s
 		jobs[s] = func() {
-			merged := make(map[string]*group)
-			var out []*group
+			merged := newKeyTable(keys, 0)
 			seen := 0
-			for pi := range partials {
-				p := &partials[pi]
-				for _, key := range p.order {
-					partial := p.groups[key]
-					if partial.hash&mask != uint64(s) {
-						continue
-					}
-					seen++
-					if seen%mergeShardCancelStride == 0 && ctx.Err() != nil {
-						return
-					}
-					g, ok := merged[key]
-					if !ok {
-						merged[key] = partial
-						out = append(out, partial)
-						continue
-					}
-					mergeGroup(g, partial, aggs)
+			for q, h := range hashes {
+				if h>>shift != uint64(s) {
+					continue
+				}
+				seen++
+				if seen%mergeShardCancelStride == 0 && ctx.Err() != nil {
+					return
+				}
+				e, added := merged.findOrAdd(h, q)
+				repOf[q] = merged.rows[e]
+				if !added {
+					mergeGroup(&all[repOf[q]], &all[q], aggs)
 				}
 			}
-			results[s] = out
 		}
 	}
 	ctx.runJobs(jobs)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return repOf, ctx.Err()
+}
+
+// countDistinct sets the COUNT(DISTINCT) states: the chunks' distinct
+// (group, value) pairs, each group renamed to the final group it merged into,
+// go through one more key table, and every pair new to it counts once.
+func countDistinct(aggs []*expression.Aggregate, partials []chunkGroups, all []group, repOf []int32) error {
+	for ai, agg := range aggs {
+		if agg.Fn != expression.AggCountDistinct {
+			continue
+		}
+		var groups []int64
+		var values []*expression.Vector
+		first := 0 // the partial's first group in all
+		for i := range partials {
+			if d := partials[i].distinct; d != nil {
+				for _, g := range d[ai].groups {
+					groups = append(groups, int64(repOf[first+int(g)]))
+				}
+				values = append(values, d[ai].values)
+			}
+			first += len(partials[i].firstSeen)
+		}
+		dt, err := keyType(values)
+		if err != nil {
+			return err
+		}
+		cols := []*expression.Vector{expression.NewIntVector(groups, nil), concatKeys(values, nil, dt, len(groups))}
+		pairs := newKeyTable(cols, len(groups))
+		for p, h := range hashRows(cols, 0, len(groups)) {
+			if _, added := pairs.findOrAdd(h, p); added {
+				all[groups[p]].states[ai].count++
+			}
+		}
 	}
-	var out []*group
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, nil
+	return nil
 }
 
 // mergeGroup folds one partial group into dst (state merge is commutative
-// and associative; firstSeen takes the minimum, so merge order is
-// irrelevant).
+// and associative; firstSeen takes the minimum and the key row goes with it,
+// so merge order is irrelevant).
 func mergeGroup(dst, src *group, aggs []*expression.Aggregate) {
 	for i := range dst.states {
 		mergeState(&dst.states[i], &src.states[i], aggs[i])
 	}
 	if src.firstSeen < dst.firstSeen {
-		dst.firstSeen = src.firstSeen
+		dst.firstSeen, dst.key = src.firstSeen, src.key
 	}
 }
 
@@ -284,10 +359,11 @@ func (op *Aggregate) planEncodedAggregates() *encodedAggPlan {
 // aggregateChunkEncoded computes one chunk's partial aggregation directly on
 // its encoded segments. ok=false means some required segment does not
 // support encoded aggregation and the chunk must take the generic path. The
-// produced group mirrors the generic no-GROUP-BY group exactly (same key,
-// hash, and first-seen ordinal), so partials from both paths merge freely.
+// produced group mirrors the generic no-GROUP-BY group exactly (no key
+// columns, the same first-seen ordinal), so partials from both paths merge
+// freely.
 func (op *Aggregate) aggregateChunkEncoded(c *storage.Chunk, base int64, plan *encodedAggPlan) (chunkGroups, bool) {
-	out := chunkGroups{groups: make(map[string]*group)}
+	var out chunkGroups
 	n := c.Size()
 	if n == 0 {
 		return out, true
@@ -347,21 +423,17 @@ func (op *Aggregate) aggregateChunkEncoded(c *storage.Chunk, base int64, plan *e
 			states[i].max = sa.Max
 		}
 	}
-	g := &group{
-		keys:      make([]types.Value, 0),
-		states:    states,
-		hash:      fnv64str(""),
-		firstSeen: base,
-	}
-	out.groups[""] = g
-	out.order = []string{""}
+	out.firstSeen, out.states = []int64{base}, states
 	return out, true
 }
 
 func (op *Aggregate) aggregateChunk(ctx *ExecContext, input *storage.Table, c *storage.Chunk, base int64) chunkGroups {
-	out := chunkGroups{groups: make(map[string]*group)}
+	out := chunkGroups{keys: make([]*expression.Vector, len(op.GroupBy))}
 	n := c.Size()
 	if n == 0 {
+		for i := range out.keys {
+			out.keys[i] = &expression.Vector{}
+		}
 		return out
 	}
 	ec := ctx.evalContext(input, c, n)
@@ -388,49 +460,66 @@ func (op *Aggregate) aggregateChunk(ctx *ExecContext, input *storage.Table, c *s
 		argVecs[i] = v
 	}
 
-	// Pass 1: assign every row to its group.
-	groupOf := make([]*group, n)
-	var keyBuf strings.Builder
-	for row := 0; row < n; row++ {
-		keyBuf.Reset()
-		keys := make([]types.Value, len(op.GroupBy))
-		for i, kv := range keyVecs {
-			val := kv.ValueAt(row)
-			keys[i] = val
-			// NULL group keys compare equal in GROUP BY.
-			keyBuf.WriteByte(byte('0' + val.Type))
-			keyBuf.WriteString(val.String())
-			keyBuf.WriteByte(0)
-		}
-		key := keyBuf.String()
-		g, ok := out.groups[key]
-		if !ok {
-			g = &group{
-				keys:      keys,
-				states:    make([]aggState, len(op.Aggs)),
-				hash:      fnv64str(key),
-				firstSeen: base + int64(row),
-			}
-			out.groups[key] = g
-			out.order = append(out.order, key)
-		}
-		groupOf[row] = g
+	// Pass 1: assign every row to its group (NULL group keys compare equal
+	// in GROUP BY), then keep each group's key from the row that opened it.
+	groupOf := make([]int32, n)
+	table := newKeyTable(keyVecs, 0)
+	for row, h := range hashRows(keyVecs, 0, n) {
+		groupOf[row], _ = table.findOrAdd(h, row)
+	}
+	groups := len(table.rows)
+	for i, v := range keyVecs {
+		out.keys[i] = concatKeys([]*expression.Vector{v}, [][]int32{table.rows}, v.DT, groups)
+	}
+	out.firstSeen = make([]int64, groups)
+	for g, row := range table.rows {
+		out.firstSeen[g] = base + int64(row)
 	}
 
 	// Pass 2: one typed column pass per aggregate — the monomorphic inner
 	// loops avoid per-row Value boxing (the same static-dispatch idea as
 	// the scan specializations).
+	out.states = make([]aggState, groups*len(op.Aggs))
+	out.distinct = make([]distinctPairs, len(op.Aggs))
 	for i, agg := range op.Aggs {
-		updateColumn(i, agg, argVecs[i], groupOf, n)
+		if agg.Fn == expression.AggCountDistinct {
+			out.distinct[i] = chunkDistinctPairs(argVecs[i], groupOf)
+			continue
+		}
+		updateColumn(out.states[i:], len(op.Aggs), agg, argVecs[i], groupOf)
 	}
 	return out
 }
 
-// updateColumn folds one aggregate's argument column into the group states.
-func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, groupOf []*group, n int) {
+// chunkDistinctPairs finds the distinct (group, value) pairs of one chunk:
+// the group ids become a key column beside the argument.
+func chunkDistinctPairs(arg *expression.Vector, groupOf []int32) distinctPairs {
+	gids := make([]int64, len(groupOf))
+	for row, g := range groupOf {
+		gids[row] = int64(g)
+	}
+	cols := []*expression.Vector{expression.NewIntVector(gids, nil), arg}
+	pairs := newKeyTable(cols, 0)
+	for row, h := range hashRows(cols, 0, len(groupOf)) {
+		if !arg.IsNullAt(row) { // aggregates skip NULL inputs
+			pairs.findOrAdd(h, row)
+		}
+	}
+	out := distinctPairs{groups: make([]int32, len(pairs.rows))}
+	for p, row := range pairs.rows {
+		out.groups[p] = groupOf[row]
+	}
+	out.values = concatKeys(cols[1:], [][]int32{pairs.rows}, arg.DT, len(pairs.rows))
+	return out
+}
+
+// updateColumn folds one aggregate's argument column into the group states:
+// states[g*stride] is the aggregate's state for group g.
+func updateColumn(states []aggState, stride int, agg *expression.Aggregate, arg *expression.Vector, groupOf []int32) {
+	n := len(groupOf)
 	if agg.Fn == expression.AggCountStar {
 		for row := 0; row < n; row++ {
-			groupOf[row].states[idx].count++
+			states[int(groupOf[row])*stride].count++
 		}
 		return
 	}
@@ -441,7 +530,7 @@ func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, gr
 			if nulls != nil && nulls[row] {
 				continue
 			}
-			st := &groupOf[row].states[idx]
+			st := &states[int(groupOf[row])*stride]
 			st.sum += vals[row]
 			st.count++
 			st.seen = true
@@ -452,7 +541,7 @@ func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, gr
 			if nulls != nil && nulls[row] {
 				continue
 			}
-			st := &groupOf[row].states[idx]
+			st := &states[int(groupOf[row])*stride]
 			st.sum += float64(vals[row])
 			st.sumInt += vals[row]
 			st.count++
@@ -465,7 +554,7 @@ func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, gr
 			if nulls != nil && nulls[row] {
 				continue
 			}
-			st := &groupOf[row].states[idx]
+			st := &states[int(groupOf[row])*stride]
 			v := vals[row]
 			if !st.seen {
 				st.min, st.max = types.Float(v), types.Float(v)
@@ -487,7 +576,7 @@ func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, gr
 			if nulls != nil && nulls[row] {
 				continue
 			}
-			st := &groupOf[row].states[idx]
+			st := &states[int(groupOf[row])*stride]
 			v := vals[row]
 			if !st.seen {
 				st.min, st.max = types.Int(v), types.Int(v)
@@ -504,13 +593,12 @@ func updateColumn(idx int, agg *expression.Aggregate, arg *expression.Vector, gr
 		}
 	case agg.Fn == expression.AggCount && arg.Nulls == nil && arg.DT != types.TypeNull:
 		for row := 0; row < n; row++ {
-			groupOf[row].states[idx].count++
+			states[int(groupOf[row])*stride].count++
 		}
 	default:
-		// Dynamic fallback: strings, COUNT over nullable columns,
-		// COUNT DISTINCT.
+		// Dynamic fallback: strings, COUNT over nullable columns.
 		for row := 0; row < n; row++ {
-			updateState(&groupOf[row].states[idx], agg, arg, row)
+			updateState(&states[int(groupOf[row])*stride], agg, arg, row)
 		}
 	}
 }
@@ -520,14 +608,6 @@ func mergeState(dst, src *aggState, agg *expression.Aggregate) {
 	switch agg.Fn {
 	case expression.AggCountStar, expression.AggCount:
 		dst.count += src.count
-	case expression.AggCountDistinct:
-		if dst.distinct == nil {
-			dst.distinct = src.distinct
-		} else {
-			for v := range src.distinct {
-				dst.distinct[v] = struct{}{}
-			}
-		}
 	case expression.AggSum, expression.AggAvg:
 		dst.sum += src.sum
 		dst.sumInt += src.sumInt
@@ -566,11 +646,6 @@ func updateState(st *aggState, agg *expression.Aggregate, arg *expression.Vector
 	switch agg.Fn {
 	case expression.AggCount:
 		st.count++
-	case expression.AggCountDistinct:
-		if st.distinct == nil {
-			st.distinct = make(map[types.Value]struct{})
-		}
-		st.distinct[val] = struct{}{}
 	case expression.AggSum, expression.AggAvg:
 		st.count++
 		st.sum += val.AsFloat()
@@ -595,10 +670,8 @@ func updateState(st *aggState, agg *expression.Aggregate, arg *expression.Vector
 
 func (st *aggState) result(agg *expression.Aggregate, outType types.DataType) types.Value {
 	switch agg.Fn {
-	case expression.AggCountStar, expression.AggCount:
+	case expression.AggCountStar, expression.AggCount, expression.AggCountDistinct:
 		return types.Int(st.count)
-	case expression.AggCountDistinct:
-		return types.Int(int64(len(st.distinct)))
 	case expression.AggSum:
 		if !st.seen {
 			return types.NullValue
@@ -627,7 +700,8 @@ func (st *aggState) result(agg *expression.Aggregate, outType types.DataType) ty
 	}
 }
 
-func (op *Aggregate) buildOutput(groups []*group) (*storage.Table, error) {
+func (op *Aggregate) buildOutput(m mergedGroups) (*storage.Table, error) {
+	groups := m.groups
 	nCols := len(op.GroupBy) + len(op.Aggs)
 	if len(op.Names) != nCols || len(op.Types) != nCols {
 		return nil, fmt.Errorf("operators: aggregate schema mismatch")
@@ -644,7 +718,7 @@ func (op *Aggregate) buildOutput(groups []*group) (*storage.Table, error) {
 	row := make([]types.Value, nCols)
 	for _, g := range groups {
 		for i := range op.GroupBy {
-			row[i] = coerce(g.keys[i], defs[i].Type)
+			row[i] = coerce(m.keys[i].ValueAt(int(g.key)), defs[i].Type)
 		}
 		for i, agg := range op.Aggs {
 			row[len(op.GroupBy)+i] = coerce(g.states[i].result(agg, op.Types[len(op.GroupBy)+i]), defs[len(op.GroupBy)+i].Type)

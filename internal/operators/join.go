@@ -74,18 +74,25 @@ func gatherColumn(t *storage.Table, col types.ColumnID, rows types.PosList) *exp
 	return expression.VectorFromSegment(ref)
 }
 
-// filterResiduals evaluates the residual predicates over candidate pairs
-// and returns the surviving pair indices. Columns 0..nLeft-1 resolve into
-// the left table, the rest into the right table.
-func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Table, leftRows, rightRows types.PosList) ([]int, error) {
-	n := len(leftRows)
-	if n == 0 || len(j.Residuals) == 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all, nil
+// gatherRows lists the positions the pair indices select.
+func gatherRows(rows types.PosList, idx []int32) types.PosList {
+	out := make(types.PosList, len(idx))
+	for i, r := range idx {
+		out[i] = rows[r]
 	}
+	return out
+}
+
+// filterResiduals evaluates the residual predicates over candidate pairs
+// and returns the surviving ones (ps itself when there is nothing to
+// evaluate). Columns 0..nLeft-1 resolve into the left table, the rest into
+// the right table.
+func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Table, leftRows, rightRows types.PosList, ps pairSet) (pairSet, error) {
+	n := len(ps.leftIdx)
+	if n == 0 || len(j.Residuals) == 0 {
+		return ps, nil
+	}
+	pairLeft, pairRight := gatherRows(leftRows, ps.leftIdx), gatherRows(rightRows, ps.rightIdx)
 	nLeft := leftT.ColumnCount()
 	cache := make(map[int]*expression.Vector)
 	ec := &expression.Context{
@@ -97,9 +104,9 @@ func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Ta
 			}
 			var v *expression.Vector
 			if i < nLeft {
-				v = gatherColumn(leftT, types.ColumnID(i), leftRows)
+				v = gatherColumn(leftT, types.ColumnID(i), pairLeft)
 			} else {
-				v = gatherColumn(rightT, types.ColumnID(i-nLeft), rightRows)
+				v = gatherColumn(rightT, types.ColumnID(i-nLeft), pairRight)
 			}
 			cache[i] = v
 			return v, nil
@@ -108,12 +115,12 @@ func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Ta
 	ctx.installSubqueryExecutors(ec)
 	keep, err := expression.EvaluateBool(expression.JoinConjunction(j.Residuals), ec)
 	if err != nil {
-		return nil, err
+		return pairSet{}, err
 	}
-	var out []int
+	var out pairSet
 	for i, k := range keep {
 		if k {
-			out = append(out, i)
+			out.append(ps.leftIdx[i], ps.rightIdx[i])
 		}
 	}
 	return out, nil
@@ -167,53 +174,6 @@ func (j *joinCommon) assemble(leftT, rightT *storage.Table, leftRows, rightRows 
 	return storage.NewReferenceTable(defs, []*storage.Chunk{storage.NewChunk(segments, nil)}), nil
 }
 
-// evalKeyOverTable evaluates a key expression for every row of a table.
-func evalKeyOverTable(ctx *ExecContext, t *storage.Table, key expression.Expression) ([]types.Value, types.PosList, error) {
-	total := t.RowCount()
-	vals := make([]types.Value, 0, total)
-	rows := make(types.PosList, 0, total)
-	for ci, c := range t.Chunks() {
-		n := c.Size()
-		if n == 0 {
-			continue
-		}
-		ec := ctx.evalContext(t, c, n)
-		v, err := expression.Evaluate(key, ec)
-		if err != nil {
-			return nil, nil, err
-		}
-		for row := 0; row < n; row++ {
-			vals = append(vals, v.ValueAt(row))
-			rows = append(rows, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(row)})
-		}
-	}
-	return vals, rows, nil
-}
-
-// canonicalKey normalizes numeric values so int 5 and float 5.0 hash alike.
-func canonicalKey(v types.Value) types.Value {
-	if v.Type == types.TypeFloat64 && v.F == float64(int64(v.F)) {
-		return types.Int(int64(v.F))
-	}
-	return v
-}
-
-// compositeKey renders a tuple of key values into one hashable string; any
-// NULL component disqualifies the row (NULL never joins).
-func compositeKey(sb *strings.Builder, vals []types.Value) (string, bool) {
-	sb.Reset()
-	for _, v := range vals {
-		if v.IsNull() {
-			return "", false
-		}
-		c := canonicalKey(v)
-		sb.WriteByte(byte('0' + c.Type))
-		sb.WriteString(c.String())
-		sb.WriteByte(0)
-	}
-	return sb.String(), true
-}
-
 // HashJoin is the equi-join: it builds a hash table over the right input's
 // keys and probes it with the left input (cf. paper §2.1: joins are
 // implemented as sort-merge, hash, or nested-loop joins, chosen per plan).
@@ -248,17 +208,14 @@ func (j *HashJoin) Name() string {
 	return fmt.Sprintf("HashJoin(%s, %s)", j.Mode, strings.Join(pairs, " AND "))
 }
 
-// pairSet collects candidate join pairs plus the global row indices backing
-// them; the indices are what lets finish track matched rows on either side
-// (Left/Right/Full/Semi/Anti modes).
+// pairSet collects candidate join pairs as global row indices into the two
+// sides' row lists; the indices are also what lets finish track matched rows
+// on either side (Left/Right/Full/Semi/Anti modes).
 type pairSet struct {
-	left, right       types.PosList
 	leftIdx, rightIdx []int32
 }
 
-func (ps *pairSet) append(l, r types.RowID, li, ri int32) {
-	ps.left = append(ps.left, l)
-	ps.right = append(ps.right, r)
+func (ps *pairSet) append(li, ri int32) {
 	ps.leftIdx = append(ps.leftIdx, li)
 	ps.rightIdx = append(ps.rightIdx, ri)
 }
@@ -275,47 +232,53 @@ func (j *HashJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Tabl
 	return j.run(ctx, leftT, rightT, parts)
 }
 
-// run joins over parts hash partitions (a power of two). Key evaluation is
-// fused with partitioning (partitionKeysOverTable): each morsel's keys
-// scatter into hash buckets as they materialize, so no table-wide key array
-// is built. Every partition count emits the pairs in the same order, so
-// results are bit-for-bit equal.
+// run joins over parts hash partitions (a power of two): the typed key
+// vectors of both sides are hashed and scattered by partition
+// (partitionKeys), then each partition builds and probes its own key table
+// (radixJoinPairs). Every partition count emits the pairs in the same order,
+// so results are bit-for-bit equal.
 func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int) (*storage.Table, error) {
-	build, rightRows, err := partitionKeysOverTable(ctx, rightT, j.RightKeys, parts)
+	probe, build, err := joinKeys(ctx, leftT, rightT, j.LeftKeys, j.RightKeys)
 	if err != nil {
 		return nil, err
 	}
-	probe, leftRows, err := partitionKeysOverTable(ctx, leftT, j.LeftKeys, parts)
+	ps, err := radixJoinPairs(ctx, j, build, probe, parts)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := radixJoinPairs(ctx, j, build, probe, leftRows, rightRows, parts)
+	ps, err = j.filterResiduals(ctx, leftT, rightT, probe.rows, build.rows, ps)
 	if err != nil {
 		return nil, err
 	}
-	surviving, err := j.filterResiduals(ctx, leftT, rightT, ps.left, ps.right)
-	if err != nil {
-		return nil, err
-	}
-	return j.finish(leftT, rightT, leftRows, rightRows, ps, surviving)
+	return j.finish(leftT, rightT, probe.rows, build.rows, ps)
 }
 
-// finish translates surviving pairs into the mode-specific output.
-func (j *joinCommon) finish(leftT, rightT *storage.Table, leftRows, rightRows types.PosList, ps pairSet, surviving []int) (*storage.Table, error) {
-	matched := make([]bool, len(leftRows))
-	var matchedRight []bool
+// finish translates the surviving pairs into the mode-specific output.
+func (j *joinCommon) finish(leftT, rightT *storage.Table, leftRows, rightRows types.PosList, ps pairSet) (*storage.Table, error) {
+	// Only the modes that list unmatched rows or filter by match read these.
+	var matched, matchedRight []bool
+	semiAnti := j.Mode == JoinModeSemi || j.Mode == JoinModeAnti
+	if semiAnti || j.Mode.nullExtendsRight() {
+		matched = make([]bool, len(leftRows))
+		for _, li := range ps.leftIdx {
+			matched[li] = true
+		}
+	}
 	if j.Mode.nullExtendsLeft() {
 		matchedRight = make([]bool, len(rightRows))
-	}
-	outLeft := make(types.PosList, 0, len(surviving))
-	outRight := make(types.PosList, 0, len(surviving))
-	for _, p := range surviving {
-		matched[ps.leftIdx[p]] = true
-		if matchedRight != nil {
-			matchedRight[ps.rightIdx[p]] = true
+		for _, ri := range ps.rightIdx {
+			matchedRight[ri] = true
 		}
-		outLeft = append(outLeft, ps.left[p])
-		outRight = append(outRight, ps.right[p])
+	}
+	if semiAnti {
+		var keep types.PosList
+		want := j.Mode == JoinModeSemi
+		for i, m := range matched {
+			if m == want {
+				keep = append(keep, leftRows[i])
+			}
+		}
+		return j.assemble(leftT, rightT, keep, nil, nil, nil)
 	}
 	var unmatchedLeft, unmatchedRight types.PosList
 	if j.Mode.nullExtendsRight() {
@@ -325,24 +288,10 @@ func (j *joinCommon) finish(leftT, rightT *storage.Table, leftRows, rightRows ty
 			}
 		}
 	}
-	if matchedRight != nil {
-		for i, m := range matchedRight {
-			if !m {
-				unmatchedRight = append(unmatchedRight, rightRows[i])
-			}
+	for i, m := range matchedRight {
+		if !m {
+			unmatchedRight = append(unmatchedRight, rightRows[i])
 		}
 	}
-	switch j.Mode {
-	case JoinModeSemi, JoinModeAnti:
-		var keep types.PosList
-		want := j.Mode == JoinModeSemi
-		for i, m := range matched {
-			if m == want {
-				keep = append(keep, leftRows[i])
-			}
-		}
-		return j.assemble(leftT, rightT, keep, nil, nil, nil)
-	default:
-		return j.assemble(leftT, rightT, outLeft, outRight, unmatchedLeft, unmatchedRight)
-	}
+	return j.assemble(leftT, rightT, gatherRows(leftRows, ps.leftIdx), gatherRows(rightRows, ps.rightIdx), unmatchedLeft, unmatchedRight)
 }

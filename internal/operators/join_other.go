@@ -6,7 +6,6 @@ import (
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
-	"hyrise/internal/types"
 )
 
 // SortMergeJoin is the alternative equi-join implementation (paper §2.1):
@@ -32,79 +31,65 @@ func (j *SortMergeJoin) Name() string {
 	return fmt.Sprintf("SortMergeJoin(%s, %s = %s)", j.Mode, j.LeftKey, j.RightKey)
 }
 
-// Run implements Operator.
+// Run implements Operator: both sides' typed key vectors are sorted (NULL
+// keys never join and are left out) and merged.
 func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	leftT, rightT := inputs[0], inputs[1]
-	leftVals, leftRows, err := evalKeyOverTable(ctx, leftT, j.LeftKey)
+	left, right, err := joinKeys(ctx, leftT, rightT, []expression.Expression{j.LeftKey}, []expression.Expression{j.RightKey})
 	if err != nil {
 		return nil, err
 	}
-	rightVals, rightRows, err := evalKeyOverTable(ctx, rightT, j.RightKey)
-	if err != nil {
-		return nil, err
+	lk, rk := left.keys[0], right.keys[0]
+	leftOrder, rightOrder := sortedKeyOrder(lk), sortedKeyOrder(rk)
+	if len(leftOrder) > 0 && len(rightOrder) > 0 && lk.DT != rk.DT {
+		return nil, fmt.Errorf("operators: incomparable join keys %s and %s", lk.DT, rk.DT)
 	}
-
-	leftOrder := sortedOrder(leftVals)
-	rightOrder := sortedOrder(rightVals)
 
 	var ps pairSet
-
 	li, ri := 0, 0
 	for li < len(leftOrder) && ri < len(rightOrder) {
-		lv := canonicalKey(leftVals[leftOrder[li]])
-		rv := canonicalKey(rightVals[rightOrder[ri]])
-		if lv.IsNull() {
-			li++
-			continue
-		}
-		if rv.IsNull() {
-			ri++
-			continue
-		}
-		c, ok := types.Compare(lv, rv)
-		if !ok {
-			return nil, fmt.Errorf("operators: incomparable join keys %s and %s", lv.Type, rv.Type)
-		}
-		switch {
+		switch c := compareKey(lk, int(leftOrder[li]), rk, int(rightOrder[ri])); {
 		case c < 0:
 			li++
 		case c > 0:
 			ri++
 		default:
 			// Find the extent of the equal-key blocks on both sides.
-			lEnd := li
-			for lEnd < len(leftOrder) && canonicalKey(leftVals[leftOrder[lEnd]]).Equal(lv) {
+			lEnd := li + 1
+			for lEnd < len(leftOrder) && compareKey(lk, int(leftOrder[lEnd]), lk, int(leftOrder[li])) == 0 {
 				lEnd++
 			}
-			rEnd := ri
-			for rEnd < len(rightOrder) && canonicalKey(rightVals[rightOrder[rEnd]]).Equal(rv) {
+			rEnd := ri + 1
+			for rEnd < len(rightOrder) && compareKey(rk, int(rightOrder[rEnd]), rk, int(rightOrder[ri])) == 0 {
 				rEnd++
 			}
 			for a := li; a < lEnd; a++ {
 				for b := ri; b < rEnd; b++ {
-					ps.append(leftRows[leftOrder[a]], rightRows[rightOrder[b]],
-						int32(leftOrder[a]), int32(rightOrder[b]))
+					ps.append(leftOrder[a], rightOrder[b])
 				}
 			}
 			li, ri = lEnd, rEnd
 		}
 	}
 
-	surviving, err := j.filterResiduals(ctx, leftT, rightT, ps.left, ps.right)
+	ps, err = j.filterResiduals(ctx, leftT, rightT, left.rows, right.rows, ps)
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(leftT, rightT, leftRows, rightRows, ps, surviving)
+	return j.finish(leftT, rightT, left.rows, right.rows, ps)
 }
 
-// sortedOrder returns row indices ordered by key value (NULLs last).
-func sortedOrder(vals []types.Value) []int {
-	order := make([]int, len(vals))
-	for i := range order {
-		order[i] = i
+// sortedKeyOrder returns the non-NULL rows of a key column ordered by value,
+// equal values in row order.
+func sortedKeyOrder(v *expression.Vector) []int32 {
+	order := make([]int32, 0, v.N)
+	for r := 0; r < v.N; r++ {
+		if !v.IsNullAt(r) {
+			order = append(order, int32(r))
+		}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return compareWithNulls(vals[order[a]], vals[order[b]]) < 0
+		return compareKey(v, int(order[a]), v, int(order[b])) < 0
 	})
 	return order
 }
@@ -134,62 +119,30 @@ func (j *NestedLoopJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storag
 	leftT, rightT := inputs[0], inputs[1]
 	leftRows := flattenRows(leftT)
 	rightRows := flattenRows(rightT)
-
-	matched := make([]bool, len(leftRows))
-	matchedRight := make([]bool, len(rightRows))
-	var outLeft, outRight types.PosList
-	emitPairs := j.Mode != JoinModeSemi && j.Mode != JoinModeAnti
+	// Semi and Anti only ask whether a left row matched: one pair is enough.
+	firstOnly := j.Mode == JoinModeSemi || j.Mode == JoinModeAnti
 
 	// Process pair batches of bounded size to keep memory flat.
+	var kept pairSet
 	rowsPerBatch := max(1, nljBlockSize/max(1, len(rightRows)))
 	for lStart := 0; lStart < len(leftRows); lStart += rowsPerBatch {
 		lEnd := min(lStart+rowsPerBatch, len(leftRows))
 		var ps pairSet
 		for li := lStart; li < lEnd; li++ {
 			for ri := range rightRows {
-				ps.append(leftRows[li], rightRows[ri], int32(li), int32(ri))
+				ps.append(int32(li), int32(ri))
 			}
 		}
-		surviving, err := j.filterResiduals(ctx, leftT, rightT, ps.left, ps.right)
+		ps, err := j.filterResiduals(ctx, leftT, rightT, leftRows, rightRows, ps)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range surviving {
-			matched[ps.leftIdx[p]] = true
-			matchedRight[ps.rightIdx[p]] = true
-			if emitPairs {
-				outLeft = append(outLeft, ps.left[p])
-				outRight = append(outRight, ps.right[p])
+		for p, li := range ps.leftIdx {
+			if n := len(kept.leftIdx); firstOnly && n > 0 && kept.leftIdx[n-1] == li {
+				continue
 			}
+			kept.append(li, ps.rightIdx[p])
 		}
 	}
-
-	switch j.Mode {
-	case JoinModeSemi, JoinModeAnti:
-		var keep types.PosList
-		want := j.Mode == JoinModeSemi
-		for i, m := range matched {
-			if m == want {
-				keep = append(keep, leftRows[i])
-			}
-		}
-		return j.assemble(leftT, rightT, keep, nil, nil, nil)
-	default:
-		var unmatchedLeft, unmatchedRight types.PosList
-		if j.Mode.nullExtendsRight() {
-			for i, m := range matched {
-				if !m {
-					unmatchedLeft = append(unmatchedLeft, leftRows[i])
-				}
-			}
-		}
-		if j.Mode.nullExtendsLeft() {
-			for i, m := range matchedRight {
-				if !m {
-					unmatchedRight = append(unmatchedRight, rightRows[i])
-				}
-			}
-		}
-		return j.assemble(leftT, rightT, outLeft, outRight, unmatchedLeft, unmatchedRight)
-	}
+	return j.finish(leftT, rightT, leftRows, rightRows, kept)
 }

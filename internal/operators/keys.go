@@ -1,0 +1,376 @@
+package operators
+
+import (
+	stdcmp "cmp" // the package's tests have a helper named cmp
+	"fmt"
+	"hash/maphash"
+	"math"
+
+	"hyrise/internal/expression"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// This file holds the only key logic of the package: how the rows of a set of
+// typed key vectors hash, when two of them are equal, and the table that maps
+// a key to a dense id. Hash join, its radix partitioner, GROUP BY, the sharded
+// aggregate merge, COUNT(DISTINCT) and the sort-merge join all go through it,
+// so a key is never boxed into a types.Value or rendered to a string: type
+// and representation are resolved once per vector, never per value (paper
+// §2.3).
+//
+// Equality rules: values of one type compare by value; -0.0 equals +0.0 and
+// NaN equals NaN (one group, one join key); NULL equals NULL — GROUP BY and
+// DISTINCT want that, the join drops NULL-key rows before they reach a table;
+// values of different types are never equal. An int column that meets a float
+// column is cast to float once per vector (joinKeys, concatKeys), which is what the
+// engine's `=` does for such a pair.
+
+// keySeed keys the string hash. Hash values only place rows in partitions,
+// shards and slots; every consumer restores its output order from row
+// ordinals, so results do not depend on it.
+var keySeed = maphash.MakeSeed()
+
+const (
+	hashInit = 0x9E3779B97F4A7C15
+	hashNull = 0xC2B2AE3D27D4EB4F
+)
+
+// hashMix folds one column value into a row hash. The multiply mixes upwards
+// and the shift folds the high half back down, so both the top bits (radix
+// partition, merge shard) and the low bits (table slot) depend on every input
+// bit.
+func hashMix(h, x uint64) uint64 {
+	h = (h ^ x) * 0xFF51AFD7ED558CCD
+	return h ^ h>>32
+}
+
+// hashRows hashes rows [lo, hi) of the key columns, one typed pass per column.
+func hashRows(cols []*expression.Vector, lo, hi int) []uint64 {
+	out := make([]uint64, hi-lo)
+	for i := range out {
+		out[i] = hashInit
+	}
+	for _, v := range cols {
+		var before []uint64
+		if v.Nulls != nil {
+			// What a NULL row's slot in the typed slice holds is unspecified:
+			// its hash restarts from the columns before this one.
+			before = append(before, out...)
+		}
+		switch v.DT {
+		case types.TypeInt64:
+			for i, x := range v.I[lo:hi] {
+				out[i] = hashMix(out[i], uint64(x))
+			}
+		case types.TypeFloat64:
+			for i, x := range v.F[lo:hi] {
+				if x == 0 {
+					x = 0 // -0.0 hashes as +0.0
+				} else if x != x {
+					x = math.NaN() // every NaN payload hashes alike
+				}
+				out[i] = hashMix(out[i], math.Float64bits(x))
+			}
+		case types.TypeString:
+			for i, x := range v.S[lo:hi] {
+				out[i] = hashMix(out[i], maphash.String(keySeed, x))
+			}
+		case types.TypeBool:
+			for i, x := range v.B[lo:hi] {
+				out[i] = hashMix(out[i], uint64(boolInt(x)))
+			}
+		}
+		if v.Nulls != nil {
+			for i, null := range v.Nulls[lo:hi] {
+				if null {
+					out[i] = hashMix(before[i], hashNull)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// keysEqual reports whether row ra of a and row rb of b hold the same key.
+func keysEqual(a []*expression.Vector, ra int, b []*expression.Vector, rb int) bool {
+	for k, x := range a {
+		y := b[k]
+		xn, yn := x.IsNullAt(ra), y.IsNullAt(rb)
+		if xn || yn {
+			if xn != yn {
+				return false
+			}
+			continue
+		}
+		if x.DT != y.DT || compareKey(x, ra, y, rb) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareKey orders two non-NULL values of one type. stdcmp.Compare has the
+// float rules wanted here: -0.0 equals +0.0, NaN equals NaN and sorts first.
+func compareKey(x *expression.Vector, ra int, y *expression.Vector, rb int) int {
+	switch x.DT {
+	case types.TypeInt64:
+		return stdcmp.Compare(x.I[ra], y.I[rb])
+	case types.TypeFloat64:
+		return stdcmp.Compare(x.F[ra], y.F[rb])
+	case types.TypeString:
+		return stdcmp.Compare(x.S[ra], y.S[rb])
+	default:
+		return stdcmp.Compare(boolInt(x.B[ra]), boolInt(y.B[rb]))
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// keyHasNull reports whether any key column is NULL at row r.
+func keyHasNull(cols []*expression.Vector, r int) bool {
+	for _, v := range cols {
+		if v.IsNullAt(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyTable is an open-addressing hash table from keys to dense entry ids
+// (0, 1, 2, ... in insertion order). A key is a row of the typed columns in
+// keys; the table stores row numbers and hashes, never values, and settles
+// hash collisions by typed equality.
+type keyTable struct {
+	keys   []*expression.Vector
+	slots  []int32  // entry+1 per slot, 0 = free; the length is a power of two
+	hashes []uint64 // by entry
+	rows   []int32  // by entry: a row of keys that holds the entry's key
+	// next, for the join build side, chains the rows of keys that share a
+	// key: rows[e] is the smallest, next[r] the following one, -1 ends it.
+	next []int32
+}
+
+func newKeyTable(keys []*expression.Vector, capacity int) *keyTable {
+	return &keyTable{
+		keys:   keys,
+		slots:  make([]int32, nextPow2(max(2*capacity, 16))),
+		hashes: make([]uint64, 0, capacity),
+		rows:   make([]int32, 0, capacity),
+	}
+}
+
+// lookup finds the entry whose key equals row r of cols (-1 if there is
+// none) and the slot where the probe sequence ended.
+func (t *keyTable) lookup(h uint64, cols []*expression.Vector, r int) (int32, int) {
+	mask := len(t.slots) - 1
+	for s := int(h) & mask; ; s = (s + 1) & mask {
+		e := t.slots[s] - 1
+		if e < 0 {
+			return -1, s
+		}
+		if t.hashes[e] == h && keysEqual(t.keys, int(t.rows[e]), cols, r) {
+			return e, s
+		}
+	}
+}
+
+// findOrAdd returns the entry of the key at row r of the table's own columns,
+// adding it when it is new.
+func (t *keyTable) findOrAdd(h uint64, r int) (entry int32, added bool) {
+	e, s := t.lookup(h, t.keys, r)
+	if e >= 0 {
+		return e, false
+	}
+	e = int32(len(t.rows))
+	t.rows = append(t.rows, int32(r))
+	t.hashes = append(t.hashes, h)
+	t.slots[s] = e + 1
+	if 2*len(t.rows) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		mask := len(t.slots) - 1
+		for e, h := range t.hashes {
+			s := int(h) & mask
+			for t.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
+			t.slots[s] = int32(e) + 1
+		}
+	}
+	return e, true
+}
+
+// insert adds build row r to its key's chain. Rows must arrive in descending
+// order: each becomes the head, which leaves every chain ascending.
+func (t *keyTable) insert(h uint64, r int) {
+	e, added := t.findOrAdd(h, r)
+	if added {
+		t.next[r] = -1
+		return
+	}
+	t.next[r] = t.rows[e]
+	t.rows[e] = int32(r)
+}
+
+// matches returns the first build row whose key equals row r of cols, or -1;
+// t.next leads to the others.
+func (t *keyTable) matches(h uint64, cols []*expression.Vector, r int) int32 {
+	e, _ := t.lookup(h, cols, r)
+	if e < 0 {
+		return -1
+	}
+	return t.rows[e]
+}
+
+// keyType folds the types of a key column's vectors into the type of the
+// column: an all-NULL vector fits any type, int and float meet in float.
+func keyType(vecs []*expression.Vector) (types.DataType, error) {
+	dt := types.TypeNull
+	for _, v := range vecs {
+		switch {
+		case v.DT == dt || v.DT == types.TypeNull:
+		case dt == types.TypeNull:
+			dt = v.DT
+		case dt.IsNumeric() && v.DT.IsNumeric():
+			dt = types.TypeFloat64
+		default:
+			return dt, fmt.Errorf("operators: key column holds both %s and %s", dt, v.DT)
+		}
+	}
+	return dt, nil
+}
+
+// concatKeys builds one key column of type dt and total rows from vectors
+// laid end to end; with sel, only rows sel[i] of vector i are taken. Int
+// vectors are cast when dt is float. A single vector that already is the
+// column is returned as it is.
+func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, total int) *expression.Vector {
+	if len(vecs) == 1 && sel == nil && vecs[0].DT == dt {
+		return vecs[0]
+	}
+	out := &expression.Vector{DT: dt, N: total}
+	off := 0
+	for i, v := range vecs {
+		var rows []int32
+		n := v.N
+		if sel != nil {
+			rows, n = sel[i], len(sel[i])
+		}
+		switch {
+		case v.DT == types.TypeNull: // every row NULL
+		case dt == types.TypeInt64:
+			out.I = takeRows(out.I, total, off, v.I, rows)
+		case dt == types.TypeFloat64:
+			out.F = takeRows(out.F, total, off, v.Floats(), rows)
+		case dt == types.TypeString:
+			out.S = takeRows(out.S, total, off, v.S, rows)
+		case dt == types.TypeBool:
+			out.B = takeRows(out.B, total, off, v.B, rows)
+		}
+		if v.Nulls != nil {
+			out.Nulls = takeRows(out.Nulls, total, off, v.Nulls, rows)
+		}
+		off += n
+	}
+	return out
+}
+
+// takeRows copies src — only its rows, when rows is non-nil — into dst from
+// off on; dst, total long, is allocated on first use.
+func takeRows[T any](dst []T, total, off int, src []T, rows []int32) []T {
+	if dst == nil {
+		dst = make([]T, total)
+	}
+	if rows == nil {
+		copy(dst[off:], src)
+	}
+	for i, r := range rows {
+		dst[off+i] = src[r]
+	}
+	return dst
+}
+
+// joinSide is one join input as the key logic sees it: rows lists every row
+// of the input in order, and keys holds one flat vector per key expression,
+// so a global row index addresses both.
+type joinSide struct {
+	rows types.PosList
+	keys []*expression.Vector
+}
+
+// evalKeys evaluates the key expressions over every chunk of t, morsel by
+// morsel: vecs[k][ci] is key k over chunk ci.
+func evalKeys(ctx *ExecContext, t *storage.Table, keys []expression.Expression) ([][]*expression.Vector, error) {
+	chunks := t.Chunks()
+	vecs := make([][]*expression.Vector, len(keys))
+	for k := range vecs {
+		vecs[k] = make([]*expression.Vector, len(chunks))
+	}
+	morsels := morselRanges(chunks, ctx.morselTargetRows())
+	errs := make([]error, len(morsels))
+	jobs := make([]func(), len(morsels))
+	for mi, m := range morsels {
+		mi, m := mi, m
+		jobs[mi] = func() {
+			for ci := m.lo; ci < m.hi && ctx.Err() == nil; ci++ {
+				n := chunks[ci].Size()
+				ec := ctx.evalContext(t, chunks[ci], n)
+				for k, key := range keys {
+					vecs[k][ci] = &expression.Vector{} // an empty chunk adds no rows and no type
+					if n > 0 {
+						if vecs[k][ci], errs[mi] = expression.Evaluate(key, ec); errs[mi] != nil {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+	ctx.runJobs(jobs)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vecs, nil
+}
+
+// joinKeys evaluates both inputs' key expressions into flat key columns of
+// matching types: a key that is int on one side and float on the other
+// becomes float on both.
+func joinKeys(ctx *ExecContext, leftT, rightT *storage.Table, leftKeys, rightKeys []expression.Expression) (left, right joinSide, err error) {
+	lv, err := evalKeys(ctx, leftT, leftKeys)
+	if err != nil {
+		return left, right, err
+	}
+	rv, err := evalKeys(ctx, rightT, rightKeys)
+	if err != nil {
+		return left, right, err
+	}
+	left = joinSide{rows: flattenRows(leftT), keys: make([]*expression.Vector, len(lv))}
+	right = joinSide{rows: flattenRows(rightT), keys: make([]*expression.Vector, len(rv))}
+	for k := range lv {
+		ldt, err := keyType(lv[k])
+		if err != nil {
+			return left, right, err
+		}
+		rdt, err := keyType(rv[k])
+		if err != nil {
+			return left, right, err
+		}
+		if ldt.IsNumeric() && rdt.IsNumeric() && ldt != rdt {
+			ldt, rdt = types.TypeFloat64, types.TypeFloat64
+		}
+		left.keys[k] = concatKeys(lv[k], nil, ldt, len(left.rows))
+		right.keys[k] = concatKeys(rv[k], nil, rdt, len(right.rows))
+	}
+	return left, right, nil
+}

@@ -174,8 +174,9 @@ func (ctx *ExecContext) runJobs(jobs []func()) {
 }
 
 // noteJoinPhases files a hash join's partition count and build/probe wall
-// nanoseconds into the metrics registry and the trace span (if any).
-func (ctx *ExecContext) noteJoinPhases(op Operator, partitions int, buildNS, probeNS int64) {
+// nanoseconds into the metrics registry and the trace span (if any); the span
+// also gets the build side's rows and the candidate pairs the probe found.
+func (ctx *ExecContext) noteJoinPhases(op Operator, partitions, buildRows, pairs int, buildNS, probeNS int64) {
 	if m := ctx.Metrics; m != nil {
 		m.JoinPartitions.Add(int64(partitions))
 		m.JoinBuildNS.Add(buildNS)
@@ -183,19 +184,22 @@ func (ctx *ExecContext) noteJoinPhases(op Operator, partitions int, buildNS, pro
 	}
 	if tr := ctx.Trace; tr != nil {
 		tr.AddOpAttr(op, "partitions", int64(partitions))
+		tr.AddOpAttr(op, "build_rows", int64(buildRows))
+		tr.AddOpAttr(op, "pairs", int64(pairs))
 		tr.AddOpAttr(op, "build_ns", buildNS)
 		tr.AddOpAttr(op, "probe_ns", probeNS)
 	}
 }
 
-// noteAggregateMerge files an aggregate's merge shard count and wall
-// nanoseconds into the metrics registry and the trace span (if any).
-func (ctx *ExecContext) noteAggregateMerge(op Operator, shards int, mergeNS int64) {
+// noteAggregateMerge files an aggregate's merge shard count, merged groups
+// and wall nanoseconds into the metrics registry and the trace span (if any).
+func (ctx *ExecContext) noteAggregateMerge(op Operator, shards, groups int, mergeNS int64) {
 	if m := ctx.Metrics; m != nil {
 		m.AggregateMergeNS.Add(mergeNS)
 	}
 	if tr := ctx.Trace; tr != nil {
 		tr.AddOpAttr(op, "merge_shards", int64(shards))
+		tr.AddOpAttr(op, "groups", int64(groups))
 		tr.AddOpAttr(op, "merge_ns", mergeNS)
 	}
 }

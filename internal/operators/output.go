@@ -20,6 +20,13 @@ import (
 func subsetChunk(input *storage.Table, rows types.PosList) *storage.Chunk {
 	nCols := input.ColumnCount()
 	segments := make([]storage.Segment, nCols)
+	// refs holds, per column, the reference segments of the chunks rows touch.
+	span := chunkSpan(rows)
+	var one [1]*storage.ReferenceSegment // a scan's output touches one chunk: no allocation
+	refs := one[:]
+	if n := int(span.hi - span.lo); n != 1 {
+		refs = make([]*storage.ReferenceSegment, n)
+	}
 
 	type composeKey struct {
 		reprPtr uintptr // identity of the first referenced source PosList
@@ -33,7 +40,7 @@ func subsetChunk(input *storage.Table, rows types.PosList) *storage.Chunk {
 
 	for col := 0; col < nCols; col++ {
 		id := types.ColumnID(col)
-		base, refCol, reprPtr, ok := commonBase(input, id, rows)
+		base, refCol, ok := commonBase(input, id, rows, span, refs)
 		if !ok {
 			if directPos == nil {
 				directPos = rows
@@ -41,7 +48,7 @@ func subsetChunk(input *storage.Table, rows types.PosList) *storage.Chunk {
 			segments[col] = storage.NewReferenceSegment(input, id, directPos)
 			continue
 		}
-		key := composeKey{reprPtr: reprPtr, table: base}
+		key := composeKey{reprPtr: posListPtr(refs[span.first-span.lo].PosList()), table: base}
 		pos, cached := composed[key]
 		if !cached {
 			pos = make(types.PosList, len(rows))
@@ -50,8 +57,7 @@ func subsetChunk(input *storage.Table, rows types.PosList) *storage.Chunk {
 					pos[i] = types.NullRowID
 					continue
 				}
-				ref := input.GetChunk(r.Chunk).GetSegment(id).(*storage.ReferenceSegment)
-				pos[i] = ref.PosList()[r.Offset]
+				pos[i] = refs[r.Chunk-span.lo].PosList()[r.Offset]
 			}
 			composed[key] = pos
 		}
@@ -60,43 +66,54 @@ func subsetChunk(input *storage.Table, rows types.PosList) *storage.Chunk {
 	return storage.NewChunk(segments, nil)
 }
 
+// rowSpan is the range of chunk ids [lo, hi) the non-NULL rows of a position
+// list touch, and the chunk of the first of them.
+type rowSpan struct{ lo, hi, first types.ChunkID }
+
+func chunkSpan(rows types.PosList) rowSpan {
+	var s rowSpan
+	for _, r := range rows {
+		switch {
+		case r.IsNull():
+		case s.hi == 0:
+			s = rowSpan{lo: r.Chunk, hi: r.Chunk + 1, first: r.Chunk}
+		case r.Chunk < s.lo:
+			s.lo = r.Chunk
+		case r.Chunk >= s.hi:
+			s.hi = r.Chunk + 1
+		}
+	}
+	return s
+}
+
 // commonBase checks whether column id is stored as reference segments with
 // one common base table and referenced column across all chunks touched by
-// rows. It returns the base, the referenced column, and the identity of the
-// first source PosList (the compose-cache key: columns whose source chunks
-// share PosList objects produce identical composed lists).
-func commonBase(input *storage.Table, id types.ColumnID, rows types.PosList) (*storage.Table, types.ColumnID, uintptr, bool) {
+// rows. It returns the base and the referenced column, and leaves the touched
+// chunks' segments in refs, indexed by chunk id - span.lo — resolved once per
+// chunk, since rows (a join's build side) may visit the chunks in any order.
+// The first touched chunk's PosList is the compose-cache key: columns whose
+// source chunks share PosList objects produce identical composed lists.
+func commonBase(input *storage.Table, id types.ColumnID, rows types.PosList, span rowSpan, refs []*storage.ReferenceSegment) (*storage.Table, types.ColumnID, bool) {
+	clear(refs)
 	var base *storage.Table
 	var refCol types.ColumnID
-	var reprPtr uintptr
-	seen := false
-	var lastChunk types.ChunkID
 	for _, r := range rows {
-		if r.IsNull() {
+		if r.IsNull() || refs[r.Chunk-span.lo] != nil {
 			continue
 		}
-		if seen && r.Chunk == lastChunk {
-			continue // already inspected this chunk's segment
-		}
-		seg := input.GetChunk(r.Chunk).GetSegment(id)
-		ref, ok := seg.(*storage.ReferenceSegment)
+		ref, ok := input.GetChunk(r.Chunk).GetSegment(id).(*storage.ReferenceSegment)
 		if !ok {
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
-		if !seen {
-			base = ref.ReferencedTable()
-			refCol = ref.ReferencedColumn()
-			reprPtr = posListPtr(ref.PosList())
-			seen = true
+		if base == nil {
+			base, refCol = ref.ReferencedTable(), ref.ReferencedColumn()
 		} else if base != ref.ReferencedTable() || refCol != ref.ReferencedColumn() {
-			return nil, 0, 0, false
+			return nil, 0, false
 		}
-		lastChunk = r.Chunk
+		refs[r.Chunk-span.lo] = ref
 	}
-	if !seen {
-		return nil, 0, 0, false // all-NULL or empty: nothing to compose
-	}
-	return base, refCol, reprPtr, true
+	// base == nil: all-NULL or empty, nothing to compose.
+	return base, refCol, base != nil
 }
 
 func posListPtr(p types.PosList) uintptr {
