@@ -9,10 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
+	"hyrise/internal/filter"
 	"hyrise/internal/operators"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/scheduler"
+	"hyrise/internal/statistics"
 	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
 	"hyrise/internal/types"
@@ -351,5 +354,73 @@ func BenchmarkMicroStatsAfterWrite(b *testing.B) {
 		for j := 0; j < statsAfterWriteOps; j++ {
 			pair()
 		}
+	}
+}
+
+// loadFilterRounds is how many copies of the table get filters in one
+// benchmark op (same reason as statementRouteOps): one copy takes ~4 ms.
+const loadFilterRounds = 16
+
+// BenchmarkMicroLoad measures the three passes the load → first-plan path
+// makes over a table, on lineitem (SF 0.02, 12 chunks of 10 000 rows): encode
+// dictionary-encodes the value segments, filters attaches the default pruning
+// filters to the encoded chunks, statistics is one engine's first build over
+// them. encode and filters change the chunks they are given, so each op gets
+// fresh chunks over the same segments, made off the clock.
+func BenchmarkMicroLoad(b *testing.B) {
+	sm := storage.NewStorageManager()
+	if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.02, ChunkSize: 10_000, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	raw, err := sm.GetTable("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := func(t *storage.Table) *storage.Table {
+		out := storage.NewTable(t.Name(), t.ColumnDefinitions(), 10_000, false)
+		for _, c := range t.Chunks() {
+			segs, _ := c.SnapshotSegments()
+			shell := storage.NewChunk(segs, nil)
+			shell.Finalize()
+			out.AppendChunk(shell)
+		}
+		return out
+	}
+	encoded := fresh(raw)
+	if err := encoding.EncodeTable(encoded, tpch.DefaultEncoding(), nil); err != nil {
+		b.Fatal(err)
+	}
+	passes := []struct {
+		name   string
+		from   *storage.Table
+		rounds int
+		run    func(*storage.Table) error
+	}{
+		{"encode", raw, 1, func(t *storage.Table) error { return encoding.EncodeTable(t, tpch.DefaultEncoding(), nil) }},
+		{"filters", encoded, loadFilterRounds, filter.AttachDefaultFilters},
+		{"statistics", encoded, 1, func(t *storage.Table) error {
+			if ts := statistics.BuildTableStatistics(t, statistics.EqualHeight); int(ts.RowCount) != raw.RowCount() {
+				return fmt.Errorf("statistics cover %v of %d rows", ts.RowCount, raw.RowCount())
+			}
+			return nil
+		}},
+	}
+	for _, p := range passes {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tables := make([]*storage.Table, p.rounds)
+				for r := range tables {
+					tables[r] = fresh(p.from)
+				}
+				b.StartTimer()
+				for _, t := range tables {
+					if err := p.run(t); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

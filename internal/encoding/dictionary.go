@@ -27,40 +27,15 @@ type DictionarySegment[T types.Ordered] struct {
 }
 
 // EncodeDictionary builds a dictionary segment from raw values. nulls may
-// be nil.
+// be nil. The dictionary is the values' Summary, so it is sorted by that total
+// order: a NaN, if any, is the last entry.
 func EncodeDictionary[T types.Ordered](values []T, nulls []bool, compression VectorCompressionType) *DictionarySegment[T] {
-	// Collect distinct non-null values.
-	distinct := make(map[T]struct{}, len(values)/4+1)
-	for i, v := range values {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		distinct[v] = struct{}{}
-	}
-	dict := make([]T, 0, len(distinct))
-	for v := range distinct {
-		dict = append(dict, v)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-
-	// Map values to ids.
-	idOf := make(map[T]uint64, len(dict))
-	for i, v := range dict {
-		idOf[v] = uint64(i)
-	}
-	nullID := uint64(len(dict))
 	codes := make([]uint64, len(values))
-	for i, v := range values {
-		if nulls != nil && nulls[i] {
-			codes[i] = nullID
-		} else {
-			codes[i] = idOf[v]
-		}
-	}
+	dict := groupValues(values, nulls, codes).Values
 	return &DictionarySegment[T]{
 		dict:   dict,
 		av:     CompressUints(codes, compression),
-		nullID: ValueID(nullID),
+		nullID: ValueID(len(dict)),
 	}
 }
 
@@ -76,14 +51,25 @@ func (s *DictionarySegment[T]) NullValueID() ValueID { return s.nullID }
 // UniqueValueCount returns the dictionary size.
 func (s *DictionarySegment[T]) UniqueValueCount() int { return len(s.dict) }
 
+// ComparableCount returns how many leading dictionary entries a comparison can
+// match: all of them but a NaN, which sorts last and compares with nothing.
+// Value-id ranges of comparison predicates end here, not at the NULL id.
+func (s *DictionarySegment[T]) ComparableCount() int {
+	n := len(s.dict)
+	if n > 0 && s.dict[n-1] != s.dict[n-1] {
+		n--
+	}
+	return n
+}
+
 // LowerBound returns the first value id whose value is >= v.
 func (s *DictionarySegment[T]) LowerBound(v T) ValueID {
-	return ValueID(sort.Search(len(s.dict), func(i int) bool { return s.dict[i] >= v }))
+	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.dict[i] >= v }))
 }
 
 // UpperBound returns the first value id whose value is > v.
 func (s *DictionarySegment[T]) UpperBound(v T) ValueID {
-	return ValueID(sort.Search(len(s.dict), func(i int) bool { return s.dict[i] > v }))
+	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.dict[i] > v }))
 }
 
 // ValueOfID decodes a value id; ok is false for the null id.

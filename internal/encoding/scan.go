@@ -140,8 +140,8 @@ type ScannableSegment interface {
 
 // BoundedSegment is implemented by segments that know their min/max without
 // a full scan: O(1) for dictionary (sorted dictionary ends), O(blocks) for
-// frame-of-reference, O(runs) for run-length. Used to build min-max pruning
-// filters cheaply and to answer MIN/MAX aggregates without decoding.
+// frame-of-reference, O(runs) for run-length. Used to answer MIN/MAX
+// aggregates without decoding (pruning filters read the segment's Summary).
 type BoundedSegment interface {
 	Bounds() (min, max types.Value, ok bool)
 }
@@ -157,12 +157,13 @@ type scanRange[T types.Ordered] struct {
 	hi           T
 }
 
-// match evaluates the interval against one value.
+// match evaluates the interval against one value. A bound holds only when a
+// comparison says so, so NaN is inside no interval.
 func (r scanRange[T]) match(v T) bool {
-	if r.hasLo && (v < r.lo || (!r.loInc && v == r.lo)) {
+	if r.hasLo && !(v > r.lo || (r.loInc && v == r.lo)) {
 		return false
 	}
-	if r.hasHi && (v > r.hi || (!r.hiInc && v == r.hi)) {
+	if r.hasHi && !(v < r.hi || (r.hiInc && v == r.hi)) {
 		return false
 	}
 	return true
@@ -351,8 +352,11 @@ func (s *DictionarySegment[T]) ScanEncoded(p ScanPredicate, dst []types.ChunkOff
 	if isNe {
 		return s.matchesOutside(s.LowerBound(ne), s.UpperBound(ne), dst), PathDictionary, true
 	}
+	if (rng.hasLo && rng.lo != rng.lo) || (rng.hasHi && rng.hi != rng.hi) {
+		return dst, PathDictionary, true // a NaN bound holds for no value
+	}
 	start := ValueID(0)
-	end := s.nullID // == len(dict): excludes NULLs by construction
+	end := ValueID(s.ComparableCount()) // excludes NULLs, and NaN, by construction
 	if rng.hasLo {
 		if rng.loInc {
 			start = s.LowerBound(rng.lo)

@@ -1,0 +1,262 @@
+package encoding
+
+import (
+	"cmp"
+	"slices"
+
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// Summary is what the load → first-plan path reads of a segment: its distinct
+// non-NULL values in ascending order, the rows holding each, and its NULLs.
+// Dictionary encoding, the pruning filters and the optimizer's statistics are
+// all derived from it, so none of them looks at a row.
+//
+// Floats have one total order here: -0 and +0 are one value (either may stand
+// for it), and all NaNs are one value that sorts after every number — `<`
+// alone orders neither, and a dictionary built on it is not sorted.
+//
+// Values may be the dictionary of the segment itself: read, never written.
+type Summary[T types.Ordered] struct {
+	Values []T
+	Counts []int // Counts[i] rows hold Values[i]
+	Nulls  int
+}
+
+// SplitNaN returns the summary without the NaN value and the rows that hold
+// it. No comparison matches NaN, so bounds and bins are laid over the rest.
+func (s Summary[T]) SplitNaN() (Summary[T], int) {
+	last := len(s.Values) - 1
+	if last < 0 || s.Values[last] == s.Values[last] {
+		return s, 0
+	}
+	return Summary[T]{Values: s.Values[:last], Counts: s.Counts[:last], Nulls: s.Nulls}, s.Counts[last]
+}
+
+// Project maps the values through a non-decreasing f; values f maps to one
+// become one value holding the rows of all of them.
+func Project[T, U types.Ordered](s Summary[T], f func(T) U) Summary[U] {
+	out := Summary[U]{Values: make([]U, 0, len(s.Values)), Counts: make([]int, 0, len(s.Values)), Nulls: s.Nulls}
+	for i, v := range s.Values {
+		u := f(v)
+		if n := len(out.Values); n > 0 && compareTotal(out.Values[n-1], u) == 0 {
+			out.Counts[n-1] += s.Counts[i]
+			continue
+		}
+		out.Values, out.Counts = append(out.Values, u), append(out.Counts, s.Counts[i])
+	}
+	return out
+}
+
+// Merge is the summary of the rows of all of sums together, merged pairwise
+// in rounds so that every value is moved log(len(sums)) times.
+func Merge[T types.Ordered](sums []Summary[T]) Summary[T] {
+	if len(sums) == 0 {
+		return Summary[T]{}
+	}
+	sums = slices.Clone(sums)
+	for len(sums) > 1 {
+		half := sums[:0]
+		for i := 0; i < len(sums); i += 2 {
+			if i+1 == len(sums) {
+				half = append(half, sums[i])
+			} else {
+				half = append(half, merge(sums[i], sums[i+1]))
+			}
+		}
+		sums = half
+	}
+	return sums[0]
+}
+
+func merge[T types.Ordered](a, b Summary[T]) Summary[T] {
+	n := len(a.Values) + len(b.Values)
+	out := Summary[T]{Values: make([]T, 0, n), Counts: make([]int, 0, n), Nulls: a.Nulls + b.Nulls}
+	i, j := 0, 0
+	for i < len(a.Values) && j < len(b.Values) {
+		switch c := compareTotal(a.Values[i], b.Values[j]); {
+		case c < 0:
+			out.Values, out.Counts = append(out.Values, a.Values[i]), append(out.Counts, a.Counts[i])
+			i++
+		case c > 0:
+			out.Values, out.Counts = append(out.Values, b.Values[j]), append(out.Counts, b.Counts[j])
+			j++
+		default:
+			out.Values, out.Counts = append(out.Values, a.Values[i]), append(out.Counts, a.Counts[i]+b.Counts[j])
+			i, j = i+1, j+1
+		}
+	}
+	out.Values = append(append(out.Values, a.Values[i:]...), b.Values[j:]...)
+	out.Counts = append(append(out.Counts, a.Counts[i:]...), b.Counts[j:]...)
+	return out
+}
+
+// Summarize summarizes a whole segment: a dictionary segment by one counting
+// pass over its codes, a run-length segment by its runs, any other by grouping
+// its values. T must match the segment's data type.
+func Summarize[T types.Ordered](seg storage.Segment) Summary[T] {
+	return SummarizeRows[T](seg, 0, seg.Len())
+}
+
+// SummarizeRows summarizes rows [lo, hi) of a segment. Only a whole segment
+// can be read off its encoding; a part of an encoded one is gathered first.
+func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] {
+	whole := lo == 0 && hi == seg.Len()
+	switch s := seg.(type) {
+	case *storage.ValueSegment[T]:
+		vals, nulls := s.Values()[lo:hi], s.Nulls()
+		if nulls != nil {
+			nulls = nulls[lo:hi]
+		}
+		return groupValues(vals, nulls, nil)
+	case *DictionarySegment[T]:
+		if whole {
+			return s.summary()
+		}
+	case *RunLengthSegment[T]:
+		if whole {
+			return s.summary()
+		}
+	}
+	pos := make([]types.ChunkOffset, hi-lo)
+	for i := range pos {
+		pos[i] = types.ChunkOffset(lo + i)
+	}
+	vals, nulls := MaterializePositions[T](seg, pos)
+	return groupValues(vals, nulls, nil)
+}
+
+// groupValues summarizes raw values (nulls may be nil) by grouping them, then
+// sorting the groups: one map operation per row, one typed sort over the
+// distinct values only. With codes non-nil (one per value) it also writes
+// every row's value id — the index of its value in the summary, the number of
+// distinct values for a NULL — which makes the summary a dictionary and codes
+// its attribute vector.
+func groupValues[T types.Ordered](values []T, nulls []bool, codes []uint64) Summary[T] {
+	var (
+		sum   Summary[T]
+		vals  []T   // the distinct numbers, by id: in order of first appearance
+		rows  []int // by id
+		idOf  = make(map[T]int)
+		nan   T
+		nanID = -1 // NaN is no map key and is not sorted with the numbers
+	)
+	const null = ^uint64(0)
+	for i, v := range values {
+		if nulls != nil && nulls[i] {
+			sum.Nulls++
+			if codes != nil {
+				codes[i] = null
+			}
+			continue
+		}
+		id, ok := idOf[v]
+		if v != v {
+			id, ok = nanID, nanID >= 0
+		}
+		if !ok {
+			id = len(rows)
+			rows = append(rows, 0)
+			if v != v {
+				nan, nanID = v, id
+			} else {
+				vals, idOf[v] = append(vals, v), id
+			}
+		}
+		rows[id]++
+		if codes != nil {
+			codes[i] = uint64(id)
+		}
+	}
+	slices.Sort(vals)
+	sum.Values, sum.Counts = make([]T, len(rows)), make([]int, len(rows))
+	valueID := make([]uint64, len(rows)) // by id
+	for i, v := range vals {
+		id := idOf[v]
+		sum.Values[i], sum.Counts[i], valueID[id] = v, rows[id], uint64(i)
+	}
+	if last := len(rows) - 1; nanID >= 0 {
+		sum.Values[last], sum.Counts[last], valueID[nanID] = nan, rows[nanID], uint64(last)
+	}
+	for i, id := range codes {
+		if id == null {
+			codes[i] = uint64(len(rows))
+		} else {
+			codes[i] = valueID[id]
+		}
+	}
+	return sum
+}
+
+// summary reads a dictionary segment without decoding it: the dictionary is
+// the distinct values, and one pass over the attribute vector counts the rows
+// of each code (the NULL id included), resolved by code width.
+func (s *DictionarySegment[T]) summary() Summary[T] {
+	counts := make([]int, len(s.dict)+1)
+	switch av := s.av.(type) {
+	case *FixedWidthVector[uint8]:
+		countCodes(av.data, counts)
+	case *FixedWidthVector[uint16]:
+		countCodes(av.data, counts)
+	case *FixedWidthVector[uint32]:
+		countCodes(av.data, counts)
+	case *FixedWidthVector[uint64]:
+		countCodes(av.data, counts)
+	case *BP128Vector:
+		var buf [bp128BlockSize]uint64
+		for base, n := 0, av.Len(); base < n; base += bp128BlockSize {
+			countCodes(av.DecodeRange(base, min(base+bp128BlockSize, n), buf[:0]), counts)
+		}
+	default:
+		for i, n := 0, s.av.Len(); i < n; i++ {
+			counts[s.av.Get(i)]++
+		}
+	}
+	return Summary[T]{Values: s.dict, Counts: counts[:len(s.dict)], Nulls: counts[len(s.dict)]}
+}
+
+func countCodes[W uint8 | uint16 | uint32 | uint64](codes []W, counts []int) {
+	for _, id := range codes {
+		counts[id]++
+	}
+}
+
+// summary aggregates the runs of a run-length segment: sorted by value, runs
+// of one value add up.
+func (s *RunLengthSegment[T]) summary() Summary[T] {
+	type run struct {
+		v    T
+		rows int
+	}
+	var sum Summary[T]
+	runs := make([]run, 0, len(s.values))
+	s.ForEachRun(func(first, last types.ChunkOffset, v T, null bool) {
+		if rows := int(last-first) + 1; null {
+			sum.Nulls += rows
+		} else {
+			runs = append(runs, run{v, rows})
+		}
+	})
+	slices.SortFunc(runs, func(a, b run) int { return compareTotal(a.v, b.v) })
+	for i, r := range runs {
+		if i == 0 || compareTotal(r.v, runs[i-1].v) != 0 {
+			sum.Values, sum.Counts = append(sum.Values, r.v), append(sum.Counts, 0)
+		}
+		sum.Counts[len(sum.Counts)-1] += r.rows
+	}
+	return sum
+}
+
+// compareTotal orders a and b by the total order of Summary.
+func compareTotal[T types.Ordered](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	return cmp.Compare(b, a) // a NaN: cmp sorts it first, this order last
+}

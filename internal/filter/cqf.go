@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -47,14 +48,26 @@ func NewCountingQuotientFilter(seg storage.Segment, col types.ColumnID, remainde
 		contin:     make([]bool, 1<<qbits),
 		shifted:    make([]bool, 1<<qbits),
 	}
-	for i := 0; i < n; i++ {
-		v := seg.ValueAt(types.ChunkOffset(i))
-		if v.IsNull() {
-			continue
-		}
-		f.insert(hashValue(v))
+	switch seg.DataType() {
+	case types.TypeInt64:
+		insertAll(f, encoding.Summarize[int64](seg))
+	case types.TypeFloat64:
+		insertAll(f, encoding.Summarize[float64](seg))
+	default:
+		insertAll(f, encoding.Summarize[string](seg))
 	}
 	return f
+}
+
+// insertAll adds one fingerprint per row: each distinct value is hashed once
+// and inserted as often as it occurs.
+func insertAll[T types.Ordered](f *CountingQuotientFilter, sum encoding.Summary[T]) {
+	for i, v := range sum.Values {
+		hash := hashValue(types.FromNative(v))
+		for range sum.Counts[i] {
+			f.insert(hash)
+		}
+	}
 }
 
 // hashValue produces a 64-bit hash of the canonical bytes of a value.

@@ -15,6 +15,7 @@ package filter
 import (
 	"fmt"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -29,25 +30,25 @@ type MinMaxFilter struct {
 
 // NewMinMaxFilter builds a min-max filter over a segment.
 func NewMinMaxFilter(seg storage.Segment, col types.ColumnID) *MinMaxFilter {
-	f := &MinMaxFilter{col: col, empty: true}
-	for i := 0; i < seg.Len(); i++ {
-		v := seg.ValueAt(types.ChunkOffset(i))
-		if v.IsNull() {
-			continue
-		}
-		if f.empty {
-			f.min, f.max = v, v
-			f.empty = false
-			continue
-		}
-		if c, ok := types.Compare(v, f.min); ok && c < 0 {
-			f.min = v
-		}
-		if c, ok := types.Compare(v, f.max); ok && c > 0 {
-			f.max = v
-		}
+	switch seg.DataType() {
+	case types.TypeInt64:
+		return minMaxOf(encoding.Summarize[int64](seg), col)
+	case types.TypeFloat64:
+		return minMaxOf(encoding.Summarize[float64](seg), col)
+	default:
+		return minMaxOf(encoding.Summarize[string](seg), col)
 	}
-	return f
+}
+
+// minMaxOf reads the bounds off the ends of the sorted distinct values. NaN
+// is left out: no comparison matches it, so no prunable predicate wants it.
+func minMaxOf[T types.Ordered](sum encoding.Summary[T], col types.ColumnID) *MinMaxFilter {
+	sum, _ = sum.SplitNaN()
+	n := len(sum.Values)
+	if n == 0 {
+		return &MinMaxFilter{col: col, empty: true}
+	}
+	return &MinMaxFilter{col: col, min: types.FromNative(sum.Values[0]), max: types.FromNative(sum.Values[n-1])}
 }
 
 // Min returns the smallest non-NULL value (ok=false for all-NULL chunks).
@@ -141,29 +142,50 @@ func CreateFilter(kind FilterKind, seg storage.Segment, col types.ColumnID) (sto
 	}
 }
 
-// AttachDefaultFilters attaches the default pruning filters (min-max plus a
-// range histogram) to every column of every immutable chunk of a table.
-// This is what the benchmark binaries run after bulk loading.
+// AttachDefaultFilters attaches the default pruning filters (min-max plus,
+// on numeric columns, a range histogram) to every column of every immutable
+// chunk that lacks them; both are read off one summary of the segment. This
+// is what the benchmark binaries run after bulk loading.
 func AttachDefaultFilters(t *storage.Table) error {
 	for _, c := range t.Chunks() {
 		if !c.IsImmutable() {
 			continue
 		}
-		if len(c.AllFilters()) > 0 {
-			continue // already filtered
-		}
 		for col := 0; col < c.ColumnCount(); col++ {
 			id := types.ColumnID(col)
-			seg := c.GetSegment(id)
-			c.AddFilter(NewMinMaxFilter(seg, id))
-			if seg.DataType().IsNumeric() {
-				rh, err := NewRangeHistogram(seg, id, DefaultRangeHistBins)
-				if err != nil {
-					return err
+			minMax, rangeHist := true, true
+			for _, f := range c.Filters(id) {
+				switch f.(type) {
+				case *MinMaxFilter:
+					minMax = false
+				case *RangeHistogram:
+					rangeHist = false
 				}
-				c.AddFilter(rh)
+			}
+			switch seg := c.GetSegment(id); seg.DataType() {
+			case types.TypeInt64:
+				attachDefaults[int64](c, id, seg, minMax, rangeHist)
+			case types.TypeFloat64:
+				attachDefaults[float64](c, id, seg, minMax, rangeHist)
+			default:
+				if minMax {
+					c.AddFilter(NewMinMaxFilter(seg, id))
+				}
 			}
 		}
 	}
 	return nil
+}
+
+func attachDefaults[T int64 | float64](c *storage.Chunk, col types.ColumnID, seg storage.Segment, minMax, rangeHist bool) {
+	if !minMax && !rangeHist {
+		return
+	}
+	sum := encoding.Summarize[T](seg)
+	if minMax {
+		c.AddFilter(minMaxOf(sum, col))
+	}
+	if rangeHist {
+		c.AddFilter(rangeHistOf(sum, col, DefaultRangeHistBins))
+	}
 }

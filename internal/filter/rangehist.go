@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -33,45 +34,45 @@ type RangeHistogram struct {
 // NewRangeHistogram builds a histogram with at most bins bins using an
 // equal-distinct-count split of the sorted distinct values.
 func NewRangeHistogram(seg storage.Segment, col types.ColumnID, bins int) (*RangeHistogram, error) {
-	if !seg.DataType().IsNumeric() {
+	switch seg.DataType() {
+	case types.TypeInt64:
+		return rangeHistOf(encoding.Summarize[int64](seg), col, bins), nil
+	case types.TypeFloat64:
+		return rangeHistOf(encoding.Summarize[float64](seg), col, bins), nil
+	default:
 		return nil, fmt.Errorf("filter: range histogram requires a numeric column, got %s", seg.DataType())
 	}
-	if bins < 1 {
-		bins = 1
-	}
-	counts := make(map[float64]int)
-	n := 0
-	for i := 0; i < seg.Len(); i++ {
-		v := seg.ValueAt(types.ChunkOffset(i))
-		if v.IsNull() {
-			continue
-		}
-		counts[v.AsFloat()]++
-		n++
-	}
-	h := &RangeHistogram{col: col, rowCount: n}
-	if len(counts) == 0 {
-		return h, nil
-	}
-	distinct := make([]float64, 0, len(counts))
-	for v := range counts {
-		distinct = append(distinct, v)
-	}
-	sort.Float64s(distinct)
+}
 
+// rangeHistOf splits the summary's sorted distinct values, as float64, into
+// bins. NaN lies in no bin and is no row of the histogram: no comparison
+// matches it.
+func rangeHistOf[T int64 | float64](sum encoding.Summary[T], col types.ColumnID, bins int) *RangeHistogram {
+	floats, ok := any(sum).(encoding.Summary[float64])
+	if !ok {
+		floats = encoding.Project(sum, func(v T) float64 { return float64(v) })
+	}
+	floats, _ = floats.SplitNaN()
+	h := &RangeHistogram{col: col}
+	distinct := floats.Values
+	if len(distinct) == 0 {
+		return h
+	}
+	bins = max(bins, 1)
 	perBin := (len(distinct) + bins - 1) / bins
 	for i := 0; i < len(distinct); i += perBin {
 		j := min(i+perBin, len(distinct))
 		rows := 0
-		for _, v := range distinct[i:j] {
-			rows += counts[v]
+		for _, n := range floats.Counts[i:j] {
+			rows += n
 		}
 		h.binMin = append(h.binMin, distinct[i])
 		h.binMax = append(h.binMax, distinct[j-1])
 		h.binRows = append(h.binRows, rows)
 		h.binDist = append(h.binDist, j-i)
+		h.rowCount += rows
 	}
-	return h, nil
+	return h
 }
 
 // Bins returns the number of bins.

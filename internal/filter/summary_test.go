@@ -1,0 +1,286 @@
+package filter
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"hyrise/internal/encoding"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// The per-row constructors the filters had before they read a segment's
+// summary, kept as the oracle: every row through ValueAt, bounds by
+// types.Compare, bins and fingerprints from a value → rows map. NaN rows are
+// outside bounds and bins by the rule the summary states.
+
+func isNaN(v types.Value) bool { return v.Type == types.TypeFloat64 && math.IsNaN(v.F) }
+
+func rowMinMax(seg storage.Segment, col types.ColumnID) *MinMaxFilter {
+	f := &MinMaxFilter{col: col, empty: true}
+	for i := 0; i < seg.Len(); i++ {
+		v := seg.ValueAt(types.ChunkOffset(i))
+		if v.IsNull() || isNaN(v) {
+			continue
+		}
+		if f.empty {
+			f.min, f.max, f.empty = v, v, false
+			continue
+		}
+		if c, ok := types.Compare(v, f.min); ok && c < 0 {
+			f.min = v
+		}
+		if c, ok := types.Compare(v, f.max); ok && c > 0 {
+			f.max = v
+		}
+	}
+	return f
+}
+
+func rowRangeHistogram(seg storage.Segment, col types.ColumnID, bins int) *RangeHistogram {
+	counts := make(map[float64]int)
+	h := &RangeHistogram{col: col}
+	for i := 0; i < seg.Len(); i++ {
+		if v := seg.ValueAt(types.ChunkOffset(i)); !v.IsNull() && !isNaN(v) {
+			counts[v.AsFloat()]++
+			h.rowCount++
+		}
+	}
+	distinct := make([]float64, 0, len(counts))
+	for v := range counts {
+		distinct = append(distinct, v)
+	}
+	sort.Float64s(distinct)
+	perBin := (len(distinct) + bins - 1) / bins
+	for i := 0; i < len(distinct); i += perBin {
+		j := min(i+perBin, len(distinct))
+		rows := 0
+		for _, v := range distinct[i:j] {
+			rows += counts[v]
+		}
+		h.binMin = append(h.binMin, distinct[i])
+		h.binMax = append(h.binMax, distinct[j-1])
+		h.binRows = append(h.binRows, rows)
+		h.binDist = append(h.binDist, j-i)
+	}
+	return h
+}
+
+func rowCQF(seg storage.Segment, col types.ColumnID, remainderBits uint) *CountingQuotientFilter {
+	qbits := uint(bits.Len64(uint64(max(seg.Len(), 1)))) + 1
+	f := &CountingQuotientFilter{
+		col: col, qbits: qbits, rbits: remainderBits,
+		remainders: make([]uint64, 1<<qbits), occupied: make([]bool, 1<<qbits),
+		contin: make([]bool, 1<<qbits), shifted: make([]bool, 1<<qbits),
+	}
+	for i := 0; i < seg.Len(); i++ {
+		if v := seg.ValueAt(types.ChunkOffset(i)); !v.IsNull() {
+			f.insert(hashValue(v))
+		}
+	}
+	return f
+}
+
+// diffColumn is one logical column of the differential: rows drawn from
+// domain (every nullEvery-th NULL), probed with domain plus absent.
+type diffColumn struct {
+	name      string
+	domain    []types.Value
+	absent    []types.Value
+	rows      int
+	nullEvery int
+}
+
+func ints(vs ...int64) []types.Value {
+	out := make([]types.Value, len(vs))
+	for i, v := range vs {
+		out[i] = types.Int(v)
+	}
+	return out
+}
+
+func floats(vs ...float64) []types.Value {
+	out := make([]types.Value, len(vs))
+	for i, v := range vs {
+		out[i] = types.Float(v)
+	}
+	return out
+}
+
+func strs(vs ...string) []types.Value {
+	out := make([]types.Value, len(vs))
+	for i, v := range vs {
+		out[i] = types.Str(v)
+	}
+	return out
+}
+
+func span(n int, f func(int) types.Value) []types.Value {
+	out := make([]types.Value, n)
+	for i := range out {
+		out[i] = f(i)
+	}
+	return out
+}
+
+var diffColumns = []diffColumn{
+	{name: "int/empty", domain: ints(1), absent: ints(0)},
+	{name: "int/all-null", domain: ints(1), absent: ints(0, 1), rows: 50, nullEvery: 1},
+	{name: "int/extremes", domain: ints(math.MinInt64, math.MinInt64+1, -1, 0, 1, math.MaxInt64-1, math.MaxInt64),
+		absent: ints(-2, 2, 1<<40), rows: 300, nullEvery: 5},
+	// Neighbours beyond 2^53 share one float64, so one histogram value.
+	{name: "int/beyond-2^53", domain: ints(1<<53, 1<<53+1, 1<<53+2, -(1<<53)-1, -(1 << 53), 7),
+		absent: append(ints(1<<53+3, 8), floats(7.5)...), rows: 300},
+	{name: "int/clusters", domain: span(80, func(i int) types.Value { return types.Int(int64(i%40) + int64(i/40)*10_000) }),
+		absent: append(ints(-1, 5_000, 20_000), floats(3, 3.5)...), rows: 4000, nullEvery: 9},
+	{name: "float/empty", domain: floats(1), absent: floats(0)},
+	{name: "float/signed-zero", domain: floats(math.Copysign(0, -1), 0, 1.5, -1.5), absent: floats(1, -1), rows: 200, nullEvery: 4},
+	{name: "float/nan", domain: append(floats(math.NaN(), math.Inf(-1), math.Inf(1)), span(70, func(i int) types.Value { return types.Float(float64(i) / 4) })...),
+		absent: append(floats(-1, 0.1, 100), ints(3, 40)...), rows: 2000, nullEvery: 6},
+	{name: "float/only-nan", domain: floats(math.NaN()), absent: floats(0, 1), rows: 40, nullEvery: 3},
+	{name: "string/nul-bytes", domain: strs("", "\x00", "\x00\x00", "a", "a\x00", "a\x00b", "b"), absent: strs("\x00a", "c"), rows: 300, nullEvery: 5},
+	{name: "string/prefixed", domain: span(40, func(i int) types.Value { return types.Str(fmt.Sprintf("Customer#%09d", i)) }),
+		absent: strs("Customer#", "Customer#000000040", "Supplier"), rows: 1000},
+}
+
+// layouts draws the column's rows and returns them unencoded and in every
+// encoding × vector compression.
+func (c diffColumn) layouts(t *testing.T) map[string]storage.Segment {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(len(c.name))))
+	var raw storage.Segment
+	switch c.domain[0].Type {
+	case types.TypeInt64:
+		raw = drawSegment[int64](c, r)
+	case types.TypeFloat64:
+		raw = drawSegment[float64](c, r)
+	default:
+		raw = drawSegment[string](c, r)
+	}
+	out := map[string]storage.Segment{"Unencoded": raw}
+	for _, enc := range []encoding.EncodingType{encoding.Dictionary, encoding.RunLength, encoding.FrameOfReference} {
+		for _, comp := range []encoding.VectorCompressionType{encoding.FixedSizeByteAligned, encoding.BitPacked128} {
+			seg, err := encoding.EncodeSegment(raw, encoding.Spec{Encoding: enc, Compression: comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s/%s", enc, comp)] = seg
+		}
+	}
+	return out
+}
+
+func drawSegment[T types.Ordered](c diffColumn, r *rand.Rand) storage.Segment {
+	seg := storage.NewValueSegment[T](c.rows, c.nullEvery > 0)
+	for i := 0; i < c.rows; i++ {
+		v := c.domain[r.Intn(len(c.domain))]
+		seg.Append(types.ToNative[T](v), c.nullEvery > 0 && r.Intn(c.nullEvery) == 0)
+	}
+	return seg
+}
+
+// TestSegmentSummaryDifferential, part (b): filters read off a segment's
+// summary are the filters the per-row constructors build, in every layout.
+func TestSegmentSummaryDifferential(t *testing.T) {
+	for _, c := range diffColumns {
+		for layout, seg := range c.layouts(t) {
+			name := c.name + "/" + layout
+			if got, want := NewMinMaxFilter(seg, 3), rowMinMax(seg, 3); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: min-max %+v, per-row %+v", name, got, want)
+			}
+			if seg.DataType().IsNumeric() {
+				for _, bins := range []int{1, 7, DefaultRangeHistBins} {
+					got, err := NewRangeHistogram(seg, 3, bins)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := rowRangeHistogram(seg, 3, bins); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %d-bin histogram %+v, per-row %+v", name, bins, got, want)
+					}
+				}
+			}
+			got, want := NewCountingQuotientFilter(seg, 3, DefaultRemainderBits), rowCQF(seg, 3, DefaultRemainderBits)
+			if got.Size() != want.Size() || got.MemoryUsage() != want.MemoryUsage() {
+				t.Errorf("%s: CQF size %d (%d bytes), per-row %d (%d bytes)", name, got.Size(), got.MemoryUsage(), want.Size(), want.MemoryUsage())
+			}
+			for _, probe := range append(append([]types.Value{}, c.domain...), c.absent...) {
+				if g, w := got.Count(probe), want.Count(probe); g != w {
+					t.Errorf("%s: CQF counts %v %d times, per-row %d", name, probe, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestRangeHistogramNaN: one NaN among more distinct values than bins used to
+// become the first bin's lower edge, after which `= 0` and `BETWEEN 0 AND 1`
+// pruned a chunk that holds such rows, and made min = max = NaN so that the
+// min-max filter never pruned.
+func TestRangeHistogramNaN(t *testing.T) {
+	vals := []float64{math.NaN()}
+	for i := 0; i < 70; i++ {
+		vals = append(vals, float64(i))
+	}
+	for name, seg := range map[string]storage.Segment{
+		"Unencoded":  storage.ValueSegmentFromSlice(vals, nil),
+		"Dictionary": encoding.EncodeDictionary(vals, nil, encoding.FixedSizeByteAligned),
+	} {
+		h, err := NewRangeHistogram(seg, 0, DefaultRangeHistBins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm := NewMinMaxFilter(seg, 0)
+		zero, one, far := types.Float(0), types.Float(1), types.Float(1000)
+		for _, f := range []storage.ChunkFilter{h, mm} {
+			if f.CanPruneEquals(zero) || f.CanPruneRange(&zero, &one) || f.CanPruneRange(nil, &zero) {
+				t.Errorf("%s: %s prunes a predicate that matches rows", name, f.FilterType())
+			}
+			if !f.CanPruneEquals(far) || !f.CanPruneRange(&far, nil) {
+				t.Errorf("%s: %s keeps a chunk no row of which is >= 1000", name, f.FilterType())
+			}
+		}
+		if h.RowCount() != 70 {
+			t.Errorf("%s: histogram covers %d rows, want the 70 numbers", name, h.RowCount())
+		}
+	}
+}
+
+// TestAttachDefaultFiltersFillsGaps: a chunk that was handed one filter by
+// hand used to be skipped whole; every column gets each default it lacks, once.
+func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
+	defs := []storage.ColumnDefinition{
+		{Name: "n", Type: types.TypeInt64},
+		{Name: "f", Type: types.TypeFloat64},
+		{Name: "s", Type: types.TypeString},
+	}
+	table := storage.NewTable("t", defs, 4, false)
+	for i := 0; i < 4; i++ {
+		if _, err := table.AppendRow([]types.Value{types.Int(int64(i)), types.Float(float64(i)), types.Str("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table.FinalizeLastChunk()
+	c := table.GetChunk(0)
+	c.AddFilter(NewCountingQuotientFilter(c.GetSegment(0), 0, DefaultRemainderBits))
+	c.AddFilter(NewMinMaxFilter(c.GetSegment(1), 1))
+	for pass := 0; pass < 2; pass++ {
+		if err := AttachDefaultFilters(table); err != nil {
+			t.Fatal(err)
+		}
+		for col, want := range [][]string{{"CQF", "MinMax", "RangeHist"}, {"MinMax", "RangeHist"}, {"MinMax"}} {
+			var got []string
+			for _, f := range c.Filters(types.ColumnID(col)) {
+				got = append(got, f.FilterType())
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d: column %d carries %v, want %v", pass, col, got, want)
+			}
+		}
+	}
+}

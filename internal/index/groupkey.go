@@ -88,7 +88,7 @@ func (idx *GroupKeyIndex[T]) Equals(v types.Value) []types.ChunkOffset {
 // Range implements storage.ChunkIndex.
 func (idx *GroupKeyIndex[T]) Range(lo, hi *types.Value) []types.ChunkOffset {
 	loID := encoding.ValueID(0)
-	hiID := encoding.ValueID(idx.seg.UniqueValueCount())
+	hiID := encoding.ValueID(idx.seg.ComparableCount())
 	if lo != nil {
 		probe, ok := probeValue[T](*lo)
 		if !ok {

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"math"
 	"testing"
 
 	"hyrise/internal/encoding"
@@ -122,4 +123,54 @@ func TestTableScanMinMaxPrune(t *testing.T) {
 			t.Errorf("scan.segments_pruned = %d, want 0", got)
 		}
 	})
+}
+
+// TestPruningWithNaN: a float chunk holding a NaN beside more distinct values
+// than a range histogram has bins used to get NaN as its first bin edge, and
+// `= 0`, `< 1` and `BETWEEN 0 AND 1` then pruned the chunk although it holds
+// such rows. With and without filters, encoded and not, a scan returns the
+// same rows — the numbers the predicate selects, never the NaN.
+func TestPruningWithNaN(t *testing.T) {
+	defs := []storage.ColumnDefinition{{Name: "f", Type: types.TypeFloat64}}
+	rows := [][]types.Value{{types.Float(math.NaN())}}
+	for i := 0; i < 70; i++ {
+		rows = append(rows, []types.Value{types.Float(float64(i))})
+	}
+	preds := map[string]expression.Expression{
+		"= 0":             eq(col(0), lit(types.Float(0))),
+		"< 1":             &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Float(1))},
+		"BETWEEN 0 AND 1": &expression.Between{Child: col(0), Lo: lit(types.Float(0)), Hi: lit(types.Float(1))},
+		">= 69":           &expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Float(69))},
+		"= 1000":          eq(col(0), lit(types.Float(1000))),
+	}
+	want := map[string]int{"= 0": 1, "< 1": 1, "BETWEEN 0 AND 1": 2, ">= 69": 1, "= 1000": 0}
+	for _, enc := range []encoding.EncodingType{encoding.Unencoded, encoding.Dictionary} {
+		for _, filtered := range []bool{false, true} {
+			sm := storage.NewStorageManager()
+			table := makeTable(t, sm, "nan", defs, 100, rows)
+			if err := encoding.EncodeTable(table, encoding.Spec{Encoding: enc}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if filtered {
+				if err := filter.AttachDefaultFilters(table); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, pred := range preds {
+				ctx, m, _ := meteredCtx(t, sm)
+				out, err := Execute(NewTableScan(&GetTable{TableName: "nan"}, pred), ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.RowCount() != want[name] {
+					t.Errorf("%s, filters %v: f %s returned %d rows, want %d", enc, filtered, name, out.RowCount(), want[name])
+				}
+				if pruned := m.ScanSegmentsPruned.Value(); pruned != 0 && want[name] > 0 {
+					t.Errorf("%s: f %s pruned a chunk that holds matching rows", enc, name)
+				} else if filtered && name == "= 1000" && pruned != 1 {
+					t.Errorf("%s: f = 1000 was not pruned: the NaN must not widen the bounds", enc)
+				}
+			}
+		}
+	}
 }

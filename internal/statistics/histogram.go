@@ -48,22 +48,19 @@ type Histogram struct {
 }
 
 // BuildHistogram builds a histogram of the given type with at most binCount
-// bins from a value->row-count map.
-func BuildHistogram(kind HistogramType, counts map[float64]int, binCount int) *Histogram {
+// bins from the ascending distinct values of a column and the rows of each.
+func BuildHistogram(kind HistogramType, distinct []float64, counts []int, binCount int) *Histogram {
 	h := &Histogram{kind: kind}
-	if len(counts) == 0 {
+	if len(distinct) == 0 {
 		return h
 	}
 	if binCount < 1 {
 		binCount = 1
 	}
-	distinct := make([]float64, 0, len(counts))
 	total := 0
-	for v, c := range counts {
-		distinct = append(distinct, v)
+	for _, c := range counts {
 		total += c
 	}
-	sort.Float64s(distinct)
 	h.total = float64(total)
 
 	appendBin := func(lo, hi float64, rows, dist int) {
@@ -93,7 +90,7 @@ func BuildHistogram(kind HistogramType, counts map[float64]int, binCount int) *H
 			start := i
 			rows := 0
 			for i < len(distinct) && (distinct[i] < edge || b == binCount-1) {
-				rows += counts[distinct[i]]
+				rows += counts[i]
 				i++
 			}
 			if i > start {
@@ -105,8 +102,8 @@ func BuildHistogram(kind HistogramType, counts map[float64]int, binCount int) *H
 		for i := 0; i < len(distinct); i += perBin {
 			j := min(i+perBin, len(distinct))
 			rows := 0
-			for _, v := range distinct[i:j] {
-				rows += counts[v]
+			for _, c := range counts[i:j] {
+				rows += c
 			}
 			appendBin(distinct[i], distinct[j-1], rows, j-i)
 		}
@@ -117,7 +114,7 @@ func BuildHistogram(kind HistogramType, counts map[float64]int, binCount int) *H
 			start := i
 			rows := 0
 			for i < len(distinct) && (rows < targetRows || i == start) {
-				rows += counts[distinct[i]]
+				rows += counts[i]
 				i++
 			}
 			appendBin(distinct[start], distinct[i-1], rows, i-start)
@@ -157,11 +154,11 @@ func (h *Histogram) clone() *Histogram {
 	}
 }
 
-// add counts one more row of value v and reports whether v is certainly a
+// add counts rows more rows of value v and reports whether v is certainly a
 // value the histogram had not seen: one outside every bin, which stretches
 // the nearer neighbouring bin's edge to v. The bin layout is otherwise kept,
 // whatever the kind — the next full build lays the bins out afresh.
-func (h *Histogram) add(v float64) (fresh bool) {
+func (h *Histogram) add(v float64, rows int) (fresh bool) {
 	n := len(h.binLo)
 	i := sort.SearchFloat64s(h.binHi, v) // first bin whose upper edge is >= v
 	if fresh = i == n || v < h.binLo[i]; fresh {
@@ -177,8 +174,8 @@ func (h *Histogram) add(v float64) (fresh bool) {
 		}
 		h.binDist[i]++
 	}
-	h.binRows[i]++
-	h.total++
+	h.binRows[i] += float64(rows)
+	h.total += float64(rows)
 	return fresh
 }
 

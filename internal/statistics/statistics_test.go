@@ -10,6 +10,20 @@ import (
 	"hyrise/internal/types"
 )
 
+// histogramOf builds a histogram from a value → rows map.
+func histogramOf(kind HistogramType, counts map[float64]int, binCount int) *Histogram {
+	distinct := make([]float64, 0, len(counts))
+	for v := range counts {
+		distinct = append(distinct, v)
+	}
+	sort.Float64s(distinct)
+	rows := make([]int, len(distinct))
+	for i, v := range distinct {
+		rows[i] = counts[v]
+	}
+	return BuildHistogram(kind, distinct, rows, binCount)
+}
+
 func uniformCounts(n, copies int) map[float64]int {
 	m := make(map[float64]int, n)
 	for i := 0; i < n; i++ {
@@ -21,7 +35,7 @@ func uniformCounts(n, copies int) map[float64]int {
 func TestHistogramTypesBasics(t *testing.T) {
 	counts := uniformCounts(100, 10) // 0..99, 10 rows each, 1000 rows
 	for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
-		h := BuildHistogram(kind, counts, 10)
+		h := histogramOf(kind, counts, 10)
 		if h.Kind() != kind {
 			t.Errorf("%v: Kind wrong", kind)
 		}
@@ -53,11 +67,11 @@ func TestHistogramSkewedData(t *testing.T) {
 	counts := map[float64]int{1: 1000, 2: 1, 3: 1, 100: 1}
 	// Equal-height puts the heavy hitter alone in its bin, so its estimate
 	// is much better than equal-width's average.
-	eh := BuildHistogram(EqualHeight, counts, 4)
+	eh := histogramOf(EqualHeight, counts, 4)
 	if got := eh.EstimateEquals(1); got < 500 {
 		t.Errorf("EqualHeight EstimateEquals(1) = %f, want >= 500", got)
 	}
-	ew := BuildHistogram(EqualWidth, counts, 4)
+	ew := histogramOf(EqualWidth, counts, 4)
 	// Equal-width still sums correctly over the whole domain.
 	if got := ew.EstimateRange(math.Inf(-1), math.Inf(1)); math.Abs(got-1003) > 1 {
 		t.Errorf("EqualWidth full range = %f", got)
@@ -65,14 +79,14 @@ func TestHistogramSkewedData(t *testing.T) {
 }
 
 func TestHistogramSingleValueAndEmpty(t *testing.T) {
-	h := BuildHistogram(EqualWidth, map[float64]int{7: 42}, 8)
+	h := histogramOf(EqualWidth, map[float64]int{7: 42}, 8)
 	if h.BinCount() != 1 {
 		t.Errorf("BinCount = %d", h.BinCount())
 	}
 	if got := h.EstimateEquals(7); got != 42 {
 		t.Errorf("EstimateEquals(7) = %f", got)
 	}
-	empty := BuildHistogram(EqualHeight, nil, 8)
+	empty := histogramOf(EqualHeight, nil, 8)
 	if empty.BinCount() != 0 || empty.EstimateEquals(1) != 0 || empty.EstimateRange(0, 1) != 0 {
 		t.Error("empty histogram should estimate 0")
 	}
@@ -97,7 +111,7 @@ func TestHistogramMassConservationProperty(t *testing.T) {
 				counts[float64(r%50)]++
 				total++
 			}
-			h := BuildHistogram(kind, counts, int(bins%16)+1)
+			h := histogramOf(kind, counts, int(bins%16)+1)
 			full := h.EstimateRange(math.Inf(-1), math.Inf(1))
 			return math.Abs(full-float64(total)) < 1e-6
 		}

@@ -89,30 +89,48 @@ func rowsSince(t *storage.Table, from mark) (parts []chunkRows, to mark, rows in
 	return parts, to, rows
 }
 
-// eachRun calls f with every run of non-NULL values of column col in parts
-// (a column without NULLs is one run per chunk, so the callers' loops over a
-// run are the only per-value work) and returns the number of NULLs.
-func eachRun[T types.Ordered](parts []chunkRows, col int, f func([]T)) (nulls int) {
+// summarized counts the parts that are read without a pass over their rows:
+// whole chunks of encoded segments, whose summaries come off the dictionary
+// or the runs.
+func summarized(parts []chunkRows) (n int64) {
+	for _, p := range parts {
+		encoded := p.lo == 0 && p.hi > 0
+		for _, seg := range p.segs {
+			spec, ok := encoding.SpecOf(seg)
+			encoded = encoded && ok && spec.Encoding != encoding.Unencoded
+		}
+		if encoded {
+			n++
+		}
+	}
+	return n
+}
+
+// summaries returns the summary of column col of every part that has rows,
+// with the NaN value split off: its rows are returned beside the NULLs.
+func summaries[T types.Ordered](parts []chunkRows, col int) (sums []encoding.Summary[T], nulls, nans int) {
 	for _, p := range parts {
 		if p.lo == p.hi {
 			continue
 		}
-		vals, isNull := encoding.Materialize[T](p.segs[col])
-		start := p.lo
-		for i := p.lo; isNull != nil && i < p.hi; i++ {
-			if isNull[i] {
-				if i > start {
-					f(vals[start:i])
-				}
-				start = i + 1
-				nulls++
-			}
-		}
-		if p.hi > start {
-			f(vals[start:p.hi])
-		}
+		sum, nan := encoding.SummarizeRows[T](p.segs[col], p.lo, p.hi).SplitNaN()
+		sums, nulls, nans = append(sums, sum), nulls+sum.Nulls, nans+nan
 	}
-	return nulls
+	return sums, nulls, nans
+}
+
+// toDomain embeds a summary in the float64 estimation domain (ValueToDomain
+// for every value): ints beyond 2^53 and strings that share their first seven
+// bytes become one value there.
+func toDomain[T types.Ordered](sum encoding.Summary[T]) encoding.Summary[float64] {
+	switch s := any(sum).(type) {
+	case encoding.Summary[int64]:
+		return encoding.Project(s, func(v int64) float64 { return float64(v) })
+	case encoding.Summary[string]:
+		return encoding.Project(s, StringToDomain)
+	default:
+		return s.(encoding.Summary[float64])
+	}
 }
 
 // BuildTableStatistics scans a data table and builds statistics for every
@@ -127,53 +145,45 @@ func buildStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows in
 		RowCount: float64(rows),
 		Columns:  make([]*ColumnStatistics, len(defs)),
 	}
-	for col := range defs {
-		counts := make(map[float64]int)
-		// The float domain embedding truncates strings to seven bytes, which
-		// collapses long shared prefixes; distinct counts for strings are
-		// therefore tracked on the exact values.
-		var exact map[string]struct{}
-		nullCount := 0
-		switch defs[col].Type {
+	for col, def := range defs {
+		var cs *ColumnStatistics
+		switch def.Type {
 		case types.TypeInt64:
-			nullCount = eachRun(parts, col, func(run []int64) {
-				for _, v := range run {
-					counts[float64(v)]++
-				}
-			})
+			cs = buildColumn[int64](parts, col, kind)
 		case types.TypeFloat64:
-			nullCount = eachRun(parts, col, func(run []float64) {
-				for _, v := range run {
-					counts[v]++
-				}
-			})
+			cs = buildColumn[float64](parts, col, kind)
 		case types.TypeString:
-			exact = make(map[string]struct{})
-			nullCount = eachRun(parts, col, func(run []string) {
-				for _, v := range run {
-					counts[StringToDomain(v)]++
-					exact[v] = struct{}{}
-				}
-			})
+			cs = buildColumn[string](parts, col, kind)
 		}
-		distinct := len(counts)
-		if exact != nil {
-			distinct = len(exact)
-		}
-		cs := &ColumnStatistics{
-			Type:          defs[col].Type,
-			RowCount:      ts.RowCount,
-			NullCount:     float64(nullCount),
-			DistinctCount: float64(distinct),
-			Hist:          BuildHistogram(kind, counts, DefaultHistogramBins),
-		}
+		cs.Type, cs.RowCount = def.Type, ts.RowCount
 		cs.Min, cs.Max = cs.Hist.bounds()
 		ts.Columns[col] = cs
 	}
 	return ts
 }
 
-// fold returns a copy of ts that also covers the appended rows in parts. Row,
+// buildColumn merges the parts' summaries into the column's distinct values
+// and lays the histogram over them: the work is per distinct value of a
+// chunk, not per row.
+func buildColumn[T types.Ordered](parts []chunkRows, col int, kind HistogramType) *ColumnStatistics {
+	sums, nulls, nans := summaries[T](parts, col)
+	all := encoding.Merge(sums)
+	domain := toDomain(all)
+	distinct := len(domain.Values)
+	if _, ok := any(all).(encoding.Summary[string]); ok {
+		// The domain collapses long shared prefixes; strings are counted
+		// as themselves.
+		distinct = len(all.Values)
+	}
+	return &ColumnStatistics{
+		NullCount:     float64(nulls),
+		DistinctCount: float64(distinct + min(nans, 1)), // NaN is one value, in no bin
+		Hist:          BuildHistogram(kind, domain.Values, domain.Counts, DefaultHistogramBins),
+	}
+}
+
+// fold returns a copy of ts that also covers the appended rows in parts,
+// added part by part, each part's distinct values in ascending order. Row,
 // NULL and bin row counts, Min and Max come out as a fresh build's would;
 // distinct counts grow only for values outside every bin, so a new value
 // inside an existing bin is not seen as new until the next full build.
@@ -185,38 +195,32 @@ func (ts *TableStatistics) fold(parts []chunkRows, rows int) *TableStatistics {
 	for col, old := range ts.Columns {
 		cs := *old
 		cs.Hist = old.Hist.clone()
-		add := func(d float64) {
-			if cs.Hist.add(d) {
-				cs.DistinctCount++
-			}
-		}
-		nullCount := 0
 		switch cs.Type {
 		case types.TypeInt64:
-			nullCount = eachRun(parts, col, func(run []int64) {
-				for _, v := range run {
-					add(float64(v))
-				}
-			})
+			foldColumn[int64](&cs, parts, col)
 		case types.TypeFloat64:
-			nullCount = eachRun(parts, col, func(run []float64) {
-				for _, v := range run {
-					add(v)
-				}
-			})
+			foldColumn[float64](&cs, parts, col)
 		case types.TypeString:
-			nullCount = eachRun(parts, col, func(run []string) {
-				for _, v := range run {
-					add(StringToDomain(v))
-				}
-			})
+			foldColumn[string](&cs, parts, col)
 		}
 		cs.RowCount = out.RowCount
-		cs.NullCount += float64(nullCount)
 		cs.Min, cs.Max = cs.Hist.bounds()
 		out.Columns[col] = &cs
 	}
 	return out
+}
+
+func foldColumn[T types.Ordered](cs *ColumnStatistics, parts []chunkRows, col int) {
+	sums, nulls, _ := summaries[T](parts, col)
+	cs.NullCount += float64(nulls)
+	for _, sum := range sums {
+		domain := toDomain(sum)
+		for i, v := range domain.Values {
+			if cs.Hist.add(v, domain.Counts[i]) {
+				cs.DistinctCount++
+			}
+		}
+	}
 }
 
 // EstimateEquals estimates the selectivity (0..1) of column = v.
@@ -300,6 +304,7 @@ type Cache struct {
 
 	fullBuilds *observe.Counter
 	foldedRows *observe.Counter
+	summarized *observe.Counter
 	maintainNS *observe.Histogram
 }
 
@@ -317,15 +322,19 @@ func NewCache(kind HistogramType) *Cache {
 		kind:       kind,
 		fullBuilds: &observe.Counter{},
 		foldedRows: &observe.Counter{},
+		summarized: &observe.Counter{},
 		maintainNS: &observe.Histogram{},
 	}
 }
 
 // Instrument publishes the cache's maintenance work in r: full builds, rows
-// folded, and the time of each build or fold. Call it before the first lookup.
+// folded, the chunks of either that were read off their encoding instead of
+// row by row, and the time of each build or fold. Call it before the first
+// lookup.
 func (c *Cache) Instrument(r *observe.Registry) {
 	c.fullBuilds = r.Counter("statistics.full_builds")
 	c.foldedRows = r.Counter("statistics.folded_rows")
+	c.summarized = r.Counter("statistics.summarized_chunks")
 	c.maintainNS = r.Histogram("statistics.maintain_ns")
 }
 
@@ -363,10 +372,12 @@ func (c *Cache) lookup(t *storage.Table, build bool) *TableStatistics {
 		parts, to, n := rowsSince(t, mark{})
 		e = cacheEntry{stats: buildStatistics(t.ColumnDefinitions(), parts, n, c.kind), mark: to, built: n}
 		c.fullBuilds.Inc()
+		c.summarized.Add(summarized(parts))
 	} else {
 		parts, to, n := rowsSince(t, e.mark)
 		e = cacheEntry{stats: e.stats.fold(parts, n), mark: to, built: e.built}
 		c.foldedRows.Add(int64(n))
+		c.summarized.Add(summarized(parts))
 	}
 	c.maintainNS.Observe(time.Since(start).Nanoseconds())
 	c.mu.Lock()
