@@ -465,7 +465,7 @@ func (tc *TransactionContext) AbortCause() error {
 }
 
 // Visible reports whether a row version is visible to the transaction
-// (the Validate operator's core test, paper §2.8).
+// (the test behind the scan's visibility rung, paper §2.8).
 func Visible(mvcc *storage.MvccData, row types.ChunkOffset, tid types.TransactionID, snapshot types.CommitID) bool {
 	if mvcc.TID(row) == tid && tid != 0 {
 		// Rows this transaction touched: own inserts are visible unless

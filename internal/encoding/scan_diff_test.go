@@ -426,41 +426,3 @@ func TestScanDiffAppendsToDst(t *testing.T) {
 		}
 	}
 }
-
-// TestAggregateEncodedDifferential cross-checks the encoded aggregate path
-// against a row-at-a-time reference over the same data.
-func TestAggregateEncodedDifferential(t *testing.T) {
-	r := lcg(23)
-	values := make([]int64, 9000)
-	nulls := make([]bool, 9000)
-	for i := range values {
-		values[i] = int64(r.next()%20001) - 10000
-		nulls[i] = r.next()%6 == 0
-	}
-	var wantNonNull, wantSum int64
-	var wantFloat float64
-	for i, v := range values {
-		if nulls[i] {
-			continue
-		}
-		wantNonNull++
-		wantSum += v
-		wantFloat += float64(v)
-	}
-	for name, seg := range buildScannables(values, nulls) {
-		sa, ok := AggregateEncoded(seg, true, true)
-		if !ok {
-			t.Errorf("%s: AggregateEncoded refused", name)
-			continue
-		}
-		if sa.Rows != int64(len(values)) || sa.NonNull != wantNonNull {
-			t.Errorf("%s: rows=%d nonNull=%d, want %d/%d", name, sa.Rows, sa.NonNull, len(values), wantNonNull)
-		}
-		if sa.SumInt != wantSum {
-			t.Errorf("%s: sumInt=%d, want %d", name, sa.SumInt, wantSum)
-		}
-		if sa.SumFloat != wantFloat {
-			t.Errorf("%s: sumFloat=%v, want %v", name, sa.SumFloat, wantFloat)
-		}
-	}
-}

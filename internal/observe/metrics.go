@@ -346,9 +346,6 @@ type ExecMetrics struct {
 	// ScanSegmentsDecoded counts segments materialized by the fallback scan
 	// path — the decode-then-evaluate route the encoded paths exist to avoid.
 	ScanSegmentsDecoded *Counter
-	// ScanEncodedAggregates counts chunks whose aggregation was answered
-	// directly on encoded segments (COUNT/SUM/MIN/MAX fast path).
-	ScanEncodedAggregates *Counter
 	// ScanMorsels accumulates the morsel counts of parallel table scans
 	// (serial scans add nothing — the counter measures real fan-out).
 	ScanMorsels *Counter
@@ -380,7 +377,6 @@ func NewExecMetrics(r *Registry) *ExecMetrics {
 		ScanEncodedRLE:          r.Counter("scan.encoded_rle"),
 		ScanSegmentsUnencoded:   r.Counter("scan.segments_unencoded"),
 		ScanSegmentsDecoded:     r.Counter("scan.segments_decoded"),
-		ScanEncodedAggregates:   r.Counter("scan.encoded_aggregates"),
 
 		ScanMorsels:    r.Counter("operator.scan.morsels"),
 		ScanParallelNS: r.Counter("scan.parallel_ns"),

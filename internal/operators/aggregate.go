@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -108,23 +107,10 @@ func (op *Aggregate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 		base += int64(c.Size())
 	}
 
-	plan := op.planEncodedAggregates()
-
 	jobs := make([]func(), len(chunks))
 	for ci, c := range chunks {
 		ci, c := ci, c
-		jobs[ci] = func() {
-			if plan != nil && !ctx.DynamicAccess {
-				if partial, ok := op.aggregateChunkEncoded(c, bases[ci], plan); ok {
-					if m := ctx.Metrics; m != nil {
-						m.ScanEncodedAggregates.Inc()
-					}
-					partials[ci] = partial
-					return
-				}
-			}
-			partials[ci] = op.aggregateChunk(ctx, input, c, bases[ci])
-		}
+		jobs[ci] = func() { partials[ci] = op.aggregateChunk(ctx, c, bases[ci]) }
 	}
 	ctx.runJobs(jobs)
 	if err := ctx.Err(); err != nil {
@@ -296,138 +282,7 @@ func mergeGroup(dst, src *group, aggs []*expression.Aggregate) {
 	}
 }
 
-// encodedAggNeed describes what one aggregate wants from its column in the
-// encoded fast path.
-type encodedAggNeed struct {
-	col int // -1 for COUNT(*)
-	dt  types.DataType
-	// needSum requests SUM accumulation; needFloatSum additionally requests
-	// the row-order float64 mirror (AVG and float outputs). Skipping the
-	// float mirror lets integer COUNT/SUM avoid float math entirely while
-	// staying bit-for-bit compatible: the generic path only reads the float
-	// accumulator for AVG and float-typed results.
-	needSum, needFloatSum bool
-}
-
-// encodedAggPlan marks an aggregation as eligible for per-chunk evaluation
-// directly on encoded segments.
-type encodedAggPlan struct {
-	needs []encodedAggNeed
-}
-
-// planEncodedAggregates decides once per run whether the whole aggregation
-// can be answered from encoded segment statistics: no GROUP BY, and every
-// aggregate is COUNT(*)/COUNT/SUM/AVG/MIN/MAX over a bare column.
-// Chunks whose segments do not support encoded aggregation (value segments,
-// reference segments) still fall back individually.
-func (op *Aggregate) planEncodedAggregates() *encodedAggPlan {
-	if len(op.GroupBy) != 0 {
-		return nil
-	}
-	plan := &encodedAggPlan{needs: make([]encodedAggNeed, len(op.Aggs))}
-	for i, agg := range op.Aggs {
-		if agg.Fn == expression.AggCountStar {
-			plan.needs[i] = encodedAggNeed{col: -1}
-			continue
-		}
-		col, ok := agg.Arg.(*expression.BoundColumn)
-		if !ok {
-			return nil
-		}
-		need := encodedAggNeed{col: col.Index, dt: col.DT}
-		switch agg.Fn {
-		case expression.AggCount, expression.AggMin, expression.AggMax:
-			// Counting and bounds need no sums.
-		case expression.AggSum, expression.AggAvg:
-			if !col.DT.IsNumeric() {
-				return nil
-			}
-			need.needSum = true
-			outType := op.Types[len(op.GroupBy)+i]
-			need.needFloatSum = agg.Fn == expression.AggAvg ||
-				col.DT == types.TypeFloat64 || outType == types.TypeFloat64
-		default:
-			// COUNT DISTINCT needs the value set, which does not merge from
-			// per-chunk dictionary sizes.
-			return nil
-		}
-		plan.needs[i] = need
-	}
-	return plan
-}
-
-// aggregateChunkEncoded computes one chunk's partial aggregation directly on
-// its encoded segments. ok=false means some required segment does not
-// support encoded aggregation and the chunk must take the generic path. The
-// produced group mirrors the generic no-GROUP-BY group exactly (no key
-// columns, the same first-seen ordinal), so partials from both paths merge
-// freely.
-func (op *Aggregate) aggregateChunkEncoded(c *storage.Chunk, base int64, plan *encodedAggPlan) (chunkGroups, bool) {
-	var out chunkGroups
-	n := c.Size()
-	if n == 0 {
-		return out, true
-	}
-	// Union the needs per column, then aggregate each segment once.
-	type colNeed struct{ sum, floatSum bool }
-	needs := make(map[int]colNeed)
-	for _, nd := range plan.needs {
-		if nd.col < 0 {
-			continue
-		}
-		cn := needs[nd.col]
-		cn.sum = cn.sum || nd.needSum
-		cn.floatSum = cn.floatSum || nd.needFloatSum
-		needs[nd.col] = cn
-	}
-	byCol := make(map[int]encoding.SegmentAggregates, len(needs))
-	for col, cn := range needs {
-		if col >= c.ColumnCount() {
-			return out, false
-		}
-		sa, ok := encoding.AggregateEncoded(c.GetSegment(types.ColumnID(col)), cn.sum, cn.floatSum)
-		if !ok {
-			return out, false
-		}
-		byCol[col] = sa
-	}
-	states := make([]aggState, len(op.Aggs))
-	for i, agg := range op.Aggs {
-		nd := plan.needs[i]
-		if agg.Fn == expression.AggCountStar {
-			states[i].count = int64(n)
-			continue
-		}
-		sa := byCol[nd.col]
-		switch agg.Fn {
-		case expression.AggCount:
-			states[i].count = sa.NonNull
-		case expression.AggSum, expression.AggAvg:
-			states[i].count = sa.NonNull
-			states[i].seen = sa.NonNull > 0
-			if nd.dt == types.TypeFloat64 {
-				states[i].sum = sa.SumFloat
-			} else {
-				states[i].sumInt = sa.SumInt
-				if nd.needFloatSum {
-					states[i].sum = sa.SumFloat
-				} else {
-					states[i].sum = float64(sa.SumInt)
-				}
-			}
-		case expression.AggMin:
-			states[i].seen = sa.NonNull > 0
-			states[i].min = sa.Min
-		case expression.AggMax:
-			states[i].seen = sa.NonNull > 0
-			states[i].max = sa.Max
-		}
-	}
-	out.firstSeen, out.states = []int64{base}, states
-	return out, true
-}
-
-func (op *Aggregate) aggregateChunk(ctx *ExecContext, input *storage.Table, c *storage.Chunk, base int64) chunkGroups {
+func (op *Aggregate) aggregateChunk(ctx *ExecContext, c *storage.Chunk, base int64) chunkGroups {
 	out := chunkGroups{keys: make([]*expression.Vector, len(op.GroupBy))}
 	n := c.Size()
 	if n == 0 {
@@ -436,7 +291,7 @@ func (op *Aggregate) aggregateChunk(ctx *ExecContext, input *storage.Table, c *s
 		}
 		return out
 	}
-	ec := ctx.evalContext(input, c, n)
+	ec := ctx.evalContext(c, n, nil)
 
 	keyVecs := make([]*expression.Vector, len(op.GroupBy))
 	for i, g := range op.GroupBy {

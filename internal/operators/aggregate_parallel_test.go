@@ -50,7 +50,7 @@ func TestAggregateMergeOrderIndependent(t *testing.T) {
 		out := make([]chunkGroups, len(chunks))
 		base := int64(0)
 		for ci, c := range chunks {
-			out[ci] = op.aggregateChunk(ctx, table, c, base)
+			out[ci] = op.aggregateChunk(ctx, c, base)
 			base += int64(c.Size())
 		}
 		return out

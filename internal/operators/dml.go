@@ -201,7 +201,7 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ec := ctx.evalContext(input, c, n)
+		ec := ctx.evalContext(c, n, nil)
 		newVals := make([]*expression.Vector, len(op.SetExprs))
 		for i, e := range op.SetExprs {
 			v, err := expression.Evaluate(e, ec)
@@ -248,8 +248,7 @@ type baseRow struct {
 func collectBaseRows(t *storage.Table) ([]baseRow, error) {
 	var out []baseRow
 	for _, c := range t.Chunks() {
-		n := c.Size()
-		if n == 0 {
+		if c.Size() == 0 {
 			continue
 		}
 		ref, ok := c.GetSegment(0).(*storage.ReferenceSegment)
@@ -263,7 +262,6 @@ func collectBaseRows(t *storage.Table) ([]baseRow, error) {
 			}
 			out = append(out, baseRow{chunk: base.GetChunk(rid.Chunk), offset: rid.Offset, rid: rid})
 		}
-		_ = n
 	}
 	return out, nil
 }

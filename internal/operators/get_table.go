@@ -1,9 +1,6 @@
 package operators
 
 import (
-	"fmt"
-
-	"hyrise/internal/concurrency"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -43,77 +40,4 @@ func (op *DummyTable) Run(*ExecContext, []*storage.Table) (*storage.Table, error
 		return nil, err
 	}
 	return t, nil
-}
-
-// Validate filters rows by MVCC visibility for the context's transaction
-// (paper §2.8). Its output is a reference table of the visible rows.
-type Validate struct {
-	input Operator
-}
-
-// NewValidate wraps an input operator.
-func NewValidate(in Operator) *Validate { return &Validate{input: in} }
-
-// Name implements Operator.
-func (op *Validate) Name() string { return "Validate" }
-
-// Inputs implements Operator.
-func (op *Validate) Inputs() []Operator { return []Operator{op.input} }
-
-// Run implements Operator.
-func (op *Validate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
-	input := inputs[0]
-	if ctx.Tx == nil {
-		return nil, fmt.Errorf("operators: Validate requires a transaction context")
-	}
-	tid, snapshot := ctx.Tx.TID(), ctx.Tx.Snapshot()
-
-	chunks := input.Chunks()
-	rowsPerChunk := make([]types.PosList, len(chunks))
-	jobs := make([]func(), len(chunks))
-	for ci, c := range chunks {
-		ci, c := ci, c
-		jobs[ci] = func() {
-			n := c.Size()
-			if n == 0 {
-				return
-			}
-			// Reference inputs: visibility is checked on the referenced
-			// base rows.
-			if ref, ok := c.GetSegment(0).(*storage.ReferenceSegment); ok {
-				baseTable := ref.ReferencedTable()
-				pos := ref.PosList()
-				var keep types.PosList
-				for o := 0; o < n; o++ {
-					rid := pos[o]
-					if rid.IsNull() {
-						continue
-					}
-					mvcc := baseTable.GetChunk(rid.Chunk).MvccData()
-					if mvcc == nil || concurrency.Visible(mvcc, rid.Offset, tid, snapshot) {
-						keep = append(keep, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
-					}
-				}
-				rowsPerChunk[ci] = keep
-				return
-			}
-			mvcc := c.MvccData()
-			if mvcc == nil {
-				rowsPerChunk[ci] = identityPositions(types.ChunkID(ci), n)
-				return
-			}
-			var keep types.PosList
-			for o := 0; o < n; o++ {
-				if concurrency.Visible(mvcc, types.ChunkOffset(o), tid, snapshot) {
-					keep = append(keep, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
-				}
-			}
-			rowsPerChunk[ci] = keep
-		}
-	}
-	ctx.runJobs(jobs)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return buildReferenceTable(input, rowsPerChunk, nil), nil
 }

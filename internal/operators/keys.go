@@ -319,7 +319,7 @@ func evalKeys(ctx *ExecContext, t *storage.Table, keys []expression.Expression) 
 		jobs[mi] = func() {
 			for ci := m.lo; ci < m.hi && ctx.Err() == nil; ci++ {
 				n := chunks[ci].Size()
-				ec := ctx.evalContext(t, chunks[ci], n)
+				ec := ctx.evalContext(chunks[ci], n, nil)
 				for k, key := range keys {
 					vecs[k][ci] = &expression.Vector{} // an empty chunk adds no rows and no type
 					if n > 0 {

@@ -407,13 +407,12 @@ func AnnotatedPlanString(root Operator, tr *observe.Trace) string {
 	return b.String()
 }
 
-// dynamicVector materializes a segment through the per-value interface
-// path (Segment.ValueAt), the dynamic-polymorphism baseline.
-func dynamicVector(seg storage.Segment) *expression.Vector {
-	n := seg.Len()
-	pos := make([]types.ChunkOffset, n)
-	for i := range pos {
-		pos[i] = types.ChunkOffset(i)
+// dynamicVector materializes the offsets pos of a segment (nil: all of it)
+// through the per-value interface path (Segment.ValueAt), the
+// dynamic-polymorphism baseline.
+func dynamicVector(seg storage.Segment, pos []types.ChunkOffset) *expression.Vector {
+	if pos == nil {
+		pos = identityOffsets(seg.Len())
 	}
 	switch seg.DataType() {
 	case types.TypeInt64:
@@ -428,9 +427,10 @@ func dynamicVector(seg storage.Segment) *expression.Vector {
 	}
 }
 
-// evalContext builds an expression evaluation context over one chunk of a
-// table, with lazily materialized columns and subquery executors.
-func (ctx *ExecContext) evalContext(table *storage.Table, chunk *storage.Chunk, n int) *expression.Context {
+// evalContext builds an expression evaluation context over n rows of one
+// chunk — the rows at offsets pos, or with a nil pos the whole chunk — with
+// lazily materialized columns and subquery executors.
+func (ctx *ExecContext) evalContext(chunk *storage.Chunk, n int, pos []types.ChunkOffset) *expression.Context {
 	cache := make(map[int]*expression.Vector)
 	ec := &expression.Context{
 		N:      n,
@@ -444,9 +444,12 @@ func (ctx *ExecContext) evalContext(table *storage.Table, chunk *storage.Chunk, 
 			}
 			seg := chunk.GetSegment(types.ColumnID(i))
 			var v *expression.Vector
-			if ctx.DynamicAccess {
-				v = dynamicVector(seg)
-			} else {
+			switch {
+			case ctx.DynamicAccess:
+				v = dynamicVector(seg, pos)
+			case pos != nil:
+				v = expression.VectorFromSegmentPositions(seg, pos)
+			default:
 				v = expression.VectorFromSegment(seg)
 			}
 			cache[i] = v

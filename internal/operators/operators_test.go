@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"hyrise/internal/concurrency"
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
+	"hyrise/internal/lqp"
 	"hyrise/internal/scheduler"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -89,7 +91,7 @@ func eq(l, r expression.Expression) *expression.Comparison {
 	return &expression.Comparison{Op: expression.Eq, Left: l, Right: r}
 }
 
-// --- GetTable / Validate ---------------------------------------------------
+// --- GetTable / visibility -------------------------------------------------
 
 func TestGetTable(t *testing.T) {
 	sm := storage.NewStorageManager()
@@ -108,7 +110,15 @@ func TestGetTable(t *testing.T) {
 	}
 }
 
-func TestValidateFiltersInvisibleRows(t *testing.T) {
+// visibleScan is what the translator makes of a ValidateNode above preds over
+// a stored table.
+func visibleScan(table string, preds ...expression.Expression) *TableScan {
+	scan := NewTableScan(&GetTable{TableName: table}, preds...)
+	scan.visible = true
+	return scan
+}
+
+func TestScanFiltersInvisibleRows(t *testing.T) {
 	sm := storage.NewStorageManager()
 	defs := []storage.ColumnDefinition{{Name: "v", Type: types.TypeInt64}}
 	table := storage.NewTable("t", defs, 10, true)
@@ -128,7 +138,7 @@ func TestValidateFiltersInvisibleRows(t *testing.T) {
 
 	tx := tm.New()
 	ctx := NewExecContext(sm, nil, tx)
-	out, err := Execute(NewValidate(&GetTable{TableName: "t"}), ctx)
+	out, err := Execute(visibleScan("t"), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +147,42 @@ func TestValidateFiltersInvisibleRows(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("visible rows = %v, want %v", got, want)
 	}
-	// Validate without a transaction fails.
-	if _, err := Execute(NewValidate(&GetTable{TableName: "t"}), newCtx(t, sm)); err == nil {
-		t.Error("Validate without transaction should fail")
+	// The conjuncts run before visibility, over the same chunk.
+	out, err = Execute(visibleScan("t", &expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Int(2))}), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedRows(out), []string{"3", "4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("visible rows with v >= 2 = %v, want %v", got, want)
+	}
+	// A visible scan without a transaction fails.
+	if _, err := Execute(visibleScan("t"), newCtx(t, sm)); err == nil || !strings.Contains(err.Error(), "requires a transaction context") {
+		t.Errorf("visible scan without transaction: err = %v, want \"requires a transaction context\"", err)
+	}
+}
+
+// TestTranslateChain: predicates on either side of a ValidateNode become the
+// conjuncts of one visible scan, bottom one first; a ValidateNode whose chain
+// does not end in the stored table is refused, since visibility is read off
+// that table's MVCC columns.
+func TestTranslateChain(t *testing.T) {
+	table := storage.NewTable("t", []storage.ColumnDefinition{{Name: "v", Type: types.TypeInt64}}, 10, true)
+	lt := &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Int(9))}
+	ge := &expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Int(1))}
+
+	var chain lqp.Node = lqp.NewPredicateNode(lqp.NewStoredTableNode(table, ""), lt)
+	chain = lqp.NewPredicateNode(lqp.NewValidateNode(chain), ge)
+	op, err := new(Translator).Translate(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := PlanString(op), "TableScan("+lt.String()+" AND "+ge.String()+" AND visible)\n  GetTable(t)\n"; got != want {
+		t.Errorf("plan =\n%swant\n%s", got, want)
+	}
+
+	proj := lqp.NewProjectionNode(lqp.NewStoredTableNode(table, ""), []expression.Expression{col(0)}, []string{"v"})
+	if _, err := new(Translator).Translate(lqp.NewValidateNode(proj)); err == nil || !strings.Contains(err.Error(), "not over a stored table") {
+		t.Errorf("ValidateNode over a projection: err = %v", err)
 	}
 }
 
@@ -636,10 +679,6 @@ func dmlFixture(t *testing.T) (*storage.StorageManager, *concurrency.Transaction
 	return sm, concurrency.NewTransactionManager()
 }
 
-func validatePlan(table string) Operator {
-	return NewValidate(&GetTable{TableName: table})
-}
-
 func TestInsertDeleteUpdateLifecycle(t *testing.T) {
 	sm, tm := dmlFixture(t)
 
@@ -658,7 +697,7 @@ func TestInsertDeleteUpdateLifecycle(t *testing.T) {
 	}
 
 	readCtx := NewExecContext(sm, nil, tm.New())
-	out, _ := Execute(validatePlan("acc"), readCtx)
+	out, _ := Execute(visibleScan("acc"), readCtx)
 	if out.RowCount() != 5 {
 		t.Fatalf("after insert: %d rows, want 5", out.RowCount())
 	}
@@ -666,12 +705,12 @@ func TestInsertDeleteUpdateLifecycle(t *testing.T) {
 	// DELETE id = 1.
 	tx = tm.New()
 	ctx = NewExecContext(sm, nil, tx)
-	delPlan := NewDelete("acc", NewTableScan(validatePlan("acc"), eq(col(0), lit(types.Int(1)))))
+	delPlan := NewDelete("acc", visibleScan("acc", eq(col(0), lit(types.Int(1)))))
 	if _, err := Execute(delPlan, ctx); err != nil {
 		t.Fatal(err)
 	}
 	_ = tx.Commit()
-	out, _ = Execute(validatePlan("acc"), NewExecContext(sm, nil, tm.New()))
+	out, _ = Execute(visibleScan("acc"), NewExecContext(sm, nil, tm.New()))
 	if out.RowCount() != 4 {
 		t.Fatalf("after delete: %d rows, want 4", out.RowCount())
 	}
@@ -682,12 +721,12 @@ func TestInsertDeleteUpdateLifecycle(t *testing.T) {
 	upPlan := NewUpdate("acc",
 		[]string{"bal"},
 		[]expression.Expression{&expression.Arithmetic{Op: expression.Add, Left: col(1), Right: lit(types.Float(1))}},
-		NewTableScan(validatePlan("acc"), eq(col(0), lit(types.Int(10)))))
+		visibleScan("acc", eq(col(0), lit(types.Int(10)))))
 	if _, err := Execute(upPlan, ctx); err != nil {
 		t.Fatal(err)
 	}
 	_ = tx.Commit()
-	final, _ := Execute(NewTableScan(validatePlan("acc"), eq(col(0), lit(types.Int(10)))), NewExecContext(sm, nil, tm.New()))
+	final, _ := Execute(visibleScan("acc", eq(col(0), lit(types.Int(10)))), NewExecContext(sm, nil, tm.New()))
 	rows := tableRows(final)
 	if len(rows) != 1 || rows[0] != "10|51" {
 		t.Errorf("after update = %v, want [10|51]", rows)
@@ -701,7 +740,7 @@ func TestInsertDeleteUpdateLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Rollback()
-	out, _ = Execute(validatePlan("acc"), NewExecContext(sm, nil, tm.New()))
+	out, _ = Execute(visibleScan("acc"), NewExecContext(sm, nil, tm.New()))
 	if out.RowCount() != 4 {
 		t.Errorf("after rollback: %d rows, want 4", out.RowCount())
 	}

@@ -148,6 +148,15 @@ func identityPositions(chunkID types.ChunkID, n int) types.PosList {
 	return out
 }
 
+// identityOffsets lists every offset of an n-row chunk in order.
+func identityOffsets(n int) []types.ChunkOffset {
+	out := make([]types.ChunkOffset, n)
+	for i := range out {
+		out[i] = types.ChunkOffset(i)
+	}
+	return out
+}
+
 // flattenRows lists every row of a table in order (chunk by chunk).
 func flattenRows(t *storage.Table) types.PosList {
 	out := make(types.PosList, 0, t.RowCount())

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"time"
 
 	"hyrise/internal/encoding"
@@ -224,9 +225,10 @@ func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate, 
 
 // noteScan records a scan's decision on the trace span, so EXPLAIN ANALYZE
 // shows it with the estimate behind it (estRows < 0: none was made, see
-// scanCost), and what the ladder did: the chunks it pruned — their rows count
-// neither as the span's input nor as rows_scanned — and the chunks that
-// answered through their index. Only a real fan-out reaches scan.morsels and
+// scanCost), and what the pass did: the chunks it pruned — their rows count
+// neither as the span's input nor as rows_scanned — the chunks that answered
+// through their index, the rows left after each conjunct of the chain and the
+// rows visibility hid. Only a real fan-out reaches scan.morsels and
 // scan.parallel_ns, which measure morsel-parallel scans alone.
 func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, morsels int, wallNS, estRows int64) {
 	pruned, prunedRows := scan.pruned.Load(), scan.prunedRows.Load()
@@ -250,6 +252,12 @@ func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, mo
 		}
 		if n := scan.probed.Load(); n > 0 {
 			tr.AddOpAttr(op, "index_chunks", n)
+		}
+		for k := range scan.after {
+			tr.AddOpAttr(op, fmt.Sprintf("rows_after_%d", k+1), scan.after[k].Load())
+		}
+		if scan.visible {
+			tr.AddOpAttr(op, "rows_invisible", scan.invisible.Load())
 		}
 	}
 }

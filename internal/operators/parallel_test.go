@@ -64,17 +64,25 @@ func diffTables(t *testing.T, sm *storage.StorageManager) []*storage.Table {
 	}
 }
 
-func scanPredicates() map[string]expression.Expression {
-	return map[string]expression.Expression{
-		"eq":           eq(col(0), lit(types.Int(1))),
-		"between_edge": &expression.Between{Child: col(0), Lo: lit(types.Int(4)), Hi: lit(types.Int(10))}, // spans a 5-row chunk boundary
-		"lt":           &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Int(50))},
-		"is_null":      &expression.IsNull{Child: col(1)},
-		"all_null_col": &expression.IsNull{Child: col(2), Negate: true}, // matches nothing
-		"complex": eq(
-			&expression.Arithmetic{Op: expression.Mod, Left: col(0), Right: lit(types.Int(7))},
-			lit(types.Int(2)),
-		), // not a simple predicate: exercises the fallback ladder per morsel
+// scanPredicates are predicate chains: the conjuncts of one TableScan, in
+// execution order.
+func scanPredicates() map[string][]expression.Expression {
+	lt := &expression.Comparison{Op: expression.Lt, Left: col(0), Right: lit(types.Int(50))}
+	isNull := &expression.IsNull{Child: col(1)}
+	complex := eq(
+		&expression.Arithmetic{Op: expression.Mod, Left: col(0), Right: lit(types.Int(7))},
+		lit(types.Int(2)),
+	) // not a simple predicate: exercises the fallback ladder per morsel
+	return map[string][]expression.Expression{
+		"eq":            {eq(col(0), lit(types.Int(1)))},
+		"between_edge":  {&expression.Between{Child: col(0), Lo: lit(types.Int(4)), Hi: lit(types.Int(10))}}, // spans a 5-row chunk boundary
+		"lt":            {lt},
+		"is_null":       {isNull},
+		"all_null_col":  {&expression.IsNull{Child: col(2), Negate: true}}, // matches nothing
+		"complex":       {complex},
+		"chain":         {lt, complex, isNull}, // ladder, then two conjuncts over the survivors
+		"chain_complex": {complex, isNull, lt}, // fallback first
+		"chain_empty":   {lt, &expression.IsNull{Child: col(2), Negate: true}, complex},
 	}
 }
 
@@ -85,21 +93,31 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	defer sched.Shutdown()
 
 	for _, table := range tables {
-		for name, pred := range scanPredicates() {
+		for name, chain := range scanPredicates() {
 			t.Run(table.Name()+"/"+name, func(t *testing.T) {
 				sctx := NewExecContext(sm, nil, nil)
 				sctx.Parallel = ParallelSerial
-				serial, err := Execute(NewTableScan(&GetTable{TableName: table.Name()}, pred), sctx)
+				// The reference is the chain as a stack of one-conjunct scans,
+				// each re-reading the reference table of the one below.
+				var stacked Operator = &GetTable{TableName: table.Name()}
+				for _, pred := range chain {
+					stacked = NewTableScan(stacked, pred)
+				}
+				want, err := Execute(stacked, sctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := Execute(NewTableScan(&GetTable{TableName: table.Name()}, pred), parallelCtx(sm, sched))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(tableRows(serial), tableRows(par)) {
-					t.Fatalf("parallel scan diverged from serial:\nserial: %v\nparallel: %v",
-						tableRows(serial), tableRows(par))
+				dctx := NewExecContext(sm, nil, nil)
+				dctx.DynamicAccess = true
+				for mode, ctx := range map[string]*ExecContext{"serial": sctx, "parallel": parallelCtx(sm, sched), "dynamic": dctx} {
+					got, err := Execute(NewTableScan(&GetTable{TableName: table.Name()}, chain...), ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(tableRows(want), tableRows(got)) {
+						t.Fatalf("%s chain scan diverged from the stacked scans:\nstacked: %v\nchain: %v",
+							mode, tableRows(want), tableRows(got))
+					}
 				}
 			})
 		}

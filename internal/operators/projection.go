@@ -83,7 +83,7 @@ func (op *Projection) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.T
 					continue
 				}
 				if ec == nil {
-					ec = ctx.evalContext(input, c, n)
+					ec = ctx.evalContext(c, n, nil)
 				}
 				vec, err := expression.Evaluate(e, ec)
 				if err != nil {

@@ -75,7 +75,7 @@ func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, 
 		if cn == 0 {
 			return
 		}
-		ec := ctx.evalContext(input, c, cn)
+		ec := ctx.evalContext(c, cn, nil)
 		for ki, k := range op.Keys {
 			v, err := expression.Evaluate(k.Expr, ec)
 			if err != nil {

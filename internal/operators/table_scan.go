@@ -1,10 +1,13 @@
 package operators
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"hyrise/internal/concurrency"
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/observe"
@@ -12,32 +15,44 @@ import (
 	"hyrise/internal/types"
 )
 
-// TableScan filters rows by a predicate. Simple predicates of the form
+// TableScan filters rows by a conjunctive predicate chain, one pass per chunk
+// (paper §2.6: the surviving positions are what moves from conjunct to
+// conjunct, nothing is materialized in between). Simple predicates of the form
 // `column OP literal` run directly on the encoded representation via
 // encoding.ScannableSegment (paper §2.3): value-id comparison for
 // dictionaries, offset-domain block scans for frame-of-reference, per-run
 // evaluation for run-length — after a prune that skips the chunks whose
-// filters prove that the predicate cannot match and, for a selective
+// filters prove that some conjunct cannot match and, for a selective
 // predicate on a chunk that carries a secondary index (paper §2.4), an index
 // probe. Everything else falls back to the vectorized expression evaluator
 // over materialized columns.
 type TableScan struct {
-	Predicate expression.Expression
-	input     Operator
-	// chain holds the predicates of the scans above this one in the same
-	// conjunctive predicate chain, set by the translator on the scan that
-	// reads the stored table. They only prune here; each still runs as its
-	// own scan.
-	chain []expression.Expression
+	// preds are the chain's conjuncts in execution order: the first runs
+	// through the ladder over whole chunks, each further one over the offsets
+	// that survived so far. Empty for a chain that only checks visibility.
+	preds []expression.Expression
+	// visible drops, last, the rows the context's transaction must not see
+	// (paper §2.8) — where the chain held a ValidateNode.
+	visible bool
+	input   Operator
 }
 
-// NewTableScan builds a scan.
-func NewTableScan(in Operator, pred expression.Expression) *TableScan {
-	return &TableScan{Predicate: pred, input: in}
+// NewTableScan builds a scan of preds, in that order.
+func NewTableScan(in Operator, preds ...expression.Expression) *TableScan {
+	return &TableScan{preds: preds, input: in}
 }
 
 // Name implements Operator.
-func (op *TableScan) Name() string { return "TableScan(" + op.Predicate.String() + ")" }
+func (op *TableScan) Name() string {
+	parts := make([]string, len(op.preds), len(op.preds)+1)
+	for i, p := range op.preds {
+		parts[i] = p.String()
+	}
+	if op.visible {
+		parts = append(parts, "visible")
+	}
+	return "TableScan(" + strings.Join(parts, " AND ") + ")"
+}
 
 // Inputs implements Operator.
 func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
@@ -45,11 +60,15 @@ func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
 // Run implements Operator: the chunk list is split into morsels (runs of
 // consecutive chunks, see morselRanges) and each morsel runs the scan ladder
 // (chunkScan) as one scheduler task. decideParallel keeps the scan in one
-// morsel when the fan-out would not amortize.
+// morsel when the fan-out would not amortize; it is asked once for the whole
+// chain, whose later conjuncts and visibility check ride on the same tasks.
 func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
+	if op.visible && ctx.Tx == nil {
+		return nil, fmt.Errorf("operators: a visible TableScan requires a transaction context")
+	}
 	chunks := input.Chunks()
-	scan := newChunkScan(ctx, input, op.Predicate, op.chain)
+	scan := newChunkScan(ctx, input, op.preds, op.visible)
 
 	// One morsel over every chunk is the serial scan.
 	morsels := []morsel{{lo: 0, hi: len(chunks)}}
@@ -100,48 +119,51 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 	return buildReferenceTable(input, rowsPerChunk, nil), nil
 }
 
-// chunkScan is the per-chunk scan ladder: filter prune → index probe →
-// encoded scan → typed scan over unencoded values → vectorized expression
-// evaluation over materialized columns. Each chunk takes the first rung that
-// applies to it. The prune rung is the engine's only pruning site (paper
-// §2.4): it runs per execution, so it sees a prepared statement's bound
-// values and filters attached after the plan was cached, and the scan always
-// reads the stored table itself, whose chunk ids DML writes into its redo
-// records. Everything a chunk needs is resolved once per operator run; run is
-// safe to call from concurrent tasks on distinct chunks.
+// chunkScan is the per-chunk pass of a predicate chain: filter prune → first
+// conjunct by the ladder (index probe → encoded scan → typed scan over
+// unencoded values → vectorized expression evaluation over materialized
+// columns; each chunk takes the first rung that applies to it) → every further
+// conjunct evaluated over the surviving offsets only → visibility over those
+// same offsets. Visibility comes last because it is the one rung that must
+// read per-row state no filter, index or encoding summarizes: every conjunct
+// before it shrinks the rows it looks at, and no predicate depends on it. The
+// prune rung is the engine's only pruning site (paper §2.4): it runs per
+// execution, so it sees a prepared statement's bound values and filters
+// attached after the plan was cached, and the scan always reads the stored
+// table itself, whose chunk ids DML writes into its redo records. Everything a
+// chunk needs is resolved once per operator run; run is safe to call from
+// concurrent tasks on distinct chunks.
 type chunkScan struct {
-	ctx    *ExecContext
-	input  *storage.Table
-	pred   expression.Expression
-	simple *simplePredicate         // nil when pred is not `column OP literal`
-	cell   *observe.ColumnScanStats // telemetry of simple's column; nil without
-	prune  []*simplePredicate       // simple and the chain's simple predicates that bound their column
-	probe  bool                     // the index rung is open (TableScan.Run decides)
+	ctx     *ExecContext
+	input   *storage.Table
+	preds   []expression.Expression
+	visible bool
+	simple  *simplePredicate         // nil when preds[0] is not `column OP literal`
+	cell    *observe.ColumnScanStats // telemetry of simple's column; nil without
+	prune   []*simplePredicate       // the chain's simple predicates that bound their column
+	probe   bool                     // the index rung is open (TableScan.Run decides)
 
-	pruned, prunedRows atomic.Int64 // chunks the prune rung skipped, and their rows
-	probed             atomic.Int64 // chunks the index rung answered
+	pruned, prunedRows atomic.Int64   // chunks the prune rung skipped, and their rows
+	probed             atomic.Int64   // chunks the index rung answered
+	after              []atomic.Int64 // rows that survived conjunct k
+	invisible          atomic.Int64   // rows the visibility rung hid
 }
 
-func newChunkScan(ctx *ExecContext, input *storage.Table, pred expression.Expression, chain []expression.Expression) *chunkScan {
-	s := &chunkScan{ctx: ctx, input: input, pred: pred}
-	s.simple = s.analyze(pred)
-	s.cell = ctx.scanStatsCell(input, s.simple)
-	for _, e := range chain {
-		s.analyze(e)
-	}
-	return s
-}
-
-// analyze recognizes a simple predicate and enlists it for the prune rung
-// when it bounds its column.
-func (s *chunkScan) analyze(e expression.Expression) *simplePredicate {
-	p := analyzeSimplePredicate(e, s.ctx.Params)
-	if p != nil {
-		if _, _, ok := scanInterval(&p.pred); ok {
-			s.prune = append(s.prune, p)
+func newChunkScan(ctx *ExecContext, input *storage.Table, preds []expression.Expression, visible bool) *chunkScan {
+	s := &chunkScan{ctx: ctx, input: input, preds: preds, visible: visible, after: make([]atomic.Int64, len(preds))}
+	for i, e := range preds {
+		p := analyzeSimplePredicate(e, ctx.Params)
+		if i == 0 {
+			s.simple = p
+			s.cell = ctx.scanStatsCell(input, p)
+		}
+		if p != nil {
+			if _, _, ok := scanInterval(&p.pred); ok {
+				s.prune = append(s.prune, p)
+			}
 		}
 	}
-	return p
+	return s
 }
 
 // record files one chunk's scan under the column of the predicate that
@@ -149,8 +171,8 @@ func (s *chunkScan) analyze(e expression.Expression) *simplePredicate {
 func (s *chunkScan) record(p *simplePredicate, kind observe.ScanPathKind, rowsIn, rowsOut int) {
 	cell := s.cell
 	if p != s.simple {
-		// A predicate from further up the chain pruned the chunk; its column
-		// gets a cell only now that there is something to file under it.
+		// A later conjunct pruned the chunk; its column gets a cell only now
+		// that there is something to file under it.
 		cell = s.ctx.scanStatsCell(s.input, p)
 	}
 	if cell != nil {
@@ -164,43 +186,92 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	ctx := s.ctx
 	for _, p := range s.prune {
 		if pruneChunkScan(c, p) {
-			noteScanPath(ctx, observe.ScanPathPruned, 0)
+			noteScanPath(s.ctx, observe.ScanPathPruned, 0)
 			s.pruned.Add(1)
 			s.prunedRows.Add(int64(n))
 			s.record(p, observe.ScanPathPruned, n, 0)
 			return nil, nil
 		}
 	}
-	if s.simple != nil && !ctx.DynamicAccess {
+	var offsets []types.ChunkOffset
+	if len(s.preds) == 0 {
+		offsets = identityOffsets(n)
+	}
+	for k, pred := range s.preds {
+		var err error
+		if k == 0 {
+			offsets, err = s.ladder(c, n)
+		} else {
+			offsets, err = s.eval(c, pred, offsets)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.after[k].Add(int64(len(offsets)))
+		if len(offsets) == 0 {
+			return nil, nil
+		}
+	}
+	if mvcc := c.MvccData(); s.visible && mvcc != nil {
+		survivors := len(offsets)
+		tid, snapshot := s.ctx.Tx.TID(), s.ctx.Tx.Snapshot()
+		offsets = slices.DeleteFunc(offsets, func(o types.ChunkOffset) bool {
+			return !concurrency.Visible(mvcc, o, tid, snapshot)
+		})
+		s.invisible.Add(int64(survivors - len(offsets)))
+	}
+	return offsetsToRows(types.ChunkID(ci), offsets), nil
+}
+
+// ladder answers the chain's first conjunct over the whole chunk by the first
+// rung that applies.
+func (s *chunkScan) ladder(c *storage.Chunk, n int) ([]types.ChunkOffset, error) {
+	if s.simple != nil && !s.ctx.DynamicAccess {
 		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe); ok {
-			noteScanPath(ctx, kind, enc)
+			noteScanPath(s.ctx, kind, enc)
 			if kind == observe.ScanPathIndex {
 				s.probed.Add(1)
 			}
 			s.record(s.simple, kind, n, len(matches))
-			return offsetsToRows(types.ChunkID(ci), matches), nil
+			return matches, nil
 		}
 	}
-	// Fallback: vectorized expression evaluation over materialized columns.
-	ec := ctx.evalContext(s.input, c, n)
-	countDecodedSegments(ctx, c, ec)
-	keep, err := expression.EvaluateBool(s.pred, ec)
+	matches, err := s.eval(c, s.preds[0], nil)
+	if err == nil && s.simple != nil {
+		s.record(s.simple, observe.ScanPathFallback, n, len(matches))
+	}
+	return matches, err
+}
+
+// eval is the fallback rung and the rung of every conjunct after the first:
+// vectorized expression evaluation over the columns pred reads, materialized
+// whole (offsets nil) or gathered at offsets, which it filters in place.
+func (s *chunkScan) eval(c *storage.Chunk, pred expression.Expression, offsets []types.ChunkOffset) ([]types.ChunkOffset, error) {
+	n := len(offsets)
+	if offsets == nil {
+		n = c.Size()
+	}
+	ec := s.ctx.evalContext(c, n, offsets)
+	if offsets == nil {
+		countDecodedSegments(s.ctx, c, ec)
+	}
+	keep, err := expression.EvaluateBool(pred, ec)
 	if err != nil {
 		return nil, err
 	}
-	var rows types.PosList
-	for o, k := range keep {
+	out := offsets[:0]
+	for i, k := range keep {
 		if k {
-			rows = append(rows, types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)})
+			o := types.ChunkOffset(i)
+			if offsets != nil {
+				o = offsets[i]
+			}
+			out = append(out, o)
 		}
 	}
-	if s.simple != nil {
-		s.record(s.simple, observe.ScanPathFallback, n, len(rows))
-	}
-	return rows, nil
+	return out, nil
 }
 
 // indexed reports whether some chunk could answer through the index rung:

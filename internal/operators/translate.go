@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/lqp"
@@ -172,54 +173,44 @@ func (t *Translator) translate(node lqp.Node) (Operator, error) {
 }
 
 // translateChain translates a run of PredicateNodes and ValidateNodes — the
-// nodes that pass their input's rows on in place — into a stack of scans.
-// The scan that reads a stored table directly is handed the predicates of all
-// scans above it, so that its prune rung skips every chunk that some
-// predicate of the chain rules out (paper §2.4: pruning "can be propagated
-// through conjunctive predicate chains down to the plan node that initially
-// represents the input table"); each predicate still runs as its own scan.
-// The run is translated as a whole, without the memo: a scan that another
-// parent shares must not prune by this parent's predicates.
+// nodes that pass their input's rows on in place — into one TableScan: the
+// predicates become its conjuncts, bottom one first, a ValidateNode its
+// visibility check. Over a stored table every conjunct prunes (paper §2.4:
+// pruning "can be propagated through conjunctive predicate chains down to the
+// plan node that initially represents the input table"). The run is translated
+// as a whole, without the memo: a scan that another parent shares must not
+// filter by this parent's predicates.
 func (t *Translator) translateChain(top lqp.Node) (Operator, error) {
-	var chain []lqp.Node
+	var preds []expression.Expression
+	visible := false
 	bottom := top
-	for inChain(bottom) {
-		chain = append(chain, bottom)
+chain:
+	for {
+		switch n := bottom.(type) {
+		case *lqp.PredicateNode:
+			pred, err := t.fixSubqueries(n.Predicate)
+			if err != nil {
+				return nil, err
+			}
+			preds = append(preds, pred)
+		case *lqp.ValidateNode:
+			visible = true
+		default:
+			break chain
+		}
 		bottom = bottom.Inputs()[0]
 	}
-	op, err := t.Translate(bottom)
+	if _, stored := bottom.(*lqp.StoredTableNode); visible && !stored {
+		return nil, fmt.Errorf("operators: ValidateNode in a chain over %T, not over a stored table", bottom)
+	}
+	in, err := t.Translate(bottom)
 	if err != nil {
 		return nil, err
 	}
-	var base *TableScan // the scan that reads the stored table
-	for i := len(chain) - 1; i >= 0; i-- {
-		n, ok := chain[i].(*lqp.PredicateNode)
-		if !ok {
-			op = NewValidate(op)
-			continue
-		}
-		pred, err := t.fixSubqueries(n.Predicate)
-		if err != nil {
-			return nil, err
-		}
-		scan := NewTableScan(op, pred)
-		if _, stored := op.(*GetTable); stored {
-			base = scan
-		} else if base != nil {
-			base.chain = append(base.chain, pred)
-		}
-		op = scan
-	}
-	return op, nil
-}
-
-// inChain reports whether n is a node translateChain stacks.
-func inChain(n lqp.Node) bool {
-	switch n.(type) {
-	case *lqp.PredicateNode, *lqp.ValidateNode:
-		return true
-	}
-	return false
+	slices.Reverse(preds)
+	scan := NewTableScan(in, preds...)
+	scan.visible = visible
+	return scan, nil
 }
 
 func (t *Translator) translateJoin(n *lqp.JoinNode) (Operator, error) {

@@ -189,6 +189,27 @@ func TestPredicateSplitAndPushdown(t *testing.T) {
 	}
 }
 
+// TestPushdownKeepsValidateOverStoredTable: a plain predicate sinks below a
+// ValidateNode, one that holds a subquery stays above it — SubqueryToJoinRule
+// may still turn it into a join, and the chain a ValidateNode sits in must end
+// in the stored table whose MVCC columns visibility reads.
+func TestPushdownKeepsValidateOverStoredTable(t *testing.T) {
+	orders, err := catalog(t).GetTable("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := lqp.NewValidateNode(lqp.NewStoredTableNode(orders, ""))
+	plain := &expression.Comparison{Op: expression.Gt, Left: col(2), Right: lit(types.Float(500))}
+	if _, placed := pushInto(validate, plain); !placed || !planContains(validate.Inputs()[0], "Predicate(") {
+		t.Errorf("plain predicate not pushed below the ValidateNode:\n%s", lqp.PlanString(validate))
+	}
+	below := lqp.PlanString(validate)
+	in := &expression.In{Child: col(1), Subquery: &expression.Subquery{Plan: lqp.NewStoredTableNode(orders, "o2"), ID: 1}}
+	if _, placed := pushInto(validate, in); placed || lqp.PlanString(validate) != below {
+		t.Errorf("predicate with a subquery pushed below the ValidateNode:\n%s", lqp.PlanString(validate))
+	}
+}
+
 func TestJoinOrderingReordersByCardinality(t *testing.T) {
 	sm := catalog(t)
 	// item (3000) x orders (1000) x cust (50): the optimizer should join the

@@ -93,11 +93,17 @@ func pushInto(node lqp.Node, pred expression.Expression) (lqp.Node, bool) {
 		return node, true
 
 	case *lqp.ValidateNode:
-		// Scanning before validating is always beneficial: the scan runs
-		// specialized on encoded data segments (not on reference output),
-		// chunk pruning applies, and Validate sees fewer rows. Predicates
-		// over MVCC tables are visibility-independent, so the result set is
-		// unchanged.
+		// The ValidateNode and the predicates around it become one scan that
+		// checks visibility last (operators.TableScan), whichever side of it
+		// a predicate sits on; predicates over MVCC tables are
+		// visibility-independent. Sinking them below it keeps the chain's
+		// predicates adjacent for PredicateReorderingRule. One that holds a
+		// subquery stays above: SubqueryToJoinRule may still turn it into a
+		// join, and visibility is read off the stored table's MVCC columns,
+		// not through a join's reference table.
+		if containsSubquery(pred) {
+			return node, false
+		}
 		below, placed := pushInto(n.Inputs()[0], pred)
 		if !placed {
 			below = lqp.NewPredicateNode(n.Inputs()[0], pred)

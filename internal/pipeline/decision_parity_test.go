@@ -27,7 +27,10 @@ type parallelDecisions struct {
 // TestTPCHParallelDecisionParity pins the engine's automatic parallelism
 // choices: at default settings on a 4-worker scheduler every TPC-H query must
 // fan out exactly as recorded in testdata (captured at the commit before the
-// gates were merged into decideParallel). A changed constant or gate shows up
+// gates were merged into decideParallel; scan_morsels re-recorded when a
+// predicate chain became one scan that asks the gate once — a stacked scan
+// over a large reference table no longer asks for itself, a chain that only
+// checks visibility now asks at all). A changed constant or gate shows up
 // here as a per-query diff; after a deliberate change re-record with
 // `go test ./internal/pipeline -run TPCHParallelDecisionParity -update-golden`.
 func TestTPCHParallelDecisionParity(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // through every SQL entry point including the wire protocol (real Hyrise's
 // meta_* tables serve the same role). Providers build a fresh snapshot per
 // query, so repeated SELECTs observe advancing telemetry. They are built
-// without MVCC columns: the translator plants no Validate node over them,
+// without MVCC columns: the translator plants no ValidateNode over them,
 // and the snapshot is immutable anyway.
 
 // registerMetaTables installs the engine's virtual system tables in the

@@ -38,8 +38,7 @@ type Config struct {
 	// close to how they are written.
 	UseOptimizer bool
 	// UseMvcc enables multi-version concurrency control; without it,
-	// tables are effectively read-only and no Validate operators are
-	// planned.
+	// tables are effectively read-only and no scan checks visibility.
 	UseMvcc bool
 	// UseScheduler runs operator tasks on the node-queue scheduler;
 	// without it, tasks execute immediately in the calling goroutine.

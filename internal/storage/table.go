@@ -136,7 +136,7 @@ func (t *Table) AppendChunk(c *Chunk) {
 }
 
 // RowCount returns the total number of rows across chunks (including rows
-// that MVCC has invalidated — visibility is the Validate operator's job).
+// that MVCC has invalidated — visibility is the scan's last rung).
 func (t *Table) RowCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
