@@ -249,7 +249,7 @@ func BenchmarkFig7Memory(b *testing.B) {
 // --- §2.9: scheduler -----------------------------------------------------------------
 
 // BenchmarkScheduler measures TPC-H Q6 with immediate execution and with
-// the node-queue scheduler at several worker counts.
+// the queue scheduler at several worker counts.
 func BenchmarkScheduler(b *testing.B) {
 	queries := tpch.Queries(benchSF)
 	configs := []struct {

@@ -95,10 +95,6 @@ func runSched(sf float64, runs int) {
 		cfg := pipeline.DefaultConfig()
 		cfg.UseScheduler = useSched
 		cfg.SchedulerWorkers = workers
-		cfg.SchedulerNodes = 1
-		if workers >= 4 {
-			cfg.SchedulerNodes = 2
-		}
 		return cfg
 	}
 	variants := []variant{

@@ -32,7 +32,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:5433", "listen address")
 		tpchSF      = flag.Float64("tpch", 0, "preload TPC-H data at this scale factor (0 = none)")
-		scheduler   = flag.Bool("scheduler", false, "enable the node-queue scheduler")
+		scheduler   = flag.Bool("scheduler", false, "enable the task scheduler")
 		debugAddr   = flag.String("debug-addr", "", "serve pprof and /metrics on this address (empty = disabled)")
 		slowLog     = flag.Bool("slow-log", false, "log slow queries to stderr")
 		slowThr     = flag.Duration("slow-threshold", server.DefaultSlowQueryThreshold, "slow-query log threshold")

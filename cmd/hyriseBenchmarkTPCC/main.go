@@ -27,7 +27,7 @@ func main() {
 		customers    = flag.Int("customers", 300, "customers per district (official: 3000)")
 		terminals    = flag.Int("terminals", 4, "concurrent terminals")
 		transactions = flag.Int("transactions", 500, "transactions per terminal")
-		scheduler    = flag.Bool("scheduler", false, "enable the node-queue scheduler")
+		scheduler    = flag.Bool("scheduler", false, "enable the task scheduler")
 	)
 	flag.Parse()
 

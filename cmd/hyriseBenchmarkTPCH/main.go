@@ -32,7 +32,7 @@ func main() {
 		chunkSize   = flag.Int("chunksize", storage.DefaultChunkSize, "chunk capacity in rows")
 		encodingArg = flag.String("encoding", "dict", "segment encoding: dict|rle|for|none")
 		compression = flag.String("compression", "fsba", "attribute vector compression: fsba|bp128")
-		scheduler   = flag.Bool("scheduler", false, "enable the node-queue scheduler")
+		scheduler   = flag.Bool("scheduler", false, "enable the task scheduler")
 		workers     = flag.Int("workers", 0, "scheduler workers (0 = one per core)")
 		optimizer   = flag.Bool("optimizer", true, "enable the optimizer")
 		mvcc        = flag.Bool("mvcc", true, "enable MVCC")

@@ -88,7 +88,7 @@ func Context(e *pipeline.Engine, extra map[string]string) map[string]string {
 
 func schedulerName(cfg pipeline.Config) string {
 	if cfg.UseScheduler {
-		return "NodeQueue"
+		return "Queue"
 	}
 	return "Immediate"
 }

@@ -82,7 +82,7 @@ func BenchmarkMicroJoin(b *testing.B) {
 	n := microRows()
 	l, r := microJoinTables(b, n, false)
 	l2, r2 := microJoinTables(b, n, true)
-	sched := scheduler.NewNodeQueueScheduler(1, 0) // 0 = one worker per CPU
+	sched := scheduler.New(0) // 0 = one worker per CPU
 	defer sched.Shutdown()
 
 	cases := []struct {
@@ -157,7 +157,7 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	n := microRows()
 	table := microAggTable(b, n, n/8, false) // group-heavy: the merge dominates
 	strTable := microAggTable(b, n, n/8, true)
-	sched := scheduler.NewNodeQueueScheduler(1, 0)
+	sched := scheduler.New(0)
 	defer sched.Shutdown()
 
 	cases := []struct {

@@ -1,8 +1,11 @@
 package benchmark
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
@@ -45,7 +48,7 @@ func microScanTable(b *testing.B, n int) *storage.Table {
 func BenchmarkMicroScanParallel(b *testing.B) {
 	n := microRows()
 	table := microScanTable(b, n)
-	sched := scheduler.NewNodeQueueScheduler(1, 0) // 0 = one worker per CPU
+	sched := scheduler.New(0) // 0 = one worker per CPU
 	defer sched.Shutdown()
 
 	pred := &expression.Between{
@@ -82,7 +85,7 @@ func BenchmarkMicroScanParallel(b *testing.B) {
 func BenchmarkMicroSort(b *testing.B) {
 	n := microRows()
 	table := microScanTable(b, n)
-	sched := scheduler.NewNodeQueueScheduler(1, 0)
+	sched := scheduler.New(0)
 	defer sched.Shutdown()
 
 	cases := []struct {
@@ -110,6 +113,55 @@ func BenchmarkMicroSort(b *testing.B) {
 					b.Fatal("sort dropped rows")
 				}
 			}
+		})
+	}
+}
+
+// fanOutRounds is how many fan-outs make one benchmark op: the CI gate runs
+// -benchtime=1x, and one sub-millisecond call would be all noise.
+const fanOutRounds = 20
+
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// BenchmarkMicroFanOut measures what a fan-out of two jobs costs end to end
+// when the workers are parked: the caller works alone for a millisecond (an
+// operator's serial phase), then hands two spin jobs of the named length to
+// RunGroup on a 2-worker scheduler. The reported ns/op is the mean duration
+// of the RunGroup call only; with both jobs running at once it is one job's
+// length plus the wake-up, and every microsecond a worker takes to notice
+// the second job shows. It needs two Ps to mean that, so it sets GOMAXPROCS
+// to 2 whatever the lane's value is.
+func BenchmarkMicroFanOut(b *testing.B) {
+	if runtime.NumCPU() < 2 {
+		b.Skip("needs two CPUs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sched := scheduler.New(2)
+	defer sched.Shutdown()
+
+	for _, tc := range []struct {
+		name string
+		job  time.Duration
+	}{
+		{"2x50us", 50 * time.Microsecond},
+		{"2x200us", 200 * time.Microsecond},
+		{"2x1ms", time.Millisecond},
+	} {
+		jobs := []func(){func() { spin(tc.job) }, func() { spin(tc.job) }}
+		b.Run(tc.name, func(b *testing.B) {
+			var inGroup time.Duration
+			for i := 0; i < b.N*fanOutRounds; i++ {
+				spin(time.Millisecond)
+				t0 := time.Now()
+				if err := scheduler.RunGroup(context.Background(), sched, jobs); err != nil {
+					b.Fatal(err)
+				}
+				inGroup += time.Since(t0)
+			}
+			b.ReportMetric(float64(inGroup.Nanoseconds())/float64(b.N*fanOutRounds), "ns/op")
 		})
 	}
 }

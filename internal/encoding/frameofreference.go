@@ -100,9 +100,6 @@ func (s *FrameOfReferenceSegment) initBlockStats(codes []uint64) {
 // Frames exposes the per-block minima.
 func (s *FrameOfReferenceSegment) Frames() []int64 { return s.frames }
 
-// OffsetVector exposes the compressed offset vector.
-func (s *FrameOfReferenceSegment) OffsetVector() UintVector { return s.offsets }
-
 // Get returns the value and null flag at offset i.
 func (s *FrameOfReferenceSegment) Get(i types.ChunkOffset) (int64, bool) {
 	if s.nulls != nil && s.nulls[i] {

@@ -14,7 +14,7 @@ type WaitKind uint8
 // Wait kinds.
 const (
 	// WaitSchedulerQueue is time between a task becoming ready (enqueued on
-	// a node queue) and a worker starting it.
+	// the ready queue) and a worker starting it.
 	WaitSchedulerQueue WaitKind = iota
 	// WaitWALSync is time a committing transaction blocks on the write-ahead
 	// log's group commit/fsync before the commit is acknowledged.

@@ -96,7 +96,7 @@ func TestAggregateParallelMergeMatchesSerial(t *testing.T) {
 	}
 	want := tableRows(serialOut)
 
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	for _, mode := range []ParallelMode{ParallelForce, ParallelSerial} {
 		ctx := NewExecContext(nil, sched, nil)

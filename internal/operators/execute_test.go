@@ -67,7 +67,7 @@ func TestExecuteErrorDeterministicUnderScheduler(t *testing.T) {
 	// The same failing plan must report the same root cause regardless of
 	// scheduler interleaving. The shallow failure is made fast and the deep
 	// one slow to tempt a racy implementation into picking the first error.
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	ctx := NewExecContext(storage.NewStorageManager(), sched, nil)
 

@@ -131,7 +131,7 @@ func allJoinModes() []JoinMode {
 }
 
 func TestJoinDifferentialAgainstReference(t *testing.T) {
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 
 	for _, ds := range joinDatasets() {
@@ -206,7 +206,7 @@ func TestRadixJoinCancellation(t *testing.T) {
 	ds := joinDataset{name: "cancel", left: rows, right: rows}
 	l, r := joinInputTables(t, ds, 4096)
 
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 
 	cctx, cancel := context.WithCancel(context.Background())

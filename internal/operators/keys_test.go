@@ -208,7 +208,7 @@ func keyCols(n int) []expression.Expression {
 }
 
 func TestKeyTableDifferential(t *testing.T) {
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	I, F, S := types.TypeInt64, types.TypeFloat64, types.TypeString
 

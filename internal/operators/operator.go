@@ -142,34 +142,18 @@ func (ctx *ExecContext) noteWait(kind observe.WaitKind, ns int64) {
 	}
 }
 
-// runJobs executes the closures, in parallel when a multi-worker scheduler
-// is available. Jobs not yet started when the statement context dies are
-// skipped — this is the chunk-granularity cancellation point of every
-// parallel operator (scan, join, aggregate, projection); callers must check
-// ctx.Err() after runJobs returns and surface it.
+// runJobs executes the closures as one task group: in parallel on a
+// multi-worker scheduler, inline otherwise (scheduler.TaskGroup.Wait). Jobs
+// not yet started when the statement context dies are skipped — this is the
+// chunk-granularity cancellation point of every parallel operator (scan,
+// join, aggregate, projection); callers must check ctx.Err() after runJobs
+// returns and surface it.
 func (ctx *ExecContext) runJobs(jobs []func()) {
-	if ctx.Scheduler == nil || ctx.Scheduler.WorkerCount() <= 1 {
-		for _, j := range jobs {
-			if ctx.Err() != nil {
-				return
-			}
-			j()
-		}
-		return
-	}
-	if len(jobs) == 1 {
-		if ctx.Err() == nil {
-			jobs[0]()
-		}
-		return
-	}
 	g := scheduler.NewTaskGroup(ctx.Ctx, ctx.Scheduler)
 	if ctx.Waits != nil || ctx.Trace != nil {
 		g.SetQueueWaitObserver(func(ns int64) { ctx.noteWait(observe.WaitSchedulerQueue, ns) })
 	}
-	for _, j := range jobs {
-		g.Go("", j)
-	}
+	g.Go(jobs...)
 	_ = g.Wait()
 }
 

@@ -768,10 +768,10 @@ func TestInsertValidation(t *testing.T) {
 
 // --- parallel execution --------------------------------------------------------------
 
-func TestExecuteWithNodeQueueScheduler(t *testing.T) {
+func TestExecuteWithQueueScheduler(t *testing.T) {
 	sm := storage.NewStorageManager()
 	numbersTable(t, sm, 8, 200)
-	sched := scheduler.NewNodeQueueScheduler(2, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	ctx := NewExecContext(sm, sched, nil)
 

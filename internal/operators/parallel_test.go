@@ -89,7 +89,7 @@ func scanPredicates() map[string][]expression.Expression {
 func TestParallelScanMatchesSerial(t *testing.T) {
 	sm := storage.NewStorageManager()
 	tables := diffTables(t, sm)
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 
 	for _, table := range tables {
@@ -127,7 +127,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 func TestParallelSortMatchesSerial(t *testing.T) {
 	sm := storage.NewStorageManager()
 	tables := diffTables(t, sm)
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 
 	keySets := map[string][]SortKey{
@@ -166,7 +166,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 func TestParallelScanCancellation(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 64, 20_000)
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	pred := &expression.Comparison{Op: expression.Ge, Left: col(0), Right: lit(types.Int(0))}
 
@@ -210,9 +210,9 @@ func TestParallelScanCancellation(t *testing.T) {
 // flips exactly at its parallelMinRows entry, a missing or single-worker
 // scheduler keeps everything serial, and the mode override beats both.
 func TestDecideParallel(t *testing.T) {
-	sched4 := scheduler.NewNodeQueueScheduler(1, 4)
+	sched4 := scheduler.New(4)
 	defer sched4.Shutdown()
-	sched1 := scheduler.NewNodeQueueScheduler(1, 1)
+	sched1 := scheduler.New(1)
 	defer sched1.Shutdown()
 
 	ops := map[string]parallelOp{"scan": opScan, "sort": opSort, "join": opJoin, "aggregate_merge": opAggregateMerge}
@@ -249,9 +249,9 @@ func TestDecideParallel(t *testing.T) {
 
 	// Fan-out: one task per worker, at least 2, join and merge rounded up to
 	// a power of two and capped.
-	sched300 := scheduler.NewNodeQueueScheduler(1, 300)
+	sched300 := scheduler.New(300)
 	defer sched300.Shutdown()
-	sched5 := scheduler.NewNodeQueueScheduler(1, 5)
+	sched5 := scheduler.New(5)
 	defer sched5.Shutdown()
 	for _, tc := range []struct {
 		sched                scheduler.Scheduler
@@ -279,7 +279,7 @@ func TestDecideParallel(t *testing.T) {
 func TestScanCost(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 64, 2_000)
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	cache := statistics.NewCache(statistics.EqualHeight)
 	cache.Get(table) // build once; the gate only ever Peeks

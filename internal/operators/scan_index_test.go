@@ -147,7 +147,7 @@ func TestScanLadderIndexRung(t *testing.T) {
 		"alternating": func(ci int) bool { return ci%2 == 0 },
 		"none":        func(int) bool { return false },
 	}
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	stats := statistics.NewCache(statistics.EqualHeight)
 	cases := rungCases()
@@ -235,7 +235,7 @@ func TestIndexRungEstimatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	stats := statistics.NewCache(statistics.EqualHeight)
 	stats.Get(indexed)
@@ -294,7 +294,7 @@ func TestIndexRungFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sched := scheduler.NewNodeQueueScheduler(1, 4)
+	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	stats := statistics.NewCache(statistics.EqualHeight)
 	stats.Get(plain)

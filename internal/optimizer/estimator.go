@@ -115,7 +115,16 @@ func (e *Estimator) Selectivity(pred expression.Expression, input lqp.Node) floa
 	case *expression.Exists:
 		return 0.5
 	case *expression.IsNull:
-		return 0.05
+		nulls := defaultEqSelectivity
+		if col, ok := p.Child.(*expression.BoundColumn); ok {
+			if st, id, ok := e.originStats(input, col.Index); ok && st.Columns[id] != nil {
+				nulls = st.Columns[id].NullFraction()
+			}
+		}
+		if p.Negate {
+			return 1 - nulls
+		}
+		return nulls
 	default:
 		return defaultOtherSelectivity
 	}

@@ -311,6 +311,42 @@ func TestPredicateReorderingBySelectivity(t *testing.T) {
 	}
 }
 
+// TestIsNullSelectivityFromStatistics: IS [NOT] NULL is estimated from the
+// column's NULL fraction, so on a NULL-free column `IS NOT NULL` keeps every
+// row and the selective equality runs first. A constant 0.05 for both forms
+// put the IS NOT NULL (which filters nothing) at the head of the chain.
+func TestIsNullSelectivityFromStatistics(t *testing.T) {
+	sm := catalog(t)
+	// i_qty = 5 keeps 10 % of item; i_order has no NULLs.
+	out := optimize(t, sm, "SELECT i_qty FROM item WHERE i_order IS NOT NULL AND i_qty = 5")
+	s := lqp.PlanString(out)
+	eqPos := strings.Index(s, "i_qty = 5")
+	nnPos := strings.Index(s, "IS NOT NULL")
+	if eqPos < 0 || nnPos < 0 {
+		t.Fatalf("predicates missing:\n%s", s)
+	}
+	if eqPos < nnPos {
+		t.Errorf("equality should be deeper (executes first):\n%s", s)
+	}
+
+	est := NewEstimator(statistics.NewCache(statistics.EqualHeight))
+	item, _ := sm.GetTable("item")
+	stored := lqp.NewStoredTableNode(item, "")
+	col := &expression.BoundColumn{Index: 0, DT: types.TypeInt64}
+	for _, tc := range []struct {
+		est    *Estimator
+		negate bool
+		want   float64
+	}{
+		{est, false, 0}, {est, true, 1},
+		{NewEstimator(nil), false, 0.05}, {NewEstimator(nil), true, 0.95},
+	} {
+		if got := tc.est.Selectivity(&expression.IsNull{Child: col, Negate: tc.negate}, stored); got != tc.want {
+			t.Errorf("selectivity(negate=%v, stats=%v) = %v, want %v", tc.negate, tc.est.Stats != nil, got, tc.want)
+		}
+	}
+}
+
 func TestEstimatorBasics(t *testing.T) {
 	sm := catalog(t)
 	est := NewEstimator(statistics.NewCache(statistics.EqualHeight))

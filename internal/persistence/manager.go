@@ -246,9 +246,6 @@ func (m *Manager) snapshotLoop(interval time.Duration) {
 	}
 }
 
-// SyncModeName returns the configured sync mode (for meta-tables).
-func (m *Manager) SyncModeName() string { return m.opts.Mode.String() }
-
 // Dir returns the data directory.
 func (m *Manager) Dir() string { return m.opts.Dir }
 

@@ -154,24 +154,6 @@ func (c *Conn) Close() error {
 	return c.c.Close()
 }
 
-// CancelRequest opens a fresh connection and fires the out-of-band cancel
-// for this connection's in-flight statement.
-func (c *Conn) CancelRequest(addr string) error {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer nc.Close()
-	var body []byte
-	body = binary.BigEndian.AppendUint32(body, 80877102)
-	body = binary.BigEndian.AppendUint32(body, c.BackendPID)
-	body = binary.BigEndian.AppendUint32(body, c.SecretKey)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)+4))
-	frame = append(frame, body...)
-	_, err = nc.Write(frame)
-	return err
-}
-
 // SimpleQuery runs sql through the simple protocol ('Q') and returns one
 // Result per statement. The first error is returned after draining to
 // ReadyForQuery, like drivers do.
@@ -343,9 +325,6 @@ func (c *Conn) Sync() error {
 
 // CloseStmt deallocates a named prepared statement (Close 'S' + Sync).
 func (c *Conn) CloseStmt(name string) error { return c.closeObject('S', name) }
-
-// ClosePortal destroys a named portal (Close 'P' + Sync).
-func (c *Conn) ClosePortal(name string) error { return c.closeObject('P', name) }
 
 func (c *Conn) closeObject(kind byte, name string) error {
 	c.writeMessage('C', append([]byte{kind}, append([]byte(name), 0)...))

@@ -46,7 +46,7 @@ func TestCancelMidFlightScan(t *testing.T) {
 	for _, useScheduler := range []bool{false, true} {
 		name := "immediate"
 		if useScheduler {
-			name = "node-queue"
+			name = "queue"
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()

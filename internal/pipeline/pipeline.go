@@ -40,12 +40,10 @@ type Config struct {
 	// UseMvcc enables multi-version concurrency control; without it,
 	// tables are effectively read-only and no scan checks visibility.
 	UseMvcc bool
-	// UseScheduler runs operator tasks on the node-queue scheduler;
+	// UseScheduler runs operator tasks on the worker-pool scheduler;
 	// without it, tasks execute immediately in the calling goroutine.
 	UseScheduler bool
-	// SchedulerNodes and SchedulerWorkers configure the scheduler topology
-	// (0 = defaults).
-	SchedulerNodes   int
+	// SchedulerWorkers is the scheduler's worker count (0 = one per CPU).
 	SchedulerWorkers int
 	// PlanCacheSize bounds the physical plan cache (0 disables caching).
 	PlanCacheSize int
@@ -195,7 +193,7 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 	}
 	e.opt = optimizer.NewDefault(e.stats)
 	if cfg.UseScheduler {
-		e.sched = scheduler.NewNodeQueueScheduler(cfg.SchedulerNodes, cfg.SchedulerWorkers)
+		e.sched = scheduler.New(cfg.SchedulerWorkers)
 	} else {
 		e.sched = scheduler.NewImmediateScheduler()
 	}

@@ -343,7 +343,6 @@ func TestOptimizerOnOffAgreement(t *testing.T) {
 func TestSchedulerOnOffAgreement(t *testing.T) {
 	cfgSched := DefaultConfig()
 	cfgSched.UseScheduler = true
-	cfgSched.SchedulerNodes = 2
 	cfgSched.SchedulerWorkers = 4
 	_, sOn := newTestEngine(t, cfgSched)
 	_, sOff := newTestEngine(t, DefaultConfig())

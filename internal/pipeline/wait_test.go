@@ -22,7 +22,7 @@ func traceWait(t *testing.T, tr *observe.Trace, kind observe.WaitKind) observe.W
 	return observe.WaitSpan{}
 }
 
-// TestWaitSpansSchedulerQueue runs a query on the node-queue scheduler and
+// TestWaitSpansSchedulerQueue runs a query on the queue scheduler and
 // checks that time spent in task queues shows up both on the statement's
 // trace and — with at least the same nanoseconds — in the global
 // wait.scheduler_queue_ns histogram.

@@ -14,60 +14,55 @@ import (
 type TaskGroup struct {
 	ctx       context.Context // nil = never canceled
 	sched     Scheduler
-	tasks     []*Task
+	jobs      []func()
 	queueWait func(ns int64)
 }
 
 // NewTaskGroup creates a group over the scheduler. A nil scheduler (or a
-// single-worker one) still works: Go falls back to inline execution at Wait
-// time via the immediate path.
+// single-worker one) still works: Wait then runs the closures inline.
 func NewTaskGroup(ctx context.Context, s Scheduler) *TaskGroup {
 	return &TaskGroup{ctx: ctx, sched: s}
 }
 
-// SetQueueWaitObserver attaches a queue-wait callback to every task added
-// after the call (see Task.ObserveQueueWait). Must be set before Go. The
-// callback may fire from multiple workers concurrently.
+// SetQueueWaitObserver attaches a queue-wait callback to every task of the
+// group (see Task.ObserveQueueWait). Must be set before Wait. The callback
+// may fire from multiple workers concurrently.
 func (g *TaskGroup) SetQueueWaitObserver(fn func(ns int64)) {
 	g.queueWait = fn
 }
 
-// Go adds one closure to the group. Closures must not call Wait on their own
+// Go adds closures to the group. Closures must not call Wait on their own
 // group. Go may be called multiple times before a single Wait.
-func (g *TaskGroup) Go(name string, fn func()) {
-	t := NewTask(fn).Named(name)
-	if g.ctx != nil {
-		t.WithContext(g.ctx)
-	}
-	if g.queueWait != nil {
-		t.ObserveQueueWait(g.queueWait)
-	}
-	g.tasks = append(g.tasks, t)
+func (g *TaskGroup) Go(fns ...func()) {
+	g.jobs = append(g.jobs, fns...)
 }
 
-// Wait schedules all added tasks and blocks until every one has completed
+// Wait runs all added closures and blocks until every one has completed
 // (run or skipped). It returns the context's error when the group was
-// canceled, nil otherwise — callers surface it exactly like runJobs +
-// ctx.Err(). After Wait returns no closure of the group is still running.
+// canceled, nil otherwise. After Wait returns no closure of the group is
+// still running.
+//
+// This is the one inline path of intra-operator parallelism: without a
+// multi-worker scheduler, or with a single closure, nothing is worth a queue
+// round trip and the closures run on the caller in submission order,
+// stopping once the context dies.
 func (g *TaskGroup) Wait() error {
-	if len(g.tasks) == 0 {
-		return g.err()
-	}
-	s := g.sched
-	if s == nil || s.WorkerCount() <= 1 {
-		// Inline: run in submission order, skipping once the context dies.
-		for _, t := range g.tasks {
+	jobs := g.jobs
+	g.jobs = nil
+	if g.sched == nil || g.sched.WorkerCount() <= 1 || len(jobs) == 1 {
+		for _, job := range jobs {
 			if g.err() != nil {
 				break
 			}
-			t.fn()
+			job()
 		}
-		g.tasks = g.tasks[:0]
 		return g.err()
 	}
-	tasks := g.tasks
-	g.tasks = nil
-	s.Schedule(tasks...)
+	tasks := make([]*Task, len(jobs))
+	for i, job := range jobs {
+		tasks[i] = NewTask(job).WithContext(g.ctx).ObserveQueueWait(g.queueWait)
+	}
+	g.sched.Schedule(tasks...)
 	WaitAll(tasks)
 	return g.err()
 }
@@ -82,8 +77,6 @@ func (g *TaskGroup) err() error {
 // RunGroup is the one-shot convenience: fan the jobs out and wait.
 func RunGroup(ctx context.Context, s Scheduler, jobs []func()) error {
 	g := NewTaskGroup(ctx, s)
-	for _, job := range jobs {
-		g.Go("", job)
-	}
+	g.Go(jobs...)
 	return g.Wait()
 }

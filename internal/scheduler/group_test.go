@@ -11,7 +11,7 @@ func TestTaskGroupInlineFallback(t *testing.T) {
 	var ran atomic.Int64
 	g := NewTaskGroup(context.Background(), nil)
 	for i := 0; i < 10; i++ {
-		g.Go("job", func() { ran.Add(1) })
+		g.Go(func() { ran.Add(1) })
 	}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestTaskGroupInlineFallback(t *testing.T) {
 }
 
 func TestTaskGroupOnScheduler(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 4)
+	s := New(4)
 	defer s.Shutdown()
 	var ran atomic.Int64
 	if err := RunGroup(context.Background(), s, makeJobs(100, &ran)); err != nil {
@@ -36,7 +36,7 @@ func TestTaskGroupOnScheduler(t *testing.T) {
 func TestTaskGroupNilContext(t *testing.T) {
 	var ran atomic.Int64
 	g := NewTaskGroup(nil, nil)
-	g.Go("", func() { ran.Add(1) })
+	g.Go(func() { ran.Add(1) })
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTaskGroupNilContext(t *testing.T) {
 // when the context dies mid-group, remaining tasks are skipped yet Wait
 // still returns (with the context error), and no closure runs afterwards.
 func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 2)
+	s := New(2)
 	defer s.Shutdown()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -57,11 +57,11 @@ func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
 	var ran atomic.Int64
 
 	g := NewTaskGroup(ctx, s)
-	g.Go("blocker", func() {
+	g.Go(func() {
 		<-release // holds a worker until the context is canceled
 	})
 	for i := 0; i < 50; i++ {
-		g.Go("follower", func() { ran.Add(1) })
+		g.Go(func() { ran.Add(1) })
 	}
 
 	done := make(chan error, 1)
@@ -83,12 +83,12 @@ func TestTaskGroupInlineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	g := NewTaskGroup(ctx, nil)
-	g.Go("first", func() {
+	g.Go(func() {
 		ran.Add(1)
 		cancel() // later inline jobs must be skipped
 	})
 	for i := 0; i < 5; i++ {
-		g.Go("rest", func() { ran.Add(1) })
+		g.Go(func() { ran.Add(1) })
 	}
 	if err := g.Wait(); err != context.Canceled {
 		t.Fatalf("Wait() = %v, want context.Canceled", err)
@@ -101,11 +101,11 @@ func TestTaskGroupInlineCancellation(t *testing.T) {
 func TestTaskGroupReusableAfterWait(t *testing.T) {
 	var ran atomic.Int64
 	g := NewTaskGroup(context.Background(), nil)
-	g.Go("", func() { ran.Add(1) })
+	g.Go(func() { ran.Add(1) })
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	g.Go("", func() { ran.Add(1) })
+	g.Go(func() { ran.Add(1) })
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,11 @@
 // (paper §2.9): the unit of work is a task (an operator, a subroutine
 // within an operator, or any other closure); tasks can depend on other
 // tasks and are enqueued only once their dependencies are fulfilled. One
-// worker runs per core, polling a per-node queue; when a node's queue runs
-// dry, its workers steal from other nodes and back off briefly when
-// stealing fails. The scheduler can be replaced by immediate execution
-// (tasks run inline, still guaranteeing progress) to measure its own cost.
+// worker runs per core; all of them take from one FIFO ready queue and park
+// while it is empty. Placing workers on cores and balancing work between
+// them is left to the Go runtime, which can pin neither (DESIGN.md S11). The
+// scheduler can be replaced by immediate execution (tasks run inline, still
+// guaranteeing progress) to measure its own cost.
 package scheduler
 
 import (
@@ -18,36 +19,37 @@ import (
 
 // Task is a schedulable unit of work.
 type Task struct {
-	fn            func()
-	name          string
-	preferredNode int
-	ctx           context.Context // nil = never canceled
+	fn   func()
+	name string
+	ctx  context.Context // nil = never canceled
 
-	// enqueuedAt is stamped when the task is pushed onto a node queue and
-	// read by the worker that pops it — the queue mutex orders the two, so
+	// enqueuedAt is stamped when the task is pushed onto the ready queue and
+	// read by the goroutine that pops it — the queue mutex orders the two, so
 	// no atomic is needed. Zero for inline execution (no queue, no wait).
 	enqueuedAt time.Time
 	// onQueueWait, when set before scheduling, receives the nanoseconds the
-	// task sat in a queue between becoming ready and starting to run.
+	// task sat in the queue between becoming ready and starting to run.
 	onQueueWait func(ns int64)
 
-	pending      atomic.Int32 // unfinished predecessors
+	// pending counts what still keeps the task from running: its unfinished
+	// predecessors plus one for "not scheduled yet". Exactly one decrement
+	// reaches zero — Schedule's or the last predecessor's — and that one
+	// hands the task to the scheduler, so a task is queued, and run, once.
+	pending      atomic.Int32
 	mu           sync.Mutex
 	successors   []*Task
 	predecessors []*Task
-	scheduled    atomic.Bool
-	enqueued     atomic.Bool
-	started      atomic.Bool
-	finished     atomic.Bool
 	done         chan struct{}
-	sched        Scheduler
+	sched        Scheduler // set by Schedule
 }
 
 // NewTask wraps a closure (modeled after std::thread's constructor, paper:
 // "the easiest type of task has been modeled after std::thread to take a
 // function object or a lambda").
 func NewTask(fn func()) *Task {
-	return &Task{fn: fn, done: make(chan struct{}), preferredNode: -1}
+	t := &Task{fn: fn, done: make(chan struct{})}
+	t.pending.Store(1)
+	return t
 }
 
 // Named sets a diagnostic name and returns the task.
@@ -64,17 +66,13 @@ func (t *Task) WithContext(ctx context.Context) *Task { t.ctx = ctx; return t }
 func (t *Task) Name() string { return t.name }
 
 // ObserveQueueWait registers a callback that receives the time (ns) the task
-// spent sitting in a scheduler queue before a worker picked it up. Inline
-// execution (immediate scheduler, Wait's helper path before the task was
-// queued) reports nothing. Must be set before the task is scheduled.
+// spent sitting in the ready queue before it was picked up. Inline execution
+// (immediate scheduler, a group's inline path) reports nothing. Must be set
+// before the task is scheduled.
 func (t *Task) ObserveQueueWait(fn func(ns int64)) *Task {
 	t.onQueueWait = fn
 	return t
 }
-
-// SetPreferredNode pins the task to a scheduler node (e.g. close to the
-// data it processes). -1 means "any node".
-func (t *Task) SetPreferredNode(n int) { t.preferredNode = n }
 
 // DependsOn registers pred as a prerequisite. Must be called before either
 // task is scheduled.
@@ -89,42 +87,39 @@ func (t *Task) DependsOn(pred *Task) {
 }
 
 // IsDone reports whether the task has finished.
-func (t *Task) IsDone() bool { return t.finished.Load() }
+func (t *Task) IsDone() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
 
-// Wait blocks until the task has finished. When called from within another
-// task, the caller helps drain the queues instead of blocking a worker,
-// which keeps nested task spawning deadlock-free.
+// Wait blocks until the task has finished. The caller runs queued tasks
+// while it waits, so a task that spawns subtasks and waits for them keeps
+// its worker busy and nested spawning cannot deadlock.
 func (t *Task) Wait() {
-	if s, ok := t.sched.(*NodeQueueScheduler); ok {
-		for {
-			select {
-			case <-t.done:
-				return
-			default:
-			}
-			if !s.tryRunOne() {
-				select {
-				case <-t.done:
-					return
-				case <-time.After(50 * time.Microsecond):
-				}
-			}
-		}
+	if t.sched != nil {
+		t.sched.await(t)
 	}
 	<-t.done
 }
 
-// run executes the task exactly once and notifies successors. Tasks whose
-// context is dead are skipped, not executed: the closure never runs, but
-// completion still propagates so dependent tasks and waiters make progress.
-func (t *Task) run() {
-	if !t.started.CompareAndSwap(false, true) {
-		return
+// release drops one of the holds counted in pending; the last one makes the
+// task ready.
+func (t *Task) release() {
+	if t.pending.Add(-1) == 0 {
+		t.sched.enqueueReady(t)
 	}
+}
+
+// run executes the task and notifies successors. Tasks whose context is dead
+// are skipped, not executed: the closure never runs, but completion still
+// propagates so dependent tasks and waiters make progress.
+func (t *Task) run() {
 	if t.ctx != nil && t.ctx.Err() != nil {
-		if t.sched != nil {
-			t.sched.noteTaskSkipped()
-		}
+		t.sched.noteTaskSkipped()
 	} else {
 		if t.onQueueWait != nil && !t.enqueuedAt.IsZero() {
 			ns := time.Since(t.enqueuedAt).Nanoseconds()
@@ -136,11 +131,8 @@ func (t *Task) run() {
 		if t.fn != nil {
 			t.fn()
 		}
-		if t.sched != nil {
-			t.sched.noteTaskRun()
-		}
+		t.sched.noteTaskRun()
 	}
-	t.finished.Store(true)
 	close(t.done)
 	// "Once a task finishes, it iterates over its list of successors and
 	// asks them to check if they are now ready to be scheduled."
@@ -148,11 +140,7 @@ func (t *Task) run() {
 	succs := t.successors
 	t.mu.Unlock()
 	for _, s := range succs {
-		if s.pending.Add(-1) == 0 && s.scheduled.Load() {
-			if s.sched != nil {
-				s.sched.enqueueReady(s)
-			}
-		}
+		s.release()
 	}
 }
 
@@ -164,7 +152,7 @@ type Stats struct {
 	// TasksSkipped counts tasks whose context was dead when a worker picked
 	// them up; their closures never ran.
 	TasksSkipped int64
-	// QueueDepth is the number of tasks currently waiting in queues
+	// QueueDepth is the number of tasks currently waiting in the ready queue
 	// (always 0 for immediate execution).
 	QueueDepth int64
 }
@@ -178,13 +166,22 @@ type Scheduler interface {
 	WorkerCount() int
 	// Stats reports tasks run and current queue depth.
 	Stats() Stats
-	// Shutdown stops all workers after the queues drain.
+	// Shutdown stops all workers after the queue drains.
 	Shutdown()
 
 	enqueueReady(t *Task)
+	// await runs queued tasks on the calling goroutine until t is done or
+	// the scheduler has nothing the caller could run.
+	await(t *Task)
 	noteTaskRun()
 	noteTaskSkipped()
 }
+
+// taskCounts is the tasks-run / tasks-skipped half of Stats.
+type taskCounts struct{ run, skipped atomic.Int64 }
+
+func (c *taskCounts) noteTaskRun()     { c.run.Add(1) }
+func (c *taskCounts) noteTaskSkipped() { c.skipped.Add(1) }
 
 // WaitAll waits for all given tasks.
 func WaitAll(tasks []*Task) {
@@ -199,10 +196,7 @@ func WaitAll(tasks []*Task) {
 // When a task has unfinished predecessors, those are executed first (paper:
 // "when schedule is called on a task, it is either directly executed or,
 // if it has predecessors, their predecessors are executed first").
-type ImmediateScheduler struct {
-	tasksRun     atomic.Int64
-	tasksSkipped atomic.Int64
-}
+type ImmediateScheduler struct{ taskCounts }
 
 // NewImmediateScheduler creates the inline scheduler.
 func NewImmediateScheduler() *ImmediateScheduler { return &ImmediateScheduler{} }
@@ -210,23 +204,16 @@ func NewImmediateScheduler() *ImmediateScheduler { return &ImmediateScheduler{} 
 // Schedule implements Scheduler.
 func (s *ImmediateScheduler) Schedule(tasks ...*Task) {
 	for _, t := range tasks {
+		if t.sched != nil {
+			continue // already run as a predecessor of an earlier task
+		}
+		t.mu.Lock()
+		preds := append([]*Task(nil), t.predecessors...)
+		t.mu.Unlock()
+		s.Schedule(preds...)
 		t.sched = s
-		t.scheduled.Store(true)
-		s.runWithPredecessors(t)
+		t.release()
 	}
-}
-
-func (s *ImmediateScheduler) runWithPredecessors(t *Task) {
-	if t.IsDone() || t.started.Load() {
-		return
-	}
-	t.mu.Lock()
-	preds := append([]*Task(nil), t.predecessors...)
-	t.mu.Unlock()
-	for _, p := range preds {
-		s.runWithPredecessors(p)
-	}
-	t.run()
 }
 
 // WorkerCount implements Scheduler.
@@ -234,7 +221,7 @@ func (s *ImmediateScheduler) WorkerCount() int { return 1 }
 
 // Stats implements Scheduler.
 func (s *ImmediateScheduler) Stats() Stats {
-	return Stats{TasksRun: s.tasksRun.Load(), TasksSkipped: s.tasksSkipped.Load()}
+	return Stats{TasksRun: s.run.Load(), TasksSkipped: s.skipped.Load()}
 }
 
 // Shutdown implements Scheduler.
@@ -242,211 +229,143 @@ func (s *ImmediateScheduler) Shutdown() {}
 
 func (s *ImmediateScheduler) enqueueReady(t *Task) { t.run() }
 
-func (s *ImmediateScheduler) noteTaskRun() { s.tasksRun.Add(1) }
+func (s *ImmediateScheduler) await(*Task) {}
 
-func (s *ImmediateScheduler) noteTaskSkipped() { s.tasksSkipped.Add(1) }
+// --- queue scheduler ------------------------------------------------------------
 
-// --- node-queue scheduler -------------------------------------------------------
-
-// stealBackoff is how long a worker sleeps after an unsuccessful steal
-// attempt. The paper uses 10 milliseconds; we keep the mechanism but use a
-// shorter pause suited to Go's cheap goroutine parking.
-const stealBackoff = 200 * time.Microsecond
-
-// NodeQueueScheduler runs one worker goroutine per (virtual) core, grouped
-// into per-node task queues with work stealing across nodes.
-type NodeQueueScheduler struct {
-	queues       []*taskQueue
-	workers      int
-	wg           sync.WaitGroup
-	closed       atomic.Bool
-	rr           atomic.Uint64 // round-robin for unpinned tasks
-	tasksRun     atomic.Int64
-	tasksSkipped atomic.Int64
-	// queueDepth mirrors the summed queue lengths as a single atomic so
-	// Stats never takes the queue locks; incremented before push, decremented
-	// after a successful pop/steal, so it can transiently over-report but
-	// never goes negative.
-	queueDepth atomic.Int64
-}
-
-type taskQueue struct {
+// QueueScheduler runs a fixed number of worker goroutines over one FIFO ready
+// queue. Nobody polls: a goroutine with nothing to run — an idle worker, or a
+// Wait whose task runs elsewhere — parks on the wake channel, and every push
+// leaves a token there that wakes one of them.
+type QueueScheduler struct {
+	taskCounts
 	mu    sync.Mutex
-	tasks []*Task
+	queue []*Task
+	// wake carries one token per push: handed to a parked goroutine if there
+	// is one, buffered otherwise. A goroutine parks only by receiving from
+	// wake, and only after pop found the queue empty, so a buffered token
+	// means nobody is parked. A push that finds the buffer full may therefore
+	// drop its token: every worker is awake and pops until the queue is empty
+	// before it parks. A Wait, which may stop popping earlier, passes a token
+	// on when it leaves tasks behind (await).
+	wake    chan struct{}
+	quit    chan struct{} // closed by Shutdown
+	stop    sync.Once
+	workers int
+	wg      sync.WaitGroup
 }
 
-func (q *taskQueue) push(t *Task) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.mu.Unlock()
-}
-
-func (q *taskQueue) pop() *Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
-	return t
-}
-
-// steal takes from the back of a foreign queue.
-func (q *taskQueue) steal() *Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return nil
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t
-}
-
-// NewNodeQueueScheduler creates a scheduler with the given number of nodes
-// and workers. workers <= 0 selects one per CPU core; nodes <= 0 selects 1.
-func NewNodeQueueScheduler(nodes, workers int) *NodeQueueScheduler {
-	if nodes <= 0 {
-		nodes = 1
-	}
+// New creates a scheduler with the given number of workers; workers <= 0
+// selects one per CPU core.
+func New(workers int) *QueueScheduler {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers < nodes {
-		workers = nodes
+	s := &QueueScheduler{
+		workers: workers,
+		wake:    make(chan struct{}, workers),
+		quit:    make(chan struct{}),
 	}
-	s := &NodeQueueScheduler{workers: workers}
-	for i := 0; i < nodes; i++ {
-		s.queues = append(s.queues, &taskQueue{})
-	}
+	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		node := w % nodes
-		s.wg.Add(1)
-		go s.workerLoop(node)
+		go s.worker()
 	}
 	return s
 }
 
-func (s *NodeQueueScheduler) workerLoop(node int) {
+func (s *QueueScheduler) worker() {
 	defer s.wg.Done()
 	for {
-		if t := s.queues[node].pop(); t != nil {
-			s.queueDepth.Add(-1)
-			t.run()
-			continue
-		}
-		// Work stealing: "when the queue on one node runs dry, workers on
-		// that node perform work stealing and attempt to help other nodes".
-		stolen := false
-		for i := 1; i < len(s.queues); i++ {
-			other := (node + i) % len(s.queues)
-			if t := s.queues[other].steal(); t != nil {
-				s.queueDepth.Add(-1)
-				t.run()
-				stolen = true
-				break
+		t := s.pop()
+		if t == nil {
+			select {
+			case <-s.wake:
+				continue
+			case <-s.quit:
+				// Tasks queued before Shutdown still run.
+				if t = s.pop(); t == nil {
+					return
+				}
 			}
 		}
-		if stolen {
-			continue
-		}
-		if s.closed.Load() {
-			return
-		}
-		time.Sleep(stealBackoff)
+		t.run()
+	}
+}
+
+func (s *QueueScheduler) pop() *Task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.queue) == 0 {
+		return nil
+	}
+	t := s.queue[0]
+	s.queue[0] = nil
+	s.queue = s.queue[1:]
+	return t
+}
+
+// signal leaves a wake-up token unless the buffer is full.
+func (s *QueueScheduler) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
 // Schedule implements Scheduler: ready tasks are enqueued immediately;
-// blocked tasks enqueue themselves when their last dependency finishes.
-func (s *NodeQueueScheduler) Schedule(tasks ...*Task) {
+// blocked tasks are enqueued by their last dependency to finish.
+func (s *QueueScheduler) Schedule(tasks ...*Task) {
 	for _, t := range tasks {
 		t.sched = s
-		t.scheduled.Store(true)
-		if t.pending.Load() == 0 {
-			s.enqueueReady(t)
-		}
+		t.release()
 	}
 }
 
-func (s *NodeQueueScheduler) enqueueReady(t *Task) {
-	// Schedule and the last predecessor to finish can both find the task
-	// ready; only the first of them queues it.
-	if !t.enqueued.CompareAndSwap(false, true) {
-		return
-	}
-	node := t.preferredNode
-	if node < 0 || node >= len(s.queues) {
-		node = int(s.rr.Add(1)) % len(s.queues)
-	}
-	// Stamp for queue-wait attribution; the queue mutex on push/pop orders
-	// this write against the popping worker's read.
+func (s *QueueScheduler) enqueueReady(t *Task) {
+	// Stamp for queue-wait attribution; the queue mutex orders this write
+	// against the popping goroutine's read.
 	if t.onQueueWait != nil {
 		t.enqueuedAt = time.Now()
 	}
-	s.queueDepth.Add(1)
-	s.queues[node].push(t)
+	s.mu.Lock()
+	s.queue = append(s.queue, t)
+	s.mu.Unlock()
+	s.signal()
 }
 
-// tryRunOne pops one task from any queue and runs it (used by Wait to help
-// instead of blocking).
-func (s *NodeQueueScheduler) tryRunOne() bool {
-	for _, q := range s.queues {
-		if t := q.pop(); t != nil {
-			s.queueDepth.Add(-1)
-			t.run()
-			return true
+// await helps drain the queue until t is done, parking like a worker while
+// the queue is empty.
+func (s *QueueScheduler) await(t *Task) {
+	for !t.IsDone() {
+		if next := s.pop(); next != nil {
+			next.run()
+			continue
+		}
+		select {
+		case <-t.done:
+		case <-s.wake:
 		}
 	}
-	return false
+	// The caller stops popping here, possibly with the token of a task that
+	// is still queued in hand and every worker parked.
+	if s.Stats().QueueDepth > 0 {
+		s.signal()
+	}
 }
 
 // WorkerCount implements Scheduler.
-func (s *NodeQueueScheduler) WorkerCount() int { return s.workers }
+func (s *QueueScheduler) WorkerCount() int { return s.workers }
 
 // Stats implements Scheduler.
-func (s *NodeQueueScheduler) Stats() Stats {
-	return Stats{
-		TasksRun:     s.tasksRun.Load(),
-		TasksSkipped: s.tasksSkipped.Load(),
-		QueueDepth:   s.queueDepth.Load(),
-	}
+func (s *QueueScheduler) Stats() Stats {
+	s.mu.Lock()
+	depth := len(s.queue)
+	s.mu.Unlock()
+	return Stats{TasksRun: s.run.Load(), TasksSkipped: s.skipped.Load(), QueueDepth: int64(depth)}
 }
 
-func (s *NodeQueueScheduler) noteTaskRun() { s.tasksRun.Add(1) }
-
-func (s *NodeQueueScheduler) noteTaskSkipped() { s.tasksSkipped.Add(1) }
-
-// NodeCount returns the number of queues.
-func (s *NodeQueueScheduler) NodeCount() int { return len(s.queues) }
-
-// Shutdown implements Scheduler: workers exit once all queues are drained.
-func (s *NodeQueueScheduler) Shutdown() {
-	s.closed.Store(true)
+// Shutdown implements Scheduler: workers exit once the queue is drained.
+func (s *QueueScheduler) Shutdown() {
+	s.stop.Do(func() { close(s.quit) })
 	s.wg.Wait()
-}
-
-// RunJobs schedules one task per closure and waits for all of them — the
-// helper operators use for per-chunk parallelism (paper: "a task can also
-// spawn subtasks, which are then enqueued in the scheduling queue and
-// executed in parallel").
-func RunJobs(s Scheduler, jobs []func()) {
-	RunJobsContext(nil, s, jobs)
-}
-
-// RunJobsContext is RunJobs with cooperative cancellation: jobs not yet
-// started when ctx dies are skipped (the call still waits for in-flight jobs
-// to finish, so no job runs after return). A nil ctx never cancels.
-func RunJobsContext(ctx context.Context, s Scheduler, jobs []func()) {
-	if len(jobs) == 0 {
-		return
-	}
-	if len(jobs) == 1 {
-		if ctx == nil || ctx.Err() == nil {
-			jobs[0]()
-		}
-		return
-	}
-	_ = RunGroup(ctx, s, jobs)
 }

@@ -2,15 +2,15 @@ package scheduler
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func schedulers() map[string]func() Scheduler {
 	return map[string]func() Scheduler{
 		"immediate": func() Scheduler { return NewImmediateScheduler() },
-		"nodequeue": func() Scheduler { return NewNodeQueueScheduler(2, 4) },
+		"queue":     func() Scheduler { return New(4) },
 	}
 }
 
@@ -90,67 +90,7 @@ func TestDiamondDependency(t *testing.T) {
 	}
 }
 
-func TestNestedTaskSpawning(t *testing.T) {
-	// A task that spawns subtasks and waits for them must not deadlock,
-	// even when all workers are busy with such tasks.
-	s := NewNodeQueueScheduler(1, 2)
-	defer s.Shutdown()
-	var leaves atomic.Int32
-	outer := make([]*Task, 4)
-	for i := range outer {
-		outer[i] = NewTask(func() {
-			inner := make([]*Task, 4)
-			for j := range inner {
-				inner[j] = NewTask(func() { leaves.Add(1) })
-			}
-			s.Schedule(inner...)
-			WaitAll(inner)
-		})
-	}
-	s.Schedule(outer...)
-	done := make(chan struct{})
-	go func() {
-		WaitAll(outer)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("nested task spawning deadlocked")
-	}
-	if leaves.Load() != 16 {
-		t.Errorf("leaves = %d, want 16", leaves.Load())
-	}
-}
-
-func TestWorkStealingAcrossNodes(t *testing.T) {
-	s := NewNodeQueueScheduler(2, 2)
-	defer s.Shutdown()
-	// Pin everything to node 0; the node-1 worker must steal to finish fast.
-	var count atomic.Int32
-	tasks := make([]*Task, 50)
-	for i := range tasks {
-		tasks[i] = NewTask(func() {
-			time.Sleep(time.Millisecond)
-			count.Add(1)
-		})
-		tasks[i].SetPreferredNode(0)
-	}
-	start := time.Now()
-	s.Schedule(tasks...)
-	WaitAll(tasks)
-	elapsed := time.Since(start)
-	if count.Load() != 50 {
-		t.Fatalf("count = %d", count.Load())
-	}
-	// Serial execution would take >= 50ms; with stealing it should be
-	// clearly below that. Generous bound to avoid flakiness.
-	if elapsed > 45*time.Millisecond {
-		t.Logf("warning: stealing may not have helped (took %v)", elapsed)
-	}
-}
-
-func TestRunJobs(t *testing.T) {
+func TestRunGroup(t *testing.T) {
 	for name, mk := range schedulers() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
@@ -161,32 +101,39 @@ func TestRunJobs(t *testing.T) {
 				v := int64(i)
 				jobs[i] = func() { sum.Add(v) }
 			}
-			RunJobs(s, jobs)
+			if err := RunGroup(context.Background(), s, jobs); err != nil {
+				t.Fatal(err)
+			}
 			if sum.Load() != 45 {
 				t.Errorf("sum = %d", sum.Load())
 			}
 			// Degenerate cases.
-			RunJobs(s, nil)
+			if err := RunGroup(context.Background(), s, nil); err != nil {
+				t.Fatal(err)
+			}
+			// A single job runs on the caller: Stats sees no task.
+			before := s.Stats().TasksRun
 			ran := false
-			RunJobs(s, []func(){func() { ran = true }})
-			if !ran {
-				t.Error("single job not run inline")
+			if err := RunGroup(context.Background(), s, []func(){func() { ran = true }}); err != nil {
+				t.Fatal(err)
+			}
+			if !ran || s.Stats().TasksRun != before {
+				t.Errorf("single job: ran=%v, tasks run %d -> %d, want inline", ran, before, s.Stats().TasksRun)
 			}
 		})
 	}
 }
 
-func TestWorkerAndNodeCounts(t *testing.T) {
-	s := NewNodeQueueScheduler(3, 6)
+func TestWorkerCounts(t *testing.T) {
+	s := New(6)
 	defer s.Shutdown()
-	if s.WorkerCount() != 6 || s.NodeCount() != 3 {
-		t.Errorf("workers=%d nodes=%d", s.WorkerCount(), s.NodeCount())
+	if s.WorkerCount() != 6 {
+		t.Errorf("workers=%d", s.WorkerCount())
 	}
-	// Defaults.
-	d := NewNodeQueueScheduler(0, 0)
+	d := New(0)
 	defer d.Shutdown()
-	if d.NodeCount() != 1 || d.WorkerCount() < 1 {
-		t.Errorf("default workers=%d nodes=%d", d.WorkerCount(), d.NodeCount())
+	if d.WorkerCount() != runtime.NumCPU() {
+		t.Errorf("default workers=%d, want one per CPU (%d)", d.WorkerCount(), runtime.NumCPU())
 	}
 	if NewImmediateScheduler().WorkerCount() != 1 {
 		t.Error("immediate worker count should be 1")
@@ -194,7 +141,7 @@ func TestWorkerAndNodeCounts(t *testing.T) {
 }
 
 func TestManyTasksStress(t *testing.T) {
-	s := NewNodeQueueScheduler(4, 8)
+	s := New(8)
 	defer s.Shutdown()
 	var count atomic.Int32
 	const n = 5000
@@ -218,7 +165,7 @@ func TestStatsCountTasks(t *testing.T) {
 		s    Scheduler
 	}{
 		{"immediate", NewImmediateScheduler()},
-		{"nodequeue", NewNodeQueueScheduler(2, 2)},
+		{"queue", New(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.s.Shutdown()
@@ -242,7 +189,7 @@ func TestStatsCountTasks(t *testing.T) {
 }
 
 func TestQueueWaitObserver(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 2)
+	s := New(2)
 	defer s.Shutdown()
 
 	var waits atomic.Int64
@@ -285,14 +232,14 @@ func TestQueueWaitObserver(t *testing.T) {
 }
 
 func TestTaskGroupQueueWaitObserver(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 4)
+	s := New(4)
 	defer s.Shutdown()
 
 	var fired atomic.Int64
 	g := NewTaskGroup(context.Background(), s)
 	g.SetQueueWaitObserver(func(ns int64) { fired.Add(1) })
 	for i := 0; i < 8; i++ {
-		g.Go("job", func() {})
+		g.Go(func() {})
 	}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
@@ -305,7 +252,7 @@ func TestTaskGroupQueueWaitObserver(t *testing.T) {
 	fired.Store(0)
 	gi := NewTaskGroup(context.Background(), nil)
 	gi.SetQueueWaitObserver(func(ns int64) { fired.Add(1) })
-	gi.Go("inline", func() {})
+	gi.Go(func() {})
 	if err := gi.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +267,7 @@ func TestTaskGroupQueueWaitObserver(t *testing.T) {
 // and stamp its enqueue time (a data race, and a phantom entry in
 // scheduler.queue_depth until popped). Meaningful under -race.
 func TestReadyTaskEnqueuedOnce(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 4)
+	s := New(4)
 	defer s.Shutdown()
 	for i := 0; i < 2000; i++ {
 		pred := NewTask(func() {})

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestStressRandomCancellation hammers the node-queue scheduler with random
+// TestStressRandomCancellation hammers the queue scheduler with random
 // task DAGs whose contexts are canceled at random times, checking three
 // invariants (run under -race in CI):
 //
@@ -19,7 +19,7 @@ import (
 //  2. every scheduled task completes — cancellation never deadlocks a DAG;
 //  3. Stats().QueueDepth never goes negative.
 func TestStressRandomCancellation(t *testing.T) {
-	s := NewNodeQueueScheduler(2, 4)
+	s := New(4)
 	defer s.Shutdown()
 
 	var stopDepth atomic.Bool
@@ -129,10 +129,10 @@ func TestImmediateSchedulerSkipsDeadContext(t *testing.T) {
 	}
 }
 
-// TestRunJobsContextSkipsRemainingJobs verifies the operator-facing helper:
-// once ctx dies, queued jobs are skipped but the call still returns.
-func TestRunJobsContextSkipsRemainingJobs(t *testing.T) {
-	s := NewNodeQueueScheduler(1, 2)
+// TestRunGroupSkipsRemainingJobs verifies the operator-facing helper: once
+// ctx dies, queued jobs are skipped but the call still returns.
+func TestRunGroupSkipsRemainingJobs(t *testing.T) {
+	s := New(2)
 	defer s.Shutdown()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -152,7 +152,9 @@ func TestRunJobsContextSkipsRemainingJobs(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	RunJobsContext(ctx, s, jobs)
+	if err := RunGroup(ctx, s, jobs); err != context.Canceled {
+		t.Errorf("RunGroup = %v, want context.Canceled", err)
+	}
 
 	// Job 0 ran and a few more may have started before the cancel landed,
 	// but the bulk of the queue must have been skipped.

@@ -233,18 +233,3 @@ func TestEstimateSelectivities(t *testing.T) {
 		t.Errorf("unbounded range selectivity = %f", got)
 	}
 }
-
-func TestEstimateJoinCardinality(t *testing.T) {
-	table := buildTestTable(t)
-	ts := BuildTableStatistics(table, EqualHeight)
-	// Self-join on unique id: |R|*|S|/1000 = 1000.
-	got := EstimateJoinCardinality(ts, 0, ts, 0)
-	if math.Abs(got-1000) > 1 {
-		t.Errorf("join cardinality on id = %f, want 1000", got)
-	}
-	// Join on 3-distinct status: 1000*1000/3.
-	got = EstimateJoinCardinality(ts, 2, ts, 2)
-	if math.Abs(got-1000*1000.0/3) > 1 {
-		t.Errorf("join cardinality on status = %f", got)
-	}
-}

@@ -269,21 +269,6 @@ func (ts *TableStatistics) EstimateNotEquals(col types.ColumnID, v types.Value) 
 	return clampSel(1 - ts.EstimateEquals(col, v) - cs.NullFraction())
 }
 
-// EstimateJoinCardinality estimates |R join S| on an equi-join between this
-// table's column and another table's column using the textbook formula
-// |R|*|S| / max(ndv(R.a), ndv(S.b)).
-func EstimateJoinCardinality(left *TableStatistics, leftCol types.ColumnID, right *TableStatistics, rightCol types.ColumnID) float64 {
-	ndv := math.Max(distinctOrOne(left, leftCol), distinctOrOne(right, rightCol))
-	return left.RowCount * right.RowCount / ndv
-}
-
-func distinctOrOne(ts *TableStatistics, col types.ColumnID) float64 {
-	if ts == nil || int(col) >= len(ts.Columns) || ts.Columns[col] == nil || ts.Columns[col].DistinctCount < 1 {
-		return 1
-	}
-	return ts.Columns[col].DistinctCount
-}
-
 func clampSel(s float64) float64 {
 	if s < 0 || math.IsNaN(s) {
 		return 0

@@ -93,18 +93,6 @@ func (sm *StorageManager) RegisterMetaTable(name string, p MetaTableProvider) {
 	sm.mu.Unlock()
 }
 
-// MetaTableNames returns the sorted names of the registered meta-tables.
-func (sm *StorageManager) MetaTableNames() []string {
-	sm.mu.RLock()
-	names := make([]string, 0, len(sm.meta))
-	for name := range sm.meta {
-		names = append(names, name)
-	}
-	sm.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
 // HasTable reports whether a table with the name exists.
 func (sm *StorageManager) HasTable(name string) bool {
 	sm.mu.RLock()

@@ -3,7 +3,6 @@ package tpch
 import (
 	"hyrise/internal/encoding"
 	"hyrise/internal/filter"
-	"hyrise/internal/index"
 	"hyrise/internal/storage"
 )
 
@@ -31,40 +30,6 @@ func EncodeAndFilter(sm *storage.StorageManager, spec encoding.Spec) error {
 		}
 		if err := filter.AttachDefaultFilters(t); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// BuildIndexes creates group-key indexes (or the given type) on the primary
-// key columns of the big tables; used by index-related experiments.
-func BuildIndexes(sm *storage.StorageManager, typ index.Type) error {
-	targets := map[string]string{
-		"lineitem": "l_orderkey",
-		"orders":   "o_orderkey",
-		"customer": "c_custkey",
-		"part":     "p_partkey",
-		"supplier": "s_suppkey",
-	}
-	for table, column := range targets {
-		t, err := sm.GetTable(table)
-		if err != nil {
-			return err
-		}
-		col, err := t.ColumnID(column)
-		if err != nil {
-			return err
-		}
-		for _, c := range t.Chunks() {
-			if !c.IsImmutable() {
-				continue
-			}
-			if c.GetIndex(col) != nil {
-				continue
-			}
-			if err := index.AddIndexToChunk(typ, c, col); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
