@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyrise/internal/concurrency"
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/filter"
@@ -419,6 +420,80 @@ func BenchmarkMicroLoad(b *testing.B) {
 					if err := p.run(t); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// pointLookupOps is how many prepared lookups make one benchmark op (same
+// reason as statementRouteOps).
+const pointLookupOps = 1000
+
+// BenchmarkMicroPointLookup measures a prepared `id = $1` over 200 000 rows in
+// 100 000-row chunks, the shape of the pgwire_point workload without the wire:
+// ascending loads the ids in order (every chunk's zone excludes the key but
+// one, which is binary-searched), shuffled loads a permutation (no zone says
+// anything: the control, two typed scans per lookup), and tail keeps the looked-up
+// keys in a third, mutable chunk behind 200 000 rows with far larger ids (both
+// sealed chunks pruned, the growing tail binary-searched).
+func BenchmarkMicroPointLookup(b *testing.B) {
+	const rows, tailRows, far = 200_000, 1000, 1_000_000_000
+	layouts := []struct {
+		name string
+		id   func(i int) int64 // id of row i
+		keys int               // lookups draw from ids 0..keys-1
+	}{
+		{"ascending", func(i int) int64 { return int64(i) }, rows},
+		{"shuffled", func(i int) int64 { return int64(i) * 100_003 % rows }, rows},
+		{"tail", func(i int) int64 {
+			if i >= rows {
+				return int64(i - rows)
+			}
+			return far + int64(i)*100_003%rows
+		}, tailRows},
+	}
+	for _, l := range layouts {
+		b.Run(l.name, func(b *testing.B) {
+			cfg := pipeline.DefaultConfig()
+			table := storage.NewTable("kv", []storage.ColumnDefinition{
+				{Name: "id", Type: types.TypeInt64},
+				{Name: "val", Type: types.TypeFloat64},
+			}, storage.DefaultChunkSize, cfg.UseMvcc)
+			n := rows
+			if l.keys == tailRows {
+				n += tailRows
+			}
+			for i := 0; i < n; i++ {
+				if _, err := table.AppendRow([]types.Value{types.Int(l.id(i)), types.Float(float64(i))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			concurrency.MarkTableLoaded(table)
+			sm := storage.NewStorageManager()
+			if err := sm.AddTable(table); err != nil {
+				b.Fatal(err)
+			}
+			e := pipeline.NewEngine(cfg, sm)
+			b.Cleanup(e.Close)
+			s := e.NewSession()
+			ps, err := s.PrepareStatement("SELECT id, val FROM kv WHERE id = $1")
+			if err != nil {
+				b.Fatal(err)
+			}
+			lookup := func(j int) {
+				key := int64(j*7919) % int64(l.keys)
+				res, err := s.ExecutePreparedStatement(context.Background(), ps, []types.Value{types.Int(key)})
+				if err != nil || res.Table.RowCount() != 1 {
+					b.Fatalf("id = %d: rows = %v, err = %v", key, res, err)
+				}
+			}
+			lookup(0) // warm: the plan is cached from here on
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < pointLookupOps; j++ {
+					lookup(i*pointLookupOps + j)
 				}
 			}
 		})

@@ -138,14 +138,6 @@ type ScannableSegment interface {
 	ScanEncoded(p ScanPredicate, dst []types.ChunkOffset) (matches []types.ChunkOffset, path ScanPath, ok bool)
 }
 
-// BoundedSegment is implemented by segments that know their min/max without
-// a full scan: O(1) for dictionary (sorted dictionary ends), O(blocks) for
-// frame-of-reference, O(runs) for run-length. Used to answer MIN/MAX
-// aggregates without decoding (pruning filters read the segment's Summary).
-type BoundedSegment interface {
-	Bounds() (min, max types.Value, ok bool)
-}
-
 // --- predicate normalization -------------------------------------------
 
 // scanRange is a predicate normalized to an optionally-bounded interval in
@@ -352,11 +344,17 @@ func (s *DictionarySegment[T]) ScanEncoded(p ScanPredicate, dst []types.ChunkOff
 	if isNe {
 		return s.matchesOutside(s.LowerBound(ne), s.UpperBound(ne), dst), PathDictionary, true
 	}
+	start, end := s.idRange(rng)
+	return s.Matches(start, end, dst), PathDictionary, true
+}
+
+// idRange translates an interval of values into the value ids [start, end)
+// that lie in it (empty when start >= end).
+func (s *DictionarySegment[T]) idRange(rng scanRange[T]) (start, end ValueID) {
 	if (rng.hasLo && rng.lo != rng.lo) || (rng.hasHi && rng.hi != rng.hi) {
-		return dst, PathDictionary, true // a NaN bound holds for no value
+		return 0, 0 // a NaN bound holds for no value
 	}
-	start := ValueID(0)
-	end := ValueID(s.ComparableCount()) // excludes NULLs, and NaN, by construction
+	end = ValueID(s.ComparableCount()) // excludes NULLs, and NaN, by construction
 	if rng.hasLo {
 		if rng.loInc {
 			start = s.LowerBound(rng.lo)
@@ -371,7 +369,7 @@ func (s *DictionarySegment[T]) ScanEncoded(p ScanPredicate, dst []types.ChunkOff
 			end = s.LowerBound(rng.hi)
 		}
 	}
-	return s.Matches(start, end, dst), PathDictionary, true
+	return start, end
 }
 
 // matchesOutside appends the offsets whose value id is outside [lo, hi) and
@@ -419,15 +417,6 @@ func matchOutside[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi, nullID u
 		}
 	}
 	return dst
-}
-
-// Bounds implements BoundedSegment: the dictionary is sorted and holds
-// exactly the present non-null values, so min/max are its ends.
-func (s *DictionarySegment[T]) Bounds() (types.Value, types.Value, bool) {
-	if len(s.dict) == 0 {
-		return types.NullValue, types.NullValue, false
-	}
-	return types.FromNative(s.dict[0]), types.FromNative(s.dict[len(s.dict)-1]), true
 }
 
 // --- frame of reference -------------------------------------------------
@@ -696,32 +685,6 @@ func scanFORBlockNeData[W uint8 | uint16 | uint32 | uint64](data []W, nulls []bo
 	return dst
 }
 
-// Bounds implements BoundedSegment in O(blocks): every block with a non-null
-// row has its minimum as the frame (by construction) and its maximum at
-// frame+blockMax.
-func (s *FrameOfReferenceSegment) Bounds() (types.Value, types.Value, bool) {
-	var lo, hi int64
-	found := false
-	for b := range s.frames {
-		if s.blockNonNull[b] == 0 {
-			continue
-		}
-		bLo := s.frames[b]
-		bHi := bLo + int64(s.blockMax[b])
-		if !found || bLo < lo {
-			lo = bLo
-		}
-		if !found || bHi > hi {
-			hi = bHi
-		}
-		found = true
-	}
-	if !found {
-		return types.NullValue, types.NullValue, false
-	}
-	return types.Int(lo), types.Int(hi), true
-}
-
 // --- run length ---------------------------------------------------------
 
 // ScanEncoded implements ScannableSegment: the predicate is evaluated once
@@ -771,28 +734,6 @@ func appendRun(dst []types.ChunkOffset, first, last types.ChunkOffset) []types.C
 	return dst
 }
 
-// Bounds implements BoundedSegment in O(runs).
-func (s *RunLengthSegment[T]) Bounds() (types.Value, types.Value, bool) {
-	var lo, hi T
-	found := false
-	for r, v := range s.values {
-		if s.nulls != nil && s.nulls[r] {
-			continue
-		}
-		if !found || v < lo {
-			lo = v
-		}
-		if !found || v > hi {
-			hi = v
-		}
-		found = true
-	}
-	if !found {
-		return types.NullValue, types.NullValue, false
-	}
-	return types.FromNative(lo), types.FromNative(hi), true
-}
-
 // Interface conformance for all concrete instantiations.
 var (
 	_ ScannableSegment = (*DictionarySegment[int64])(nil)
@@ -802,7 +743,4 @@ var (
 	_ ScannableSegment = (*RunLengthSegment[int64])(nil)
 	_ ScannableSegment = (*RunLengthSegment[float64])(nil)
 	_ ScannableSegment = (*RunLengthSegment[string])(nil)
-	_ BoundedSegment   = (*DictionarySegment[int64])(nil)
-	_ BoundedSegment   = (*FrameOfReferenceSegment)(nil)
-	_ BoundedSegment   = (*RunLengthSegment[int64])(nil)
 )

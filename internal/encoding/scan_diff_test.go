@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
@@ -151,8 +152,8 @@ func runScanDiff[T types.Ordered](t *testing.T, values []T, nulls []bool, probes
 					segName, d.name, len(got), len(want), clip(got), clip(want))
 			}
 		}
-		// Bounds must bracket the non-null values exactly.
-		checkBounds(t, segName, seg, values, nulls)
+		// The zone must be the one a pass over the rows finds.
+		checkZone(t, segName, seg, values, nulls)
 	}
 	// The typed unencoded path must agree with the same reference.
 	for _, d := range preds {
@@ -178,41 +179,47 @@ func clip(o []types.ChunkOffset) []types.ChunkOffset {
 	return o
 }
 
-func checkBounds[T types.Ordered](t *testing.T, segName string, seg ScannableSegment, values []T, nulls []bool) {
+func checkZone[T types.Ordered](t *testing.T, segName string, seg ScannableSegment, values []T, nulls []bool) {
 	t.Helper()
-	b, ok := seg.(BoundedSegment)
+	zoned, ok := seg.(storage.ZonedSegment)
 	if !ok {
-		t.Fatalf("%s: encoded segment does not expose Bounds", segName)
+		t.Fatalf("%s: encoded segment does not tell its zone", segName)
 	}
-	var wantMin, wantMax T
-	seen := false
+	// The spec, row by row: bounds over the comparable values, and the run
+	// ends at the first NULL, NaN or descent.
+	var want storage.Zone
+	var lo, hi T
+	seen, run := false, true
 	for i, v := range values {
-		if nulls != nil && nulls[i] {
+		if (nulls != nil && nulls[i]) || v != v {
+			run = false
 			continue
 		}
-		if !seen || v < wantMin {
-			wantMin = v
+		if run && i > 0 && v < values[i-1] {
+			run = false
 		}
-		if !seen || v > wantMax {
-			wantMax = v
+		if run {
+			want.Ascending = i + 1
+		}
+		if !seen || v < lo {
+			lo = v
+		}
+		if !seen || v > hi {
+			hi = v
 		}
 		seen = true
 	}
-	mn, mx, haveBounds := b.Bounds()
-	if !seen {
-		if haveBounds && (!mn.IsNull() || !mx.IsNull()) {
-			t.Errorf("%s: Bounds reported %v..%v for a column with no non-null rows", segName, mn, mx)
-		}
-		return
+	if seen {
+		want.Min, want.Max = types.FromNative(lo), types.FromNative(hi)
 	}
-	if !haveBounds {
-		t.Errorf("%s: Bounds unavailable for a non-empty column", segName)
-		return
+	got := zoned.Zone()
+	same := func(a, b types.Value) bool {
+		c, ok := types.Compare(a, b)
+		return a.Type == b.Type && (a.IsNull() || (ok && c == 0)) // -0 and +0 are one bound
 	}
-	cmn, okMin := types.Compare(mn, types.FromNative(wantMin))
-	cmx, okMax := types.Compare(mx, types.FromNative(wantMax))
-	if !okMin || !okMax || cmn != 0 || cmx != 0 {
-		t.Errorf("%s: Bounds %v..%v, want %v..%v", segName, mn, mx, wantMin, wantMax)
+	if got.Ascending != want.Ascending || !same(got.Min, want.Min) || !same(got.Max, want.Max) {
+		t.Errorf("%s: zone %v..%v ascending %d, want %v..%v ascending %d",
+			segName, got.Min, got.Max, got.Ascending, want.Min, want.Max, want.Ascending)
 	}
 }
 
@@ -336,6 +343,18 @@ func TestScanDiffFloat64(t *testing.T) {
 	sets = append(sets, ds{name: "duplicate-heavy",
 		values: dup, nulls: dupNulls,
 		probes: []float64{-300, -273.15, -0.25, 0.25, 3.14159, 3.5, 1e6, 2e6}})
+
+	// Columns whose zone has something to say: an ascending one through the
+	// values comparisons treat specially, one whose run ends at a NaN, and one
+	// that holds nothing comparable at all.
+	sets = append(sets,
+		ds{name: "ascending-specials",
+			values: []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0, 2.5, 2.5, math.Inf(1)},
+			probes: []float64{math.Inf(-1), -1, 0, 2.5, 3, math.Inf(1), math.NaN()}},
+		ds{name: "run-ends-at-nan",
+			values: []float64{1, 2, 3, math.NaN(), 0, 4}, nulls: []bool{false, false, false, false, false, true},
+			probes: []float64{0, 2, 3.5, math.NaN()}},
+		ds{name: "all-nan", values: []float64{math.NaN(), math.NaN()}, probes: []float64{0, math.NaN()}})
 
 	for _, s := range sets {
 		t.Run(s.name, func(t *testing.T) { runScanDiff(t, s.values, s.nulls, s.probes) })

@@ -13,62 +13,6 @@ func intSeg(vals []int64, nulls []bool) storage.Segment {
 	return storage.ValueSegmentFromSlice(vals, nulls)
 }
 
-// --- MinMax ---------------------------------------------------------------
-
-func TestMinMaxFilterBasics(t *testing.T) {
-	f := NewMinMaxFilter(intSeg([]int64{5, 2, 9, 2}, nil), 1)
-	if f.ColumnID() != 1 || f.FilterType() != "MinMax" {
-		t.Error("identity wrong")
-	}
-	mn, ok := f.Min()
-	mx, _ := f.Max()
-	if !ok || mn.I != 2 || mx.I != 9 {
-		t.Errorf("min/max = %v/%v", mn, mx)
-	}
-	if !f.CanPruneEquals(types.Int(1)) || !f.CanPruneEquals(types.Int(10)) {
-		t.Error("out-of-range equals should prune")
-	}
-	if f.CanPruneEquals(types.Int(5)) || f.CanPruneEquals(types.Int(3)) {
-		t.Error("in-range equals must not prune (3 is a false positive, allowed but min-max keeps it)")
-	}
-	lo, hi := types.Int(10), types.Int(20)
-	if !f.CanPruneRange(&lo, &hi) {
-		t.Error("range above max should prune")
-	}
-	lo2, hi2 := types.Int(-5), types.Int(1)
-	if !f.CanPruneRange(&lo2, &hi2) {
-		t.Error("range below min should prune")
-	}
-	lo3 := types.Int(9)
-	if f.CanPruneRange(&lo3, nil) {
-		t.Error("range touching max must not prune")
-	}
-	if f.CanPruneRange(nil, nil) {
-		t.Error("unbounded range must not prune")
-	}
-}
-
-func TestMinMaxFilterNullsAndEmpty(t *testing.T) {
-	f := NewMinMaxFilter(intSeg([]int64{0, 0}, []bool{true, true}), 0)
-	if _, ok := f.Min(); ok {
-		t.Error("all-NULL chunk has no min")
-	}
-	if !f.CanPruneEquals(types.Int(0)) || !f.CanPruneRange(nil, nil) {
-		t.Error("all-NULL chunk should always prune (no rows can match)")
-	}
-	mixed := NewMinMaxFilter(intSeg([]int64{7, 0}, []bool{false, true}), 0)
-	if mixed.CanPruneEquals(types.Int(7)) {
-		t.Error("7 exists, must not prune")
-	}
-}
-
-func TestMinMaxFilterStrings(t *testing.T) {
-	f := NewMinMaxFilter(storage.ValueSegmentFromSlice([]string{"delta", "bravo"}, nil), 0)
-	if !f.CanPruneEquals(types.Str("alpha")) || f.CanPruneEquals(types.Str("charlie")) {
-		t.Error("string pruning wrong")
-	}
-}
-
 // --- CQF --------------------------------------------------------------------
 
 func TestCQFNoFalseNegatives(t *testing.T) {
@@ -303,26 +247,7 @@ func TestRangeHistogramSoundnessProperty(t *testing.T) {
 
 // --- orchestration -------------------------------------------------------------
 
-func TestCreateFilterAndAttachDefaults(t *testing.T) {
-	for _, kind := range []FilterKind{MinMax, CQF, RangeHist} {
-		f, err := CreateFilter(kind, intSeg([]int64{1, 2}, nil), 0)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if f.FilterType() != kind.String() {
-			t.Errorf("%v: FilterType = %s", kind, f.FilterType())
-		}
-		if f.MemoryUsage() <= 0 {
-			t.Errorf("%v: MemoryUsage = %d", kind, f.MemoryUsage())
-		}
-	}
-	if _, err := CreateFilter(FilterKind(9), intSeg([]int64{1}, nil), 0); err == nil {
-		t.Error("unknown kind should fail")
-	}
-	if FilterKind(9).String() != "?" {
-		t.Error("unknown kind name wrong")
-	}
-
+func TestAttachDefaults(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "n", Type: types.TypeInt64},
 		{Name: "s", Type: types.TypeString},
@@ -336,17 +261,17 @@ func TestCreateFilterAndAttachDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 := table.GetChunk(0)
-	if len(c0.Filters(0)) != 2 {
-		t.Errorf("numeric column filters = %d, want 2 (MinMax + RangeHist)", len(c0.Filters(0)))
+	if len(c0.Filters(0)) != 1 {
+		t.Errorf("numeric column filters = %d, want 1 (RangeHist)", len(c0.Filters(0)))
 	}
-	if len(c0.Filters(1)) != 1 {
-		t.Errorf("string column filters = %d, want 1 (MinMax)", len(c0.Filters(1)))
+	if len(c0.Filters(1)) != 0 {
+		t.Errorf("string column filters = %d, want none (the bounds are the zone's)", len(c0.Filters(1)))
 	}
 	// Idempotent: a second call must not duplicate filters.
 	if err := AttachDefaultFilters(table); err != nil {
 		t.Fatal(err)
 	}
-	if len(c0.Filters(0)) != 2 {
+	if len(c0.Filters(0)) != 1 {
 		t.Error("AttachDefaultFilters not idempotent")
 	}
 }

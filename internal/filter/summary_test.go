@@ -21,27 +21,6 @@ import (
 
 func isNaN(v types.Value) bool { return v.Type == types.TypeFloat64 && math.IsNaN(v.F) }
 
-func rowMinMax(seg storage.Segment, col types.ColumnID) *MinMaxFilter {
-	f := &MinMaxFilter{col: col, empty: true}
-	for i := 0; i < seg.Len(); i++ {
-		v := seg.ValueAt(types.ChunkOffset(i))
-		if v.IsNull() || isNaN(v) {
-			continue
-		}
-		if f.empty {
-			f.min, f.max, f.empty = v, v, false
-			continue
-		}
-		if c, ok := types.Compare(v, f.min); ok && c < 0 {
-			f.min = v
-		}
-		if c, ok := types.Compare(v, f.max); ok && c > 0 {
-			f.max = v
-		}
-	}
-	return f
-}
-
 func rowRangeHistogram(seg storage.Segment, col types.ColumnID, bins int) *RangeHistogram {
 	counts := make(map[float64]int)
 	h := &RangeHistogram{col: col}
@@ -190,9 +169,6 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 	for _, c := range diffColumns {
 		for layout, seg := range c.layouts(t) {
 			name := c.name + "/" + layout
-			if got, want := NewMinMaxFilter(seg, 3), rowMinMax(seg, 3); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: min-max %+v, per-row %+v", name, got, want)
-			}
 			if seg.DataType().IsNumeric() {
 				for _, bins := range []int{1, 7, DefaultRangeHistBins} {
 					got, err := NewRangeHistogram(seg, 3, bins)
@@ -219,8 +195,8 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 
 // TestRangeHistogramNaN: one NaN among more distinct values than bins used to
 // become the first bin's lower edge, after which `= 0` and `BETWEEN 0 AND 1`
-// pruned a chunk that holds such rows, and made min = max = NaN so that the
-// min-max filter never pruned.
+// pruned a chunk that holds such rows. (The bounds a NaN must not widen are
+// the chunk zone's now: operators.TestPruningWithNaN.)
 func TestRangeHistogramNaN(t *testing.T) {
 	vals := []float64{math.NaN()}
 	for i := 0; i < 70; i++ {
@@ -234,15 +210,12 @@ func TestRangeHistogramNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mm := NewMinMaxFilter(seg, 0)
 		zero, one, far := types.Float(0), types.Float(1), types.Float(1000)
-		for _, f := range []storage.ChunkFilter{h, mm} {
-			if f.CanPruneEquals(zero) || f.CanPruneRange(&zero, &one) || f.CanPruneRange(nil, &zero) {
-				t.Errorf("%s: %s prunes a predicate that matches rows", name, f.FilterType())
-			}
-			if !f.CanPruneEquals(far) || !f.CanPruneRange(&far, nil) {
-				t.Errorf("%s: %s keeps a chunk no row of which is >= 1000", name, f.FilterType())
-			}
+		if h.CanPruneEquals(zero) || h.CanPruneRange(&zero, &one) || h.CanPruneRange(nil, &zero) {
+			t.Errorf("%s: histogram prunes a predicate that matches rows", name)
+		}
+		if !h.CanPruneEquals(far) || !h.CanPruneRange(&far, nil) {
+			t.Errorf("%s: histogram keeps a chunk no row of which is >= 1000", name)
 		}
 		if h.RowCount() != 70 {
 			t.Errorf("%s: histogram covers %d rows, want the 70 numbers", name, h.RowCount())
@@ -251,7 +224,8 @@ func TestRangeHistogramNaN(t *testing.T) {
 }
 
 // TestAttachDefaultFiltersFillsGaps: a chunk that was handed one filter by
-// hand used to be skipped whole; every column gets each default it lacks, once.
+// hand used to be skipped whole; every numeric column gets the range histogram
+// it lacks, once — and no column a copy of the bounds its zone already holds.
 func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "n", Type: types.TypeInt64},
@@ -267,12 +241,16 @@ func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	table.FinalizeLastChunk()
 	c := table.GetChunk(0)
 	c.AddFilter(NewCountingQuotientFilter(c.GetSegment(0), 0, DefaultRemainderBits))
-	c.AddFilter(NewMinMaxFilter(c.GetSegment(1), 1))
+	h, err := NewRangeHistogram(c.GetSegment(1), 1, DefaultRangeHistBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddFilter(h)
 	for pass := 0; pass < 2; pass++ {
 		if err := AttachDefaultFilters(table); err != nil {
 			t.Fatal(err)
 		}
-		for col, want := range [][]string{{"CQF", "MinMax", "RangeHist"}, {"MinMax", "RangeHist"}, {"MinMax"}} {
+		for col, want := range [][]string{{"CQF", "RangeHist"}, {"RangeHist"}, nil} {
 			var got []string
 			for _, f := range c.Filters(types.ColumnID(col)) {
 				got = append(got, f.FilterType())

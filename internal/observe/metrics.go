@@ -328,9 +328,12 @@ type ExecMetrics struct {
 	// AggregateMergeNS accumulates wall nanoseconds spent merging per-chunk
 	// partial aggregation maps.
 	AggregateMergeNS *Counter
-	// ScanSegmentsPruned counts segments skipped entirely because min-max
-	// statistics proved the predicate matches zero rows.
+	// ScanSegmentsPruned counts segments skipped entirely because the chunk's
+	// zone or a filter proved the predicate matches zero rows.
 	ScanSegmentsPruned *Counter
+	// ScanSegmentsSorted counts segment scans answered by binary search over
+	// a column that ascends through the whole chunk.
+	ScanSegmentsSorted *Counter
 	// ScanSegmentsIndexProbed counts segment scans answered by a probe of
 	// the chunk's secondary index.
 	ScanSegmentsIndexProbed *Counter
@@ -371,6 +374,7 @@ func NewExecMetrics(r *Registry) *ExecMetrics {
 		AggregateMergeNS:  r.Counter("operator.aggregate.merge_ns"),
 
 		ScanSegmentsPruned:      r.Counter("scan.segments_pruned"),
+		ScanSegmentsSorted:      r.Counter("scan.segments_sorted"),
 		ScanSegmentsIndexProbed: r.Counter("scan.segments_index_probed"),
 		ScanEncodedDictionary:   r.Counter("scan.encoded_dictionary"),
 		ScanEncodedFOR:          r.Counter("scan.encoded_for"),

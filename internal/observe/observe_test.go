@@ -148,7 +148,7 @@ func TestTraceStagesAndOps(t *testing.T) {
 
 	k1, k2 := new(int), new(int)
 	tr.RecordOp(k1, "GetTable(t)", time.Microsecond, 0, 14)
-	tr.AddOpPruned(k2, 2, 4) // noted during Run, before the span is recorded
+	tr.AddOpPruned(k2, []int{0, 3}, 4) // noted during Run, before the span is recorded
 	tr.RecordOp(k2, "TableScan", 3*time.Microsecond, 14, 4)
 	tr.RecordOp(k2, "TableScan", 2*time.Microsecond, 10, 3) // subquery re-execution
 

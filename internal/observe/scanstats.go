@@ -11,8 +11,12 @@ import (
 type ScanPathKind uint8
 
 const (
-	// ScanPathPruned: the segment was skipped via min-max statistics.
+	// ScanPathPruned: the segment was skipped because the chunk's zone or one
+	// of its filters proved that no row matches.
 	ScanPathPruned ScanPathKind = iota
+	// ScanPathSorted: the column ascends over the whole chunk and the
+	// predicate was answered by binary search.
+	ScanPathSorted
 	// ScanPathIndex: the chunk's secondary index returned the positions.
 	ScanPathIndex
 	// ScanPathEncoded: the predicate ran directly on the encoded codes.
@@ -31,6 +35,7 @@ const (
 type ColumnScanStats struct {
 	scans     atomic.Int64 // segment scans, all paths
 	pruned    atomic.Int64
+	sorted    atomic.Int64
 	index     atomic.Int64
 	encoded   atomic.Int64
 	unencoded atomic.Int64
@@ -47,6 +52,8 @@ func (c *ColumnScanStats) Record(path ScanPathKind, point bool, rowsIn, rowsOut 
 	switch path {
 	case ScanPathPruned:
 		c.pruned.Add(1)
+	case ScanPathSorted:
+		c.sorted.Add(1)
 	case ScanPathIndex:
 		c.index.Add(1)
 	case ScanPathEncoded:
@@ -70,6 +77,7 @@ type ColumnScanSnapshot struct {
 	Table, Column string
 	Scans         int64
 	Pruned        int64
+	Sorted        int64
 	Index         int64
 	Encoded       int64
 	Unencoded     int64
@@ -145,6 +153,7 @@ func (s *ScanStats) Snapshot() []ColumnScanSnapshot {
 			Column:    names[1],
 			Scans:     c.scans.Load(),
 			Pruned:    c.pruned.Load(),
+			Sorted:    c.sorted.Load(),
 			Index:     c.index.Load(),
 			Encoded:   c.encoded.Load(),
 			Unencoded: c.unencoded.Load(),

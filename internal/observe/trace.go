@@ -32,8 +32,10 @@ type OpSpan struct {
 	// pruned chunks are not input.
 	RowsIn, RowsOut int64
 	// ChunksPruned is the number of input chunks the operator skipped because
-	// a chunk filter ruled them out (TableScan only).
-	ChunksPruned int64
+	// the chunk's zone or a filter ruled them out (TableScan only), and
+	// PrunedChunkIDs says which, in no particular order.
+	ChunksPruned   int64
+	PrunedChunkIDs []int
 	// Attrs carries operator-specific measurements (e.g. the radix join's
 	// partition count and build/probe nanoseconds). Nil when the operator
 	// recorded none.
@@ -202,13 +204,14 @@ func (t *Trace) span(key any) *OpSpan {
 	return sp
 }
 
-// AddOpPruned notes, from inside Run, that the operator skipped chunks input
-// chunks holding rows rows. RecordOp later adds the operator's whole input to
-// RowsIn, so the skipped rows are taken off here.
-func (t *Trace) AddOpPruned(key any, chunks, rows int64) {
+// AddOpPruned notes, from inside Run, that the operator skipped the input
+// chunks ids, holding rows rows. RecordOp later adds the operator's whole
+// input to RowsIn, so the skipped rows are taken off here.
+func (t *Trace) AddOpPruned(key any, ids []int, rows int64) {
 	t.mu.Lock()
 	sp := t.span(key)
-	sp.ChunksPruned += chunks
+	sp.ChunksPruned += int64(len(ids))
+	sp.PrunedChunkIDs = append(sp.PrunedChunkIDs, ids...)
 	sp.RowsIn -= rows
 	t.mu.Unlock()
 }

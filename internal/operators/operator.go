@@ -270,7 +270,7 @@ func Execute(root Operator, ctx *ExecContext) (*storage.Table, error) {
 				results[op] = out
 			}
 			mu.Unlock()
-		}).Named(op.Name())
+		})
 		if ctx.Ctx != nil {
 			t.WithContext(ctx.Ctx)
 		}

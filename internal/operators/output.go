@@ -149,10 +149,13 @@ func identityPositions(chunkID types.ChunkID, n int) types.PosList {
 }
 
 // identityOffsets lists every offset of an n-row chunk in order.
-func identityOffsets(n int) []types.ChunkOffset {
-	out := make([]types.ChunkOffset, n)
+func identityOffsets(n int) []types.ChunkOffset { return offsetRange(0, n) }
+
+// offsetRange lists the offsets [first, last).
+func offsetRange(first, last int) []types.ChunkOffset {
+	out := make([]types.ChunkOffset, last-first)
 	for i := range out {
-		out[i] = types.ChunkOffset(i)
+		out[i] = types.ChunkOffset(first + i)
 	}
 	return out
 }

@@ -227,11 +227,11 @@ func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate, 
 // shows it with the estimate behind it (estRows < 0: none was made, see
 // scanCost), and what the pass did: the chunks it pruned — their rows count
 // neither as the span's input nor as rows_scanned — the chunks that answered
-// through their index, the rows left after each conjunct of the chain and the
-// rows visibility hid. Only a real fan-out reaches scan.morsels and
-// scan.parallel_ns, which measure morsel-parallel scans alone.
+// by binary search or through their index, the rows left after each conjunct
+// of the chain and the rows visibility hid. Only a real fan-out reaches
+// scan.morsels and scan.parallel_ns, which measure morsel-parallel scans alone.
 func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, morsels int, wallNS, estRows int64) {
-	pruned, prunedRows := scan.pruned.Load(), scan.prunedRows.Load()
+	prunedRows := scan.prunedRows.Load()
 	if m := ctx.Metrics; m != nil {
 		m.RowsScanned.Add(int64(scan.input.RowCount()) - prunedRows)
 		if parallel {
@@ -240,8 +240,8 @@ func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, mo
 		}
 	}
 	if tr := ctx.Trace; tr != nil {
-		if pruned > 0 {
-			tr.AddOpPruned(op, pruned, prunedRows)
+		if len(scan.prunedIDs) > 0 {
+			tr.AddOpPruned(op, scan.prunedIDs, prunedRows)
 		}
 		tr.AddOpAttr(op, "morsels", int64(morsels))
 		if parallel {
@@ -249,6 +249,9 @@ func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, mo
 		}
 		if estRows >= 0 {
 			tr.AddOpAttr(op, "est_rows", estRows)
+		}
+		if n := scan.sorted.Load(); n > 0 {
+			tr.AddOpAttr(op, "sorted_chunks", n)
 		}
 		if n := scan.probed.Load(); n > 0 {
 			tr.AddOpAttr(op, "index_chunks", n)

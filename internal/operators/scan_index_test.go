@@ -282,9 +282,12 @@ func TestIndexRungEstimatesOnce(t *testing.T) {
 func TestIndexRungFanOut(t *testing.T) {
 	const n, chunkRows = 270_000, 30_000 // 1/16 floor × n clears parallelMinRows[opScan]
 	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}}
+	// id is a permutation of 0..n-1 whose stride sweeps the whole domain
+	// several times per chunk: every chunk's zone spans the probed key and no
+	// chunk ascends, so the prune and sorted rungs leave all nine to the index.
 	rows := make([][]types.Value, n)
 	for i := range rows {
-		rows[i] = []types.Value{types.Int(int64(i))}
+		rows[i] = []types.Value{types.Int(int64(i) * 100_003 % n)}
 	}
 	sm := storage.NewStorageManager()
 	plain := makeTable(t, sm, "plain", defs, chunkRows, rows)

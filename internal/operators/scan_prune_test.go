@@ -13,8 +13,9 @@ import (
 )
 
 // prunableTable builds an encoded table whose chunks hold disjoint id
-// ranges (chunk c covers [c*100, c*100+99]) with a min-max filter per
-// chunk, so range statistics can prove most chunks irrelevant.
+// ranges (chunk c covers [c*100, c*100+99], descending inside the chunk so
+// that no chunk can be binary-searched): the zones the rows left behind when
+// they were appended can prove most chunks irrelevant.
 func prunableTable(t *testing.T, sm *storage.StorageManager, chunks int) *storage.Table {
 	t.Helper()
 	defs := []storage.ColumnDefinition{
@@ -23,15 +24,13 @@ func prunableTable(t *testing.T, sm *storage.StorageManager, chunks int) *storag
 	}
 	rows := make([][]types.Value, 0, chunks*100)
 	for i := 0; i < chunks*100; i++ {
-		rows = append(rows, []types.Value{types.Int(int64(i)), types.Int(int64(i % 5))})
+		id := i/100*100 + 99 - i%100
+		rows = append(rows, []types.Value{types.Int(int64(id)), types.Int(int64(i % 5))})
 	}
 	table := makeTable(t, sm, "pruned", defs, 100, rows)
 	spec := encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
 	if err := encoding.EncodeTable(table, spec, nil); err != nil {
 		t.Fatal(err)
-	}
-	for _, c := range table.Chunks() {
-		c.AddFilter(filter.NewMinMaxFilter(c.GetSegment(0), 0))
 	}
 	return table
 }
@@ -47,7 +46,7 @@ func meteredCtx(t *testing.T, sm *storage.StorageManager) (*ExecContext, *observ
 }
 
 // TestTableScanMinMaxPrune is the regression test for the decode-despite-
-// zero-matches bug: when chunk statistics prove a segment holds no match,
+// zero-matches bug: when a chunk's zone proves a segment holds no match,
 // the scan must not touch it — pruned segments record scan.segments_pruned
 // and never increment scan.segments_decoded.
 func TestTableScanMinMaxPrune(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,11 +22,12 @@ import (
 // `column OP literal` run directly on the encoded representation via
 // encoding.ScannableSegment (paper §2.3): value-id comparison for
 // dictionaries, offset-domain block scans for frame-of-reference, per-run
-// evaluation for run-length — after a prune that skips the chunks whose
-// filters prove that some conjunct cannot match and, for a selective
-// predicate on a chunk that carries a secondary index (paper §2.4), an index
-// probe. Everything else falls back to the vectorized expression evaluator
-// over materialized columns.
+// evaluation for run-length — after a prune that skips the chunks whose zone
+// or filters prove that some conjunct cannot match, a binary search where the
+// chunk's zone says the column ascends and, for a selective predicate on a
+// chunk that carries a secondary index (paper §2.4), an index probe.
+// Everything else falls back to the vectorized expression evaluator over
+// materialized columns.
 type TableScan struct {
 	// preds are the chain's conjuncts in execution order: the first runs
 	// through the ladder over whole chunks, each further one over the offsets
@@ -119,10 +121,11 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 	return buildReferenceTable(input, rowsPerChunk, nil), nil
 }
 
-// chunkScan is the per-chunk pass of a predicate chain: filter prune → first
-// conjunct by the ladder (index probe → encoded scan → typed scan over
-// unencoded values → vectorized expression evaluation over materialized
-// columns; each chunk takes the first rung that applies to it) → every further
+// chunkScan is the per-chunk pass of a predicate chain: prune by zone and
+// filters → first conjunct by the ladder (binary search over an ascending
+// column → index probe → encoded scan → typed scan over unencoded values →
+// vectorized expression evaluation over materialized columns; each chunk
+// takes the first rung that applies to it) → every further
 // conjunct evaluated over the surviving offsets only → visibility over those
 // same offsets. Visibility comes last because it is the one rung that must
 // read per-row state no filter, index or encoding summarizes: every conjunct
@@ -143,10 +146,12 @@ type chunkScan struct {
 	prune   []*simplePredicate       // the chain's simple predicates that bound their column
 	probe   bool                     // the index rung is open (TableScan.Run decides)
 
-	pruned, prunedRows atomic.Int64   // chunks the prune rung skipped, and their rows
-	probed             atomic.Int64   // chunks the index rung answered
-	after              []atomic.Int64 // rows that survived conjunct k
-	invisible          atomic.Int64   // rows the visibility rung hid
+	prunedRows     atomic.Int64 // rows of the chunks the prune rung skipped
+	prunedMu       sync.Mutex
+	prunedIDs      []int          // which chunks those were; kept for the trace only
+	sorted, probed atomic.Int64   // chunks the sorted rung and the index rung answered
+	after          []atomic.Int64 // rows that survived conjunct k
+	invisible      atomic.Int64   // rows the visibility rung hid
 }
 
 func newChunkScan(ctx *ExecContext, input *storage.Table, preds []expression.Expression, visible bool) *chunkScan {
@@ -189,8 +194,12 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 	for _, p := range s.prune {
 		if pruneChunkScan(c, p) {
 			noteScanPath(s.ctx, observe.ScanPathPruned, 0)
-			s.pruned.Add(1)
 			s.prunedRows.Add(int64(n))
+			if s.ctx.Trace != nil {
+				s.prunedMu.Lock()
+				s.prunedIDs = append(s.prunedIDs, ci)
+				s.prunedMu.Unlock()
+			}
 			s.record(p, observe.ScanPathPruned, n, 0)
 			return nil, nil
 		}
@@ -231,7 +240,10 @@ func (s *chunkScan) ladder(c *storage.Chunk, n int) ([]types.ChunkOffset, error)
 	if s.simple != nil && !s.ctx.DynamicAccess {
 		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe); ok {
 			noteScanPath(s.ctx, kind, enc)
-			if kind == observe.ScanPathIndex {
+			switch kind {
+			case observe.ScanPathSorted:
+				s.sorted.Add(1)
+			case observe.ScanPathIndex:
 				s.probed.Add(1)
 			}
 			s.record(s.simple, kind, n, len(matches))
@@ -451,6 +463,8 @@ func noteScanPath(ctx *ExecContext, kind observe.ScanPathKind, enc encoding.Scan
 	switch kind {
 	case observe.ScanPathPruned:
 		m.ScanSegmentsPruned.Inc()
+	case observe.ScanPathSorted:
+		m.ScanSegmentsSorted.Inc()
 	case observe.ScanPathIndex:
 		m.ScanSegmentsIndexProbed.Inc()
 	case observe.ScanPathUnencoded:
@@ -489,11 +503,15 @@ func countDecodedSegments(ctx *ExecContext, c *storage.Chunk, ec *expression.Con
 	}
 }
 
-// pruneChunkScan consults the chunk's filters (min-max, quotient filter,
-// range histogram) to decide whether the predicate provably matches zero rows
-// of the chunk — in which case no segment of it is touched.
+// pruneChunkScan asks the chunk's zone — every chunk of a stored table has
+// one, the mutable tail included — and then its filters (quotient filter,
+// range histogram) whether the predicate provably matches zero rows of the
+// chunk, in which case no segment of it is touched.
 func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
 	lo, hi, _ := scanInterval(&p.pred)
+	if z, ok := c.Zone(p.column); ok && z.Excludes(lo, hi) {
+		return true
+	}
 	for _, f := range c.Filters(p.column) {
 		if p.pred.Op == encoding.ScanEq {
 			if f.CanPruneEquals(*lo) {
@@ -506,20 +524,27 @@ func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
 	return false
 }
 
-// scanChunkSpecialized runs the index and per-encoding fast paths (probe
-// opens the index rung). ok is false when no specialization applies
+// scanChunkSpecialized runs the sorted, index and per-encoding fast paths
+// (probe opens the index rung). ok is false when no specialization applies
 // (the caller falls back to the evaluator). The returned kind labels which
 // path answered; enc identifies the encoding when kind is ScanPathEncoded.
 func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (matches []types.ChunkOffset, enc encoding.ScanPath, kind observe.ScanPathKind, ok bool) {
 	if int(p.column) >= c.ColumnCount() {
 		return nil, 0, 0, false
 	}
+	// The view and the zone come from under one lock, so the run covers the
+	// view or it does not — also on the tail that is being appended to.
+	seg, zone := c.SegmentWithZone(p.column)
+	if zone.Ascending >= seg.Len() {
+		if first, last, sok := encoding.ScanSorted(seg, p.pred); sok {
+			return offsetRange(first, last), 0, observe.ScanPathSorted, true
+		}
+	}
 	if probe {
 		if idx := c.GetIndex(p.column); idx != nil {
 			return indexProbe(idx, p), 0, observe.ScanPathIndex, true
 		}
 	}
-	seg := c.GetSegment(p.column)
 	if ss, sok := seg.(encoding.ScannableSegment); sok {
 		if out, path, eok := ss.ScanEncoded(p.pred, nil); eok {
 			return out, path, observe.ScanPathEncoded, true

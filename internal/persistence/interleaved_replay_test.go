@@ -23,6 +23,35 @@ func appendIn(t *testing.T, tx *concurrency.TransactionContext, table *storage.T
 	tx.LogInsert(table.Name(), rid, vals)
 }
 
+// checkZones fails unless every chunk's zones hold for the rows the chunk has
+// now: each value inside the bounds, the leading run really ascending. A
+// placeholder that replay overwrote inside a sealed chunk is where a zone
+// kept at seal time would have gone stale.
+func checkZones(t *testing.T, table *storage.Table) {
+	t.Helper()
+	for ci, c := range table.Chunks() {
+		for col := 0; col < c.ColumnCount(); col++ {
+			seg, z := c.SegmentWithZone(types.ColumnID(col))
+			if _, ok := c.Zone(types.ColumnID(col)); !ok {
+				t.Fatalf("chunk %d column %d carries no zone", ci, col)
+			}
+			var prev types.Value
+			for o := 0; o < seg.Len(); o++ {
+				v := seg.ValueAt(types.ChunkOffset(o))
+				if !v.IsNull() && z.Excludes(&v, &v) {
+					t.Errorf("chunk %d column %d: row %d holds %v, outside the zone %v..%v", ci, col, o, v, z.Min, z.Max)
+				}
+				if o < z.Ascending {
+					if c, ok := types.Compare(prev, v); v.IsNull() || (o > 0 && (!ok || c > 0)) {
+						t.Errorf("chunk %d column %d: zone says %d rows ascend, row %d holds %v after %v", ci, col, z.Ascending, o, v, prev)
+					}
+				}
+				prev = v
+			}
+		}
+	}
+}
+
 // copyDataDir copies the data directory as it is on disk right now — a crash
 // image of an engine that is still open.
 func copyDataDir(t *testing.T, from string) string {
@@ -52,7 +81,9 @@ func copyDataDir(t *testing.T, from string) string {
 // within a chunk, in a chunk the earlier commit already sealed, and at the
 // tail of a chunk whose successor the earlier commit opened. Crash recovery
 // and a replication follower (same Applier, streamed frames) must both end up
-// with exactly the live engine's rows.
+// with exactly the live engine's rows, under zones that cover them: the late
+// commit's values lie above everything the early one wrote, so a chunk whose
+// bounds were fixed when it was sealed would hide them from every scan.
 func TestReplayCommitsOutOfOffsetOrder(t *testing.T) {
 	dir := t.TempDir()
 	sm, tm, m := openTestManager(t, dir, SyncCommit)
@@ -68,11 +99,11 @@ func TestReplayCommitsOutOfOffsetOrder(t *testing.T) {
 	insertTx(t, tm, table, [][]types.Value{{types.Int(1), types.Str("first"), types.NullValue}})
 
 	a, b := tm.New(), tm.New()
-	appendIn(t, a, table, 10) // 0/1
+	appendIn(t, a, table, 50) // 0/1
 	appendIn(t, b, table, 20) // 0/2
-	appendIn(t, a, table, 11) // 0/3 — last slot of chunk 0
+	appendIn(t, a, table, 51) // 0/3 — last slot of chunk 0
 	appendIn(t, b, table, 21) // 1/0 — opens chunk 1
-	appendIn(t, a, table, 12) // 1/1
+	appendIn(t, a, table, 52) // 1/1
 	appendIn(t, b, table, 22) // 1/2
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
@@ -99,6 +130,7 @@ func TestReplayCommitsOutOfOffsetOrder(t *testing.T) {
 		if got := visibleRows(tm2, recovered); !rowsEqual(got, want) {
 			t.Fatalf("recovered rows = %v\nwant %v", got, want)
 		}
+		checkZones(t, recovered)
 	})
 
 	t.Run("replication follower", func(t *testing.T) {
@@ -125,6 +157,10 @@ func TestReplayCommitsOutOfOffsetOrder(t *testing.T) {
 		}
 		if got := visibleRows(tm2, follower); !rowsEqual(got, want) {
 			t.Fatalf("follower rows = %v\nwant %v", got, want)
+		}
+		checkZones(t, follower)
+		if z, _ := follower.GetChunk(0).Zone(0); !follower.GetChunk(0).IsImmutable() || z.Max.I != 51 {
+			t.Errorf("chunk 0 of the follower: sealed=%v, id zone %v..%v, want a sealed chunk widened to 51", follower.GetChunk(0).IsImmutable(), z.Min, z.Max)
 		}
 	})
 	c.Rollback()

@@ -73,10 +73,11 @@ func TestTPCHParallelDecisionParity(t *testing.T) {
 }
 
 // scanRungs is how often one table column was answered by each rung of the
-// scan ladder that existed before the index rung; a column with a non-zero
-// Fallback still reaches the materializing evaluator.
+// scan ladder but the index rung (no TPC-H table carries an index); a column
+// with a non-zero Fallback still reaches the materializing evaluator.
 type scanRungs struct {
 	Pruned    int64 `json:"pruned"`
+	Sorted    int64 `json:"sorted"`
 	Encoded   int64 `json:"encoded"`
 	Unencoded int64 `json:"unencoded"`
 	Fallback  int64 `json:"fallback"`
@@ -85,7 +86,8 @@ type scanRungs struct {
 // TestTPCHScanRungParity pins the scan ladder's per-chunk choices: after the
 // 22 TPC-H queries every table.column of meta_column_scans must show the rung
 // counts recorded in testdata (captured at the commit before index probe
-// became a rung). The golden doubles as the list of TPC-H columns that still
+// became a rung; the sorted rung added its key and took region.r_name, the one
+// scanned column that is loaded in ascending order). The golden doubles as the list of TPC-H columns that still
 // land on the fallback rung (ROADMAP 4c). Re-record with -update-golden.
 func TestTPCHScanRungParity(t *testing.T) {
 	_, s := newTPCHParityEngine(t)
@@ -95,13 +97,13 @@ func TestTPCHScanRungParity(t *testing.T) {
 			t.Fatalf("Q%d: %v", num, err)
 		}
 	}
-	res, err := s.ExecuteOne("SELECT table_name, column_name, pruned, encoded, unencoded, fallback FROM meta_column_scans")
+	res, err := s.ExecuteOne("SELECT table_name, column_name, pruned, sorted, encoded, unencoded, fallback FROM meta_column_scans")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[string]scanRungs)
 	for _, r := range ValueRows(res.Table) {
-		got[r[0].S+"."+r[1].S] = scanRungs{Pruned: r[2].AsInt(), Encoded: r[3].AsInt(), Unencoded: r[4].AsInt(), Fallback: r[5].AsInt()}
+		got[r[0].S+"."+r[1].S] = scanRungs{Pruned: r[2].AsInt(), Sorted: r[3].AsInt(), Encoded: r[4].AsInt(), Unencoded: r[5].AsInt(), Fallback: r[6].AsInt()}
 	}
 	var want map[string]scanRungs
 	if !goldenJSON(t, "tpch_scan_rungs.json", got, &want) {

@@ -13,9 +13,12 @@ import (
 	"hyrise/internal/types"
 )
 
-// newIndexedEngine serves table t (id INT 0..n-1, v = 10*id) in four sealed
-// chunks with a B-tree on id in every chunk, and statistics cached the way
-// IndexSelectionPlugin leaves them after building indexes.
+// newIndexedEngine serves table t (id INT, a permutation of 0..n-1, v = 10*id)
+// in four sealed chunks with a B-tree on id in every chunk, and statistics
+// cached the way IndexSelectionPlugin leaves them after building indexes.
+// Chunk k holds the ids that are k modulo 4, shuffled: every chunk's zone spans
+// the whole domain and no chunk ascends, so neither the prune rung nor the
+// sorted rung takes a chunk away from the index.
 func newIndexedEngine(t *testing.T) (*Engine, *Session) {
 	t.Helper()
 	const n, chunkRows = 2000, 500
@@ -25,7 +28,8 @@ func newIndexedEngine(t *testing.T) (*Engine, *Session) {
 		{Name: "v", Type: types.TypeInt64},
 	}, chunkRows, cfg.UseMvcc)
 	for i := int64(0); i < n; i++ {
-		if _, err := table.AppendRow([]types.Value{types.Int(i), types.Int(10 * i)}); err != nil {
+		id := i%chunkRows*7%chunkRows*4 + i/chunkRows
+		if _, err := table.AppendRow([]types.Value{types.Int(id), types.Int(10 * id)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,15 +121,17 @@ func TestIndexRungThroughSQL(t *testing.T) {
 		t.Errorf("meta_column_scans for t.id = %v, want 0 < index < scans", rows)
 	}
 
-	// Filters and indexes together: the scan prunes three chunks and probes
-	// the index of the fourth. When pruning handed the scan a view of the
-	// table, the statistics cache did not know it and the rung stayed shut.
+	// Filters and indexes together: the scan prunes three chunks (a quotient
+	// filter knows which ids a chunk holds; bounds and histograms cannot tell
+	// these chunks apart) and probes the index of the fourth. When pruning
+	// handed the scan a view of the table, the statistics cache did not know
+	// it and the rung stayed shut.
 	table, err := e.StorageManager().GetTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := filter.AttachDefaultFilters(table); err != nil {
-		t.Fatal(err)
+	for _, c := range table.Chunks() {
+		c.AddFilter(filter.NewCountingQuotientFilter(c.GetSegment(0), 0, filter.DefaultRemainderBits))
 	}
 	if ex, err = s.Explain("SELECT v FROM t WHERE id = 1234"); err != nil {
 		t.Fatal(err)

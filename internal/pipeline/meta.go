@@ -27,15 +27,17 @@ func (e *Engine) registerMetaTables() {
 }
 
 // buildMetaColumnScans snapshots the per-column scan workload statistics:
-// one row per scanned table.column with the code-path mix (pruned, index,
-// encoded, unencoded, fallback), predicate shape counts, and row selectivity.
-// This is the same feed the encoding advisor consumes to steer re-encoding.
+// one row per scanned table.column with the code-path mix (pruned, sorted,
+// index, encoded, unencoded, fallback), predicate shape counts, and row
+// selectivity. This is the same feed the encoding advisor consumes to steer
+// re-encoding.
 func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
 		{Name: "column_name", Type: types.TypeString},
 		{Name: "scans", Type: types.TypeInt64},
 		{Name: "pruned", Type: types.TypeInt64},
+		{Name: "sorted", Type: types.TypeInt64},
 		{Name: "index", Type: types.TypeInt64},
 		{Name: "encoded", Type: types.TypeInt64},
 		{Name: "unencoded", Type: types.TypeInt64},
@@ -52,6 +54,7 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 			types.Str(s.Column),
 			types.Int(s.Scans),
 			types.Int(s.Pruned),
+			types.Int(s.Sorted),
 			types.Int(s.Index),
 			types.Int(s.Encoded),
 			types.Int(s.Unencoded),
@@ -105,7 +108,10 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 
 // buildMetaSegments snapshots one row per table x chunk x column: the
 // physical layout, including the encoding actually applied to each segment
-// (paper §2.3: encodings are chosen per segment, not per column).
+// (paper §2.3: encodings are chosen per segment, not per column) and the zone
+// the chunk keeps for the column: its bounds (NULL while no row holds a
+// comparable value) and whether the column ascends through the whole chunk,
+// which is what lets a scan binary-search it.
 func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
@@ -116,6 +122,9 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 		{Name: "encoding", Type: types.TypeString},
 		{Name: "rows", Type: types.TypeInt64},
 		{Name: "size_bytes", Type: types.TypeInt64},
+		{Name: "zone_min", Type: types.TypeString, Nullable: true},
+		{Name: "zone_max", Type: types.TypeString, Nullable: true},
+		{Name: "ascending", Type: types.TypeString},
 	}
 	out := storage.NewTable("meta_segments", defs, 0, false)
 	for _, name := range e.sm.TableNames() {
@@ -126,9 +135,16 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 		cols := t.ColumnDefinitions()
 		for ci, chunk := range t.Chunks() {
 			for col := range cols {
-				seg := chunk.GetSegment(types.ColumnID(col))
+				seg, zone := chunk.SegmentWithZone(types.ColumnID(col))
 				if seg == nil {
 					continue
+				}
+				zoneMin, zoneMax, ascending := types.NullValue, types.NullValue, "no"
+				if !zone.Min.IsNull() {
+					zoneMin, zoneMax = types.Str(zone.Min.String()), types.Str(zone.Max.String())
+				}
+				if seg.Len() > 0 && zone.Ascending >= seg.Len() {
+					ascending = "yes"
 				}
 				if _, err := out.AppendRow([]types.Value{
 					types.Str(t.Name()),
@@ -139,6 +155,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					types.Str(segmentEncodingName(seg)),
 					types.Int(int64(seg.Len())),
 					types.Int(seg.MemoryUsage()),
+					zoneMin, zoneMax, types.Str(ascending),
 				}); err != nil {
 					return nil, err
 				}

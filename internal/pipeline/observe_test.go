@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -276,6 +277,14 @@ func TestMetaTablesSQL(t *testing.T) {
 		if r[1] != "Unencoded" {
 			t.Errorf("fresh chunk segment encoding = %v, want Unencoded", r)
 		}
+	}
+	// The zone of each column, as the mutable chunk keeps it: id 0..24 in
+	// order, grp cycling through 0..6, label row0 < row1 < row10 < ... < row9
+	// (not the insertion order).
+	zones := rows(t, s, "SELECT column_name, zone_min, zone_max, ascending FROM meta_segments WHERE table_name = 'obs'")
+	want := [][]string{{"id", "0", "24", "yes"}, {"grp", "0", "6", "no"}, {"label", "row0", "row9", "no"}}
+	if !reflect.DeepEqual(zones, want) {
+		t.Errorf("meta_segments zones = %v, want %v", zones, want)
 	}
 }
 

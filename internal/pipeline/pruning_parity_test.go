@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"hyrise/internal/concurrency"
@@ -32,52 +31,6 @@ func pruneRow(i int64) []types.Value {
 	}
 }
 
-// skipLog notes the chunks on which a filter proved a predicate empty.
-type skipLog struct {
-	mu     sync.Mutex
-	chunks map[int]bool
-}
-
-// take returns the noted chunk ids in order and forgets them.
-func (l *skipLog) take() []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ids := make([]int, 0, len(l.chunks))
-	for id := range l.chunks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	l.chunks = nil
-	return ids
-}
-
-// loggedFilter is a chunk filter that reports every successful prune.
-type loggedFilter struct {
-	storage.ChunkFilter
-	chunk int
-	log   *skipLog
-}
-
-func (f loggedFilter) note(pruned bool) bool {
-	if pruned {
-		f.log.mu.Lock()
-		if f.log.chunks == nil {
-			f.log.chunks = make(map[int]bool)
-		}
-		f.log.chunks[f.chunk] = true
-		f.log.mu.Unlock()
-	}
-	return pruned
-}
-
-func (f loggedFilter) CanPruneEquals(v types.Value) bool {
-	return f.note(f.ChunkFilter.CanPruneEquals(v))
-}
-
-func (f loggedFilter) CanPruneRange(lo, hi *types.Value) bool {
-	return f.note(f.ChunkFilter.CanPruneRange(lo, hi))
-}
-
 // newPruneTable loads the fixture rows into sealed chunks, without filters.
 func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvcc bool) *storage.Table {
 	t.Helper()
@@ -100,27 +53,28 @@ func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvc
 	return table
 }
 
-// attachLoggedFilters gives every column of every chunk the default filters
-// (min-max and range histogram) and column c a quotient filter on top, each
-// wrapped so that log learns which chunks they let a statement skip.
-func attachLoggedFilters(t *testing.T, table *storage.Table, log *skipLog) {
+// attachPruneFilters gives every column of every chunk the default filter
+// (a range histogram; the bounds are the chunk's zone) and column c a quotient
+// filter on top.
+func attachPruneFilters(t *testing.T, table *storage.Table) {
 	t.Helper()
-	for ci, c := range table.Chunks() {
-		for col := 0; col < c.ColumnCount(); col++ {
-			id := types.ColumnID(col)
-			kinds := []filter.FilterKind{filter.MinMax, filter.RangeHist}
-			if col == 3 {
-				kinds = append(kinds, filter.CQF)
-			}
-			for _, kind := range kinds {
-				f, err := filter.CreateFilter(kind, c.GetSegment(id), id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.AddFilter(loggedFilter{ChunkFilter: f, chunk: ci, log: log})
-			}
-		}
+	if err := filter.AttachDefaultFilters(table); err != nil {
+		t.Fatal(err)
 	}
+	for _, c := range table.Chunks() {
+		c.AddFilter(filter.NewCountingQuotientFilter(c.GetSegment(3), 3, filter.DefaultRemainderBits))
+	}
+}
+
+// prunedChunks lists, in order, the chunks the trace's operators say their
+// prune rung skipped — by zone or by filter.
+func prunedChunks(tr *observe.Trace) []int {
+	ids := []int{}
+	for _, sp := range tr.OpSpans() {
+		ids = append(ids, sp.PrunedChunkIDs...)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // prunedBySpans sums the chunks the trace's operators say they skipped.
@@ -151,8 +105,7 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 	cfg := DefaultConfig()
 	cfg.ParallelMode = mode
 	sm := storage.NewStorageManager()
-	log := &skipLog{}
-	attachLoggedFilters(t, newPruneTable(t, sm, "t", cfg.UseMvcc), log)
+	attachPruneFilters(t, newPruneTable(t, sm, "t", cfg.UseMvcc))
 	e := NewEngine(cfg, sm)
 	t.Cleanup(e.Close)
 	e.SetTraceSink(func(*observe.Trace) {})
@@ -181,7 +134,6 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 	got := make(map[string][]int)
 	spans := make(map[string]int)
 	for _, sh := range shapes {
-		log.take()
 		ps, err := s.PrepareStatement(sh.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
@@ -190,7 +142,7 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		got[sh.name] = log.take()
+		got[sh.name] = prunedChunks(s.LastTrace())
 		spans[sh.name] = prunedBySpans(s.LastTrace())
 		var want int64
 		for i := int64(0); i < pruneRows; i++ {
@@ -235,21 +187,23 @@ func TestPruningSeesLateFilters(t *testing.T) {
 	e.SetTraceSink(func(*observe.Trace) {})
 	s := e.NewSession()
 
-	const sql = "SELECT count(*) FROM late WHERE id < 250 AND g < 50"
+	const sql = "SELECT count(*) FROM late WHERE id < 250 AND c = 481"
 	run := func() *observe.Trace {
 		t.Helper()
-		if n := ValueRows(mustExec(t, s, sql).Table)[0][0].AsInt(); n != 100 {
-			t.Fatalf("count = %d, want 100", n)
+		if n := ValueRows(mustExec(t, s, sql).Table)[0][0].AsInt(); n != 1 {
+			t.Fatalf("count = %d, want 1", n)
 		}
 		return s.LastTrace()
 	}
-	if n := prunedBySpans(run()); n != 0 {
-		t.Fatalf("pruned %d chunks of a table without filters", n)
+	// The zones the rows left behind rule out chunks 3-11 (id < 250); c strides
+	// over its whole domain in every chunk, so bounds say nothing about it.
+	if n := prunedBySpans(run()); n != 9 {
+		t.Fatalf("pruned %d chunks of a table without filters, want the 9 its zones exclude", n)
 	}
-	if err := filter.AttachDefaultFilters(table); err != nil {
-		t.Fatal(err)
+	for _, c := range table.Chunks() {
+		c.AddFilter(filter.NewCountingQuotientFilter(c.GetSegment(3), 3, filter.DefaultRemainderBits))
 	}
-	// Chunks 3-11 fail id < 250; of chunks 0-2, g < 50 keeps only chunk 0.
+	// Of chunks 0-2, only chunk 0 holds a c = 481.
 	tr := run()
 	if !tr.CacheHit {
 		t.Fatal("second execution planned again; the case needs the cached plan")

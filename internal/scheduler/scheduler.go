@@ -19,9 +19,8 @@ import (
 
 // Task is a schedulable unit of work.
 type Task struct {
-	fn   func()
-	name string
-	ctx  context.Context // nil = never canceled
+	fn  func()
+	ctx context.Context // nil = never canceled
 
 	// enqueuedAt is stamped when the task is pushed onto the ready queue and
 	// read by the goroutine that pops it — the queue mutex orders the two, so
@@ -52,18 +51,12 @@ func NewTask(fn func()) *Task {
 	return t
 }
 
-// Named sets a diagnostic name and returns the task.
-func (t *Task) Named(name string) *Task { t.name = name; return t }
-
 // WithContext attaches a cancellation context and returns the task. A task
 // whose context is dead by the time a worker picks it up is skipped: its
 // closure never runs, but the task still completes (successors unblock,
 // waiters wake) so cancellation can never deadlock a task DAG. Must be set
 // before the task is scheduled.
 func (t *Task) WithContext(ctx context.Context) *Task { t.ctx = ctx; return t }
-
-// Name returns the diagnostic name.
-func (t *Task) Name() string { return t.name }
 
 // ObserveQueueWait registers a callback that receives the time (ns) the task
 // spent sitting in the ready queue before it was picked up. Inline execution

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -175,7 +176,7 @@ type ChunkIndex interface {
 // queries: CanPrune may only return true if the predicate definitely matches
 // no row of the chunk (no false pruning).
 type ChunkFilter interface {
-	// FilterType names the implementation ("MinMax", "CQF", "RangeHist").
+	// FilterType names the implementation ("CQF", "RangeHist").
 	FilterType() string
 	// ColumnID returns the filtered column.
 	ColumnID() types.ColumnID
@@ -195,8 +196,9 @@ type Chunk struct {
 	segments []Segment
 	mvcc     *MvccData
 
-	mu        sync.RWMutex // guards segments replacement, indexes, filters
+	mu        sync.RWMutex // guards segments replacement, zones, indexes, filters
 	immutable atomic.Bool
+	zones     []Zone // one per column; nil for chunks outside a stored table
 	indexes   []ChunkIndex
 	filters   []ChunkFilter
 
@@ -212,7 +214,8 @@ type Chunk struct {
 }
 
 // NewChunk creates a chunk over the given segments. mvcc may be nil when
-// concurrency control is disabled.
+// concurrency control is disabled. The chunk carries no zones until a data
+// table takes it in (Table.AppendChunk).
 func NewChunk(segments []Segment, mvcc *MvccData) *Chunk {
 	c := &Chunk{segments: segments, mvcc: mvcc}
 	if len(segments) > 0 {
@@ -236,6 +239,37 @@ func (c *Chunk) ColumnCount() int { return len(c.segments) }
 func (c *Chunk) GetSegment(col types.ColumnID) Segment {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.segmentView(col)
+}
+
+// SegmentWithZone is GetSegment plus the column's zone, both taken under one
+// lock: the zone covers exactly the rows of the segment, so on the mutable
+// tail too "Ascending >= Len()" means the whole view can be binary-searched.
+// A chunk without zones answers the zero Zone, which is ascending nowhere.
+func (c *Chunk) SegmentWithZone(col types.ColumnID) (Segment, Zone) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var z Zone
+	if int(col) < len(c.zones) {
+		z = c.zones[col]
+	}
+	return c.segmentView(col), z
+}
+
+// Zone returns the column's zone; ok is false for a chunk that carries none.
+// The bounds cover every row appended so far, hence every row a transaction
+// that started earlier may see.
+func (c *Chunk) Zone(col types.ColumnID) (z Zone, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if int(col) >= len(c.zones) {
+		return Zone{}, false
+	}
+	return c.zones[col], true
+}
+
+// segmentView is GetSegment under the caller's read lock.
+func (c *Chunk) segmentView(col types.ColumnID) Segment {
 	c.viewed.Store(true)
 	seg := c.segments[col]
 	if c.immutable.Load() {
@@ -285,7 +319,8 @@ func (c *Chunk) SnapshotSegments() ([]Segment, int) {
 }
 
 // ReplaceSegment swaps in a (typically encoded) segment for a column. Only
-// legal on immutable chunks, where the data can no longer change underneath.
+// legal on immutable chunks, where the data can no longer change underneath;
+// the replacement holds the same values, so the column's zone stays.
 func (c *Chunk) ReplaceSegment(col types.ColumnID, seg Segment) {
 	if !c.IsImmutable() {
 		panic("storage: cannot replace segment of mutable chunk")
@@ -388,6 +423,9 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 	for _, f := range c.filters {
 		metadata += f.MemoryUsage()
 	}
+	for _, z := range c.zones {
+		metadata += z.memoryUsage()
+	}
 	metadata += 128 // struct headers, slice headers, atomics
 	return data, metadata
 }
@@ -396,7 +434,9 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 // placeholder (Table.RestoreRowAt). Readers scan the views they were handed
 // without a lock, so once any view is out the row is written into copies of
 // the value segments that replace the originals under the chunk lock; the
-// views keep the old arrays. Caller must hold the table's append lock.
+// views keep the old arrays. The zones take the new values in the same
+// critical section — the chunk may be sealed already, so this is what keeps a
+// replayed row findable. Caller must hold the table's append lock.
 func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -407,22 +447,35 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 			return err
 		}
 		c.segments[i] = seg
+		c.zones[i].overwritten(int(off), v)
 	}
 	return nil
 }
 
-// appendRow adds one row to the chunk's value segments. Caller must hold
-// the table's append lock and have verified capacity; the chunk lock is
-// taken so concurrent readers snapshot consistent segment states.
+// appendRow adds one row to the chunk's value segments and folds it into the
+// columns' zones. Caller must hold the table's append lock and have verified
+// capacity; the chunk lock is taken so concurrent readers snapshot consistent
+// segment states, zone included.
 func (c *Chunk) appendRow(vals []types.Value) error {
 	if c.mvcc != nil {
 		c.mvcc.EnsureCapacity(types.ChunkOffset(c.Size()))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	row := int(c.rowCount.Load())
 	for i, v := range vals {
-		if err := AppendValueTo(c.segments[i], v); err != nil {
-			return err
+		switch s := c.segments[i].(type) {
+		case *ValueSegment[int64]:
+			z := &c.zones[i]
+			appendTo(s, z, &z.Min.I, &z.Max.I, row, v.AsInt(), v.IsNull())
+		case *ValueSegment[float64]:
+			z := &c.zones[i]
+			appendTo(s, z, &z.Min.F, &z.Max.F, row, v.AsFloat(), v.IsNull())
+		case *ValueSegment[string]:
+			z := &c.zones[i]
+			appendTo(s, z, &z.Min.S, &z.Max.S, row, v.S, v.IsNull())
+		default:
+			return fmt.Errorf("storage: cannot append to segment of type %T", s)
 		}
 	}
 	c.rowCount.Add(1)

@@ -217,22 +217,6 @@ func (s *ReferenceSegment) MemoryUsage() int64 {
 	return int64(cap(s.posList)) * 8
 }
 
-// AppendValueTo appends the dynamic value v to a value segment of matching
-// type. It is the slow-path used by materializing operators.
-func AppendValueTo(seg Segment, v types.Value) error {
-	switch s := seg.(type) {
-	case *ValueSegment[int64]:
-		s.Append(v.AsInt(), v.IsNull())
-	case *ValueSegment[float64]:
-		s.Append(v.AsFloat(), v.IsNull())
-	case *ValueSegment[string]:
-		s.Append(v.S, v.IsNull())
-	default:
-		return fmt.Errorf("storage: cannot append to segment of type %T", seg)
-	}
-	return nil
-}
-
 // with returns the segment with row i set to (v, null): s itself when fresh
 // is false, else a copy over new backing arrays of the same capacity.
 func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *ValueSegment[T] {

@@ -128,8 +128,13 @@ func (t *Table) Chunks() []*Chunk {
 	return out
 }
 
-// AppendChunk attaches a pre-built chunk (bulk load path, reference tables).
+// AppendChunk attaches a pre-built chunk (snapshot restore, reference
+// tables). A data table summarizes the chunk's columns into zones here, once;
+// from then on they are kept up with every write.
 func (t *Table) AppendChunk(c *Chunk) {
+	if t.tableType == DataTable && c.zones == nil {
+		c.zones = zonesOf(c.segments)
+	}
 	t.mu.Lock()
 	t.chunks = append(t.chunks, c)
 	t.mu.Unlock()
@@ -157,7 +162,9 @@ func (t *Table) newMutableChunk() *Chunk {
 	if t.useMvcc {
 		mvcc = NewMvccData(t.targetChunkSize)
 	}
-	return NewChunk(segs, mvcc)
+	c := NewChunk(segs, mvcc)
+	c.zones = make([]Zone, len(segs))
+	return c
 }
 
 // AppendRow appends one row, opening a new chunk when the current one is

@@ -367,3 +367,83 @@ func TestCrashRecoveryPrunedDML(t *testing.T) {
 		t.Errorf("recovered rows = %v, want %v", got, want)
 	}
 }
+
+// TestCrashRecoveryFindsOverwrittenSealedRow: two sessions interleave their
+// INSERTs and the one holding the higher offsets commits first, so replay —
+// on a replica and after a crash — seals chunk 1 around placeholders and only
+// then fills them with the late commit's rows, whose ids lie outside
+// everything the chunk held when it was sealed. The chunk's zone is written
+// with the rows, so `id = ?` and ranges still find them; bounds fixed at seal
+// time would prune the chunk.
+func TestCrashRecoveryFindsOverwrittenSealedRow(t *testing.T) {
+	cfg := durableConfig(t)
+	db, err := OpenErr(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "v", Type: types.TypeInt64}}
+	if err := db.LoadCSV("t", defs, strings.NewReader("1,10\n2,20\n"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := db.AttachReplica(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	waitBarrier(t, db, replica)
+
+	late, early := db.Session(), db.Session()
+	for _, step := range []struct {
+		s   *pipeline.Session
+		sql string
+	}{
+		{late, "BEGIN"}, {early, "BEGIN"},
+		{late, "INSERT INTO t VALUES (100, 1000)"}, // 1/0
+		{early, "INSERT INTO t VALUES (30, 300)"},  // 1/1
+		{late, "INSERT INTO t VALUES (-5, -50)"},   // 1/2
+		{early, "INSERT INTO t VALUES (31, 310)"},  // 1/3: chunk 1 is full
+		{early, "INSERT INTO t VALUES (32, 320)"},  // 2/0: seals chunk 1
+		{early, "COMMIT"}, {late, "COMMIT"},
+	} {
+		if _, err := step.s.ExecuteOne(step.sql); err != nil {
+			t.Fatalf("%s: %v", step.sql, err)
+		}
+	}
+	waitBarrier(t, db, replica)
+	crash := cfg
+	crash.DataDir = t.TempDir()
+	if err := os.CopyFS(crash.DataDir, os.DirFS(cfg.DataDir)); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenErr(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+
+	for name, side := range map[string]*Database{"primary": db, "replica": replica, "recovered": recovered} {
+		for sql, want := range map[string][][]string{
+			"SELECT v FROM t WHERE id = 100":                   {{"1000"}},
+			"SELECT v FROM t WHERE id = -5":                    {{"-50"}},
+			"SELECT id FROM t WHERE id BETWEEN 90 AND 110":     {{"100"}},
+			"SELECT id FROM t WHERE id < 0":                    {{"-5"}},
+			"SELECT id FROM t WHERE id >= 30 ORDER BY id":      {{"30"}, {"31"}, {"32"}, {"100"}},
+			"SELECT count(*) FROM t WHERE id BETWEEN 3 AND 29": {{"0"}},
+		} {
+			if got := mustRows(t, side, sql); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s = %v, want %v", name, sql, got, want)
+			}
+		}
+		table, err := side.StorageManager().GetTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if z, _ := table.GetChunk(1).Zone(0); !table.GetChunk(1).IsImmutable() || z.Min.I > -5 || z.Max.I < 100 {
+			t.Errorf("%s: chunk 1 sealed=%v with id zone %v..%v, want a sealed chunk covering -5..100", name, table.GetChunk(1).IsImmutable(), z.Min, z.Max)
+		}
+	}
+}
