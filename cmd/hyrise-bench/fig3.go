@@ -3,58 +3,30 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
+	"hyrise/internal/benchmark"
 	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
-// Figure 3 setup (paper §2.3): an aggregation accessing 25% of 1M integer
-// values, randomly chosen positions.
-const (
-	fig3N         = 1_000_000
-	fig3Positions = fig3N / 4
-	fig3Repeats   = 20
-)
+// Figure 3 setup (paper §2.3): an aggregation accessing 25% of the integer
+// values of one segment, at randomly chosen positions. At -sf 0.1 the segment
+// holds the paper's 1M values.
 
 // fig3Specs are the encodings of the paper's figure.
-func fig3Specs() []encoding.Spec {
-	return []encoding.Spec{
-		{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned},
-		{Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128},
-		{Encoding: encoding.RunLength},
-		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
-		{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
-	}
+var fig3Specs = []encoding.Spec{
+	{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned},
+	{Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128},
+	{Encoding: encoding.RunLength},
+	{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
+	{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
 }
 
-func fig3Data() ([]int64, []types.ChunkOffset) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]int64, fig3N)
-	for i := range vals {
-		// Runs of ~64 equal values over a ~16k-value domain: run-length,
-		// dictionary, and frame-of-reference all have realistic structure.
-		vals[i] = int64(i / 64)
-	}
-	pos := make([]types.ChunkOffset, fig3Positions)
-	for i := range pos {
-		pos[i] = types.ChunkOffset(rng.Intn(fig3N))
-	}
-	return vals, pos
-}
+// fig3Sum is the aggregation of the figure over one access path.
+type fig3Sum func(seg storage.Segment, pos []types.ChunkOffset) int64
 
-func encodeFig3(vals []int64, spec encoding.Spec) storage.Segment {
-	vs := storage.ValueSegmentFromSlice(vals, nil)
-	seg, err := encoding.EncodeSegment(vs, spec)
-	if err != nil {
-		panic(err)
-	}
-	return seg
-}
-
-// sumFull is the "full materialization" path: decode the whole vector
-// upfront, then gather the requested positions.
+// sumFull decodes the whole vector upfront, then gathers the positions.
 func sumFull(seg storage.Segment, pos []types.ChunkOffset) int64 {
 	full, _ := encoding.Materialize[int64](seg)
 	var sum int64
@@ -64,73 +36,67 @@ func sumFull(seg storage.Segment, pos []types.ChunkOffset) int64 {
 	return sum
 }
 
-// sumPositional uses random access iterators (static path).
-func sumPositional(seg storage.Segment, pos []types.ChunkOffset) int64 {
-	vals, _ := encoding.MaterializePositions[int64](seg, pos)
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
-// sumDynamic uses one virtual call per value (dynamic polymorphism).
-func sumDynamic(seg storage.Segment, pos []types.ChunkOffset) int64 {
-	vals, _ := encoding.MaterializeDynamic[int64](seg, pos)
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
-func timeIt(f func() int64) (time.Duration, int64) {
-	var sum int64
-	start := time.Now()
-	for r := 0; r < fig3Repeats; r++ {
-		sum = f()
-	}
-	return time.Since(start) / fig3Repeats, sum
-}
-
-func runFig3a() {
-	fmt.Println("== Figure 3a: full vs positional materialization")
-	fmt.Printf("   (aggregation over %d random positions of %d int values, avg of %d runs)\n",
-		fig3Positions, fig3N, fig3Repeats)
-	vals, pos := fig3Data()
-	fmt.Printf("%-28s %14s %14s %9s\n", "encoding", "full (ms)", "positional(ms)", "speedup")
-	for _, spec := range fig3Specs() {
-		seg := encodeFig3(vals, spec)
-		fullTime, s1 := timeIt(func() int64 { return sumFull(seg, pos) })
-		posTime, s2 := timeIt(func() int64 { return sumPositional(seg, pos) })
-		if s1 != s2 {
-			panic("fig3a: checksum mismatch")
+// sumOf sums the values a positional accessor returns.
+func sumOf(materialize func(storage.Segment, []types.ChunkOffset) ([]int64, []bool)) fig3Sum {
+	return func(seg storage.Segment, pos []types.ChunkOffset) int64 {
+		vals, _ := materialize(seg, pos)
+		var sum int64
+		for _, v := range vals {
+			sum += v
 		}
-		fmt.Printf("%-28s %14.3f %14.3f %8.2fx\n", spec,
-			float64(fullTime.Microseconds())/1000,
-			float64(posTime.Microseconds())/1000,
-			float64(fullTime)/float64(posTime))
+		return sum
 	}
-	fmt.Println()
 }
 
-func runFig3b() {
-	fmt.Println("== Figure 3b: static vs dynamic polymorphism")
-	fmt.Printf("   (same access pattern; static = resolved generic accessors, dynamic = interface call per value)\n")
-	vals, pos := fig3Data()
-	fmt.Printf("%-28s %14s %14s %9s\n", "encoding", "dynamic (ms)", "static (ms)", "speedup")
-	specs := append([]encoding.Spec{{Encoding: encoding.Unencoded}}, fig3Specs()...)
+var (
+	// sumPositional uses random access iterators (the static path).
+	sumPositional = sumOf(encoding.MaterializePositions[int64])
+	// sumDynamic uses one virtual call per value (dynamic polymorphism).
+	sumDynamic = sumOf(encoding.MaterializeDynamic[int64])
+)
+
+// fig3 prints one row per encoding: slow path, fast path, speedup.
+func (h *harness) fig3(specs []encoding.Spec, slowName string, slow fig3Sum, fastName string, fast fig3Sum) {
+	n := max(int(h.sf*10_000_000), 1024)
+	fmt.Fprintf(h.out, "   (aggregation over %d random positions of %d int values, best of %d)\n", n/4, n, h.runs)
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]int64, n)
+	for i := range vals {
+		// Runs of ~64 equal values: run-length, dictionary, and
+		// frame-of-reference all have realistic structure.
+		vals[i] = int64(i / 64)
+	}
+	pos := make([]types.ChunkOffset, n/4)
+	for i := range pos {
+		pos[i] = types.ChunkOffset(rng.Intn(n))
+	}
+	fmt.Fprintf(h.out, "%-28s %14s %14s %9s\n", "encoding", slowName+" (ms)", fastName+" (ms)", "speedup")
 	for _, spec := range specs {
-		seg := encodeFig3(vals, spec)
-		dynTime, s1 := timeIt(func() int64 { return sumDynamic(seg, pos) })
-		statTime, s2 := timeIt(func() int64 { return sumPositional(seg, pos) })
-		if s1 != s2 {
-			panic("fig3b: checksum mismatch")
+		seg := must(encoding.EncodeSegment(storage.ValueSegmentFromSlice(vals, nil), spec))
+		var sums [2]int64
+		item := func(i int, name string, sum fig3Sum) benchmark.Item {
+			return benchmark.Item{Name: name, Do: func() (int, error) {
+				sums[i] = sum(seg, pos)
+				return len(pos), nil
+			}}
 		}
-		fmt.Printf("%-28s %14.3f %14.3f %8.2fx\n", spec,
-			float64(dynTime.Microseconds())/1000,
-			float64(statTime.Microseconds())/1000,
-			float64(dynTime)/float64(statTime))
+		ms := h.best(nil, item(0, slowName, slow), item(1, fastName, fast))
+		if sums[0] != sums[1] {
+			panic(fmt.Sprintf("%s: checksum mismatch between %s and %s", spec, slowName, fastName))
+		}
+		fmt.Fprintf(h.out, "%-28s %14.3f %14.3f %8.2fx\n", spec, ms[0], ms[1], ms[0]/ms[1])
 	}
-	fmt.Println()
+	fmt.Fprintln(h.out)
+}
+
+func (h *harness) fig3a() {
+	h.section("Figure 3a: full vs positional materialization")
+	h.fig3(fig3Specs, "full", sumFull, "positional", sumPositional)
+}
+
+func (h *harness) fig3b() {
+	h.section("Figure 3b: static vs dynamic polymorphism")
+	fmt.Fprintln(h.out, "   (same access pattern; static = resolved generic accessors, dynamic = interface call per value)")
+	specs := append([]encoding.Spec{{Encoding: encoding.Unencoded}}, fig3Specs...)
+	h.fig3(specs, "dynamic", sumDynamic, "static", sumPositional)
 }

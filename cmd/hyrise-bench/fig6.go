@@ -2,92 +2,43 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"hyrise/internal/pipeline"
-	"hyrise/internal/rowengine"
 	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
 )
 
-// Figure 6 (paper §5.1): per-query TPC-H comparison. The paper compares
-// Hyrise against Quickstep and Peloton; this reproduction compares against
-// two internal baseline engines with different architectures (DESIGN.md
-// substitution S4):
+// fig6 is Figure 6 (paper §5.1): the per-query TPC-H comparison. The paper
+// compares Hyrise against Quickstep and Peloton; this reproduction compares
+// against two internal baseline engines with different architectures
+// (DESIGN.md substitution S4):
 //
 //   - hyrise:  the full engine (chunked, dictionary-encoded, pruned,
 //     specialized scans)
 //   - dynamic: the same engine forced through the interface-call-per-value
 //     path on unencoded, unchunked data (Hyrise1-style abstractions)
 //   - rowstore: a row-major, tuple-at-a-time engine
-func runFig6(sf float64, runs int) {
-	fmt.Printf("== Figure 6: TPC-H per-query comparison (scale factor %g, best of %d)\n", sf, runs)
-	queries := tpch.Queries(sf)
+func (h *harness) fig6() {
+	h.section("Figure 6: TPC-H per-query comparison (scale factor %g, best of %d)", h.sf, h.runs)
+	items := tpchItems(h.sf, tpch.QueryNumbers())
 
-	// Engine 1: full Hyrise.
-	smFull := storage.NewStorageManager()
-	must(tpch.Generate(smFull, tpch.Config{ScaleFactor: sf, ChunkSize: storage.DefaultChunkSize, UseMvcc: true, Seed: 42}))
-	must(tpch.EncodeAndFilter(smFull, tpch.DefaultEncoding()))
-	full := pipeline.NewEngine(pipeline.DefaultConfig(), smFull)
+	full := must(newTPCHEngine(pipeline.DefaultConfig(), tpch.Config{ScaleFactor: h.sf, ChunkSize: storage.DefaultChunkSize}, &dictionary))
 	defer full.Close()
-	fullSession := full.NewSession()
-
-	// Engine 2: dynamic-access baseline (unchunked, unencoded).
-	smDyn := storage.NewStorageManager()
-	must(tpch.Generate(smDyn, tpch.Config{ScaleFactor: sf, ChunkSize: 1 << 30, UseMvcc: true, Seed: 42}))
 	dynCfg := pipeline.DefaultConfig()
 	dynCfg.DynamicAccess = true
-	dyn := pipeline.NewEngine(dynCfg, smDyn)
+	dyn := must(newTPCHEngine(dynCfg, tpch.Config{ScaleFactor: h.sf, ChunkSize: 1 << 30}, nil))
 	defer dyn.Close()
-	dynSession := dyn.NewSession()
+	hyr, dynMS, row := h.architectures(items, full, dyn)
 
-	// Engine 3: row store.
-	rows := rowengine.NewFromStorage(smFull)
-
-	fmt.Printf("%-10s %12s %12s %12s %10s %10s\n", "query", "hyrise(ms)", "dynamic(ms)", "rowstore(ms)", "dyn/hyr", "row/hyr")
+	fmt.Fprintf(h.out, "%-10s %12s %12s %12s %10s %10s\n", "query", "hyrise(ms)", "dynamic(ms)", "rowstore(ms)", "dyn/hyr", "row/hyr")
+	line := func(name string, hyr, dyn, row float64) {
+		fmt.Fprintf(h.out, "%-10s %12.2f %12.2f %12.2f %9.2fx %9.2fx\n", name, hyr, dyn, row, dyn/hyr, row/hyr)
+	}
 	var totals [3]float64
-	for _, num := range tpch.QueryNumbers() {
-		sql := queries[num]
-		hyriseMS := bestOf(runs, func() {
-			if _, err := fullSession.ExecuteOne(sql); err != nil {
-				panic(fmt.Sprintf("hyrise Q%d: %v", num, err))
-			}
-		})
-		dynMS := bestOf(runs, func() {
-			if _, err := dynSession.ExecuteOne(sql); err != nil {
-				panic(fmt.Sprintf("dynamic Q%d: %v", num, err))
-			}
-		})
-		rowMS := bestOf(runs, func() {
-			if _, _, err := rows.Query(sql); err != nil {
-				panic(fmt.Sprintf("rowstore Q%d: %v", num, err))
-			}
-		})
-		totals[0] += hyriseMS
-		totals[1] += dynMS
-		totals[2] += rowMS
-		fmt.Printf("TPC-H %02d %12.2f %12.2f %12.2f %9.2fx %9.2fx\n",
-			num, hyriseMS, dynMS, rowMS, dynMS/hyriseMS, rowMS/hyriseMS)
+	for q, item := range items {
+		line(item.Name, hyr[q], dynMS[q], row[q])
+		totals[0], totals[1], totals[2] = totals[0]+hyr[q], totals[1]+dynMS[q], totals[2]+row[q]
 	}
-	fmt.Printf("%-10s %12.2f %12.2f %12.2f %9.2fx %9.2fx\n", "TOTAL",
-		totals[0], totals[1], totals[2], totals[1]/totals[0], totals[2]/totals[0])
-	fmt.Println()
-}
-
-func bestOf(runs int, f func()) float64 {
-	best := time.Duration(1<<62 - 1)
-	for r := 0; r < max(runs, 1); r++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return float64(best.Microseconds()) / 1000
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
+	line("TOTAL", totals[0], totals[1], totals[2])
+	fmt.Fprintln(h.out)
 }

@@ -1,66 +1,181 @@
-// Command hyrise-bench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index):
-//
-//	hyrise-bench fig3a             encoding framework: full vs positional materialization
-//	hyrise-bench fig3b             static vs dynamic polymorphism
-//	hyrise-bench fig6  [-sf 0.1]   TPC-H per-query comparison across engines
-//	hyrise-bench fig7  [-sf 0.1]   throughput vs chunk capacity
-//	hyrise-bench fig7mem [-sf 0.1] memory footprint vs chunk capacity
-//	hyrise-bench jit               interpreted vs dynamic vs vectorized execution
-//	hyrise-bench sched             scheduler on/off and scalability
-//	hyrise-bench cache             query plan cache effect
-//	hyrise-bench all               everything above
+// Command hyrise-bench is the one driver of the paper's evaluation (see
+// DESIGN.md §4 for the experiment index): every figure and table, and the
+// paper's §2.10 benchmark runner. Run it without arguments for the list of
+// subcommands. Every subcommand takes -sf (which scales every data set; 0.1
+// gives the sizes EXPERIMENTS.md reports) and -runs; tpch and tpcc add the
+// flags listed by -h. Everything is timed by the one loop in
+// internal/benchmark.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
+
+	"hyrise/internal/benchmark"
+	"hyrise/internal/encoding"
+	"hyrise/internal/pipeline"
+	"hyrise/internal/rowengine"
+	"hyrise/internal/tpch"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	sf := fs.Float64("sf", 0.1, "TPC-H scale factor")
-	runs := fs.Int("runs", 3, "measured runs per data point")
-	_ = fs.Parse(os.Args[2:])
+// harness is what every subcommand shares: where it prints and the common
+// flag block.
+type harness struct {
+	out  io.Writer
+	sf   float64
+	runs int
+}
 
-	switch cmd {
-	case "fig3a":
-		runFig3a()
-	case "fig3b":
-		runFig3b()
-	case "fig6":
-		runFig6(*sf, *runs)
-	case "fig7":
-		runFig7(*sf, *runs)
-	case "fig7mem":
-		runFig7Mem(*sf)
-	case "jit":
-		runJIT(*runs)
-	case "sched":
-		runSched(*sf, *runs)
-	case "cache":
-		runCache()
-	case "all":
-		runFig3a()
-		runFig3b()
-		runFig6(*sf, *runs)
-		runFig7(*sf, *runs)
-		runFig7Mem(*sf)
-		runJIT(*runs)
-		runSched(*sf, *runs)
-		runCache()
-	default:
-		usage()
-		os.Exit(2)
+// figures are the subcommands `all` runs, in the order EXPERIMENTS.md reports
+// them.
+var figures = []struct {
+	name, what string
+	run        func(*harness)
+}{
+	{"fig3a", "encoding framework: full vs positional materialization", (*harness).fig3a},
+	{"fig3b", "static vs dynamic polymorphism", (*harness).fig3b},
+	{"fig6", "TPC-H per-query comparison across engines", (*harness).fig6},
+	{"fig7", "throughput vs chunk capacity", (*harness).fig7},
+	{"fig7mem", "memory footprint vs chunk capacity", (*harness).fig7mem},
+	{"jit", "interpreted vs dynamic vs vectorized execution", (*harness).jit},
+	{"sched", "scheduler on/off and scalability", (*harness).sched},
+	{"cache", "query plan cache effect", (*harness).cache},
+	{"ablation", "TPC-H Q6 per segment encoding, Q12 per join implementation", (*harness).ablation},
+}
+
+func usage() error {
+	var sb strings.Builder
+	sb.WriteString("usage: hyrise-bench <subcommand> [-sf 0.1] [-runs 3]\n")
+	for _, f := range figures {
+		fmt.Fprintf(&sb, "  %-9s %s\n", f.name, f.what)
+	}
+	sb.WriteString("  all       everything above\n")
+	sb.WriteString("  tpch      §2.10 runner: generates TPC-H, runs the queries, prints JSON (-h lists its flags)\n")
+	sb.WriteString("  tpcc      the same for the TPC-C transaction mix")
+	return errors.New(sb.String())
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hyrise-bench fig3a|fig3b|fig6|fig7|fig7mem|jit|sched|cache|all [-sf 0.1] [-runs 3]")
+func run(args []string, out, errOut io.Writer) error {
+	if len(args) == 0 {
+		return usage()
+	}
+	cmd := args[0]
+	h := &harness{out: out}
+	fs := flag.NewFlagSet("hyrise-bench "+cmd, flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.Float64Var(&h.sf, "sf", 0.1, "scale factor (TPC-H; the synthetic tables scale with it)")
+	fs.IntVar(&h.runs, "runs", 3, "measured runs per data point")
+
+	switch cmd {
+	case "tpch":
+		return h.tpch(fs, args[1:], errOut)
+	case "tpcc":
+		return h.tpcc(fs, args[1:], errOut)
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if h.sf <= 0 || h.runs < 1 {
+		return fmt.Errorf("-sf and -runs must be positive")
+	}
+	ran := false
+	for _, f := range figures {
+		if cmd == f.name || cmd == "all" {
+			f.run(h)
+			ran = true
+		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown subcommand %q\n%w", cmd, usage())
+	}
+	return nil
+}
+
+// must unwraps a result whose error only a bug can cause: the figures run
+// fixed queries over data they generate themselves, at validated sizes.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// section prints a figure's heading, stamped with the date and commit it was
+// measured at.
+func (h *harness) section(format string, args ...any) {
+	ctx := benchmark.Context(nil, nil)
+	fmt.Fprintf(h.out, "== "+format+"\n", args...)
+	fmt.Fprintf(h.out, "   [%s, commit %s, %s core(s), %s]\n", ctx["timestamp"][:10], ctx["git_commit"], ctx["num_cpu"], ctx["go_version"])
+}
+
+// best times the items through benchmark.Run (SQL items on a session of e)
+// and returns each one's fastest measured run in milliseconds.
+func (h *harness) best(e *pipeline.Engine, items ...benchmark.Item) []float64 {
+	res := benchmark.Run("", e, items, benchmark.Options{Runs: h.runs}, nil)
+	ms := make([]float64, len(items))
+	for i, q := range res.Queries {
+		if q.Error != "" {
+			panic(q.Name + ": " + q.Error)
+		}
+		ms[i] = q.MinMillis
+	}
+	return ms
+}
+
+// architectures times SQL items on three architectures over the same rows:
+// the engine, its twin configured with DynamicAccess (one interface call per
+// value) and the row-major, tuple-at-a-time interpreter. The interpreter
+// copies full's tables into rows of boxed values, a heap the collector would
+// walk during the engines' runs too, so it is built after they were timed.
+func (h *harness) architectures(items []benchmark.Item, full, dynamic *pipeline.Engine) (vec, dyn, row []float64) {
+	vec, dyn = h.best(full, items...), h.best(dynamic, items...)
+	interpreter := rowengine.NewFromStorage(full.StorageManager())
+	rowItems := make([]benchmark.Item, len(items))
+	for i, item := range items {
+		rowItems[i] = benchmark.Item{Name: item.Name, Do: func() (int, error) {
+			out, _, err := interpreter.Query(item.SQL)
+			return len(out), err
+		}}
+	}
+	return vec, dyn, h.best(nil, rowItems...)
+}
+
+// tpchItems are the given TPC-H queries as benchmark items.
+func tpchItems(sf float64, nums []int) []benchmark.Item {
+	all := tpch.Queries(sf)
+	items := make([]benchmark.Item, len(nums))
+	for i, n := range nums {
+		items[i] = benchmark.Item{Name: fmt.Sprintf("TPC-H %02d", n), SQL: all[n]}
+	}
+	return items
+}
+
+var dictionary = tpch.DefaultEncoding()
+
+// newTPCHEngine is the one TPC-H setup: generate (seed 42, MVCC columns as
+// cfg says), then encode with spec and attach the default pruning filters. A
+// nil spec leaves the tables as generated — unencoded, no filters.
+func newTPCHEngine(cfg pipeline.Config, gen tpch.Config, spec *encoding.Spec) (*pipeline.Engine, error) {
+	gen.UseMvcc, gen.Seed = cfg.UseMvcc, 42
+	engine := pipeline.NewEngine(cfg, nil)
+	err := tpch.Generate(engine.StorageManager(), gen)
+	if err == nil && spec != nil {
+		err = tpch.EncodeAndFilter(engine.StorageManager(), *spec)
+	}
+	if err != nil {
+		engine.Close()
+		return nil, err
+	}
+	return engine, nil
 }

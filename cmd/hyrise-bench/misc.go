@@ -3,171 +3,154 @@ package main
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
+	"hyrise/internal/benchmark"
+	"hyrise/internal/concurrency"
+	"hyrise/internal/encoding"
+	"hyrise/internal/operators"
 	"hyrise/internal/pipeline"
-	"hyrise/internal/rowengine"
 	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
+	"hyrise/internal/types"
 )
 
-// runJIT reproduces the shape of the §2.7 claim that code specialization
-// helps most "when complex expressions have to be calculated": a
-// scan+aggregate with a heavy arithmetic/CASE expression runs through the
-// tuple-at-a-time interpreter, the per-value dynamic access path and the
-// vectorized operator pipeline. (The fused closure engine that used to be a
-// fourth column was deleted; see EXPERIMENTS.md §2.7.)
-func runJIT(runs int) {
-	fmt.Println("== §2.7: specialized (vectorized) vs unspecialized execution")
-	fmt.Println("   interpreted = tuple-at-a-time row engine, dynamic = per-value virtual calls")
-	fmt.Println("   (the paper's 22x baseline), vectorized = the operator pipeline.")
-	queries := []struct {
-		name string
-		sql  string
-	}{
-		{"simple sum", "SELECT sum(v1) FROM numbers"},
-		{"filtered sum", "SELECT sum(v1) FROM numbers WHERE v2 > 500000"},
-		{"complex expression", `SELECT sum(v1 * 0.7 + v2 * 0.3 - (v1 - v2) / 4.0),
+// jit reproduces the shape of the §2.7 claim that code specialization helps
+// most "when complex expressions have to be calculated": a scan+aggregate
+// with a heavy arithmetic/CASE expression runs through the tuple-at-a-time
+// interpreter, the per-value dynamic access path and the vectorized operator
+// pipeline. (The engine has no JIT analog: DESIGN.md S3.)
+func (h *harness) jit() {
+	h.section("§2.7: specialized (vectorized) vs unspecialized execution")
+	fmt.Fprintln(h.out, "   interpreted = tuple-at-a-time row engine, dynamic = per-value virtual calls")
+	fmt.Fprintln(h.out, "   (the paper's 22x baseline), vectorized = the operator pipeline.")
+	items := []benchmark.Item{
+		{Name: "simple sum", SQL: "SELECT sum(v1) FROM numbers"},
+		{Name: "filtered sum", SQL: "SELECT sum(v1) FROM numbers WHERE v2 > 500000"},
+		{Name: "complex expression", SQL: `SELECT sum(v1 * 0.7 + v2 * 0.3 - (v1 - v2) / 4.0),
 			sum(CASE WHEN v1 > v2 THEN v1 * 1.19 ELSE v2 * 0.81 END)
 			FROM numbers WHERE v1 + v2 > 100000 AND v1 BETWEEN 1000 AND 990000`},
 	}
 
-	build := func(dynamic bool) (*pipeline.Session, *storage.StorageManager) {
-		cfg := pipeline.DefaultConfig()
-		cfg.DynamicAccess = dynamic
-		cfg.PlanCacheSize = 0 // measure full pipeline work every run
-		engine := pipeline.NewEngine(cfg, nil)
-		s := engine.NewSession()
-		mustExec(s, "CREATE TABLE numbers (v1 FLOAT NOT NULL, v2 FLOAT NOT NULL)")
-		var sb strings.Builder
-		const n = 1_000_000
-		const batch = 10_000
-		for start := 0; start < n; start += batch {
-			sb.Reset()
-			sb.WriteString("INSERT INTO numbers VALUES ")
-			for i := start; i < start+batch; i++ {
-				if i > start {
-					sb.WriteString(",")
-				}
-				fmt.Fprintf(&sb, "(%d.0,%d.0)", i%997*1009%1000000, (i*31)%1000000)
-			}
-			mustExec(s, sb.String())
-		}
-		return s, engine.StorageManager()
+	// One table under both engines; 1M rows at -sf 0.1.
+	n := max(int(h.sf*10_000_000), 10_000)
+	numbers := storage.NewTable("numbers", []storage.ColumnDefinition{
+		{Name: "v1", Type: types.TypeFloat64}, {Name: "v2", Type: types.TypeFloat64},
+	}, storage.DefaultChunkSize, true)
+	for i := 0; i < n; i++ {
+		must(numbers.AppendRow([]types.Value{types.Float(float64(i % 997 * 1009 % 1000000)), types.Float(float64(i * 31 % 1000000))}))
 	}
-
-	dynamic, _ := build(true)
-	vectorized, vectorizedSM := build(false)
-	// The tuple-at-a-time interpreter is the closest analog of the
-	// pre-specialization execution the paper's 22x refers to.
-	interpreted := rowengine.NewFromStorage(vectorizedSM)
-
-	fmt.Printf("%-22s %14s %13s %15s %11s %11s\n", "query", "interpret(ms)", "dynamic(ms)", "vectorized(ms)", "int/vec", "dyn/vec")
-	for _, q := range queries {
-		intMS := bestOf(runs, func() {
-			if _, _, err := interpreted.Query(q.sql); err != nil {
-				panic(err)
-			}
-		})
-		dynMS := bestOf(runs, func() { mustExec(dynamic, q.sql) })
-		vecMS := bestOf(runs, func() { mustExec(vectorized, q.sql) })
-		fmt.Printf("%-22s %14.2f %13.2f %15.2f %10.2fx %10.2fx\n",
-			q.name, intMS, dynMS, vecMS, intMS/vecMS, dynMS/vecMS)
-	}
-	fmt.Println()
-}
-
-// runSched reproduces §2.9: the cost of the scheduler at one worker and
-// the scaling behaviour with more workers, against immediate execution.
-func runSched(sf float64, runs int) {
-	fmt.Println("== §2.9: scheduler cost and multi-threaded scalability")
-	fmt.Printf("   host has %d CPU core(s); with one core this measures the scheduler's\n", runtime.NumCPU())
-	fmt.Println("   overhead (the paper's \"differences between the measurements for one core")
-	fmt.Println("   with and without scheduler ... the cost of the scheduler\").")
-	sql := tpch.Queries(sf)[1] // Q1: scan + aggregate over lineitem, chunk-parallel
-
-	type variant struct {
-		name string
-		cfg  pipeline.Config
-	}
-	mk := func(useSched bool, workers int) pipeline.Config {
-		cfg := pipeline.DefaultConfig()
-		cfg.UseScheduler = useSched
-		cfg.SchedulerWorkers = workers
-		return cfg
-	}
-	variants := []variant{
-		{"immediate (no scheduler)", mk(false, 0)},
-		{"scheduler, 1 worker", mk(true, 1)},
-		{"scheduler, 2 workers", mk(true, 2)},
-		{"scheduler, 4 workers", mk(true, 4)},
-		{"scheduler, 8 workers", mk(true, 8)},
-	}
-
-	fmt.Printf("   TPC-H Q1 at scale factor %g, chunk size 25k (chunk-parallel scan+aggregate inputs)\n", sf)
-	fmt.Printf("%-28s %12s %9s\n", "configuration", "best (ms)", "speedup")
-	var baseline float64
-	for i, v := range variants {
-		engine := newTPCHEngine(v.cfg, sf, 25_000)
-		session := engine.NewSession()
-		ms := bestOf(runs, func() { mustExec(session, sql) })
-		engine.Close()
-		if i == 0 {
-			baseline = ms
-		}
-		fmt.Printf("%-28s %12.2f %8.2fx\n", v.name, ms, baseline/ms)
-	}
-	fmt.Println()
-}
-
-// runCache reproduces the §2.6 plan cache effect: repeated queries skip
-// translation and optimization.
-func runCache() {
-	fmt.Println("== §2.6: query plan cache")
-	cfgOn := pipeline.DefaultConfig()
-	cfgOff := pipeline.DefaultConfig()
-	cfgOff.PlanCacheSize = 0
-
-	sql := `SELECT o_orderpriority, count(*) FROM orders
-		WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-		GROUP BY o_orderpriority ORDER BY o_orderpriority`
-
-	for _, v := range []struct {
-		name string
-		cfg  pipeline.Config
-	}{{"cache on", cfgOn}, {"cache off", cfgOff}} {
-		engine := newTPCHEngine(v.cfg, 0.01, 10_000)
-		session := engine.NewSession()
-		mustExec(session, sql) // populate cache / warm up
-		const reps = 200
-		start := time.Now()
-		var planning time.Duration
-		for i := 0; i < reps; i++ {
-			res, err := session.ExecuteOne(sql)
-			if err != nil {
-				panic(err)
-			}
-			planning += res.Timing.Parse + res.Timing.Translate + res.Timing.Optimize + res.Timing.ToPQP
-		}
-		total := time.Since(start)
-		hits, misses := engine.PlanCacheStats()
-		fmt.Printf("%-10s %4d reps: total %8.2f ms, planning share %8.2f ms, cache hits/misses %d/%d\n",
-			v.name, reps, float64(total.Microseconds())/1000, float64(planning.Microseconds())/1000, hits, misses)
-		engine.Close()
-	}
-	fmt.Println()
-}
-
-func newTPCHEngine(cfg pipeline.Config, sf float64, chunkSize int) *pipeline.Engine {
-	engine := pipeline.NewEngine(cfg, nil)
-	must(tpch.Generate(engine.StorageManager(), tpch.Config{ScaleFactor: sf, ChunkSize: chunkSize, UseMvcc: cfg.UseMvcc, Seed: 42}))
-	must(tpch.EncodeAndFilter(engine.StorageManager(), tpch.DefaultEncoding()))
-	return engine
-}
-
-func mustExec(s *pipeline.Session, sql string) {
-	if _, err := s.ExecuteOne(sql); err != nil {
+	concurrency.MarkTableLoaded(numbers)
+	sm := storage.NewStorageManager()
+	if err := sm.AddTable(numbers); err != nil {
 		panic(err)
 	}
+	cfg := pipeline.DefaultConfig()
+	cfg.PlanCacheSize = 0 // measure full pipeline work every run
+	vectorized := pipeline.NewEngine(cfg, sm)
+	defer vectorized.Close()
+	cfg.DynamicAccess = true
+	dynamic := pipeline.NewEngine(cfg, sm)
+	defer dynamic.Close()
+	// The tuple-at-a-time interpreter is the closest analog of the
+	// pre-specialization execution the paper's 22x refers to.
+	vecMS, dynMS, intMS := h.architectures(items, vectorized, dynamic)
+	fmt.Fprintf(h.out, "   (%d rows)\n", n)
+	fmt.Fprintf(h.out, "%-22s %14s %13s %15s %11s %11s\n", "query", "interpret(ms)", "dynamic(ms)", "vectorized(ms)", "int/vec", "dyn/vec")
+	for i, item := range items {
+		fmt.Fprintf(h.out, "%-22s %14.2f %13.2f %15.2f %10.2fx %10.2fx\n",
+			item.Name, intMS[i], dynMS[i], vecMS[i], intMS[i]/vecMS[i], dynMS[i]/vecMS[i])
+	}
+	fmt.Fprintln(h.out)
+}
+
+// variant is one row of a table that compares engine configurations on one
+// query: a name, the engine and the data it runs on.
+type variant struct {
+	name string
+	cfg  pipeline.Config
+	spec encoding.Spec
+}
+
+// compare builds each variant's engine over TPC-H at chunkSize in turn, times
+// query num on it and prints one row per variant, with the speedup over the
+// first.
+func (h *harness) compare(num, chunkSize int, variants []variant) {
+	fmt.Fprintf(h.out, "%-28s %12s %9s\n", "configuration", "best (ms)", "speedup")
+	var baseline float64
+	for i, v := range variants {
+		engine := must(newTPCHEngine(v.cfg, tpch.Config{ScaleFactor: h.sf, ChunkSize: chunkSize}, &v.spec))
+		ms := h.best(engine, tpchItems(h.sf, []int{num})...)
+		engine.Close()
+		if i == 0 {
+			baseline = ms[0]
+		}
+		fmt.Fprintf(h.out, "%-28s %12.2f %8.2fx\n", v.name, ms[0], baseline/ms[0])
+	}
+	fmt.Fprintln(h.out)
+}
+
+// sched reproduces §2.9: the cost of the scheduler at one worker and the
+// scaling behaviour with more workers, against immediate execution.
+func (h *harness) sched() {
+	h.section("§2.9: scheduler cost and multi-threaded scalability")
+	fmt.Fprintf(h.out, "   host has %d CPU core(s); with one core this measures the scheduler's\n", runtime.NumCPU())
+	fmt.Fprintln(h.out, "   overhead (the paper's \"differences between the measurements for one core")
+	fmt.Fprintln(h.out, "   with and without scheduler ... the cost of the scheduler\").")
+	fmt.Fprintf(h.out, "   TPC-H Q1 at scale factor %g, chunk size 25k (chunk-parallel scan+aggregate inputs)\n", h.sf)
+	variants := []variant{{name: "immediate (no scheduler)", cfg: pipeline.DefaultConfig(), spec: dictionary}}
+	for _, workers := range []int{1, 2, 4, 8} {
+		cfg := pipeline.DefaultConfig()
+		cfg.UseScheduler, cfg.SchedulerWorkers = true, workers
+		variants = append(variants, variant{fmt.Sprintf("scheduler, %d worker(s)", workers), cfg, dictionary})
+	}
+	h.compare(1, 25_000, variants)
+}
+
+// ablation runs the design choices DESIGN.md calls out as alternatives: TPC-H
+// Q6 under every segment encoding (§2.3: "on par with manually optimized
+// encoding schemes") and Q12 under both equi-join implementations (§2.1:
+// several physical operators per logical operator).
+func (h *harness) ablation() {
+	h.section("Ablation: TPC-H Q6 per segment encoding (scale factor %g, chunk size 25k, best of %d)", h.sf, h.runs)
+	var encodings []variant
+	for _, spec := range append([]encoding.Spec{{Encoding: encoding.Unencoded}}, fig3Specs...) {
+		encodings = append(encodings, variant{spec.String(), pipeline.DefaultConfig(), spec})
+	}
+	h.compare(6, 25_000, encodings)
+	h.section("Ablation: TPC-H Q12 per join implementation (scale factor %g, best of %d)", h.sf, h.runs)
+	sortMerge := pipeline.DefaultConfig()
+	sortMerge.JoinImpl = operators.PreferSortMergeJoin
+	h.compare(12, storage.DefaultChunkSize, []variant{
+		{"hash join", pipeline.DefaultConfig(), dictionary},
+		{"sort-merge join", sortMerge, dictionary},
+	})
+}
+
+// cache reproduces the §2.6 plan cache effect: repeated queries skip
+// translation and optimization.
+func (h *harness) cache() {
+	h.section("§2.6: query plan cache")
+	const reps = 200
+	const sql = `SELECT o_orderpriority, count(*) FROM orders
+		WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
+		GROUP BY o_orderpriority ORDER BY o_orderpriority`
+	off := pipeline.DefaultConfig()
+	off.PlanCacheSize = 0
+	for _, v := range []variant{{name: "cache on", cfg: pipeline.DefaultConfig()}, {name: "cache off", cfg: off}} {
+		engine := must(newTPCHEngine(v.cfg, tpch.Config{ScaleFactor: min(h.sf, 0.01), ChunkSize: 10_000}, &dictionary))
+		session := engine.NewSession()
+		must(session.ExecuteOne(sql)) // populates the cache; not measured
+		var planning time.Duration
+		run := benchmark.Run("", nil, []benchmark.Item{{Name: v.name, Do: func() (int, error) {
+			res := must(session.ExecuteOne(sql))
+			planning += res.Timing.Parse + res.Timing.Translate + res.Timing.Optimize + res.Timing.ToPQP
+			return res.Table.RowCount(), nil
+		}}}, benchmark.Options{Runs: reps}, nil).Queries[0]
+		hits, misses := engine.PlanCacheStats()
+		engine.Close()
+		fmt.Fprintf(h.out, "%-10s %4d reps: total %8.2f ms, planning share %8.2f ms, cache hits/misses %d/%d\n",
+			v.name, reps, run.AvgMillis*reps, float64(planning.Microseconds())/1000, hits, misses)
+	}
+	fmt.Fprintln(h.out)
 }

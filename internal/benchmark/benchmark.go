@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"hyrise/internal/concurrency"
@@ -23,10 +24,14 @@ import (
 	"hyrise/internal/types"
 )
 
-// Item is one named query of a benchmark.
+// Item is one named, repeatable piece of work: a SQL text for the engine Run
+// is given, or — when Do is set — any closure that reports the rows it
+// produced (a query on the row-store baseline, a kernel over one segment, a
+// whole transaction mix).
 type Item struct {
 	Name string
 	SQL  string
+	Do   func() (rows int, err error)
 }
 
 // Options configure a run.
@@ -62,9 +67,9 @@ type RunResult struct {
 }
 
 // Context collects the reproducibility parameters the paper lists: commit
-// hash, scheduler, thread count, chunk size, encoding, and friends.
+// hash, scheduler, thread count, chunk size, encoding, and friends. Without
+// an engine (a run whose items are all closures) it is the host's part.
 func Context(e *pipeline.Engine, extra map[string]string) map[string]string {
-	cfg := e.Config()
 	ctx := map[string]string{
 		"go_version": runtime.Version(),
 		"goos":       runtime.GOOS,
@@ -72,13 +77,16 @@ func Context(e *pipeline.Engine, extra map[string]string) map[string]string {
 		"num_cpu":    fmt.Sprint(runtime.NumCPU()),
 		"git_commit": gitCommit(),
 		"timestamp":  time.Now().UTC().Format(time.RFC3339),
-		"optimizer":  fmt.Sprint(cfg.UseOptimizer),
-		"mvcc":       fmt.Sprint(cfg.UseMvcc),
-		"scheduler":  schedulerName(cfg),
-		"workers":    fmt.Sprint(e.Scheduler().WorkerCount()),
-		"plan_cache": fmt.Sprint(cfg.PlanCacheSize),
-		"join_impl":  joinName(cfg),
-		"histogram":  cfg.HistogramType.String(),
+	}
+	if e != nil {
+		cfg := e.Config()
+		ctx["optimizer"] = fmt.Sprint(cfg.UseOptimizer)
+		ctx["mvcc"] = fmt.Sprint(cfg.UseMvcc)
+		ctx["scheduler"] = schedulerName(cfg)
+		ctx["workers"] = fmt.Sprint(e.Scheduler().WorkerCount())
+		ctx["plan_cache"] = fmt.Sprint(cfg.PlanCacheSize)
+		ctx["join_impl"] = joinName(cfg)
+		ctx["histogram"] = cfg.HistogramType.String()
 	}
 	for k, v := range extra {
 		ctx[k] = v
@@ -100,17 +108,23 @@ func joinName(cfg pipeline.Config) string {
 	return "Hash"
 }
 
-func gitCommit() string {
+// gitCommit asks git once: a figure harness builds one context per table.
+var gitCommit = sync.OnceValue(func() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
+})
 
-// Run executes the items against the engine and collects timings.
+// Run is the one timing loop of the paper's evaluation: it executes every
+// item Warmup + Runs times, in order, and collects the measured runs. SQL
+// items run on one session of e; e may be nil when every item has a Do.
 func Run(name string, e *pipeline.Engine, items []Item, opts Options, extra map[string]string) *RunResult {
-	session := e.NewSession()
+	var session *pipeline.Session
+	if e != nil {
+		session = e.NewSession()
+	}
 	result := &RunResult{
 		Benchmark: name,
 		Context:   Context(e, extra),
@@ -118,26 +132,27 @@ func Run(name string, e *pipeline.Engine, items []Item, opts Options, extra map[
 	wallStart := time.Now()
 	totalRuns := 0
 	for _, item := range items {
-		qr := QueryResult{Name: item.Name}
-		for w := 0; w < opts.Warmup; w++ {
-			if _, err := session.ExecuteOne(item.SQL); err != nil {
-				qr.Error = err.Error()
-				break
+		do := item.Do
+		if do == nil {
+			do = func() (int, error) {
+				res, err := session.ExecuteOne(item.SQL)
+				if err != nil || res.Table == nil {
+					return 0, err
+				}
+				return res.Table.RowCount(), nil
 			}
 		}
-		if qr.Error == "" {
-			for r := 0; r < max(opts.Runs, 1); r++ {
-				start := time.Now()
-				res, err := session.ExecuteOne(item.SQL)
-				elapsed := time.Since(start)
-				if err != nil {
-					qr.Error = err.Error()
-					break
-				}
+		qr := QueryResult{Name: item.Name}
+		for r := -opts.Warmup; r < max(opts.Runs, 1) && qr.Error == ""; r++ {
+			start := time.Now()
+			rows, err := do()
+			elapsed := time.Since(start)
+			switch {
+			case err != nil:
+				qr.Error = err.Error()
+			case r >= 0: // warmup runs are not measured
 				qr.durationNs = append(qr.durationNs, elapsed.Nanoseconds())
-				if res.Table != nil {
-					qr.Rows = res.Table.RowCount()
-				}
+				qr.Rows = rows
 			}
 		}
 		summarize(&qr)

@@ -254,7 +254,7 @@ const statementRouteOps = 2000
 // a small plan on each entry point: a text the cache holds (neither lexed nor
 // parsed), a prepared handle, and a named prepared statement. The three cost
 // the same since they are one route; the CI gate tracks their ns/op and
-// allocs/op, pipeline.TestCacheHitParsesNothing pins the exact allocation
+// allocs/op, pipeline.TestRouteCacheHitParsesNothing pins the exact allocation
 // counts (a parse creeping back into the hit path is +37 per execution, a
 // fingerprint +25 — under the gate's 25 %).
 func BenchmarkMicroStatementRoute(b *testing.B) {

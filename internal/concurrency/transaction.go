@@ -206,7 +206,6 @@ type TransactionContext struct {
 	inserts       []rowRef
 	invalidations []rowRef
 	redo          []RedoOp
-	abortCause    error
 	waitObs       func(kind observe.WaitKind) (end func())
 }
 
@@ -383,7 +382,7 @@ func (tc *TransactionContext) Commit() error {
 			// The log rejected the commit (e.g. disk failure): abort so row
 			// claims are released instead of dangling forever.
 			tm.commitMu.Unlock()
-			tc.rollbackLocked(err)
+			tc.rollbackLocked()
 			return fmt.Errorf("concurrency: write-ahead log append: %w", err)
 		}
 		wait = w
@@ -426,24 +425,18 @@ func (tc *TransactionContext) Commit() error {
 
 // Rollback undoes all registered changes: inserted rows are hidden forever,
 // claimed rows are released.
-func (tc *TransactionContext) Rollback() { tc.RollbackWithCause(nil) }
-
-// RollbackWithCause is Rollback with a recorded abort reason — the pipeline
-// passes the statement error (conflict, cancellation, timeout) so
-// observability and tests can distinguish why a transaction died. Only the
-// first rollback's cause sticks; later calls are no-ops.
-func (tc *TransactionContext) RollbackWithCause(cause error) {
+func (tc *TransactionContext) Rollback() {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	tc.rollbackLocked(cause)
+	tc.rollbackLocked()
 }
 
-// rollbackLocked is RollbackWithCause with tc.mu already held.
-func (tc *TransactionContext) rollbackLocked(cause error) {
+// rollbackLocked is Rollback with tc.mu already held; a no-op on a transaction
+// that is not active any more.
+func (tc *TransactionContext) rollbackLocked() {
 	if tc.phase != Active {
 		return
 	}
-	tc.abortCause = cause
 	for _, r := range tc.inserts {
 		mvcc := r.chunk.MvccData()
 		mvcc.SetEnd(r.row, 0) // begin stays MaxCommitID: never visible
@@ -454,14 +447,6 @@ func (tc *TransactionContext) rollbackLocked(cause error) {
 	}
 	tc.phase = RolledBack
 	tc.tm.aborted.Add(1)
-}
-
-// AbortCause returns the error recorded at rollback (nil for explicit
-// client-issued ROLLBACK or while the transaction is live).
-func (tc *TransactionContext) AbortCause() error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.abortCause
 }
 
 // Visible reports whether a row version is visible to the transaction

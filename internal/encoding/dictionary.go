@@ -45,9 +45,6 @@ func (s *DictionarySegment[T]) Dictionary() []T { return s.dict }
 // AttributeVector exposes the compressed value-id vector.
 func (s *DictionarySegment[T]) AttributeVector() UintVector { return s.av }
 
-// NullValueID returns the id that encodes NULL.
-func (s *DictionarySegment[T]) NullValueID() ValueID { return s.nullID }
-
 // UniqueValueCount returns the dictionary size.
 func (s *DictionarySegment[T]) UniqueValueCount() int { return len(s.dict) }
 
@@ -70,15 +67,6 @@ func (s *DictionarySegment[T]) LowerBound(v T) ValueID {
 // UpperBound returns the first value id whose value is > v.
 func (s *DictionarySegment[T]) UpperBound(v T) ValueID {
 	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.dict[i] > v }))
-}
-
-// ValueOfID decodes a value id; ok is false for the null id.
-func (s *DictionarySegment[T]) ValueOfID(id ValueID) (T, bool) {
-	if id >= ValueID(len(s.dict)) {
-		var z T
-		return z, false
-	}
-	return s.dict[id], true
 }
 
 // Get returns the value and null flag at offset i (static path through the

@@ -127,11 +127,8 @@ func TestDictionarySegmentBasics(t *testing.T) {
 	if s.LowerBound("aaa") != 0 || s.LowerBound("zzz") != 3 {
 		t.Error("bounds at extremes wrong")
 	}
-	if v, ok := s.ValueOfID(2); !ok || v != "cherry" {
-		t.Error("ValueOfID(2) wrong")
-	}
-	if _, ok := s.ValueOfID(s.NullValueID()); ok {
-		t.Error("null id should not decode")
+	if s.dict[2] != "cherry" || int(s.nullID) != len(s.dict) {
+		t.Errorf("dictionary %v with null id %d", s.dict, s.nullID)
 	}
 }
 
@@ -190,8 +187,8 @@ func TestDictionaryMatchesBP128(t *testing.T) {
 func TestRunLengthSegment(t *testing.T) {
 	vals := []int64{1, 1, 1, 2, 2, 3, 1, 1}
 	s := EncodeRunLength(vals, nil)
-	if s.RunCount() != 4 {
-		t.Fatalf("RunCount = %d, want 4", s.RunCount())
+	if len(s.values) != 4 {
+		t.Fatalf("RunCount = %d, want 4", len(s.values))
 	}
 	for i, want := range vals {
 		if got, null := s.Get(types.ChunkOffset(i)); null || got != want {
@@ -217,8 +214,8 @@ func TestRunLengthNullRuns(t *testing.T) {
 	vals := []string{"a", "a", "", "", "b"}
 	nulls := []bool{false, false, true, true, false}
 	s := EncodeRunLength(vals, nulls)
-	if s.RunCount() != 3 {
-		t.Fatalf("RunCount = %d, want 3", s.RunCount())
+	if len(s.values) != 3 {
+		t.Fatalf("RunCount = %d, want 3", len(s.values))
 	}
 	if !s.IsNullAt(2) || !s.IsNullAt(3) || s.IsNullAt(4) {
 		t.Error("null flags wrong")
@@ -227,8 +224,8 @@ func TestRunLengthNullRuns(t *testing.T) {
 	vals2 := []int64{0, 0}
 	nulls2 := []bool{true, false}
 	s2 := EncodeRunLength(vals2, nulls2)
-	if s2.RunCount() != 2 {
-		t.Errorf("null/non-null runs merged: RunCount = %d", s2.RunCount())
+	if len(s2.values) != 2 {
+		t.Errorf("null/non-null runs merged: RunCount = %d", len(s2.values))
 	}
 	if EncodeRunLength([]int64{}, nil).Len() != 0 {
 		t.Error("empty segment mishandled")
@@ -252,8 +249,8 @@ func TestFrameOfReference(t *testing.T) {
 	if s.MemoryUsage() > int64(len(vals))*2 {
 		t.Errorf("FOR should compress clustered values, got %d bytes for %d values", s.MemoryUsage(), len(vals))
 	}
-	if len(s.Frames()) != 2 {
-		t.Errorf("Frames = %d, want 2 blocks", len(s.Frames()))
+	if len(s.frames) != 2 {
+		t.Errorf("Frames = %d, want 2 blocks", len(s.frames))
 	}
 }
 
@@ -526,13 +523,5 @@ func TestStringEncodingRoundTripProperty(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Errorf("%v: %v", spec, err)
 		}
-	}
-}
-
-func TestMaterializeValuesDynamicBoundary(t *testing.T) {
-	vs := storage.ValueSegmentFromSlice([]float64{1.5, 2.5}, nil)
-	vals := MaterializeValues(vs)
-	if len(vals) != 2 || vals[1].F != 2.5 {
-		t.Errorf("MaterializeValues = %v", vals)
 	}
 }

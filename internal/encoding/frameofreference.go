@@ -97,9 +97,6 @@ func (s *FrameOfReferenceSegment) initBlockStats(codes []uint64) {
 	}
 }
 
-// Frames exposes the per-block minima.
-func (s *FrameOfReferenceSegment) Frames() []int64 { return s.frames }
-
 // Get returns the value and null flag at offset i.
 func (s *FrameOfReferenceSegment) Get(i types.ChunkOffset) (int64, bool) {
 	if s.nulls != nil && s.nulls[i] {

@@ -323,13 +323,3 @@ func MaterializeDynamic[T types.Ordered](seg storage.Segment, pos []types.ChunkO
 	}
 	return out, nulls
 }
-
-// MaterializeValues decodes a full segment into dynamic Values (boundary
-// use: result rendering, row materialization for inserts).
-func MaterializeValues(seg storage.Segment) []types.Value {
-	out := make([]types.Value, seg.Len())
-	for i := range out {
-		out[i] = seg.ValueAt(types.ChunkOffset(i))
-	}
-	return out
-}

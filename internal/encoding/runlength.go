@@ -47,9 +47,6 @@ func EncodeRunLength[T types.Ordered](values []T, nulls []bool) *RunLengthSegmen
 	return s
 }
 
-// RunCount returns the number of runs.
-func (s *RunLengthSegment[T]) RunCount() int { return len(s.values) }
-
 // runIndex locates the run containing offset i.
 func (s *RunLengthSegment[T]) runIndex(i types.ChunkOffset) int {
 	return sort.Search(len(s.ends), func(r int) bool { return s.ends[r] >= i })

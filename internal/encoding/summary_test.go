@@ -138,10 +138,10 @@ func sameSummary[T types.Ordered](a, b Summary[T]) bool {
 	return true
 }
 
-// TestSegmentSummaryDifferential, part (a): the summary of a segment equals
+// TestStatsSegmentSummary, part (a): the summary of a segment equals
 // the row-by-row reference in every layout, for whole segments, for a range of
 // rows, and merged with a second segment.
-func TestSegmentSummaryDifferential(t *testing.T) {
+func TestStatsSegmentSummary(t *testing.T) {
 	runSummaryDiff(t, intPools)
 	runSummaryDiff(t, floatPools)
 	runSummaryDiff(t, stringPools)
@@ -184,11 +184,11 @@ func appendNulls(a, b []bool) []bool {
 	return append(append([]bool{}, a...), b...)
 }
 
-// TestEncodeDictionaryNaN: a NaN in a float column used to leave the
+// TestStatsEncodeDictionaryNaN: a NaN in a float column used to leave the
 // dictionary unsorted ([3 NaN 1 NaN 2], each NaN its own entry) and decode
 // both NaN rows as 3. All NaNs are one value that sorts last, and every scan
 // answers as the plain values do.
-func TestEncodeDictionaryNaN(t *testing.T) {
+func TestStatsEncodeDictionaryNaN(t *testing.T) {
 	values := []float64{3, math.NaN(), 1, math.NaN(), 2, math.Copysign(0, -1), 0}
 	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
 		seg := EncodeDictionary(values, nil, comp)

@@ -331,8 +331,8 @@ func TestLikeMatcher(t *testing.T) {
 		{"MEDIUM POLISHED", "PROMO%", false},
 	}
 	for _, tc := range cases {
-		if got := MatchLike(tc.s, tc.p); got != tc.want {
-			t.Errorf("MatchLike(%q, %q) = %v, want %v", tc.s, tc.p, got, tc.want)
+		if got := CompileLike(tc.p).Match(tc.s); got != tc.want {
+			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", tc.p, tc.s, got, tc.want)
 		}
 	}
 }
@@ -351,7 +351,7 @@ func TestLikeFastPathAgreesWithGeneric(t *testing.T) {
 			}, p)
 			pattern += clean + "%"
 		}
-		return MatchLike(s, pattern) == likeGenericMatch(s, pattern)
+		return CompileLike(pattern).Match(s) == likeGenericMatch(s, pattern)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -598,7 +598,7 @@ func TestLikeContainsProperty(t *testing.T) {
 		if strings.ContainsAny(needle, "%_") {
 			return true
 		}
-		return MatchLike(prefix+needle+suffix, "%"+needle+"%")
+		return CompileLike("%" + needle + "%").Match(prefix + needle + suffix)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

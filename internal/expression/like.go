@@ -122,8 +122,3 @@ func likeGenericMatch(s, p string) bool {
 	}
 	return pi == len(p)
 }
-
-// MatchLike is a convenience one-shot matcher.
-func MatchLike(s, pattern string) bool {
-	return CompileLike(pattern).Match(s)
-}

@@ -95,8 +95,8 @@ func FuzzLike(f *testing.F) {
 			return
 		}
 		want := refLikeMatch(s, p)
-		if got := MatchLike(s, p); got != want {
-			t.Errorf("MatchLike(%q, %q) = %v, want %v", s, p, got, want)
+		if got := CompileLike(p).Match(s); got != want {
+			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", p, s, got, want)
 		}
 		if got := likeGenericMatch(s, p); got != want {
 			t.Errorf("likeGenericMatch(%q, %q) = %v, want %v", s, p, got, want)
@@ -125,8 +125,8 @@ func TestLikeChainNonGreedyRegression(t *testing.T) {
 		{"xbyxaz", "%a%b%", false},
 	}
 	for _, c := range cases {
-		if got := MatchLike(c.s, c.p); got != c.want {
-			t.Errorf("MatchLike(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
+		if got := CompileLike(c.p).Match(c.s); got != c.want {
+			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", c.p, c.s, got, c.want)
 		}
 		if got := refLikeMatch(c.s, c.p); got != c.want {
 			t.Errorf("reference disagrees on (%q, %q): got %v, want %v — fix the test", c.s, c.p, got, c.want)

@@ -5,12 +5,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
 func intSeg(vals []int64, nulls []bool) storage.Segment {
 	return storage.ValueSegmentFromSlice(vals, nulls)
+}
+
+// rangeHist is the histogram AttachDefaultFilters attaches, at any bin count.
+func rangeHist(seg storage.Segment, col types.ColumnID, bins int) *RangeHistogram {
+	if seg.DataType() == types.TypeFloat64 {
+		return rangeHistOf(encoding.Summarize[float64](seg), col, bins)
+	}
+	return rangeHistOf(encoding.Summarize[int64](seg), col, bins)
 }
 
 // --- CQF --------------------------------------------------------------------
@@ -138,10 +147,7 @@ func TestRangeHistogramPruning(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		vals = append(vals, int64(i), int64(10_000+i))
 	}
-	h, err := NewRangeHistogram(intSeg(vals, nil), 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := rangeHist(intSeg(vals, nil), 4, 64)
 	if h.ColumnID() != 4 || h.FilterType() != "RangeHist" {
 		t.Error("identity wrong")
 	}
@@ -165,52 +171,13 @@ func TestRangeHistogramPruning(t *testing.T) {
 	}
 }
 
-func TestRangeHistogramEstimates(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i % 100) // each of 0..99 occurs 10 times
-	}
-	h, err := NewRangeHistogram(intSeg(vals, nil), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.RowCount() != 1000 {
-		t.Errorf("RowCount = %d", h.RowCount())
-	}
-	if got := h.EstimateEquals(types.Int(42)); got < 5 || got > 20 {
-		t.Errorf("EstimateEquals(42) = %f, want ~10", got)
-	}
-	lo, hi := types.Int(0), types.Int(49)
-	if got := h.EstimateRange(&lo, &hi); got < 350 || got > 650 {
-		t.Errorf("EstimateRange(0,49) = %f, want ~500", got)
-	}
-	if got := h.EstimateRange(nil, nil); got < 900 || got > 1100 {
-		t.Errorf("EstimateRange(all) = %f, want ~1000", got)
-	}
-	if got := h.EstimateEquals(types.Int(500)); got != 0 {
-		t.Errorf("EstimateEquals(absent) = %f", got)
-	}
-}
-
-func TestRangeHistogramRejectsStrings(t *testing.T) {
-	if _, err := NewRangeHistogram(storage.ValueSegmentFromSlice([]string{"x"}, nil), 0, 4); err == nil {
-		t.Error("string column should be rejected")
-	}
-}
-
 func TestRangeHistogramEmptyAndNulls(t *testing.T) {
-	h, err := NewRangeHistogram(intSeg([]int64{0}, []bool{true}), 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := rangeHist(intSeg([]int64{0}, []bool{true}), 0, 4)
 	if !h.CanPruneEquals(types.Int(0)) || !h.CanPruneRange(nil, nil) {
 		t.Error("all-NULL chunk should prune everything")
 	}
-	if h.EstimateRange(nil, nil) != 0 || h.EstimateEquals(types.Int(1)) != 0 {
-		t.Error("estimates on empty histogram should be 0")
-	}
-	if h.Bins() != 0 {
-		t.Errorf("Bins = %d", h.Bins())
+	if h.MemoryUsage() != 64 {
+		t.Errorf("MemoryUsage = %d, want the 64 bytes of no bins", h.MemoryUsage())
 	}
 }
 
@@ -225,10 +192,7 @@ func TestRangeHistogramSoundnessProperty(t *testing.T) {
 			vals[i] = int64(r)
 		}
 		bins := int(binSeed)%16 + 1
-		h, err := NewRangeHistogram(intSeg(vals, nil), 0, bins)
-		if err != nil {
-			return false
-		}
+		h := rangeHist(intSeg(vals, nil), 0, bins)
 		for _, v := range vals {
 			if h.CanPruneEquals(types.Int(v)) {
 				return false

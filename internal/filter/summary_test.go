@@ -21,13 +21,15 @@ import (
 
 func isNaN(v types.Value) bool { return v.Type == types.TypeFloat64 && math.IsNaN(v.F) }
 
-func rowRangeHistogram(seg storage.Segment, col types.ColumnID, bins int) *RangeHistogram {
+// rowBins are the bins the range histogram kept before it became an adapter
+// over statistics.Histogram, built the per-row way, with its two prune rules.
+type rowBins struct{ min, max []float64 }
+
+func rowRangeHistogram(seg storage.Segment, bins int) rowBins {
 	counts := make(map[float64]int)
-	h := &RangeHistogram{col: col}
 	for i := 0; i < seg.Len(); i++ {
 		if v := seg.ValueAt(types.ChunkOffset(i)); !v.IsNull() && !isNaN(v) {
 			counts[v.AsFloat()]++
-			h.rowCount++
 		}
 	}
 	distinct := make([]float64, 0, len(counts))
@@ -35,19 +37,47 @@ func rowRangeHistogram(seg storage.Segment, col types.ColumnID, bins int) *Range
 		distinct = append(distinct, v)
 	}
 	sort.Float64s(distinct)
+	var h rowBins
 	perBin := (len(distinct) + bins - 1) / bins
 	for i := 0; i < len(distinct); i += perBin {
-		j := min(i+perBin, len(distinct))
-		rows := 0
-		for _, v := range distinct[i:j] {
-			rows += counts[v]
-		}
-		h.binMin = append(h.binMin, distinct[i])
-		h.binMax = append(h.binMax, distinct[j-1])
-		h.binRows = append(h.binRows, rows)
-		h.binDist = append(h.binDist, j-i)
+		h.min = append(h.min, distinct[i])
+		h.max = append(h.max, distinct[min(i+perBin, len(distinct))-1])
 	}
 	return h
+}
+
+func (h rowBins) canPruneEquals(v types.Value) bool {
+	if v.IsNull() || !v.Type.IsNumeric() {
+		return false
+	}
+	i := sort.Search(len(h.max), func(i int) bool { return h.max[i] >= v.AsFloat() })
+	return i == len(h.max) || h.min[i] > v.AsFloat()
+}
+
+// canPruneRange takes open bounds as ±Inf; the old code took ±MaxFloat64 and
+// so pruned `x <= c` on a chunk whose only values are -Inf
+// (TestRangeHistogramInfinities).
+func (h rowBins) canPruneRange(lo, hi *types.Value) bool {
+	if len(h.min) == 0 {
+		return true
+	}
+	loF, hiF := math.Inf(-1), math.Inf(1)
+	for _, b := range []struct {
+		v *types.Value
+		f *float64
+	}{{lo, &loF}, {hi, &hiF}} {
+		if b.v != nil && !b.v.Type.IsNumeric() {
+			return false
+		} else if b.v != nil {
+			*b.f = b.v.AsFloat()
+		}
+	}
+	for i := range h.min {
+		if h.max[i] >= loF && h.min[i] <= hiF {
+			return false
+		}
+	}
+	return true
 }
 
 func rowCQF(seg storage.Segment, col types.ColumnID, remainderBits uint) *CountingQuotientFilter {
@@ -163,20 +193,30 @@ func drawSegment[T types.Ordered](c diffColumn, r *rand.Rand) storage.Segment {
 	return seg
 }
 
-// TestSegmentSummaryDifferential, part (b): filters read off a segment's
+// TestStatsSegmentSummary, part (b): filters read off a segment's
 // summary are the filters the per-row constructors build, in every layout.
-func TestSegmentSummaryDifferential(t *testing.T) {
+func TestStatsSegmentSummary(t *testing.T) {
 	for _, c := range diffColumns {
 		for layout, seg := range c.layouts(t) {
 			name := c.name + "/" + layout
+			probes := append(append([]types.Value{types.NullValue, types.Str("x")}, c.domain...), c.absent...)
 			if seg.DataType().IsNumeric() {
 				for _, bins := range []int{1, 7, DefaultRangeHistBins} {
-					got, err := NewRangeHistogram(seg, 3, bins)
-					if err != nil {
-						t.Fatal(err)
+					got, want := rangeHist(seg, 3, bins), rowRangeHistogram(seg, bins)
+					if g, w := got.MemoryUsage(), int64(len(want.min))*32+64; g != w {
+						t.Errorf("%s: %d-bin histogram reports %d bytes, per-row bins %d", name, bins, g, w)
 					}
-					if want := rowRangeHistogram(seg, 3, bins); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: %d-bin histogram %+v, per-row %+v", name, bins, got, want)
+					for i, p := range probes {
+						if g, w := got.CanPruneEquals(p), want.canPruneEquals(p); g != w {
+							t.Errorf("%s: %d bins prune = %v: %v, per-row bins %v", name, bins, p, g, w)
+						}
+						for _, q := range probes[i:] {
+							for _, r := range [][2]*types.Value{{&p, &q}, {&q, &p}, {&p, nil}, {nil, &p}, {nil, nil}} {
+								if g, w := got.CanPruneRange(r[0], r[1]), want.canPruneRange(r[0], r[1]); g != w {
+									t.Errorf("%s: %d bins prune [%v, %v]: %v, per-row bins %v", name, bins, r[0], r[1], g, w)
+								}
+							}
+						}
 					}
 				}
 			}
@@ -184,7 +224,7 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 			if got.Size() != want.Size() || got.MemoryUsage() != want.MemoryUsage() {
 				t.Errorf("%s: CQF size %d (%d bytes), per-row %d (%d bytes)", name, got.Size(), got.MemoryUsage(), want.Size(), want.MemoryUsage())
 			}
-			for _, probe := range append(append([]types.Value{}, c.domain...), c.absent...) {
+			for _, probe := range probes[2:] {
 				if g, w := got.Count(probe), want.Count(probe); g != w {
 					t.Errorf("%s: CQF counts %v %d times, per-row %d", name, probe, g, w)
 				}
@@ -193,11 +233,11 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 	}
 }
 
-// TestRangeHistogramNaN: one NaN among more distinct values than bins used to
+// TestStatsRangeHistogramNaN: one NaN among more distinct values than bins used to
 // become the first bin's lower edge, after which `= 0` and `BETWEEN 0 AND 1`
 // pruned a chunk that holds such rows. (The bounds a NaN must not widen are
-// the chunk zone's now: operators.TestPruningWithNaN.)
-func TestRangeHistogramNaN(t *testing.T) {
+// the chunk zone's now: operators.TestDiffPruningWithNaN.)
+func TestStatsRangeHistogramNaN(t *testing.T) {
 	vals := []float64{math.NaN()}
 	for i := 0; i < 70; i++ {
 		vals = append(vals, float64(i))
@@ -206,10 +246,7 @@ func TestRangeHistogramNaN(t *testing.T) {
 		"Unencoded":  storage.ValueSegmentFromSlice(vals, nil),
 		"Dictionary": encoding.EncodeDictionary(vals, nil, encoding.FixedSizeByteAligned),
 	} {
-		h, err := NewRangeHistogram(seg, 0, DefaultRangeHistBins)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := rangeHist(seg, 0, DefaultRangeHistBins)
 		zero, one, far := types.Float(0), types.Float(1), types.Float(1000)
 		if h.CanPruneEquals(zero) || h.CanPruneRange(&zero, &one) || h.CanPruneRange(nil, &zero) {
 			t.Errorf("%s: histogram prunes a predicate that matches rows", name)
@@ -217,8 +254,21 @@ func TestRangeHistogramNaN(t *testing.T) {
 		if !h.CanPruneEquals(far) || !h.CanPruneRange(&far, nil) {
 			t.Errorf("%s: histogram keeps a chunk no row of which is >= 1000", name)
 		}
-		if h.RowCount() != 70 {
-			t.Errorf("%s: histogram covers %d rows, want the 70 numbers", name, h.RowCount())
+		if rows := h.bins.TotalRows(); rows != 70 {
+			t.Errorf("%s: histogram covers %v rows, want the 70 numbers", name, rows)
+		}
+	}
+}
+
+// TestRangeHistogramInfinities: an open bound is ±Inf, not ±MaxFloat64 — a
+// chunk holding nothing but -Inf (or +Inf) has rows below (above) any constant.
+func TestRangeHistogramInfinities(t *testing.T) {
+	c := types.Float(5)
+	for _, inf := range []float64{math.Inf(-1), math.Inf(1)} {
+		h := rangeHist(storage.ValueSegmentFromSlice([]float64{inf, inf}, nil), 0, DefaultRangeHistBins)
+		below, above := h.CanPruneRange(nil, &c), h.CanPruneRange(&c, nil)
+		if below != (inf > 0) || above != (inf < 0) || h.CanPruneRange(nil, nil) || h.CanPruneEquals(types.Float(inf)) {
+			t.Errorf("only %v: prunes x <= 5: %v, x >= 5: %v", inf, below, above)
 		}
 	}
 }
@@ -241,11 +291,7 @@ func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	table.FinalizeLastChunk()
 	c := table.GetChunk(0)
 	c.AddFilter(NewCountingQuotientFilter(c.GetSegment(0), 0, DefaultRemainderBits))
-	h, err := NewRangeHistogram(c.GetSegment(1), 1, DefaultRangeHistBins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.AddFilter(h)
+	c.AddFilter(rangeHist(c.GetSegment(1), 1, DefaultRangeHistBins))
 	for pass := 0; pass < 2; pass++ {
 		if err := AttachDefaultFilters(table); err != nil {
 			t.Fatal(err)

@@ -135,9 +135,6 @@ func smallestKey[T types.Ordered](n *btreeNode[T]) T {
 	return n.keys[0]
 }
 
-// Height returns the number of levels (1 = a single leaf).
-func (idx *BTreeIndex[T]) Height() int { return idx.height }
-
 // seekLeaf descends to the leaf that may contain v and returns the position
 // of the first key >= v within it (possibly len(keys), meaning "next leaf").
 func (idx *BTreeIndex[T]) seekLeaf(v T) (*btreeNode[T], int) {

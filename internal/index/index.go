@@ -45,20 +45,6 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType parses an index type name.
-func ParseType(s string) (Type, error) {
-	switch s {
-	case "ART", "art":
-		return ART, nil
-	case "BTree", "btree":
-		return BTree, nil
-	case "GroupKey", "groupkey", "group-key":
-		return GroupKey, nil
-	default:
-		return ART, fmt.Errorf("index: unknown index type %q", s)
-	}
-}
-
 // Create builds an index of the given type over one segment of an immutable
 // chunk. The segment may be encoded; the index materializes the values it
 // needs during the build. NULL rows are not indexed.

@@ -235,16 +235,7 @@ func TestAddIndexToChunk(t *testing.T) {
 	}
 }
 
-func TestParseTypeAndString(t *testing.T) {
-	for s, want := range map[string]Type{"art": ART, "BTree": BTree, "group-key": GroupKey} {
-		got, err := ParseType(s)
-		if err != nil || got != want {
-			t.Errorf("ParseType(%q) = (%v, %v)", s, got, err)
-		}
-	}
-	if _, err := ParseType("hash"); err == nil {
-		t.Error("unknown type should fail")
-	}
+func TestTypeString(t *testing.T) {
 	if Type(9).String() != "?" {
 		t.Error("unknown Type.String wrong")
 	}
@@ -256,8 +247,8 @@ func TestBTreeHeightAndChaining(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	idx := newBTreeIndex[int64](intSegment(vals, nil), 0)
-	if idx.Height() < 3 {
-		t.Errorf("Height = %d, want >= 3 for 100k distinct keys", idx.Height())
+	if idx.height < 3 {
+		t.Errorf("height = %d, want >= 3 for 100k distinct keys", idx.height)
 	}
 	lo, hi := int64(12345), int64(12360)
 	got := idx.RangeTyped(&lo, &hi)

@@ -400,7 +400,7 @@ func TestTranslateDML(t *testing.T) {
 	}
 }
 
-func TestBindParameters(t *testing.T) {
+func TestRouteBindParameters(t *testing.T) {
 	sm := testCatalog(t, false)
 	stmt, err := sqlparser.ParseOne("SELECT o_orderkey FROM orders WHERE o_totalprice > ? AND o_orderdate = ?")
 	if err != nil {

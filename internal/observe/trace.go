@@ -147,17 +147,6 @@ func (t *Trace) Waits() []WaitSpan {
 	return out
 }
 
-// WaitTotal sums all wait spans.
-func (t *Trace) WaitTotal() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum time.Duration
-	for k := WaitKind(0); k < NumWaitKinds; k++ {
-		sum += t.waits[k].Duration
-	}
-	return sum
-}
-
 // SetPlanText attaches the annotated plan rendering (EXPLAIN ANALYZE tree)
 // to the trace, so sinks like the slow-query log can show where the time
 // went after the fact.

@@ -84,9 +84,9 @@ func TestAggregateMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestAggregateParallelMergeMatchesSerial forces the sharded parallel merge
+// TestDiffAggregateParallelMergeMatchesSerial forces the sharded parallel merge
 // and checks it produces exactly the serial result, rows in the same order.
-func TestAggregateParallelMergeMatchesSerial(t *testing.T) {
+func TestDiffAggregateParallelMergeMatchesSerial(t *testing.T) {
 	_, op := aggFixture(t, 20000, 997, 512)
 
 	serialCtx := NewExecContext(nil, nil, nil)

@@ -130,7 +130,7 @@ func allJoinModes() []JoinMode {
 	return []JoinMode{JoinModeInner, JoinModeLeft, JoinModeRight, JoinModeFull, JoinModeSemi, JoinModeAnti}
 }
 
-func TestJoinDifferentialAgainstReference(t *testing.T) {
+func TestDiffJoinAgainstReference(t *testing.T) {
 	sched := scheduler.New(4)
 	defer sched.Shutdown()
 

@@ -207,7 +207,7 @@ func keyCols(n int) []expression.Expression {
 	return out
 }
 
-func TestKeyTableDifferential(t *testing.T) {
+func TestDiffKeyTable(t *testing.T) {
 	sched := scheduler.New(4)
 	defer sched.Shutdown()
 	I, F, S := types.TypeInt64, types.TypeFloat64, types.TypeString

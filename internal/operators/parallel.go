@@ -46,8 +46,8 @@ const (
 // parallelMinRows is the size estimate at which fanning an operator out
 // starts to pay for task dispatch and the merge of the partial results. They
 // are constants, not options: no binary, example or benchmark workload ever
-// needed different values. TestDecideParallel pins them, and
-// TestTPCHParallelDecisionParity pins what they decide for TPC-H.
+// needed different values. TestDiffDecideParallel pins them, and
+// TestDiffTPCHParallelDecisionParity pins what they decide for TPC-H.
 var parallelMinRows = [...]int{
 	// Estimated scan cost: input rows × predicate selectivity, the
 	// selectivity floored at scanSelectivityFloor. Small or cheaply pruned

@@ -86,7 +86,7 @@ func scanPredicates() map[string][]expression.Expression {
 	}
 }
 
-func TestParallelScanMatchesSerial(t *testing.T) {
+func TestDiffParallelScanMatchesSerial(t *testing.T) {
 	sm := storage.NewStorageManager()
 	tables := diffTables(t, sm)
 	sched := scheduler.New(4)
@@ -124,7 +124,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelSortMatchesSerial(t *testing.T) {
+func TestDiffParallelSortMatchesSerial(t *testing.T) {
 	sm := storage.NewStorageManager()
 	tables := diffTables(t, sm)
 	sched := scheduler.New(4)
@@ -160,10 +160,10 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelScanCancellation cancels a statement while morsel tasks are in
+// TestDiffParallelScanCancellation cancels a statement while morsel tasks are in
 // flight and asserts the scan surfaces the cancellation without deadlocking
 // (the test hanging would trip the go test timeout).
-func TestParallelScanCancellation(t *testing.T) {
+func TestDiffParallelScanCancellation(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 64, 20_000)
 	sched := scheduler.New(4)
@@ -206,10 +206,10 @@ func TestParallelScanCancellation(t *testing.T) {
 	})
 }
 
-// TestDecideParallel pins the one serial-vs-parallel gate: every operator
+// TestDiffDecideParallel pins the one serial-vs-parallel gate: every operator
 // flips exactly at its parallelMinRows entry, a missing or single-worker
 // scheduler keeps everything serial, and the mode override beats both.
-func TestDecideParallel(t *testing.T) {
+func TestDiffDecideParallel(t *testing.T) {
 	sched4 := scheduler.New(4)
 	defer sched4.Shutdown()
 	sched1 := scheduler.New(1)
@@ -273,10 +273,10 @@ func TestDecideParallel(t *testing.T) {
 	}
 }
 
-// TestScanCost exercises the scan's size estimate: rows × selectivity from
+// TestDiffScanCost exercises the scan's size estimate: rows × selectivity from
 // the statistics cache with the 1/16 floor, not a bare row count — and no
 // estimate at all when the decision cannot depend on one.
-func TestScanCost(t *testing.T) {
+func TestDiffScanCost(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := numbersTable(t, sm, 64, 2_000)
 	sched := scheduler.New(4)

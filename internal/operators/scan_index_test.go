@@ -126,14 +126,14 @@ func rungCases() []rungCase {
 	}
 }
 
-// TestScanLadderIndexRung is the differential for index probe as a rung of
+// TestDiffScanLadderIndexRung is the differential for index probe as a rung of
 // the scan ladder: for every encoding × compression × which chunks carry an
 // index × index type × predicate shape × operand kind, TableScan over the
 // indexed table must return exactly what it returns over an identical table
 // without indexes; every segment scan must be accounted to exactly one rung;
 // and the index rung must answer all indexed chunks of a selective same-type
 // predicate and none otherwise. Each case runs serially and forced-parallel.
-func TestScanLadderIndexRung(t *testing.T) {
+func TestDiffScanLadderIndexRung(t *testing.T) {
 	specs := []encoding.Spec{
 		{Encoding: encoding.Unencoded},
 		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
@@ -222,11 +222,11 @@ func TestScanLadderIndexRung(t *testing.T) {
 	}
 }
 
-// TestIndexRungEstimatesOnce pins how often a scan consults the statistics
+// TestDiffIndexRungEstimatesOnce pins how often a scan consults the statistics
 // hook: once when a chunk of the input carries an index the predicate could
 // use or when the parallel gate needs a size, never twice, and not at all
 // when neither can depend on the answer.
-func TestIndexRungEstimatesOnce(t *testing.T) {
+func TestDiffIndexRungEstimatesOnce(t *testing.T) {
 	sm := storage.NewStorageManager()
 	rungTable(t, sm, "plain", encoding.Spec{})
 	indexed := rungTable(t, sm, "indexed", encoding.Spec{})
@@ -275,11 +275,11 @@ func TestIndexRungEstimatesOnce(t *testing.T) {
 	}
 }
 
-// TestIndexRungFanOut: an indexed scan fans out exactly as decideParallel
+// TestDiffIndexRungFanOut: an indexed scan fans out exactly as decideParallel
 // says — one morsel under ParallelSerial, and under ParallelAuto the same
 // morsels as the scan of an identical table without indexes (the estimate
 // and so the cost are the same).
-func TestIndexRungFanOut(t *testing.T) {
+func TestDiffIndexRungFanOut(t *testing.T) {
 	const n, chunkRows = 270_000, 30_000 // 1/16 floor × n clears parallelMinRows[opScan]
 	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}}
 	// id is a permutation of 0..n-1 whose stride sweeps the whole domain

@@ -45,11 +45,11 @@ func meteredCtx(t *testing.T, sm *storage.StorageManager) (*ExecContext, *observ
 	return ctx, m, s
 }
 
-// TestTableScanMinMaxPrune is the regression test for the decode-despite-
+// TestDiffTableScanMinMaxPrune is the regression test for the decode-despite-
 // zero-matches bug: when a chunk's zone proves a segment holds no match,
 // the scan must not touch it — pruned segments record scan.segments_pruned
 // and never increment scan.segments_decoded.
-func TestTableScanMinMaxPrune(t *testing.T) {
+func TestDiffTableScanMinMaxPrune(t *testing.T) {
 	sm := storage.NewStorageManager()
 	prunableTable(t, sm, 10)
 
@@ -124,12 +124,12 @@ func TestTableScanMinMaxPrune(t *testing.T) {
 	})
 }
 
-// TestPruningWithNaN: a float chunk holding a NaN beside more distinct values
+// TestDiffPruningWithNaN: a float chunk holding a NaN beside more distinct values
 // than a range histogram has bins used to get NaN as its first bin edge, and
 // `= 0`, `< 1` and `BETWEEN 0 AND 1` then pruned the chunk although it holds
 // such rows. With and without filters, encoded and not, a scan returns the
 // same rows — the numbers the predicate selects, never the NaN.
-func TestPruningWithNaN(t *testing.T) {
+func TestDiffPruningWithNaN(t *testing.T) {
 	defs := []storage.ColumnDefinition{{Name: "f", Type: types.TypeFloat64}}
 	rows := [][]types.Value{{types.Float(math.NaN())}}
 	for i := 0; i < 70; i++ {

@@ -261,10 +261,10 @@ func FuzzSortedScan(f *testing.F) {
 	})
 }
 
-// TestSortedRungStopsAtDescent: a tail that ascends is binary-searched while
+// TestDiffSortedRungStopsAtDescent: a tail that ascends is binary-searched while
 // it grows; from the row that descends on, no view of the chunk takes the
 // sorted rung again, and both before and after the scan finds every row.
-func TestSortedRungStopsAtDescent(t *testing.T) {
+func TestDiffSortedRungStopsAtDescent(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := makeTable(t, sm, "t", []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}}, 1000, nil)
 	find := func(id int64) (rows int, sorted int64) {

@@ -73,7 +73,7 @@ func copyDataDir(t *testing.T, from string) string {
 	return to
 }
 
-// TestReplayCommitsOutOfOffsetOrder is the regression test for replay under
+// TestDiffReplayCommitsOutOfOffsetOrder is the regression test for replay under
 // concurrent sessions: two transactions interleave their appends and the one
 // holding the higher offsets commits first, so the log places rows at
 // offsets whose predecessors arrive later. Replay pads those predecessors
@@ -84,7 +84,7 @@ func copyDataDir(t *testing.T, from string) string {
 // with exactly the live engine's rows, under zones that cover them: the late
 // commit's values lie above everything the early one wrote, so a chunk whose
 // bounds were fixed when it was sealed would hide them from every scan.
-func TestReplayCommitsOutOfOffsetOrder(t *testing.T) {
+func TestDiffReplayCommitsOutOfOffsetOrder(t *testing.T) {
 	dir := t.TempDir()
 	sm, tm, m := openTestManager(t, dir, SyncCommit)
 	defer m.Close()

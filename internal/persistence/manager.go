@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -23,15 +24,14 @@ type Options struct {
 	// SnapshotInterval, when > 0, checkpoints in the background at this
 	// cadence, truncating the WAL each time.
 	SnapshotInterval time.Duration
-	// BatchInterval is the fsync cadence for SyncBatch (default 5ms).
-	BatchInterval time.Duration
-	// RecoveryWorkers bounds the parallel fan-out of recovery: snapshot
-	// chunks decode and WAL redo batches CRC-check/decode across this many
-	// workers, while apply stays strictly in commit order. 0 means one
-	// worker per CPU; negative forces serial recovery.
-	RecoveryWorkers int
 	// Registry receives wal.* / snapshot.* / recovery.* metrics (may be nil).
 	Registry *observe.Registry
+
+	// recoveryWorkers bounds the parallel fan-out of recovery: snapshot
+	// chunks decode and WAL redo batches CRC-check/decode across this many
+	// workers, while apply stays strictly in commit order. 0, the only value
+	// outside the package's tests, means one worker per CPU.
+	recoveryWorkers int
 }
 
 // Manager owns the durability machinery: it restores state on open, appends
@@ -86,7 +86,10 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 		m.recoveryWkrs = reg.Gauge("recovery.parallel_workers")
 	}
 
-	workers := resolveRecoveryWorkers(opts.RecoveryWorkers)
+	workers := opts.recoveryWorkers
+	if workers == 0 {
+		workers = runtime.NumCPU()
+	}
 	if m.recoveryWkrs != nil {
 		m.recoveryWkrs.Set(int64(workers))
 	}
@@ -107,7 +110,7 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 		m.recoveryMs.Set(time.Since(start).Milliseconds())
 	}
 
-	wal, err := openWAL(filepath.Join(opts.Dir, WALFileName), opts.Mode, opts.BatchInterval, snapLSN, tm.PublishCommitID)
+	wal, err := openWAL(filepath.Join(opts.Dir, WALFileName), opts.Mode, snapLSN, tm.PublishCommitID)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +134,7 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 // anyway. It returns the highest commit and transaction ids seen.
 func (m *Manager) replay(fromLSN int64, workers int) (maxCID types.CommitID, maxTID types.TransactionID, err error) {
 	a := NewApplier(m.sm, nil)
-	if _, err := replayWALWorkers(filepath.Join(m.opts.Dir, WALFileName), fromLSN, workers, a.apply); err != nil {
+	if _, err := replayWAL(filepath.Join(m.opts.Dir, WALFileName), fromLSN, workers, a.apply); err != nil {
 		return 0, 0, err
 	}
 	maxCID, maxTID = a.MaxIDs()

@@ -1,25 +1,10 @@
 package persistence
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Recovery parallelism helpers. Recovery runs before the engine's scheduler
 // exists, so the fan-out here uses plain bounded goroutines rather than
 // scheduler tasks.
-
-// resolveRecoveryWorkers maps an Options.RecoveryWorkers setting to a
-// concrete worker count: 0 means one per CPU, negative means serial.
-func resolveRecoveryWorkers(w int) int {
-	if w == 0 {
-		return runtime.NumCPU()
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
 
 // runParallel invokes fn(0..n-1) with at most workers goroutines in flight.
 // workers <= 1 (or n <= 1) degrades to a plain serial loop.

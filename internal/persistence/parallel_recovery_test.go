@@ -23,7 +23,7 @@ func openWorkers(t *testing.T, dir string, workers int) (*storage.StorageManager
 	t.Helper()
 	sm := storage.NewStorageManager()
 	tm := concurrency.NewTransactionManager()
-	m, err := Open(sm, tm, Options{Dir: dir, Mode: SyncOff, RecoveryWorkers: workers})
+	m, err := Open(sm, tm, Options{Dir: dir, Mode: SyncOff, recoveryWorkers: workers})
 	if err != nil {
 		t.Fatalf("Open(workers=%d): %v", workers, err)
 	}
@@ -34,7 +34,7 @@ func openWorkers(t *testing.T, dir string, workers int) (*storage.StorageManager
 // needs multiple batches (walReplayBatch frames per round).
 func seedManyCommits(t *testing.T, dir string, commits int) {
 	t.Helper()
-	sm, tm, m := openWorkers(t, dir, -1)
+	sm, tm, m := openWorkers(t, dir, 1)
 	table := storage.NewTable("t", testDefs(), 64, true)
 	if err := sm.AddTable(table); err != nil {
 		t.Fatal(err)
@@ -52,12 +52,12 @@ func seedManyCommits(t *testing.T, dir string, commits int) {
 	}
 }
 
-func TestParallelWALReplayMatchesSerial(t *testing.T) {
+func TestDiffParallelWALReplayMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	const commits = 700 // > 2 parallel replay batches (insert + commit frames)
 	seedManyCommits(t, dir, commits)
 
-	smSerial, tmSerial, mSerial := openWorkers(t, dir, -1)
+	smSerial, tmSerial, mSerial := openWorkers(t, dir, 1)
 	tSerial, err := smSerial.GetTable("t")
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +81,11 @@ func TestParallelWALReplayMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryTornTail is the PR 3 torn-tail scenario run through
+// TestDiffParallelRecoveryTornTail is the PR 3 torn-tail scenario run through
 // the parallel replay: a corrupt byte — at the tail and in the middle of the
 // log — must stop apply at the last frame before the corruption and truncate
 // the file there, with workers > 1 behaving exactly like the serial loop.
-func TestParallelRecoveryTornTail(t *testing.T) {
+func TestDiffParallelRecoveryTornTail(t *testing.T) {
 	corrupt := func(t *testing.T, dir string, fromEnd bool) {
 		t.Helper()
 		walPath := filepath.Join(dir, WALFileName)
@@ -160,12 +160,12 @@ func TestParallelRecoveryTornTail(t *testing.T) {
 	})
 }
 
-// TestSnapshotV2ParallelRoundTrip checkpoints a multi-chunk catalog and
+// TestDiffSnapshotV2ParallelRoundTrip checkpoints a multi-chunk catalog and
 // restores it with serial and parallel chunk decode; both must reproduce the
 // pre-checkpoint state and the file must carry the v2 magic.
-func TestSnapshotV2ParallelRoundTrip(t *testing.T) {
+func TestDiffSnapshotV2ParallelRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	sm, tm, m := openWorkers(t, dir, -1)
+	sm, tm, m := openWorkers(t, dir, 1)
 	table := storage.NewTable("t", testDefs(), 8, true) // many small chunks
 	if err := sm.AddTable(table); err != nil {
 		t.Fatal(err)
@@ -201,10 +201,10 @@ func TestSnapshotV2ParallelRoundTrip(t *testing.T) {
 		t.Fatal("image with an unknown magic decoded without error")
 	}
 
-	for _, workers := range []int{-1, 4} {
+	for _, workers := range []int{1, 4} {
 		sm2 := storage.NewStorageManager()
-		if _, _, err := DecodeSnapshotWorkers(img, sm2, workers); err != nil {
-			t.Fatalf("DecodeSnapshotWorkers(%d): %v", workers, err)
+		if _, _, err := decodeSnapshot(img, sm2, workers); err != nil {
+			t.Fatalf("decodeSnapshot(%d): %v", workers, err)
 		}
 		got, err := sm2.GetTable("t")
 		if err != nil {
@@ -217,12 +217,12 @@ func TestSnapshotV2ParallelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2CorruptChunkBody hand-builds v2 images whose chunk framing
+// TestDiffSnapshotV2CorruptChunkBody hand-builds v2 images whose chunk framing
 // is structurally wrong in ways the file CRC cannot catch on its own —
 // trailing garbage inside a declared body, and a body length pointing past
 // the end of the image. Decode (serial and parallel) must surface an error,
 // not a panic or a silently wrong table.
-func TestSnapshotV2CorruptChunkBody(t *testing.T) {
+func TestDiffSnapshotV2CorruptChunkBody(t *testing.T) {
 	table := storage.NewTable("t", testDefs(), 4, false)
 	for i := 0; i < 4; i++ {
 		if _, err := table.AppendRow([]types.Value{
@@ -283,9 +283,9 @@ func TestSnapshotV2CorruptChunkBody(t *testing.T) {
 		}),
 	}
 	for name, img := range cases {
-		for _, workers := range []int{-1, 4} {
+		for _, workers := range []int{1, 4} {
 			sm := storage.NewStorageManager()
-			if _, _, err := DecodeSnapshotWorkers(img, sm, workers); err == nil {
+			if _, _, err := decodeSnapshot(img, sm, workers); err == nil {
 				t.Fatalf("%s workers=%d: corrupt chunk body decoded without error", name, workers)
 			}
 		}

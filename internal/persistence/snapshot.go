@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
@@ -161,7 +162,7 @@ func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int
 		}
 		return 0, 0, err
 	}
-	lsn, lastCID, err = DecodeSnapshotWorkers(buf, sm, workers)
+	lsn, lastCID, err = decodeSnapshot(buf, sm, workers)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persistence: snapshot %s: %w", path, err)
 	}
@@ -171,15 +172,14 @@ func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int
 // DecodeSnapshot loads serialized snapshot bytes — a snapshot file's exact
 // contents, or the stream a replication primary ships for bootstrap — into
 // the (empty) storage manager and returns the WAL cut they were taken at.
-// Chunk decode runs with one worker per CPU; use DecodeSnapshotWorkers to
-// control the fan-out.
+// Chunk decode runs with one worker per CPU.
 func DecodeSnapshot(buf []byte, sm *storage.StorageManager) (lsn int64, lastCID types.CommitID, err error) {
-	return DecodeSnapshotWorkers(buf, sm, 0)
+	return decodeSnapshot(buf, sm, runtime.NumCPU())
 }
 
-// DecodeSnapshotWorkers is DecodeSnapshot with an explicit worker budget for
-// the parallel chunk decode (0 = one per CPU, <= 1 after resolution = serial).
-func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
+// decodeSnapshot is DecodeSnapshot with an explicit worker budget for the
+// parallel chunk decode (1 = serial).
+func decodeSnapshot(buf []byte, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
 	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
 		return 0, 0, fmt.Errorf("not a snapshot image")
 	}
@@ -188,8 +188,6 @@ func DecodeSnapshotWorkers(buf []byte, sm *storage.StorageManager, workers int) 
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return 0, 0, fmt.Errorf("snapshot fails CRC check")
 	}
-	workers = resolveRecoveryWorkers(workers)
-
 	r := &reader{buf: body}
 	lsn = int64(r.uvarint())
 	lastCID = types.CommitID(r.uvarint())

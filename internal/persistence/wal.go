@@ -111,7 +111,7 @@ type WAL struct {
 // truncated to the last valid frame (replayWAL does that). A fresh file is
 // created with createStartLSN in its header so logical offsets continue
 // from the snapshot cut even after the log itself was lost or reset.
-func openWAL(path string, mode SyncMode, batchInterval time.Duration, createStartLSN int64, publish func(types.CommitID)) (*WAL, error) {
+func openWAL(path string, mode SyncMode, createStartLSN int64, publish func(types.CommitID)) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func openWAL(path string, mode SyncMode, batchInterval time.Duration, createStar
 		f:       f,
 		w:       bufio.NewWriterSize(f, 1<<16),
 		start:   start,
-		size:    start + maxInt64(st.Size()-walHeaderLen, 0),
+		size:    start + max(st.Size()-walHeaderLen, 0),
 		stopc:   make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
@@ -158,20 +158,10 @@ func openWAL(path string, mode SyncMode, batchInterval time.Duration, createStar
 		w.wg.Add(1)
 		go w.syncLoop()
 	case SyncBatch:
-		if batchInterval <= 0 {
-			batchInterval = 5 * time.Millisecond
-		}
 		w.wg.Add(1)
-		go w.batchLoop(batchInterval)
+		go w.batchLoop()
 	}
 	return w, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func readWALHeader(f *os.File) (start int64, err error) {
@@ -332,10 +322,13 @@ func (w *WAL) release(batch []*pendingCommit, err error) {
 	}
 }
 
+// batchInterval is the fsync cadence of SyncBatch mode.
+const batchInterval = 5 * time.Millisecond
+
 // batchLoop fsyncs dirty state at a fixed interval (SyncBatch mode).
-func (w *WAL) batchLoop(interval time.Duration) {
+func (w *WAL) batchLoop() {
 	defer w.wg.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -486,16 +479,10 @@ const walReplayBatch = 256
 // record in order. It stops cleanly at a torn or truncated tail (short
 // frame, bad CRC, undecodable payload) and truncates the file back to the
 // last valid frame so appending can resume. It returns the end LSN of the
-// valid prefix.
-func replayWAL(path string, from int64, apply func(*record) error) (end int64, err error) {
-	return replayWALWorkers(path, from, 1, apply)
-}
-
-// replayWALWorkers is replayWAL with a worker budget for CRC verification
-// and record decoding (apply order and torn-tail semantics are identical for
-// every worker count: records apply in log order and the file truncates back
-// to the frame before the first bad one).
-func replayWALWorkers(path string, from int64, workers int, apply func(*record) error) (end int64, err error) {
+// valid prefix. CRC verification and record decoding fan out over workers
+// (apply order and torn-tail semantics are identical for every worker
+// count).
+func replayWAL(path string, from int64, workers int, apply func(*record) error) (end int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		if os.IsNotExist(err) {

@@ -145,12 +145,12 @@ func randomChains(n int) []chainQuery {
 	return out
 }
 
-// TestChainScanDifferential cross-checks the one-pass chain scan against the
+// TestDiffChainScan cross-checks the one-pass chain scan against the
 // row engine: random conjunctive chains over every encoding/compression pair,
 // with and without filters and indexes to prune and probe by, serial, fanned
 // out on a scheduler, and on the dynamic access path. The engine runs with
 // MVCC on, so every chain also takes the visibility rung (all rows committed).
-func TestChainScanDifferential(t *testing.T) {
+func TestDiffChainScan(t *testing.T) {
 	queries := randomChains(60)
 	oracle := chainOracle(t)
 	want := make([][]string, len(queries))
@@ -247,10 +247,10 @@ func TestUngroupedAggregateOverEncodedTable(t *testing.T) {
 	}
 }
 
-// TestChainScanVisibility is the MVCC matrix of the scan's visibility rung,
+// TestDiffChainScanVisibility is the MVCC matrix of the scan's visibility rung,
 // through SQL, serial and fanned out: what a transaction wrote itself, what
 // others have not committed, and what they committed after its snapshot.
-func TestChainScanVisibility(t *testing.T) {
+func TestDiffChainScanVisibility(t *testing.T) {
 	for _, mode := range []operators.ParallelMode{operators.ParallelSerial, operators.ParallelForce} {
 		cfg := DefaultConfig()
 		cfg.ParallelMode = mode
@@ -294,11 +294,11 @@ func TestChainScanVisibility(t *testing.T) {
 	}
 }
 
-// TestChainScanReaderBesideWriter: a writer commits pairs of rows that cancel
+// TestDiffChainScanReaderBesideWriter: a writer commits pairs of rows that cancel
 // out while a reader loops over a fanned-out chain scan; every snapshot must
 // hold whole transactions only. Run under -race this is the check that the
 // visibility rung reads MVCC columns safely beside commits.
-func TestChainScanReaderBesideWriter(t *testing.T) {
+func TestDiffChainScanReaderBesideWriter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ParallelMode = operators.ParallelForce
 	cfg.UseScheduler, cfg.SchedulerWorkers = true, 4
@@ -340,12 +340,12 @@ func TestChainScanReaderBesideWriter(t *testing.T) {
 	}
 }
 
-// TestTPCHChainPlanShape pins what a predicate chain is in the 22 TPC-H
+// TestDiffTPCHChainPlanShape pins what a predicate chain is in the 22 TPC-H
 // physical plans (SF 0.01): one TableScan per chain, carrying the chain's
 // conjuncts and its visibility check, directly over the GetTable it reads.
 // There is no Validate operator and no scan stacked on a scan; the three scans
 // left over are the HAVING filters over Aggregates in Q11, Q15 and Q18.
-func TestTPCHChainPlanShape(t *testing.T) {
+func TestDiffTPCHChainPlanShape(t *testing.T) {
 	e, _ := newTPCHParityEngine(t)
 	queries := tpch.Queries(tpchParitySF)
 	operatorCount, scans, chainScans, tables := 0, 0, 0, 0

@@ -24,7 +24,7 @@ type parallelDecisions struct {
 	MergeShards int64 `json:"merge_shards"`
 }
 
-// TestTPCHParallelDecisionParity pins the engine's automatic parallelism
+// TestDiffTPCHParallelDecisionParity pins the engine's automatic parallelism
 // choices: at default settings on a 4-worker scheduler every TPC-H query must
 // fan out exactly as recorded in testdata (captured at the commit before the
 // gates were merged into decideParallel; scan_morsels re-recorded when a
@@ -33,7 +33,7 @@ type parallelDecisions struct {
 // checks visibility now asks at all). A changed constant or gate shows up
 // here as a per-query diff; after a deliberate change re-record with
 // `go test ./internal/pipeline -run TPCHParallelDecisionParity -update-golden`.
-func TestTPCHParallelDecisionParity(t *testing.T) {
+func TestDiffTPCHParallelDecisionParity(t *testing.T) {
 	e, s := newTPCHParityEngine(t)
 	got := make(map[string]parallelDecisions)
 	queries := tpch.Queries(tpchParitySF)
@@ -83,13 +83,13 @@ type scanRungs struct {
 	Fallback  int64 `json:"fallback"`
 }
 
-// TestTPCHScanRungParity pins the scan ladder's per-chunk choices: after the
+// TestDiffTPCHScanRungParity pins the scan ladder's per-chunk choices: after the
 // 22 TPC-H queries every table.column of meta_column_scans must show the rung
 // counts recorded in testdata (captured at the commit before index probe
 // became a rung; the sorted rung added its key and took region.r_name, the one
 // scanned column that is loaded in ascending order). The golden doubles as the list of TPC-H columns that still
 // land on the fallback rung (ROADMAP 4c). Re-record with -update-golden.
-func TestTPCHScanRungParity(t *testing.T) {
+func TestDiffTPCHScanRungParity(t *testing.T) {
 	_, s := newTPCHParityEngine(t)
 	queries := tpch.Queries(tpchParitySF)
 	for _, num := range tpch.QueryNumbers() {

@@ -62,12 +62,12 @@ func indexChunksOf(tr *observe.Trace) int64 {
 	return n
 }
 
-// TestIndexRungThroughSQL is the end-to-end view of the index rung under the
+// TestDiffIndexRungThroughSQL is the end-to-end view of the index rung under the
 // default configuration (MVCC on): literals that are not of the column's type
 // get the scan's answers instead of a truncated probe, EXPLAIN ANALYZE says
 // when an index answered, and a prepared `id = $1` probes with the bound
 // value — the optimizer-time IndexScan rule could do none of the three.
-func TestIndexRungThroughSQL(t *testing.T) {
+func TestDiffIndexRungThroughSQL(t *testing.T) {
 	e, s := newIndexedEngine(t)
 
 	for sql, want := range map[string]int64{

@@ -146,13 +146,14 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 				if seg.Len() > 0 && zone.Ascending >= seg.Len() {
 					ascending = "yes"
 				}
+				spec, _ := encoding.SpecOf(seg) // a stored table's segments are all known
 				if _, err := out.AppendRow([]types.Value{
 					types.Str(t.Name()),
 					types.Int(int64(ci)),
 					types.Int(int64(col)),
 					types.Str(cols[col].Name),
 					types.Str(cols[col].Type.String()),
-					types.Str(segmentEncodingName(seg)),
+					types.Str(spec.Encoding.String()),
 					types.Int(int64(seg.Len())),
 					types.Int(seg.MemoryUsage()),
 					zoneMin, zoneMax, types.Str(ascending),
@@ -164,24 +165,6 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	}
 	out.FinalizeLastChunk()
 	return out, nil
-}
-
-// segmentEncodingName names a segment's physical representation.
-func segmentEncodingName(seg storage.Segment) string {
-	switch seg.(type) {
-	case *storage.ValueSegment[int64], *storage.ValueSegment[float64], *storage.ValueSegment[string]:
-		return "Unencoded"
-	case *encoding.DictionarySegment[int64], *encoding.DictionarySegment[float64], *encoding.DictionarySegment[string]:
-		return "Dictionary"
-	case *encoding.RunLengthSegment[int64], *encoding.RunLengthSegment[float64], *encoding.RunLengthSegment[string]:
-		return "RunLength"
-	case *encoding.FrameOfReferenceSegment:
-		return "FrameOfReference"
-	case *storage.ReferenceSegment:
-		return "Reference"
-	default:
-		return "Unknown"
-	}
 }
 
 // buildMetaActiveQueries snapshots the live-query registry: one row per

@@ -806,12 +806,12 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 		// cancellation and timeout — so partial DML (MVCC invalidations and
 		// inserts) rolls back cleanly and claims are released.
 		if autoCommit {
-			tx.RollbackWithCause(err)
+			tx.Rollback()
 		} else if tx != nil {
 			// Explicit transactions become invalid after conflicts; the
 			// client must roll back, matching the usual DBMS contract. We
 			// roll back eagerly to release claims.
-			tx.RollbackWithCause(err)
+			tx.Rollback()
 			s.tx = nil
 		}
 		return nil, err

@@ -86,7 +86,7 @@ func prunedBySpans(tr *observe.Trace) int {
 	return int(n)
 }
 
-// TestPruningParity pins which chunks a statement skips, shape by shape, to
+// TestDiffPruningParity pins which chunks a statement skips, shape by shape, to
 // testdata/pruning_parity.json — recorded at the commit where an optimizer
 // rule still decided it at plan time (there the logged sets were also checked
 // to equal the chunk list that rule left on the stored-table node). The scan
@@ -94,8 +94,8 @@ func prunedBySpans(tr *observe.Trace) int {
 // also for predicates that sit further up the predicate chain than the scan
 // that reads the table, and a prepared `k < $1` must skip what its literal
 // twin skips. Re-record with
-// `go test ./internal/pipeline -run TestPruningParity -update-golden`.
-func TestPruningParity(t *testing.T) {
+// `go test ./internal/pipeline -run TestDiffPruningParity -update-golden`.
+func TestDiffPruningParity(t *testing.T) {
 	for _, mode := range []operators.ParallelMode{operators.ParallelAuto, operators.ParallelForce} {
 		testPruningParity(t, mode)
 	}
@@ -175,10 +175,10 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 	}
 }
 
-// TestPruningSeesLateFilters: a filter attached after a statement's plan was
+// TestDiffPruningSeesLateFilters: a filter attached after a statement's plan was
 // cached prunes on the statement's next execution — the advisor loop of
 // ROADMAP item 2(b) attaches filters to tables that are already being queried.
-func TestPruningSeesLateFilters(t *testing.T) {
+func TestDiffPruningSeesLateFilters(t *testing.T) {
 	cfg := DefaultConfig()
 	sm := storage.NewStorageManager()
 	table := newPruneTable(t, sm, "late", cfg.UseMvcc)
@@ -213,13 +213,13 @@ func TestPruningSeesLateFilters(t *testing.T) {
 	}
 }
 
-// TestPruneTelemetry: the rows of pruned chunks count nowhere as
+// TestDiffPruneTelemetry: the rows of pruned chunks count nowhere as
 // examined — not in the scan's span, not in rows_scanned — and the chunks show
 // up on the TableScan line of EXPLAIN ANALYZE, in scan.segments_pruned and in
 // meta_column_scans under the column whose filter ruled them out. The one span
 // of the chain also says how many rows each conjunct left and how many
 // visibility hid.
-func TestPruneTelemetry(t *testing.T) {
+func TestDiffPruneTelemetry(t *testing.T) {
 	cfg := DefaultConfig()
 	sm := storage.NewStorageManager()
 	if err := filter.AttachDefaultFilters(newPruneTable(t, sm, "t", cfg.UseMvcc)); err != nil {

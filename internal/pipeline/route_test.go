@@ -59,7 +59,7 @@ func routeLiteralSQL(sql string, args []types.Value) string {
 	return sql
 }
 
-// routeCorpus is shared by the wire-level twin of TestStatementRoutesAgree in
+// routeCorpus is shared by the wire-level twin of TestRoutesAgree in
 // internal/server (kept in step by hand: that package cannot import test
 // code). Every route runs the cases in order; route-dependent values keep the
 // DML of one route out of the rows another route checks.
@@ -141,13 +141,13 @@ func newRouteEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
-// TestStatementRoutesAgree runs one corpus through every in-process entry
+// TestRoutesAgree runs one corpus through every in-process entry
 // point — text with literals, PrepareStatement + ExecutePreparedStatement
 // with parameters, and the named Prepare/ExecutePrepared facade — and demands
 // identical rows, column names and types, tags and RowsAffected, plus one
 // statement-statistics row per fingerprint counting the executions of all
 // routes: there is one route, however it is entered.
-func TestStatementRoutesAgree(t *testing.T) {
+func TestRoutesAgree(t *testing.T) {
 	e := newRouteEngine(t, DefaultConfig())
 	s := e.NewSession()
 	before := map[string]int64{}
@@ -270,11 +270,11 @@ func TestStatementRoutesAgree(t *testing.T) {
 	})
 }
 
-// TestPreparedSurvivesUnrelatedDDL: a handle outlives DDL. The first
+// TestRoutePreparedSurvivesUnrelatedDDL: a handle outlives DDL. The first
 // execution after a catalog change re-prepares the text through the cache;
 // from then on the stale handle replays the fresh plan (it re-parsed, bound
 // literals and re-planned on every execution, forever, before).
-func TestPreparedSurvivesUnrelatedDDL(t *testing.T) {
+func TestRoutePreparedSurvivesUnrelatedDDL(t *testing.T) {
 	e := preparedTestEngine(t)
 	s, ddl := e.NewSession(), e.NewSession()
 	var traces []string
@@ -326,11 +326,11 @@ func TestPreparedSurvivesUnrelatedDDL(t *testing.T) {
 	}
 }
 
-// TestCacheHitParsesNothing pins, in allocations rather than time, that a
+// TestRouteCacheHitParsesNothing pins, in allocations rather than time, that a
 // text the engine has seen is neither lexed nor parsed again — it costs what
 // replaying the prepared form of the same statement costs — and that a replay
 // does not lex for a fingerprint either (+37 and +25 allocations before).
-func TestCacheHitParsesNothing(t *testing.T) {
+func TestRouteCacheHitParsesNothing(t *testing.T) {
 	e := NewEngine(DefaultConfig(), nil)
 	t.Cleanup(e.Close)
 	s := e.NewSession()
@@ -362,9 +362,9 @@ func TestCacheHitParsesNothing(t *testing.T) {
 	}
 }
 
-// TestDropTableForgetsStatistics: the DDL hook releases the statistics (and
+// TestRouteDropTableForgetsStatistics: the DDL hook releases the statistics (and
 // with them the chunks) of tables that left the catalog.
-func TestDropTableForgetsStatistics(t *testing.T) {
+func TestRouteDropTableForgetsStatistics(t *testing.T) {
 	e := preparedTestEngine(t)
 	s := e.NewSession()
 	mustExec(t, s, "SELECT name FROM items WHERE id = 2 AND price > 1.0") // ordering predicates builds statistics
@@ -392,13 +392,13 @@ func TestDropTableForgetsStatistics(t *testing.T) {
 	}
 }
 
-// TestSharedStatementCacheConcurrent hammers the one engine-wide statement
+// TestRouteSharedStatementCacheConcurrent hammers the one engine-wide statement
 // cache: eight sessions replay text and prepared statements while a ninth
 // runs unrelated DDL and a tenth drops and re-creates the table the others
 // read. Under -race this must be clean; every read must see a generation of
 // the table at least as new as the one published before it started, or no
 // table at all; and the cache must respect its bound.
-func TestSharedStatementCacheConcurrent(t *testing.T) {
+func TestRouteSharedStatementCacheConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PlanCacheSize = 8
 	e := NewEngine(cfg, nil)

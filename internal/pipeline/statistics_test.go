@@ -8,11 +8,11 @@ import (
 	"hyrise/internal/statistics"
 )
 
-// TestStatisticsBuildsAreLogarithmic: 10 000 single-row INSERTs, each followed
+// TestStatsBuildsAreLogarithmic: 10 000 single-row INSERTs, each followed
 // by a SELECT that is planned against the table's statistics (two predicates:
 // ordering them is what consults the estimator), rescan the table O(log rows)
 // times. Before statistics were folded every one of the SELECTs rebuilt them.
-func TestStatisticsBuildsAreLogarithmic(t *testing.T) {
+func TestStatsBuildsAreLogarithmic(t *testing.T) {
 	const inserts = 10000
 	e := NewEngine(DefaultConfig(), nil)
 	defer e.Close()

@@ -15,7 +15,7 @@ import (
 	"hyrise/internal/types"
 )
 
-// TestPointReadersOnGrowingTail: one session appends rows (autocommit) while
+// TestDiffPointReadersOnGrowingTail: one session appends rows (autocommit) while
 // two others look committed ids up by `id = $1`. The table seals a chunk every
 // 64 rows, ids mostly ascend with a swapped pair now and then, so lookups meet
 // sealed chunks and the mutable tail, pruned by their zones, binary-searched
@@ -23,7 +23,7 @@ import (
 // every id that was committed before its statement began, exactly once and
 // with its value, and never an id nobody inserted. Run under -race: the zone
 // is written under the chunk lock the readers' views are taken under.
-func TestPointReadersOnGrowingTail(t *testing.T) {
+func TestDiffPointReadersOnGrowingTail(t *testing.T) {
 	const rows, chunkRows = 1200, 64
 	cfg := DefaultConfig()
 	sm := storage.NewStorageManager()
@@ -126,10 +126,10 @@ func TestPointReadersOnGrowingTail(t *testing.T) {
 	}
 }
 
-// TestOneSourceOfBounds: after the TPC-H load path has encoded the tables and
+// TestDiffOneSourceOfBounds: after the TPC-H load path has encoded the tables and
 // attached the default filters, no chunk holds a min-max filter — the bounds
 // are its zones', and every column of every chunk has one.
-func TestOneSourceOfBounds(t *testing.T) {
+func TestDiffOneSourceOfBounds(t *testing.T) {
 	sm := storage.NewStorageManager()
 	if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.002, ChunkSize: 1000, Seed: 42}); err != nil {
 		t.Fatal(err)
@@ -144,15 +144,15 @@ func TestOneSourceOfBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci, c := range table.Chunks() {
-			for _, f := range c.AllFilters() {
-				switch f.(type) {
-				case *filter.RangeHistogram:
-					histograms++
-				default:
-					t.Errorf("%s chunk %d: default filters include a %s", name, ci, f.FilterType())
-				}
-			}
 			for col := 0; col < c.ColumnCount(); col++ {
+				for _, f := range c.Filters(types.ColumnID(col)) {
+					switch f.(type) {
+					case *filter.RangeHistogram:
+						histograms++
+					default:
+						t.Errorf("%s chunk %d: default filters include a %s", name, ci, f.FilterType())
+					}
+				}
 				z, ok := c.Zone(types.ColumnID(col))
 				if spec, _ := encoding.SpecOf(c.GetSegment(types.ColumnID(col))); !ok || (c.Size() > 0 && z.Min.IsNull()) {
 					t.Errorf("%s chunk %d column %d (%v): zone %+v, present=%v", name, ci, col, spec, z, ok)

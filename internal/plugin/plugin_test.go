@@ -193,11 +193,11 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 	}
 }
 
-// TestAdvisorsSkipValuelessColumns: an all-NULL column has no domain (its
+// TestStatsAdvisorsSkipValuelessColumns: an all-NULL column has no domain (its
 // statistics used to say Min=+Inf, Max=-Inf, so Max-Min < anything and it
 // counted as a dense integer domain) and an empty table has no rows; the
 // advisors leave both alone.
-func TestAdvisorsSkipValuelessColumns(t *testing.T) {
+func TestStatsAdvisorsSkipValuelessColumns(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := storage.NewTable("sparse", []storage.ColumnDefinition{
 		{Name: "seq", Type: types.TypeInt64},

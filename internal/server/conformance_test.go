@@ -574,6 +574,42 @@ collect:
 	}
 }
 
+// TestGracefulDrainBusyAcrossRequestClose: a connection that a drain flags
+// while it is busy disconnects itself at its next statement boundary, and the
+// notice it writes there must be the FATAL 57P01 an idle connection gets from
+// requestClose — it said ERROR, which is what TestGracefulDrainIdleConnection
+// saw whenever Shutdown caught its connection between answering and looping
+// back to the boundary.
+func TestGracefulDrainBusyAcrossRequestClose(t *testing.T) {
+	addr, srv, _ := startServerWith(t, nil)
+	c := confClient(t, addr)
+	// Parse + Flush opens a batch: once ParseComplete is read the connection
+	// is busy and stays so until its Sync is answered.
+	mustRaw(t, c, 'P', parsePayload("", "SELECT 1", nil))
+	mustRaw(t, c, 'H', nil)
+	if mt, _, err := c.ReadMessage(); err != nil || mt != '1' {
+		t.Fatalf("ParseComplete: %q, %v", mt, err)
+	}
+	srv.mu.Lock()
+	for _, st := range srv.conns {
+		st.requestClose() // busy: only flags the connection
+	}
+	srv.mu.Unlock()
+	mustRaw(t, c, 'S', nil)
+	for {
+		mt, payload, err := c.ReadMessage()
+		if err != nil {
+			t.Fatalf("no shutdown notice at the statement boundary: %v", err)
+		}
+		if mt == 'E' {
+			if pe := pgclient.DecodeError(payload); pe.Code != "57P01" || pe.Severity != "FATAL" {
+				t.Fatalf("boundary notice = %+v, want FATAL 57P01", pe)
+			}
+			return
+		}
+	}
+}
+
 // --- raw payload builders ---------------------------------------------------
 
 func mustRaw(t *testing.T, c *pgclient.Conn, msgType byte, payload []byte) {

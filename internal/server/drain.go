@@ -5,7 +5,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -113,25 +112,17 @@ func (s *Server) Shutdown(timeout time.Duration) {
 	}
 }
 
-// writeShutdownNotice writes the admin_shutdown ErrorResponse straight to
-// the socket. It is used only for connections parked between statements,
-// whose buffered writer is flushed and whose goroutine is blocked in a read
-// — writing via the raw conn avoids racing that goroutine's bufio.Writer.
+// shutdownNotice is the ErrorResponse a draining server disconnects with:
+// FATAL (the session is over, not just the statement) 57P01 admin_shutdown.
+func shutdownNotice() []byte {
+	return errorResponse("FATAL", codeAdminShutdown, "terminating connection due to administrator command")
+}
+
+// writeShutdownNotice writes the notice straight to the socket. It is used
+// only for connections parked between statements, whose buffered writer is
+// flushed and whose goroutine is blocked in a read — writing via the raw conn
+// avoids racing that goroutine's bufio.Writer.
 func writeShutdownNotice(conn net.Conn) {
-	var payload []byte
-	add := func(field byte, text string) {
-		payload = append(payload, field)
-		payload = append(payload, []byte(text)...)
-		payload = append(payload, 0)
-	}
-	add('S', "FATAL")
-	add('C', codeAdminShutdown)
-	add('M', "terminating connection due to administrator command")
-	payload = append(payload, 0)
-	frame := make([]byte, 5, 5+len(payload))
-	frame[0] = 'E'
-	binary.BigEndian.PutUint32(frame[1:], uint32(len(payload)+4))
-	frame = append(frame, payload...)
 	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_, _ = conn.Write(frame)
+	_, _ = conn.Write(shutdownNotice())
 }

@@ -37,11 +37,11 @@ func (c *pgClient) mustQuery(t *testing.T, sql string) queryResult {
 	return res
 }
 
-// TestNewOrderSurvivesServerRestart is the end-to-end durability test from
+// TestCrashNewOrderSurvivesServerRestart is the end-to-end durability test from
 // the issue: a TPC-C NewOrder committed through the pgwire server must
 // survive a full engine restart on the same data directory, while an
 // uncommitted transaction left dangling on a second connection must not.
-func TestNewOrderSurvivesServerRestart(t *testing.T) {
+func TestCrashNewOrderSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	addr, e, srv := startDurableServer(t, dir)
 

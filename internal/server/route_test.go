@@ -151,13 +151,13 @@ func extendedRoute(c *pgclient.Conn, binary bool) func(i int, sql string, args [
 	}
 }
 
-// TestStatementRoutesAgree is the wire half of internal/pipeline's test of
+// TestProtocolRoutesAgree is the wire half of internal/pipeline's test of
 // the same name: the simple protocol with literals and the extended protocol
 // with text and with binary parameters and results must show a client
 // identical columns, types, rows and tags, and land in one
 // statement-statistics row per fingerprint — both protocols execute handles
 // through the same clientConn.execute and the same pipeline route.
-func TestStatementRoutesAgree(t *testing.T) {
+func TestProtocolRoutesAgree(t *testing.T) {
 	sm := storage.NewStorageManager()
 	if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.01, ChunkSize: 10000, UseMvcc: true, Seed: 42}); err != nil {
 		t.Fatal(err)
@@ -264,11 +264,11 @@ func TestStatementRoutesAgree(t *testing.T) {
 	}
 }
 
-// TestConformancePreparedSurvivesDDL: a named statement held by one
+// TestProtocolPreparedSurvivesDDL: a named statement held by one
 // connection keeps replaying a cached plan after another connection ran DDL —
 // the first execution re-prepares it through the engine's statement cache,
 // the next ones hit that entry (it re-planned on every execution before).
-func TestConformancePreparedSurvivesDDL(t *testing.T) {
+func TestProtocolPreparedSurvivesDDL(t *testing.T) {
 	addr, _, e := startServerWith(t, nil)
 	c := confClient(t, addr)
 	mustSimple(t, c, "CREATE TABLE conf (id INT NOT NULL, name VARCHAR(20), price FLOAT)")

@@ -361,8 +361,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 			// Statement boundary: the connection is idle here. A drain in
 			// progress disconnects it now, with a clean FATAL 57P01.
 			if st.idleBoundary() {
-				w.writeErrorCode(codeAdminShutdown,
-					"terminating connection due to administrator command")
+				_, _ = w.w.Write(shutdownNotice())
 				_ = w.w.Flush()
 				return
 			}
@@ -766,17 +765,18 @@ func sqlStateFor(err error) string {
 }
 
 func (w *wire) writeErrorCode(code, msg string) {
-	var payload []byte
-	add := func(field byte, text string) {
-		payload = append(payload, field)
-		payload = append(payload, []byte(text)...)
-		payload = append(payload, 0)
+	_, _ = w.w.Write(errorResponse("ERROR", code, msg))
+}
+
+// errorResponse builds an ErrorResponse frame: severity, SQLSTATE, message.
+func errorResponse(severity, code, msg string) []byte {
+	frame := []byte{'E', 0, 0, 0, 0}
+	for _, field := range []string{"S" + severity, "C" + code, "M" + msg} {
+		frame = append(append(frame, field...), 0)
 	}
-	add('S', "ERROR")
-	add('C', code)
-	add('M', msg)
-	payload = append(payload, 0)
-	w.writeMessage('E', payload)
+	frame = append(frame, 0)
+	binary.BigEndian.PutUint32(frame[1:], uint32(len(frame)-1))
+	return frame
 }
 
 // writeCompletion emits CommandComplete for a statement that returned

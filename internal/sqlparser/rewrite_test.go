@@ -8,11 +8,11 @@ import (
 	"hyrise/internal/types"
 )
 
-// TestRewriteCoversEveryClause: one traversal reaches the expressions of
+// TestRouteRewriteCoversEveryClause: one traversal reaches the expressions of
 // every clause and every table reference, subqueries and derived tables
 // included, replaces what the callback replaces, and leaves its input as
 // parsed.
-func TestRewriteCoversEveryClause(t *testing.T) {
+func TestRouteRewriteCoversEveryClause(t *testing.T) {
 	const sql = `SELECT $1, (SELECT max(x) FROM v WHERE y = $2)
 		FROM (SELECT a FROM t WHERE a > $3) AS d JOIN u AS uu ON d.a = uu.a AND uu.b = $4
 		WHERE EXISTS (SELECT 1 FROM w WHERE w.x = $5) AND d.a IN ($6, $7)

@@ -7,6 +7,9 @@ package statistics
 import (
 	"math"
 	"sort"
+
+	"hyrise/internal/encoding"
+	"hyrise/internal/types"
 )
 
 // HistogramType selects a bin-splitting strategy.
@@ -123,6 +126,14 @@ func BuildHistogram(kind HistogramType, distinct []float64, counts []int, binCou
 	return h
 }
 
+// HistogramOf builds the histogram of one summary: its values embedded in the
+// estimation domain, without NaN, which no comparison matches.
+func HistogramOf[T types.Ordered](kind HistogramType, sum encoding.Summary[T], binCount int) *Histogram {
+	sum, _ = sum.SplitNaN()
+	domain := toDomain(sum)
+	return BuildHistogram(kind, domain.Values, domain.Counts, binCount)
+}
+
 // Kind returns the histogram's bin-splitting strategy.
 func (h *Histogram) Kind() HistogramType { return h.kind }
 
@@ -177,6 +188,17 @@ func (h *Histogram) add(v float64, rows int) (fresh bool) {
 	h.binRows[i] += float64(rows)
 	h.total += float64(rows)
 	return fresh
+}
+
+// Overlaps reports whether some bin holds a value in [lo, hi]. Bin edges are
+// values that occur, so a range that overlaps no bin matches no row.
+func (h *Histogram) Overlaps(lo, hi float64) bool {
+	for i := range h.binLo {
+		if h.binHi[i] >= lo && h.binLo[i] <= hi {
+			return true
+		}
+	}
+	return false
 }
 
 // EstimateEquals estimates the rows equal to v (uniformity within bins).

@@ -90,9 +90,9 @@ func qError(a, b float64) float64 {
 	return math.Max(a/b, b/a)
 }
 
-// TestFoldMatchesRebuild folds seeded random append sequences batch by batch
+// TestStatsFoldMatchesRebuild folds seeded random append sequences batch by batch
 // and compares every intermediate result with a fresh build of the same rows.
-func TestFoldMatchesRebuild(t *testing.T) {
+func TestStatsFoldMatchesRebuild(t *testing.T) {
 	for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
@@ -170,9 +170,9 @@ func consistent(cs *ColumnStatistics) error {
 	return nil
 }
 
-// TestCacheStalenessRule pins the one rule of Cache.lookup: nothing below a
+// TestStatsCacheStalenessRule pins the one rule of Cache.lookup: nothing below a
 // bin's worth of new rows, a fold from there on, a rebuild at double the rows.
-func TestCacheStalenessRule(t *testing.T) {
+func TestStatsCacheStalenessRule(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	table := newFoldTable(t, r, 6400)
 	cache := NewCache(EqualHeight)
@@ -214,9 +214,9 @@ func TestCacheStalenessRule(t *testing.T) {
 	}
 }
 
-// TestEmptyColumnRange: a column without a value — empty table, all NULL —
+// TestStatsEmptyColumnRange: a column without a value — empty table, all NULL —
 // has the range 0..0, not +Inf..-Inf, and the first value folded in sets it.
-func TestEmptyColumnRange(t *testing.T) {
+func TestStatsEmptyColumnRange(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "id", Type: types.TypeInt64},
 		{Name: "gone", Type: types.TypeInt64, Nullable: true},
@@ -253,10 +253,10 @@ func TestEmptyColumnRange(t *testing.T) {
 	}
 }
 
-// TestLookupUnderConcurrentAppends: with appenders running, every lookup
+// TestStatsLookupUnderConcurrentAppends: with appenders running, every lookup
 // returns statistics whose row count is the number of rows it counted. Get
 // used to read RowCount() first and the chunks later, so the two disagreed.
-func TestLookupUnderConcurrentAppends(t *testing.T) {
+func TestStatsLookupUnderConcurrentAppends(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	table := newFoldTable(t, r, 500)
 	cache := NewCache(EqualHeight)

@@ -10,7 +10,6 @@ import (
 	"hyrise/internal/encoding"
 	"hyrise/internal/observe"
 	"hyrise/internal/storage"
-	"hyrise/internal/tpch"
 	"hyrise/internal/types"
 )
 
@@ -91,34 +90,21 @@ func rowFold(ts *TableStatistics, parts []chunkRows, rows int) *TableStatistics 
 	return out
 }
 
-// TestSegmentSummaryDifferential, part (c): statistics built and folded from
-// segment summaries are the statistics the row path computes — on every TPC-H
-// table, encoded and not, and on a table of awkward values one chunk of which
-// is sealed and encoded while the next grows.
-func TestSegmentSummaryDifferential(t *testing.T) {
-	for _, spec := range []encoding.Spec{tpch.DefaultEncoding(), {Encoding: encoding.Unencoded}} {
-		sm := storage.NewStorageManager()
-		if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.01, ChunkSize: 10_000, Seed: 3}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tpch.EncodeAndFilter(sm, spec); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range tpch.TableNames() {
-			table, err := sm.GetTable(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
-				parts, _, rows := rowsSince(table, mark{})
-				want := rowStatistics(table.ColumnDefinitions(), parts, rows, kind)
-				if got := BuildTableStatistics(table, kind); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s (%s, %s): statistics from summaries differ from the row path", name, spec, kind)
-				}
-			}
-		}
-	}
+// RowTableStatistics is the row path over a whole table, for the TPC-H half of
+// the differential: that lives in package statistics_test, because tpch imports
+// filter and filter imports this package.
+func RowTableStatistics(table *storage.Table, kind HistogramType) *TableStatistics {
+	parts, _, rows := rowsSince(table, mark{})
+	return rowStatistics(table.ColumnDefinitions(), parts, rows, kind)
+}
 
+var dictionary = encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
+
+// TestStatsSegmentSummary, part (c): statistics built and folded from
+// segment summaries are the statistics the row path computes — on a table of
+// awkward values one chunk of which is sealed and encoded while the next grows
+// (and on every TPC-H table: TestStatsSegmentSummaryTPCH).
+func TestStatsSegmentSummary(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "big", Type: types.TypeInt64, Nullable: true},
 		{Name: "f", Type: types.TypeFloat64, Nullable: true},
@@ -157,7 +143,7 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 		// and encoded before the fold sees them — and the start of chunk 3.
 		appendRows(800)
 		for _, c := range []types.ChunkID{1, 2} {
-			if err := encoding.EncodeChunk(table.GetChunk(c), tpch.DefaultEncoding(), nil); err != nil {
+			if err := encoding.EncodeChunk(table.GetChunk(c), dictionary, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,12 +157,12 @@ func TestSegmentSummaryDifferential(t *testing.T) {
 	}
 }
 
-// TestStatisticsNaN: NaN is one distinct value that lies in no bin, so Min,
+// TestStatsNaN: NaN is one distinct value that lies in no bin, so Min,
 // Max and every estimate are those of the numbers. Each NaN row used to be a
 // distinct value of its own, and the smallest bin edge.
-func TestStatisticsNaN(t *testing.T) {
+func TestStatsNaN(t *testing.T) {
 	defs := []storage.ColumnDefinition{{Name: "f", Type: types.TypeFloat64}}
-	for _, spec := range []encoding.Spec{{Encoding: encoding.Unencoded}, tpch.DefaultEncoding()} {
+	for _, spec := range []encoding.Spec{{Encoding: encoding.Unencoded}, dictionary} {
 		table := storage.NewTable("t", defs, 50, false)
 		for i := 0; i < 100; i++ {
 			v := float64(i % 10)
@@ -204,10 +190,10 @@ func TestStatisticsNaN(t *testing.T) {
 func TestSummarizedChunksCounter(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	table := newFoldTable(t, r, 1000) // three sealed chunks of 256 rows and a tail
-	if err := encoding.EncodeChunk(table.GetChunk(0), tpch.DefaultEncoding(), nil); err != nil {
+	if err := encoding.EncodeChunk(table.GetChunk(0), dictionary, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := encoding.EncodeChunk(table.GetChunk(2), tpch.DefaultEncoding(), nil); err != nil {
+	if err := encoding.EncodeChunk(table.GetChunk(2), dictionary, nil); err != nil {
 		t.Fatal(err)
 	}
 	reg := observe.NewRegistry()

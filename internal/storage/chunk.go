@@ -364,15 +364,6 @@ func (c *Chunk) GetIndex(col types.ColumnID) ChunkIndex {
 	return nil
 }
 
-// Indexes returns all indexes attached to the chunk.
-func (c *Chunk) Indexes() []ChunkIndex {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]ChunkIndex, len(c.indexes))
-	copy(out, c.indexes)
-	return out
-}
-
 // AddFilter attaches a pruning filter to the chunk.
 func (c *Chunk) AddFilter(f ChunkFilter) {
 	if !c.IsImmutable() {
@@ -393,15 +384,6 @@ func (c *Chunk) Filters(col types.ColumnID) []ChunkFilter {
 			out = append(out, f)
 		}
 	}
-	return out
-}
-
-// AllFilters returns every filter attached to the chunk.
-func (c *Chunk) AllFilters() []ChunkFilter {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]ChunkFilter, len(c.filters))
-	copy(out, c.filters)
 	return out
 }
 

@@ -102,9 +102,6 @@ func (t *Table) ColumnID(name string) (types.ColumnID, error) {
 	return 0, fmt.Errorf("storage: table %q has no column %q", t.name, name)
 }
 
-// ColumnType returns the data type of the column.
-func (t *Table) ColumnType(id types.ColumnID) types.DataType { return t.defs[id].Type }
-
 // ChunkCount returns the number of chunks.
 func (t *Table) ChunkCount() int {
 	t.mu.RLock()

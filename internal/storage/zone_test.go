@@ -55,11 +55,11 @@ func zoneOfColumn(t *testing.T, c *Chunk, col int) Zone {
 	return z
 }
 
-// TestZoneWrittenWithRows: after every append the zone of each column is the
+// TestDiffZoneWrittenWithRows: after every append the zone of each column is the
 // one a pass over the rows finds — on the mutable tail, across the seal, with
 // NULLs, NaN, ±0 and ±Inf in the column — and the segment view handed out
 // with it is exactly as long as the rows it covers.
-func TestZoneWrittenWithRows(t *testing.T) {
+func TestDiffZoneWrittenWithRows(t *testing.T) {
 	defs := []ColumnDefinition{
 		{Name: "i", Type: types.TypeInt64},
 		{Name: "f", Type: types.TypeFloat64, Nullable: true},
@@ -110,11 +110,11 @@ func TestZoneWrittenWithRows(t *testing.T) {
 	}
 }
 
-// TestZoneExcludes is the prune rule: an interval is excluded when it lies
+// TestDiffZoneExcludes is the prune rule: an interval is excluded when it lies
 // wholly outside the bounds, a column without a comparable value excludes
 // every interval, and operands the bounds cannot be compared with exclude
 // nothing.
-func TestZoneExcludes(t *testing.T) {
+func TestDiffZoneExcludes(t *testing.T) {
 	v := func(i int64) *types.Value { x := types.Int(i); return &x }
 	z := Zone{Min: types.Int(2), Max: types.Int(9)}
 	for _, tc := range []struct {
@@ -152,12 +152,12 @@ func TestZoneExcludes(t *testing.T) {
 	}
 }
 
-// TestZoneSurvivesOverwriteAndReencode: RestoreRowAt filling a placeholder
+// TestDiffZoneSurvivesOverwriteAndReencode: RestoreRowAt filling a placeholder
 // inside a sealed chunk widens the bounds to the new value and ends the run
 // before the row; swapping a segment for another representation of the same
 // values touches nothing; a chunk built outside a table carries no zone until
 // a data table takes it in, and then the one its rows imply.
-func TestZoneSurvivesOverwriteAndReencode(t *testing.T) {
+func TestDiffZoneSurvivesOverwriteAndReencode(t *testing.T) {
 	defs := []ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "s", Type: types.TypeString}}
 	table := NewTable("r", defs, 4, true)
 	row := func(i int64) []types.Value { return []types.Value{types.Int(i), types.Str(string(rune('a' + i)))} }

@@ -85,22 +85,6 @@ func (r RowID) IsNull() bool { return r.Offset == InvalidChunkOffset }
 // segments of a chunk is what makes positional intermediaries cheap.
 type PosList []RowID
 
-// SingleChunk reports whether all positions refer to the same chunk, and if
-// so which one. Operators use this to take a fast path that resolves the
-// referenced segment only once.
-func (p PosList) SingleChunk() (ChunkID, bool) {
-	if len(p) == 0 {
-		return 0, false
-	}
-	first := p[0].Chunk
-	for _, r := range p[1:] {
-		if r.Chunk != first {
-			return 0, false
-		}
-	}
-	return first, true
-}
-
 // Value is a dynamically typed SQL value. It is used at system boundaries
 // (parser literals, client results, dynamic segment access); hot loops use
 // typed slices instead.

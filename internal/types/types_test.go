@@ -116,21 +116,6 @@ func TestParseValue(t *testing.T) {
 	}
 }
 
-func TestPosListSingleChunk(t *testing.T) {
-	var empty PosList
-	if _, ok := empty.SingleChunk(); ok {
-		t.Error("empty PosList must not report a single chunk")
-	}
-	single := PosList{{Chunk: 3, Offset: 0}, {Chunk: 3, Offset: 9}}
-	if c, ok := single.SingleChunk(); !ok || c != 3 {
-		t.Errorf("SingleChunk = (%d, %v), want (3, true)", c, ok)
-	}
-	multi := PosList{{Chunk: 1}, {Chunk: 2}}
-	if _, ok := multi.SingleChunk(); ok {
-		t.Error("multi-chunk PosList must not report a single chunk")
-	}
-}
-
 func TestRowIDNull(t *testing.T) {
 	if !NullRowID.IsNull() {
 		t.Error("NullRowID.IsNull() = false")
