@@ -10,8 +10,8 @@
 // parse keeps the MINIMUM ns/op across repeated runs of the same benchmark
 // (-count=N): the minimum is the least noisy estimator of the true cost on
 // shared CI hardware. compare exits non-zero when any benchmark present in
-// both snapshots regressed by more than the threshold percentage in ns/op or
-// allocs/op; benchmarks only present in the current run are registered, not
+// both snapshots regressed by more than the threshold percentage in ns/op,
+// allocs/op or B/op; benchmarks only present in the current run are registered, not
 // gated (they gate once the baseline is refreshed). speedup reads a single
 // snapshot, pairs every X/serial sub-benchmark with its X/parallel (or
 // X/radix) sibling, and exits non-zero when a -require'd pair is missing or
@@ -182,7 +182,7 @@ func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	basePath := fs.String("baseline", "", "baseline snapshot JSON")
 	curPath := fs.String("current", "", "current snapshot JSON")
-	threshold := fs.Float64("threshold", 25, "max allowed ns/op and allocs/op regression in percent")
+	threshold := fs.Float64("threshold", 25, "max allowed ns/op, allocs/op and B/op regression in percent")
 	_ = fs.Parse(args)
 	if *basePath == "" || *curPath == "" {
 		usage()
@@ -206,9 +206,10 @@ func cmdCompare(args []string) {
 
 // runCompare writes the per-benchmark comparison and returns how many
 // benchmarks present in both snapshots regressed by more than threshold
-// percent — in ns/op, or in allocs/op where both snapshots recorded them
-// (-benchmem). Allocation counts are deterministic, so one threshold serves
-// both: it bounds time against noise and allocations against real growth.
+// percent — in ns/op, or in allocs/op or B/op where both snapshots recorded
+// them (-benchmem). Allocation counts and sizes are deterministic, so one
+// threshold serves all three: it bounds time against noise and allocations
+// against real growth.
 func runCompare(base, cur *Snapshot, threshold float64, w io.Writer) int {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -226,18 +227,23 @@ func runCompare(base, cur *Snapshot, threshold float64, w io.Writer) int {
 		}
 		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
 		regressed := delta > threshold
-		allocs := ""
-		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
-			allocDelta := (c.AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp * 100
-			regressed = regressed || allocDelta > threshold
-			allocs = fmt.Sprintf("  %10.0f -> %10.0f allocs/op  (%+.1f%%)", b.AllocsPerOp, c.AllocsPerOp, allocDelta)
+		mem := ""
+		for _, m := range []struct {
+			unit string
+			b, c float64
+		}{{"allocs/op", b.AllocsPerOp, c.AllocsPerOp}, {"B/op", b.BytesPerOp, c.BytesPerOp}} {
+			if m.b > 0 && m.c > 0 {
+				d := (m.c - m.b) / m.b * 100
+				regressed = regressed || d > threshold
+				mem += fmt.Sprintf("  %10.0f -> %10.0f %s  (%+.1f%%)", m.b, m.c, m.unit, d)
+			}
 		}
 		status := "ok"
 		if regressed {
 			status = "REGRESSED"
 			failed++
 		}
-		fmt.Fprintf(w, "%-9s %-45s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n", status, name, b.NsPerOp, c.NsPerOp, delta, allocs)
+		fmt.Fprintf(w, "%-9s %-45s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n", status, name, b.NsPerOp, c.NsPerOp, delta, mem)
 	}
 	var newNames []string
 	for name := range cur.Benchmarks {

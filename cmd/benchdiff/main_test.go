@@ -127,9 +127,9 @@ func TestRequireFlagParsing(t *testing.T) {
 	}
 }
 
-// TestCompareGatesAllocs injects regressions into a copy of a baseline: time
-// and allocations each trip the one threshold on their own, growth within it
-// passes, and a snapshot without -benchmem numbers is gated on time alone.
+// TestCompareGatesAllocs injects regressions into a copy of a baseline: time,
+// allocations and bytes each trip the one threshold on their own, growth within
+// it passes, and a snapshot without -benchmem numbers is gated on time alone.
 func TestCompareGatesAllocs(t *testing.T) {
 	base := &Snapshot{Benchmarks: map[string]Result{
 		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096, Runs: 5},
@@ -151,6 +151,12 @@ func TestCompareGatesAllocs(t *testing.T) {
 		{"allocs regressed, time flat", map[string]Result{
 			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 150}, "BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 100}, "BenchmarkC": {NsPerOp: 1000},
 		}, 1, "REGRESSED BenchmarkA"},
+		{"bytes regressed, time and allocs flat", map[string]Result{
+			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 8192}, "BenchmarkB": {NsPerOp: 1000, BytesPerOp: 1 << 20}, "BenchmarkC": {NsPerOp: 1000},
+		}, 1, "4096 ->       8192 B/op  (+100.0%)"},
+		{"bytes within threshold", map[string]Result{
+			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 5120}, "BenchmarkB": {NsPerOp: 1000}, "BenchmarkC": {NsPerOp: 1000},
+		}, 0, "B/op  (+25.0%)"},
 		{"time regressed, allocs flat", map[string]Result{
 			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100}, "BenchmarkB": {NsPerOp: 1500, AllocsPerOp: 100}, "BenchmarkC": {NsPerOp: 1000},
 		}, 1, "REGRESSED BenchmarkB"},

@@ -451,7 +451,7 @@ func TestMaterializeReferenceSegment(t *testing.T) {
 		types.NullRowID,
 		{Chunk: 1, Offset: 1}, // 44
 	}
-	ref := storage.NewReferenceSegment(table, 0, pos)
+	ref := storage.NewReferenceSegment(storage.NewPositions(table, pos), 0)
 	vals, nulls := Materialize[int64](ref)
 	wantVals := []int64{66, 22, 0, 44}
 	wantNulls := []bool{false, false, true, false}

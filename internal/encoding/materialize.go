@@ -21,20 +21,31 @@ import (
 // Figure 3b compares the two; Figure 3a compares positional gathering
 // (MaterializePositions) against full decoding (Materialize + gather).
 
-// Gather fills out/nulls with the values at the given positions of a
-// dictionary segment, resolving the attribute vector type once.
-func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, out []T, nulls []bool) {
+// slotOf is where the value at pos[i] of a gather lands: row i of out, or row
+// slots[i] when the request is one chunk's share of a longer position list
+// (storage.PosRun) and its rows stand scattered in the output.
+func slotOf(slots []int32, i int) int {
+	if slots != nil {
+		return int(slots[i])
+	}
+	return i
+}
+
+// Gather fills out/nulls (at slotOf) with the values at the given positions
+// of a dictionary segment, resolving the attribute vector type once.
+func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	switch av := s.av.(type) {
 	case *FixedWidthVector[uint8]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, out, nulls)
+		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
 	case *FixedWidthVector[uint16]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, out, nulls)
+		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
 	case *FixedWidthVector[uint32]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, out, nulls)
+		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
 	case *FixedWidthVector[uint64]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, out, nulls)
+		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
 	case *BP128Vector:
 		for i, p := range pos {
+			i = slotOf(slots, i)
 			id := av.GetFast(int(p))
 			if id == uint64(s.nullID) {
 				nulls[i] = true
@@ -44,14 +55,15 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, out []T, nulls []
 		}
 	default:
 		for i, p := range pos {
-			v, null := s.Get(p)
-			out[i], nulls[i] = v, null
+			i = slotOf(slots, i)
+			out[i], nulls[i] = s.Get(p)
 		}
 	}
 }
 
-func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](dict []T, data []W, nullID uint64, pos []types.ChunkOffset, out []T, nulls []bool) {
+func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](dict []T, data []W, nullID uint64, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	for i, p := range pos {
+		i = slotOf(slots, i)
 		id := uint64(data[p])
 		if id == nullID {
 			nulls[i] = true
@@ -146,20 +158,21 @@ func matchRange[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi uint64, dst
 	return dst
 }
 
-// Gather fills out/nulls with the values at the given positions of a FOR
-// segment, resolving the offset vector type once.
-func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, out []int64, nulls []bool) {
+// Gather fills out/nulls (at slotOf) with the values at the given positions
+// of a FOR segment, resolving the offset vector type once.
+func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, slots []int32, out []int64, nulls []bool) {
 	switch ov := s.offsets.(type) {
 	case *FixedWidthVector[uint8]:
-		gatherFOR(s.frames, ov.data, s.nulls, pos, out, nulls)
+		gatherFOR(s.frames, ov.data, s.nulls, pos, slots, out, nulls)
 	case *FixedWidthVector[uint16]:
-		gatherFOR(s.frames, ov.data, s.nulls, pos, out, nulls)
+		gatherFOR(s.frames, ov.data, s.nulls, pos, slots, out, nulls)
 	case *FixedWidthVector[uint32]:
-		gatherFOR(s.frames, ov.data, s.nulls, pos, out, nulls)
+		gatherFOR(s.frames, ov.data, s.nulls, pos, slots, out, nulls)
 	case *FixedWidthVector[uint64]:
-		gatherFOR(s.frames, ov.data, s.nulls, pos, out, nulls)
+		gatherFOR(s.frames, ov.data, s.nulls, pos, slots, out, nulls)
 	case *BP128Vector:
 		for i, p := range pos {
+			i = slotOf(slots, i)
 			if s.nulls != nil && s.nulls[p] {
 				nulls[i] = true
 				continue
@@ -168,13 +181,15 @@ func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, out []int64, n
 		}
 	default:
 		for i, p := range pos {
+			i = slotOf(slots, i)
 			out[i], nulls[i] = s.Get(p)
 		}
 	}
 }
 
-func gatherFOR[W uint8 | uint16 | uint32 | uint64](frames []int64, data []W, segNulls []bool, pos []types.ChunkOffset, out []int64, nulls []bool) {
+func gatherFOR[W uint8 | uint16 | uint32 | uint64](frames []int64, data []W, segNulls []bool, pos []types.ChunkOffset, slots []int32, out []int64, nulls []bool) {
 	for i, p := range pos {
+		i = slotOf(slots, i)
 		if segNulls != nil && segNulls[p] {
 			nulls[i] = true
 			continue
@@ -183,14 +198,15 @@ func gatherFOR[W uint8 | uint16 | uint32 | uint64](frames []int64, data []W, seg
 	}
 }
 
-// Gather fills out/nulls with the values at the given positions of a
-// run-length segment: an inlined binary search over the run ends per
+// Gather fills out/nulls (at slotOf) with the values at the given positions
+// of a run-length segment: an inlined binary search over the run ends per
 // position. Random access over runs is inherently logarithmic — Figure 3a
 // shows run-length as the encoding where full decoding can beat positional
 // access for large position lists.
-func (s *RunLengthSegment[T]) Gather(pos []types.ChunkOffset, out []T, nulls []bool) {
+func (s *RunLengthSegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	ends := s.ends
 	for i, p := range pos {
+		i = slotOf(slots, i)
 		lo, hi := 0, len(ends)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -224,12 +240,9 @@ func Materialize[T types.Ordered](seg storage.Segment) ([]T, []bool) {
 		vals, nulls := s.DecodeAll()
 		return any(vals).([]T), nulls
 	case *storage.ReferenceSegment:
-		n := s.Len()
-		pos := make([]types.ChunkOffset, n)
-		for i := range pos {
-			pos[i] = types.ChunkOffset(i)
-		}
-		return MaterializePositions[T](seg, pos)
+		out, nulls := make([]T, s.Len()), make([]bool, s.Len())
+		gatherReference(s.Positions(), s.ReferencedColumn(), out, nulls)
+		return out, nulls
 	default:
 		panic(fmt.Sprintf("encoding: cannot materialize %T as %s", seg, types.Native[T]()))
 	}
@@ -241,10 +254,22 @@ func Materialize[T types.Ordered](seg storage.Segment) ([]T, []bool) {
 func MaterializePositions[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset) ([]T, []bool) {
 	out := make([]T, len(pos))
 	nulls := make([]bool, len(pos))
+	if ref, ok := seg.(*storage.ReferenceSegment); ok {
+		gatherReference(storage.Select(ref.Positions(), pos), ref.ReferencedColumn(), out, nulls)
+	} else {
+		gather(seg, pos, nil, out, nulls)
+	}
+	return out, nulls
+}
+
+// gather reads the values of a stored segment at pos into out/nulls, at the
+// rows slotOf names.
+func gather[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	switch s := seg.(type) {
 	case *storage.ValueSegment[T]:
 		vals, segNulls := s.Values(), s.Nulls()
 		for i, p := range pos {
+			i = slotOf(slots, i)
 			if segNulls != nil && segNulls[p] {
 				nulls[i] = true
 				continue
@@ -252,57 +277,27 @@ func MaterializePositions[T types.Ordered](seg storage.Segment, pos []types.Chun
 			out[i] = vals[p]
 		}
 	case *DictionarySegment[T]:
-		s.Gather(pos, out, nulls)
+		s.Gather(pos, slots, out, nulls)
 	case *RunLengthSegment[T]:
-		s.Gather(pos, out, nulls)
+		s.Gather(pos, slots, out, nulls)
 	case *FrameOfReferenceSegment:
-		s.Gather(pos, any(out).([]int64), nulls)
-	case *storage.ReferenceSegment:
-		gatherReference(s, pos, out, nulls)
+		s.Gather(pos, slots, any(out).([]int64), nulls)
 	default:
 		panic(fmt.Sprintf("encoding: cannot gather from %T as %s", seg, types.Native[T]()))
 	}
-	return out, nulls
 }
 
-// gatherReference resolves a reference segment's positions chunk-by-chunk so
-// the underlying segments are each resolved once, then scatters the results
-// back into request order.
-func gatherReference[T types.Ordered](s *storage.ReferenceSegment, pos []types.ChunkOffset, out []T, nulls []bool) {
-	table := s.ReferencedTable()
-	col := s.ReferencedColumn()
-	posList := s.PosList()
-
-	// Group the requested positions by target chunk.
-	type req struct {
-		offsets []types.ChunkOffset // offsets in the referenced chunk
-		backMap []int               // index into out
+// gatherReference reads column col of the table p addresses at p's rows: one
+// gather per stored chunk of p's split — shared by every column read through
+// p — straight into the rows of out each run names.
+func gatherReference[T types.Ordered](p *storage.Positions, col types.ColumnID, out []T, nulls []bool) {
+	runs, nullRows := p.Split()
+	for _, r := range nullRows {
+		nulls[r] = true
 	}
-	groups := make(map[types.ChunkID]*req)
-	for i, p := range pos {
-		rowID := posList[p]
-		if rowID.IsNull() {
-			nulls[i] = true
-			continue
-		}
-		g := groups[rowID.Chunk]
-		if g == nil {
-			g = &req{}
-			groups[rowID.Chunk] = g
-		}
-		g.offsets = append(g.offsets, rowID.Offset)
-		g.backMap = append(g.backMap, i)
-	}
-	for chunkID, g := range groups {
-		seg := table.GetChunk(chunkID).GetSegment(col)
-		vals, segNulls := MaterializePositions[T](seg, g.offsets)
-		for j, back := range g.backMap {
-			if segNulls[j] {
-				nulls[back] = true
-				continue
-			}
-			out[back] = vals[j]
-		}
+	for _, run := range runs {
+		seg := p.Table().GetChunk(run.Chunk).GetSegment(col)
+		gather(seg, run.Offsets, run.Slots, out[run.Start:], nulls[run.Start:])
 	}
 }
 

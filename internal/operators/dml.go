@@ -246,20 +246,18 @@ type baseRow struct {
 // collectBaseRows resolves every row of a reference table to the base chunk
 // holding it (the chunk carries the MVCC columns to stamp).
 func collectBaseRows(t *storage.Table) ([]baseRow, error) {
-	var out []baseRow
-	for _, c := range t.Chunks() {
-		if c.Size() == 0 {
-			continue
-		}
-		ref, ok := c.GetSegment(0).(*storage.ReferenceSegment)
-		if !ok {
-			return nil, fmt.Errorf("operators: DML source must be a reference plan over the target table")
-		}
-		base := ref.ReferencedTable()
-		for _, rid := range ref.PosList() {
-			if rid.IsNull() {
-				continue
-			}
+	all := t.AllRows()
+	if all.Len() == 0 {
+		return nil, nil
+	}
+	rows := all.Positions(0)
+	base := rows.Table()
+	if base == t {
+		return nil, fmt.Errorf("operators: DML source must be a reference plan over the target table")
+	}
+	out := make([]baseRow, 0, all.Len())
+	for _, rid := range rows.Rows() {
+		if !rid.IsNull() {
 			out = append(out, baseRow{chunk: base.GetChunk(rid.Chunk), offset: rid.Offset, rid: rid})
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
-	"hyrise/internal/types"
 )
 
 // JoinMode enumerates physical join semantics.
@@ -67,53 +66,17 @@ type joinCommon struct {
 // Inputs implements Operator.
 func (j *joinCommon) Inputs() []Operator { return []Operator{j.left, j.right} }
 
-// gatherColumn materializes one column of a table at arbitrary positions
-// (possibly spanning chunks, possibly containing NullRowID).
-func gatherColumn(t *storage.Table, col types.ColumnID, rows types.PosList) *expression.Vector {
-	ref := storage.NewReferenceSegment(t, col, rows)
-	return expression.VectorFromSegment(ref)
-}
-
-// gatherRows lists the positions the pair indices select.
-func gatherRows(rows types.PosList, idx []int32) types.PosList {
-	out := make(types.PosList, len(idx))
-	for i, r := range idx {
-		out[i] = rows[r]
-	}
-	return out
-}
-
 // filterResiduals evaluates the residual predicates over candidate pairs
 // and returns the surviving ones (ps itself when there is nothing to
-// evaluate). Columns 0..nLeft-1 resolve into the left table, the rest into
-// the right table.
-func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Table, leftRows, rightRows types.PosList, ps pairSet) (pairSet, error) {
+// evaluate). The candidates are read as what they would be as output: the
+// left table's columns at the pairs' left rows, then the right table's.
+func (j *joinCommon) filterResiduals(ctx *ExecContext, left, right *storage.TableRows, ps pairSet) (pairSet, error) {
 	n := len(ps.leftIdx)
 	if n == 0 || len(j.Residuals) == 0 {
 		return ps, nil
 	}
-	pairLeft, pairRight := gatherRows(leftRows, ps.leftIdx), gatherRows(rightRows, ps.rightIdx)
-	nLeft := leftT.ColumnCount()
-	cache := make(map[int]*expression.Vector)
-	ec := &expression.Context{
-		N:      n,
-		Params: ctx.Params,
-		Column: func(i int) (*expression.Vector, error) {
-			if v, ok := cache[i]; ok {
-				return v, nil
-			}
-			var v *expression.Vector
-			if i < nLeft {
-				v = gatherColumn(leftT, types.ColumnID(i), pairLeft)
-			} else {
-				v = gatherColumn(rightT, types.ColumnID(i-nLeft), pairRight)
-			}
-			cache[i] = v
-			return v, nil
-		},
-	}
-	ctx.installSubqueryExecutors(ec)
-	keep, err := expression.EvaluateBool(expression.JoinConjunction(j.Residuals), ec)
+	pairs := storage.NewChunk(append(left.Select(ps.leftIdx), right.Select(ps.rightIdx)...), nil)
+	keep, err := expression.EvaluateBool(expression.JoinConjunction(j.Residuals), ctx.evalContext(pairs, n, nil))
 	if err != nil {
 		return pairSet{}, err
 	}
@@ -124,54 +87,6 @@ func (j *joinCommon) filterResiduals(ctx *ExecContext, leftT, rightT *storage.Ta
 		}
 	}
 	return out, nil
-}
-
-// assemble builds the join output table for the surviving pairs.
-// unmatchedLeft / unmatchedRight list the rows of the preserved side(s) to
-// NULL-extend (Left/Right/Full joins).
-func (j *joinCommon) assemble(leftT, rightT *storage.Table, leftRows, rightRows types.PosList, unmatchedLeft, unmatchedRight types.PosList) (*storage.Table, error) {
-	switch j.Mode {
-	case JoinModeSemi, JoinModeAnti:
-		return buildReferenceTable(leftT, []types.PosList{leftRows}, nil), nil
-	}
-	if j.Mode.nullExtendsRight() && len(unmatchedLeft) > 0 {
-		leftRows = append(leftRows, unmatchedLeft...)
-		nulls := make(types.PosList, len(unmatchedLeft))
-		for i := range nulls {
-			nulls[i] = types.NullRowID
-		}
-		rightRows = append(rightRows, nulls...)
-	}
-	if j.Mode.nullExtendsLeft() && len(unmatchedRight) > 0 {
-		rightRows = append(rightRows, unmatchedRight...)
-		nulls := make(types.PosList, len(unmatchedRight))
-		for i := range nulls {
-			nulls[i] = types.NullRowID
-		}
-		leftRows = append(leftRows, nulls...)
-	}
-	defs := make([]storage.ColumnDefinition, 0, leftT.ColumnCount()+rightT.ColumnCount())
-	for _, d := range leftT.ColumnDefinitions() {
-		d.Nullable = d.Nullable || j.Mode.nullExtendsLeft()
-		defs = append(defs, d)
-	}
-	for _, d := range rightT.ColumnDefinitions() {
-		d.Nullable = d.Nullable || j.Mode.nullExtendsRight()
-		defs = append(defs, d)
-	}
-	if len(leftRows) == 0 {
-		return storage.NewReferenceTable(defs, nil), nil
-	}
-	leftChunk := subsetChunk(leftT, leftRows)
-	rightChunk := subsetChunk(rightT, rightRows)
-	segments := make([]storage.Segment, 0, len(defs))
-	for i := 0; i < leftT.ColumnCount(); i++ {
-		segments = append(segments, leftChunk.GetSegment(types.ColumnID(i)))
-	}
-	for i := 0; i < rightT.ColumnCount(); i++ {
-		segments = append(segments, rightChunk.GetSegment(types.ColumnID(i)))
-	}
-	return storage.NewReferenceTable(defs, []*storage.Chunk{storage.NewChunk(segments, nil)}), nil
 }
 
 // HashJoin is the equi-join: it builds a hash table over the right input's
@@ -246,52 +161,61 @@ func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int
 	if err != nil {
 		return nil, err
 	}
-	ps, err = j.filterResiduals(ctx, leftT, rightT, probe.rows, build.rows, ps)
+	ps, err = j.filterResiduals(ctx, probe.rows, build.rows, ps)
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(leftT, rightT, probe.rows, build.rows, ps)
+	return j.finish(probe.rows, build.rows, ps), nil
 }
 
-// finish translates the surviving pairs into the mode-specific output.
-func (j *joinCommon) finish(leftT, rightT *storage.Table, leftRows, rightRows types.PosList, ps pairSet) (*storage.Table, error) {
+// finish translates the surviving pairs into the mode-specific output: the
+// pairs, then the unmatched rows of the preserved side(s), NULL-extended
+// (index -1) on the other (Left/Right/Full joins).
+func (j *joinCommon) finish(left, right *storage.TableRows, ps pairSet) *storage.Table {
 	// Only the modes that list unmatched rows or filter by match read these.
 	var matched, matchedRight []bool
 	semiAnti := j.Mode == JoinModeSemi || j.Mode == JoinModeAnti
 	if semiAnti || j.Mode.nullExtendsRight() {
-		matched = make([]bool, len(leftRows))
+		matched = make([]bool, left.Len())
 		for _, li := range ps.leftIdx {
 			matched[li] = true
 		}
 	}
 	if j.Mode.nullExtendsLeft() {
-		matchedRight = make([]bool, len(rightRows))
+		matchedRight = make([]bool, right.Len())
 		for _, ri := range ps.rightIdx {
 			matchedRight[ri] = true
 		}
 	}
 	if semiAnti {
-		var keep types.PosList
-		want := j.Mode == JoinModeSemi
+		var keep []int32
 		for i, m := range matched {
-			if m == want {
-				keep = append(keep, leftRows[i])
+			if m == (j.Mode == JoinModeSemi) {
+				keep = append(keep, int32(i))
 			}
 		}
-		return j.assemble(leftT, rightT, keep, nil, nil, nil)
+		return oneChunkTable(left.Table().ColumnDefinitions(), left.Select(keep), len(keep))
 	}
-	var unmatchedLeft, unmatchedRight types.PosList
 	if j.Mode.nullExtendsRight() {
 		for i, m := range matched {
 			if !m {
-				unmatchedLeft = append(unmatchedLeft, leftRows[i])
+				ps.append(int32(i), -1)
 			}
 		}
 	}
 	for i, m := range matchedRight {
 		if !m {
-			unmatchedRight = append(unmatchedRight, rightRows[i])
+			ps.append(-1, int32(i))
 		}
 	}
-	return j.assemble(leftT, rightT, gatherRows(leftRows, ps.leftIdx), gatherRows(rightRows, ps.rightIdx), unmatchedLeft, unmatchedRight)
+	defs := make([]storage.ColumnDefinition, 0, left.Table().ColumnCount()+right.Table().ColumnCount())
+	for _, d := range left.Table().ColumnDefinitions() {
+		d.Nullable = d.Nullable || j.Mode.nullExtendsLeft()
+		defs = append(defs, d)
+	}
+	for _, d := range right.Table().ColumnDefinitions() {
+		d.Nullable = d.Nullable || j.Mode.nullExtendsRight()
+		defs = append(defs, d)
+	}
+	return oneChunkTable(defs, append(left.Select(ps.leftIdx), right.Select(ps.rightIdx)...), len(ps.leftIdx))
 }

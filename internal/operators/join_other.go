@@ -72,11 +72,11 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 		}
 	}
 
-	ps, err = j.filterResiduals(ctx, leftT, rightT, left.rows, right.rows, ps)
+	ps, err = j.filterResiduals(ctx, left.rows, right.rows, ps)
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(leftT, rightT, left.rows, right.rows, ps)
+	return j.finish(left.rows, right.rows, ps), nil
 }
 
 // sortedKeyOrder returns the non-NULL rows of a key column ordered by value,
@@ -116,24 +116,22 @@ func (j *NestedLoopJoin) Name() string {
 
 // Run implements Operator.
 func (j *NestedLoopJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
-	leftT, rightT := inputs[0], inputs[1]
-	leftRows := flattenRows(leftT)
-	rightRows := flattenRows(rightT)
+	left, right := inputs[0].AllRows(), inputs[1].AllRows()
 	// Semi and Anti only ask whether a left row matched: one pair is enough.
 	firstOnly := j.Mode == JoinModeSemi || j.Mode == JoinModeAnti
 
 	// Process pair batches of bounded size to keep memory flat.
 	var kept pairSet
-	rowsPerBatch := max(1, nljBlockSize/max(1, len(rightRows)))
-	for lStart := 0; lStart < len(leftRows); lStart += rowsPerBatch {
-		lEnd := min(lStart+rowsPerBatch, len(leftRows))
+	rowsPerBatch := max(1, nljBlockSize/max(1, right.Len()))
+	for lStart := 0; lStart < left.Len(); lStart += rowsPerBatch {
+		lEnd := min(lStart+rowsPerBatch, left.Len())
 		var ps pairSet
 		for li := lStart; li < lEnd; li++ {
-			for ri := range rightRows {
+			for ri := 0; ri < right.Len(); ri++ {
 				ps.append(int32(li), int32(ri))
 			}
 		}
-		ps, err := j.filterResiduals(ctx, leftT, rightT, leftRows, rightRows, ps)
+		ps, err := j.filterResiduals(ctx, left, right, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -144,5 +142,5 @@ func (j *NestedLoopJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storag
 			kept.append(li, ps.rightIdx[p])
 		}
 	}
-	return j.finish(leftT, rightT, leftRows, rightRows, kept)
+	return j.finish(left, right, kept), nil
 }

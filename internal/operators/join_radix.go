@@ -42,7 +42,7 @@ type joinBuckets struct {
 // ascending global row order — the invariant mergePairSets needs to restore
 // probe order.
 func partitionKeys(ctx *ExecContext, side joinSide, parts int) ([]joinBuckets, error) {
-	total, target := len(side.rows), ctx.morselTargetRows()
+	total, target := side.rows.Len(), ctx.morselTargetRows()
 	shift := 64 - bits.TrailingZeros(uint(parts)) // parts == 1: every hash >> 64 is 0
 	buckets := make([]joinBuckets, (total+target-1)/target)
 	jobs := make([]func(), len(buckets))
@@ -95,7 +95,7 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts 
 		return pairSet{}, err
 	}
 	results := make([]pairSet, parts)
-	next := make([]int32, len(build.rows)) // one chain array; partitions own disjoint rows of it
+	next := make([]int32, build.rows.Len()) // one chain array; partitions own disjoint rows of it
 	var buildNS, probeNS atomic.Int64
 	jobs := make([]func(), parts)
 	for p := 0; p < parts; p++ {
@@ -135,8 +135,8 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts 
 	if err := ctx.Err(); err != nil {
 		return pairSet{}, err
 	}
-	ps := mergePairSets(results, len(probe.rows))
-	ctx.noteJoinPhases(j, parts, len(build.rows), len(ps.leftIdx), buildNS.Load(), probeNS.Load())
+	ps := mergePairSets(results, probe.rows.Len())
+	ctx.noteJoinPhases(j, parts, build.rows.Len(), len(ps.leftIdx), buildNS.Load(), probeNS.Load())
 	return ps, nil
 }
 

@@ -295,11 +295,11 @@ func takeRows[T any](dst []T, total, off int, src []T, rows []int32) []T {
 	return dst
 }
 
-// joinSide is one join input as the key logic sees it: rows lists every row
-// of the input in order, and keys holds one flat vector per key expression,
-// so a global row index addresses both.
+// joinSide is one join input as the key logic sees it: rows addresses every
+// row of the input in order, and keys holds one flat vector per key
+// expression, so a global row index addresses both.
 type joinSide struct {
-	rows types.PosList
+	rows *storage.TableRows
 	keys []*expression.Vector
 }
 
@@ -321,11 +321,10 @@ func evalKeys(ctx *ExecContext, t *storage.Table, keys []expression.Expression) 
 				n := chunks[ci].Size()
 				ec := ctx.evalContext(chunks[ci], n, nil)
 				for k, key := range keys {
-					vecs[k][ci] = &expression.Vector{} // an empty chunk adds no rows and no type
-					if n > 0 {
-						if vecs[k][ci], errs[mi] = expression.Evaluate(key, ec); errs[mi] != nil {
-							return
-						}
+					if n == 0 {
+						vecs[k][ci] = &expression.Vector{} // an empty chunk adds no rows and no type
+					} else if vecs[k][ci], errs[mi] = expression.Evaluate(key, ec); errs[mi] != nil {
+						return
 					}
 				}
 			}
@@ -355,8 +354,8 @@ func joinKeys(ctx *ExecContext, leftT, rightT *storage.Table, leftKeys, rightKey
 	if err != nil {
 		return left, right, err
 	}
-	left = joinSide{rows: flattenRows(leftT), keys: make([]*expression.Vector, len(lv))}
-	right = joinSide{rows: flattenRows(rightT), keys: make([]*expression.Vector, len(rv))}
+	left = joinSide{rows: leftT.AllRows(), keys: make([]*expression.Vector, len(lv))}
+	right = joinSide{rows: rightT.AllRows(), keys: make([]*expression.Vector, len(rv))}
 	for k := range lv {
 		ldt, err := keyType(lv[k])
 		if err != nil {
@@ -369,8 +368,8 @@ func joinKeys(ctx *ExecContext, leftT, rightT *storage.Table, leftKeys, rightKey
 		if ldt.IsNumeric() && rdt.IsNumeric() && ldt != rdt {
 			ldt, rdt = types.TypeFloat64, types.TypeFloat64
 		}
-		left.keys[k] = concatKeys(lv[k], nil, ldt, len(left.rows))
-		right.keys[k] = concatKeys(rv[k], nil, rdt, len(right.rows))
+		left.keys[k] = concatKeys(lv[k], nil, ldt, left.rows.Len())
+		right.keys[k] = concatKeys(rv[k], nil, rdt, right.rows.Len())
 	}
 	return left, right, nil
 }

@@ -295,8 +295,8 @@ func TestTableScanOnReferenceInput(t *testing.T) {
 	}
 	// The composed output should reference the base table directly.
 	seg := out.GetChunk(0).GetSegment(0).(*storage.ReferenceSegment)
-	if seg.ReferencedTable().Name() != "numbers" {
-		t.Errorf("composition failed: references %q", seg.ReferencedTable().Name())
+	if seg.Positions().Table().Name() != "numbers" {
+		t.Errorf("composition failed: references %q", seg.Positions().Table().Name())
 	}
 }
 

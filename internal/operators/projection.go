@@ -63,7 +63,7 @@ func (op *Projection) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.T
 			}
 			segments := make([]storage.Segment, len(op.Exprs))
 			var ec *expression.Context
-			var identity types.PosList
+			var identity *storage.Positions
 			for i, e := range op.Exprs {
 				// Forwarding fast path for bare column references.
 				if bc, ok := e.(*expression.BoundColumn); ok && bc.Index < c.ColumnCount() {
@@ -72,14 +72,13 @@ func (op *Projection) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.T
 						segments[i] = seg
 						continue
 					}
-					// Data segment: reference it positionally so the output
-					// stays shared (only legal when the input is a stored
-					// data table, which it is whenever segments are not
-					// reference segments).
+					// Data segment: reference it positionally — one identity
+					// list for all such columns of the chunk — into the input,
+					// which stores the column (the one-level invariant).
 					if identity == nil {
-						identity = identityPositions(types.ChunkID(ci), n)
+						identity = storage.ChunkPositions(input, types.ChunkID(ci), identityOffsets(n))
 					}
-					segments[i] = storage.NewReferenceSegment(input, types.ColumnID(bc.Index), identity)
+					segments[i] = storage.NewReferenceSegment(identity, types.ColumnID(bc.Index))
 					continue
 				}
 				if ec == nil {

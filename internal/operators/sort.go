@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
@@ -43,8 +42,10 @@ func (op *Sort) Name() string {
 // Inputs implements Operator.
 func (op *Sort) Inputs() []Operator { return []Operator{op.input} }
 
-// Run implements Operator. When decideParallel fans the sort out, key
-// materialization runs chunk-parallel, the permutation is split into
+// Run implements Operator. The keys are evaluated into one typed vector each
+// (keys.go) and compared by compareKey, whose float order is total — NaN
+// first, -0 = +0 — so every algorithm below arrives at the same permutation.
+// When decideParallel fans the sort out, the permutation is split into
 // contiguous runs sorted concurrently, and a k-way merge combines them.
 // Each run covers a contiguous range of ascending global row indices and
 // the merge breaks key ties toward the earlier run, so the merged order is
@@ -52,110 +53,58 @@ func (op *Sort) Inputs() []Operator { return []Operator{op.input} }
 // serial outputs are bit-for-bit equal.
 func (op *Sort) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
-	chunks := input.Chunks()
-	total := input.RowCount()
-	parallel := total > 1 && ctx.decideParallel(opSort, total)
-
-	// Materialize the key vectors column-major into fixed per-chunk slots
-	// (disjoint ranges, so chunks may fill concurrently).
-	base := make([]int, len(chunks))
-	n := 0
-	for ci, c := range chunks {
-		base[ci] = n
-		n += c.Size()
+	exprs := make([]expression.Expression, len(op.Keys))
+	for i, k := range op.Keys {
+		exprs[i] = k.Expr
 	}
-	rows := make(types.PosList, total)
-	keyVals := make([][]types.Value, len(op.Keys)) // column-major
-	for i := range keyVals {
-		keyVals[i] = make([]types.Value, total)
-	}
-	errs := make([]error, len(chunks))
-	fillChunk := func(ci int, c *storage.Chunk) {
-		cn := c.Size()
-		if cn == 0 {
-			return
-		}
-		ec := ctx.evalContext(c, cn, nil)
-		for ki, k := range op.Keys {
-			v, err := expression.Evaluate(k.Expr, ec)
-			if err != nil {
-				errs[ci] = err
-				return
-			}
-			dst := keyVals[ki][base[ci] : base[ci]+cn]
-			for row := 0; row < cn; row++ {
-				dst[row] = v.ValueAt(row)
-			}
-		}
-		for o := 0; o < cn; o++ {
-			rows[base[ci]+o] = types.RowID{Chunk: types.ChunkID(ci), Offset: types.ChunkOffset(o)}
-		}
-	}
-
-	var t0 time.Time
-	if parallel {
-		t0 = ctx.scanWallClock()
-		jobs := make([]func(), len(chunks))
-		for ci, c := range chunks {
-			ci, c := ci, c
-			jobs[ci] = func() { fillChunk(ci, c) }
-		}
-		ctx.runJobs(jobs)
-	} else {
-		// Key materialization honors cancellation at chunk granularity; the
-		// in-memory sort below is not interruptible but operates on already
-		// materialized keys only.
-		for ci, c := range chunks {
-			if ctx.Err() != nil {
-				break
-			}
-			fillChunk(ci, c)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	vecs, err := evalKeys(ctx, input, exprs)
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
+	rows := input.AllRows()
+	total := rows.Len()
+	keys := make([]*expression.Vector, len(vecs))
+	for k := range vecs {
+		dt, err := keyType(vecs[k])
 		if err != nil {
 			return nil, err
 		}
+		keys[k] = concatKeys(vecs[k], nil, dt, total)
 	}
 
 	// keyLess orders two global row indices by the sort keys only (no
-	// positional tie-break — stability comes from the algorithms).
+	// positional tie-break — stability comes from the algorithms). NULL is
+	// larger than every value: last ascending, first descending.
 	keyLess := func(a, b int) bool {
-		for ki, k := range op.Keys {
-			va, vb := keyVals[ki][a], keyVals[ki][b]
-			c := compareWithNulls(va, vb)
+		for ki, v := range keys {
+			an, bn := v.IsNullAt(a), v.IsNullAt(b)
+			c := boolInt(an) - boolInt(bn)
+			if !an && !bn {
+				c = compareKey(v, a, v, b)
+			}
 			if c != 0 {
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
+				return (c < 0) != op.Keys[ki].Desc
 			}
 		}
 		return false
 	}
 
-	perm := make([]int, total)
+	perm := make([]int32, total)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	if parallel {
+	if total > 1 && ctx.decideParallel(opSort, total) {
+		t0 := ctx.scanWallClock()
 		nRuns := min(ctx.fanOut(), total)
 		if err := sortParallel(ctx, perm, nRuns, keyLess); err != nil {
 			return nil, err
 		}
 		ctx.noteSortParallel(op, nRuns, sinceNS(t0))
 	} else {
-		sort.SliceStable(perm, func(a, b int) bool { return keyLess(perm[a], perm[b]) })
+		// Not interruptible, but it reads the evaluated keys only.
+		sort.SliceStable(perm, func(a, b int) bool { return keyLess(int(perm[a]), int(perm[b])) })
 	}
-
-	sorted := make(types.PosList, total)
-	for i, p := range perm {
-		sorted[i] = rows[p]
-	}
-	return buildReferenceTable(input, []types.PosList{sorted}, nil), nil
+	return oneChunkTable(input.ColumnDefinitions(), rows.Select(perm), total), nil
 }
 
 // sortMergeCancelStride is how many merge steps run between cancellation
@@ -167,7 +116,7 @@ const sortMergeCancelStride = 4096
 // them concurrently, and k-way merging the sorted runs. Because the runs
 // partition the index space in ascending order, within-run stability plus
 // an earlier-run-wins tie-break reproduces sort.SliceStable's output.
-func sortParallel(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int) bool) error {
+func sortParallel(ctx *ExecContext, perm []int32, nRuns int, keyLess func(a, b int) bool) error {
 	total := len(perm)
 	runSize := (total + nRuns - 1) / nRuns
 	type runRange struct{ lo, hi int }
@@ -181,7 +130,7 @@ func sortParallel(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int
 		r := r
 		jobs[ri] = func() {
 			seg := perm[r.lo:r.hi]
-			sort.SliceStable(seg, func(a, b int) bool { return keyLess(seg[a], seg[b]) })
+			sort.SliceStable(seg, func(a, b int) bool { return keyLess(int(seg[a]), int(seg[b])) })
 		}
 	}
 	ctx.runJobs(jobs)
@@ -192,10 +141,10 @@ func sortParallel(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int
 	// K-way merge via a binary heap of run heads. Ties break toward the
 	// lower run index; runs hold ascending index ranges, so this matches the
 	// stable order.
-	merged := make([]int, 0, total)
+	merged := make([]int32, 0, total)
 	heads := make([]int, len(runs)) // next unconsumed offset within each run
 	runLess := func(i, j int) bool {
-		a, b := perm[runs[i].lo+heads[i]], perm[runs[j].lo+heads[j]]
+		a, b := int(perm[runs[i].lo+heads[i]]), int(perm[runs[j].lo+heads[j]])
 		if keyLess(a, b) {
 			return true
 		}
@@ -255,26 +204,6 @@ func sortParallel(ctx *ExecContext, perm []int, nRuns int, keyLess func(a, b int
 	return nil
 }
 
-// compareWithNulls orders values with SQL NULL placement: NULLs are treated
-// as larger than everything (last ascending, first descending, since the
-// caller inverts the comparison for DESC keys).
-func compareWithNulls(a, b types.Value) int {
-	aNull, bNull := a.IsNull(), b.IsNull()
-	switch {
-	case aNull && bNull:
-		return 0
-	case aNull:
-		return 1
-	case bNull:
-		return -1
-	}
-	c, ok := types.Compare(a, b)
-	if !ok {
-		return 0
-	}
-	return c
-}
-
 // Limit keeps the first N rows of its input.
 type Limit struct {
 	N     int64
@@ -294,8 +223,8 @@ func (op *Limit) Inputs() []Operator { return []Operator{op.input} }
 func (op *Limit) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	input := inputs[0]
 	remaining := op.N
-	var rowsPerChunk []types.PosList
-	for ci, c := range input.Chunks() {
+	var offsetsPerChunk [][]types.ChunkOffset
+	for _, c := range input.Chunks() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -306,8 +235,8 @@ func (op *Limit) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table,
 		if take > remaining {
 			take = remaining
 		}
-		rowsPerChunk = append(rowsPerChunk, identityPositions(types.ChunkID(ci), int(take)))
+		offsetsPerChunk = append(offsetsPerChunk, identityOffsets(int(take)))
 		remaining -= take
 	}
-	return buildReferenceTable(input, rowsPerChunk, nil), nil
+	return buildReferenceTable(input, offsetsPerChunk), nil
 }

@@ -93,8 +93,8 @@ func (op *TableScan) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 // slots and merge in chunk order, so the output is bit-for-bit equal for
 // every split of the chunk list.
 func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk, morsels []morsel,
-	scanChunk func(ci int, c *storage.Chunk) (types.PosList, error)) (*storage.Table, error) {
-	rowsPerChunk := make([]types.PosList, len(chunks))
+	scanChunk func(ci int, c *storage.Chunk) ([]types.ChunkOffset, error)) (*storage.Table, error) {
+	rowsPerChunk := make([][]types.ChunkOffset, len(chunks))
 	errs := make([]error, len(chunks))
 	jobs := make([]func(), len(morsels))
 	for mi, m := range morsels {
@@ -118,7 +118,7 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 			return nil, err
 		}
 	}
-	return buildReferenceTable(input, rowsPerChunk, nil), nil
+	return buildReferenceTable(input, rowsPerChunk), nil
 }
 
 // chunkScan is the per-chunk pass of a predicate chain: prune by zone and
@@ -186,7 +186,7 @@ func (s *chunkScan) record(p *simplePredicate, kind observe.ScanPathKind, rowsIn
 }
 
 // run returns the qualifying positions of chunk ci.
-func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
+func (s *chunkScan) run(ci int, c *storage.Chunk) ([]types.ChunkOffset, error) {
 	n := c.Size()
 	if n == 0 {
 		return nil, nil
@@ -231,7 +231,7 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) (types.PosList, error) {
 		})
 		s.invisible.Add(int64(survivors - len(offsets)))
 	}
-	return offsetsToRows(types.ChunkID(ci), offsets), nil
+	return offsets, nil
 }
 
 // ladder answers the chain's first conjunct over the whole chunk by the first
@@ -425,14 +425,6 @@ func analyzeSimplePredicate(e expression.Expression, params []types.Value) *simp
 		}
 	}
 	return nil
-}
-
-func offsetsToRows(chunkID types.ChunkID, offsets []types.ChunkOffset) types.PosList {
-	rows := make(types.PosList, len(offsets))
-	for i, o := range offsets {
-		rows[i] = types.RowID{Chunk: chunkID, Offset: o}
-	}
-	return rows
 }
 
 // scanStatsCell resolves the per-column workload statistics cell for a

@@ -7,6 +7,7 @@
 package rowengine
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -208,6 +209,9 @@ func compareNullsLast(a, b types.Value) int {
 		return 1
 	case b.IsNull():
 		return -1
+	}
+	if a.Type == types.TypeFloat64 && b.Type == types.TypeFloat64 {
+		return cmp.Compare(a.F, b.F) // a total order: NaN first, like the engine's sort
 	}
 	c, _ := types.Compare(a, b)
 	return c

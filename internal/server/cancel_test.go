@@ -97,14 +97,15 @@ func parseErrorCode(payload []byte) string {
 }
 
 // addSlowTable registers a table big enough that the self-join slowQuery
-// below runs for hundreds of milliseconds — a wide window to cancel into.
+// below runs for several times the 50 ms the cancel tests wait before they
+// fire (150 ms on a 2-core box) — a wide window to cancel into.
 func addSlowTable(t *testing.T, e *pipeline.Engine) {
 	t.Helper()
 	tbl := storage.NewTable("big", []storage.ColumnDefinition{
 		{Name: "id", Type: types.TypeInt64},
 		{Name: "s", Type: types.TypeString},
 	}, 1000, e.Config().UseMvcc)
-	for i := 0; i < 120_000; i++ {
+	for i := 0; i < 480_000; i++ {
 		if _, err := tbl.AppendRow([]types.Value{
 			types.Int(int64(i)),
 			types.Str(fmt.Sprintf("payload-%d-abcdefghijklmnopqrstuvwxyz", i)),

@@ -156,65 +156,56 @@ func (s *ValueSegment[T]) MemoryUsage() int64 {
 }
 
 // ReferenceSegment is a segment that does not store data but positions into
-// another (data) table. All reference segments of one chunk usually share a
-// single PosList, so producing an N-column intermediate costs one position
-// list, not N copies (paper §2.6, "avoids expensive materializations").
+// a table that does. The reference segments an operator builds over the same
+// rows share one Positions, so producing an N-column intermediate costs one
+// position list, not N copies (paper §2.6, "avoids expensive
+// materializations").
 type ReferenceSegment struct {
-	table    *Table
-	column   types.ColumnID
-	posList  types.PosList
-	dataType types.DataType
+	pos    *Positions
+	column types.ColumnID
 }
 
-// NewReferenceSegment creates a reference segment pointing into table's
-// column at the given positions.
-func NewReferenceSegment(table *Table, column types.ColumnID, posList types.PosList) *ReferenceSegment {
-	return &ReferenceSegment{
-		table:    table,
-		column:   column,
-		posList:  posList,
-		dataType: table.ColumnDefinitions()[column].Type,
-	}
+// NewReferenceSegment creates a reference segment over column of the table
+// pos addresses.
+func NewReferenceSegment(pos *Positions, column types.ColumnID) *ReferenceSegment {
+	pos.users.Add(1)
+	return &ReferenceSegment{pos: pos, column: column}
 }
-
-// ReferencedTable returns the data table the positions point into.
-func (s *ReferenceSegment) ReferencedTable() *Table { return s.table }
 
 // ReferencedColumn returns the column id within the referenced table.
 func (s *ReferenceSegment) ReferencedColumn() types.ColumnID { return s.column }
 
-// PosList returns the shared position list.
-func (s *ReferenceSegment) PosList() types.PosList { return s.posList }
+// Positions returns the shared position list; its Table stores the values.
+func (s *ReferenceSegment) Positions() *Positions { return s.pos }
 
 // DataType implements Segment.
-func (s *ReferenceSegment) DataType() types.DataType { return s.dataType }
+func (s *ReferenceSegment) DataType() types.DataType { return s.pos.table.defs[s.column].Type }
 
 // Len implements Segment.
-func (s *ReferenceSegment) Len() int { return len(s.posList) }
+func (s *ReferenceSegment) Len() int { return s.pos.n }
 
 // ValueAt implements Segment by chasing the reference (dynamic path).
 func (s *ReferenceSegment) ValueAt(i types.ChunkOffset) types.Value {
-	rowID := s.posList[i]
+	rowID := s.pos.at(i)
 	if rowID.IsNull() {
 		return types.NullValue
 	}
-	return s.table.GetChunk(rowID.Chunk).GetSegment(s.column).ValueAt(rowID.Offset)
+	return s.pos.table.GetChunk(rowID.Chunk).GetSegment(s.column).ValueAt(rowID.Offset)
 }
 
 // IsNullAt implements Segment.
 func (s *ReferenceSegment) IsNullAt(i types.ChunkOffset) bool {
-	rowID := s.posList[i]
+	rowID := s.pos.at(i)
 	if rowID.IsNull() {
 		return true
 	}
-	return s.table.GetChunk(rowID.Chunk).GetSegment(s.column).IsNullAt(rowID.Offset)
+	return s.pos.table.GetChunk(rowID.Chunk).GetSegment(s.column).IsNullAt(rowID.Offset)
 }
 
-// MemoryUsage implements Segment. The PosList is shared across the chunk's
-// segments; it is accounted for here once per segment deliberately, since
-// callers comparing footprints use data tables.
+// MemoryUsage implements Segment: an equal share of the position list (8
+// bytes a row), so the segments over one list add up to the list, once.
 func (s *ReferenceSegment) MemoryUsage() int64 {
-	return int64(cap(s.posList)) * 8
+	return 8 * int64(s.pos.n) / int64(s.pos.users.Load())
 }
 
 // with returns the segment with row i set to (v, null): s itself when fresh

@@ -150,7 +150,7 @@ func TestReferenceSegment(t *testing.T) {
 		{Chunk: 0, Offset: 0},
 		types.NullRowID,
 	}
-	rs := NewReferenceSegment(table, 0, pos)
+	rs := NewReferenceSegment(NewPositions(table, pos), 0)
 	if rs.Len() != 3 {
 		t.Fatalf("Len = %d", rs.Len())
 	}
@@ -166,7 +166,7 @@ func TestReferenceSegment(t *testing.T) {
 	if rs.DataType() != types.TypeInt64 {
 		t.Error("DataType wrong")
 	}
-	if rs.ReferencedTable() != table || rs.ReferencedColumn() != 0 {
+	if rs.Positions().Table() != table || rs.ReferencedColumn() != 0 {
 		t.Error("referenced table/column wrong")
 	}
 }

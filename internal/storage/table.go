@@ -44,6 +44,8 @@ type Table struct {
 	mu     sync.RWMutex // guards chunks slice growth
 	chunks []*Chunk
 
+	groups []posGroup // which columns are stored, which read through shared positions; fixed at construction
+
 	appendMu sync.Mutex // serializes row appends
 }
 
@@ -59,18 +61,21 @@ func NewTable(name string, defs []ColumnDefinition, targetChunkSize int, useMvcc
 		tableType:       DataTable,
 		targetChunkSize: targetChunkSize,
 		useMvcc:         useMvcc,
+		groups:          groupColumns(len(defs), nil),
 	}
 	return t
 }
 
 // NewReferenceTable creates a table whose chunks hold reference segments.
 // Reference tables are operator outputs; they have no chunk size limit and
-// no MVCC data.
+// no MVCC data. The invariants of reference columns are checked here, once
+// (groupColumns).
 func NewReferenceTable(defs []ColumnDefinition, chunks []*Chunk) *Table {
 	return &Table{
 		defs:      defs,
 		tableType: ReferenceTable,
 		chunks:    chunks,
+		groups:    groupColumns(len(defs), chunks),
 	}
 }
 
@@ -371,5 +376,6 @@ func NewTableView(src *Table, defs []ColumnDefinition) *Table {
 		targetChunkSize: src.targetChunkSize,
 		useMvcc:         src.useMvcc,
 		chunks:          src.Chunks(),
+		groups:          src.groups,
 	}
 }
