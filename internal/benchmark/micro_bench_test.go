@@ -499,3 +499,85 @@ func BenchmarkMicroPointLookup(b *testing.B) {
 		})
 	}
 }
+
+// visibilityScans is how many scans make one benchmark op (same reason as
+// statementRouteOps).
+const visibilityScans = 20
+
+// BenchmarkMicroVisibility measures the scan's visibility rung alone: `SELECT
+// count(*)` over 200 000 rows (no conjunct, so every offset reaches the rung)
+// in each state an MVCC block can be in. loaded: bulk-loaded rows, every block
+// three scalars, the rung asks no row. inserted: rows a transaction inserted
+// and committed, a begin array per block, every row asked. one_invalidated_per_block:
+// loaded rows of which every 256th was deleted, so every block holds an end
+// and a tid array — the most a delete can cost the rows around it.
+func BenchmarkMicroVisibility(b *testing.B) {
+	states := []struct {
+		name   string
+		loaded bool
+		delete int // every delete-th row; 0: none
+	}{
+		{"loaded", true, 0},
+		{"inserted", false, 0},
+		{"one_invalidated_per_block", true, storage.MvccBlockRows},
+	}
+	for _, st := range states {
+		b.Run(st.name, func(b *testing.B) {
+			n := microRows()
+			e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+			b.Cleanup(e.Close)
+			table := storage.NewTable("vis", []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}}, storage.DefaultChunkSize, true)
+			insert, rows := e.TransactionManager().New(), make([]types.RowID, n)
+			for i := range rows {
+				rid, err := table.AppendRow([]types.Value{types.Int(int64(i))})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows[i] = rid; !st.loaded {
+					insert.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
+				}
+			}
+			if st.loaded {
+				concurrency.MarkTableLoaded(table)
+			}
+			if err := insert.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			want := n
+			if st.delete > 0 {
+				del := e.TransactionManager().New()
+				for i := 0; i < n; i += st.delete {
+					if err := del.TryInvalidate(table.GetChunk(rows[i].Chunk), rows[i].Offset); err != nil {
+						b.Fatal(err)
+					}
+					want--
+				}
+				if err := del.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := e.StorageManager().AddTable(table); err != nil {
+				b.Fatal(err)
+			}
+			s := e.NewSession()
+			ps, err := s.PrepareStatement("SELECT count(*) FROM vis")
+			if err != nil {
+				b.Fatal(err)
+			}
+			count := func() {
+				res, err := s.ExecutePreparedStatement(context.Background(), ps, nil)
+				if err != nil || res.Table.GetValue(0, types.RowID{}).I != int64(want) {
+					b.Fatalf("count(*) = %v, err = %v, want %d", res, err, want)
+				}
+			}
+			count() // warm: the plan is cached from here on
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < visibilityScans; j++ {
+					count()
+				}
+			}
+		})
+	}
+}

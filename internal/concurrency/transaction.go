@@ -240,12 +240,11 @@ func (tc *TransactionContext) Phase() Phase {
 	return tc.phase
 }
 
-// RegisterInsert records a freshly appended row: its TID is stamped so the
-// row is visible to this transaction only, until commit assigns the begin
-// commit id.
+// RegisterInsert records a freshly appended row: its begin cell names the
+// transaction (types.InsertedBy), so the row is visible to this transaction
+// only, until commit assigns the begin commit id.
 func (tc *TransactionContext) RegisterInsert(chunk *storage.Chunk, row types.ChunkOffset) {
-	mvcc := chunk.MvccData()
-	mvcc.SetTID(row, tc.tid)
+	chunk.MvccData().SetBegin(row, types.InsertedBy(tc.tid))
 	tc.mu.Lock()
 	tc.inserts = append(tc.inserts, rowRef{chunk, row})
 	tc.mu.Unlock()
@@ -259,8 +258,7 @@ func (tc *TransactionContext) TryInvalidate(chunk *storage.Chunk, row types.Chun
 	if mvcc == nil {
 		return fmt.Errorf("concurrency: table has no MVCC data")
 	}
-	ownRow := mvcc.TID(row) == tc.tid && mvcc.Begin(row) == types.MaxCommitID
-	if ownRow {
+	if mvcc.Begin(row) == types.InsertedBy(tc.tid) {
 		// Deleting a row this transaction inserted: hide it immediately —
 		// no other transaction can see it anyway.
 		mvcc.SetEnd(row, 0)
@@ -389,9 +387,7 @@ func (tc *TransactionContext) Commit() error {
 	}
 	tm.nextCID = uint64(cid)
 	for _, r := range tc.inserts {
-		mvcc := r.chunk.MvccData()
-		mvcc.SetBegin(r.row, cid)
-		mvcc.ReleaseTID(r.row, tc.tid)
+		r.chunk.MvccData().SetBegin(r.row, cid)
 	}
 	for _, r := range tc.invalidations {
 		mvcc := r.chunk.MvccData()
@@ -438,9 +434,7 @@ func (tc *TransactionContext) rollbackLocked() {
 		return
 	}
 	for _, r := range tc.inserts {
-		mvcc := r.chunk.MvccData()
-		mvcc.SetEnd(r.row, 0) // begin stays MaxCommitID: never visible
-		mvcc.ReleaseTID(r.row, tc.tid)
+		r.chunk.MvccData().SetBegin(r.row, types.MaxCommitID) // nobody's, never visible
 	}
 	for _, r := range tc.invalidations {
 		r.chunk.MvccData().ReleaseTID(r.row, tc.tid)
@@ -452,17 +446,43 @@ func (tc *TransactionContext) rollbackLocked() {
 // Visible reports whether a row version is visible to the transaction
 // (the test behind the scan's visibility rung, paper §2.8).
 func Visible(mvcc *storage.MvccData, row types.ChunkOffset, tid types.TransactionID, snapshot types.CommitID) bool {
-	if mvcc.TID(row) == tid && tid != 0 {
-		// Rows this transaction touched: own inserts are visible unless
-		// self-deleted; own pending deletes of committed rows are hidden.
-		if mvcc.Begin(row) == types.MaxCommitID {
-			return mvcc.End(row) == types.MaxCommitID
-		}
-		return false
+	return visibleIn(mvcc.Block(row), row, tid, snapshot)
+}
+
+func visibleIn(mvcc storage.MvccBlock, row types.ChunkOffset, tid types.TransactionID, snapshot types.CommitID) bool {
+	if begin := mvcc.Begin(row); begin > snapshot {
+		// Not committed as of the snapshot: visible only as this transaction's
+		// own insert, unless self-deleted.
+		return tid != 0 && begin == types.InsertedBy(tid) && mvcc.End(row) == types.MaxCommitID
 	}
-	begin := mvcc.Begin(row)
-	end := mvcc.End(row)
-	return begin <= snapshot && end > snapshot
+	// Committed rows this transaction has claimed are its own pending deletes.
+	return mvcc.End(row) > snapshot && (tid == 0 || mvcc.TID(row) != tid)
+}
+
+// VisibleOffsets keeps, in place, the offsets (ascending) of the rows visible
+// to the transaction. It walks them block by block: where the block answers
+// for all its rows (storage.MvccBlock.AllVisible — data nobody rewrote) no row
+// is asked, elsewhere each is, by the rule of Visible.
+func VisibleOffsets(mvcc *storage.MvccData, offsets []types.ChunkOffset, tid types.TransactionID, snapshot types.CommitID) []types.ChunkOffset {
+	kept := 0
+	for i := 0; i < len(offsets); {
+		j, blockEnd := i+1, offsets[i]|(storage.MvccBlockRows-1)
+		for j < len(offsets) && offsets[j] <= blockEnd {
+			j++
+		}
+		if block := mvcc.Block(offsets[i]); block.AllVisible(snapshot) {
+			kept += copy(offsets[kept:], offsets[i:j])
+		} else {
+			for _, o := range offsets[i:j] {
+				if visibleIn(block, o, tid, snapshot) {
+					offsets[kept] = o
+					kept++
+				}
+			}
+		}
+		i = j
+	}
+	return offsets[:kept]
 }
 
 // MarkRowCommitted stamps a row as committed "at the beginning of time"
@@ -478,12 +498,8 @@ func MarkRowCommitted(chunk *storage.Chunk, row types.ChunkOffset) {
 // commit id 0 (bulk-load path).
 func MarkTableLoaded(t *storage.Table) {
 	for _, c := range t.Chunks() {
-		mvcc := c.MvccData()
-		if mvcc == nil {
-			continue
-		}
-		for row := 0; row < c.Size(); row++ {
-			mvcc.SetBegin(types.ChunkOffset(row), 0)
+		if mvcc := c.MvccData(); mvcc != nil {
+			mvcc.StampBegin(c.Size(), 0)
 		}
 	}
 }

@@ -127,9 +127,9 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 // vectorized expression evaluation over materialized columns; each chunk
 // takes the first rung that applies to it) → every further
 // conjunct evaluated over the surviving offsets only → visibility over those
-// same offsets. Visibility comes last because it is the one rung that must
-// read per-row state no filter, index or encoding summarizes: every conjunct
-// before it shrinks the rows it looks at, and no predicate depends on it. The
+// same offsets, block by block (concurrency.VisibleOffsets). Visibility comes
+// last because it reads state no filter, index or encoding summarizes: every
+// conjunct before it shrinks the rows it looks at, and none depends on it. The
 // prune rung is the engine's only pruning site (paper §2.4): it runs per
 // execution, so it sees a prepared statement's bound values and filters
 // attached after the plan was cached, and the scan always reads the stored
@@ -225,10 +225,7 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) ([]types.ChunkOffset, error) {
 	}
 	if mvcc := c.MvccData(); s.visible && mvcc != nil {
 		survivors := len(offsets)
-		tid, snapshot := s.ctx.Tx.TID(), s.ctx.Tx.Snapshot()
-		offsets = slices.DeleteFunc(offsets, func(o types.ChunkOffset) bool {
-			return !concurrency.Visible(mvcc, o, tid, snapshot)
-		})
+		offsets = concurrency.VisibleOffsets(mvcc, offsets, s.ctx.Tx.TID(), s.ctx.Tx.Snapshot())
 		s.invisible.Add(int64(survivors - len(offsets)))
 	}
 	return offsets, nil

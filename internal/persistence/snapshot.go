@@ -143,7 +143,7 @@ func encodeChunk(w *writer, c *storage.Chunk) error {
 	deleted := make([]bool, rows)
 	for i := 0; i < rows; i++ {
 		off := types.ChunkOffset(i)
-		committed[i] = mvcc.Begin(off) != types.MaxCommitID
+		committed[i] = mvcc.Begin(off).Committed()
 		deleted[i] = mvcc.End(off) != types.MaxCommitID
 	}
 	w.bitmap(committed)
@@ -336,12 +336,14 @@ func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*st
 		if !immutable {
 			capacity = chunkSize // mutable tail keeps growing after restore
 		}
+		// Committed and not deleted is the rule, stamped block-wise; only the
+		// blocks that hold an exception get cells.
 		mvcc = storage.NewMvccData(capacity)
+		mvcc.StampBegin(rows, 0)
 		for i := 0; i < rows; i++ {
 			off := types.ChunkOffset(i)
-			mvcc.EnsureCapacity(off)
-			if committed[i] {
-				mvcc.SetBegin(off, 0)
+			if !committed[i] {
+				mvcc.SetBegin(off, types.MaxCommitID)
 			}
 			if deleted[i] {
 				mvcc.SetEnd(off, 0)

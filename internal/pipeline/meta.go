@@ -72,7 +72,8 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 }
 
 // buildMetaTables snapshots one row per base table: schema shape and memory
-// footprint.
+// footprint — values, the MVCC columns, and the rest of what chunks carry
+// (zones, filters, indexes).
 func (e *Engine) buildMetaTables() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
@@ -81,6 +82,7 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 		{Name: "column_count", Type: types.TypeInt64},
 		{Name: "target_chunk_size", Type: types.TypeInt64},
 		{Name: "data_bytes", Type: types.TypeInt64},
+		{Name: "mvcc_bytes", Type: types.TypeInt64},
 		{Name: "metadata_bytes", Type: types.TypeInt64},
 	}
 	out := storage.NewTable("meta_tables", defs, 0, false)
@@ -90,6 +92,12 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 			continue // dropped between listing and lookup
 		}
 		data, metadata := t.MemoryUsage()
+		var mvcc int64
+		for _, c := range t.Chunks() {
+			if m := c.MvccData(); m != nil {
+				mvcc += m.MemoryUsage()
+			}
+		}
 		if _, err := out.AppendRow([]types.Value{
 			types.Str(t.Name()),
 			types.Int(int64(t.RowCount())),
@@ -97,7 +105,8 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 			types.Int(int64(t.ColumnCount())),
 			types.Int(int64(t.TargetChunkSize())),
 			types.Int(data),
-			types.Int(metadata),
+			types.Int(mvcc),
+			types.Int(metadata - mvcc),
 		}); err != nil {
 			return nil, err
 		}

@@ -269,6 +269,35 @@ func TestMetaTablesSQL(t *testing.T) {
 		t.Errorf("meta_tables row = %v, want 25 rows / 3 columns", got[0])
 	}
 
+	// Where the memory went: the 25 inserted rows sit in one MVCC block, which
+	// holds a begin array (2 KiB) for them; a DELETE adds that block's end and
+	// tid arrays and nothing else; the three shares add up to the table's
+	// footprint.
+	const footprint = "SELECT mvcc_bytes, metadata_bytes, data_bytes FROM meta_tables WHERE table_name = 'obs'"
+	before := rows(t, s, footprint)[0]
+	mustExec(t, s, "DELETE FROM obs WHERE id = 3")
+	after := rows(t, s, footprint)[0]
+	num := func(v string) int64 {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if mvcc := num(before[0]); mvcc < 2048 || mvcc >= 2*2048 {
+		t.Errorf("mvcc_bytes after 25 inserts = %d, want one 2 KiB array plus block headers", mvcc)
+	}
+	if grew := num(after[0]) - num(before[0]); grew != 2*2048 || after[1] != before[1] || after[2] != before[2] {
+		t.Errorf("a DELETE moved mvcc/metadata/data bytes %v -> %v, want mvcc_bytes + 4096 alone", before, after)
+	}
+	obs, err := s.engine.StorageManager().GetTable("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, meta := obs.MemoryUsage(); num(after[0])+num(after[1]) != meta || num(after[2]) != data {
+		t.Errorf("meta_tables %v does not add up to MemoryUsage data %d + metadata %d", after, data, meta)
+	}
+
 	segs := rows(t, s, "SELECT column_name, encoding FROM meta_segments WHERE table_name = 'obs'")
 	if len(segs) != 3 { // one chunk x three columns
 		t.Fatalf("meta_segments rows = %v", segs)

@@ -102,6 +102,13 @@ func visible(tm *concurrency.TransactionManager, table *storage.Table) [][]types
 	return out
 }
 
+func mvccBytes(table *storage.Table) (n int64) {
+	for _, c := range table.Chunks() {
+		n += c.MvccData().MemoryUsage()
+	}
+	return n
+}
+
 func sameRows(a, b [][]types.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -166,6 +173,11 @@ func TestBootstrapAndTail(t *testing.T) {
 	}
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("follower rows diverge: got %d rows, want %d", len(got), len(want))
+	}
+	// The image stamps whole blocks and the tail goes through the stores the
+	// primary's commits went through: never more MVCC cells than there.
+	if got, limit := mvccBytes(ftable), mvccBytes(table); got > limit {
+		t.Errorf("follower holds %d bytes of MVCC columns, the primary %d", got, limit)
 	}
 	if st := f.Status(); st.State != StateStreaming || st.Bootstraps != 1 {
 		t.Fatalf("status = %+v, want streaming after 1 bootstrap", st)

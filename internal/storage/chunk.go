@@ -4,155 +4,228 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"hyrise/internal/types"
 )
 
-// mvccBlockShift sizes the lazily allocated MVCC blocks (8k rows each):
-// large enough for negligible indirection cost, small enough that the
-// partially filled trailing chunk of a table wastes at most 8k slots.
-const mvccBlockShift = 13
-const mvccBlockSize = 1 << mvccBlockShift
+// An MVCC block is the unit the concurrency columns are summarized by: 256
+// rows, so one materialized column of one block is a 2 KiB array (DESIGN.md §2
+// "MVCC" records the measurement behind the constant). A group is the unit the
+// directory grows by: 32 blocks' headers, allocated with the first store into
+// its 8192 rows, so an unchunked table's directory stays a few KB.
+const (
+	mvccBlockShift = 8
+	MvccBlockRows  = 1 << mvccBlockShift
+	mvccGroupShift = 13
+)
 
-type mvccBlock struct {
-	begin []atomic.Uint64
-	end   []atomic.Uint64
-	tid   []atomic.Uint64
+// The three MVCC columns, and what a row nobody has committed, invalidated or
+// claimed holds in each.
+const (
+	mvccBegin = iota
+	mvccEnd
+	mvccTID
+)
+
+var mvccFresh = [...]uint64{mvccBegin: uint64(types.MaxCommitID), mvccEnd: uint64(types.MaxCommitID), mvccTID: 0}
+
+type mvccCells [MvccBlockRows]atomic.Uint64
+
+// mvccColumn is one column of one block: every row holds scalar until a store
+// that differs from it materializes cells.
+type mvccColumn struct {
+	scalar atomic.Uint64
+	cells  atomic.Pointer[mvccCells]
 }
 
-func newMvccBlock(size int) *mvccBlock {
-	b := &mvccBlock{
-		begin: make([]atomic.Uint64, size),
-		end:   make([]atomic.Uint64, size),
-		tid:   make([]atomic.Uint64, size),
+// materialize installs the cell array, filled with the scalar. Concurrent
+// callers settle on one array by CAS and then store into that one, so no store
+// is lost; readers see either no array (and read the scalar every cell of the
+// array starts as) or the array.
+func (c *mvccColumn) materialize() *mvccCells {
+	cells := new(mvccCells)
+	if s := c.scalar.Load(); s != 0 {
+		for i := range cells {
+			cells[i].Store(s)
+		}
 	}
-	for i := 0; i < size; i++ {
-		b.begin[i].Store(uint64(types.MaxCommitID))
-		b.end[i].Store(uint64(types.MaxCommitID))
+	if c.cells.CompareAndSwap(nil, cells) {
+		return cells
 	}
-	return b
+	return c.cells.Load()
 }
 
-// MvccData holds the per-chunk concurrency-control columns (paper §2.8):
-// for every row a begin commit id, an end commit id, and the id of the
-// transaction currently owning the row. Cells are accessed atomically so
-// readers never block writers; storage grows in blocks as rows are
-// appended (EnsureCapacity runs under the table's append lock before the
-// row becomes visible through the chunk's row count).
+type mvccBlock [3]mvccColumn
+
+type mvccGroup [1 << (mvccGroupShift - mvccBlockShift)]mvccBlock
+
+// MvccData holds the per-chunk concurrency-control columns (paper §2.8): for
+// every row a begin commit id, an end commit id, and the id of the transaction
+// currently claiming the row. A column costs nothing while all rows of a block
+// agree — fresh, bulk-loaded and restored blocks are three scalars — and 8 B
+// per row from the first store that differs: begin in blocks that take
+// inserts (an uncommitted insert keeps its owner there, types.InsertedBy), end
+// in blocks that hold an invalidated row, tid in blocks a DELETE or UPDATE has
+// claimed a row of. Cells are read and written atomically, readers never block
+// writers and never allocate.
 type MvccData struct {
-	blocks []atomic.Pointer[mvccBlock]
-	rows   int
+	groups []atomic.Pointer[mvccGroup]
 }
 
-// NewMvccData prepares MVCC columns for up to capacity rows; blocks are
-// allocated on first use.
+// NewMvccData prepares MVCC columns for up to capacity rows.
 func NewMvccData(capacity int) *MvccData {
-	nBlocks := (capacity + mvccBlockSize - 1) / mvccBlockSize
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
-	return &MvccData{blocks: make([]atomic.Pointer[mvccBlock], nBlocks), rows: capacity}
+	return &MvccData{groups: make([]atomic.Pointer[mvccGroup], max(1, (capacity+1<<mvccGroupShift-1)>>mvccGroupShift))}
 }
 
-// blockSizeFor returns the allocation size of block b: full blocks except
-// for the (possibly short) last one, so small chunks pay only for their
-// capacity.
-func (m *MvccData) blockSizeFor(b int) int {
-	size := m.rows - b*mvccBlockSize
-	if size > mvccBlockSize {
-		size = mvccBlockSize
+// MvccBlock reads the cells of one block's rows (addressed by chunk offset, as
+// everywhere): what a reader of many rows of a block looks up once. The zero
+// value is a block of a group nothing was ever stored into — every row fresh.
+type MvccBlock struct{ b *mvccBlock }
+
+// Block returns row i's block.
+func (m *MvccData) Block(i types.ChunkOffset) MvccBlock {
+	if g := m.groups[i>>mvccGroupShift].Load(); g != nil {
+		return MvccBlock{&g[int(i>>mvccBlockShift)&(len(g)-1)]}
 	}
-	if size < 1 {
-		size = 1
-	}
-	return size
+	return MvccBlock{}
 }
 
-// EnsureCapacity makes the cells for row i usable. Called under the table
-// append lock before the row is published.
-func (m *MvccData) EnsureCapacity(i types.ChunkOffset) {
-	b := int(i) >> mvccBlockShift
-	if m.blocks[b].Load() == nil {
-		m.blocks[b].CompareAndSwap(nil, newMvccBlock(m.blockSizeFor(b)))
+// blockForWrite is Block, allocating the group's block headers first.
+func (m *MvccData) blockForWrite(i types.ChunkOffset) *mvccBlock {
+	slot := &m.groups[i>>mvccGroupShift]
+	if slot.Load() == nil {
+		g := new(mvccGroup)
+		for b := range g {
+			for c := range g[b] {
+				g[b][c].scalar.Store(mvccFresh[c])
+			}
+		}
+		slot.CompareAndSwap(nil, g)
 	}
+	return m.Block(i).b
 }
 
-func (m *MvccData) block(i types.ChunkOffset) (*mvccBlock, int) {
-	b := int(i) >> mvccBlockShift
-	blk := m.blocks[b].Load()
-	if blk == nil {
-		// Reads may race with the first append into a block; allocate
-		// idempotently (all cells start at MaxCommitID either way).
-		m.blocks[b].CompareAndSwap(nil, newMvccBlock(m.blockSizeFor(b)))
-		blk = m.blocks[b].Load()
+func (v MvccBlock) load(col int, i types.ChunkOffset) uint64 {
+	if v.b == nil {
+		return mvccFresh[col]
 	}
-	return blk, int(i) & (mvccBlockSize - 1)
+	if cells := v.b[col].cells.Load(); cells != nil {
+		return cells[i&(MvccBlockRows-1)].Load()
+	}
+	return v.b[col].scalar.Load()
+}
+
+// Begin, End and TID are MvccData's, with the block already looked up.
+func (v MvccBlock) Begin(i types.ChunkOffset) types.CommitID {
+	return types.CommitID(v.load(mvccBegin, i))
+}
+func (v MvccBlock) End(i types.ChunkOffset) types.CommitID { return types.CommitID(v.load(mvccEnd, i)) }
+func (v MvccBlock) TID(i types.ChunkOffset) types.TransactionID {
+	return types.TransactionID(v.load(mvccTID, i))
+}
+
+// AllVisible reports whether the block can answer for all its rows that they
+// are visible at snapshot: one begin commit id at or below it for the whole
+// block, no row ever invalidated, none ever claimed (only begin is ever
+// stamped, so an end or tid column without an array is fresh).
+func (v MvccBlock) AllVisible(snapshot types.CommitID) bool {
+	b := v.b
+	return b != nil && b[mvccBegin].cells.Load() == nil && b[mvccEnd].cells.Load() == nil && b[mvccTID].cells.Load() == nil &&
+		types.CommitID(b[mvccBegin].scalar.Load()) <= snapshot
+}
+
+// cell returns row i's cell of col, materializing the column in i's block.
+func (m *MvccData) cell(col int, i types.ChunkOffset) *atomic.Uint64 {
+	c := &m.blockForWrite(i)[col]
+	cells := c.cells.Load()
+	if cells == nil {
+		cells = c.materialize()
+	}
+	return &cells[i&(MvccBlockRows-1)]
+}
+
+// store writes v unless the row holds it already — which is what keeps a
+// column in scalar form under stores that agree with it.
+func (m *MvccData) store(col int, i types.ChunkOffset, v uint64) {
+	if m.Block(i).load(col, i) != v {
+		m.cell(col, i).Store(v)
+	}
 }
 
 // Begin returns the begin commit id of the row.
-func (m *MvccData) Begin(i types.ChunkOffset) types.CommitID {
-	b, o := m.block(i)
-	return types.CommitID(b.begin[o].Load())
-}
+func (m *MvccData) Begin(i types.ChunkOffset) types.CommitID { return m.Block(i).Begin(i) }
 
 // SetBegin stores the begin commit id of the row.
 func (m *MvccData) SetBegin(i types.ChunkOffset, cid types.CommitID) {
-	b, o := m.block(i)
-	b.begin[o].Store(uint64(cid))
+	m.store(mvccBegin, i, uint64(cid))
+}
+
+// StampBegin stores cid as the begin commit id of rows [0, n), where n is the
+// chunk's size: what a bulk load and a restore do to all their rows at once. A
+// block without a begin array stays without one — the rows of n's block past n
+// are not born yet, and appendRow gives a row its fresh cells when it is. Must
+// not run beside other stores to the chunk.
+func (m *MvccData) StampBegin(n int, cid types.CommitID) {
+	for lo := 0; lo < n; lo += MvccBlockRows {
+		c := &m.blockForWrite(types.ChunkOffset(lo))[mvccBegin]
+		cells := c.cells.Load()
+		if cells == nil {
+			c.scalar.Store(uint64(cid))
+			continue
+		}
+		for o := range cells[:min(MvccBlockRows, n-lo)] {
+			cells[o].Store(uint64(cid))
+		}
+	}
 }
 
 // End returns the end (invalidation) commit id of the row.
-func (m *MvccData) End(i types.ChunkOffset) types.CommitID {
-	b, o := m.block(i)
-	return types.CommitID(b.end[o].Load())
-}
+func (m *MvccData) End(i types.ChunkOffset) types.CommitID { return m.Block(i).End(i) }
 
 // SetEnd stores the end commit id of the row.
 func (m *MvccData) SetEnd(i types.ChunkOffset, cid types.CommitID) {
-	b, o := m.block(i)
-	b.end[o].Store(uint64(cid))
+	m.store(mvccEnd, i, uint64(cid))
 }
 
 // TID returns the transaction id currently holding the row (0 = none).
-func (m *MvccData) TID(i types.ChunkOffset) types.TransactionID {
-	b, o := m.block(i)
-	return types.TransactionID(b.tid[o].Load())
-}
+func (m *MvccData) TID(i types.ChunkOffset) types.TransactionID { return m.Block(i).TID(i) }
 
 // ClaimTID atomically claims the row for tid if it is unclaimed or already
 // held by tid. It returns false on a write-write conflict (paper §2.8: "if
 // two transactions concurrently try to set the transaction id of a single
 // row, only one can succeed and the other has to abort").
 func (m *MvccData) ClaimTID(i types.ChunkOffset, tid types.TransactionID) bool {
-	b, o := m.block(i)
-	if b.tid[o].CompareAndSwap(0, uint64(tid)) {
-		return true
-	}
-	return b.tid[o].Load() == uint64(tid)
+	cell := m.cell(mvccTID, i)
+	return cell.CompareAndSwap(0, uint64(tid)) || cell.Load() == uint64(tid)
 }
 
 // ReleaseTID clears the row's transaction id if held by tid.
 func (m *MvccData) ReleaseTID(i types.ChunkOffset, tid types.TransactionID) {
-	b, o := m.block(i)
-	b.tid[o].CompareAndSwap(uint64(tid), 0)
+	if tid != 0 && m.TID(i) == tid {
+		m.cell(mvccTID, i).CompareAndSwap(uint64(tid), 0)
+	}
 }
 
-// SetTID unconditionally stores a transaction id (used for fresh inserts
-// where the slot cannot be contended).
-func (m *MvccData) SetTID(i types.ChunkOffset, tid types.TransactionID) {
-	b, o := m.block(i)
-	b.tid[o].Store(uint64(tid))
-}
-
-// MemoryUsage returns the heap footprint of the allocated MVCC columns.
+// MemoryUsage returns the heap footprint of the MVCC columns: the directory,
+// the block headers of the groups stored into, and every materialized array.
 func (m *MvccData) MemoryUsage() int64 {
-	var allocated int64
-	for i := range m.blocks {
-		if blk := m.blocks[i].Load(); blk != nil {
-			allocated += int64(len(blk.begin)) * 24
+	used := int64(len(m.groups)) * 8
+	for gi := range m.groups {
+		g := m.groups[gi].Load()
+		if g == nil {
+			continue
+		}
+		used += int64(unsafe.Sizeof(*g))
+		for b := range g {
+			for c := range g[b] {
+				if g[b][c].cells.Load() != nil {
+					used += int64(unsafe.Sizeof(mvccCells{}))
+				}
+			}
 		}
 	}
-	return allocated + int64(len(m.blocks))*8
+	return used
 }
 
 // ChunkIndex is the minimal interface the storage layer needs from a
@@ -440,7 +513,10 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 // segment states, zone included.
 func (c *Chunk) appendRow(vals []types.Value) error {
 	if c.mvcc != nil {
-		c.mvcc.EnsureCapacity(types.ChunkOffset(c.Size()))
+		// A row is born uncommitted, which only a block that was stamped as a
+		// whole (StampBegin) does not say of it already; end and tid are never
+		// stamped, so their cells are fresh wherever nobody stored.
+		c.mvcc.SetBegin(types.ChunkOffset(c.Size()), types.MaxCommitID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -225,12 +225,12 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 // RestoreRowAt places a row at an exact RowID during log replay. The log
 // carries transactions in commit order, which under concurrent sessions is
 // not offset order: offsets below the target that no replayed commit has
-// filled yet are padded with invisible placeholder rows (begin = MaxCommitID,
-// end = 0), so the chunk geometry the log's RowIDs reference is reproduced
-// exactly, and a later commit that owns such an offset overwrites the
-// placeholder with its values. It reports whether the offset already existed;
-// a row that is there for real (restored from the snapshot, or an already
-// applied frame) is left alone, which keeps replay idempotent.
+// filled yet are padded with invisible placeholder rows (placeholderBegin), so
+// the chunk geometry the log's RowIDs reference is reproduced exactly, and a
+// later commit that owns such an offset overwrites the placeholder with its
+// values. It reports whether the offset already existed; a row that is there
+// for real (restored from the snapshot, or an already applied frame) is left
+// alone, which keeps replay idempotent.
 func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool, err error) {
 	if t.tableType != DataTable {
 		return false, fmt.Errorf("storage: cannot restore into reference table")
@@ -279,7 +279,7 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	chunk := t.GetChunk(row.Chunk)
 	mvcc := chunk.MvccData()
 	if int(row.Offset) < chunk.Size() {
-		if mvcc != nil && mvcc.Begin(row.Offset) == types.MaxCommitID && mvcc.End(row.Offset) == 0 {
+		if mvcc != nil && mvcc.Begin(row.Offset) == placeholderBegin {
 			return true, chunk.overwriteRow(row.Offset, vals)
 		}
 		return true, nil
@@ -299,6 +299,11 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	return false, nil
 }
 
+// placeholderBegin is the begin commit id of a placeholder row: inserted, but
+// by no transaction (transaction ids start at 1), so it is invisible to
+// everyone and cannot be mistaken for a row whose values are real.
+var placeholderBegin = types.InsertedBy(0)
+
 // padChunk appends placeholder rows until the chunk holds size rows.
 // Placeholders stand in for rows whose transaction has not been replayed
 // (yet): invisible to everyone until RestoreRowAt overwrites them.
@@ -309,7 +314,7 @@ func (t *Table) padChunk(chunk *Chunk, size int) error {
 		if err := chunk.appendRow(placeholder); err != nil {
 			return err
 		}
-		chunk.MvccData().SetEnd(off, 0)
+		chunk.MvccData().SetBegin(off, placeholderBegin)
 	}
 	return nil
 }
