@@ -581,3 +581,99 @@ func BenchmarkMicroVisibility(b *testing.B) {
 		})
 	}
 }
+
+// sealRows is the chunk the seal benchmarks fill: the default chunk size, what
+// a table made by CREATE TABLE seals at.
+const sealRows = storage.DefaultChunkSize
+
+// BenchmarkMicroSeal measures what the append that fills a chunk pays per
+// column (pipeline.SealChunk: summarize, size model, encode, filter) on one
+// 100 000-row segment of each shape the model treats differently:
+// ascending_int takes the zone's word that the column is sorted (no hashing,
+// no sort) and becomes frame-of-reference; constant_string is settled by the
+// run count alone; low_cardinality is grouped and becomes a dictionary;
+// unique_float is grouped, sorted and stays as it is — the most a column costs.
+func BenchmarkMicroSeal(b *testing.B) {
+	rng := rand.New(rand.NewSource(30))
+	column := func(def storage.ColumnDefinition, value func(i int) types.Value) *storage.Table {
+		t := storage.NewTable("col", []storage.ColumnDefinition{def}, sealRows, false)
+		for i := 0; i < sealRows; i++ {
+			if _, err := t.AppendRow([]types.Value{value(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return t
+	}
+	shapes := []struct {
+		name  string
+		table *storage.Table
+		want  encoding.EncodingType
+	}{
+		{"ascending_int", column(storage.ColumnDefinition{Name: "id", Type: types.TypeInt64}, func(i int) types.Value { return types.Int(int64(i)) }), encoding.FrameOfReference},
+		{"low_cardinality", column(storage.ColumnDefinition{Name: "grp", Type: types.TypeInt64}, func(int) types.Value { return types.Int(int64(rng.Intn(64)) * 1000) }), encoding.Dictionary},
+		{"unique_float", column(storage.ColumnDefinition{Name: "val", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(rng.Float64()) }), encoding.Unencoded},
+		{"constant_string", column(storage.ColumnDefinition{Name: "tag", Type: types.TypeString, Nullable: true}, func(int) types.Value { return types.Str("load") }), encoding.RunLength},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// A fresh chunk over the same value segment; taking it in
+				// computes its zone, as the appends that filled it would have.
+				segs, _ := sh.table.GetChunk(0).SnapshotSegments()
+				chunk := storage.NewChunk(segs, nil)
+				chunk.Finalize()
+				storage.NewTable("col", sh.table.ColumnDefinitions(), sealRows, false).AppendChunk(chunk)
+				b.StartTimer()
+				pipeline.SealChunk(chunk)
+				if spec, _ := encoding.SpecOf(chunk.GetSegment(0)); spec.Encoding != sh.want {
+					b.Fatalf("sealed as %s, want %s", spec, sh.want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMicroAppendSealed measures AppendRow amortized over the seals it
+// triggers: 250 000 kv rows (ascending id, constant tag, distinct val — the
+// pgwire_point preload) into 100 000-row chunks, on a table registered with an
+// engine (two chunks seal inside the loop) beside the same appends on an
+// unregistered table (chunks only turn immutable). ns/op ÷ 250 000 is the
+// amortized ns per row; the difference between the two is the seals, spread
+// over the rows that filled the chunks.
+func BenchmarkMicroAppendSealed(b *testing.B) {
+	const rows = 250_000
+	defs := []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString, Nullable: true}, {Name: "val", Type: types.TypeFloat64, Nullable: true},
+	}
+	for _, registered := range []bool{true, false} {
+		b.Run(map[bool]string{true: "registered", false: "unregistered"}[registered], func(b *testing.B) {
+			e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+			b.Cleanup(e.Close)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				table := storage.NewTable(fmt.Sprintf("kv%d", i), defs, sealRows, true)
+				if registered {
+					if err := e.StorageManager().AddTable(table); err != nil {
+						b.Fatal(err)
+					}
+				}
+				row := []types.Value{types.Int(0), types.Str("load"), types.Float(0)}
+				b.StartTimer()
+				for id := 0; id < rows; id++ {
+					row[0], row[2] = types.Int(int64(id)), types.Float(float64(id*7919%1_000_003)/1000)
+					if _, err := table.AppendRow(row); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if n, _ := e.StorageManager().SealStats(); registered && n != int64(i+1)*(rows/sealRows) {
+					b.Fatalf("%d chunks sealed after %d rounds of %d rows", n, i+1, rows)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

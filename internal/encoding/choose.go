@@ -1,0 +1,182 @@
+package encoding
+
+import (
+	"unsafe"
+
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// Sizes is the size model a chunk is sealed by (DESIGN.md §2 "Chunk
+// lifecycle"): the exact MemoryUsage() a segment has under each candidate
+// representation, indexed by EncodingType, code vectors fixed-size
+// byte-aligned. A candidate that does not apply (FrameOfReference off int64)
+// is 0.
+type Sizes [FrameOfReference + 1]int64
+
+const (
+	// minSavingPct: a segment is encoded only if that saves this share of its
+	// bytes; a plain array is what every scan and gather reads fastest.
+	minSavingPct = 20
+	// dictionarySlackPct: Dictionary wins when it is within this share of the
+	// smallest candidate — it answers the widest set of predicates on codes.
+	dictionarySlackPct = 10
+)
+
+// Choose picks the representation: the smallest candidate, Dictionary when it
+// is close to it, Unencoded when nothing saves enough.
+func (s Sizes) Choose() EncodingType {
+	best := Dictionary
+	for _, e := range []EncodingType{RunLength, FrameOfReference} {
+		if s[e] > 0 && s[e] < s[best] {
+			best = e
+		}
+	}
+	switch {
+	case !s.Saves(best):
+		return Unencoded
+	case s[Dictionary]*100 <= s[best]*(100+dictionarySlackPct):
+		return Dictionary
+	}
+	return best
+}
+
+// Saves reports that e applies to the segment and saves enough of the
+// unencoded bytes to be worth taking.
+func (s Sizes) Saves(e EncodingType) bool {
+	return s[e] > 0 && s[e]*100 <= s[Unencoded]*(100-minSavingPct)
+}
+
+// layout is what the sizes of the order-dependent encodings are read from,
+// one pass over the rows: the runs RunLength would store and the widest
+// in-block offset FrameOfReference would.
+type layout struct {
+	runs     int
+	runBytes int64 // bytes of string data the runs' values hold
+	anyNull  bool
+	maxCode  uint64 // FrameOfReference: largest offset from a block's frame
+}
+
+func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
+	var l layout
+	ints, _ := any(values).([]int64)
+	var lo, hi int64 // bounds of the non-NULL values of the current block
+	inBlock, prevNull := false, false
+	for i, v := range values {
+		null := nulls != nil && nulls[i]
+		l.anyNull = l.anyNull || null
+		if i == 0 || v != values[i-1] || null != prevNull {
+			l.runs++
+			if s, ok := any(v).(string); ok {
+				l.runBytes += int64(len(s))
+			}
+		}
+		prevNull = null
+		if i%forBlockSize == 0 {
+			inBlock = false
+		}
+		if ints == nil || null {
+			continue
+		}
+		if x := ints[i]; !inBlock {
+			lo, hi, inBlock = x, x, true
+		} else if x < lo {
+			lo = x
+		} else if x > hi {
+			hi = x
+		}
+		l.maxCode = max(l.maxCode, uint64(hi-lo))
+	}
+	return l
+}
+
+// SizesOf computes the model for an unencoded segment with summary sum.
+func SizesOf[T types.Ordered](seg *storage.ValueSegment[T], sum Summary[T]) Sizes {
+	s := layoutSizes(seg, layoutOf(seg.Values(), seg.Nulls()))
+	s[Dictionary] = dictionaryBytes(sum, seg.Len())
+	return s
+}
+
+// layoutSizes fills in everything but Dictionary, which needs the distinct
+// values.
+func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes {
+	var zero T
+	n := int64(seg.Len())
+	var s Sizes
+	s[Unencoded] = seg.MemoryUsage()
+	s[RunLength] = int64(l.runs)*(int64(unsafe.Sizeof(zero))+4) + l.runBytes
+	if l.anyNull {
+		s[RunLength] += int64(l.runs)
+	}
+	if _, ok := any(zero).(int64); ok {
+		frames := (n + forBlockSize - 1) / forBlockSize
+		s[FrameOfReference] = frames*8 + n*codeWidth(l.maxCode)
+		if l.anyNull {
+			s[FrameOfReference] += n
+		}
+	}
+	return s
+}
+
+func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
+	var zero T
+	bytes := int64(len(sum.Values)) * int64(unsafe.Sizeof(zero))
+	for _, v := range sum.Values {
+		if s, ok := any(v).(string); ok {
+			bytes += int64(len(s))
+		}
+	}
+	maxCode := uint64(len(sum.Values)) // the NULL id
+	if sum.Nulls == 0 && maxCode > 0 {
+		maxCode--
+	}
+	return bytes + int64(n)*codeWidth(maxCode)
+}
+
+// Seal returns the representation of a full chunk's column the size model
+// picks — seg itself when that is Unencoded — and the column's Summary, which
+// the caller builds the pruning filter from. The Summary is built once and is
+// the dictionary if Dictionary wins; it costs no hashing and no sort when the
+// column ascends over the whole chunk (its zone says so), and is read off the
+// runs when the run count alone settles the choice.
+func Seal[T types.Ordered](seg *storage.ValueSegment[T], ascending bool) (storage.Segment, Summary[T]) {
+	values, nulls := seg.Values(), seg.Nulls()
+	lay := layoutOf(values, nulls)
+	sizes := layoutSizes(seg, lay)
+	sizes[Dictionary] = int64(len(values)) // a lower bound: one byte of code per row
+	if sizes.Choose() == RunLength {
+		rl := EncodeRunLength(values, nulls)
+		return rl, rl.summary()
+	}
+	codes := make([]uint64, len(values))
+	var sum Summary[T]
+	if ascending {
+		sum = groupAscending(values, codes, lay.runs)
+	} else {
+		sum = groupValues(values, nulls, codes)
+	}
+	sizes[Dictionary] = dictionaryBytes(sum, len(values))
+	switch sizes.Choose() {
+	case Dictionary:
+		return newDictionary(sum.Values, codes, FixedSizeByteAligned), sum
+	case RunLength:
+		return EncodeRunLength(values, nulls), sum
+	case FrameOfReference:
+		return EncodeFrameOfReference(any(values).([]int64), nulls, FixedSizeByteAligned), sum
+	}
+	return seg, sum
+}
+
+// groupAscending is groupValues for non-decreasing values without NULL or NaN:
+// the distinct values are the runs, in order.
+func groupAscending[T types.Ordered](values []T, codes []uint64, runs int) Summary[T] {
+	sum := Summary[T]{Values: make([]T, 0, runs), Counts: make([]int, 0, runs)}
+	for i, v := range values {
+		if i == 0 || v != values[i-1] {
+			sum.Values, sum.Counts = append(sum.Values, v), append(sum.Counts, 0)
+		}
+		sum.Counts[len(sum.Counts)-1]++
+		codes[i] = uint64(len(sum.Values) - 1)
+	}
+	return sum
+}

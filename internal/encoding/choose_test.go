@@ -1,0 +1,162 @@
+package encoding
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// sealCase is one generated segment of TestDiffChooseIsSmallest.
+type sealCase[T types.Ordered] struct {
+	name   string
+	values []T
+	nulls  []bool
+}
+
+func nullsEvery(n, every int) []bool {
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = i%every == 0
+	}
+	return nulls
+}
+
+func generate[T types.Ordered](n int, f func(i int) T) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = f(i)
+	}
+	return out
+}
+
+// checkSizeModel holds the model against the encoders: the predicted bytes of
+// every candidate equal the MemoryUsage() of the segment the encoder builds,
+// Choose returns the smallest up to its two stated rules, and Seal — with its
+// shortcuts around the summary — builds exactly that, returning the summary of
+// the rows whichever way it got it.
+func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[EncodingType]int) {
+	t.Helper()
+	// Appended like a chunk's column is, so capacity exceeds length as it does there.
+	seg := storage.NewValueSegment[T](len(c.values)/2, c.nulls != nil)
+	ascending := len(c.values) > 0
+	for i, v := range c.values {
+		null := c.nulls != nil && c.nulls[i]
+		seg.Append(v, null)
+		ascending = ascending && !null && v == v && (i == 0 || v >= c.values[i-1])
+	}
+	want := groupValues(c.values, c.nulls, nil)
+	sizes := SizesOf(seg, want)
+	encoders := map[EncodingType]Spec{
+		Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
+	}
+	if sizes[Unencoded] != seg.MemoryUsage() {
+		t.Errorf("%s: Unencoded predicted %d, segment uses %d", c.name, sizes[Unencoded], seg.MemoryUsage())
+	}
+	smallest := Unencoded
+	for e, spec := range encoders {
+		if _, ints := any(c.values).([]int64); e == FrameOfReference && !ints {
+			if sizes[e] != 0 {
+				t.Errorf("%s: FrameOfReference predicted %d off int64", c.name, sizes[e])
+			}
+			continue
+		}
+		if got := encodeTyped(c.values, c.nulls, spec).MemoryUsage(); got != sizes[e] {
+			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, sizes[e], got)
+		}
+		if smallest == Unencoded || sizes[e] < sizes[smallest] {
+			smallest = e
+		}
+	}
+	chosen := sizes.Choose()
+	seen[chosen]++
+	switch {
+	case sizes[smallest]*100 > sizes[Unencoded]*80:
+		if chosen != Unencoded {
+			t.Errorf("%s: chose %s although nothing saves 20%% of %d: %v", c.name, chosen, sizes[Unencoded], sizes)
+		}
+	case chosen == Dictionary:
+		if sizes[Dictionary]*100 > sizes[smallest]*110 {
+			t.Errorf("%s: chose Dictionary at %d, more than 10%% over %s at %d", c.name, sizes[Dictionary], smallest, sizes[smallest])
+		}
+	case sizes[chosen] != sizes[smallest] || sizes[Dictionary]*100 <= sizes[smallest]*110:
+		t.Errorf("%s: chose %s, smallest is %s: %v", c.name, chosen, smallest, sizes)
+	}
+
+	for _, asc := range []bool{false, ascending} {
+		sealed, sum := Seal(seg, asc)
+		spec, _ := SpecOf(sealed)
+		if spec.Encoding != chosen || spec.Compression != FixedSizeByteAligned {
+			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s", c.name, asc, spec, chosen)
+		}
+		if chosen == Unencoded && sealed != storage.Segment(seg) {
+			t.Errorf("%s: an unencoded seal must keep the segment", c.name)
+		}
+		if sealed.MemoryUsage() != sizes[chosen] {
+			t.Errorf("%s: sealed segment uses %d bytes, predicted %d", c.name, sealed.MemoryUsage(), sizes[chosen])
+		}
+		if !sameSummary(sum, want) {
+			t.Errorf("%s (ascending=%v): seal's summary differs from the rows'", c.name, asc)
+		}
+		for i := range c.values {
+			got, want := sealed.ValueAt(types.ChunkOffset(i)), seg.ValueAt(types.ChunkOffset(i))
+			if bothNull, bothNaN := got.IsNull() && want.IsNull(), got.F != got.F && want.F != want.F; !got.Equal(want) && !bothNull && !bothNaN {
+				t.Fatalf("%s: row %d = %v, want %v", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDiffChooseIsSmallest runs the size model over generated segments of
+// every shape it distinguishes, PR 21/22/25's awkward values among them.
+func TestDiffChooseIsSmallest(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	seen := make(map[EncodingType]int)
+	const n = 5000 // three frame-of-reference blocks, the last one short
+	for _, c := range []sealCase[int64]{
+		{name: "ascending unique", values: generate(n, func(i int) int64 { return int64(i) + 1_000_000 })},
+		{name: "ascending with repeats", values: generate(n, func(i int) int64 { return int64(i / 40) })},
+		{name: "constant", values: generate(n, func(int) int64 { return 42 })},
+		{name: "low cardinality", values: generate(n, func(int) int64 { return int64(rng.Intn(64)) })},
+		{name: "cycle of 100", values: generate(n, func(i int) int64 { return int64(i % 100) })},
+		{name: "257 values", values: generate(n, func(int) int64 { return int64(rng.Intn(257)) * 1000 })},
+		{name: "random wide", values: generate(n, func(int) int64 { return rng.Int63() })},
+		{name: "extremes", values: generate(n, func(i int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4] })},
+		{name: "clustered per block", values: generate(n, func(i int) int64 { return int64(i/forBlockSize)<<40 + int64(rng.Intn(200)) })},
+		{name: "few nulls", values: generate(n, func(i int) int64 { return int64(i) }), nulls: nullsEvery(n, 97)},
+		{name: "null at block starts", values: generate(n, func(i int) int64 { return int64(rng.Intn(300)) }), nulls: nullsEvery(n, forBlockSize)},
+		{name: "all null", values: make([]int64, n), nulls: nullsEvery(n, 1)},
+		{name: "long runs with nulls", values: generate(n, func(i int) int64 { return int64(i / 700) }), nulls: nullsEvery(n, 2)},
+	} {
+		checkSizeModel(t, c, seen)
+	}
+	nan := math.NaN()
+	for _, c := range []sealCase[float64]{
+		{name: "unique floats", values: generate(n, func(int) float64 { return rng.Float64() })},
+		{name: "prices", values: generate(n, func(int) float64 { return float64(rng.Intn(100)) / 4 })},
+		{name: "signed zeros", values: generate(n, func(i int) float64 { return []float64{0, math.Copysign(0, -1)}[i%2] })},
+		{name: "nan and inf", values: generate(n, func(i int) float64 { return []float64{nan, math.Inf(1), math.Inf(-1), 1.5, nan}[i%5] })},
+		{name: "ascending floats", values: generate(n, func(i int) float64 { return float64(i/3) / 8 })},
+		{name: "nullable constant", values: generate(n, func(int) float64 { return 7.25 }), nulls: nullsEvery(n, 1000)},
+	} {
+		checkSizeModel(t, c, seen)
+	}
+	for _, c := range []sealCase[string]{
+		{name: "constant string", values: generate(n, func(int) string { return "load" })},
+		{name: "tags", values: generate(n, func(int) string { return fmt.Sprintf("tag%02d", rng.Intn(12)) })},
+		{name: "unique strings", values: generate(n, func(i int) string { return fmt.Sprintf("payload-%06d", i) })},
+		{name: "empty and NUL", values: generate(n, func(i int) string { return []string{"", "a\x00b", "\x00"}[i%3] })},
+		{name: "all null strings", values: make([]string, n), nulls: nullsEvery(n, 1)},
+		{name: "sorted names", values: generate(n, func(i int) string { return fmt.Sprintf("name-%04d", i/9) })},
+	} {
+		checkSizeModel(t, c, seen)
+	}
+	for _, e := range []EncodingType{Unencoded, Dictionary, RunLength, FrameOfReference} {
+		if seen[e] < 3 {
+			t.Errorf("only %d generated segments choose %s: the cases do not cover the model", seen[e], e)
+		}
+	}
+}

@@ -31,12 +31,13 @@ type DictionarySegment[T types.Ordered] struct {
 // order: a NaN, if any, is the last entry.
 func EncodeDictionary[T types.Ordered](values []T, nulls []bool, compression VectorCompressionType) *DictionarySegment[T] {
 	codes := make([]uint64, len(values))
-	dict := groupValues(values, nulls, codes).Values
-	return &DictionarySegment[T]{
-		dict:   dict,
-		av:     CompressUints(codes, compression),
-		nullID: ValueID(len(dict)),
-	}
+	return newDictionary(groupValues(values, nulls, codes).Values, codes, compression)
+}
+
+// newDictionary assembles a segment from a sorted dictionary and the rows'
+// value ids (len(dict) for NULL).
+func newDictionary[T types.Ordered](dict []T, codes []uint64, compression VectorCompressionType) *DictionarySegment[T] {
+	return &DictionarySegment[T]{dict: dict, av: CompressUints(codes, compression), nullID: ValueID(len(dict))}
 }
 
 // Dictionary exposes the sorted dictionary (used by the group-key index).

@@ -80,16 +80,30 @@ func NewFixedWidthVector(codes []uint64) UintVector {
 			maxCode = c
 		}
 	}
-	switch {
-	case maxCode <= 0xFF:
+	switch codeWidth(maxCode) {
+	case 1:
 		return newFixedWidth[uint8](codes)
-	case maxCode <= 0xFFFF:
+	case 2:
 		return newFixedWidth[uint16](codes)
-	case maxCode <= 0xFFFFFFFF:
+	case 4:
 		return newFixedWidth[uint32](codes)
 	default:
 		return newFixedWidth[uint64](codes)
 	}
+}
+
+// codeWidth is the smallest byte-aligned slot that holds codes up to maxCode:
+// the one rule the vectors are built by and the size model predicts them by.
+func codeWidth(maxCode uint64) int64 {
+	switch {
+	case maxCode <= 0xFF:
+		return 1
+	case maxCode <= 0xFFFF:
+		return 2
+	case maxCode <= 0xFFFFFFFF:
+		return 4
+	}
+	return 8
 }
 
 func newFixedWidth[W uint8 | uint16 | uint32 | uint64](codes []uint64) *FixedWidthVector[W] {

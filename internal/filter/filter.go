@@ -42,10 +42,25 @@ func AttachDefaultFilters(t *storage.Table) error {
 }
 
 func attachDefaults[T int64 | float64](c *storage.Chunk, col types.ColumnID, seg storage.Segment) {
+	if !hasRangeHistogram(c, col) {
+		AttachDefault(c, col, encoding.Summarize[T](seg))
+	}
+}
+
+// AttachDefault attaches the default filter of a numeric column, built from
+// the summary the caller already has of it — sealing a chunk summarizes each
+// column once, for the encoding and for this.
+func AttachDefault[T int64 | float64](c *storage.Chunk, col types.ColumnID, sum encoding.Summary[T]) {
+	if !hasRangeHistogram(c, col) {
+		c.AddFilter(rangeHistOf(sum, col, DefaultRangeHistBins))
+	}
+}
+
+func hasRangeHistogram(c *storage.Chunk, col types.ColumnID) bool {
 	for _, f := range c.Filters(col) {
 		if _, ok := f.(*RangeHistogram); ok {
-			return
+			return true
 		}
 	}
-	c.AddFilter(rangeHistOf(encoding.Summarize[T](seg), col, DefaultRangeHistBins))
+	return false
 }

@@ -86,6 +86,7 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		if err != nil {
 			return nil, err
 		}
+		ctx.noteSeal(op, table, rid)
 		if table.UsesMvcc() {
 			chunk := table.GetChunk(rid.Chunk)
 			if ctx.Tx != nil {
@@ -98,6 +99,18 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		inserted++
 	}
 	return rowCountTable(inserted), nil
+}
+
+// noteSeal puts on a DML span what its appends paid beyond appending: the row
+// that fills a chunk seals it before AppendRow returns (storage.Table), so the
+// statement that wrote it shows sealed=<chunks> and the nanoseconds spent.
+func (ctx *ExecContext) noteSeal(op Operator, table *storage.Table, rid types.RowID) {
+	if tr := ctx.Trace; tr != nil && int(rid.Offset)+1 == table.TargetChunkSize() {
+		if ns := table.GetChunk(rid.Chunk).SealNS(); ns > 0 {
+			tr.AddOpAttr(op, "sealed", 1)
+			tr.AddOpAttr(op, "seal_ns", ns)
+		}
+	}
 }
 
 // Delete invalidates the rows produced by its input (a reference plan over
@@ -229,6 +242,7 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 			if err != nil {
 				return nil, err
 			}
+			ctx.noteSeal(op, table, rid)
 			ctx.Tx.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
 			ctx.Tx.LogInsert(op.TableName, rid, vals)
 			updated++

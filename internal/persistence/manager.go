@@ -102,6 +102,8 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 	if err != nil {
 		return nil, err
 	}
+	// The log ends here: what it has not filled, nothing will.
+	sm.ReleasePlaceholders()
 	if snapCID > maxCID {
 		maxCID = snapCID
 	}

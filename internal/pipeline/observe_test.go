@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hyrise/internal/observe"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 // newObserveEngine builds an engine with a populated table large enough that
@@ -352,5 +354,60 @@ func TestDebugEndpointViaConfig(t *testing.T) {
 	defer e.Close()
 	if e.DebugAddr() == "" {
 		t.Fatal("debug endpoint did not start")
+	}
+}
+
+// TestSealedChunkFromSQL: the INSERT whose row fills a chunk says on its span
+// what it paid for the seal, the counters move with it, and meta_segments shows
+// the representation and size the size model gave each column.
+func TestSealedChunkFromSQL(t *testing.T) {
+	e := NewEngine(DefaultConfig(), nil)
+	t.Cleanup(e.Close)
+	kv := storage.NewTable("kv", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString, Nullable: true}, {Name: "val", Type: types.TypeFloat64, Nullable: true},
+	}, 100, true)
+	if err := e.StorageManager().AddTable(kv); err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	insert := func(id int) string { return fmt.Sprintf("INSERT INTO kv VALUES (%d, 'load', %d.25)", id, id*7919%1000) }
+	for id := 0; id < 98; id++ {
+		mustExec(t, s, insert(id))
+	}
+	ex, err := s.Explain(insert(98))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ex.Text, "sealed=") || metric(t, e, "storage.chunks_sealed") != 0 {
+		t.Fatalf("row 99 of 100 sealed a chunk:\n%s", ex.Text)
+	}
+	if ex, err = s.Explain(insert(99)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex.Text, "sealed=1") || !strings.Contains(ex.Text, "seal_ns=") {
+		t.Errorf("the INSERT that filled the chunk does not show its seal:\n%s", ex.Text)
+	}
+	if n, ns := metric(t, e, "storage.chunks_sealed"), metric(t, e, "storage.seal_ns"); n != 1 || ns <= 0 || ns != kv.GetChunk(0).SealNS() {
+		t.Errorf("storage.chunks_sealed=%d storage.seal_ns=%d, want 1 chunk and the %d ns it took", n, ns, kv.GetChunk(0).SealNS())
+	}
+	mustExec(t, s, insert(100)) // opens chunk 1, which stays as it is
+	got := rows(t, s, "SELECT chunk_id, column_name, encoding, size_bytes FROM meta_segments WHERE table_name = 'kv' ORDER BY chunk_id, column_id")
+	want := [][]string{
+		{"0", "id", "FrameOfReference", "108"},                                                         // one frame + 100 one-byte offsets
+		{"0", "tag", "RunLength", "24"},                                                                // one run: header, 4 bytes, end offset
+		{"0", "val", "Unencoded", "900"},                                                               // 100 distinct floats: nothing saves 20 %
+		{"1", "id", "Unencoded", "8"}, {"1", "tag", "Unencoded", "21"}, {"1", "val", "Unencoded", "9"}, // the one row so far
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("meta_segments of kv = %v, want %v", got, want)
+	}
+	if n := len(kv.GetChunk(0).Filters(0)) + len(kv.GetChunk(0).Filters(2)); n != 2 {
+		t.Errorf("%d filters on the sealed chunk's numeric columns, want 2", n)
+	}
+	if ex, err = s.Explain("SELECT val FROM kv WHERE id = 42"); err != nil || !strings.Contains(ex.Text, "sorted_chunks=1") || !strings.Contains(ex.Text, "pruned=1 chunks") {
+		t.Errorf("a point read does not binary-search the sealed frame-of-reference column (err %v):\n%s", err, ex.Text)
+	}
+	if got := rows(t, s, "SELECT id, tag, val FROM kv WHERE id = 42"); !reflect.DeepEqual(got, [][]string{{"42", "load", fmt.Sprint(float64(42*7919%1000) + 0.25)}}) {
+		t.Errorf("point read in the sealed chunk = %v", got)
 	}
 }

@@ -198,6 +198,8 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		e.sched = scheduler.NewImmediateScheduler()
 	}
 	e.initObservability()
+	// Before recovery: replayed chunks seal like appended ones.
+	sm.SetSealer(SealChunk)
 	if cfg.DataDir != "" {
 		mode, err := persistence.ParseSyncMode(cfg.SyncMode)
 		if err != nil {
@@ -261,6 +263,8 @@ func (e *Engine) initObservability() {
 	r.RegisterFunc("scheduler_tasks_run", func() int64 { return e.sched.Stats().TasksRun })
 	r.RegisterFunc("scheduler_queue_depth", func() int64 { return e.sched.Stats().QueueDepth })
 	r.RegisterFunc("scheduler_workers", func() int64 { return int64(e.sched.WorkerCount()) })
+	r.RegisterFunc("storage.chunks_sealed", func() int64 { n, _ := e.sm.SealStats(); return n })
+	r.RegisterFunc("storage.seal_ns", func() int64 { _, ns := e.sm.SealStats(); return ns })
 	e.registerMetaTables()
 	if e.cfg.DebugAddr != "" {
 		d, err := observe.StartDebugServer(e.cfg.DebugAddr, r)

@@ -195,8 +195,10 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 
 // TestStatsAdvisorsSkipValuelessColumns: an all-NULL column has no domain (its
 // statistics used to say Min=+Inf, Max=-Inf, so Max-Min < anything and it
-// counted as a dense integer domain) and an empty table has no rows; the
-// advisors leave both alone.
+// counted as a dense integer domain) and an empty table has no rows. By the
+// size model the all-NULL segment is one run of 13 bytes; the workload pass,
+// which reasons about values, leaves it alone, and nobody advises the empty
+// table.
 func TestStatsAdvisorsSkipValuelessColumns(t *testing.T) {
 	sm := storage.NewStorageManager()
 	table := storage.NewTable("sparse", []storage.ColumnDefinition{
@@ -236,14 +238,14 @@ func TestStatsAdvisorsSkipValuelessColumns(t *testing.T) {
 	if !strings.Contains(applied["sparse.seq"], "FrameOfReference") {
 		t.Errorf("seq should be FOR, got %q", applied["sparse.seq"])
 	}
-	if spec, ok := applied["sparse.gone"]; ok {
-		t.Errorf("all-NULL column was advised %q", spec)
+	if spec := applied["sparse.gone"]; spec != "RunLength" {
+		t.Errorf("all-NULL column was advised %q, want one run", spec)
 	}
 	if _, ok := enc.Reencoded()["sparse.gone"]; ok {
 		t.Error("all-NULL column was re-encoded from the workload")
 	}
-	if _, ok := table.GetChunk(0).GetSegment(1).(*storage.ValueSegment[int64]); !ok {
-		t.Errorf("all-NULL segment is %T, want it left unencoded", table.GetChunk(0).GetSegment(1))
+	if seg, ok := table.GetChunk(0).GetSegment(1).(*encoding.RunLengthSegment[int64]); !ok || seg.MemoryUsage() != 13 {
+		t.Errorf("all-NULL segment is %T, want one NULL run of 13 bytes", table.GetChunk(0).GetSegment(1))
 	}
 	if _, ok := applied["nothing.x"]; ok {
 		t.Error("empty table was advised")

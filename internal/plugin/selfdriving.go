@@ -9,7 +9,6 @@ import (
 	"hyrise/internal/index"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
-	"hyrise/internal/statistics"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -154,11 +153,11 @@ func (p *IndexSelectionPlugin) buildIndex(cand indexCandidate) error {
 	return nil
 }
 
-// EncodingAdvisorPlugin picks an encoding per segment from its statistics
-// (paper §3.2: "an automatic selection of efficient encoding and
-// compression schemes per chunk"): few distinct values -> dictionary, long
-// runs -> run-length, dense integer ranges -> frame-of-reference, else
-// unencoded.
+// EncodingAdvisorPlugin picks an encoding per segment (paper §3.2: "an
+// automatic selection of efficient encoding and compression schemes per
+// chunk") by the size model chunks are sealed by (encoding.Sizes), and
+// re-encodes the segments of scanned columns toward what the observed
+// workload scans fastest.
 type EncodingAdvisorPlugin struct {
 	mu      sync.Mutex
 	engine  *pipeline.Engine
@@ -207,8 +206,10 @@ func (p *EncodingAdvisorPlugin) Applied() map[string]string {
 	return out
 }
 
-// Advise encodes all immutable, still-unencoded chunks with the per-column
-// choice.
+// Advise seals every immutable chunk that loaders left (partly) unencoded —
+// the same pipeline.SealChunk, hence the same size model, the engine runs on a
+// chunk the moment an append fills it — and records per column what the
+// table's first sealed chunk ended up as.
 func (p *EncodingAdvisorPlugin) Advise() error {
 	p.mu.Lock()
 	engine := p.engine
@@ -217,38 +218,30 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 		return fmt.Errorf("plugin: not started")
 	}
 	sm := engine.StorageManager()
-	stats := engine.Statistics()
 	for _, name := range sm.TableNames() {
 		t, err := sm.GetTable(name)
 		if err != nil {
 			continue
 		}
-		rows := float64(t.RowCount())
-		if rows == 0 {
+		var first *storage.Chunk
+		for _, c := range t.Chunks() {
+			if c.IsImmutable() {
+				pipeline.SealChunk(c)
+				if first == nil {
+					first = c
+				}
+			}
+		}
+		if first == nil {
 			continue
 		}
-		ts := stats.Get(t)
-		perColumn := make(map[types.ColumnID]encoding.Spec)
+		p.mu.Lock()
 		for col, def := range t.ColumnDefinitions() {
-			cs := ts.Columns[col]
-			if cs.Empty() {
-				continue // no value to read a data shape from: left as it is
-			}
-			spec := p.choose(cs, rows, def.Type)
-			perColumn[types.ColumnID(col)] = spec
-			p.mu.Lock()
-			p.applied[name+"."+def.Name] = spec.String()
-			p.mu.Unlock()
-		}
-		for _, c := range t.Chunks() {
-			if !c.IsImmutable() {
-				continue
-			}
-			if err := encoding.EncodeChunk(c, encoding.Spec{Encoding: encoding.Unencoded}, perColumn); err != nil {
-				// Already-encoded chunks are left as they are.
-				continue
+			if spec, ok := encoding.SpecOf(first.GetSegment(types.ColumnID(col))); ok {
+				p.applied[name+"."+def.Name] = spec.String()
 			}
 		}
+		p.mu.Unlock()
 	}
 	return nil
 }
@@ -269,9 +262,8 @@ func (p *EncodingAdvisorPlugin) Reencoded() map[string]string {
 // scan statistics the executor records (code-path mix, predicate shapes,
 // selectivity) and re-encodes the segments of hot columns toward whatever
 // representation the observed workload scans fastest. Unlike Advise, which
-// only encodes still-unencoded chunks from data-shape statistics, this pass
-// re-encodes already-encoded segments when the workload disagrees with the
-// earlier choice.
+// only touches still-unencoded segments, this pass re-encodes already-encoded
+// ones when the workload disagrees with the earlier choice.
 func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 	p.mu.Lock()
 	engine := p.engine
@@ -293,39 +285,26 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 		if err != nil {
 			continue // dropped since it was scanned
 		}
-		col := types.ColumnID(0)
-		found := false
-		var dt types.DataType
-		for ci, def := range t.ColumnDefinitions() {
-			if def.Name == snap.Column {
-				col, dt, found = types.ColumnID(ci), def.Type, true
-				break
-			}
-		}
-		if !found {
+		col, err := t.ColumnID(snap.Column)
+		if err != nil {
 			continue
 		}
-		rows := float64(t.RowCount())
-		if rows == 0 {
-			continue
+		if stats.Get(t).Columns[col].Empty() {
+			continue // no rows, or only NULLs: nothing a scan could be faster on
 		}
-		cs := stats.Get(t).Columns[col]
-		if cs.Empty() {
-			continue // only NULLs: no domain to call dense or distinct
-		}
-		want := p.chooseFromWorkload(snap, cs, rows, dt)
+		var want encoding.Spec
 		changed := false
 		for _, c := range t.Chunks() {
 			if !c.IsImmutable() {
 				continue
 			}
 			seg := c.GetSegment(col)
-			if seg == nil {
-				continue
-			}
 			cur, ok := encoding.SpecOf(seg)
-			if !ok || cur.String() == want.String() {
-				continue // reference/unknown segment, or already there
+			if !ok {
+				continue // reference/unknown segment
+			}
+			if want = chooseFromWorkload(snap, sizesOf(seg)); cur.String() == want.String() {
+				continue // already there
 			}
 			enc, err := encoding.EncodeSegment(seg, want)
 			if err != nil {
@@ -344,29 +323,23 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 	return nil
 }
 
-// chooseFromWorkload maps a column's observed scan profile to an encoding.
-// The workload path never picks Unencoded: a column that shows up here is
-// being scanned, and every encoded representation answers at least the
-// dictionary's predicate set without materializing.
-func (p *EncodingAdvisorPlugin) chooseFromWorkload(snap observe.ColumnScanSnapshot, cs *statistics.ColumnStatistics, rows float64, dt types.DataType) encoding.Spec {
-	distinctRatio := 1.0
-	denseDomain := false
-	if cs != nil {
-		distinctRatio = cs.DistinctCount / rows
-		denseDomain = dt == types.TypeInt64 && cs.Max-cs.Min < rows*16
-	}
+// chooseFromWorkload maps a column's observed scan profile and a segment's
+// size model to an encoding. The workload path never picks Unencoded: a column
+// that shows up here is being scanned, and every encoded representation
+// answers at least the dictionary's predicate set without materializing.
+func chooseFromWorkload(snap observe.ColumnScanSnapshot, sizes encoding.Sizes) encoding.Spec {
 	switch {
-	case distinctRatio <= 0.001:
+	case sizes.Choose() == encoding.RunLength:
 		// Near-constant data: run-length answers any predicate per run.
 		return encoding.Spec{Encoding: encoding.RunLength}
 	case snap.FallbackRatio() > 0.25:
 		// The current representation keeps materializing; dictionary
 		// supports the widest encoded predicate set.
 		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
-	case snap.Ranges > snap.Points && denseDomain:
-		// Range-heavy over a dense integer domain: frame-of-reference
-		// rewrites ranges into the offset domain and short-circuits
-		// whole blocks via min/max.
+	case snap.Ranges > snap.Points && sizes.Saves(encoding.FrameOfReference):
+		// Range-heavy over integers that sit close to their block's frame:
+		// frame-of-reference rewrites ranges into the offset domain and
+		// short-circuits whole blocks via min/max.
 		return encoding.Spec{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned}
 	default:
 		// Point-heavy or mixed: dictionary answers equality with one
@@ -375,21 +348,19 @@ func (p *EncodingAdvisorPlugin) chooseFromWorkload(snap observe.ColumnScanSnapsh
 	}
 }
 
-func (p *EncodingAdvisorPlugin) choose(cs *statistics.ColumnStatistics, rows float64, dt types.DataType) encoding.Spec {
-	if cs == nil {
-		return encoding.Spec{Encoding: encoding.Unencoded}
-	}
-	distinctRatio := cs.DistinctCount / rows
-	switch {
-	case distinctRatio < 0.001:
-		// Almost constant: long runs are likely.
-		return encoding.Spec{Encoding: encoding.RunLength}
-	case distinctRatio < 0.5:
-		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
-	case dt == types.TypeInt64 && cs.Max-cs.Min < rows*16:
-		// Dense integer domain: offsets from a frame stay small.
-		return encoding.Spec{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned}
+// sizesOf is the size model of a segment in whatever representation it is in.
+func sizesOf(seg storage.Segment) encoding.Sizes {
+	switch seg.DataType() {
+	case types.TypeInt64:
+		return sizesOfTyped[int64](seg)
+	case types.TypeFloat64:
+		return sizesOfTyped[float64](seg)
 	default:
-		return encoding.Spec{Encoding: encoding.Unencoded}
+		return sizesOfTyped[string](seg)
 	}
+}
+
+func sizesOfTyped[T types.Ordered](seg storage.Segment) encoding.Sizes {
+	values, nulls := encoding.Materialize[T](seg)
+	return encoding.SizesOf(storage.ValueSegmentFromSlice(values, nulls), encoding.Summarize[T](seg))
 }

@@ -33,7 +33,7 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 	const rows = 2000
 	var wantSum int64
 	for i := 0; i < rows; i++ {
-		sql := fmt.Sprintf("INSERT INTO wl VALUES (%d, %d, %d)", i%50, i, i%10)
+		sql := fmt.Sprintf("INSERT INTO wl VALUES (%d, %d, %d)", i%50*500, i, i%10)
 		if _, err := s.Execute(sql); err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +50,9 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := p.Applied()
-	// Data-shape pass: pointy (50 distinct / 2000) -> dictionary, rangy
-	// (dense unique ints) -> frame-of-reference.
+	// Size-model pass: pointy (50 distinct values 500 apart: one-byte codes
+	// against two-byte offsets) -> dictionary, rangy (dense unique ints) ->
+	// frame-of-reference.
 	if !strings.Contains(applied["wl.pointy"], "Dictionary") {
 		t.Fatalf("pointy after Advise = %q, want dictionary", applied["wl.pointy"])
 	}
@@ -107,7 +108,7 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 			t.Fatalf("%s: count/sum = %v, want [%d %d]", phase, got[0], rows, wantSum)
 		}
 		res, err = e.NewSession().ExecuteOne(
-			"SELECT count(*) FROM wl WHERE pointy = 7 AND rangy < 1000")
+			"SELECT count(*) FROM wl WHERE pointy = 3500 AND rangy < 1000")
 		if err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}

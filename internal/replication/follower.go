@@ -331,6 +331,9 @@ func (f *Follower) Promote() {
 		conn.Close()
 	}
 	f.wg.Wait()
+	// The stream has ended: the full chunks still waiting on transactions the
+	// old primary never committed seal now, and appends may follow them.
+	f.sm.ReleasePlaceholders()
 	_, maxTID := f.applier.MaxIDs()
 	f.mu.Lock()
 	cid := f.appliedCID

@@ -109,6 +109,23 @@ func mvccBytes(table *storage.Table) (n int64) {
 	return n
 }
 
+// sameSeals reports that the follower has sealed exactly the chunks the
+// primary has. These tests commit one transaction at a time, so at the commit
+// barrier no chunk of the follower waits on a placeholder: a full chunk is
+// sealed on both sides, by the write that filled it, and the tail on neither.
+func sameSeals(follower, primary *storage.Table) bool {
+	fc, pc := follower.Chunks(), primary.Chunks()
+	if len(fc) != len(pc) {
+		return false
+	}
+	for i := range fc {
+		if fc[i].IsImmutable() != pc[i].IsImmutable() {
+			return false
+		}
+	}
+	return true
+}
+
 func sameRows(a, b [][]types.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -173,6 +190,9 @@ func TestBootstrapAndTail(t *testing.T) {
 	}
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("follower rows diverge: got %d rows, want %d", len(got), len(want))
+	}
+	if !sameSeals(ftable, table) {
+		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
 	}
 	// The image stamps whole blocks and the tail goes through the stores the
 	// primary's commits went through: never more MVCC cells than there.
@@ -251,6 +271,9 @@ func TestFlakyTransportConverges(t *testing.T) {
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("flaky follower diverged: %d rows vs %d", len(got), len(want))
 	}
+	if !sameSeals(ftable, table) {
+		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
+	}
 }
 
 // TestCrashedFollowerCatchesUpViaSnapshot kills followers outright at
@@ -303,6 +326,9 @@ func TestCrashedFollowerCatchesUpViaSnapshot(t *testing.T) {
 	}
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("replacement follower diverged: %d rows vs %d", len(got), len(want))
+	}
+	if !sameSeals(ftable, table) {
+		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
 	}
 	if st := f.Status(); st.Bootstraps != 1 {
 		t.Fatalf("expected snapshot bootstrap, got %+v", st)
@@ -378,6 +404,9 @@ func TestStaleFollowerForcedToBootstrap(t *testing.T) {
 	}
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("re-bootstrapped follower diverged")
+	}
+	if !sameSeals(ftable, table) {
+		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
 	}
 	if st := f.Status(); st.Bootstraps != 2 {
 		t.Fatalf("expected forced re-bootstrap (2 bootstraps), got %+v", st)
@@ -475,6 +504,9 @@ func TestTCPTransport(t *testing.T) {
 	}
 	if got, want := visible(ftm, ftable), visible(s.tm, table); !sameRows(got, want) {
 		t.Fatalf("TCP follower diverged")
+	}
+	if !sameSeals(ftable, table) {
+		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
 	}
 	if got := len(s.p.Followers()); got != 1 {
 		t.Fatalf("Followers() = %d, want 1", got)

@@ -279,6 +279,13 @@ type Chunk struct {
 	// value segments happen under the table's append lock.
 	rowCount atomic.Int64
 
+	// placeholders counts the rows log replay has reserved and not yet filled
+	// (Table.padChunk, overwriteRow): while there are any, the chunk's values
+	// can still change and it does not seal. Guarded by the table's append lock.
+	placeholders int
+	// sealNS is what the catalog's Sealer spent on the chunk; 0 if none ran.
+	sealNS atomic.Int64
+
 	// viewed is set when a reader is handed segment memory (GetSegment,
 	// SnapshotSegments) and cleared when overwriteRow moves the segments to
 	// fresh arrays: while it is clear, nobody else can see the arrays and log
@@ -415,6 +422,11 @@ func (c *Chunk) IsImmutable() bool { return c.immutable.Load() }
 // Finalize marks the chunk immutable. Idempotent.
 func (c *Chunk) Finalize() { c.immutable.Store(true) }
 
+// SealNS returns the nanoseconds the catalog's Sealer spent on the chunk when
+// it filled up: what the append that completed it paid. 0 for a chunk that
+// was loaded, restored, or is still mutable.
+func (c *Chunk) SealNS() int64 { return c.sealNS.Load() }
+
 // AddIndex attaches a secondary index to the chunk.
 func (c *Chunk) AddIndex(idx ChunkIndex) {
 	if !c.IsImmutable() {
@@ -490,9 +502,14 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 // without a lock, so once any view is out the row is written into copies of
 // the value segments that replace the originals under the chunk lock; the
 // views keep the old arrays. The zones take the new values in the same
-// critical section — the chunk may be sealed already, so this is what keeps a
-// replayed row findable. Caller must hold the table's append lock.
+// critical section, which keeps a replayed row findable. A chunk that holds a
+// placeholder is not sealed yet; the values of a sealed one are frozen (its
+// segments may be encoded), so overwriting there is an error, never a write.
+// Caller must hold the table's append lock.
 func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
+	if c.IsImmutable() {
+		return fmt.Errorf("storage: cannot overwrite row %d of a sealed chunk", off)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fresh := c.viewed.Swap(false)
@@ -504,6 +521,7 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 		c.segments[i] = seg
 		c.zones[i].overwritten(int(off), v)
 	}
+	c.placeholders = max(0, c.placeholders-1)
 	return nil
 }
 

@@ -8,9 +8,17 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hyrise/internal/types"
 )
+
+// Sealer finishes a chunk of a registered table at the moment it has become
+// immutable: it may replace segments by encoded ones and attach filters. The
+// encodings live above this package, so the engine supplies the function
+// (StorageManager.SetSealer); it runs in the goroutine whose write completed
+// the chunk.
+type Sealer func(c *Chunk)
 
 // MetaTableProvider materializes a virtual system table on demand. Each
 // call produces a fresh snapshot, so successive queries over a meta-table
@@ -25,6 +33,9 @@ type StorageManager struct {
 	tables map[string]*Table
 	views  map[string]string // view name -> SQL text (embedded at planning time)
 	meta   map[string]MetaTableProvider
+	sealer Sealer
+
+	chunksSealed, sealNS atomic.Int64
 
 	// epoch counts catalog mutations (table/view add/drop). Cached plans
 	// embed table pointers; consumers record the epoch at build time and
@@ -42,8 +53,57 @@ func NewStorageManager() *StorageManager {
 	}
 }
 
+// SetSealer installs the function that finishes the chunks of registered
+// tables as they fill up.
+func (sm *StorageManager) SetSealer(f Sealer) {
+	sm.mu.Lock()
+	sm.sealer = f
+	sm.mu.Unlock()
+}
+
+// seal runs the Sealer on a chunk that has just become immutable and accounts
+// for it (Table.seal).
+func (sm *StorageManager) seal(c *Chunk) {
+	sm.mu.RLock()
+	f := sm.sealer
+	sm.mu.RUnlock()
+	if f == nil {
+		return
+	}
+	start := time.Now()
+	f(c)
+	ns := time.Since(start).Nanoseconds()
+	c.sealNS.Store(ns)
+	sm.chunksSealed.Add(1)
+	sm.sealNS.Add(ns)
+}
+
+// SealStats returns how many chunks the Sealer has finished and the
+// nanoseconds their appenders spent in it.
+func (sm *StorageManager) SealStats() (chunks, ns int64) {
+	return sm.chunksSealed.Load(), sm.sealNS.Load()
+}
+
+// ReleasePlaceholders ends a log replay on every table (crash recovery done, a
+// follower promoted): the placeholders still standing belong to
+// transactions that never committed, so the full chunks that waited on them
+// are sealed.
+func (sm *StorageManager) ReleasePlaceholders() {
+	sm.mu.RLock()
+	tables := make([]*Table, 0, len(sm.tables))
+	for _, t := range sm.tables {
+		tables = append(tables, t)
+	}
+	sm.mu.RUnlock()
+	for _, t := range tables {
+		t.releasePlaceholders()
+	}
+}
+
 // AddTable registers a table under its name. Re-registering a name fails,
-// as does shadowing a meta-table.
+// as does shadowing a meta-table. From here on the chunks of the table that
+// fill up are sealed by the catalog's Sealer; the chunks it arrives with stay
+// as their loader left them.
 func (sm *StorageManager) AddTable(t *Table) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -58,6 +118,7 @@ func (sm *StorageManager) AddTable(t *Table) error {
 		return fmt.Errorf("storage: %q is a reserved meta-table name", t.Name())
 	}
 	sm.tables[key] = t
+	t.owner.Store(sm)
 	sm.epoch.Add(1)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hyrise/internal/types"
 )
@@ -32,8 +33,9 @@ type ColumnDefinition struct {
 const DefaultChunkSize = 100_000
 
 // Table is a relation: an ordered list of column definitions plus a list of
-// chunks. Appends go to the last chunk; when it reaches targetChunkSize it
-// is finalized and a fresh mutable chunk is opened.
+// chunks. Appends go to the last chunk; the row that fills it to
+// targetChunkSize seals it (seal), and the next append opens a fresh mutable
+// chunk.
 type Table struct {
 	name            string
 	defs            []ColumnDefinition
@@ -46,7 +48,11 @@ type Table struct {
 
 	groups []posGroup // which columns are stored, which read through shared positions; fixed at construction
 
-	appendMu sync.Mutex // serializes row appends
+	appendMu sync.Mutex // serializes row appends; guards the chunks' placeholder counts
+
+	// owner is the catalog the table is registered in (StorageManager.AddTable);
+	// its Sealer finishes the chunks that fill up from then on.
+	owner atomic.Pointer[StorageManager]
 }
 
 // NewTable creates an empty data table. targetChunkSize <= 0 selects
@@ -170,8 +176,8 @@ func (t *Table) newMutableChunk() *Chunk {
 }
 
 // AppendRow appends one row, opening a new chunk when the current one is
-// full, and returns the RowID of the new row. The previous chunk is
-// finalized (made immutable) when it fills up.
+// full, and returns the RowID of the new row. The append that fills a chunk
+// seals it before it returns, outside the append lock.
 func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	if t.tableType != DataTable {
 		return types.NullRowID, fmt.Errorf("storage: cannot append to reference table")
@@ -192,8 +198,6 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	}
 
 	t.appendMu.Lock()
-	defer t.appendMu.Unlock()
-
 	t.mu.RLock()
 	n := len(t.chunks)
 	var last *Chunk
@@ -203,9 +207,6 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	t.mu.RUnlock()
 
 	if last == nil || last.Size() >= t.targetChunkSize || last.IsImmutable() {
-		if last != nil {
-			last.Finalize()
-		}
 		last = t.newMutableChunk()
 		t.mu.Lock()
 		t.chunks = append(t.chunks, last)
@@ -213,13 +214,53 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 		t.mu.Unlock()
 	}
 
-	if err := last.appendRow(vals); err != nil {
+	err := last.appendRow(vals)
+	row := types.RowID{Chunk: types.ChunkID(n - 1), Offset: types.ChunkOffset(last.Size() - 1)}
+	full := err == nil && t.sealable(last)
+	t.appendMu.Unlock()
+	if err != nil {
 		return types.NullRowID, err
 	}
-	return types.RowID{
-		Chunk:  types.ChunkID(n - 1),
-		Offset: types.ChunkOffset(last.Size() - 1),
-	}, nil
+	if full {
+		t.seal(last)
+	}
+	return row, nil
+}
+
+// sealable reports that a chunk is due for seal: full, and no replayed commit
+// can still write into it. Caller must hold the append lock.
+func (t *Table) sealable(c *Chunk) bool {
+	return c.placeholders == 0 && c.Size() >= t.targetChunkSize && !c.IsImmutable()
+}
+
+// seal makes a chunk immutable and, on a registered table, hands it to the
+// catalog's Sealer, which may encode its segments and attach filters: the
+// chunk's values are frozen from here on, only its MVCC columns still change.
+// It runs in the goroutine whose write completed the chunk, outside the append
+// lock, once per chunk.
+func (t *Table) seal(c *Chunk) {
+	c.Finalize()
+	if sm := t.owner.Load(); sm != nil {
+		sm.seal(c)
+	}
+}
+
+// releasePlaceholders ends a replay: the placeholders still standing belong to
+// transactions that never committed, so nothing will overwrite them, and the
+// full chunks that waited on them are sealed.
+func (t *Table) releasePlaceholders() {
+	t.appendMu.Lock()
+	var full []*Chunk
+	for _, c := range t.Chunks() {
+		c.placeholders = 0
+		if t.sealable(c) {
+			full = append(full, c)
+		}
+	}
+	t.appendMu.Unlock()
+	for _, c := range full {
+		t.seal(c)
+	}
 }
 
 // RestoreRowAt places a row at an exact RowID during log replay. The log
@@ -228,9 +269,12 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 // filled yet are padded with invisible placeholder rows (placeholderBegin), so
 // the chunk geometry the log's RowIDs reference is reproduced exactly, and a
 // later commit that owns such an offset overwrites the placeholder with its
-// values. It reports whether the offset already existed; a row that is there
-// for real (restored from the snapshot, or an already applied frame) is left
-// alone, which keeps replay idempotent.
+// values. A chunk therefore seals when it is full and holds no placeholder —
+// with the write that makes it so, as on the live table; the chunks a replay
+// leaves waiting are sealed by ReleasePlaceholders. It reports whether the
+// offset already existed; a row that is there for real (restored from the
+// snapshot, or an already applied frame) is left alone, which keeps replay
+// idempotent.
 func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool, err error) {
 	if t.tableType != DataTable {
 		return false, fmt.Errorf("storage: cannot restore into reference table")
@@ -253,14 +297,21 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 		}
 	}
 
+	// The chunks this row completes — its own, the one before it — seal once
+	// the append lock is released.
+	var full []*Chunk
 	t.appendMu.Lock()
-	defer t.appendMu.Unlock()
+	defer func() {
+		t.appendMu.Unlock()
+		for _, c := range full {
+			t.seal(c)
+		}
+	}()
 
-	// Create missing chunks up to the target; like AppendRow, opening a new
-	// chunk finalizes its predecessor. The live table opened the new chunk
-	// because the predecessor was full, so the predecessor's slots the log has
-	// not filled yet belong to transactions that commit later (or never):
-	// reserve them before sealing it.
+	// Create missing chunks up to the target. The live table opened the new
+	// chunk because the predecessor was full, so the predecessor's slots the log
+	// has not filled yet belong to transactions that commit later (or never):
+	// reserve them.
 	for t.ChunkCount() <= int(row.Chunk) {
 		if n := t.ChunkCount(); n > 0 {
 			last := t.GetChunk(types.ChunkID(n - 1))
@@ -269,7 +320,9 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 					return false, err
 				}
 			}
-			last.Finalize()
+			if t.sealable(last) {
+				full = append(full, last)
+			}
 		}
 		t.mu.Lock()
 		t.chunks = append(t.chunks, t.newMutableChunk())
@@ -279,24 +332,26 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	chunk := t.GetChunk(row.Chunk)
 	mvcc := chunk.MvccData()
 	if int(row.Offset) < chunk.Size() {
-		if mvcc != nil && mvcc.Begin(row.Offset) == placeholderBegin {
-			return true, chunk.overwriteRow(row.Offset, vals)
+		if mvcc == nil || mvcc.Begin(row.Offset) != placeholderBegin {
+			return true, nil
 		}
-		return true, nil
+		existed, err = true, chunk.overwriteRow(row.Offset, vals)
+	} else {
+		if chunk.IsImmutable() {
+			return false, fmt.Errorf("storage: restore offset %d beyond immutable chunk %d of table %q", row.Offset, row.Chunk, t.name)
+		}
+		if mvcc == nil && chunk.Size() < int(row.Offset) {
+			return false, fmt.Errorf("storage: cannot pad rows of table %q without MVCC data", t.name)
+		}
+		if err := t.padChunk(chunk, int(row.Offset)); err != nil {
+			return false, err
+		}
+		err = chunk.appendRow(vals)
 	}
-	if chunk.IsImmutable() {
-		return false, fmt.Errorf("storage: restore offset %d beyond immutable chunk %d of table %q", row.Offset, row.Chunk, t.name)
+	if err == nil && t.sealable(chunk) {
+		full = append(full, chunk)
 	}
-	if mvcc == nil && chunk.Size() < int(row.Offset) {
-		return false, fmt.Errorf("storage: cannot pad rows of table %q without MVCC data", t.name)
-	}
-	if err := t.padChunk(chunk, int(row.Offset)); err != nil {
-		return false, err
-	}
-	if err := chunk.appendRow(vals); err != nil {
-		return false, err
-	}
-	return false, nil
+	return existed, err
 }
 
 // placeholderBegin is the begin commit id of a placeholder row: inserted, but
@@ -315,6 +370,7 @@ func (t *Table) padChunk(chunk *Chunk, size int) error {
 			return err
 		}
 		chunk.MvccData().SetBegin(off, placeholderBegin)
+		chunk.placeholders++
 	}
 	return nil
 }
@@ -336,7 +392,8 @@ func (t *Table) placeholderRow() []types.Value {
 }
 
 // FinalizeLastChunk makes the current mutable chunk immutable (e.g. after a
-// bulk load) so that encodings, indexes, and filters can be applied.
+// bulk load) so that encodings, indexes, and filters can be applied. It does
+// not seal: a loader decides the representation of what it loaded.
 func (t *Table) FinalizeLastChunk() {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -153,15 +153,16 @@ func TestDiffZoneExcludes(t *testing.T) {
 }
 
 // TestDiffZoneSurvivesOverwriteAndReencode: RestoreRowAt filling a placeholder
-// inside a sealed chunk widens the bounds to the new value and ends the run
-// before the row; swapping a segment for another representation of the same
-// values touches nothing; a chunk built outside a table carries no zone until
+// inside a full chunk widens the bounds to the new value and ends the run
+// before the row; the chunk seals with its last placeholder, not before;
+// swapping a segment for another representation of the same values touches
+// nothing; a chunk built outside a table carries no zone until
 // a data table takes it in, and then the one its rows imply.
 func TestDiffZoneSurvivesOverwriteAndReencode(t *testing.T) {
 	defs := []ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "s", Type: types.TypeString}}
 	table := NewTable("r", defs, 4, true)
 	row := func(i int64) []types.Value { return []types.Value{types.Int(i), types.Str(string(rune('a' + i)))} }
-	// Commit order 3, 5 (opens and so seals chunk 0 with placeholders at 0-2), 1.
+	// Commit order 3, 5 (opens chunk 1: chunk 0 is full, placeholders at 0-2), 1.
 	for _, r := range []struct {
 		at types.RowID
 		id int64
@@ -171,8 +172,8 @@ func TestDiffZoneSurvivesOverwriteAndReencode(t *testing.T) {
 		}
 	}
 	sealed := table.GetChunk(0)
-	if !sealed.IsImmutable() {
-		t.Fatal("chunk 0 is not sealed")
+	if sealed.IsImmutable() {
+		t.Fatal("chunk 0 sealed while it holds placeholders")
 	}
 	if z := zoneOfColumn(t, sealed, 0); z.Min.I != 0 || z.Max.I != 13 || z.Ascending != 4 {
 		t.Fatalf("zone before the overwrite = %+v, want 0..13 ascending over the placeholders", z)
@@ -191,6 +192,22 @@ func TestDiffZoneSurvivesOverwriteAndReencode(t *testing.T) {
 		t.Errorf("string zone after the overwrite = %+v, want max z", zs)
 	}
 
+	for _, off := range []types.ChunkOffset{0, 2} {
+		if sealed.IsImmutable() {
+			t.Fatalf("chunk 0 sealed before offset %d was filled", off)
+		}
+		if _, err := table.RestoreRowAt(types.RowID{Chunk: 0, Offset: off}, row(0)); err != nil {
+			t.Fatal(err)
+		}
+		sealed.MvccData().SetBegin(off, 1) // the replayed commit's stamp
+	}
+	if !sealed.IsImmutable() {
+		t.Fatal("chunk 0 did not seal with its last placeholder")
+	}
+	if _, err := table.RestoreRowAt(types.RowID{Chunk: 0, Offset: 2}, row(9)); err != nil || sealed.GetSegment(0).ValueAt(2).I != 0 {
+		t.Fatalf("a row that is there for real must be left alone: err=%v", err)
+	}
+	_, z = sealed.SegmentWithZone(0)
 	sealed.ReplaceSegment(0, ValueSegmentFromSlice([]int64{0, 25, 0, 13}, nil))
 	if after := zoneOfColumn(t, sealed, 0); !sameZone(after, z) {
 		t.Errorf("ReplaceSegment changed the zone: %+v, was %+v", after, z)

@@ -109,16 +109,14 @@ func schema() []table {
 	}
 }
 
-// Generate creates and populates the nine TPC-C tables.
+// Generate creates and populates the nine TPC-C tables. Like every bulk
+// loader it fills a table first and registers it afterwards, so the chunks it
+// loads stay unencoded; the catalog seals only what fills up from then on.
 func Generate(sm *storage.StorageManager, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tables := make(map[string]*storage.Table)
 	for _, t := range schema() {
-		tab := storage.NewTable(t.name, t.defs, cfg.ChunkSize, true)
-		if err := sm.AddTable(tab); err != nil {
-			return err
-		}
-		tables[t.name] = tab
+		tables[t.name] = storage.NewTable(t.name, t.defs, cfg.ChunkSize, true)
 	}
 	add := func(name string, vals ...types.Value) error {
 		_, err := tables[name].AppendRow(vals)
@@ -203,9 +201,13 @@ func Generate(sm *storage.StorageManager, cfg Config) error {
 			}
 		}
 	}
-	for _, t := range tables {
+	for _, def := range schema() {
+		t := tables[def.name]
 		t.FinalizeLastChunk()
 		concurrency.MarkTableLoaded(t)
+		if err := sm.AddTable(t); err != nil {
+			return err
+		}
 	}
 	return nil
 }

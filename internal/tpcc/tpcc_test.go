@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 func setup(t *testing.T) (*pipeline.Engine, Config) {
@@ -168,4 +170,50 @@ func TestConcurrentTerminals(t *testing.T) {
 	}
 	// Every committed new-order produced a new_order entry.
 	fmt.Println("concurrent stats:", results)
+}
+
+// TestGenerateIsABulkLoad: Generate fills its tables before it registers them,
+// so on an engine — whose catalog seals the chunks of registered tables as
+// they fill — the load itself encodes nothing, however many chunks it fills;
+// what the terminals append afterwards seals like any other insert.
+func TestGenerateIsABulkLoad(t *testing.T) {
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	t.Cleanup(e.Close)
+	cfg := SmallConfig()
+	cfg.ChunkSize = 64
+	if err := Generate(e.StorageManager(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for _, name := range e.StorageManager().TableNames() {
+		table, err := e.StorageManager().GetTable(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range table.Chunks() {
+			if !c.IsImmutable() {
+				t.Errorf("%s chunk %d is still mutable after the load", name, ci)
+			}
+			if c.Size() == cfg.ChunkSize {
+				full++
+			}
+			for col := 0; col < c.ColumnCount(); col++ {
+				if spec, _ := encoding.SpecOf(c.GetSegment(types.ColumnID(col))); spec.Encoding != encoding.Unencoded || len(c.Filters(types.ColumnID(col))) != 0 {
+					t.Fatalf("%s chunk %d column %d: %s with %d filters, want the loaded value segment", name, ci, col, spec, len(c.Filters(types.ColumnID(col))))
+				}
+			}
+		}
+	}
+	if n, _ := e.StorageManager().SealStats(); n != 0 || full < 10 {
+		t.Fatalf("%d chunks sealed during a load that filled %d, want 0 of at least 10", n, full)
+	}
+	term := NewTerminal(e, cfg, 1)
+	for i := 0; i < 40; i++ {
+		if err := term.NewOrder(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := e.StorageManager().SealStats(); n == 0 {
+		t.Error("40 New-Order transactions on 64-row chunks sealed nothing")
+	}
 }

@@ -463,3 +463,107 @@ func TestCrashRecoveryFindsOverwrittenSealedRow(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashSealedChunkReplay: a chunk seals once, wherever its rows come from.
+// On the primary the append that fills chunk 1 seals it while offset 0 still
+// belongs to an open transaction. A crash there recovers a log in which that
+// offset is a placeholder nothing will fill: the chunk seals when the replay
+// ends. A crash after the late commit — and the replica, which applies the same
+// frames — seals it with the overwrite that fills the placeholder, not before:
+// the row would be written into a frozen segment. Every side finds every row.
+func TestCrashSealedChunkReplay(t *testing.T) {
+	cfg := durableConfig(t)
+	db, err := OpenErr(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString}}
+	if err := db.LoadCSV("t", defs, strings.NewReader("1,a\n2,b\n"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := db.AttachReplica(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	waitBarrier(t, db, replica) // streaming: what follows reaches it as log frames
+
+	crashCopy := func() *Database {
+		t.Helper()
+		crash := cfg
+		crash.DataDir = t.TempDir()
+		if err := os.CopyFS(crash.DataDir, os.DirFS(cfg.DataDir)); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := OpenErr(crash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { recovered.Close() })
+		return recovered
+	}
+	check := func(name string, side *Database, ids ...string) {
+		t.Helper()
+		var got []string
+		for _, row := range mustRows(t, side, "SELECT id FROM t ORDER BY id") {
+			got = append(got, row[0])
+		}
+		if !reflect.DeepEqual(got, ids) {
+			t.Errorf("%s: ids %v, want %v", name, got, ids)
+		}
+		for _, id := range ids {
+			if got := mustRows(t, side, "SELECT id FROM t WHERE id = "+id); len(got) != 1 || got[0][0] != id {
+				t.Errorf("%s: point read of id %s = %v", name, id, got)
+			}
+		}
+		table, err := side.StorageManager().GetTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := table.GetChunk(1)
+		if n, _ := side.StorageManager().SealStats(); n != 1 || !chunk.IsImmutable() || chunk.SealNS() <= 0 {
+			t.Errorf("%s: %d chunks sealed, chunk 1 immutable=%v seal_ns=%d: want it sealed exactly once", name, n, chunk.IsImmutable(), chunk.SealNS())
+		}
+		if _, plain := chunk.GetSegment(1).(*storage.ValueSegment[string]); plain {
+			t.Errorf("%s: the constant tag column of the sealed chunk is still a value segment", name)
+		}
+	}
+
+	late, early := db.Session(), db.Session()
+	for _, step := range []struct {
+		s   *pipeline.Session
+		sql string
+	}{
+		{late, "BEGIN"}, {late, "INSERT INTO t VALUES (100, 'load')"}, // 1/0
+		{early, "BEGIN"},
+		{early, "INSERT INTO t VALUES (30, 'load')"}, {early, "INSERT INTO t VALUES (31, 'load')"},
+		{early, "INSERT INTO t VALUES (32, 'load')"}, // 1/3 fills and seals chunk 1 on the primary
+		{early, "COMMIT"},
+	} {
+		if _, err := step.s.ExecuteOne(step.sql); err != nil {
+			t.Fatalf("%s: %v", step.sql, err)
+		}
+	}
+	waitBarrier(t, db, replica)
+	check("primary, late transaction open", db, "1", "2", "30", "31", "32")
+	check("crash before the late commit", crashCopy(), "1", "2", "30", "31", "32")
+	rtable, err := replica.StorageManager().GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtable.GetChunk(1).IsImmutable() {
+		t.Error("replica sealed chunk 1 while offset 0 is a placeholder a later commit owns")
+	}
+
+	if _, err := late.ExecuteOne("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	waitBarrier(t, db, replica)
+	for name, side := range map[string]*Database{"primary": db, "replica": replica, "crash after the late commit": crashCopy()} {
+		check(name, side, "1", "2", "30", "31", "32", "100")
+	}
+}
