@@ -72,7 +72,7 @@ func (h *harness) fig3(specs []encoding.Spec, slowName string, slow fig3Sum, fas
 	}
 	fmt.Fprintf(h.out, "%-28s %14s %14s %9s\n", "encoding", slowName+" (ms)", fastName+" (ms)", "speedup")
 	for _, spec := range specs {
-		seg := must(encoding.EncodeSegment(storage.ValueSegmentFromSlice(vals, nil), spec))
+		seg, _ := encoding.Seal(storage.ValueSegmentFromSlice(vals, nil), false, &spec)
 		var sums [2]int64
 		item := func(i int, name string, sum fig3Sum) benchmark.Item {
 			return benchmark.Item{Name: name, Do: func() (int, error) {

@@ -133,6 +133,21 @@ func TestFacadeLoadCSV(t *testing.T) {
 	if Rows(res)[0][0] != "b" {
 		t.Errorf("csv row = %v", Rows(res))
 	}
+	// The load seals what it loaded, the short tail chunk included.
+	res, err = db.Query("SELECT chunk_id, column_name, encoding FROM meta_segments WHERE table_name = 'csvt' ORDER BY column_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Rows(res), [][]string{{"0", "id", "FrameOfReference"}, {"0", "tag", "Dictionary"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("meta_segments = %v, want %v", got, want)
+	}
+	// A load that fails leaves no table behind.
+	if err := db.LoadCSV("bad", defs, strings.NewReader("1,a\noops,b\n"), 100); err == nil {
+		t.Fatal("unparsable id loaded")
+	}
+	if err := db.LoadCSV("bad", defs, strings.NewReader("1,a\n"), 100); err != nil {
+		t.Errorf("the name of a failed load is still taken: %v", err)
+	}
 }
 
 func TestFacadePlugins(t *testing.T) {

@@ -587,7 +587,7 @@ func BenchmarkMicroVisibility(b *testing.B) {
 const sealRows = storage.DefaultChunkSize
 
 // BenchmarkMicroSeal measures what the append that fills a chunk pays per
-// column (pipeline.SealChunk: summarize, size model, encode, filter) on one
+// column (filter.Seal: summarize, size model, encode, filter) on one
 // 100 000-row segment of each shape the model treats differently:
 // ascending_int takes the zone's word that the column is sorted (no hashing,
 // no sort) and becomes frame-of-reference; constant_string is settled by the
@@ -626,7 +626,7 @@ func BenchmarkMicroSeal(b *testing.B) {
 				chunk.Finalize()
 				storage.NewTable("col", sh.table.ColumnDefinitions(), sealRows, false).AppendChunk(chunk)
 				b.StartTimer()
-				pipeline.SealChunk(chunk)
+				filter.Seal(chunk, nil)
 				if spec, _ := encoding.SpecOf(chunk.GetSegment(0)); spec.Encoding != sh.want {
 					b.Fatalf("sealed as %s, want %s", spec, sh.want)
 				}

@@ -90,11 +90,30 @@ func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	return l
 }
 
-// SizesOf computes the model for an unencoded segment with summary sum.
-func SizesOf[T types.Ordered](seg *storage.ValueSegment[T], sum Summary[T]) Sizes {
-	s := layoutSizes(seg, layoutOf(seg.Values(), seg.Nulls()))
-	s[Dictionary] = dictionaryBytes(sum, seg.Len())
+// SizesOf is the size model of a segment in whatever representation it is in.
+func SizesOf(seg storage.Segment) Sizes {
+	switch seg.DataType() {
+	case types.TypeInt64:
+		return sizesOf[int64](seg)
+	case types.TypeFloat64:
+		return sizesOf[float64](seg)
+	}
+	return sizesOf[string](seg)
+}
+
+func sizesOf[T types.Ordered](seg storage.Segment) Sizes {
+	plain := plainOf[T](seg)
+	s := layoutSizes(plain, layoutOf(plain.Values(), plain.Nulls()))
+	s[Dictionary] = dictionaryBytes(Summarize[T](seg), plain.Len())
 	return s
+}
+
+// plainOf is seg as a value segment: itself, or its rows decoded.
+func plainOf[T types.Ordered](seg storage.Segment) *storage.ValueSegment[T] {
+	if plain, ok := seg.(*storage.ValueSegment[T]); ok {
+		return plain
+	}
+	return storage.ValueSegmentFromSlice[T](Materialize[T](seg))
 }
 
 // layoutSizes fills in everything but Dictionary, which needs the distinct
@@ -133,43 +152,70 @@ func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
 	return bytes + int64(n)*codeWidth(maxCode)
 }
 
-// Seal returns the representation of a full chunk's column the size model
-// picks — seg itself when that is Unencoded — and the column's Summary, which
-// the caller builds the pruning filter from. The Summary is built once and is
-// the dictionary if Dictionary wins; it costs no hashing and no sort when the
-// column ascends over the whole chunk (its zone says so), and is read off the
-// runs when the run count alone settles the choice.
-func Seal[T types.Ordered](seg *storage.ValueSegment[T], ascending bool) (storage.Segment, Summary[T]) {
-	values, nulls := seg.Values(), seg.Nulls()
-	lay := layoutOf(values, nulls)
-	sizes := layoutSizes(seg, lay)
-	sizes[Dictionary] = int64(len(values)) // a lower bound: one byte of code per row
-	if sizes.Choose() == RunLength {
+// Seal gives a column of an immutable chunk the representation it keeps — the
+// size model's pick for a nil spec, else the spec's (FrameOfReference falls back
+// to Dictionary off int64; Unencoded keeps a value segment itself; encoded input
+// is decoded first) — and returns it with the column's Summary, a Summary[T] of
+// its data type, which the caller builds the pruning filter from. The Summary is
+// built once and is the dictionary if Dictionary wins; it costs no hashing and
+// no sort when the column ascends over the whole chunk (its zone says so), and
+// is read off the runs when the spec or the run count alone settles on RunLength.
+func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any) {
+	switch seg.DataType() {
+	case types.TypeInt64:
+		return seal[int64](seg, ascending, spec)
+	case types.TypeFloat64:
+		return seal[float64](seg, ascending, spec)
+	}
+	return seal[string](seg, ascending, spec)
+}
+
+func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, Summary[T]) {
+	plain := plainOf[T](seg)
+	values, nulls := plain.Values(), plain.Nulls()
+	want, sizes := Spec{Compression: FixedSizeByteAligned}, Sizes{}
+	if spec != nil {
+		want = *spec
+	} else {
+		sizes = layoutSizes(plain, layoutOf(values, nulls))
+		sizes[Dictionary] = int64(len(values)) // a lower bound: one byte of code per row
+		want.Encoding = sizes.Choose()
+	}
+	if want.Encoding == RunLength {
 		rl := EncodeRunLength(values, nulls)
 		return rl, rl.summary()
 	}
 	codes := make([]uint64, len(values))
 	var sum Summary[T]
 	if ascending {
-		sum = groupAscending(values, codes, lay.runs)
+		sum = groupAscending(values, codes)
 	} else {
 		sum = groupValues(values, nulls, codes)
 	}
-	sizes[Dictionary] = dictionaryBytes(sum, len(values))
-	switch sizes.Choose() {
-	case Dictionary:
-		return newDictionary(sum.Values, codes, FixedSizeByteAligned), sum
-	case RunLength:
-		return EncodeRunLength(values, nulls), sum
-	case FrameOfReference:
-		return EncodeFrameOfReference(any(values).([]int64), nulls, FixedSizeByteAligned), sum
+	if spec == nil {
+		sizes[Dictionary] = dictionaryBytes(sum, len(values))
+		want.Encoding = sizes.Choose()
 	}
-	return seg, sum
+	switch ints, isInt := any(values).([]int64); {
+	case want.Encoding == FrameOfReference && isInt:
+		return EncodeFrameOfReference(ints, nulls, want.Compression), sum
+	case want.Encoding == RunLength:
+		return EncodeRunLength(values, nulls), sum
+	case want.Encoding == Unencoded:
+		return plain, sum
+	}
+	return newDictionary(sum.Values, codes, want.Compression), sum
 }
 
 // groupAscending is groupValues for non-decreasing values without NULL or NaN:
 // the distinct values are the runs, in order.
-func groupAscending[T types.Ordered](values []T, codes []uint64, runs int) Summary[T] {
+func groupAscending[T types.Ordered](values []T, codes []uint64) Summary[T] {
+	runs := 0
+	for i, v := range values {
+		if i == 0 || v != values[i-1] {
+			runs++
+		}
+	}
 	sum := Summary[T]{Values: make([]T, 0, runs), Counts: make([]int, 0, runs)}
 	for i, v := range values {
 		if i == 0 || v != values[i-1] {

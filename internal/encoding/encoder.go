@@ -71,49 +71,6 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s (%s)", s.Encoding, s.Compression)
 }
 
-// EncodeSegment encodes the values of a segment with the given spec and
-// returns the new segment. Unencoded returns the input unchanged.
-// FrameOfReference on non-integer columns falls back to Dictionary.
-// Already-encoded segments are decoded and re-encoded, which is what lets
-// the encoding advisor migrate a segment toward the representation the
-// observed workload scans fastest.
-func EncodeSegment(seg storage.Segment, spec Spec) (storage.Segment, error) {
-	if spec.Encoding == Unencoded {
-		return seg, nil
-	}
-	switch s := seg.(type) {
-	case *storage.ValueSegment[int64]:
-		return encodeTyped(s.Values(), s.Nulls(), spec), nil
-	case *storage.ValueSegment[float64]:
-		return encodeTyped(s.Values(), s.Nulls(), spec), nil
-	case *storage.ValueSegment[string]:
-		return encodeTyped(s.Values(), s.Nulls(), spec), nil
-	case *DictionarySegment[int64]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *DictionarySegment[float64]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *DictionarySegment[string]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *RunLengthSegment[int64]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *RunLengthSegment[float64]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *RunLengthSegment[string]:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	case *FrameOfReferenceSegment:
-		vals, nulls := s.DecodeAll()
-		return encodeTyped(vals, nulls, spec), nil
-	default:
-		return nil, fmt.Errorf("encoding: cannot encode segment of type %T", seg)
-	}
-}
-
 // SpecOf reports the encoding spec a segment currently uses (Unencoded for
 // value segments; ok=false for reference and unknown segment types). The
 // advisor uses it to skip re-encoding segments already in the target shape.
@@ -143,51 +100,27 @@ func compressionOf(v UintVector) VectorCompressionType {
 	return FixedSizeByteAligned
 }
 
-func encodeTyped[T types.Ordered](values []T, nulls []bool, spec Spec) storage.Segment {
-	switch spec.Encoding {
-	case RunLength:
-		return EncodeRunLength(values, nulls)
-	case FrameOfReference:
-		if ints, ok := any(values).([]int64); ok {
-			return EncodeFrameOfReference(ints, nulls, spec.Compression)
-		}
-		return EncodeDictionary(values, nulls, spec.Compression)
-	default:
-		return EncodeDictionary(values, nulls, spec.Compression)
-	}
-}
-
-// EncodeChunk encodes every segment of an immutable chunk in place.
-// Per-column specs override the default spec; a nil map encodes everything
-// with the default (paper §2.2: "Some segments of a chunk might stay
-// unencoded, others dictionary-encoded, and further segments run
-// length-encoded").
+// EncodeChunk seals every segment of an immutable chunk in place (Seal) with
+// the default spec or, where perColumn names one, the column's own (paper §2.2:
+// "Some segments of a chunk might stay unencoded, others dictionary-encoded,
+// and further segments run length-encoded"). It attaches no filters:
+// filter.Seal does both.
 func EncodeChunk(c *storage.Chunk, def Spec, perColumn map[types.ColumnID]Spec) error {
 	if !c.IsImmutable() {
 		return fmt.Errorf("encoding: chunk must be immutable before encoding")
 	}
 	for col := 0; col < c.ColumnCount(); col++ {
 		id := types.ColumnID(col)
-		spec := def
-		if perColumn != nil {
-			if s, ok := perColumn[id]; ok {
-				spec = s
-			}
+		spec, ok := perColumn[id]
+		if !ok {
+			spec = def
 		}
-		if spec.Encoding == Unencoded {
-			continue
-		}
-		seg := c.GetSegment(id)
+		seg, zone := c.SegmentWithZone(id)
 		if _, ok := seg.(*storage.ReferenceSegment); ok {
 			return fmt.Errorf("encoding: cannot encode reference segment")
 		}
-		encoded, err := EncodeSegment(seg, spec)
-		if err != nil {
-			return err
-		}
-		if encoded != seg {
-			c.ReplaceSegment(id, encoded)
-		}
+		sealed, _ := Seal(seg, zone.Ascending >= seg.Len(), &spec)
+		c.ReplaceSegment(id, sealed)
 	}
 	return nil
 }

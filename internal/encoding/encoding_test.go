@@ -275,7 +275,7 @@ func TestFrameOfReferenceNegativeAndNulls(t *testing.T) {
 
 // --- encoder orchestration --------------------------------------------------
 
-func TestEncodeSegmentAllSpecs(t *testing.T) {
+func TestSealAllSpecs(t *testing.T) {
 	specs := []Spec{
 		{Dictionary, FixedSizeByteAligned},
 		{Dictionary, BitPacked128},
@@ -287,10 +287,7 @@ func TestEncodeSegmentAllSpecs(t *testing.T) {
 	nulls := []bool{false, false, true, false, false, false, false}
 	vs := storage.ValueSegmentFromSlice(vals, nulls)
 	for _, spec := range specs {
-		enc, err := EncodeSegment(vs, spec)
-		if err != nil {
-			t.Fatalf("%v: %v", spec, err)
-		}
+		enc, _ := Seal(vs, false, &spec)
 		for i := range vals {
 			got := enc.ValueAt(types.ChunkOffset(i))
 			if nulls[i] {
@@ -304,12 +301,9 @@ func TestEncodeSegmentAllSpecs(t *testing.T) {
 	}
 }
 
-func TestEncodeSegmentFORFallbackForStrings(t *testing.T) {
+func TestSealFORFallbackForStrings(t *testing.T) {
 	vs := storage.ValueSegmentFromSlice([]string{"x", "y"}, nil)
-	enc, err := EncodeSegment(vs, Spec{FrameOfReference, FixedSizeByteAligned})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc, _ := Seal(vs, false, &Spec{FrameOfReference, FixedSizeByteAligned})
 	if _, ok := enc.(*DictionarySegment[string]); !ok {
 		t.Errorf("FOR on strings should fall back to dictionary, got %T", enc)
 	}
@@ -408,10 +402,7 @@ func TestMaterializeAgreesAcrossEncodings(t *testing.T) {
 	}
 	vs := storage.ValueSegmentFromSlice(vals, nulls)
 	for _, spec := range allSpecsInt() {
-		seg, err := EncodeSegment(vs, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg, _ := Seal(vs, false, &spec)
 		full, fullNulls := Materialize[int64](seg)
 		for i := range vals {
 			if nulls[i] {
@@ -478,10 +469,7 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 				}
 			}
 			vs := storage.ValueSegmentFromSlice(vals, nulls)
-			seg, err := EncodeSegment(vs, spec)
-			if err != nil {
-				return false
-			}
+			seg, _ := Seal(vs, false, &spec)
 			if seg.Len() != len(vals) {
 				return false
 			}
@@ -508,10 +496,7 @@ func TestStringEncodingRoundTripProperty(t *testing.T) {
 		spec := spec
 		f := func(vals []string) bool {
 			vs := storage.ValueSegmentFromSlice(vals, nil)
-			seg, err := EncodeSegment(vs, spec)
-			if err != nil {
-				return false
-			}
+			seg, _ := Seal(vs, false, &spec)
 			got, _ := Materialize[string](seg)
 			for i := range vals {
 				if got[i] != vals[i] {

@@ -77,17 +77,14 @@ func seq[T any](n int, f func(int) T) []T {
 
 // layouts encodes one pool every way the engine can: unencoded and every
 // encoding × vector compression (frame-of-reference is dictionary for a
-// type it does not cover, as in EncodeSegment).
+// type it does not cover, as in Seal).
 func layouts[T types.Ordered](t *testing.T, p summaryPool[T]) map[string]storage.Segment {
 	t.Helper()
 	raw := storage.ValueSegmentFromSlice(p.values, p.nulls)
 	out := map[string]storage.Segment{"Unencoded": raw}
 	for _, enc := range []EncodingType{Dictionary, RunLength, FrameOfReference} {
 		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
-			seg, err := EncodeSegment(raw, Spec{Encoding: enc, Compression: comp})
-			if err != nil {
-				t.Fatal(err)
-			}
+			seg, _ := Seal(raw, false, &Spec{Encoding: enc, Compression: comp})
 			out[fmt.Sprintf("%s/%s", enc, comp)] = seg
 		}
 	}

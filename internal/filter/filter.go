@@ -19,38 +19,76 @@ import (
 	"hyrise/internal/types"
 )
 
+// Seal gives an immutable chunk the form it keeps (DESIGN.md §2 "Chunk
+// lifecycle"): each column takes the representation encoding.Seal builds for
+// spec and each numeric column its default filter, built from the Summary that
+// seal returns. A nil spec is the size model, which leaves the columns that are
+// already encoded alone. The catalog's Sealer is Seal(c, nil); loaders pass
+// their spec.
+func Seal(c *storage.Chunk, spec *encoding.Spec) {
+	for col := 0; col < c.ColumnCount(); col++ {
+		id := types.ColumnID(col)
+		seg, zone := c.SegmentWithZone(id)
+		if cur, _ := encoding.SpecOf(seg); spec == nil && cur.Encoding != encoding.Unencoded {
+			continue
+		}
+		sealed, sum := encoding.Seal(seg, zone.Ascending >= seg.Len(), spec)
+		c.ReplaceSegment(id, sealed)
+		switch sum := sum.(type) {
+		case encoding.Summary[int64]:
+			attachDefault(c, id, sum)
+		case encoding.Summary[float64]:
+			attachDefault(c, id, sum)
+		}
+	}
+}
+
 // AttachDefaultFilters attaches the default pruning filter — a range
 // histogram on numeric columns, which finds the gaps inside the bounds the
 // chunk's zone already knows — to every column of every immutable chunk that
-// lacks it. This is what the benchmark binaries run after bulk loading.
+// lacks it (AttachDefaults).
 func AttachDefaultFilters(t *storage.Table) error {
 	for _, c := range t.Chunks() {
-		if !c.IsImmutable() {
-			continue
-		}
-		for col := 0; col < c.ColumnCount(); col++ {
-			id := types.ColumnID(col)
-			switch seg := c.GetSegment(id); seg.DataType() {
-			case types.TypeInt64:
-				attachDefaults[int64](c, id, seg)
-			case types.TypeFloat64:
-				attachDefaults[float64](c, id, seg)
-			}
+		if c.IsImmutable() {
+			AttachDefaults(c)
 		}
 	}
 	return nil
 }
 
-func attachDefaults[T int64 | float64](c *storage.Chunk, col types.ColumnID, seg storage.Segment) {
-	if !hasRangeHistogram(c, col) {
-		AttachDefault(c, col, encoding.Summarize[T](seg))
+// AttachDefaults attaches the default filter to every numeric column of an
+// immutable chunk that lacks it, built from the Summary of the segment as it
+// is stored: it encodes nothing. Snapshot restore gives a chunk back the
+// filters it had (HasDefaults) this way.
+func AttachDefaults(c *storage.Chunk) {
+	for col := 0; col < c.ColumnCount(); col++ {
+		id := types.ColumnID(col)
+		if hasRangeHistogram(c, id) {
+			continue
+		}
+		switch seg := c.GetSegment(id); seg.DataType() {
+		case types.TypeInt64:
+			attachDefault(c, id, encoding.Summarize[int64](seg))
+		case types.TypeFloat64:
+			attachDefault(c, id, encoding.Summarize[float64](seg))
+		}
 	}
 }
 
-// AttachDefault attaches the default filter of a numeric column, built from
-// the summary the caller already has of it — sealing a chunk summarizes each
-// column once, for the encoding and for this.
-func AttachDefault[T int64 | float64](c *storage.Chunk, col types.ColumnID, sum encoding.Summary[T]) {
+// HasDefaults reports whether some column of the chunk carries its default
+// filter.
+func HasDefaults(c *storage.Chunk) bool {
+	for col := 0; col < c.ColumnCount(); col++ {
+		if hasRangeHistogram(c, types.ColumnID(col)) {
+			return true
+		}
+	}
+	return false
+}
+
+// attachDefault attaches the default filter of a numeric column, built from
+// a summary of it.
+func attachDefault[T int64 | float64](c *storage.Chunk, col types.ColumnID, sum encoding.Summary[T]) {
 	if !hasRangeHistogram(c, col) {
 		c.AddFilter(rangeHistOf(sum, col, DefaultRangeHistBins))
 	}

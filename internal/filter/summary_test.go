@@ -174,10 +174,7 @@ func (c diffColumn) layouts(t *testing.T) map[string]storage.Segment {
 	out := map[string]storage.Segment{"Unencoded": raw}
 	for _, enc := range []encoding.EncodingType{encoding.Dictionary, encoding.RunLength, encoding.FrameOfReference} {
 		for _, comp := range []encoding.VectorCompressionType{encoding.FixedSizeByteAligned, encoding.BitPacked128} {
-			seg, err := encoding.EncodeSegment(raw, encoding.Spec{Encoding: enc, Compression: comp})
-			if err != nil {
-				t.Fatal(err)
-			}
+			seg, _ := encoding.Seal(raw, false, &encoding.Spec{Encoding: enc, Compression: comp})
 			out[fmt.Sprintf("%s/%s", enc, comp)] = seg
 		}
 	}

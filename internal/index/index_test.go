@@ -78,10 +78,7 @@ func segmentFor(t Type, seg storage.Segment) storage.Segment {
 	if t != GroupKey {
 		return seg
 	}
-	enc, err := encoding.EncodeSegment(seg, encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned})
-	if err != nil {
-		panic(err)
-	}
+	enc, _ := encoding.Seal(seg, false, &encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned})
 	return enc
 }
 

@@ -582,7 +582,6 @@ func (op *Aggregate) buildOutput(m mergedGroups) (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 

@@ -244,10 +244,7 @@ func FuzzSortedScan(f *testing.F) {
 		}
 		written, _ := tail.Zone(0)
 		for _, spec := range specs {
-			enc, err := encoding.EncodeSegment(tail.GetSegment(0), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			enc, _ := encoding.Seal(tail.GetSegment(0), false, &spec)
 			// Installed whole, as a snapshot restore does: the zone is rebuilt
 			// from the encoded segment and must be the one the appends wrote.
 			installed := storage.NewChunk([]storage.Segment{enc}, nil)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/filter"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -16,7 +17,8 @@ import (
 // Snapshot file layout: 8-byte magic, a body of primitive encodings, and a
 // trailing little-endian CRC32 over the body. Segments are serialized in
 // whatever physical form they currently have (value, dictionary, run-length,
-// frame-of-reference), so an encoded immutable chunk restores encoded.
+// frame-of-reference), so an encoded immutable chunk restores encoded, and
+// with the default filters it had.
 //
 // Every chunk body is prefixed with its byte length, which lets recovery
 // decode chunks in parallel: the chunk boundaries can be sliced out without
@@ -116,14 +118,26 @@ func encodeTable(w *writer, t *storage.Table) error {
 	return nil
 }
 
-// encodeChunk serializes one chunk body (immutability flag, row count,
-// segments, MVCC bitmaps) — the unit a snapshot length-prefixes.
+// The state byte a chunk body starts with. Restore re-attaches the default
+// filters of a chunk that had them (filter.AttachDefaults) from its segments as
+// persisted: it never re-encodes.
+const (
+	chunkMutable byte = iota
+	chunkImmutable
+	chunkFiltered // immutable, with its default filters
+)
+
+// encodeChunk serializes one chunk body (state byte, row count, segments, MVCC
+// bitmaps) — the unit a snapshot length-prefixes.
 func encodeChunk(w *writer, c *storage.Chunk) error {
 	segs, rows := c.SnapshotSegments()
-	if c.IsImmutable() {
-		w.byte(1)
-	} else {
-		w.byte(0)
+	switch {
+	case !c.IsImmutable():
+		w.byte(chunkMutable)
+	case filter.HasDefaults(c):
+		w.byte(chunkFiltered)
+	default:
+		w.byte(chunkImmutable)
 	}
 	w.uvarint(uint64(rows))
 	for _, seg := range segs {
@@ -300,10 +314,14 @@ func decodeTable(r *reader, workers int) (*storage.Table, error) {
 // decodeChunk decodes one chunk body (the unit encodeChunk writes) from r;
 // decodeTable calls it concurrently over disjoint body slices.
 func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*storage.Chunk, error) {
-	immutable := r.byte_() == 1
+	state := r.byte_()
+	immutable := state != chunkMutable
 	rows := int(r.uvarint())
 	if r.err != nil {
 		return nil, r.err
+	}
+	if state > chunkFiltered {
+		return nil, fmt.Errorf("unknown chunk state %d", state)
 	}
 	segs := make([]storage.Segment, len(defs))
 	for i := range defs {
@@ -356,6 +374,9 @@ func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*st
 	chunk := storage.NewChunk(segs, mvcc)
 	if immutable {
 		chunk.Finalize()
+	}
+	if state == chunkFiltered {
+		filter.AttachDefaults(chunk)
 	}
 	return chunk, nil
 }

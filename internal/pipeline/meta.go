@@ -67,7 +67,6 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -111,7 +110,6 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -172,7 +170,6 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 			}
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -205,7 +202,6 @@ func (e *Engine) buildMetaActiveQueries() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -240,7 +236,6 @@ func (e *Engine) buildMetaStatementStats() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -262,6 +257,5 @@ func (e *Engine) buildMetaMetrics() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }

@@ -18,6 +18,7 @@ import (
 	"hyrise/internal/cache"
 	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
+	"hyrise/internal/filter"
 	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
 	"hyrise/internal/operators"
@@ -199,7 +200,7 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 	}
 	e.initObservability()
 	// Before recovery: replayed chunks seal like appended ones.
-	sm.SetSealer(SealChunk)
+	sm.SetSealer(func(c *storage.Chunk) { filter.Seal(c, nil) })
 	if cfg.DataDir != "" {
 		mode, err := persistence.ParseSyncMode(cfg.SyncMode)
 		if err != nil {
@@ -627,7 +628,6 @@ func (s *Session) execCancelQuery(arg expression.Expression, params []types.Valu
 	if _, err := out.AppendRow([]types.Value{types.Int(hit)}); err != nil {
 		return nil, err
 	}
-	out.FinalizeLastChunk()
 	return &Result{Table: out, Columns: []string{"cancel_query"}, Tag: "SELECT"}, nil
 }
 

@@ -538,6 +538,5 @@ func (e *Engine) buildMetaExecutorPool() (*storage.Table, error) {
 			}
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }

@@ -101,7 +101,6 @@ func (e *Engine) buildMetaReplication() (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	out.FinalizeLastChunk()
 	return out, nil
 }
 
@@ -144,6 +143,5 @@ func (s *Session) execPromoteReplica() (*Result, error) {
 	if _, err := out.AppendRow([]types.Value{types.Int(hit)}); err != nil {
 		return nil, err
 	}
-	out.FinalizeLastChunk()
 	return &Result{Table: out, Columns: []string{"promote_replica"}, Tag: "SELECT"}, nil
 }

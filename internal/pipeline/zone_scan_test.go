@@ -65,6 +65,11 @@ func TestDiffPointReadersOnGrowingTail(t *testing.T) {
 			report("prepare insert: %v", err)
 			return
 		}
+		sel, err := s.PrepareStatement("SELECT id FROM kv WHERE id = $1")
+		if err != nil {
+			report("prepare select: %v", err)
+			return
+		}
 		for p, id := range order {
 			if _, err := s.ExecutePreparedStatement(context.Background(), ins, []types.Value{types.Int(id), types.Int(3*id + 1)}); err != nil {
 				report("insert %d: %v", id, err)
@@ -72,6 +77,11 @@ func TestDiffPointReadersOnGrowingTail(t *testing.T) {
 			}
 			if id <= int64(p) { // not the first of a swapped pair
 				committed.Store(int64(p) + 1)
+			}
+			if id < int64(p) { // the tail descends now: one lookup however the readers are scheduled
+				if _, err := s.ExecutePreparedStatement(context.Background(), sel, []types.Value{types.Int(id)}); err != nil {
+					report("select %d: %v", id, err)
+				}
 			}
 		}
 	}()

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/filter"
 	"hyrise/internal/index"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
@@ -207,9 +208,9 @@ func (p *EncodingAdvisorPlugin) Applied() map[string]string {
 }
 
 // Advise seals every immutable chunk that loaders left (partly) unencoded —
-// the same pipeline.SealChunk, hence the same size model, the engine runs on a
-// chunk the moment an append fills it — and records per column what the
-// table's first sealed chunk ended up as.
+// the same filter.Seal, hence the same size model, the engine runs on a chunk
+// the moment an append fills it — and records per column what the table's
+// first sealed chunk ended up as.
 func (p *EncodingAdvisorPlugin) Advise() error {
 	p.mu.Lock()
 	engine := p.engine
@@ -226,7 +227,7 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 		var first *storage.Chunk
 		for _, c := range t.Chunks() {
 			if c.IsImmutable() {
-				pipeline.SealChunk(c)
+				filter.Seal(c, nil)
 				if first == nil {
 					first = c
 				}
@@ -303,13 +304,10 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 			if !ok {
 				continue // reference/unknown segment
 			}
-			if want = chooseFromWorkload(snap, sizesOf(seg)); cur.String() == want.String() {
+			if want = chooseFromWorkload(snap, encoding.SizesOf(seg)); cur.String() == want.String() {
 				continue // already there
 			}
-			enc, err := encoding.EncodeSegment(seg, want)
-			if err != nil {
-				continue // e.g. frame-of-reference over a string column
-			}
+			enc, _ := encoding.Seal(seg, false, &want)
 			c.ReplaceSegment(col, enc)
 			changed = true
 		}
@@ -346,21 +344,4 @@ func chooseFromWorkload(snap observe.ColumnScanSnapshot, sizes encoding.Sizes) e
 		// binary search over the sorted dictionary.
 		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
 	}
-}
-
-// sizesOf is the size model of a segment in whatever representation it is in.
-func sizesOf(seg storage.Segment) encoding.Sizes {
-	switch seg.DataType() {
-	case types.TypeInt64:
-		return sizesOfTyped[int64](seg)
-	case types.TypeFloat64:
-		return sizesOfTyped[float64](seg)
-	default:
-		return sizesOfTyped[string](seg)
-	}
-}
-
-func sizesOfTyped[T types.Ordered](seg storage.Segment) encoding.Sizes {
-	values, nulls := encoding.Materialize[T](seg)
-	return encoding.SizesOf(storage.ValueSegmentFromSlice(values, nulls), encoding.Summarize[T](seg))
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"hyrise/internal/concurrency"
+	"hyrise/internal/encoding"
+	"hyrise/internal/filter"
 	"hyrise/internal/persistence"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -22,6 +24,13 @@ func testDefs() []storage.ColumnDefinition {
 	}
 }
 
+// newCatalog is a catalog whose chunks seal like an engine's.
+func newCatalog() *storage.StorageManager {
+	sm := storage.NewStorageManager()
+	sm.SetSealer(func(c *storage.Chunk) { filter.Seal(c, nil) })
+	return sm
+}
+
 // primaryStack is a minimal durable "engine": catalog + transactions + WAL.
 type primaryStack struct {
 	sm *storage.StorageManager
@@ -32,7 +41,7 @@ type primaryStack struct {
 
 func newPrimaryStack(t *testing.T) *primaryStack {
 	t.Helper()
-	sm := storage.NewStorageManager()
+	sm := newCatalog()
 	tm := concurrency.NewTransactionManager()
 	pm, err := persistence.Open(sm, tm, persistence.Options{Dir: t.TempDir(), Mode: persistence.SyncCommit})
 	if err != nil {
@@ -110,20 +119,37 @@ func mvccBytes(table *storage.Table) (n int64) {
 }
 
 // sameSeals reports that the follower has sealed exactly the chunks the
-// primary has. These tests commit one transaction at a time, so at the commit
-// barrier no chunk of the follower waits on a placeholder: a full chunk is
-// sealed on both sides, by the write that filled it, and the tail on neither.
+// primary has, into the same encodings and with the same filters. These tests
+// commit one transaction at a time, so at the commit barrier no chunk of the
+// follower waits on a placeholder: a full chunk is sealed on both sides — by
+// the write that filled it, or restored from the image as its seal left it —
+// and the tail on neither.
 func sameSeals(follower, primary *storage.Table) bool {
 	fc, pc := follower.Chunks(), primary.Chunks()
 	if len(fc) != len(pc) {
 		return false
 	}
 	for i := range fc {
-		if fc[i].IsImmutable() != pc[i].IsImmutable() {
+		if sealOf(fc[i]) != sealOf(pc[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sealOf describes what sealing made of a chunk: immutable or not, and per
+// column the encoding and the filters.
+func sealOf(c *storage.Chunk) string {
+	s := fmt.Sprint(c.IsImmutable())
+	for col := 0; col < c.ColumnCount(); col++ {
+		id := types.ColumnID(col)
+		spec, _ := encoding.SpecOf(c.GetSegment(id))
+		s += " | " + spec.String()
+		for _, f := range c.Filters(id) {
+			s += fmt.Sprintf(" %T", f)
+		}
+	}
+	return s
 }
 
 func sameRows(a, b [][]types.Value) bool {
@@ -142,7 +168,7 @@ func sameRows(a, b [][]types.Value) bool {
 
 // newFollower creates a blank follower engine attached through dial.
 func newFollower(dial func() (io.ReadWriteCloser, error)) (*Follower, *storage.StorageManager, *concurrency.TransactionManager) {
-	sm := storage.NewStorageManager()
+	sm := newCatalog()
 	tm := concurrency.NewTransactionManager()
 	f := NewFollower(sm, tm, nil, dial)
 	return f, sm, tm

@@ -235,10 +235,19 @@ func (sm *StorageManager) DropView(name string) error {
 
 // LoadCSV bulk-loads delimiter-separated values into a new table with the
 // given schema and registers it. Empty fields in nullable columns load as
-// NULL. This backs the benchmark runner's "provide your own .csv" feature
-// (paper §2.10).
-func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Reader, delim rune, chunkSize int, useMvcc bool) (*Table, error) {
+// NULL. The table is registered first, so its chunks seal as they fill, and
+// the tail seals when the input ends; a load that fails is dropped again. This
+// backs the benchmark runner's "provide your own .csv" feature (paper §2.10).
+func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Reader, delim rune, chunkSize int, useMvcc bool) (_ *Table, err error) {
 	table := NewTable(name, defs, chunkSize, useMvcc)
+	if err := sm.AddTable(table); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			_ = sm.DropTable(name) // registered above; the load's error is the one to report
+		}
+	}()
 	cr := csv.NewReader(r)
 	cr.Comma = delim
 	cr.ReuseRecord = true
@@ -269,9 +278,10 @@ func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Rea
 			return nil, err
 		}
 	}
-	table.FinalizeLastChunk()
-	if err := sm.AddTable(table); err != nil {
-		return nil, err
+	for _, c := range table.Chunks() { // full chunks sealed as they filled: this is the tail
+		if !c.IsImmutable() {
+			table.seal(c)
+		}
 	}
 	return table, nil
 }

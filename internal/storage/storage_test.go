@@ -349,6 +349,8 @@ func TestStorageManagerViews(t *testing.T) {
 
 func TestLoadCSV(t *testing.T) {
 	sm := NewStorageManager()
+	var sealed []*Chunk
+	sm.SetSealer(func(c *Chunk) { sealed = append(sealed, c) })
 	data := "1,2.5,alpha\n2,,beta\n3,7.25,gamma\n"
 	table, err := sm.LoadCSV("csvtab", testDefs(), strings.NewReader(data), ',', 2, false)
 	if err != nil {
@@ -366,12 +368,18 @@ func TestLoadCSV(t *testing.T) {
 	if !table.GetChunk(1).IsImmutable() {
 		t.Error("LoadCSV should finalize the last chunk")
 	}
+	if len(sealed) != 2 || sealed[0] != table.GetChunk(0) || sealed[1] != table.GetChunk(1) {
+		t.Errorf("LoadCSV sealed %d chunks, want both, the tail included", len(sealed))
+	}
 	// Bad rows fail.
 	if _, err := sm.LoadCSV("bad", testDefs(), strings.NewReader("x,y\n"), ',', 2, false); err == nil {
 		t.Error("short row should fail")
 	}
 	if _, err := sm.LoadCSV("bad2", testDefs(), strings.NewReader("oops,1.0,z\n"), ',', 2, false); err == nil {
 		t.Error("unparsable int should fail")
+	}
+	if sm.HasTable("bad") || sm.HasTable("bad2") {
+		t.Error("a failed load stays registered")
 	}
 }
 

@@ -12,24 +12,18 @@ func DefaultEncoding() encoding.Spec {
 	return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
 }
 
-// EncodeAndFilter applies the encoding spec to every TPC-H table and
-// attaches the default pruning filters to every immutable chunk — the
-// post-load step of the benchmark binaries.
+// EncodeAndFilter seals every chunk of every TPC-H table with the encoding
+// spec (filter.Seal: the spec's encoding and the default pruning filters, from
+// one summary per segment) — the post-load step of the benchmark binaries.
 func EncodeAndFilter(sm *storage.StorageManager, spec encoding.Spec) error {
 	for _, name := range TableNames() {
 		t, err := sm.GetTable(name)
 		if err != nil {
 			return err
 		}
-		if spec.Encoding != encoding.Unencoded {
-			if err := encoding.EncodeTable(t, spec, nil); err != nil {
-				return err
-			}
-		} else {
-			t.FinalizeLastChunk()
-		}
-		if err := filter.AttachDefaultFilters(t); err != nil {
-			return err
+		t.FinalizeLastChunk()
+		for _, c := range t.Chunks() {
+			filter.Seal(c, &spec)
 		}
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"hyrise/internal/filter"
+	"hyrise/internal/encoding"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/replication"
 	"hyrise/internal/storage"
@@ -312,13 +312,6 @@ func TestCrashRecoveryPrunedDML(t *testing.T) {
 	if err := db.LoadCSV("t", defs, strings.NewReader(csv.String()), 4); err != nil {
 		t.Fatal(err)
 	}
-	table, err := db.StorageManager().GetTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := filter.AttachDefaultFilters(table); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -524,9 +517,15 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The load sealed chunk 0 on the primary; the other sides restore it
+		// from the snapshot as it was, without sealing it again.
+		loaded := int64(0)
+		if side == db {
+			loaded = 1
+		}
 		chunk := table.GetChunk(1)
-		if n, _ := side.StorageManager().SealStats(); n != 1 || !chunk.IsImmutable() || chunk.SealNS() <= 0 {
-			t.Errorf("%s: %d chunks sealed, chunk 1 immutable=%v seal_ns=%d: want it sealed exactly once", name, n, chunk.IsImmutable(), chunk.SealNS())
+		if n, _ := side.StorageManager().SealStats(); n != loaded+1 || !chunk.IsImmutable() || chunk.SealNS() <= 0 {
+			t.Errorf("%s: %d chunks sealed, chunk 1 immutable=%v seal_ns=%d: want it sealed exactly once", name, n-loaded, chunk.IsImmutable(), chunk.SealNS())
 		}
 		if _, plain := chunk.GetSegment(1).(*storage.ValueSegment[string]); plain {
 			t.Errorf("%s: the constant tag column of the sealed chunk is still a value segment", name)
@@ -566,4 +565,86 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 	for name, side := range map[string]*Database{"primary": db, "replica": replica, "crash after the late commit": crashCopy()} {
 		check(name, side, "1", "2", "30", "31", "32", "100")
 	}
+}
+
+// TestCrashRestoreKeepsSeals: a chunk restored from a snapshot is the chunk its
+// seal left — a recovered copy and a replica bootstrapped from the snapshot
+// hold, chunk for chunk, the encodings and the filters the primary holds, for
+// the chunks a CSV load sealed, the chunks INSERTs sealed before the
+// checkpoint, and the chunk the log seals after it.
+func TestCrashRestoreKeepsSeals(t *testing.T) {
+	cfg := durableConfig(t)
+	db, err := OpenErr(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString}, {Name: "val", Type: types.TypeFloat64}}
+	if err := db.LoadCSV("t", defs, strings.NewReader("0,load,0.5\n1,load,7.5\n2,load,3.5\n3,load,9.5\n4,load,1.5\n5,load,2.5\n"), 4); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, to int) {
+		t.Helper()
+		for id := from; id < to; id++ {
+			if _, err := db.Execute(fmt.Sprintf("INSERT INTO t VALUES (%d, 'load', %d.25)", id, id*7%11)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(6, 16) // chunk 1 was sealed by the load: chunks 2 and 3 fill, chunk 4 holds two rows
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := db.AttachReplica(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	waitBarrier(t, db, replica)
+	insert(16, 18) // chunk 4 fills after the checkpoint: sealed by the log on the other sides
+	waitBarrier(t, db, replica)
+	crash := cfg
+	crash.DataDir = t.TempDir()
+	if err := os.CopyFS(crash.DataDir, os.DirFS(cfg.DataDir)); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenErr(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+
+	want := seals(t, db)
+	if len(want) != 5 || !strings.Contains(want[1], "RangeHistogram") || !strings.Contains(want[3], "RangeHistogram") {
+		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with filters", want)
+	}
+	for name, side := range map[string]*Database{"recovered": recovered, "replica": replica} {
+		if got := seals(t, side); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s chunks:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// seals describes each chunk of table t as its seal left it: immutable or
+// not, and per column the encoding and the filters.
+func seals(t *testing.T, side *Database) []string {
+	t.Helper()
+	table, err := side.StorageManager().GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, c := range table.Chunks() {
+		s := fmt.Sprint(c.IsImmutable())
+		for col := range table.ColumnDefinitions() {
+			id := types.ColumnID(col)
+			spec, _ := encoding.SpecOf(c.GetSegment(id))
+			s += " | " + spec.String()
+			for _, f := range c.Filters(id) {
+				s += fmt.Sprintf(" %T", f)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
 }
