@@ -60,6 +60,7 @@ type layout struct {
 func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	var l layout
 	ints, _ := any(values).([]int64)
+	strs, _ := any(values).([]string)
 	var lo, hi int64 // bounds of the non-NULL values of the current block
 	inBlock, prevNull := false, false
 	for i, v := range values {
@@ -67,8 +68,8 @@ func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 		l.anyNull = l.anyNull || null
 		if i == 0 || v != values[i-1] || null != prevNull {
 			l.runs++
-			if s, ok := any(v).(string); ok {
-				l.runBytes += int64(len(s))
+			if strs != nil {
+				l.runBytes += int64(len(strs[i]))
 			}
 		}
 		prevNull = null
@@ -138,18 +139,17 @@ func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes 
 }
 
 func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
-	var zero T
-	bytes := int64(len(sum.Values)) * int64(unsafe.Sizeof(zero))
-	for _, v := range sum.Values {
-		if s, ok := any(v).(string); ok {
-			bytes += int64(len(s))
+	var strBytes int64
+	if strs, ok := any(sum.Values).([]string); ok {
+		for _, v := range strs {
+			strBytes += int64(len(v))
 		}
 	}
 	maxCode := uint64(len(sum.Values)) // the NULL id
 	if sum.Nulls == 0 && maxCode > 0 {
 		maxCode--
 	}
-	return bytes + int64(n)*codeWidth(maxCode)
+	return valuesBytes[T](len(sum.Values), strBytes) + int64(n)*codeWidth(maxCode)
 }
 
 // Seal gives a column of an immutable chunk the representation it keeps — the

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -113,8 +114,11 @@ func TestDictionarySegmentBasics(t *testing.T) {
 		t.Fatalf("UniqueValueCount = %d", s.UniqueValueCount())
 	}
 	// Order-preserving dictionary.
-	if !reflect.DeepEqual(s.Dictionary(), []string{"apple", "banana", "cherry"}) {
-		t.Fatalf("Dictionary = %v", s.Dictionary())
+	if sum := Summarize[string](s); !reflect.DeepEqual(sum.Values, []string{"apple", "banana", "cherry"}) {
+		t.Fatalf("dictionary = %v", sum.Values)
+	}
+	if decoded, nulls := s.DecodeAll(); !reflect.DeepEqual(decoded, vals) || nulls != nil {
+		t.Fatalf("DecodeAll = %v, %v", decoded, nulls)
 	}
 	for i, want := range vals {
 		if got, null := s.Get(types.ChunkOffset(i)); null || got != want {
@@ -127,8 +131,8 @@ func TestDictionarySegmentBasics(t *testing.T) {
 	if s.LowerBound("aaa") != 0 || s.LowerBound("zzz") != 3 {
 		t.Error("bounds at extremes wrong")
 	}
-	if s.dict[2] != "cherry" || int(s.nullID) != len(s.dict) {
-		t.Errorf("dictionary %v with null id %d", s.dict, s.nullID)
+	if s.strs.blob != "applebananacherry" || !reflect.DeepEqual(s.strs.ends, []uint32{5, 11, 17}) || s.dict != nil || s.nullID != 3 {
+		t.Errorf("packed dictionary %+v, numeric %v, null id %d", s.strs, s.dict, s.nullID)
 	}
 }
 
@@ -148,6 +152,45 @@ func TestDictionarySegmentNulls(t *testing.T) {
 	decoded, decNulls := s.DecodeAll()
 	if decoded[0] != 5 || decoded[2] != 7 || decNulls == nil || !decNulls[1] {
 		t.Errorf("DecodeAll = %v, %v", decoded, decNulls)
+	}
+}
+
+// TestStringDictionaryReadsAllocateNothing: a value of a string dictionary is
+// a substring of its blob, so no read path allocates per value — not the
+// single reads, not the bound searches, not a gather into the caller's slices.
+func TestStringDictionaryReadsAllocateNothing(t *testing.T) {
+	const n = 1000
+	values := generate(n, func(i int) string { return fmt.Sprintf("value-%03d", i*7%300) })
+	pos := make([]types.ChunkOffset, n)
+	for i := range pos {
+		pos[i] = types.ChunkOffset(n - 1 - i)
+	}
+	out, nulls := make([]string, n), make([]bool, n)
+	var sink types.Value
+	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+		seg := EncodeDictionary(values, nullsEvery(n, 9), comp)
+		for name, read := range map[string]func(){
+			"Get": func() {
+				for _, p := range pos {
+					sink.S, _ = seg.Get(p)
+				}
+			},
+			"ValueAt": func() {
+				for _, p := range pos {
+					sink = seg.ValueAt(p)
+				}
+			},
+			"LowerBound/UpperBound": func() {
+				for _, v := range values {
+					sink.I = int64(seg.LowerBound(v) + seg.UpperBound(v))
+				}
+			},
+			"Gather": func() { seg.Gather(pos, nil, out, nulls) },
+		} {
+			if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+				t.Errorf("%s, %s: %v allocations per %d values", name, comp, allocs, n)
+			}
+		}
 	}
 }
 

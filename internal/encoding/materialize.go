@@ -36,13 +36,13 @@ func slotOf(slots []int32, i int) int {
 func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	switch av := s.av.(type) {
 	case *FixedWidthVector[uint8]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
+		gatherDict(s, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint16]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
+		gatherDict(s, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint32]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
+		gatherDict(s, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint64]:
-		gatherDict(s.dict, av.data, uint64(s.nullID), pos, slots, out, nulls)
+		gatherDict(s, av.data, pos, slots, out, nulls)
 	case *BP128Vector:
 		for i, p := range pos {
 			i = slotOf(slots, i)
@@ -51,7 +51,7 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 				nulls[i] = true
 				continue
 			}
-			out[i] = s.dict[id]
+			out[i] = s.value(id)
 		}
 	default:
 		for i, p := range pos {
@@ -61,15 +61,48 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 	}
 }
 
-func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](dict []T, data []W, nullID uint64, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
-	for i, p := range pos {
-		i = slotOf(slots, i)
-		id := uint64(data[p])
-		if id == nullID {
-			nulls[i] = true
-			continue
+// gatherDict is Gather over byte-aligned codes, the loop chosen once by the
+// dictionary's layout. Strings into the rows from 0 on (a scan's output, a
+// join's probe side) are bounds-checked once, not per row: that pays for the
+// substring, which costs more than copying a header did.
+func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *DictionarySegment[T], data []W, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
+	nullID := uint64(s.nullID)
+	strs, isString := any(out).([]string)
+	switch {
+	case isString && slots == nil:
+		strs, nulls := strs[:len(pos)], nulls[:len(pos)]
+		blob, ends := s.strs.blob, s.strs.ends
+		for i, p := range pos {
+			id := uint64(data[p])
+			if id == nullID {
+				nulls[i] = true
+				continue
+			}
+			end, start := ends[id], uint32(0)
+			if id > 0 {
+				start = ends[id-1]
+			}
+			strs[i] = blob[start:end]
 		}
-		out[i] = dict[id]
+	case isString:
+		for i, p := range pos {
+			i = int(slots[i])
+			if id := uint64(data[p]); id == nullID {
+				nulls[i] = true
+			} else {
+				strs[i] = s.strs.at(id)
+			}
+		}
+	default:
+		dict := s.dict
+		for i, p := range pos {
+			i = slotOf(slots, i)
+			if id := uint64(data[p]); id == nullID {
+				nulls[i] = true
+			} else {
+				out[i] = dict[id]
+			}
+		}
 	}
 }
 

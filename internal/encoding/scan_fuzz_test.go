@@ -1,6 +1,9 @@
 package encoding
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hyrise/internal/types"
@@ -87,6 +90,83 @@ func FuzzEncodedScan(f *testing.F) {
 			}
 			if !equalOffsets(got, want) {
 				t.Fatalf("ScanValues: op=%v: got %v, want %v", op, clip(got), clip(want))
+			}
+		}
+	})
+}
+
+// FuzzEncodedScanStrings fuzzes the packed string dictionary against a plain
+// []string read row at a time: every ScanOp, Gather, DecodeAll, Zone and the
+// snapshot round trip. data is the column: values separated by 0xFF, a value
+// that starts with 0xFE is NULL — everything else, "", NUL bytes and invalid
+// UTF-8 included, is a value.
+func FuzzEncodedScanStrings(f *testing.F) {
+	column := func(values ...string) []byte { return []byte(strings.Join(values, "\xff")) }
+	var dates, flags, comments []string
+	for i := range 40 { // small: the fuzzer minimizes what it finds byte by byte
+		dates = append(dates, fmt.Sprintf("199%d-%02d-%02d", 2+i/15, 1+i/3%12, 1+i*11%28))
+		flags = append(flags, []string{"A", "N", "R", "\xfe"}[i*7%4])
+		comments = append(comments, fmt.Sprintf("final deposits %d haggle", i*7919%100))
+	}
+	f.Add(column(dates...), "1994-01-01", "1993-06-01", "1995-01-01")
+	f.Add(column(flags...), "N", "A", "R")
+	f.Add(column(comments...), "final deposits 5", "b", "final z")
+	f.Add(column("", "a\x00b", "\x00", "", "\xc3\x28", "\xfe", "a", "a\x00"), "a\x00", "", "\xc3")
+	f.Add(column(), "", "", "")
+
+	f.Fuzz(func(t *testing.T, data []byte, probe, lo, hi string) {
+		if len(data) > 1<<12 {
+			data = data[:1<<12]
+		}
+		values := strings.Split(string(data), "\xff")
+		n := len(values)
+		nulls, anyNull := make([]bool, n), false
+		for i, v := range values {
+			nulls[i] = strings.HasPrefix(v, "\xfe")
+			anyNull = anyNull || nulls[i]
+		}
+		if !anyNull {
+			nulls = nil
+		}
+		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			seg := EncodeDictionary(values, nulls, comp)
+			for op := ScanEq; op <= ScanIsNotNull; op++ {
+				pred := ScanPredicate{Op: op, Value: types.Str(probe)}
+				if op == ScanBetween {
+					pred = ScanPredicate{Op: op, Lo: types.Str(lo), Hi: types.Str(hi)}
+				}
+				got, _, ok := seg.ScanEncoded(pred, nil)
+				if want := refScan(op, probe, lo, hi, values, nulls); !ok || !equalOffsets(got, want) {
+					t.Fatalf("%s: %v: got %v (ok %v), want %v", comp, op, clip(got), ok, clip(want))
+				}
+			}
+			pos := make([]types.ChunkOffset, n)
+			for i := range pos {
+				pos[i] = types.ChunkOffset(n - 1 - i)
+			}
+			gathered, gatheredNulls := make([]string, n), make([]bool, n)
+			seg.Gather(pos, nil, gathered, gatheredNulls)
+			decoded, decodedNulls := seg.DecodeAll()
+			for i, v := range values {
+				null := nulls != nil && nulls[i]
+				if g, gNull := gathered[n-1-i], gatheredNulls[n-1-i]; gNull != null || (!null && g != v) {
+					t.Fatalf("%s: Gather row %d = %q (null %v), want %q (null %v)", comp, i, g, gNull, v, null)
+				}
+				if d, dNull := decoded[i], decodedNulls != nil && decodedNulls[i]; dNull != null || (!null && d != v) {
+					t.Fatalf("%s: DecodeAll row %d = %q (null %v), want %q (null %v)", comp, i, d, dNull, v, null)
+				}
+			}
+			checkZone(t, comp.String(), seg, values, nulls)
+			buf, err := AppendSegment(nil, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, _, err := DecodeSegment(buf)
+			if err != nil {
+				t.Fatalf("%s: a snapshot of the segment does not decode: %v", comp, err)
+			}
+			if again, _ := AppendSegment(nil, restored); !bytes.Equal(again, buf) {
+				t.Fatalf("%s: the restored segment serializes differently", comp)
 			}
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
+	"unsafe"
 
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -124,18 +126,21 @@ func (r *byteReader) length(what string) int {
 	return int(v)
 }
 
-func (r *byteReader) string_() string {
+func (r *byteReader) string_() string { return string(r.bytes_()) }
+
+// bytes_ reads a length-prefixed string without copying it out of the input.
+func (r *byteReader) bytes_() []byte {
 	n := r.length("string")
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > len(r.buf) {
 		r.fail("string length exceeds input")
-		return ""
+		return nil
 	}
-	s := string(r.buf[:n])
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return s
+	return b
 }
 
 func (r *byteReader) bools() []bool {
@@ -235,6 +240,29 @@ func (r *byteReader) strings_() []string {
 	return out
 }
 
+// packedStrings reads what appendStrings wrote straight into a string
+// dictionary's layout: one pass sizes the blob, a second fills it, so the
+// values cost one allocation, not one each.
+func (r *byteReader) packedStrings() packedStrings {
+	n := r.length("string slice")
+	values, ends, total := *r, make([]uint32, 0, n), 0 // values: where the second pass starts
+	for i := 0; i < n && r.err == nil; i++ {
+		if total += len(r.bytes_()); total > math.MaxUint32 {
+			r.fail("string dictionary exceeds 4 GiB")
+		}
+		ends = append(ends, uint32(total))
+	}
+	if r.err != nil {
+		return packedStrings{}
+	}
+	var blob strings.Builder
+	blob.Grow(total)
+	for range n {
+		blob.Write(values.bytes_())
+	}
+	return packedStrings{blob.String(), ends}
+}
+
 // --- UintVector ---------------------------------------------------------
 
 func appendUintVector(dst []byte, v UintVector) ([]byte, error) {
@@ -280,6 +308,46 @@ func appendUintVector(dst []byte, v UintVector) ([]byte, error) {
 	return dst, nil
 }
 
+// wellFormed reports that v has one block per 128 codes, each 1 to 64 bits
+// wide and inside the words: what Get and DecodeRange index unchecked.
+func (v *BP128Vector) wellFormed() bool {
+	blocks := (v.n + bp128BlockSize - 1) / bp128BlockSize
+	if v.n < 0 || len(v.blockBits) != blocks || len(v.blockStart) != blocks {
+		return false
+	}
+	for b, width := range v.blockBits {
+		rows := min(v.n-b*bp128BlockSize, bp128BlockSize)
+		if width == 0 || width > 64 || int(v.blockStart[b])+(int(width)*rows+63)/64 > len(v.words) {
+			return false
+		}
+	}
+	return true
+}
+
+// fixedWidth reads the little-endian codes of a FixedWidthVector[W].
+func fixedWidth[W uint8 | uint16 | uint32 | uint64](r *byteReader) UintVector {
+	n, size := r.length("vector"), int(unsafe.Sizeof(W(0)))
+	if r.err != nil || n*size > len(r.buf) {
+		r.fail("vector exceeds input")
+		return nil
+	}
+	data := make([]W, n)
+	for i := range data {
+		switch b := r.buf[i*size:]; size {
+		case 1:
+			data[i] = W(b[0])
+		case 2:
+			data[i] = W(binary.LittleEndian.Uint16(b))
+		case 4:
+			data[i] = W(binary.LittleEndian.Uint32(b))
+		default:
+			data[i] = W(binary.LittleEndian.Uint64(b))
+		}
+	}
+	r.buf = r.buf[n*size:]
+	return &FixedWidthVector[W]{data: data}
+}
+
 func (r *byteReader) uintVector() UintVector {
 	tag := r.byte()
 	if r.err != nil {
@@ -287,63 +355,13 @@ func (r *byteReader) uintVector() UintVector {
 	}
 	switch tag {
 	case vecFixed8:
-		n := r.length("vector")
-		if r.err != nil {
-			return nil
-		}
-		if n > len(r.buf) {
-			r.fail("vector exceeds input")
-			return nil
-		}
-		data := make([]uint8, n)
-		copy(data, r.buf[:n])
-		r.buf = r.buf[n:]
-		return &FixedWidthVector[uint8]{data: data}
+		return fixedWidth[uint8](r)
 	case vecFixed16:
-		n := r.length("vector")
-		if r.err != nil {
-			return nil
-		}
-		if n*2 > len(r.buf) {
-			r.fail("vector exceeds input")
-			return nil
-		}
-		data := make([]uint16, n)
-		for i := range data {
-			data[i] = binary.LittleEndian.Uint16(r.buf[i*2:])
-		}
-		r.buf = r.buf[n*2:]
-		return &FixedWidthVector[uint16]{data: data}
+		return fixedWidth[uint16](r)
 	case vecFixed32:
-		n := r.length("vector")
-		if r.err != nil {
-			return nil
-		}
-		if n*4 > len(r.buf) {
-			r.fail("vector exceeds input")
-			return nil
-		}
-		data := make([]uint32, n)
-		for i := range data {
-			data[i] = binary.LittleEndian.Uint32(r.buf[i*4:])
-		}
-		r.buf = r.buf[n*4:]
-		return &FixedWidthVector[uint32]{data: data}
+		return fixedWidth[uint32](r)
 	case vecFixed64:
-		n := r.length("vector")
-		if r.err != nil {
-			return nil
-		}
-		if n*8 > len(r.buf) {
-			r.fail("vector exceeds input")
-			return nil
-		}
-		data := make([]uint64, n)
-		for i := range data {
-			data[i] = binary.LittleEndian.Uint64(r.buf[i*8:])
-		}
-		r.buf = r.buf[n*8:]
-		return &FixedWidthVector[uint64]{data: data}
+		return fixedWidth[uint64](r)
 	case vecBP128:
 		v := &BP128Vector{n: int(r.uvarint())}
 		nWords := r.length("bp128 words")
@@ -374,6 +392,10 @@ func (r *byteReader) uintVector() UintVector {
 			v.blockStart[i] = binary.LittleEndian.Uint32(r.buf[i*4:])
 		}
 		r.buf = r.buf[nStarts*4:]
+		if !v.wellFormed() {
+			r.fail("bp128 blocks do not match the vector")
+			return nil
+		}
 		return v
 	default:
 		r.fail(fmt.Sprintf("unknown vector tag %d", tag))
@@ -409,7 +431,10 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		return appendUintVector(dst, s.av)
 	case *DictionarySegment[string]:
 		dst = append(dst, segDictString)
-		dst = appendStrings(dst, s.dict)
+		dst = binary.AppendUvarint(dst, uint64(s.nullID))
+		for id := range uint64(s.nullID) {
+			dst = appendString(dst, s.strs.at(id))
+		}
 		return appendUintVector(dst, s.av)
 	case *RunLengthSegment[int64]:
 		dst = append(dst, segRunLengthInt64)
@@ -469,14 +494,11 @@ func DecodeSegment(buf []byte) (storage.Segment, []byte, error) {
 		nullable, nulls := r.byte() == 1, r.bools()
 		seg = valueSegmentFromParts(r, r.strings_(), nulls, nullable)
 	case segDictInt64:
-		dict := r.int64s()
-		seg = dictFromParts(dict, r.uintVector())
+		seg = restoreDictionary(r, &DictionarySegment[int64]{dict: r.int64s()})
 	case segDictFloat64:
-		dict := r.float64s()
-		seg = dictFromParts(dict, r.uintVector())
+		seg = restoreDictionary(r, &DictionarySegment[float64]{dict: r.float64s()})
 	case segDictString:
-		dict := r.strings_()
-		seg = dictFromParts(dict, r.uintVector())
+		seg = restoreDictionary(r, &DictionarySegment[string]{strs: r.packedStrings()})
 	case segRunLengthInt64:
 		n, ends, nulls := r.runLengthMeta()
 		seg = &RunLengthSegment[int64]{n: n, ends: ends, nulls: nulls, values: r.int64s()}
@@ -544,6 +566,24 @@ func valueSegmentFromParts[T types.Ordered](r *byteReader, values []T, nulls []b
 	return storage.ValueSegmentFromSlice(values, nulls)
 }
 
-func dictFromParts[T types.Ordered](dict []T, av UintVector) *DictionarySegment[T] {
-	return &DictionarySegment[T]{dict: dict, av: av, nullID: ValueID(len(dict))}
+// restoreDictionary completes a dictionary segment whose values s holds with the
+// attribute vector that follows them. Values that do not ascend strictly, or a
+// code above the NULL id, fail the read here: they would otherwise decode fine
+// and break the segment's first read.
+func restoreDictionary[T types.Ordered](r *byteReader, s *DictionarySegment[T]) *DictionarySegment[T] {
+	s.nullID = ValueID(max(len(s.dict), len(s.strs.ends)))
+	if s.av = r.uintVector(); r.err != nil {
+		return nil
+	}
+	for id := uint64(1); id < uint64(s.nullID); id++ {
+		if (s.dict != nil && compareTotal(s.dict[id-1], s.dict[id]) >= 0) || (s.dict == nil && s.strs.at(id-1) >= s.strs.at(id)) {
+			r.fail("dictionary values do not ascend")
+			return nil
+		}
+	}
+	if len(s.matchesOutside(0, s.nullID, nil)) > 0 { // the codes above the NULL id
+		r.fail("dictionary code exceeds the NULL id")
+		return nil
+	}
+	return s
 }

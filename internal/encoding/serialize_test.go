@@ -1,6 +1,10 @@
 package encoding
 
 import (
+	"bytes"
+	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"hyrise/internal/storage"
@@ -117,6 +121,126 @@ func TestFrameOfReferenceAllNullBlockRoundTrip(t *testing.T) {
 		}
 		if string(buf1) != string(buf2) {
 			t.Fatal("re-serialization of decoded segment differs")
+		}
+	}
+}
+
+// TestCorruptDictionaryFailsDecode: a dictionary whose values do not ascend
+// strictly, or whose codes point past the NULL id, used to decode without an
+// error and panic on its first read. Restore now rejects both, for every
+// dictionary type and code vector, and no single-byte corruption or
+// truncation of a snapshot makes DecodeSegment panic or hand out a segment
+// whose reads do.
+func TestCorruptDictionaryFailsDecode(t *testing.T) {
+	buf, err := AppendSegment(nil, EncodeDictionary([]string{"b", "a", "b"}, nil, FixedSizeByteAligned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] = 9 // the last row's code, in a dictionary of two
+	if _, _, err := DecodeSegment(buf); err == nil {
+		t.Fatal("a code above the NULL id decodes")
+	}
+
+	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+		codes := CompressUints([]uint64{1, 0, 2}, comp) // 2 is the NULL id of a dictionary of two
+		bad := CompressUints([]uint64{1, 0, 3}, comp)
+		for name, seg := range map[string]storage.Segment{
+			"int64 code":         &DictionarySegment[int64]{dict: []int64{1, 2}, av: bad, nullID: 2},
+			"float64 code":       &DictionarySegment[float64]{dict: []float64{1, 2}, av: bad, nullID: 2},
+			"string code":        &DictionarySegment[string]{strs: packStrings([]string{"a", "b"}), av: bad, nullID: 2},
+			"int64 descending":   &DictionarySegment[int64]{dict: []int64{2, 1}, av: codes, nullID: 2},
+			"int64 duplicate":    &DictionarySegment[int64]{dict: []int64{1, 1}, av: codes, nullID: 2},
+			"float64 NaN first":  &DictionarySegment[float64]{dict: []float64{math.NaN(), 1}, av: codes, nullID: 2},
+			"float64 two zeros":  &DictionarySegment[float64]{dict: []float64{math.Copysign(0, -1), 0}, av: codes, nullID: 2},
+			"string descending":  &DictionarySegment[string]{strs: packStrings([]string{"b", "a"}), av: codes, nullID: 2},
+			"string duplicate":   &DictionarySegment[string]{strs: packStrings([]string{"", ""}), av: codes, nullID: 2},
+			"string NUL ordered": &DictionarySegment[string]{strs: packStrings([]string{"a\x00", "a"}), av: codes, nullID: 2},
+		} {
+			buf, err := AppendSegment(nil, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := DecodeSegment(buf); err == nil {
+				t.Errorf("%s, %s: decodes without an error", name, comp)
+			}
+		}
+	}
+	short := &BP128Vector{n: 300, words: []uint64{0}, blockBits: []uint8{1}, blockStart: []uint32{0}} // one block of three
+	buf, err = AppendSegment(nil, &DictionarySegment[int64]{dict: []int64{1}, av: short, nullID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSegment(buf); err == nil {
+		t.Error("a bit-packed vector with fewer blocks than codes decodes")
+	}
+
+	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+		valid, err := AppendSegment(nil, EncodeDictionary([]string{"b", "", "a\x00", "b", "c"}, []bool{false, false, false, true, false}, comp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range valid {
+			for _, b := range []byte{0, 1, 9, 0x7F, 0xFF, valid[i] ^ 1} {
+				corrupt := append([]byte{}, valid...)
+				corrupt[i] = b
+				readAll(t, corrupt)
+			}
+			readAll(t, valid[:i])
+		}
+	}
+}
+
+// readAll decodes buf and, if that succeeds, reads every row of the segment.
+func readAll(t *testing.T, buf []byte) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("% x: %v", buf, r)
+		}
+	}()
+	seg, _, err := DecodeSegment(buf)
+	if err != nil {
+		return
+	}
+	for i := 0; i < seg.Len(); i++ {
+		seg.ValueAt(types.ChunkOffset(i))
+	}
+	if z, ok := seg.(storage.ZonedSegment); ok {
+		z.Zone()
+	}
+}
+
+// TestStringDictionaryRoundTripIsByteIdentical: the packed dictionary writes
+// the snapshot format the per-value dictionary wrote — its distinct values as
+// length-prefixed strings — and serialize → decode → serialize is the identity
+// over the awkward values: "", embedded NUL, invalid UTF-8 and a 1 MiB value.
+func TestStringDictionaryRoundTripIsByteIdentical(t *testing.T) {
+	big := strings.Repeat("\x00x\xff", 1<<20/3+1)[:1<<20]
+	values := []string{"b", "", "a\x00b", "\xc3\x28", big, "", "\x00", big, "a"}
+	nulls := []bool{false, false, false, false, false, true, false, false, false}
+	distinct := []string{"", "\x00", big, "\xc3\x28", "a", "a\x00b", "b"}
+	sort.Strings(distinct)
+	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+		seg := EncodeDictionary(values, nulls, comp)
+		buf, err := AppendSegment(nil, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := appendUintVector(appendStrings([]byte{segDictString}, distinct), seg.av)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%s: snapshot bytes differ from the length-prefixed values", comp)
+		}
+		got := roundTrip(t, seg)
+		assertSameValues(t, got, seg)
+		again, err := AppendSegment(nil, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, buf) {
+			t.Fatalf("%s: re-serialization of the decoded dictionary differs", comp)
+		}
+		if got.MemoryUsage() != seg.MemoryUsage() {
+			t.Errorf("%s: decoded dictionary uses %d bytes, encoded %d", comp, got.MemoryUsage(), seg.MemoryUsage())
 		}
 	}
 }

@@ -190,10 +190,19 @@ func groupValues[T types.Ordered](values []T, nulls []bool, codes []uint64) Summ
 }
 
 // summary reads a dictionary segment without decoding it: the dictionary is
-// the distinct values, and one pass over the attribute vector counts the rows
-// of each code (the NULL id included), resolved by code width.
+// the distinct values (a string one handed out as substrings of its blob), and
+// one pass over the attribute vector counts the rows of each code (the NULL id
+// included), resolved by code width.
 func (s *DictionarySegment[T]) summary() Summary[T] {
-	counts := make([]int, len(s.dict)+1)
+	values := s.dict
+	if _, ok := any(values).([]string); ok {
+		strs := make([]string, s.nullID)
+		for i := range strs {
+			strs[i] = s.strs.at(uint64(i))
+		}
+		values = any(strs).([]T)
+	}
+	counts := make([]int, s.nullID+1)
 	switch av := s.av.(type) {
 	case *FixedWidthVector[uint8]:
 		countCodes(av.data, counts)
@@ -213,7 +222,7 @@ func (s *DictionarySegment[T]) summary() Summary[T] {
 			counts[s.av.Get(i)]++
 		}
 	}
-	return Summary[T]{Values: s.dict, Counts: counts[:len(s.dict)], Nulls: counts[len(s.dict)]}
+	return Summary[T]{Values: values, Counts: counts[:s.nullID], Nulls: counts[s.nullID]}
 }
 
 func countCodes[W uint8 | uint16 | uint32 | uint64](codes []W, counts []int) {

@@ -189,7 +189,7 @@ func TestStatsEncodeDictionaryNaN(t *testing.T) {
 	values := []float64{3, math.NaN(), 1, math.NaN(), 2, math.Copysign(0, -1), 0}
 	for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
 		seg := EncodeDictionary(values, nil, comp)
-		dict := seg.Dictionary()
+		dict := Summarize[float64](seg).Values
 		if len(dict) != 5 || dict[0] != 0 || dict[1] != 1 || dict[2] != 2 || dict[3] != 3 || !math.IsNaN(dict[4]) {
 			t.Fatalf("%s: dictionary %v, want [0 1 2 3 NaN]", comp, dict)
 		}

@@ -14,6 +14,7 @@ package encoding
 
 import (
 	"math/bits"
+	"unsafe"
 )
 
 // VectorCompressionType selects the physical encoding of an unsigned
@@ -117,29 +118,13 @@ func newFixedWidth[W uint8 | uint16 | uint32 | uint64](codes []uint64) *FixedWid
 // Get implements UintVector.
 func (v *FixedWidthVector[W]) Get(i int) uint64 { return uint64(v.data[i]) }
 
-// GetFast is the statically dispatched accessor used by generic code.
-func (v *FixedWidthVector[W]) GetFast(i int) uint64 { return uint64(v.data[i]) }
-
 // Len implements UintVector.
 func (v *FixedWidthVector[W]) Len() int { return len(v.data) }
 
 // MemoryUsage implements UintVector.
 func (v *FixedWidthVector[W]) MemoryUsage() int64 {
 	var z W
-	return int64(cap(v.data)) * int64(sizeofW(z))
-}
-
-func sizeofW(z any) int {
-	switch z.(type) {
-	case uint8:
-		return 1
-	case uint16:
-		return 2
-	case uint32:
-		return 4
-	default:
-		return 8
-	}
+	return int64(cap(v.data)) * int64(unsafe.Sizeof(z))
 }
 
 // DecodeAll implements UintVector.

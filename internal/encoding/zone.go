@@ -19,7 +19,7 @@ func (s *DictionarySegment[T]) Zone() storage.Zone {
 	var z storage.Zone
 	ids := uint64(s.ComparableCount())
 	if ids > 0 {
-		z.Min, z.Max = types.FromNative(s.dict[0]), types.FromNative(s.dict[ids-1])
+		z.Min, z.Max = types.FromNative(s.value(0)), types.FromNative(s.value(ids-1))
 	}
 	var prev uint64
 	for n := s.av.Len(); z.Ascending < n; z.Ascending++ {

@@ -110,7 +110,7 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 		{Name: "kind", Type: types.TypeInt64},     // 4 distinct -> dictionary
 		{Name: "constant", Type: types.TypeInt64}, // 1 distinct -> run length
 		{Name: "seq", Type: types.TypeInt64},      // dense unique ints -> FOR
-		{Name: "payload", Type: types.TypeString}, // unique strings -> unencoded
+		{Name: "payload", Type: types.TypeString}, // unique 47-byte strings -> unencoded
 	}, 500, false)
 	for i := 0; i < 2000; i++ {
 		_, _ = table.AppendRow([]types.Value{
@@ -118,7 +118,7 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 			types.Int(int64(i % 4)),
 			types.Int(42),
 			types.Int(int64(i)),
-			types.Str(fmt.Sprintf("payload-%06d", i)),
+			types.Str(fmt.Sprintf("payload-%06d-%032d", i, i*7919)),
 		})
 	}
 	table.FinalizeLastChunk()
