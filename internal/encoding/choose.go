@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"slices"
 	"unsafe"
 
 	"hyrise/internal/storage"
@@ -118,12 +119,13 @@ func plainOf[T types.Ordered](seg storage.Segment) *storage.ValueSegment[T] {
 }
 
 // layoutSizes fills in everything but Dictionary, which needs the distinct
-// values.
+// values. Unencoded is the bytes of the rows alone: what seal keeps of a
+// segment with spare capacity (Clipped).
 func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes {
 	var zero T
 	n := int64(seg.Len())
 	var s Sizes
-	s[Unencoded] = seg.MemoryUsage()
+	s[Unencoded] = storage.ValueSegmentFromSlice(slices.Clip(seg.Values()), slices.Clip(seg.Nulls())).MemoryUsage()
 	s[RunLength] = int64(l.runs)*(int64(unsafe.Sizeof(zero))+4) + l.runBytes
 	if l.anyNull {
 		s[RunLength] += int64(l.runs)
@@ -202,7 +204,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	case want.Encoding == RunLength:
 		return EncodeRunLength(values, nulls), sum
 	case want.Encoding == Unencoded:
-		return plain, sum
+		return plain.Clipped(), sum
 	}
 	return newDictionary(sum.Values, codes, want.Compression), sum
 }

@@ -10,11 +10,13 @@ import (
 	"hyrise/internal/types"
 )
 
-// sealCase is one generated segment of TestDiffChooseIsSmallest.
+// sealCase is one generated segment of TestDiffChooseIsSmallest: a full chunk's
+// column, or with capacity set the tail of a chunk of that many rows.
 type sealCase[T types.Ordered] struct {
-	name   string
-	values []T
-	nulls  []bool
+	name     string
+	values   []T
+	nulls    []bool
+	capacity int
 }
 
 func nullsEvery(n, every int) []bool {
@@ -34,14 +36,19 @@ func generate[T types.Ordered](n int, f func(i int) T) []T {
 }
 
 // checkSizeModel holds the model against the encoders: the predicted bytes of
-// every candidate equal the MemoryUsage() of the segment the encoder builds,
-// Choose returns the smallest up to its two stated rules, and Seal — with its
-// shortcuts around the summary — builds exactly that, returning the summary of
-// the rows whichever way it got it.
+// every candidate, Unencoded included, equal the MemoryUsage() of the segment
+// the encoder builds, Choose returns the smallest up to its two stated rules,
+// and Seal — with its shortcuts around the summary — builds exactly that,
+// returning the summary of the rows whichever way it got it.
 func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[EncodingType]int) {
 	t.Helper()
-	// Appended like a chunk's column is, so capacity exceeds length as it does there.
-	seg := storage.NewValueSegment[T](len(c.values)/2, c.nulls != nil)
+	// Appended like a chunk's column is: a full chunk's arrays hold its rows
+	// exactly, a tail's have room to grow.
+	full := c.capacity == 0
+	if full {
+		c.capacity = len(c.values)
+	}
+	seg := storage.NewValueSegment[T](c.capacity, c.nulls != nil)
 	ascending := len(c.values) > 0
 	for i, v := range c.values {
 		null := c.nulls != nil && c.nulls[i]
@@ -51,10 +58,10 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 	want := groupValues(c.values, c.nulls, nil)
 	sizes := SizesOf(seg)
 	encoders := map[EncodingType]Spec{
-		Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
+		Unencoded: {Encoding: Unencoded}, Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
 	}
-	if sizes[Unencoded] != seg.MemoryUsage() {
-		t.Errorf("%s: Unencoded predicted %d, segment uses %d", c.name, sizes[Unencoded], seg.MemoryUsage())
+	if full && seg.MemoryUsage() != sizes[Unencoded] {
+		t.Errorf("%s: Unencoded predicted %d, the full chunk's segment uses %d", c.name, sizes[Unencoded], seg.MemoryUsage())
 	}
 	smallest := Unencoded
 	for e, spec := range encoders {
@@ -67,7 +74,7 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 		if got, _ := Seal(seg, false, &spec); got.MemoryUsage() != sizes[e] {
 			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, sizes[e], got.MemoryUsage())
 		}
-		if smallest == Unencoded || sizes[e] < sizes[smallest] {
+		if e != Unencoded && (smallest == Unencoded || sizes[e] < sizes[smallest]) {
 			smallest = e
 		}
 	}
@@ -92,8 +99,8 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 		if spec.Encoding != chosen || spec.Compression != FixedSizeByteAligned {
 			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s", c.name, asc, spec, chosen)
 		}
-		if chosen == Unencoded && sealed != storage.Segment(seg) {
-			t.Errorf("%s: an unencoded seal must keep the segment", c.name)
+		if chosen == Unencoded && full && sealed != storage.Segment(seg) {
+			t.Errorf("%s: an unencoded seal of a full chunk must keep the segment", c.name)
 		}
 		if sealed.MemoryUsage() != sizes[chosen] {
 			t.Errorf("%s: sealed segment uses %d bytes, predicted %d", c.name, sealed.MemoryUsage(), sizes[chosen])
@@ -116,6 +123,7 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	seen := make(map[EncodingType]int)
 	const n = 5000 // three frame-of-reference blocks, the last one short
+	const tail = 25_000
 	for _, c := range []sealCase[int64]{
 		{name: "ascending unique", values: generate(n, func(i int) int64 { return int64(i) + 1_000_000 })},
 		{name: "ascending with repeats", values: generate(n, func(i int) int64 { return int64(i / 40) })},
@@ -130,6 +138,9 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "null at block starts", values: generate(n, func(i int) int64 { return int64(rng.Intn(300)) }), nulls: nullsEvery(n, forBlockSize)},
 		{name: "all null", values: make([]int64, n), nulls: nullsEvery(n, 1)},
 		{name: "long runs with nulls", values: generate(n, func(i int) int64 { return int64(i / 700) }), nulls: nullsEvery(n, 2)},
+		// Loaders' tails: a few rows of a chunk that holds 25 000.
+		{name: "3-row tail", values: []int64{7, 3, 9}, capacity: tail},
+		{name: "1000-row nullable tail", values: generate(1000, func(int) int64 { return int64(rng.Intn(5000)) }), nulls: nullsEvery(1000, 7), capacity: tail},
 	} {
 		checkSizeModel(t, c, seen)
 	}
@@ -141,6 +152,8 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "nan and inf", values: generate(n, func(i int) float64 { return []float64{nan, math.Inf(1), math.Inf(-1), 1.5, nan}[i%5] })},
 		{name: "ascending floats", values: generate(n, func(i int) float64 { return float64(i/3) / 8 })},
 		{name: "nullable constant", values: generate(n, func(int) float64 { return 7.25 }), nulls: nullsEvery(n, 1000)},
+		{name: "3-row nullable float tail", values: []float64{1.5, 0, 2.5}, nulls: []bool{false, true, false}, capacity: tail},
+		{name: "1000-row unique float tail", values: generate(1000, func(int) float64 { return rng.Float64() }), capacity: tail},
 	} {
 		checkSizeModel(t, c, seen)
 	}
@@ -155,6 +168,8 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "empty and NUL", values: generate(n, func(i int) string { return []string{"", "a\x00b", "\x00"}[i%3] })},
 		{name: "all null strings", values: make([]string, n), nulls: nullsEvery(n, 1)},
 		{name: "sorted names", values: generate(n, func(i int) string { return fmt.Sprintf("name-%04d", i/9) })},
+		{name: "3-row string tail", values: []string{"wh-01", "", "wh-02"}, capacity: tail},
+		{name: "1000-row nullable string tail", values: generate(1000, func(i int) string { return fmt.Sprintf("data-%08d", rng.Intn(1<<30)) }), nulls: nullsEvery(1000, 10), capacity: tail},
 	} {
 		checkSizeModel(t, c, seen)
 	}

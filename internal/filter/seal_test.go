@@ -87,12 +87,15 @@ func compareLast(a, b types.Value) int {
 }
 
 // encodeAs is a loader's old two passes' first half: the spec's encoder over
-// the column's rows.
+// the column's rows. Unencoded is the rows alone, without a tail's room to grow.
 func encodeAs[T types.Ordered](seg storage.Segment, spec encoding.Spec) storage.Segment {
 	values, nulls := encoding.Materialize[T](seg)
 	switch ints, ok := any(values).([]int64); {
 	case spec.Encoding == encoding.Unencoded:
-		return seg
+		if nulls != nil {
+			nulls = append(make([]bool, 0, len(nulls)), nulls...)
+		}
+		return storage.ValueSegmentFromSlice(append(make([]T, 0, len(values)), values...), nulls)
 	case spec.Encoding == encoding.RunLength:
 		return encoding.EncodeRunLength(values, nulls)
 	case spec.Encoding == encoding.FrameOfReference && ok:

@@ -327,3 +327,58 @@ func TestParseSyncMode(t *testing.T) {
 		t.Fatal("ParseSyncMode accepted garbage")
 	}
 }
+
+// TestCrashRestoredTailGrowsWithinCapacity: the mutable tail a snapshot
+// restores grows like a fresh chunk — appends after the restart double its
+// arrays toward the chunk size, so the chunk they fill holds no slack.
+func TestCrashRestoredTailGrowsWithinCapacity(t *testing.T) {
+	const capacity = 64
+	row := func(i int) []types.Value {
+		return []types.Value{types.Int(int64(i)), types.Str("r"), types.Float(float64(i))}
+	}
+	sm := storage.NewStorageManager()
+	table := storage.NewTable("t", testDefs(), capacity, true)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := table.AppendRow(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := encodeSnapshot(sm, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredSM := storage.NewStorageManager()
+	if _, _, err := DecodeSnapshot(img, restoredSM); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoredSM.GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < capacity; i++ {
+		if _, err := restored.AppendRow(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := restored.GetChunk(0)
+	if restored.ChunkCount() != 1 || c.Size() != capacity || !c.IsImmutable() {
+		t.Fatalf("%d chunks, the first of %d rows (immutable=%v), want one full chunk", restored.ChunkCount(), c.Size(), c.IsImmutable())
+	}
+	for col, def := range restored.ColumnDefinitions() {
+		var values, nulls int
+		switch s := c.GetSegment(types.ColumnID(col)).(type) {
+		case *storage.ValueSegment[int64]:
+			values, nulls = cap(s.Values()), cap(s.Nulls())
+		case *storage.ValueSegment[float64]:
+			values, nulls = cap(s.Values()), cap(s.Nulls())
+		case *storage.ValueSegment[string]:
+			values, nulls = cap(s.Values()), cap(s.Nulls())
+		}
+		if values != capacity || def.Nullable && nulls != capacity {
+			t.Errorf("column %s holds room for %d values and %d null flags, want %d", def.Name, values, nulls, capacity)
+		}
+	}
+}

@@ -39,24 +39,17 @@ type ValueSegment[T types.Ordered] struct {
 	values   []T
 	nulls    []bool // nil when the column is NOT NULL
 	nullable bool
+	limit    int // the rows Append doubles toward (growTo); 0 leaves growth to append
 }
 
-// preallocCap bounds the eager allocation of fresh segments; very large
-// target chunk sizes (e.g. the "unchunked" benchmark configuration) grow
-// naturally instead of reserving gigabytes up front.
-const preallocCap = 1 << 16
-
-// NewValueSegment creates an empty value segment with the given capacity.
+// NewValueSegment creates an empty value segment that will hold up to
+// capacity rows. It allocates nothing: Append doubles the arrays, from 16 rows,
+// and never past capacity, so a chunk costs the rows it has and a full one
+// carries no slack.
 func NewValueSegment[T types.Ordered](capacity int, nullable bool) *ValueSegment[T] {
-	if capacity > preallocCap {
-		capacity = preallocCap
-	}
-	vs := &ValueSegment[T]{
-		values:   make([]T, 0, capacity),
-		nullable: nullable,
-	}
+	vs := &ValueSegment[T]{nullable: nullable, limit: capacity}
 	if nullable {
-		vs.nulls = make([]bool, 0, capacity)
+		vs.nulls = []bool{}
 	}
 	return vs
 }
@@ -75,10 +68,45 @@ func (s *ValueSegment[T]) Append(v T, null bool) {
 	if null && !s.nullable {
 		panic("storage: NULL appended to non-nullable segment")
 	}
+	if len(s.values) == cap(s.values) || s.nullable && len(s.nulls) == cap(s.nulls) {
+		s.grow()
+	}
 	s.values = append(s.values, v)
 	if s.nullable {
 		s.nulls = append(s.nulls, null)
 	}
+}
+
+// grow makes room for one more row below limit.
+func (s *ValueSegment[T]) grow() {
+	s.values = growTo(s.values, s.limit)
+	if s.nullable {
+		s.nulls = growTo(s.nulls, s.limit)
+	}
+}
+
+// growTo returns xs with room for one more element when it is full below
+// limit: twice the length (16 at first), at most limit.
+func growTo[E any](xs []E, limit int) []E {
+	if n := len(xs); n == cap(xs) && n < limit {
+		return append(make([]E, 0, min(limit, max(16, 2*n))), xs...)
+	}
+	return xs
+}
+
+func (s *ValueSegment[T]) growLimit(capacity int) { s.limit = capacity }
+
+// Clipped returns the segment without spare capacity: s itself when it has
+// none (a full chunk's), else a copy of exactly its rows.
+func (s *ValueSegment[T]) Clipped() *ValueSegment[T] {
+	if cap(s.values) == len(s.values) && cap(s.nulls) == len(s.nulls) {
+		return s
+	}
+	cp := &ValueSegment[T]{values: append(make([]T, 0, len(s.values)), s.values...), nullable: s.nullable}
+	if s.nulls != nil {
+		cp.nulls = append(make([]bool, 0, len(s.nulls)), s.nulls...)
+	}
+	return cp
 }
 
 // Values exposes the underlying data slice for tight loops and encoders.
@@ -212,7 +240,7 @@ func (s *ReferenceSegment) MemoryUsage() int64 {
 // is false, else a copy over new backing arrays of the same capacity.
 func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *ValueSegment[T] {
 	if fresh {
-		cp := &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), nullable: s.nullable}
+		cp := &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), nullable: s.nullable, limit: s.limit}
 		if s.nulls != nil {
 			cp.nulls = append(make([]bool, 0, cap(s.nulls)), s.nulls...)
 		}

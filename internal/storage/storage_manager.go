@@ -278,10 +278,6 @@ func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Rea
 			return nil, err
 		}
 	}
-	for _, c := range table.Chunks() { // full chunks sealed as they filled: this is the tail
-		if !c.IsImmutable() {
-			table.seal(c)
-		}
-	}
+	table.SealTail()
 	return table, nil
 }

@@ -138,10 +138,19 @@ func (t *Table) Chunks() []*Chunk {
 
 // AppendChunk attaches a pre-built chunk (snapshot restore, reference
 // tables). A data table summarizes the chunk's columns into zones here, once;
-// from then on they are kept up with every write.
+// from then on they are kept up with every write. The value segments of a
+// mutable chunk (a restored tail) grow toward the chunk size from here, as a
+// fresh chunk's do.
 func (t *Table) AppendChunk(c *Chunk) {
 	if t.tableType == DataTable && c.zones == nil {
 		c.zones = zonesOf(c.segments)
+	}
+	if t.tableType == DataTable && !c.IsImmutable() {
+		for _, seg := range c.segments {
+			if vs, ok := seg.(interface{ growLimit(int) }); ok {
+				vs.growLimit(t.targetChunkSize)
+			}
+		}
 	}
 	t.mu.Lock()
 	t.chunks = append(t.chunks, c)
@@ -395,11 +404,27 @@ func (t *Table) placeholderRow() []types.Value {
 // bulk load) so that encodings, indexes, and filters can be applied. It does
 // not seal: a loader decides the representation of what it loaded.
 func (t *Table) FinalizeLastChunk() {
+	if last := t.lastChunk(); last != nil {
+		last.Finalize()
+	}
+}
+
+// SealTail seals the last chunk though it is not full: the end of a bulk load
+// into a registered table, whose full chunks sealed as they filled. Nothing
+// happens when that chunk is sealed already.
+func (t *Table) SealTail() {
+	if last := t.lastChunk(); last != nil && !last.IsImmutable() {
+		t.seal(last)
+	}
+}
+
+func (t *Table) lastChunk() *Chunk {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.chunks) > 0 {
-		t.chunks[len(t.chunks)-1].Finalize()
+	if len(t.chunks) == 0 {
+		return nil
 	}
+	return t.chunks[len(t.chunks)-1]
 }
 
 // GetValue fetches a single cell by RowID (dynamic path, boundary use only).

@@ -109,14 +109,18 @@ func schema() []table {
 	}
 }
 
-// Generate creates and populates the nine TPC-C tables. Like every bulk
-// loader it fills a table first and registers it afterwards, so the chunks it
-// loads stay unencoded; the catalog seals only what fills up from then on.
+// Generate creates, registers and populates the nine TPC-C tables. It loads
+// like LoadCSV: registered first, each chunk seals as it fills and each tail
+// when the load ends, so the catalog's Sealer picks every loaded chunk's
+// encoding.
 func Generate(sm *storage.StorageManager, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tables := make(map[string]*storage.Table)
 	for _, t := range schema() {
 		tables[t.name] = storage.NewTable(t.name, t.defs, cfg.ChunkSize, true)
+		if err := sm.AddTable(tables[t.name]); err != nil {
+			return err
+		}
 	}
 	add := func(name string, vals ...types.Value) error {
 		_, err := tables[name].AppendRow(vals)
@@ -202,12 +206,8 @@ func Generate(sm *storage.StorageManager, cfg Config) error {
 		}
 	}
 	for _, def := range schema() {
-		t := tables[def.name]
-		t.FinalizeLastChunk()
-		concurrency.MarkTableLoaded(t)
-		if err := sm.AddTable(t); err != nil {
-			return err
-		}
+		tables[def.name].SealTail()
+		concurrency.MarkTableLoaded(tables[def.name])
 	}
 	return nil
 }
