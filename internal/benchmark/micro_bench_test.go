@@ -13,6 +13,7 @@ import (
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/filter"
+	"hyrise/internal/index"
 	"hyrise/internal/operators"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/scheduler"
@@ -709,6 +710,78 @@ func BenchmarkMicroAppendSealed(b *testing.B) {
 					b.Fatalf("%d chunks sealed after %d rounds of %d rows", n, i+1, rows)
 				}
 				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkMicroIndex measures the two per-chunk indexes on one 100 000-row
+// chunk of unique keys in shuffled order, int64 and string: the build
+// (index.AddIndexToChunk: a B+tree over the values, a group-key index over
+// their dictionary), 1 000 `=` probes per op and 100 ranges of 1 000 keys per
+// op. The index rung returns a copy of the postings, as every probe here does.
+func BenchmarkMicroIndex(b *testing.B) {
+	perm := rand.New(rand.NewSource(34)).Perm(sealRows)
+	b.Run("int64", func(b *testing.B) {
+		benchIndex(b, perm, func(k int) int64 { return int64(k) * 7919 })
+	})
+	b.Run("string", func(b *testing.B) {
+		benchIndex(b, perm, func(k int) string { return fmt.Sprintf("key-%08d", k) })
+	})
+}
+
+func benchIndex[T types.Ordered](b *testing.B, perm []int, key func(k int) T) {
+	vals := make([]T, len(perm))
+	for i, k := range perm {
+		vals[i] = key(k)
+	}
+	points, ranges := make([]types.Value, 1000), make([][2]types.Value, 100)
+	for i := range points {
+		points[i] = types.FromNative(vals[i])
+	}
+	for r := range ranges {
+		ranges[r] = [2]types.Value{types.FromNative(key(r * 997)), types.FromNative(key(r*997 + 999))}
+	}
+	for _, layout := range []struct {
+		name string
+		seg  storage.Segment
+	}{
+		{"btree", storage.ValueSegmentFromSlice(vals, nil)},
+		{"groupkey", encoding.EncodeDictionary(vals, nil, encoding.FixedSizeByteAligned)},
+	} {
+		indexed := func(b *testing.B) *storage.Chunk {
+			c := storage.NewChunk([]storage.Segment{layout.seg}, nil)
+			c.Finalize()
+			if err := index.AddIndexToChunk(c, 0); err != nil {
+				b.Fatal(err)
+			}
+			return c
+		}
+		b.Run(layout.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				indexed(b)
+			}
+		})
+		idx := indexed(b).GetIndex(0)
+		b.Run(layout.name+"/equals", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, v := range points {
+					if len(idx.Equals(v)) != 1 {
+						b.Fatalf("%v: not exactly one row", v)
+					}
+				}
+			}
+		})
+		b.Run(layout.name+"/range", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range ranges {
+					if n := len(idx.Range(&r[0], &r[1])); n != 1000 {
+						b.Fatalf("range %v: %d rows, want 1000", r, n)
+					}
+				}
 			}
 		})
 	}

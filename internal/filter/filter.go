@@ -1,16 +1,12 @@
-// Package filter implements Hyrise's chunk-pruning filters (paper §2.4):
-// lightweight, space-efficient data structures attached to immutable chunks
-// that answer approximate membership queries. A filter may only report
-// "prunable" when the predicate definitely matches no row of the chunk —
-// false positives (not pruning although no row matches) are allowed, false
-// pruning is not.
-//
-// Two filters are implemented: counting quotient filters (Pandey et al.) and
-// pruning-optimized range histograms (comparable to adaptive range filters);
-// both also support selectivity estimation. The classic min-max filter
-// ("zone map") is not one of them: every chunk of a stored table keeps its
-// columns' bounds itself, written with the rows (storage.Zone), and the
-// scan's prune rung asks those before it asks any filter.
+// Package filter implements Hyrise's chunk-pruning filter (paper §2.4): a
+// pruning-optimized range histogram (comparable to adaptive range filters)
+// attached to every numeric column of an immutable chunk when it is sealed. A
+// filter may only report "prunable" when the predicate definitely matches no
+// row of the chunk — false positives (not pruning although no row matches) are
+// allowed, false pruning is not. The classic min-max filter ("zone map") is
+// not a filter here: every chunk of a stored table keeps its columns' bounds
+// itself, written with the rows (storage.Zone), and the scan's prune rung asks
+// those before it asks the histogram, which finds the gaps inside them.
 package filter
 
 import (

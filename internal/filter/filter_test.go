@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -22,122 +21,8 @@ func rangeHist(seg storage.Segment, col types.ColumnID, bins int) *RangeHistogra
 	return rangeHistOf(encoding.Summarize[int64](seg), col, bins)
 }
 
-// --- CQF --------------------------------------------------------------------
-
-func TestCQFNoFalseNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vals := make([]int64, 500)
-	for i := range vals {
-		vals[i] = rng.Int63n(10_000)
-	}
-	f := NewCountingQuotientFilter(intSeg(vals, nil), 2, DefaultRemainderBits)
-	if f.ColumnID() != 2 || f.FilterType() != "CQF" {
-		t.Error("identity wrong")
-	}
-	if f.Size() != 500 {
-		t.Errorf("Size = %d", f.Size())
-	}
-	for _, v := range vals {
-		if f.CanPruneEquals(types.Int(v)) {
-			t.Fatalf("false negative: %d was inserted but prunes", v)
-		}
-		if f.Count(types.Int(v)) < 1 {
-			t.Fatalf("Count(%d) = 0 for inserted value", v)
-		}
-	}
-}
-
-func TestCQFPrunesMostAbsentValues(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	f := NewCountingQuotientFilter(intSeg(vals, nil), 0, DefaultRemainderBits)
-	pruned := 0
-	const probes = 2000
-	for i := 0; i < probes; i++ {
-		if f.CanPruneEquals(types.Int(int64(100_000 + i))) {
-			pruned++
-		}
-	}
-	// With an 8-bit remainder the false-positive rate should be far below
-	// 10%; require at least 90% pruning.
-	if pruned < probes*9/10 {
-		t.Errorf("pruned only %d/%d absent values", pruned, probes)
-	}
-}
-
-func TestCQFCountsDuplicates(t *testing.T) {
-	vals := []int64{7, 7, 7, 7, 3, 3, 9}
-	f := NewCountingQuotientFilter(intSeg(vals, nil), 0, DefaultRemainderBits)
-	if c := f.Count(types.Int(7)); c < 4 {
-		t.Errorf("Count(7) = %d, want >= 4", c)
-	}
-	if c := f.Count(types.Int(3)); c < 2 {
-		t.Errorf("Count(3) = %d, want >= 2", c)
-	}
-	if c := f.Count(types.Int(9)); c < 1 {
-		t.Errorf("Count(9) = %d, want >= 1", c)
-	}
-}
-
-func TestCQFNeverPrunesRangesOrNull(t *testing.T) {
-	f := NewCountingQuotientFilter(intSeg([]int64{1}, nil), 0, DefaultRemainderBits)
-	lo, hi := types.Int(100), types.Int(200)
-	if f.CanPruneRange(&lo, &hi) {
-		t.Error("CQF cannot prune ranges")
-	}
-	if f.CanPruneEquals(types.NullValue) {
-		t.Error("NULL probe must not prune")
-	}
-}
-
-func TestCQFCrossTypeNumericProbe(t *testing.T) {
-	f := NewCountingQuotientFilter(intSeg([]int64{42}, nil), 0, DefaultRemainderBits)
-	if f.CanPruneEquals(types.Float(42.0)) {
-		t.Error("float probe 42.0 should find int 42")
-	}
-}
-
-func TestCQFStrings(t *testing.T) {
-	words := []string{"lineitem", "orders", "part", "orders"}
-	f := NewCountingQuotientFilter(storage.ValueSegmentFromSlice(words, nil), 0, DefaultRemainderBits)
-	for _, w := range words {
-		if f.CanPruneEquals(types.Str(w)) {
-			t.Fatalf("false negative for %q", w)
-		}
-	}
-	if c := f.Count(types.Str("orders")); c < 2 {
-		t.Errorf("Count(orders) = %d", c)
-	}
-}
-
-// Property: the CQF never has false negatives, for any input multiset.
-func TestCQFNoFalseNegativeProperty(t *testing.T) {
-	f := func(raw []int32) bool {
-		vals := make([]int64, len(raw))
-		for i, r := range raw {
-			vals[i] = int64(r % 100) // heavy duplication stresses runs
-		}
-		cqf := NewCountingQuotientFilter(intSeg(vals, nil), 0, DefaultRemainderBits)
-		counts := map[int64]int{}
-		for _, v := range vals {
-			counts[v]++
-		}
-		for v, n := range counts {
-			if cqf.CanPruneEquals(types.Int(v)) {
-				return false
-			}
-			if cqf.Count(types.Int(v)) < n {
-				return false // count is an upper bound, never below truth
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
+// prunesEquals is what the scan asks a filter about `= v`: the interval [v, v].
+func prunesEquals(h *RangeHistogram, v types.Value) bool { return h.CanPruneRange(&v, &v) }
 
 // --- RangeHistogram -----------------------------------------------------------
 
@@ -156,10 +41,10 @@ func TestRangeHistogramPruning(t *testing.T) {
 	if !h.CanPruneRange(&lo, &hi) {
 		t.Error("gap range should prune")
 	}
-	if !h.CanPruneEquals(types.Int(5_000)) {
+	if !prunesEquals(h, types.Int(5_000)) {
 		t.Error("gap equals should prune")
 	}
-	if h.CanPruneEquals(types.Int(50)) || h.CanPruneEquals(types.Int(10_050)) {
+	if prunesEquals(h, types.Int(50)) || prunesEquals(h, types.Int(10_050)) {
 		t.Error("populated values must not prune")
 	}
 	lo2, hi2 := types.Int(90), types.Int(10_010)
@@ -173,7 +58,7 @@ func TestRangeHistogramPruning(t *testing.T) {
 
 func TestRangeHistogramEmptyAndNulls(t *testing.T) {
 	h := rangeHist(intSeg([]int64{0}, []bool{true}), 0, 4)
-	if !h.CanPruneEquals(types.Int(0)) || !h.CanPruneRange(nil, nil) {
+	if !prunesEquals(h, types.Int(0)) || !h.CanPruneRange(nil, nil) {
 		t.Error("all-NULL chunk should prune everything")
 	}
 	if h.MemoryUsage() != 64 {
@@ -194,7 +79,7 @@ func TestRangeHistogramSoundnessProperty(t *testing.T) {
 		bins := int(binSeed)%16 + 1
 		h := rangeHist(intSeg(vals, nil), 0, bins)
 		for _, v := range vals {
-			if h.CanPruneEquals(types.Int(v)) {
+			if prunesEquals(h, types.Int(v)) {
 				return false
 			}
 			lo, hi := types.Int(v-1), types.Int(v+1)

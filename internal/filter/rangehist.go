@@ -32,18 +32,8 @@ func (h *RangeHistogram) FilterType() string { return "RangeHist" }
 // ColumnID implements storage.ChunkFilter.
 func (h *RangeHistogram) ColumnID() types.ColumnID { return h.col }
 
-// CanPruneEquals implements storage.ChunkFilter: prune when v falls outside
-// every bin (in a gap or beyond the domain).
-func (h *RangeHistogram) CanPruneEquals(v types.Value) bool {
-	if v.IsNull() || !v.Type.IsNumeric() {
-		return false
-	}
-	f := v.AsFloat()
-	return !h.bins.Overlaps(f, f)
-}
-
 // CanPruneRange implements storage.ChunkFilter: prune when [lo, hi] (nil
-// bounds open) overlaps no bin.
+// bounds open; lo == hi for an equality) overlaps no bin.
 func (h *RangeHistogram) CanPruneRange(lo, hi *types.Value) bool {
 	if h.bins.BinCount() == 0 {
 		return true

@@ -3,7 +3,6 @@ package filter
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,10 +13,9 @@ import (
 	"hyrise/internal/types"
 )
 
-// The per-row constructors the filters had before they read a segment's
-// summary, kept as the oracle: every row through ValueAt, bounds by
-// types.Compare, bins and fingerprints from a value → rows map. NaN rows are
-// outside bounds and bins by the rule the summary states.
+// The per-row constructor the range histogram had before it read a segment's
+// summary, kept as the oracle: every row through ValueAt, bins from a value →
+// rows map. NaN rows are outside the bins by the rule the summary states.
 
 func isNaN(v types.Value) bool { return v.Type == types.TypeFloat64 && math.IsNaN(v.F) }
 
@@ -46,14 +44,6 @@ func rowRangeHistogram(seg storage.Segment, bins int) rowBins {
 	return h
 }
 
-func (h rowBins) canPruneEquals(v types.Value) bool {
-	if v.IsNull() || !v.Type.IsNumeric() {
-		return false
-	}
-	i := sort.Search(len(h.max), func(i int) bool { return h.max[i] >= v.AsFloat() })
-	return i == len(h.max) || h.min[i] > v.AsFloat()
-}
-
 // canPruneRange takes open bounds as ±Inf; the old code took ±MaxFloat64 and
 // so pruned `x <= c` on a chunk whose only values are -Inf
 // (TestRangeHistogramInfinities).
@@ -78,21 +68,6 @@ func (h rowBins) canPruneRange(lo, hi *types.Value) bool {
 		}
 	}
 	return true
-}
-
-func rowCQF(seg storage.Segment, col types.ColumnID, remainderBits uint) *CountingQuotientFilter {
-	qbits := uint(bits.Len64(uint64(max(seg.Len(), 1)))) + 1
-	f := &CountingQuotientFilter{
-		col: col, qbits: qbits, rbits: remainderBits,
-		remainders: make([]uint64, 1<<qbits), occupied: make([]bool, 1<<qbits),
-		contin: make([]bool, 1<<qbits), shifted: make([]bool, 1<<qbits),
-	}
-	for i := 0; i < seg.Len(); i++ {
-		if v := seg.ValueAt(types.ChunkOffset(i)); !v.IsNull() {
-			f.insert(hashValue(v))
-		}
-	}
-	return f
 }
 
 // diffColumn is one logical column of the differential: rows drawn from
@@ -204,9 +179,6 @@ func TestStatsSegmentSummary(t *testing.T) {
 						t.Errorf("%s: %d-bin histogram reports %d bytes, per-row bins %d", name, bins, g, w)
 					}
 					for i, p := range probes {
-						if g, w := got.CanPruneEquals(p), want.canPruneEquals(p); g != w {
-							t.Errorf("%s: %d bins prune = %v: %v, per-row bins %v", name, bins, p, g, w)
-						}
 						for _, q := range probes[i:] {
 							for _, r := range [][2]*types.Value{{&p, &q}, {&q, &p}, {&p, nil}, {nil, &p}, {nil, nil}} {
 								if g, w := got.CanPruneRange(r[0], r[1]), want.canPruneRange(r[0], r[1]); g != w {
@@ -215,15 +187,6 @@ func TestStatsSegmentSummary(t *testing.T) {
 							}
 						}
 					}
-				}
-			}
-			got, want := NewCountingQuotientFilter(seg, 3, DefaultRemainderBits), rowCQF(seg, 3, DefaultRemainderBits)
-			if got.Size() != want.Size() || got.MemoryUsage() != want.MemoryUsage() {
-				t.Errorf("%s: CQF size %d (%d bytes), per-row %d (%d bytes)", name, got.Size(), got.MemoryUsage(), want.Size(), want.MemoryUsage())
-			}
-			for _, probe := range probes[2:] {
-				if g, w := got.Count(probe), want.Count(probe); g != w {
-					t.Errorf("%s: CQF counts %v %d times, per-row %d", name, probe, g, w)
 				}
 			}
 		}
@@ -245,10 +208,10 @@ func TestStatsRangeHistogramNaN(t *testing.T) {
 	} {
 		h := rangeHist(seg, 0, DefaultRangeHistBins)
 		zero, one, far := types.Float(0), types.Float(1), types.Float(1000)
-		if h.CanPruneEquals(zero) || h.CanPruneRange(&zero, &one) || h.CanPruneRange(nil, &zero) {
+		if prunesEquals(h, zero) || h.CanPruneRange(&zero, &one) || h.CanPruneRange(nil, &zero) {
 			t.Errorf("%s: histogram prunes a predicate that matches rows", name)
 		}
-		if !h.CanPruneEquals(far) || !h.CanPruneRange(&far, nil) {
+		if !prunesEquals(h, far) || !h.CanPruneRange(&far, nil) {
 			t.Errorf("%s: histogram keeps a chunk no row of which is >= 1000", name)
 		}
 		if rows := h.bins.TotalRows(); rows != 70 {
@@ -264,7 +227,7 @@ func TestRangeHistogramInfinities(t *testing.T) {
 	for _, inf := range []float64{math.Inf(-1), math.Inf(1)} {
 		h := rangeHist(storage.ValueSegmentFromSlice([]float64{inf, inf}, nil), 0, DefaultRangeHistBins)
 		below, above := h.CanPruneRange(nil, &c), h.CanPruneRange(&c, nil)
-		if below != (inf > 0) || above != (inf < 0) || h.CanPruneRange(nil, nil) || h.CanPruneEquals(types.Float(inf)) {
+		if below != (inf > 0) || above != (inf < 0) || h.CanPruneRange(nil, nil) || prunesEquals(h, types.Float(inf)) {
 			t.Errorf("only %v: prunes x <= 5: %v, x >= 5: %v", inf, below, above)
 		}
 	}
@@ -287,13 +250,12 @@ func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	}
 	table.FinalizeLastChunk()
 	c := table.GetChunk(0)
-	c.AddFilter(NewCountingQuotientFilter(c.GetSegment(0), 0, DefaultRemainderBits))
 	c.AddFilter(rangeHist(c.GetSegment(1), 1, DefaultRangeHistBins))
 	for pass := 0; pass < 2; pass++ {
 		if err := AttachDefaultFilters(table); err != nil {
 			t.Fatal(err)
 		}
-		for col, want := range [][]string{{"CQF", "RangeHist"}, {"RangeHist"}, nil} {
+		for col, want := range [][]string{{"RangeHist"}, {"RangeHist"}, nil} {
 			var got []string
 			for _, f := range c.Filters(types.ColumnID(col)) {
 				got = append(got, f.FilterType())

@@ -1,7 +1,9 @@
 package index
 
 import (
-	"fmt"
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"hyrise/internal/encoding"
@@ -32,73 +34,54 @@ type btreeNode[T types.Ordered] struct {
 	leaf     bool
 }
 
-// buildBTree constructs a typed B+tree matching the segment's data type.
-func buildBTree(seg storage.Segment, col types.ColumnID) (storage.ChunkIndex, error) {
-	switch seg.DataType() {
-	case types.TypeInt64:
-		return newBTreeIndex[int64](seg, col), nil
-	case types.TypeFloat64:
-		return newBTreeIndex[float64](seg, col), nil
-	case types.TypeString:
-		return newBTreeIndex[string](seg, col), nil
-	default:
-		return nil, fmt.Errorf("index: btree unsupported for %s", seg.DataType())
-	}
-}
-
+// newBTreeIndex bulk-loads the B+tree of a segment whose values are of type T.
 func newBTreeIndex[T types.Ordered](seg storage.Segment, col types.ColumnID) *BTreeIndex[T] {
 	vals, nulls := encoding.Materialize[T](seg)
-	type pair struct {
+	type entry struct {
 		v   T
 		pos types.ChunkOffset
 	}
-	pairs := make([]pair, 0, len(vals))
+	entries := make([]entry, 0, len(vals))
 	for i, v := range vals {
-		if nulls != nil && nulls[i] {
+		// NULL and NaN (v != v) rows match no comparison: no probe returns them.
+		if (nulls != nil && nulls[i]) || v != v {
 			continue
 		}
-		pairs = append(pairs, pair{v, types.ChunkOffset(i)})
+		entries = append(entries, entry{v, types.ChunkOffset(i)})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].v != pairs[j].v {
-			return pairs[i].v < pairs[j].v
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
-		return pairs[i].pos < pairs[j].pos
+		return cmp.Compare(a.pos, b.pos)
 	})
 
-	idx := &BTreeIndex[T]{col: col}
-
-	// Group equal keys.
+	// Group equal keys; every posting list is a slice of one backing array.
+	positions := make([]types.ChunkOffset, len(entries))
 	var keys []T
 	var postings [][]types.ChunkOffset
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].v == pairs[i].v {
-			j++
+	start := 0
+	for i, e := range entries {
+		positions[i] = e.pos
+		if i+1 == len(entries) || entries[i+1].v != e.v {
+			keys = append(keys, e.v)
+			postings = append(postings, positions[start:i+1:i+1])
+			start = i + 1
 		}
-		keys = append(keys, pairs[i].v)
-		ps := make([]types.ChunkOffset, 0, j-i)
-		for k := i; k < j; k++ {
-			ps = append(ps, pairs[k].pos)
-		}
-		postings = append(postings, ps)
-		i = j
 	}
 
-	// Build the leaf level.
-	var leaves []*btreeNode[T]
-	for i := 0; i < len(keys); i += btreeOrder {
-		j := min(i+btreeOrder, len(keys))
-		leaf := &btreeNode[T]{keys: keys[i:j], postings: postings[i:j], leaf: true}
-		if len(leaves) > 0 {
-			leaves[len(leaves)-1].next = leaf
+	// Build the leaf level (one leaf, empty, for a segment without keys).
+	nodes := make([]btreeNode[T], max(1, (len(keys)+btreeOrder-1)/btreeOrder))
+	leaves := make([]*btreeNode[T], len(nodes))
+	for n := range nodes {
+		i, j := n*btreeOrder, min((n+1)*btreeOrder, len(keys))
+		nodes[n] = btreeNode[T]{keys: keys[i:j], postings: postings[i:j], leaf: true}
+		leaves[n] = &nodes[n]
+		if n > 0 {
+			leaves[n-1].next = leaves[n]
 		}
-		leaves = append(leaves, leaf)
 	}
-	if len(leaves) == 0 {
-		leaves = []*btreeNode[T]{{leaf: true}}
-	}
-	idx.first = leaves[0]
+	idx := &BTreeIndex[T]{col: col, first: leaves[0]}
 
 	// Build inner levels bottom-up. Each inner node's keys[i] is the
 	// smallest key in children[i]; descent picks the last child whose
@@ -109,9 +92,8 @@ func newBTreeIndex[T types.Ordered](seg storage.Segment, col types.ColumnID) *BT
 		var parents []*btreeNode[T]
 		for i := 0; i < len(level); i += btreeOrder {
 			j := min(i+btreeOrder, len(level))
-			node := &btreeNode[T]{}
-			for _, child := range level[i:j] {
-				node.children = append(node.children, child)
+			node := &btreeNode[T]{children: level[i:j:j], keys: make([]T, 0, j-i)}
+			for _, child := range node.children {
 				node.keys = append(node.keys, smallestKey(child))
 			}
 			parents = append(parents, node)
@@ -237,11 +219,11 @@ func (idx *BTreeIndex[T]) computeMemory(n *btreeNode[T]) int64 {
 	return sum
 }
 
-// probeValue converts a dynamic probe value to T; ok is false for NULL or
-// incompatible types.
+// probeValue converts a dynamic probe value to T; ok is false for NULL, NaN
+// (which equals nothing and bounds nothing) and incompatible types.
 func probeValue[T types.Ordered](v types.Value) (T, bool) {
 	var z T
-	if v.IsNull() {
+	if v.IsNull() || (v.Type == types.TypeFloat64 && math.IsNaN(v.F)) {
 		return z, false
 	}
 	switch any(z).(type) {

@@ -1,10 +1,7 @@
 package index
 
 import (
-	"fmt"
-
 	"hyrise/internal/encoding"
-	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
@@ -20,21 +17,8 @@ type GroupKeyIndex[T types.Ordered] struct {
 	positions []types.ChunkOffset // grouped by value id, ascending within
 }
 
-// buildGroupKey constructs a group-key index; the segment must be
-// dictionary-encoded.
-func buildGroupKey(seg storage.Segment, col types.ColumnID) (storage.ChunkIndex, error) {
-	switch s := seg.(type) {
-	case *encoding.DictionarySegment[int64]:
-		return newGroupKey(s, col), nil
-	case *encoding.DictionarySegment[float64]:
-		return newGroupKey(s, col), nil
-	case *encoding.DictionarySegment[string]:
-		return newGroupKey(s, col), nil
-	default:
-		return nil, fmt.Errorf("index: group-key index requires a dictionary segment, got %T", seg)
-	}
-}
-
+// newGroupKey groups a dictionary segment's offsets by value id. The NaN and
+// NULL ids get buckets too, but lookups search the comparable ids only.
 func newGroupKey[T types.Ordered](seg *encoding.DictionarySegment[T], col types.ColumnID) *GroupKeyIndex[T] {
 	av := seg.AttributeVector()
 	n := av.Len()

@@ -2,8 +2,11 @@ package operators
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
@@ -18,7 +21,8 @@ import (
 // The index rung's fixture: 2000 rows in four chunks. id is a permutation of
 // 0..1999 (so index postings come out of offset order), skew is 7 except on
 // eight rows (which makes `skew <> 7` selective), val is id/2 as FLOAT, tag
-// is a mostly unique string that is NULL on every seventh row.
+// is a mostly unique string that is NULL on every seventh row, and odd is 7
+// as FLOAT except on the same eight rows, four of which hold NaN.
 const (
 	rungRows      = 2000
 	rungChunkRows = 500
@@ -29,6 +33,7 @@ var rungDefs = []storage.ColumnDefinition{
 	{Name: "skew", Type: types.TypeInt64},
 	{Name: "val", Type: types.TypeFloat64},
 	{Name: "tag", Type: types.TypeString, Nullable: true},
+	{Name: "odd", Type: types.TypeFloat64},
 }
 
 func rungTable(t *testing.T, sm *storage.StorageManager, name string, spec encoding.Spec) *storage.Table {
@@ -36,15 +41,18 @@ func rungTable(t *testing.T, sm *storage.StorageManager, name string, spec encod
 	rows := make([][]types.Value, rungRows)
 	for i := range rows {
 		id := int64(i) * 7919 % rungRows
-		skew := int64(7)
+		skew, odd := int64(7), 7.0
 		if i%250 == 3 {
-			skew = id + 10
+			skew, odd = id+10, float64(id+10)
+			if i%500 == 3 {
+				odd = math.NaN()
+			}
 		}
 		tag := types.Value(types.Str(fmt.Sprintf("t%04d", id)))
 		if i%7 == 0 {
 			tag = types.NullValue
 		}
-		rows[i] = []types.Value{types.Int(id), types.Int(skew), types.Float(float64(id) / 2), tag}
+		rows[i] = []types.Value{types.Int(id), types.Int(skew), types.Float(float64(id) / 2), tag, types.Float(odd)}
 	}
 	table := makeTable(t, sm, name, rungDefs, rungChunkRows, rows)
 	if spec.Encoding != encoding.Unencoded {
@@ -84,7 +92,7 @@ type rungCase struct {
 }
 
 func rungCases() []rungCase {
-	id, skew, val, tag := rungCol(0), rungCol(1), rungCol(2), rungCol(3)
+	id, skew, val, tag, odd := rungCol(0), rungCol(1), rungCol(2), rungCol(3), rungCol(4)
 	i, f, s := func(v int64) *expression.Literal { return lit(types.Int(v)) },
 		func(v float64) *expression.Literal { return lit(types.Float(v)) },
 		func(v string) *expression.Literal { return lit(types.Str(v)) }
@@ -97,7 +105,7 @@ func rungCases() []rungCase {
 		{name: "id>1985", pred: cmp(expression.Gt, id, i(1985)), column: 0, probe: true},
 		{name: "id>=1985", pred: cmp(expression.Ge, id, i(1985)), column: 0, probe: true},
 		{name: "id between", pred: between(id, i(100), i(115)), column: 0, probe: true},
-		{name: "skew<>7", pred: cmp(expression.Ne, skew, i(7)), column: 1, probe: true},
+		{name: "odd>=8", pred: cmp(expression.Ge, odd, f(8)), column: 4, probe: true},
 		{name: "val=27.5", pred: eq(val, f(27.5)), column: 2, probe: true},
 		{name: "val between", pred: between(val, f(10), f(15)), column: 2, probe: true},
 		{name: "tag=t0055", pred: eq(tag, s("t0055")), column: 3, probe: true},
@@ -115,24 +123,27 @@ func rungCases() []rungCase {
 		{name: "val=3", pred: eq(val, i(3)), column: 2},
 		{name: "val<4", pred: cmp(expression.Lt, val, i(4)), column: 2},
 		{name: "id=$0 float", pred: eq(id, param(0)), params: []types.Value{types.Float(2.5)}, column: 0, complex: true},
-		// Indexes hold no NULLs.
+		// Indexes hold no NULL and no NaN rows, and <> matches NaN: the index
+		// rung answers intervals only, however selective the rest is.
 		{name: "tag is null", pred: &expression.IsNull{Child: tag}, column: 3},
 		{name: "tag is not null", pred: &expression.IsNull{Child: tag, Negate: true}, column: 3},
+		{name: "skew<>7", pred: cmp(expression.Ne, skew, i(7)), column: 1},
+		{name: "odd<>7", pred: cmp(expression.Ne, odd, f(7)), column: 4},
 		// Estimate above indexProbeMaxSelectivity: scanning wins.
 		{name: "id>=0", pred: cmp(expression.Ge, id, i(0)), column: 0},
-		{name: "id<>5", pred: cmp(expression.Ne, id, i(5)), column: 0},
 		{name: "id<1000", pred: cmp(expression.Lt, id, i(1000)), column: 0},
 		{name: "skew=7", pred: eq(skew, i(7)), column: 1},
 	}
 }
 
 // TestDiffScanLadderIndexRung is the differential for index probe as a rung of
-// the scan ladder: for every encoding × compression × which chunks carry an
-// index × index type × predicate shape × operand kind, TableScan over the
-// indexed table must return exactly what it returns over an identical table
-// without indexes; every segment scan must be accounted to exactly one rung;
-// and the index rung must answer all indexed chunks of a selective same-type
-// predicate and none otherwise. Each case runs serially and forced-parallel.
+// the scan ladder: for every encoding × compression (which decides between
+// B+tree and group-key index) × which chunks carry an index × predicate shape
+// × operand kind, TableScan over the indexed table must return exactly what it
+// returns over an identical table without indexes; every segment scan must be
+// accounted to exactly one rung; and the index rung must answer all indexed
+// chunks of a selective same-type interval predicate and none otherwise. Each
+// case runs serially and forced-parallel.
 func TestDiffScanLadderIndexRung(t *testing.T) {
 	specs := []encoding.Spec{
 		{Encoding: encoding.Unencoded},
@@ -165,56 +176,56 @@ func TestDiffScanLadderIndexRung(t *testing.T) {
 			}
 			want[i] = tableRows(out)
 		}
-		for _, typ := range []index.Type{index.BTree, index.ART, index.GroupKey} {
-			for layout, carries := range layouts {
-				name := fmt.Sprintf("%s-%s/%s/%s", spec.Encoding, spec.Compression, typ, layout)
-				table := rungTable(t, sm, name, spec)
-				stats.Get(table)
-				indexedChunks := make([]int64, len(rungDefs)) // per column
-				for ci, c := range table.Chunks() {
-					for col := range rungDefs {
-						// GroupKey builds on dictionary segments only.
-						if carries(ci) && index.AddIndexToChunk(typ, c, types.ColumnID(col)) == nil {
-							indexedChunks[col]++
+		for layout, carries := range layouts {
+			name := fmt.Sprintf("%s-%s/%s", spec.Encoding, spec.Compression, layout)
+			table := rungTable(t, sm, name, spec)
+			stats.Get(table)
+			indexedChunks := make([]int64, len(rungDefs)) // per column
+			for ci, c := range table.Chunks() {
+				for col := range rungDefs {
+					if carries(ci) {
+						if err := index.AddIndexToChunk(c, types.ColumnID(col)); err != nil {
+							t.Fatal(err)
 						}
+						indexedChunks[col]++
 					}
 				}
-				for i, tc := range cases {
-					for _, parallel := range []bool{false, true} {
-						ctx, m, scans := meteredCtx(t, sm)
-						if parallel {
-							ctx.Scheduler, ctx.Parallel, ctx.morselRows = sched, ParallelForce, 7
+			}
+			for i, tc := range cases {
+				for _, parallel := range []bool{false, true} {
+					ctx, m, scans := meteredCtx(t, sm)
+					if parallel {
+						ctx.Scheduler, ctx.Parallel, ctx.morselRows = sched, ParallelForce, 7
+					}
+					ctx.Params, ctx.Estimator = tc.params, stats.Peek
+					out, err := Execute(NewTableScan(&GetTable{TableName: name}, tc.pred), ctx)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, tc.name, err)
+					}
+					if got := tableRows(out); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s/%s parallel=%v: rows differ from the unindexed scan\ngot:  %v\nwant: %v", name, tc.name, parallel, got, want[i])
+					}
+					snaps := scans.Snapshot()
+					if tc.complex {
+						if len(snaps) != 0 || m.ScanSegmentsIndexProbed.Value() != 0 {
+							t.Errorf("%s/%s: scan stats = %+v, index probes = %d, want none", name, tc.name, snaps, m.ScanSegmentsIndexProbed.Value())
 						}
-						ctx.Params, ctx.Estimator = tc.params, stats.Peek
-						out, err := Execute(NewTableScan(&GetTable{TableName: name}, tc.pred), ctx)
-						if err != nil {
-							t.Fatalf("%s/%s: %v", name, tc.name, err)
-						}
-						if got := tableRows(out); !reflect.DeepEqual(got, want[i]) {
-							t.Errorf("%s/%s parallel=%v: rows differ from the unindexed scan\ngot:  %v\nwant: %v", name, tc.name, parallel, got, want[i])
-						}
-						snaps := scans.Snapshot()
-						if tc.complex {
-							if len(snaps) != 0 || m.ScanSegmentsIndexProbed.Value() != 0 {
-								t.Errorf("%s/%s: scan stats = %+v, index probes = %d, want none", name, tc.name, snaps, m.ScanSegmentsIndexProbed.Value())
-							}
-							continue
-						}
-						if len(snaps) != 1 || snaps[0].Column != rungDefs[tc.column].Name {
-							t.Fatalf("%s/%s: scan stats = %+v, want one %s row", name, tc.name, snaps, rungDefs[tc.column].Name)
-						}
-						sn := snaps[0]
-						if sum := sn.Index + sn.Pruned + sn.Encoded + sn.Unencoded + sn.Fallback; sum != sn.Scans || sn.Scans != int64(table.ChunkCount()) {
-							t.Errorf("%s/%s: rungs %+v do not add up to %d scans", name, tc.name, sn, table.ChunkCount())
-						}
-						wantProbes := int64(0)
-						if tc.probe {
-							wantProbes = indexedChunks[tc.column]
-						}
-						if sn.Index != wantProbes || m.ScanSegmentsIndexProbed.Value() != wantProbes {
-							t.Errorf("%s/%s parallel=%v: index probes = %d (counter %d), want %d",
-								name, tc.name, parallel, sn.Index, m.ScanSegmentsIndexProbed.Value(), wantProbes)
-						}
+						continue
+					}
+					if len(snaps) != 1 || snaps[0].Column != rungDefs[tc.column].Name {
+						t.Fatalf("%s/%s: scan stats = %+v, want one %s row", name, tc.name, snaps, rungDefs[tc.column].Name)
+					}
+					sn := snaps[0]
+					if sum := sn.Index + sn.Pruned + sn.Encoded + sn.Unencoded + sn.Fallback; sum != sn.Scans || sn.Scans != int64(table.ChunkCount()) {
+						t.Errorf("%s/%s: rungs %+v do not add up to %d scans", name, tc.name, sn, table.ChunkCount())
+					}
+					wantProbes := int64(0)
+					if tc.probe {
+						wantProbes = indexedChunks[tc.column]
+					}
+					if sn.Index != wantProbes || m.ScanSegmentsIndexProbed.Value() != wantProbes {
+						t.Errorf("%s/%s parallel=%v: index probes = %d (counter %d), want %d",
+							name, tc.name, parallel, sn.Index, m.ScanSegmentsIndexProbed.Value(), wantProbes)
 					}
 				}
 			}
@@ -231,7 +242,7 @@ func TestDiffIndexRungEstimatesOnce(t *testing.T) {
 	rungTable(t, sm, "plain", encoding.Spec{})
 	indexed := rungTable(t, sm, "indexed", encoding.Spec{})
 	for _, c := range indexed.Chunks() {
-		if err := index.AddIndexToChunk(index.BTree, c, 0); err != nil {
+		if err := index.AddIndexToChunk(c, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +304,7 @@ func TestDiffIndexRungFanOut(t *testing.T) {
 	plain := makeTable(t, sm, "plain", defs, chunkRows, rows)
 	indexed := makeTable(t, sm, "indexed", defs, chunkRows, rows)
 	for _, c := range indexed.Chunks() {
-		if err := index.AddIndexToChunk(index.BTree, c, 0); err != nil {
+		if err := index.AddIndexToChunk(c, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,5 +339,75 @@ func TestDiffIndexRungFanOut(t *testing.T) {
 	}
 	if morsels, probed := scan("indexed", ParallelAuto); morsels != plainMorsels || probed != chunks {
 		t.Errorf("auto: morsels = %d, index_chunks = %d, want %d, %d", morsels, probed, plainMorsels, chunks)
+	}
+}
+
+// TestDiffIndexesAgreeWithScan holds both index structures to the typed scan
+// over awkward values: int64 extremes, ±0, NaN, ±Inf, the empty string, NUL bytes
+// and NULL rows, indexed as a B+tree (value segment) and as a group-key index
+// (the same values dictionary-encoded). For every scan operator and every
+// probe, the index rung either refuses the predicate — exactly when it is not
+// an interval — or returns through indexProbe what encoding.ScanValues returns
+// over the rows. A build that does not finish fails the test instead of
+// hanging it.
+func TestDiffIndexesAgreeWithScan(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	indexesAgreeWithScan(t, []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1, 0, math.MaxInt64 - 1, 7, math.MaxInt64},
+		[]int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64})
+	indexesAgreeWithScan(t, []float64{nan, -inf, math.Copysign(0, -1), 0, 1.5, -1.5, inf, nan, 1.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64},
+		[]float64{nan, -inf, -math.MaxFloat64, -1.5, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1.5, 2, math.MaxFloat64, inf})
+	indexesAgreeWithScan(t, []string{"", "\x00", "\x00\x00", "a", "a\x00", "a\x00b", "b", "", "a", "\x00"},
+		[]string{"", "\x00", "\x00\x00", "\x00a", "a", "a\x00", "a\x00b", "b", "c"})
+}
+
+func indexesAgreeWithScan[T types.Ordered](t *testing.T, vals, probes []T) {
+	t.Helper()
+	nulls := make([]bool, len(vals)+3)
+	vals = append(vals, vals[:3]...) // three NULL rows carrying values
+	for i := len(nulls) - 3; i < len(nulls); i++ {
+		nulls[i] = true
+	}
+	dt := types.FromNative(vals[0]).Type
+	for _, seg := range []storage.Segment{
+		storage.ValueSegmentFromSlice(vals, nulls),
+		encoding.EncodeDictionary(vals, nulls, encoding.FixedSizeByteAligned),
+	} {
+		c := storage.NewChunk([]storage.Segment{seg}, nil)
+		c.Finalize()
+		built := make(chan error, 1)
+		go func() { built <- index.AddIndexToChunk(c, 0) }()
+		select {
+		case err := <-built:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: building the index over %T did not finish in 10s", dt, seg)
+		}
+		idx := c.GetIndex(0)
+		for op := encoding.ScanEq; op <= encoding.ScanIsNotNull; op++ {
+			for _, lo := range probes {
+				for j, hi := range probes {
+					if op != encoding.ScanBetween && j > 0 {
+						break // one operand: one pass over the probes
+					}
+					p := &simplePredicate{pred: encoding.ScanPredicate{Op: op, Value: types.FromNative(lo), Lo: types.FromNative(lo), Hi: types.FromNative(hi)}}
+					_, _, interval := scanInterval(&p.pred)
+					if !p.operandsTyped(dt) {
+						if interval {
+							t.Errorf("%s %s %v: the index rung refuses an interval", idx.IndexType(), op, lo)
+						}
+						continue
+					}
+					if !interval {
+						t.Fatalf("%s %s: the index rung accepts a predicate that is not an interval", idx.IndexType(), op)
+					}
+					want, _ := encoding.ScanValues(p.pred, vals, nulls, nil)
+					if got := indexProbe(idx, p); !slices.Equal(got, want) && len(got)+len(want) > 0 {
+						t.Errorf("%s %s (%v, %v): index %v, scan %v", idx.IndexType(), op, lo, hi, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -284,10 +284,11 @@ func (s *chunkScan) eval(c *storage.Chunk, pred expression.Expression, offsets [
 }
 
 // indexed reports whether some chunk could answer through the index rung:
-// the predicate compares the column with operands of the column's own type
-// (index keys are built from column values, so a 2.5 probing an INT index
-// would be truncated; indexes hold no NULLs, so null checks scan) and a chunk
-// carries an index on that column.
+// the predicate confines the column to an interval with operands of the
+// column's own type (index keys are built from column values, so a 2.5
+// probing an INT index would be truncated; indexes hold no NULL and no NaN
+// rows, so null checks and <>, which matches NaN, scan) and a chunk carries an
+// index on that column.
 func (s *chunkScan) indexed(chunks []*storage.Chunk) bool {
 	p := s.simple
 	defs := s.input.ColumnDefinitions()
@@ -328,11 +329,11 @@ func scanInterval(pr *encoding.ScanPredicate) (lo, hi *types.Value, ok bool) {
 	return nil, nil, false
 }
 
-// operandsTyped reports whether the predicate has operands and each is of
-// type dt.
+// operandsTyped reports whether the predicate is an interval whose operands
+// are each of type dt.
 func (p *simplePredicate) operandsTyped(dt types.DataType) bool {
 	switch pr := &p.pred; pr.Op {
-	case encoding.ScanIsNull, encoding.ScanIsNotNull:
+	case encoding.ScanNe, encoding.ScanIsNull, encoding.ScanIsNotNull:
 		return false
 	case encoding.ScanBetween:
 		return pr.Lo.Type == dt && pr.Hi.Type == dt
@@ -493,20 +494,16 @@ func countDecodedSegments(ctx *ExecContext, c *storage.Chunk, ec *expression.Con
 }
 
 // pruneChunkScan asks the chunk's zone — every chunk of a stored table has
-// one, the mutable tail included — and then its filters (quotient filter,
-// range histogram) whether the predicate provably matches zero rows of the
-// chunk, in which case no segment of it is touched.
+// one, the mutable tail included — and then its filters (the range histogram)
+// whether the predicate's interval provably holds zero rows of the chunk, in
+// which case no segment of it is touched.
 func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
 	lo, hi, _ := scanInterval(&p.pred)
 	if z, ok := c.Zone(p.column); ok && z.Excludes(lo, hi) {
 		return true
 	}
 	for _, f := range c.Filters(p.column) {
-		if p.pred.Op == encoding.ScanEq {
-			if f.CanPruneEquals(*lo) {
-				return true
-			}
-		} else if f.CanPruneRange(lo, hi) {
+		if f.CanPruneRange(lo, hi) {
 			return true
 		}
 	}
@@ -558,18 +555,19 @@ func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (mat
 	return nil, 0, 0, false
 }
 
-// indexProbe answers the predicate from a chunk's secondary index (paper
-// §2.4: indexes "return qualifying positions for a certain predicate directly
-// without scanning through the data"), in offset order like every other rung.
+// indexProbe answers an interval predicate from a chunk's secondary index
+// (paper §2.4: indexes "return qualifying positions for a certain predicate
+// directly without scanning through the data"), in offset order like every
+// other rung.
 func indexProbe(idx storage.ChunkIndex, p *simplePredicate) []types.ChunkOffset {
 	pr := &p.pred
 	if pr.Op == encoding.ScanEq {
 		return idx.Equals(pr.Value)
 	}
-	lo, hi, _ := scanInterval(pr) // <> bounds nothing and walks the whole index
+	lo, hi, _ := scanInterval(pr)
 	out := idx.Range(lo, hi)
 	switch pr.Op {
-	case encoding.ScanLt, encoding.ScanGt, encoding.ScanNe:
+	case encoding.ScanLt, encoding.ScanGt:
 		// Range bounds are inclusive: drop the rows equal to the operand.
 		equal := idx.Equals(pr.Value)
 		drop := make(map[types.ChunkOffset]bool, len(equal))

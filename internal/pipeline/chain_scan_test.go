@@ -190,7 +190,7 @@ func TestDiffChainScan(t *testing.T) {
 							t.Fatal(err)
 						}
 						for _, c := range table.Chunks() {
-							if err := index.AddIndexToChunk(index.BTree, c, 0); err != nil {
+							if err := index.AddIndexToChunk(c, 0); err != nil {
 								t.Fatal(err)
 							}
 						}

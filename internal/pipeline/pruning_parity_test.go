@@ -20,8 +20,9 @@ const pruneRows, pruneChunkRows = 1200, 100
 
 // pruneRow is row i of the pruning fixture: id ascends (chunks hold disjoint
 // ranges), k is clustered in overlapping bands, g cycles through three bands
-// chunk by chunk, and c strides over 0..999 inside every chunk, so that only a
-// membership filter can tell which chunks hold a given c.
+// chunk by chunk, and c strides over 0..999 inside every chunk, so that its
+// zone spans nearly the whole domain everywhere and only the gaps between a
+// range histogram's bins tell which chunks lack a given c.
 func pruneRow(i int64) []types.Value {
 	return []types.Value{
 		types.Int(i),
@@ -53,16 +54,12 @@ func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvc
 	return table
 }
 
-// attachPruneFilters gives every column of every chunk the default filter
-// (a range histogram; the bounds are the chunk's zone) and column c a quotient
-// filter on top.
+// attachPruneFilters gives every column of every chunk the default filter: a
+// range histogram (the bounds are the chunk's zone).
 func attachPruneFilters(t *testing.T, table *storage.Table) {
 	t.Helper()
 	if err := filter.AttachDefaultFilters(table); err != nil {
 		t.Fatal(err)
-	}
-	for _, c := range table.Chunks() {
-		c.AddFilter(filter.NewCountingQuotientFilter(c.GetSegment(3), 3, filter.DefaultRemainderBits))
 	}
 }
 
@@ -89,7 +86,8 @@ func prunedBySpans(tr *observe.Trace) int {
 // TestDiffPruningParity pins which chunks a statement skips, shape by shape, to
 // testdata/pruning_parity.json — recorded at the commit where an optimizer
 // rule still decided it at plan time (there the logged sets were also checked
-// to equal the chunk list that rule left on the stored-table node). The scan
+// to equal the chunk list that rule left on the stored-table node), except
+// equals-gap, which a range histogram's gaps alone decide. The scan
 // ladder's prune rung must skip exactly those chunks, serial or fanned out,
 // also for predicates that sit further up the predicate chain than the scan
 // that reads the table, and a prepared `k < $1` must skip what its literal
@@ -122,7 +120,7 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 			func(r []types.Value) bool { return r[0].I >= 800 && r[0].I < 1000 }},
 		{"between", "SELECT count(*) FROM t WHERE id BETWEEN 250 AND 449", nil,
 			func(r []types.Value) bool { return r[0].I >= 250 && r[0].I <= 449 }},
-		{"equals-cqf", "SELECT count(*) FROM t WHERE c = 481", nil,
+		{"equals-gap", "SELECT count(*) FROM t WHERE c = 481", nil,
 			func(r []types.Value) bool { return r[3].I == 481 }},
 		{"two-columns", "SELECT count(*) FROM t WHERE id >= 400 AND g < 50", nil,
 			func(r []types.Value) bool { return r[0].I >= 400 && r[2].I < 50 }},
@@ -200,16 +198,16 @@ func TestDiffPruningSeesLateFilters(t *testing.T) {
 	if n := prunedBySpans(run()); n != 9 {
 		t.Fatalf("pruned %d chunks of a table without filters, want the 9 its zones exclude", n)
 	}
-	for _, c := range table.Chunks() {
-		c.AddFilter(filter.NewCountingQuotientFilter(c.GetSegment(3), 3, filter.DefaultRemainderBits))
+	if err := filter.AttachDefaultFilters(table); err != nil {
+		t.Fatal(err)
 	}
-	// Of chunks 0-2, only chunk 0 holds a c = 481.
+	// Of chunks 0-2, chunk 2's c histogram has 481 in a gap between its bins.
 	tr := run()
 	if !tr.CacheHit {
 		t.Fatal("second execution planned again; the case needs the cached plan")
 	}
-	if n := prunedBySpans(tr); n != 11 {
-		t.Errorf("cached plan pruned %d chunks after filters were attached, want 11", n)
+	if got := prunedChunks(tr); !reflect.DeepEqual(got, []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+		t.Errorf("cached plan pruned chunks %v after filters were attached, want 2-11", got)
 	}
 }
 

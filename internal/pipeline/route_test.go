@@ -501,7 +501,9 @@ func TestRouteSharedStatementCacheConcurrent(t *testing.T) {
 			}
 		}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); generation.Load() < 50 && time.Now().Before(deadline); {
+	// Fifty generations can pass before a reader is scheduled on a small box:
+	// run until some read has found the table, too.
+	for deadline := time.Now().Add(10 * time.Second); (generation.Load() < 50 || reads.Load() == 0) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)

@@ -130,6 +130,11 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 
 func TestIndexSelectionPlugin(t *testing.T) {
 	e := selfDrivingEngine(t)
+	// Chunk 0 holds id dictionary-encoded, the other chunks as loaded.
+	table, _ := e.StorageManager().GetTable("events")
+	idCol, _ := table.ColumnID("id")
+	dict, _ := encoding.Seal(table.GetChunk(0).GetSegment(idCol), false, &encoding.Spec{Encoding: encoding.Dictionary})
+	table.GetChunk(0).ReplaceSegment(idCol, dict)
 	m := NewManager(e)
 	if err := m.Load("index_selection"); err != nil {
 		t.Fatal(err)
@@ -148,11 +153,16 @@ func TestIndexSelectionPlugin(t *testing.T) {
 	if strings.Contains(joined, "events.kind") {
 		t.Errorf("low-cardinality column indexed: %v", created)
 	}
-	// Indexes are physically attached.
-	table, _ := e.StorageManager().GetTable("events")
-	idCol, _ := table.ColumnID("id")
-	if table.GetChunk(0).GetIndex(idCol) == nil {
-		t.Error("chunk 0 has no index on id")
+	// Indexes are physically attached, and the segment decided the structure:
+	// group-key over the dictionary, B+tree over the values.
+	for ci, c := range table.Chunks() {
+		want := "BTree"
+		if ci == 0 {
+			want = "GroupKey"
+		}
+		if idx := c.GetIndex(idCol); idx == nil || idx.IndexType() != want {
+			t.Errorf("chunk %d: index on id = %v, want a %s", ci, idx, want)
+		}
 	}
 }
 

@@ -28,16 +28,14 @@ func init() {
 // IndexSelectionPlugin builds per-chunk indexes on high-selectivity columns
 // of the largest tables: a workload-independent physical-design heuristic
 // (distinct count close to row count means point predicates are selective
-// and index-friendly).
+// and index-friendly). Each chunk's segment decides the structure
+// (index.AddIndexToChunk).
 type IndexSelectionPlugin struct {
 	mu      sync.Mutex
 	engine  *pipeline.Engine
 	created []string // "table.column" descriptors, for inspection
 	// MaxIndexes bounds how many columns get indexed per Advise run.
 	MaxIndexes int
-	// IndexType selects the structure (default GroupKey on dictionary
-	// segments, BTree otherwise).
-	IndexType index.Type
 }
 
 // Name implements Plugin.
@@ -137,14 +135,7 @@ func (p *IndexSelectionPlugin) buildIndex(cand indexCandidate) error {
 		if !c.IsImmutable() || c.GetIndex(cand.col) != nil {
 			continue
 		}
-		typ := p.IndexType
-		// Group-key indexes need dictionary segments; fall back to B-trees.
-		if typ == index.GroupKey {
-			if _, ok := c.GetSegment(cand.col).(*encoding.DictionarySegment[int64]); !ok {
-				typ = index.BTree
-			}
-		}
-		if err := index.AddIndexToChunk(typ, c, cand.col); err != nil {
+		if err := index.AddIndexToChunk(c, cand.col); err != nil {
 			return err
 		}
 	}

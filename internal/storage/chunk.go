@@ -229,10 +229,11 @@ func (m *MvccData) MemoryUsage() int64 {
 }
 
 // ChunkIndex is the minimal interface the storage layer needs from a
-// per-chunk secondary index (implemented in internal/index). Indexes yield
-// qualifying chunk offsets for a predicate.
+// per-chunk secondary index (implemented in internal/index: a group-key index
+// on a dictionary segment, a B+tree on any other). Indexes yield qualifying
+// chunk offsets for a predicate.
 type ChunkIndex interface {
-	// IndexType names the index implementation ("ART", "BTree", "GroupKey").
+	// IndexType names the index implementation ("BTree", "GroupKey").
 	IndexType() string
 	// ColumnID returns the indexed column.
 	ColumnID() types.ColumnID
@@ -245,17 +246,16 @@ type ChunkIndex interface {
 }
 
 // ChunkFilter is the minimal interface for per-chunk pruning filters
-// (implemented in internal/filter). Filters support approximate membership
-// queries: CanPrune may only return true if the predicate definitely matches
-// no row of the chunk (no false pruning).
+// (implemented in internal/filter: the range histogram). CanPruneRange may
+// only return true if the predicate definitely matches no row of the chunk
+// (no false pruning).
 type ChunkFilter interface {
-	// FilterType names the implementation ("CQF", "RangeHist").
+	// FilterType names the implementation ("RangeHist").
 	FilterType() string
 	// ColumnID returns the filtered column.
 	ColumnID() types.ColumnID
-	// CanPruneEquals reports that no row equals v.
-	CanPruneEquals(v types.Value) bool
-	// CanPruneRange reports that no row falls in [lo, hi]; nil bounds open.
+	// CanPruneRange reports that no row falls in [lo, hi]; nil bounds open,
+	// lo == hi for an equality.
 	CanPruneRange(lo, hi *types.Value) bool
 	// MemoryUsage returns the estimated heap footprint in bytes.
 	MemoryUsage() int64

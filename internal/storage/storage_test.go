@@ -293,7 +293,6 @@ type fakeFilter struct{ col types.ColumnID }
 
 func (f fakeFilter) FilterType() string                     { return "fake" }
 func (f fakeFilter) ColumnID() types.ColumnID               { return f.col }
-func (f fakeFilter) CanPruneEquals(types.Value) bool        { return false }
 func (f fakeFilter) CanPruneRange(lo, hi *types.Value) bool { return false }
 func (f fakeFilter) MemoryUsage() int64                     { return 10 }
 
