@@ -14,8 +14,8 @@ import (
 	"hyrise/internal/types"
 )
 
-// Benchmarks for the morsel-driven parallel paths added in PR 10: table
-// scan, sort, and recovery, each with serial and parallel sub-benchmarks so
+// Benchmarks for the morsel-driven parallel paths: table scan and sort, each
+// with serial and parallel sub-benchmarks so
 // the multi-core CI lane can gate `benchdiff speedup` on the ratio. Under
 // GOMAXPROCS=1 the parallel variants still run (strategy forced), which
 // keeps the serial lane's regression gate meaningful for them too.
@@ -127,8 +127,8 @@ func spin(d time.Duration) {
 // BenchmarkMicroFanOut measures what a fan-out of two jobs costs end to end
 // when the workers are parked: the caller works alone for a millisecond (an
 // operator's serial phase), then hands two spin jobs of the named length to
-// RunGroup on a 2-worker scheduler. The reported ns/op is the mean duration
-// of the RunGroup call only; with both jobs running at once it is one job's
+// a task group on a 2-worker scheduler. The reported ns/op is the mean
+// duration of the group's Go and Wait only; with both jobs running at once it is one job's
 // length plus the wake-up, and every microsecond a worker takes to notice
 // the second job shows. It needs two Ps to mean that, so it sets GOMAXPROCS
 // to 2 whatever the lane's value is.
@@ -154,7 +154,9 @@ func BenchmarkMicroFanOut(b *testing.B) {
 			for i := 0; i < b.N*fanOutRounds; i++ {
 				spin(time.Millisecond)
 				t0 := time.Now()
-				if err := scheduler.RunGroup(context.Background(), sched, jobs); err != nil {
+				g := scheduler.NewTaskGroup(context.Background(), sched)
+				g.Go(jobs...)
+				if err := g.Wait(); err != nil {
 					b.Fatal(err)
 				}
 				inGroup += time.Since(t0)

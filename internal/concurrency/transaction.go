@@ -233,13 +233,6 @@ func (tc *TransactionContext) TID() types.TransactionID { return tc.tid }
 // Snapshot returns the commit id this transaction reads as of.
 func (tc *TransactionContext) Snapshot() types.CommitID { return tc.snapshot }
 
-// Phase returns the lifecycle phase.
-func (tc *TransactionContext) Phase() Phase {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.phase
-}
-
 // RegisterInsert records a freshly appended row: its begin cell names the
 // transaction (types.InsertedBy), so the row is visible to this transaction
 // only, until commit assigns the begin commit id.

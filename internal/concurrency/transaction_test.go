@@ -83,7 +83,7 @@ func TestInsertVisibilityLifecycle(t *testing.T) {
 	if got := visibleRows(table, late); len(got) != 2 {
 		t.Errorf("new snapshot sees %v, want 2 rows", got)
 	}
-	if writer.Phase() != Committed {
+	if writer.phase != Committed {
 		t.Error("phase should be Committed")
 	}
 	if err := writer.Commit(); err == nil {
@@ -173,7 +173,7 @@ func TestRollbackInsert(t *testing.T) {
 	rid, _ := table.AppendRow([]types.Value{types.Int(7)})
 	tx.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
 	tx.Rollback()
-	if tx.Phase() != RolledBack {
+	if tx.phase != RolledBack {
 		t.Error("phase should be RolledBack")
 	}
 	if got := visibleRows(table, tm.New()); len(got) != 0 {

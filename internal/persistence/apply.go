@@ -1,9 +1,8 @@
 package persistence
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -127,21 +126,12 @@ func (a *Applier) applyOp(rec *record, cid types.CommitID) error {
 // the exact bytes a primary ships. Unlike local replay, a torn or corrupt
 // frame is an error here: the transport delivers whole frames or nothing.
 func (a *Applier) ApplyFrames(buf []byte) error {
-	for len(buf) > 0 {
-		if len(buf) < frameHeader {
-			return fmt.Errorf("persistence: short WAL frame header (%d bytes)", len(buf))
-		}
-		length := binary.LittleEndian.Uint32(buf[:4])
-		wantCRC := binary.LittleEndian.Uint32(buf[4:8])
-		if length == 0 || length > maxRecordLen {
-			return fmt.Errorf("persistence: bad WAL frame length %d", length)
-		}
-		if len(buf) < frameHeader+int(length) {
-			return fmt.Errorf("persistence: truncated WAL frame (want %d, have %d bytes)", length, len(buf)-frameHeader)
-		}
-		payload := buf[frameHeader : frameHeader+int(length)]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return fmt.Errorf("persistence: WAL frame fails CRC check")
+	r := bytes.NewReader(buf)
+	var payload []byte
+	for r.Len() > 0 {
+		var err error
+		if payload, err = readFrame(r, int64(r.Len()), payload); err != nil {
+			return err
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
@@ -150,25 +140,23 @@ func (a *Applier) ApplyFrames(buf []byte) error {
 		if err := a.apply(rec); err != nil {
 			return err
 		}
-		buf = buf[frameHeader+int(length):]
 	}
 	return nil
 }
 
-// CompleteFramesPrefix returns the length of the longest prefix of buf that
-// consists of whole frames (a shipper uses it to cut a read at a frame
-// boundary; LSNs always address such boundaries).
-func CompleteFramesPrefix(buf []byte) int {
+// completeFramesPrefix returns the length of the longest prefix of buf that
+// consists of whole frames (ReadWAL cuts a read at a frame boundary; LSNs
+// always address such boundaries). A whole frame that fails its CRC still
+// counts: the follower's ApplyFrames reports it.
+func completeFramesPrefix(buf []byte) int {
+	r := bytes.NewReader(buf)
 	off := 0
-	for off+frameHeader <= len(buf) {
-		length := int(binary.LittleEndian.Uint32(buf[off:]))
-		if length == 0 || length > maxRecordLen {
-			break
+	var payload []byte
+	for {
+		var err error
+		if payload, err = readFrame(r, int64(r.Len()), payload); err != nil && err != errFrameCRC {
+			return off
 		}
-		if off+frameHeader+length > len(buf) {
-			break
-		}
-		off += frameHeader + length
+		off += frameHeader + len(payload)
 	}
-	return off
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -26,12 +25,6 @@ type Options struct {
 	SnapshotInterval time.Duration
 	// Registry receives wal.* / snapshot.* / recovery.* metrics (may be nil).
 	Registry *observe.Registry
-
-	// recoveryWorkers bounds the parallel fan-out of recovery: snapshot
-	// chunks decode and WAL redo batches CRC-check/decode across this many
-	// workers, while apply stays strictly in commit order. 0, the only value
-	// outside the package's tests, means one worker per CPU.
-	recoveryWorkers int
 }
 
 // Manager owns the durability machinery: it restores state on open, appends
@@ -59,7 +52,6 @@ type Manager struct {
 	snapshots     *observe.Counter
 	snapshotBytes *observe.Gauge
 	recoveryMs    *observe.Gauge
-	recoveryWkrs  *observe.Gauge
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -83,22 +75,14 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 		m.snapshots = reg.Counter("snapshot.count")
 		m.snapshotBytes = reg.Gauge("snapshot.bytes")
 		m.recoveryMs = reg.Gauge("recovery.duration_ms")
-		m.recoveryWkrs = reg.Gauge("recovery.parallel_workers")
 	}
 
-	workers := opts.recoveryWorkers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	if m.recoveryWkrs != nil {
-		m.recoveryWkrs.Set(int64(workers))
-	}
 	start := time.Now()
-	snapLSN, snapCID, err := readSnapshot(filepath.Join(opts.Dir, SnapshotFileName), sm, workers)
+	snapLSN, snapCID, err := readSnapshot(filepath.Join(opts.Dir, SnapshotFileName), sm)
 	if err != nil {
 		return nil, err
 	}
-	maxCID, maxTID, err := m.replay(snapLSN, workers)
+	maxCID, maxTID, err := m.replay(snapLSN)
 	if err != nil {
 		return nil, err
 	}
@@ -134,9 +118,9 @@ func Open(sm *storage.StorageManager, tm *concurrency.TransactionManager, opts O
 // (shared with replication followers). Ops without a commit record cannot
 // survive a torn tail (batches are atomic), but the applier drops them
 // anyway. It returns the highest commit and transaction ids seen.
-func (m *Manager) replay(fromLSN int64, workers int) (maxCID types.CommitID, maxTID types.TransactionID, err error) {
+func (m *Manager) replay(fromLSN int64) (maxCID types.CommitID, maxTID types.TransactionID, err error) {
 	a := NewApplier(m.sm, nil)
-	if _, err := replayWAL(filepath.Join(m.opts.Dir, WALFileName), fromLSN, workers, a.apply); err != nil {
+	if _, err := replayWAL(filepath.Join(m.opts.Dir, WALFileName), fromLSN, a.apply); err != nil {
 		return 0, 0, err
 	}
 	maxCID, maxTID = a.MaxIDs()

@@ -18,7 +18,7 @@ func testDefs() []storage.ColumnDefinition {
 	}
 }
 
-func openTestManager(t *testing.T, dir string, mode SyncMode) (*storage.StorageManager, *concurrency.TransactionManager, *Manager) {
+func openTestManager(t testing.TB, dir string, mode SyncMode) (*storage.StorageManager, *concurrency.TransactionManager, *Manager) {
 	t.Helper()
 	sm := storage.NewStorageManager()
 	tm := concurrency.NewTransactionManager()
@@ -31,7 +31,7 @@ func openTestManager(t *testing.T, dir string, mode SyncMode) (*storage.StorageM
 
 // insertTx appends rows in one transaction through the MVCC+WAL path,
 // mirroring what the Insert operator does.
-func insertTx(t *testing.T, tm *concurrency.TransactionManager, table *storage.Table, rows [][]types.Value) {
+func insertTx(t testing.TB, tm *concurrency.TransactionManager, table *storage.Table, rows [][]types.Value) {
 	t.Helper()
 	tx := tm.New()
 	for _, vals := range rows {

@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkMicroRecovery belongs to the BenchmarkMicro* set of
-// internal/benchmark (same gate, same baseline file); it lives here because
-// the serial reference needs the package-private worker count.
+// internal/benchmark (same gate, same baseline file); it lives beside the
+// recovery it times.
 
 // microRecoveryDir builds a data directory holding a checkpointed snapshot
 // plus a WAL suffix of further commits — both recovery phases get exercised.
@@ -70,36 +70,23 @@ func BenchmarkMicroRecovery(b *testing.B) {
 		}
 	}
 	dir := microRecoveryDir(b, n)
-
-	cases := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // one worker per CPU
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sm := storage.NewStorageManager()
-				tm := concurrency.NewTransactionManager()
-				m, err := Open(sm, tm, Options{
-					Dir: dir, Mode: SyncOff, recoveryWorkers: tc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				t, err := sm.GetTable("t")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.RowCount() != n {
-					b.Fatalf("recovered %d rows, want %d", t.RowCount(), n)
-				}
-				if err := m.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm := storage.NewStorageManager()
+		tm := concurrency.NewTransactionManager()
+		m, err := Open(sm, tm, Options{Dir: dir, Mode: SyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t, err := sm.GetTable("t")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t.RowCount() != n {
+			b.Fatalf("recovered %d rows, want %d", t.RowCount(), n)
+		}
+		if err := m.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

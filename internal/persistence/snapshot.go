@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/filter"
@@ -167,8 +168,7 @@ func encodeChunk(w *writer, c *storage.Chunk) error {
 
 // readSnapshot loads the snapshot file into the (empty) storage manager and
 // returns the WAL cut it was taken at. A missing file returns (0, 0, nil).
-// workers bounds the parallel chunk-decode fan-out (1 = serial).
-func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
+func readSnapshot(path string, sm *storage.StorageManager) (lsn int64, lastCID types.CommitID, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -176,7 +176,7 @@ func readSnapshot(path string, sm *storage.StorageManager, workers int) (lsn int
 		}
 		return 0, 0, err
 	}
-	lsn, lastCID, err = decodeSnapshot(buf, sm, workers)
+	lsn, lastCID, err = DecodeSnapshot(buf, sm)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persistence: snapshot %s: %w", path, err)
 	}
@@ -192,7 +192,7 @@ func DecodeSnapshot(buf []byte, sm *storage.StorageManager) (lsn int64, lastCID 
 }
 
 // decodeSnapshot is DecodeSnapshot with an explicit worker budget for the
-// parallel chunk decode (1 = serial).
+// parallel chunk decode; tests pass 1 for the serial reference.
 func decodeSnapshot(buf []byte, sm *storage.StorageManager, workers int) (lsn int64, lastCID types.CommitID, err error) {
 	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
 		return 0, 0, fmt.Errorf("not a snapshot image")
@@ -309,6 +309,30 @@ func decodeTable(r *reader, workers int) (*storage.Table, error) {
 		t.AppendChunk(chunks[ci])
 	}
 	return t, nil
+}
+
+// runParallel invokes fn(0..n-1) with at most workers goroutines in flight;
+// workers <= 1 (or n <= 1) is a plain serial loop. Restore runs before the
+// engine's scheduler exists, so chunk decode fans out over plain goroutines.
+func runParallel(n, workers int, fn func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	sem := make(chan struct{}, min(workers, n))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // decodeChunk decodes one chunk body (the unit encodeChunk writes) from r;

@@ -117,7 +117,7 @@ func (m *Manager) ReadWAL(from int64, maxBytes int) (data []byte, next int64, er
 	if err != nil && err != io.EOF {
 		return nil, 0, err
 	}
-	buf = buf[:CompleteFramesPrefix(buf[:n])]
+	buf = buf[:completeFramesPrefix(buf[:n])]
 	if len(buf) == 0 {
 		return nil, from, nil
 	}

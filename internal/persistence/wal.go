@@ -3,10 +3,12 @@ package persistence
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -449,40 +451,64 @@ func (w *WAL) Close() error {
 // syncDir fsyncs the directory containing path (best effort — required for
 // rename durability on POSIX filesystems).
 func syncDir(path string) {
-	dir := "."
-	if i := lastSlash(path); i >= 0 {
-		dir = path[:i]
-	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
 }
 
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' || s[i] == os.PathSeparator {
-			return i
-		}
+var (
+	// errTornFrame: the bytes end inside a frame, or its length field is out
+	// of bounds — what a crash mid-append leaves at the end of the log.
+	errTornFrame = errors.New("persistence: torn WAL frame")
+	// errFrameCRC: a whole frame whose payload fails its checksum.
+	errFrameCRC = errors.New("persistence: WAL frame fails CRC check")
+)
+
+// readFrame reads the frame at r's position, r holding avail more bytes, and
+// returns its payload, read into buf when it fits. It returns io.EOF when
+// avail is 0, errTornFrame when the frame does not fit in avail or its
+// length is out of bounds, and errFrameCRC — the payload consumed and
+// returned — when the checksum fails. Every reader of WAL bytes walks frames
+// through here: crash replay, a follower's ApplyFrames and the ReadWAL trim.
+func readFrame(r io.Reader, avail int64, buf []byte) ([]byte, error) {
+	if avail == 0 {
+		return nil, io.EOF
 	}
-	return -1
+	if avail < frameHeader {
+		return nil, errTornFrame
+	}
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
+	}
+	length := int64(binary.LittleEndian.Uint32(hdr))
+	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
+	if length == 0 || length > maxRecordLen || length > avail-frameHeader {
+		return nil, errTornFrame
+	}
+	if int64(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(payload) != wantCRC {
+		return payload, errFrameCRC
+	}
+	return payload, nil
 }
 
-// walReplayBatch is how many frames a parallel replay verifies and decodes
-// per round. Framing is inherently sequential (each frame's position depends
-// on the previous length field), so replay reads a batch of raw frames, fans
-// the CRC checks and payload decodes out across workers, then applies the
-// decoded records strictly in log order.
-const walReplayBatch = 256
-
 // replayWAL scans the log from LSN from, invoking apply for every decoded
-// record in order. It stops cleanly at a torn or truncated tail (short
-// frame, bad CRC, undecodable payload) and truncates the file back to the
-// last valid frame so appending can resume. It returns the end LSN of the
-// valid prefix. CRC verification and record decoding fan out over workers
-// (apply order and torn-tail semantics are identical for every worker
-// count).
-func replayWAL(path string, from int64, workers int, apply func(*record) error) (end int64, err error) {
+// record in order, one frame in memory at a time. It stops cleanly at a torn
+// or truncated tail (short frame, bad CRC, undecodable payload) and truncates
+// the file back to the last valid frame so appending can resume. It returns
+// the end LSN of the valid prefix.
+func replayWAL(path string, from int64, apply func(*record) error) (end int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -521,86 +547,36 @@ func replayWAL(path string, from int64, workers int, apply func(*record) error) 
 		}
 		return from, nil
 	}
-	if _, err := f.Seek(walHeaderLen+skip, io.SeekStart); err != nil {
+	off := walHeaderLen + skip // file offset of the next frame
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return 0, err
 	}
-
 	br := bufio.NewReaderSize(f, 1<<16)
-	lsn := from
-	goodFileOff := walHeaderLen + skip
-	if workers < 1 {
-		workers = 1
-	}
-	batchCap := 1
-	if workers > 1 {
-		batchCap = walReplayBatch
-	}
-	type walFrame struct {
-		payload []byte
-		wantCRC uint32
-		rec     *record
-		bad     bool
-	}
-	frames := make([]walFrame, 0, batchCap)
-	var hdr [frameHeader]byte
-	torn, eof := false, false
-	for !torn && !eof {
-		// Phase 1 (sequential): read a batch of raw frames off the file.
-		frames = frames[:0]
-		for len(frames) < batchCap {
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				eof = true // clean EOF or torn frame header
-				break
-			}
-			length := binary.LittleEndian.Uint32(hdr[:4])
-			wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-			if length == 0 || length > maxRecordLen {
-				eof = true
-				break
-			}
-			payload := make([]byte, length)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				eof = true // truncated payload
-				break
-			}
-			frames = append(frames, walFrame{payload: payload, wantCRC: wantCRC})
+	var payload []byte
+	for {
+		payload, err = readFrame(br, st.Size()-off, payload)
+		if err == io.EOF || err == errTornFrame || err == errFrameCRC {
+			break // the end of the log, or the torn write a crash left there
 		}
-		// Phase 2 (parallel): verify CRCs and decode payloads.
-		runParallel(len(frames), workers, func(i int) {
-			fr := &frames[i]
-			if crc32.ChecksumIEEE(fr.payload) != fr.wantCRC {
-				fr.bad = true // torn write
-				return
-			}
-			rec, derr := decodeRecord(fr.payload)
-			if derr != nil {
-				fr.bad = true // CRC-valid but structurally corrupt
-				return
-			}
-			fr.rec = rec
-		})
-		// Phase 3 (sequential): apply in log order, stopping at the first bad
-		// frame — everything behind it is discarded, exactly as if the serial
-		// loop had hit it.
-		for i := range frames {
-			if frames[i].bad {
-				torn = true
-				break
-			}
-			if aerr := apply(frames[i].rec); aerr != nil {
-				// Semantic failure (e.g. insert into a missing table) means
-				// the snapshot/log pair is inconsistent; surface it instead
-				// of silently dropping committed data.
-				return 0, aerr
-			}
-			lsn += int64(frameHeader + len(frames[i].payload))
-			goodFileOff += int64(frameHeader + len(frames[i].payload))
+		if err != nil {
+			return 0, fmt.Errorf("persistence: read WAL: %w", err)
 		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			break // CRC-valid but structurally corrupt
+		}
+		if err := apply(rec); err != nil {
+			// Semantic failure (e.g. insert into a missing table) means the
+			// snapshot/log pair is inconsistent; surface it instead of
+			// silently dropping committed data.
+			return 0, err
+		}
+		off += frameHeader + int64(len(payload))
 	}
-	if goodFileOff < st.Size() {
-		if err := f.Truncate(goodFileOff); err != nil {
+	if off < st.Size() {
+		if err := f.Truncate(off); err != nil {
 			return 0, err
 		}
 	}
-	return lsn, nil
+	return start + off - walHeaderLen, nil
 }

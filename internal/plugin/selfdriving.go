@@ -158,9 +158,6 @@ type EncodingAdvisorPlugin struct {
 	// before AdviseFromWorkload will consider re-encoding it (default 8);
 	// below that the workload signal is noise.
 	MinScans int64
-	// reencoded records AdviseFromWorkload decisions that actually changed
-	// a segment, "table.column" -> new encoding name.
-	reencoded map[string]string
 }
 
 // Name implements Plugin.
@@ -176,7 +173,6 @@ func (p *EncodingAdvisorPlugin) Start(engine *pipeline.Engine) error {
 	p.mu.Lock()
 	p.engine = engine
 	p.applied = make(map[string]string)
-	p.reencoded = make(map[string]string)
 	if p.MinScans == 0 {
 		p.MinScans = 8
 	}
@@ -238,18 +234,6 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 	return nil
 }
 
-// Reencoded reports the columns AdviseFromWorkload changed and the encoding
-// it changed them to.
-func (p *EncodingAdvisorPlugin) Reencoded() map[string]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]string, len(p.reencoded))
-	for k, v := range p.reencoded {
-		out[k] = v
-	}
-	return out
-}
-
 // AdviseFromWorkload closes the self-driving loop: it reads the per-column
 // scan statistics the executor records (code-path mix, predicate shapes,
 // selectivity) and re-encodes the segments of hot columns toward whatever
@@ -304,7 +288,6 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 		}
 		if changed {
 			p.mu.Lock()
-			p.reencoded[snap.Table+"."+snap.Column] = want.String()
 			p.applied[snap.Table+"."+snap.Column] = want.String()
 			p.mu.Unlock()
 		}

@@ -74,15 +74,15 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 	if err := p.AdviseFromWorkload(); err != nil {
 		t.Fatal(err)
 	}
-	re := p.Reencoded()
+	re := p.Applied()
 	if !strings.Contains(re["wl.rangy"], "Dictionary") {
 		t.Errorf("rangy re-encoding = %q, want dictionary (point-heavy workload)", re["wl.rangy"])
 	}
 	if !strings.Contains(re["wl.pointy"], "FrameOfReference") {
 		t.Errorf("pointy re-encoding = %q, want frame-of-reference (range-heavy workload over a dense domain)", re["wl.pointy"])
 	}
-	if _, ok := re["wl.cold"]; ok {
-		t.Errorf("cold was re-encoded despite %d < MinScans observations", 3)
+	if re["wl.cold"] != applied["wl.cold"] {
+		t.Errorf("cold was re-encoded (%q -> %q) despite %d < MinScans observations", applied["wl.cold"], re["wl.cold"], 3)
 	}
 
 	// The segments were physically swapped.

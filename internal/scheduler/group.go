@@ -73,10 +73,3 @@ func (g *TaskGroup) err() error {
 	}
 	return g.ctx.Err()
 }
-
-// RunGroup is the one-shot convenience: fan the jobs out and wait.
-func RunGroup(ctx context.Context, s Scheduler, jobs []func()) error {
-	g := NewTaskGroup(ctx, s)
-	g.Go(jobs...)
-	return g.Wait()
-}

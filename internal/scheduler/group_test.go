@@ -25,7 +25,9 @@ func TestTaskGroupOnScheduler(t *testing.T) {
 	s := New(4)
 	defer s.Shutdown()
 	var ran atomic.Int64
-	if err := RunGroup(context.Background(), s, makeJobs(100, &ran)); err != nil {
+	g := NewTaskGroup(context.Background(), s)
+	g.Go(makeJobs(100, &ran)...)
+	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 100 {

@@ -87,31 +87,38 @@ func TestDiamondDependency(t *testing.T) {
 	}
 }
 
+// TestRunGroup runs one-shot groups (NewTaskGroup, Go, Wait) on every
+// scheduler.
 func TestRunGroup(t *testing.T) {
 	for name, mk := range schedulers() {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
 			defer s.Shutdown()
+			run := func(jobs ...func()) error {
+				g := NewTaskGroup(context.Background(), s)
+				g.Go(jobs...)
+				return g.Wait()
+			}
 			var sum atomic.Int64
 			jobs := make([]func(), 10)
 			for i := range jobs {
 				v := int64(i)
 				jobs[i] = func() { sum.Add(v) }
 			}
-			if err := RunGroup(context.Background(), s, jobs); err != nil {
+			if err := run(jobs...); err != nil {
 				t.Fatal(err)
 			}
 			if sum.Load() != 45 {
 				t.Errorf("sum = %d", sum.Load())
 			}
 			// Degenerate cases.
-			if err := RunGroup(context.Background(), s, nil); err != nil {
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
 			// A single job runs on the caller: Stats sees no task.
 			before := s.Stats().TasksRun
 			ran := false
-			if err := RunGroup(context.Background(), s, []func(){func() { ran = true }}); err != nil {
+			if err := run(func() { ran = true }); err != nil {
 				t.Fatal(err)
 			}
 			if !ran || s.Stats().TasksRun != before {

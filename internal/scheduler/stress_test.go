@@ -129,8 +129,8 @@ func TestImmediateSchedulerSkipsDeadContext(t *testing.T) {
 	}
 }
 
-// TestRunGroupSkipsRemainingJobs verifies the operator-facing helper: once
-// ctx dies, queued jobs are skipped but the call still returns.
+// TestRunGroupSkipsRemainingJobs verifies the operators' one-shot group: once
+// ctx dies, queued jobs are skipped but Wait still returns.
 func TestRunGroupSkipsRemainingJobs(t *testing.T) {
 	s := New(2)
 	defer s.Shutdown()
@@ -152,8 +152,10 @@ func TestRunGroupSkipsRemainingJobs(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	if err := RunGroup(ctx, s, jobs); err != context.Canceled {
-		t.Errorf("RunGroup = %v, want context.Canceled", err)
+	g := NewTaskGroup(ctx, s)
+	g.Go(jobs...)
+	if err := g.Wait(); err != context.Canceled {
+		t.Errorf("Wait = %v, want context.Canceled", err)
 	}
 
 	// Job 0 ran and a few more may have started before the cancel landed,

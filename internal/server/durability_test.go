@@ -45,7 +45,10 @@ func TestCrashNewOrderSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	addr, e, srv := startDurableServer(t, dir)
 
-	cfg := tpcc.SmallConfig()
+	cfg := tpcc.Config{
+		Warehouses: 1, DistrictsPerWarehouse: 2, CustomersPerDistrict: 30,
+		Items: 200, InitialOrders: 30, ChunkSize: 1000, Seed: 7,
+	}
 	if err := tpcc.Generate(e.StorageManager(), cfg); err != nil {
 		t.Fatalf("tpcc.Generate: %v", err)
 	}

@@ -140,9 +140,6 @@ func (h *Histogram) Kind() HistogramType { return h.kind }
 // BinCount returns the number of bins.
 func (h *Histogram) BinCount() int { return len(h.binLo) }
 
-// TotalRows returns the number of rows the histogram covers.
-func (h *Histogram) TotalRows() float64 { return h.total }
-
 // bounds returns the smallest and largest value the histogram covers: bin
 // edges are values that occur, so these are the column's exact Min and Max.
 // A histogram of no rows (empty or all-NULL column) has the empty range 0, 0.

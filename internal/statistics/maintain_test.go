@@ -122,10 +122,10 @@ func compareWithFresh(t *testing.T, table *storage.Table, folded, fresh *TableSt
 		name, bound := foldColumns[col].def.Name, foldColumns[col].q
 		g := fresh.Columns[col]
 		if f.RowCount != g.RowCount || f.NullCount != g.NullCount || f.Min != g.Min || f.Max != g.Max ||
-			f.Hist.TotalRows() != g.Hist.TotalRows() {
+			f.Hist.total != g.Hist.total {
 			t.Fatalf("%s: folded rows=%v nulls=%v min=%v max=%v total=%v, fresh rows=%v nulls=%v min=%v max=%v total=%v",
-				name, f.RowCount, f.NullCount, f.Min, f.Max, f.Hist.TotalRows(),
-				g.RowCount, g.NullCount, g.Min, g.Max, g.Hist.TotalRows())
+				name, f.RowCount, f.NullCount, f.Min, f.Max, f.Hist.total,
+				g.RowCount, g.NullCount, g.Min, g.Max, g.Hist.total)
 		}
 		if err := consistent(f); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -164,8 +164,8 @@ func consistent(cs *ColumnStatistics) error {
 	for _, rows := range cs.Hist.binRows {
 		sum += rows
 	}
-	if sum != cs.Hist.TotalRows() || sum+cs.NullCount != cs.RowCount {
-		return fmt.Errorf("bin rows %v + nulls %v != rows %v (histogram total %v)", sum, cs.NullCount, cs.RowCount, cs.Hist.TotalRows())
+	if sum != cs.Hist.total || sum+cs.NullCount != cs.RowCount {
+		return fmt.Errorf("bin rows %v + nulls %v != rows %v (histogram total %v)", sum, cs.NullCount, cs.RowCount, cs.Hist.total)
 	}
 	return nil
 }

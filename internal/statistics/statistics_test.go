@@ -42,8 +42,8 @@ func TestHistogramTypesBasics(t *testing.T) {
 		if h.BinCount() < 5 || h.BinCount() > 20 {
 			t.Errorf("%v: BinCount = %d", kind, h.BinCount())
 		}
-		if h.TotalRows() != 1000 {
-			t.Errorf("%v: TotalRows = %f", kind, h.TotalRows())
+		if h.total != 1000 {
+			t.Errorf("%v: total = %f", kind, h.total)
 		}
 		if got := h.EstimateEquals(42); got < 5 || got > 20 {
 			t.Errorf("%v: EstimateEquals(42) = %f, want ~10", kind, got)

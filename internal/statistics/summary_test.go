@@ -177,9 +177,9 @@ func TestStatsNaN(t *testing.T) {
 			t.Fatal(err)
 		}
 		cs := BuildTableStatistics(table, EqualHeight).Columns[0]
-		if cs.DistinctCount != 11 || cs.Min != 0 || cs.Max != 9 || cs.Hist.TotalRows() != 75 || cs.NullCount != 0 {
+		if cs.DistinctCount != 11 || cs.Min != 0 || cs.Max != 9 || cs.Hist.total != 75 || cs.NullCount != 0 {
 			t.Errorf("%s: distinct %v range [%v, %v] histogram rows %v, want 11 values (ten numbers and NaN) in [0, 9] over 75 rows",
-				spec, cs.DistinctCount, cs.Min, cs.Max, cs.Hist.TotalRows())
+				spec, cs.DistinctCount, cs.Min, cs.Max, cs.Hist.total)
 		}
 	}
 }

@@ -42,19 +42,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// SmallConfig is a fast variant for tests and demos.
-func SmallConfig() Config {
-	return Config{
-		Warehouses:            1,
-		DistrictsPerWarehouse: 2,
-		CustomersPerDistrict:  30,
-		Items:                 200,
-		InitialOrders:         30,
-		ChunkSize:             1000,
-		Seed:                  7,
-	}
-}
-
 type table struct {
 	name string
 	defs []storage.ColumnDefinition

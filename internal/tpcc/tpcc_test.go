@@ -12,9 +12,22 @@ import (
 	"hyrise/internal/types"
 )
 
+// smallConfig is a few hundred rows per table: fast enough for every test.
+func smallConfig() Config {
+	return Config{
+		Warehouses:            1,
+		DistrictsPerWarehouse: 2,
+		CustomersPerDistrict:  30,
+		Items:                 200,
+		InitialOrders:         30,
+		ChunkSize:             1000,
+		Seed:                  7,
+	}
+}
+
 func setup(t *testing.T) (*pipeline.Engine, Config) {
 	t.Helper()
-	cfg := SmallConfig()
+	cfg := smallConfig()
 	sm := storage.NewStorageManager()
 	if err := Generate(sm, cfg); err != nil {
 		t.Fatal(err)
@@ -180,7 +193,7 @@ func TestConcurrentTerminals(t *testing.T) {
 func TestGenerateSealsWhatItLoads(t *testing.T) {
 	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
 	t.Cleanup(e.Close)
-	cfg := SmallConfig()
+	cfg := smallConfig()
 	cfg.ChunkSize = 64
 	if err := Generate(e.StorageManager(), cfg); err != nil {
 		t.Fatal(err)
