@@ -84,9 +84,10 @@ func OpenErr(cfg Config) (*Database, error) {
 // the write-ahead log. It fails on in-memory databases.
 func (db *Database) Checkpoint() error { return db.engine.Checkpoint() }
 
-// Close stops replication (if any), shuts down the scheduler, and unloads
-// all plugins.
+// Close rolls back the default session's open transaction, stops replication
+// (if any), shuts down the scheduler, and unloads all plugins.
 func (db *Database) Close() {
+	db.session.Close()
 	db.CloseReplication()
 	db.plugins.UnloadAll()
 	db.engine.Close()

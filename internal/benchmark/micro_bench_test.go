@@ -509,18 +509,21 @@ const visibilityScans = 20
 // count(*)` over 200 000 rows (no conjunct, so every offset reaches the rung)
 // in each state an MVCC block can be in. loaded: bulk-loaded rows, every block
 // three scalars, the rung asks no row. inserted: rows a transaction inserted
-// and committed, a begin array per block, every row asked. one_invalidated_per_block:
+// and committed; its end froze their begin arrays back to scalars.
+// inserted_pinned: the same, while an older transaction stays open, so every
+// block keeps its begin array and every row is asked. one_invalidated_per_block:
 // loaded rows of which every 256th was deleted, so every block holds an end
 // and a tid array — the most a delete can cost the rows around it.
 func BenchmarkMicroVisibility(b *testing.B) {
 	states := []struct {
-		name   string
-		loaded bool
-		delete int // every delete-th row; 0: none
+		name           string
+		loaded, pinned bool
+		delete         int // every delete-th row; 0: none
 	}{
-		{"loaded", true, 0},
-		{"inserted", false, 0},
-		{"one_invalidated_per_block", true, storage.MvccBlockRows},
+		{"loaded", true, false, 0},
+		{"inserted", false, false, 0},
+		{"inserted_pinned", false, true, 0},
+		{"one_invalidated_per_block", true, false, storage.MvccBlockRows},
 	}
 	for _, st := range states {
 		b.Run(st.name, func(b *testing.B) {
@@ -540,6 +543,9 @@ func BenchmarkMicroVisibility(b *testing.B) {
 			}
 			if st.loaded {
 				concurrency.MarkTableLoaded(table)
+			}
+			if st.pinned {
+				b.Cleanup(e.TransactionManager().New().Rollback)
 			}
 			if err := insert.Commit(); err != nil {
 				b.Fatal(err)

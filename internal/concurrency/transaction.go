@@ -7,6 +7,7 @@
 package concurrency
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -98,6 +99,111 @@ type TransactionManager struct {
 
 	committed atomic.Int64
 	aborted   atomic.Int64
+
+	// lowMu guards the snapshots of the live transactions (snapshot → how
+	// many hold it) and the freeze queue: the blocks whose begin arrays wait
+	// for the low-water mark, a min-heap by the commit id the mark must reach,
+	// each block in it at most once (queued).
+	lowMu  sync.Mutex
+	live   map[types.CommitID]int
+	queue  freezeQueue
+	queued map[blockRef]bool
+	frozen *observe.Counter
+}
+
+// blockRef names an MVCC block by its chunk and first row.
+type blockRef struct {
+	chunk *storage.Chunk
+	row   types.ChunkOffset
+}
+
+type queuedBlock struct {
+	blockRef
+	at types.CommitID
+}
+
+type freezeQueue []queuedBlock
+
+func (q freezeQueue) Len() int           { return len(q) }
+func (q freezeQueue) Less(i, j int) bool { return q[i].at < q[j].at }
+func (q freezeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *freezeQueue) Push(x any)        { *q = append(*q, x.(queuedBlock)) }
+func (q *freezeQueue) Pop() any          { old := *q; *q = old[:len(old)-1]; return old[len(old)-1] }
+
+// Instrument publishes in r the blocks whose begin arrays froze
+// (mvcc_frozen_blocks) and how many commits the oldest live snapshot trails
+// the last one (txn_low_water_lag). Call it before the first transaction.
+func (tm *TransactionManager) Instrument(r *observe.Registry) {
+	tm.frozen = r.Counter("mvcc_frozen_blocks")
+	// The mark first: the last commit id only grows, so the lag is never negative.
+	r.RegisterFunc("txn_low_water_lag", func() int64 { mark := tm.LowWaterMark(); return int64(tm.LastCommitID() - mark) })
+}
+
+// LowWaterMark returns the oldest snapshot a live transaction holds, or the
+// last published commit id when that is older: every transaction that can
+// still start or read sees every commit at or below the mark. A commit still
+// waiting for durability is above it.
+func (tm *TransactionManager) LowWaterMark() types.CommitID {
+	tm.lowMu.Lock()
+	defer tm.lowMu.Unlock()
+	return tm.lowWaterMarkLocked()
+}
+
+func (tm *TransactionManager) lowWaterMarkLocked() types.CommitID {
+	mark := tm.LastCommitID()
+	for s := range tm.live {
+		mark = min(mark, s)
+	}
+	return mark
+}
+
+// end is every transaction's last step, taken once and outside commitMu: it
+// drops the transaction's snapshot, queues the blocks its commit stamped
+// (cid 0: none), and freezes the queued blocks the low-water mark has passed
+// (storage.Chunk.FreezeBegin). A block one of whose rows is committed above the
+// mark goes back into the queue under that id; one that holds a row that is
+// not committed leaves it, and the commit of that row queues it again — so the
+// queue never holds more than the blocks that hold begin arrays.
+func (tm *TransactionManager) end(tc *TransactionContext, cid types.CommitID) {
+	tm.lowMu.Lock()
+	if tm.live[tc.snapshot]--; tm.live[tc.snapshot] == 0 {
+		delete(tm.live, tc.snapshot)
+	}
+	if cid != 0 {
+		var last blockRef
+		for _, r := range tc.inserts {
+			if b := (blockRef{r.chunk, r.row &^ (storage.MvccBlockRows - 1)}); b != last {
+				tm.queueLocked(b, cid)
+				last = b
+			}
+		}
+	}
+	var ready []blockRef
+	mark := tm.lowWaterMarkLocked()
+	for len(tm.queue) > 0 && tm.queue[0].at <= mark {
+		b := heap.Pop(&tm.queue).(queuedBlock)
+		delete(tm.queued, b.blockRef)
+		ready = append(ready, b.blockRef)
+	}
+	tm.lowMu.Unlock()
+	for _, b := range ready {
+		frozen, above := b.chunk.FreezeBegin(b.row, mark)
+		if frozen {
+			tm.frozen.Inc()
+		}
+		if above != 0 {
+			tm.lowMu.Lock()
+			tm.queueLocked(b, above)
+			tm.lowMu.Unlock()
+		}
+	}
+}
+
+func (tm *TransactionManager) queueLocked(b blockRef, at types.CommitID) {
+	if !tm.queued[b] {
+		tm.queued[b] = true
+		heap.Push(&tm.queue, queuedBlock{b, at})
+	}
 }
 
 // SetDurabilityHook installs (or, with nil, removes) the write-ahead-log
@@ -170,7 +276,7 @@ func (tm *TransactionManager) Stats() (started, committed, aborted int64) {
 // NewTransactionManager creates a manager; commit id 0 is "the beginning of
 // time" (bulk-loaded rows are stamped with it and visible to everyone).
 func NewTransactionManager() *TransactionManager {
-	return &TransactionManager{}
+	return &TransactionManager{live: map[types.CommitID]int{}, queued: map[blockRef]bool{}, frozen: new(observe.Counter)}
 }
 
 // LastCommitID returns the most recently published commit id.
@@ -178,12 +284,18 @@ func (tm *TransactionManager) LastCommitID() types.CommitID {
 	return types.CommitID(tm.lastCID.Load())
 }
 
-// New starts a transaction with a fresh id and the current snapshot.
+// New starts a transaction with a fresh id and the current snapshot. The
+// snapshot is registered under the lock LowWaterMark takes, so it never falls
+// below a mark already handed out.
 func (tm *TransactionManager) New() *TransactionContext {
+	tm.lowMu.Lock()
+	snapshot := tm.LastCommitID()
+	tm.live[snapshot]++
+	tm.lowMu.Unlock()
 	return &TransactionContext{
 		tm:       tm,
 		tid:      types.TransactionID(tm.nextTID.Add(1)),
-		snapshot: tm.LastCommitID(),
+		snapshot: snapshot,
 		phase:    Active,
 	}
 }
@@ -362,6 +474,7 @@ func (tc *TransactionContext) Commit() error {
 	if len(tc.inserts) == 0 && len(tc.invalidations) == 0 {
 		tc.phase = Committed
 		tm.committed.Add(1)
+		tm.end(tc, 0)
 		return nil
 	}
 	tm.commitMu.Lock()
@@ -396,18 +509,22 @@ func (tc *TransactionContext) Commit() error {
 	tm.commitMu.Unlock()
 	tc.phase = Committed
 	tm.committed.Add(1)
+	var err error
 	if wait != nil {
 		var end func()
 		if obs := tc.waitObs; obs != nil {
 			end = obs(observe.WaitWALSync)
 		}
-		err := wait()
+		err = wait()
 		if end != nil {
 			end()
 		}
-		if err != nil {
-			return fmt.Errorf("concurrency: commit %d not durable: %w", cid, err)
-		}
+	}
+	// After the wait: a durable commit is published by now, so the blocks it
+	// stamped can freeze at once.
+	tm.end(tc, cid)
+	if err != nil {
+		return fmt.Errorf("concurrency: commit %d not durable: %w", cid, err)
 	}
 	return nil
 }
@@ -434,6 +551,7 @@ func (tc *TransactionContext) rollbackLocked() {
 	}
 	tc.phase = RolledBack
 	tc.tm.aborted.Add(1)
+	tc.tm.end(tc, 0)
 }
 
 // Visible reports whether a row version is visible to the transaction

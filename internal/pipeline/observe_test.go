@@ -261,6 +261,52 @@ func TestSchedulerMetrics(t *testing.T) {
 	}
 }
 
+// TestFreezeWaitsForOpenTransaction: an open BEGIN holds the low-water mark,
+// so the blocks committed after it keep their begin arrays; once it commits or
+// rolls back, mvcc_bytes falls to the frozen size — block headers and the tail
+// block's array — and the metrics say so.
+func TestFreezeWaitsForOpenTransaction(t *testing.T) {
+	for _, end := range []string{"COMMIT", "ROLLBACK"} {
+		t.Run(end, func(t *testing.T) {
+			e := NewEngine(DefaultConfig(), nil)
+			t.Cleanup(e.Close)
+			writer, reader := e.NewSession(), e.NewSession()
+			mustExec(t, writer, "CREATE TABLE f (id INT NOT NULL)")
+			mustExec(t, reader, "BEGIN")
+			mustExec(t, reader, "SELECT count(*) FROM f")
+			values := make([]string, 2*storage.MvccBlockRows+88)
+			for i := range values {
+				values[i] = fmt.Sprintf("(%d)", i)
+			}
+			mustExec(t, writer, "INSERT INTO f VALUES "+strings.Join(values, ", "))
+			footprint := func() (mvcc, lag int64) {
+				n, err := strconv.ParseInt(rows(t, writer, "SELECT mvcc_bytes FROM meta_tables WHERE table_name = 'f'")[0][0], 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lag, _ = e.Metrics().Get("txn_low_water_lag")
+				return n, lag
+			}
+			// Directory (13 groups of a 100 000-row chunk) + one group of headers +
+			// three begin arrays, while the reader's snapshot trails one commit.
+			if mvcc, lag := footprint(); mvcc != 104+1536+3*2048 || lag != 1 {
+				t.Fatalf("pinned: mvcc_bytes %d, txn_low_water_lag %d", mvcc, lag)
+			}
+			mustExec(t, reader, end)
+			mustExec(t, writer, "SELECT 1")
+			if mvcc, lag := footprint(); mvcc != 104+1536+2048 || lag != 0 {
+				t.Errorf("after %s: mvcc_bytes %d, want the tail block's array alone; txn_low_water_lag %d", end, mvcc, lag)
+			}
+			if n, _ := e.Metrics().Get("mvcc_frozen_blocks"); n != 2 {
+				t.Errorf("mvcc_frozen_blocks = %d, want the two full blocks", n)
+			}
+			if got := rows(t, reader, "SELECT count(*), sum(id) FROM f"); got[0][0] != "600" || got[0][1] != "179700" {
+				t.Errorf("after the freeze: count, sum = %v", got[0])
+			}
+		})
+	}
+}
+
 func TestMetaTablesSQL(t *testing.T) {
 	_, s := newObserveEngine(t, DefaultConfig(), 25)
 	got := rows(t, s, "SELECT table_name, row_count, column_count FROM meta_tables WHERE table_name = 'obs'")

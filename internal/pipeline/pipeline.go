@@ -249,6 +249,7 @@ func (e *Engine) initObservability() {
 		waits:      observe.NewWaitMetrics(r),
 	}
 	e.stats.Instrument(r)
+	e.tm.Instrument(r)
 	e.active = observe.NewActiveRegistry()
 	e.stmtStats = observe.NewStatementStats(0)
 	e.scanStats = observe.NewScanStats()
@@ -462,6 +463,15 @@ func (e *Engine) waitObserver(q *observe.ActiveQuery, trace *observe.Trace) func
 // InTransaction reports whether an explicit transaction is open.
 func (s *Session) InTransaction() bool { return s.tx != nil }
 
+// Close ends the session: an open transaction rolls back, so its claims are
+// released and its snapshot no longer holds the low-water mark back.
+func (s *Session) Close() {
+	if s.tx != nil {
+		s.tx.Rollback()
+		s.tx = nil
+	}
+}
+
 // Execute runs all statements in the SQL string and returns one result per
 // statement.
 func (s *Session) Execute(sql string) ([]*Result, error) {
@@ -660,8 +670,7 @@ func (s *Session) executeTransactionStatement(st *sqlparser.TransactionStatement
 		if s.tx == nil {
 			return nil, fmt.Errorf("pipeline: no transaction open")
 		}
-		s.tx.Rollback()
-		s.tx = nil
+		s.Close()
 		return &Result{Tag: "ROLLBACK"}, nil
 	}
 }
@@ -815,8 +824,7 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 			// Explicit transactions become invalid after conflicts; the
 			// client must roll back, matching the usual DBMS contract. We
 			// roll back eagerly to release claims.
-			tx.Rollback()
-			s.tx = nil
+			s.Close()
 		}
 		return nil, err
 	}

@@ -342,6 +342,7 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	}
 
 	session := s.engine.NewSession()
+	defer session.Close() // a dropped or drained connection rolls back
 	session.SetBackendPID(int64(b.pid))
 	c := &clientConn{
 		srv:     s,

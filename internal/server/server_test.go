@@ -233,6 +233,50 @@ func TestTransactionStateInReady(t *testing.T) {
 	c.simpleQuery(t, "ROLLBACK")
 }
 
+// TestProtocolDisconnectRollsBack: a client that drops its socket inside a
+// transaction leaves nothing behind — the row it claimed is free for another
+// connection's UPDATE at once (no lock wait is configured), its insert never
+// appears, and the low-water mark it held returns to the last commit.
+func TestProtocolDisconnectRollsBack(t *testing.T) {
+	addr, e := startServer(t)
+	tm := e.TransactionManager()
+	must := func(c *pgClient, sql string) queryResult {
+		t.Helper()
+		res := c.simpleQuery(t, sql)
+		if res.err != "" {
+			t.Fatalf("%s: %s", sql, res.err)
+		}
+		return res
+	}
+	a, b := dial(t, addr), dial(t, addr)
+	must(b, "CREATE TABLE d (id INT NOT NULL, v INT NOT NULL)")
+	must(b, "INSERT INTO d VALUES (1, 10)")
+	must(a, "BEGIN")
+	must(a, "UPDATE d SET v = 11 WHERE id = 1")
+	must(a, "INSERT INTO d VALUES (2, 20)")
+	must(b, "INSERT INTO d VALUES (3, 30)") // a commit a's snapshot trails
+	if res := b.simpleQuery(t, "UPDATE d SET v = 12 WHERE id = 1"); !strings.Contains(res.err, "conflict") {
+		t.Fatalf("update of a held row: %+v", res)
+	}
+	if tm.LowWaterMark() >= tm.LastCommitID() {
+		t.Fatalf("an open transaction does not hold the mark: %d, last commit %d", tm.LowWaterMark(), tm.LastCommitID())
+	}
+
+	_ = a.conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); tm.LowWaterMark() != tm.LastCommitID(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the dropped connection still holds the mark at %d, last commit %d", tm.LowWaterMark(), tm.LastCommitID())
+		}
+	}
+	must(b, "UPDATE d SET v = 12 WHERE id = 1")
+	if got := must(b, "SELECT id, v FROM d ORDER BY id").rows; fmt.Sprint(got) != "[[1 12] [3 30]]" {
+		t.Errorf("rows = %v, want [[1 12] [3 30]]", got)
+	}
+	if tm.LowWaterMark() != tm.LastCommitID() {
+		t.Errorf("mark %d, last commit %d with no transaction open", tm.LowWaterMark(), tm.LastCommitID())
+	}
+}
+
 func TestExtendedQueryProtocol(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)

@@ -65,10 +65,11 @@ type mvccGroup [1 << (mvccGroupShift - mvccBlockShift)]mvccBlock
 // currently claiming the row. A column costs nothing while all rows of a block
 // agree — fresh, bulk-loaded and restored blocks are three scalars — and 8 B
 // per row from the first store that differs: begin in blocks that take
-// inserts (an uncommitted insert keeps its owner there, types.InsertedBy), end
-// in blocks that hold an invalidated row, tid in blocks a DELETE or UPDATE has
-// claimed a row of. Cells are read and written atomically, readers never block
-// writers and never allocate.
+// inserts (an uncommitted insert keeps its owner there, types.InsertedBy) until
+// the low-water mark passes them (Chunk.FreezeBegin), end in blocks that hold
+// an invalidated row, tid in blocks a DELETE or UPDATE has claimed a row of.
+// Cells are read and written atomically, readers never block writers and never
+// allocate.
 type MvccData struct {
 	groups []atomic.Pointer[mvccGroup]
 }
@@ -178,6 +179,46 @@ func (m *MvccData) StampBegin(n int, cid types.CommitID) {
 			cells[o].Store(uint64(cid))
 		}
 	}
+}
+
+// FreezeBegin gives the begin array of row's block (in a chunk with MVCC
+// columns) back once every transaction that can still read the block sees all
+// its rows: when every born row — all MvccBlockRows, or on a sealed chunk the
+// rows it has — holds a committed id at or below mark, the low-water mark. The
+// block then holds the largest of them as its scalar, which each such reader
+// compares the same way as the row's own id. The scalar is stored before the
+// array is dropped, so a lock-free reader sees one form or the other; no store
+// can race the drop, since every born row is committed and no row is born into
+// the block any more. End and tid arrays stay: a claim CASes into the array it
+// loaded, so dropping one could lose it. frozen reports that this call dropped
+// the array; above is the largest committed begin past mark that kept it, 0
+// when nothing would (the block froze, holds no array, or holds a row that is
+// uncommitted, rolled back or unborn).
+func (c *Chunk) FreezeBegin(row types.ChunkOffset, mark types.CommitID) (frozen bool, above types.CommitID) {
+	sealed := c.IsImmutable() // first: then Size is final
+	born := min(MvccBlockRows, c.Size()-int(row&^(MvccBlockRows-1)))
+	b := c.mvcc.Block(row).b
+	if b == nil || born < MvccBlockRows && !sealed {
+		return false, 0
+	}
+	col := &b[mvccBegin]
+	cells := col.cells.Load()
+	if cells == nil {
+		return false, 0
+	}
+	var last uint64
+	for i := range cells[:born] {
+		v := cells[i].Load()
+		if !types.CommitID(v).Committed() {
+			return false, 0
+		}
+		last = max(last, v)
+	}
+	if types.CommitID(last) > mark {
+		return false, types.CommitID(last)
+	}
+	col.scalar.Store(last)
+	return col.cells.CompareAndSwap(cells, nil), 0
 }
 
 // End returns the end (invalidation) commit id of the row.

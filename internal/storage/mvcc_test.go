@@ -94,7 +94,7 @@ func TestDiffMvccColumns(t *testing.T) {
 				lo = int(i) &^ (MvccBlockRows - 1)
 				hi = lo + MvccBlockRows
 			}
-			switch op := rng.Intn(12); {
+			switch op := rng.Intn(13); {
 			case op < 3:
 				lo = len(ref.begin)
 				appendRows(1 + rng.Intn(300))
@@ -126,6 +126,34 @@ func TestDiffMvccColumns(t *testing.T) {
 					ref.tid[i] = 0
 				}
 				touched(i)
+			case op < 12:
+				// The freeze, by the reference: a block that holds a begin array and
+				// whose born rows are all committed (all 256 of them, unless the
+				// chunk is sealed) comes to hold their largest begin, when that is
+				// at or below the mark.
+				i, mark := pick(), uint64(rng.Intn(5))
+				touched(i)
+				hi = min(hi, len(ref.begin))
+				b := m.Block(i).b
+				eligible := b != nil && b[mvccBegin].cells.Load() != nil && (hi-lo == MvccBlockRows || len(ref.begin) == capacity)
+				largest := uint64(0)
+				for _, v := range ref.begin[lo:hi] {
+					eligible = eligible && types.CommitID(v).Committed()
+					largest = max(largest, v)
+				}
+				wantAbove := uint64(0)
+				if eligible && largest > mark {
+					wantAbove = largest
+				}
+				frozen, above := table.GetChunk(0).FreezeBegin(i, types.CommitID(mark))
+				if frozen != (eligible && largest <= mark) || uint64(above) != wantAbove {
+					t.Fatalf("seed %d step %d: FreezeBegin(%d, %d) = %v, %d; the reference: eligible %v, largest %d", seed, step, i, mark, frozen, above, eligible, largest)
+				}
+				if frozen {
+					for k := lo; k < hi; k++ {
+						ref.begin[k] = largest
+					}
+				}
 			default:
 				cid := uint64(rng.Intn(5))
 				m.StampBegin(len(ref.begin), types.CommitID(cid))
@@ -217,6 +245,72 @@ func TestDiffMvccColumns(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFreezeBeginKeepsWhatReadersSee: a block's begin array goes back to one
+// scalar — its largest begin — only once every born row is committed at or
+// below the mark; a block rows are still born into never freezes, a sealed
+// chunk's partial last block does, and end and tid arrays stay.
+func TestFreezeBeginKeepsWhatReadersSee(t *testing.T) {
+	table := NewTable("m", []ColumnDefinition{{Name: "id", Type: types.TypeInt64}}, 2*MvccBlockRows+40, true)
+	appendRows := func(n int) {
+		for ; n > 0; n-- {
+			if _, err := table.AppendRow([]types.Value{types.Int(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows(MvccBlockRows + 10)
+	c := table.GetChunk(0)
+	m := c.MvccData()
+	for o := types.ChunkOffset(0); int(o) < c.Size(); o++ {
+		m.SetBegin(o, types.CommitID(1+o%5))
+	}
+	m.SetEnd(3, 4)
+	m.ClaimTID(4, 9)
+	freeze := func(row types.ChunkOffset, mark types.CommitID, wantFrozen bool, wantAbove types.CommitID) {
+		t.Helper()
+		if frozen, above := c.FreezeBegin(row, mark); frozen != wantFrozen || above != wantAbove {
+			t.Fatalf("FreezeBegin(%d, %d) = %v, %d; want %v, %d", row, mark, frozen, above, wantFrozen, wantAbove)
+		}
+	}
+	freeze(0, 4, false, 5)              // a row committed above the mark
+	freeze(MvccBlockRows, 10, false, 0) // rows are still born into it
+	before := m.MemoryUsage()
+	freeze(0, 5, true, 0)
+	freeze(0, 5, false, 0)
+	if arrays, _ := mvccArrays(m); arrays != [3]int{1, 1, 1} || m.MemoryUsage() != before-mvccCellsBytes {
+		t.Errorf("after the freeze: arrays %v, MemoryUsage %d -> %d", arrays, before, m.MemoryUsage())
+	}
+	for o := types.ChunkOffset(0); o < MvccBlockRows; o++ {
+		if m.Begin(o) != 5 {
+			t.Fatalf("frozen row %d: begin %d, want the block's largest, 5", o, m.Begin(o))
+		}
+	}
+	if m.End(3) != 4 || m.TID(4) != 9 || m.End(4) != types.MaxCommitID {
+		t.Errorf("end/tid of the frozen block changed: end(3) %d, tid(4) %d", m.End(3), m.TID(4))
+	}
+
+	// Filling the chunk seals it: its partial last block freezes on its 40 rows,
+	// the middle one waits for its uncommitted row.
+	appendRows(MvccBlockRows + 30)
+	if !c.IsImmutable() {
+		t.Fatal("full chunk not sealed")
+	}
+	for o := types.ChunkOffset(MvccBlockRows); int(o) < c.Size(); o++ {
+		m.SetBegin(o, 2)
+	}
+	m.SetBegin(MvccBlockRows+7, types.InsertedBy(3))
+	freeze(MvccBlockRows, 10, false, 0)
+	freeze(2*MvccBlockRows, 2, true, 0)
+	if !m.Block(2*MvccBlockRows).AllVisible(2) || m.Block(2*MvccBlockRows).AllVisible(1) {
+		t.Error("the frozen last block must answer for its rows at 2 and not below")
+	}
+	m.SetBegin(MvccBlockRows+7, 6)
+	freeze(MvccBlockRows, 10, true, 0)
+	if m.Begin(MvccBlockRows) != 6 || !m.Block(MvccBlockRows).AllVisible(6) {
+		t.Error("the middle block froze to the wrong scalar")
+	}
 }
 
 // TestMvccColumnsCostNothingUntilTouched pins when each array appears: none
