@@ -161,7 +161,9 @@ func tpchItems(sf float64, nums []int) []benchmark.Item {
 	return items
 }
 
-var dictionary = tpch.DefaultEncoding()
+// dictionary is the paper's default setup ("a column-based layout and
+// dictionary encoding are used"), which Fig. 6/7 and the ablations keep.
+var dictionary = encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
 
 // newTPCHEngine is the one TPC-H setup: generate (seed 42, MVCC columns as
 // cfg says), then encode with spec and attach the default pruning filters. A
@@ -171,7 +173,7 @@ func newTPCHEngine(cfg pipeline.Config, gen tpch.Config, spec *encoding.Spec) (*
 	engine := pipeline.NewEngine(cfg, nil)
 	err := tpch.Generate(engine.StorageManager(), gen)
 	if err == nil && spec != nil {
-		err = tpch.EncodeAndFilter(engine.StorageManager(), *spec)
+		err = tpch.EncodeAndFilter(engine.StorageManager(), spec)
 	}
 	if err != nil {
 		engine.Close()

@@ -179,7 +179,7 @@ func (db *Database) StatementStats() []observe.StatementStatRow { return db.engi
 func (db *Database) Plugins() *plugin.Manager { return db.plugins }
 
 // GenerateTPCH generates and registers the eight TPC-H tables at the given
-// scale factor with dictionary encoding and default pruning filters — the
+// scale factor, sealed by the size model with default pruning filters — the
 // benchmark binaries' one-step setup (paper §2.10).
 func (db *Database) GenerateTPCH(scaleFactor float64, chunkSize int) error {
 	return db.GenerateTPCHOpts(tpch.Config{ScaleFactor: scaleFactor, ChunkSize: chunkSize})

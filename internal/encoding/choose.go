@@ -15,17 +15,13 @@ import (
 // is 0.
 type Sizes [FrameOfReference + 1]int64
 
-const (
-	// minSavingPct: a segment is encoded only if that saves this share of its
-	// bytes; a plain array is what every scan and gather reads fastest.
-	minSavingPct = 20
-	// dictionarySlackPct: Dictionary wins when it is within this share of the
-	// smallest candidate — it answers the widest set of predicates on codes.
-	dictionarySlackPct = 10
-)
+// dictionarySlackPct: Dictionary wins when it is within this share of the
+// smallest candidate and still saves bytes — it answers the widest set of
+// predicates on codes.
+const dictionarySlackPct = 10
 
 // Choose picks the representation: the smallest candidate, Dictionary when it
-// is close to it, Unencoded when nothing saves enough.
+// is close to it, Unencoded when no candidate needs fewer bytes.
 func (s Sizes) Choose() EncodingType {
 	best := Dictionary
 	for _, e := range []EncodingType{RunLength, FrameOfReference} {
@@ -36,16 +32,16 @@ func (s Sizes) Choose() EncodingType {
 	switch {
 	case !s.Saves(best):
 		return Unencoded
-	case s[Dictionary]*100 <= s[best]*(100+dictionarySlackPct):
+	case s.Saves(Dictionary) && s[Dictionary]*100 <= s[best]*(100+dictionarySlackPct):
 		return Dictionary
 	}
 	return best
 }
 
-// Saves reports that e applies to the segment and saves enough of the
-// unencoded bytes to be worth taking.
+// Saves reports that e applies to the segment and needs fewer bytes than the
+// plain array.
 func (s Sizes) Saves(e EncodingType) bool {
-	return s[e] > 0 && s[e]*100 <= s[Unencoded]*(100-minSavingPct)
+	return s[e] > 0 && s[e] < s[Unencoded]
 }
 
 // layout is what the sizes of the order-dependent encodings are read from,
@@ -119,13 +115,17 @@ func plainOf[T types.Ordered](seg storage.Segment) *storage.ValueSegment[T] {
 }
 
 // layoutSizes fills in everything but Dictionary, which needs the distinct
-// values. Unencoded is the bytes of the rows alone: what seal keeps of a
-// segment with spare capacity (Clipped).
+// values. Unencoded is the bytes of the rows alone, NULL flags only if some row
+// is NULL: what seal keeps of a value segment (Clipped).
 func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes {
 	var zero T
 	n := int64(seg.Len())
 	var s Sizes
-	s[Unencoded] = storage.ValueSegmentFromSlice(slices.Clip(seg.Values()), slices.Clip(seg.Nulls())).MemoryUsage()
+	var nulls []bool
+	if l.anyNull {
+		nulls = slices.Clip(seg.Nulls())
+	}
+	s[Unencoded] = storage.ValueSegmentFromSlice(slices.Clip(seg.Values()), nulls).MemoryUsage()
 	s[RunLength] = int64(l.runs)*(int64(unsafe.Sizeof(zero))+4) + l.runBytes
 	if l.anyNull {
 		s[RunLength] += int64(l.runs)
@@ -190,7 +190,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	codes := make([]uint64, len(values))
 	var sum Summary[T]
 	if ascending {
-		sum = groupAscending(values, codes)
+		sum = groupRows(values, nulls, orderedRows(values, nulls, true), codes)
 	} else {
 		sum = groupValues(values, nulls, codes)
 	}
@@ -207,24 +207,4 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 		return plain.Clipped(), sum
 	}
 	return newDictionary(sum.Values, codes, want.Compression), sum
-}
-
-// groupAscending is groupValues for non-decreasing values without NULL or NaN:
-// the distinct values are the runs, in order.
-func groupAscending[T types.Ordered](values []T, codes []uint64) Summary[T] {
-	runs := 0
-	for i, v := range values {
-		if i == 0 || v != values[i-1] {
-			runs++
-		}
-	}
-	sum := Summary[T]{Values: make([]T, 0, runs), Counts: make([]int, 0, runs)}
-	for i, v := range values {
-		if i == 0 || v != values[i-1] {
-			sum.Values, sum.Counts = append(sum.Values, v), append(sum.Counts, 0)
-		}
-		sum.Counts[len(sum.Counts)-1]++
-		codes[i] = uint64(len(sum.Values) - 1)
-	}
-	return sum
 }

@@ -60,8 +60,8 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 	encoders := map[EncodingType]Spec{
 		Unencoded: {Encoding: Unencoded}, Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
 	}
-	if full && seg.MemoryUsage() != sizes[Unencoded] {
-		t.Errorf("%s: Unencoded predicted %d, the full chunk's segment uses %d", c.name, sizes[Unencoded], seg.MemoryUsage())
+	if full && seg.Clipped().MemoryUsage() != sizes[Unencoded] {
+		t.Errorf("%s: Unencoded predicted %d, the full chunk's clipped segment uses %d", c.name, sizes[Unencoded], seg.Clipped().MemoryUsage())
 	}
 	smallest := Unencoded
 	for e, spec := range encoders {
@@ -80,16 +80,17 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 	}
 	chosen := sizes.Choose()
 	seen[chosen]++
+	dictionaryClose := sizes[Dictionary] < sizes[Unencoded] && sizes[Dictionary]*100 <= sizes[smallest]*110
 	switch {
-	case sizes[smallest]*100 > sizes[Unencoded]*80:
+	case sizes[smallest] >= sizes[Unencoded]:
 		if chosen != Unencoded {
-			t.Errorf("%s: chose %s although nothing saves 20%% of %d: %v", c.name, chosen, sizes[Unencoded], sizes)
+			t.Errorf("%s: chose %s although nothing is smaller than the plain %d bytes: %v", c.name, chosen, sizes[Unencoded], sizes)
 		}
 	case chosen == Dictionary:
-		if sizes[Dictionary]*100 > sizes[smallest]*110 {
-			t.Errorf("%s: chose Dictionary at %d, more than 10%% over %s at %d", c.name, sizes[Dictionary], smallest, sizes[smallest])
+		if !dictionaryClose {
+			t.Errorf("%s: chose Dictionary at %d, not below the plain %d or more than 10%% over %s at %d", c.name, sizes[Dictionary], sizes[Unencoded], smallest, sizes[smallest])
 		}
-	case sizes[chosen] != sizes[smallest] || sizes[Dictionary]*100 <= sizes[smallest]*110:
+	case sizes[chosen] != sizes[smallest] || dictionaryClose:
 		t.Errorf("%s: chose %s, smallest is %s: %v", c.name, chosen, smallest, sizes)
 	}
 
@@ -99,8 +100,8 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 		if spec.Encoding != chosen || spec.Compression != FixedSizeByteAligned {
 			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s", c.name, asc, spec, chosen)
 		}
-		if chosen == Unencoded && full && sealed != storage.Segment(seg) {
-			t.Errorf("%s: an unencoded seal of a full chunk must keep the segment", c.name)
+		if plain, ok := sealed.(*storage.ValueSegment[T]); ok && full && &plain.Values()[0] != &seg.Values()[0] {
+			t.Errorf("%s: an unencoded seal of a full chunk must keep its values", c.name)
 		}
 		if sealed.MemoryUsage() != sizes[chosen] {
 			t.Errorf("%s: sealed segment uses %d bytes, predicted %d", c.name, sealed.MemoryUsage(), sizes[chosen])
@@ -152,6 +153,8 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "nan and inf", values: generate(n, func(i int) float64 { return []float64{nan, math.Inf(1), math.Inf(-1), 1.5, nan}[i%5] })},
 		{name: "ascending floats", values: generate(n, func(i int) float64 { return float64(i/3) / 8 })},
 		{name: "nullable constant", values: generate(n, func(int) float64 { return 7.25 }), nulls: nullsEvery(n, 1000)},
+		// Nullable, but no row is NULL: the plain array is 8 B a row.
+		{name: "unique floats, no NULL", values: generate(n, func(int) float64 { return rng.Float64() }), nulls: make([]bool, n)},
 		{name: "3-row nullable float tail", values: []float64{1.5, 0, 2.5}, nulls: []bool{false, true, false}, capacity: tail},
 		{name: "1000-row unique float tail", values: generate(1000, func(int) float64 { return rng.Float64() }), capacity: tail},
 	} {
@@ -161,7 +164,8 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "constant string", values: generate(n, func(int) string { return "load" })},
 		{name: "tags", values: generate(n, func(int) string { return fmt.Sprintf("tag%02d", rng.Intn(12)) })},
 		{name: "unique strings", values: generate(n, func(i int) string { return fmt.Sprintf("payload-%06d", i) })},
-		// 47 bytes each: a 4-byte end and 2-byte code per row no longer save 20 %.
+		// 47 bytes each: a 4-byte end and 2-byte code per row still beat a
+		// 16-byte header.
 		{name: "unique long strings", values: generate(n, func(i int) string { return fmt.Sprintf("%06d %040x", i, rng.Int63()) })},
 		// More values than 16-bit codes hold.
 		{name: "70000 distinct strings", values: generate(70_000, func(i int) string { return fmt.Sprintf("k%06d", (i*7919)%70_000) })},

@@ -365,7 +365,7 @@ func TestEncodeChunkAndTable(t *testing.T) {
 		}
 	}
 	perCol := map[types.ColumnID]Spec{1: {RunLength, FixedSizeByteAligned}}
-	if err := EncodeTable(table, Spec{Dictionary, FixedSizeByteAligned}, perCol); err != nil {
+	if err := EncodeTable(table, &Spec{Dictionary, FixedSizeByteAligned}, perCol); err != nil {
 		t.Fatal(err)
 	}
 	c0 := table.GetChunk(0)
@@ -385,7 +385,7 @@ func TestEncodeChunkAndTable(t *testing.T) {
 	// Encoding a mutable chunk fails.
 	t2 := storage.NewTable("t2", defs, 100, false)
 	_, _ = t2.AppendRow([]types.Value{types.Int(1), types.Str("x")})
-	if err := EncodeChunk(t2.GetChunk(0), Spec{Dictionary, FixedSizeByteAligned}, nil); err == nil {
+	if err := EncodeChunk(t2.GetChunk(0), &Spec{Dictionary, FixedSizeByteAligned}, nil); err == nil {
 		t.Error("encoding a mutable chunk should fail")
 	}
 }
@@ -476,7 +476,7 @@ func TestMaterializeReferenceSegment(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i * 11))})
 	}
-	if err := EncodeTable(table, Spec{Dictionary, FixedSizeByteAligned}, nil); err != nil {
+	if err := EncodeTable(table, &Spec{Dictionary, FixedSizeByteAligned}, nil); err != nil {
 		t.Fatal(err)
 	}
 	pos := types.PosList{

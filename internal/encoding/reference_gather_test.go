@@ -47,7 +47,7 @@ func gatherTable(t testing.TB, name string, spec encoding.Spec) *storage.Table {
 			t.Fatal(err)
 		}
 	}
-	if err := encoding.EncodeTable(table, spec, nil); err != nil {
+	if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	return table

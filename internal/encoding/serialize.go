@@ -558,7 +558,8 @@ func valueSegmentFromParts[T types.Ordered](r *byteReader, values []T, nulls []b
 		return nil
 	}
 	if nullable && nulls == nil {
-		nulls = make([]bool, len(values))
+		// Written without flags: a sealed column that holds no NULL (Clipped).
+		return storage.ValueSegmentFromSlice(values, make([]bool, len(values))).Clipped()
 	}
 	if !nullable {
 		nulls = nil

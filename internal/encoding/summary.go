@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"hyrise/internal/storage"
@@ -100,7 +101,8 @@ func Summarize[T types.Ordered](seg storage.Segment) Summary[T] {
 }
 
 // SummarizeRows summarizes rows [lo, hi) of a segment. Only a whole segment
-// can be read off its encoding; a part of an encoded one is gathered first.
+// can be read off its encoding or decoded in bulk; a part of an encoded one is
+// gathered first.
 func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] {
 	whole := lo == 0 && hi == seg.Len()
 	switch s := seg.(type) {
@@ -118,6 +120,11 @@ func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] 
 		if whole {
 			return s.summary()
 		}
+	case *FrameOfReferenceSegment:
+		if whole {
+			vals, nulls := s.DecodeAll()
+			return groupValues(any(vals).([]T), nulls, nil)
+		}
 	}
 	pos := make([]types.ChunkOffset, hi-lo)
 	for i := range pos {
@@ -127,15 +134,155 @@ func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] 
 	return groupValues(vals, nulls, nil)
 }
 
-// groupValues summarizes raw values (nulls may be nil) by grouping them, then
-// sorting the groups: one map operation per row, one typed sort over the
-// distinct values only. With codes non-nil (one per value) it also writes
-// every row's value id — the index of its value in the summary, the number of
-// distinct values for a NULL — which makes the summary a dictionary and codes
-// its attribute vector.
+// groupValues summarizes raw values (nulls may be nil). With codes non-nil
+// (one per value) it also writes every row's value id — the index of its value
+// in the summary, the number of distinct values for a NULL — which makes the
+// summary a dictionary and codes its attribute vector. The first row of a
+// value stands for it: it picks which -0 or NaN payload the summary holds.
+//
+// Strings, where a comparison costs more than a hash, and unsorted numbers of
+// at most smallGroups distinct values are grouped by a map (hashGroups). Other
+// numbers are grouped in ascending order (groupRows): as they are if they
+// ascend already, else radix-sorted.
 func groupValues[T types.Ordered](values []T, nulls []bool, codes []uint64) Summary[T] {
+	switch any(values).(type) {
+	case []int64, []float64:
+	default:
+		sum, _ := hashGroups(values, nulls, codes, math.MaxInt)
+		return sum
+	}
+	sorted := ascending(values, nulls)
+	if !sorted {
+		if sum, ok := hashGroups(values, nulls, codes, smallGroups); ok {
+			return sum
+		}
+	}
+	return groupRows(values, nulls, orderedRows(values, nulls, sorted), codes)
+}
+
+// ascending reports that the non-NULL values never decrease in the summary's
+// order.
+func ascending[T types.Ordered](values []T, nulls []bool) bool {
+	prev := -1
+	for i, v := range values {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if prev >= 0 && compareTotal(values[prev], v) > 0 {
+			return false
+		}
+		prev = i
+	}
+	return true
+}
+
+// orderedRows lists the non-NULL rows in ascending order of their numbers, the
+// rows of one value in row order: as they come if the values ascend, else
+// radix-sorted by keys whose unsigned order is the summary's (one key for -0
+// and +0, the largest for every NaN).
+func orderedRows[T types.Ordered](values []T, nulls []bool, ascending bool) []uint32 {
+	rows := make([]uint32, 0, len(values))
+	for i := range values {
+		if nulls == nil || !nulls[i] {
+			rows = append(rows, uint32(i))
+		}
+	}
+	if ascending {
+		return rows
+	}
+	keys := make([]uint64, len(rows))
+	switch vs := any(values).(type) {
+	case []int64:
+		for i, r := range rows {
+			keys[i] = uint64(vs[r]) ^ 1<<63
+		}
+	case []float64:
+		for i, r := range rows {
+			b := math.Float64bits(vs[r] + 0) // -0 + 0 is +0
+			if keys[i] = b ^ (uint64(int64(b)>>63) | 1<<63); vs[r] != vs[r] {
+				keys[i] = math.MaxUint64
+			}
+		}
+	}
+	return radixSort(keys, rows)
+}
+
+// groupRows is groupValues over the non-NULL rows listed in ascending order of
+// their values: the distinct values are the runs of equal ones (all NaNs one
+// value), counted first so that the summary holds exactly them.
+func groupRows[T types.Ordered](values []T, nulls []bool, rows []uint32, codes []uint64) Summary[T] {
+	startsRun := func(j int) bool {
+		if j == 0 {
+			return true
+		}
+		a, b := values[rows[j-1]], values[rows[j]]
+		return a != b && (a == a || b == b)
+	}
+	runs := 0
+	for j := range rows {
+		if startsRun(j) {
+			runs++
+		}
+	}
+	sum := Summary[T]{Values: make([]T, 0, runs), Counts: make([]int, 0, runs), Nulls: len(values) - len(rows)}
+	for j, r := range rows {
+		if startsRun(j) {
+			sum.Values, sum.Counts = append(sum.Values, values[r]), append(sum.Counts, 0)
+		}
+		sum.Counts[len(sum.Counts)-1]++
+		if codes != nil {
+			codes[r] = uint64(len(sum.Values) - 1)
+		}
+	}
+	for i, null := range nulls {
+		if null && codes != nil {
+			codes[i] = uint64(runs)
+		}
+	}
+	return sum
+}
+
+// radixSort sorts rows by their keys, a least-significant-digit radix sort
+// over the keys' bytes. It is stable, so the rows of one key stay in order,
+// and it skips the bytes every key shares.
+func radixSort(keys []uint64, rows []uint32) []uint32 {
+	var counts [8][256]uint32 // rows of a segment fit a ChunkOffset
+	var differ uint64         // the bits in which some key differs from the first
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	tmpKeys, tmpRows := make([]uint64, len(keys)), make([]uint32, len(rows))
+	for b := range counts {
+		shift, at := 8*b, &counts[b]
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		next := uint32(0)
+		for d, c := range at {
+			at[d], next = next, next+c
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			tmpKeys[at[d]], tmpRows[at[d]] = k, rows[i]
+			at[d]++
+		}
+		keys, rows, tmpKeys, tmpRows = tmpKeys, tmpRows, keys, rows
+	}
+	return rows
+}
+
+// smallGroups is the most distinct numbers hashGroups keeps in its map: a map
+// that small stays in cache and beats the radix sort's passes over the rows.
+const smallGroups = 256
+
+// hashGroups is groupValues by a map: one map operation per row, then one
+// typed sort over the distinct values only. It gives up (ok false) at the
+// (limit+1)-th distinct value.
+func hashGroups[T types.Ordered](values []T, nulls []bool, codes []uint64, limit int) (sum Summary[T], ok bool) {
 	var (
-		sum   Summary[T]
 		vals  []T   // the distinct numbers, by id: in order of first appearance
 		rows  []int // by id
 		idOf  = make(map[T]int)
@@ -156,7 +303,9 @@ func groupValues[T types.Ordered](values []T, nulls []bool, codes []uint64) Summ
 			id, ok = nanID, nanID >= 0
 		}
 		if !ok {
-			id = len(rows)
+			if id = len(rows); id == limit {
+				return Summary[T]{}, false
+			}
 			rows = append(rows, 0)
 			if v != v {
 				nan, nanID = v, id
@@ -186,7 +335,7 @@ func groupValues[T types.Ordered](values []T, nulls []bool, codes []uint64) Summ
 			codes[i] = valueID[id]
 		}
 	}
-	return sum
+	return sum, true
 }
 
 // summary reads a dictionary segment without decoding it: the dictionary is

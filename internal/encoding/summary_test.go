@@ -1,9 +1,12 @@
 package encoding
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"hyrise/internal/storage"
@@ -204,4 +207,171 @@ func TestStatsEncodeDictionaryNaN(t *testing.T) {
 		}
 	}
 	runScanDiff(t, values, nil, []float64{-1, 0, 1, 2.5, 3, math.NaN()})
+}
+
+// mapGroups is the grouping kernel as it was before numbers were sorted, kept
+// as the reference of TestDiffGroupingKernel: one map operation per row (NaN
+// beside the map), one sort over the distinct values.
+func mapGroups[T types.Ordered](values []T, nulls []bool, codes []uint64) Summary[T] {
+	var (
+		sum   Summary[T]
+		vals  []T
+		rows  []int
+		idOf  = make(map[T]int)
+		nan   T
+		nanID = -1
+	)
+	const null = ^uint64(0)
+	for i, v := range values {
+		if nulls != nil && nulls[i] {
+			sum.Nulls++
+			codes[i] = null
+			continue
+		}
+		id, ok := idOf[v]
+		if v != v {
+			id, ok = nanID, nanID >= 0
+		}
+		if !ok {
+			id = len(rows)
+			rows = append(rows, 0)
+			if v != v {
+				nan, nanID = v, id
+			} else {
+				vals, idOf[v] = append(vals, v), id
+			}
+		}
+		rows[id]++
+		codes[i] = uint64(id)
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	sum.Values, sum.Counts = make([]T, len(rows)), make([]int, len(rows))
+	valueID := make([]uint64, len(rows))
+	for i, v := range vals {
+		id := idOf[v]
+		sum.Values[i], sum.Counts[i], valueID[id] = v, rows[id], uint64(i)
+	}
+	if last := len(rows) - 1; nanID >= 0 {
+		sum.Values[last], sum.Counts[last], valueID[nanID] = nan, rows[nanID], uint64(last)
+	}
+	for i, id := range codes {
+		if id == null {
+			codes[i] = uint64(len(rows))
+		} else {
+			codes[i] = valueID[id]
+		}
+	}
+	return sum
+}
+
+// identicalSummary compares bit for bit: which -0 or NaN payload stands for
+// its value matters.
+func identicalSummary[T types.Ordered](a, b Summary[T]) bool {
+	if a.Nulls != b.Nulls || !slices.Equal(a.Counts, b.Counts) || len(a.Values) != len(b.Values) {
+		return false
+	}
+	for i, v := range a.Values {
+		if f, ok := any(v).(float64); ok && math.Float64bits(f) != math.Float64bits(any(b.Values[i]).(float64)) || !ok && v != b.Values[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedPool repeats every value of domain, which is in the order the pool
+// wants, reps times in place.
+func sortedPool[T types.Ordered](name string, domain []T, reps int) summaryPool[T] {
+	p := summaryPool[T]{name: name}
+	for _, v := range domain {
+		for range reps {
+			p.values = append(p.values, v)
+		}
+	}
+	return p
+}
+
+func reversedPool[T types.Ordered](p summaryPool[T]) summaryPool[T] {
+	p.name, p.values = p.name+", reversed", slices.Clone(p.values)
+	slices.Reverse(p.values)
+	return p
+}
+
+// groupingPools is the awkward-value pool of one type: a handful of distinct
+// values (the map) and, prefixed "many", more than smallGroups (the sort),
+// each drawn at random, sorted, reversed and constant, with and without NULL.
+func groupingPools[T types.Ordered](awkward, ascending []T, many func(i int) T) []summaryPool[T] {
+	manyValues := append(seq(3000, many), awkward...)
+	manyAscending := seq(3000, many)
+	slices.SortFunc(manyAscending, compareTotal)
+	pools := []summaryPool[T]{
+		{name: "empty"},
+		allNullPool[T](70),
+		drawPool("awkward", awkward, 400, 5, 11),
+		drawPool("awkward without NULL", awkward, 400, 0, 12),
+		drawPool("constant", awkward[:1], 50, 0, 13),
+		drawPool("constant with NULL", awkward[len(awkward)-1:], 50, 3, 14),
+		sortedPool("sorted", ascending, 3),
+		drawPool("many", manyValues, 5000, 7, 15),
+		drawPool("many without NULL", manyValues, 5000, 0, 16),
+		sortedPool("many sorted", manyAscending, 2),
+	}
+	return append(pools, reversedPool(pools[6]), reversedPool(pools[9]))
+}
+
+// TestDiffGroupingKernel holds the grouping kernel — groupValues and its sort
+// path alone — to the map it replaced on numbers: equal summaries down to the
+// bits of the value that stands for -0/+0 and for every NaN (the first in row
+// order), identical value ids, and dictionaries built from them that are
+// identical byte for byte.
+func TestDiffGroupingKernel(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	payload, negPayload := math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff0000000000001)
+	floats := groupingPools(
+		[]float64{negZero, 0, nan, payload, negPayload, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+			-math.SmallestNonzeroFloat64, 2.5e-310, math.MaxFloat64, -math.MaxFloat64, 1, -1.5},
+		[]float64{math.Inf(-1), -math.MaxFloat64, -1.5, -math.SmallestNonzeroFloat64, negZero, 0, negZero,
+			math.SmallestNonzeroFloat64, 2.5e-310, 1, math.MaxFloat64, math.Inf(1), payload, nan, negPayload},
+		func(i int) float64 { return float64(i*7919%3000)*0.37 - 200 })
+	ints := groupingPools(
+		[]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, 1 << 53, 1<<53 + 1},
+		[]int64{math.MinInt64, math.MinInt64 + 1, -256, -1, 0, 1, 255, 256, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64},
+		func(i int) int64 { return int64(i*7919%3000)<<40 - 1<<50 })
+	runGroupingDiff(t, floats)
+	runGroupingDiff(t, ints)
+}
+
+func runGroupingDiff[T types.Ordered](t *testing.T, pools []summaryPool[T]) {
+	kernels := []struct {
+		name  string
+		group func([]T, []bool, []uint64) Summary[T]
+	}{{"groupValues", groupValues[T]}, {"radix sort", func(values []T, nulls []bool, codes []uint64) Summary[T] {
+		return groupRows(values, nulls, orderedRows(values, nulls, false), codes)
+	}}}
+	for _, p := range pools {
+		refCodes := make([]uint64, len(p.values))
+		ref := mapGroups(p.values, p.nulls, refCodes)
+		if strings.HasPrefix(p.name, "many") != (len(ref.Values) > smallGroups) {
+			t.Fatalf("%s/%s: %d distinct values, on the wrong side of smallGroups", types.Native[T](), p.name, len(ref.Values))
+		}
+		for _, k := range kernels {
+			name := fmt.Sprintf("%s/%s/%s", types.Native[T](), p.name, k.name)
+			codes := make([]uint64, len(p.values))
+			if got := k.group(p.values, p.nulls, codes); !identicalSummary(got, ref) {
+				t.Errorf("%s: summary %v, map %v", name, got, ref)
+			}
+			if !slices.Equal(codes, refCodes) {
+				t.Errorf("%s: value ids differ from the map's", name)
+			}
+			if got := k.group(p.values, p.nulls, nil); !identicalSummary(got, ref) {
+				t.Errorf("%s: summary without codes %v, map %v", name, got, ref)
+			}
+		}
+		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			got, _ := AppendSegment(nil, EncodeDictionary(p.values, p.nulls, comp))
+			want, _ := AppendSegment(nil, newDictionary(ref.Values, refCodes, comp))
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%s/%s: dictionary differs from the map's", types.Native[T](), p.name, comp)
+			}
+		}
+	}
 }

@@ -230,7 +230,7 @@ func TestTableScanOnAllEncodings(t *testing.T) {
 			sm := storage.NewStorageManager()
 			table := numbersTable(t, sm, 16, 100)
 			if spec.Encoding != encoding.Unencoded {
-				if err := encoding.EncodeTable(table, spec, nil); err != nil {
+				if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -56,7 +56,7 @@ func rungTable(t *testing.T, sm *storage.StorageManager, name string, spec encod
 	}
 	table := makeTable(t, sm, name, rungDefs, rungChunkRows, rows)
 	if spec.Encoding != encoding.Unencoded {
-		if err := encoding.EncodeTable(table, spec, nil); err != nil {
+		if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

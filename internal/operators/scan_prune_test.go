@@ -29,7 +29,7 @@ func prunableTable(t *testing.T, sm *storage.StorageManager, chunks int) *storag
 	}
 	table := makeTable(t, sm, "pruned", defs, 100, rows)
 	spec := encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
-	if err := encoding.EncodeTable(table, spec, nil); err != nil {
+	if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	return table
@@ -147,7 +147,7 @@ func TestDiffPruningWithNaN(t *testing.T) {
 		for _, filtered := range []bool{false, true} {
 			sm := storage.NewStorageManager()
 			table := makeTable(t, sm, "nan", defs, 100, rows)
-			if err := encoding.EncodeTable(table, encoding.Spec{Encoding: enc}, nil); err != nil {
+			if err := encoding.EncodeTable(table, &encoding.Spec{Encoding: enc}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if filtered {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hyrise/internal/concurrency"
+	"hyrise/internal/filter"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -381,4 +382,58 @@ func TestCrashRestoredTailGrowsWithinCapacity(t *testing.T) {
 			t.Errorf("column %s holds room for %d values and %d null flags, want %d", def.Name, values, nulls, capacity)
 		}
 	}
+}
+
+// TestSealedColumnWithoutNullKeepsNoFlags: a sealed nullable column that holds
+// no NULL keeps no NULL flags — 8 B a row of floats, not 9 — and comes back
+// from a snapshot that way, still nullable; a column with one NULL keeps them.
+func TestSealedColumnWithoutNullKeepsNoFlags(t *testing.T) {
+	const rows = 1000
+	sm := storage.NewStorageManager()
+	table := storage.NewTable("t", []storage.ColumnDefinition{
+		{Name: "clean", Type: types.TypeFloat64, Nullable: true}, {Name: "one_null", Type: types.TypeFloat64, Nullable: true},
+	}, rows, false)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		v := types.Float(float64(i) + 0.25)
+		second := v
+		if i == 500 {
+			second = types.NullValue
+		}
+		if _, err := table.AppendRow([]types.Value{v, second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filter.Seal(table.GetChunk(0), nil)
+	check := func(when string, c *storage.Chunk) {
+		t.Helper()
+		for col, want := range []int64{8 * rows, 9 * rows} {
+			seg, ok := c.GetSegment(types.ColumnID(col)).(*storage.ValueSegment[float64])
+			if !ok || !seg.Nullable() || seg.MemoryUsage() != want {
+				t.Fatalf("%s: column %d is %T using %d bytes, want a nullable value segment of %d", when, col, c.GetSegment(types.ColumnID(col)), c.GetSegment(types.ColumnID(col)).MemoryUsage(), want)
+			}
+		}
+		if v := c.GetSegment(1).ValueAt(500); !v.IsNull() {
+			t.Errorf("%s: row 500 of one_null reads %v, want NULL", when, v)
+		}
+		if v := c.GetSegment(0).ValueAt(500); v.IsNull() || v.F != 500.25 {
+			t.Errorf("%s: row 500 of clean reads %v, want 500.25", when, v)
+		}
+	}
+	check("sealed", table.GetChunk(0))
+	img, err := encodeSnapshot(sm, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredSM := storage.NewStorageManager()
+	if _, _, err := DecodeSnapshot(img, restoredSM); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoredSM.GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored.GetChunk(0))
 }

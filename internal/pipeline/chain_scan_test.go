@@ -75,7 +75,7 @@ func chainOracle(t *testing.T) *rowengine.Engine {
 func newChainEngine(t *testing.T, cfg Config, spec encoding.Spec) (*Engine, *storage.Table) {
 	t.Helper()
 	table := newChainTable(t, cfg.UseMvcc)
-	if err := encoding.EncodeTable(table, spec, nil); err != nil {
+	if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	sm := storage.NewStorageManager()

@@ -143,7 +143,7 @@ func TestStatsSegmentSummary(t *testing.T) {
 		// and encoded before the fold sees them — and the start of chunk 3.
 		appendRows(800)
 		for _, c := range []types.ChunkID{1, 2} {
-			if err := encoding.EncodeChunk(table.GetChunk(c), dictionary, nil); err != nil {
+			if err := encoding.EncodeChunk(table.GetChunk(c), &dictionary, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestStatsNaN(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := encoding.EncodeTable(table, spec, nil); err != nil {
+		if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 			t.Fatal(err)
 		}
 		cs := BuildTableStatistics(table, EqualHeight).Columns[0]
@@ -190,10 +190,15 @@ func TestStatsNaN(t *testing.T) {
 func TestSummarizedChunksCounter(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	table := newFoldTable(t, r, 1000) // three sealed chunks of 256 rows and a tail
-	if err := encoding.EncodeChunk(table.GetChunk(0), dictionary, nil); err != nil {
+	if err := encoding.EncodeChunk(table.GetChunk(0), &dictionary, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := encoding.EncodeChunk(table.GetChunk(2), dictionary, nil); err != nil {
+	if err := encoding.EncodeChunk(table.GetChunk(2), &dictionary, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Frame-of-reference on the integer columns: decoded and grouped row by
+	// row, so not read off its encoding.
+	if err := encoding.EncodeChunk(table.GetChunk(1), &encoding.Spec{Encoding: encoding.FrameOfReference}, nil); err != nil {
 		t.Fatal(err)
 	}
 	reg := observe.NewRegistry()
@@ -201,6 +206,6 @@ func TestSummarizedChunksCounter(t *testing.T) {
 	cache.Instrument(reg)
 	cache.Get(table)
 	if got := reg.Counter("statistics.summarized_chunks").Value(); got != 2 {
-		t.Errorf("statistics.summarized_chunks = %d after a build over two encoded chunks of four, want 2", got)
+		t.Errorf("statistics.summarized_chunks = %d after a build over two dictionary chunks, a frame-of-reference one and a tail, want 2", got)
 	}
 }

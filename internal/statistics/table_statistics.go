@@ -90,14 +90,14 @@ func rowsSince(t *storage.Table, from mark) (parts []chunkRows, to mark, rows in
 }
 
 // summarized counts the parts that are read without a pass over their rows:
-// whole chunks of encoded segments, whose summaries come off the dictionary
-// or the runs.
+// whole chunks of dictionary and run-length segments, whose summaries come off
+// the dictionary or the runs. Frame-of-reference is decoded and grouped.
 func summarized(parts []chunkRows) (n int64) {
 	for _, p := range parts {
 		encoded := p.lo == 0 && p.hi > 0
 		for _, seg := range p.segs {
-			spec, ok := encoding.SpecOf(seg)
-			encoded = encoded && ok && spec.Encoding != encoding.Unencoded
+			spec, _ := encoding.SpecOf(seg)
+			encoded = encoded && (spec.Encoding == encoding.Dictionary || spec.Encoding == encoding.RunLength)
 		}
 		if encoded {
 			n++

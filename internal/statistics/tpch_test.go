@@ -11,10 +11,10 @@ import (
 )
 
 // TestStatsSegmentSummaryTPCH: statistics built from segment summaries
-// are the statistics the row path computes, on every TPC-H table, encoded and
-// not.
+// are the statistics the row path computes, on every TPC-H table: sealed by
+// the size model, dictionary-encoded and unencoded.
 func TestStatsSegmentSummaryTPCH(t *testing.T) {
-	for _, spec := range []encoding.Spec{tpch.DefaultEncoding(), {Encoding: encoding.Unencoded}} {
+	for _, spec := range []*encoding.Spec{tpch.DefaultEncoding(), {Encoding: encoding.Dictionary}, {Encoding: encoding.Unencoded}} {
 		sm := storage.NewStorageManager()
 		if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.01, ChunkSize: 10_000, Seed: 3}); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func TestStatsSegmentSummaryTPCH(t *testing.T) {
 			for _, kind := range []statistics.HistogramType{statistics.EqualHeight, statistics.EqualWidth, statistics.EqualDistinctCount} {
 				want := statistics.RowTableStatistics(table, kind)
 				if got := statistics.BuildTableStatistics(table, kind); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s (%s, %s): statistics from summaries differ from the row path", name, spec, kind)
+					t.Errorf("%s (%v, %s): statistics from summaries differ from the row path", name, spec, kind)
 				}
 			}
 		}

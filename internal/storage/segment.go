@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"hyrise/internal/types"
 )
@@ -96,17 +97,23 @@ func growTo[E any](xs []E, limit int) []E {
 
 func (s *ValueSegment[T]) growLimit(capacity int) { s.limit = capacity }
 
-// Clipped returns the segment without spare capacity: s itself when it has
-// none (a full chunk's), else a copy of exactly its rows.
+// Clipped returns the segment as a sealed chunk keeps it: its rows without
+// spare capacity, and NULL flags only if some row is NULL (it stays
+// Nullable). An array without spare capacity is shared, not copied.
 func (s *ValueSegment[T]) Clipped() *ValueSegment[T] {
-	if cap(s.values) == len(s.values) && cap(s.nulls) == len(s.nulls) {
-		return s
-	}
-	cp := &ValueSegment[T]{values: append(make([]T, 0, len(s.values)), s.values...), nullable: s.nullable}
-	if s.nulls != nil {
-		cp.nulls = append(make([]bool, 0, len(s.nulls)), s.nulls...)
+	cp := &ValueSegment[T]{values: exact(s.values), nullable: s.nullable}
+	if slices.Contains(s.nulls, true) {
+		cp.nulls = exact(s.nulls)
 	}
 	return cp
+}
+
+// exact is xs without spare capacity: xs itself, or a copy if it has some.
+func exact[E any](xs []E) []E {
+	if len(xs) == cap(xs) {
+		return xs
+	}
+	return append(make([]E, 0, len(xs)), xs...)
 }
 
 // Values exposes the underlying data slice for tight loops and encoders.
