@@ -19,6 +19,7 @@ import (
 	"hyrise/internal/encoding"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/rowengine"
+	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
 )
 
@@ -166,18 +167,18 @@ func tpchItems(sf float64, nums []int) []benchmark.Item {
 var dictionary = encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
 
 // newTPCHEngine is the one TPC-H setup: generate (seed 42, MVCC columns as
-// cfg says), then encode with spec and attach the default pruning filters. A
-// nil spec leaves the tables as generated — unencoded, no filters.
+// cfg says) into a catalog without a Sealer, seal every chunk once with spec
+// and the default pruning filters, and open the engine over it. A nil spec
+// leaves the tables as generated — unencoded, no filters.
 func newTPCHEngine(cfg pipeline.Config, gen tpch.Config, spec *encoding.Spec) (*pipeline.Engine, error) {
 	gen.UseMvcc, gen.Seed = cfg.UseMvcc, 42
-	engine := pipeline.NewEngine(cfg, nil)
-	err := tpch.Generate(engine.StorageManager(), gen)
+	sm := storage.NewStorageManager()
+	err := tpch.Generate(sm, gen)
 	if err == nil && spec != nil {
-		err = tpch.EncodeAndFilter(engine.StorageManager(), spec)
+		err = tpch.EncodeAndFilter(sm, spec)
 	}
 	if err != nil {
-		engine.Close()
 		return nil, err
 	}
-	return engine, nil
+	return pipeline.NewEngine(cfg, sm), nil
 }

@@ -7,6 +7,11 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"hyrise/internal/encoding"
+	"hyrise/internal/pipeline"
+	"hyrise/internal/tpch"
+	"hyrise/internal/types"
 )
 
 // runBench runs one subcommand in-process at the smallest useful scale.
@@ -127,5 +132,40 @@ func TestRunnerEmitsJSON(t *testing.T) {
 		if queries, ok := got["queries"].([]any); ok && len(queries) != 2 {
 			t.Errorf("%v: %d query results, want 2", tc.args, len(queries))
 		}
+	}
+}
+
+// TestNewTPCHEngineSealsOnce: the figures' TPC-H setup generates into a
+// catalog without a Sealer and applies its spec once. A nil spec leaves every
+// segment unencoded (Fig. 6's dynamic baseline); Dictionary (FSBA) makes every
+// segment one, and the engine's Sealer never runs on the loaded chunks.
+func TestNewTPCHEngineSealsOnce(t *testing.T) {
+	for _, spec := range []*encoding.Spec{nil, &dictionary} {
+		want := encoding.Spec{Encoding: encoding.Unencoded}
+		if spec != nil {
+			want = *spec
+		}
+		engine, err := newTPCHEngine(pipeline.DefaultConfig(), tpch.Config{ScaleFactor: 0.002, ChunkSize: 1000}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := engine.StorageManager()
+		for _, name := range tpch.TableNames() {
+			table, err := sm.GetTable(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range table.Chunks() {
+				for col := 0; col < c.ColumnCount(); col++ {
+					if got, _ := encoding.SpecOf(c.GetSegment(types.ColumnID(col))); got != want {
+						t.Errorf("%s: %s chunk %d column %d is %s", want, name, ci, col, got)
+					}
+				}
+			}
+		}
+		if n, _ := sm.SealStats(); n != 0 {
+			t.Errorf("%s: the engine's Sealer ran on %d loaded chunks, want 0", want, n)
+		}
+		engine.Close()
 	}
 }

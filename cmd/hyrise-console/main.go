@@ -110,10 +110,6 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 			fmt.Println("error:", err)
 			break
 		}
-		if err := tpch.EncodeAndFilter(engine.StorageManager(), tpch.DefaultEncoding()); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
 		fmt.Println("done.")
 	case "\\visualize":
 		sql := strings.TrimSpace(strings.TrimPrefix(line, "\\visualize"))

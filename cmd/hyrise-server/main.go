@@ -97,9 +97,6 @@ func main() {
 		if err := tpch.Generate(engine.StorageManager(), tpch.Config{ScaleFactor: *tpchSF, UseMvcc: cfg.UseMvcc, Seed: 42}); err != nil {
 			fail(err)
 		}
-		if err := tpch.EncodeAndFilter(engine.StorageManager(), tpch.DefaultEncoding()); err != nil {
-			fail(err)
-		}
 		// Bulk loads bypass the WAL; checkpoint so the generated data is in
 		// the snapshot and survives restarts (and reaches followers).
 		if engine.Durable() {

@@ -1,8 +1,7 @@
-// Self-driving: the paper's prime plugin use case (§3.2). The example
-// loads the encoding advisor and index selection plugins through the plugin
-// manager; the advisors inspect table statistics, re-encode segments, and
-// build per-chunk indexes — all through public interfaces, without the
-// database core knowing about them.
+// Self-driving: the paper's prime plugin use case (§3.2). The table seals by
+// the size model when its load ends; the encoding advisor and index selection
+// plugins, loaded through the plugin manager, report its encodings and build
+// per-chunk indexes — without the database core knowing about them.
 package main
 
 import (
@@ -50,11 +49,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	table.FinalizeLastChunk()
-
 	dataBefore, _ := table.MemoryUsage()
 	probe := "SELECT count(*), avg(reading) FROM telemetry WHERE status = 'error' AND device = 42"
 	before := timeQuery(db, probe)
+	table.SealTail() // the load ends: the 50 000-row tail seals by the size model
 
 	fmt.Println("available plugins:", strings.Join(plugin.Available(), ", "))
 	for _, name := range []string{"encoding_advisor", "index_selection"} {

@@ -179,8 +179,8 @@ func (db *Database) StatementStats() []observe.StatementStatRow { return db.engi
 func (db *Database) Plugins() *plugin.Manager { return db.plugins }
 
 // GenerateTPCH generates and registers the eight TPC-H tables at the given
-// scale factor, sealed by the size model with default pruning filters — the
-// benchmark binaries' one-step setup (paper §2.10).
+// scale factor; their chunks seal by the size model with default pruning
+// filters as they fill — the benchmark binaries' one-step setup (paper §2.10).
 func (db *Database) GenerateTPCH(scaleFactor float64, chunkSize int) error {
 	return db.GenerateTPCHOpts(tpch.Config{ScaleFactor: scaleFactor, ChunkSize: chunkSize})
 }
@@ -192,10 +192,7 @@ func (db *Database) GenerateTPCHOpts(cfg tpch.Config) error {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	if err := tpch.Generate(db.engine.StorageManager(), cfg); err != nil {
-		return err
-	}
-	return tpch.EncodeAndFilter(db.engine.StorageManager(), tpch.DefaultEncoding())
+	return tpch.Generate(db.engine.StorageManager(), cfg)
 }
 
 // TPCHConfig re-exports the generator configuration for GenerateTPCHOpts.

@@ -65,7 +65,7 @@ func microJoinTables(b *testing.B, n int, composite bool) (*storage.Table, *stor
 				b.Fatal(err)
 			}
 		}
-		t.FinalizeLastChunk()
+		t.SealTail()
 		return t
 	}
 	return build("l", n), build("r", n/2)
@@ -151,7 +151,7 @@ func microAggTable(b *testing.B, n, groups int, stringKeys bool) *storage.Table 
 			b.Fatal(err)
 		}
 	}
-	t.FinalizeLastChunk()
+	t.SealTail()
 	return t
 }
 

@@ -39,7 +39,7 @@ func microScanTable(b *testing.B, n int) *storage.Table {
 			b.Fatal(err)
 		}
 	}
-	t.FinalizeLastChunk()
+	t.SealTail()
 	return t
 }
 

@@ -100,38 +100,31 @@ func compressionOf(v UintVector) VectorCompressionType {
 	return FixedSizeByteAligned
 }
 
-// EncodeChunk seals every segment of an immutable chunk in place (Seal) with
-// the default spec — nil is the size model — or, where perColumn names one,
-// the column's own (paper §2.2: "Some segments of a chunk might stay
-// unencoded, others dictionary-encoded, and further segments run
-// length-encoded"). It attaches no filters: filter.Seal does both.
-func EncodeChunk(c *storage.Chunk, def *Spec, perColumn map[types.ColumnID]Spec) error {
-	if !c.IsImmutable() {
-		return fmt.Errorf("encoding: chunk must be immutable before encoding")
-	}
-	for col := 0; col < c.ColumnCount(); col++ {
-		id := types.ColumnID(col)
-		spec := def
-		if own, ok := perColumn[id]; ok {
-			spec = &own
-		}
-		seg, zone := c.SegmentWithZone(id)
-		if _, ok := seg.(*storage.ReferenceSegment); ok {
-			return fmt.Errorf("encoding: cannot encode reference segment")
-		}
-		sealed, _ := Seal(seg, zone.Ascending >= seg.Len(), spec)
-		c.ReplaceSegment(id, sealed)
-	}
-	return nil
-}
-
-// EncodeTable finalizes the last chunk and encodes all chunks of a data
-// table (bulk-load path of the benchmark binaries).
+// EncodeTable seals the tail of a data table and encodes every segment in
+// place (Seal) with the default spec — nil is the size model — or, where
+// perColumn names one, the column's own (paper §2.2: "Some segments of a
+// chunk might stay unencoded, others dictionary-encoded, and further segments
+// run length-encoded"). Without any spec it skips the chunks the catalog's
+// Sealer finished. It attaches no filters: filter.Seal does both. Its one
+// caller outside tests is bench/htap.go's fill-first load.
 func EncodeTable(t *storage.Table, def *Spec, perColumn map[types.ColumnID]Spec) error {
-	t.FinalizeLastChunk()
+	t.SealTail()
 	for _, c := range t.Chunks() {
-		if err := EncodeChunk(c, def, perColumn); err != nil {
-			return err
+		if def == nil && perColumn == nil && c.SealNS() > 0 {
+			continue
+		}
+		for col := 0; col < c.ColumnCount(); col++ {
+			id := types.ColumnID(col)
+			spec := def
+			if own, ok := perColumn[id]; ok {
+				spec = &own
+			}
+			seg, zone := c.SegmentWithZone(id)
+			if _, ok := seg.(*storage.ReferenceSegment); ok {
+				return fmt.Errorf("encoding: cannot encode reference segment")
+			}
+			sealed, _ := Seal(seg, zone.Ascending >= seg.Len(), spec)
+			c.ReplaceSegment(id, sealed)
 		}
 	}
 	return nil

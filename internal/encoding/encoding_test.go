@@ -352,7 +352,7 @@ func TestSealFORFallbackForStrings(t *testing.T) {
 	}
 }
 
-func TestEncodeChunkAndTable(t *testing.T) {
+func TestEncodeTable(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "a", Type: types.TypeInt64},
 		{Name: "b", Type: types.TypeString},
@@ -382,11 +382,11 @@ func TestEncodeChunkAndTable(t *testing.T) {
 			t.Errorf("row %d = %v", i, got)
 		}
 	}
-	// Encoding a mutable chunk fails.
-	t2 := storage.NewTable("t2", defs, 100, false)
-	_, _ = t2.AppendRow([]types.Value{types.Int(1), types.Str("x")})
-	if err := EncodeChunk(t2.GetChunk(0), &Spec{Dictionary, FixedSizeByteAligned}, nil); err == nil {
-		t.Error("encoding a mutable chunk should fail")
+	// The tail (rows 8 and 9) was sealed first, then encoded with the rest.
+	if tail := table.GetChunk(2); !tail.IsImmutable() {
+		t.Error("the tail is still mutable")
+	} else if _, ok := tail.GetSegment(0).(*DictionarySegment[int64]); !ok {
+		t.Errorf("tail column a should be dictionary, got %T", tail.GetSegment(0))
 	}
 }
 

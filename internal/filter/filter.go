@@ -19,8 +19,8 @@ import (
 // lifecycle"): each column takes the representation encoding.Seal builds for
 // spec and each numeric column its default filter, built from the Summary that
 // seal returns. A nil spec is the size model, which leaves the columns that are
-// already encoded alone. The catalog's Sealer is Seal(c, nil); loaders pass
-// their spec.
+// already encoded alone. The catalog's Sealer is Seal(c, nil); hyrise-bench
+// passes its spec.
 func Seal(c *storage.Chunk, spec *encoding.Spec) {
 	for col := 0; col < c.ColumnCount(); col++ {
 		id := types.ColumnID(col)

@@ -105,7 +105,7 @@ func TestAttachDefaults(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i)), types.Str("x")})
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	if err := AttachDefaultFilters(table); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func sealTable(t *testing.T, rng *rand.Rand, ascending bool) *storage.Table {
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	return table
 }
 

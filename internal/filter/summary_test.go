@@ -248,7 +248,7 @@ func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	c := table.GetChunk(0)
 	c.AddFilter(rangeHist(c.GetSegment(1), 1, DefaultRangeHistBins))
 	for pass := 0; pass < 2; pass++ {

@@ -277,7 +277,7 @@ func TestAddIndexToChunk(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i))})
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	c := table.GetChunk(0)
 	if err := AddIndexToChunk(c, 0); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func makeTable(t *testing.T, sm *storage.StorageManager, name string, defs []sto
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	if sm != nil {
 		if err := sm.AddTable(table); err != nil {
 			t.Fatal(err)

@@ -229,7 +229,7 @@ func FuzzSortedScan(f *testing.F) {
 		}
 		tail := appended.GetChunk(0)
 		check("mutable tail", tail)
-		appended.FinalizeLastChunk()
+		appended.SealTail()
 		check("sealed", tail)
 
 		specs := []encoding.Spec{

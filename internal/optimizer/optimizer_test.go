@@ -29,7 +29,7 @@ func catalog(t *testing.T) *storage.StorageManager {
 			types.Int(int64(i)), types.Int(int64(i % 50)), types.Float(float64(i)),
 		})
 	}
-	orders.FinalizeLastChunk()
+	orders.SealTail()
 	_ = filter.AttachDefaultFilters(orders)
 	_ = sm.AddTable(orders)
 
@@ -40,7 +40,7 @@ func catalog(t *testing.T) *storage.StorageManager {
 	for i := 0; i < 50; i++ {
 		_, _ = cust.AppendRow([]types.Value{types.Int(int64(i)), types.Str("c")})
 	}
-	cust.FinalizeLastChunk()
+	cust.SealTail()
 	_ = sm.AddTable(cust)
 
 	item := storage.NewTable("item", []storage.ColumnDefinition{
@@ -50,7 +50,7 @@ func catalog(t *testing.T) *storage.StorageManager {
 	for i := 0; i < 3000; i++ {
 		_, _ = item.AppendRow([]types.Value{types.Int(int64(i % 1000)), types.Int(int64(i % 10))})
 	}
-	item.FinalizeLastChunk()
+	item.SealTail()
 	_ = sm.AddTable(item)
 
 	return sm

@@ -281,7 +281,7 @@ func TestDiffSnapshotV2CorruptChunkBody(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 
 	buildImage := func(mutate func(w *writer, body []byte)) []byte {
 		w := &writer{}

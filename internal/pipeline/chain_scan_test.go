@@ -56,7 +56,7 @@ func newChainTable(t *testing.T, useMvcc bool) *storage.Table {
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	concurrency.MarkTableLoaded(table)
 	return table
 }

@@ -40,7 +40,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			types.Str(fmt.Sprintf("tag%02d", rng.Intn(8))),
 		})
 	}
-	ta.FinalizeLastChunk()
+	ta.SealTail()
 	_ = sm.AddTable(ta)
 
 	tb := storage.NewTable("tb", []storage.ColumnDefinition{
@@ -53,7 +53,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			types.Str(fmt.Sprintf("name%d", i%5)),
 		})
 	}
-	tb.FinalizeLastChunk()
+	tb.SealTail()
 	_ = sm.AddTable(tb)
 
 	cfg := DefaultConfig()

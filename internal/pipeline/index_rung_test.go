@@ -39,7 +39,7 @@ func newIndexedEngine(t *testing.T) (*Engine, *Session) {
 				t.Fatal(err)
 			}
 		}
-		table.FinalizeLastChunk()
+		table.SealTail()
 		concurrency.MarkTableLoaded(table)
 		for _, c := range table.Chunks() {
 			if err := index.AddIndexToChunk(c, 0); err != nil {

@@ -46,7 +46,7 @@ func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvc
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	concurrency.MarkTableLoaded(table)
 	if err := sm.AddTable(table); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func TestDiffSortNaN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	if err := sm.AddTable(table); err != nil {
 		t.Fatal(err)
 	}

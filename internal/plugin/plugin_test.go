@@ -102,9 +102,12 @@ func TestUnloadAll(t *testing.T) {
 	}
 }
 
+// selfDrivingEngine loads events the way every loader does: registered
+// first, so each chunk seals by the size model as it fills.
 func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 	t.Helper()
-	sm := storage.NewStorageManager()
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	t.Cleanup(e.Close)
 	table := storage.NewTable("events", []storage.ColumnDefinition{
 		{Name: "id", Type: types.TypeInt64},       // unique -> index candidate
 		{Name: "kind", Type: types.TypeInt64},     // 4 distinct -> dictionary
@@ -112,6 +115,9 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 		{Name: "seq", Type: types.TypeInt64},      // dense unique ints -> FOR
 		{Name: "payload", Type: types.TypeString}, // unique 47-byte strings -> dictionary
 	}, 500, false)
+	if err := e.StorageManager().AddTable(table); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2000; i++ {
 		_, _ = table.AppendRow([]types.Value{
 			types.Int(int64(i * 7)),
@@ -121,10 +127,7 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 			types.Str(fmt.Sprintf("payload-%06d-%032d", i, i*7919)),
 		})
 	}
-	table.FinalizeLastChunk()
-	_ = sm.AddTable(table)
-	e := pipeline.NewEngine(pipeline.DefaultConfig(), sm)
-	t.Cleanup(e.Close)
+	table.SealTail()
 	return e
 }
 
@@ -166,6 +169,10 @@ func TestIndexSelectionPlugin(t *testing.T) {
 	}
 }
 
+// TestEncodingAdvisorPlugin: Advise reports the size model's choice per
+// column. The segments are encoded before the plugin loads — the catalog's
+// Sealer encoded each chunk as it filled — so what this test used to credit to
+// Advise's own seal pass it now reads off the load.
 func TestEncodingAdvisorPlugin(t *testing.T) {
 	e := selfDrivingEngine(t)
 	m := NewManager(e)
@@ -188,7 +195,7 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 	if !strings.Contains(applied["events.payload"], "Dictionary") {
 		t.Errorf("payload should be dictionary, got %q", applied["events.payload"])
 	}
-	// Segments were physically replaced.
+	// Segments were physically replaced, by the load.
 	table, _ := e.StorageManager().GetTable("events")
 	kindCol, _ := table.ColumnID("kind")
 	if _, ok := table.GetChunk(0).GetSegment(kindCol).(*encoding.DictionarySegment[int64]); !ok {
@@ -212,19 +219,18 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 // which reasons about values, leaves it alone, and nobody advises the empty
 // table.
 func TestStatsAdvisorsSkipValuelessColumns(t *testing.T) {
-	sm := storage.NewStorageManager()
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	t.Cleanup(e.Close)
 	table := storage.NewTable("sparse", []storage.ColumnDefinition{
 		{Name: "seq", Type: types.TypeInt64},
 		{Name: "gone", Type: types.TypeInt64, Nullable: true},
 	}, 500, false)
+	_ = e.StorageManager().AddTable(table)
 	for i := 0; i < 2000; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i)), types.NullValue})
 	}
-	table.FinalizeLastChunk()
-	_ = sm.AddTable(table)
-	_ = sm.AddTable(storage.NewTable("nothing", []storage.ColumnDefinition{{Name: "x", Type: types.TypeInt64}}, 500, false))
-	e := pipeline.NewEngine(pipeline.DefaultConfig(), sm)
-	t.Cleanup(e.Close)
+	table.SealTail()
+	_ = e.StorageManager().AddTable(storage.NewTable("nothing", []storage.ColumnDefinition{{Name: "x", Type: types.TypeInt64}}, 500, false))
 
 	if cs := e.Statistics().Get(table).Columns[1]; !cs.Empty() || cs.Min != 0 || cs.Max != 0 {
 		t.Fatalf("all-NULL column statistics: %+v", cs)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"hyrise/internal/encoding"
-	"hyrise/internal/filter"
 	"hyrise/internal/index"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
@@ -194,10 +193,10 @@ func (p *EncodingAdvisorPlugin) Applied() map[string]string {
 	return out
 }
 
-// Advise seals every immutable chunk that loaders left (partly) unencoded —
-// the same filter.Seal, hence the same size model, the engine runs on a chunk
-// the moment an append fills it — and records per column what the table's
-// first sealed chunk ended up as.
+// Advise records per column what the size model chose for each table: the
+// encoding of its first sealed chunk. It seals nothing — the catalog's Sealer
+// already ran the size model on every chunk the moment it filled or its load
+// ended (Table.SealTail).
 func (p *EncodingAdvisorPlugin) Advise() error {
 	p.mu.Lock()
 	engine := p.engine
@@ -214,10 +213,8 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 		var first *storage.Chunk
 		for _, c := range t.Chunks() {
 			if c.IsImmutable() {
-				filter.Seal(c, nil)
-				if first == nil {
-					first = c
-				}
+				first = c
+				break
 			}
 		}
 		if first == nil {
@@ -237,9 +234,8 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 // AdviseFromWorkload closes the self-driving loop: it reads the per-column
 // scan statistics the executor records (code-path mix, predicate shapes,
 // selectivity) and re-encodes the segments of hot columns toward whatever
-// representation the observed workload scans fastest. Unlike Advise, which
-// only touches still-unencoded segments, this pass re-encodes already-encoded
-// ones when the workload disagrees with the earlier choice.
+// representation the observed workload scans fastest, encoded ones included
+// when the workload disagrees with the size model's choice.
 func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 	p.mu.Lock()
 	engine := p.engine

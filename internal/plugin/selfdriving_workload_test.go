@@ -43,14 +43,14 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.FinalizeLastChunk()
+	table.SealTail() // the load ends: the Sealer encodes the chunk by the size model
 
 	p := &EncodingAdvisorPlugin{}
 	if err := p.Start(e); err != nil {
 		t.Fatal(err)
 	}
 	applied := p.Applied()
-	// Size-model pass: pointy (50 distinct values 500 apart: one-byte codes
+	// Advise reports the size model's choice: pointy (50 distinct values 500 apart: one-byte codes
 	// against two-byte offsets) -> dictionary, rangy (dense unique ints) ->
 	// frame-of-reference.
 	if !strings.Contains(applied["wl.pointy"], "Dictionary") {

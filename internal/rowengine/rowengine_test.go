@@ -73,7 +73,7 @@ func TestRowEngineBasics(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_, _ = table.AppendRow([]types.Value{types.Int(int64(i)), types.Str("v")})
 	}
-	table.FinalizeLastChunk()
+	table.SealTail()
 	_ = sm.AddTable(table)
 
 	e := NewFromStorage(sm)

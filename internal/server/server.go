@@ -689,6 +689,13 @@ func (w *wire) readInt32() (int32, error) {
 	return int32(binary.BigEndian.Uint32(buf[:])), nil
 }
 
+// maxMessageLength bounds a frontend message, length word included, as
+// PostgreSQL does.
+const maxMessageLength = 1 << 30
+
+// readMessage reads one frontend message. A length word outside [4,
+// maxMessageLength] cannot frame the stream: it is answered with 08P01 and
+// ends the connection.
 func (w *wire) readMessage() (byte, []byte, error) {
 	msgType, err := w.r.ReadByte()
 	if err != nil {
@@ -698,11 +705,24 @@ func (w *wire) readMessage() (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, length-4)
-	if _, err := io.ReadFull(w.r, payload); err != nil {
-		return 0, nil, err
+	if length < 4 || length > maxMessageLength {
+		w.writeErrorCode(codeProtocolViolation, "invalid message length")
+		_ = w.w.Flush()
+		return 0, nil, errors.New("invalid message length")
 	}
-	return msgType, payload, nil
+	n := int64(length) - 4
+	if n > 1<<16 {
+		// Grown as the bytes arrive: a length the client never fills costs
+		// nothing.
+		payload, err := io.ReadAll(io.LimitReader(w.r, n))
+		if err == nil && int64(len(payload)) < n {
+			err = io.ErrUnexpectedEOF
+		}
+		return msgType, payload, err
+	}
+	payload := make([]byte, n)
+	_, err = io.ReadFull(w.r, payload)
+	return msgType, payload, err
 }
 
 func (w *wire) writeMessage(msgType byte, payload []byte) {

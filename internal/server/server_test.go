@@ -154,7 +154,7 @@ func parseError(payload []byte) string {
 	return "unknown error"
 }
 
-func startServer(t *testing.T) (string, *pipeline.Engine) {
+func startServer(t testing.TB) (string, *pipeline.Engine) {
 	t.Helper()
 	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
 	t.Cleanup(e.Close)

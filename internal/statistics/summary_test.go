@@ -143,9 +143,7 @@ func TestStatsSegmentSummary(t *testing.T) {
 		// and encoded before the fold sees them — and the start of chunk 3.
 		appendRows(800)
 		for _, c := range []types.ChunkID{1, 2} {
-			if err := encoding.EncodeChunk(table.GetChunk(c), &dictionary, nil); err != nil {
-				t.Fatal(err)
-			}
+			encodeChunk(table.GetChunk(c), dictionary)
 		}
 		parts, _, rows = rowsSince(table, at)
 		if got, want := built.fold(parts, rows), rowFold(built, parts, rows); !reflect.DeepEqual(got, want) {
@@ -190,22 +188,27 @@ func TestStatsNaN(t *testing.T) {
 func TestSummarizedChunksCounter(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	table := newFoldTable(t, r, 1000) // three sealed chunks of 256 rows and a tail
-	if err := encoding.EncodeChunk(table.GetChunk(0), &dictionary, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := encoding.EncodeChunk(table.GetChunk(2), &dictionary, nil); err != nil {
-		t.Fatal(err)
-	}
+	encodeChunk(table.GetChunk(0), dictionary)
+	encodeChunk(table.GetChunk(2), dictionary)
 	// Frame-of-reference on the integer columns: decoded and grouped row by
 	// row, so not read off its encoding.
-	if err := encoding.EncodeChunk(table.GetChunk(1), &encoding.Spec{Encoding: encoding.FrameOfReference}, nil); err != nil {
-		t.Fatal(err)
-	}
+	encodeChunk(table.GetChunk(1), encoding.Spec{Encoding: encoding.FrameOfReference})
 	reg := observe.NewRegistry()
 	cache := NewCache(EqualHeight)
 	cache.Instrument(reg)
 	cache.Get(table)
 	if got := reg.Counter("statistics.summarized_chunks").Value(); got != 2 {
 		t.Errorf("statistics.summarized_chunks = %d after a build over two dictionary chunks, a frame-of-reference one and a tail, want 2", got)
+	}
+}
+
+// encodeChunk encodes every column of an immutable chunk with spec, as a seal
+// does, without attaching filters.
+func encodeChunk(c *storage.Chunk, spec encoding.Spec) {
+	for col := 0; col < c.ColumnCount(); col++ {
+		id := types.ColumnID(col)
+		seg, zone := c.SegmentWithZone(id)
+		sealed, _ := encoding.Seal(seg, zone.Ascending >= seg.Len(), &spec)
+		c.ReplaceSegment(id, sealed)
 	}
 }

@@ -400,18 +400,10 @@ func (t *Table) placeholderRow() []types.Value {
 	return vals
 }
 
-// FinalizeLastChunk makes the current mutable chunk immutable (e.g. after a
-// bulk load) so that encodings, indexes, and filters can be applied. It does
-// not seal: a loader decides the representation of what it loaded.
-func (t *Table) FinalizeLastChunk() {
-	if last := t.lastChunk(); last != nil {
-		last.Finalize()
-	}
-}
-
-// SealTail seals the last chunk though it is not full: the end of a bulk load
-// into a registered table, whose full chunks sealed as they filled. Nothing
-// happens when that chunk is sealed already.
+// SealTail seals the last chunk though it is not full: the end of a bulk load,
+// whose full chunks sealed as they filled. On a table outside any catalog, or
+// in one without a Sealer, the chunk only becomes immutable. Nothing happens
+// when that chunk is sealed already.
 func (t *Table) SealTail() {
 	if last := t.lastChunk(); last != nil && !last.IsImmutable() {
 		t.seal(last)

@@ -144,18 +144,18 @@ type Config struct {
 	Skew bool
 }
 
-// Generate builds all eight TPC-H tables and registers them with the
-// storage manager. Chunks are finalized; encoding/indexing/filtering is the
-// caller's choice (benchmark binaries apply dictionary encoding plus
-// default filters).
+// Generate creates, registers and populates the eight TPC-H tables. It loads
+// like tpcc.Generate and LoadCSV: registered first, each chunk seals as it
+// fills and each tail when its table is done. A catalog without a Sealer
+// (storage.NewStorageManager) keeps them immutable and unencoded.
 func Generate(sm *storage.StorageManager, cfg Config) error {
 	if cfg.ScaleFactor <= 0 {
 		cfg.ScaleFactor = 0.01
 	}
 	sizes := SizesFor(cfg.ScaleFactor)
-	g := &generator{cfg: cfg, sizes: sizes}
+	g := &generator{cfg: cfg, sizes: sizes, sm: sm}
 
-	steps := []func(*storage.StorageManager) error{
+	steps := []func(){
 		g.generateRegion,
 		g.generateNation,
 		g.generateSupplier,
@@ -165,8 +165,9 @@ func Generate(sm *storage.StorageManager, cfg Config) error {
 		g.generateOrdersAndLineitem,
 	}
 	for _, step := range steps {
-		if err := step(sm); err != nil {
-			return err
+		step()
+		if g.err != nil {
+			return g.err
 		}
 	}
 	return nil
@@ -175,6 +176,8 @@ func Generate(sm *storage.StorageManager, cfg Config) error {
 type generator struct {
 	cfg   Config
 	sizes Sizes
+	sm    *storage.StorageManager
+	err   error // the first error ends the load
 }
 
 // skewed draws from [1, n] with a Zipf-ish distribution when cfg.Skew is
@@ -205,16 +208,29 @@ func (g *generator) rng(table string) *rand.Rand {
 	return rand.New(rand.NewSource(seed + 777))
 }
 
+// newTable registers a table before its first row, so the catalog's Sealer
+// seals each of its chunks as it fills.
 func (g *generator) newTable(name string, defs []storage.ColumnDefinition) *storage.Table {
-	return storage.NewTable(name, defs, g.cfg.ChunkSize, g.cfg.UseMvcc)
+	t := storage.NewTable(name, defs, g.cfg.ChunkSize, g.cfg.UseMvcc)
+	if g.err == nil {
+		g.err = g.sm.AddTable(t)
+	}
+	return t
 }
 
-func (g *generator) finish(sm *storage.StorageManager, t *storage.Table) error {
-	t.FinalizeLastChunk()
+// appendRow appends one row unless the load has failed already.
+func (g *generator) appendRow(t *storage.Table, vals ...types.Value) {
+	if g.err == nil {
+		_, g.err = t.AppendRow(vals)
+	}
+}
+
+// finish ends a table's load: the tail seals, then every row is committed.
+func (g *generator) finish(t *storage.Table) {
+	t.SealTail()
 	if g.cfg.UseMvcc {
 		concurrency.MarkTableLoaded(t)
 	}
-	return sm.AddTable(t)
 }
 
 func comment(rng *rand.Rand, minWords, maxWords int) string {
@@ -249,23 +265,21 @@ func partSuppSupplier(partKey, i, supplierCount int) int {
 	return (partKey+i*(supplierCount/4+(partKey-1)/supplierCount))%supplierCount + 1
 }
 
-func (g *generator) generateRegion(sm *storage.StorageManager) error {
+func (g *generator) generateRegion() {
 	t := g.newTable("region", []storage.ColumnDefinition{
 		{Name: "r_regionkey", Type: types.TypeInt64},
 		{Name: "r_name", Type: types.TypeString},
 		{Name: "r_comment", Type: types.TypeString},
 	})
 	for i, r := range regions {
-		if _, err := t.AppendRow([]types.Value{
+		g.appendRow(t,
 			types.Int(int64(i)), types.Str(r.name), types.Str(r.comment),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generateNation(sm *storage.StorageManager) error {
+func (g *generator) generateNation() {
 	rng := g.rng("nation")
 	t := g.newTable("nation", []storage.ColumnDefinition{
 		{Name: "n_nationkey", Type: types.TypeInt64},
@@ -274,17 +288,15 @@ func (g *generator) generateNation(sm *storage.StorageManager) error {
 		{Name: "n_comment", Type: types.TypeString},
 	})
 	for i, n := range nations {
-		if _, err := t.AppendRow([]types.Value{
+		g.appendRow(t,
 			types.Int(int64(i)), types.Str(n.name), types.Int(int64(n.region)),
 			types.Str(comment(rng, 6, 15)),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generateSupplier(sm *storage.StorageManager) error {
+func (g *generator) generateSupplier() {
 	rng := g.rng("supplier")
 	t := g.newTable("supplier", []storage.ColumnDefinition{
 		{Name: "s_suppkey", Type: types.TypeInt64},
@@ -306,7 +318,7 @@ func (g *generator) generateSupplier(sm *storage.StorageManager) error {
 		case 1:
 			c = c + " Customer Recommends " + comment(rng, 2, 4)
 		}
-		if _, err := t.AppendRow([]types.Value{
+		g.appendRow(t,
 			types.Int(int64(k)),
 			types.Str(fmt.Sprintf("Supplier#%09d", k)),
 			types.Str(comment(rng, 2, 4)),
@@ -314,14 +326,12 @@ func (g *generator) generateSupplier(sm *storage.StorageManager) error {
 			types.Str(phone(rng, nation)),
 			types.Float(acctbal(rng)),
 			types.Str(c),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generateCustomer(sm *storage.StorageManager) error {
+func (g *generator) generateCustomer() {
 	rng := g.rng("customer")
 	t := g.newTable("customer", []storage.ColumnDefinition{
 		{Name: "c_custkey", Type: types.TypeInt64},
@@ -335,7 +345,7 @@ func (g *generator) generateCustomer(sm *storage.StorageManager) error {
 	})
 	for k := 1; k <= g.sizes.Customer; k++ {
 		nation := rng.Intn(len(nations))
-		if _, err := t.AppendRow([]types.Value{
+		g.appendRow(t,
 			types.Int(int64(k)),
 			types.Str(fmt.Sprintf("Customer#%09d", k)),
 			types.Str(comment(rng, 2, 4)),
@@ -344,14 +354,12 @@ func (g *generator) generateCustomer(sm *storage.StorageManager) error {
 			types.Float(acctbal(rng)),
 			types.Str(mktSegments[rng.Intn(len(mktSegments))]),
 			types.Str(comment(rng, 10, 20)),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generatePart(sm *storage.StorageManager) error {
+func (g *generator) generatePart() {
 	rng := g.rng("part")
 	t := g.newTable("part", []storage.ColumnDefinition{
 		{Name: "p_partkey", Type: types.TypeInt64},
@@ -374,24 +382,22 @@ func (g *generator) generatePart(sm *storage.StorageManager) error {
 			typeSyllable3[rng.Intn(len(typeSyllable3))]
 		container := containerSyllable1[rng.Intn(len(containerSyllable1))] + " " +
 			containerSyllable2[rng.Intn(len(containerSyllable2))]
-		if _, err := t.AppendRow([]types.Value{
+		g.appendRow(t,
 			types.Int(int64(k)),
 			types.Str(name),
 			types.Str(fmt.Sprintf("Manufacturer#%d", m)),
 			types.Str(fmt.Sprintf("Brand#%d%d", m, 1+rng.Intn(5))),
 			types.Str(ptype),
-			types.Int(int64(1 + rng.Intn(50))),
+			types.Int(int64(1+rng.Intn(50))),
 			types.Str(container),
 			types.Float(retailPrice(k)),
 			types.Str(comment(rng, 3, 8)),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generatePartSupp(sm *storage.StorageManager) error {
+func (g *generator) generatePartSupp() {
 	rng := g.rng("partsupp")
 	t := g.newTable("partsupp", []storage.ColumnDefinition{
 		{Name: "ps_partkey", Type: types.TypeInt64},
@@ -403,21 +409,19 @@ func (g *generator) generatePartSupp(sm *storage.StorageManager) error {
 	for pk := 1; pk <= g.sizes.Part; pk++ {
 		for i := 0; i < suppliersPerPart; i++ {
 			sk := partSuppSupplier(pk, i, g.sizes.Supplier)
-			if _, err := t.AppendRow([]types.Value{
+			g.appendRow(t,
 				types.Int(int64(pk)),
 				types.Int(int64(sk)),
-				types.Int(int64(1 + rng.Intn(9999))),
-				types.Float(float64(100+rng.Intn(99901)) / 100),
+				types.Int(int64(1+rng.Intn(9999))),
+				types.Float(float64(100+rng.Intn(99901))/100),
 				types.Str(comment(rng, 10, 30)),
-			}); err != nil {
-				return err
-			}
+			)
 		}
 	}
-	return g.finish(sm, t)
+	g.finish(t)
 }
 
-func (g *generator) generateOrdersAndLineitem(sm *storage.StorageManager) error {
+func (g *generator) generateOrdersAndLineitem() {
 	rng := g.rng("orders")
 	orders := g.newTable("orders", []storage.ColumnDefinition{
 		{Name: "o_orderkey", Type: types.TypeInt64},
@@ -505,7 +509,7 @@ func (g *generator) generateOrdersAndLineitem(sm *storage.StorageManager) error 
 			}
 			totalPrice += price * (1 + tax) * (1 - discount)
 
-			if _, err := lineitem.AppendRow([]types.Value{
+			g.appendRow(lineitem,
 				types.Int(int64(ok)),
 				types.Int(int64(partKey)),
 				types.Int(int64(suppKey)),
@@ -522,9 +526,7 @@ func (g *generator) generateOrdersAndLineitem(sm *storage.StorageManager) error 
 				types.Str(shipInstructs[rng.Intn(len(shipInstructs))]),
 				types.Str(shipModes[rng.Intn(len(shipModes))]),
 				types.Str(comment(rng, 4, 10)),
-			}); err != nil {
-				return err
-			}
+			)
 		}
 
 		status := "P"
@@ -537,7 +539,7 @@ func (g *generator) generateOrdersAndLineitem(sm *storage.StorageManager) error 
 		if rng.Intn(100) == 0 {
 			oComment += " special packages wake requests "
 		}
-		if _, err := orders.AppendRow([]types.Value{
+		g.appendRow(orders,
 			types.Int(int64(ok)),
 			types.Int(int64(custkey)),
 			types.Str(status),
@@ -547,14 +549,10 @@ func (g *generator) generateOrdersAndLineitem(sm *storage.StorageManager) error 
 			types.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(clerks))),
 			types.Int(0),
 			types.Str(oComment),
-		}); err != nil {
-			return err
-		}
+		)
 	}
-	if err := g.finish(sm, orders); err != nil {
-		return err
-	}
-	return g.finish(sm, lineitem)
+	g.finish(orders)
+	g.finish(lineitem)
 }
 
 // daysBetween parses an ISO date into days since the TPC-H epoch.

@@ -14,16 +14,19 @@ func DefaultEncoding() *encoding.Spec { return nil }
 
 // EncodeAndFilter seals every chunk of every TPC-H table (filter.Seal: the
 // spec's encoding, or the size model's for nil, and the default pruning
-// filters, from one summary per segment) — the post-load step of the
-// benchmark binaries.
+// filters). A nil spec skips the chunks the catalog's Sealer already
+// finished; hyrise-bench passes its spec over a catalog without a Sealer.
 func EncodeAndFilter(sm *storage.StorageManager, spec *encoding.Spec) error {
 	for _, name := range TableNames() {
 		t, err := sm.GetTable(name)
 		if err != nil {
 			return err
 		}
-		t.FinalizeLastChunk()
+		t.SealTail()
 		for _, c := range t.Chunks() {
+			if spec == nil && c.SealNS() > 0 {
+				continue
+			}
 			filter.Seal(c, spec)
 		}
 	}
