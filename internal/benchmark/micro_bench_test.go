@@ -606,13 +606,29 @@ func BenchmarkMicroVisibility(b *testing.B) {
 // a table made by CREATE TABLE seals at.
 const sealRows = storage.DefaultChunkSize
 
+// commentWords is what TPC-H-style comments are made of.
+var commentWords = strings.Fields("furiously sly final ironic pending regular express special " +
+	"requests deposits accounts packages instructions theodolites pinto beans foxes ideas " +
+	"dependencies platelets asymptotes courts dolphins carefully quickly blithely slyly")
+
+// comment is 4 to 12 of commentWords.
+func comment(rng *rand.Rand) string {
+	words := make([]string, 4+rng.Intn(9))
+	for i := range words {
+		words[i] = commentWords[rng.Intn(len(commentWords))]
+	}
+	return strings.Join(words, " ")
+}
+
 // BenchmarkMicroSeal measures what the append that fills a chunk pays per
 // column (filter.Seal: summarize, size model, encode, filter) on one
 // 100 000-row segment of each shape the model treats differently:
 // ascending_int takes the zone's word that the column is sorted (no hashing,
 // no sort) and becomes frame-of-reference; constant_string is settled by the
 // run count alone; low_cardinality is grouped and becomes a dictionary;
-// unique_float is grouped, sorted and stays as it is — the most a column costs.
+// unique_float is grouped, sorted and stays as it is; comment_string is
+// near-unique TPC-H-style text that becomes a dictionary whose values are
+// FSST-packed: a symbol table built and every value compressed.
 func BenchmarkMicroSeal(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
 	column := func(def storage.ColumnDefinition, value func(i int) types.Value) *storage.Table {
@@ -633,6 +649,7 @@ func BenchmarkMicroSeal(b *testing.B) {
 		{"low_cardinality", column(storage.ColumnDefinition{Name: "grp", Type: types.TypeInt64}, func(int) types.Value { return types.Int(int64(rng.Intn(64)) * 1000) }), encoding.Dictionary},
 		{"unique_float", column(storage.ColumnDefinition{Name: "val", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(rng.Float64()) }), encoding.Unencoded},
 		{"constant_string", column(storage.ColumnDefinition{Name: "tag", Type: types.TypeString, Nullable: true}, func(int) types.Value { return types.Str("load") }), encoding.RunLength},
+		{"comment_string", column(storage.ColumnDefinition{Name: "comment", Type: types.TypeString}, func(int) types.Value { return types.Str(comment(rng)) }), encoding.Dictionary},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -660,6 +677,8 @@ func BenchmarkMicroSeal(b *testing.B) {
 // chunk, 25 000 of them distinct, into slices the caller owns — a string
 // dictionary (an end offset and a substring of one blob per value) beside an
 // int64 one (an array index). Neither allocates per gathered value.
+// string_fsst is the same strings sealed by the size model, which packs them:
+// the gather decodes each value into one arena it allocates.
 func BenchmarkMicroDictGather(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	strs, ints := make([]string, sealRows), make([]int64, sealRows)
@@ -675,6 +694,18 @@ func BenchmarkMicroDictGather(b *testing.B) {
 	nulls := make([]bool, sealRows)
 	b.Run("string", func(b *testing.B) {
 		seg, out := encoding.EncodeDictionary(strs, nil, encoding.FixedSizeByteAligned), make([]string, sealRows)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seg.Gather(pos, nil, out, nulls)
+		}
+	})
+	b.Run("string_fsst", func(b *testing.B) {
+		sealed, _ := encoding.Seal(storage.ValueSegmentFromSlice(strs, nil), false, nil)
+		seg, out := sealed.(*encoding.DictionarySegment[string]), make([]string, sealRows)
+		if encoding.ValueCompression(seg) != "FSST" {
+			b.Fatal("the sealed dictionary is not packed")
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -11,8 +11,8 @@ import (
 // Sizes is the size model a chunk is sealed by (DESIGN.md §2 "Chunk
 // lifecycle"): the exact MemoryUsage() a segment has under each candidate
 // representation, indexed by EncodingType, code vectors fixed-size
-// byte-aligned. A candidate that does not apply (FrameOfReference off int64)
-// is 0.
+// byte-aligned, a string Dictionary FSST-packed where Seal packs it. A candidate
+// that does not apply (FrameOfReference off int64) is 0.
 type Sizes [FrameOfReference + 1]int64
 
 // dictionarySlackPct: Dictionary wins when it is within this share of the
@@ -102,7 +102,12 @@ func SizesOf(seg storage.Segment) Sizes {
 func sizesOf[T types.Ordered](seg storage.Segment) Sizes {
 	plain := plainOf[T](seg)
 	s := layoutSizes(plain, layoutOf(plain.Values(), plain.Nulls()))
-	s[Dictionary] = dictionaryBytes(Summarize[T](seg), plain.Len())
+	sum := Summarize[T](seg)
+	s[Dictionary] = dictionaryBytes(sum, plain.Len())
+	if strs, ok := any(sum.Values).([]string); ok && s.Choose() == Dictionary {
+		raw := packStrings(strs) // what Seal packs once Dictionary has won
+		s[Dictionary] += raw.pack().bytes() - raw.bytes()
+	}
 	return s
 }
 
@@ -162,6 +167,8 @@ func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
 // built once and is the dictionary if Dictionary wins; it costs no hashing and
 // no sort when the column ascends over the whole chunk (its zone says so), and
 // is read off the runs when the spec or the run count alone settles on RunLength.
+// A string dictionary the size model picks keeps its values FSST-packed when
+// that needs fewer bytes (packedStrings.pack); a spec's keeps the plain blob.
 func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any) {
 	switch seg.DataType() {
 	case types.TypeInt64:
@@ -206,5 +213,9 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	case want.Encoding == Unencoded:
 		return plain.Clipped(), sum
 	}
-	return newDictionary(sum.Values, codes, want.Compression), sum
+	d := newDictionary(sum.Values, codes, want.Compression)
+	if spec == nil {
+		d.strs = d.strs.pack()
+	}
+	return d, sum
 }

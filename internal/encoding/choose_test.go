@@ -71,8 +71,14 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 			}
 			continue
 		}
-		if got, _ := Seal(seg, false, &spec); got.MemoryUsage() != sizes[e] {
-			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, sizes[e], got.MemoryUsage())
+		predicted := sizes[e]
+		if e == Dictionary { // a spec keeps the plain blob, which the model packs when that saves bytes
+			if predicted = dictionaryBytes(want, len(c.values)); sizes[e] > predicted {
+				t.Errorf("%s: Dictionary predicted %d bytes, more than the plain %d", c.name, sizes[e], predicted)
+			}
+		}
+		if got, _ := Seal(seg, false, &spec); got.MemoryUsage() != predicted {
+			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, predicted, got.MemoryUsage())
 		}
 		if e != Unencoded && (smallest == Unencoded || sizes[e] < sizes[smallest]) {
 			smallest = e

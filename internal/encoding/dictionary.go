@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -25,7 +26,7 @@ type ValueID uint64
 // decompress the data").
 //
 // A numeric dictionary is a slice of its values; a string dictionary is
-// packedStrings, two pointers however many values it holds.
+// packedStrings, three pointers however many values it holds.
 type DictionarySegment[T types.Ordered] struct {
 	dict   []T           // the values of a numeric dictionary
 	strs   packedStrings // the values of a string dictionary
@@ -34,18 +35,95 @@ type DictionarySegment[T types.Ordered] struct {
 }
 
 // packedStrings holds strings back to back in one string: value i is
-// blob[ends[i-1]:ends[i]], a substring, so reading it allocates nothing.
+// blob[ends[i-1]:ends[i]], a substring, so reading it allocates nothing. With a
+// table the blob holds the values FSST-compressed (fsst.go), and a read
+// decodes.
 type packedStrings struct {
-	blob string
-	ends []uint32
+	blob  string
+	ends  []uint32
+	table *fsstTable
 }
 
-func (p packedStrings) at(id uint64) string {
-	var start uint32
+// span is where value id lies in the blob.
+func (p packedStrings) span(id uint64) (from, to int) {
 	if id > 0 {
-		start = p.ends[id-1]
+		from = int(p.ends[id-1])
 	}
-	return p.blob[start:p.ends[id]]
+	return from, int(p.ends[id])
+}
+
+// raw is what the blob holds of value id: the value, or its codes.
+func (p packedStrings) raw(id uint64) string {
+	from, to := p.span(id)
+	return p.blob[from:to]
+}
+
+// at is value id: a substring of the blob, or decoded into a string of its own.
+func (p packedStrings) at(id uint64) string {
+	if p.table != nil {
+		return stringOf(p.decodeTo(nil, id))
+	}
+	return p.raw(id)
+}
+
+// decodeTo appends value id of a packed p to dst.
+func (p packedStrings) decodeTo(dst []byte, id uint64) []byte {
+	v := p.raw(id)
+	return p.table.decode(slices.Grow(dst, p.table.decodedLen(v)+8), v)
+}
+
+// unpacked is p with its values decoded, as a plain packedStrings whose ends
+// and bytes are one allocation: the ends first, the values behind them, in the
+// tail of the same pointer-free []uint32.
+func (p packedStrings) unpacked() packedStrings {
+	if p.table == nil {
+		return p
+	}
+	n, size := len(p.ends), p.table.decodedLen(p.blob)+8
+	words := make([]uint32, n+(size+3)/4)
+	arena := unsafe.Slice((*byte)(unsafe.Pointer(&words[n])), size)[:0]
+	for id := range n {
+		arena = p.table.decode(arena, p.raw(uint64(id)))
+		words[id] = uint32(len(arena))
+	}
+	return packedStrings{blob: stringOf(arena), ends: words[:n:n]}
+}
+
+// values is every value in id order: substrings of the blob, or of one arena
+// the packed values are decoded into.
+func (p packedStrings) values() []string {
+	p = p.unpacked()
+	out := make([]string, len(p.ends))
+	for i := range out {
+		out[i] = p.raw(uint64(i))
+	}
+	return out
+}
+
+// bytes is what the values cost beside their ends: the blob, and the table
+// that decodes it.
+func (p packedStrings) bytes() int64 {
+	if p.table == nil {
+		return int64(len(p.blob))
+	}
+	return int64(len(p.blob)) + fsstTableBytes
+}
+
+// bound is the first of the first n ids whose value is > v, or >= v unless
+// past. A packed value is decoded into one buffer the search reuses.
+func (p packedStrings) bound(v string, n int, past bool) ValueID {
+	if p.table == nil {
+		return ValueID(sort.Search(n, func(i int) bool {
+			c := strings.Compare(p.raw(uint64(i)), v)
+			return c > 0 || (!past && c == 0)
+		}))
+	}
+	var stack [128]byte
+	buf := stack[:0]
+	return ValueID(sort.Search(n, func(i int) bool {
+		buf = p.decodeTo(buf[:0], uint64(i))
+		return string(buf) > v || (!past && string(buf) == v)
+	}))
 }
 
 // EncodeDictionary builds a dictionary segment from raw values. nulls may
@@ -79,12 +157,13 @@ func packStrings(strs []string) packedStrings {
 	if total > math.MaxUint32 {
 		panic("encoding: a string dictionary holds at most 4 GiB")
 	}
-	return packedStrings{strings.Join(strs, ""), ends}
+	return packedStrings{blob: strings.Join(strs, ""), ends: ends}
 }
 
 // valuesBytes is what the values of a dictionary cost — n of them holding
-// strBytes bytes of string data: 8 B per number, or a 4-byte end per string
-// plus the strings themselves. MemoryUsage and the size model both charge it.
+// strBytes bytes of string data (packedStrings.bytes): 8 B per number, or a
+// 4-byte end per string plus the string data. MemoryUsage and the size model
+// both charge it.
 func valuesBytes[T types.Ordered](n int, strBytes int64) int64 {
 	var zero T
 	if _, ok := any(zero).(string); ok {
@@ -121,12 +200,18 @@ func (s *DictionarySegment[T]) ComparableCount() int {
 
 // LowerBound returns the first value id whose value is >= v.
 func (s *DictionarySegment[T]) LowerBound(v T) ValueID {
-	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.value(uint64(i)) >= v }))
+	if s.dict == nil {
+		return s.strs.bound(*any(&v).(*string), s.ComparableCount(), false)
+	}
+	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.dict[i] >= v }))
 }
 
 // UpperBound returns the first value id whose value is > v.
 func (s *DictionarySegment[T]) UpperBound(v T) ValueID {
-	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.value(uint64(i)) > v }))
+	if s.dict == nil {
+		return s.strs.bound(*any(&v).(*string), s.ComparableCount(), true)
+	}
+	return ValueID(sort.Search(s.ComparableCount(), func(i int) bool { return s.dict[i] > v }))
 }
 
 // Get returns the value and null flag at offset i (static path through the
@@ -148,6 +233,7 @@ func (s *DictionarySegment[T]) DecodeAll() ([]T, []bool) {
 	codes := s.av.DecodeAll(make([]uint64, 0, s.av.Len()))
 	out := make([]T, len(codes))
 	strs, _ := any(out).([]string)
+	dict := s.strs.unpacked() // a packed dictionary's values, each decoded once
 	var nulls []bool
 	for i, id := range codes {
 		switch {
@@ -157,7 +243,7 @@ func (s *DictionarySegment[T]) DecodeAll() ([]T, []bool) {
 			}
 			nulls[i] = true
 		case strs != nil:
-			strs[i] = s.strs.at(id)
+			strs[i] = dict.raw(id)
 		default:
 			out[i] = s.dict[id]
 		}
@@ -187,7 +273,7 @@ func (s *DictionarySegment[T]) IsNullAt(i types.ChunkOffset) bool {
 
 // MemoryUsage implements storage.Segment.
 func (s *DictionarySegment[T]) MemoryUsage() int64 {
-	return valuesBytes[T](int(s.nullID), int64(len(s.strs.blob))) + s.av.MemoryUsage()
+	return valuesBytes[T](int(s.nullID), s.strs.bytes()) + s.av.MemoryUsage()
 }
 
 var _ storage.Segment = (*DictionarySegment[int64])(nil)

@@ -93,6 +93,16 @@ func SpecOf(seg storage.Segment) (Spec, bool) {
 	}
 }
 
+// ValueCompression names what a segment does to its values beyond its
+// encoding: "FSST" for a string dictionary packed with a symbol table, else
+// "none".
+func ValueCompression(seg storage.Segment) string {
+	if d, ok := seg.(*DictionarySegment[string]); ok && d.strs.table != nil {
+		return "FSST"
+	}
+	return "none"
+}
+
 func compressionOf(v UintVector) VectorCompressionType {
 	if _, ok := v.(*BP128Vector); ok {
 		return BitPacked128

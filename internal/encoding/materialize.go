@@ -34,6 +34,10 @@ func slotOf(slots []int32, i int) int {
 // Gather fills out/nulls (at slotOf) with the values at the given positions
 // of a dictionary segment, resolving the attribute vector type once.
 func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
+	if s.strs.table != nil {
+		s.gatherPacked(pos, slots, any(out).([]string), nulls)
+		return
+	}
 	switch av := s.av.(type) {
 	case *FixedWidthVector[uint8]:
 		gatherDict(s, av.data, pos, slots, out, nulls)
@@ -90,7 +94,7 @@ func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *Dictiona
 			if id := uint64(data[p]); id == nullID {
 				nulls[i] = true
 			} else {
-				strs[i] = s.strs.at(id)
+				strs[i] = s.strs.raw(id)
 			}
 		}
 	default:
@@ -103,6 +107,43 @@ func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *Dictiona
 				out[i] = dict[id]
 			}
 		}
+	}
+}
+
+// gatherPacked is Gather over a packed dictionary, which allocates once and
+// hands out substrings of that arena: for more rows than the dictionary has
+// values, the dictionary decoded; else one pass sizes the arena the rows'
+// values are decoded into and a second decodes them.
+func (s *DictionarySegment[T]) gatherPacked(pos []types.ChunkOffset, slots []int32, out []string, nulls []bool) {
+	if len(pos) > int(s.nullID) { // fewer values than rows: decode each once
+		dict := s.strs.unpacked()
+		for i, p := range pos {
+			i = slotOf(slots, i)
+			if id := s.av.Get(int(p)); ValueID(id) == s.nullID {
+				nulls[i] = true
+			} else {
+				out[i] = dict.raw(id)
+			}
+		}
+		return
+	}
+	t, total := s.strs.table, 0
+	for _, p := range pos {
+		if id := s.av.Get(int(p)); ValueID(id) != s.nullID {
+			total += t.decodedLen(s.strs.raw(id))
+		}
+	}
+	arena := make([]byte, 0, total+8)
+	for i, p := range pos {
+		i = slotOf(slots, i)
+		id := s.av.Get(int(p))
+		if ValueID(id) == s.nullID {
+			nulls[i] = true
+			continue
+		}
+		from := len(arena)
+		arena = t.decode(arena, s.strs.raw(id))
+		out[i] = stringOf(arena[from:])
 	}
 }
 

@@ -95,7 +95,7 @@ func FuzzEncodedScan(f *testing.F) {
 	})
 }
 
-// FuzzEncodedScanStrings fuzzes the packed string dictionary against a plain
+// FuzzEncodedScanStrings fuzzes the string dictionary against a plain
 // []string read row at a time: every ScanOp, Gather, DecodeAll, Zone and the
 // snapshot round trip. data is the column: values separated by 0xFF, a value
 // that starts with 0xFE is NULL — everything else, "", NUL bytes and invalid
@@ -165,8 +165,13 @@ func FuzzEncodedScanStrings(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: a snapshot of the segment does not decode: %v", comp, err)
 			}
-			if again, _ := AppendSegment(nil, restored); !bytes.Equal(again, buf) {
-				t.Fatalf("%s: the restored segment serializes differently", comp)
+			assertSameValues(t, restored, seg)
+			// Restore packs the values where that saves bytes; from there on a
+			// round trip is the identity.
+			if ValueCompression(restored) == "none" {
+				if again, _ := AppendSegment(nil, restored); !bytes.Equal(again, buf) {
+					t.Fatalf("%s: the restored segment serializes differently", comp)
+				}
 			}
 		}
 	})

@@ -35,6 +35,7 @@ const (
 	segRunLengthFloat64
 	segRunLengthString
 	segFrameOfReference
+	segDictStringFSST // a string dictionary packed with its symbol table (fsst.go)
 )
 
 // UintVector tags.
@@ -260,7 +261,53 @@ func (r *byteReader) packedStrings() packedStrings {
 	for range n {
 		blob.Write(values.bytes_())
 	}
-	return packedStrings{blob.String(), ends}
+	return packedStrings{blob: blob.String(), ends: ends}
+}
+
+// appendFSSTTable writes a symbol table: its symbol count, then each symbol as
+// its length and its bytes.
+func appendFSSTTable(dst []byte, t *fsstTable) []byte {
+	dst = append(dst, byte(t.n))
+	for c := range t.n {
+		dst = append(dst, t.lens[c])
+		for k := range t.lens[c] {
+			dst = append(dst, byte(t.syms[c]>>(8*k)))
+		}
+	}
+	return dst
+}
+
+// fsstPacked reads what appendFSSTTable and appendStrings wrote of a packed
+// dictionary. Symbols of 0 or more than 8 bytes, codes past the table and an
+// escape that ends a value fail the read: decoding trusts all three.
+func (r *byteReader) fsstPacked() packedStrings {
+	t := &fsstTable{n: int(r.byte())}
+	for c := 0; c < t.n && r.err == nil; c++ {
+		n := int(r.byte())
+		if n < 1 || n > 8 || n > len(r.buf) {
+			r.fail("FSST symbol length outside 1-8 or past the input")
+			return packedStrings{}
+		}
+		for k := range n {
+			t.syms[c] |= uint64(r.buf[k]) << (8 * k)
+		}
+		t.lens[c], r.buf = uint8(n), r.buf[n:]
+	}
+	p := r.packedStrings()
+	p.table = t
+	var from uint32
+	for _, to := range p.ends {
+		for i := from; i < to; i++ {
+			if c := p.blob[i]; c == fsstEscape && i+1 < to {
+				i++
+			} else if int(c) >= t.n {
+				r.fail("FSST code past the table or escape at the end of a value")
+				return packedStrings{}
+			}
+		}
+		from = to
+	}
+	return p
 }
 
 // --- UintVector ---------------------------------------------------------
@@ -430,10 +477,14 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		dst = appendFloat64s(dst, s.dict)
 		return appendUintVector(dst, s.av)
 	case *DictionarySegment[string]:
-		dst = append(dst, segDictString)
+		if s.strs.table != nil {
+			dst = appendFSSTTable(append(dst, segDictStringFSST), s.strs.table)
+		} else {
+			dst = append(dst, segDictString)
+		}
 		dst = binary.AppendUvarint(dst, uint64(s.nullID))
 		for id := range uint64(s.nullID) {
-			dst = appendString(dst, s.strs.at(id))
+			dst = appendString(dst, s.strs.raw(id))
 		}
 		return appendUintVector(dst, s.av)
 	case *RunLengthSegment[int64]:
@@ -497,8 +548,10 @@ func DecodeSegment(buf []byte) (storage.Segment, []byte, error) {
 		seg = restoreDictionary(r, &DictionarySegment[int64]{dict: r.int64s()})
 	case segDictFloat64:
 		seg = restoreDictionary(r, &DictionarySegment[float64]{dict: r.float64s()})
-	case segDictString:
-		seg = restoreDictionary(r, &DictionarySegment[string]{strs: r.packedStrings()})
+	case segDictString: // packed by the rule a seal packs by
+		seg = restoreDictionary(r, &DictionarySegment[string]{strs: r.packedStrings().pack()})
+	case segDictStringFSST:
+		seg = restoreDictionary(r, &DictionarySegment[string]{strs: r.fsstPacked()})
 	case segRunLengthInt64:
 		n, ends, nulls := r.runLengthMeta()
 		seg = &RunLengthSegment[int64]{n: n, ends: ends, nulls: nulls, values: r.int64s()}
@@ -576,8 +629,9 @@ func restoreDictionary[T types.Ordered](r *byteReader, s *DictionarySegment[T]) 
 	if s.av = r.uintVector(); r.err != nil {
 		return nil
 	}
+	strs := s.strs.unpacked()
 	for id := uint64(1); id < uint64(s.nullID); id++ {
-		if (s.dict != nil && compareTotal(s.dict[id-1], s.dict[id]) >= 0) || (s.dict == nil && s.strs.at(id-1) >= s.strs.at(id)) {
+		if (s.dict != nil && compareTotal(s.dict[id-1], s.dict[id]) >= 0) || (s.dict == nil && strs.raw(id-1) >= strs.raw(id)) {
 			r.fail("dictionary values do not ascend")
 			return nil
 		}

@@ -338,18 +338,15 @@ func hashGroups[T types.Ordered](values []T, nulls []bool, codes []uint64, limit
 	return sum, true
 }
 
-// summary reads a dictionary segment without decoding it: the dictionary is
-// the distinct values (a string one handed out as substrings of its blob), and
-// one pass over the attribute vector counts the rows of each code (the NULL id
-// included), resolved by code width.
+// summary reads a dictionary segment without decoding its rows: the dictionary
+// is the distinct values (a string one handed out as substrings of its blob, or
+// of the arena a packed one decodes into), and one pass over the attribute
+// vector counts the rows of each code (the NULL id included), resolved by code
+// width.
 func (s *DictionarySegment[T]) summary() Summary[T] {
 	values := s.dict
 	if _, ok := any(values).([]string); ok {
-		strs := make([]string, s.nullID)
-		for i := range strs {
-			strs[i] = s.strs.at(uint64(i))
-		}
-		values = any(strs).([]T)
+		values = any(s.strs.values()).([]T)
 	}
 	counts := make([]int, s.nullID+1)
 	switch av := s.av.(type) {

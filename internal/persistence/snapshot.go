@@ -131,9 +131,9 @@ const (
 // encodeChunk serializes one chunk body (state byte, row count, segments, MVCC
 // bitmaps) — the unit a snapshot length-prefixes.
 func encodeChunk(w *writer, c *storage.Chunk) error {
-	segs, rows := c.SnapshotSegments()
+	segs, rows, immutable := c.SealedSnapshot()
 	switch {
-	case !c.IsImmutable():
+	case !immutable:
 		w.byte(chunkMutable)
 	case filter.HasDefaults(c):
 		w.byte(chunkFiltered)

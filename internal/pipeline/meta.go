@@ -118,7 +118,8 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 // (paper §2.3: encodings are chosen per segment, not per column) and the zone
 // the chunk keeps for the column: its bounds (NULL while no row holds a
 // comparable value) and whether the column ascends through the whole chunk,
-// which is what lets a scan binary-search it.
+// which is what lets a scan binary-search it. value_compression is 'FSST' for
+// a string dictionary whose values are packed with a symbol table, else 'none'.
 func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
@@ -132,6 +133,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 		{Name: "zone_min", Type: types.TypeString, Nullable: true},
 		{Name: "zone_max", Type: types.TypeString, Nullable: true},
 		{Name: "ascending", Type: types.TypeString},
+		{Name: "value_compression", Type: types.TypeString},
 	}
 	out := storage.NewTable("meta_segments", defs, 0, false)
 	for _, name := range e.sm.TableNames() {
@@ -164,6 +166,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					types.Int(int64(seg.Len())),
 					types.Int(seg.MemoryUsage()),
 					zoneMin, zoneMax, types.Str(ascending),
+					types.Str(encoding.ValueCompression(seg)),
 				}); err != nil {
 					return nil, err
 				}

@@ -171,6 +171,7 @@ func (f *Follower) streamOnce() error {
 	}
 
 	var snapImage []byte
+	var snapSize int64 // what msgSnapBegin announced
 	for {
 		typ, payload, err := readMsg(br)
 		if err != nil {
@@ -181,9 +182,15 @@ func (f *Follower) streamOnce() error {
 			if len(payload) < 8 {
 				return fmt.Errorf("replication: short snapshot header")
 			}
+			if snapSize = getI64(payload, 0); snapSize < 0 || snapSize > maxSnapshotLen {
+				return fmt.Errorf("replication: snapshot size %d out of range", snapSize)
+			}
 			f.setState(StateBootstrapping)
-			snapImage = make([]byte, 0, getI64(payload, 0))
+			snapImage = make([]byte, 0, min(snapSize, snapChunkBytes)) // the rest grows as chunks arrive
 		case msgSnapChunk:
+			if int64(len(snapImage)+len(payload)) > snapSize {
+				return fmt.Errorf("replication: snapshot chunks exceed the announced %d bytes", snapSize)
+			}
 			snapImage = append(snapImage, payload...)
 		case msgSnapEnd:
 			if len(payload) < 16 {
@@ -194,7 +201,7 @@ func (f *Follower) streamOnce() error {
 			if err := f.installSnapshot(snapImage, cutLSN, cutCID); err != nil {
 				return err
 			}
-			snapImage = nil
+			snapImage, snapSize = nil, 0
 			f.setState(StateStreaming)
 		case msgWAL:
 			if len(payload) < 8 {
@@ -265,6 +272,9 @@ func (f *Follower) installSnapshot(img []byte, cutLSN int64, cutCID types.Commit
 	if _, _, err := persistence.DecodeSnapshot(img, f.sm); err != nil {
 		return fmt.Errorf("replication: install snapshot: %w", err)
 	}
+	// A chunk the image caught full but before its seal seals now, as it did
+	// on the primary; no log write will fill it.
+	f.sm.ReleasePlaceholders()
 	f.tm.PublishCommitID(cutCID)
 	f.mu.Lock()
 	f.appliedLSN = cutLSN

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ type primaryStack struct {
 	p  *Primary
 }
 
-func newPrimaryStack(t *testing.T) *primaryStack {
+func newPrimaryStack(t testing.TB) *primaryStack {
 	t.Helper()
 	sm := newCatalog()
 	tm := concurrency.NewTransactionManager()
@@ -63,7 +64,7 @@ func (s *primaryStack) pipeDial() func() (io.ReadWriteCloser, error) {
 	}
 }
 
-func (s *primaryStack) createTable(t *testing.T, name string) *storage.Table {
+func (s *primaryStack) createTable(t testing.TB, name string) *storage.Table {
 	t.Helper()
 	table := storage.NewTable(name, testDefs(), 4, true)
 	if err := s.sm.AddTable(table); err != nil {
@@ -75,7 +76,7 @@ func (s *primaryStack) createTable(t *testing.T, name string) *storage.Table {
 	return table
 }
 
-func (s *primaryStack) insert(t *testing.T, table *storage.Table, id int64, name string) {
+func (s *primaryStack) insert(t testing.TB, table *storage.Table, id int64, name string) {
 	t.Helper()
 	tx := s.tm.New()
 	vals := []types.Value{types.Int(id), types.Str(name)}
@@ -138,13 +139,13 @@ func sameSeals(follower, primary *storage.Table) bool {
 }
 
 // sealOf describes what sealing made of a chunk: immutable or not, and per
-// column the encoding and the filters.
+// column the encoding, the value compression and the filters.
 func sealOf(c *storage.Chunk) string {
 	s := fmt.Sprint(c.IsImmutable())
 	for col := 0; col < c.ColumnCount(); col++ {
 		id := types.ColumnID(col)
 		spec, _ := encoding.SpecOf(c.GetSegment(id))
-		s += " | " + spec.String()
+		s += " | " + spec.String() + " " + encoding.ValueCompression(c.GetSegment(id))
 		for _, f := range c.Filters(id) {
 			s += fmt.Sprintf(" %T", f)
 		}
@@ -192,8 +193,11 @@ func TestBootstrapAndTail(t *testing.T) {
 	pin := s.tm.New()
 	defer pin.Rollback()
 	table := s.createTable(t, "t")
+	// Names long enough that a full chunk's dictionary is FSST-packed: the
+	// image and the replayed tail must pack as the primary did.
+	long := func(name string, i int) string { return fmt.Sprintf("%s%d", strings.Repeat(name+" ", 80), i) }
 	for i := 0; i < 20; i++ {
-		s.insert(t, table, int64(i), "before-attach")
+		s.insert(t, table, int64(i), long("before-attach", i))
 	}
 	// Checkpoint so part of the history is only in the snapshot: the
 	// follower must combine image + tail.
@@ -201,7 +205,7 @@ func TestBootstrapAndTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 20; i < 30; i++ {
-		s.insert(t, table, int64(i), "after-checkpoint")
+		s.insert(t, table, int64(i), long("after-checkpoint", i))
 	}
 
 	f, fsm, ftm := newFollower(s.pipeDial())
@@ -210,7 +214,7 @@ func TestBootstrapAndTail(t *testing.T) {
 
 	// Writes racing the attach must also arrive.
 	for i := 30; i < 40; i++ {
-		s.insert(t, table, int64(i), "after-attach")
+		s.insert(t, table, int64(i), long("after-attach", i))
 	}
 	waitCaughtUp(t, s, f)
 
@@ -223,6 +227,9 @@ func TestBootstrapAndTail(t *testing.T) {
 	}
 	if !sameSeals(ftable, table) {
 		t.Errorf("follower and primary have sealed different chunks of %d", table.ChunkCount())
+	}
+	if seal := sealOf(table.GetChunk(0)); !strings.Contains(seal, "FSST") {
+		t.Errorf("the primary's first chunk is %q, want its names FSST-packed", seal)
 	}
 	// The image stamps whole blocks and the tail goes through the stores the
 	// primary's commits went through: never more MVCC cells than there.

@@ -48,8 +48,12 @@ const (
 )
 
 // maxMsgLen bounds one message so a corrupt length field cannot trigger a
-// giant allocation.
-const maxMsgLen = 1 << 30
+// giant allocation; maxSnapshotLen bounds the image msgSnapBegin announces,
+// of which a follower reserves one chunk's worth up front.
+const (
+	maxMsgLen      = 1 << 30
+	maxSnapshotLen = 1 << 40
+)
 
 // writeMsg frames and writes one message. The writer is typically buffered;
 // the caller flushes.

@@ -1,0 +1,109 @@
+package replication
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"testing"
+)
+
+// scriptConn is a transport that reads a fixed script and swallows writes.
+type scriptConn struct{ io.Reader }
+
+func (scriptConn) Write(p []byte) (int, error) { return len(p), nil }
+func (scriptConn) Close() error                { return nil }
+
+// frame appends one CRC-framed message to dst.
+func frame(dst []byte, typ byte, payload []byte) []byte {
+	var b bytes.Buffer
+	_ = writeMsg(&b, typ, payload) // a bytes.Buffer does not fail
+	return append(dst, b.Bytes()...)
+}
+
+func u64s(vs ...int64) []byte {
+	b := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		putU64(b[8*i:], uint64(v))
+	}
+	return b
+}
+
+// followerSession runs one follower session, past its hello, over script.
+func followerSession(script []byte) error {
+	f, _, _ := newFollower(func() (io.ReadWriteCloser, error) { return scriptConn{bytes.NewReader(script)}, nil })
+	return f.streamOnce()
+}
+
+// TestFollowerRefusesBadSnapshotSizes: a CRC-valid msgSnapBegin announcing a
+// negative size used to panic in the session's goroutine (makeslice), which
+// has no recover, so the follower's process died; a huge one reserved that
+// much memory before any chunk arrived. Both, and chunks past the announced
+// size, now end the session with an error.
+func TestFollowerRefusesBadSnapshotSizes(t *testing.T) {
+	for name, script := range map[string][]byte{
+		"negative size":          frame(nil, msgSnapBegin, u64s(-1)),
+		"size past the bound":    frame(nil, msgSnapBegin, u64s(1<<62)),
+		"chunks past the size":   frame(frame(nil, msgSnapBegin, u64s(4)), msgSnapChunk, []byte("12345")),
+		"chunk before any begin": frame(nil, msgSnapChunk, []byte("x")),
+	} {
+		if err := followerSession(script); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("%s: the session ended with %v, want it refused", name, err)
+		}
+	}
+}
+
+// messages frames the messages fuzz input describes: each is a type byte, a
+// 2-byte little-endian length and that many payload bytes (fewer at the end).
+func messages(data []byte) []byte {
+	var out []byte
+	for len(data) >= 3 {
+		n := min(int(binary.LittleEndian.Uint16(data[1:3])), len(data)-3)
+		out = frame(out, data[0], data[3:3+n])
+		data = data[3+n:]
+	}
+	return out
+}
+
+// describe is the fuzz input messages turns back into msgs.
+func describe(msgs ...[]byte) []byte {
+	var out []byte
+	for _, m := range msgs {
+		out = append(out, m[0])
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(m)-1))
+		out = append(out, m[1:]...)
+	}
+	return out
+}
+
+// FuzzReplicationMessages feeds arbitrary sequences of CRC-framed messages to
+// both ends of a session: to a follower after its hello, and to a primary's
+// serve. Neither may panic. The follower's session ends with an error, at the
+// latest when the script runs out; the primary's ends when its peer hangs up.
+func FuzzReplicationMessages(f *testing.F) {
+	s := newPrimaryStack(f)
+	table := s.createTable(f, "t")
+	for i := range 6 {
+		s.insert(f, table, int64(i), "seed")
+	}
+	img, cutLSN, cutCID, err := s.pm.SnapshotBytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	msg := func(typ byte, payload []byte) []byte { return append([]byte{typ}, payload...) }
+	hello := func(from int64) []byte { return describe(msg(msgHello, u64s(from)), msg(msgAck, u64s(0, 0))) }
+	f.Add(describe(msg(msgSnapBegin, u64s(-1))), hello(-1))
+	f.Add(describe(
+		msg(msgSnapBegin, u64s(int64(len(img)))), msg(msgSnapChunk, img), msg(msgSnapEnd, u64s(cutLSN, int64(cutCID))),
+		msg(msgHeartbeat, u64s(cutLSN, int64(cutCID), 0)),
+	), hello(s.pm.WALStartLSN()))
+	f.Add(describe(msg(msgWAL, append(u64s(12345), 1, 2, 3))), hello(s.pm.WALEndLSN()+1))
+
+	f.Fuzz(func(t *testing.T, toFollower, toPrimary []byte) {
+		if err := followerSession(messages(toFollower)); err == nil {
+			t.Fatal("a follower session over a finite script ended without an error")
+		}
+		st := &followerState{}
+		_ = s.p.serve(scriptConn{bytes.NewReader(messages(toPrimary))}, st)
+	})
+}

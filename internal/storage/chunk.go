@@ -326,6 +326,10 @@ type Chunk struct {
 	placeholders int
 	// sealNS is what the catalog's Sealer spent on the chunk; 0 if none ran.
 	sealNS atomic.Int64
+	// sealing is held from the write that makes the chunk due for its seal
+	// until the seal is done (Table.takeSeal, Table.seal), and by
+	// SealedSnapshot.
+	sealing sync.Mutex
 
 	// viewed is set when a reader is handed segment memory (GetSegment,
 	// SnapshotSegments) and cleared when overwriteRow moves the segments to
@@ -437,6 +441,16 @@ func (c *Chunk) SnapshotSegments() ([]Segment, int) {
 		out[i] = seg
 	}
 	return out, size
+}
+
+// SealedSnapshot is SnapshotSegments for a snapshot writer, which waits for a
+// seal under way: the chunk is captured before its seal or after it, never
+// halfway, and immutable says which.
+func (c *Chunk) SealedSnapshot() (segs []Segment, rows int, immutable bool) {
+	c.sealing.Lock()
+	defer c.sealing.Unlock()
+	segs, rows = c.SnapshotSegments()
+	return segs, rows, c.IsImmutable()
 }
 
 // ReplaceSegment swaps in a (typically encoded) segment for a column. Only

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hyrise/internal/types"
 )
@@ -379,6 +380,45 @@ func TestLoadCSV(t *testing.T) {
 	}
 	if sm.HasTable("bad") || sm.HasTable("bad2") {
 		t.Error("a failed load stays registered")
+	}
+}
+
+// TestSealedSnapshotWaitsForSeal: a snapshot of a chunk whose seal is under
+// way captures it as the seal leaves it. It used to capture the chunk already
+// immutable but with columns the Sealer had not replaced yet, and a restore of
+// that snapshot never sealed them.
+func TestSealedSnapshotWaitsForSeal(t *testing.T) {
+	sm := NewStorageManager()
+	started, release := make(chan struct{}), make(chan struct{})
+	encoded := ValueSegmentFromSlice([]int64{1, 2}, nil) // what the Sealer puts in place
+	sm.SetSealer(func(c *Chunk) {
+		close(started)
+		<-release
+		c.ReplaceSegment(0, encoded)
+	})
+	table := NewTable("t", []ColumnDefinition{{Name: "v", Type: types.TypeInt64}}, 2, false)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table.AppendRow([]types.Value{types.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, rows, immutable := table.GetChunk(0).SealedSnapshot(); rows != 1 || immutable {
+		t.Fatalf("half-full chunk captured with %d rows, immutable %v", rows, immutable)
+	}
+	filled := make(chan error, 1)
+	go func() {
+		_, err := table.AppendRow([]types.Value{types.Int(2)})
+		filled <- err
+	}()
+	<-started
+	time.AfterFunc(10*time.Millisecond, func() { close(release) })
+	segs, rows, immutable := table.GetChunk(0).SealedSnapshot()
+	if segs[0] != Segment(encoded) || rows != 2 || !immutable {
+		t.Errorf("snapshot during the seal: %T, %d rows, immutable %v; want the sealed segment", segs[0], rows, immutable)
+	}
+	if err := <-filled; err != nil {
+		t.Fatal(err)
 	}
 }
 

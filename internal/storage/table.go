@@ -225,7 +225,7 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 
 	err := last.appendRow(vals)
 	row := types.RowID{Chunk: types.ChunkID(n - 1), Offset: types.ChunkOffset(last.Size() - 1)}
-	full := err == nil && t.sealable(last)
+	full := err == nil && t.takeSeal(last)
 	t.appendMu.Unlock()
 	if err != nil {
 		return types.NullRowID, err
@@ -236,18 +236,24 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	return row, nil
 }
 
-// sealable reports that a chunk is due for seal: full, and no replayed commit
-// can still write into it. Caller must hold the append lock.
-func (t *Table) sealable(c *Chunk) bool {
-	return c.placeholders == 0 && c.Size() >= t.targetChunkSize && !c.IsImmutable()
+// takeSeal reports that a chunk is due for seal — full, and no replayed commit
+// can still write into it — and then takes its seal lock for the seal the
+// caller runs. Caller must hold the append lock.
+func (t *Table) takeSeal(c *Chunk) bool {
+	due := c.placeholders == 0 && c.Size() >= t.targetChunkSize && !c.IsImmutable()
+	if due {
+		c.sealing.Lock()
+	}
+	return due
 }
 
 // seal makes a chunk immutable and, on a registered table, hands it to the
 // catalog's Sealer, which may encode its segments and attach filters: the
 // chunk's values are frozen from here on, only its MVCC columns still change.
 // It runs in the goroutine whose write completed the chunk, outside the append
-// lock, once per chunk.
+// lock, once per chunk, and releases the seal lock that write took.
 func (t *Table) seal(c *Chunk) {
+	defer c.sealing.Unlock()
 	c.Finalize()
 	if sm := t.owner.Load(); sm != nil {
 		sm.seal(c)
@@ -262,7 +268,7 @@ func (t *Table) releasePlaceholders() {
 	var full []*Chunk
 	for _, c := range t.Chunks() {
 		c.placeholders = 0
-		if t.sealable(c) {
+		if t.takeSeal(c) {
 			full = append(full, c)
 		}
 	}
@@ -329,7 +335,7 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 					return false, err
 				}
 			}
-			if t.sealable(last) {
+			if t.takeSeal(last) {
 				full = append(full, last)
 			}
 		}
@@ -357,7 +363,7 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 		}
 		err = chunk.appendRow(vals)
 	}
-	if err == nil && t.sealable(chunk) {
+	if err == nil && t.takeSeal(chunk) {
 		full = append(full, chunk)
 	}
 	return existed, err
@@ -406,6 +412,7 @@ func (t *Table) placeholderRow() []types.Value {
 // when that chunk is sealed already.
 func (t *Table) SealTail() {
 	if last := t.lastChunk(); last != nil && !last.IsImmutable() {
+		last.sealing.Lock()
 		t.seal(last)
 	}
 }

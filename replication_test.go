@@ -573,9 +573,10 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 
 // TestCrashRestoreKeepsSeals: a chunk restored from a snapshot is the chunk its
 // seal left — a recovered copy and a replica bootstrapped from the snapshot
-// hold, chunk for chunk, the encodings and the filters the primary holds, for
-// the chunks a CSV load sealed, the chunks INSERTs sealed before the
-// checkpoint, and the chunk the log seals after it.
+// hold, chunk for chunk, the encodings, the value compression and the filters
+// the primary holds, for the chunks a CSV load sealed, the chunks INSERTs
+// sealed before the checkpoint, and the chunk the log seals after it. A full
+// chunk's tags are long enough for FSST to pay, a two-row one's are not.
 func TestCrashRestoreKeepsSeals(t *testing.T) {
 	cfg := durableConfig(t)
 	db, err := OpenErr(cfg)
@@ -583,14 +584,19 @@ func TestCrashRestoreKeepsSeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	tag := func(id int) string { return fmt.Sprintf("%s%d", strings.Repeat("carefully final deposits ", 40), id) }
 	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString}, {Name: "val", Type: types.TypeFloat64}}
-	if err := db.LoadCSV("t", defs, strings.NewReader("0,load,0.5\n1,load,7.5\n2,load,3.5\n3,load,9.5\n4,load,1.5\n5,load,2.5\n"), 4); err != nil {
+	var csv strings.Builder
+	for id, val := range []string{"0.5", "7.5", "3.5", "9.5", "1.5", "2.5"} {
+		fmt.Fprintf(&csv, "%d,%s,%s\n", id, tag(id), val)
+	}
+	if err := db.LoadCSV("t", defs, strings.NewReader(csv.String()), 4); err != nil {
 		t.Fatal(err)
 	}
 	insert := func(from, to int) {
 		t.Helper()
 		for id := from; id < to; id++ {
-			if _, err := db.Execute(fmt.Sprintf("INSERT INTO t VALUES (%d, 'load', %d.25)", id, id*7%11)); err != nil {
+			if _, err := db.Execute(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s', %d.25)", id, tag(id), id*7%11)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -619,18 +625,33 @@ func TestCrashRestoreKeepsSeals(t *testing.T) {
 	defer recovered.Close()
 
 	want := seals(t, db)
-	if len(want) != 5 || !strings.Contains(want[1], "RangeHistogram") || !strings.Contains(want[3], "RangeHistogram") {
-		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with filters", want)
+	if len(want) != 5 || !strings.Contains(want[1], "RangeHistogram") || !strings.Contains(want[3], "RangeHistogram") ||
+		!strings.Contains(want[0], "FSST") || strings.Contains(want[1], "FSST") {
+		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with filters, full ones packed", want)
 	}
+	const packed = "SELECT chunk_id FROM meta_segments WHERE table_name = 't' AND value_compression = 'FSST' ORDER BY chunk_id"
+	wantPacked := queryRows(t, db, packed)
 	for name, side := range map[string]*Database{"recovered": recovered, "replica": replica} {
 		if got := seals(t, side); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s chunks:\n got %q\nwant %q", name, got, want)
 		}
+		if got := queryRows(t, side, packed); !reflect.DeepEqual(got, wantPacked) {
+			t.Errorf("%s: meta_segments packs chunks %v, the primary %v", name, got, wantPacked)
+		}
 	}
 }
 
+func queryRows(t *testing.T, side *Database, sql string) [][]string {
+	t.Helper()
+	res, err := side.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Rows(res)
+}
+
 // seals describes each chunk of table t as its seal left it: immutable or
-// not, and per column the encoding and the filters.
+// not, and per column the encoding, the value compression and the filters.
 func seals(t *testing.T, side *Database) []string {
 	t.Helper()
 	table, err := side.StorageManager().GetTable("t")
@@ -643,7 +664,7 @@ func seals(t *testing.T, side *Database) []string {
 		for col := range table.ColumnDefinitions() {
 			id := types.ColumnID(col)
 			spec, _ := encoding.SpecOf(c.GetSegment(id))
-			s += " | " + spec.String()
+			s += " | " + spec.String() + " " + encoding.ValueCompression(c.GetSegment(id))
 			for _, f := range c.Filters(id) {
 				s += fmt.Sprintf(" %T", f)
 			}
