@@ -21,7 +21,9 @@ import (
 // tag-specific fields. Integers use unsigned varints (zig-zag varints where
 // signed), floats use IEEE-754 bits, strings and bitmaps are
 // length-prefixed. Integrity (CRC) is the caller's concern — the WAL and
-// snapshot framings both checksum whole records/files.
+// snapshot framings both checksum whole records/files. The same primitives
+// (AppendString, AppendBools and Reader) write and read the persistence
+// layer's WAL records and snapshot bodies around the segments.
 
 // Segment tags. The numeric values are part of the on-disk format.
 const (
@@ -49,13 +51,15 @@ const (
 
 // --- primitive append helpers ------------------------------------------
 
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s with its length as a uvarint prefix.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func appendBools(dst []byte, b []bool) []byte {
-	// Length-prefixed bitmap; a zero length round-trips to a nil slice.
+// AppendBools appends b as a length-prefixed LSB-first bitmap; a zero length
+// reads back as a nil slice.
+func AppendBools(dst []byte, b []bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	var cur byte
 	for i, v := range b {
@@ -73,85 +77,120 @@ func appendBools(dst []byte, b []bool) []byte {
 	return dst
 }
 
-// byteReader consumes the primitive encodings with explicit error state so
-// segment decoding never panics on truncated or corrupt input.
-type byteReader struct {
+// Reader consumes the primitive encodings with sticky error state: after the
+// first failure every read returns its zero value and Err reports the
+// failure, so decoding truncated or corrupt input ends in an error, never a
+// panic. It is the one reader of untrusted bytes for segments, snapshot
+// bodies and WAL records alike.
+type Reader struct {
 	buf []byte
 	err error
 }
 
-func (r *byteReader) fail(msg string) {
+// NewReader returns a Reader over buf; reads slice buf, they do not copy it.
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of bytes not read yet.
+func (r *Reader) Len() int { return len(r.buf) }
+
+// Fail records a failure unless one is recorded already.
+func (r *Reader) Fail(msg string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("encoding: corrupt segment: %s", msg)
+		r.err = fmt.Errorf("encoding: corrupt input: %s", msg)
 	}
 }
 
-func (r *byteReader) byte() byte {
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if b := r.next(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// next reads the next n bytes without copying them.
+func (r *Reader) next(n int) []byte {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	if len(r.buf) == 0 {
-		r.fail("unexpected end of input")
-		return 0
+	if n < 0 || n > len(r.buf) {
+		r.Fail("unexpected end of input")
+		return nil
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
 	return b
 }
 
-func (r *byteReader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.fail("bad uvarint")
+		r.Fail("bad uvarint")
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
 }
 
-func (r *byteReader) length(what string) int {
-	v := r.uvarint()
+// Varint reads a zig-zag varint.
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.buf)
+	if n <= 0 {
+		r.Fail("bad varint")
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// Uint64LE reads a little-endian uint64, the form float bits take.
+func (r *Reader) Uint64LE() uint64 {
+	if b := r.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *Reader) length(what string) int {
+	v := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
 	if v > uint64(len(r.buf))+1 { // +1: bitmap lengths count bits, not bytes
 		// A cheap sanity bound; exact bounds are checked by the consumers.
 		if v > uint64(len(r.buf))*8+8 {
-			r.fail(what + " length exceeds input")
+			r.Fail(what + " length exceeds input")
 			return 0
 		}
 	}
 	return int(v)
 }
 
-func (r *byteReader) string_() string { return string(r.bytes_()) }
+// Str reads what AppendString wrote.
+func (r *Reader) Str() string { return string(r.Prefixed()) }
 
-// bytes_ reads a length-prefixed string without copying it out of the input.
-func (r *byteReader) bytes_() []byte {
-	n := r.length("string")
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.buf) {
-		r.fail("string length exceeds input")
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
+// Prefixed reads what AppendString wrote without copying it out of the input.
+func (r *Reader) Prefixed() []byte { return r.next(r.length("string")) }
 
-func (r *byteReader) bools() []bool {
+// Bools reads what AppendBools wrote.
+func (r *Reader) Bools() []bool {
 	n := r.length("bitmap")
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	nBytes := (n + 7) / 8
 	if nBytes > len(r.buf) {
-		r.fail("bitmap length exceeds input")
+		r.Fail("bitmap length exceeds input")
 		return nil
 	}
 	out := make([]bool, n)
@@ -172,23 +211,17 @@ func appendInt64s(dst []byte, vs []int64) []byte {
 	return dst
 }
 
-func (r *byteReader) int64s() []int64 {
+func (r *Reader) int64s() []int64 {
 	n := r.length("int64 slice")
 	if r.err != nil {
 		return nil
 	}
 	out := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		if r.err != nil {
-			return nil
-		}
-		v, sz := binary.Varint(r.buf)
-		if sz <= 0 {
-			r.fail("bad varint")
-			return nil
-		}
-		r.buf = r.buf[sz:]
-		out = append(out, v)
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.Varint())
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
@@ -201,13 +234,13 @@ func appendFloat64s(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-func (r *byteReader) float64s() []float64 {
+func (r *Reader) float64s() []float64 {
 	n := r.length("float64 slice")
 	if r.err != nil {
 		return nil
 	}
 	if n*8 > len(r.buf) {
-		r.fail("float64 slice exceeds input")
+		r.Fail("float64 slice exceeds input")
 		return nil
 	}
 	out := make([]float64, n)
@@ -221,12 +254,12 @@ func (r *byteReader) float64s() []float64 {
 func appendStrings(dst []byte, vs []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
-		dst = appendString(dst, v)
+		dst = AppendString(dst, v)
 	}
 	return dst
 }
 
-func (r *byteReader) strings_() []string {
+func (r *Reader) strings_() []string {
 	n := r.length("string slice")
 	if r.err != nil {
 		return nil
@@ -236,7 +269,7 @@ func (r *byteReader) strings_() []string {
 		if r.err != nil {
 			return nil
 		}
-		out = append(out, r.string_())
+		out = append(out, r.Str())
 	}
 	return out
 }
@@ -244,12 +277,12 @@ func (r *byteReader) strings_() []string {
 // packedStrings reads what appendStrings wrote straight into a string
 // dictionary's layout: one pass sizes the blob, a second fills it, so the
 // values cost one allocation, not one each.
-func (r *byteReader) packedStrings() packedStrings {
+func (r *Reader) packedStrings() packedStrings {
 	n := r.length("string slice")
 	values, ends, total := *r, make([]uint32, 0, n), 0 // values: where the second pass starts
 	for i := 0; i < n && r.err == nil; i++ {
-		if total += len(r.bytes_()); total > math.MaxUint32 {
-			r.fail("string dictionary exceeds 4 GiB")
+		if total += len(r.Prefixed()); total > math.MaxUint32 {
+			r.Fail("string dictionary exceeds 4 GiB")
 		}
 		ends = append(ends, uint32(total))
 	}
@@ -259,7 +292,7 @@ func (r *byteReader) packedStrings() packedStrings {
 	var blob strings.Builder
 	blob.Grow(total)
 	for range n {
-		blob.Write(values.bytes_())
+		blob.Write(values.Prefixed())
 	}
 	return packedStrings{blob: blob.String(), ends: ends}
 }
@@ -280,12 +313,12 @@ func appendFSSTTable(dst []byte, t *fsstTable) []byte {
 // fsstPacked reads what appendFSSTTable and appendStrings wrote of a packed
 // dictionary. Symbols of 0 or more than 8 bytes, codes past the table and an
 // escape that ends a value fail the read: decoding trusts all three.
-func (r *byteReader) fsstPacked() packedStrings {
-	t := &fsstTable{n: int(r.byte())}
+func (r *Reader) fsstPacked() packedStrings {
+	t := &fsstTable{n: int(r.Byte())}
 	for c := 0; c < t.n && r.err == nil; c++ {
-		n := int(r.byte())
+		n := int(r.Byte())
 		if n < 1 || n > 8 || n > len(r.buf) {
-			r.fail("FSST symbol length outside 1-8 or past the input")
+			r.Fail("FSST symbol length outside 1-8 or past the input")
 			return packedStrings{}
 		}
 		for k := range n {
@@ -301,7 +334,7 @@ func (r *byteReader) fsstPacked() packedStrings {
 			if c := p.blob[i]; c == fsstEscape && i+1 < to {
 				i++
 			} else if int(c) >= t.n {
-				r.fail("FSST code past the table or escape at the end of a value")
+				r.Fail("FSST code past the table or escape at the end of a value")
 				return packedStrings{}
 			}
 		}
@@ -372,10 +405,10 @@ func (v *BP128Vector) wellFormed() bool {
 }
 
 // fixedWidth reads the little-endian codes of a FixedWidthVector[W].
-func fixedWidth[W uint8 | uint16 | uint32 | uint64](r *byteReader) UintVector {
+func fixedWidth[W uint8 | uint16 | uint32 | uint64](r *Reader) UintVector {
 	n, size := r.length("vector"), int(unsafe.Sizeof(W(0)))
 	if r.err != nil || n*size > len(r.buf) {
-		r.fail("vector exceeds input")
+		r.Fail("vector exceeds input")
 		return nil
 	}
 	data := make([]W, n)
@@ -395,8 +428,8 @@ func fixedWidth[W uint8 | uint16 | uint32 | uint64](r *byteReader) UintVector {
 	return &FixedWidthVector[W]{data: data}
 }
 
-func (r *byteReader) uintVector() UintVector {
-	tag := r.byte()
+func (r *Reader) uintVector() UintVector {
+	tag := r.Byte()
 	if r.err != nil {
 		return nil
 	}
@@ -410,10 +443,10 @@ func (r *byteReader) uintVector() UintVector {
 	case vecFixed64:
 		return fixedWidth[uint64](r)
 	case vecBP128:
-		v := &BP128Vector{n: int(r.uvarint())}
+		v := &BP128Vector{n: int(r.Uvarint())}
 		nWords := r.length("bp128 words")
 		if r.err != nil || nWords*8 > len(r.buf) {
-			r.fail("bp128 words exceed input")
+			r.Fail("bp128 words exceed input")
 			return nil
 		}
 		v.words = make([]uint64, nWords)
@@ -423,7 +456,7 @@ func (r *byteReader) uintVector() UintVector {
 		r.buf = r.buf[nWords*8:]
 		nBits := r.length("bp128 block bits")
 		if r.err != nil || nBits > len(r.buf) {
-			r.fail("bp128 block bits exceed input")
+			r.Fail("bp128 block bits exceed input")
 			return nil
 		}
 		v.blockBits = make([]uint8, nBits)
@@ -431,7 +464,7 @@ func (r *byteReader) uintVector() UintVector {
 		r.buf = r.buf[nBits:]
 		nStarts := r.length("bp128 block starts")
 		if r.err != nil || nStarts*4 > len(r.buf) {
-			r.fail("bp128 block starts exceed input")
+			r.Fail("bp128 block starts exceed input")
 			return nil
 		}
 		v.blockStart = make([]uint32, nStarts)
@@ -440,12 +473,12 @@ func (r *byteReader) uintVector() UintVector {
 		}
 		r.buf = r.buf[nStarts*4:]
 		if !v.wellFormed() {
-			r.fail("bp128 blocks do not match the vector")
+			r.Fail("bp128 blocks do not match the vector")
 			return nil
 		}
 		return v
 	default:
-		r.fail(fmt.Sprintf("unknown vector tag %d", tag))
+		r.Fail(fmt.Sprintf("unknown vector tag %d", tag))
 		return nil
 	}
 }
@@ -484,7 +517,7 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(s.nullID))
 		for id := range uint64(s.nullID) {
-			dst = appendString(dst, s.strs.raw(id))
+			dst = AppendString(dst, s.strs.raw(id))
 		}
 		return appendUintVector(dst, s.av)
 	case *RunLengthSegment[int64]:
@@ -503,7 +536,7 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		dst = append(dst, segFrameOfReference)
 		dst = binary.AppendUvarint(dst, uint64(s.n))
 		dst = appendInt64s(dst, s.frames)
-		dst = appendBools(dst, s.nulls)
+		dst = AppendBools(dst, s.nulls)
 		return appendUintVector(dst, s.offsets)
 	default:
 		return nil, fmt.Errorf("encoding: cannot serialize segment of type %T", seg)
@@ -516,7 +549,7 @@ func appendValueSegmentMeta(dst []byte, nullable bool, nulls []bool) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	return appendBools(dst, nulls)
+	return AppendBools(dst, nulls)
 }
 
 func appendRunLengthMeta(dst []byte, n int, ends []types.ChunkOffset, nulls []bool) []byte {
@@ -525,24 +558,32 @@ func appendRunLengthMeta(dst []byte, n int, ends []types.ChunkOffset, nulls []bo
 	for _, e := range ends {
 		dst = binary.AppendUvarint(dst, uint64(e))
 	}
-	return appendBools(dst, nulls)
+	return AppendBools(dst, nulls)
 }
 
 // DecodeSegment rebuilds a segment from buf and returns it together with
 // the remaining bytes. It never panics on corrupt input.
 func DecodeSegment(buf []byte) (storage.Segment, []byte, error) {
-	r := &byteReader{buf: buf}
-	tag := r.byte()
+	r := NewReader(buf)
+	if seg := r.Segment(); r.err == nil {
+		return seg, r.buf, nil
+	}
+	return nil, nil, r.err
+}
+
+// Segment reads what AppendSegment wrote; it is nil once Err is set.
+func (r *Reader) Segment() storage.Segment {
+	tag := r.Byte()
 	var seg storage.Segment
 	switch tag {
 	case segValueInt64:
-		nullable, nulls := r.byte() == 1, r.bools()
+		nullable, nulls := r.Byte() == 1, r.Bools()
 		seg = valueSegmentFromParts(r, r.int64s(), nulls, nullable)
 	case segValueFloat64:
-		nullable, nulls := r.byte() == 1, r.bools()
+		nullable, nulls := r.Byte() == 1, r.Bools()
 		seg = valueSegmentFromParts(r, r.float64s(), nulls, nullable)
 	case segValueString:
-		nullable, nulls := r.byte() == 1, r.bools()
+		nullable, nulls := r.Byte() == 1, r.Bools()
 		seg = valueSegmentFromParts(r, r.strings_(), nulls, nullable)
 	case segDictInt64:
 		seg = restoreDictionary(r, &DictionarySegment[int64]{dict: r.int64s()})
@@ -562,9 +603,9 @@ func DecodeSegment(buf []byte) (storage.Segment, []byte, error) {
 		n, ends, nulls := r.runLengthMeta()
 		seg = &RunLengthSegment[string]{n: n, ends: ends, nulls: nulls, values: r.strings_()}
 	case segFrameOfReference:
-		s := &FrameOfReferenceSegment{n: int(r.uvarint())}
+		s := &FrameOfReferenceSegment{n: int(r.Uvarint())}
 		s.frames = r.int64s()
-		s.nulls = r.bools()
+		s.nulls = r.Bools()
 		s.offsets = r.uintVector()
 		// The per-block scan statistics are derived state and are not
 		// persisted; rebuild them from the decoded codes. Corrupt input can
@@ -581,33 +622,33 @@ func DecodeSegment(buf []byte) (storage.Segment, []byte, error) {
 		}
 		seg = s
 	default:
-		r.fail(fmt.Sprintf("unknown segment tag %d", tag))
+		r.Fail(fmt.Sprintf("unknown segment tag %d", tag))
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil
 	}
-	return seg, r.buf, nil
+	return seg
 }
 
-func (r *byteReader) runLengthMeta() (int, []types.ChunkOffset, []bool) {
-	n := int(r.uvarint())
+func (r *Reader) runLengthMeta() (int, []types.ChunkOffset, []bool) {
+	n := int(r.Uvarint())
 	nRuns := r.length("run ends")
 	if r.err != nil {
 		return 0, nil, nil
 	}
 	ends := make([]types.ChunkOffset, 0, nRuns)
 	for i := 0; i < nRuns; i++ {
-		ends = append(ends, types.ChunkOffset(r.uvarint()))
+		ends = append(ends, types.ChunkOffset(r.Uvarint()))
 	}
-	return n, ends, r.bools()
+	return n, ends, r.Bools()
 }
 
 // valueSegmentFromParts rebuilds a value segment preserving nullability: a
 // nullable column with no NULLs yet must stay appendable with NULLs, so it
 // gets a zeroed (non-nil) null bitmap.
-func valueSegmentFromParts[T types.Ordered](r *byteReader, values []T, nulls []bool, nullable bool) *storage.ValueSegment[T] {
+func valueSegmentFromParts[T types.Ordered](r *Reader, values []T, nulls []bool, nullable bool) *storage.ValueSegment[T] {
 	if nulls != nil && len(nulls) != len(values) {
-		r.fail("null bitmap length does not match value count")
+		r.Fail("null bitmap length does not match value count")
 		return nil
 	}
 	if nullable && nulls == nil {
@@ -624,7 +665,7 @@ func valueSegmentFromParts[T types.Ordered](r *byteReader, values []T, nulls []b
 // attribute vector that follows them. Values that do not ascend strictly, or a
 // code above the NULL id, fail the read here: they would otherwise decode fine
 // and break the segment's first read.
-func restoreDictionary[T types.Ordered](r *byteReader, s *DictionarySegment[T]) *DictionarySegment[T] {
+func restoreDictionary[T types.Ordered](r *Reader, s *DictionarySegment[T]) *DictionarySegment[T] {
 	s.nullID = ValueID(max(len(s.dict), len(s.strs.ends)))
 	if s.av = r.uintVector(); r.err != nil {
 		return nil
@@ -632,12 +673,12 @@ func restoreDictionary[T types.Ordered](r *byteReader, s *DictionarySegment[T]) 
 	strs := s.strs.unpacked()
 	for id := uint64(1); id < uint64(s.nullID); id++ {
 		if (s.dict != nil && compareTotal(s.dict[id-1], s.dict[id]) >= 0) || (s.dict == nil && strs.raw(id-1) >= strs.raw(id)) {
-			r.fail("dictionary values do not ascend")
+			r.Fail("dictionary values do not ascend")
 			return nil
 		}
 	}
 	if len(s.matchesOutside(0, s.nullID, nil)) > 0 { // the codes above the NULL id
-		r.fail("dictionary code exceeds the NULL id")
+		r.Fail("dictionary code exceeds the NULL id")
 		return nil
 	}
 	return s

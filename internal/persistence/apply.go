@@ -71,7 +71,7 @@ func (a *Applier) apply(rec *record) error {
 		if a.sm.HasTable(rec.table) {
 			return nil // checkpoint raced the DDL append: already in snapshot
 		}
-		return a.sm.AddTable(storage.NewTable(rec.table, rec.defs, rec.chunkSize, rec.useMvcc))
+		return a.sm.AddTable(rec.created)
 	case recDropTable:
 		if !a.sm.HasTable(rec.table) {
 			return nil

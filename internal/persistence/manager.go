@@ -1,3 +1,10 @@
+// Package persistence adds durability to the engine: a group-commit
+// write-ahead log (WAL) plus background snapshots that serialize chunks in
+// their encoded segment form and truncate the log up to the snapshot LSN.
+// On boot, the manager restores the latest snapshot and replays the log
+// suffix; recovery is crash-safe against torn and truncated tails — a bad
+// CRC ends replay at the last durable commit. Records and snapshot bodies
+// are written with encoding's primitives and read through encoding.Reader.
 package persistence
 
 import (
@@ -131,51 +138,55 @@ func (m *Manager) replay(fromLSN int64) (maxCID types.CommitID, maxTID types.Tra
 // transaction's redo operations plus the commit record as one atomic framed
 // batch. Called inside the commit critical section, in commit-id order.
 func (m *Manager) AppendCommit(tid types.TransactionID, cid types.CommitID, ops []concurrency.RedoOp) (func() error, error) {
-	var batch []byte
-	for _, op := range ops {
-		w := &writer{}
-		if err := appendRedoOp(w, tid, op); err != nil {
-			return nil, err
-		}
-		batch = append(batch, frame(w.buf)...)
+	batch, err := appendCommitBatch(nil, tid, cid, ops)
+	if err != nil {
+		return nil, err
 	}
-	w := &writer{}
-	appendCommitRecord(w, tid, cid)
-	batch = append(batch, frame(w.buf)...)
 	return m.wal.AppendCommitBatch(batch, cid)
 }
 
-// appendDDL frames and appends a catalog-change record.
-func (m *Manager) appendDDL(w *writer) error {
-	return m.wal.AppendDDL(frame(w.buf))
+// appendCommitBatch appends a transaction's frames to dst: one per redo
+// operation, then the commit record's, each built in place.
+func appendCommitBatch(dst []byte, tid types.TransactionID, cid types.CommitID, ops []concurrency.RedoOp) ([]byte, error) {
+	for _, op := range ops {
+		at := len(dst)
+		var err error
+		if dst, err = appendRedoOp(openFrame(dst), tid, op); err != nil {
+			return nil, err
+		}
+		closeFrame(dst[at:])
+	}
+	at := len(dst)
+	dst = appendCommitRecord(openFrame(dst), tid, cid)
+	closeFrame(dst[at:])
+	return dst, nil
+}
+
+// appendDDL appends a catalog-change frame: a header openFrame reserved and
+// the record after it.
+func (m *Manager) appendDDL(frame []byte) error {
+	closeFrame(frame)
+	return m.wal.AppendDDL(frame)
 }
 
 // LogCreateTable durably records a CREATE TABLE.
 func (m *Manager) LogCreateTable(t *storage.Table) error {
-	w := &writer{}
-	appendCreateTableRecord(w, t)
-	return m.appendDDL(w)
+	return m.appendDDL(appendSchema(append(openFrame(nil), recCreateTable), t))
 }
 
 // LogDropTable durably records a DROP TABLE.
 func (m *Manager) LogDropTable(name string) error {
-	w := &writer{}
-	appendDropTableRecord(w, name)
-	return m.appendDDL(w)
+	return m.appendDDL(appendNamesRecord(openFrame(nil), recDropTable, name))
 }
 
 // LogCreateView durably records a CREATE VIEW.
 func (m *Manager) LogCreateView(name, sql string) error {
-	w := &writer{}
-	appendCreateViewRecord(w, name, sql)
-	return m.appendDDL(w)
+	return m.appendDDL(appendNamesRecord(openFrame(nil), recCreateView, name, sql))
 }
 
 // LogDropView durably records a DROP VIEW.
 func (m *Manager) LogDropView(name string) error {
-	w := &writer{}
-	appendDropViewRecord(w, name)
-	return m.appendDDL(w)
+	return m.appendDDL(appendNamesRecord(openFrame(nil), recDropView, name))
 }
 
 // Checkpoint takes a snapshot of the whole catalog and truncates the WAL up

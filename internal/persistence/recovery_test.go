@@ -267,70 +267,60 @@ func TestDiffSnapshotV2ParallelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiffSnapshotV2CorruptChunkBody hand-builds v2 images whose chunk framing
-// is structurally wrong in ways the file CRC cannot catch on its own —
-// trailing garbage inside a declared body, and a body length pointing past
-// the end of the image. Decode (serial and parallel) must surface an error,
-// not a panic or a silently wrong table.
+// TestDiffSnapshotV2CorruptChunkBody hand-builds v2 images whose chunks are
+// structurally wrong in ways the file CRC cannot catch on its own — trailing
+// garbage inside a declared body, a body length pointing past the end of the
+// image, a short body, and a mutable chunk holding more rows than its table's
+// chunk size. Decode (serial and parallel) must surface an error, not a panic
+// or a silently wrong table.
 func TestDiffSnapshotV2CorruptChunkBody(t *testing.T) {
-	table := storage.NewTable("t", testDefs(), 4, false)
-	for i := 0; i < 4; i++ {
-		if _, err := table.AppendRow([]types.Value{
-			types.Int(int64(i)), types.Str("x"), types.Float(1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	table.SealTail()
-
-	buildImage := func(mutate func(w *writer, body []byte)) []byte {
-		w := &writer{}
-		w.bytes([]byte(snapMagic))
-		w.uvarint(0) // lsn
-		w.uvarint(0) // lastCID
-		w.uvarint(1) // one table
-		w.string_(table.Name())
-		w.uvarint(uint64(table.TargetChunkSize()))
-		w.byte(0)
-		defs := table.ColumnDefinitions()
-		w.uvarint(uint64(len(defs)))
-		for _, d := range defs {
-			w.string_(d.Name)
-			w.byte(byte(d.Type))
-			if d.Nullable {
-				w.byte(1)
-			} else {
-				w.byte(0)
+	fill := func(table *storage.Table, rows int) *storage.Chunk {
+		for i := range rows {
+			if _, err := table.AppendRow([]types.Value{
+				types.Int(int64(i)), types.Str("x"), types.Float(1),
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		w.uvarint(1) // one chunk
-		cw := &writer{}
-		if err := encodeChunk(cw, table.Chunks()[0]); err != nil {
+		return table.Chunks()[0]
+	}
+	small := storage.NewTable("t", testDefs(), 4, false)
+	sealed := fill(small, 4)
+
+	// buildImage writes a one-table image (lsn 0, lastCID 0) of schema's
+	// table holding chunk, framed by mutate, and no views.
+	buildImage := func(schema *storage.Table, chunk *storage.Chunk, mutate func(dst, body []byte) []byte) []byte {
+		img := append([]byte(snapMagic), 0, 0, 1)
+		img = binary.AppendUvarint(appendSchema(img, schema), 1)
+		body, err := appendChunk(nil, chunk)
+		if err != nil {
 			t.Fatal(err)
 		}
-		mutate(w, cw.buf)
-		w.uvarint(0) // no views
-		crc := crc32.ChecksumIEEE(w.buf[len(snapMagic):])
-		return binary.LittleEndian.AppendUint32(w.buf, crc)
+		img = append(mutate(img, body), 0)
+		return binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[len(snapMagic):]))
+	}
+	whole := func(dst, body []byte) []byte {
+		return append(binary.AppendUvarint(dst, uint64(len(body))), body...)
 	}
 
 	cases := map[string][]byte{
 		// Body length covers three garbage bytes after a valid chunk body.
-		"trailing_garbage": buildImage(func(w *writer, body []byte) {
-			w.uvarint(uint64(len(body) + 3))
-			w.bytes(body)
-			w.bytes([]byte{0xDE, 0xAD, 0xBF})
+		"trailing_garbage": buildImage(small, sealed, func(dst, body []byte) []byte {
+			return whole(dst, append(body, 0xDE, 0xAD, 0xBF))
 		}),
 		// Body length runs past the end of the image.
-		"length_overrun": buildImage(func(w *writer, body []byte) {
-			w.uvarint(uint64(len(body) + 1_000_000))
-			w.bytes(body)
+		"length_overrun": buildImage(small, sealed, func(dst, body []byte) []byte {
+			return append(binary.AppendUvarint(dst, uint64(len(body)+1_000_000)), body...)
 		}),
 		// Body truncated below what the chunk header promises.
-		"short_body": buildImage(func(w *writer, body []byte) {
-			w.uvarint(uint64(len(body) / 2))
-			w.bytes(body[:len(body)/2])
+		"short_body": buildImage(small, sealed, func(dst, body []byte) []byte {
+			return whole(dst, body[:len(body)/2])
 		}),
+		// A growing chunk of 9 000 MVCC rows under a schema whose chunks hold
+		// 100: restore sized the MVCC columns by the chunk size and stamped
+		// rows past them, which panicked.
+		"mutable_past_chunk_size": buildImage(storage.NewTable("t", testDefs(), 100, true),
+			fill(storage.NewTable("t", testDefs(), 10_000, true), 9000), whole),
 	}
 	for name, img := range cases {
 		for _, workers := range []int{1, 4} {

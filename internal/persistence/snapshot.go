@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 
 	"hyrise/internal/encoding"
@@ -40,83 +42,45 @@ const (
 // encodeSnapshot serializes all tables and views into a snapshot body tagged
 // with the WAL cut (lsn, lastCID).
 func encodeSnapshot(sm *storage.StorageManager, lsn int64, lastCID types.CommitID) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.bytes([]byte(snapMagic))
-	w.uvarint(uint64(lsn))
-	w.uvarint(uint64(lastCID))
+	buf := append(make([]byte, 0, 1<<16), snapMagic...)
+	buf = binary.AppendUvarint(buf, uint64(lsn))
+	buf = binary.AppendUvarint(buf, uint64(lastCID))
 
 	names := sm.TableNames()
-	w.uvarint(uint64(len(names)))
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		t, err := sm.GetTable(name)
 		if err != nil {
 			return nil, err
 		}
-		if err := encodeTable(w, t); err != nil {
+		if buf, err = appendTable(buf, t); err != nil {
 			return nil, fmt.Errorf("persistence: snapshot table %q: %w", name, err)
 		}
 	}
 
 	views := sm.Views()
-	w.uvarint(uint64(len(views)))
-	for _, name := range sortedKeys(views) {
-		w.string_(name)
-		w.string_(views[name])
+	buf = binary.AppendUvarint(buf, uint64(len(views)))
+	for _, name := range slices.Sorted(maps.Keys(views)) {
+		buf = encoding.AppendString(encoding.AppendString(buf, name), views[name])
 	}
-
-	crc := crc32.ChecksumIEEE(w.buf[len(snapMagic):])
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
-	return w.buf, nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(snapMagic):])), nil
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-func encodeTable(w *writer, t *storage.Table) error {
-	w.string_(t.Name())
-	w.uvarint(uint64(t.TargetChunkSize()))
-	if t.UsesMvcc() {
-		w.byte(1)
-	} else {
-		w.byte(0)
-	}
-	defs := t.ColumnDefinitions()
-	w.uvarint(uint64(len(defs)))
-	for _, d := range defs {
-		w.string_(d.Name)
-		w.byte(byte(d.Type))
-		if d.Nullable {
-			w.byte(1)
-		} else {
-			w.byte(0)
-		}
-	}
-
+// appendTable appends a table's schema and its chunk bodies, each prefixed
+// with its byte length: what makes parallel chunk decode possible on restore.
+func appendTable(dst []byte, t *storage.Table) ([]byte, error) {
+	dst = appendSchema(dst, t)
 	chunks := t.Chunks()
-	w.uvarint(uint64(len(chunks)))
-	cw := &writer{buf: make([]byte, 0, 1<<12)} // scratch, reused per chunk
+	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
+	body := make([]byte, 0, 1<<12) // scratch, reused per chunk
 	for _, c := range chunks {
-		// Encode the chunk body into the scratch writer first so it can be
-		// prefixed with its byte length (what makes parallel chunk decode
-		// possible on restore).
-		cw.buf = cw.buf[:0]
-		if err := encodeChunk(cw, c); err != nil {
-			return err
+		var err error
+		if body, err = appendChunk(body[:0], c); err != nil {
+			return nil, err
 		}
-		w.uvarint(uint64(len(cw.buf)))
-		w.bytes(cw.buf)
+		dst = append(binary.AppendUvarint(dst, uint64(len(body))), body...)
 	}
-	return nil
+	return dst, nil
 }
 
 // The state byte a chunk body starts with. Restore re-attaches the default
@@ -128,32 +92,28 @@ const (
 	chunkFiltered // immutable, with its default filters
 )
 
-// encodeChunk serializes one chunk body (state byte, row count, segments, MVCC
+// appendChunk appends one chunk body (state byte, row count, segments, MVCC
 // bitmaps) — the unit a snapshot length-prefixes.
-func encodeChunk(w *writer, c *storage.Chunk) error {
+func appendChunk(dst []byte, c *storage.Chunk) ([]byte, error) {
 	segs, rows, immutable := c.SealedSnapshot()
+	state := chunkImmutable
 	switch {
 	case !immutable:
-		w.byte(chunkMutable)
+		state = chunkMutable
 	case filter.HasDefaults(c):
-		w.byte(chunkFiltered)
-	default:
-		w.byte(chunkImmutable)
+		state = chunkFiltered
 	}
-	w.uvarint(uint64(rows))
+	dst = binary.AppendUvarint(append(dst, state), uint64(rows))
 	for _, seg := range segs {
-		buf, err := encoding.AppendSegment(w.buf, seg)
-		if err != nil {
-			return err
+		var err error
+		if dst, err = encoding.AppendSegment(dst, seg); err != nil {
+			return nil, err
 		}
-		w.buf = buf
 	}
 	mvcc := c.MvccData()
 	if mvcc == nil {
-		w.byte(0)
-		return nil
+		return append(dst, 0), nil
 	}
-	w.byte(1)
 	committed := make([]bool, rows)
 	deleted := make([]bool, rows)
 	for i := 0; i < rows; i++ {
@@ -161,9 +121,7 @@ func encodeChunk(w *writer, c *storage.Chunk) error {
 		committed[i] = mvcc.Begin(off).Committed()
 		deleted[i] = mvcc.End(off) != types.MaxCommitID
 	}
-	w.bitmap(committed)
-	w.bitmap(deleted)
-	return nil
+	return encoding.AppendBools(encoding.AppendBools(append(dst, 1), committed), deleted), nil
 }
 
 // readSnapshot loads the snapshot file into the (empty) storage manager and
@@ -202,105 +160,64 @@ func decodeSnapshot(buf []byte, sm *storage.StorageManager, workers int) (lsn in
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return 0, 0, fmt.Errorf("snapshot fails CRC check")
 	}
-	r := &reader{buf: body}
-	lsn = int64(r.uvarint())
-	lastCID = types.CommitID(r.uvarint())
+	r := encoding.NewReader(body)
+	lsn, lastCID = int64(r.Uvarint()), types.CommitID(r.Uvarint())
 
-	nTables := r.uvarint()
-	if r.err == nil && nTables > uint64(len(body)) {
-		r.fail("table count exceeds snapshot size")
+	nTables := r.Uvarint()
+	if nTables > uint64(r.Len()) {
+		r.Fail("table count exceeds snapshot size")
 	}
-	for i := uint64(0); i < nTables && r.err == nil; i++ {
+	for i := uint64(0); i < nTables && r.Err() == nil; i++ {
 		t, err := decodeTable(r, workers)
 		if err != nil {
 			return 0, 0, fmt.Errorf("persistence: snapshot table %d: %w", i, err)
-		}
-		if t == nil {
-			break // r.err set
 		}
 		if err := sm.AddTable(t); err != nil {
 			return 0, 0, err
 		}
 	}
 
-	nViews := r.uvarint()
-	if r.err == nil && nViews > uint64(len(body)) {
-		r.fail("view count exceeds snapshot size")
+	nViews := r.Uvarint()
+	if nViews > uint64(r.Len()) {
+		r.Fail("view count exceeds snapshot size")
 	}
-	for i := uint64(0); i < nViews && r.err == nil; i++ {
-		name := r.string_()
-		sql := r.string_()
-		if r.err == nil {
+	for i := uint64(0); i < nViews && r.Err() == nil; i++ {
+		if name, sql := r.Str(), r.Str(); r.Err() == nil {
 			if err := sm.AddView(name, sql); err != nil {
 				return 0, 0, err
 			}
 		}
 	}
-	if r.err != nil {
-		return 0, 0, r.err
+	if r.Err() != nil {
+		return 0, 0, r.Err()
 	}
 	return lsn, lastCID, nil
 }
 
-func decodeTable(r *reader, workers int) (*storage.Table, error) {
-	name := r.string_()
-	chunkSize := int(r.uvarint())
-	useMvcc := r.byte_() == 1
-	nCols := r.uvarint()
-	if r.err == nil && nCols > uint64(len(r.buf))+1 {
-		r.fail("column count exceeds snapshot size")
+func decodeTable(r *encoding.Reader, workers int) (*storage.Table, error) {
+	t := readSchema(r)
+	nChunks := r.Uvarint()
+	if nChunks > uint64(r.Len()) {
+		r.Fail("chunk count exceeds snapshot size")
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	defs := make([]storage.ColumnDefinition, 0, nCols)
-	for i := uint64(0); i < nCols && r.err == nil; i++ {
-		n := r.string_()
-		ty := types.DataType(r.byte_())
-		nullable := r.byte_() == 1
-		defs = append(defs, storage.ColumnDefinition{Name: n, Type: ty, Nullable: nullable})
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	t := storage.NewTable(name, defs, chunkSize, useMvcc)
-	nChunks := r.uvarint()
-	if r.err == nil && nChunks > uint64(len(r.buf))+1 {
-		r.fail("chunk count exceeds snapshot size")
-	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 
 	// Slice out the length-prefixed chunk bodies sequentially (cheap),
 	// decode the bodies in parallel, then append in chunk order so chunk ids
 	// come out identical to a serial restore.
 	bodies := make([][]byte, 0, nChunks)
-	for ci := uint64(0); ci < nChunks && r.err == nil; ci++ {
-		n := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if n > uint64(len(r.buf)) {
-			r.fail("chunk body exceeds snapshot size")
-			break
-		}
-		bodies = append(bodies, r.buf[:n])
-		r.buf = r.buf[n:]
+	for ci := uint64(0); ci < nChunks && r.Err() == nil; ci++ {
+		bodies = append(bodies, r.Prefixed())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	chunks := make([]*storage.Chunk, len(bodies))
 	errs := make([]error, len(bodies))
 	runParallel(len(bodies), workers, func(ci int) {
-		cr := &reader{buf: bodies[ci]}
-		chunk, err := decodeChunk(cr, defs, chunkSize)
-		if err == nil && len(cr.buf) != 0 {
-			err = fmt.Errorf("persistence: corrupt record: %d trailing bytes in chunk body", len(cr.buf))
-		}
-		chunks[ci], errs[ci] = chunk, err
+		chunks[ci], errs[ci] = decodeChunk(encoding.NewReader(bodies[ci]), t.ColumnDefinitions(), t.TargetChunkSize())
 	})
 	for ci := range bodies {
 		if errs[ci] != nil {
@@ -335,40 +252,40 @@ func runParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// decodeChunk decodes one chunk body (the unit encodeChunk writes) from r;
+// decodeChunk decodes one chunk body (the unit appendChunk writes) from r;
 // decodeTable calls it concurrently over disjoint body slices.
-func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*storage.Chunk, error) {
-	state := r.byte_()
+func decodeChunk(r *encoding.Reader, defs []storage.ColumnDefinition, chunkSize int) (*storage.Chunk, error) {
+	state := r.Byte()
 	immutable := state != chunkMutable
-	rows := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
+	rows := int(r.Uvarint())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if state > chunkFiltered {
 		return nil, fmt.Errorf("unknown chunk state %d", state)
 	}
+	if !immutable && rows > chunkSize {
+		return nil, fmt.Errorf("mutable chunk of %d rows exceeds the chunk size %d", rows, chunkSize)
+	}
 	segs := make([]storage.Segment, len(defs))
 	for i := range defs {
-		seg, rest, err := encoding.DecodeSegment(r.buf)
-		if err != nil {
-			return nil, fmt.Errorf("column %d: %w", i, err)
+		if segs[i] = r.Segment(); r.Err() != nil {
+			return nil, fmt.Errorf("column %d: %w", i, r.Err())
 		}
-		if seg.Len() != rows {
-			return nil, fmt.Errorf("column %d: segment has %d rows, want %d", i, seg.Len(), rows)
+		if segs[i].Len() != rows {
+			return nil, fmt.Errorf("column %d: segment has %d rows, want %d", i, segs[i].Len(), rows)
 		}
-		segs[i] = seg
-		r.buf = rest
 	}
 	var mvcc *storage.MvccData
-	hasMvcc := r.byte_() == 1
+	hasMvcc := r.Byte() == 1
 	if hasMvcc {
-		committed := r.bitmap()
-		deleted := r.bitmap()
-		if r.err != nil {
-			return nil, r.err
+		committed := r.Bools()
+		deleted := r.Bools()
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if len(committed) != rows || len(deleted) != rows {
-			// bitmap() returns nil for zero-length maps, which matches
+			// Bools returns nil for zero-length maps, which matches
 			// rows == 0; anything else is corruption.
 			if !(rows == 0 && committed == nil && deleted == nil) {
 				return nil, fmt.Errorf("MVCC bitmap length mismatch")
@@ -392,8 +309,11 @@ func decodeChunk(r *reader, defs []storage.ColumnDefinition, chunkSize int) (*st
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes in chunk body", r.Len())
 	}
 	chunk := storage.NewChunk(segs, mvcc)
 	if immutable {

@@ -177,13 +177,16 @@ func readWALHeader(f *os.File) (start int64, err error) {
 	return int64(binary.LittleEndian.Uint64(hdr[8:])), nil
 }
 
-// frame wraps a payload in the on-disk framing.
-func frame(payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeader:], payload)
-	return out
+// openFrame reserves the header of a frame at the end of dst; the record
+// appended after it is the frame's payload, and closeFrame fills the header in.
+func openFrame(dst []byte) []byte { return append(dst, make([]byte, frameHeader)...) }
+
+// closeFrame writes the length and CRC of the payload of frame, which starts
+// with the header openFrame reserved and ends with the payload.
+func closeFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 }
 
 // EndLSN returns the logical end offset of the log.

@@ -75,13 +75,23 @@ func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[1:5])
+	length := int64(binary.LittleEndian.Uint32(hdr[1:5]))
 	wantCRC := binary.LittleEndian.Uint32(hdr[5:9])
 	if length > maxMsgLen {
 		return 0, nil, fmt.Errorf("replication: message length %d exceeds limit", length)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if length > 1<<16 {
+		// Grown as the bytes arrive: a length the peer never fills costs
+		// nothing.
+		payload, err = io.ReadAll(io.LimitReader(r, length))
+		if err == nil && int64(len(payload)) < length {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		payload = make([]byte, length)
+		_, err = io.ReadFull(r, payload)
+	}
+	if err != nil {
 		return 0, nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -50,6 +51,26 @@ func TestFollowerRefusesBadSnapshotSizes(t *testing.T) {
 		if err := followerSession(script); err == nil || errors.Is(err, io.EOF) {
 			t.Errorf("%s: the session ended with %v, want it refused", name, err)
 		}
+	}
+}
+
+// TestReadMsgAllocatesAsBytesArrive: a header announcing a 1 GiB message,
+// then EOF, used to make readMsg allocate the whole GiB before it read a
+// payload byte — and a primary reads the first message of every connection
+// to its replication port that way, before any validation. The read now
+// fails having allocated almost nothing.
+func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
+	hdr := []byte{msgHello, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[1:], maxMsgLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readMsg(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a message cut off after its header read without an error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a bare header allocated %d bytes, want under 1 MiB", grew)
 	}
 }
 

@@ -84,8 +84,8 @@ func (s *Server) EnableExecutorPool(workers, queueDepth int, slowAfter time.Dura
 		workers int
 	}{
 		{"read", workers},
-		{"write", maxInt(1, workers/2)},
-		{"slow", maxInt(1, workers/4)},
+		{"write", max(1, workers/2)},
+		{"slow", max(1, workers/4)},
 	}
 	for _, c := range classes {
 		depth := queueDepth
@@ -102,13 +102,6 @@ func (s *Server) EnableExecutorPool(workers, queueDepth int, slowAfter time.Dura
 	}
 	s.pool.Store(p)
 	s.engine.SetPoolRows(p.rows)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (p *executorPool) worker(q *execQueue) {

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -823,24 +824,15 @@ func (w *wire) writeCommandComplete(tag string) {
 // --- payload parsing ----------------------------------------------------------------
 
 func cString(b []byte) string {
-	if i := indexByte(b, 0); i >= 0 {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
 		return string(b[:i])
 	}
 	return string(b)
 }
 
 func splitCString(b []byte) (string, []byte) {
-	if i := indexByte(b, 0); i >= 0 {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
 		return string(b[:i]), b[i+1:]
 	}
 	return string(b), nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
