@@ -130,7 +130,7 @@ func (a *Applier) ApplyFrames(buf []byte) error {
 	var payload []byte
 	for r.Len() > 0 {
 		var err error
-		if payload, err = readFrame(r, int64(r.Len()), payload); err != nil {
+		if payload, err = ReadFrame(r, int64(r.Len()), payload); err != nil {
 			return err
 		}
 		rec, err := decodeRecord(payload)
@@ -154,7 +154,7 @@ func completeFramesPrefix(buf []byte) int {
 	var payload []byte
 	for {
 		var err error
-		if payload, err = readFrame(r, int64(r.Len()), payload); err != nil && err != errFrameCRC {
+		if payload, err = ReadFrame(r, int64(r.Len()), payload); err != nil && err != errFrameCRC {
 			return off
 		}
 		off += frameHeader + len(payload)

@@ -151,42 +151,42 @@ func appendCommitBatch(dst []byte, tid types.TransactionID, cid types.CommitID, 
 	for _, op := range ops {
 		at := len(dst)
 		var err error
-		if dst, err = appendRedoOp(openFrame(dst), tid, op); err != nil {
+		if dst, err = appendRedoOp(OpenFrame(dst), tid, op); err != nil {
 			return nil, err
 		}
-		closeFrame(dst[at:])
+		CloseFrame(dst[at:])
 	}
 	at := len(dst)
-	dst = appendCommitRecord(openFrame(dst), tid, cid)
-	closeFrame(dst[at:])
+	dst = appendCommitRecord(OpenFrame(dst), tid, cid)
+	CloseFrame(dst[at:])
 	return dst, nil
 }
 
-// appendDDL appends a catalog-change frame: a header openFrame reserved and
+// appendDDL appends a catalog-change frame: a header OpenFrame reserved and
 // the record after it.
 func (m *Manager) appendDDL(frame []byte) error {
-	closeFrame(frame)
+	CloseFrame(frame)
 	return m.wal.AppendDDL(frame)
 }
 
 // LogCreateTable durably records a CREATE TABLE.
 func (m *Manager) LogCreateTable(t *storage.Table) error {
-	return m.appendDDL(appendSchema(append(openFrame(nil), recCreateTable), t))
+	return m.appendDDL(appendSchema(append(OpenFrame(nil), recCreateTable), t))
 }
 
 // LogDropTable durably records a DROP TABLE.
 func (m *Manager) LogDropTable(name string) error {
-	return m.appendDDL(appendNamesRecord(openFrame(nil), recDropTable, name))
+	return m.appendDDL(appendNamesRecord(OpenFrame(nil), recDropTable, name))
 }
 
 // LogCreateView durably records a CREATE VIEW.
 func (m *Manager) LogCreateView(name, sql string) error {
-	return m.appendDDL(appendNamesRecord(openFrame(nil), recCreateView, name, sql))
+	return m.appendDDL(appendNamesRecord(OpenFrame(nil), recCreateView, name, sql))
 }
 
 // LogDropView durably records a DROP VIEW.
 func (m *Manager) LogDropView(name string) error {
-	return m.appendDDL(appendNamesRecord(openFrame(nil), recDropView, name))
+	return m.appendDDL(appendNamesRecord(OpenFrame(nil), recDropView, name))
 }
 
 // Checkpoint takes a snapshot of the whole catalog and truncates the WAL up
@@ -195,25 +195,29 @@ func (m *Manager) LogDropView(name string) error {
 // snapshot is installed so every commit whose stamps may have been captured
 // is durable and replayable.
 func (m *Manager) Checkpoint() error {
+	f, _, err := m.OpenCheckpoint()
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// OpenCheckpoint checkpoints and opens the snapshot file it wrote, before any
+// later checkpoint can rename another over it, and returns the file and its
+// cut LSN: what a bootstrapping replication follower is sent. The caller
+// closes the file.
+func (m *Manager) OpenCheckpoint() (*os.File, int64, error) {
 	m.checkpointMu.Lock()
 	defer m.checkpointMu.Unlock()
-
 	var cutLSN int64
 	var cutCID types.CommitID
 	m.tm.CommitBarrier(func(highestCID types.CommitID) {
 		cutLSN = m.wal.EndLSN()
 		cutCID = highestCID
 	})
-
-	buf, err := encodeSnapshot(m.sm, cutLSN, cutCID)
+	size, err := m.writeSnapshotFile(cutLSN, cutCID)
 	if err != nil {
-		return err
-	}
-	if err := m.wal.Sync(); err != nil {
-		return err
-	}
-	if err := writeSnapshotFile(m.opts.Dir, buf); err != nil {
-		return err
+		return nil, 0, err
 	}
 	// The snapshot records the true cut; only the log trim is clamped, so a
 	// pinned follower can still read the suffix it has not shipped yet.
@@ -222,13 +226,14 @@ func (m *Manager) Checkpoint() error {
 		truncTo = pinned
 	}
 	if err := m.wal.TruncateFront(truncTo); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if m.snapshots != nil {
 		m.snapshots.Inc()
-		m.snapshotBytes.Set(int64(len(buf)))
+		m.snapshotBytes.Set(size)
 	}
-	return nil
+	f, err := os.Open(filepath.Join(m.opts.Dir, SnapshotFileName))
+	return f, cutLSN, err
 }
 
 // snapshotLoop checkpoints at a fixed cadence until Close.

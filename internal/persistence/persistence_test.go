@@ -1,6 +1,7 @@
 package persistence
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,6 +29,13 @@ func openTestManager(t testing.TB, dir string, mode SyncMode) (*storage.StorageM
 		t.Fatalf("Open: %v", err)
 	}
 	return sm, tm, m
+}
+
+// encodeSnapshot is the image writeSnapshot streams, collected in memory.
+func encodeSnapshot(sm *storage.StorageManager, lsn int64, lastCID types.CommitID) ([]byte, error) {
+	var buf bytes.Buffer
+	err := writeSnapshot(&buf, sm, lsn, lastCID)
+	return buf.Bytes(), err
 }
 
 // insertTx appends rows in one transaction through the MVCC+WAL path,

@@ -123,7 +123,7 @@ func walFrames(t *testing.T, file []byte) []walFrame {
 	var frames []walFrame
 	for r.Len() > 0 {
 		off := int64(len(file) - r.Len())
-		payload, err := readFrame(r, int64(r.Len()), nil)
+		payload, err := ReadFrame(r, int64(r.Len()), nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}

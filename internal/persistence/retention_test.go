@@ -2,6 +2,7 @@ package persistence
 
 import (
 	"errors"
+	"io"
 	"testing"
 
 	"hyrise/internal/concurrency"
@@ -136,9 +137,9 @@ func TestReadWALStreamApplier(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesDecode bootstraps a catalog from an in-memory snapshot
-// image (the follower bootstrap path) and checks the cut and contents.
-func TestSnapshotBytesDecode(t *testing.T) {
+// TestCheckpointFileDecode bootstraps a catalog from the file OpenCheckpoint
+// returns (the follower bootstrap path) and checks the cut and contents.
+func TestCheckpointFileDecode(t *testing.T) {
 	dir := t.TempDir()
 	sm, tm, m := openTestManager(t, dir, SyncCommit)
 	defer m.Close()
@@ -155,15 +156,17 @@ func TestSnapshotBytesDecode(t *testing.T) {
 		{types.Int(2), types.Str("b"), types.Float(2.0)},
 	})
 
-	buf, lsn, cid, err := m.SnapshotBytes()
+	f, lsn, err := m.OpenCheckpoint()
 	if err != nil {
-		t.Fatalf("SnapshotBytes: %v", err)
+		t.Fatalf("OpenCheckpoint: %v", err)
 	}
+	defer f.Close()
 	if lsn != m.WALEndLSN() {
 		t.Fatalf("snapshot cut %d, log end %d", lsn, m.WALEndLSN())
 	}
-	if cid != tm.LastCommitID() {
-		t.Fatalf("snapshot cid %d, last commit %d", cid, tm.LastCommitID())
+	buf, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	sm2 := storage.NewStorageManager()
@@ -171,8 +174,8 @@ func TestSnapshotBytesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
-	if gotLSN != lsn || gotCID != cid {
-		t.Fatalf("decoded cut (%d, %d), want (%d, %d)", gotLSN, gotCID, lsn, cid)
+	if gotLSN != lsn || gotCID != tm.LastCommitID() {
+		t.Fatalf("decoded cut (%d, %d), want (%d, %d)", gotLSN, gotCID, lsn, tm.LastCommitID())
 	}
 	tm2 := concurrency.NewTransactionManager()
 	tm2.RecoverState(gotCID, 0)

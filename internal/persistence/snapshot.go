@@ -1,9 +1,11 @@
 package persistence
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -39,48 +41,55 @@ const (
 	WALFileName = "wal.log"
 )
 
-// encodeSnapshot serializes all tables and views into a snapshot body tagged
-// with the WAL cut (lsn, lastCID).
-func encodeSnapshot(sm *storage.StorageManager, lsn int64, lastCID types.CommitID) ([]byte, error) {
-	buf := append(make([]byte, 0, 1<<16), snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(lsn))
-	buf = binary.AppendUvarint(buf, uint64(lastCID))
-
+// writeSnapshot streams all tables and views to w as a snapshot image tagged
+// with the WAL cut (lsn, lastCID): table by table and chunk by chunk, every
+// chunk body built in one reused buffer and prefixed with its byte length
+// (what makes parallel chunk decode possible on restore), the CRC kept
+// running over the body.
+func writeSnapshot(w io.Writer, sm *storage.StorageManager, lsn int64, lastCID types.CommitID) error {
+	_, werr := io.WriteString(w, snapMagic)
+	crc := crc32.NewIEEE()
+	body := io.MultiWriter(w, crc)
+	// put writes b to the body; after a write error it does nothing.
+	put := func(b []byte) {
+		if werr == nil {
+			_, werr = body.Write(b)
+		}
+	}
+	// head holds the body's bytes up to the next chunk.
+	head := binary.AppendUvarint(nil, uint64(lsn))
+	head = binary.AppendUvarint(head, uint64(lastCID))
 	names := sm.TableNames()
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	head = binary.AppendUvarint(head, uint64(len(names)))
+	chunk := make([]byte, 0, 1<<12)
 	for _, name := range names {
 		t, err := sm.GetTable(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if buf, err = appendTable(buf, t); err != nil {
-			return nil, fmt.Errorf("persistence: snapshot table %q: %w", name, err)
+		chunks := t.Chunks()
+		head = binary.AppendUvarint(appendSchema(head, t), uint64(len(chunks)))
+		for _, c := range chunks {
+			if chunk, err = appendChunk(chunk[:0], c); err != nil {
+				return fmt.Errorf("persistence: snapshot table %q: %w", name, err)
+			}
+			head = binary.AppendUvarint(head, uint64(len(chunk)))
+			put(head)
+			put(chunk)
+			head = head[:0]
 		}
 	}
 
 	views := sm.Views()
-	buf = binary.AppendUvarint(buf, uint64(len(views)))
+	head = binary.AppendUvarint(head, uint64(len(views)))
 	for _, name := range slices.Sorted(maps.Keys(views)) {
-		buf = encoding.AppendString(encoding.AppendString(buf, name), views[name])
+		head = encoding.AppendString(encoding.AppendString(head, name), views[name])
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(snapMagic):])), nil
-}
-
-// appendTable appends a table's schema and its chunk bodies, each prefixed
-// with its byte length: what makes parallel chunk decode possible on restore.
-func appendTable(dst []byte, t *storage.Table) ([]byte, error) {
-	dst = appendSchema(dst, t)
-	chunks := t.Chunks()
-	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
-	body := make([]byte, 0, 1<<12) // scratch, reused per chunk
-	for _, c := range chunks {
-		var err error
-		if body, err = appendChunk(body[:0], c); err != nil {
-			return nil, err
-		}
-		dst = append(binary.AppendUvarint(dst, uint64(len(body))), body...)
+	put(head)
+	if werr == nil {
+		_, werr = w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 	}
-	return dst, nil
+	return werr
 }
 
 // The state byte a chunk body starts with. Restore re-attaches the default
@@ -141,10 +150,10 @@ func readSnapshot(path string, sm *storage.StorageManager) (lsn int64, lastCID t
 	return lsn, lastCID, nil
 }
 
-// DecodeSnapshot loads serialized snapshot bytes — a snapshot file's exact
-// contents, or the stream a replication primary ships for bootstrap — into
-// the (empty) storage manager and returns the WAL cut they were taken at.
-// Chunk decode runs with one worker per CPU.
+// DecodeSnapshot loads a snapshot file's contents — read from disk, or shipped
+// by a replication primary for bootstrap — into the (empty) storage manager
+// and returns the WAL cut its header holds. Chunk decode runs with one worker
+// per CPU.
 func DecodeSnapshot(buf []byte, sm *storage.StorageManager) (lsn int64, lastCID types.CommitID, err error) {
 	return decodeSnapshot(buf, sm, runtime.NumCPU())
 }
@@ -325,29 +334,30 @@ func decodeChunk(r *encoding.Reader, defs []storage.ColumnDefinition, chunkSize 
 	return chunk, nil
 }
 
-// writeSnapshotFile atomically replaces the snapshot in dir: write to a temp
-// file, fsync, rename, fsync the directory.
-func writeSnapshotFile(dir string, buf []byte) error {
-	final := filepath.Join(dir, SnapshotFileName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// writeSnapshotFile atomically replaces the snapshot in the data directory
+// with the catalog cut at (lsn, lastCID): stream it into a temp file, fsync
+// the WAL, fsync the file, rename it, fsync the directory. It returns the
+// bytes written.
+func (m *Manager) writeSnapshotFile(lsn int64, lastCID types.CommitID) (size int64, err error) {
+	path := filepath.Join(m.opts.Dir, SnapshotFileName)
+	err = replaceFile(path, func(f *os.File) error {
+		bw := bufio.NewWriterSize(f, 1<<16)
+		if err := writeSnapshot(bw, m.sm, lsn, lastCID); err != nil {
+			return err
+		}
+		// Rows committed while the image was written may be in it: their
+		// commit records reach the disk before the image replaces the old one.
+		if err := m.wal.Sync(); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		size, err = f.Seek(0, io.SeekCurrent)
+		return err
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	syncDir(final)
-	return nil
+	return size, syncDir(path)
 }

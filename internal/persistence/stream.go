@@ -6,16 +6,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"hyrise/internal/types"
 )
 
 // This file is the persistence manager's replication surface: retention pins
-// that keep Checkpoint from truncating log a follower still needs, a
-// streaming reader that serves raw framed WAL bytes by LSN, and an in-memory
-// snapshot encoder for follower bootstrap. The shipped bytes are exactly the
-// on-disk frames, so follower replay shares the CRC framing and record codec
-// with crash recovery.
+// that keep Checkpoint from truncating log a follower still needs, and a
+// streaming reader that serves raw framed WAL bytes by LSN. The shipped bytes
+// are exactly the on-disk frames, so follower replay shares the CRC framing
+// and record codec with crash recovery; a bootstrapping follower is sent the
+// checkpoint file (OpenCheckpoint).
 
 // ErrWALTrimmed reports that the requested LSN precedes the log's current
 // start: the prefix was checkpointed away and the reader must catch up from
@@ -122,22 +120,4 @@ func (m *Manager) ReadWAL(from int64, maxBytes int) (data []byte, next int64, er
 		return nil, from, nil
 	}
 	return buf, from + int64(len(buf)), nil
-}
-
-// SnapshotBytes encodes the whole catalog at a commit barrier and returns
-// the serialized image plus its cut (lsn, lastCID) — the in-memory analog of
-// Checkpoint, used to bootstrap a replication follower. Like Checkpoint, the
-// encode runs after the barrier is released: rows committed during encoding
-// may leak into the image, and replaying the log from the cut LSN re-stamps
-// them idempotently.
-func (m *Manager) SnapshotBytes() (buf []byte, lsn int64, cid types.CommitID, err error) {
-	m.tm.CommitBarrier(func(highestCID types.CommitID) {
-		lsn = m.wal.EndLSN()
-		cid = highestCID
-	})
-	buf, err = encodeSnapshot(m.sm, lsn, cid)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return buf, lsn, cid, nil
 }

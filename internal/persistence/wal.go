@@ -2,6 +2,7 @@ package persistence
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,7 +96,7 @@ type WAL struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals the group-commit syncer
-	f       *os.File
+	f       *os.File   // O_APPEND: writes land at the end, whatever a read moved
 	w       *bufio.Writer
 	start   int64 // LSN of the first byte after the header
 	size    int64 // end LSN (next append position)
@@ -114,7 +115,7 @@ type WAL struct {
 // created with createStartLSN in its header so logical offsets continue
 // from the snapshot cut even after the log itself was lost or reset.
 func openWAL(path string, mode SyncMode, createStartLSN int64, publish func(types.CommitID)) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -126,10 +127,7 @@ func openWAL(path string, mode SyncMode, createStartLSN int64, publish func(type
 	var start int64
 	if st.Size() == 0 {
 		start = createStartLSN
-		var hdr [walHeaderLen]byte
-		copy(hdr[:], walMagic)
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(start))
-		if _, err := f.Write(hdr[:]); err != nil {
+		if _, err := f.Write(walHeader(start)); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -139,10 +137,6 @@ func openWAL(path string, mode SyncMode, createStartLSN int64, publish func(type
 			f.Close()
 			return nil, err
 		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
 	}
 	w := &WAL{
 		path:    path,
@@ -166,6 +160,11 @@ func openWAL(path string, mode SyncMode, createStartLSN int64, publish func(type
 	return w, nil
 }
 
+// walHeader is the header of a log whose first byte after it has LSN start.
+func walHeader(start int64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte(walMagic), uint64(start))
+}
+
 func readWALHeader(f *os.File) (start int64, err error) {
 	var hdr [walHeaderLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -177,13 +176,14 @@ func readWALHeader(f *os.File) (start int64, err error) {
 	return int64(binary.LittleEndian.Uint64(hdr[8:])), nil
 }
 
-// openFrame reserves the header of a frame at the end of dst; the record
-// appended after it is the frame's payload, and closeFrame fills the header in.
-func openFrame(dst []byte) []byte { return append(dst, make([]byte, frameHeader)...) }
+// OpenFrame reserves the header of a frame at the end of dst; the bytes
+// appended after it are the frame's payload, and CloseFrame fills the header
+// in. WAL records and replication messages are both framed this way.
+func OpenFrame(dst []byte) []byte { return append(dst, make([]byte, frameHeader)...) }
 
-// closeFrame writes the length and CRC of the payload of frame, which starts
-// with the header openFrame reserved and ends with the payload.
-func closeFrame(frame []byte) {
+// CloseFrame writes the length and CRC of the payload of frame, which starts
+// with the header OpenFrame reserved and ends with the payload.
+func CloseFrame(frame []byte) {
 	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
@@ -372,56 +372,33 @@ func (w *WAL) TruncateFront(upTo int64) error {
 	}
 	w.release(batch, nil)
 
-	tmpPath := w.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := replaceFile(w.path, func(tmp *os.File) error {
+		if _, err := tmp.Write(walHeader(upTo)); err != nil {
+			return err
+		}
+		if _, err := w.f.Seek(walHeaderLen+(upTo-w.start), io.SeekStart); err != nil {
+			return err
+		}
+		_, err := io.Copy(tmp, w.f)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	var hdr [walHeaderLen]byte
-	copy(hdr[:], walMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(upTo))
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
+	// A failure from here on poisons the log: the old handle points at the
+	// renamed-over inode, and until the directory is synced the new file's
+	// name may not survive a crash, nor would the commits appended to it.
+	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
+	if err == nil {
+		w.f.Close()
+		w.f, w.w = f, bufio.NewWriterSize(f, 1<<16)
+		w.start, w.dirty = upTo, false
+		err = syncDir(w.path)
 	}
-	if _, err := w.f.Seek(walHeaderLen+(upTo-w.start), io.SeekStart); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := io.Copy(tmp, w.f); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		return err
-	}
-	old := w.f
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
-		// The old handle still points at the (renamed-over) inode; poison
-		// the log rather than continue appending to an unlinked file.
-		w.broken = fmt.Errorf("persistence: reopen after truncation: %w", err)
-		return w.broken
+		w.broken = fmt.Errorf("persistence: WAL after truncation: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		w.broken = err
-		return err
-	}
-	old.Close()
-	w.f = f
-	w.w = bufio.NewWriterSize(f, 1<<16)
-	w.start = upTo
-	w.dirty = false
-	syncDir(w.path)
-	return nil
+	return w.broken
 }
 
 // Close flushes, fsyncs, and closes the log. Outstanding group commits are
@@ -451,13 +428,39 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// syncDir fsyncs the directory containing path (best effort — required for
-// rename durability on POSIX filesystems).
-func syncDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// replaceFile replaces path with the file write fills: a temp file, written,
+// fsynced and renamed over path. On any error the temp file is removed. The
+// caller makes the rename durable with syncDir.
+func replaceFile(path string, write func(f *os.File) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
 	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// syncDir fsyncs the directory containing path, which makes a rename in it
+// durable on POSIX filesystems. A variable, so tests can fail it.
+var syncDir = func(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 var (
@@ -468,13 +471,15 @@ var (
 	errFrameCRC = errors.New("persistence: WAL frame fails CRC check")
 )
 
-// readFrame reads the frame at r's position, r holding avail more bytes, and
+// ReadFrame reads the frame at r's position, r holding avail more bytes, and
 // returns its payload, read into buf when it fits. It returns io.EOF when
 // avail is 0, errTornFrame when the frame does not fit in avail or its
 // length is out of bounds, and errFrameCRC — the payload consumed and
-// returned — when the checksum fails. Every reader of WAL bytes walks frames
-// through here: crash replay, a follower's ApplyFrames and the ReadWAL trim.
-func readFrame(r io.Reader, avail int64, buf []byte) ([]byte, error) {
+// returned — when the checksum fails. A payload over 64 KiB that buf cannot
+// hold grows as its bytes arrive, so a length nobody fills costs nothing.
+// Every reader of frames walks them through here: crash replay, a follower's
+// ApplyFrames, the ReadWAL trim and replication messages (avail unbounded).
+func ReadFrame(r io.Reader, avail int64, buf []byte) ([]byte, error) {
 	if avail == 0 {
 		return nil, io.EOF
 	}
@@ -493,11 +498,20 @@ func readFrame(r io.Reader, avail int64, buf []byte) ([]byte, error) {
 	if length == 0 || length > maxRecordLen || length > avail-frameHeader {
 		return nil, errTornFrame
 	}
-	if int64(cap(buf)) < length {
+	if int64(cap(buf)) < length && length <= 1<<16 {
 		buf = make([]byte, length)
 	}
-	payload := buf[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	var payload []byte
+	var err error
+	if int64(cap(buf)) >= length {
+		payload = buf[:length]
+		_, err = io.ReadFull(r, payload)
+	} else {
+		var grown bytes.Buffer
+		_, err = io.CopyN(&grown, r, length)
+		payload = grown.Bytes()
+	}
+	if err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
@@ -557,7 +571,7 @@ func replayWAL(path string, from int64, apply func(*record) error) (end int64, e
 	br := bufio.NewReaderSize(f, 1<<16)
 	var payload []byte
 	for {
-		payload, err = readFrame(br, st.Size()-off, payload)
+		payload, err = ReadFrame(br, st.Size()-off, payload)
 		if err == io.EOF || err == errTornFrame || err == errFrameCRC {
 			break // the end of the log, or the torn write a crash left there
 		}

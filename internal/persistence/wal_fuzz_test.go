@@ -27,11 +27,11 @@ func FuzzWALFrames(f *testing.F) {
 		n := completeFramesPrefix(data)
 		r := bytes.NewReader(data[:n])
 		for r.Len() > 0 {
-			if _, err := readFrame(r, int64(r.Len()), nil); err != nil && err != errFrameCRC {
+			if _, err := ReadFrame(r, int64(r.Len()), nil); err != nil && err != errFrameCRC {
 				t.Fatalf("trim kept %d bytes the strict walk rejects: %v", n, err)
 			}
 		}
-		if _, err := readFrame(bytes.NewReader(data[n:]), int64(len(data)-n), nil); err == nil || err == errFrameCRC {
+		if _, err := ReadFrame(bytes.NewReader(data[n:]), int64(len(data)-n), nil); err == nil || err == errFrameCRC {
 			t.Fatalf("trim stopped at %d, before a whole frame", n)
 		}
 
@@ -54,7 +54,7 @@ func FuzzWALFrames(f *testing.F) {
 		}
 		r = bytes.NewReader(data[:end])
 		for r.Len() > 0 {
-			payload, err := readFrame(r, int64(r.Len()), nil)
+			payload, err := ReadFrame(r, int64(r.Len()), nil)
 			if err == nil {
 				_, err = decodeRecord(payload)
 			}
@@ -62,7 +62,7 @@ func FuzzWALFrames(f *testing.F) {
 				t.Fatalf("replay kept a frame that does not check: %v", err)
 			}
 		}
-		if payload, err := readFrame(bytes.NewReader(data[end:]), int64(len(data))-end, nil); err == nil {
+		if payload, err := ReadFrame(bytes.NewReader(data[end:]), int64(len(data))-end, nil); err == nil {
 			if _, err := decodeRecord(payload); err == nil {
 				t.Fatalf("replay stopped at %d, before a good frame", end)
 			}

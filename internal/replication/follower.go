@@ -21,15 +21,15 @@ type State string
 // Follower states.
 const (
 	StateIdle          State = "idle"          // created, not started
-	StateBootstrapping State = "bootstrapping" // loading a snapshot image
+	StateBootstrapping State = "bootstrapping" // loading the primary's checkpoint
 	StateStreaming     State = "streaming"     // applying the WAL tail
 	StateDisconnected  State = "disconnected"  // lost the primary, reconnecting
 	StatePromoted      State = "promoted"      // standalone read-write
 	StateStopped       State = "stopped"
 )
 
-// Follower tails a primary: it bootstraps from a snapshot image when needed,
-// replays shipped WAL frames into its catalog through the shared
+// Follower tails a primary: it bootstraps from the primary's checkpoint file
+// when needed, replays shipped WAL frames into its catalog through the shared
 // persistence.Applier, and publishes each replayed commit id so concurrent
 // readers advance to the new commit barrier atomically. Reads are served by
 // the follower's own engine while replay runs; the storage layer's chunk
@@ -170,38 +170,26 @@ func (f *Follower) streamOnce() error {
 		return err
 	}
 
-	var snapImage []byte
-	var snapSize int64 // what msgSnapBegin announced
+	var snapImage []byte // the checkpoint file as its chunks arrive
 	for {
 		typ, payload, err := readMsg(br)
 		if err != nil {
 			return err
 		}
 		switch typ {
-		case msgSnapBegin:
-			if len(payload) < 8 {
-				return fmt.Errorf("replication: short snapshot header")
-			}
-			if snapSize = getI64(payload, 0); snapSize < 0 || snapSize > maxSnapshotLen {
-				return fmt.Errorf("replication: snapshot size %d out of range", snapSize)
-			}
-			f.setState(StateBootstrapping)
-			snapImage = make([]byte, 0, min(snapSize, snapChunkBytes)) // the rest grows as chunks arrive
 		case msgSnapChunk:
-			if int64(len(snapImage)+len(payload)) > snapSize {
-				return fmt.Errorf("replication: snapshot chunks exceed the announced %d bytes", snapSize)
+			if snapImage == nil {
+				f.setState(StateBootstrapping)
 			}
 			snapImage = append(snapImage, payload...)
 		case msgSnapEnd:
-			if len(payload) < 16 {
-				return fmt.Errorf("replication: short snapshot trailer")
+			if snapImage == nil {
+				return fmt.Errorf("replication: snapshot end before any chunk")
 			}
-			cutLSN := getI64(payload, 0)
-			cutCID := types.CommitID(getU64(payload, 1))
-			if err := f.installSnapshot(snapImage, cutLSN, cutCID); err != nil {
+			if err := f.installSnapshot(snapImage); err != nil {
 				return err
 			}
-			snapImage, snapSize = nil, 0
+			snapImage = nil
 			f.setState(StateStreaming)
 		case msgWAL:
 			if len(payload) < 8 {
@@ -257,11 +245,11 @@ func (f *Follower) streamOnce() error {
 	}
 }
 
-// installSnapshot replaces the catalog with a shipped snapshot image. The
-// swap is not atomic with respect to concurrent readers: queries racing a
-// re-bootstrap may fail transiently (the router does not route to a
-// bootstrapping follower).
-func (f *Follower) installSnapshot(img []byte, cutLSN int64, cutCID types.CommitID) error {
+// installSnapshot replaces the catalog with a shipped checkpoint file and
+// takes the cut from its header. The swap is not atomic with respect to
+// concurrent readers: queries racing a re-bootstrap may fail transiently (the
+// router does not route to a bootstrapping follower).
+func (f *Follower) installSnapshot(img []byte) error {
 	f.applier.Reset()
 	for _, name := range f.sm.TableNames() {
 		_ = f.sm.DropTable(name)
@@ -269,7 +257,8 @@ func (f *Follower) installSnapshot(img []byte, cutLSN int64, cutCID types.Commit
 	for name := range f.sm.Views() {
 		_ = f.sm.DropView(name)
 	}
-	if _, _, err := persistence.DecodeSnapshot(img, f.sm); err != nil {
+	cutLSN, cutCID, err := persistence.DecodeSnapshot(img, f.sm)
+	if err != nil {
 		return fmt.Errorf("replication: install snapshot: %w", err)
 	}
 	// A chunk the image caught full but before its seal seals now, as it did

@@ -2,9 +2,11 @@ package replication
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +24,7 @@ const (
 	shipPollInterval = 2 * time.Millisecond
 	// heartbeatInterval paces position reports while the shipper is idle.
 	heartbeatInterval = 50 * time.Millisecond
-	// snapChunkBytes slices a snapshot image for shipping.
+	// snapChunkBytes slices the checkpoint file for shipping.
 	snapChunkBytes = 256 << 10
 )
 
@@ -176,8 +178,8 @@ func (p *Primary) serve(conn io.ReadWriteCloser, st *followerState) error {
 
 	if from < start || from > p.pm.WALEndLSN() {
 		// Bootstrap: new follower (from < 0), trimmed-away suffix, or a
-		// divergent position from a previous primary. Ship a snapshot image
-		// and restart the tail at its cut.
+		// divergent position from a previous primary. Ship a checkpoint and
+		// restart the tail at its cut.
 		cut, err := p.sendSnapshot(bw, st)
 		if err != nil {
 			return err
@@ -214,31 +216,21 @@ func (p *Primary) serve(conn io.ReadWriteCloser, st *followerState) error {
 	return err
 }
 
-// sendSnapshot encodes the catalog at a commit barrier and streams it in
-// chunks. It returns the snapshot's cut LSN.
+// sendSnapshot checkpoints and streams the snapshot file in chunks, then
+// closes it. It returns the file's cut LSN. The session's retention pin,
+// still at the log start, keeps the checkpoint from truncating past it.
 func (p *Primary) sendSnapshot(bw *bufio.Writer, st *followerState) (int64, error) {
 	st.setState("snapshotting")
-	img, cutLSN, cutCID, err := p.pm.SnapshotBytes()
+	f, cutLSN, err := p.pm.OpenCheckpoint()
 	if err != nil {
 		return 0, err
 	}
-	var hdr [8]byte
-	putU64(hdr[:], uint64(len(img)))
-	if err := writeMsg(bw, msgSnapBegin, hdr[:]); err != nil {
+	defer f.Close()
+	// Hiding the file's WriteTo makes CopyBuffer read snapChunkBytes at a time.
+	if _, err := io.CopyBuffer(chunkWriter{bw}, struct{ io.Reader }{f}, make([]byte, snapChunkBytes)); err != nil {
 		return 0, err
 	}
-	for off := 0; off < len(img); off += snapChunkBytes {
-		end := off + snapChunkBytes
-		if end > len(img) {
-			end = len(img)
-		}
-		if err := writeMsg(bw, msgSnapChunk, img[off:end]); err != nil {
-			return 0, err
-		}
-	}
-	var tail [16]byte
-	putU64(tail[:], uint64(cutLSN), uint64(cutCID))
-	if err := writeMsg(bw, msgSnapEnd, tail[:]); err != nil {
+	if err := writeMsg(bw, msgSnapEnd, nil); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -249,6 +241,11 @@ func (p *Primary) sendSnapshot(bw *bufio.Writer, st *followerState) (int64, erro
 	}
 	return cutLSN, nil
 }
+
+// chunkWriter sends every write as one msgSnapChunk.
+type chunkWriter struct{ w io.Writer }
+
+func (c chunkWriter) Write(p []byte) (int, error) { return len(p), writeMsg(c.w, msgSnapChunk, p) }
 
 // ship is the send loop: drain the log from `from`, heartbeat when idle.
 // The session's retention pin trails the shipped position.
@@ -339,11 +336,7 @@ func (p *Primary) Followers() []FollowerInfo {
 		st.mu.Unlock()
 	}
 	// Stable order for meta tables and tests.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b FollowerInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -238,6 +240,98 @@ func TestBootstrapAndTail(t *testing.T) {
 	}
 	if st := f.Status(); st.State != StateStreaming || st.Bootstraps != 1 {
 		t.Fatalf("status = %+v, want streaming after 1 bootstrap", st)
+	}
+}
+
+// TestDiffFollowerBootstrapsFromCheckpoint: a bootstrapping follower is sent
+// the primary's checkpoint file. Two followers bootstrap at once while the
+// primary checkpoints in a loop; each starts applying at the cut of a
+// snapshot the primary wrote, and both converge to the primary's rows and
+// seals — those of a bulk load that bypassed the log included, since a
+// checkpoint encodes memory.
+func TestDiffFollowerBootstrapsFromCheckpoint(t *testing.T) {
+	s := newPrimaryStack(t)
+	bulk := storage.NewTable("bulk", testDefs(), 4, true)
+	if err := s.sm.AddTable(bulk); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := bulk.AppendRow([]types.Value{types.Int(int64(i)), types.Str("bulk")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	concurrency.MarkTableLoaded(bulk)
+	if n := len(visible(s.tm, bulk)); n != 30 {
+		t.Fatalf("the bulk load shows %d rows, want 30", n)
+	}
+	table := s.createTable(t, "t")
+	for i := 0; i < 20; i++ {
+		s.insert(t, table, int64(i), "before-bootstrap")
+	}
+
+	stop := make(chan struct{})
+	var loop sync.WaitGroup
+	loop.Add(1)
+	go func() {
+		defer loop.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := s.pm.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); loop.Wait() }()
+
+	var followers [2]*Follower
+	var catalogs [2]*storage.StorageManager
+	var tms [2]*concurrency.TransactionManager
+	for i := range followers {
+		followers[i], catalogs[i], tms[i] = newFollower(s.pipeDial())
+		followers[i].Start()
+		defer followers[i].Stop()
+	}
+	// No commit lands until both have bootstrapped, so every snapshot the
+	// primary writes meanwhile, the file on disk included, has one cut.
+	for _, f := range followers {
+		waitCaughtUp(t, s, f)
+	}
+	img, err := os.ReadFile(filepath.Join(s.pm.Dir(), persistence.SnapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, _, err := persistence.DecodeSnapshot(img, storage.NewStorageManager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range followers {
+		if st := f.Status(); st.Bootstraps != 1 || st.AppliedLSN != cut {
+			t.Fatalf("follower %d: %+v, want one bootstrap applied up to the snapshot cut %d", i, st, cut)
+		}
+	}
+
+	for i := 20; i < 40; i++ {
+		s.insert(t, table, int64(i), "after-bootstrap")
+	}
+	for i, f := range followers {
+		waitCaughtUp(t, s, f)
+		for _, primary := range []*storage.Table{bulk, table} {
+			got, err := catalogs[i].GetTable(primary.Name())
+			if err != nil {
+				t.Fatalf("follower %d: %v", i, err)
+			}
+			if g, w := visible(tms[i], got), visible(s.tm, primary); !sameRows(g, w) {
+				t.Fatalf("follower %d: %s has %d rows, the primary %d", i, primary.Name(), len(g), len(w))
+			}
+			if !sameSeals(got, primary) {
+				t.Errorf("follower %d and the primary have sealed different chunks of %s", i, primary.Name())
+			}
+		}
 	}
 }
 

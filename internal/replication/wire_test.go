@@ -7,6 +7,8 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"hyrise/internal/persistence"
 )
 
 // scriptConn is a transport that reads a fixed script and swallows writes.
@@ -36,17 +38,15 @@ func followerSession(script []byte) error {
 	return f.streamOnce()
 }
 
-// TestFollowerRefusesBadSnapshotSizes: a CRC-valid msgSnapBegin announcing a
-// negative size used to panic in the session's goroutine (makeslice), which
-// has no recover, so the follower's process died; a huge one reserved that
-// much memory before any chunk arrived. Both, and chunks past the announced
-// size, now end the session with an error.
+// TestFollowerRefusesBadSnapshotSizes: a bootstrap that is not a whole
+// checkpoint file ends the session with an error — an end before any chunk,
+// and chunks that do not decode. (A follower used to size its image buffer
+// from a size the primary announced; a negative one panicked, a huge one
+// reserved that much. The image is now the file's chunks, nothing announced.)
 func TestFollowerRefusesBadSnapshotSizes(t *testing.T) {
 	for name, script := range map[string][]byte{
-		"negative size":          frame(nil, msgSnapBegin, u64s(-1)),
-		"size past the bound":    frame(nil, msgSnapBegin, u64s(1<<62)),
-		"chunks past the size":   frame(frame(nil, msgSnapBegin, u64s(4)), msgSnapChunk, []byte("12345")),
-		"chunk before any begin": frame(nil, msgSnapChunk, []byte("x")),
+		"end before any chunk": frame(nil, msgSnapEnd, nil),
+		"corrupt image":        frame(frame(nil, msgSnapChunk, []byte("HYSNAP02 not an image")), msgSnapEnd, nil),
 	} {
 		if err := followerSession(script); err == nil || errors.Is(err, io.EOF) {
 			t.Errorf("%s: the session ended with %v, want it refused", name, err)
@@ -60,8 +60,8 @@ func TestFollowerRefusesBadSnapshotSizes(t *testing.T) {
 // to its replication port that way, before any validation. The read now
 // fails having allocated almost nothing.
 func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
-	hdr := []byte{msgHello, 0, 0, 0, 0, 0, 0, 0, 0}
-	binary.LittleEndian.PutUint32(hdr[1:], maxMsgLen)
+	hdr := append(persistence.OpenFrame(nil), msgHello)
+	binary.LittleEndian.PutUint32(hdr, 1<<30) // the WAL's bound on one frame
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, _, err := readMsg(bytes.NewReader(hdr))
@@ -107,16 +107,21 @@ func FuzzReplicationMessages(f *testing.F) {
 	for i := range 6 {
 		s.insert(f, table, int64(i), "seed")
 	}
-	img, cutLSN, cutCID, err := s.pm.SnapshotBytes()
+	snap, cutLSN, err := s.pm.OpenCheckpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	img, err := io.ReadAll(snap)
+	snap.Close()
 	if err != nil {
 		f.Fatal(err)
 	}
 	msg := func(typ byte, payload []byte) []byte { return append([]byte{typ}, payload...) }
 	hello := func(from int64) []byte { return describe(msg(msgHello, u64s(from)), msg(msgAck, u64s(0, 0))) }
-	f.Add(describe(msg(msgSnapBegin, u64s(-1))), hello(-1))
+	f.Add(describe(msg(msgSnapEnd, nil)), hello(-1))
 	f.Add(describe(
-		msg(msgSnapBegin, u64s(int64(len(img)))), msg(msgSnapChunk, img), msg(msgSnapEnd, u64s(cutLSN, int64(cutCID))),
-		msg(msgHeartbeat, u64s(cutLSN, int64(cutCID), 0)),
+		msg(msgSnapChunk, img[:len(img)/2]), msg(msgSnapChunk, img[len(img)/2:]), msg(msgSnapEnd, nil),
+		msg(msgHeartbeat, u64s(cutLSN, int64(s.tm.LastCommitID()), 0)),
 	), hello(s.pm.WALStartLSN()))
 	f.Add(describe(msg(msgWAL, append(u64s(12345), 1, 2, 3))), hello(s.pm.WALEndLSN()+1))
 
