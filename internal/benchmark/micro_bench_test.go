@@ -628,7 +628,9 @@ func comment(rng *rand.Rand) string {
 // run count alone; low_cardinality is grouped and becomes a dictionary;
 // unique_float is grouped, sorted and stays as it is; comment_string is
 // near-unique TPC-H-style text that becomes a dictionary whose values are
-// FSST-packed: a symbol table built and every value compressed.
+// FSST-packed: a symbol table built and every value compressed; decimal_float
+// is cents, exact decimals that become frame-of-reference over their integers
+// (unique_float fails that test on its first value).
 func BenchmarkMicroSeal(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
 	column := func(def storage.ColumnDefinition, value func(i int) types.Value) *storage.Table {
@@ -650,6 +652,7 @@ func BenchmarkMicroSeal(b *testing.B) {
 		{"unique_float", column(storage.ColumnDefinition{Name: "val", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(rng.Float64()) }), encoding.Unencoded},
 		{"constant_string", column(storage.ColumnDefinition{Name: "tag", Type: types.TypeString, Nullable: true}, func(int) types.Value { return types.Str("load") }), encoding.RunLength},
 		{"comment_string", column(storage.ColumnDefinition{Name: "comment", Type: types.TypeString}, func(int) types.Value { return types.Str(comment(rng)) }), encoding.Dictionary},
+		{"decimal_float", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(float64(rng.Intn(100_000)) / 100) }), encoding.FrameOfReference},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {

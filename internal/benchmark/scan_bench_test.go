@@ -66,7 +66,9 @@ func BenchmarkMicroScanDict(b *testing.B) {
 
 // BenchmarkMicroScanFoR runs a range predicate over a frame-of-reference
 // column of dense integers: the bounds are rewritten into the offset domain
-// once, and whole blocks short-circuit on their min/max.
+// once, and whole blocks short-circuit on their min/max. decimal is the same
+// column as cents, a float64 column of exact decimals: its float bounds become
+// an interval of its integers once, then the same blocks run.
 func BenchmarkMicroScanFoR(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	values := make([]int64, scanBenchRows)
@@ -97,6 +99,24 @@ func BenchmarkMicroScanFoR(b *testing.B) {
 			dst, ok = encoding.ScanValues(pred, vals, nulls, dst[:0])
 			if !ok || len(dst) == 0 {
 				b.Fatal("materialized scan failed")
+			}
+		}
+	})
+	cents := make([]float64, len(values))
+	for i, v := range values {
+		cents[i] = float64(v) / 100
+	}
+	dec, exact := encoding.EncodeDecimal(cents, nil, encoding.FixedSizeByteAligned)
+	if !exact {
+		b.Fatal("cents are no exact decimals")
+	}
+	centsPred := encoding.ScanPredicate{Op: encoding.ScanBetween, Lo: types.Float(12_000), Hi: types.Float(13_000)}
+	b.Run("decimal", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var ok bool
+			dst, _, ok = dec.ScanEncoded(centsPred, dst[:0])
+			if !ok || len(dst) == 0 {
+				b.Fatal("encoded decimal scan failed")
 			}
 		}
 	})

@@ -12,7 +12,8 @@ import (
 // lifecycle"): the exact MemoryUsage() a segment has under each candidate
 // representation, indexed by EncodingType, code vectors fixed-size
 // byte-aligned, a string Dictionary FSST-packed where Seal packs it. A candidate
-// that does not apply (FrameOfReference off int64) is 0.
+// that does not apply (FrameOfReference off int64 and decimal float64 columns,
+// forInts) is 0.
 type Sizes [FrameOfReference + 1]int64
 
 // dictionarySlackPct: Dictionary wins when it is within this share of the
@@ -51,12 +52,14 @@ type layout struct {
 	runs     int
 	runBytes int64 // bytes of string data the runs' values hold
 	anyNull  bool
-	maxCode  uint64 // FrameOfReference: largest offset from a block's frame
+	maxCode  uint64  // FrameOfReference: largest offset from a block's frame
+	ints     []int64 // what FrameOfReference encodes (forInts); nil where it does not apply
+	exp      uint8   // the exponent of a decimal column's ints
 }
 
 func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	var l layout
-	ints, _ := any(values).([]int64)
+	l.ints, l.exp = forInts(values, nulls)
 	strs, _ := any(values).([]string)
 	var lo, hi int64 // bounds of the non-NULL values of the current block
 	inBlock, prevNull := false, false
@@ -73,10 +76,10 @@ func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 		if i%forBlockSize == 0 {
 			inBlock = false
 		}
-		if ints == nil || null {
+		if l.ints == nil || null {
 			continue
 		}
-		if x := ints[i]; !inBlock {
+		if x := l.ints[i]; !inBlock {
 			lo, hi, inBlock = x, x, true
 		} else if x < lo {
 			lo = x
@@ -135,7 +138,7 @@ func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes 
 	if l.anyNull {
 		s[RunLength] += int64(l.runs)
 	}
-	if _, ok := any(zero).(int64); ok {
+	if l.ints != nil {
 		frames := (n + forBlockSize - 1) / forBlockSize
 		s[FrameOfReference] = frames*8 + n*codeWidth(l.maxCode)
 		if l.anyNull {
@@ -161,14 +164,15 @@ func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
 
 // Seal gives a column of an immutable chunk the representation it keeps — the
 // size model's pick for a nil spec, else the spec's (FrameOfReference falls back
-// to Dictionary off int64; Unencoded keeps a value segment itself; encoded input
-// is decoded first) — and returns it with the column's Summary, a Summary[T] of
-// its data type, which the caller builds the pruning filter from. The Summary is
-// built once and is the dictionary if Dictionary wins; it costs no hashing and
-// no sort when the column ascends over the whole chunk (its zone says so), and
-// is read off the runs when the spec or the run count alone settles on RunLength.
-// A string dictionary the size model picks keeps its values FSST-packed when
-// that needs fewer bytes (packedStrings.pack); a spec's keeps the plain blob.
+// to Dictionary off int64 and decimal float64 columns; Unencoded keeps a value
+// segment itself; encoded input is decoded first) — and returns it with the
+// column's Summary, a Summary[T] of its data type, which the caller builds the
+// pruning filter from. The Summary is built once and is the dictionary if
+// Dictionary wins; it costs no hashing and no sort when the column ascends over
+// the whole chunk (its zone says so), and is read off the runs when the spec or
+// the run count alone settles on RunLength. A string dictionary the size model
+// picks keeps its values FSST-packed when that needs fewer bytes
+// (packedStrings.pack); a spec's keeps the plain blob.
 func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any) {
 	switch seg.DataType() {
 	case types.TypeInt64:
@@ -182,11 +186,14 @@ func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any
 func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, Summary[T]) {
 	plain := plainOf[T](seg)
 	values, nulls := plain.Values(), plain.Nulls()
-	want, sizes := Spec{Compression: FixedSizeByteAligned}, Sizes{}
+	want, sizes, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, layout{}
 	if spec != nil {
-		want = *spec
+		if want = *spec; want.Encoding == FrameOfReference {
+			l.ints, l.exp = forInts(values, nulls)
+		}
 	} else {
-		sizes = layoutSizes(plain, layoutOf(values, nulls))
+		l = layoutOf(values, nulls)
+		sizes = layoutSizes(plain, l)
 		sizes[Dictionary] = int64(len(values)) // a lower bound: one byte of code per row
 		want.Encoding = sizes.Choose()
 	}
@@ -205,9 +212,11 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 		sizes[Dictionary] = dictionaryBytes(sum, len(values))
 		want.Encoding = sizes.Choose()
 	}
-	switch ints, isInt := any(values).([]int64); {
-	case want.Encoding == FrameOfReference && isInt:
-		return EncodeFrameOfReference(ints, nulls, want.Compression), sum
+	switch _, isFloat := any(values).([]float64); {
+	case want.Encoding == FrameOfReference && l.ints != nil && isFloat:
+		return &DecimalSegment{ints: EncodeFrameOfReference(l.ints, nulls, want.Compression), exp: l.exp}, sum
+	case want.Encoding == FrameOfReference && l.ints != nil:
+		return EncodeFrameOfReference(l.ints, nulls, want.Compression), sum
 	case want.Encoding == RunLength:
 		return EncodeRunLength(values, nulls), sum
 	case want.Encoding == Unencoded:

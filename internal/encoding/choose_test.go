@@ -65,9 +65,11 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 	}
 	smallest := Unencoded
 	for e, spec := range encoders {
-		if _, ints := any(c.values).([]int64); e == FrameOfReference && !ints {
-			if sizes[e] != 0 {
-				t.Errorf("%s: FrameOfReference predicted %d off int64", c.name, sizes[e])
+		got, _ := Seal(seg, false, &spec)
+		if applied, _ := SpecOf(got); e == FrameOfReference && applied.Encoding != e {
+			// Neither int64 nor exact decimals: the spec falls back, the model says 0.
+			if _, ints := any(c.values).([]int64); ints || sizes[e] != 0 {
+				t.Errorf("%s: FrameOfReference sealed %s, predicted %d", c.name, applied, sizes[e])
 			}
 			continue
 		}
@@ -77,7 +79,7 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 				t.Errorf("%s: Dictionary predicted %d bytes, more than the plain %d", c.name, sizes[e], predicted)
 			}
 		}
-		if got, _ := Seal(seg, false, &spec); got.MemoryUsage() != predicted {
+		if got.MemoryUsage() != predicted {
 			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, predicted, got.MemoryUsage())
 		}
 		if e != Unencoded && (smallest == Unencoded || sizes[e] < sizes[smallest]) {
@@ -163,6 +165,12 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "unique floats, no NULL", values: generate(n, func(int) float64 { return rng.Float64() }), nulls: make([]bool, n)},
 		{name: "3-row nullable float tail", values: []float64{1.5, 0, 2.5}, nulls: []bool{false, true, false}, capacity: tail},
 		{name: "1000-row unique float tail", values: generate(1000, func(int) float64 { return rng.Float64() }), capacity: tail},
+		// Exact decimals: frame-of-reference over their integers.
+		{name: "cents", values: generate(n, func(int) float64 { return float64(rng.Intn(100_000)) / 100 })},
+		{name: "mills with NULLs", values: generate(n, func(i int) float64 { return float64(i*7919%100_000) / 1000 }), nulls: nullsEvery(n, 11)},
+		{name: "negative cents", values: generate(n, func(int) float64 { return float64(rng.Intn(100_000)-50_000) / 100 })},
+		{name: "±2^53 / 10^3", values: generate(n, func(i int) float64 { return []float64{1 << 53, -1 << 53, 1<<53 - 1, 7}[i%4] / 1000 })},
+		{name: "cents with one inexact value", values: generate(n, func(i int) float64 { return []float64{float64(i) / 100, pointThree}[i/4999] })},
 	} {
 		checkSizeModel(t, c, seen)
 	}

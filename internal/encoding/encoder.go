@@ -17,8 +17,9 @@ const (
 	Dictionary
 	// RunLength applies run-length encoding.
 	RunLength
-	// FrameOfReference applies frame-of-reference encoding (int64 only;
-	// other types fall back to Dictionary).
+	// FrameOfReference applies frame-of-reference encoding to int64 columns
+	// and to float64 columns of exact decimals, as their integers and an
+	// exponent (DecimalSegment); other columns fall back to Dictionary.
 	FrameOfReference
 )
 
@@ -88,17 +89,25 @@ func SpecOf(seg storage.Segment) (Spec, bool) {
 		return Spec{Encoding: RunLength}, true
 	case *FrameOfReferenceSegment:
 		return Spec{Encoding: FrameOfReference, Compression: compressionOf(s.offsets)}, true
+	case *DecimalSegment:
+		return Spec{Encoding: FrameOfReference, Compression: compressionOf(s.ints.offsets)}, true
 	default:
 		return Spec{}, false
 	}
 }
 
 // ValueCompression names what a segment does to its values beyond its
-// encoding: "FSST" for a string dictionary packed with a symbol table, else
-// "none".
+// encoding: "FSST" for a string dictionary packed with a symbol table,
+// "decimal(e)" for a float64 column stored as the integers n of its values
+// n / 10^e, else "none".
 func ValueCompression(seg storage.Segment) string {
-	if d, ok := seg.(*DictionarySegment[string]); ok && d.strs.table != nil {
-		return "FSST"
+	switch s := seg.(type) {
+	case *DictionarySegment[string]:
+		if s.strs.table != nil {
+			return "FSST"
+		}
+	case *DecimalSegment:
+		return fmt.Sprintf("decimal(%d)", s.exp)
 	}
 	return "none"
 }

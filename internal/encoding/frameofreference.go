@@ -12,7 +12,8 @@ const forBlockSize = 2048
 // FrameOfReferenceSegment encodes int64 values as unsigned offsets from a
 // per-block minimum (the "frame"). The offset vector is compressed with a
 // physical scheme, so locally clustered values (timestamps, foreign keys)
-// shrink dramatically. FOR is integer-only.
+// shrink dramatically. A float64 column of exact decimals is FOR over its
+// integers (DecimalSegment).
 type FrameOfReferenceSegment struct {
 	frames  []int64 // per-block minimum
 	offsets UintVector

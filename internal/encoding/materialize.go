@@ -313,6 +313,9 @@ func Materialize[T types.Ordered](seg storage.Segment) ([]T, []bool) {
 	case *FrameOfReferenceSegment:
 		vals, nulls := s.DecodeAll()
 		return any(vals).([]T), nulls
+	case *DecimalSegment:
+		vals, nulls := s.DecodeAll()
+		return any(vals).([]T), nulls
 	case *storage.ReferenceSegment:
 		out, nulls := make([]T, s.Len()), make([]bool, s.Len())
 		gatherReference(s.Positions(), s.ReferencedColumn(), out, nulls)
@@ -356,6 +359,8 @@ func gather[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset, slots
 		s.Gather(pos, slots, out, nulls)
 	case *FrameOfReferenceSegment:
 		s.Gather(pos, slots, any(out).([]int64), nulls)
+	case *DecimalSegment:
+		s.Gather(pos, slots, any(out).([]float64), nulls)
 	default:
 		panic(fmt.Sprintf("encoding: cannot gather from %T as %s", seg, types.Native[T]()))
 	}

@@ -19,7 +19,9 @@ import (
 //   - FrameOfReference: the predicate is rewritten into the offset domain per
 //     2048-value block; blocks whose [frame, frame+blockMax] range cannot
 //     intersect the predicate are skipped wholesale, blocks fully inside it
-//     are accepted wholesale, and only straddling blocks compare codes.
+//     are accepted wholesale, and only straddling blocks compare codes. A
+//     float64 column of exact decimals (decimal.go) first turns the predicate
+//     into an interval of its integers, then runs the same blocks.
 //   - RunLength: the predicate is evaluated once per run, accepting or
 //     rejecting entire runs.
 //

@@ -65,6 +65,14 @@ func buildScannables[T types.Ordered](values []T, nulls []bool) map[string]Scann
 		segs["FoR-FSBA"] = EncodeFrameOfReference(iv, nulls, FixedSizeByteAligned)
 		segs["FoR-BP128"] = EncodeFrameOfReference(iv, nulls, BitPacked128)
 	}
+	if fv, ok := any(values).([]float64); ok {
+		if d, ok := EncodeDecimal(fv, nulls, FixedSizeByteAligned); ok {
+			segs["Decimal-FSBA"] = d
+		}
+		if d, ok := EncodeDecimal(fv, nulls, BitPacked128); ok {
+			segs["Decimal-BP128"] = d
+		}
+	}
 	return segs
 }
 

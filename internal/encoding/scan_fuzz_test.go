@@ -15,6 +15,8 @@ import (
 // runs, the shapes encodings exploit) and a null marker; stride widens the
 // domain up to int64 overflow territory to stress the frame-of-reference
 // offset arithmetic. The predicate is decoded from (opByte, probe, lo, hi).
+// The same integers divided by 100 are the column again, as cents: a decimal
+// segment wherever every value is exact, scanned against the float reference.
 func FuzzEncodedScan(f *testing.F) {
 	// Seeds follow TPC-H column shapes: l_quantity (1..50, duplicate-heavy),
 	// l_shipdate (dense day numbers), l_orderkey (sparse, wide stride),
@@ -43,6 +45,11 @@ func FuzzEncodedScan(f *testing.F) {
 	f.Add([]byte{0x80, 0x7F, 0x00, 0xFF, 0x0F, 0x80, 0x7F}, uint8(3),
 		int64(-9_223_372_036_854_775_808), int64(-1), int64(9_223_372_036_854_775_807),
 		int64(72_057_594_037_927_936)) // stride 2^56: values straddle the int64 extremes
+	prices := make([]byte, 300)
+	for i := range prices {
+		prices[i] = byte(i * 37)
+	}
+	f.Add(prices, uint8(6), int64(4_000), int64(-2_000), int64(2_000), int64(1999)) // as cents: a decimal segment
 
 	f.Fuzz(func(t *testing.T, data []byte, opByte uint8, probe, lo, hi, stride int64) {
 		if len(data) > 1<<14 {
@@ -90,6 +97,27 @@ func FuzzEncodedScan(f *testing.F) {
 			}
 			if !equalOffsets(got, want) {
 				t.Fatalf("ScanValues: op=%v: got %v, want %v", op, clip(got), clip(want))
+			}
+		}
+
+		// The same integers as cents: a decimal segment wherever all are exact.
+		cents := make([]float64, len(values))
+		for i, v := range values {
+			cents[i] = float64(v) / 100
+		}
+		fprobe, flo, fhi := float64(probe)/100, float64(lo)/100, float64(hi)/100
+		fpred := ScanPredicate{Op: op, Value: types.Float(fprobe)}
+		if op == ScanBetween {
+			fpred = ScanPredicate{Op: op, Lo: types.Float(flo), Hi: types.Float(fhi)}
+		}
+		fwant := refScan(op, fprobe, flo, fhi, cents, nulls)
+		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			seg, ok := EncodeDecimal(cents, nulls, comp)
+			if !ok {
+				break
+			}
+			if got, _, ok := seg.ScanEncoded(fpred, nil); !ok || !equalOffsets(got, fwant) {
+				t.Fatalf("Decimal-%s: op=%v probe=%v lo=%v hi=%v: ok %v, got %v, want %v", comp, op, fprobe, flo, fhi, ok, clip(got), clip(fwant))
 			}
 		}
 	})

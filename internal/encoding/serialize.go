@@ -38,6 +38,7 @@ const (
 	segRunLengthString
 	segFrameOfReference
 	segDictStringFSST // a string dictionary packed with its symbol table (fsst.go)
+	segDecimal        // a decimal column's exponent, then its integers as segFrameOfReference's body
 )
 
 // UintVector tags.
@@ -533,14 +534,19 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		dst = appendRunLengthMeta(dst, s.n, s.ends, s.nulls)
 		return appendStrings(dst, s.values), nil
 	case *FrameOfReferenceSegment:
-		dst = append(dst, segFrameOfReference)
-		dst = binary.AppendUvarint(dst, uint64(s.n))
-		dst = appendInt64s(dst, s.frames)
-		dst = AppendBools(dst, s.nulls)
-		return appendUintVector(dst, s.offsets)
+		return appendFrameOfReference(append(dst, segFrameOfReference), s)
+	case *DecimalSegment:
+		return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints)
 	default:
 		return nil, fmt.Errorf("encoding: cannot serialize segment of type %T", seg)
 	}
+}
+
+func appendFrameOfReference(dst []byte, s *FrameOfReferenceSegment) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(s.n))
+	dst = appendInt64s(dst, s.frames)
+	dst = AppendBools(dst, s.nulls)
+	return appendUintVector(dst, s.offsets)
 }
 
 func appendValueSegmentMeta(dst []byte, nullable bool, nulls []bool) []byte {
@@ -603,24 +609,9 @@ func (r *Reader) Segment() storage.Segment {
 		n, ends, nulls := r.runLengthMeta()
 		seg = &RunLengthSegment[string]{n: n, ends: ends, nulls: nulls, values: r.strings_()}
 	case segFrameOfReference:
-		s := &FrameOfReferenceSegment{n: int(r.Uvarint())}
-		s.frames = r.int64s()
-		s.nulls = r.Bools()
-		s.offsets = r.uintVector()
-		// The per-block scan statistics are derived state and are not
-		// persisted; rebuild them from the decoded codes. Corrupt input can
-		// disagree on lengths — initBlockStats indexes codes by row, so only
-		// rebuild when the shape is consistent (the segment is rejected by
-		// the caller's validation otherwise).
-		wantBlocks := (s.n + forBlockSize - 1) / forBlockSize
-		if r.err == nil && s.offsets != nil && s.offsets.Len() == s.n &&
-			len(s.frames) == wantBlocks && (s.nulls == nil || len(s.nulls) == s.n) {
-			s.initBlockStats(s.offsets.DecodeAll(make([]uint64, 0, s.n)))
-		} else {
-			s.blockMax = make([]uint64, len(s.frames))
-			s.blockNonNull = make([]int32, len(s.frames))
-		}
-		seg = s
+		seg = r.frameOfReference()
+	case segDecimal:
+		seg = r.decimal()
 	default:
 		r.Fail(fmt.Sprintf("unknown segment tag %d", tag))
 	}
@@ -628,6 +619,45 @@ func (r *Reader) Segment() storage.Segment {
 		return nil
 	}
 	return seg
+}
+
+// frameOfReference reads what appendFrameOfReference wrote. The per-block
+// scan statistics are derived state, rebuilt from the codes; frames, codes or
+// NULL flags that do not match the row count fail the read.
+func (r *Reader) frameOfReference() *FrameOfReferenceSegment {
+	s := &FrameOfReferenceSegment{n: int(r.Uvarint())}
+	s.frames = r.int64s()
+	s.nulls = r.Bools()
+	if s.offsets = r.uintVector(); r.err != nil {
+		return nil
+	}
+	if s.offsets.Len() != s.n || len(s.frames) != (s.n+forBlockSize-1)/forBlockSize || (s.nulls != nil && len(s.nulls) != s.n) {
+		r.Fail("frame-of-reference blocks do not match its rows")
+		return nil
+	}
+	s.initBlockStats(s.offsets.DecodeAll(make([]uint64, 0, s.n)))
+	return s
+}
+
+// decimal reads what AppendSegment wrote of a DecimalSegment. An exponent past
+// 18, or a block whose integers leave [-2^53, 2^53], fails the read: a value
+// decodes exactly only inside both.
+func (r *Reader) decimal() *DecimalSegment {
+	exp := r.Byte()
+	ints := r.frameOfReference()
+	if r.err != nil {
+		return nil
+	}
+	bad := int(exp) >= len(pow10)
+	for b, frame := range ints.frames {
+		top := ints.blockMax[b]
+		bad = bad || ints.blockNonNull[b] > 0 && (frame < -maxDecimal || frame > maxDecimal || top > 2*maxDecimal || frame+int64(top) > maxDecimal)
+	}
+	if bad {
+		r.Fail("decimal exponent past 18 or integers past 2^53")
+		return nil
+	}
+	return &DecimalSegment{ints: ints, exp: exp}
 }
 
 func (r *Reader) runLengthMeta() (int, []types.ChunkOffset, []bool) {

@@ -190,6 +190,45 @@ func TestCorruptDictionaryFailsDecode(t *testing.T) {
 	}
 }
 
+// TestCorruptDecimalFailsDecode: restore refuses an exponent past 18, integers
+// past ±2^53 (neither decodes exactly) and frame-of-reference blocks that do
+// not match the row count, and no single-byte corruption or truncation of a
+// decimal segment makes DecodeSegment panic or hand out a segment whose reads
+// do.
+func TestCorruptDecimalFailsDecode(t *testing.T) {
+	valid, ok := EncodeDecimal([]float64{1.25, -7.5, 0, 1e12, 3.75}, []bool{false, false, true, false, false}, FixedSizeByteAligned)
+	if !ok {
+		t.Fatal("cents taken for no decimal")
+	}
+	for name, seg := range map[string]storage.Segment{
+		"exponent 19": &DecimalSegment{ints: valid.ints, exp: 19},
+		"above 2^53":  &DecimalSegment{ints: EncodeFrameOfReference([]int64{maxDecimal - 1, maxDecimal + 1}, nil, FixedSizeByteAligned), exp: 2},
+		"below -2^53": &DecimalSegment{ints: EncodeFrameOfReference([]int64{-maxDecimal - 1, 0}, nil, BitPacked128)},
+		"short frames": &FrameOfReferenceSegment{n: 3000, frames: []int64{0},
+			offsets: CompressUints(make([]uint64, 3000), FixedSizeByteAligned)},
+	} {
+		buf, err := AppendSegment(nil, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecodeSegment(buf); err == nil {
+			t.Errorf("%s: decodes without an error", name)
+		}
+	}
+	buf, err := AppendSegment(nil, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		for _, b := range []byte{0, 1, 9, 0x13, 0x7F, 0xFF, buf[i] ^ 1} {
+			corrupt := append([]byte{}, buf...)
+			corrupt[i] = b
+			readAll(t, corrupt)
+		}
+		readAll(t, buf[:i])
+	}
+}
+
 // readAll decodes buf and, if that succeeds, reads every row of the segment.
 func readAll(t *testing.T, buf []byte) {
 	t.Helper()

@@ -120,10 +120,10 @@ func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] 
 		if whole {
 			return s.summary()
 		}
-	case *FrameOfReferenceSegment:
+	case *FrameOfReferenceSegment, *DecimalSegment:
 		if whole {
-			vals, nulls := s.DecodeAll()
-			return groupValues(any(vals).([]T), nulls, nil)
+			vals, nulls := Materialize[T](seg)
+			return groupValues(vals, nulls, nil)
 		}
 	}
 	pos := make([]types.ChunkOffset, hi-lo)

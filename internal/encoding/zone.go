@@ -91,19 +91,25 @@ func (s *RunLengthSegment[T]) Zone() storage.Zone {
 // typed slice of a value segment, over the codes of a dictionary segment
 // (order-preserving, so value order is code order), over the run values of a
 // run-length segment, and through the positional read of frame-of-reference,
-// which is one add per probe. ok is false where ScanValues would refuse the
+// which is one add per probe (a decimal column's predicate first becomes an
+// interval of its integers). ok is false where ScanValues would refuse the
 // probe too (a 2.5 against an INT column) and for the predicates that are not
 // one interval (<>, null checks); the caller takes the next rung.
 func ScanSorted(seg storage.Segment, p ScanPredicate) (first, last int, ok bool) {
-	if s, isFOR := seg.(*FrameOfReferenceSegment); isFOR {
+	switch s := seg.(type) {
+	case *FrameOfReferenceSegment:
 		rng, ok := intervalOf[int64](p)
-		if !ok {
-			return 0, 0, false
+		if ok {
+			first, last = s.sorted(rng)
 		}
-		first, last = searchSorted(rng, s.n, func(i int) int64 {
-			return s.frames[i/forBlockSize] + int64(s.offsets.Get(i))
-		})
-		return first, last, true
+		return first, last, ok
+	case *DecimalSegment:
+		rng, ok := intervalOf[float64](p)
+		if ok {
+			lo, hi := s.codes(rng)
+			first, last = s.ints.sorted(scanRange[int64]{hasLo: true, loInc: true, lo: lo, hasHi: true, hiInc: true, hi: hi})
+		}
+		return first, last, ok
 	}
 	switch seg.DataType() {
 	case types.TypeInt64:
@@ -114,6 +120,12 @@ func ScanSorted(seg storage.Segment, p ScanPredicate) (first, last int, ok bool)
 		return scanSorted[string](seg, p)
 	}
 	return 0, 0, false
+}
+
+// sorted is ScanSorted over an ascending frame-of-reference column, through
+// the positional read, which is one add per probe.
+func (s *FrameOfReferenceSegment) sorted(rng scanRange[int64]) (first, last int) {
+	return searchSorted(rng, s.n, func(i int) int64 { return s.frames[i/forBlockSize] + int64(s.offsets.Get(i)) })
 }
 
 func scanSorted[T types.Ordered](seg storage.Segment, p ScanPredicate) (first, last int, ok bool) {

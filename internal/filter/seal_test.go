@@ -90,6 +90,7 @@ func compareLast(a, b types.Value) int {
 // the column's rows. Unencoded is the rows alone, without a tail's room to grow.
 func encodeAs[T types.Ordered](seg storage.Segment, spec encoding.Spec) storage.Segment {
 	values, nulls := encoding.Materialize[T](seg)
+	floats, isFloat := any(values).([]float64)
 	switch ints, ok := any(values).([]int64); {
 	case spec.Encoding == encoding.Unencoded:
 		if nulls != nil {
@@ -100,6 +101,10 @@ func encodeAs[T types.Ordered](seg storage.Segment, spec encoding.Spec) storage.
 		return encoding.EncodeRunLength(values, nulls)
 	case spec.Encoding == encoding.FrameOfReference && ok:
 		return encoding.EncodeFrameOfReference(ints, nulls, spec.Compression)
+	case spec.Encoding == encoding.FrameOfReference && isFloat:
+		if d, exact := encoding.EncodeDecimal(floats, nulls, spec.Compression); exact {
+			return d
+		}
 	}
 	return encoding.EncodeDictionary(values, nulls, spec.Compression)
 }

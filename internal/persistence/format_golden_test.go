@@ -148,6 +148,46 @@ func codecCatalog(tb testing.TB) *storage.StorageManager {
 	return sm
 }
 
+// decimalCatalog holds the decimal segment tag: a table of prices in cents,
+// NULLs and negatives among them, whose two full chunks are sealed by the size
+// model and as frame-of-reference over bit-packed codes, and a mutable tail.
+// It has a golden of its own, so that catalog.snap keeps its bytes: every
+// float chunk of codecCatalog holds NaN, -0 or -Inf, which no decimal holds.
+func decimalCatalog(tb testing.TB) *storage.StorageManager {
+	tb.Helper()
+	t := storage.NewTable("prices", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "price", Type: types.TypeFloat64, Nullable: true},
+	}, 100, false)
+	for n := range 250 {
+		price := types.Float(float64(n*7919%20_000-10_000) / 100)
+		if n%13 == 0 {
+			price = types.NullValue
+		}
+		if _, err := t.AppendRow([]types.Value{types.Int(int64(n)), price}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for ci, sp := range []*encoding.Spec{nil, {Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128}} {
+		c := t.GetChunk(types.ChunkID(ci))
+		for col := range c.ColumnCount() {
+			id := types.ColumnID(col)
+			seg, zone := c.SegmentWithZone(id)
+			sealed, _ := encoding.Seal(seg, zone.Ascending >= seg.Len(), sp)
+			c.ReplaceSegment(id, sealed)
+		}
+		filter.AttachDefaults(c)
+		if got := encoding.ValueCompression(c.GetSegment(1)); got != "decimal(2)" {
+			tb.Fatalf("chunk %d: price sealed with value compression %s, want decimal(2)", ci, got)
+		}
+	}
+	sm := storage.NewStorageManager()
+	if err := sm.AddTable(t); err != nil {
+		tb.Fatal(err)
+	}
+	return sm
+}
+
 // commitOps returns n inserts of five values each — every WAL value tag, with
 // extremes, NaN, -0, the empty string and NUL among them — at consecutive
 // rows of "t".
@@ -277,7 +317,8 @@ func codecSequence(tb testing.TB, dir string) {
 }
 
 // TestDiffFormatGolden holds the bytes the durability formats write to files
-// under testdata/: snapshots of codecCatalog and of an empty catalog, the
+// under testdata/: snapshots of codecCatalog, of decimalCatalog and of an
+// empty catalog, the
 // snapshot and log a fixed commit sequence leaves in its data directory, and
 // the log of one bare commit batch of every value tag. Rerun with
 // -update-golden only for a deliberate format change.
@@ -285,6 +326,9 @@ func TestDiffFormatGolden(t *testing.T) {
 	got := map[string][]byte{}
 	var err error
 	if got["catalog.snap"], err = encodeSnapshot(codecCatalog(t), 12345, 678); err != nil {
+		t.Fatal(err)
+	}
+	if got["decimal.snap"], err = encodeSnapshot(decimalCatalog(t), 12345, 678); err != nil {
 		t.Fatal(err)
 	}
 	if got["empty.snap"], err = encodeSnapshot(storage.NewStorageManager(), 0, 0); err != nil {

@@ -395,6 +395,7 @@ func TestCrashRestoredTailGrowsWithinCapacity(t *testing.T) {
 // TestSealedColumnWithoutNullKeepsNoFlags: a sealed nullable column that holds
 // no NULL keeps no NULL flags — 8 B a row of floats, not 9 — and comes back
 // from a snapshot that way, still nullable; a column with one NULL keeps them.
+// The values are thirds, which no exponent makes exact decimals.
 func TestSealedColumnWithoutNullKeepsNoFlags(t *testing.T) {
 	const rows = 1000
 	sm := storage.NewStorageManager()
@@ -404,8 +405,9 @@ func TestSealedColumnWithoutNullKeepsNoFlags(t *testing.T) {
 	if err := sm.AddTable(table); err != nil {
 		t.Fatal(err)
 	}
+	value := func(i int) float64 { return float64(i) + 1.0/3 }
 	for i := 0; i < rows; i++ {
-		v := types.Float(float64(i) + 0.25)
+		v := types.Float(value(i))
 		second := v
 		if i == 500 {
 			second = types.NullValue
@@ -426,8 +428,8 @@ func TestSealedColumnWithoutNullKeepsNoFlags(t *testing.T) {
 		if v := c.GetSegment(1).ValueAt(500); !v.IsNull() {
 			t.Errorf("%s: row 500 of one_null reads %v, want NULL", when, v)
 		}
-		if v := c.GetSegment(0).ValueAt(500); v.IsNull() || v.F != 500.25 {
-			t.Errorf("%s: row 500 of clean reads %v, want 500.25", when, v)
+		if v := c.GetSegment(0).ValueAt(500); v.IsNull() || v.F != value(500) {
+			t.Errorf("%s: row 500 of clean reads %v, want %v", when, v, value(500))
 		}
 	}
 	check("sealed", table.GetChunk(0))

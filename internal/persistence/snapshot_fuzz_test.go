@@ -13,10 +13,10 @@ import (
 // adds the magic and recomputes the trailing CRC, so mutations reach the body
 // decoder. Nothing may panic: the decode errors or loads, a loaded catalog's
 // rows read back, and the catalog encodes and decodes again without error.
-// The seeds are codecCatalog's image, which holds every segment tag, MVCC
-// bitmaps and a view, and the empty catalog's.
+// The seeds are the images of codecCatalog and decimalCatalog, which hold
+// every segment tag, MVCC bitmaps and a view, and the empty catalog's.
 func FuzzSnapshot(f *testing.F) {
-	for _, sm := range []*storage.StorageManager{codecCatalog(f), storage.NewStorageManager()} {
+	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager()} {
 		img, err := encodeSnapshot(sm, 12345, 678)
 		if err != nil {
 			f.Fatal(err)

@@ -119,7 +119,9 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 // the chunk keeps for the column: its bounds (NULL while no row holds a
 // comparable value) and whether the column ascends through the whole chunk,
 // which is what lets a scan binary-search it. value_compression is 'FSST' for
-// a string dictionary whose values are packed with a symbol table, else 'none'.
+// a string dictionary whose values are packed with a symbol table, 'decimal(e)'
+// for a float column stored as the integers n of its values n / 10^e, else
+// 'none'.
 func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},

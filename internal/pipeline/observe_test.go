@@ -405,7 +405,9 @@ func TestDebugEndpointViaConfig(t *testing.T) {
 
 // TestSealedChunkFromSQL: the INSERT whose row fills a chunk says on its span
 // what it paid for the seal, the counters move with it, and meta_segments shows
-// the representation and size the size model gave each column.
+// the representation and size the size model gave each column — the cents
+// column as frame-of-reference over its integers, value_compression
+// 'decimal(2)'.
 func TestSealedChunkFromSQL(t *testing.T) {
 	e := NewEngine(DefaultConfig(), nil)
 	t.Cleanup(e.Close)
@@ -437,12 +439,14 @@ func TestSealedChunkFromSQL(t *testing.T) {
 		t.Errorf("storage.chunks_sealed=%d storage.seal_ns=%d, want 1 chunk and the %d ns it took", n, ns, kv.GetChunk(0).SealNS())
 	}
 	mustExec(t, s, insert(100)) // opens chunk 1, which stays as it is
-	got := rows(t, s, "SELECT chunk_id, column_name, encoding, size_bytes FROM meta_segments WHERE table_name = 'kv' ORDER BY chunk_id, column_id")
+	got := rows(t, s, "SELECT chunk_id, column_name, encoding, size_bytes, value_compression FROM meta_segments WHERE table_name = 'kv' ORDER BY chunk_id, column_id")
 	want := [][]string{
-		{"0", "id", "FrameOfReference", "108"},                                                         // one frame + 100 one-byte offsets
-		{"0", "tag", "RunLength", "24"},                                                                // one run: header, 4 bytes, end offset
-		{"0", "val", "Unencoded", "800"},                                                               // 100 distinct floats, no NULL: no flags, nothing smaller
-		{"1", "id", "Unencoded", "8"}, {"1", "tag", "Unencoded", "21"}, {"1", "val", "Unencoded", "9"}, // the one row so far
+		{"0", "id", "FrameOfReference", "108", "none"},        // one frame + 100 one-byte offsets
+		{"0", "tag", "RunLength", "24", "none"},               // one run: header, 4 bytes, end offset
+		{"0", "val", "FrameOfReference", "408", "decimal(2)"}, // cents: one frame + 100 four-byte offsets of 100·val
+		{"1", "id", "Unencoded", "8", "none"},                 // the one row so far
+		{"1", "tag", "Unencoded", "21", "none"},
+		{"1", "val", "Unencoded", "9", "none"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("meta_segments of kv = %v, want %v", got, want)

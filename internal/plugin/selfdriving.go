@@ -305,7 +305,8 @@ func chooseFromWorkload(snap observe.ColumnScanSnapshot, sizes encoding.Sizes) e
 		// supports the widest encoded predicate set.
 		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
 	case snap.Ranges > snap.Points && sizes.Saves(encoding.FrameOfReference):
-		// Range-heavy over integers that sit close to their block's frame:
+		// Range-heavy over integers (or a float column's exact decimals)
+		// that sit close to their block's frame:
 		// frame-of-reference rewrites ranges into the offset domain and
 		// short-circuits whole blocks via min/max.
 		return encoding.Spec{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned}

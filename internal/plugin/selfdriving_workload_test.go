@@ -2,6 +2,7 @@ package plugin
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -129,4 +130,67 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 	}
 	defer e2.Close()
 	checkData(e2, "after recovery")
+}
+
+// TestEncodingAdvisorSealsDecimalForRanges: a cents column the size model
+// keeps as a dictionary (100 distinct prices) is re-sealed by a range-heavy
+// workload to frame-of-reference — over its integers, 'decimal(2)', not a
+// dictionary again — and a SELECT returns the same rows before and after.
+func TestEncodingAdvisorSealsDecimalForRanges(t *testing.T) {
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	defer e.Close()
+	s := e.NewSession()
+	if _, err := s.Execute("CREATE TABLE prices (id INT, price FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 2000
+	for lo := 0; lo < rows; lo += 100 {
+		var values []string
+		for i := lo; i < lo+100; i++ {
+			values = append(values, fmt.Sprintf("(%d, %d.%02d)", i, i%50, i*7%100))
+		}
+		if _, err := s.Execute("INSERT INTO prices VALUES " + strings.Join(values, ", ")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table, err := e.StorageManager().GetTable("prices")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table.SealTail()
+	col, _ := table.ColumnID("price")
+	if spec, _ := encoding.SpecOf(table.GetChunk(0).GetSegment(col)); spec.Encoding != encoding.Dictionary {
+		t.Fatalf("price sealed as %s, want the size model's Dictionary", spec)
+	}
+	const query = "SELECT id, price FROM prices WHERE price BETWEEN 10.5 AND 20.25 ORDER BY id"
+	read := func() [][]string {
+		t.Helper()
+		res, err := e.NewSession().ExecuteOne(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipeline.RowStrings(res.Table)
+	}
+	before := read()
+
+	p := &EncodingAdvisorPlugin{}
+	if err := p.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		e.ScanStats().Column("prices", "price").Record(observe.ScanPathEncoded, false, rows, 400)
+	}
+	if err := p.AdviseFromWorkload(); err != nil {
+		t.Fatal(err)
+	}
+	seg := table.GetChunk(0).GetSegment(col)
+	if _, ok := seg.(*encoding.DecimalSegment); !ok || encoding.ValueCompression(seg) != "decimal(2)" {
+		t.Fatalf("price re-sealed as %T %s, want frame-of-reference over decimal(2)", seg, encoding.ValueCompression(seg))
+	}
+	if got := p.Applied()["prices.price"]; !strings.Contains(got, "FrameOfReference") {
+		t.Errorf("advisor applied %q to prices.price, want frame-of-reference", got)
+	}
+	if after := read(); len(before) == 0 || !reflect.DeepEqual(after, before) {
+		t.Errorf("%s returned %d rows before the re-seal and %d after, or different ones", query, len(before), len(after))
+	}
 }

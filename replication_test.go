@@ -576,7 +576,8 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 // hold, chunk for chunk, the encodings, the value compression and the filters
 // the primary holds, for the chunks a CSV load sealed, the chunks INSERTs
 // sealed before the checkpoint, and the chunk the log seals after it. A full
-// chunk's tags are long enough for FSST to pay, a two-row one's are not.
+// chunk's tags are long enough for FSST to pay, a two-row one's are not; every
+// chunk's val is decimal.
 func TestCrashRestoreKeepsSeals(t *testing.T) {
 	cfg := durableConfig(t)
 	db, err := OpenErr(cfg)
@@ -628,6 +629,11 @@ func TestCrashRestoreKeepsSeals(t *testing.T) {
 	if len(want) != 5 || !strings.Contains(want[1], "RangeHistogram") || !strings.Contains(want[3], "RangeHistogram") ||
 		!strings.Contains(want[0], "FSST") || strings.Contains(want[1], "FSST") {
 		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with filters, full ones packed", want)
+	}
+	for _, w := range want {
+		if !strings.Contains(w, "decimal(") {
+			t.Fatalf("primary chunks: %q, want every val (halves and quarters) frame-of-reference over its decimals", want)
+		}
 	}
 	const packed = "SELECT chunk_id FROM meta_segments WHERE table_name = 't' AND value_compression = 'FSST' ORDER BY chunk_id"
 	wantPacked := queryRows(t, db, packed)
