@@ -147,8 +147,9 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 		return nil, fmt.Errorf("expression: arithmetic on %s and %s", l.DT, r.DT)
 	}
 	nulls := mergeNulls(l.Nulls, r.Nulls, ctx.N)
-	// Integer arithmetic stays integral (except Div by zero handling);
-	// mixed promotes to float.
+	// `/ 0` and `% 0` are NULL, for integers and floats alike.
+	divides := x.Op == Div || x.Op == Mod
+	// Integer arithmetic stays integral; mixed promotes to float.
 	if l.DT == types.TypeInt64 && r.DT == types.TypeInt64 {
 		out := make([]int64, ctx.N)
 		for i := 0; i < ctx.N; i++ {
@@ -156,6 +157,10 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 				continue
 			}
 			a, b := l.I[i], r.I[i]
+			if divides && b == 0 {
+				nulls = nullAt(nulls, ctx.N, i)
+				continue
+			}
 			switch x.Op {
 			case Add:
 				out[i] = a + b
@@ -164,22 +169,8 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 			case Mul:
 				out[i] = a * b
 			case Div:
-				if b == 0 {
-					if nulls == nil {
-						nulls = make([]bool, ctx.N)
-					}
-					nulls[i] = true
-					continue
-				}
 				out[i] = a / b
 			case Mod:
-				if b == 0 {
-					if nulls == nil {
-						nulls = make([]bool, ctx.N)
-					}
-					nulls[i] = true
-					continue
-				}
 				out[i] = a % b
 			}
 		}
@@ -192,6 +183,10 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 			continue
 		}
 		a, b := lf[i], rf[i]
+		if divides && b == 0 {
+			nulls = nullAt(nulls, ctx.N, i)
+			continue
+		}
 		switch x.Op {
 		case Add:
 			out[i] = a + b
@@ -200,19 +195,21 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 		case Mul:
 			out[i] = a * b
 		case Div:
-			if b == 0 {
-				if nulls == nil {
-					nulls = make([]bool, ctx.N)
-				}
-				nulls[i] = true
-				continue
-			}
 			out[i] = a / b
 		case Mod:
 			out[i] = math.Mod(a, b)
 		}
 	}
 	return &Vector{DT: types.TypeFloat64, F: out, Nulls: nulls, N: ctx.N}, nil
+}
+
+// nullAt marks row i of an n-row null map, allocating the map on first use.
+func nullAt(nulls []bool, n, i int) []bool {
+	if nulls == nil {
+		nulls = make([]bool, n)
+	}
+	nulls[i] = true
+	return nulls
 }
 
 func numericDT(dt types.DataType) bool {
@@ -266,31 +263,40 @@ func evalComparison(x *Comparison, ctx *Context) (*Vector, error) {
 
 	switch {
 	case l.DT == types.TypeString && r.DT == types.TypeString:
-		for i := 0; i < n; i++ {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			out[i] = cmpMatch(strings.Compare(l.S[i], r.S[i]), x.Op)
-		}
+		compareRows(x.Op, l.S, r.S, nulls, out)
 	case l.DT == types.TypeInt64 && r.DT == types.TypeInt64:
-		for i := 0; i < n; i++ {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			out[i] = cmpMatch(cmpInt(l.I[i], r.I[i]), x.Op)
-		}
+		compareRows(x.Op, l.I, r.I, nulls, out)
 	case numericDT(l.DT) && numericDT(r.DT):
-		lf, rf := l.Floats(), r.Floats()
-		for i := 0; i < n; i++ {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			out[i] = cmpMatch(cmpFloat(lf[i], rf[i]), x.Op)
-		}
+		compareRows(x.Op, l.Floats(), r.Floats(), nulls, out)
 	default:
 		return nil, fmt.Errorf("expression: cannot compare %s with %s", l.DT, r.DT)
 	}
 	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
+}
+
+// compareRows sets out[i] to `l[i] op r[i]` on every row that is not NULL,
+// with Go's own operators. That is IEEE 754 on floats — NaN matches only `<>`,
+// -0 = +0 — the rule of the scan kernels, zones, filters and indexes.
+func compareRows[T types.Ordered](op ComparisonOp, l, r []T, nulls, out []bool) {
+	for i := range out {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		switch a, b := l[i], r[i]; op {
+		case Eq:
+			out[i] = a == b
+		case Ne:
+			out[i] = a != b
+		case Lt:
+			out[i] = a < b
+		case Le:
+			out[i] = a <= b
+		case Gt:
+			out[i] = a > b
+		case Ge:
+			out[i] = a >= b
+		}
+	}
 }
 
 func allNulls(n int) []bool {
@@ -299,47 +305,6 @@ func allNulls(n int) []bool {
 		out[i] = true
 	}
 	return out
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpMatch(c int, op ComparisonOp) bool {
-	switch op {
-	case Eq:
-		return c == 0
-	case Ne:
-		return c != 0
-	case Lt:
-		return c < 0
-	case Le:
-		return c <= 0
-	case Gt:
-		return c > 0
-	case Ge:
-		return c >= 0
-	default:
-		return false
-	}
 }
 
 // evalLogical implements three-valued AND/OR.

@@ -1,6 +1,8 @@
 package expression
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,6 +131,70 @@ func TestComparisonNullPropagation(t *testing.T) {
 	}
 	if !v.B[0] || !v.IsNullAt(1) || !v.B[2] {
 		t.Errorf("null comparison = %v / %v", v.B, v.Nulls)
+	}
+}
+
+// TestDivisionByZeroIsNull: `/ 0` and `% 0` are NULL whatever the operand
+// types — a float `%` used to return NaN (math.Mod) where every other case
+// returns NULL.
+func TestDivisionByZeroIsNull(t *testing.T) {
+	ints := NewIntVector([]int64{7, 7}, nil)
+	floats := NewFloatVector([]float64{7.5, 7.5}, nil)
+	divisors := map[string]*Vector{
+		"int":   NewIntVector([]int64{2, 0}, nil),
+		"float": NewFloatVector([]float64{2, math.Copysign(0, -1)}, nil),
+	}
+	for _, op := range []ArithmeticOp{Div, Mod} {
+		for _, left := range []*Vector{ints, floats} {
+			for name, right := range divisors {
+				v, err := Evaluate(&Arithmetic{Op: op, Left: col(0), Right: col(1)}, testCtx(left, right))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.IsNullAt(0) || !v.IsNullAt(1) {
+					t.Errorf("%s %v by %s {2, 0}: nulls %v, want only the zero divisor's row NULL (values %v %v)", left.DT, op, name, v.Nulls, v.I, v.F)
+				}
+			}
+		}
+	}
+}
+
+// TestComparisonIsIEEE: the evaluator compares floats like the scan kernels —
+// NaN matches no `=`, `<`, `<=`, `>`, `>=`, BETWEEN or IN and every `<>`, and
+// -0 equals +0.
+func TestComparisonIsIEEE(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	f := NewFloatVector([]float64{nan, 0.5, negZero, 1}, nil)
+	for _, probe := range []float64{0.5, 0, nan} {
+		for op, holds := range map[ComparisonOp]func(a, b float64) bool{
+			Eq: func(a, b float64) bool { return a == b }, Ne: func(a, b float64) bool { return a != b },
+			Lt: func(a, b float64) bool { return a < b }, Le: func(a, b float64) bool { return a <= b },
+			Gt: func(a, b float64) bool { return a > b }, Ge: func(a, b float64) bool { return a >= b },
+		} {
+			v, err := Evaluate(&Comparison{Op: op, Left: col(0), Right: lit(types.Float(probe))}, testCtx(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range f.F {
+				if v.B[i] != holds(x, probe) {
+					t.Errorf("%v %v %v = %v", x, op, probe, v.B[i])
+				}
+			}
+		}
+	}
+	in := func(negate bool) []bool {
+		t.Helper()
+		v, err := Evaluate(&In{Child: col(0), List: []Expression{lit(types.Float(0.5)), lit(types.Float(0)), lit(types.Float(nan))}, Negate: negate}, testCtx(f))
+		if err != nil || v.Nulls != nil {
+			t.Fatalf("IN: %v, nulls %v", err, v.Nulls)
+		}
+		return v.B
+	}
+	if got := in(false); !reflect.DeepEqual(got, []bool{false, true, true, false}) {
+		t.Errorf("f IN (0.5, 0, NaN) = %v", got)
+	}
+	if got := in(true); !reflect.DeepEqual(got, []bool{true, false, false, true}) {
+		t.Errorf("f NOT IN (0.5, 0, NaN) = %v", got)
 	}
 }
 

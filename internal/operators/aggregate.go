@@ -1,6 +1,7 @@
 package operators
 
 import (
+	stdcmp "cmp" // the package's tests have a helper named cmp
 	"fmt"
 	"math"
 	"math/bits"
@@ -417,10 +418,10 @@ func updateColumn(states []aggState, stride int, agg *expression.Aggregate, arg 
 				continue
 			}
 			if isMin {
-				if v < st.min.F {
+				if stdcmp.Less(v, st.min.F) {
 					st.min = types.Float(v)
 				}
-			} else if v > st.max.F {
+			} else if stdcmp.Less(st.max.F, v) {
 				st.max = types.Float(v)
 			}
 		}
@@ -439,10 +440,10 @@ func updateColumn(states []aggState, stride int, agg *expression.Aggregate, arg 
 				continue
 			}
 			if isMin {
-				if v < st.min.I {
+				if stdcmp.Less(v, st.min.I) {
 					st.min = types.Int(v)
 				}
-			} else if v > st.max.I {
+			} else if stdcmp.Less(st.max.I, v) {
 				st.max = types.Int(v)
 			}
 		}
@@ -470,22 +471,26 @@ func mergeState(dst, src *aggState, agg *expression.Aggregate) {
 		dst.seen = dst.seen || src.seen
 	case expression.AggMin:
 		if src.seen {
-			if !dst.seen {
-				dst.min = src.min
-				dst.seen = true
-			} else if c, ok := types.Compare(src.min, dst.min); ok && c < 0 {
-				dst.min = src.min
-			}
+			dst.extreme(src.min, true)
 		}
 	case expression.AggMax:
 		if src.seen {
-			if !dst.seen {
-				dst.max = src.max
-				dst.seen = true
-			} else if c, ok := types.Compare(src.max, dst.max); ok && c > 0 {
-				dst.max = src.max
-			}
+			dst.extreme(src.max, false)
 		}
+	}
+}
+
+// extreme folds v into the state's MIN (isMin) or MAX by the ordering rule
+// (types.Order): MIN and MAX are the first and last non-NULL rows of an
+// ORDER BY over the group, NaN below every number.
+func (st *aggState) extreme(v types.Value, isMin bool) {
+	switch {
+	case !st.seen:
+		st.min, st.max, st.seen = v, v, true
+	case isMin && types.Order(v, st.min) < 0:
+		st.min = v
+	case !isMin && types.Order(v, st.max) > 0:
+		st.max = v
 	}
 }
 
@@ -506,20 +511,8 @@ func updateState(st *aggState, agg *expression.Aggregate, arg *expression.Vector
 		st.sum += val.AsFloat()
 		st.sumInt += val.AsInt()
 		st.seen = true
-	case expression.AggMin:
-		if !st.seen {
-			st.min = val
-			st.seen = true
-		} else if c, ok := types.Compare(val, st.min); ok && c < 0 {
-			st.min = val
-		}
-	case expression.AggMax:
-		if !st.seen {
-			st.max = val
-			st.seen = true
-		} else if c, ok := types.Compare(val, st.max); ok && c > 0 {
-			st.max = val
-		}
+	case expression.AggMin, expression.AggMax:
+		st.extreme(val, agg.Fn == expression.AggMin)
 	}
 }
 

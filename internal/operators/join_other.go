@@ -31,8 +31,8 @@ func (j *SortMergeJoin) Name() string {
 	return fmt.Sprintf("SortMergeJoin(%s, %s = %s)", j.Mode, j.LeftKey, j.RightKey)
 }
 
-// Run implements Operator: both sides' typed key vectors are sorted (NULL
-// keys never join and are left out) and merged.
+// Run implements Operator: both sides' typed key vectors are sorted (NULL and
+// NaN keys never join and are left out) and merged.
 func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	leftT, rightT := inputs[0], inputs[1]
 	left, right, err := joinKeys(ctx, leftT, rightT, []expression.Expression{j.LeftKey}, []expression.Expression{j.RightKey})
@@ -79,12 +79,12 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 	return j.finish(left.rows, right.rows, ps), nil
 }
 
-// sortedKeyOrder returns the non-NULL rows of a key column ordered by value,
-// equal values in row order.
+// sortedKeyOrder returns the rows of a key column that can join ordered by
+// value, equal values in row order.
 func sortedKeyOrder(v *expression.Vector) []int32 {
-	order := make([]int32, 0, v.N)
+	order, cols := make([]int32, 0, v.N), []*expression.Vector{v}
 	for r := 0; r < v.N; r++ {
-		if !v.IsNullAt(r) {
+		if !keyNeverJoins(cols, r) {
 			order = append(order, int32(r))
 		}
 	}

@@ -34,8 +34,8 @@ type joinBuckets struct {
 // partitionKeys hashes one side's key columns morsel by morsel (row ranges
 // of the size a parallel TableScan dispatches) and scatters (hash, row index)
 // into private per-partition buckets; the partition is the hash's top bits,
-// the key table's slot its low bits. NULL-key rows are dropped (NULL never
-// joins); they remain visible to finish through the side's rows.
+// the key table's slot its low bits. NULL- and NaN-key rows are dropped (they
+// never join); they remain visible to finish through the side's rows.
 //
 // The buckets come back in morsel order and each morsel covers a contiguous
 // row range, so walking them in order visits every partition's rows in
@@ -59,7 +59,7 @@ func partitionKeys(ctx *ExecContext, side joinSide, parts int) ([]joinBuckets, e
 				if i%radixCancelStride == 0 && ctx.Err() != nil {
 					return
 				}
-				if keyHasNull(side.keys, lo+i) {
+				if keyNeverJoins(side.keys, lo+i) {
 					continue
 				}
 				p := h >> shift

@@ -19,10 +19,12 @@ import (
 // and representation are resolved once per vector, never per value (paper
 // §2.3).
 //
-// Equality rules: values of one type compare by value; -0.0 equals +0.0 and
-// NaN equals NaN (one group, one join key); NULL equals NULL — GROUP BY and
-// DISTINCT want that, the join drops NULL-key rows before they reach a table;
-// values of different types are never equal. An int column that meets a float
+// Equality is the grouping rule of types.Order: values of one type compare by
+// value; -0.0 equals +0.0 and NaN equals NaN (one group); NULL equals NULL —
+// GROUP BY and DISTINCT want that; values of different types are never equal.
+// The join follows the predicate rule instead, under which NULL and NaN equal
+// nothing: it drops such keys before they reach a table (keyNeverJoins), so a
+// table never compares them. An int column that meets a float
 // column is cast to float once per vector (joinKeys, concatKeys), which is what the
 // engine's `=` does for such a pair.
 
@@ -110,8 +112,9 @@ func keysEqual(a []*expression.Vector, ra int, b []*expression.Vector, rb int) b
 	return true
 }
 
-// compareKey orders two non-NULL values of one type. stdcmp.Compare has the
-// float rules wanted here: -0.0 equals +0.0, NaN equals NaN and sorts first.
+// compareKey orders two non-NULL values of one type by types.Order's rule;
+// stdcmp.Compare has its float rules: -0.0 equals +0.0, NaN equals NaN and
+// sorts first.
 func compareKey(x *expression.Vector, ra int, y *expression.Vector, rb int) int {
 	switch x.DT {
 	case types.TypeInt64:
@@ -132,10 +135,11 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// keyHasNull reports whether any key column is NULL at row r.
-func keyHasNull(cols []*expression.Vector, r int) bool {
+// keyNeverJoins reports whether any key column is NULL or NaN at row r: under
+// the predicate rule such a key equals nothing, so the join leaves the row out.
+func keyNeverJoins(cols []*expression.Vector, r int) bool {
 	for _, v := range cols {
-		if v.IsNullAt(r) {
+		if v.IsNullAt(r) || (v.DT == types.TypeFloat64 && math.IsNaN(v.F[r])) {
 			return true
 		}
 	}

@@ -24,28 +24,29 @@ import (
 // plainest way they can be written down.
 
 // refValuesEqual is key equality on boxed values: one type compares by value
-// with -0.0 = +0.0 and NaN = NaN, an int meets a float as a float (what the
-// engine's `=` does), other type pairs never match. nullsEqual is GROUP BY's
-// rule (NULL keys form one group); joins pass false.
-func refValuesEqual(a, b types.Value, nullsEqual bool) bool {
+// with -0.0 = +0.0, an int meets a float as a float (what the engine's `=`
+// does), other type pairs never match. grouping is GROUP BY's rule (NULL keys
+// form one group, NaN = NaN); joins pass false, and a NULL or NaN key then
+// matches nothing.
+func refValuesEqual(a, b types.Value, grouping bool) bool {
 	if a.IsNull() || b.IsNull() {
-		return nullsEqual && a.IsNull() && b.IsNull()
+		return grouping && a.IsNull() && b.IsNull()
 	}
 	switch {
 	case a.Type == types.TypeInt64 && b.Type == types.TypeInt64:
 		return a.I == b.I
 	case a.Type.IsNumeric() && b.Type.IsNumeric():
 		x, y := a.AsFloat(), b.AsFloat()
-		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+		return x == y || (grouping && math.IsNaN(x) && math.IsNaN(y))
 	case a.Type == types.TypeString && b.Type == types.TypeString:
 		return a.S == b.S
 	}
 	return false
 }
 
-func refKeysEqual(a, b []types.Value, nKeys int, nullsEqual bool) bool {
+func refKeysEqual(a, b []types.Value, nKeys int, grouping bool) bool {
 	for k := 0; k < nKeys; k++ {
-		if !refValuesEqual(a[k], b[k], nullsEqual) {
+		if !refValuesEqual(a[k], b[k], grouping) {
 			return false
 		}
 	}
@@ -136,7 +137,7 @@ func refGroupBy(rows [][]types.Value, nKeys int) []string {
 		arg := row[nKeys]
 		seen := arg.IsNull()
 		for _, d := range g.distinct {
-			seen = seen || refValuesEqual(d, arg, false)
+			seen = seen || refValuesEqual(d, arg, true)
 		}
 		if !seen {
 			g.distinct = append(g.distinct, arg)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -124,6 +125,41 @@ func TestReduceExpressionFoldsConstants(t *testing.T) {
 			&expression.Logical{Op: expression.And, Left: col(0), Right: lit(types.Bool(false))},
 			"FALSE",
 		},
+		// Folding runs the evaluator, so a folded comparison is IEEE 754 —
+		// NaN matches only <> — and a float % folds like any other operator.
+		{
+			&expression.Comparison{Op: expression.Eq, Left: lit(types.Float(math.NaN())), Right: lit(types.Float(0.5))},
+			"FALSE",
+		},
+		{
+			&expression.Comparison{Op: expression.Ne, Left: lit(types.Float(math.NaN())), Right: lit(types.Float(0.5))},
+			"TRUE",
+		},
+		{
+			&expression.Comparison{Op: expression.Le, Left: lit(types.Float(0.5)), Right: lit(types.Float(math.NaN()))},
+			"FALSE",
+		},
+		{
+			&expression.Arithmetic{Op: expression.Mod, Left: lit(types.Float(7.5)), Right: lit(types.Int(2))},
+			"1.5",
+		},
+		{
+			&expression.Negation{Child: lit(types.Float(0.5))},
+			"-0.5",
+		},
+	}
+	// What evaluates to NULL, or not at all, stays as written.
+	for _, unchanged := range []expression.Expression{
+		&expression.Arithmetic{Op: expression.Mod, Left: lit(types.Float(7.5)), Right: lit(types.Float(0))},
+		&expression.Arithmetic{Op: expression.Div, Left: lit(types.Int(1)), Right: lit(types.Int(0))},
+		&expression.Comparison{Op: expression.Eq, Left: lit(types.NullValue), Right: lit(types.Int(1))},
+		&expression.Comparison{Op: expression.Eq, Left: lit(types.Str("a")), Right: lit(types.Int(1))},
+		&expression.Negation{Child: lit(types.Str("a"))},
+	} {
+		cases = append(cases, struct {
+			in   expression.Expression
+			want string
+		}{unchanged, unchanged.String()})
 	}
 	for _, tc := range cases {
 		got := ReduceExpression(tc.in)

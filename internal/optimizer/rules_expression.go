@@ -50,35 +50,14 @@ func (r *ExpressionReductionRule) Apply(root lqp.Node, est *Estimator) (lqp.Node
 }
 
 // ReduceExpression rewrites an expression tree bottom-up:
-//   - constant arithmetic and comparisons fold to literals
+//   - constant arithmetic, negation and comparisons fold to literals
 //   - NOT pushes into comparisons, BETWEEN, and double negation
 //   - x AND TRUE -> x, x OR FALSE -> x, and the dominating cases
 func ReduceExpression(e expression.Expression) expression.Expression {
 	return expression.Transform(e, func(x expression.Expression) expression.Expression {
 		switch n := x.(type) {
-		case *expression.Arithmetic:
-			l, lok := literalValue(n.Left)
-			rv, rok := literalValue(n.Right)
-			if lok && rok && !l.IsNull() && !rv.IsNull() {
-				if folded, ok := foldArithmetic(n.Op, l, rv); ok {
-					return expression.NewLiteral(folded)
-				}
-			}
-		case *expression.Negation:
-			if v, ok := literalValue(n.Child); ok && v.Type.IsNumeric() {
-				if v.Type == types.TypeInt64 {
-					return expression.NewLiteral(types.Int(-v.I))
-				}
-				return expression.NewLiteral(types.Float(-v.F))
-			}
-		case *expression.Comparison:
-			l, lok := literalValue(n.Left)
-			rv, rok := literalValue(n.Right)
-			if lok && rok && n.Op != expression.Like && n.Op != expression.NotLike {
-				if c, ok := types.Compare(l, rv); ok {
-					return expression.NewLiteral(types.Bool(cmpHolds(c, n.Op)))
-				}
-			}
+		case *expression.Arithmetic, *expression.Negation, *expression.Comparison:
+			return foldConstant(n)
 		case *expression.Not:
 			switch c := n.Child.(type) {
 			case *expression.Not:
@@ -170,63 +149,21 @@ func factorDisjunction(or *expression.Logical) expression.Expression {
 	return expression.JoinConjunction(append(common, rest))
 }
 
-func foldArithmetic(op expression.ArithmeticOp, a, b types.Value) (types.Value, bool) {
-	if a.Type == types.TypeInt64 && b.Type == types.TypeInt64 {
-		switch op {
-		case expression.Add:
-			return types.Int(a.I + b.I), true
-		case expression.Sub:
-			return types.Int(a.I - b.I), true
-		case expression.Mul:
-			return types.Int(a.I * b.I), true
-		case expression.Div:
-			if b.I == 0 {
-				return types.NullValue, false
-			}
-			return types.Int(a.I / b.I), true
-		case expression.Mod:
-			if b.I == 0 {
-				return types.NullValue, false
-			}
-			return types.Int(a.I % b.I), true
+// foldConstant folds an operator whose operands are all literals into the
+// literal the evaluator computes for it over one row, so a folded constant
+// compares and divides exactly as the unfolded expression would. A NULL
+// result or an evaluation error leaves the node alone (nil).
+func foldConstant(e expression.Expression) expression.Expression {
+	for _, c := range e.Children() {
+		if _, ok := c.(*expression.Literal); !ok {
+			return nil
 		}
 	}
-	if a.Type.IsNumeric() && b.Type.IsNumeric() {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch op {
-		case expression.Add:
-			return types.Float(af + bf), true
-		case expression.Sub:
-			return types.Float(af - bf), true
-		case expression.Mul:
-			return types.Float(af * bf), true
-		case expression.Div:
-			if bf == 0 {
-				return types.NullValue, false
-			}
-			return types.Float(af / bf), true
-		}
+	v, err := expression.Evaluate(e, &expression.Context{N: 1})
+	if err != nil || v.ValueAt(0).IsNull() {
+		return nil
 	}
-	return types.NullValue, false
-}
-
-func cmpHolds(c int, op expression.ComparisonOp) bool {
-	switch op {
-	case expression.Eq:
-		return c == 0
-	case expression.Ne:
-		return c != 0
-	case expression.Lt:
-		return c < 0
-	case expression.Le:
-		return c <= 0
-	case expression.Gt:
-		return c > 0
-	case expression.Ge:
-		return c >= 0
-	default:
-		return false
-	}
+	return expression.NewLiteral(v.ValueAt(0))
 }
 
 func boolLiteral(e expression.Expression) (bool, bool) {

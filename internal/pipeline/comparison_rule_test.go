@@ -1,0 +1,197 @@
+package pipeline
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"hyrise/internal/encoding"
+	"hyrise/internal/filter"
+	"hyrise/internal/operators"
+	"hyrise/internal/rowengine"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
+)
+
+// comparisonEngines serves one catalog under every configuration that takes
+// a different route to a comparison: the default engine (scan kernels, hash
+// join, typed aggregates), DynamicAccess (the evaluator scans every chunk),
+// no optimizer (joins are predicates over cross products) and ParallelForce
+// (radix-partitioned joins, sharded aggregate merges, run sorts).
+func comparisonEngines(t *testing.T, sm *storage.StorageManager) map[string]*Engine {
+	t.Helper()
+	engines := map[string]*Engine{}
+	for name, set := range map[string]func(*Config){
+		"default":     func(*Config) {},
+		"dynamic":     func(cfg *Config) { cfg.DynamicAccess = true },
+		"unoptimized": func(cfg *Config) { cfg.UseOptimizer = false },
+		"parallel": func(cfg *Config) {
+			cfg.ParallelMode, cfg.UseScheduler, cfg.SchedulerWorkers = operators.ParallelForce, true, 4
+		},
+	} {
+		cfg := DefaultConfig()
+		cfg.UseMvcc = false
+		set(&cfg)
+		engines[name] = NewEngine(cfg, sm)
+		t.Cleanup(engines[name].Close)
+	}
+	return engines
+}
+
+// agree runs sql on every engine and the row engine and returns the row
+// engine's answer, failing when an engine differs from it. Without ORDER BY
+// rows compare as a multiset.
+func agree(t *testing.T, engines map[string]*Engine, oracle *rowengine.Engine, sql string) string {
+	t.Helper()
+	render := func(rows [][]types.Value) string {
+		if strings.Contains(sql, "ORDER BY") {
+			return fmt.Sprint(rows)
+		}
+		return fmt.Sprint(canonical(rows))
+	}
+	rows, _, err := oracle.Query(sql)
+	if err != nil {
+		t.Fatalf("rowengine %q: %v", sql, err)
+	}
+	want := render(rows)
+	for name, e := range engines {
+		res, err := e.NewSession().ExecuteOne(sql)
+		if err != nil {
+			t.Fatalf("%s engine %q: %v", name, sql, err)
+		}
+		if got := render(ValueRows(res.Table)); got != want {
+			t.Errorf("%s engine, %s:\n got %s\nrow engine %s", name, sql, got, want)
+		}
+	}
+	return want
+}
+
+// TestDiffComparisonRule: predicates and join keys compare by IEEE 754 (NaN
+// matches nothing but <>, -0 = +0); ORDER BY, GROUP BY, DISTINCT,
+// COUNT(DISTINCT), MIN and MAX by the total order (NaN first and one value,
+// -0 = +0, NULL last). Over a FLOAT column of two NaN payloads, both zeros,
+// both infinities, 0.5, 1 and NULL — sealed under every layout, plus a
+// mutable tail — every engine configuration returns what the row engine does.
+func TestDiffComparisonRule(t *testing.T) {
+	values := []types.Value{
+		types.Float(math.NaN()), types.Float(1), types.Float(math.Copysign(0, -1)), types.Float(math.Inf(1)), types.NullValue,
+		types.Float(0.5), types.Float(math.Float64frombits(0x7FF8000000000123)), types.Float(math.Inf(-1)), types.Float(0),
+	}
+	layouts := []*encoding.Spec{
+		{Encoding: encoding.Unencoded},
+		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
+		{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
+		{Encoding: encoding.RunLength},
+		{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned},
+		nil, // the size model's pick
+	}
+	defs := []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "f", Type: types.TypeFloat64, Nullable: true},
+		{Name: "h", Type: types.TypeFloat64}, // f with NULL as 2: NOT IN may become an anti join
+	}
+	table := storage.NewTable("c", defs, len(values), false)
+	id := int64(0)
+	appendRotated := func(by, n int) {
+		for k := 0; k < n; k++ {
+			f := values[(by+k)%len(values)]
+			h := f
+			if f.IsNull() {
+				h = types.Float(2)
+			}
+			if _, err := table.AppendRow([]types.Value{types.Int(id), f, h}); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	for ci, spec := range layouts {
+		appendRotated(ci, len(values)) // fills, and so closes, chunk ci
+		filter.Seal(table.GetChunk(types.ChunkID(ci)), spec)
+	}
+	appendRotated(len(layouts), len(values)-1) // the mutable tail
+	probe := storage.NewTable("p", []storage.ColumnDefinition{{Name: "g", Type: types.TypeFloat64}}, 8, false)
+	for _, g := range []float64{math.NaN(), 0, 1, math.Inf(-1)} {
+		if _, err := probe.AppendRow([]types.Value{types.Float(g)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe.SealTail()
+	sm := storage.NewStorageManager()
+	for _, tbl := range []*storage.Table{table, probe} {
+		if err := sm.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if last := table.GetChunk(types.ChunkID(len(layouts))); last.IsImmutable() {
+		t.Fatal("the tail was sealed")
+	}
+	engines := comparisonEngines(t, sm)
+	oracle := rowengine.NewFromStorage(sm)
+
+	for _, sql := range []string{
+		"SELECT id FROM c WHERE f = 0.5",
+		"SELECT id FROM c WHERE f = 0",
+		"SELECT id FROM c WHERE f = -0.0",
+		"SELECT id FROM c WHERE f <> 0.5",
+		"SELECT id FROM c WHERE f <> 0",
+		"SELECT id FROM c WHERE f < 1",
+		"SELECT id FROM c WHERE f <= 0.5",
+		"SELECT id FROM c WHERE f > -1",
+		"SELECT id FROM c WHERE f >= 0",
+		"SELECT id FROM c WHERE f + 0 = 0.5",
+		"SELECT id FROM c WHERE f BETWEEN 0 AND 1",
+		"SELECT id FROM c WHERE f IN (0.5, 1.0, 7.0)",
+		"SELECT id FROM c WHERE f NOT IN (0.5, 1.0)",
+		"SELECT id FROM c WHERE f IN (SELECT g FROM p)",
+		"SELECT id FROM c WHERE f NOT IN (SELECT g FROM p)",
+		"SELECT id FROM c WHERE h NOT IN (SELECT g FROM p)",
+		"SELECT a.id, b.id FROM c a, c b WHERE a.f = b.f",
+		"SELECT c.id, p.g FROM c, p WHERE c.f = p.g",
+		"SELECT c.id FROM c LEFT JOIN p ON c.h = p.g",
+		"SELECT f, count(*) FROM c GROUP BY f",
+		"SELECT DISTINCT f FROM c",
+		"SELECT count(DISTINCT f), count(f), count(*) FROM c",
+		"SELECT id % 3, count(DISTINCT f) FROM c GROUP BY id % 3",
+		"SELECT min(f), max(f), min(h), max(h) FROM c",
+		"SELECT id % 4, min(f), max(f) FROM c GROUP BY id % 4",
+		"SELECT id, f FROM c ORDER BY f, id",
+		"SELECT id, f FROM c ORDER BY f DESC, id",
+	} {
+		agree(t, engines, oracle, sql)
+	}
+}
+
+// TestComparisonRuleOnLoadedFloats pins the two rules on columns loaded from
+// CSV, whichever row comes first: every engine configuration and the row
+// engine give these answers.
+func TestComparisonRuleOnLoadedFloats(t *testing.T) {
+	for _, csv := range []string{"NaN\n1\n0.5\n", "0.5\n1\nNaN\n"} {
+		sm := storage.NewStorageManager()
+		defs := []storage.ColumnDefinition{{Name: "f", Type: types.TypeFloat64}}
+		for name, data := range map[string]string{"t": csv, "z": "-0\n0\nNaN\nNaN\n1.5\n"} {
+			if _, err := sm.LoadCSV(name, defs, strings.NewReader(data), ',', 100, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		engines := comparisonEngines(t, sm)
+		oracle := rowengine.NewFromStorage(sm)
+		for sql, want := range map[string]string{
+			"SELECT count(*) FROM t WHERE f = 0.5":          "[1]",
+			"SELECT count(*) FROM t WHERE f + 0 = 0.5":      "[1]",
+			"SELECT count(*) FROM t WHERE f <> 0.5":         "[2]",
+			"SELECT count(*) FROM t WHERE f <= 0.5":         "[1]",
+			"SELECT count(*) FROM t WHERE f IN (0.5, 7.0)":  "[1]",
+			"SELECT min(f), max(f) FROM t":                  "[NaN|1]",
+			"SELECT count(*) FROM z a, z b WHERE a.f = b.f": "[5]",
+			"SELECT count(DISTINCT f) FROM z":               "[3]",
+			// FALSE < TRUE; NaN < 0.7 is FALSE.
+			"SELECT f FROM t ORDER BY f < 0.7 DESC, f": "[[0.5] [NaN] [1]]",
+		} {
+			if got := agree(t, engines, oracle, sql); got != want {
+				t.Errorf("over %q, %s = %s, want %s", csv, sql, got, want)
+			}
+		}
+	}
+}

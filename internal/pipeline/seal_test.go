@@ -100,8 +100,6 @@ func (d *sealDiff) step() {
 	}
 }
 
-// sealDiffQueries compare f strictly only: types.Compare, which the row engine
-// evaluates with, calls NaN equal to every number, the scan follows IEEE 754.
 var sealDiffQueries = []string{
 	"SELECT id, i, f, s, n FROM t",
 	"SELECT id FROM t WHERE id BETWEEN {lo} AND {hi}",
@@ -113,6 +111,13 @@ var sealDiffQueries = []string{
 	"SELECT id FROM t WHERE f > -0.5 AND f < 0.5",
 	"SELECT id FROM t WHERE i <> 0 AND f < 2.5",
 	"SELECT id FROM t WHERE f < -1000000.0 OR f > 9.25",
+	"SELECT id FROM t WHERE f = 0.5",
+	"SELECT id FROM t WHERE f <= 2.5",
+	"SELECT id FROM t WHERE f <> 1.5",
+	"SELECT id FROM t WHERE f IN (0.5, 1.5)",
+	"SELECT min(f), max(f) FROM t",
+	"SELECT f, count(*) FROM t GROUP BY f",
+	"SELECT count(DISTINCT f) FROM t",
 	"SELECT id FROM t WHERE s = ''",
 	"SELECT id FROM t WHERE s = 'tag03' AND id < {hi}",
 	"SELECT id FROM t WHERE s >= 'tag' AND f < 5.0",

@@ -15,8 +15,6 @@ import (
 // infinities and NULL is one order — NaN first, -0 = +0, NULL last ascending,
 // ties in input order — whichever algorithm sorts: the serial stable sort, the
 // run sort + k-way merge (forced, on runs of a few rows) and the row engine.
-// types.Compare calls NaN equal to every value, which is no strict weak
-// order: sorted by it, the three disagree.
 func TestDiffSortNaN(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	keys := []types.Value{

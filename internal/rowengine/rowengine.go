@@ -7,8 +7,8 @@
 package rowengine
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -170,7 +170,7 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		}
 		sort.SliceStable(perm, func(a, b int) bool {
 			for k, key := range n.Keys {
-				c := compareNullsLast(keys[perm[a]][k], keys[perm[b]][k])
+				c := types.Order(keys[perm[a]][k], keys[perm[b]][k])
 				if c != 0 {
 					if key.Desc {
 						return c > 0
@@ -199,22 +199,6 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 	default:
 		return nil, fmt.Errorf("rowengine: unsupported node %T", node)
 	}
-}
-
-func compareNullsLast(a, b types.Value) int {
-	switch {
-	case a.IsNull() && b.IsNull():
-		return 0
-	case a.IsNull():
-		return 1
-	case b.IsNull():
-		return -1
-	}
-	if a.Type == types.TypeFloat64 && b.Type == types.TypeFloat64 {
-		return cmp.Compare(a.F, b.F) // a total order: NaN first, like the engine's sort
-	}
-	c, _ := types.Compare(a, b)
-	return c
 }
 
 func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Value, error) {
@@ -265,20 +249,15 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 	// right rows matched.
 	var candidates func(l []types.Value) ([]int, error)
 	if hasEqui {
+		// A NULL or NaN key equals nothing (the predicate rule): no match.
 		keyOf := func(row []types.Value, keys []expression.Expression) (string, bool, error) {
 			var sb strings.Builder
 			for _, k := range keys {
 				kv, err := e.evalRow(k, row, params)
-				if err != nil {
+				if err != nil || kv.IsNull() || (kv.Type == types.TypeFloat64 && math.IsNaN(kv.F)) {
 					return "", false, err
 				}
-				if kv.IsNull() {
-					return "", false, nil
-				}
-				kv = canonical(kv)
-				sb.WriteByte(byte('0' + kv.Type))
-				sb.WriteString(kv.String())
-				sb.WriteByte(0)
+				writeKey(&sb, kv)
 			}
 			return sb.String(), true, nil
 		}
@@ -361,11 +340,16 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 	return out, nil
 }
 
-func canonical(v types.Value) types.Value {
+// writeKey appends v to a composite hash key under the grouping rule: an
+// integral float is the int of its value (so 1.0 joins 1 and -0 is 0), and
+// every NaN renders alike.
+func writeKey(sb *strings.Builder, v types.Value) {
 	if v.Type == types.TypeFloat64 && v.F == float64(int64(v.F)) {
-		return types.Int(int64(v.F))
+		v = types.Int(int64(v.F))
 	}
-	return v
+	sb.WriteByte(byte('0' + v.Type))
+	sb.WriteString(v.String())
+	sb.WriteByte(0)
 }
 
 // operatorsSplit mirrors the PQP translator's equi-predicate split without
@@ -436,8 +420,13 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 		counts   []int64
 		mins     []types.Value
 		maxs     []types.Value
-		distinct []map[types.Value]struct{}
+		distinct []map[string]struct{} // by writeKey: all NaNs and both zeros count once
 		seen     []bool
+	}
+	newState := func(keys []types.Value) *state {
+		k := len(n.Aggregates)
+		return &state{keys: keys, sums: make([]float64, k), counts: make([]int64, k), mins: make([]types.Value, k),
+			maxs: make([]types.Value, k), distinct: make([]map[string]struct{}, k), seen: make([]bool, k)}
 	}
 	groups := make(map[string]*state)
 	var order []string
@@ -452,22 +441,12 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				return nil, err
 			}
 			keys[i] = v
-			keyBuf.WriteByte(byte('0' + v.Type))
-			keyBuf.WriteString(v.String())
-			keyBuf.WriteByte(0)
+			writeKey(&keyBuf, v)
 		}
 		k := keyBuf.String()
 		st, ok := groups[k]
 		if !ok {
-			st = &state{
-				keys:     keys,
-				sums:     make([]float64, len(n.Aggregates)),
-				counts:   make([]int64, len(n.Aggregates)),
-				mins:     make([]types.Value, len(n.Aggregates)),
-				maxs:     make([]types.Value, len(n.Aggregates)),
-				distinct: make([]map[types.Value]struct{}, len(n.Aggregates)),
-				seen:     make([]bool, len(n.Aggregates)),
-			}
+			st = newState(keys)
 			groups[k] = st
 			order = append(order, k)
 		}
@@ -488,20 +467,22 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				st.counts[i]++
 			case expression.AggCountDistinct:
 				if st.distinct[i] == nil {
-					st.distinct[i] = make(map[types.Value]struct{})
+					st.distinct[i] = make(map[string]struct{})
 				}
-				st.distinct[i][v] = struct{}{}
+				var dk strings.Builder
+				writeKey(&dk, v)
+				st.distinct[i][dk.String()] = struct{}{}
 			case expression.AggSum, expression.AggAvg:
 				st.sums[i] += v.AsFloat()
 				st.counts[i]++
 				st.seen[i] = true
 			case expression.AggMin:
-				if !st.seen[i] || compareNullsLast(v, st.mins[i]) < 0 {
+				if !st.seen[i] || types.Order(v, st.mins[i]) < 0 {
 					st.mins[i] = v
 				}
 				st.seen[i] = true
 			case expression.AggMax:
-				if !st.seen[i] || compareNullsLast(v, st.maxs[i]) > 0 {
+				if !st.seen[i] || types.Order(v, st.maxs[i]) > 0 {
 					st.maxs[i] = v
 				}
 				st.seen[i] = true
@@ -509,15 +490,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 		}
 	}
 	if len(n.GroupBy) == 0 && len(groups) == 0 {
-		st := &state{
-			sums:     make([]float64, len(n.Aggregates)),
-			counts:   make([]int64, len(n.Aggregates)),
-			mins:     make([]types.Value, len(n.Aggregates)),
-			maxs:     make([]types.Value, len(n.Aggregates)),
-			distinct: make([]map[types.Value]struct{}, len(n.Aggregates)),
-			seen:     make([]bool, len(n.Aggregates)),
-		}
-		groups[""] = st
+		groups[""] = newState(nil)
 		order = append(order, "")
 	}
 

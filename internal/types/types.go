@@ -8,6 +8,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -167,57 +168,52 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports SQL equality between two values after numeric coercion.
-// NULL never equals anything, including NULL.
+// Equal reports SQL equality between two values after numeric coercion: the
+// predicate rule, so NULL and NaN equal nothing and -0 equals +0.
 func (v Value) Equal(o Value) bool {
-	if v.IsNull() || o.IsNull() {
-		return false
-	}
 	c, ok := Compare(v, o)
 	return ok && c == 0
 }
 
-// Compare orders two non-null values. Numeric types are mutually comparable
-// (int compared to float via float64); strings only compare to strings.
-// ok is false for NULLs or incompatible types.
+// Compare orders two values the way a predicate compares them (IEEE 754).
+// Numeric types are mutually comparable (int compared to float via float64);
+// strings only compare to strings. ok is false for NULLs, NaN — which no
+// `=`, `<` or `>` matches — and incompatible types.
 func Compare(a, b Value) (int, bool) {
-	if a.IsNull() || b.IsNull() {
+	comparable := (a.Type == TypeString && b.Type == TypeString) ||
+		(a.Type.IsNumeric() && b.Type.IsNumeric() && !a.isNaN() && !b.isNaN())
+	if !comparable {
 		return 0, false
 	}
+	return Order(a, b), true
+}
+
+// Order is the total order of ORDER BY, GROUP BY, DISTINCT, MIN and MAX: NaN
+// sorts before every other number and equals every NaN, -0 equals +0, FALSE
+// sorts before TRUE and NULL after everything. Int and float compare as
+// numbers; values of other unlike types order by type.
+func Order(a, b Value) int {
 	switch {
-	case a.Type == TypeString && b.Type == TypeString:
-		switch {
-		case a.S < b.S:
-			return -1, true
-		case a.S > b.S:
-			return 1, true
-		default:
-			return 0, true
-		}
+	case a.IsNull() && b.IsNull():
+		return 0
+	case a.IsNull():
+		return 1
+	case b.IsNull():
+		return -1
+	case a.Type == TypeInt64 && b.Type == TypeInt64:
+		return cmp.Compare(a.I, b.I)
 	case a.Type.IsNumeric() && b.Type.IsNumeric():
-		if a.Type == TypeInt64 && b.Type == TypeInt64 {
-			switch {
-			case a.I < b.I:
-				return -1, true
-			case a.I > b.I:
-				return 1, true
-			default:
-				return 0, true
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
-	default:
-		return 0, false
+		return cmp.Compare(a.AsFloat(), b.AsFloat())
+	case a.Type != b.Type:
+		return cmp.Compare(a.Type, b.Type)
+	case a.Type == TypeString:
+		return cmp.Compare(a.S, b.S)
+	default: // TypeBool holds 0 or 1 in I
+		return cmp.Compare(a.I, b.I)
 	}
 }
+
+func (v Value) isNaN() bool { return v.Type == TypeFloat64 && v.F != v.F }
 
 // CommonType returns the type that arithmetic between a and b produces.
 func CommonType(a, b DataType) DataType {

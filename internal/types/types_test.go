@@ -1,6 +1,8 @@
 package types
 
 import (
+	"cmp"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -56,6 +58,12 @@ func TestCompare(t *testing.T) {
 		{Str("a"), Int(1), 0, false},
 		{NullValue, Int(1), 0, false},
 		{Int(1), NullValue, 0, false},
+		// The predicate rule: NaN compares with nothing, -0 equals +0.
+		{Float(math.NaN()), Float(1), 0, false},
+		{Int(1), Float(math.NaN()), 0, false},
+		{Float(math.NaN()), Float(math.NaN()), 0, false},
+		{Float(math.Copysign(0, -1)), Int(0), 0, true},
+		{Bool(false), Bool(true), 0, false},
 	}
 	for _, tc := range tests {
 		got, ok := Compare(tc.a, tc.b)
@@ -74,6 +82,44 @@ func TestEqualNullSemantics(t *testing.T) {
 	}
 	if Str("x").Equal(Int(1)) {
 		t.Error("incompatible types must not be equal")
+	}
+	if nan := Float(math.NaN()); nan.Equal(nan) {
+		t.Error("NaN must not equal NaN")
+	}
+}
+
+// TestOrder: the ordering rule is a total order over NaN, both zeros, the
+// infinities, booleans and NULL, and agrees with Compare wherever Compare
+// answers.
+func TestOrder(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ascending := [][]Value{ // groups of equal values, in ascending order
+		{Float(nan), Float(math.Float64frombits(0x7FF8000000000123))},
+		{Float(-inf)},
+		{Int(-1), Float(-1)},
+		{Float(math.Copysign(0, -1)), Int(0), Float(0)},
+		{Float(0.5)},
+		{Int(1 << 62)},
+		{Float(inf)},
+		{Str("")},
+		{Str("a")},
+		{Bool(false)},
+		{Bool(true)},
+		{NullValue},
+	}
+	for gi, group := range ascending {
+		for gj, other := range ascending {
+			for _, a := range group {
+				for _, b := range other {
+					if got, want := Order(a, b), cmp.Compare(gi, gj); got != want {
+						t.Errorf("Order(%v, %v) = %d, want %d", a, b, got, want)
+					}
+					if c, ok := Compare(a, b); ok && c != Order(a, b) {
+						t.Errorf("Compare(%v, %v) = %d, Order %d", a, b, c, Order(a, b))
+					}
+				}
+			}
+		}
 	}
 }
 
