@@ -681,7 +681,10 @@ func BenchmarkMicroSeal(b *testing.B) {
 // dictionary (an end offset and a substring of one blob per value) beside an
 // int64 one (an array index). Neither allocates per gathered value.
 // string_fsst is the same strings sealed by the size model, which packs them:
-// the gather decodes each value into one arena it allocates.
+// the gather decodes each value into one arena it allocates. int64-bp128 is
+// the int64 dictionary over bit-packed codes (15 bits where byte-aligned ones
+// take 16) gathered at three in four rows in ascending order, as a scan's
+// output is: each 64-code group those rows touch is unpacked once.
 func BenchmarkMicroDictGather(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	strs, ints := make([]string, sealRows), make([]int64, sealRows)
@@ -721,6 +724,20 @@ func BenchmarkMicroDictGather(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			seg.Gather(pos, nil, out, nulls)
+		}
+	})
+	b.Run("int64-bp128", func(b *testing.B) {
+		var ascending []types.ChunkOffset
+		for p := range sealRows {
+			if p%4 != 3 {
+				ascending = append(ascending, types.ChunkOffset(p))
+			}
+		}
+		seg, out := encoding.EncodeDictionary(ints, nil, encoding.BitPacked128), make([]int64, sealRows)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seg.Gather(ascending, nil, out, nulls)
 		}
 	})
 }

@@ -66,9 +66,12 @@ func BenchmarkMicroScanDict(b *testing.B) {
 
 // BenchmarkMicroScanFoR runs a range predicate over a frame-of-reference
 // column of dense integers: the bounds are rewritten into the offset domain
-// once, and whole blocks short-circuit on their min/max. decimal is the same
-// column as cents, a float64 column of exact decimals: its float bounds become
-// an interval of its integers once, then the same blocks run.
+// once, and whole blocks short-circuit on their min/max. encoded-bp128 is the
+// same column over bit-packed offsets (12 bits where byte-aligned ones take
+// 16), whose straddling blocks compare 64 codes at a time as they unpack.
+// decimal is the same column as cents, a float64 column of exact decimals: its
+// float bounds become an interval of its integers once, then the same blocks
+// run.
 func BenchmarkMicroScanFoR(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	values := make([]int64, scanBenchRows)
@@ -87,6 +90,16 @@ func BenchmarkMicroScanFoR(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var ok bool
 			dst, _, ok = seg.ScanEncoded(pred, dst[:0])
+			if !ok || len(dst) == 0 {
+				b.Fatal("encoded FoR scan failed")
+			}
+		}
+	})
+	packed := encoding.EncodeFrameOfReference(values, nil, encoding.BitPacked128)
+	b.Run("encoded-bp128", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var ok bool
+			dst, _, ok = packed.ScanEncoded(pred, dst[:0])
 			if !ok || len(dst) == 0 {
 				b.Fatal("encoded FoR scan failed")
 			}

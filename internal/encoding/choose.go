@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math"
 	"slices"
 	"unsafe"
 
@@ -10,11 +11,15 @@ import (
 
 // Sizes is the size model a chunk is sealed by (DESIGN.md §2 "Chunk
 // lifecycle"): the exact MemoryUsage() a segment has under each candidate
-// representation, indexed by EncodingType, code vectors fixed-size
-// byte-aligned, a string Dictionary FSST-packed where Seal packs it. A candidate
-// that does not apply (FrameOfReference off int64 and decimal float64 columns,
-// forInts) is 0.
+// representation, indexed by EncodingType, codes in the vector that needs
+// fewer bytes (codeBytes), a string Dictionary FSST-packed where Seal packs it.
+// A candidate that does not apply (FrameOfReference off int64 and decimal
+// float64 columns, forInts) is 0.
 type Sizes [FrameOfReference + 1]int64
+
+// Vectors is the code vector each candidate of a Sizes is priced in, indexed
+// like it: FixedSizeByteAligned where a candidate keeps no codes.
+type Vectors [FrameOfReference + 1]VectorCompressionType
 
 // dictionarySlackPct: Dictionary wins when it is within this share of the
 // smallest candidate and still saves bytes — it answers the widest set of
@@ -45,24 +50,23 @@ func (s Sizes) Saves(e EncodingType) bool {
 	return s[e] > 0 && s[e] < s[Unencoded]
 }
 
-// layout is what the sizes of the order-dependent encodings are read from,
-// one pass over the rows: the runs RunLength would store and the widest
-// in-block offset FrameOfReference would.
+// layout is what the sizes of the order-dependent encodings are read from:
+// the runs RunLength would store, one pass over the rows, and the largest
+// offset FrameOfReference would store in each 128-row block of codes.
 type layout struct {
 	runs     int
 	runBytes int64 // bytes of string data the runs' values hold
 	anyNull  bool
-	maxCode  uint64  // FrameOfReference: largest offset from a block's frame
-	ints     []int64 // what FrameOfReference encodes (forInts); nil where it does not apply
-	exp      uint8   // the exponent of a decimal column's ints
+	maxes    []uint64 // FrameOfReference: the largest offset of each 128-row block
+	ints     []int64  // what FrameOfReference encodes (forInts); nil where it does not apply
+	exp      uint8    // the exponent of a decimal column's ints
 }
 
 func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	var l layout
 	l.ints, l.exp = forInts(values, nulls)
 	strs, _ := any(values).([]string)
-	var lo, hi int64 // bounds of the non-NULL values of the current block
-	inBlock, prevNull := false, false
+	prevNull := false
 	for i, v := range values {
 		null := nulls != nil && nulls[i]
 		l.anyNull = l.anyNull || null
@@ -73,26 +77,44 @@ func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 			}
 		}
 		prevNull = null
-		if i%forBlockSize == 0 {
-			inBlock = false
-		}
-		if l.ints == nil || null {
-			continue
-		}
-		if x := l.ints[i]; !inBlock {
-			lo, hi, inBlock = x, x, true
-		} else if x < lo {
-			lo = x
-		} else if x > hi {
-			hi = x
-		}
-		l.maxCode = max(l.maxCode, uint64(hi-lo))
+	}
+	if l.ints != nil {
+		l.maxes = offsetMaxima(l.ints, nulls)
 	}
 	return l
 }
 
-// SizesOf is the size model of a segment in whatever representation it is in.
-func SizesOf(seg storage.Segment) Sizes {
+// offsetMaxima is the largest offset of each 128-row block of a
+// frame-of-reference segment over ints: a non-NULL value less its 2048-row
+// block's least non-NULL value, the frame; NULL rows store 0. One pass reads
+// each 128 rows' least and largest value, the frames come off the least.
+func offsetMaxima(ints []int64, nulls []bool) []uint64 {
+	blocks := (len(ints) + bp128BlockSize - 1) / bp128BlockSize
+	lows, highs := make([]int64, blocks), make([]int64, blocks)
+	for b := range blocks {
+		first, rows := b*bp128BlockSize, ints[b*bp128BlockSize:min((b+1)*bp128BlockSize, len(ints))]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64) // no value
+		for i, x := range rows {
+			if nulls == nil || !nulls[first+i] {
+				lo, hi = min(lo, x), max(hi, x)
+			}
+		}
+		lows[b], highs[b] = lo, hi
+	}
+	maxes := make([]uint64, blocks)
+	for f := 0; f < blocks; f += forBlockSize / bp128BlockSize {
+		last := min(f+forBlockSize/bp128BlockSize, blocks)
+		frame := slices.Min(lows[f:last])
+		for b := f; b < last; b++ {
+			maxes[b] = uint64(max(highs[b], frame) - frame) // 0 for a block without a value
+		}
+	}
+	return maxes
+}
+
+// SizesOf is the size model of a segment in whatever representation it is in,
+// and the vectors it prices the candidates in.
+func SizesOf(seg storage.Segment) (Sizes, Vectors) {
 	switch seg.DataType() {
 	case types.TypeInt64:
 		return sizesOf[int64](seg)
@@ -102,16 +124,17 @@ func SizesOf(seg storage.Segment) Sizes {
 	return sizesOf[string](seg)
 }
 
-func sizesOf[T types.Ordered](seg storage.Segment) Sizes {
+func sizesOf[T types.Ordered](seg storage.Segment) (Sizes, Vectors) {
 	plain := plainOf[T](seg)
-	s := layoutSizes(plain, layoutOf(plain.Values(), plain.Nulls()))
-	sum := Summarize[T](seg)
-	s[Dictionary] = dictionaryBytes(sum, plain.Len())
+	s, v := layoutSizes(plain, layoutOf(plain.Values(), plain.Nulls()))
+	codes := make([]uint64, plain.Len())
+	sum := groupValues(plain.Values(), plain.Nulls(), codes)
+	s[Dictionary], v[Dictionary] = dictionaryBytes(sum, len(codes), blockMaxima(codes))
 	if strs, ok := any(sum.Values).([]string); ok && s.Choose() == Dictionary {
 		raw := packStrings(strs) // what Seal packs once Dictionary has won
 		s[Dictionary] += raw.pack().bytes() - raw.bytes()
 	}
-	return s
+	return s, v
 }
 
 // plainOf is seg as a value segment: itself, or its rows decoded.
@@ -125,10 +148,11 @@ func plainOf[T types.Ordered](seg storage.Segment) *storage.ValueSegment[T] {
 // layoutSizes fills in everything but Dictionary, which needs the distinct
 // values. Unencoded is the bytes of the rows alone, NULL flags only if some row
 // is NULL: what seal keeps of a value segment (Clipped).
-func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes {
+func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) (Sizes, Vectors) {
 	var zero T
 	n := int64(seg.Len())
 	var s Sizes
+	var v Vectors
 	var nulls []bool
 	if l.anyNull {
 		nulls = slices.Clip(seg.Nulls())
@@ -140,26 +164,27 @@ func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) Sizes 
 	}
 	if l.ints != nil {
 		frames := (n + forBlockSize - 1) / forBlockSize
-		s[FrameOfReference] = frames*8 + n*codeWidth(l.maxCode)
+		codes, vector := codeBytes(int(n), l.maxes)
+		s[FrameOfReference], v[FrameOfReference] = frames*8+codes, vector
 		if l.anyNull {
 			s[FrameOfReference] += n
 		}
 	}
-	return s
+	return s, v
 }
 
-func dictionaryBytes[T types.Ordered](sum Summary[T], n int) int64 {
+// dictionaryBytes is what a Dictionary of sum's values and n rows' value ids,
+// maxes the largest of each 128 (blockMaxima), costs, and the vector its codes
+// take.
+func dictionaryBytes[T types.Ordered](sum Summary[T], n int, maxes []uint64) (int64, VectorCompressionType) {
 	var strBytes int64
 	if strs, ok := any(sum.Values).([]string); ok {
 		for _, v := range strs {
 			strBytes += int64(len(v))
 		}
 	}
-	maxCode := uint64(len(sum.Values)) // the NULL id
-	if sum.Nulls == 0 && maxCode > 0 {
-		maxCode--
-	}
-	return valuesBytes[T](len(sum.Values), strBytes) + int64(n)*codeWidth(maxCode)
+	bytes, vector := codeBytes(n, maxes)
+	return valuesBytes[T](len(sum.Values), strBytes) + bytes, vector
 }
 
 // Seal gives a column of an immutable chunk the representation it keeps — the
@@ -186,15 +211,15 @@ func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any
 func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, Summary[T]) {
 	plain := plainOf[T](seg)
 	values, nulls := plain.Values(), plain.Nulls()
-	want, sizes, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, layout{}
+	want, sizes, vectors, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, Vectors{}, layout{}
 	if spec != nil {
 		if want = *spec; want.Encoding == FrameOfReference {
 			l.ints, l.exp = forInts(values, nulls)
 		}
 	} else {
 		l = layoutOf(values, nulls)
-		sizes = layoutSizes(plain, l)
-		sizes[Dictionary] = int64(len(values)) // a lower bound: one byte of code per row
+		sizes, vectors = layoutSizes(plain, l)
+		sizes[Dictionary], _ = codeBytes(len(values), nil) // a lower bound: no values, every code 0
 		want.Encoding = sizes.Choose()
 	}
 	if want.Encoding == RunLength {
@@ -208,21 +233,26 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	} else {
 		sum = groupValues(values, nulls, codes)
 	}
+	// The vector the model priced the winner in, packed by the block maxima
+	// it priced it by (nil for a spec: read off the codes).
+	var maxes []uint64
 	if spec == nil {
-		sizes[Dictionary] = dictionaryBytes(sum, len(values))
+		maxes = blockMaxima(codes)
+		sizes[Dictionary], vectors[Dictionary] = dictionaryBytes(sum, len(codes), maxes)
 		want.Encoding = sizes.Choose()
+		want.Compression = vectors[want.Encoding]
 	}
 	switch _, isFloat := any(values).([]float64); {
 	case want.Encoding == FrameOfReference && l.ints != nil && isFloat:
-		return &DecimalSegment{ints: EncodeFrameOfReference(l.ints, nulls, want.Compression), exp: l.exp}, sum
+		return &DecimalSegment{ints: encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), exp: l.exp}, sum
 	case want.Encoding == FrameOfReference && l.ints != nil:
-		return EncodeFrameOfReference(l.ints, nulls, want.Compression), sum
+		return encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), sum
 	case want.Encoding == RunLength:
 		return EncodeRunLength(values, nulls), sum
 	case want.Encoding == Unencoded:
 		return plain.Clipped(), sum
 	}
-	d := newDictionary(sum.Values, codes, want.Compression)
+	d := newDictionary(sum.Values, packCodes(codes, want.Compression, maxes))
 	if spec == nil {
 		d.strs = d.strs.pack()
 	}

@@ -37,10 +37,11 @@ func generate[T types.Ordered](n int, f func(i int) T) []T {
 
 // checkSizeModel holds the model against the encoders: the predicted bytes of
 // every candidate, Unencoded included, equal the MemoryUsage() of the segment
-// the encoder builds, Choose returns the smallest up to its two stated rules,
-// and Seal — with its shortcuts around the summary — builds exactly that,
+// the encoder builds — over the code vector of the two that needs fewer —,
+// Choose returns the smallest up to its two stated rules, and Seal — with its
+// shortcuts around the summary — builds exactly that, that vector included,
 // returning the summary of the rows whichever way it got it.
-func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[EncodingType]int) {
+func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Spec]int) {
 	t.Helper()
 	// Appended like a chunk's column is: a full chunk's arrays hold its rows
 	// exactly, a tail's have room to grow.
@@ -55,17 +56,24 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 		seg.Append(v, null)
 		ascending = ascending && !null && v == v && (i == 0 || v >= c.values[i-1])
 	}
-	want := groupValues(c.values, c.nulls, nil)
-	sizes := SizesOf(seg)
+	codes := make([]uint64, len(c.values))
+	want := groupValues(c.values, c.nulls, codes)
+	sizes, priced := SizesOf(seg)
 	encoders := map[EncodingType]Spec{
 		Unencoded: {Encoding: Unencoded}, Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
 	}
 	if full && seg.Clipped().MemoryUsage() != sizes[Unencoded] {
 		t.Errorf("%s: Unencoded predicted %d, the full chunk's clipped segment uses %d", c.name, sizes[Unencoded], seg.Clipped().MemoryUsage())
 	}
-	smallest := Unencoded
+	smallest, vectors := Unencoded, map[EncodingType]VectorCompressionType{}
 	for e, spec := range encoders {
 		got, _ := Seal(seg, false, &spec)
+		if e == Dictionary || e == FrameOfReference { // priced at the vector that needs fewer bytes
+			spec.Compression = BitPacked128
+			if packed, _ := Seal(seg, false, &spec); packed.MemoryUsage() < got.MemoryUsage() {
+				got, vectors[e] = packed, BitPacked128
+			}
+		}
 		if applied, _ := SpecOf(got); e == FrameOfReference && applied.Encoding != e {
 			// Neither int64 nor exact decimals: the spec falls back, the model says 0.
 			if _, ints := any(c.values).([]int64); ints || sizes[e] != 0 {
@@ -75,19 +83,22 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 		}
 		predicted := sizes[e]
 		if e == Dictionary { // a spec keeps the plain blob, which the model packs when that saves bytes
-			if predicted = dictionaryBytes(want, len(c.values)); sizes[e] > predicted {
+			if predicted, _ = dictionaryBytes(want, len(codes), blockMaxima(codes)); sizes[e] > predicted {
 				t.Errorf("%s: Dictionary predicted %d bytes, more than the plain %d", c.name, sizes[e], predicted)
 			}
 		}
 		if got.MemoryUsage() != predicted {
 			t.Errorf("%s: %s predicted %d bytes, encoded segment uses %d", c.name, e, predicted, got.MemoryUsage())
 		}
+		if priced[e] != vectors[e] {
+			t.Errorf("%s: %s priced in %s, its smaller seal has %s", c.name, e, priced[e], vectors[e])
+		}
 		if e != Unencoded && (smallest == Unencoded || sizes[e] < sizes[smallest]) {
 			smallest = e
 		}
 	}
 	chosen := sizes.Choose()
-	seen[chosen]++
+	seen[Spec{Encoding: chosen, Compression: vectors[chosen]}]++
 	dictionaryClose := sizes[Dictionary] < sizes[Unencoded] && sizes[Dictionary]*100 <= sizes[smallest]*110
 	switch {
 	case sizes[smallest] >= sizes[Unencoded]:
@@ -105,8 +116,8 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 	for _, asc := range []bool{false, ascending} {
 		sealed, sum := Seal(seg, asc, nil)
 		spec, _ := SpecOf(sealed)
-		if spec.Encoding != chosen || spec.Compression != FixedSizeByteAligned {
-			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s", c.name, asc, spec, chosen)
+		if spec.Encoding != chosen || spec.Compression != vectors[chosen] {
+			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s over %s", c.name, asc, spec, chosen, vectors[chosen])
 		}
 		if plain, ok := sealed.(*storage.ValueSegment[T]); ok && full && &plain.Values()[0] != &seg.Values()[0] {
 			t.Errorf("%s: an unencoded seal of a full chunk must keep its values", c.name)
@@ -130,11 +141,13 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Encod
 // every shape it distinguishes, PR 21/22/25's awkward values among them.
 func TestDiffChooseIsSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	seen := make(map[EncodingType]int)
+	seen := make(map[Spec]int)
 	const n = 5000 // three frame-of-reference blocks, the last one short
 	const tail = 25_000
 	for _, c := range []sealCase[int64]{
 		{name: "ascending unique", values: generate(n, func(i int) int64 { return int64(i) + 1_000_000 })},
+		// Each frame's least value in its last 128 rows.
+		{name: "descending unique", values: generate(n, func(i int) int64 { return int64(n-i) + 1_000_000 })},
 		{name: "ascending with repeats", values: generate(n, func(i int) int64 { return int64(i / 40) })},
 		{name: "constant", values: generate(n, func(int) int64 { return 42 })},
 		{name: "low cardinality", values: generate(n, func(int) int64 { return int64(rng.Intn(64)) })},
@@ -192,8 +205,15 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		checkSizeModel(t, c, seen)
 	}
 	for _, e := range []EncodingType{Unencoded, Dictionary, RunLength, FrameOfReference} {
-		if seen[e] < 3 {
-			t.Errorf("only %d generated segments choose %s: the cases do not cover the model", seen[e], e)
+		if n := seen[Spec{Encoding: e}] + seen[Spec{Encoding: e, Compression: BitPacked128}]; n < 3 {
+			t.Errorf("only %d generated segments choose %s: the cases do not cover the model", n, e)
+		}
+	}
+	for _, e := range []EncodingType{Dictionary, FrameOfReference} {
+		for _, v := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			if spec := (Spec{Encoding: e, Compression: v}); seen[spec] == 0 {
+				t.Errorf("no generated segment chooses %s: the cases do not cover the model", spec)
+			}
 		}
 	}
 }

@@ -131,13 +131,14 @@ func (p packedStrings) bound(v string, n int, past bool) ValueID {
 // order: a NaN, if any, is the last entry.
 func EncodeDictionary[T types.Ordered](values []T, nulls []bool, compression VectorCompressionType) *DictionarySegment[T] {
 	codes := make([]uint64, len(values))
-	return newDictionary(groupValues(values, nulls, codes).Values, codes, compression)
+	dict := groupValues(values, nulls, codes).Values
+	return newDictionary(dict, CompressUints(codes, compression))
 }
 
 // newDictionary assembles a segment from a sorted dictionary and the rows'
 // value ids (len(dict) for NULL); strings are copied into one blob.
-func newDictionary[T types.Ordered](dict []T, codes []uint64, compression VectorCompressionType) *DictionarySegment[T] {
-	s := &DictionarySegment[T]{av: CompressUints(codes, compression), nullID: ValueID(len(dict))}
+func newDictionary[T types.Ordered](dict []T, av UintVector) *DictionarySegment[T] {
+	s := &DictionarySegment[T]{av: av, nullID: ValueID(len(dict))}
 	if strs, ok := any(dict).([]string); ok {
 		s.strs = packStrings(strs)
 	} else {

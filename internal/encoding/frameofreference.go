@@ -32,6 +32,13 @@ type FrameOfReferenceSegment struct {
 // EncodeFrameOfReference builds a FOR segment. nulls may be nil. NULL rows
 // store offset 0 within their block; the null bitmap is authoritative.
 func EncodeFrameOfReference(values []int64, nulls []bool, compression VectorCompressionType) *FrameOfReferenceSegment {
+	return encodeFrameOfReference(values, nulls, compression, nil)
+}
+
+// encodeFrameOfReference is EncodeFrameOfReference given the largest offset of
+// each 128-row block where the size model has them (offsetMaxima; nil: read
+// off the offsets).
+func encodeFrameOfReference(values []int64, nulls []bool, compression VectorCompressionType, maxes []uint64) *FrameOfReferenceSegment {
 	s := &FrameOfReferenceSegment{n: len(values)}
 	nBlocks := (len(values) + forBlockSize - 1) / forBlockSize
 	s.frames = make([]int64, nBlocks)
@@ -65,7 +72,7 @@ func EncodeFrameOfReference(values []int64, nulls []bool, compression VectorComp
 		s.nulls = make([]bool, len(values))
 		copy(s.nulls, nulls)
 	}
-	s.offsets = CompressUints(codes, compression)
+	s.offsets = packCodes(codes, compression, maxes)
 	s.initBlockStats(codes)
 	return s
 }

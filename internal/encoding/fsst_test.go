@@ -169,7 +169,7 @@ func TestFSSTPacksOnlyWhatPays(t *testing.T) {
 	if a, b := d.strs, again.(*DictionarySegment[string]).strs; *a.table != *b.table || a.blob != b.blob {
 		t.Error("two seals of the same values built different tables")
 	}
-	spec := Spec{Encoding: Dictionary, Compression: FixedSizeByteAligned}
+	spec, _ := SpecOf(sealed) // the codes the size model chose
 	plain, _ := Seal(seg, false, &spec)
 	if ValueCompression(plain) != "none" {
 		t.Error("a spec's dictionary is packed")

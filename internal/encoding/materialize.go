@@ -48,14 +48,18 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 	case *FixedWidthVector[uint64]:
 		gatherDict(s, av.data, pos, slots, out, nulls)
 	case *BP128Vector:
-		for i, p := range pos {
-			i = slotOf(slots, i)
-			id := av.GetFast(int(p))
-			if id == uint64(s.nullID) {
-				nulls[i] = true
-				continue
+		runs, dict, nullID := av.runs(pos), s.dict, uint64(s.nullID)
+		for from, run, first, ok := runs.next(); ok; from, run, first, ok = runs.next() {
+			for j, p := range run {
+				switch i, id := slotOf(slots, from+j), runs.codes[int(p)-first]; {
+				case id == nullID:
+					nulls[i] = true
+				case dict != nil: // a number, read without a call
+					out[i] = dict[id]
+				default:
+					out[i] = s.value(id)
+				}
 			}
-			out[i] = s.value(id)
 		}
 	default:
 		for i, p := range pos {
@@ -168,21 +172,11 @@ func (s *DictionarySegment[T]) Matches(lo, hi ValueID, dst []types.ChunkOffset) 
 	case *FixedWidthVector[uint64]:
 		return matchRange(av.data, uint64(lo), uint64(hi), dst)
 	case *BP128Vector:
-		var buf [bp128BlockSize]uint64
-		n := av.Len()
-		for base := 0; base < n; base += bp128BlockSize {
-			codes := av.DecodeRange(base, min(base+bp128BlockSize, n), buf[:0])
-			for j, id := range codes {
-				if uint64(lo) <= id && id < uint64(hi) {
-					dst = append(dst, types.ChunkOffset(base+j))
-				}
-			}
-		}
-		return dst
+		return matchBP128(av, 0, av.Len(), uint64(lo), uint64(hi-lo-1), nil, dst)
 	default:
 		n := s.av.Len()
 		for i := 0; i < n; i++ {
-			if id := s.av.Get(i); uint64(lo) <= id && id < uint64(hi) {
+			if id := s.av.Get(i); id-uint64(lo) < uint64(hi-lo) {
 				dst = append(dst, types.ChunkOffset(i))
 			}
 		}
@@ -223,9 +217,12 @@ func matchEqBytes(data []uint8, target uint8, dst []types.ChunkOffset) []types.C
 	return dst
 }
 
+// matchRange appends the positions whose code lies in [lo, hi), one unsigned
+// compare per code.
 func matchRange[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi uint64, dst []types.ChunkOffset) []types.ChunkOffset {
+	span := hi - lo
 	for i, id := range data {
-		if lo <= uint64(id) && uint64(id) < hi {
+		if uint64(id)-lo < span {
 			dst = append(dst, types.ChunkOffset(i))
 		}
 	}
@@ -245,13 +242,15 @@ func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, slots []int32,
 	case *FixedWidthVector[uint64]:
 		gatherFOR(s.frames, ov.data, s.nulls, pos, slots, out, nulls)
 	case *BP128Vector:
-		for i, p := range pos {
-			i = slotOf(slots, i)
-			if s.nulls != nil && s.nulls[p] {
-				nulls[i] = true
-				continue
+		runs, frames, segNulls := ov.runs(pos), s.frames, s.nulls
+		for from, run, first, ok := runs.next(); ok; from, run, first, ok = runs.next() {
+			for j, p := range run {
+				if i := slotOf(slots, from+j); segNulls != nil && segNulls[p] {
+					nulls[i] = true
+				} else {
+					out[i] = frames[int(p)/forBlockSize] + int64(runs.codes[int(p)-first])
+				}
 			}
-			out[i] = s.frames[int(p)/forBlockSize] + int64(ov.GetFast(int(p)))
 		}
 	default:
 		for i, p := range pos {

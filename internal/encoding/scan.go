@@ -388,13 +388,11 @@ func (s *DictionarySegment[T]) matchesOutside(lo, hi ValueID, dst []types.ChunkO
 	case *FixedWidthVector[uint64]:
 		return matchOutside(av.data, uint64(lo), uint64(hi), uint64(s.nullID), dst)
 	case *BP128Vector:
-		var buf [bp128BlockSize]uint64
-		n := av.Len()
-		for base := 0; base < n; base += bp128BlockSize {
-			codes := av.DecodeRange(base, min(base+bp128BlockSize, n), buf[:0])
-			for j, id := range codes {
-				if (id < uint64(lo) || id >= uint64(hi)) && id != uint64(s.nullID) {
-					dst = append(dst, types.ChunkOffset(base+j))
+		var buf [64]uint64
+		for g := 0; g*64 < av.Len(); g++ {
+			for j, id := range av.group(g, &buf) {
+				if id-uint64(lo) >= uint64(hi-lo) && id != uint64(s.nullID) {
+					dst = append(dst, types.ChunkOffset(g*64+j))
 				}
 			}
 		}
@@ -403,7 +401,7 @@ func (s *DictionarySegment[T]) matchesOutside(lo, hi ValueID, dst []types.ChunkO
 		n := s.av.Len()
 		for i := 0; i < n; i++ {
 			id := s.av.Get(i)
-			if (id < uint64(lo) || id >= uint64(hi)) && id != uint64(s.nullID) {
+			if id-uint64(lo) >= uint64(hi-lo) && id != uint64(s.nullID) {
 				dst = append(dst, types.ChunkOffset(i))
 			}
 		}
@@ -412,9 +410,10 @@ func (s *DictionarySegment[T]) matchesOutside(lo, hi ValueID, dst []types.ChunkO
 }
 
 func matchOutside[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi, nullID uint64, dst []types.ChunkOffset) []types.ChunkOffset {
+	span := hi - lo
 	for i, raw := range data {
 		id := uint64(raw)
-		if (id < lo || id >= hi) && id != nullID {
+		if id-lo >= span && id != nullID {
 			dst = append(dst, types.ChunkOffset(i))
 		}
 	}
@@ -550,26 +549,13 @@ func scanFORBlock(s *FrameOfReferenceSegment, first, last int, loCode, hiCode ui
 	case *FixedWidthVector[uint64]:
 		return scanFORBlockData(ov.data, s.nulls, first, last, loCode, hiCode, dst)
 	case *BP128Vector:
-		var buf [bp128BlockSize]uint64
-		for base := first; base < last; base += bp128BlockSize {
-			end := min(base+bp128BlockSize, last)
-			codes := ov.DecodeRange(base, end, buf[:0])
-			for j, c := range codes {
-				if s.nulls != nil && s.nulls[base+j] {
-					continue
-				}
-				if loCode <= c && c <= hiCode {
-					dst = append(dst, types.ChunkOffset(base+j))
-				}
-			}
-		}
-		return dst
+		return matchBP128(ov, first, last, loCode, hiCode-loCode, s.nulls, dst)
 	default:
 		for i := first; i < last; i++ {
 			if s.nulls != nil && s.nulls[i] {
 				continue
 			}
-			if c := s.offsets.Get(i); loCode <= c && c <= hiCode {
+			if c := s.offsets.Get(i); c-loCode <= hiCode-loCode {
 				dst = append(dst, types.ChunkOffset(i))
 			}
 		}
@@ -578,9 +564,10 @@ func scanFORBlock(s *FrameOfReferenceSegment, first, last int, loCode, hiCode ui
 }
 
 func scanFORBlockData[W uint8 | uint16 | uint32 | uint64](data []W, nulls []bool, first, last int, loCode, hiCode uint64, dst []types.ChunkOffset) []types.ChunkOffset {
+	span := hiCode - loCode
 	if nulls == nil {
 		for i := first; i < last; i++ {
-			if c := uint64(data[i]); loCode <= c && c <= hiCode {
+			if uint64(data[i])-loCode <= span {
 				dst = append(dst, types.ChunkOffset(i))
 			}
 		}
@@ -590,7 +577,7 @@ func scanFORBlockData[W uint8 | uint16 | uint32 | uint64](data []W, nulls []bool
 		if nulls[i] {
 			continue
 		}
-		if c := uint64(data[i]); loCode <= c && c <= hiCode {
+		if uint64(data[i])-loCode <= span {
 			dst = append(dst, types.ChunkOffset(i))
 		}
 	}
@@ -640,16 +627,11 @@ func scanFORBlockNe(s *FrameOfReferenceSegment, first, last int, target uint64, 
 	case *FixedWidthVector[uint64]:
 		return scanFORBlockNeData(ov.data, s.nulls, first, last, target, dst)
 	case *BP128Vector:
-		var buf [bp128BlockSize]uint64
-		for base := first; base < last; base += bp128BlockSize {
-			end := min(base+bp128BlockSize, last)
-			codes := ov.DecodeRange(base, end, buf[:0])
-			for j, c := range codes {
-				if s.nulls != nil && s.nulls[base+j] {
-					continue
-				}
-				if c != target {
-					dst = append(dst, types.ChunkOffset(base+j))
+		var buf [64]uint64
+		for g := first / 64; g*64 < last; g++ {
+			for j, c := range ov.group(g, &buf) {
+				if c != target && (s.nulls == nil || !s.nulls[g*64+j]) {
+					dst = append(dst, types.ChunkOffset(g*64+j))
 				}
 			}
 		}

@@ -390,7 +390,7 @@ func appendUintVector(dst []byte, v UintVector) ([]byte, error) {
 }
 
 // wellFormed reports that v has one block per 128 codes, each 1 to 64 bits
-// wide and inside the words: what Get and DecodeRange index unchecked.
+// wide and inside the words: what GetFast and group index unchecked.
 func (v *BP128Vector) wellFormed() bool {
 	blocks := (v.n + bp128BlockSize - 1) / bp128BlockSize
 	if v.n < 0 || len(v.blockBits) != blocks || len(v.blockStart) != blocks {

@@ -359,9 +359,9 @@ func (s *DictionarySegment[T]) summary() Summary[T] {
 	case *FixedWidthVector[uint64]:
 		countCodes(av.data, counts)
 	case *BP128Vector:
-		var buf [bp128BlockSize]uint64
-		for base, n := 0, av.Len(); base < n; base += bp128BlockSize {
-			countCodes(av.DecodeRange(base, min(base+bp128BlockSize, n), buf[:0]), counts)
+		var buf [64]uint64
+		for g := 0; g*64 < av.Len(); g++ {
+			countCodes(av.group(g, &buf), counts)
 		}
 	default:
 		for i, n := 0, s.av.Len(); i < n; i++ {

@@ -368,7 +368,7 @@ func runGroupingDiff[T types.Ordered](t *testing.T, pools []summaryPool[T]) {
 		}
 		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
 			got, _ := AppendSegment(nil, EncodeDictionary(p.values, p.nulls, comp))
-			want, _ := AppendSegment(nil, newDictionary(ref.Values, refCodes, comp))
+			want, _ := AppendSegment(nil, newDictionary(ref.Values, CompressUints(refCodes, comp)))
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s/%s/%s: dictionary differs from the map's", types.Native[T](), p.name, comp)
 			}

@@ -301,8 +301,9 @@ func TestIndexMemoryUsageCountsItsBytes(t *testing.T) {
 // TestDiffIndexOracle holds the index over every layout Seal produces to a
 // scan of the rows: Unencoded, Dictionary (FSBA, BP128, FSST-packed),
 // RunLength, FrameOfReference (FSBA, BP128) and decimal floats, over NULL,
-// NaN, ±Inf, -0 and +0, int64 extremes, ” and NUL bytes, an empty and an
-// all-NULL segment and 100 000 unique keys. Every lookup — equality, one
+// NaN, ±Inf, -0 and +0, int64 extremes, ” and NUL bytes, 200 long strings
+// (codes of 8 bits, which stay byte-aligned), an empty and an all-NULL
+// segment and 100 000 unique keys. Every lookup — equality, one
 // bound, two, strict or inclusive, of the column's type or another — returns
 // the rows the scan returns, grouped by value in value order, ascending
 // within a value.
@@ -330,6 +331,12 @@ func TestDiffIndexOracle(t *testing.T) {
 	for i := 0; i < 60; i++ { // long, repetitive text: the size model packs it with FSST
 		strs = append(strs, types.Str(fmt.Sprintf("carefully final deposits %d haggle blithely along the pending requests", i*7919)))
 	}
+	// 200 such values: codes of 8 bits in every 128-row block, which
+	// bit-packing would store in more bytes than byte-aligned codes.
+	comments := make([]types.Value, 200)
+	for i := range comments {
+		comments[i] = types.Str(fmt.Sprintf("carefully final deposits %d haggle blithely along the pending requests", i*104729))
+	}
 	cents := make([]types.Value, 400)
 	for i := range cents {
 		cents[i] = types.Float(float64(i*37%4001-2000) / 100)
@@ -348,6 +355,7 @@ func TestDiffIndexOracle(t *testing.T) {
 		{"float64", types.TypeFloat64, pick(2500, floats, 20), append(slices.Clone(floats), types.Int(2), types.Int(-1), types.Float(1))},
 		{"decimal", types.TypeFloat64, pick(2500, cents, 20), []types.Value{types.Float(-20), types.Float(-0.37), types.Float(0), types.Float(0.005), types.Float(1.11), types.Int(3), types.Float(20), types.Float(nan)}},
 		{"string", types.TypeString, pick(2500, strs, 20), append(slices.Clone(strs[:8]), types.Str("a\x00\x00"), types.Str("carefully"), types.Str("zzz"), types.Int(1))},
+		{"string, 8-bit codes", types.TypeString, pick(2500, comments, 0), []types.Value{comments[0], comments[127], comments[128], comments[199], types.Str("carefully"), types.Str("zzz")}},
 		{"empty int64", types.TypeInt64, nil, []types.Value{types.Int(1)}},
 		{"empty string", types.TypeString, nil, []types.Value{types.Str("")}},
 		{"all-NULL float64", types.TypeFloat64, pick(300, floats, 1), []types.Value{types.Float(0)}},

@@ -49,11 +49,11 @@ func codecRow(n int) []types.Value {
 }
 
 // codecCatalog builds a catalog that holds every segment tag a snapshot
-// writes: nullable value segments, plain and FSST-packed string dictionaries,
-// int and float dictionaries, run-length segments, and frame-of-reference
-// over both code vectors. Chunks come in all three states (mutable,
-// immutable, immutable with filters), MVCC bitmaps hold uncommitted and
-// deleted rows, and there is a view.
+// writes: nullable value segments, plain and FSST-packed string dictionaries
+// over both code vectors, int and float dictionaries, run-length segments, and
+// frame-of-reference over both code vectors. Chunks come in all three states
+// (mutable, immutable, immutable with filters), MVCC bitmaps hold uncommitted
+// and deleted rows, and there is a view.
 func codecCatalog(tb testing.TB) *storage.StorageManager {
 	tb.Helper()
 	spec := func(e encoding.EncodingType, c encoding.VectorCompressionType) *encoding.Spec {
@@ -111,6 +111,19 @@ func codecCatalog(tb testing.TB) *storage.StorageManager {
 		if err := sm.AddTable(t); err != nil {
 			tb.Fatal(err)
 		}
+	}
+	// 200 distinct comments: 8-bit codes, which the size model keeps
+	// byte-aligned (bit-packed they need 5 more bytes a block), FSST-packed.
+	wide := storage.NewTable("wide", []storage.ColumnDefinition{{Name: "s", Type: types.TypeString}}, 256, false)
+	for n := range 256 {
+		if _, err := wide.AppendRow([]types.Value{types.Str(fmt.Sprintf("comment %03d: the quick brown fox jumps over the lazy dog", n*7%200))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sealed, _ := encoding.Seal(wide.GetChunk(0).GetSegment(0), false, nil)
+	wide.GetChunk(0).ReplaceSegment(0, sealed)
+	if err := sm.AddTable(wide); err != nil {
+		tb.Fatal(err)
 	}
 	if err := sm.AddView("v_codec", "SELECT i FROM plain"); err != nil {
 		tb.Fatal(err)
@@ -313,6 +326,50 @@ func codecSequence(tb testing.TB, dir string) {
 	}
 	if err := m.Close(); err != nil {
 		tb.Fatal(err)
+	}
+}
+
+// TestDiffRestoreByteAlignedGoldens: catalog.fsba.snap and decimal.fsba.snap
+// were written when the size model priced byte-aligned codes only, so the
+// columns it sealed hold FSBA code vectors where codecCatalog and
+// decimalCatalog now bit-pack them. They stay restorable and hold the same
+// rows, cell for cell, bit for bit.
+func TestDiffRestoreByteAlignedGoldens(t *testing.T) {
+	for file, build := range map[string]func(testing.TB) *storage.StorageManager{"catalog.fsba.snap": codecCatalog, "decimal.fsba.snap": decimalCatalog} {
+		img, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := storage.NewStorageManager()
+		if _, _, err := decodeSnapshot(img, restored, 1); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		want := build(t)
+		for _, name := range restored.TableNames() {
+			got, _ := restored.GetTable(name)
+			exp, err := want.GetTable(name)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if got.ChunkCount() != exp.ChunkCount() {
+				t.Fatalf("%s: table %s restores %d chunks, want %d", file, name, got.ChunkCount(), exp.ChunkCount())
+			}
+			for ci, c := range got.Chunks() {
+				ec := exp.GetChunk(types.ChunkID(ci))
+				for col := range c.ColumnCount() {
+					g, e := c.GetSegment(types.ColumnID(col)), ec.GetSegment(types.ColumnID(col))
+					if g.Len() != e.Len() {
+						t.Fatalf("%s: %s chunk %d column %d holds %d rows, want %d", file, name, ci, col, g.Len(), e.Len())
+					}
+					for o := range g.Len() {
+						x, y := g.ValueAt(types.ChunkOffset(o)), e.ValueAt(types.ChunkOffset(o))
+						if x.Type != y.Type || x.I != y.I || math.Float64bits(x.F) != math.Float64bits(y.F) || x.S != y.S {
+							t.Fatalf("%s: %s chunk %d column %d row %d = %v, want %v", file, name, ci, col, o, x, y)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

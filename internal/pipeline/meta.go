@@ -121,7 +121,8 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 // which is what lets a scan binary-search it. value_compression is 'FSST' for
 // a string dictionary whose values are packed with a symbol table, 'decimal(e)'
 // for a float column stored as the integers n of its values n / 10^e, else
-// 'none'.
+// 'none'; vector_compression names the vector a Dictionary's or a
+// FrameOfReference's codes are in, 'FSBA' or 'SIMD-BP128', else 'none'.
 func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
@@ -136,6 +137,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 		{Name: "zone_max", Type: types.TypeString, Nullable: true},
 		{Name: "ascending", Type: types.TypeString},
 		{Name: "value_compression", Type: types.TypeString},
+		{Name: "vector_compression", Type: types.TypeString},
 	}
 	out := storage.NewTable("meta_segments", defs, 0, false)
 	for _, name := range e.sm.TableNames() {
@@ -158,6 +160,10 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					ascending = "yes"
 				}
 				spec, _ := encoding.SpecOf(seg) // a stored table's segments are all known
+				vector := "none"
+				if spec.Encoding == encoding.Dictionary || spec.Encoding == encoding.FrameOfReference {
+					vector = spec.Compression.String()
+				}
 				if _, err := out.AppendRow([]types.Value{
 					types.Str(t.Name()),
 					types.Int(int64(ci)),
@@ -169,6 +175,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					types.Int(seg.MemoryUsage()),
 					zoneMin, zoneMax, types.Str(ascending),
 					types.Str(encoding.ValueCompression(seg)),
+					types.Str(vector),
 				}); err != nil {
 					return nil, err
 				}

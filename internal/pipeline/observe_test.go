@@ -407,7 +407,7 @@ func TestDebugEndpointViaConfig(t *testing.T) {
 // what it paid for the seal, the counters move with it, and meta_segments shows
 // the representation and size the size model gave each column — the cents
 // column as frame-of-reference over its integers, value_compression
-// 'decimal(2)'.
+// 'decimal(2)', both offset vectors bit-packed where that needs fewer bytes.
 func TestSealedChunkFromSQL(t *testing.T) {
 	e := NewEngine(DefaultConfig(), nil)
 	t.Cleanup(e.Close)
@@ -439,14 +439,18 @@ func TestSealedChunkFromSQL(t *testing.T) {
 		t.Errorf("storage.chunks_sealed=%d storage.seal_ns=%d, want 1 chunk and the %d ns it took", n, ns, kv.GetChunk(0).SealNS())
 	}
 	mustExec(t, s, insert(100)) // opens chunk 1, which stays as it is
-	got := rows(t, s, "SELECT chunk_id, column_name, encoding, size_bytes, value_compression FROM meta_segments WHERE table_name = 'kv' ORDER BY chunk_id, column_id")
+	got := rows(t, s, "SELECT chunk_id, column_name, encoding, size_bytes, value_compression, vector_compression FROM meta_segments WHERE table_name = 'kv' ORDER BY chunk_id, column_id")
 	want := [][]string{
-		{"0", "id", "FrameOfReference", "108", "none"},        // one frame + 100 one-byte offsets
-		{"0", "tag", "RunLength", "24", "none"},               // one run: header, 4 bytes, end offset
-		{"0", "val", "FrameOfReference", "408", "decimal(2)"}, // cents: one frame + 100 four-byte offsets of 100·val
-		{"1", "id", "Unencoded", "8", "none"},                 // the one row so far
-		{"1", "tag", "Unencoded", "21", "none"},
-		{"1", "val", "Unencoded", "9", "none"},
+		// One frame + 100 7-bit offsets: 11 words, a width byte and a
+		// block start (byte-aligned: 108).
+		{"0", "id", "FrameOfReference", "101", "none", "SIMD-BP128"},
+		{"0", "tag", "RunLength", "24", "none", "none"}, // one run: header, 4 bytes, end offset
+		// Cents: one frame + 100 17-bit offsets of 100·val in 27 words
+		// (byte-aligned: 408).
+		{"0", "val", "FrameOfReference", "229", "decimal(2)", "SIMD-BP128"},
+		{"1", "id", "Unencoded", "8", "none", "none"}, // the one row so far
+		{"1", "tag", "Unencoded", "21", "none", "none"},
+		{"1", "val", "Unencoded", "9", "none", "none"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("meta_segments of kv = %v, want %v", got, want)

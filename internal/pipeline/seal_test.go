@@ -22,6 +22,7 @@ var sealDiffDefs = []storage.ColumnDefinition{
 	{Name: "f", Type: types.TypeFloat64, Nullable: true},
 	{Name: "s", Type: types.TypeString, Nullable: true},
 	{Name: "n", Type: types.TypeInt64, Nullable: true}, // NULL in every row
+	{Name: "c", Type: types.TypeInt64},                 // 7 in every row
 }
 
 // sealDiff drives one engine table and a model of its visible rows with the
@@ -63,9 +64,9 @@ func (d *sealDiff) exec(sql string, args ...types.Value) {
 
 func (d *sealDiff) insert(keep bool) {
 	i, f, s := d.awkward()
-	row := []types.Value{types.Int(d.next), i, f, s, types.NullValue}
+	row := []types.Value{types.Int(d.next), i, f, s, types.NullValue, types.Int(7)}
 	d.next++
-	d.exec("INSERT INTO t VALUES ($1, $2, $3, $4, $5)", row...)
+	d.exec("INSERT INTO t VALUES ($1, $2, $3, $4, $5, $6)", row...)
 	if keep {
 		d.live[row[0].I] = row
 	}
@@ -89,7 +90,7 @@ func (d *sealDiff) step() {
 		d.exec("UPDATE t SET i = $1, f = $2, s = $3 WHERE id BETWEEN $4 AND $5", i, f, s, types.Int(lo), types.Int(hi))
 		for id := lo; id <= hi; id++ {
 			if row, ok := d.live[id]; ok {
-				d.live[id] = []types.Value{row[0], i, f, s, row[4]}
+				d.live[id] = []types.Value{row[0], i, f, s, row[4], row[5]}
 			}
 		}
 	default:
@@ -101,7 +102,7 @@ func (d *sealDiff) step() {
 }
 
 var sealDiffQueries = []string{
-	"SELECT id, i, f, s, n FROM t",
+	"SELECT id, i, f, s, n, c FROM t",
 	"SELECT id FROM t WHERE id BETWEEN {lo} AND {hi}",
 	"SELECT id, i FROM t WHERE i < 0",
 	"SELECT id FROM t WHERE i = 9223372036854775807",
@@ -125,6 +126,7 @@ var sealDiffQueries = []string{
 	"SELECT id FROM t WHERE s IS NULL",
 	"SELECT id FROM t WHERE n IS NULL",
 	"SELECT id FROM t WHERE n = 1 OR n IS NOT NULL",
+	"SELECT id FROM t WHERE c = 7 AND id >= {lo}",
 	"SELECT count(*), count(i), count(f), count(n), min(s), max(s), min(i), max(i) FROM t",
 	"SELECT s, count(*), min(id) FROM t GROUP BY s",
 	"SELECT i, count(*) FROM t WHERE id >= {lo} GROUP BY i",
@@ -225,8 +227,7 @@ func TestDiffSealedChunks(t *testing.T) {
 					t.Errorf("chunk %d: %d/%d filters on id/f, want one each", ci, len(c.Filters(0)), len(c.Filters(2)))
 				}
 			}
-			// (In seven rows a dictionary's codes undercut everything else.)
-			if size.chunk > 7 && (seen[encoding.RunLength] == 0 || seen[encoding.Dictionary] == 0 || seen[encoding.FrameOfReference] == 0) {
+			if seen[encoding.RunLength] == 0 || seen[encoding.Dictionary] == 0 || seen[encoding.FrameOfReference] == 0 {
 				t.Errorf("encodings chosen over %d sealed chunks: %v — the stream does not reach all three", sealed, seen)
 			}
 		})

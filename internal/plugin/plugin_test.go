@@ -110,7 +110,7 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 	t.Cleanup(e.Close)
 	table := storage.NewTable("events", []storage.ColumnDefinition{
 		{Name: "id", Type: types.TypeInt64},       // unique -> index candidate
-		{Name: "kind", Type: types.TypeInt64},     // 4 distinct -> dictionary
+		{Name: "kind", Type: types.TypeInt64},     // 4 distinct, 1000 apart -> dictionary
 		{Name: "constant", Type: types.TypeInt64}, // 1 distinct -> run length
 		{Name: "seq", Type: types.TypeInt64},      // dense unique ints -> FOR
 		{Name: "payload", Type: types.TypeString}, // unique 47-byte strings -> dictionary
@@ -121,7 +121,7 @@ func selfDrivingEngine(t *testing.T) *pipeline.Engine {
 	for i := 0; i < 2000; i++ {
 		_, _ = table.AppendRow([]types.Value{
 			types.Int(int64(i * 7)),
-			types.Int(int64(i % 4)),
+			types.Int(int64(i%4) * 1000), // 2-bit codes; a frame's offsets need 12 bits
 			types.Int(42),
 			types.Int(int64(i)),
 			types.Str(fmt.Sprintf("payload-%06d-%032d", i, i*7919)),
@@ -204,7 +204,7 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 	}
 	// Queries still work after self-driving encoding.
 	s := e.NewSession()
-	res, err := s.ExecuteOne("SELECT count(*) FROM events WHERE kind = 2")
+	res, err := s.ExecuteOne("SELECT count(*) FROM events WHERE kind = 2000")
 	if err != nil {
 		t.Fatal(err)
 	}

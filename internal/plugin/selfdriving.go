@@ -275,7 +275,7 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 			if !ok {
 				continue // reference/unknown segment
 			}
-			if want = chooseFromWorkload(snap, encoding.SizesOf(seg)); cur.String() == want.String() {
+			if want = chooseFromWorkload(snap, seg); cur.String() == want.String() {
 				continue // already there
 			}
 			enc, _ := encoding.Seal(seg, false, &want)
@@ -292,27 +292,29 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 }
 
 // chooseFromWorkload maps a column's observed scan profile and a segment's
-// size model to an encoding. The workload path never picks Unencoded: a column
-// that shows up here is being scanned, and every encoded representation
-// answers at least the dictionary's predicate set without materializing.
-func chooseFromWorkload(snap observe.ColumnScanSnapshot, sizes encoding.Sizes) encoding.Spec {
+// size model to an encoding; its codes take the vector the size model prices
+// that encoding in. The workload path never picks Unencoded: a column that
+// shows up here is being scanned, and every encoded representation answers at
+// least the dictionary's predicate set without materializing.
+func chooseFromWorkload(snap observe.ColumnScanSnapshot, seg storage.Segment) encoding.Spec {
+	sizes, vectors := encoding.SizesOf(seg)
+	e := encoding.Dictionary
 	switch {
 	case sizes.Choose() == encoding.RunLength:
 		// Near-constant data: run-length answers any predicate per run.
-		return encoding.Spec{Encoding: encoding.RunLength}
+		e = encoding.RunLength
 	case snap.FallbackRatio() > 0.25:
 		// The current representation keeps materializing; dictionary
 		// supports the widest encoded predicate set.
-		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
 	case snap.Ranges > snap.Points && sizes.Saves(encoding.FrameOfReference):
 		// Range-heavy over integers (or a float column's exact decimals)
 		// that sit close to their block's frame:
 		// frame-of-reference rewrites ranges into the offset domain and
 		// short-circuits whole blocks via min/max.
-		return encoding.Spec{Encoding: encoding.FrameOfReference, Compression: encoding.FixedSizeByteAligned}
+		e = encoding.FrameOfReference
 	default:
 		// Point-heavy or mixed: dictionary answers equality with one
 		// binary search over the sorted dictionary.
-		return encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128}
 	}
+	return encoding.Spec{Encoding: e, Compression: vectors[e]}
 }

@@ -9,6 +9,7 @@ import (
 	"hyrise/internal/encoding"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
+	"hyrise/internal/storage"
 )
 
 // TestEncodingAdvisorFromWorkload drives the full self-driving loop with a
@@ -192,5 +193,67 @@ func TestEncodingAdvisorSealsDecimalForRanges(t *testing.T) {
 	}
 	if after := read(); len(before) == 0 || !reflect.DeepEqual(after, before) {
 		t.Errorf("%s returned %d rows before the re-seal and %d after, or different ones", query, len(before), len(after))
+	}
+}
+
+// TestEncodingAdvisorKeepsTheModelsVector: when the workload agrees with the
+// size model's encoding, the advisor leaves the segment alone — it takes the
+// code vector from the size model too, so it does not re-seal a bit-packed
+// frame of reference (dense unique ints, scanned by ranges) to byte-aligned
+// offsets, or a dictionary of one-byte codes (200 values a thousand apart,
+// probed by points) to bit-packed ones.
+func TestEncodingAdvisorKeepsTheModelsVector(t *testing.T) {
+	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
+	defer e.Close()
+	s := e.NewSession()
+	if _, err := s.Execute("CREATE TABLE kept (rangy INT, pointy INT)"); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 2000
+	for lo := 0; lo < rows; lo += 100 {
+		var values []string
+		for i := lo; i < lo+100; i++ {
+			values = append(values, fmt.Sprintf("(%d, %d)", i, i*37%200*1000))
+		}
+		if _, err := s.Execute("INSERT INTO kept VALUES " + strings.Join(values, ", ")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table, err := e.StorageManager().GetTable("kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table.SealTail()
+	rangy, _ := table.ColumnID("rangy")
+	pointy, _ := table.ColumnID("pointy")
+	chunk := table.GetChunk(0)
+	sealed := map[string]encoding.Spec{
+		"rangy":  {Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128},
+		"pointy": {Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
+	}
+	before := map[string]storage.Segment{"rangy": chunk.GetSegment(rangy), "pointy": chunk.GetSegment(pointy)}
+	for name, seg := range before {
+		if got, _ := encoding.SpecOf(seg); got != sealed[name] {
+			t.Fatalf("%s sealed as %s, want the size model's %s", name, got, sealed[name])
+		}
+	}
+
+	p := &EncodingAdvisorPlugin{}
+	if err := p.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		e.ScanStats().Column("kept", "rangy").Record(observe.ScanPathEncoded, false, rows, 400)
+		e.ScanStats().Column("kept", "pointy").Record(observe.ScanPathEncoded, true, rows, 10)
+	}
+	if err := p.AdviseFromWorkload(); err != nil {
+		t.Fatal(err)
+	}
+	after := map[string]storage.Segment{"rangy": chunk.GetSegment(rangy), "pointy": chunk.GetSegment(pointy)}
+	for name, seg := range after {
+		if seg != before[name] {
+			spec, _ := encoding.SpecOf(seg)
+			t.Errorf("%s re-sealed from %s to %s by a workload that agrees with its encoding", name, sealed[name], spec)
+		}
 	}
 }
