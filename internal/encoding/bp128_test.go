@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -64,11 +65,16 @@ func positionSets(rng *rand.Rand, n int) map[string][]types.ChunkOffset {
 
 // TestDiffBP128Kernels holds every block-wise read of a bit-packed vector
 // against GetFast, one code at a time: unpack64 on each full 64-code group,
-// group and DecodeAll, the fused range matches of dictionaries and
-// frames of reference (the NULL id and NULL rows among the codes), and the
+// group and DecodeAll — for every width 1..64 and lengths that are no
+// multiple of 64 or 128, empty and one-row vectors among them. Those vectors
+// and byte-aligned ones of every slot width (1, 2, 4 and 8 bytes) then run
+// the same differentials: the kernels against Get (match over ranges that
+// start and end off a 64-code group, with and without NULLs, single codes —
+// the SWAR path of a byte-wide vector — and the wrapping <> interval;
+// matchOutside; count), the scans of frames of reference and dictionaries
+// (NULL rows and the NULL id among the codes) against their rows, and their
 // gathers at every kind of position list, into rows in order and scattered
-// by slots — for every width 1..64 and lengths that are no multiple of 64 or
-// 128, empty and one-row vectors among them.
+// by slots.
 func TestDiffBP128Kernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, n := range []int{0, 1, 63, 64, 200, 1000, 2100} {
@@ -104,18 +110,77 @@ func TestDiffBP128Kernels(t *testing.T) {
 			if got := v.DecodeAll(nil); !slices.Equal(got, want) {
 				t.Fatalf("n=%d w=%d: DecodeAll differs from GetFast", n, w)
 			}
-			diffFrameOfReference(t, rng, n, w)
+			diffKernels(t, rng, fmt.Sprintf("n=%d w=%d BP128", n, w), v)
+			diffFrameOfReference(t, rng, n, w, BitPacked128)
+		}
+		for _, w := range []int{8, 16, 32, 64} {
+			v := NewFixedWidthVector(bp128Codes(rng, n, w))
+			if n > 7 && v.MemoryUsage() != int64(n*w/8) {
+				t.Fatalf("n=%d: codes %d bits wide take %d bytes", n, w, v.MemoryUsage())
+			}
+			diffKernels(t, rng, fmt.Sprintf("n=%d w=%d FSBA", n, w), v)
+			diffFrameOfReference(t, rng, n, w, FixedSizeByteAligned)
 		}
 		for _, distinct := range []int{1, 2, 100, 300, 5000} {
-			diffDictionary(t, rng, n, distinct)
+			diffDictionary(t, rng, n, distinct, FixedSizeByteAligned)
+			diffDictionary(t, rng, n, distinct, BitPacked128)
 		}
 	}
 }
 
-// diffFrameOfReference builds a frame-of-reference segment over bit-packed
-// offsets up to w bits wide and holds its range scans, not-equal scans and
-// gathers against GetFast.
-func diffFrameOfReference(t *testing.T, rng *rand.Rand, n, w int) {
+// diffKernels holds match and matchOutside of v against its codes read one
+// Get at a time: match over random ranges of rows with and without NULL
+// rows, at a single code, a random span, the <> interval [t+1, t-1] and
+// every code.
+func diffKernels(t *testing.T, rng *rand.Rand, name string, v UintVector) {
+	t.Helper()
+	n := v.Len()
+	rowNulls := make([]bool, n)
+	for i := range rowNulls {
+		rowNulls[i] = rng.Intn(9) == 0
+	}
+	code := func() uint64 {
+		if n == 0 {
+			return rng.Uint64()
+		}
+		return v.Get(rng.Intn(n))
+	}
+	for range 6 {
+		first := rng.Intn(n + 1)
+		last := first + rng.Intn(n-first+1)
+		c := code()
+		for _, r := range [][2]uint64{{c, 0}, {c, rng.Uint64() >> rng.Intn(64)}, {c + 1, math.MaxUint64 - 1}, {c, math.MaxUint64}} {
+			lo, span := r[0], r[1]
+			for _, nulls := range [][]bool{nil, rowNulls} {
+				var want []types.ChunkOffset
+				for i := first; i < last; i++ {
+					if v.Get(i)-lo <= span && (nulls == nil || !nulls[i]) {
+						want = append(want, types.ChunkOffset(i))
+					}
+				}
+				if got := v.match(first, last, lo, span, nulls, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s nulls=%v: codes of [%d, %d) in [%d, %d+%d] = %v, Get %v", name, nulls != nil, first, last, lo, lo, span, got, want)
+				}
+			}
+		}
+		lo, width, except := c, rng.Uint64()>>rng.Intn(64), code()
+		var want []types.ChunkOffset
+		for i := range n {
+			if id := v.Get(i); id-lo >= width && id != except {
+				want = append(want, types.ChunkOffset(i))
+			}
+		}
+		if got := v.matchOutside(lo, width, except, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: codes outside [%d, %d+%d), not %d = %v, Get %v", name, lo, lo, width, except, got, want)
+		}
+	}
+}
+
+// diffFrameOfReference builds a frame-of-reference segment whose offsets are
+// up to w bits wide and holds its scans and gathers against its rows: the
+// predicates probe values of the column, their neighbours and its extremes,
+// so that blocks are skipped, accepted whole and matched code by code.
+func diffFrameOfReference(t *testing.T, rng *rand.Rand, n, w int, compression VectorCompressionType) {
 	t.Helper()
 	offsets := bp128Codes(rng, n, w)
 	values, nulls := make([]int64, n), make([]bool, n)
@@ -124,64 +189,53 @@ func diffFrameOfReference(t *testing.T, rng *rand.Rand, n, w int) {
 		nulls[i] = rng.Intn(9) == 0
 	}
 	for _, nulls := range [][]bool{nil, nulls} {
-		s := EncodeFrameOfReference(values, nulls, BitPacked128)
-		v := s.offsets.(*BP128Vector)
-		if n >= bp128BlockSize && nulls == nil && int(slices.Max(v.blockBits)) != w {
+		s := EncodeFrameOfReference(values, nulls, compression)
+		if v, ok := s.offsets.(*BP128Vector); ok && n >= bp128BlockSize && nulls == nil && int(slices.Max(v.blockBits)) != w {
 			t.Fatalf("n=%d w=%d: offsets packed %d bits wide at most", n, w, slices.Max(v.blockBits))
 		}
-		code := func(i int) (uint64, bool) { return v.GetFast(i), nulls != nil && nulls[i] }
-		for b := range s.frames {
-			first, last := b*forBlockSize, min((b+1)*forBlockSize, n)
-			for range 4 {
-				loCode, hiCode := rng.Uint64()&mask(uint(w)), rng.Uint64()&mask(uint(w))
-				if loCode > hiCode {
-					loCode, hiCode = hiCode, loCode
-				}
-				var want []types.ChunkOffset
-				for i := first; i < last; i++ {
-					if c, null := code(i); !null && loCode <= c && c <= hiCode {
-						want = append(want, types.ChunkOffset(i))
-					}
-				}
-				if got := scanFORBlock(s, first, last, loCode, hiCode, nil); !slices.Equal(got, want) {
-					t.Fatalf("n=%d w=%d nulls=%v: block %d codes in [%d, %d] = %v, GetFast %v", n, w, nulls != nil, b, loCode, hiCode, got, want)
-				}
-				target, _ := code(first + rng.Intn(last-first))
-				want = want[:0]
-				for i := first; i < last; i++ {
-					if c, null := code(i); !null && c != target {
-						want = append(want, types.ChunkOffset(i))
-					}
-				}
-				if got := scanFORBlockNe(s, first, last, target, nil); !slices.Equal(got, want) {
-					t.Fatalf("n=%d w=%d nulls=%v: block %d codes <> %d = %v, GetFast %v", n, w, nulls != nil, b, target, got, want)
+		probes := []int64{math.MinInt64, math.MaxInt64}
+		if n > 0 {
+			probes = append(probes, slices.Min(values), slices.Max(values))
+		}
+		for range 6 {
+			if n > 0 {
+				p := values[rng.Intn(n)]
+				probes = append(probes, p, p-1, p+1)
+			}
+		}
+		for range 12 {
+			probe, hi := probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))]
+			for op := ScanEq; op <= ScanIsNotNull; op++ {
+				pred := ScanPredicate{Op: op, Value: types.Int(probe), Lo: types.Int(probe), Hi: types.Int(hi)}
+				got, _, ok := s.ScanEncoded(pred, nil)
+				if want := refScan(op, probe, probe, hi, values, nulls); !ok || !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d w=%d nulls=%v: %v %d (BETWEEN %d AND %d) = %v (ok %v), rows %v", compression, n, w, nulls != nil, op, probe, probe, hi, got, ok, want)
 				}
 			}
 		}
 		diffGathers(t, rng, n, func(pos []types.ChunkOffset, slots []int32, out []int64, outNulls []bool) {
 			s.Gather(pos, slots, out, outNulls)
 		}, func(p types.ChunkOffset) (int64, bool) {
-			c, null := code(int(p))
-			if null {
+			if nulls != nil && nulls[p] {
 				return 0, true
 			}
-			return s.frames[int(p)/forBlockSize] + int64(c), false
+			return values[p], false
 		})
 	}
 }
 
-// diffDictionary builds a dictionary of distinct int64 values over bit-packed
-// codes, NULLs among the rows, and holds its id-range scans, the not-equal
-// scan and its gathers against GetFast.
-func diffDictionary(t *testing.T, rng *rand.Rand, n, distinct int) {
+// diffDictionary builds a dictionary of distinct int64 values, NULLs among the
+// rows, and holds its id-range scans, the not-equal kernel, the code count
+// and its gathers against its codes read one Get at a time.
+func diffDictionary(t *testing.T, rng *rand.Rand, n, distinct int, compression VectorCompressionType) {
 	t.Helper()
 	values, nulls := make([]int64, n), make([]bool, n)
 	for i := range values {
 		values[i] = int64(rng.Intn(distinct)) * 3
 		nulls[i] = rng.Intn(11) == 0
 	}
-	s := EncodeDictionary(values, nulls, BitPacked128)
-	v := s.av.(*BP128Vector)
+	s := EncodeDictionary(values, nulls, compression)
+	v := s.av
 	nullID := uint64(s.nullID)
 	for range 8 {
 		lo, hi := ValueID(rng.Intn(int(nullID)+2)), ValueID(rng.Intn(int(nullID)+2))
@@ -190,7 +244,7 @@ func diffDictionary(t *testing.T, rng *rand.Rand, n, distinct int) {
 		}
 		var in, out []types.ChunkOffset
 		for i := range n {
-			id := v.GetFast(i)
+			id := v.Get(i)
 			if uint64(lo) <= id && id < uint64(hi) {
 				in = append(in, types.ChunkOffset(i))
 			}
@@ -199,32 +253,40 @@ func diffDictionary(t *testing.T, rng *rand.Rand, n, distinct int) {
 			}
 		}
 		if got := s.Matches(lo, hi, nil); !slices.Equal(got, in) {
-			t.Fatalf("n=%d distinct=%d: ids in [%d, %d) = %v, GetFast %v", n, distinct, lo, hi, got, in)
+			t.Fatalf("%s n=%d distinct=%d: ids in [%d, %d) = %v, Get %v", compression, n, distinct, lo, hi, got, in)
 		}
 		if lo > hi {
-			continue // matchesOutside takes the bounds of an equality probe
+			continue // <> takes the bounds of an equality probe
 		}
-		if got := s.matchesOutside(lo, hi, nil); !slices.Equal(got, out) {
-			t.Fatalf("n=%d distinct=%d: ids outside [%d, %d) = %v, GetFast %v", n, distinct, lo, hi, got, out)
+		if got := v.matchOutside(uint64(lo), uint64(hi-lo), nullID, nil); !slices.Equal(got, out) {
+			t.Fatalf("%s n=%d distinct=%d: ids outside [%d, %d) = %v, Get %v", compression, n, distinct, lo, hi, got, out)
 		}
+	}
+	counts, want := make([]int, nullID+1), make([]int, nullID+1)
+	v.count(counts)
+	for i := range n {
+		want[v.Get(i)]++
+	}
+	if !slices.Equal(counts, want) {
+		t.Fatalf("%s n=%d distinct=%d: code counts %v, Get %v", compression, n, distinct, counts, want)
 	}
 	diffGathers(t, rng, n, func(pos []types.ChunkOffset, slots []int32, out []int64, outNulls []bool) {
 		s.Gather(pos, slots, out, outNulls)
 	}, func(p types.ChunkOffset) (int64, bool) {
-		if id := v.GetFast(int(p)); id != nullID {
+		if id := v.Get(int(p)); id != nullID {
 			return s.dict[id], false
 		}
 		return 0, true
 	})
 	// A string dictionary gathers through the cursor alone.
 	strs := storage.ValueSegmentFromSlice(generate(n, func(i int) string { return string(rune('a' + values[i]%26)) }), nulls)
-	ss := EncodeDictionary(strs.Values(), strs.Nulls(), BitPacked128)
+	ss := EncodeDictionary(strs.Values(), strs.Nulls(), compression)
 	for name, pos := range positionSets(rng, n) {
 		got, gotNulls := make([]string, len(pos)), make([]bool, len(pos))
 		ss.Gather(pos, nil, got, gotNulls)
 		for i, p := range pos {
 			if want, null := ss.Get(p); gotNulls[i] != null || got[i] != want {
-				t.Fatalf("n=%d distinct=%d %s: string row %d = %q/%v, want %q/%v", n, distinct, name, p, got[i], gotNulls[i], want, null)
+				t.Fatalf("%s n=%d distinct=%d %s: string row %d = %q/%v, want %q/%v", compression, n, distinct, name, p, got[i], gotNulls[i], want, null)
 			}
 		}
 	}

@@ -174,7 +174,7 @@ func (s *DecimalSegment) ScanEncoded(p ScanPredicate, dst []types.ChunkOffset) (
 	case isNe:
 		// Every row that holds the probe stores its integer; -0 is +0.
 		if n, exact := decimalOf(ne+0, int(s.exp)); exact {
-			return s.ints.scanNotEqual(n, dst), PathFrameOfReference, true
+			return s.ints.scanInterval(n+1, n-1, dst), PathFrameOfReference, true
 		}
 		return s.ints.scanInterval(math.MinInt64, math.MaxInt64, dst), PathFrameOfReference, true
 	}

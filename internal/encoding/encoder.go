@@ -112,13 +112,6 @@ func ValueCompression(seg storage.Segment) string {
 	return "none"
 }
 
-func compressionOf(v UintVector) VectorCompressionType {
-	if _, ok := v.(*BP128Vector); ok {
-		return BitPacked128
-	}
-	return FixedSizeByteAligned
-}
-
 // EncodeTable seals the tail of a data table and encodes every segment in
 // place (Seal) with the default spec — nil is the size model — or, where
 // perColumn names one, the column's own (paper §2.2: "Some segments of a

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"slices"
+
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -72,36 +74,33 @@ func encodeFrameOfReference(values []int64, nulls []bool, compression VectorComp
 		s.nulls = make([]bool, len(values))
 		copy(s.nulls, nulls)
 	}
+	if maxes == nil {
+		maxes = blockMaxima(codes)
+	}
 	s.offsets = packCodes(codes, compression, maxes)
-	s.initBlockStats(codes)
+	s.initBlockStats(maxes)
 	return s
 }
 
-// initBlockStats computes the per-block maxima and non-null counts from the
-// raw codes. NULL rows store code 0, which can never exceed a block's true
-// maximum (codes are unsigned and the minimum non-null code is 0), so the
-// plain maximum over all codes equals the maximum over non-null codes
-// whenever the block has any.
-func (s *FrameOfReferenceSegment) initBlockStats(codes []uint64) {
-	nBlocks := len(s.frames)
-	s.blockMax = make([]uint64, nBlocks)
-	s.blockNonNull = make([]int32, nBlocks)
-	for b := 0; b < nBlocks; b++ {
-		lo := b * forBlockSize
-		hi := min(lo+forBlockSize, s.n)
-		var bmax uint64
-		var nonNull int32
-		for i := lo; i < hi; i++ {
-			if s.nulls != nil && s.nulls[i] {
-				continue
-			}
-			nonNull++
-			if codes[i] > bmax {
-				bmax = codes[i]
+// initBlockStats derives each block's largest offset from the largest offsets
+// of its 128-row blocks, maxes, and counts its non-null rows. NULL rows store
+// code 0, which can never exceed a block's true maximum (codes are unsigned
+// and the minimum non-null code is 0), so the plain maximum over all codes
+// equals the maximum over non-null codes whenever the block has any.
+func (s *FrameOfReferenceSegment) initBlockStats(maxes []uint64) {
+	const per = forBlockSize / bp128BlockSize
+	s.blockMax, s.blockNonNull = make([]uint64, len(s.frames)), make([]int32, len(s.frames))
+	for b := range s.frames {
+		s.blockMax[b] = slices.Max(maxes[b*per : min((b+1)*per, len(maxes))])
+		first, last := b*forBlockSize, min((b+1)*forBlockSize, s.n)
+		s.blockNonNull[b] = int32(last - first)
+		if s.nulls != nil {
+			for _, null := range s.nulls[first:last] {
+				if null {
+					s.blockNonNull[b]--
+				}
 			}
 		}
-		s.blockMax[b] = bmax
-		s.blockNonNull[b] = nonNull
 	}
 }
 

@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"hyrise/internal/storage"
@@ -60,11 +59,6 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 					out[i] = s.value(id)
 				}
 			}
-		}
-	default:
-		for i, p := range pos {
-			i = slotOf(slots, i)
-			out[i], nulls[i] = s.Get(p)
 		}
 	}
 }
@@ -151,84 +145,6 @@ func (s *DictionarySegment[T]) gatherPacked(pos []types.ChunkOffset, slots []int
 	}
 }
 
-// Matches appends to dst the chunk offsets whose value id lies in [lo, hi).
-// This is the specialized dictionary scan: predicates are translated to a
-// value-id range by the caller (via LowerBound/UpperBound) and the scan
-// compares integer codes without decoding.
-func (s *DictionarySegment[T]) Matches(lo, hi ValueID, dst []types.ChunkOffset) []types.ChunkOffset {
-	if lo >= hi {
-		return dst
-	}
-	switch av := s.av.(type) {
-	case *FixedWidthVector[uint8]:
-		if hi-lo == 1 && lo <= 0xFF {
-			return matchEqBytes(av.data, uint8(lo), dst)
-		}
-		return matchRange(av.data, uint64(lo), uint64(hi), dst)
-	case *FixedWidthVector[uint16]:
-		return matchRange(av.data, uint64(lo), uint64(hi), dst)
-	case *FixedWidthVector[uint32]:
-		return matchRange(av.data, uint64(lo), uint64(hi), dst)
-	case *FixedWidthVector[uint64]:
-		return matchRange(av.data, uint64(lo), uint64(hi), dst)
-	case *BP128Vector:
-		return matchBP128(av, 0, av.Len(), uint64(lo), uint64(hi-lo-1), nil, dst)
-	default:
-		n := s.av.Len()
-		for i := 0; i < n; i++ {
-			if id := s.av.Get(i); id-uint64(lo) < uint64(hi-lo) {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
-		return dst
-	}
-}
-
-const (
-	swarOnes  = 0x0101010101010101
-	swarHighs = 0x8080808080808080
-)
-
-// matchEqBytes finds the positions equal to target in a byte-wide attribute
-// vector, eight codes per step: XOR against the broadcast target turns
-// matches into zero bytes, and the Mycroft zero-byte test skips clean words
-// with three ALU ops — the scalar analog of the SIMD scans the paper
-// benchmarks. Single-value id ranges (equality probes, IS NULL) hit this.
-func matchEqBytes(data []uint8, target uint8, dst []types.ChunkOffset) []types.ChunkOffset {
-	pattern := swarOnes * uint64(target)
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		w := binary.LittleEndian.Uint64(data[i:])
-		v := w ^ pattern
-		if (v-swarOnes) & ^v & swarHighs == 0 {
-			continue // no byte of this word matches
-		}
-		for j := i; j < i+8; j++ {
-			if data[j] == target {
-				dst = append(dst, types.ChunkOffset(j))
-			}
-		}
-	}
-	for ; i < len(data); i++ {
-		if data[i] == target {
-			dst = append(dst, types.ChunkOffset(i))
-		}
-	}
-	return dst
-}
-
-// matchRange appends the positions whose code lies in [lo, hi), one unsigned
-// compare per code.
-func matchRange[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	span := hi - lo
-	for i, id := range data {
-		if uint64(id)-lo < span {
-			dst = append(dst, types.ChunkOffset(i))
-		}
-	}
-	return dst
-}
-
 // Gather fills out/nulls (at slotOf) with the values at the given positions
 // of a FOR segment, resolving the offset vector type once.
 func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, slots []int32, out []int64, nulls []bool) {
@@ -251,11 +167,6 @@ func (s *FrameOfReferenceSegment) Gather(pos []types.ChunkOffset, slots []int32,
 					out[i] = frames[int(p)/forBlockSize] + int64(runs.codes[int(p)-first])
 				}
 			}
-		}
-	default:
-		for i, p := range pos {
-			i = slotOf(slots, i)
-			out[i], nulls[i] = s.Get(p)
 		}
 	}
 }

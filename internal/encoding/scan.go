@@ -14,14 +14,15 @@ import (
 // predicate without materializing the segment:
 //
 //   - Dictionary: the predicate is translated once into a value-id range via
-//     LowerBound/UpperBound on the sorted dictionary; the scan then compares
-//     integer code points in the attribute vector.
-//   - FrameOfReference: the predicate is rewritten into the offset domain per
-//     2048-value block; blocks whose [frame, frame+blockMax] range cannot
-//     intersect the predicate are skipped wholesale, blocks fully inside it
-//     are accepted wholesale, and only straddling blocks compare codes. A
-//     float64 column of exact decimals (decimal.go) first turns the predicate
-//     into an interval of its integers, then runs the same blocks.
+//     LowerBound/UpperBound on the sorted dictionary; the attribute vector's
+//     own kernels (UintVector.match, matchOutside for <>) then compare codes.
+//   - FrameOfReference: the predicate is one interval of values, <> v the
+//     wrapping [v+1, v-1], rewritten into the offset domain per 2048-value
+//     block; blocks whose [frame, frame+blockMax] range cannot intersect it
+//     are skipped wholesale, blocks fully inside it are accepted wholesale,
+//     and only straddling blocks match codes. A float64 column of exact
+//     decimals (decimal.go) first turns the predicate into an interval of
+//     its integers, then runs the same blocks.
 //   - RunLength: the predicate is evaluated once per run, accepting or
 //     rejecting entire runs.
 //
@@ -164,10 +165,11 @@ func (r scanRange[T]) match(v T) bool {
 }
 
 // probeAs converts a probe literal into the segment's native domain without
-// changing comparison semantics. Integral float probes against an int64
-// domain convert exactly; non-integral or unrepresentable floats report
-// ok=false so the caller falls back (rewriting them with ceil/floor would
-// diverge from the evaluator's float-comparison semantics in corner cases).
+// changing comparison semantics. Integral float probes below 2^53 in
+// magnitude against an int64 domain convert exactly; other floats report
+// ok=false so the caller falls back: the evaluator compares an int with a
+// float through float64, where 2^53+1 equals 2^53.0, and rewriting a
+// non-integral probe with ceil/floor would diverge from that in corner cases.
 // String domains accept only string probes; float domains accept any
 // numeric probe (the evaluator compares those as float64 too).
 func probeAs[T types.Ordered](v types.Value) (T, bool) {
@@ -178,7 +180,7 @@ func probeAs[T types.Ordered](v types.Value) (T, bool) {
 		case types.TypeInt64:
 			return any(v.I).(T), true
 		case types.TypeFloat64:
-			if v.F == float64(int64(v.F)) {
+			if math.Abs(v.F) < 1<<53 && v.F == float64(int64(v.F)) {
 				return any(int64(v.F)).(T), true
 			}
 		}
@@ -343,11 +345,23 @@ func (s *DictionarySegment[T]) ScanEncoded(p ScanPredicate, dst []types.ChunkOff
 	if !ok {
 		return dst, PathDictionary, false
 	}
-	if isNe {
-		return s.matchesOutside(s.LowerBound(ne), s.UpperBound(ne), dst), PathDictionary, true
+	if isNe { // one pass over the ids outside the probe's and not the NULL id
+		lo, hi := s.LowerBound(ne), s.UpperBound(ne)
+		return s.av.matchOutside(uint64(lo), uint64(hi-lo), uint64(s.nullID), dst), PathDictionary, true
 	}
 	start, end := s.idRange(rng)
 	return s.Matches(start, end, dst), PathDictionary, true
+}
+
+// Matches appends to dst the chunk offsets whose value id lies in [lo, hi).
+// This is the specialized dictionary scan: predicates are translated to a
+// value-id range by the caller (via LowerBound/UpperBound) and the scan
+// compares integer codes without decoding.
+func (s *DictionarySegment[T]) Matches(lo, hi ValueID, dst []types.ChunkOffset) []types.ChunkOffset {
+	if lo >= hi {
+		return dst
+	}
+	return s.av.match(0, s.av.Len(), uint64(lo), uint64(hi-lo-1), nil, dst)
 }
 
 // idRange translates an interval of values into the value ids [start, end)
@@ -374,52 +388,6 @@ func (s *DictionarySegment[T]) idRange(rng scanRange[T]) (start, end ValueID) {
 	return start, end
 }
 
-// matchesOutside appends the offsets whose value id is outside [lo, hi) and
-// not the null id — the single-pass "<>" scan (position order preserved, no
-// sort needed).
-func (s *DictionarySegment[T]) matchesOutside(lo, hi ValueID, dst []types.ChunkOffset) []types.ChunkOffset {
-	switch av := s.av.(type) {
-	case *FixedWidthVector[uint8]:
-		return matchOutside(av.data, uint64(lo), uint64(hi), uint64(s.nullID), dst)
-	case *FixedWidthVector[uint16]:
-		return matchOutside(av.data, uint64(lo), uint64(hi), uint64(s.nullID), dst)
-	case *FixedWidthVector[uint32]:
-		return matchOutside(av.data, uint64(lo), uint64(hi), uint64(s.nullID), dst)
-	case *FixedWidthVector[uint64]:
-		return matchOutside(av.data, uint64(lo), uint64(hi), uint64(s.nullID), dst)
-	case *BP128Vector:
-		var buf [64]uint64
-		for g := 0; g*64 < av.Len(); g++ {
-			for j, id := range av.group(g, &buf) {
-				if id-uint64(lo) >= uint64(hi-lo) && id != uint64(s.nullID) {
-					dst = append(dst, types.ChunkOffset(g*64+j))
-				}
-			}
-		}
-		return dst
-	default:
-		n := s.av.Len()
-		for i := 0; i < n; i++ {
-			id := s.av.Get(i)
-			if id-uint64(lo) >= uint64(hi-lo) && id != uint64(s.nullID) {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
-		return dst
-	}
-}
-
-func matchOutside[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi, nullID uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	span := hi - lo
-	for i, raw := range data {
-		id := uint64(raw)
-		if id-lo >= span && id != nullID {
-			dst = append(dst, types.ChunkOffset(i))
-		}
-	}
-	return dst
-}
-
 // --- frame of reference -------------------------------------------------
 
 // ScanEncoded implements ScannableSegment. The predicate is rewritten into
@@ -430,34 +398,21 @@ func matchOutside[W uint8 | uint16 | uint32 | uint64](data []W, lo, hi, nullID u
 func (s *FrameOfReferenceSegment) ScanEncoded(p ScanPredicate, dst []types.ChunkOffset) ([]types.ChunkOffset, ScanPath, bool) {
 	switch p.Op {
 	case ScanIsNull:
-		if s.nulls != nil {
-			for i, null := range s.nulls {
-				if null {
-					dst = append(dst, types.ChunkOffset(i))
-				}
+		for i, null := range s.nulls {
+			if null {
+				dst = append(dst, types.ChunkOffset(i))
 			}
 		}
 		return dst, PathFrameOfReference, true
 	case ScanIsNotNull:
-		if s.nulls == nil {
-			for i := 0; i < s.n; i++ {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		} else {
-			for i, null := range s.nulls {
-				if !null {
-					dst = append(dst, types.ChunkOffset(i))
-				}
-			}
-		}
-		return dst, PathFrameOfReference, true
+		return s.scanInterval(math.MinInt64, math.MaxInt64, dst), PathFrameOfReference, true
 	}
 	rng, ne, isNe, ok := scanBounds[int64](p)
 	if !ok {
 		return dst, PathFrameOfReference, false
 	}
 	if isNe {
-		return s.scanNotEqual(ne, dst), PathFrameOfReference, true
+		return s.scanInterval(ne+1, ne-1, dst), PathFrameOfReference, true
 	}
 	// Canonicalize to a closed interval [lo, hi]; an exclusive bound at the
 	// int64 extreme means the interval is empty.
@@ -487,183 +442,42 @@ func (s *FrameOfReferenceSegment) ScanEncoded(p ScanPredicate, dst []types.Chunk
 	return s.scanInterval(lo, hi, dst), PathFrameOfReference, true
 }
 
-// scanInterval emits the offsets of non-null rows with value in the closed
-// interval [lo, hi], block by block.
+// scanInterval emits the offsets of the non-null rows whose value lies in the
+// span+1 values from lo up to hi — which wraps from MaxInt64 to MinInt64 when
+// hi < lo, so <> v is [v+1, v-1] — block by block. All arithmetic is mod
+// 2^64: loCode is where lo lies from the frame on, fromLo where the frame
+// lies from lo on. A block whose values [frame, frame+blockMax] neither hold
+// lo nor start inside the interval misses it; one that lies in it emits its
+// non-null rows without reading codes; the codes of the others match
+// [loCode, loCode+span].
 func (s *FrameOfReferenceSegment) scanInterval(lo, hi int64, dst []types.ChunkOffset) []types.ChunkOffset {
-	for b := range s.frames {
-		if s.blockNonNull[b] == 0 {
-			continue
+	span := uint64(hi) - uint64(lo)
+	for b, frame := range s.frames {
+		first, last := b*forBlockSize, min((b+1)*forBlockSize, s.n)
+		loCode, fromLo, bmax := uint64(lo)-uint64(frame), uint64(frame)-uint64(lo), s.blockMax[b]
+		switch {
+		case s.blockNonNull[b] == 0 || loCode > bmax && fromLo > span:
+			// no non-null row, or the block misses the interval
+		case fromLo <= span && bmax <= span-fromLo:
+			dst = s.appendNonNull(first, last, dst)
+		default:
+			dst = s.offsets.match(first, last, loCode, span, s.nulls, dst)
 		}
-		frame := s.frames[b]
-		bmax := s.blockMax[b]
-		// frame+int64(bmax) wraps in two's complement back to the true block
-		// maximum, which is an actual value and therefore fits int64.
-		blockTop := frame + int64(bmax)
-		if hi < frame || lo > blockTop {
-			continue // block range disjoint from the predicate
-		}
-		first := b * forBlockSize
-		last := min(first+forBlockSize, s.n)
-		// Rewrite the interval into the offset domain. The subtractions are
-		// exact mod 2^64 and both differences lie in [0, 2^64), so the uint64
-		// results are the mathematical values.
-		loCode := uint64(0)
-		if lo > frame {
-			loCode = uint64(lo) - uint64(frame)
-		}
-		hiCode := bmax
-		if hi < blockTop {
-			hiCode = uint64(hi) - uint64(frame)
-		}
-		if loCode == 0 && hiCode >= bmax {
-			// Whole block inside the predicate: emit without reading codes.
-			if s.nulls == nil {
-				for i := first; i < last; i++ {
-					dst = append(dst, types.ChunkOffset(i))
-				}
-			} else {
-				for i := first; i < last; i++ {
-					if !s.nulls[i] {
-						dst = append(dst, types.ChunkOffset(i))
-					}
-				}
-			}
-			continue
-		}
-		dst = scanFORBlock(s, first, last, loCode, hiCode, dst)
 	}
 	return dst
 }
 
-// scanFORBlock compares the codes of rows [first, last) against the
-// offset-domain interval [loCode, hiCode], resolving the vector type once.
-// NULL rows store code 0 and must be excluded explicitly.
-func scanFORBlock(s *FrameOfReferenceSegment, first, last int, loCode, hiCode uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	switch ov := s.offsets.(type) {
-	case *FixedWidthVector[uint8]:
-		return scanFORBlockData(ov.data, s.nulls, first, last, loCode, hiCode, dst)
-	case *FixedWidthVector[uint16]:
-		return scanFORBlockData(ov.data, s.nulls, first, last, loCode, hiCode, dst)
-	case *FixedWidthVector[uint32]:
-		return scanFORBlockData(ov.data, s.nulls, first, last, loCode, hiCode, dst)
-	case *FixedWidthVector[uint64]:
-		return scanFORBlockData(ov.data, s.nulls, first, last, loCode, hiCode, dst)
-	case *BP128Vector:
-		return matchBP128(ov, first, last, loCode, hiCode-loCode, s.nulls, dst)
-	default:
+// appendNonNull appends the rows of [first, last) that are not NULL.
+func (s *FrameOfReferenceSegment) appendNonNull(first, last int, dst []types.ChunkOffset) []types.ChunkOffset {
+	if s.nulls == nil {
 		for i := first; i < last; i++ {
-			if s.nulls != nil && s.nulls[i] {
-				continue
-			}
-			if c := s.offsets.Get(i); c-loCode <= hiCode-loCode {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
-		return dst
-	}
-}
-
-func scanFORBlockData[W uint8 | uint16 | uint32 | uint64](data []W, nulls []bool, first, last int, loCode, hiCode uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	span := hiCode - loCode
-	if nulls == nil {
-		for i := first; i < last; i++ {
-			if uint64(data[i])-loCode <= span {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
-		return dst
-	}
-	for i := first; i < last; i++ {
-		if nulls[i] {
-			continue
-		}
-		if uint64(data[i])-loCode <= span {
 			dst = append(dst, types.ChunkOffset(i))
 		}
-	}
-	return dst
-}
-
-// scanNotEqual emits non-null rows whose value differs from v. Blocks whose
-// range excludes v emit all their non-null rows without reading codes.
-func (s *FrameOfReferenceSegment) scanNotEqual(v int64, dst []types.ChunkOffset) []types.ChunkOffset {
-	for b := range s.frames {
-		if s.blockNonNull[b] == 0 {
-			continue
-		}
-		frame := s.frames[b]
-		blockTop := frame + int64(s.blockMax[b])
-		first := b * forBlockSize
-		last := min(first+forBlockSize, s.n)
-		if v < frame || v > blockTop {
-			// v cannot occur in this block: every non-null row matches.
-			if s.nulls == nil {
-				for i := first; i < last; i++ {
-					dst = append(dst, types.ChunkOffset(i))
-				}
-			} else {
-				for i := first; i < last; i++ {
-					if !s.nulls[i] {
-						dst = append(dst, types.ChunkOffset(i))
-					}
-				}
-			}
-			continue
-		}
-		target := uint64(v) - uint64(frame)
-		dst = scanFORBlockNe(s, first, last, target, dst)
-	}
-	return dst
-}
-
-func scanFORBlockNe(s *FrameOfReferenceSegment, first, last int, target uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	switch ov := s.offsets.(type) {
-	case *FixedWidthVector[uint8]:
-		return scanFORBlockNeData(ov.data, s.nulls, first, last, target, dst)
-	case *FixedWidthVector[uint16]:
-		return scanFORBlockNeData(ov.data, s.nulls, first, last, target, dst)
-	case *FixedWidthVector[uint32]:
-		return scanFORBlockNeData(ov.data, s.nulls, first, last, target, dst)
-	case *FixedWidthVector[uint64]:
-		return scanFORBlockNeData(ov.data, s.nulls, first, last, target, dst)
-	case *BP128Vector:
-		var buf [64]uint64
-		for g := first / 64; g*64 < last; g++ {
-			for j, c := range ov.group(g, &buf) {
-				if c != target && (s.nulls == nil || !s.nulls[g*64+j]) {
-					dst = append(dst, types.ChunkOffset(g*64+j))
-				}
-			}
-		}
-		return dst
-	default:
-		for i := first; i < last; i++ {
-			if s.nulls != nil && s.nulls[i] {
-				continue
-			}
-			if s.offsets.Get(i) != target {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
 		return dst
 	}
-}
-
-func scanFORBlockNeData[W uint8 | uint16 | uint32 | uint64](data []W, nulls []bool, first, last int, target uint64, dst []types.ChunkOffset) []types.ChunkOffset {
-	if nulls == nil {
-		for i := first; i < last; i++ {
-			if uint64(data[i]) != target {
-				dst = append(dst, types.ChunkOffset(i))
-			}
-		}
-		return dst
-	}
-	for i := first; i < last; i++ {
-		if nulls[i] {
-			continue
-		}
-		if uint64(data[i]) != target {
-			dst = append(dst, types.ChunkOffset(i))
+	for i, null := range s.nulls[first:last] {
+		if !null {
+			dst = append(dst, types.ChunkOffset(first+i))
 		}
 	}
 	return dst

@@ -50,6 +50,12 @@ func FuzzEncodedScan(f *testing.F) {
 		prices[i] = byte(i * 37)
 	}
 	f.Add(prices, uint8(6), int64(4_000), int64(-2_000), int64(2_000), int64(1999)) // as cents: a decimal segment
+	// ±(2^53+1) beside 0, probed at ±2^53: as floats, which the evaluator
+	// compares through float64, where 2^53+1 is 2^53.
+	past53 := []byte{1, 0xFF, 0, 1, 0, 0xFF, 1}
+	f.Add(past53, uint8(0), int64(1<<53), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
+	f.Add(past53, uint8(3), int64(1<<53), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
+	f.Add(past53, uint8(1), int64(-(1 << 53)), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
 
 	f.Fuzz(func(t *testing.T, data []byte, opByte uint8, probe, lo, hi, stride int64) {
 		if len(data) > 1<<14 {
@@ -100,17 +106,38 @@ func FuzzEncodedScan(f *testing.F) {
 			}
 		}
 
+		// The probes as floats: an int path refuses them or answers as the
+		// evaluator does, comparing the ints through float64.
+		floats := make([]float64, len(values))
+		for i, v := range values {
+			floats[i] = float64(v)
+		}
+		fprobe, flo, fhi := float64(probe), float64(lo), float64(hi)
+		fpred := ScanPredicate{Op: op, Value: types.Float(fprobe)}
+		if op == ScanBetween {
+			fpred = ScanPredicate{Op: op, Lo: types.Float(flo), Hi: types.Float(fhi)}
+		}
+		fwant := refScan(op, fprobe, flo, fhi, floats, nulls)
+		for name, seg := range buildScannables(values, nulls) {
+			if got, _, ok := seg.ScanEncoded(fpred, nil); ok && !equalOffsets(got, fwant) {
+				t.Fatalf("%s: op=%v float probe=%v lo=%v hi=%v: got %v, want %v", name, op, fprobe, flo, fhi, clip(got), clip(fwant))
+			}
+		}
+		if got, ok := ScanValues(fpred, values, nulls, nil); ok && !equalOffsets(got, fwant) {
+			t.Fatalf("ScanValues: op=%v float probe=%v: got %v, want %v", op, fprobe, clip(got), clip(fwant))
+		}
+
 		// The same integers as cents: a decimal segment wherever all are exact.
 		cents := make([]float64, len(values))
 		for i, v := range values {
 			cents[i] = float64(v) / 100
 		}
-		fprobe, flo, fhi := float64(probe)/100, float64(lo)/100, float64(hi)/100
-		fpred := ScanPredicate{Op: op, Value: types.Float(fprobe)}
+		fprobe, flo, fhi = float64(probe)/100, float64(lo)/100, float64(hi)/100
+		fpred = ScanPredicate{Op: op, Value: types.Float(fprobe)}
 		if op == ScanBetween {
 			fpred = ScanPredicate{Op: op, Lo: types.Float(flo), Hi: types.Float(fhi)}
 		}
-		fwant := refScan(op, fprobe, flo, fhi, cents, nulls)
+		fwant = refScan(op, fprobe, flo, fhi, cents, nulls)
 		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
 			seg, ok := EncodeDecimal(cents, nulls, comp)
 			if !ok {

@@ -346,7 +346,7 @@ func (r *Reader) fsstPacked() packedStrings {
 
 // --- UintVector ---------------------------------------------------------
 
-func appendUintVector(dst []byte, v UintVector) ([]byte, error) {
+func appendUintVector(dst []byte, v UintVector) []byte {
 	switch vec := v.(type) {
 	case *FixedWidthVector[uint8]:
 		dst = append(dst, vecFixed8)
@@ -383,10 +383,8 @@ func appendUintVector(dst []byte, v UintVector) ([]byte, error) {
 		for _, w := range vec.blockStart {
 			dst = binary.LittleEndian.AppendUint32(dst, w)
 		}
-	default:
-		return nil, fmt.Errorf("encoding: cannot serialize uint vector of type %T", v)
 	}
-	return dst, nil
+	return dst
 }
 
 // wellFormed reports that v has one block per 128 codes, each 1 to 64 bits
@@ -505,11 +503,11 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 	case *DictionarySegment[int64]:
 		dst = append(dst, segDictInt64)
 		dst = appendInt64s(dst, s.dict)
-		return appendUintVector(dst, s.av)
+		return appendUintVector(dst, s.av), nil
 	case *DictionarySegment[float64]:
 		dst = append(dst, segDictFloat64)
 		dst = appendFloat64s(dst, s.dict)
-		return appendUintVector(dst, s.av)
+		return appendUintVector(dst, s.av), nil
 	case *DictionarySegment[string]:
 		if s.strs.table != nil {
 			dst = appendFSSTTable(append(dst, segDictStringFSST), s.strs.table)
@@ -520,7 +518,7 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		for id := range uint64(s.nullID) {
 			dst = AppendString(dst, s.strs.raw(id))
 		}
-		return appendUintVector(dst, s.av)
+		return appendUintVector(dst, s.av), nil
 	case *RunLengthSegment[int64]:
 		dst = append(dst, segRunLengthInt64)
 		dst = appendRunLengthMeta(dst, s.n, s.ends, s.nulls)
@@ -534,15 +532,15 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		dst = appendRunLengthMeta(dst, s.n, s.ends, s.nulls)
 		return appendStrings(dst, s.values), nil
 	case *FrameOfReferenceSegment:
-		return appendFrameOfReference(append(dst, segFrameOfReference), s)
+		return appendFrameOfReference(append(dst, segFrameOfReference), s), nil
 	case *DecimalSegment:
-		return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints)
+		return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints), nil
 	default:
 		return nil, fmt.Errorf("encoding: cannot serialize segment of type %T", seg)
 	}
 }
 
-func appendFrameOfReference(dst []byte, s *FrameOfReferenceSegment) ([]byte, error) {
+func appendFrameOfReference(dst []byte, s *FrameOfReferenceSegment) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.n))
 	dst = appendInt64s(dst, s.frames)
 	dst = AppendBools(dst, s.nulls)
@@ -635,7 +633,7 @@ func (r *Reader) frameOfReference() *FrameOfReferenceSegment {
 		r.Fail("frame-of-reference blocks do not match its rows")
 		return nil
 	}
-	s.initBlockStats(s.offsets.DecodeAll(make([]uint64, 0, s.n)))
+	s.initBlockStats(blockMaxima(s.offsets.DecodeAll(make([]uint64, 0, s.n))))
 	return s
 }
 
@@ -707,7 +705,7 @@ func restoreDictionary[T types.Ordered](r *Reader, s *DictionarySegment[T]) *Dic
 			return nil
 		}
 	}
-	if len(s.matchesOutside(0, s.nullID, nil)) > 0 { // the codes above the NULL id
+	if len(s.av.matchOutside(0, uint64(s.nullID), uint64(s.nullID), nil)) > 0 { // the codes above the NULL id
 		r.Fail("dictionary code exceeds the NULL id")
 		return nil
 	}

@@ -267,7 +267,7 @@ func TestStringDictionaryRoundTripIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := appendUintVector(appendStrings([]byte{segDictString}, distinct), seg.av)
+		want := appendUintVector(appendStrings([]byte{segDictString}, distinct), seg.av)
 		if !bytes.Equal(buf, want) {
 			t.Fatalf("%s: snapshot bytes differ from the length-prefixed values", comp)
 		}

@@ -341,40 +341,15 @@ func hashGroups[T types.Ordered](values []T, nulls []bool, codes []uint64, limit
 // summary reads a dictionary segment without decoding its rows: the dictionary
 // is the distinct values (a string one handed out as substrings of its blob, or
 // of the arena a packed one decodes into), and one pass over the attribute
-// vector counts the rows of each code (the NULL id included), resolved by code
-// width.
+// vector counts the rows of each code (the NULL id included).
 func (s *DictionarySegment[T]) summary() Summary[T] {
 	values := s.dict
 	if _, ok := any(values).([]string); ok {
 		values = any(s.strs.values()).([]T)
 	}
 	counts := make([]int, s.nullID+1)
-	switch av := s.av.(type) {
-	case *FixedWidthVector[uint8]:
-		countCodes(av.data, counts)
-	case *FixedWidthVector[uint16]:
-		countCodes(av.data, counts)
-	case *FixedWidthVector[uint32]:
-		countCodes(av.data, counts)
-	case *FixedWidthVector[uint64]:
-		countCodes(av.data, counts)
-	case *BP128Vector:
-		var buf [64]uint64
-		for g := 0; g*64 < av.Len(); g++ {
-			countCodes(av.group(g, &buf), counts)
-		}
-	default:
-		for i, n := 0, s.av.Len(); i < n; i++ {
-			counts[s.av.Get(i)]++
-		}
-	}
+	s.av.count(counts)
 	return Summary[T]{Values: values, Counts: counts[:s.nullID], Nulls: counts[s.nullID]}
-}
-
-func countCodes[W uint8 | uint16 | uint32 | uint64](codes []W, counts []int) {
-	for _, id := range codes {
-		counts[id]++
-	}
 }
 
 // summary aggregates the runs of a run-length segment: sorted by value, runs

@@ -3,7 +3,10 @@
 // frame-of-reference) map input data to small integer codes; physical
 // schemes (fixed-size byte alignment and a 128-value block bit-packer
 // modeled on SIMD-BP128) compress those integer codes further. Logical and
-// physical schemes compose freely.
+// physical schemes compose freely: a code vector (UintVector) owns every scan
+// and count over its codes, written once per layout, so a logical scheme
+// matches and counts codes without knowing how they are stored. Only the
+// format and the gathers name the layouts.
 //
 // Access paths: every encoded segment implements storage.Segment (the
 // dynamic, virtual-call-per-value path) and additionally exposes typed
@@ -45,9 +48,17 @@ func (v VectorCompressionType) String() string {
 	}
 }
 
+// compressionOf names the layout of v.
+func compressionOf(v UintVector) VectorCompressionType {
+	if _, ok := v.(*BP128Vector); ok {
+		return BitPacked128
+	}
+	return FixedSizeByteAligned
+}
+
 // UintVector is a compressed vector of unsigned integer codes. Get is the
-// dynamic access path; the concrete types below additionally provide
-// monomorphic access for generic callers.
+// dynamic access path; the scans and counts over codes are its own kernels,
+// which also keep its implementations to the two layouts below.
 type UintVector interface {
 	Get(i int) uint64
 	Len() int
@@ -55,6 +66,16 @@ type UintVector interface {
 	// DecodeAll appends all codes to dst and returns it (full
 	// materialization path of Figure 3a).
 	DecodeAll(dst []uint64) []uint64
+
+	// match appends the positions p in [first, last) whose code c lies in
+	// [lo, lo+span] — one unsigned compare, c-lo <= span, so the interval
+	// wraps past 2^64-1 to 0 — and that are not NULL (nulls may be nil).
+	match(first, last int, lo, span uint64, nulls []bool, dst []types.ChunkOffset) []types.ChunkOffset
+	// matchOutside appends the positions whose code c lies outside
+	// [lo, lo+n) — c-lo >= n — and is not except.
+	matchOutside(lo, n, except uint64, dst []types.ChunkOffset) []types.ChunkOffset
+	// count adds one to counts[c] for each code c.
+	count(counts []int)
 }
 
 // CompressUints encodes the codes with the chosen scheme.
@@ -141,6 +162,80 @@ func (v *FixedWidthVector[W]) MemoryUsage() int64 {
 func (v *FixedWidthVector[W]) DecodeAll(dst []uint64) []uint64 {
 	for _, c := range v.data {
 		dst = append(dst, uint64(c))
+	}
+	return dst
+}
+
+// match implements UintVector. A single code of a byte-wide vector without
+// NULLs takes the SWAR path (matchEqBytes).
+func (v *FixedWidthVector[W]) match(first, last int, lo, span uint64, nulls []bool, dst []types.ChunkOffset) []types.ChunkOffset {
+	data := v.data[first:last]
+	if bytes, ok := any(data).([]uint8); ok && span == 0 && lo <= 0xFF && nulls == nil {
+		return matchEqBytes(bytes, first, uint8(lo), dst)
+	}
+	if nulls == nil {
+		for i, c := range data {
+			if uint64(c)-lo <= span {
+				dst = append(dst, types.ChunkOffset(first+i))
+			}
+		}
+		return dst
+	}
+	nulls = nulls[first:last]
+	for i, c := range data {
+		if uint64(c)-lo <= span && !nulls[i] {
+			dst = append(dst, types.ChunkOffset(first+i))
+		}
+	}
+	return dst
+}
+
+// matchOutside implements UintVector.
+func (v *FixedWidthVector[W]) matchOutside(lo, n, except uint64, dst []types.ChunkOffset) []types.ChunkOffset {
+	for i, c := range v.data {
+		if uint64(c)-lo >= n && uint64(c) != except {
+			dst = append(dst, types.ChunkOffset(i))
+		}
+	}
+	return dst
+}
+
+// count implements UintVector.
+func (v *FixedWidthVector[W]) count(counts []int) {
+	for _, c := range v.data {
+		counts[c]++
+	}
+}
+
+const (
+	swarOnes  = 0x0101010101010101
+	swarHighs = 0x8080808080808080
+)
+
+// matchEqBytes appends the positions first+i of the codes equal to target,
+// eight codes per step: XOR against the broadcast target turns matches into
+// zero bytes, and the Mycroft zero-byte test skips clean words with three ALU
+// ops — the scalar analog of the SIMD scans the paper benchmarks. Single-value
+// id ranges (equality probes, IS NULL) hit this.
+func matchEqBytes(data []uint8, first int, target uint8, dst []types.ChunkOffset) []types.ChunkOffset {
+	pattern := swarOnes * uint64(target)
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		v := w ^ pattern
+		if (v-swarOnes) & ^v & swarHighs == 0 {
+			continue // no byte of this word matches
+		}
+		for j := i; j < i+8; j++ {
+			if data[j] == target {
+				dst = append(dst, types.ChunkOffset(first+j))
+			}
+		}
+	}
+	for ; i < len(data); i++ {
+		if data[i] == target {
+			dst = append(dst, types.ChunkOffset(first+i))
+		}
 	}
 	return dst
 }
@@ -319,10 +414,8 @@ func (v *BP128Vector) DecodeAll(dst []uint64) []uint64 {
 	return dst
 }
 
-// matchBP128 appends the positions p in [first, last) whose code c lies in
-// [lo, lo+span] — one unsigned compare, c-lo <= span — and that are not NULL
-// (nulls may be nil), comparing each 64 codes as they are unpacked.
-func matchBP128(v *BP128Vector, first, last int, lo, span uint64, nulls []bool, dst []types.ChunkOffset) []types.ChunkOffset {
+// match implements UintVector, comparing each 64 codes as they are unpacked.
+func (v *BP128Vector) match(first, last int, lo, span uint64, nulls []bool, dst []types.ChunkOffset) []types.ChunkOffset {
 	var buf [64]uint64
 	for g := first / 64; g*64 < last; g++ {
 		from := max(first-g*64, 0)
@@ -335,6 +428,29 @@ func matchBP128(v *BP128Vector, first, last int, lo, span uint64, nulls []bool, 
 		}
 	}
 	return dst
+}
+
+// matchOutside implements UintVector, 64 codes at a time.
+func (v *BP128Vector) matchOutside(lo, n, except uint64, dst []types.ChunkOffset) []types.ChunkOffset {
+	var buf [64]uint64
+	for g := 0; g*64 < v.n; g++ {
+		for j, c := range v.group(g, &buf) {
+			if c-lo >= n && c != except {
+				dst = append(dst, types.ChunkOffset(g*64+j))
+			}
+		}
+	}
+	return dst
+}
+
+// count implements UintVector, 64 codes at a time.
+func (v *BP128Vector) count(counts []int) {
+	var buf [64]uint64
+	for g := 0; g*64 < v.n; g++ {
+		for _, c := range v.group(g, &buf) {
+			counts[c]++
+		}
+	}
 }
 
 // gatherRows is how many rows a gather reads at a time (codeRuns).

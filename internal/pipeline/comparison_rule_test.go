@@ -71,13 +71,18 @@ func agree(t *testing.T, engines map[string]*Engine, oracle *rowengine.Engine, s
 // matches nothing but <>, -0 = +0); ORDER BY, GROUP BY, DISTINCT,
 // COUNT(DISTINCT), MIN and MAX by the total order (NaN first and one value,
 // -0 = +0, NULL last). Over a FLOAT column of two NaN payloads, both zeros,
-// both infinities, 0.5, 1 and NULL — sealed under every layout, plus a
-// mutable tail — every engine configuration returns what the row engine does.
+// both infinities, 0.5, 1 and NULL, and an INT column of ±(2^53+1), ±2^53
+// and small ints probed with integral floats — sealed under every layout,
+// plus a mutable tail — every engine configuration returns what the row
+// engine does.
 func TestDiffComparisonRule(t *testing.T) {
 	values := []types.Value{
 		types.Float(math.NaN()), types.Float(1), types.Float(math.Copysign(0, -1)), types.Float(math.Inf(1)), types.NullValue,
 		types.Float(0.5), types.Float(math.Float64frombits(0x7FF8000000000123)), types.Float(math.Inf(-1)), types.Float(0),
 	}
+	// a holds ints past 2^53, which the evaluator compares with a float
+	// through float64: 2^53+1 equals 2^53.0.
+	ints := []int64{1<<53 + 1, 5, -(1<<53 + 1), 0, 1 << 53, 5, 1<<53 + 1, -7, -(1 << 53)}
 	layouts := []*encoding.Spec{
 		{Encoding: encoding.Unencoded},
 		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
@@ -90,17 +95,18 @@ func TestDiffComparisonRule(t *testing.T) {
 		{Name: "id", Type: types.TypeInt64},
 		{Name: "f", Type: types.TypeFloat64, Nullable: true},
 		{Name: "h", Type: types.TypeFloat64}, // f with NULL as 2: NOT IN may become an anti join
+		{Name: "a", Type: types.TypeInt64},
 	}
 	table := storage.NewTable("c", defs, len(values), false)
 	id := int64(0)
 	appendRotated := func(by, n int) {
 		for k := 0; k < n; k++ {
-			f := values[(by+k)%len(values)]
+			f, a := values[(by+k)%len(values)], ints[(by+k)%len(ints)]
 			h := f
 			if f.IsNull() {
 				h = types.Float(2)
 			}
-			if _, err := table.AppendRow([]types.Value{types.Int(id), f, h}); err != nil {
+			if _, err := table.AppendRow([]types.Value{types.Int(id), f, h, types.Int(a)}); err != nil {
 				t.Fatal(err)
 			}
 			id++
@@ -142,6 +148,12 @@ func TestDiffComparisonRule(t *testing.T) {
 		"SELECT id FROM c WHERE f >= 0",
 		"SELECT id FROM c WHERE f + 0 = 0.5",
 		"SELECT id FROM c WHERE f BETWEEN 0 AND 1",
+		"SELECT id FROM c WHERE a = 9007199254740992.0",
+		"SELECT id FROM c WHERE a <= 9007199254740992.0",
+		"SELECT id FROM c WHERE a <> 9007199254740992.0",
+		"SELECT id FROM c WHERE a = -9007199254740992.0",
+		"SELECT id FROM c WHERE a >= -9007199254740992.0",
+		"SELECT id FROM c WHERE a BETWEEN 5.0 AND 9007199254740992.0",
 		"SELECT id FROM c WHERE f IN (0.5, 1.0, 7.0)",
 		"SELECT id FROM c WHERE f NOT IN (0.5, 1.0)",
 		"SELECT id FROM c WHERE f IN (SELECT g FROM p)",
