@@ -1,6 +1,7 @@
 package expression
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -16,15 +17,19 @@ type Context struct {
 	N int
 	// Column returns the vector of the bound column with the given index.
 	Column func(index int) (*Vector, error)
-	// Params holds the values of Parameter expressions by ID.
+	// Params holds the values of Parameter expressions by ID: the
+	// statement's placeholders, the same in every subquery.
 	Params []types.Value
+	// Outer holds the values of OuterRef expressions by ID: the correlated
+	// values of the outer row a subquery plan runs for.
+	Outer []types.Value
 	// ExecScalarSubquery runs a (possibly correlated) scalar subquery with
-	// the given parameter values and returns its single value.
-	ExecScalarSubquery func(sub *Subquery, params []types.Value) (types.Value, error)
+	// the given correlated values and returns its single value.
+	ExecScalarSubquery func(sub *Subquery, outer []types.Value) (types.Value, error)
 	// ExecInSubquery returns the value set produced by an IN subquery.
-	ExecInSubquery func(sub *Subquery, params []types.Value) (*ValueSet, error)
+	ExecInSubquery func(sub *Subquery, outer []types.Value) (*ValueSet, error)
 	// ExecExistsSubquery reports whether the subquery yields any row.
-	ExecExistsSubquery func(sub *Subquery, params []types.Value) (bool, error)
+	ExecExistsSubquery func(sub *Subquery, outer []types.Value) (bool, error)
 }
 
 // Evaluate computes the expression over all rows of the context's chunk.
@@ -34,9 +39,14 @@ func Evaluate(e Expression, ctx *Context) (*Vector, error) {
 		return ConstVector(x.Value, ctx.N), nil
 	case *Parameter:
 		if x.ID < 0 || x.ID >= len(ctx.Params) {
-			return nil, fmt.Errorf("expression: unbound parameter $%d", x.ID)
+			return nil, fmt.Errorf("expression: unbound parameter %s", x)
 		}
 		return ConstVector(ctx.Params[x.ID], ctx.N), nil
+	case *OuterRef:
+		if x.ID < 0 || x.ID >= len(ctx.Outer) {
+			return nil, fmt.Errorf("expression: unbound correlated column %s", x)
+		}
+		return ConstVector(ctx.Outer[x.ID], ctx.N), nil
 	case *BoundColumn:
 		if ctx.Column == nil {
 			return nil, fmt.Errorf("expression: no column source for %s", x)
@@ -575,9 +585,9 @@ func substringSQL(s string, from, length int) string {
 	return s[start:end]
 }
 
-// subqueryParams evaluates the correlated outer expressions once per chunk
-// and returns the per-row parameter tuples.
-func subqueryParams(sub *Subquery, ctx *Context) ([][]types.Value, error) {
+// outerRows evaluates the correlated outer expressions once per chunk and
+// returns the per-row tuples of OuterRef values.
+func outerRows(sub *Subquery, ctx *Context) ([][]types.Value, error) {
 	if len(sub.Correlated) == 0 {
 		return nil, nil
 	}
@@ -600,15 +610,36 @@ func subqueryParams(sub *Subquery, ctx *Context) ([][]types.Value, error) {
 	return rows, nil
 }
 
+// OuterKey encodes one tuple of correlated values for a subquery memo: per
+// value its type, then its 8 bytes or, for a string, its length and bytes —
+// no two tuples share a key.
+func OuterKey(outer []types.Value) string {
+	b := make([]byte, 0, 9*len(outer))
+	for _, v := range outer {
+		b = append(b, byte(v.Type))
+		switch v.Type {
+		case types.TypeNull:
+		case types.TypeString:
+			b = binary.AppendUvarint(b, uint64(len(v.S)))
+			b = append(b, v.S...)
+		case types.TypeFloat64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		default:
+			b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
+		}
+	}
+	return string(b)
+}
+
 func evalScalarSubquery(x *Subquery, ctx *Context) (*Vector, error) {
 	if ctx.ExecScalarSubquery == nil {
 		return nil, fmt.Errorf("expression: no scalar subquery executor installed")
 	}
-	params, err := subqueryParams(x, ctx)
+	outer, err := outerRows(x, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if params == nil {
+	if outer == nil {
 		v, err := ctx.ExecScalarSubquery(x, nil)
 		if err != nil {
 			return nil, err
@@ -617,7 +648,7 @@ func evalScalarSubquery(x *Subquery, ctx *Context) (*Vector, error) {
 	}
 	vals := make([]types.Value, ctx.N)
 	for i := 0; i < ctx.N; i++ {
-		v, err := ctx.ExecScalarSubquery(x, params[i])
+		v, err := ctx.ExecScalarSubquery(x, outer[i])
 		if err != nil {
 			return nil, err
 		}
@@ -685,12 +716,12 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 	if ctx.ExecInSubquery == nil {
 		return nil, fmt.Errorf("expression: no IN-subquery executor installed")
 	}
-	params, err := subqueryParams(x.Subquery, ctx)
+	outer, err := outerRows(x.Subquery, ctx)
 	if err != nil {
 		return nil, err
 	}
 	var sharedSet *ValueSet
-	if params == nil {
+	if outer == nil {
 		sharedSet, err = ctx.ExecInSubquery(x.Subquery, nil)
 		if err != nil {
 			return nil, err
@@ -704,7 +735,7 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 		}
 		set := sharedSet
 		if set == nil {
-			set, err = ctx.ExecInSubquery(x.Subquery, params[i])
+			set, err = ctx.ExecInSubquery(x.Subquery, outer[i])
 			if err != nil {
 				return nil, err
 			}
@@ -727,11 +758,11 @@ func evalExists(x *Exists, ctx *Context) (*Vector, error) {
 	}
 	n := ctx.N
 	out := make([]bool, n)
-	params, err := subqueryParams(x.Subquery, ctx)
+	outer, err := outerRows(x.Subquery, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if params == nil {
+	if outer == nil {
 		exists, err := ctx.ExecExistsSubquery(x.Subquery, nil)
 		if err != nil {
 			return nil, err
@@ -742,7 +773,7 @@ func evalExists(x *Exists, ctx *Context) (*Vector, error) {
 		return &Vector{DT: types.TypeBool, B: out, N: n}, nil
 	}
 	for i := 0; i < n; i++ {
-		exists, err := ctx.ExecExistsSubquery(x.Subquery, params[i])
+		exists, err := ctx.ExecExistsSubquery(x.Subquery, outer[i])
 		if err != nil {
 			return nil, err
 		}
@@ -815,7 +846,7 @@ func InferType(e Expression, columnType func(index int) types.DataType) types.Da
 	switch x := e.(type) {
 	case *Literal:
 		return x.Value.Type
-	case *Parameter:
+	case *Parameter, *OuterRef:
 		return types.TypeNull // unknown until bound
 	case *BoundColumn:
 		if x.DT != types.TypeNull {

@@ -84,17 +84,35 @@ func (l *Literal) String() string {
 // Children implements Expression.
 func (l *Literal) Children() []Expression { return nil }
 
-// Parameter is a placeholder (?) in a prepared statement or a correlated
-// parameter in a subquery plan. ID identifies the slot.
+// Parameter is a statement placeholder ($n or ?): ID is its 0-based slot,
+// read from Context.Params. A slot takes the type of what the plan compares
+// it with or writes it to (lqp.ParamTypes); one nothing types — a bare
+// `SELECT $1`, `$1 = $2`, an argument of a control function — stays
+// untyped. It prints as ?n with the 1-based slot number, so that it never
+// reads like an OuterRef.
 type Parameter struct {
 	ID int
 }
 
 // String implements Expression.
-func (p *Parameter) String() string { return fmt.Sprintf("$%d", p.ID) }
+func (p *Parameter) String() string { return fmt.Sprintf("?%d", p.ID+1) }
 
 // Children implements Expression.
 func (p *Parameter) Children() []Expression { return nil }
+
+// OuterRef is a correlated column inside a subquery plan: ID indexes the
+// enclosing Subquery's Correlated list, and its value for the outer row
+// being evaluated is read from Context.Outer. It is untyped like a
+// placeholder.
+type OuterRef struct {
+	ID int
+}
+
+// String implements Expression.
+func (o *OuterRef) String() string { return fmt.Sprintf("$%d", o.ID) }
+
+// Children implements Expression.
+func (o *OuterRef) Children() []Expression { return nil }
 
 // --- operators --------------------------------------------------------------
 
@@ -505,9 +523,10 @@ func (a *Aggregate) Children() []Expression {
 type Subquery struct {
 	Plan any
 	// Correlated lists the outer-context expressions whose per-row values
-	// bind the subquery's parameters: parameter i receives Correlated[i].
+	// bind the subquery's OuterRefs: OuterRef i receives Correlated[i].
 	Correlated []Expression
-	// ID disambiguates subqueries textually (memoization keys).
+	// ID numbers the subquery in plan text; it is unique within one parse
+	// only.
 	ID int
 }
 
@@ -530,13 +549,13 @@ func VisitAll(e Expression, f func(Expression)) {
 	}
 }
 
-// ContainsAggregate reports whether the tree contains an Aggregate node.
-func ContainsAggregate(e Expression) bool {
+// Contains reports whether the tree holds a node of type T (an *Aggregate,
+// an *OuterRef, ...).
+func Contains[T Expression](e Expression) bool {
 	found := false
 	VisitAll(e, func(x Expression) {
-		if _, ok := x.(*Aggregate); ok {
-			found = true
-		}
+		_, ok := x.(T)
+		found = found || ok
 	})
 	return found
 }

@@ -596,10 +596,10 @@ func TestTransformAndVisit(t *testing.T) {
 	if same != e {
 		t.Error("identity transform should preserve node identity")
 	}
-	if ContainsAggregate(e) {
+	if Contains[*Aggregate](e) {
 		t.Error("no aggregate here")
 	}
-	if !ContainsAggregate(&Aggregate{Fn: AggCountStar}) {
+	if !Contains[*Aggregate](&Aggregate{Fn: AggCountStar}) {
 		t.Error("aggregate not detected")
 	}
 }

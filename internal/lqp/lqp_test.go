@@ -1,6 +1,7 @@
 package lqp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -303,20 +304,19 @@ func TestTranslateCorrelatedSubquery(t *testing.T) {
 	if outer.Index != 0 {
 		t.Errorf("outer binding index = %d", outer.Index)
 	}
-	// Inside the subquery plan, the correlation is a Parameter.
+	// Inside the subquery plan, the correlation is an OuterRef, never a
+	// statement Parameter.
 	subPlan := sub.Plan.(Node)
-	var paramSeen bool
-	VisitPlan(subPlan, func(n Node) {
-		if p, ok := n.(*PredicateNode); ok {
-			expression.VisitAll(p.Predicate, func(e expression.Expression) {
-				if _, ok := e.(*expression.Parameter); ok {
-					paramSeen = true
-				}
-			})
-		}
+	var outerSeen, paramSeen bool
+	VisitExpressions(subPlan, func(e expression.Expression) {
+		outerSeen = outerSeen || expression.Contains[*expression.OuterRef](e)
+		paramSeen = paramSeen || expression.Contains[*expression.Parameter](e)
 	})
-	if !paramSeen {
-		t.Error("correlated parameter missing in subquery plan")
+	if !outerSeen || paramSeen {
+		t.Errorf("subquery plan: OuterRef seen = %v, Parameter seen = %v; want the correlation as an OuterRef only", outerSeen, paramSeen)
+	}
+	if got := PlanString(subPlan); !strings.Contains(got, "o_custkey = $0") {
+		t.Errorf("the OuterRef prints as $0 no more:\n%s", got)
 	}
 }
 
@@ -400,49 +400,74 @@ func TestTranslateDML(t *testing.T) {
 	}
 }
 
+// TestRouteBindParameters: translation never writes into the AST, so a
+// cached statement with a subquery and a placeholder translates again and
+// again into plans that keep the placeholder.
 func TestRouteBindParameters(t *testing.T) {
 	sm := testCatalog(t, false)
-	stmt, err := sqlparser.ParseOne("SELECT o_orderkey FROM orders WHERE o_totalprice > ? AND o_orderdate = ?")
+	stmt, err := sqlparser.ParseOne("SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := BindParameters(stmt, []types.Value{types.Float(100), types.Str("1995-01-01")})
 	tr := &Translator{SM: sm}
-	plan, err := tr.Translate(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := findPredicate(plan)
-	var paramLeft bool
-	expression.VisitAll(pred.Predicate, func(e expression.Expression) {
-		if _, ok := e.(*expression.Parameter); ok {
-			paramLeft = true
+	for i := 0; i < 2; i++ {
+		plan, err := tr.Translate(stmt)
+		if err != nil {
+			t.Fatalf("translation %d: %v", i, err)
 		}
-	})
-	if paramLeft {
-		t.Error("parameters should be substituted by literals")
-	}
-
-	// Binding copies: the statement keeps its placeholders — also the ones
-	// inside a subquery — and can be bound, and translated, again.
-	stmt, err = sqlparser.ParseOne("SELECT o_orderkey FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bal := range []float64{0, 1e9} {
-		if _, err := tr.Translate(BindParameters(stmt, []types.Value{types.Float(bal)})); err != nil {
-			t.Fatalf("bound copy (c_acctbal > %g): %v", bal, err)
+		in := findPredicate(plan).Predicate.(*expression.In)
+		if got := findPredicate(in.Subquery.Plan.(Node)).Predicate.String(); got != "(customer.c_acctbal > ?1)" {
+			t.Errorf("translation %d: subquery predicate %s, want the placeholder kept", i, got)
 		}
 	}
-	params := 0
+	var sub *expression.Subquery
 	sqlparser.Rewrite(stmt, nil, func(e expression.Expression) expression.Expression {
-		if _, ok := e.(*expression.Parameter); ok {
-			params++
+		if s, ok := e.(*expression.Subquery); ok {
+			sub = s
 		}
 		return nil
 	})
-	if params != 1 {
-		t.Errorf("the statement kept %d placeholders after being bound twice, want 1", params)
+	if _, ok := sub.Plan.(*sqlparser.SelectStatement); !ok || len(sub.Correlated) != 0 {
+		t.Errorf("the AST's subquery holds %T with %d correlated columns after two translations", sub.Plan, len(sub.Correlated))
+	}
+}
+
+// TestParamTypes: a slot takes the type of what the plan compares it with,
+// tests it against, computes it with or writes it to — through views,
+// derived tables, functions and subqueries — and stays untyped otherwise.
+func TestParamTypes(t *testing.T) {
+	sm := testCatalog(t, true)
+	if err := sm.AddView("named", "SELECT c_custkey AS id, c_name AS label FROM customer"); err != nil {
+		t.Fatal(err)
+	}
+	I, F, S, N := types.TypeInt64, types.TypeFloat64, types.TypeString, types.TypeNull
+	for _, c := range []struct {
+		sql  string
+		want []types.DataType
+	}{
+		{"SELECT id FROM named WHERE label = $1", []types.DataType{S}},
+		{"SELECT d.x FROM (SELECT c_name AS x FROM customer) AS d WHERE d.x = $1", []types.DataType{S}},
+		{"SELECT c_custkey FROM customer WHERE lower(c_name) = $1", []types.DataType{S}},
+		{"SELECT c_custkey FROM customer WHERE EXISTS (SELECT 1 FROM named WHERE id = c_custkey AND label = $1)", []types.DataType{S}},
+		{"SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN $1 AND $2 AND c_custkey IN ($3, 4)", []types.DataType{F, F, I}},
+		{"SELECT c_custkey FROM customer WHERE $1 IN (SELECT o_totalprice FROM orders) AND c_name LIKE $2", []types.DataType{F, S}},
+		{"SELECT c_custkey FROM customer WHERE c_acctbal > $1 * 2 AND c_custkey > (SELECT max(o_custkey) FROM orders WHERE o_orderdate < $2)", []types.DataType{I, S}},
+		{"SELECT $1, c_custkey FROM customer WHERE $2 = $3", []types.DataType{N, N, N}},
+		{"INSERT INTO orders (o_orderdate, o_orderkey) VALUES ($1, $2)", []types.DataType{S, I}},
+		{"INSERT INTO customer VALUES ($1, $2, $3)", []types.DataType{I, S, F}},
+		{"UPDATE orders SET o_totalprice = $1 WHERE o_orderkey = $2", []types.DataType{F, I}},
+	} {
+		stmt, err := sqlparser.ParseOne(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&Translator{SM: sm, UseMvcc: true}).Translate(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := ParamTypes(plan, len(c.want)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: slot types %v, want %v", c.sql, got, c.want)
+		}
 	}
 }
 

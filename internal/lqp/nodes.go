@@ -478,6 +478,7 @@ type InsertNode struct {
 	TableName string
 	Columns   []string // empty = declaration order
 	Rows      [][]expression.Expression
+	Table     *storage.Table // the target, resolved at translation
 }
 
 // Inputs implements Node.
@@ -556,6 +557,46 @@ func VisitPlan(root Node, f func(Node)) {
 		VisitPlan(in, f)
 	}
 	f(root)
+}
+
+// VisitExpressions calls f with every expression a node of the plan holds
+// (each tree's root; the plans of subqueries inside are not entered).
+func VisitExpressions(root Node, f func(expression.Expression)) {
+	VisitPlan(root, func(n Node) {
+		switch node := n.(type) {
+		case *PredicateNode:
+			f(node.Predicate)
+		case *ProjectionNode:
+			for _, e := range node.Exprs {
+				f(e)
+			}
+		case *JoinNode:
+			for _, e := range node.Predicates {
+				f(e)
+			}
+		case *AggregateNode:
+			for _, e := range node.GroupBy {
+				f(e)
+			}
+			for _, a := range node.Aggregates {
+				f(a)
+			}
+		case *SortNode:
+			for _, k := range node.Keys {
+				f(k.Expr)
+			}
+		case *UpdateNode:
+			for _, e := range node.SetExprs {
+				f(e)
+			}
+		case *InsertNode:
+			for _, row := range node.Rows {
+				for _, e := range row {
+					f(e)
+				}
+			}
+		}
+	})
 }
 
 // PlanString renders a plan tree indented, roots first, for the console's

@@ -14,9 +14,11 @@ import (
 // Translator turns parsed SQL statements into logical query plans
 // (paper §2.6, "SQL-to-LQP Translation"). Subselects are translated into
 // sub-LQPs attached to the expression that uses them; correlated columns
-// become parameters bound per outer row, exactly as the paper describes
+// become OuterRefs bound per outer row, exactly as the paper describes
 // ("for correlated subselects, the query plan contains placeholders that
 // are replaced with the correlated attributes during the execution").
+// Statement placeholders stay Parameters; ParamTypes types them from the
+// plan.
 type Translator struct {
 	SM *storage.StorageManager
 	// UseMvcc inserts Validate nodes above stored tables; when false (MVCC
@@ -33,7 +35,11 @@ func (t *Translator) Translate(stmt sqlparser.Statement) (Node, error) {
 		sc := &scope{tr: t}
 		return t.translateSelect(s, sc)
 	case *sqlparser.InsertStatement:
-		return &InsertNode{TableName: s.Table, Columns: s.Columns, Rows: s.Rows}, nil
+		tab, err := t.SM.GetTable(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		return &InsertNode{TableName: s.Table, Columns: s.Columns, Rows: s.Rows, Table: tab}, nil
 	case *sqlparser.DeleteStatement:
 		child, sc, err := t.dmlSourcePlan(s.Table, s.Where)
 		if err != nil {
@@ -93,14 +99,14 @@ type scope struct {
 	node  Node
 	outer *scope
 	// sub is the subquery expression being translated in this scope; outer
-	// resolutions register correlated parameters on it.
+	// resolutions register correlated columns on it.
 	sub *expression.Subquery
-	// corrByKey dedupes correlated parameters by outer expression identity.
+	// corrByKey dedupes correlated columns by outer expression identity.
 	corrByKey map[string]int
 }
 
 // resolve maps a column name to an expression valid in this scope. Names
-// not found locally are resolved in outer scopes and become parameters of
+// not found locally are resolved in outer scopes and become OuterRefs of
 // the subquery.
 func (s *scope) resolve(qualifier, name string) (expression.Expression, error) {
 	if s.node != nil {
@@ -124,12 +130,12 @@ func (s *scope) resolve(qualifier, name string) (expression.Expression, error) {
 			s.corrByKey = make(map[string]int)
 		}
 		if id, ok := s.corrByKey[key]; ok {
-			return &expression.Parameter{ID: id}, nil
+			return &expression.OuterRef{ID: id}, nil
 		}
 		id := len(s.sub.Correlated)
 		s.sub.Correlated = append(s.sub.Correlated, outerExpr)
 		s.corrByKey[key] = id
-		return &expression.Parameter{ID: id}, nil
+		return &expression.OuterRef{ID: id}, nil
 	}
 	return nil, fmt.Errorf("lqp: column %q: %w", displayName(qualifier, name), ErrColumnNotFound)
 }
@@ -246,9 +252,9 @@ func (t *Translator) translateSelect(stmt *sqlparser.SelectStatement, sc *scope)
 	}
 
 	// GROUP BY / aggregation.
-	hasAggs := having != nil && expression.ContainsAggregate(having)
+	hasAggs := having != nil && expression.Contains[*expression.Aggregate](having)
 	for _, it := range items {
-		if expression.ContainsAggregate(it.expr) {
+		if expression.Contains[*expression.Aggregate](it.expr) {
 			hasAggs = true
 		}
 	}
@@ -544,14 +550,79 @@ func (t *Translator) translateTableRef(ref sqlparser.TableRef, sc *scope) (Node,
 	}
 }
 
-// BindParameters returns a copy of a prepared statement's AST with literal
-// values substituted for its Parameter placeholders, ready for translation.
-// stmt is left untouched and can be bound again.
-func BindParameters(stmt sqlparser.Statement, params []types.Value) sqlparser.Statement {
-	return sqlparser.Rewrite(stmt, nil, func(x expression.Expression) expression.Expression {
-		if p, ok := x.(*expression.Parameter); ok && p.ID < len(params) {
-			return expression.NewLiteral(params[p.ID])
+// ParamTypes types the n placeholder slots of a translated statement from
+// its plan, subquery plans included: an INSERT value or UPDATE SET slot takes
+// its target column's type, a slot compared with, tested against (BETWEEN,
+// IN, LIKE) or computed with an operand takes that operand's type. The first
+// typed use wins; a slot nothing types stays TypeNull.
+func ParamTypes(root Node, n int) []types.DataType {
+	out := make([]types.DataType, n)
+	assign := func(e expression.Expression, dt types.DataType) {
+		if p, ok := e.(*expression.Parameter); ok && p.ID < n && out[p.ID] == types.TypeNull {
+			out[p.ID] = dt
 		}
-		return nil
-	})
+	}
+	pair := func(a, b expression.Expression) {
+		assign(a, inferWithSubqueries(b, nil))
+		assign(b, inferWithSubqueries(a, nil))
+	}
+	switch node := root.(type) {
+	case *InsertNode:
+		var targets []types.DataType
+		for _, d := range node.Table.ColumnDefinitions() {
+			targets = append(targets, d.Type)
+		}
+		if len(node.Columns) > 0 {
+			named := make([]types.DataType, len(node.Columns))
+			for i, name := range node.Columns {
+				if id, err := node.Table.ColumnID(name); err == nil {
+					named[i] = targets[id]
+				}
+			}
+			targets = named
+		}
+		for _, row := range node.Rows {
+			for i, e := range row {
+				if i < len(targets) {
+					assign(e, targets[i])
+				}
+			}
+		}
+	case *UpdateNode:
+		schema := node.Inputs()[0].Schema()
+		for i, e := range node.SetExprs {
+			if idx, err := schema.Resolve("", node.SetColumns[i]); err == nil {
+				assign(e, schema[idx].DT)
+			}
+		}
+	}
+	var walk func(Node)
+	walk = func(plan Node) {
+		VisitExpressions(plan, func(e expression.Expression) {
+			expression.VisitAll(e, func(x expression.Expression) {
+				switch x := x.(type) {
+				case *expression.Comparison:
+					pair(x.Left, x.Right)
+				case *expression.Arithmetic:
+					pair(x.Left, x.Right)
+				case *expression.Between:
+					pair(x.Child, x.Lo)
+					pair(x.Child, x.Hi)
+				case *expression.In:
+					for _, item := range x.List {
+						pair(x.Child, item)
+					}
+					if x.Subquery != nil {
+						pair(x.Child, x.Subquery)
+					}
+				case *expression.Subquery:
+					if plan, ok := x.Plan.(Node); ok {
+						walk(plan)
+					}
+				}
+			})
+		})
+	}
+	walk(root)
+	return out
 }

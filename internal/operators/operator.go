@@ -34,7 +34,7 @@ type Operator interface {
 }
 
 // ExecContext carries the per-execution state: the transaction, the
-// scheduler, and the subquery result cache.
+// scheduler, and the subquery memo.
 type ExecContext struct {
 	// Ctx carries the statement's cancellation signal (client cancel or
 	// statement timeout). Operators check it at chunk granularity; nil means
@@ -47,9 +47,15 @@ type ExecContext struct {
 	Scheduler scheduler.Scheduler
 	// SM resolves table names (GetTable, DML).
 	SM *storage.StorageManager
-	// Params holds values for Parameter expressions (correlated subquery
-	// invocations bind them per outer row).
+	// Params holds the values of the statement's placeholders (Parameter
+	// expressions), the same in every subquery. A slot the plan types
+	// (lqp.ParamTypes) holds a value of that type when bound over the wire;
+	// one it leaves untyped — a bare `SELECT $1`, `$1 = $2` — holds what the
+	// client's text looked like (int, else float, else string).
 	Params []types.Value
+	// Outer holds the values of OuterRef expressions: the correlated values
+	// a subquery plan runs with, bound per outer row; nil at the top.
+	Outer []types.Value
 	// DynamicAccess forces the per-value interface access path everywhere
 	// (no specialized scans, no static materialization) — the
 	// "Hyrise1-style runtime abstraction" baseline of Figure 3b/Figure 6.
@@ -88,10 +94,12 @@ type ExecContext struct {
 	// tests shrink it so that small fixtures split into several morsels.
 	morselRows int
 
-	// subqueryCache memoizes subquery executions by (id, params) so
-	// correlated subqueries re-execute only once per distinct parameter
-	// combination.
-	subqueryCache sync.Map
+	// subqueries memoizes subquery executions by plan and correlated values,
+	// so that a correlated subquery runs once per distinct outer tuple. One
+	// memo serves a statement execution: a child context points at its
+	// root's.
+	subqueries sync.Map
+	root       *ExecContext
 }
 
 // NewExecContext creates an execution context.
@@ -109,18 +117,20 @@ func (ctx *ExecContext) Err() error {
 	return ctx.Ctx.Err()
 }
 
-// child derives a context for a subquery invocation with bound parameters.
-// The subquery cache is shared so nested invocations memoize globally per
-// execution. Metrics propagate (subquery scans count globally); the trace
-// does not — subquery time is attributed to the operator that evaluates the
-// subquery expression, keeping the annotated plan tree-shaped.
-func (ctx *ExecContext) child(params []types.Value) *ExecContext {
+// child derives a context for a subquery invocation: the statement's
+// parameters pass down unchanged, the correlated values bind as Outer. The
+// subquery memo is shared so nested invocations memoize per execution.
+// Metrics propagate (subquery scans count globally); the trace does not —
+// subquery time is attributed to the operator that evaluates the subquery
+// expression, keeping the annotated plan tree-shaped.
+func (ctx *ExecContext) child(outer []types.Value) *ExecContext {
 	return &ExecContext{
 		Ctx:           ctx.Ctx,
 		Tx:            ctx.Tx,
 		Scheduler:     ctx.Scheduler,
 		SM:            ctx.SM,
-		Params:        params,
+		Params:        ctx.Params,
+		Outer:         outer,
 		DynamicAccess: ctx.DynamicAccess,
 		Metrics:       ctx.Metrics,
 		Scans:         ctx.Scans,
@@ -129,7 +139,16 @@ func (ctx *ExecContext) child(params []types.Value) *ExecContext {
 		Parallel:      ctx.Parallel,
 		Estimator:     ctx.Estimator,
 		morselRows:    ctx.morselRows,
+		root:          ctx.memoRoot(),
 	}
+}
+
+// memoRoot returns the context that owns the statement's subquery memo.
+func (ctx *ExecContext) memoRoot() *ExecContext {
+	if ctx.root != nil {
+		return ctx.root
+	}
+	return ctx
 }
 
 // noteWait files blocked nanoseconds into the global wait histograms and the
@@ -419,6 +438,7 @@ func (ctx *ExecContext) evalContext(chunk *storage.Chunk, n int, pos []types.Chu
 	ec := &expression.Context{
 		N:      n,
 		Params: ctx.Params,
+		Outer:  ctx.Outer,
 		Column: func(i int) (*expression.Vector, error) {
 			if v, ok := cache[i]; ok {
 				return v, nil

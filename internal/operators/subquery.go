@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"strings"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
@@ -12,10 +11,12 @@ import (
 
 // Subquery execution (paper §2.6): subselects run as if they were
 // stand-alone queries. Non-correlated subqueries execute once; correlated
-// ones execute per distinct parameter combination, memoized in the
-// execution context — the memoization is what keeps the paper's
+// ones execute per distinct tuple of correlated values, memoized per
+// statement execution — the memoization is what keeps the paper's
 // "placeholders are replaced with the correlated attributes during the
-// execution" strategy tractable.
+// execution" strategy tractable. A result is keyed by the subquery's
+// physical plan, not its parser-assigned ID, which restarts in every parse
+// (a view's subqueries are parsed again at translation).
 
 type subqueryResult struct {
 	scalar types.Value
@@ -24,70 +25,54 @@ type subqueryResult struct {
 	err    error
 }
 
-func subqueryKey(kind string, sub *expression.Subquery, params []types.Value) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s:%d", kind, sub.ID)
-	for _, p := range params {
-		sb.WriteByte('|')
-		sb.WriteByte(byte('0' + p.Type))
-		sb.WriteString(p.String())
+type subqueryKey struct {
+	plan  Operator
+	kind  byte // 's'calar, 'i'n, 'e'xists
+	outer string
+}
+
+// memoSubquery returns the memoized result of one subquery invocation,
+// running the plan and deriving the result with fill on a miss.
+func (ctx *ExecContext) memoSubquery(kind byte, sub *expression.Subquery, outer []types.Value, fill func(*storage.Table, *subqueryResult)) *subqueryResult {
+	plan, ok := sub.Plan.(Operator)
+	if !ok {
+		return &subqueryResult{err: fmt.Errorf("operators: subquery %d holds %T, not a physical plan", sub.ID, sub.Plan)}
 	}
-	return sb.String()
+	memo := &ctx.memoRoot().subqueries
+	key := subqueryKey{plan: plan, kind: kind, outer: expression.OuterKey(outer)}
+	if cached, ok := memo.Load(key); ok {
+		return cached.(*subqueryResult)
+	}
+	r := &subqueryResult{}
+	out, err := Execute(plan, ctx.child(outer))
+	if r.err = err; err == nil {
+		fill(out, r)
+	}
+	memo.Store(key, r)
+	return r
 }
 
 // installSubqueryExecutors wires the evaluator callbacks to physical plan
 // execution with memoization.
 func (ctx *ExecContext) installSubqueryExecutors(ec *expression.Context) {
-	ec.ExecScalarSubquery = func(sub *expression.Subquery, params []types.Value) (types.Value, error) {
-		key := subqueryKey("s", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.scalar, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
-			r.scalar, r.err = scalarFromTable(out)
-		}
-		ctx.subqueryCache.Store(key, r)
+	ec.ExecScalarSubquery = func(sub *expression.Subquery, outer []types.Value) (types.Value, error) {
+		r := ctx.memoSubquery('s', sub, outer, func(t *storage.Table, r *subqueryResult) {
+			r.scalar, r.err = scalarFromTable(t)
+		})
 		return r.scalar, r.err
 	}
-	ec.ExecInSubquery = func(sub *expression.Subquery, params []types.Value) (*expression.ValueSet, error) {
-		key := subqueryKey("i", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.set, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
-			r.set, r.err = valueSetFromTable(out)
-		}
-		ctx.subqueryCache.Store(key, r)
+	ec.ExecInSubquery = func(sub *expression.Subquery, outer []types.Value) (*expression.ValueSet, error) {
+		r := ctx.memoSubquery('i', sub, outer, func(t *storage.Table, r *subqueryResult) {
+			r.set, r.err = valueSetFromTable(t)
+		})
 		return r.set, r.err
 	}
-	ec.ExecExistsSubquery = func(sub *expression.Subquery, params []types.Value) (bool, error) {
-		key := subqueryKey("e", sub, params)
-		if cached, ok := ctx.subqueryCache.Load(key); ok {
-			r := cached.(*subqueryResult)
-			return r.exists, r.err
-		}
-		out, err := ctx.runSubquery(sub, params)
-		r := &subqueryResult{err: err}
-		if err == nil {
-			r.exists = out.RowCount() > 0
-		}
-		ctx.subqueryCache.Store(key, r)
+	ec.ExecExistsSubquery = func(sub *expression.Subquery, outer []types.Value) (bool, error) {
+		r := ctx.memoSubquery('e', sub, outer, func(t *storage.Table, r *subqueryResult) {
+			r.exists = t.RowCount() > 0
+		})
 		return r.exists, r.err
 	}
-}
-
-func (ctx *ExecContext) runSubquery(sub *expression.Subquery, params []types.Value) (*storage.Table, error) {
-	plan, ok := sub.Plan.(Operator)
-	if !ok {
-		return nil, fmt.Errorf("operators: subquery %d holds %T, not a physical plan", sub.ID, sub.Plan)
-	}
-	return Execute(plan, ctx.child(params))
 }
 
 // scalarFromTable extracts the single value a scalar subquery must produce.

@@ -157,7 +157,7 @@ type chunkScan struct {
 func newChunkScan(ctx *ExecContext, input *storage.Table, preds []expression.Expression, visible bool) *chunkScan {
 	s := &chunkScan{ctx: ctx, input: input, preds: preds, visible: visible, after: make([]atomic.Int64, len(preds))}
 	for i, e := range preds {
-		p := analyzeSimplePredicate(e, ctx.Params)
+		p := analyzeSimplePredicate(e, ctx)
 		if i == 0 {
 			s.simple = p
 			s.cell = ctx.scanStatsCell(input, p)
@@ -363,41 +363,46 @@ func scanOpOf(op expression.ComparisonOp) (encoding.ScanOp, bool) {
 }
 
 // scanOperand resolves a scan operand to a concrete value: a literal
-// directly, a prepared-statement placeholder through the execution's bound
-// parameters. Encoded scans compare against raw codes of the column's type,
-// so a parameter of a different type (say a text value probing an int
-// column) reports false and the predicate degrades to the vectorized
-// fallback, which coerces per the usual comparison rules.
-func scanOperand(e expression.Expression, params []types.Value, dt types.DataType) (types.Value, bool) {
+// directly, a statement placeholder through the execution's parameters, a
+// correlated column through the outer row's values. Encoded scans compare
+// against raw codes of the column's type, so a value of a different type (say
+// a text value probing an int column) reports false and the predicate
+// degrades to the vectorized fallback, which coerces per the usual comparison
+// rules.
+func scanOperand(e expression.Expression, ctx *ExecContext, dt types.DataType) (types.Value, bool) {
+	var slots []types.Value
+	var id int
 	switch x := e.(type) {
 	case *expression.Literal:
 		return x.Value, !x.Value.IsNull()
 	case *expression.Parameter:
-		if x.ID < 0 || x.ID >= len(params) {
-			return types.Value{}, false
-		}
-		v := params[x.ID]
-		return v, !v.IsNull() && v.Type == dt
+		slots, id = ctx.Params, x.ID
+	case *expression.OuterRef:
+		slots, id = ctx.Outer, x.ID
 	}
-	return types.Value{}, false
+	if id < 0 || id >= len(slots) {
+		return types.Value{}, false
+	}
+	v := slots[id]
+	return v, !v.IsNull() && v.Type == dt
 }
 
 // analyzeSimplePredicate recognizes the specializable shapes. It runs per
-// execution, so prepared-statement parameters resolve to that execution's
-// bound values and keep the encoded fast paths hot across reuses of one
-// cached plan.
-func analyzeSimplePredicate(e expression.Expression, params []types.Value) *simplePredicate {
+// execution, so placeholders and correlated columns resolve to that
+// execution's values and keep the encoded fast paths hot across reuses of
+// one cached plan.
+func analyzeSimplePredicate(e expression.Expression, ctx *ExecContext) *simplePredicate {
 	switch x := e.(type) {
 	case *expression.Comparison:
 		if col, ok := x.Left.(*expression.BoundColumn); ok {
-			if v, vok := scanOperand(x.Right, params, col.DT); vok {
+			if v, vok := scanOperand(x.Right, ctx, col.DT); vok {
 				if op, ok := scanOpOf(x.Op); ok {
 					return &simplePredicate{column: types.ColumnID(col.Index), pred: encoding.ScanPredicate{Op: op, Value: v}}
 				}
 			}
 		}
 		if col, ok := x.Right.(*expression.BoundColumn); ok {
-			if v, vok := scanOperand(x.Left, params, col.DT); vok {
+			if v, vok := scanOperand(x.Left, ctx, col.DT); vok {
 				if op, ok := scanOpOf(x.Op.Flip()); ok {
 					return &simplePredicate{column: types.ColumnID(col.Index), pred: encoding.ScanPredicate{Op: op, Value: v}}
 				}
@@ -408,8 +413,8 @@ func analyzeSimplePredicate(e expression.Expression, params []types.Value) *simp
 		if !ok {
 			return nil
 		}
-		lo, ok1 := scanOperand(x.Lo, params, col.DT)
-		hi, ok2 := scanOperand(x.Hi, params, col.DT)
+		lo, ok1 := scanOperand(x.Lo, ctx, col.DT)
+		hi, ok2 := scanOperand(x.Hi, ctx, col.DT)
 		if ok1 && ok2 {
 			return &simplePredicate{column: types.ColumnID(col.Index), pred: encoding.ScanPredicate{Op: encoding.ScanBetween, Lo: lo, Hi: hi}}
 		}

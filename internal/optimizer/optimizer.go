@@ -97,7 +97,7 @@ func (o *Optimizer) optimize(root lqp.Node, depth int) (lqp.Node, error) {
 // logical plans held by remaining Subquery expressions in place.
 func (o *Optimizer) optimizeSubqueryPlans(root lqp.Node, depth int) error {
 	var firstErr error
-	visit := func(e expression.Expression) {
+	lqp.VisitExpressions(root, func(e expression.Expression) {
 		expression.VisitAll(e, func(x expression.Expression) {
 			sub, ok := x.(*expression.Subquery)
 			if !ok || firstErr != nil {
@@ -114,35 +114,6 @@ func (o *Optimizer) optimizeSubqueryPlans(root lqp.Node, depth int) error {
 			}
 			sub.Plan = optimized
 		})
-	}
-	lqp.VisitPlan(root, func(n lqp.Node) {
-		switch node := n.(type) {
-		case *lqp.PredicateNode:
-			visit(node.Predicate)
-		case *lqp.ProjectionNode:
-			for _, e := range node.Exprs {
-				visit(e)
-			}
-		case *lqp.JoinNode:
-			for _, e := range node.Predicates {
-				visit(e)
-			}
-		case *lqp.AggregateNode:
-			for _, e := range node.GroupBy {
-				visit(e)
-			}
-			for _, a := range node.Aggregates {
-				visit(a)
-			}
-		case *lqp.SortNode:
-			for _, k := range node.Keys {
-				visit(k.Expr)
-			}
-		case *lqp.UpdateNode:
-			for _, e := range node.SetExprs {
-				visit(e)
-			}
-		}
 	})
 	return firstErr
 }

@@ -17,8 +17,9 @@ import (
 //   - expr OP (correlated scalar aggregate)     -> join against the
 //     aggregate grouped by its correlation keys
 //
-// Correlated parameters become join predicates: equality parameters turn
+// Correlated columns (OuterRefs) become join predicates: equalities turn
 // into equi-join keys; other comparisons become residual join predicates.
+// Statement placeholders move into the join like literals.
 // Whatever does not match keeps the per-row execution fallback, which is
 // always correct.
 type SubqueryToJoinRule struct{}
@@ -129,8 +130,8 @@ func (r *SubqueryToJoinRule) tryRewrite(conjunct expression.Expression, input lq
 	return nil
 }
 
-// joinPredsFor builds the join predicate list from per-parameter equi keys
-// (bound to the right schema) and residuals (param id -> comparison with
+// joinPredsFor builds the join predicate list from per-OuterRef equi keys
+// (bound to the right schema) and residuals (OuterRef id -> comparison with
 // the right-side expression already bound to the right schema).
 func joinPredsFor(correlated []expression.Expression, keys []expression.Expression, residuals []residualPred, nLeft int) []expression.Expression {
 	var preds []expression.Expression
@@ -145,7 +146,7 @@ func joinPredsFor(correlated []expression.Expression, keys []expression.Expressi
 		})
 	}
 	for _, res := range residuals {
-		outer := correlated[res.paramID]
+		outer := correlated[res.outerID]
 		preds = append(preds, &expression.Comparison{
 			Op:    res.op,
 			Left:  outer,
@@ -167,22 +168,22 @@ func exprNullable(e expression.Expression, input lqp.Node) bool {
 	return schema[bc.Index].Nullable
 }
 
-// residualPred is a non-equality correlation: `$param OP rightExpr`.
+// residualPred is a non-equality correlation: `$outer OP rightExpr`.
 type residualPred struct {
-	paramID   int
+	outerID   int
 	op        expression.ComparisonOp
 	rightExpr expression.Expression
 }
 
-// decorrelate removes the parameter conjuncts from the subquery plan.
-// Equality parameters become join keys (one per parameter; nil entries mean
-// "only residual uses"); other comparisons become residual join predicates.
+// decorrelate removes the OuterRef conjuncts from the subquery plan.
+// Equalities become join keys (one per OuterRef; nil entries mean "only
+// residual uses"); other comparisons become residual join predicates.
 // keepProjection controls whether a top projection is preserved (IN needs
 // its column 0) or stripped (EXISTS ignores output).
 //
 // The rewrite only fires when the plan is a chain
-// [Projection?] -> PredicateNode* -> rest with no parameters below the
-// chain, and at least one parameter yields an equi key or residual.
+// [Projection?] -> PredicateNode* -> rest with no OuterRefs below the
+// chain, and at least one OuterRef yields an equi key or residual.
 func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjection bool) (lqp.Node, []expression.Expression, []residualPred, bool) {
 	if len(correlated) == 0 {
 		return plan, nil, nil, true
@@ -194,7 +195,7 @@ func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjecti
 		proj = p
 		chainTop = p.Inputs()[0]
 		for _, e := range p.Exprs {
-			if containsParameter(e) {
+			if containsOuterRef(e) {
 				return nil, nil, nil, false
 			}
 		}
@@ -213,14 +214,12 @@ func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjecti
 	}
 	base := cur
 
-	// Parameters must not occur below the chain.
-	paramFree := true
-	lqp.VisitPlan(base, func(n lqp.Node) {
-		if nodeContainsParameter(n) {
-			paramFree = false
-		}
+	// OuterRefs must not occur below the chain.
+	below := false
+	lqp.VisitExpressions(base, func(e expression.Expression) {
+		below = below || containsOuterRef(e)
 	})
-	if !paramFree {
+	if below {
 		return nil, nil, nil, false
 	}
 
@@ -231,23 +230,23 @@ func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjecti
 	covered := make(map[int]bool)
 	for _, p := range chain {
 		for _, c := range expression.SplitConjunction(p.Predicate) {
-			if id, colExpr, op, ok := paramComparison(c); ok {
+			if id, colExpr, op, ok := outerComparison(c); ok {
 				covered[id] = true
 				if op == expression.Eq {
 					if _, dup := keyOf[id]; dup {
-						// A second equality on the same parameter stays as a
+						// A second equality on the same OuterRef stays as a
 						// residual.
-						residuals = append(residuals, residualPred{paramID: id, op: op, rightExpr: colExpr})
+						residuals = append(residuals, residualPred{outerID: id, op: op, rightExpr: colExpr})
 						continue
 					}
 					keyOf[id] = colExpr
 					continue
 				}
-				residuals = append(residuals, residualPred{paramID: id, op: op, rightExpr: colExpr})
+				residuals = append(residuals, residualPred{outerID: id, op: op, rightExpr: colExpr})
 				continue
 			}
-			if containsParameter(c) {
-				return nil, nil, nil, false // parameter in an unsupported shape
+			if containsOuterRef(c) {
+				return nil, nil, nil, false // OuterRef in an unsupported shape
 			}
 			keepPreds = append(keepPreds, c)
 		}
@@ -296,18 +295,18 @@ func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjecti
 	return node, keys, residuals, true
 }
 
-// paramComparison matches `$i OP expr` / `expr OP $i` where expr is
-// parameter-free; the returned op is normalized so the parameter is on the
-// LEFT side.
-func paramComparison(e expression.Expression) (int, expression.Expression, expression.ComparisonOp, bool) {
+// outerComparison matches `$i OP expr` / `expr OP $i` where $i is an
+// OuterRef and expr holds none; the returned op is normalized so the
+// OuterRef is on the LEFT side.
+func outerComparison(e expression.Expression) (int, expression.Expression, expression.ComparisonOp, bool) {
 	cmp, ok := e.(*expression.Comparison)
 	if !ok || cmp.Op == expression.Like || cmp.Op == expression.NotLike {
 		return 0, nil, 0, false
 	}
-	if p, ok := cmp.Left.(*expression.Parameter); ok && !containsParameter(cmp.Right) {
+	if p, ok := cmp.Left.(*expression.OuterRef); ok && !containsOuterRef(cmp.Right) {
 		return p.ID, cmp.Right, cmp.Op, true
 	}
-	if p, ok := cmp.Right.(*expression.Parameter); ok && !containsParameter(cmp.Left) {
+	if p, ok := cmp.Right.(*expression.OuterRef); ok && !containsOuterRef(cmp.Left) {
 		return p.ID, cmp.Left, cmp.Op.Flip(), true
 	}
 	return 0, nil, 0, false
@@ -338,9 +337,9 @@ func rewriteScalarAggregate(cmp *expression.Comparison, input lqp.Node, nLeft in
 		return nil
 	}
 	// Expect Projection(single expr over agg outputs) -> Aggregate(no
-	// group-by) -> predicate chain with the parameter equalities.
+	// group-by) -> predicate chain with the OuterRef equalities.
 	proj, ok := plan.(*lqp.ProjectionNode)
-	if !ok || len(proj.Exprs) != 1 || containsParameter(proj.Exprs[0]) {
+	if !ok || len(proj.Exprs) != 1 || containsOuterRef(proj.Exprs[0]) {
 		return nil
 	}
 	agg, ok := proj.Inputs()[0].(*lqp.AggregateNode)
@@ -352,7 +351,7 @@ func rewriteScalarAggregate(cmp *expression.Comparison, input lqp.Node, nLeft in
 		case expression.AggCount, expression.AggCountStar, expression.AggCountDistinct:
 			return nil
 		}
-		if containsParameter(a) {
+		if containsOuterRef(a) {
 			return nil
 		}
 	}
@@ -416,62 +415,8 @@ func rewriteScalarAggregate(cmp *expression.Comparison, input lqp.Node, nLeft in
 	return lqp.NewProjectionNode(join, outExprs, outNames)
 }
 
-func containsSubquery(e expression.Expression) bool {
-	found := false
-	expression.VisitAll(e, func(x expression.Expression) {
-		if _, ok := x.(*expression.Subquery); ok {
-			found = true
-		}
-	})
-	return found
-}
+var containsSubquery = expression.Contains[*expression.Subquery]
 
-func containsParameter(e expression.Expression) bool {
-	found := false
-	expression.VisitAll(e, func(x expression.Expression) {
-		if _, ok := x.(*expression.Parameter); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-func nodeContainsParameter(n lqp.Node) bool {
-	check := func(e expression.Expression) bool {
-		return e != nil && containsParameter(e)
-	}
-	switch node := n.(type) {
-	case *lqp.PredicateNode:
-		return check(node.Predicate)
-	case *lqp.ProjectionNode:
-		for _, e := range node.Exprs {
-			if check(e) {
-				return true
-			}
-		}
-	case *lqp.JoinNode:
-		for _, e := range node.Predicates {
-			if check(e) {
-				return true
-			}
-		}
-	case *lqp.AggregateNode:
-		for _, e := range node.GroupBy {
-			if check(e) {
-				return true
-			}
-		}
-		for _, a := range node.Aggregates {
-			if check(a) {
-				return true
-			}
-		}
-	case *lqp.SortNode:
-		for _, k := range node.Keys {
-			if check(k.Expr) {
-				return true
-			}
-		}
-	}
-	return false
-}
+// containsOuterRef reports whether a correlated column occurs; statement
+// placeholders are constants of one execution, like literals.
+var containsOuterRef = expression.Contains[*expression.OuterRef]

@@ -77,6 +77,9 @@ func TestRandomQueriesDifferential(t *testing.T) {
 		"SELECT DISTINCT a_grp FROM ta WHERE %s ORDER BY a_grp LIMIT 7",
 		"SELECT a_id FROM ta WHERE a_grp IN (SELECT b_grp FROM tb) AND %s",
 		"SELECT a_id FROM ta WHERE %s AND a_val > (SELECT avg(a_val) FROM ta)",
+		// Correlated subqueries the optimizer keeps, run once per outer tuple.
+		"SELECT a_id FROM ta WHERE %s AND a_grp = (SELECT count(*) FROM tb WHERE b_grp = a_grp)",
+		"SELECT a_id, (SELECT count(*) FROM ta t2 WHERE t2.a_grp = ta.a_grp AND t2.a_tag = ta.a_tag) FROM ta WHERE %s",
 	}
 
 	const trials = 60
@@ -124,4 +127,56 @@ func canonical(rows [][]types.Value) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestDiffSubqueryMemo: a subquery's memoized result belongs to that
+// subquery and that tuple of correlated values only. A view's subqueries are
+// parsed again at translation and number themselves from 1 like the
+// statement's own, and correlated strings may hold any byte; the row engine
+// is the oracle. Four workers evaluate the projections of w's 25 chunks at
+// once, so nested invocations share the statement's one memo concurrently.
+func TestDiffSubqueryMemo(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseScheduler, cfg.SchedulerWorkers = true, 4
+	e := NewEngine(cfg, nil)
+	t.Cleanup(e.Close)
+	w := storage.NewTable("w", []storage.ColumnDefinition{
+		{Name: "g", Type: types.TypeInt64},
+		{Name: "s", Type: types.TypeString},
+	}, 8, false)
+	for i := 0; i < 200; i++ {
+		if _, err := w.AppendRow([]types.Value{types.Int(int64(i % 7)), types.Str(fmt.Sprintf("%d|%d", i%3, i%5))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.StorageManager().AddTable(w); err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE a (x INT NOT NULL)",
+		"INSERT INTO a VALUES (1), (2), (3)",
+		"CREATE TABLE b (z INT NOT NULL)",
+		"INSERT INTO b VALUES (10), (20)",
+		"CREATE VIEW v AS SELECT z, (SELECT min(z) FROM b) AS m FROM b",
+		"CREATE TABLE t (a VARCHAR(8) NOT NULL, b VARCHAR(8) NOT NULL)",
+		"INSERT INTO t VALUES ('x|3y', 'z'), ('x|3y', 'z'), ('x', 'y|3z')",
+	} {
+		mustExec(t, s, sql)
+	}
+	rows := rowengine.NewFromStorage(e.StorageManager())
+	for _, sql := range []string{
+		"SELECT (SELECT max(x) FROM a) AS mx, m FROM v",
+		"SELECT z FROM v WHERE m = (SELECT max(x) FROM a)",
+		"SELECT a, b, (SELECT count(*) FROM t t2 WHERE t2.a = t.a AND t2.b = t.b) FROM t",
+		"SELECT g, s, (SELECT count(*) FROM w w2 WHERE w2.g = w.g AND w2.s = w.s AND w2.s IN (SELECT w3.s FROM w w3 WHERE w3.g <> w2.g)) FROM w",
+	} {
+		want, _, err := rows.Query(sql)
+		if err != nil {
+			t.Fatalf("rowengine %q: %v", sql, err)
+		}
+		if got := canonical(ValueRows(mustExec(t, s, sql).Table)); !reflect.DeepEqual(got, canonical(want)) {
+			t.Errorf("%s:\n  columnar  %v\n  rowengine %v", sql, got, canonical(want))
+		}
+	}
 }

@@ -160,9 +160,10 @@ type engineMetrics struct {
 }
 
 type cachedPlan struct {
-	root     operators.Operator
-	columns  []string
-	colTypes []types.DataType
+	root       operators.Operator
+	columns    []string
+	colTypes   []types.DataType
+	paramTypes []types.DataType // lqp.ParamTypes; nil without placeholders
 }
 
 // NewEngine creates an engine over (or with) a storage manager. It panics
@@ -774,15 +775,8 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	}
 	plan := ps.plan
 	if plan == nil {
-		// Planned per execution (see PreparedStatement.plan); parameters, if
-		// any, are the ones prepare could not leave as placeholders.
-		if ps.NumParams > 0 {
-			plan, err = engine.planBound(ps.Stmt, params, &timing)
-			params = nil
-		} else {
-			plan, err = engine.buildPlan(ps.Stmt, &timing, nil)
-		}
-		if err != nil {
+		// Planned per execution (see PreparedStatement.plan).
+		if plan, err = engine.buildPlan(ps.Stmt, 0, &timing, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -862,14 +856,19 @@ type planArtifacts struct {
 	unoptimized, optimized string
 }
 
-// buildPlan runs translate/optimize/PQP-translate, timing each stage. A
+// buildPlan runs translate/optimize/PQP-translate, timing each stage, and
+// types the statement's params placeholder slots from the translated plan. A
 // non-nil art receives the logical plans on the way.
-func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing, art *planArtifacts) (*cachedPlan, error) {
+func (e *Engine) buildPlan(stmt sqlparser.Statement, params int, timing *Timing, art *planArtifacts) (*cachedPlan, error) {
 	start := time.Now()
 	tr := &lqp.Translator{SM: e.sm, UseMvcc: e.cfg.UseMvcc}
 	logical, err := tr.Translate(stmt)
 	if err != nil {
 		return nil, err
+	}
+	var paramTypes []types.DataType
+	if params > 0 {
+		paramTypes = lqp.ParamTypes(logical, params)
 	}
 	timing.Translate = time.Since(start)
 	if art != nil {
@@ -901,7 +900,7 @@ func (e *Engine) buildPlan(stmt sqlparser.Statement, timing *Timing, art *planAr
 	for i, c := range sch {
 		colTypes[i] = c.DT
 	}
-	return &cachedPlan{root: physical, columns: sch.Names(), colTypes: colTypes}, nil
+	return &cachedPlan{root: physical, columns: sch.Names(), colTypes: colTypes, paramTypes: paramTypes}, nil
 }
 
 // single returns the one non-empty statement of a SQL text, parsed afresh
@@ -926,7 +925,7 @@ func (e *Engine) Plans(sql string) (logicalUnoptimized, logicalOptimized string,
 		return "", "", "", err
 	}
 	var art planArtifacts
-	plan, err := e.buildPlan(ps.Stmt, &Timing{}, &art)
+	plan, err := e.buildPlan(ps.Stmt, 0, &Timing{}, &art)
 	if err != nil {
 		return art.unoptimized, art.optimized, "", err
 	}

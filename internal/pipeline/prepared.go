@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hyrise/internal/expression"
-	"hyrise/internal/lqp"
 	"hyrise/internal/sqlparser"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -58,9 +57,11 @@ type PreparedStatement struct {
 	Stmt sqlparser.Statement
 	// NumParams is the number of placeholder slots ($1..$N / ?).
 	NumParams int
-	// ParamTypes are the inferred target types per slot; TypeNull marks a
-	// slot whose type could not be derived (bound text is then typed by the
-	// classic int→float→string heuristic).
+	// ParamTypes are the slot types the plan the statement was prepared with
+	// gives its placeholders (lqp.ParamTypes). TypeNull marks a slot nothing
+	// types: a bare `SELECT $1`, `$1 = $2`, or the argument of a control
+	// function (which has no plan). The wire server types bound text for
+	// those by the int→float→string heuristic.
 	ParamTypes []types.DataType
 	// Columns and ColumnTypes describe the result set; nil when the
 	// statement returns no rows (DML, DDL, transaction control — the
@@ -77,11 +78,11 @@ type PreparedStatement struct {
 	RoutableRead bool
 
 	// plan is the parameterized physical plan (Parameter nodes intact, bound
-	// per execution via ExecContext.Params). nil for statements that run
-	// without one (DDL, transaction control, control functions) and for those
-	// planned at every execution: a statement of a batch — an earlier one may
-	// create what it reads —, a statement the cache does not retain, and one
-	// whose parameters must be bound as literals (see prepare).
+	// per execution via ExecContext.Params, subquery plans included). nil for
+	// statements that run without one (DDL, transaction control, control
+	// functions) and for those planned at every execution: a statement of a
+	// batch — an earlier one may create what it reads — and a statement the
+	// cache does not retain.
 	plan *cachedPlan
 	// epoch is the catalog epoch of preparation; when it has moved, a DDL ran
 	// since and plan may embed a dropped table.
@@ -194,10 +195,10 @@ func plannedStatement(stmt sqlparser.Statement) bool {
 	return controlCall(stmt) == nil
 }
 
-// prepare completes a lazy handle against the current catalog — inferred
-// parameter types, result columns, the parameterized plan — and files the
-// result in the statement cache when the handle is cacheable. The stage
-// times of the plan build land in timing.
+// prepare completes a lazy handle against the current catalog — the
+// parameterized plan, and from it the parameter types and result columns —
+// and files the result in the statement cache when the handle is cacheable.
+// The stage times of the plan build land in timing.
 func (e *Engine) prepare(lazy *PreparedStatement, timing *Timing) (*PreparedStatement, error) {
 	ps := *lazy
 	ps.lazy, ps.parse = false, 0
@@ -205,64 +206,24 @@ func (e *Engine) prepare(lazy *PreparedStatement, timing *Timing) (*PreparedStat
 	// point makes the handle stale, and a pre-build epoch guarantees the next
 	// epoch comparison sees that.
 	ps.epoch = e.sm.Epoch()
-	if ps.NumParams > 0 {
-		ps.ParamTypes = e.inferParamTypes(ps.Stmt, ps.NumParams)
-	}
 	if fc := controlCall(ps.Stmt); fc != nil {
 		// Intercepted before planning; answers a single int64 column.
 		ps.Columns, ps.ColumnTypes = []string{fc.Name}, []types.DataType{types.TypeInt64}
+		ps.ParamTypes = make([]types.DataType, ps.NumParams)
 	} else if plannedStatement(ps.Stmt) {
-		// Subquery plans bind their own Parameter slots per outer row
-		// (correlation), so prepared parameters reaching a subquery plan would
-		// collide with correlation slots: no parameterized plan then.
-		var err error
-		if ps.NumParams == 0 || !statementHasSubquery(ps.Stmt) {
-			ps.plan, err = e.buildPlan(ps.Stmt, timing, nil)
-		}
-		shape := ps.plan
-		if ps.plan == nil && ps.NumParams > 0 {
-			// That, or planning around unbound parameters failed where the
-			// bound form may not (say, a bare parameter in the projection list
-			// has no type yet). Plan with dummy values: success means only the
-			// parameterized plan is unavailable — executions bind literals,
-			// see executePlan — and supplies the result shape for Describe;
-			// failure is a genuine semantic error, reported at Parse time as
-			// Postgres does.
-			shape, err = e.planBound(ps.Stmt, dummyParams(ps.ParamTypes), &Timing{})
-		}
+		plan, err := e.buildPlan(ps.Stmt, ps.NumParams, timing, nil)
 		if err != nil {
 			return nil, err
 		}
+		ps.plan, ps.ParamTypes = plan, plan.paramTypes
 		if ps.Tag == "SELECT" {
-			ps.Columns, ps.ColumnTypes = shape.columns, shape.colTypes
+			ps.Columns, ps.ColumnTypes = plan.columns, plan.colTypes
 		}
 	}
 	if ps.cacheable {
 		e.stmtCache.Put(ps.SQL, &ps)
 	}
 	return &ps, nil
-}
-
-// planBound plans a statement around literal values for its parameters: the
-// route of the statements prepare leaves without a parameterized plan.
-func (e *Engine) planBound(stmt sqlparser.Statement, params []types.Value, timing *Timing) (*cachedPlan, error) {
-	return e.buildPlan(lqp.BindParameters(stmt, params), timing, nil)
-}
-
-// dummyParams builds typed zero values for shape validation.
-func dummyParams(paramTypes []types.DataType) []types.Value {
-	out := make([]types.Value, len(paramTypes))
-	for i, dt := range paramTypes {
-		switch dt {
-		case types.TypeInt64:
-			out[i] = types.Int(0)
-		case types.TypeFloat64:
-			out[i] = types.Float(0)
-		default:
-			out[i] = types.Str("")
-		}
-	}
-	return out
 }
 
 // ExecutePreparedStatement runs a handle with the given parameter values: a
@@ -301,179 +262,6 @@ func statementTag(stmt sqlparser.Statement) string {
 	default:
 		return "SELECT"
 	}
-}
-
-// statementHasSubquery reports whether any expression subquery occurs.
-func statementHasSubquery(stmt sqlparser.Statement) bool {
-	found := false
-	sqlparser.Rewrite(stmt, nil, func(e expression.Expression) expression.Expression {
-		if _, ok := e.(*expression.Subquery); ok {
-			found = true
-		}
-		return nil
-	})
-	return found
-}
-
-// --- parameter-type inference ----------------------------------------------
-
-// boundStmtTable is one base table visible to a statement, under its alias.
-type boundStmtTable struct {
-	alias string // lower-cased alias (or table name)
-	table *storage.Table
-}
-
-// gatherTables resolves every base table a statement references, subquery
-// selects included (their columns are in scope for the expressions we
-// inspect). Views and meta-tables are skipped — inference is best-effort and
-// must not materialize telemetry snapshots during Parse.
-func (e *Engine) gatherTables(stmt sqlparser.Statement) []boundStmtTable {
-	var out []boundStmtTable
-	sqlparser.Rewrite(stmt, func(name, alias string) {
-		if !e.sm.HasTable(name) {
-			return
-		}
-		t, err := e.sm.GetTable(name)
-		if err != nil {
-			return
-		}
-		if alias == "" {
-			alias = name
-		}
-		out = append(out, boundStmtTable{alias: strings.ToLower(alias), table: t})
-	}, nil)
-	return out
-}
-
-// columnTypeIn resolves a possibly qualified column name against the
-// statement's tables (first match wins; TypeNull when unresolved).
-func columnTypeIn(tables []boundStmtTable, qualifier, name string) types.DataType {
-	for _, bt := range tables {
-		if qualifier != "" && !strings.EqualFold(qualifier, bt.alias) {
-			continue
-		}
-		for _, d := range bt.table.ColumnDefinitions() {
-			if strings.EqualFold(d.Name, name) {
-				return d.Type
-			}
-		}
-	}
-	return types.TypeNull
-}
-
-// inferParamTypes derives a target type per placeholder slot from the AST
-// and the catalog: INSERT row positions and UPDATE SET targets take the
-// column's declared type; a parameter compared (=, <, BETWEEN, IN, ...) to a
-// column or literal takes that operand's type. Unresolvable slots stay
-// TypeNull. The wire server uses these both to report ParameterDescription
-// and to parse bound text values — crucially, a parameter probing a string
-// column keeps '123' as a string instead of coercing it to an integer.
-func (e *Engine) inferParamTypes(stmt sqlparser.Statement, n int) []types.DataType {
-	out := make([]types.DataType, n)
-	tables := e.gatherTables(stmt)
-	assign := func(id int, dt types.DataType) {
-		if id >= 0 && id < n && out[id] == types.TypeNull && dt != types.TypeNull {
-			out[id] = dt
-		}
-	}
-	paramID := func(ex expression.Expression) (int, bool) {
-		p, ok := ex.(*expression.Parameter)
-		if !ok {
-			return 0, false
-		}
-		return p.ID, true
-	}
-	typeOf := func(ex expression.Expression) types.DataType {
-		switch x := ex.(type) {
-		case *expression.ColumnRef:
-			return columnTypeIn(tables, x.Qualifier, x.Name)
-		case *expression.Literal:
-			return x.Value.Type
-		}
-		return types.TypeNull
-	}
-
-	switch st := stmt.(type) {
-	case *sqlparser.InsertStatement:
-		if e.sm.HasTable(st.Table) {
-			if t, err := e.sm.GetTable(st.Table); err == nil {
-				defs := t.ColumnDefinitions()
-				for _, row := range st.Rows {
-					for i, ex := range row {
-						id, ok := paramID(ex)
-						if !ok {
-							continue
-						}
-						var dt types.DataType
-						if len(st.Columns) == 0 {
-							if i < len(defs) {
-								dt = defs[i].Type
-							}
-						} else if i < len(st.Columns) {
-							for _, d := range defs {
-								if strings.EqualFold(d.Name, st.Columns[i]) {
-									dt = d.Type
-									break
-								}
-							}
-						}
-						assign(id, dt)
-					}
-				}
-			}
-		}
-	case *sqlparser.UpdateStatement:
-		if e.sm.HasTable(st.Table) {
-			if t, err := e.sm.GetTable(st.Table); err == nil {
-				for _, sc := range st.Set {
-					if id, ok := paramID(sc.Expr); ok {
-						for _, d := range t.ColumnDefinitions() {
-							if strings.EqualFold(d.Name, sc.Column) {
-								assign(id, d.Type)
-								break
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	sqlparser.Rewrite(stmt, nil, func(ex expression.Expression) expression.Expression {
-		switch x := ex.(type) {
-		case *expression.Comparison:
-			if id, ok := paramID(x.Left); ok {
-				assign(id, typeOf(x.Right))
-			}
-			if id, ok := paramID(x.Right); ok {
-				assign(id, typeOf(x.Left))
-			}
-		case *expression.Between:
-			dt := typeOf(x.Child)
-			if id, ok := paramID(x.Lo); ok {
-				assign(id, dt)
-			}
-			if id, ok := paramID(x.Hi); ok {
-				assign(id, dt)
-			}
-			if id, ok := paramID(x.Child); ok {
-				if d := typeOf(x.Lo); d != types.TypeNull {
-					assign(id, d)
-				} else {
-					assign(id, typeOf(x.Hi))
-				}
-			}
-		case *expression.In:
-			dt := typeOf(x.Child)
-			for _, le := range x.List {
-				if id, ok := paramID(le); ok {
-					assign(id, dt)
-				}
-			}
-		}
-		return nil
-	})
-	return out
 }
 
 // --- executor pool meta table ----------------------------------------------

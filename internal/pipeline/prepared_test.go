@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
+	"hyrise/internal/operators"
 	"hyrise/internal/types"
 )
 
@@ -220,28 +223,41 @@ func TestPreparedDML(t *testing.T) {
 	}
 }
 
-func TestPreparedSubqueryFallback(t *testing.T) {
-	// Parameters alongside subqueries take the per-execution binding path
-	// (correlation slots would collide); results must still be correct and
-	// Describe must still know the result shape.
+func TestPreparedSubqueryKeepsPlan(t *testing.T) {
+	// A placeholder inside a subquery is a statement parameter like any
+	// other, beside correlated columns too: the statement carries its
+	// parameterized plan — the semi join its literal form gets — and every
+	// execution replays it and returns what the literal text returns.
 	e := preparedTestEngine(t)
 	s := e.NewSession()
-	ps, err := s.PrepareStatement("SELECT name FROM items WHERE id IN (SELECT id FROM items WHERE price > $1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.plan != nil {
-		t.Fatal("subquery statement should not carry a parameterized plan")
-	}
-	if len(ps.Columns) != 1 || ps.Columns[0] != "name" {
-		t.Fatalf("Columns = %v, want [name]", ps.Columns)
-	}
-	res, err := s.ExecutePreparedStatement(context.Background(), ps, []types.Value{types.Float(2.0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(RowStrings(res.Table)); got != 2 {
-		t.Fatalf("rows = %d, want 2", got)
+	for _, sql := range []string{
+		"SELECT name FROM items WHERE id IN (SELECT id FROM items WHERE price > $1) ORDER BY name",
+		"SELECT name FROM items i WHERE EXISTS (SELECT 1 FROM items j WHERE j.id = i.id AND j.price > $1) ORDER BY name",
+	} {
+		ps, err := s.PrepareStatement(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.plan == nil || !strings.Contains(operators.PlanString(ps.plan.root), "HashJoin(Semi") {
+			t.Fatalf("%s: no parameterized semi-join plan", sql)
+		}
+		if len(ps.Columns) != 1 || ps.Columns[0] != "name" || ps.ParamTypes[0] != types.TypeFloat64 {
+			t.Fatalf("%s: Columns = %v, ParamTypes = %v; want [name], [FLOAT]", sql, ps.Columns, ps.ParamTypes)
+		}
+		for _, price := range []string{"2.0", "3.0"} {
+			v, _ := types.ParseValue(types.TypeFloat64, price)
+			res, err := s.ExecutePreparedStatement(context.Background(), ps, []types.Value{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit := mustExec(t, s, strings.ReplaceAll(sql, "$1", price))
+			if got, want := RowStrings(res.Table), RowStrings(lit.Table); !reflect.DeepEqual(got, want) || len(got) == 0 {
+				t.Errorf("%s, $1 = %s: rows = %v, literal text = %v", sql, price, got, want)
+			}
+			if !res.Timing.CacheHit {
+				t.Errorf("%s, $1 = %s: the execution planned again", sql, price)
+			}
+		}
 	}
 }
 

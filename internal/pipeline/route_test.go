@@ -69,8 +69,14 @@ func routeCorpus() []routeCase {
 		{sql: "SELECT id, v, label FROM kv WHERE id = $1", args: sameArgs(types.Int(7))},
 		{sql: "SELECT id, v FROM kv WHERE id BETWEEN $1 AND $2 ORDER BY id", args: sameArgs(types.Int(3), types.Int(6))},
 		{sql: "SELECT id FROM kv WHERE label = $1 AND v > $2", args: sameArgs(types.Str("l4"), types.Float(1.5))},
-		// Parameters next to a subquery: the bind-literals fallback.
+		// A parameter inside a subquery: the statement keeps its plan.
 		{sql: "SELECT id FROM kv WHERE id IN (SELECT id FROM kv WHERE v > $1) ORDER BY id", args: sameArgs(types.Float(7.0))},
+		// Slots typed by the plan: through a view, a derived table, a
+		// function and a correlated subquery over the view, '42' is text.
+		{sql: "SELECT id FROM kv_view WHERE label = $1", args: sameArgs(types.Str("42"))},
+		{sql: "SELECT d.id FROM (SELECT id, label FROM kv) AS d WHERE d.label = $1", args: sameArgs(types.Str("42"))},
+		{sql: "SELECT id FROM kv WHERE lower(label) = $1", args: sameArgs(types.Str("42"))},
+		{sql: "SELECT id FROM kv WHERE EXISTS (SELECT 1 FROM kv_view w WHERE w.id = kv.id AND w.label = $1)", args: sameArgs(types.Str("42"))},
 		{sql: "INSERT INTO kv VALUES ($1, $2, $3)", args: func(r int) []types.Value {
 			return []types.Value{types.Int(id(r)), types.Float(0.5), types.Str("route")}
 		}},
@@ -138,6 +144,8 @@ func newRouteEngine(t *testing.T, cfg Config) *Engine {
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d.5, 'l%d')", i, i, i))
 	}
+	mustExec(t, s, "INSERT INTO kv VALUES (10, 10.5, '42')")
+	mustExec(t, s, "CREATE VIEW kv_view AS SELECT id, v, label FROM kv")
 	return e
 }
 

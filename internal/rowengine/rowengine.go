@@ -44,7 +44,6 @@ func NewFromStorage(sm *storage.StorageManager) *Engine {
 		tables:   make(map[string]*RowTable),
 		columnar: sm,
 		opt:      optimizer.NewDefault(statistics.NewCache(statistics.EqualHeight)),
-		subCache: make(map[string]any),
 	}
 	for _, name := range sm.TableNames() {
 		t, err := sm.GetTable(name)
@@ -83,6 +82,8 @@ func (e *Engine) Query(sql string) ([][]types.Value, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// The subquery memo keys by node address: valid for one plan only.
+	e.subCache = make(map[string]any)
 	rows, err := e.exec(plan, nil)
 	if err != nil {
 		return nil, nil, err
@@ -91,7 +92,7 @@ func (e *Engine) Query(sql string) ([][]types.Value, []string, error) {
 }
 
 // exec interprets the LQP tuple-at-a-time.
-func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, error) {
+func (e *Engine) exec(node lqp.Node, outer []types.Value) ([][]types.Value, error) {
 	switch n := node.(type) {
 	case *lqp.StoredTableNode:
 		rt, ok := e.tables[strings.ToLower(n.TableName)]
@@ -104,16 +105,16 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		return [][]types.Value{{}}, nil
 
 	case *lqp.ValidateNode, *lqp.AliasNode:
-		return e.exec(n.Inputs()[0], params)
+		return e.exec(n.Inputs()[0], outer)
 
 	case *lqp.PredicateNode:
-		in, err := e.exec(n.Inputs()[0], params)
+		in, err := e.exec(n.Inputs()[0], outer)
 		if err != nil {
 			return nil, err
 		}
 		var out [][]types.Value
 		for _, row := range in {
-			keep, err := e.evalBool(n.Predicate, row, params)
+			keep, err := e.evalBool(n.Predicate, row, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +125,7 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		return out, nil
 
 	case *lqp.ProjectionNode:
-		in, err := e.exec(n.Inputs()[0], params)
+		in, err := e.exec(n.Inputs()[0], outer)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +133,7 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		for i, row := range in {
 			proj := make([]types.Value, len(n.Exprs))
 			for j, expr := range n.Exprs {
-				v, err := e.evalRow(expr, row, params)
+				v, err := e.evalRow(expr, row, outer)
 				if err != nil {
 					return nil, err
 				}
@@ -143,13 +144,13 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		return out, nil
 
 	case *lqp.JoinNode:
-		return e.execJoin(n, params)
+		return e.execJoin(n, outer)
 
 	case *lqp.AggregateNode:
-		return e.execAggregate(n, params)
+		return e.execAggregate(n, outer)
 
 	case *lqp.SortNode:
-		in, err := e.exec(n.Inputs()[0], params)
+		in, err := e.exec(n.Inputs()[0], outer)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +158,7 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		for i, row := range in {
 			keys[i] = make([]types.Value, len(n.Keys))
 			for k, key := range n.Keys {
-				v, err := e.evalRow(key.Expr, row, params)
+				v, err := e.evalRow(key.Expr, row, outer)
 				if err != nil {
 					return nil, err
 				}
@@ -187,7 +188,7 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 		return out, nil
 
 	case *lqp.LimitNode:
-		in, err := e.exec(n.Inputs()[0], params)
+		in, err := e.exec(n.Inputs()[0], outer)
 		if err != nil {
 			return nil, err
 		}
@@ -201,12 +202,12 @@ func (e *Engine) exec(node lqp.Node, params []types.Value) ([][]types.Value, err
 	}
 }
 
-func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Value, error) {
-	left, err := e.exec(n.Inputs()[0], params)
+func (e *Engine) execJoin(n *lqp.JoinNode, outer []types.Value) ([][]types.Value, error) {
+	left, err := e.exec(n.Inputs()[0], outer)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.exec(n.Inputs()[1], params)
+	right, err := e.exec(n.Inputs()[1], outer)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +238,7 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 		}
 		row := combined(l, r)
 		for _, res := range residuals {
-			ok, err := e.evalBool(res, row, params)
+			ok, err := e.evalBool(res, row, outer)
 			if err != nil || !ok {
 				return false, err
 			}
@@ -253,7 +254,7 @@ func (e *Engine) execJoin(n *lqp.JoinNode, params []types.Value) ([][]types.Valu
 		keyOf := func(row []types.Value, keys []expression.Expression) (string, bool, error) {
 			var sb strings.Builder
 			for _, k := range keys {
-				kv, err := e.evalRow(k, row, params)
+				kv, err := e.evalRow(k, row, outer)
 				if err != nil || kv.IsNull() || (kv.Type == types.TypeFloat64 && math.IsNaN(kv.F)) {
 					return "", false, err
 				}
@@ -409,8 +410,8 @@ func shift(e expression.Expression, delta int) expression.Expression {
 	})
 }
 
-func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]types.Value, error) {
-	in, err := e.exec(n.Inputs()[0], params)
+func (e *Engine) execAggregate(n *lqp.AggregateNode, outer []types.Value) ([][]types.Value, error) {
+	in, err := e.exec(n.Inputs()[0], outer)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +437,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 		keyBuf.Reset()
 		keys := make([]types.Value, len(n.GroupBy))
 		for i, g := range n.GroupBy {
-			v, err := e.evalRow(g, row, params)
+			v, err := e.evalRow(g, row, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -455,7 +456,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 				st.counts[i]++
 				continue
 			}
-			v, err := e.evalRow(agg.Arg, row, params)
+			v, err := e.evalRow(agg.Arg, row, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -541,8 +542,8 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, params []types.Value) ([][]
 
 // evalRow evaluates an expression against one row (tuple-at-a-time, N=1
 // evaluation contexts — deliberately the slow dynamic path).
-func (e *Engine) evalRow(expr expression.Expression, row []types.Value, params []types.Value) (types.Value, error) {
-	ec := e.rowContext(row, params)
+func (e *Engine) evalRow(expr expression.Expression, row []types.Value, outer []types.Value) (types.Value, error) {
+	ec := e.rowContext(row, outer)
 	v, err := expression.Evaluate(expr, ec)
 	if err != nil {
 		return types.NullValue, err
@@ -550,8 +551,8 @@ func (e *Engine) evalRow(expr expression.Expression, row []types.Value, params [
 	return v.ValueAt(0), nil
 }
 
-func (e *Engine) evalBool(expr expression.Expression, row []types.Value, params []types.Value) (bool, error) {
-	ec := e.rowContext(row, params)
+func (e *Engine) evalBool(expr expression.Expression, row []types.Value, outer []types.Value) (bool, error) {
+	ec := e.rowContext(row, outer)
 	keep, err := expression.EvaluateBool(expr, ec)
 	if err != nil {
 		return false, err
@@ -559,10 +560,10 @@ func (e *Engine) evalBool(expr expression.Expression, row []types.Value, params 
 	return keep[0], nil
 }
 
-func (e *Engine) rowContext(row []types.Value, params []types.Value) *expression.Context {
+func (e *Engine) rowContext(row []types.Value, outer []types.Value) *expression.Context {
 	ec := &expression.Context{
-		N:      1,
-		Params: params,
+		N:     1,
+		Outer: outer,
 		Column: func(i int) (*expression.Vector, error) {
 			if i >= len(row) {
 				return nil, fmt.Errorf("rowengine: column %d out of range", i)
@@ -571,7 +572,7 @@ func (e *Engine) rowContext(row []types.Value, params []types.Value) *expression
 		},
 	}
 	ec.ExecScalarSubquery = func(sub *expression.Subquery, ps []types.Value) (types.Value, error) {
-		key := fmt.Sprintf("s:%p:%v", sub, ps)
+		key := fmt.Sprintf("s:%p:%s", sub, expression.OuterKey(ps))
 		if v, ok := e.subCache[key]; ok {
 			return v.(types.Value), nil
 		}
@@ -593,7 +594,7 @@ func (e *Engine) rowContext(row []types.Value, params []types.Value) *expression
 		return out, nil
 	}
 	ec.ExecInSubquery = func(sub *expression.Subquery, ps []types.Value) (*expression.ValueSet, error) {
-		key := fmt.Sprintf("i:%p:%v", sub, ps)
+		key := fmt.Sprintf("i:%p:%s", sub, expression.OuterKey(ps))
 		if v, ok := e.subCache[key]; ok {
 			return v.(*expression.ValueSet), nil
 		}
@@ -615,7 +616,7 @@ func (e *Engine) rowContext(row []types.Value, params []types.Value) *expression
 		return set, nil
 	}
 	ec.ExecExistsSubquery = func(sub *expression.Subquery, ps []types.Value) (bool, error) {
-		key := fmt.Sprintf("e:%p:%v", sub, ps)
+		key := fmt.Sprintf("e:%p:%s", sub, expression.OuterKey(ps))
 		if v, ok := e.subCache[key]; ok {
 			return v.(bool), nil
 		}

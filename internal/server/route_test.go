@@ -53,6 +53,11 @@ func wireCorpus() []wireCase {
 		{sql: "SELECT id, v FROM kv WHERE id BETWEEN $1 AND $2 ORDER BY id", args: wireArgs(types.Int(3), types.Int(6))},
 		{sql: "SELECT id FROM kv WHERE label = $1 AND v > $2", args: wireArgs(types.Str("l4"), types.Float(1.5))},
 		{sql: "SELECT id FROM kv WHERE id IN (SELECT id FROM kv WHERE v > $1) ORDER BY id", args: wireArgs(types.Float(7.0))},
+		// Text '42' stays text wherever the plan compares it with a string.
+		{sql: "SELECT id FROM kv_view WHERE label = $1", args: wireArgs(types.Str("42"))},
+		{sql: "SELECT d.id FROM (SELECT id, label FROM kv) AS d WHERE d.label = $1", args: wireArgs(types.Str("42"))},
+		{sql: "SELECT id FROM kv WHERE lower(label) = $1", args: wireArgs(types.Str("42"))},
+		{sql: "SELECT id FROM kv WHERE EXISTS (SELECT 1 FROM kv_view w WHERE w.id = kv.id AND w.label = $1)", args: wireArgs(types.Str("42"))},
 		{sql: "INSERT INTO kv VALUES ($1, $2, $3)", args: func(r int) []types.Value {
 			return []types.Value{types.Int(id(r)), types.Float(0.5), types.Str("route")}
 		}},
@@ -170,6 +175,8 @@ func TestProtocolRoutesAgree(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustSimple(t, c, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d.5, 'l%d')", i, i, i))
 	}
+	mustSimple(t, c, "INSERT INTO kv VALUES (10, 10.5, '42')")
+	mustSimple(t, c, "CREATE VIEW kv_view AS SELECT id, v, label FROM kv")
 	before := map[string]int64{}
 	for _, r := range e.StatementStats() {
 		before[r.Query] = r.Calls
