@@ -131,7 +131,7 @@ func TestDictionarySegmentBasics(t *testing.T) {
 	if s.LowerBound("aaa") != 0 || s.LowerBound("zzz") != 3 {
 		t.Error("bounds at extremes wrong")
 	}
-	if s.strs.blob != "applebananacherry" || !reflect.DeepEqual(s.strs.ends, []uint32{5, 11, 17}) || s.dict != nil || s.nullID != 3 {
+	if s.strs.blob != "applebananacherry" || !reflect.DeepEqual(s.strs.ends.DecodeAll(nil), []uint64{5, 11, 17}) || s.dict != nil || s.nullID != 3 {
 		t.Errorf("packed dictionary %+v, numeric %v, null id %d", s.strs, s.dict, s.nullID)
 	}
 }

@@ -91,7 +91,7 @@ func checkPacked(t *testing.T, name string, plain, packed *DictionarySegment[str
 	if got, want := packed.Zone(), plain.Zone(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: zone %+v, plain %+v", name, got, want)
 	}
-	if want := 4*int64(packed.nullID) + int64(len(packed.strs.blob)) + fsstTableBytes + packed.av.MemoryUsage(); packed.MemoryUsage() != want {
+	if want := packed.strs.ends.MemoryUsage() + int64(len(packed.strs.blob)) + fsstTableBytes + packed.av.MemoryUsage(); packed.MemoryUsage() != want {
 		t.Errorf("%s: MemoryUsage %d, want ends + codes + table + attribute vector = %d", name, packed.MemoryUsage(), want)
 	}
 	buf, err := AppendSegment(nil, packed)
@@ -285,9 +285,9 @@ func TestCorruptFSSTDictionaryFailsDecode(t *testing.T) {
 
 // FuzzFSSTDictionary packs arbitrary values — data split at sep, a value that
 // starts with 0xFE NULL — with a table built from them, holds the packed
-// dictionary against the plain one on every read path, then overwrites one
-// byte of its snapshot: the read fails or yields a segment whose reads do not
-// panic.
+// dictionary against the plain one on every read path, with the ends of both
+// in either code vector, then overwrites one byte of its snapshot: the read
+// fails or yields a segment whose reads do not panic.
 func FuzzFSSTDictionary(f *testing.F) {
 	f.Add([]byte(strings.Join(generate(60, comment), "|")), byte('|'), uint16(40), byte(0xff))
 	f.Add([]byte("a\x00b|\x00||\xc3\x28|\xfe|zz|\xff\xff\xff"), byte('|'), uint16(3), byte(9))
@@ -302,9 +302,12 @@ func FuzzFSSTDictionary(f *testing.F) {
 		for i, v := range values {
 			nulls[i] = strings.HasPrefix(v, "\xfe")
 		}
-		plain := EncodeDictionary(values, nulls, FixedSizeByteAligned)
-		packed := packedCopy(plain, values)
-		checkPacked(t, "fuzz", plain, packed, append(values[:min(len(values), 16):min(len(values), 16)], "", "\x00", "\xff"))
+		var packed *DictionarySegment[string]
+		for _, ends := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			plain := withEnds(EncodeDictionary(values, nulls, FixedSizeByteAligned), ends)
+			packed = withEnds(packedCopy(plain, values), ends)
+			checkPacked(t, ends.String(), plain, packed, append(values[:min(len(values), 16):min(len(values), 16)], "", "\x00", "\xff"))
+		}
 		buf, err := AppendSegment(nil, packed)
 		if err != nil {
 			t.Fatal(err)

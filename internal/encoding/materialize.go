@@ -31,21 +31,30 @@ func slotOf(slots []int32, i int) int {
 }
 
 // Gather fills out/nulls (at slotOf) with the values at the given positions
-// of a dictionary segment, resolving the attribute vector type once.
+// of a dictionary segment, resolving the attribute vector type once. Strings
+// gathered at more rows than the dictionary has values read its ends decoded
+// once (flat), fewer read each value's span where it lies.
 func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
-	if s.strs.table != nil {
-		s.gatherPacked(pos, slots, any(out).([]string), nulls)
+	strs, isString := any(out).([]string)
+	var flat flatStrings
+	switch {
+	case s.strs.table != nil:
+		s.gatherPacked(pos, slots, strs, nulls)
 		return
+	case isString && len(pos) > int(s.nullID):
+		var buf *[]uint64
+		flat, buf = s.strs.flat()
+		defer putEnds(buf)
 	}
 	switch av := s.av.(type) {
 	case *FixedWidthVector[uint8]:
-		gatherDict(s, av.data, pos, slots, out, nulls)
+		gatherDict(s, flat, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint16]:
-		gatherDict(s, av.data, pos, slots, out, nulls)
+		gatherDict(s, flat, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint32]:
-		gatherDict(s, av.data, pos, slots, out, nulls)
+		gatherDict(s, flat, av.data, pos, slots, out, nulls)
 	case *FixedWidthVector[uint64]:
-		gatherDict(s, av.data, pos, slots, out, nulls)
+		gatherDict(s, flat, av.data, pos, slots, out, nulls)
 	case *BP128Vector:
 		runs, dict, nullID := av.runs(pos), s.dict, uint64(s.nullID)
 		for from, run, first, ok := runs.next(); ok; from, run, first, ok = runs.next() {
@@ -55,8 +64,10 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 					nulls[i] = true
 				case dict != nil: // a number, read without a call
 					out[i] = dict[id]
+				case flat.offsets != nil:
+					strs[i] = flat.at(id)
 				default:
-					out[i] = s.value(id)
+					strs[i] = s.strs.raw(id)
 				}
 			}
 		}
@@ -65,33 +76,31 @@ func (s *DictionarySegment[T]) Gather(pos []types.ChunkOffset, slots []int32, ou
 
 // gatherDict is Gather over byte-aligned codes, the loop chosen once by the
 // dictionary's layout. Strings into the rows from 0 on (a scan's output, a
-// join's probe side) are bounds-checked once, not per row: that pays for the
-// substring, which costs more than copying a header did.
-func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *DictionarySegment[T], data []W, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
+// join's probe side) off decoded ends are bounds-checked once, not per row:
+// that pays for the substring, which costs more than copying a header did.
+func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *DictionarySegment[T], flat flatStrings, data []W, pos []types.ChunkOffset, slots []int32, out []T, nulls []bool) {
 	nullID := uint64(s.nullID)
 	strs, isString := any(out).([]string)
 	switch {
-	case isString && slots == nil:
+	case isString && slots == nil && flat.offsets != nil:
 		strs, nulls := strs[:len(pos)], nulls[:len(pos)]
-		blob, ends := s.strs.blob, s.strs.ends
+		blob, offsets := flat.blob, flat.offsets
 		for i, p := range pos {
-			id := uint64(data[p])
-			if id == nullID {
-				nulls[i] = true
-				continue
-			}
-			end, start := ends[id], uint32(0)
-			if id > 0 {
-				start = ends[id-1]
-			}
-			strs[i] = blob[start:end]
-		}
-	case isString:
-		for i, p := range pos {
-			i = int(slots[i])
 			if id := uint64(data[p]); id == nullID {
 				nulls[i] = true
 			} else {
+				strs[i] = blob[offsets[id]:offsets[id+1]]
+			}
+		}
+	case isString:
+		for i, p := range pos {
+			i = slotOf(slots, i)
+			switch id := uint64(data[p]); {
+			case id == nullID:
+				nulls[i] = true
+			case flat.offsets != nil:
+				strs[i] = flat.at(id)
+			default:
 				strs[i] = s.strs.raw(id)
 			}
 		}
@@ -110,17 +119,17 @@ func gatherDict[T types.Ordered, W uint8 | uint16 | uint32 | uint64](s *Dictiona
 
 // gatherPacked is Gather over a packed dictionary, which allocates once and
 // hands out substrings of that arena: for more rows than the dictionary has
-// values, the dictionary decoded; else one pass sizes the arena the rows'
-// values are decoded into and a second decodes them.
+// values, the dictionary decoded (flat); else one pass sizes the arena the
+// rows' values are decoded into and a second decodes them.
 func (s *DictionarySegment[T]) gatherPacked(pos []types.ChunkOffset, slots []int32, out []string, nulls []bool) {
 	if len(pos) > int(s.nullID) { // fewer values than rows: decode each once
-		dict := s.strs.unpacked()
+		dict, _ := s.strs.flat() // a packed dictionary's: no buffer to give back
 		for i, p := range pos {
 			i = slotOf(slots, i)
 			if id := s.av.Get(int(p)); ValueID(id) == s.nullID {
 				nulls[i] = true
 			} else {
-				out[i] = dict.raw(id)
+				out[i] = dict.at(id)
 			}
 		}
 		return

@@ -150,11 +150,11 @@ func FuzzEncodedScan(f *testing.F) {
 	})
 }
 
-// FuzzEncodedScanStrings fuzzes the string dictionary against a plain
-// []string read row at a time: every ScanOp, Gather, DecodeAll, Zone and the
-// snapshot round trip. data is the column: values separated by 0xFF, a value
-// that starts with 0xFE is NULL — everything else, "", NUL bytes and invalid
-// UTF-8 included, is a value.
+// FuzzEncodedScanStrings fuzzes the string dictionary, its codes and its ends
+// in either code vector, against a plain []string read row at a time: every
+// ScanOp, Gather, DecodeAll, Zone and the snapshot round trip. data is the
+// column: values separated by 0xFF, a value that starts with 0xFE is NULL —
+// everything else, "", NUL bytes and invalid UTF-8 included, is a value.
 func FuzzEncodedScanStrings(f *testing.F) {
 	column := func(values ...string) []byte { return []byte(strings.Join(values, "\xff")) }
 	var dates, flags, comments []string
@@ -183,8 +183,9 @@ func FuzzEncodedScanStrings(f *testing.F) {
 		if !anyNull {
 			nulls = nil
 		}
-		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
-			seg := EncodeDictionary(values, nulls, comp)
+		for layout := range 4 {
+			comp, ends := VectorCompressionType(layout%2), VectorCompressionType(layout/2)
+			name, seg := fmt.Sprintf("%s codes, %s ends", comp, ends), withEnds(EncodeDictionary(values, nulls, comp), ends)
 			for op := ScanEq; op <= ScanIsNotNull; op++ {
 				pred := ScanPredicate{Op: op, Value: types.Str(probe)}
 				if op == ScanBetween {
@@ -192,7 +193,7 @@ func FuzzEncodedScanStrings(f *testing.F) {
 				}
 				got, _, ok := seg.ScanEncoded(pred, nil)
 				if want := refScan(op, probe, lo, hi, values, nulls); !ok || !equalOffsets(got, want) {
-					t.Fatalf("%s: %v: got %v (ok %v), want %v", comp, op, clip(got), ok, clip(want))
+					t.Fatalf("%s: %v: got %v (ok %v), want %v", name, op, clip(got), ok, clip(want))
 				}
 			}
 			pos := make([]types.ChunkOffset, n)
@@ -205,27 +206,27 @@ func FuzzEncodedScanStrings(f *testing.F) {
 			for i, v := range values {
 				null := nulls != nil && nulls[i]
 				if g, gNull := gathered[n-1-i], gatheredNulls[n-1-i]; gNull != null || (!null && g != v) {
-					t.Fatalf("%s: Gather row %d = %q (null %v), want %q (null %v)", comp, i, g, gNull, v, null)
+					t.Fatalf("%s: Gather row %d = %q (null %v), want %q (null %v)", name, i, g, gNull, v, null)
 				}
 				if d, dNull := decoded[i], decodedNulls != nil && decodedNulls[i]; dNull != null || (!null && d != v) {
-					t.Fatalf("%s: DecodeAll row %d = %q (null %v), want %q (null %v)", comp, i, d, dNull, v, null)
+					t.Fatalf("%s: DecodeAll row %d = %q (null %v), want %q (null %v)", name, i, d, dNull, v, null)
 				}
 			}
-			checkZone(t, comp.String(), seg, values, nulls)
+			checkZone(t, name, seg, values, nulls)
 			buf, err := AppendSegment(nil, seg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			restored, _, err := DecodeSegment(buf)
 			if err != nil {
-				t.Fatalf("%s: a snapshot of the segment does not decode: %v", comp, err)
+				t.Fatalf("%s: a snapshot of the segment does not decode: %v", name, err)
 			}
 			assertSameValues(t, restored, seg)
 			// Restore packs the values where that saves bytes; from there on a
 			// round trip is the identity.
 			if ValueCompression(restored) == "none" {
 				if again, _ := AppendSegment(nil, restored); !bytes.Equal(again, buf) {
-					t.Fatalf("%s: the restored segment serializes differently", comp)
+					t.Fatalf("%s: the restored segment serializes differently", name)
 				}
 			}
 		}

@@ -279,9 +279,11 @@ func collectBaseRows(t *storage.Table) ([]baseRow, error) {
 }
 
 // rowCountTable is the result of DML statements: a single-cell table with
-// the number of affected rows.
+// the number of affected rows, one immutable chunk over one value.
 func rowCountTable(n int) *storage.Table {
 	t := storage.NewTable("", []storage.ColumnDefinition{{Name: "rows", Type: types.TypeInt64}}, 1, false)
-	_, _ = t.AppendRow([]types.Value{types.Int(int64(n))})
+	c := storage.NewChunk([]storage.Segment{storage.ValueSegmentFromSlice([]int64{int64(n)}, nil)}, nil)
+	c.Finalize()
+	t.AppendChunk(c)
 	return t
 }

@@ -444,7 +444,9 @@ func TestSealedChunkFromSQL(t *testing.T) {
 		// One frame + 100 7-bit offsets: 11 words, a width byte and a
 		// block start (byte-aligned: 108).
 		{"0", "id", "FrameOfReference", "101", "none", "SIMD-BP128"},
-		{"0", "tag", "RunLength", "24", "none", "none"}, // one run: header, 4 bytes, end offset
+		// The 4-byte value, its 1-byte end and 100 1-bit codes (two words, a
+		// width byte, a block start): within 10% of the one 24-byte run.
+		{"0", "tag", "Dictionary", "26", "none", "SIMD-BP128"},
 		// Cents: one frame + 100 17-bit offsets of 100·val in 27 words
 		// (byte-aligned: 408).
 		{"0", "val", "FrameOfReference", "229", "decimal(2)", "SIMD-BP128"},

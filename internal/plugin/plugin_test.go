@@ -191,8 +191,8 @@ func TestEncodingAdvisorPlugin(t *testing.T) {
 	if !strings.Contains(applied["events.seq"], "FrameOfReference") {
 		t.Errorf("seq should be FOR, got %q", applied["events.seq"])
 	}
-	// Unique strings: a 4-byte end and a 2-byte code per row are fewer bytes
-	// than the plain array's 16-byte header, and any saving is taken.
+	// Unique strings: an end and a 2-byte code per row are fewer bytes than
+	// the plain array's 16-byte header, and any saving is taken.
 	if !strings.Contains(applied["events.payload"], "Dictionary") {
 		t.Errorf("payload should be dictionary, got %q", applied["events.payload"])
 	}
