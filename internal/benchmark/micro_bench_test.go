@@ -162,29 +162,45 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	sched := scheduler.New(0)
 	defer sched.Shutdown()
 
+	g, v := microCols(0)[0], microCols(1)[0]
+	countSum := []*expression.Aggregate{{Fn: expression.AggCountStar}, {Fn: expression.AggSum, Arg: v}}
+	// MIN and MAX of an int and of a string argument, COUNT of a nullable
+	// one: CASE WHEN v % 2 = 0 THEN v END.
+	evenV := &expression.Case{Whens: []expression.CaseWhen{{
+		When: &expression.Comparison{Op: expression.Eq,
+			Left:  &expression.Arithmetic{Op: expression.Mod, Left: v, Right: expression.NewLiteral(types.Int(2))},
+			Right: expression.NewLiteral(types.Int(0))},
+		Then: v,
+	}}}
+	minMax := []*expression.Aggregate{
+		{Fn: expression.AggMin, Arg: v}, {Fn: expression.AggMax, Arg: v},
+		{Fn: expression.AggMin, Arg: g}, {Fn: expression.AggMax, Arg: g},
+		{Fn: expression.AggCount, Arg: evenV},
+	}
 	cases := []struct {
 		name  string
 		mode  operators.ParallelMode
 		sched scheduler.Scheduler
 		table *storage.Table
+		aggs  []*expression.Aggregate
 	}{
-		{"serial", operators.ParallelSerial, nil, table},
-		{"parallel", operators.ParallelForce, sched, table},
-		{"string_keys", operators.ParallelSerial, nil, strTable},
+		{"serial", operators.ParallelSerial, nil, table, countSum},
+		{"parallel", operators.ParallelForce, sched, table, countSum},
+		{"string_keys", operators.ParallelSerial, nil, strTable, countSum},
+		{"min_max", operators.ParallelSerial, nil, strTable, minMax},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			names := []string{"g"}
+			dts := []types.DataType{tc.table.ColumnDefinitions()[0].Type}
+			for i, a := range tc.aggs {
+				names = append(names, fmt.Sprint("a", i))
+				dts = append(dts, expression.InferType(a, func(c int) types.DataType { return tc.table.ColumnDefinitions()[c].Type }))
+			}
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
 				ctx.Parallel = tc.mode
-				agg := operators.NewAggregate(&tableSource{tc.table},
-					microCols(0),
-					[]*expression.Aggregate{
-						{Fn: expression.AggCountStar},
-						{Fn: expression.AggSum, Arg: microCols(1)[0]},
-					},
-					[]string{"g", "n", "s"},
-					[]types.DataType{tc.table.ColumnDefinitions()[0].Type, types.TypeInt64, types.TypeInt64})
+				agg := operators.NewAggregate(&tableSource{tc.table}, microCols(0), tc.aggs, names, dts)
 				out, err := operators.Execute(agg, ctx)
 				if err != nil {
 					b.Fatal(err)

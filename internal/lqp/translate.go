@@ -293,6 +293,21 @@ func (t *Translator) translateSelect(stmt *sqlparser.SelectStatement, sc *scope)
 		if having != nil {
 			collect(having)
 		}
+		// SUM and AVG add numbers; like PostgreSQL, refuse them a BOOL or
+		// VARCHAR argument. An untyped one (NULL, a parameter) passes.
+		colType := func(i int) types.DataType {
+			if i < len(inSchema) {
+				return inSchema[i].DT
+			}
+			return types.TypeNull
+		}
+		for _, a := range aggs {
+			if a.Fn == expression.AggSum || a.Fn == expression.AggAvg {
+				if dt := expression.InferType(a.Arg, colType); dt == types.TypeBool || dt == types.TypeString {
+					return nil, fmt.Errorf("lqp: function %s(%s) does not exist", strings.ToLower(a.Fn.String()), dt)
+				}
+			}
+		}
 
 		names := append([]string{}, groupNames...)
 		for _, a := range aggs {

@@ -1,9 +1,7 @@
 package operators
 
 import (
-	stdcmp "cmp" // the package's tests have a helper named cmp
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -47,13 +45,16 @@ func (op *Aggregate) Name() string {
 // Inputs implements Operator.
 func (op *Aggregate) Inputs() []Operator { return []Operator{op.input} }
 
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group: 32 bytes, no boxed
+// value. MIN and MAX keep the row of the group's current extreme — a row of
+// the chunk's argument while the chunk runs, a row of the merged extreme
+// column (mergedGroups) after it.
 type aggState struct {
-	sum      float64
-	sumInt   int64
-	count    int64
-	min, max types.Value
-	seen     bool
+	sum    float64
+	sumInt int64
+	count  int64
+	row    int32
+	seen   bool
 }
 
 // distinctPairs are the distinct (group, value) pairs one chunk holds for one
@@ -80,10 +81,12 @@ type group struct {
 
 // chunkGroups is the partial aggregation of one chunk: group g has its key
 // in row g of keys (copied from the row that opened the group, so the chunk's
-// key vectors are not retained), its first row ordinal in firstSeen[g] and
-// its states in states[g*len(Aggs) : (g+1)*len(Aggs)].
+// key vectors are not retained), the extreme of MIN/MAX aggregate i in row g
+// of extremes[i] (NULL while the group saw none), its first row ordinal in
+// firstSeen[g] and its states in states[g*len(Aggs) : (g+1)*len(Aggs)].
 type chunkGroups struct {
 	keys      []*expression.Vector
+	extremes  []*expression.Vector // by aggregate; MIN and MAX only
 	firstSeen []int64
 	states    []aggState
 	distinct  []distinctPairs // by aggregate; used for COUNT(DISTINCT) only
@@ -134,11 +137,13 @@ func (op *Aggregate) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Ta
 // cancellation checks.
 const mergeShardCancelStride = 4096
 
-// mergedGroups is the final group list and the key columns its groups' key
-// rows index: the partials' key columns laid end to end.
+// mergedGroups is the final group list, the key columns its groups' key
+// rows index and the extreme columns their MIN/MAX states' rows index: the
+// partials' columns laid end to end.
 type mergedGroups struct {
-	keys   []*expression.Vector
-	groups []group
+	keys     []*expression.Vector
+	extremes []*expression.Vector
+	groups   []group
 }
 
 // mergePartials folds the per-chunk partials into the final group list,
@@ -159,30 +164,48 @@ func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) (me
 	}
 	start := time.Now()
 
-	// Lay the partials' groups end to end: partial group q has its key in
-	// row q of the concatenated key columns (one value per group was kept)
-	// and its states in all[q].
-	out := mergedGroups{keys: make([]*expression.Vector, len(op.GroupBy))}
-	for k := range out.keys {
+	// Lay the partials' groups end to end: partial group q has its key and
+	// its extremes in row q of the concatenated columns (one value per group
+	// was kept) and its states in all[q].
+	out := mergedGroups{keys: make([]*expression.Vector, len(op.GroupBy)), extremes: make([]*expression.Vector, len(op.Aggs))}
+	laid := func(col func(p *chunkGroups) *expression.Vector) (*expression.Vector, error) {
 		vecs := make([]*expression.Vector, len(partials))
 		for i := range partials {
-			vecs[i] = partials[i].keys[k]
+			vecs[i] = col(&partials[i])
 		}
 		dt, err := keyType(vecs)
 		if err != nil {
+			return nil, err
+		}
+		return concatKeys(vecs, nil, dt, total), nil
+	}
+	var err error
+	for k := range out.keys {
+		if out.keys[k], err = laid(func(p *chunkGroups) *expression.Vector { return p.keys[k] }); err != nil {
 			return mergedGroups{}, err
 		}
-		out.keys[k] = concatKeys(vecs, nil, dt, total)
+	}
+	for i, agg := range op.Aggs {
+		if isExtreme(agg) {
+			if out.extremes[i], err = laid(func(p *chunkGroups) *expression.Vector { return p.extremes[i] }); err != nil {
+				return mergedGroups{}, err
+			}
+		}
 	}
 	all := make([]group, 0, total)
 	nAggs := len(op.Aggs)
 	for i := range partials {
 		for g, first := range partials[i].firstSeen {
-			all = append(all, group{states: partials[i].states[g*nAggs : (g+1)*nAggs], firstSeen: first, key: int32(len(all))})
+			q := int32(len(all))
+			states := partials[i].states[g*nAggs : (g+1)*nAggs]
+			for a := range states {
+				states[a].row = q
+			}
+			all = append(all, group{states: states, firstSeen: first, key: q})
 		}
 	}
 
-	repOf, err := mergeSharded(ctx, op.Aggs, out.keys, all, shards)
+	repOf, err := mergeSharded(ctx, op.Aggs, out, all, shards)
 	if err != nil {
 		return mergedGroups{}, err
 	}
@@ -206,15 +229,15 @@ func (op *Aggregate) mergePartials(ctx *ExecContext, partials []chunkGroups) (me
 // hash has s in its top bits, so shards share no state and the result is
 // independent of scheduling order. Each shard folds the groups of one key, in
 // order, into the first of them; repOf[q] names that first one for group q.
-func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, keys []*expression.Vector, all []group, shards int) ([]int32, error) {
-	hashes := hashRows(keys, 0, len(all))
+func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, m mergedGroups, all []group, shards int) ([]int32, error) {
+	hashes := hashRows(m.keys, 0, len(all))
 	shift := 64 - bits.TrailingZeros(uint(shards)) // shards == 1: every hash >> 64 is 0
 	repOf := make([]int32, len(all))
 	jobs := make([]func(), shards)
 	for s := 0; s < shards; s++ {
 		s := s
 		jobs[s] = func() {
-			merged := newKeyTable(keys, 0)
+			merged := newKeyTable(m.keys, 0)
 			seen := 0
 			for q, h := range hashes {
 				if h>>shift != uint64(s) {
@@ -227,7 +250,7 @@ func mergeSharded(ctx *ExecContext, aggs []*expression.Aggregate, keys []*expres
 				e, added := merged.findOrAdd(h, q)
 				repOf[q] = merged.rows[e]
 				if !added {
-					mergeGroup(&all[repOf[q]], &all[q], aggs)
+					mergeGroup(&all[repOf[q]], &all[q], aggs, m.extremes)
 				}
 			}
 		}
@@ -274,9 +297,9 @@ func countDistinct(aggs []*expression.Aggregate, partials []chunkGroups, all []g
 // mergeGroup folds one partial group into dst (state merge is commutative
 // and associative; firstSeen takes the minimum and the key row goes with it,
 // so merge order is irrelevant).
-func mergeGroup(dst, src *group, aggs []*expression.Aggregate) {
+func mergeGroup(dst, src *group, aggs []*expression.Aggregate, extremes []*expression.Vector) {
 	for i := range dst.states {
-		mergeState(&dst.states[i], &src.states[i], aggs[i])
+		mergeState(&dst.states[i], &src.states[i], aggs[i], extremes[i])
 	}
 	if src.firstSeen < dst.firstSeen {
 		dst.firstSeen, dst.key = src.firstSeen, src.key
@@ -284,11 +307,13 @@ func mergeGroup(dst, src *group, aggs []*expression.Aggregate) {
 }
 
 func (op *Aggregate) aggregateChunk(ctx *ExecContext, c *storage.Chunk, base int64) chunkGroups {
-	out := chunkGroups{keys: make([]*expression.Vector, len(op.GroupBy))}
+	out := chunkGroups{keys: make([]*expression.Vector, len(op.GroupBy)), extremes: make([]*expression.Vector, len(op.Aggs))}
 	n := c.Size()
 	if n == 0 {
-		for i := range out.keys {
-			out.keys[i] = &expression.Vector{}
+		for _, cols := range [][]*expression.Vector{out.keys, out.extremes} {
+			for i := range cols {
+				cols[i] = &expression.Vector{}
+			}
 		}
 		return out
 	}
@@ -325,26 +350,51 @@ func (op *Aggregate) aggregateChunk(ctx *ExecContext, c *storage.Chunk, base int
 	}
 	groups := len(table.rows)
 	for i, v := range keyVecs {
-		out.keys[i] = concatKeys([]*expression.Vector{v}, [][]int32{table.rows}, v.DT, groups)
+		out.keys[i] = selectRows(v, table.rows)
 	}
 	out.firstSeen = make([]int64, groups)
 	for g, row := range table.rows {
 		out.firstSeen[g] = base + int64(row)
 	}
 
-	// Pass 2: one typed column pass per aggregate — the monomorphic inner
-	// loops avoid per-row Value boxing (the same static-dispatch idea as
-	// the scan specializations).
-	out.states = make([]aggState, groups*len(op.Aggs))
-	out.distinct = make([]distinctPairs, len(op.Aggs))
+	// Pass 2: one typed column pass per aggregate — no row is boxed into a
+	// types.Value (the same static-dispatch idea as the scan
+	// specializations). MIN and MAX then gather each group's extreme row
+	// into a column; a group that saw none takes its first row, which is NULL.
+	nAggs := len(op.Aggs)
+	out.states = make([]aggState, groups*nAggs)
+	out.distinct = make([]distinctPairs, nAggs)
 	for i, agg := range op.Aggs {
 		if agg.Fn == expression.AggCountDistinct {
 			out.distinct[i] = chunkDistinctPairs(argVecs[i], groupOf)
 			continue
 		}
-		updateColumn(out.states[i:], len(op.Aggs), agg, argVecs[i], groupOf)
+		updateColumn(out.states[i:], nAggs, agg, argVecs[i], groupOf)
+		if isExtreme(agg) {
+			rows := append([]int32(nil), table.rows...)
+			for g := range rows {
+				if st := &out.states[g*nAggs+i]; st.seen {
+					rows[g] = st.row
+				}
+			}
+			out.extremes[i] = selectRows(argVecs[i], rows)
+		}
 	}
 	return out
+}
+
+func isExtreme(agg *expression.Aggregate) bool {
+	return agg.Fn == expression.AggMin || agg.Fn == expression.AggMax
+}
+
+// extremeSign is -1 for MIN and +1 for MAX: row r replaces the extreme at row
+// e when sign*compareKey(r, e) > 0 — types.Order's rule, a tie keeping the
+// earlier row.
+func extremeSign(agg *expression.Aggregate) int {
+	if agg.Fn == expression.AggMin {
+		return -1
+	}
+	return 1
 }
 
 // chunkDistinctPairs finds the distinct (group, value) pairs of one chunk:
@@ -365,102 +415,70 @@ func chunkDistinctPairs(arg *expression.Vector, groupOf []int32) distinctPairs {
 	for p, row := range pairs.rows {
 		out.groups[p] = groupOf[row]
 	}
-	out.values = concatKeys(cols[1:], [][]int32{pairs.rows}, arg.DT, len(pairs.rows))
+	out.values = selectRows(arg, pairs.rows)
 	return out
 }
 
 // updateColumn folds one aggregate's argument column into the group states:
-// states[g*stride] is the aggregate's state for group g.
+// states[g*stride] is the aggregate's state for group g. Aggregates skip NULL
+// arguments. A SUM or AVG argument is numeric (the translator refuses others)
+// or an untyped parameter, whose non-numbers add 0.
 func updateColumn(states []aggState, stride int, agg *expression.Aggregate, arg *expression.Vector, groupOf []int32) {
-	n := len(groupOf)
 	if agg.Fn == expression.AggCountStar {
-		for row := 0; row < n; row++ {
-			states[int(groupOf[row])*stride].count++
+		for _, g := range groupOf {
+			states[int(g)*stride].count++
 		}
 		return
 	}
-	switch {
-	case arg.DT == types.TypeFloat64 && (agg.Fn == expression.AggSum || agg.Fn == expression.AggAvg):
-		vals, nulls := arg.F, arg.Nulls
-		for row := 0; row < n; row++ {
+	nulls := arg.Nulls
+	switch agg.Fn {
+	case expression.AggCount:
+		for row, g := range groupOf {
+			if nulls == nil || !nulls[row] {
+				states[int(g)*stride].count++
+			}
+		}
+	case expression.AggMin, expression.AggMax:
+		sign := extremeSign(agg) // one loop for every type
+		for row, g := range groupOf {
 			if nulls != nil && nulls[row] {
 				continue
 			}
-			st := &states[int(groupOf[row])*stride]
+			st := &states[int(g)*stride]
+			if !st.seen || sign*compareKey(arg, row, arg, int(st.row)) > 0 {
+				st.row, st.seen = int32(row), true
+			}
+		}
+	case expression.AggSum, expression.AggAvg:
+		if arg.DT == types.TypeInt64 {
+			for row, g := range groupOf {
+				if nulls != nil && nulls[row] {
+					continue
+				}
+				st := &states[int(g)*stride]
+				st.sum += float64(arg.I[row])
+				st.sumInt += arg.I[row]
+				st.count++
+				st.seen = true
+			}
+			return
+		}
+		vals := arg.Floats()
+		for row, g := range groupOf {
+			if nulls != nil && nulls[row] {
+				continue
+			}
+			st := &states[int(g)*stride]
 			st.sum += vals[row]
 			st.count++
 			st.seen = true
 		}
-	case arg.DT == types.TypeInt64 && (agg.Fn == expression.AggSum || agg.Fn == expression.AggAvg):
-		vals, nulls := arg.I, arg.Nulls
-		for row := 0; row < n; row++ {
-			if nulls != nil && nulls[row] {
-				continue
-			}
-			st := &states[int(groupOf[row])*stride]
-			st.sum += float64(vals[row])
-			st.sumInt += vals[row]
-			st.count++
-			st.seen = true
-		}
-	case arg.DT == types.TypeFloat64 && (agg.Fn == expression.AggMin || agg.Fn == expression.AggMax):
-		vals, nulls := arg.F, arg.Nulls
-		isMin := agg.Fn == expression.AggMin
-		for row := 0; row < n; row++ {
-			if nulls != nil && nulls[row] {
-				continue
-			}
-			st := &states[int(groupOf[row])*stride]
-			v := vals[row]
-			if !st.seen {
-				st.min, st.max = types.Float(v), types.Float(v)
-				st.seen = true
-				continue
-			}
-			if isMin {
-				if stdcmp.Less(v, st.min.F) {
-					st.min = types.Float(v)
-				}
-			} else if stdcmp.Less(st.max.F, v) {
-				st.max = types.Float(v)
-			}
-		}
-	case arg.DT == types.TypeInt64 && (agg.Fn == expression.AggMin || agg.Fn == expression.AggMax):
-		vals, nulls := arg.I, arg.Nulls
-		isMin := agg.Fn == expression.AggMin
-		for row := 0; row < n; row++ {
-			if nulls != nil && nulls[row] {
-				continue
-			}
-			st := &states[int(groupOf[row])*stride]
-			v := vals[row]
-			if !st.seen {
-				st.min, st.max = types.Int(v), types.Int(v)
-				st.seen = true
-				continue
-			}
-			if isMin {
-				if stdcmp.Less(v, st.min.I) {
-					st.min = types.Int(v)
-				}
-			} else if stdcmp.Less(st.max.I, v) {
-				st.max = types.Int(v)
-			}
-		}
-	case agg.Fn == expression.AggCount && arg.Nulls == nil && arg.DT != types.TypeNull:
-		for row := 0; row < n; row++ {
-			states[int(groupOf[row])*stride].count++
-		}
-	default:
-		// Dynamic fallback: strings, COUNT over nullable columns.
-		for row := 0; row < n; row++ {
-			updateState(&states[int(groupOf[row])*stride], agg, arg, row)
-		}
 	}
 }
 
-// mergeState folds a partial aggregate state into dst.
-func mergeState(dst, src *aggState, agg *expression.Aggregate) {
+// mergeState folds a partial aggregate state into dst; MIN and MAX compare
+// their rows of the merged extreme column ext.
+func mergeState(dst, src *aggState, agg *expression.Aggregate, ext *expression.Vector) {
 	switch agg.Fn {
 	case expression.AggCountStar, expression.AggCount:
 		dst.count += src.count
@@ -469,135 +487,70 @@ func mergeState(dst, src *aggState, agg *expression.Aggregate) {
 		dst.sumInt += src.sumInt
 		dst.count += src.count
 		dst.seen = dst.seen || src.seen
-	case expression.AggMin:
-		if src.seen {
-			dst.extreme(src.min, true)
-		}
-	case expression.AggMax:
-		if src.seen {
-			dst.extreme(src.max, false)
-		}
-	}
-}
-
-// extreme folds v into the state's MIN (isMin) or MAX by the ordering rule
-// (types.Order): MIN and MAX are the first and last non-NULL rows of an
-// ORDER BY over the group, NaN below every number.
-func (st *aggState) extreme(v types.Value, isMin bool) {
-	switch {
-	case !st.seen:
-		st.min, st.max, st.seen = v, v, true
-	case isMin && types.Order(v, st.min) < 0:
-		st.min = v
-	case !isMin && types.Order(v, st.max) > 0:
-		st.max = v
-	}
-}
-
-func updateState(st *aggState, agg *expression.Aggregate, arg *expression.Vector, row int) {
-	if agg.Fn == expression.AggCountStar {
-		st.count++
-		return
-	}
-	val := arg.ValueAt(row)
-	if val.IsNull() {
-		return // aggregates skip NULL inputs
-	}
-	switch agg.Fn {
-	case expression.AggCount:
-		st.count++
-	case expression.AggSum, expression.AggAvg:
-		st.count++
-		st.sum += val.AsFloat()
-		st.sumInt += val.AsInt()
-		st.seen = true
 	case expression.AggMin, expression.AggMax:
-		st.extreme(val, agg.Fn == expression.AggMin)
+		if src.seen && (!dst.seen || extremeSign(agg)*compareKey(ext, int(src.row), ext, int(dst.row)) > 0) {
+			dst.row, dst.seen = src.row, true
+		}
 	}
 }
 
-func (st *aggState) result(agg *expression.Aggregate, outType types.DataType) types.Value {
-	switch agg.Fn {
-	case expression.AggCountStar, expression.AggCount, expression.AggCountDistinct:
-		return types.Int(st.count)
-	case expression.AggSum:
-		if !st.seen {
-			return types.NullValue
-		}
-		if outType == types.TypeInt64 {
-			return types.Int(st.sumInt)
-		}
-		return types.Float(st.sum)
-	case expression.AggAvg:
-		if st.count == 0 {
-			return types.NullValue
-		}
-		return types.Float(st.sum / float64(st.count))
-	case expression.AggMin:
-		if !st.seen {
-			return types.NullValue
-		}
-		return st.min
-	case expression.AggMax:
-		if !st.seen {
-			return types.NullValue
-		}
-		return st.max
-	default:
-		return types.NullValue
-	}
-}
-
+// buildOutput returns the groups as one chunk of value segments, keys then
+// aggregates, each made from a typed column by the rule every operator uses
+// (segmentFromVector) with the declared type.
 func (op *Aggregate) buildOutput(m mergedGroups) (*storage.Table, error) {
 	groups := m.groups
+	n := len(groups)
 	nCols := len(op.GroupBy) + len(op.Aggs)
 	if len(op.Names) != nCols || len(op.Types) != nCols {
 		return nil, fmt.Errorf("operators: aggregate schema mismatch")
 	}
 	defs := make([]storage.ColumnDefinition, nCols)
-	for i := 0; i < nCols; i++ {
-		dt := op.Types[i]
-		if dt == types.TypeNull {
-			dt = types.TypeInt64
-		}
-		defs[i] = storage.ColumnDefinition{Name: op.Names[i], Type: dt, Nullable: true}
+	segments := make([]storage.Segment, nCols)
+	keyRows := make([]int32, n)
+	for g := range groups {
+		keyRows[g] = groups[g].key
 	}
-	out := storage.NewTable("", defs, max(len(groups), 1), false)
-	row := make([]types.Value, nCols)
-	for _, g := range groups {
-		for i := range op.GroupBy {
-			row[i] = coerce(m.keys[i].ValueAt(int(g.key)), defs[i].Type)
+	for i := range defs {
+		defs[i] = storage.ColumnDefinition{Name: op.Names[i], Type: op.Types[i], Nullable: true}
+		var col *expression.Vector
+		if i < len(op.GroupBy) {
+			col = selectRows(m.keys[i], keyRows)
+		} else {
+			col = op.aggColumn(i-len(op.GroupBy), m)
 		}
-		for i, agg := range op.Aggs {
-			row[len(op.GroupBy)+i] = coerce(g.states[i].result(agg, op.Types[len(op.GroupBy)+i]), defs[len(op.GroupBy)+i].Type)
-		}
-		if _, err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
+		segments[i] = segmentFromVector(col, op.Types[i])
 	}
-	return out, nil
+	return oneChunkTable(defs, segments, n), nil
 }
 
-// coerce adapts a value to the declared column type (int sums into float
-// columns and vice versa).
-func coerce(v types.Value, want types.DataType) types.Value {
-	if v.IsNull() || v.Type == want {
-		return v
+// aggColumn is the result column of aggregate i over the merged groups.
+func (op *Aggregate) aggColumn(i int, m mergedGroups) *expression.Vector {
+	agg, groups, n := op.Aggs[i], m.groups, len(m.groups)
+	if isExtreme(agg) {
+		rows := make([]int32, n)
+		for g := range groups {
+			rows[g] = groups[g].states[i].row
+		}
+		return selectRows(m.extremes[i], rows)
 	}
-	switch want {
-	case types.TypeFloat64:
-		if v.Type.IsNumeric() {
-			return types.Float(v.AsFloat())
+	ints, floats, nulls := make([]int64, n), make([]float64, n), make([]bool, n)
+	for g := range groups {
+		st := &groups[g].states[i]
+		switch agg.Fn {
+		case expression.AggSum:
+			ints[g], floats[g], nulls[g] = st.sumInt, st.sum, !st.seen
+		case expression.AggAvg:
+			floats[g], nulls[g] = st.sum/float64(st.count), st.count == 0
+		default: // the counts
+			ints[g] = st.count
 		}
-	case types.TypeInt64:
-		if v.Type == types.TypeFloat64 && v.F == math.Trunc(v.F) {
-			return types.Int(int64(v.F))
-		}
-		if v.Type == types.TypeBool {
-			return types.Int(v.I)
-		}
-	case types.TypeString:
-		return types.Str(v.String())
 	}
-	return v
+	switch {
+	case agg.Fn == expression.AggAvg || agg.Fn == expression.AggSum && op.Types[len(op.GroupBy)+i] != types.TypeInt64:
+		return expression.NewFloatVector(floats, nulls)
+	case agg.Fn == expression.AggSum:
+		return expression.NewIntVector(ints, nulls)
+	default: // the counts
+		return expression.NewIntVector(ints, nil)
+	}
 }

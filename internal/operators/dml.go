@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"math"
 
 	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
@@ -98,7 +99,7 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		}
 		inserted++
 	}
-	return rowCountTable(inserted), nil
+	return intCellTable("rows", inserted), nil
 }
 
 // noteSeal puts on a DML span what its appends paid beyond appending: the row
@@ -152,7 +153,7 @@ func (op *Delete) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 		}
 		ctx.Tx.LogDelete(op.TableName, r.rid)
 	}
-	return rowCountTable(len(refs)), nil
+	return intCellTable("rows", len(refs)), nil
 }
 
 // Update is delete + reinsert: for every input row, the original values are
@@ -248,7 +249,7 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 			updated++
 		}
 	}
-	return rowCountTable(updated), nil
+	return intCellTable("rows", updated), nil
 }
 
 type baseRow struct {
@@ -278,12 +279,36 @@ func collectBaseRows(t *storage.Table) ([]baseRow, error) {
 	return out, nil
 }
 
-// rowCountTable is the result of DML statements: a single-cell table with
-// the number of affected rows, one immutable chunk over one value.
-func rowCountTable(n int) *storage.Table {
-	t := storage.NewTable("", []storage.ColumnDefinition{{Name: "rows", Type: types.TypeInt64}}, 1, false)
+// intCellTable is a single-cell table, one immutable chunk over one value:
+// the number of affected rows a DML statement returns, DummyTable's row.
+func intCellTable(name string, n int) *storage.Table {
+	t := storage.NewTable("", []storage.ColumnDefinition{{Name: name, Type: types.TypeInt64}}, 1, false)
 	c := storage.NewChunk([]storage.Segment{storage.ValueSegmentFromSlice([]int64{int64(n)}, nil)}, nil)
 	c.Finalize()
 	t.AppendChunk(c)
 	return t
+}
+
+// coerce adapts a value to the type of the stored column it is written to
+// (an int into a FLOAT column and vice versa).
+func coerce(v types.Value, want types.DataType) types.Value {
+	if v.IsNull() || v.Type == want {
+		return v
+	}
+	switch want {
+	case types.TypeFloat64:
+		if v.Type.IsNumeric() {
+			return types.Float(v.AsFloat())
+		}
+	case types.TypeInt64:
+		if v.Type == types.TypeFloat64 && v.F == math.Trunc(v.F) {
+			return types.Int(int64(v.F))
+		}
+		if v.Type == types.TypeBool {
+			return types.Int(v.I)
+		}
+	case types.TypeString:
+		return types.Str(v.String())
+	}
+	return v
 }

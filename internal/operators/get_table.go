@@ -1,9 +1,6 @@
 package operators
 
-import (
-	"hyrise/internal/storage"
-	"hyrise/internal/types"
-)
+import "hyrise/internal/storage"
 
 // GetTable reads a stored table from the storage manager, whole: chunks are
 // skipped by the scan that reads them (chunkScan's prune rung), so every
@@ -35,9 +32,5 @@ func (op *DummyTable) Inputs() []Operator { return nil }
 
 // Run implements Operator.
 func (op *DummyTable) Run(*ExecContext, []*storage.Table) (*storage.Table, error) {
-	t := storage.NewTable("", []storage.ColumnDefinition{{Name: "__dummy", Type: types.TypeInt64}}, 1, false)
-	if _, err := t.AppendRow([]types.Value{types.Int(0)}); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return intCellTable("__dummy", 0), nil
 }

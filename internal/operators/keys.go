@@ -284,6 +284,11 @@ func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, tot
 	return out
 }
 
+// selectRows gathers the given rows of v into a new column.
+func selectRows(v *expression.Vector, rows []int32) *expression.Vector {
+	return concatKeys([]*expression.Vector{v}, [][]int32{rows}, v.DT, len(rows))
+}
+
 // takeRows copies src — only its rows, when rows is non-nil — into dst from
 // off on; dst, total long, is allocated on first use.
 func takeRows[T any](dst []T, total, off int, src []T, rows []int32) []T {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hyrise/internal/concurrency"
 	"hyrise/internal/encoding"
@@ -379,6 +380,14 @@ func TestAggregateAllFunctions(t *testing.T) {
 	want := []string{"a|3|2|4|2|1|3|2", "b|2|2|20|10|10|10|1"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("aggregate = %v, want %v", got, want)
+	}
+}
+
+// TestAggregateStateIs32Bytes pins the per-group state: MIN and MAX keep a
+// row, not a boxed value, so a state is four words.
+func TestAggregateStateIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(aggState{}); size > 32 {
+		t.Errorf("aggState is %d bytes, want <= 32", size)
 	}
 }
 

@@ -207,3 +207,109 @@ func TestComparisonRuleOnLoadedFloats(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffAggregateBoolArguments: aggregates over a BOOL argument or key —
+// MIN, MAX, COUNT, GROUP BY, DISTINCT and COUNT(DISTINCT) of `a > 0` — return
+// on every engine configuration what the same query returns with CASE WHEN
+// a > 0 THEN 1 ELSE 0 END in its place (a BOOL reads 0/1 in the columnar
+// engine), and that CASE form agrees with the row engine. Beside them, over
+// sealed layouts and a mutable tail: MIN/MAX of strings with NULLs, COUNT of
+// the NULL-extended column of a LEFT JOIN, and MIN/MAX of floats where -0
+// comes before +0 (the first row wins a tie). SUM and AVG of a BOOL or
+// VARCHAR fail with the row engine's error.
+func TestDiffAggregateBoolArguments(t *testing.T) {
+	defs := []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "a", Type: types.TypeInt64},
+		{Name: "s", Type: types.TypeString, Nullable: true},
+		{Name: "f", Type: types.TypeFloat64, Nullable: true},
+	}
+	as := []int64{3, -2, 0, 7, -5, 1, 0}
+	ss := []types.Value{types.Str("m"), types.NullValue, types.Str("b"), types.Str("z"), types.NullValue, types.Str("a")}
+	fs := []types.Value{types.Float(math.Copysign(0, -1)), types.Float(2.5), types.NullValue, types.Float(0), types.Float(-1.5)}
+	layouts := []*encoding.Spec{
+		{Encoding: encoding.Unencoded},
+		{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned},
+		{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
+		{Encoding: encoding.RunLength},
+		nil, // the size model's pick
+	}
+	const chunk = 8
+	table := storage.NewTable("t", defs, chunk, false)
+	for id := 0; id < chunk*len(layouts)+5; id++ {
+		row := []types.Value{types.Int(int64(id)), types.Int(as[id%len(as)]), ss[id%len(ss)], fs[id%len(fs)]}
+		if _, err := table.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ci, spec := range layouts {
+		filter.Seal(table.GetChunk(types.ChunkID(ci)), spec)
+	}
+	probe := storage.NewTable("p", []storage.ColumnDefinition{
+		{Name: "pid", Type: types.TypeInt64},
+		{Name: "x", Type: types.TypeInt64},
+	}, chunk, false)
+	for id := 0; id < 20; id += 3 {
+		if _, err := probe.AppendRow([]types.Value{types.Int(int64(id)), types.Int(int64(id * 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sm := storage.NewStorageManager()
+	for _, tbl := range []*storage.Table{table, probe} {
+		if err := sm.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engines := comparisonEngines(t, sm)
+	oracle := rowengine.NewFromStorage(sm)
+
+	for _, sql := range []string{
+		"SELECT min(%s), max(%s), count(%s) FROM t",
+		"SELECT id % 3, min(%s), max(%s) FROM t GROUP BY id % 3",
+		"SELECT %s, count(*) FROM t GROUP BY %s",
+		"SELECT DISTINCT %s FROM t",
+		"SELECT count(DISTINCT %s) FROM t",
+		"SELECT id % 4, count(DISTINCT %s) FROM t GROUP BY id % 4",
+	} {
+		want := agree(t, engines, oracle, strings.ReplaceAll(sql, "%s", "CASE WHEN a > 0 THEN 1 ELSE 0 END"))
+		boolSQL := strings.ReplaceAll(sql, "%s", "a > 0")
+		for name, e := range engines {
+			res, err := e.NewSession().ExecuteOne(boolSQL)
+			if err != nil {
+				t.Fatalf("%s engine %q: %v", name, boolSQL, err)
+			}
+			if got := fmt.Sprint(canonical(ValueRows(res.Table))); got != want {
+				t.Errorf("%s engine, %s:\n got %s\nwant %s", name, boolSQL, got, want)
+			}
+		}
+	}
+	for sql, want := range map[string]string{
+		"SELECT min(s), max(s), count(s) FROM t":                         "[a|z|30]",
+		"SELECT count(p.x), count(*) FROM t LEFT JOIN p ON t.id = p.pid": "[7|45]",
+		"SELECT min(f) FROM t WHERE f >= 0":                              "[-0]",
+		"SELECT max(f) FROM t WHERE f <= 0":                              "[-0]",
+		"SELECT min(f), max(f) FROM t WHERE f = 0":                       "[-0|-0]",
+	} {
+		if got := agree(t, engines, oracle, sql); got != want {
+			t.Errorf("%s = %s, want %s", sql, got, want)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT id % 3, min(s), max(s) FROM t GROUP BY id % 3",
+		"SELECT t.id % 5, count(p.x) FROM t LEFT JOIN p ON t.id = p.pid GROUP BY t.id % 5",
+		"SELECT id % 4, min(f), max(f) FROM t WHERE f = 0 GROUP BY id % 4",
+	} {
+		agree(t, engines, oracle, sql)
+	}
+	for _, sql := range []string{"SELECT sum(a > 0) FROM t", "SELECT avg(s) FROM t GROUP BY a"} {
+		_, _, want := oracle.Query(sql)
+		if want == nil {
+			t.Fatalf("row engine %q: no error", sql)
+		}
+		for name, e := range engines {
+			if _, err := e.NewSession().ExecuteOne(sql); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s engine %q: error %v, want %v", name, sql, err, want)
+			}
+		}
+	}
+}

@@ -277,6 +277,24 @@ func TestProtocolDisconnectRollsBack(t *testing.T) {
 	}
 }
 
+// TestProtocolBoolAggregateKeepsServing: an aggregate over a BOOL argument
+// answers over the wire, and the connection (and the server) keep serving.
+func TestProtocolBoolAggregateKeepsServing(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	for _, sql := range []string{"CREATE TABLE t (a INT NOT NULL)", "INSERT INTO t VALUES (-1), (2), (0)"} {
+		if res := c.simpleQuery(t, sql); res.err != "" {
+			t.Fatalf("%s: %s", sql, res.err)
+		}
+	}
+	if res := c.simpleQuery(t, "SELECT min(a > 0) FROM t"); res.err != "" || fmt.Sprint(res.rows) != "[[0]]" {
+		t.Fatalf("min(a > 0): %+v", res)
+	}
+	if res := c.simpleQuery(t, "SELECT 1"); res.err != "" || fmt.Sprint(res.rows) != "[[1]]" {
+		t.Fatalf("SELECT 1 after the aggregate: %+v", res)
+	}
+}
+
 func TestExtendedQueryProtocol(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)
