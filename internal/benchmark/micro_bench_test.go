@@ -195,7 +195,11 @@ func BenchmarkMicroAggregate(b *testing.B) {
 			dts := []types.DataType{tc.table.ColumnDefinitions()[0].Type}
 			for i, a := range tc.aggs {
 				names = append(names, fmt.Sprint("a", i))
-				dts = append(dts, expression.InferType(a, func(c int) types.DataType { return tc.table.ColumnDefinitions()[c].Type }))
+				dt, err := expression.InferType(a, func(c int) types.DataType { return tc.table.ColumnDefinitions()[c].Type })
+				if err != nil {
+					b.Fatal(err)
+				}
+				dts = append(dts, dt)
 			}
 			for i := 0; i < b.N; i++ {
 				ctx := operators.NewExecContext(nil, tc.sched, nil)
@@ -867,6 +871,62 @@ func benchIndex[T types.Ordered](b *testing.B, perm []int, key func(k int) T) {
 					if n := len(idx.Range(&r[0], &r[1], false, false)); n != 1000 {
 						b.Fatalf("range %v: %d rows, want 1000", r, n)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMicroExpression evaluates one expression over a 100 000-row chunk
+// of (size INT, phone VARCHAR, nation VARCHAR, volume FLOAT) vectors:
+// in_list is Q16's eight-element `size IN (…)`, in_list_strings Q22's
+// `substring(phone, 1, 2) IN (…)` over seven country codes, and case Q8's
+// `CASE WHEN nation = 'BRAZIL' THEN volume ELSE 0 END`, an INT branch beside
+// a FLOAT one.
+func BenchmarkMicroExpression(b *testing.B) {
+	const rows = 100_000
+	rng := rand.New(rand.NewSource(53))
+	nations := []string{"BRAZIL", "CANADA", "EGYPT", "FRANCE", "GERMANY"}
+	size, phone, nation, volume := make([]int64, rows), make([]string, rows), make([]string, rows), make([]float64, rows)
+	for i := range size {
+		size[i] = int64(rng.Intn(50) + 1)
+		phone[i] = fmt.Sprintf("%d-%03d-%03d-%04d", rng.Intn(25)+10, rng.Intn(1000), rng.Intn(1000), rng.Intn(10000))
+		nation[i] = nations[rng.Intn(len(nations))]
+		volume[i] = float64(rng.Intn(1_000_000)) / 100
+	}
+	cols := []*expression.Vector{
+		expression.NewIntVector(size, nil), expression.NewStringVector(phone, nil),
+		expression.NewStringVector(nation, nil), expression.NewFloatVector(volume, nil),
+	}
+	col := func(i int) *expression.BoundColumn { return &expression.BoundColumn{Index: i, DT: cols[i].DT} }
+	list := func(vals ...types.Value) []expression.Expression {
+		out := make([]expression.Expression, len(vals))
+		for i, v := range vals {
+			out[i] = expression.NewLiteral(v)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		e    expression.Expression
+	}{
+		{"in_list", &expression.In{Child: col(0), List: list(types.Int(49), types.Int(14), types.Int(23), types.Int(45),
+			types.Int(19), types.Int(3), types.Int(36), types.Int(9))}},
+		{"in_list_strings", &expression.In{
+			Child: &expression.FunctionCall{Name: "substring", Args: []expression.Expression{col(1),
+				expression.NewLiteral(types.Int(1)), expression.NewLiteral(types.Int(2))}},
+			List: list(types.Str("13"), types.Str("31"), types.Str("23"), types.Str("29"), types.Str("30"),
+				types.Str("18"), types.Str("17"))}},
+		{"case", &expression.Case{Whens: []expression.CaseWhen{{
+			When: &expression.Comparison{Op: expression.Eq, Left: col(2), Right: expression.NewLiteral(types.Str("BRAZIL"))},
+			Then: col(3)}}, Else: expression.NewLiteral(types.Int(0))}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := &expression.Context{N: rows, Column: func(i int) (*expression.Vector, error) { return cols[i], nil }}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := expression.Evaluate(tc.e, ctx); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package expression
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -51,19 +52,27 @@ func Evaluate(e Expression, ctx *Context) (*Vector, error) {
 		if ctx.Column == nil {
 			return nil, fmt.Errorf("expression: no column source for %s", x)
 		}
-		return ctx.Column(x.Index)
+		v, err := ctx.Column(x.Index)
+		if err != nil || x.DT != types.TypeBool {
+			return v, err
+		}
+		return v.as(types.TypeBool) // a BOOL column stores 0/1
 	case *ColumnRef:
 		return nil, fmt.Errorf("expression: unresolved column %s (translator must bind columns)", x)
 	case *Negation:
 		return evalNegation(x, ctx)
 	case *Arithmetic:
-		return evalArithmetic(x, ctx)
+		return evalBinary(x.Op, x.Left, x.Right, ctx, calculate)
 	case *Comparison:
-		return evalComparison(x, ctx)
+		return evalBinary(x.Op, x.Left, x.Right, ctx, compare)
 	case *Logical:
-		return evalLogical(x, ctx)
+		return evalBinary(x.Op, x.Left, x.Right, ctx, logical)
 	case *Not:
-		return evalNot(x, ctx)
+		c, err := Evaluate(x.Child, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return not(c)
 	case *IsNull:
 		return evalIsNull(x, ctx)
 	case *Between:
@@ -112,22 +121,22 @@ func evalNegation(x *Negation, ctx *Context) (*Vector, error) {
 	}
 	switch c.DT {
 	case types.TypeInt64:
-		out := make([]int64, c.N)
-		for i, v := range c.I {
-			out[i] = -v
-		}
-		return &Vector{DT: types.TypeInt64, I: out, Nulls: c.Nulls, N: c.N}, nil
+		return NewIntVector(negate(c.I), c.Nulls), nil
 	case types.TypeFloat64:
-		out := make([]float64, c.N)
-		for i, v := range c.F {
-			out[i] = -v
-		}
-		return &Vector{DT: types.TypeFloat64, F: out, Nulls: c.Nulls, N: c.N}, nil
+		return NewFloatVector(negate(c.F), c.Nulls), nil
 	case types.TypeNull:
 		return c, nil
 	default:
 		return nil, fmt.Errorf("expression: cannot negate %s", c.DT)
 	}
+}
+
+func negate[T int64 | float64](vals []T) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = -v
+	}
+	return out
 }
 
 func mergeNulls(a, b []bool, n int) []bool {
@@ -141,63 +150,51 @@ func mergeNulls(a, b []bool, n int) []bool {
 	return out
 }
 
-func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
-	l, err := Evaluate(x.Left, ctx)
+// evalBinary evaluates a binary operator's operands and applies its kernel.
+func evalBinary[Op any](op Op, left, right Expression, ctx *Context, kernel func(Op, *Vector, *Vector, int) (*Vector, error)) (*Vector, error) {
+	l, err := Evaluate(left, ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := Evaluate(x.Right, ctx)
+	r, err := Evaluate(right, ctx)
 	if err != nil {
 		return nil, err
 	}
+	return kernel(op, l, r, ctx.N)
+}
+
+// calculate is the kernel of `l op r` (+, -, *, /, %) over n rows.
+func calculate(op ArithmeticOp, l, r *Vector, n int) (*Vector, error) {
 	if l.DT == types.TypeNull || r.DT == types.TypeNull {
-		return ConstVector(types.NullValue, ctx.N), nil
+		return ConstVector(types.NullValue, n), nil
 	}
-	if !numericDT(l.DT) || !numericDT(r.DT) {
+	if !l.DT.IsNumeric() || !r.DT.IsNumeric() {
 		return nil, fmt.Errorf("expression: arithmetic on %s and %s", l.DT, r.DT)
 	}
-	nulls := mergeNulls(l.Nulls, r.Nulls, ctx.N)
-	// `/ 0` and `% 0` are NULL, for integers and floats alike.
-	divides := x.Op == Div || x.Op == Mod
+	nulls := mergeNulls(l.Nulls, r.Nulls, n)
 	// Integer arithmetic stays integral; mixed promotes to float.
 	if l.DT == types.TypeInt64 && r.DT == types.TypeInt64 {
-		out := make([]int64, ctx.N)
-		for i := 0; i < ctx.N; i++ {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			a, b := l.I[i], r.I[i]
-			if divides && b == 0 {
-				nulls = nullAt(nulls, ctx.N, i)
-				continue
-			}
-			switch x.Op {
-			case Add:
-				out[i] = a + b
-			case Sub:
-				out[i] = a - b
-			case Mul:
-				out[i] = a * b
-			case Div:
-				out[i] = a / b
-			case Mod:
-				out[i] = a % b
-			}
-		}
-		return &Vector{DT: types.TypeInt64, I: out, Nulls: nulls, N: ctx.N}, nil
+		out, nulls := arithmetic(op, l.I, r.I, nulls, func(a, b int64) int64 { return a % b })
+		return NewIntVector(out, nulls), nil
 	}
-	lf, rf := l.Floats(), r.Floats()
-	out := make([]float64, ctx.N)
-	for i := 0; i < ctx.N; i++ {
+	out, nulls := arithmetic(op, l.Floats(), r.Floats(), nulls, math.Mod)
+	return NewFloatVector(out, nulls), nil
+}
+
+// arithmetic sets out[i] to `l[i] op r[i]` on every row that is not NULL,
+// with mod as the remainder; `/ 0` and `% 0` are NULL.
+func arithmetic[T int64 | float64](op ArithmeticOp, l, r []T, nulls []bool, mod func(a, b T) T) ([]T, []bool) {
+	out := make([]T, len(l))
+	for i := range out {
 		if nulls != nil && nulls[i] {
 			continue
 		}
-		a, b := lf[i], rf[i]
-		if divides && b == 0 {
-			nulls = nullAt(nulls, ctx.N, i)
+		a, b := l[i], r[i]
+		if (op == Div || op == Mod) && b == 0 {
+			nulls = nullAt(nulls, len(out), i)
 			continue
 		}
-		switch x.Op {
+		switch op {
 		case Add:
 			out[i] = a + b
 		case Sub:
@@ -207,10 +204,10 @@ func evalArithmetic(x *Arithmetic, ctx *Context) (*Vector, error) {
 		case Div:
 			out[i] = a / b
 		case Mod:
-			out[i] = math.Mod(a, b)
+			out[i] = mod(a, b)
 		}
 	}
-	return &Vector{DT: types.TypeFloat64, F: out, Nulls: nulls, N: ctx.N}, nil
+	return out, nulls
 }
 
 // nullAt marks row i of an n-row null map, allocating the map on first use.
@@ -222,35 +219,25 @@ func nullAt(nulls []bool, n, i int) []bool {
 	return nulls
 }
 
-func numericDT(dt types.DataType) bool {
-	return dt == types.TypeInt64 || dt == types.TypeFloat64
-}
-
-func evalComparison(x *Comparison, ctx *Context) (*Vector, error) {
-	l, err := Evaluate(x.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Evaluate(x.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := ctx.N
-	nulls := mergeNulls(l.Nulls, r.Nulls, n)
+// compare is the kernel of `l op r` over n rows. The plan has typed its
+// operands (InferType); only a placeholder bound to another type reaches the
+// error.
+func compare(op ComparisonOp, l, r *Vector, n int) (*Vector, error) {
 	out := make([]bool, n)
-
-	if x.Op == Like || x.Op == NotLike {
+	if l.DT == types.TypeNull || r.DT == types.TypeNull {
+		return &Vector{DT: types.TypeBool, B: out, Nulls: allNulls(n), N: n}, nil
+	}
+	nulls := mergeNulls(l.Nulls, r.Nulls, n)
+	switch {
+	case op == Like || op == NotLike:
 		if l.DT != types.TypeString || r.DT != types.TypeString {
-			if l.DT == types.TypeNull || r.DT == types.TypeNull {
-				return &Vector{DT: types.TypeBool, B: out, Nulls: allNulls(n), N: n}, nil
-			}
-			return nil, fmt.Errorf("expression: LIKE requires strings, got %s and %s", l.DT, r.DT)
+			return nil, fmt.Errorf("expression: %w", noOperator(l.DT, op, r.DT))
 		}
 		// The pattern is almost always constant; compile once per distinct
 		// pattern in this vector.
 		var m *LikeMatcher
 		var lastPattern string
-		for i := 0; i < n; i++ {
+		for i := range out {
 			if nulls != nil && nulls[i] {
 				continue
 			}
@@ -258,28 +245,18 @@ func evalComparison(x *Comparison, ctx *Context) (*Vector, error) {
 				lastPattern = r.S[i]
 				m = CompileLike(lastPattern)
 			}
-			matched := m.Match(l.S[i])
-			if x.Op == NotLike {
-				matched = !matched
-			}
-			out[i] = matched
+			out[i] = m.Match(l.S[i]) != (op == NotLike)
 		}
-		return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
-	}
-
-	if l.DT == types.TypeNull || r.DT == types.TypeNull {
-		return &Vector{DT: types.TypeBool, B: out, Nulls: allNulls(n), N: n}, nil
-	}
-
-	switch {
 	case l.DT == types.TypeString && r.DT == types.TypeString:
-		compareRows(x.Op, l.S, r.S, nulls, out)
+		compareRows(op, l.S, r.S, nulls, out)
 	case l.DT == types.TypeInt64 && r.DT == types.TypeInt64:
-		compareRows(x.Op, l.I, r.I, nulls, out)
-	case numericDT(l.DT) && numericDT(r.DT):
-		compareRows(x.Op, l.Floats(), r.Floats(), nulls, out)
+		compareRows(op, l.I, r.I, nulls, out)
+	case l.DT == types.TypeBool && r.DT == types.TypeBool:
+		compareRows(op, boolInts(l.B), boolInts(r.B), nulls, out) // FALSE < TRUE
+	case l.DT.IsNumeric() && r.DT.IsNumeric():
+		compareRows(op, l.Floats(), r.Floats(), nulls, out)
 	default:
-		return nil, fmt.Errorf("expression: cannot compare %s with %s", l.DT, r.DT)
+		return nil, fmt.Errorf("expression: %w", noOperator(l.DT, op, r.DT))
 	}
 	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
 }
@@ -309,6 +286,17 @@ func compareRows[T types.Ordered](op ComparisonOp, l, r []T, nulls, out []bool) 
 	}
 }
 
+// boolInts reads FALSE as 0 and TRUE as 1.
+func boolInts(b []bool) []int64 {
+	out := make([]int64, len(b))
+	for i, v := range b {
+		if v {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
 func allNulls(n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
@@ -317,39 +305,24 @@ func allNulls(n int) []bool {
 	return out
 }
 
-// evalLogical implements three-valued AND/OR.
-func evalLogical(x *Logical, ctx *Context) (*Vector, error) {
-	l, err := Evaluate(x.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Evaluate(x.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
+// logical is the kernel of three-valued `l op r` over n rows.
+func logical(op LogicalOp, l, r *Vector, n int) (*Vector, error) {
 	if (l.DT != types.TypeBool && l.DT != types.TypeNull) || (r.DT != types.TypeBool && r.DT != types.TypeNull) {
-		return nil, fmt.Errorf("expression: %s on non-boolean operands", x.Op)
+		return nil, fmt.Errorf("expression: %s on non-boolean operands", op)
 	}
-	n := ctx.N
 	out := make([]bool, n)
 	var nulls []bool
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[i] = true
-	}
 	for i := 0; i < n; i++ {
 		lNull := l.DT == types.TypeNull || l.IsNullAt(i)
 		rNull := r.DT == types.TypeNull || r.IsNullAt(i)
 		lVal := !lNull && l.B[i]
 		rVal := !rNull && r.B[i]
-		if x.Op == And {
+		if op == And {
 			switch {
 			case !lNull && !lVal, !rNull && !rVal:
 				out[i] = false // FALSE dominates
 			case lNull || rNull:
-				setNull(i)
+				nulls = nullAt(nulls, n, i)
 			default:
 				out[i] = true
 			}
@@ -358,7 +331,7 @@ func evalLogical(x *Logical, ctx *Context) (*Vector, error) {
 			case lVal, rVal:
 				out[i] = true // TRUE dominates
 			case lNull || rNull:
-				setNull(i)
+				nulls = nullAt(nulls, n, i)
 			default:
 				out[i] = false
 			}
@@ -367,27 +340,19 @@ func evalLogical(x *Logical, ctx *Context) (*Vector, error) {
 	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
 }
 
-func evalNot(x *Not, ctx *Context) (*Vector, error) {
-	c, err := Evaluate(x.Child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if c.DT != types.TypeBool && c.DT != types.TypeNull {
-		return nil, fmt.Errorf("expression: NOT on non-boolean operand")
-	}
-	out := make([]bool, ctx.N)
-	for i := 0; i < ctx.N; i++ {
-		if c.DT == types.TypeBool && !c.IsNullAt(i) {
-			out[i] = !c.B[i]
+// not is the kernel of three-valued NOT.
+func not(c *Vector) (*Vector, error) {
+	switch c.DT {
+	case types.TypeNull:
+		return &Vector{DT: types.TypeBool, B: make([]bool, c.N), Nulls: allNulls(c.N), N: c.N}, nil
+	case types.TypeBool:
+		out := make([]bool, c.N)
+		for i, b := range c.B {
+			out[i] = !b
 		}
+		return &Vector{DT: types.TypeBool, B: out, Nulls: c.Nulls, N: c.N}, nil
 	}
-	var nulls []bool
-	if c.DT == types.TypeNull {
-		nulls = allNulls(ctx.N)
-	} else {
-		nulls = c.Nulls
-	}
-	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: ctx.N}, nil
+	return nil, fmt.Errorf("expression: NOT on non-boolean operand")
 }
 
 func evalIsNull(x *IsNull, ctx *Context) (*Vector, error) {
@@ -396,175 +361,127 @@ func evalIsNull(x *IsNull, ctx *Context) (*Vector, error) {
 		return nil, err
 	}
 	out := make([]bool, ctx.N)
-	for i := 0; i < ctx.N; i++ {
-		isNull := c.DT == types.TypeNull || c.IsNullAt(i)
-		out[i] = isNull != x.Negate
+	for i := range out {
+		out[i] = (c.DT == types.TypeNull || c.IsNullAt(i)) != x.Negate
 	}
-	return &Vector{DT: types.TypeBool, B: out, N: ctx.N}, nil
+	return NewBoolVector(out, nil), nil
 }
 
+// evalCase allocates the result once, in the CASE's type, and copies into it
+// each branch's rows: a WHEN's first matches, then for ELSE the rest.
 func evalCase(x *Case, ctx *Context) (*Vector, error) {
-	// Evaluate all branches, then select per row. decided[i] tracks rows
-	// already matched by an earlier WHEN.
-	n := ctx.N
-	decided := make([]bool, n)
-	var result *Vector
-
-	assign := func(res *Vector, branch *Vector, rows []bool) (*Vector, error) {
-		if res == nil {
-			res = &Vector{DT: branch.DT, N: n, Nulls: allNulls(n)}
-			switch branch.DT {
-			case types.TypeInt64:
-				res.I = make([]int64, n)
-			case types.TypeFloat64:
-				res.F = make([]float64, n)
-			case types.TypeString:
-				res.S = make([]string, n)
-			case types.TypeBool:
-				res.B = make([]bool, n)
-			}
-		}
-		// Promote int result to float if a later branch yields floats.
-		if res.DT == types.TypeInt64 && branch.DT == types.TypeFloat64 {
-			res.F = make([]float64, n)
-			for i, v := range res.I {
-				res.F[i] = float64(v)
-			}
-			res.I = nil
-			res.DT = types.TypeFloat64
-		}
-		for i := 0; i < n; i++ {
-			if !rows[i] {
-				continue
-			}
-			if branch.DT == types.TypeNull || branch.IsNullAt(i) {
-				continue // stays NULL
-			}
-			res.Nulls[i] = false
-			switch res.DT {
-			case types.TypeInt64:
-				res.I[i] = branch.I[i]
-			case types.TypeFloat64:
-				if branch.DT == types.TypeInt64 {
-					res.F[i] = float64(branch.I[i])
-				} else {
-					res.F[i] = branch.F[i]
-				}
-			case types.TypeString:
-				res.S[i] = branch.S[i]
-			case types.TypeBool:
-				res.B[i] = branch.B[i]
-			default:
-				return nil, fmt.Errorf("expression: CASE branch type mismatch (%s vs %s)", res.DT, branch.DT)
-			}
-		}
-		return res, nil
+	dt, err := ctx.typeOf(x)
+	if err != nil {
+		return nil, fmt.Errorf("expression: %w", err)
 	}
-
+	n := ctx.N
+	res := nullVector(dt, n)
+	fill := func(branch Expression, rows []bool) error {
+		v, err := Evaluate(branch, ctx)
+		if err == nil {
+			v, err = v.as(dt)
+		}
+		if err != nil || v.DT == types.TypeNull || dt == types.TypeNull {
+			return err
+		}
+		switch dt {
+		case types.TypeInt64:
+			copyRows(res.I, v.I, res.Nulls, v.Nulls, rows)
+		case types.TypeFloat64:
+			copyRows(res.F, v.F, res.Nulls, v.Nulls, rows)
+		case types.TypeString:
+			copyRows(res.S, v.S, res.Nulls, v.Nulls, rows)
+		case types.TypeBool:
+			copyRows(res.B, v.B, res.Nulls, v.Nulls, rows)
+		}
+		return nil
+	}
+	decided := make([]bool, n)
 	for _, w := range x.Whens {
 		cond, err := EvaluateBool(w.When, ctx)
 		if err != nil {
 			return nil, err
 		}
 		rows := make([]bool, n)
-		anyRow := false
-		for i := 0; i < n; i++ {
-			if !decided[i] && cond[i] {
-				rows[i] = true
-				decided[i] = true
-				anyRow = true
-			}
+		for i, c := range cond {
+			rows[i] = c && !decided[i]
+			decided[i] = decided[i] || c
 		}
-		then, err := Evaluate(w.Then, ctx)
-		if err != nil {
+		if err := fill(w.Then, rows); err != nil {
 			return nil, err
-		}
-		if result == nil || anyRow {
-			if result, err = assign(result, then, rows); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if x.Else != nil {
-		els, err := Evaluate(x.Else, ctx)
-		if err != nil {
-			return nil, err
+		for i, d := range decided {
+			decided[i] = !d
 		}
-		rows := make([]bool, n)
-		for i := 0; i < n; i++ {
-			rows[i] = !decided[i]
-		}
-		if result, err = assign(result, els, rows); err != nil {
+		if err := fill(x.Else, decided); err != nil {
 			return nil, err
 		}
 	}
-	if result == nil {
-		return ConstVector(types.NullValue, n), nil
+	return res, nil
+}
+
+// copyRows copies src's non-NULL values at the rows set in take into dst.
+func copyRows[T any](dst, src []T, dstNulls, srcNulls, take []bool) {
+	for i, t := range take {
+		if t && (srcNulls == nil || !srcNulls[i]) {
+			dst[i], dstNulls[i] = src[i], false
+		}
 	}
-	return result, nil
 }
 
 func evalFunction(x *FunctionCall, ctx *Context) (*Vector, error) {
+	arity := 1
 	switch x.Name {
 	case "substring", "substr":
-		if len(x.Args) != 3 {
-			return nil, fmt.Errorf("expression: substring needs 3 arguments")
-		}
-		str, err := Evaluate(x.Args[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		from, err := Evaluate(x.Args[1], ctx)
-		if err != nil {
-			return nil, err
-		}
-		length, err := Evaluate(x.Args[2], ctx)
-		if err != nil {
-			return nil, err
-		}
-		if str.DT != types.TypeString {
-			return nil, fmt.Errorf("expression: substring on %s", str.DT)
-		}
-		out := make([]string, ctx.N)
-		nulls := mergeNulls(mergeNulls(str.Nulls, from.Nulls, ctx.N), length.Nulls, ctx.N)
-		fromI, lenI := from.Floats(), length.Floats()
-		for i := 0; i < ctx.N; i++ {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			out[i] = substringSQL(str.S[i], int(fromI[i]), int(lenI[i]))
-		}
-		return &Vector{DT: types.TypeString, S: out, Nulls: nulls, N: ctx.N}, nil
+		arity = 3
 	case "upper", "lower", "length":
-		if len(x.Args) != 1 {
-			return nil, fmt.Errorf("expression: %s needs 1 argument", x.Name)
-		}
-		str, err := Evaluate(x.Args[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		if str.DT != types.TypeString {
-			return nil, fmt.Errorf("expression: %s on %s", x.Name, str.DT)
-		}
-		if x.Name == "length" {
-			out := make([]int64, ctx.N)
-			for i, s := range str.S {
-				out[i] = int64(len(s))
-			}
-			return &Vector{DT: types.TypeInt64, I: out, Nulls: str.Nulls, N: ctx.N}, nil
-		}
-		out := make([]string, ctx.N)
-		for i, s := range str.S {
-			if x.Name == "upper" {
-				out[i] = strings.ToUpper(s)
-			} else {
-				out[i] = strings.ToLower(s)
-			}
-		}
-		return &Vector{DT: types.TypeString, S: out, Nulls: str.Nulls, N: ctx.N}, nil
 	default:
 		return nil, fmt.Errorf("expression: unknown function %q", x.Name)
 	}
+	if len(x.Args) != arity {
+		return nil, fmt.Errorf("expression: %s needs %d argument(s)", x.Name, arity)
+	}
+	args := make([]*Vector, arity)
+	for i, a := range x.Args {
+		v, err := Evaluate(a, ctx)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
+	}
+	str := args[0]
+	if str.DT != types.TypeString {
+		return nil, fmt.Errorf("expression: %s on %s", x.Name, str.DT)
+	}
+	switch x.Name {
+	case "length":
+		out := make([]int64, ctx.N)
+		for i, s := range str.S {
+			out[i] = int64(len(s))
+		}
+		return NewIntVector(out, str.Nulls), nil
+	case "upper", "lower":
+		f := strings.ToLower
+		if x.Name == "upper" {
+			f = strings.ToUpper
+		}
+		out := make([]string, ctx.N)
+		for i, s := range str.S {
+			out[i] = f(s)
+		}
+		return NewStringVector(out, str.Nulls), nil
+	}
+	out := make([]string, ctx.N)
+	nulls := mergeNulls(mergeNulls(str.Nulls, args[1].Nulls, ctx.N), args[2].Nulls, ctx.N)
+	from, length := args[1].Floats(), args[2].Floats()
+	for i := range out {
+		if nulls == nil || !nulls[i] {
+			out[i] = substringSQL(str.S[i], int(from[i]), int(length[i]))
+		}
+	}
+	return NewStringVector(out, nulls), nil
 }
 
 // substringSQL implements SQL SUBSTRING(s FROM from FOR length) with 1-based
@@ -644,17 +561,15 @@ func evalScalarSubquery(x *Subquery, ctx *Context) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ConstVector(v, ctx.N), nil
+		return ConstVector(v, ctx.N).as(x.DT)
 	}
 	vals := make([]types.Value, ctx.N)
-	for i := 0; i < ctx.N; i++ {
-		v, err := ctx.ExecScalarSubquery(x, outer[i])
-		if err != nil {
+	for i := range vals {
+		if vals[i], err = ctx.ExecScalarSubquery(x, outer[i]); err != nil {
 			return nil, err
 		}
-		vals[i] = v
 	}
-	return vectorFromValues(vals), nil
+	return vectorFromValues(vals).as(x.DT)
 }
 
 func evalIn(x *In, ctx *Context) (*Vector, error) {
@@ -663,54 +578,26 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 		return nil, err
 	}
 	n := ctx.N
-	out := make([]bool, n)
-	var nulls []bool
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[i] = true
-	}
-
 	if x.Subquery == nil {
-		// Literal list: evaluate each element, then per-row membership with
-		// three-valued semantics.
-		elems := make([]*Vector, len(x.List))
-		for i, e := range x.List {
+		// x IN (e1, e2, …) is x = e1 OR x = e2 OR …, NOT IN its negation.
+		var out *Vector
+		for _, e := range x.List {
 			v, err := Evaluate(e, ctx)
+			if err == nil {
+				v, err = compare(Eq, child, v, n)
+			}
+			if err == nil && out != nil {
+				v, err = logical(Or, out, v, n)
+			}
 			if err != nil {
 				return nil, err
 			}
-			elems[i] = v
+			out = v
 		}
-		for i := 0; i < n; i++ {
-			cv := child.ValueAt(i)
-			if cv.IsNull() {
-				setNull(i)
-				continue
-			}
-			found, anyNull := false, false
-			for _, ev := range elems {
-				e := ev.ValueAt(i)
-				if e.IsNull() {
-					anyNull = true
-					continue
-				}
-				if cv.Equal(e) {
-					found = true
-					break
-				}
-			}
-			switch {
-			case found:
-				out[i] = !x.Negate
-			case anyNull:
-				setNull(i)
-			default:
-				out[i] = x.Negate
-			}
+		if x.Negate {
+			return not(out)
 		}
-		return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
+		return out, nil
 	}
 
 	if ctx.ExecInSubquery == nil {
@@ -720,6 +607,8 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := make([]bool, n)
+	var nulls []bool
 	var sharedSet *ValueSet
 	if outer == nil {
 		sharedSet, err = ctx.ExecInSubquery(x.Subquery, nil)
@@ -730,7 +619,7 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 	for i := 0; i < n; i++ {
 		cv := child.ValueAt(i)
 		if cv.IsNull() {
-			setNull(i)
+			nulls = nullAt(nulls, n, i)
 			continue
 		}
 		set := sharedSet
@@ -744,7 +633,7 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 		case set.Contains(cv):
 			out[i] = !x.Negate
 		case set.HasNull:
-			setNull(i)
+			nulls = nullAt(nulls, n, i)
 		default:
 			out[i] = x.Negate
 		}
@@ -756,144 +645,235 @@ func evalExists(x *Exists, ctx *Context) (*Vector, error) {
 	if ctx.ExecExistsSubquery == nil {
 		return nil, fmt.Errorf("expression: no EXISTS executor installed")
 	}
-	n := ctx.N
-	out := make([]bool, n)
 	outer, err := outerRows(x.Subquery, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if outer == nil {
-		exists, err := ctx.ExecExistsSubquery(x.Subquery, nil)
-		if err != nil {
-			return nil, err
+	out := make([]bool, ctx.N)
+	for i := range out {
+		if outer == nil && i > 0 { // uncorrelated: one answer for every row
+			out[i] = out[0]
+			continue
 		}
-		for i := range out {
-			out[i] = exists != x.Negate
+		var tuple []types.Value
+		if outer != nil {
+			tuple = outer[i]
 		}
-		return &Vector{DT: types.TypeBool, B: out, N: n}, nil
-	}
-	for i := 0; i < n; i++ {
-		exists, err := ctx.ExecExistsSubquery(x.Subquery, outer[i])
+		exists, err := ctx.ExecExistsSubquery(x.Subquery, tuple)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = exists != x.Negate
 	}
-	return &Vector{DT: types.TypeBool, B: out, N: n}, nil
+	return NewBoolVector(out, nil), nil
 }
 
-// vectorFromValues builds a typed vector from dynamic values, promoting
-// numerics to float when mixed.
+// vectorFromValues builds a vector from one value per row, in the values'
+// common type.
 func vectorFromValues(vals []types.Value) *Vector {
-	n := len(vals)
 	dt := types.TypeNull
 	for _, v := range vals {
-		if v.IsNull() {
+		dt, _ = types.CommonType(dt, v.Type)
+	}
+	out := nullVector(dt, len(vals))
+	for i, v := range vals {
+		if v.IsNull() || dt == types.TypeNull {
 			continue
 		}
-		if dt == types.TypeNull {
-			dt = v.Type
-		} else if dt != v.Type {
-			dt = types.CommonType(dt, v.Type)
+		out.Nulls[i] = false
+		switch dt {
+		case types.TypeInt64:
+			out.I[i] = v.I
+		case types.TypeFloat64:
+			out.F[i] = v.AsFloat()
+		case types.TypeString:
+			out.S[i] = v.S
+		case types.TypeBool:
+			out.B[i] = v.AsBool()
 		}
 	}
-	var nulls []bool
-	ensureNulls := func(i int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
+	return out
+}
+
+// Errors of the type rule. The texts follow PostgreSQL's.
+var (
+	// ErrDatatypeMismatch: the branches of a CASE have no common type.
+	ErrDatatypeMismatch = errors.New("cannot be matched")
+	// ErrUndefinedFunction: no operator or function takes these operands.
+	ErrUndefinedFunction = errors.New("does not exist")
+)
+
+func noOperator(l types.DataType, op ComparisonOp, r types.DataType) error {
+	return fmt.Errorf("operator %w: %s %s %s", ErrUndefinedFunction, l, op, r)
+}
+
+// InferType types e by the engine's one type rule and reports the first
+// operand that breaks it. columnType (may be nil) types the bound columns
+// that declare no type.
+//   - Two operands meet where types.CommonType finds them a type: both
+//     numeric, both VARCHAR, both BOOL, or either NULL or an untyped
+//     placeholder. LIKE takes VARCHARs. ComparedOperands lists the pairs.
+//   - A CASE has the common type of its branches.
+//   - SUM and AVG take a number.
+//
+// Arithmetic, AND, OR and NOT report mistyped operands when evaluated.
+func InferType(e Expression, columnType func(index int) types.DataType) (types.DataType, error) {
+	return typer{column: columnType}.of(e)
+}
+
+// ComparedOperands calls f with each pair of operands e itself compares, and
+// the comparison that meets them: a comparison's sides, BETWEEN's child with
+// its bounds (>=, <=), IN's child with each element or its subquery (=). It
+// returns f's first error.
+func ComparedOperands(e Expression, f func(op ComparisonOp, a, b Expression) error) error {
+	switch x := e.(type) {
+	case *Comparison:
+		return f(x.Op, x.Left, x.Right)
+	case *Between:
+		if err := f(Ge, x.Child, x.Lo); err != nil {
+			return err
 		}
-		nulls[i] = true
+		return f(Le, x.Child, x.Hi)
+	case *In:
+		for _, item := range x.List {
+			if err := f(Eq, x.Child, item); err != nil {
+				return err
+			}
+		}
+		if x.Subquery != nil {
+			return f(Eq, x.Child, x.Subquery)
+		}
 	}
-	switch dt {
-	case types.TypeInt64:
-		out := make([]int64, n)
-		for i, v := range vals {
-			if v.IsNull() {
-				ensureNulls(i)
-				continue
-			}
-			out[i] = v.AsInt()
+	return nil
+}
+
+// typeOf types e for evaluation: a placeholder by its bound value, a column
+// that declares no type by its vector.
+func (ctx *Context) typeOf(e Expression) (types.DataType, error) {
+	return typer{params: ctx.Params, column: func(i int) types.DataType {
+		if v, err := Evaluate(&BoundColumn{Index: i}, ctx); err == nil {
+			return v.DT
 		}
-		return &Vector{DT: dt, I: out, Nulls: nulls, N: n}
-	case types.TypeFloat64:
-		out := make([]float64, n)
-		for i, v := range vals {
-			if v.IsNull() {
-				ensureNulls(i)
-				continue
-			}
-			out[i] = v.AsFloat()
+		return types.TypeNull
+	}}.of(e)
+}
+
+// typer is InferType's walk; params, when set, type the placeholders.
+type typer struct {
+	column func(int) types.DataType
+	params []types.Value
+}
+
+func (t typer) of(e Expression) (types.DataType, error) {
+	switch x := e.(type) {
+	case *Literal:
+		return x.Value.Type, nil
+	case *Parameter:
+		if x.ID >= 0 && x.ID < len(t.params) {
+			return t.params[x.ID].Type, nil
 		}
-		return &Vector{DT: dt, F: out, Nulls: nulls, N: n}
-	case types.TypeString:
-		out := make([]string, n)
-		for i, v := range vals {
-			if v.IsNull() {
-				ensureNulls(i)
-				continue
-			}
-			out[i] = v.S
+		return types.TypeNull, nil
+	case *OuterRef:
+		return x.DT, nil
+	case *Subquery:
+		return x.DT, nil
+	case *BoundColumn:
+		if x.DT == types.TypeNull && t.column != nil {
+			return t.column(x.Index), nil
 		}
-		return &Vector{DT: dt, S: out, Nulls: nulls, N: n}
+		return x.DT, nil
+	case *Negation:
+		return t.of(x.Child)
+	case *Arithmetic:
+		l, err := t.of(x.Left)
+		if err != nil {
+			return types.TypeNull, err
+		}
+		r, err := t.of(x.Right)
+		dt, _ := types.CommonType(l, r)
+		return dt, err
+	case *Comparison, *Between, *In:
+		return types.TypeBool, ComparedOperands(e, t.meet)
+	case *Logical:
+		return types.TypeBool, t.all(x.Left, x.Right)
+	case *Not:
+		return types.TypeBool, t.all(x.Child)
+	case *IsNull:
+		return types.TypeBool, t.all(x.Child)
+	case *Exists:
+		return types.TypeBool, nil
+	case *Case:
+		dt := types.TypeNull
+		for i, c := range x.Children() { // WHEN, THEN, …, ELSE
+			ct, err := t.of(c)
+			if err != nil {
+				return types.TypeNull, err
+			}
+			if i%2 == 0 && i < 2*len(x.Whens) {
+				continue // a WHEN
+			}
+			common, ok := types.CommonType(dt, ct)
+			if !ok {
+				return types.TypeNull, fmt.Errorf("CASE types %s and %s %w", dt, ct, ErrDatatypeMismatch)
+			}
+			dt = common
+		}
+		return dt, nil
+	case *FunctionCall:
+		if x.Name == "length" {
+			return types.TypeInt64, t.all(x.Args...)
+		}
+		return types.TypeString, t.all(x.Args...)
+	case *Aggregate:
+		if x.Fn == AggCountStar {
+			return types.TypeInt64, nil
+		}
+		dt, err := t.of(x.Arg)
+		switch {
+		case err != nil:
+			return types.TypeNull, err
+		case x.Fn == AggCount || x.Fn == AggCountDistinct:
+			return types.TypeInt64, nil
+		case x.Fn != AggSum && x.Fn != AggAvg:
+			return dt, nil
+		case dt != types.TypeNull && !dt.IsNumeric():
+			return types.TypeNull, fmt.Errorf("function %s(%s) %w", strings.ToLower(x.Fn.String()), dt, ErrUndefinedFunction)
+		case x.Fn == AggSum && dt == types.TypeInt64:
+			return types.TypeInt64, nil
+		default:
+			return types.TypeFloat64, nil
+		}
 	default:
-		return ConstVector(types.NullValue, n)
+		return types.TypeNull, nil
 	}
 }
 
-// InferType predicts the result type of an expression given a resolver for
-// column types. Used by translators to compute output schemas.
-func InferType(e Expression, columnType func(index int) types.DataType) types.DataType {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value.Type
-	case *Parameter, *OuterRef:
-		return types.TypeNull // unknown until bound
-	case *BoundColumn:
-		if x.DT != types.TypeNull {
-			return x.DT
+// all types each of es and returns the first error.
+func (t typer) all(es ...Expression) error {
+	for _, e := range es {
+		if _, err := t.of(e); err != nil {
+			return err
 		}
-		if columnType != nil {
-			return columnType(x.Index)
-		}
-		return types.TypeNull
-	case *Negation:
-		return InferType(x.Child, columnType)
-	case *Arithmetic:
-		return types.CommonType(InferType(x.Left, columnType), InferType(x.Right, columnType))
-	case *Comparison, *Logical, *Not, *IsNull, *Between, *In, *Exists:
-		return types.TypeBool
-	case *Case:
-		dt := types.TypeNull
-		for _, w := range x.Whens {
-			dt = types.CommonType(dt, InferType(w.Then, columnType))
-		}
-		if x.Else != nil {
-			dt = types.CommonType(dt, InferType(x.Else, columnType))
-		}
-		return dt
-	case *FunctionCall:
-		if x.Name == "length" {
-			return types.TypeInt64
-		}
-		return types.TypeString
-	case *Aggregate:
-		switch x.Fn {
-		case AggCount, AggCountStar, AggCountDistinct:
-			return types.TypeInt64
-		case AggAvg:
-			return types.TypeFloat64
-		case AggSum:
-			dt := InferType(x.Arg, columnType)
-			if dt == types.TypeInt64 {
-				return types.TypeInt64
-			}
-			return types.TypeFloat64
-		default:
-			return InferType(x.Arg, columnType)
-		}
-	case *Subquery:
-		return types.TypeNull // resolved by the translator from the sub-plan
-	default:
-		return types.TypeNull
 	}
+	return nil
+}
+
+// meet checks that a and b may meet in the comparison op.
+func (t typer) meet(op ComparisonOp, a, b Expression) error {
+	l, err := t.of(a)
+	if err != nil {
+		return err
+	}
+	r, err := t.of(b)
+	if err != nil {
+		return err
+	}
+	if op == Like || op == NotLike {
+		if (l == types.TypeString || l == types.TypeNull) && (r == types.TypeString || r == types.TypeNull) {
+			return nil
+		}
+	} else if _, ok := types.CommonType(l, r); ok {
+		return nil
+	}
+	return noOperator(l, op, r)
 }

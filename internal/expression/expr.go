@@ -102,10 +102,10 @@ func (p *Parameter) Children() []Expression { return nil }
 
 // OuterRef is a correlated column inside a subquery plan: ID indexes the
 // enclosing Subquery's Correlated list, and its value for the outer row
-// being evaluated is read from Context.Outer. It is untyped like a
-// placeholder.
+// being evaluated is read from Context.Outer. DT is the outer column's type.
 type OuterRef struct {
 	ID int
+	DT types.DataType
 }
 
 // String implements Expression.
@@ -528,6 +528,8 @@ type Subquery struct {
 	// ID numbers the subquery in plan text; it is unique within one parse
 	// only.
 	ID int
+	// DT is the type of the plan's first column, set by the translator.
+	DT types.DataType
 }
 
 // String implements Expression.
@@ -747,7 +749,7 @@ func rebuildChildren(e Expression, m func(Expression) Expression) Expression {
 		if !changed {
 			return x
 		}
-		return &Subquery{Plan: x.Plan, Correlated: corr, ID: x.ID}
+		return &Subquery{Plan: x.Plan, Correlated: corr, ID: x.ID, DT: x.DT}
 	default:
 		return e
 	}

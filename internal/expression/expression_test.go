@@ -651,8 +651,8 @@ func TestInferType(t *testing.T) {
 		{&Case{Whens: []CaseWhen{{When: lit(types.Bool(true)), Then: lit(types.Int(1))}}, Else: lit(types.Float(1))}, types.TypeFloat64},
 	}
 	for _, tc := range cases {
-		if got := InferType(tc.e, colType); got != tc.want {
-			t.Errorf("InferType(%s) = %v, want %v", tc.e, got, tc.want)
+		if got, err := InferType(tc.e, colType); got != tc.want || err != nil {
+			t.Errorf("InferType(%s) = %v, %v, want %v", tc.e, got, err, tc.want)
 		}
 	}
 }

@@ -67,36 +67,60 @@ func (v *Vector) ValueAt(i int) types.Value {
 func ConstVector(val types.Value, n int) *Vector {
 	switch val.Type {
 	case types.TypeInt64:
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = val.I
-		}
-		return NewIntVector(vals, nil)
+		return NewIntVector(repeat(val.I, n), nil)
 	case types.TypeFloat64:
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = val.F
-		}
-		return NewFloatVector(vals, nil)
+		return NewFloatVector(repeat(val.F, n), nil)
 	case types.TypeString:
-		vals := make([]string, n)
-		for i := range vals {
-			vals[i] = val.S
-		}
-		return NewStringVector(vals, nil)
+		return NewStringVector(repeat(val.S, n), nil)
 	case types.TypeBool:
-		vals := make([]bool, n)
-		for i := range vals {
-			vals[i] = val.I != 0
-		}
-		return NewBoolVector(vals, nil)
+		return NewBoolVector(repeat(val.AsBool(), n), nil)
 	default: // NULL literal
-		nulls := make([]bool, n)
-		for i := range nulls {
-			nulls[i] = true
-		}
-		return &Vector{DT: types.TypeNull, Nulls: nulls, N: n}
+		return nullVector(types.TypeNull, n)
 	}
+}
+
+// repeat returns n copies of v.
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// nullVector allocates n rows of type dt, all NULL.
+func nullVector(dt types.DataType, n int) *Vector {
+	v := &Vector{DT: dt, Nulls: allNulls(n), N: n}
+	switch dt {
+	case types.TypeInt64:
+		v.I = make([]int64, n)
+	case types.TypeFloat64:
+		v.F = make([]float64, n)
+	case types.TypeString:
+		v.S = make([]string, n)
+	case types.TypeBool:
+		v.B = make([]bool, n)
+	}
+	return v
+}
+
+// as reads v as the declared type dt: an INT widens to FLOAT, and a BOOL
+// stored as 0/1 reads as a BOOL. A NULL vector, or an undeclared (NULL) dt,
+// reads as it is.
+func (v *Vector) as(dt types.DataType) (*Vector, error) {
+	switch {
+	case v.DT == dt || v.DT == types.TypeNull || dt == types.TypeNull:
+		return v, nil
+	case v.DT == types.TypeInt64 && dt == types.TypeFloat64:
+		return NewFloatVector(v.Floats(), v.Nulls), nil
+	case v.DT == types.TypeInt64 && dt == types.TypeBool:
+		out := make([]bool, v.N)
+		for i, x := range v.I {
+			out[i] = x != 0
+		}
+		return NewBoolVector(out, v.Nulls), nil
+	}
+	return nil, fmt.Errorf("expression: a %s vector cannot be read as %s", v.DT, dt)
 }
 
 // Floats returns the rows coerced to float64 (ints are widened). The result
@@ -117,36 +141,29 @@ func (v *Vector) Floats() []float64 {
 // VectorFromSegment materializes a storage segment into a vector using the
 // static access path.
 func VectorFromSegment(seg storage.Segment) *Vector {
+	return VectorFromSegmentPositions(seg, nil)
+}
+
+// VectorFromSegmentPositions materializes selected offsets of a segment, or
+// with a nil pos all of it.
+func VectorFromSegmentPositions(seg storage.Segment, pos []types.ChunkOffset) *Vector {
 	switch seg.DataType() {
-	case types.TypeInt64:
-		vals, nulls := encoding.Materialize[int64](seg)
-		return NewIntVector(vals, nulls)
+	case types.TypeInt64, types.TypeBool: // a BOOL column stores 0/1
+		return NewIntVector(materialize[int64](seg, pos))
 	case types.TypeFloat64:
-		vals, nulls := encoding.Materialize[float64](seg)
-		return NewFloatVector(vals, nulls)
+		return NewFloatVector(materialize[float64](seg, pos))
 	case types.TypeString:
-		vals, nulls := encoding.Materialize[string](seg)
-		return NewStringVector(vals, nulls)
+		return NewStringVector(materialize[string](seg, pos))
 	default:
 		panic(fmt.Sprintf("expression: cannot vectorize segment type %s", seg.DataType()))
 	}
 }
 
-// VectorFromSegmentPositions materializes selected offsets of a segment.
-func VectorFromSegmentPositions(seg storage.Segment, pos []types.ChunkOffset) *Vector {
-	switch seg.DataType() {
-	case types.TypeInt64:
-		vals, nulls := encoding.MaterializePositions[int64](seg, pos)
-		return NewIntVector(vals, nulls)
-	case types.TypeFloat64:
-		vals, nulls := encoding.MaterializePositions[float64](seg, pos)
-		return NewFloatVector(vals, nulls)
-	case types.TypeString:
-		vals, nulls := encoding.MaterializePositions[string](seg, pos)
-		return NewStringVector(vals, nulls)
-	default:
-		panic(fmt.Sprintf("expression: cannot vectorize segment type %s", seg.DataType()))
+func materialize[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset) ([]T, []bool) {
+	if pos == nil {
+		return encoding.Materialize[T](seg)
 	}
+	return encoding.MaterializePositions[T](seg, pos)
 }
 
 // ValueSet is the materialized result of an IN-subquery: typed hash sets
@@ -167,10 +184,10 @@ func NewValueSet() *ValueSet {
 	}
 }
 
-// Add inserts a value.
+// Add inserts a value; a BOOL goes in as 0/1, the way its column stores it.
 func (s *ValueSet) Add(v types.Value) {
 	switch v.Type {
-	case types.TypeInt64:
+	case types.TypeInt64, types.TypeBool:
 		s.Ints[v.I] = struct{}{}
 	case types.TypeFloat64:
 		s.Floats[v.F] = struct{}{}
@@ -181,10 +198,10 @@ func (s *ValueSet) Add(v types.Value) {
 	}
 }
 
-// Contains reports membership with numeric coercion.
+// Contains reports membership with numeric coercion; a BOOL probes as 0/1.
 func (s *ValueSet) Contains(v types.Value) bool {
 	switch v.Type {
-	case types.TypeInt64:
+	case types.TypeInt64, types.TypeBool:
 		if _, ok := s.Ints[v.I]; ok {
 			return true
 		}

@@ -6,7 +6,6 @@ import (
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
-	"hyrise/internal/types"
 )
 
 // Node is one vertex of the logical query plan DAG.
@@ -182,16 +181,11 @@ func NewProjectionNode(in Node, exprs []expression.Expression, names []string) *
 
 func (n *ProjectionNode) recomputeSchema() {
 	inSchema := n.input.Schema()
-	colType := func(i int) types.DataType {
-		if i < len(inSchema) {
-			return inSchema[i].DT
-		}
-		return types.TypeNull
-	}
 	schema := make(Schema, len(n.Exprs))
 	for i, e := range n.Exprs {
 		name := n.Names[i]
-		schema[i] = Column{Name: strings.ToLower(name), DT: inferWithSubqueries(e, colType), Nullable: true}
+		dt, _ := expression.InferType(e, inSchema.columnType) // Translate reports the error
+		schema[i] = Column{Name: strings.ToLower(name), DT: dt, Nullable: true}
 		// Plain column references keep their qualifier so later predicates
 		// can still use qualified names.
 		if bc, ok := e.(*expression.BoundColumn); ok && bc.Index < len(inSchema) {
@@ -225,24 +219,6 @@ func (n *ProjectionNode) String() string {
 	return "Projection(" + strings.Join(parts, ", ") + ")"
 }
 
-// inferWithSubqueries extends expression.InferType with scalar-subquery
-// result types taken from the sub-plan's schema.
-func inferWithSubqueries(e expression.Expression, colType func(int) types.DataType) types.DataType {
-	if sub, ok := e.(*expression.Subquery); ok {
-		if plan, ok := sub.Plan.(Node); ok && len(plan.Schema()) > 0 {
-			return plan.Schema()[0].DT
-		}
-	}
-	dt := expression.InferType(e, colType)
-	if dt == types.TypeNull {
-		// Try harder for arithmetic over subqueries.
-		if a, ok := e.(*expression.Arithmetic); ok {
-			return types.CommonType(inferWithSubqueries(a.Left, colType), inferWithSubqueries(a.Right, colType))
-		}
-	}
-	return dt
-}
-
 // AggregateNode groups by expressions and computes aggregates. The output
 // schema is the group-by columns followed by the aggregate results.
 type AggregateNode struct {
@@ -263,15 +239,10 @@ func NewAggregateNode(in Node, groupBy []expression.Expression, aggs []*expressi
 
 func (n *AggregateNode) recomputeSchema() {
 	inSchema := n.input.Schema()
-	colType := func(i int) types.DataType {
-		if i < len(inSchema) {
-			return inSchema[i].DT
-		}
-		return types.TypeNull
-	}
 	schema := make(Schema, 0, len(n.GroupBy)+len(n.Aggregates))
 	for i, g := range n.GroupBy {
-		col := Column{Name: strings.ToLower(n.Names[i]), DT: expression.InferType(g, colType)}
+		dt, _ := expression.InferType(g, inSchema.columnType) // Translate reports the error
+		col := Column{Name: strings.ToLower(n.Names[i]), DT: dt}
 		if bc, ok := g.(*expression.BoundColumn); ok && bc.Index < len(inSchema) {
 			col.Qualifier = inSchema[bc.Index].Qualifier
 			col.Nullable = inSchema[bc.Index].Nullable
@@ -279,11 +250,8 @@ func (n *AggregateNode) recomputeSchema() {
 		schema = append(schema, col)
 	}
 	for i, a := range n.Aggregates {
-		schema = append(schema, Column{
-			Name:     strings.ToLower(n.Names[len(n.GroupBy)+i]),
-			DT:       expression.InferType(a, colType),
-			Nullable: true,
-		})
+		dt, _ := expression.InferType(a, inSchema.columnType)
+		schema = append(schema, Column{Name: strings.ToLower(n.Names[len(n.GroupBy)+i]), DT: dt, Nullable: true})
 	}
 	n.schema = schema
 }

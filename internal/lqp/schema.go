@@ -37,6 +37,14 @@ type Column struct {
 // Schema is the ordered output column list of a node.
 type Schema []Column
 
+// columnType is the type of column i, or NULL past the end.
+func (s Schema) columnType(i int) types.DataType {
+	if i < len(s) {
+		return s[i].DT
+	}
+	return types.TypeNull
+}
+
 // Resolve finds the index of the column matching an (optionally qualified)
 // name. Unqualified lookups across multiple matches are ambiguous.
 func (s Schema) Resolve(qualifier, name string) (int, error) {

@@ -27,8 +27,16 @@ type Translator struct {
 	UseMvcc bool
 }
 
-// Translate converts one statement into an LQP. DDL statements
-// (CREATE/DROP) are handled directly by the SQL pipeline, not here.
+// The errors of the type rule (expression.InferType): SQLSTATE 42804
+// datatype_mismatch and 42883 undefined_function.
+var (
+	ErrDatatypeMismatch  = expression.ErrDatatypeMismatch
+	ErrUndefinedFunction = expression.ErrUndefinedFunction
+)
+
+// Translate converts one statement into an LQP whose expressions, subquery
+// plans included, keep the type rule. DDL statements (CREATE/DROP) are
+// handled directly by the SQL pipeline, not here.
 func (t *Translator) Translate(stmt sqlparser.Statement) (Node, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStatement:
@@ -38,6 +46,13 @@ func (t *Translator) Translate(stmt sqlparser.Statement) (Node, error) {
 		tab, err := t.SM.GetTable(s.Table)
 		if err != nil {
 			return nil, err
+		}
+		for _, row := range s.Rows {
+			for _, e := range row {
+				if err := checkType(e); err != nil {
+					return nil, err
+				}
+			}
 		}
 		return &InsertNode{TableName: s.Table, Columns: s.Columns, Rows: s.Rows, Table: tab}, nil
 	case *sqlparser.DeleteStatement:
@@ -129,21 +144,23 @@ func (s *scope) resolve(qualifier, name string) (expression.Expression, error) {
 		if s.corrByKey == nil {
 			s.corrByKey = make(map[string]int)
 		}
+		dt, _ := expression.InferType(outerExpr, nil)
 		if id, ok := s.corrByKey[key]; ok {
-			return &expression.OuterRef{ID: id}, nil
+			return &expression.OuterRef{ID: id, DT: dt}, nil
 		}
 		id := len(s.sub.Correlated)
 		s.sub.Correlated = append(s.sub.Correlated, outerExpr)
 		s.corrByKey[key] = id
-		return &expression.OuterRef{ID: id}, nil
+		return &expression.OuterRef{ID: id, DT: dt}, nil
 	}
 	return nil, fmt.Errorf("lqp: column %q: %w", displayName(qualifier, name), ErrColumnNotFound)
 }
 
-// bind resolves every ColumnRef in the expression against the scope and
-// translates nested subquery ASTs into sub-LQPs.
+// bind resolves every ColumnRef in the expression against the scope,
+// translates nested subquery ASTs into sub-LQPs and applies the type rule to
+// the result: every expression of a plan is bound here.
 func (s *scope) bind(e expression.Expression) (expression.Expression, error) {
-	return expression.TransformErr(e, func(x expression.Expression) (expression.Expression, error) {
+	bound, err := expression.TransformErr(e, func(x expression.Expression) (expression.Expression, error) {
 		switch n := x.(type) {
 		case *expression.ColumnRef:
 			return s.resolve(n.Qualifier, n.Name)
@@ -164,12 +181,24 @@ func (s *scope) bind(e expression.Expression) (expression.Expression, error) {
 			if err != nil {
 				return nil, err
 			}
-			sub.Plan = plan
+			sub.Plan, sub.DT = plan, plan.Schema().columnType(0)
 			return sub, nil
 		default:
 			return nil, nil
 		}
 	})
+	if err == nil {
+		err = checkType(bound)
+	}
+	return bound, err
+}
+
+// checkType applies the type rule (expression.InferType) to e.
+func checkType(e expression.Expression) error {
+	if _, err := expression.InferType(e, nil); err != nil {
+		return fmt.Errorf("lqp: %w", err)
+	}
+	return nil
 }
 
 // translateSelect builds the plan for a SELECT. sc must be a fresh scope
@@ -293,22 +322,6 @@ func (t *Translator) translateSelect(stmt *sqlparser.SelectStatement, sc *scope)
 		if having != nil {
 			collect(having)
 		}
-		// SUM and AVG add numbers; like PostgreSQL, refuse them a BOOL or
-		// VARCHAR argument. An untyped one (NULL, a parameter) passes.
-		colType := func(i int) types.DataType {
-			if i < len(inSchema) {
-				return inSchema[i].DT
-			}
-			return types.TypeNull
-		}
-		for _, a := range aggs {
-			if a.Fn == expression.AggSum || a.Fn == expression.AggAvg {
-				if dt := expression.InferType(a.Arg, colType); dt == types.TypeBool || dt == types.TypeString {
-					return nil, fmt.Errorf("lqp: function %s(%s) does not exist", strings.ToLower(a.Fn.String()), dt)
-				}
-			}
-		}
-
 		names := append([]string{}, groupNames...)
 		for _, a := range aggs {
 			names = append(names, a.String())
@@ -474,7 +487,8 @@ func (t *Translator) bindOrderKeys(stmt *sqlparser.SelectStatement, proj *Projec
 		idx := len(proj.Exprs) + len(extraExprs)
 		extraExprs = append(extraExprs, bound)
 		extraNames = append(extraNames, fmt.Sprintf("__sort_%d", len(extraExprs)))
-		keys = append(keys, SortKey{Expr: &expression.BoundColumn{Index: idx, Name: extraNames[len(extraNames)-1]}, Desc: ob.Desc})
+		dt, _ := expression.InferType(bound, nil)
+		keys = append(keys, SortKey{Expr: &expression.BoundColumn{Index: idx, Name: extraNames[len(extraNames)-1], DT: dt}, Desc: ob.Desc})
 	}
 
 	if len(extraExprs) == 0 {
@@ -578,8 +592,10 @@ func ParamTypes(root Node, n int) []types.DataType {
 		}
 	}
 	pair := func(a, b expression.Expression) {
-		assign(a, inferWithSubqueries(b, nil))
-		assign(b, inferWithSubqueries(a, nil))
+		adt, _ := expression.InferType(a, nil)
+		bdt, _ := expression.InferType(b, nil)
+		assign(a, bdt)
+		assign(b, adt)
 	}
 	switch node := root.(type) {
 	case *InsertNode:
@@ -616,25 +632,17 @@ func ParamTypes(root Node, n int) []types.DataType {
 		VisitExpressions(plan, func(e expression.Expression) {
 			expression.VisitAll(e, func(x expression.Expression) {
 				switch x := x.(type) {
-				case *expression.Comparison:
-					pair(x.Left, x.Right)
 				case *expression.Arithmetic:
 					pair(x.Left, x.Right)
-				case *expression.Between:
-					pair(x.Child, x.Lo)
-					pair(x.Child, x.Hi)
-				case *expression.In:
-					for _, item := range x.List {
-						pair(x.Child, item)
-					}
-					if x.Subquery != nil {
-						pair(x.Child, x.Subquery)
-					}
 				case *expression.Subquery:
 					if plan, ok := x.Plan.(Node); ok {
 						walk(plan)
 					}
 				}
+				_ = expression.ComparedOperands(x, func(_ expression.ComparisonOp, a, b expression.Expression) error {
+					pair(a, b)
+					return nil
+				})
 			})
 		})
 	}

@@ -48,7 +48,7 @@ func refJoin(mode JoinMode, left, right [][]types.Value) []string {
 	for _, l := range left {
 		matched := false
 		for ri, r := range right {
-			if l[0].IsNull() || r[0].IsNull() || !l[0].Equal(r[0]) {
+			if c, ok := types.Compare(l[0], r[0]); !ok || c != 0 {
 				continue
 			}
 			matched = true

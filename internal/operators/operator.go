@@ -418,7 +418,7 @@ func dynamicVector(seg storage.Segment, pos []types.ChunkOffset) *expression.Vec
 		pos = identityOffsets(seg.Len())
 	}
 	switch seg.DataType() {
-	case types.TypeInt64:
+	case types.TypeInt64, types.TypeBool: // a BOOL column stores 0/1
 		vals, nulls := encoding.MaterializeDynamic[int64](seg, pos)
 		return expression.NewIntVector(vals, nulls)
 	case types.TypeFloat64:

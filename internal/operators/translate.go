@@ -348,6 +348,6 @@ func (t *Translator) fixSubqueries(e expression.Expression) (expression.Expressi
 		if err != nil {
 			return nil, err
 		}
-		return &expression.Subquery{Plan: op, Correlated: sub.Correlated, ID: sub.ID}, nil
+		return &expression.Subquery{Plan: op, Correlated: sub.Correlated, ID: sub.ID, DT: sub.DT}, nil
 	})
 }

@@ -269,7 +269,8 @@ func decorrelate(plan lqp.Node, correlated []expression.Expression, keepProjecti
 		addCol := func(colExpr expression.Expression) *expression.BoundColumn {
 			exprs = append(exprs, colExpr)
 			names = append(names, fmt.Sprintf("__corr_%d", len(exprs)))
-			return &expression.BoundColumn{Index: len(exprs) - 1}
+			dt, _ := expression.InferType(colExpr, nil)
+			return &expression.BoundColumn{Index: len(exprs) - 1, DT: dt}
 		}
 		for i := range correlated {
 			if colExpr, ok := keyOf[i]; ok {
@@ -383,7 +384,7 @@ func rewriteScalarAggregate(cmp *expression.Comparison, input lqp.Node, nLeft in
 	exprs := []expression.Expression{valueExpr}
 	projNames := []string{proj.Names[0]}
 	for i := range keys {
-		exprs = append(exprs, &expression.BoundColumn{Index: i, Name: groupNames[i]})
+		exprs = append(exprs, &expression.BoundColumn{Index: i, Name: groupNames[i], DT: newAgg.Schema()[i].DT})
 		projNames = append(projNames, groupNames[i])
 	}
 	newProj := lqp.NewProjectionNode(newAgg, exprs, projNames)
@@ -394,7 +395,7 @@ func rewriteScalarAggregate(cmp *expression.Comparison, input lqp.Node, nLeft in
 		preds = append(preds, &expression.Comparison{
 			Op:    expression.Eq,
 			Left:  outer,
-			Right: &expression.BoundColumn{Index: nLeft + 1 + i},
+			Right: &expression.BoundColumn{Index: nLeft + 1 + i, DT: newProj.Schema()[1+i].DT},
 		})
 	}
 	preds = append(preds, &expression.Comparison{

@@ -313,3 +313,123 @@ func TestDiffAggregateBoolArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffExpressionTypes: expressions take the types the plan gives them.
+// BOOL meets BOOL in comparisons, IN lists and IN subqueries, in WHERE and
+// inside EXISTS; a CASE takes the common type of its branches (NULL yields);
+// IN is `=`, so a list holding NULL, NaN (g), -0 or ints beside floats answers
+// what its OR form answers. Every engine configuration returns what the row
+// engine does, over sealed layouts and a mutable tail. A BOOL result reads 0/1
+// in the columnar engine, so BOOL outputs go through a CASE WHEN twin.
+func TestDiffExpressionTypes(t *testing.T) {
+	defs := []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "a", Type: types.TypeInt64, Nullable: true},
+		{Name: "b", Type: types.TypeInt64},
+		{Name: "f", Type: types.TypeFloat64, Nullable: true},
+		{Name: "g", Type: types.TypeFloat64},
+		{Name: "s", Type: types.TypeString, Nullable: true},
+	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rows := [][]types.Value{
+		{types.Int(1), types.Int(2), types.Float(1.5), types.Float(nan), types.Str("x")},
+		{types.Int(-1), types.Int(3), types.Float(0), types.Float(1), types.Str("y")},
+		{types.NullValue, types.Int(4), types.NullValue, types.Float(negZero), types.NullValue},
+		{types.Int(0), types.Int(1), types.Float(nan), types.Float(nan), types.Str("z")},
+		{types.Int(2), types.Int(0), types.Float(negZero), types.Float(0), types.Str("x")},
+		{types.Int(3), types.Int(5), types.Float(2), types.Float(1.5), types.Str("w")},
+		{types.Int(-2), types.Int(7), types.Float(math.Inf(1)), types.Float(2), types.Str("y")},
+	}
+	layouts := []*encoding.Spec{
+		{Encoding: encoding.Unencoded},
+		{Encoding: encoding.Dictionary, Compression: encoding.BitPacked128},
+		nil, // the size model's pick
+	}
+	const chunk = 5
+	table := storage.NewTable("t", defs, chunk, false)
+	for id := 0; id < chunk*len(layouts)+3; id++ {
+		row := append([]types.Value{types.Int(int64(id))}, rows[id%len(rows)]...)
+		if _, err := table.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ci, spec := range layouts {
+		filter.Seal(table.GetChunk(types.ChunkID(ci)), spec)
+	}
+	sm := storage.NewStorageManager()
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	engines := comparisonEngines(t, sm)
+	oracle := rowengine.NewFromStorage(sm)
+
+	for _, sql := range []string{
+		"SELECT id FROM t WHERE (a > 0) IN (SELECT b > 2 FROM t)",
+		"SELECT id FROM t WHERE (a > 0) NOT IN (SELECT b > 10 FROM t)",
+		"SELECT id FROM t WHERE (b > 2) NOT IN (SELECT b > 10 FROM t)",
+		"SELECT id FROM t WHERE (a > 0) = (b > 0)",
+		"SELECT id FROM t WHERE (a > 0) = (b > 2)",
+		"SELECT id FROM t WHERE (a > 0) <> (b > 2)",
+		"SELECT id FROM t WHERE (a > 0) < (b > 2)",
+		"SELECT id FROM t WHERE EXISTS (SELECT 1 FROM t u WHERE (u.a > 0) = (t.b > 2) AND u.id = t.id + 1)",
+		"SELECT id FROM t WHERE NOT EXISTS (SELECT 1 FROM t u WHERE (u.a > 0) <> (t.a > 0) AND u.id = t.id + 1)",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x WHERE EXISTS (SELECT 1 FROM t u WHERE (u.b > 2) = x.p)",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x WHERE x.p IN (SELECT b > 2 FROM t)",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x WHERE x.p = true",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x WHERE x.p IN (true, NULL)",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x WHERE x.p < (x.id > 3)",
+		"SELECT x.id, y.id FROM (SELECT id, a > 0 AS p FROM t) x, (SELECT id, b > 2 AS q FROM t) y WHERE x.p = y.q AND y.id < 4",
+		"SELECT x.id FROM (SELECT id, a > 0 AS p FROM t) x ORDER BY x.p, x.id",
+		"SELECT id FROM t WHERE (a > 0) IN (true)",
+		"SELECT id, CASE WHEN a > 0 THEN NULL ELSE 2 END FROM t",
+		"SELECT id, CASE WHEN a > 0 THEN b ELSE f END FROM t",
+		"SELECT id, CASE WHEN (a > 0) IN (SELECT b > 2 FROM t) THEN 1 WHEN NOT ((a > 0) IN (SELECT b > 2 FROM t)) THEN 0 END FROM t",
+	} {
+		agree(t, engines, oracle, sql)
+	}
+
+	// A BOOL-branch CASE under GROUP BY and DISTINCT reads as its twin.
+	boolCase := "CASE WHEN a > 0 THEN b > 2 ELSE f > 1 END"
+	twin := "CASE WHEN " + boolCase + " THEN 1 WHEN NOT (" + boolCase + ") THEN 0 END"
+	for _, sql := range []string{"SELECT %s, count(*) FROM t GROUP BY %s", "SELECT DISTINCT %s FROM t"} {
+		want := agree(t, engines, oracle, strings.ReplaceAll(sql, "%s", twin))
+		boolSQL := strings.ReplaceAll(sql, "%s", boolCase)
+		for name, e := range engines {
+			res, err := e.NewSession().ExecuteOne(boolSQL)
+			if err != nil {
+				t.Fatalf("%s engine %q: %v", name, boolSQL, err)
+			}
+			if got := fmt.Sprint(canonical(ValueRows(res.Table))); got != want {
+				t.Errorf("%s engine, %s:\n got %s\nwant %s", name, boolSQL, got, want)
+			}
+		}
+	}
+
+	// IN is its OR form, in WHERE and, through the twin, in the select list.
+	for _, list := range [][2]string{
+		{"f", "0, 1.5, NULL"},
+		{"f", "-0.0, 2"},
+		{"f", "g, 1"},
+		{"g", "f, -0.0"},
+		{"a", "1.0, 2.5, NULL"},
+		{"f", "1, 2"},
+		{"a", "b, 3"},
+		{"s", "'x', NULL"},
+	} {
+		child, elems := list[0], strings.Split(list[1], ", ")
+		ors := make([]string, len(elems))
+		for i, e := range elems {
+			ors[i] = child + " = " + e
+		}
+		in, or := child+" IN ("+list[1]+")", "("+strings.Join(ors, " OR ")+")"
+		for _, pair := range [][2]string{{in, or}, {"NOT (" + in + ")", "NOT " + or}, {child + " NOT IN (" + list[1] + ")", "NOT " + or}} {
+			if got, want := agree(t, engines, oracle, "SELECT id FROM t WHERE "+pair[0]), agree(t, engines, oracle, "SELECT id FROM t WHERE "+pair[1]); got != want {
+				t.Errorf("WHERE %s = %s, its OR form %s", pair[0], got, want)
+			}
+			tw := "SELECT id, CASE WHEN %s THEN 1 WHEN NOT (%s) THEN 0 END FROM t"
+			if got, want := agree(t, engines, oracle, fmt.Sprintf(tw, pair[0], pair[0])), agree(t, engines, oracle, fmt.Sprintf(tw, pair[1], pair[1])); got != want {
+				t.Errorf("%s reads %s, its OR form %s", pair[0], got, want)
+			}
+		}
+	}
+}

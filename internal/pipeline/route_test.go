@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
+	"hyrise/internal/rowengine"
 	"hyrise/internal/sqlparser"
 	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
@@ -282,6 +284,49 @@ func TestRoutesAgree(t *testing.T) {
 // execution after a catalog change re-prepares the text through the cache;
 // from then on the stale handle replays the fresh plan (it re-parsed, bound
 // literals and re-planned on every execution, forever, before).
+// TestRouteRejectsMistypedExpressions: a statement that breaks the type rule
+// fails when it is prepared and when it is executed, on an empty table and on
+// a full one, with the row engine's message and the rule's sentinel error.
+func TestRouteRejectsMistypedExpressions(t *testing.T) {
+	sm := storage.NewStorageManager()
+	s := NewEngine(DefaultConfig(), sm).NewSession()
+	if _, err := s.ExecuteOne("CREATE TABLE t (a INT, b INT NOT NULL, f FLOAT, s VARCHAR(10))"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		sql  string
+		want error
+	}{
+		{"SELECT a FROM t WHERE s = 1", lqp.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE s IN (1)", lqp.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE a IN (SELECT s FROM t)", lqp.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE a LIKE 'x'", lqp.ErrUndefinedFunction},
+		{"SELECT CASE WHEN a > 5 THEN a ELSE s END FROM t", lqp.ErrDatatypeMismatch},
+		{"SELECT sum(a > 0) FROM t", lqp.ErrUndefinedFunction},
+	}
+	for _, table := range []string{"empty", "full"} {
+		if table == "full" {
+			if _, err := s.ExecuteOne("INSERT INTO t VALUES (1, 2, 1.5, 'x'), (-1, 3, 0.0, 'y'), (NULL, 4, NULL, NULL)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oracle := rowengine.NewFromStorage(sm)
+		for _, c := range cases {
+			_, _, want := oracle.Query(c.sql)
+			if !errors.Is(want, c.want) {
+				t.Fatalf("row engine %q: error %v, want %v", c.sql, want, c.want)
+			}
+			_, prepErr := s.PrepareStatement(c.sql)
+			_, execErr := s.ExecuteOne(c.sql)
+			for route, err := range map[string]error{"prepare": prepErr, "execute": execErr} {
+				if err == nil || err.Error() != want.Error() || !errors.Is(err, c.want) {
+					t.Errorf("%s %q over the %s table: error %v, want %v", route, c.sql, table, err, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRoutePreparedSurvivesUnrelatedDDL(t *testing.T) {
 	e := preparedTestEngine(t)
 	s, ddl := e.NewSession(), e.NewSession()

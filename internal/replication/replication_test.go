@@ -161,7 +161,7 @@ func sameRows(a, b [][]types.Value) bool {
 	}
 	for i := range a {
 		for j := range a[i] {
-			if !a[i][j].Equal(b[i][j]) {
+			if types.Order(a[i][j], b[i][j]) != 0 {
 				return false
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/types"
@@ -767,21 +768,30 @@ const (
 	codeDuplicateStatement        = "42P05" // duplicate_prepared_statement
 	codeDuplicateCursor           = "42P03" // duplicate_cursor (named portal redefined)
 	codeInvalidTextRepresentation = "22P02" // invalid_text_representation (bad parameter)
+	codeDatatypeMismatch          = "42804" // datatype_mismatch (CASE branches with no common type)
+	codeUndefinedFunction         = "42883" // undefined_function (no operator or function for the operand types)
+	codeUndefinedColumn           = "42703" // undefined_column
 )
 
 // sqlStateFor maps a statement error to its SQLSTATE: canceled and
 // timed-out statements report 57014 query_canceled (what psql expects after
 // a ctrl-C), writes rejected by a read-only replica report 25006
-// read_only_sql_transaction, everything else the generic internal error.
+// read_only_sql_transaction, the type rule's and the binder's errors their
+// own codes, everything else the generic internal error.
 func sqlStateFor(err error) string {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return codeQueryCanceled
-	}
-	if errors.Is(err, pipeline.ErrReadOnly) {
+	case errors.Is(err, pipeline.ErrReadOnly):
 		return codeReadOnly
-	}
-	if errors.Is(err, errPoolStopped) {
+	case errors.Is(err, errPoolStopped):
 		return codeAdminShutdown
+	case errors.Is(err, lqp.ErrDatatypeMismatch):
+		return codeDatatypeMismatch
+	case errors.Is(err, lqp.ErrUndefinedFunction):
+		return codeUndefinedFunction
+	case errors.Is(err, lqp.ErrColumnNotFound):
+		return codeUndefinedColumn
 	}
 	return codeInternalError
 }

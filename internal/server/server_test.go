@@ -295,6 +295,58 @@ func TestProtocolBoolAggregateKeepsServing(t *testing.T) {
 	}
 }
 
+// TestProtocolMistypedCaseKeepsServing: a CASE whose branches have no
+// common type is refused when it is parsed, with SQLSTATE 42804, over the
+// extended and the simple protocol, and the connection keeps serving; an
+// operator with no rule reports 42883 and an unknown column 42703.
+func TestProtocolMistypedCaseKeepsServing(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	for _, sql := range []string{"CREATE TABLE t (a INT, s VARCHAR(10))", "INSERT INTO t VALUES (1, 'x'), (NULL, NULL)"} {
+		if res := c.simpleQuery(t, sql); res.err != "" {
+			t.Fatalf("%s: %s", sql, res.err)
+		}
+	}
+	const mixed = "SELECT CASE WHEN a > 5 THEN a ELSE s END FROM t"
+	// errorCode sends the messages and returns the SQLSTATE of the
+	// ErrorResponse before ReadyForQuery.
+	errorCode := func(msgs ...[]byte) string {
+		for _, m := range msgs {
+			c.send(t, m[0], m[1:])
+		}
+		code := ""
+		for {
+			msgType, payload := c.read(t)
+			switch msgType {
+			case 'E':
+				code = parseErrorCode(payload)
+			case 'Z':
+				return code
+			}
+		}
+	}
+	parse := append(append([]byte{'P'}, "mixed\x00"+mixed+"\x00"...), 0, 0)
+	for name, msgs := range map[string][][]byte{
+		"parse":  {parse, {'S'}},
+		"simple": {append(append([]byte{'Q'}, mixed...), 0)},
+	} {
+		if code := errorCode(msgs...); code != codeDatatypeMismatch {
+			t.Errorf("%s of the mixed CASE: SQLSTATE %q, want %s", name, code, codeDatatypeMismatch)
+		}
+		if res := c.simpleQuery(t, "SELECT 1"); res.err != "" || fmt.Sprint(res.rows) != "[[1]]" {
+			t.Fatalf("SELECT 1 after the %s: %+v", name, res)
+		}
+	}
+	for sql, want := range map[string]string{
+		"SELECT a FROM t WHERE s = 1":      codeUndefinedFunction,
+		"SELECT a FROM t WHERE nosuch = 1": codeUndefinedColumn,
+	} {
+		if code := errorCode(append(append([]byte{'Q'}, sql...), 0)); code != want {
+			t.Errorf("%s: SQLSTATE %q, want %s", sql, code, want)
+		}
+	}
+}
+
 func TestExtendedQueryProtocol(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)

@@ -62,7 +62,7 @@ func TestDiffMutableGrowthReaders(t *testing.T) {
 			return fmt.Errorf("%s: column %d holds %d rows, want %d", what, col, seg.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			if got, want := seg.ValueAt(types.ChunkOffset(i)), row(i)[col]; !got.Equal(want) && !(got.IsNull() && want.IsNull()) {
+			if got, want := seg.ValueAt(types.ChunkOffset(i)), row(i)[col]; types.Order(got, want) != 0 {
 				return fmt.Errorf("%s: column %d row %d = %v, want %v", what, col, i, got, want)
 			}
 		}

@@ -168,14 +168,7 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports SQL equality between two values after numeric coercion: the
-// predicate rule, so NULL and NaN equal nothing and -0 equals +0.
-func (v Value) Equal(o Value) bool {
-	c, ok := Compare(v, o)
-	return ok && c == 0
-}
-
-// Compare orders two values the way a predicate compares them (IEEE 754).
+// Compare orders two values the way a zone's bounds compare them (IEEE 754).
 // Numeric types are mutually comparable (int compared to float via float64);
 // strings only compare to strings. ok is false for NULLs, NaN — which no
 // `=`, `<` or `>` matches — and incompatible types.
@@ -215,17 +208,20 @@ func Order(a, b Value) int {
 
 func (v Value) isNaN() bool { return v.Type == TypeFloat64 && v.F != v.F }
 
-// CommonType returns the type that arithmetic between a and b produces.
-func CommonType(a, b DataType) DataType {
+// CommonType returns the type in which values of types a and b meet — in a
+// comparison, an arithmetic operation or the branches of a CASE — and whether
+// there is one: NULL yields to the other type, INT with FLOAT gives FLOAT, and
+// any other two types meet only themselves.
+func CommonType(a, b DataType) (DataType, bool) {
 	switch {
-	case a == TypeString || b == TypeString:
-		return TypeString
-	case a == TypeFloat64 || b == TypeFloat64:
-		return TypeFloat64
-	case a == TypeInt64 || b == TypeInt64:
-		return TypeInt64
+	case a == b || b == TypeNull:
+		return a, true
+	case a == TypeNull:
+		return b, true
+	case a.IsNumeric() && b.IsNumeric():
+		return TypeFloat64, true
 	default:
-		return TypeNull
+		return TypeNull, false
 	}
 }
 

@@ -74,16 +74,20 @@ func TestCompare(t *testing.T) {
 }
 
 func TestEqualNullSemantics(t *testing.T) {
-	if NullValue.Equal(NullValue) {
+	equal := func(a, b Value) bool {
+		c, ok := Compare(a, b)
+		return ok && c == 0
+	}
+	if equal(NullValue, NullValue) {
 		t.Error("NULL must not equal NULL")
 	}
-	if !Int(5).Equal(Float(5.0)) {
+	if !equal(Int(5), Float(5.0)) {
 		t.Error("5 should equal 5.0")
 	}
-	if Str("x").Equal(Int(1)) {
+	if equal(Str("x"), Int(1)) {
 		t.Error("incompatible types must not be equal")
 	}
-	if nan := Float(math.NaN()); nan.Equal(nan) {
+	if nan := Float(math.NaN()); equal(nan, nan) {
 		t.Error("NaN must not equal NaN")
 	}
 }
@@ -126,17 +130,21 @@ func TestOrder(t *testing.T) {
 func TestCommonType(t *testing.T) {
 	tests := []struct {
 		a, b, want DataType
+		ok         bool
 	}{
-		{TypeInt64, TypeInt64, TypeInt64},
-		{TypeInt64, TypeFloat64, TypeFloat64},
-		{TypeFloat64, TypeInt64, TypeFloat64},
-		{TypeString, TypeInt64, TypeString},
-		{TypeNull, TypeInt64, TypeInt64},
-		{TypeNull, TypeNull, TypeNull},
+		{TypeInt64, TypeInt64, TypeInt64, true},
+		{TypeInt64, TypeFloat64, TypeFloat64, true},
+		{TypeFloat64, TypeInt64, TypeFloat64, true},
+		{TypeString, TypeInt64, TypeNull, false},
+		{TypeBool, TypeBool, TypeBool, true},
+		{TypeBool, TypeInt64, TypeNull, false},
+		{TypeString, TypeNull, TypeString, true},
+		{TypeNull, TypeInt64, TypeInt64, true},
+		{TypeNull, TypeNull, TypeNull, true},
 	}
 	for _, tc := range tests {
-		if got := CommonType(tc.a, tc.b); got != tc.want {
-			t.Errorf("CommonType(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		if got, ok := CommonType(tc.a, tc.b); got != tc.want || ok != tc.ok {
+			t.Errorf("CommonType(%v, %v) = %v, %v, want %v, %v", tc.a, tc.b, got, ok, tc.want, tc.ok)
 		}
 	}
 }
