@@ -217,59 +217,9 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	}
 }
 
-const microSF = 0.01
-
 // dictionary is Fig. 7's spec: the benchmarks that load TPC-H seal it so, the
 // input their baselines were recorded on.
 var dictionary = &encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}
-
-func microTPCHEngine(b *testing.B, cfg pipeline.Config) *pipeline.Engine {
-	b.Helper()
-	sm := storage.NewStorageManager()
-	if err := tpch.Generate(sm, tpch.Config{ScaleFactor: microSF, ChunkSize: 10_000, UseMvcc: cfg.UseMvcc, Seed: 42}); err != nil {
-		b.Fatal(err)
-	}
-	if err := tpch.EncodeAndFilter(sm, dictionary); err != nil {
-		b.Fatal(err)
-	}
-	e := pipeline.NewEngine(cfg, sm)
-	b.Cleanup(e.Close)
-	return e
-}
-
-func BenchmarkMicroTPCHQ3(b *testing.B) {
-	queries := tpch.Queries(microSF)
-	q3 := queries[3]
-
-	cases := []struct {
-		name string
-		cfg  func() pipeline.Config
-	}{
-		{"serial", func() pipeline.Config {
-			cfg := pipeline.DefaultConfig()
-			cfg.ParallelMode = operators.ParallelSerial
-			return cfg
-		}},
-		{"radix", func() pipeline.Config {
-			cfg := pipeline.DefaultConfig()
-			cfg.UseScheduler = true
-			cfg.ParallelMode = operators.ParallelForce
-			return cfg
-		}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			e := microTPCHEngine(b, tc.cfg())
-			s := e.NewSession()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.ExecuteOne(q3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // statementRouteOps is how many executions make one benchmark op: the CI
 // gate runs -benchtime=1x, and one ~20 µs statement would be all noise.

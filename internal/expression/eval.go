@@ -56,7 +56,7 @@ func Evaluate(e Expression, ctx *Context) (*Vector, error) {
 		if err != nil || x.DT != types.TypeBool {
 			return v, err
 		}
-		return v.as(types.TypeBool) // a BOOL column stores 0/1
+		return v.As(types.TypeBool) // a BOOL column stores 0/1
 	case *ColumnRef:
 		return nil, fmt.Errorf("expression: unresolved column %s (translator must bind columns)", x)
 	case *Negation:
@@ -220,7 +220,7 @@ func nullAt(nulls []bool, n, i int) []bool {
 }
 
 // compare is the kernel of `l op r` over n rows. The plan has typed its
-// operands (InferType); only a placeholder bound to another type reaches the
+// operands, bind its placeholders: only untyped ones (`$1 = $2`) reach the
 // error.
 func compare(op ComparisonOp, l, r *Vector, n int) (*Vector, error) {
 	out := make([]bool, n)
@@ -252,7 +252,7 @@ func compare(op ComparisonOp, l, r *Vector, n int) (*Vector, error) {
 	case l.DT == types.TypeInt64 && r.DT == types.TypeInt64:
 		compareRows(op, l.I, r.I, nulls, out)
 	case l.DT == types.TypeBool && r.DT == types.TypeBool:
-		compareRows(op, boolInts(l.B), boolInts(r.B), nulls, out) // FALSE < TRUE
+		compareRows(op, BoolInts(l.B), BoolInts(r.B), nulls, out) // FALSE < TRUE
 	case l.DT.IsNumeric() && r.DT.IsNumeric():
 		compareRows(op, l.Floats(), r.Floats(), nulls, out)
 	default:
@@ -286,8 +286,8 @@ func compareRows[T types.Ordered](op ComparisonOp, l, r []T, nulls, out []bool) 
 	}
 }
 
-// boolInts reads FALSE as 0 and TRUE as 1.
-func boolInts(b []bool) []int64 {
+// BoolInts reads FALSE as 0 and TRUE as 1, as a BOOL column stores them.
+func BoolInts(b []bool) []int64 {
 	out := make([]int64, len(b))
 	for i, v := range b {
 		if v {
@@ -375,11 +375,11 @@ func evalCase(x *Case, ctx *Context) (*Vector, error) {
 		return nil, fmt.Errorf("expression: %w", err)
 	}
 	n := ctx.N
-	res := nullVector(dt, n)
+	res := NullVector(dt, n)
 	fill := func(branch Expression, rows []bool) error {
 		v, err := Evaluate(branch, ctx)
 		if err == nil {
-			v, err = v.as(dt)
+			v, err = v.As(dt)
 		}
 		if err != nil || v.DT == types.TypeNull || dt == types.TypeNull {
 			return err
@@ -561,7 +561,7 @@ func evalScalarSubquery(x *Subquery, ctx *Context) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ConstVector(v, ctx.N).as(x.DT)
+		return ConstVector(v, ctx.N).As(x.DT)
 	}
 	vals := make([]types.Value, ctx.N)
 	for i := range vals {
@@ -569,7 +569,7 @@ func evalScalarSubquery(x *Subquery, ctx *Context) (*Vector, error) {
 			return nil, err
 		}
 	}
-	return vectorFromValues(vals).as(x.DT)
+	return vectorFromValues(vals).As(x.DT)
 }
 
 func evalIn(x *In, ctx *Context) (*Vector, error) {
@@ -675,7 +675,7 @@ func vectorFromValues(vals []types.Value) *Vector {
 	for _, v := range vals {
 		dt, _ = types.CommonType(dt, v.Type)
 	}
-	out := nullVector(dt, len(vals))
+	out := NullVector(dt, len(vals))
 	for i, v := range vals {
 		if v.IsNull() || dt == types.TypeNull {
 			continue
@@ -701,6 +701,8 @@ var (
 	ErrDatatypeMismatch = errors.New("cannot be matched")
 	// ErrUndefinedFunction: no operator or function takes these operands.
 	ErrUndefinedFunction = errors.New("does not exist")
+	// ErrInvalidValue: a value the assignment rule (Vector.As) refuses.
+	ErrInvalidValue = errors.New("invalid input syntax for type")
 )
 
 func noOperator(l types.DataType, op ComparisonOp, r types.DataType) error {

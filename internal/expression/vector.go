@@ -2,6 +2,7 @@ package expression
 
 import (
 	"fmt"
+	"math"
 
 	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
@@ -75,7 +76,7 @@ func ConstVector(val types.Value, n int) *Vector {
 	case types.TypeBool:
 		return NewBoolVector(repeat(val.AsBool(), n), nil)
 	default: // NULL literal
-		return nullVector(types.TypeNull, n)
+		return NullVector(types.TypeNull, n)
 	}
 }
 
@@ -88,8 +89,8 @@ func repeat[T any](v T, n int) []T {
 	return out
 }
 
-// nullVector allocates n rows of type dt, all NULL.
-func nullVector(dt types.DataType, n int) *Vector {
+// NullVector allocates n rows of type dt, all NULL.
+func NullVector(dt types.DataType, n int) *Vector {
 	v := &Vector{DT: dt, Nulls: allNulls(n), N: n}
 	switch dt {
 	case types.TypeInt64:
@@ -104,10 +105,13 @@ func nullVector(dt types.DataType, n int) *Vector {
 	return v
 }
 
-// as reads v as the declared type dt: an INT widens to FLOAT, and a BOOL
-// stored as 0/1 reads as a BOOL. A NULL vector, or an undeclared (NULL) dt,
-// reads as it is.
-func (v *Vector) as(dt types.DataType) (*Vector, error) {
+// As reads v as type dt by the engine's one assignment rule, the conversion
+// of bound values, INSERT values, UPDATE SET vectors, CASE branches and
+// scalar subqueries: the same type, or NULL on either side, passes; an INT
+// widens to FLOAT; a FLOAT reads as INT only where it is integral; any type
+// renders as VARCHAR; an INT reads as BOOL (a BOOL column stores 0/1).
+// Any other value is refused (ErrInvalidValue), never rounded or truncated.
+func (v *Vector) As(dt types.DataType) (*Vector, error) {
 	switch {
 	case v.DT == dt || v.DT == types.TypeNull || dt == types.TypeNull:
 		return v, nil
@@ -119,8 +123,36 @@ func (v *Vector) as(dt types.DataType) (*Vector, error) {
 			out[i] = x != 0
 		}
 		return NewBoolVector(out, v.Nulls), nil
+	case dt == types.TypeString:
+		out := make([]string, v.N)
+		for i := range out {
+			if !v.IsNullAt(i) {
+				out[i] = v.ValueAt(i).String()
+			}
+		}
+		return NewStringVector(out, v.Nulls), nil
 	}
-	return nil, fmt.Errorf("expression: a %s vector cannot be read as %s", v.DT, dt)
+	out := make([]int64, v.N)
+	for i := 0; i < v.N; i++ {
+		if x := v.ValueAt(i); !x.IsNull() {
+			if x.Type != types.TypeFloat64 || dt != types.TypeInt64 || x.F != math.Trunc(x.F) || x.F < math.MinInt64 || x.F >= math.MaxInt64 {
+				return nil, fmt.Errorf("expression: %w %s: %q", ErrInvalidValue, dt, x)
+			}
+			out[i] = int64(x.F)
+		}
+	}
+	if dt != types.TypeInt64 {
+		return NullVector(dt, v.N), nil // a refused type, but every row is NULL
+	}
+	return NewIntVector(out, v.Nulls), nil
+}
+
+// Assignable reports whether a value of type from may be written to a slot
+// of type to: As's rule on types, which the plan checks INSERT values and
+// UPDATE SET expressions with.
+func Assignable(from, to types.DataType) bool {
+	return from == to || from == types.TypeNull || to == types.TypeNull || to == types.TypeString ||
+		from.IsNumeric() && to.IsNumeric() || from == types.TypeInt64 && to == types.TypeBool
 }
 
 // Floats returns the rows coerced to float64 (ints are widened). The result

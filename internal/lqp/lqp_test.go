@@ -367,7 +367,7 @@ func TestTranslateDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins, ok := plan.(*InsertNode); !ok || ins.TableName != "customer" || len(ins.Rows) != 1 {
+	if ins, ok := plan.(*InsertNode); !ok || ins.Table.Name() != "customer" || len(ins.Rows) != 1 {
 		t.Errorf("insert plan = %v", plan)
 	}
 
@@ -387,7 +387,7 @@ func TestTranslateDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := plan.(*UpdateNode)
-	if len(up.SetExprs) != 1 || up.SetColumns[0] != "c_acctbal" {
+	if len(up.SetExprs) != 1 || up.SetColumns[0] != 2 { // c_acctbal
 		t.Errorf("update plan = %+v", up)
 	}
 

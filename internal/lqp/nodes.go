@@ -441,12 +441,10 @@ func (n *JoinNode) String() string {
 
 // --- DML nodes --------------------------------------------------------------------
 
-// InsertNode inserts literal rows into a table.
+// InsertNode inserts rows into a table: a value per column in table order.
 type InsertNode struct {
-	TableName string
-	Columns   []string // empty = declaration order
-	Rows      [][]expression.Expression
-	Table     *storage.Table // the target, resolved at translation
+	Rows  [][]expression.Expression
+	Table *storage.Table // the target, resolved at translation
 }
 
 // Inputs implements Node.
@@ -460,7 +458,7 @@ func (n *InsertNode) Schema() Schema { return nil }
 
 // String implements Node.
 func (n *InsertNode) String() string {
-	return fmt.Sprintf("Insert(%s, %d rows)", n.TableName, len(n.Rows))
+	return fmt.Sprintf("Insert(%s, %d rows)", n.Table.Name(), len(n.Rows))
 }
 
 // DeleteNode deletes the rows its child produces. The child must be a plan
@@ -492,13 +490,13 @@ func (n *DeleteNode) String() string { return "Delete(" + n.TableName + ")" }
 type UpdateNode struct {
 	TableName string
 	// SetColumns[i] receives SetExprs[i], evaluated over the child's rows.
-	SetColumns []string
+	SetColumns []int
 	SetExprs   []expression.Expression
 	input      Node
 }
 
 // NewUpdateNode builds an update.
-func NewUpdateNode(table string, cols []string, exprs []expression.Expression, in Node) *UpdateNode {
+func NewUpdateNode(table string, cols []int, exprs []expression.Expression, in Node) *UpdateNode {
 	return &UpdateNode{TableName: table, SetColumns: cols, SetExprs: exprs, input: in}
 }
 
@@ -560,7 +558,9 @@ func VisitExpressions(root Node, f func(expression.Expression)) {
 		case *InsertNode:
 			for _, row := range node.Rows {
 				for _, e := range row {
-					f(e)
+					if e != nil {
+						f(e)
+					}
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package lqp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"hyrise/internal/expression"
@@ -27,11 +28,13 @@ type Translator struct {
 	UseMvcc bool
 }
 
-// The errors of the type rule (expression.InferType): SQLSTATE 42804
-// datatype_mismatch and 42883 undefined_function.
+// The errors of the assignment rule (expression.Assignable) and the column
+// lists it pairs values with, by SQLSTATE; the texts are PostgreSQL's.
 var (
-	ErrDatatypeMismatch  = expression.ErrDatatypeMismatch
-	ErrUndefinedFunction = expression.ErrUndefinedFunction
+	ErrAssignmentMismatch  = errors.New("but expression is of type")           // 42804
+	ErrDuplicateColumn     = errors.New("specified more than once")            // 42701
+	ErrInsertArity         = errors.New("INSERT has more")                     // 42601
+	ErrMultipleAssignments = errors.New("multiple assignments to same column") // 42601
 )
 
 // Translate converts one statement into an LQP whose expressions, subquery
@@ -43,39 +46,73 @@ func (t *Translator) Translate(stmt sqlparser.Statement) (Node, error) {
 		sc := &scope{tr: t}
 		return t.translateSelect(s, sc)
 	case *sqlparser.InsertStatement:
+		// The column list is resolved once and each value checked against its
+		// column; the rows come out in table order, nil where no value is given.
 		tab, err := t.SM.GetTable(s.Table)
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range s.Rows {
-			for _, e := range row {
-				if err := checkType(e); err != nil {
+		schema := NewStoredTableNode(tab, "").Schema()
+		names := s.Columns
+		if len(names) == 0 {
+			names = schema.Names()
+		}
+		targets := make([]int, len(names)) // statement position -> column
+		for i, name := range names {
+			id, err := schema.Resolve("", name)
+			if err != nil {
+				return nil, err
+			}
+			if slices.Contains(targets[:i], id) {
+				return nil, fmt.Errorf("lqp: column %q %w", schema[id].Name, ErrDuplicateColumn)
+			}
+			targets[i] = id
+		}
+		rows := make([][]expression.Expression, len(s.Rows))
+		for r, values := range s.Rows {
+			if len(values) != len(targets) {
+				more := map[bool]string{true: "expressions than target columns", false: "target columns than expressions"}
+				return nil, fmt.Errorf("lqp: %w %s", ErrInsertArity, more[len(values) > len(targets)])
+			}
+			rows[r] = make([]expression.Expression, len(schema))
+			for i, e := range values {
+				if err := checkType(e, &schema[targets[i]]); err != nil {
 					return nil, err
 				}
+				rows[r][targets[i]] = e
 			}
 		}
-		return &InsertNode{TableName: s.Table, Columns: s.Columns, Rows: s.Rows, Table: tab}, nil
+		return &InsertNode{Rows: rows, Table: tab}, nil
 	case *sqlparser.DeleteStatement:
-		child, sc, err := t.dmlSourcePlan(s.Table, s.Where)
+		child, _, err := t.dmlSourcePlan(s.Table, s.Where)
 		if err != nil {
 			return nil, err
 		}
-		_ = sc
 		return NewDeleteNode(s.Table, child), nil
 	case *sqlparser.UpdateStatement:
 		child, sc, err := t.dmlSourcePlan(s.Table, s.Where)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]string, len(s.Set))
+		schema := child.Schema()
+		cols := make([]int, len(s.Set))
 		exprs := make([]expression.Expression, len(s.Set))
-		for i, set := range s.Set {
-			cols[i] = set.Column
-			bound, err := sc.bind(set.Expr)
+		for i, c := range s.Set {
+			id, err := schema.Resolve("", c.Column)
 			if err != nil {
 				return nil, err
 			}
-			exprs[i] = bound
+			if slices.Contains(cols[:i], id) {
+				return nil, fmt.Errorf("lqp: %w %q", ErrMultipleAssignments, schema[id].Name)
+			}
+			bound, err := sc.bind(c.Expr)
+			if err == nil {
+				err = checkType(bound, &schema[id])
+			}
+			if err != nil {
+				return nil, err
+			}
+			cols[i], exprs[i] = id, bound
 		}
 		return NewUpdateNode(s.Table, cols, exprs, child), nil
 	default:
@@ -188,15 +225,19 @@ func (s *scope) bind(e expression.Expression) (expression.Expression, error) {
 		}
 	})
 	if err == nil {
-		err = checkType(bound)
+		err = checkType(bound, nil)
 	}
 	return bound, err
 }
 
-// checkType applies the type rule (expression.InferType) to e.
-func checkType(e expression.Expression) error {
-	if _, err := expression.InferType(e, nil); err != nil {
+// checkType applies the type rule (expression.InferType) to e and, to a
+// value written to column to, the assignment rule (expression.Assignable).
+func checkType(e expression.Expression, to *Column) error {
+	switch dt, err := expression.InferType(e, nil); {
+	case err != nil:
 		return fmt.Errorf("lqp: %w", err)
+	case to != nil && !expression.Assignable(dt, to.DT):
+		return fmt.Errorf("lqp: column %q is of type %s %w %s", to.Name, to.DT, ErrAssignmentMismatch, dt)
 	}
 	return nil
 }
@@ -582,8 +623,9 @@ func (t *Translator) translateTableRef(ref sqlparser.TableRef, sc *scope) (Node,
 // ParamTypes types the n placeholder slots of a translated statement from
 // its plan, subquery plans included: an INSERT value or UPDATE SET slot takes
 // its target column's type, a slot compared with, tested against (BETWEEN,
-// IN, LIKE) or computed with an operand takes that operand's type. The first
-// typed use wins; a slot nothing types stays TypeNull.
+// IN, LIKE) or computed with an operand takes that operand's type, and a
+// CASE branch the type of the other branches. The first typed use wins; a
+// slot nothing types stays TypeNull.
 func ParamTypes(root Node, n int) []types.DataType {
 	out := make([]types.DataType, n)
 	assign := func(e expression.Expression, dt types.DataType) {
@@ -599,32 +641,16 @@ func ParamTypes(root Node, n int) []types.DataType {
 	}
 	switch node := root.(type) {
 	case *InsertNode:
-		var targets []types.DataType
-		for _, d := range node.Table.ColumnDefinitions() {
-			targets = append(targets, d.Type)
-		}
-		if len(node.Columns) > 0 {
-			named := make([]types.DataType, len(node.Columns))
-			for i, name := range node.Columns {
-				if id, err := node.Table.ColumnID(name); err == nil {
-					named[i] = targets[id]
-				}
-			}
-			targets = named
-		}
+		defs := node.Table.ColumnDefinitions()
 		for _, row := range node.Rows {
 			for i, e := range row {
-				if i < len(targets) {
-					assign(e, targets[i])
-				}
+				assign(e, defs[i].Type)
 			}
 		}
 	case *UpdateNode:
 		schema := node.Inputs()[0].Schema()
 		for i, e := range node.SetExprs {
-			if idx, err := schema.Resolve("", node.SetColumns[i]); err == nil {
-				assign(e, schema[idx].DT)
-			}
+			assign(e, schema[node.SetColumns[i]].DT)
 		}
 	}
 	var walk func(Node)
@@ -634,6 +660,12 @@ func ParamTypes(root Node, n int) []types.DataType {
 				switch x := x.(type) {
 				case *expression.Arithmetic:
 					pair(x.Left, x.Right)
+				case *expression.Case:
+					dt, _ := expression.InferType(x, nil)
+					for _, w := range x.Whens {
+						assign(w.Then, dt)
+					}
+					assign(x.Else, dt)
 				case *expression.Subquery:
 					if plan, ok := x.Plan.(Node); ok {
 						walk(plan)

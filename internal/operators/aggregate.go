@@ -518,7 +518,10 @@ func (op *Aggregate) buildOutput(m mergedGroups) (*storage.Table, error) {
 		} else {
 			col = op.aggColumn(i-len(op.GroupBy), m)
 		}
-		segments[i] = segmentFromVector(col, op.Types[i])
+		var err error
+		if segments[i], err = segmentFromVector(col, op.Types[i]); err != nil {
+			return nil, err
+		}
 	}
 	return oneChunkTable(defs, segments, n), nil
 }

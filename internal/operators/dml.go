@@ -2,7 +2,7 @@ package operators
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"hyrise/internal/concurrency"
 	"hyrise/internal/expression"
@@ -15,8 +15,7 @@ import (
 // without MVCC they are visible immediately.
 type Insert struct {
 	TableName string
-	Columns   []string // empty = declaration order
-	Rows      [][]expression.Expression
+	Rows      [][]expression.Expression // in table order, nil = NULL (lqp.InsertNode)
 }
 
 // Name implements Operator.
@@ -34,26 +33,9 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		return nil, err
 	}
 	defs := table.ColumnDefinitions()
-
-	// Map the statement's column list to table positions.
-	colIdx := make([]int, len(defs))
-	if len(op.Columns) == 0 {
-		for i := range colIdx {
-			colIdx[i] = i
-		}
-	} else {
-		for i := range colIdx {
-			colIdx[i] = -1
-		}
-		for stmtPos, name := range op.Columns {
-			id, err := table.ColumnID(name)
-			if err != nil {
-				return nil, err
-			}
-			colIdx[id] = stmtPos
-		}
+	if len(op.Rows) > 0 && len(op.Rows[0]) != len(defs) { // a DDL since the plan
+		return nil, fmt.Errorf("operators: table %q changed since the statement was planned", op.TableName)
 	}
-
 	ec := &expression.Context{N: 1, Params: ctx.Params}
 	ctx.installSubqueryExecutors(ec)
 	inserted := 0
@@ -61,27 +43,19 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if len(op.Columns) != 0 && len(row) != len(op.Columns) {
-			return nil, fmt.Errorf("operators: insert row has %d values, column list has %d", len(row), len(op.Columns))
-		}
-		if len(op.Columns) == 0 && len(row) != len(defs) {
-			return nil, fmt.Errorf("operators: insert row has %d values, table has %d columns", len(row), len(defs))
-		}
 		vals := make([]types.Value, len(defs))
-		for tablePos, d := range defs {
-			src := colIdx[tablePos]
-			if len(op.Columns) == 0 {
-				src = tablePos
+		for i, e := range row {
+			if e == nil {
+				continue // the zero Value is NULL
 			}
-			if src < 0 {
-				vals[tablePos] = types.NullValue
-				continue
+			vec, err := expression.Evaluate(e, ec)
+			if err == nil {
+				vec, err = vec.As(defs[i].Type)
 			}
-			vec, err := expression.Evaluate(row[src], ec)
 			if err != nil {
 				return nil, err
 			}
-			vals[tablePos] = coerce(vec.ValueAt(0), d.Type)
+			vals[i] = vec.ValueAt(0)
 		}
 		rid, err := table.AppendRow(vals)
 		if err != nil {
@@ -161,13 +135,13 @@ func (op *Delete) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 // the new version appended.
 type Update struct {
 	TableName  string
-	SetColumns []string
+	SetColumns []int // lqp.UpdateNode's
 	SetExprs   []expression.Expression
 	input      Operator
 }
 
 // NewUpdate builds an update.
-func NewUpdate(table string, cols []string, exprs []expression.Expression, in Operator) *Update {
+func NewUpdate(table string, cols []int, exprs []expression.Expression, in Operator) *Update {
 	return &Update{TableName: table, SetColumns: cols, SetExprs: exprs, input: in}
 }
 
@@ -187,15 +161,9 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 	if err != nil {
 		return nil, err
 	}
-	setIdx := make([]types.ColumnID, len(op.SetColumns))
-	for i, name := range op.SetColumns {
-		id, err := table.ColumnID(name)
-		if err != nil {
-			return nil, err
-		}
-		setIdx[i] = id
+	if slices.Max(op.SetColumns) >= table.ColumnCount() { // a DDL since the plan
+		return nil, fmt.Errorf("operators: table %q changed since the statement was planned", op.TableName)
 	}
-
 	refs, err := collectBaseRows(input)
 	if err != nil {
 		return nil, err
@@ -219,10 +187,12 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 		newVals := make([]*expression.Vector, len(op.SetExprs))
 		for i, e := range op.SetExprs {
 			v, err := expression.Evaluate(e, ec)
+			if err == nil {
+				newVals[i], err = v.As(table.ColumnDefinitions()[op.SetColumns[i]].Type)
+			}
 			if err != nil {
 				return nil, err
 			}
-			newVals[i] = v
 		}
 		for row := 0; row < n; row++ {
 			ref := refs[rowCursor]
@@ -232,8 +202,8 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 			for col := range vals {
 				vals[col] = ref.chunk.GetSegment(types.ColumnID(col)).ValueAt(ref.offset)
 			}
-			for i, id := range setIdx {
-				vals[id] = coerce(newVals[i].ValueAt(row), table.ColumnDefinitions()[id].Type)
+			for i, id := range op.SetColumns {
+				vals[id] = newVals[i].ValueAt(row)
 			}
 			if err := ctx.Tx.TryInvalidateWait(ctx.Ctx, ref.chunk, ref.offset, ctx.LockWait); err != nil {
 				return nil, err
@@ -287,28 +257,4 @@ func intCellTable(name string, n int) *storage.Table {
 	c.Finalize()
 	t.AppendChunk(c)
 	return t
-}
-
-// coerce adapts a value to the type of the stored column it is written to
-// (an int into a FLOAT column and vice versa).
-func coerce(v types.Value, want types.DataType) types.Value {
-	if v.IsNull() || v.Type == want {
-		return v
-	}
-	switch want {
-	case types.TypeFloat64:
-		if v.Type.IsNumeric() {
-			return types.Float(v.AsFloat())
-		}
-	case types.TypeInt64:
-		if v.Type == types.TypeFloat64 && v.F == math.Trunc(v.F) {
-			return types.Int(int64(v.F))
-		}
-		if v.Type == types.TypeBool {
-			return types.Int(v.I)
-		}
-	case types.TypeString:
-		return types.Str(v.String())
-	}
-	return v
 }

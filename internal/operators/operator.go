@@ -49,9 +49,9 @@ type ExecContext struct {
 	SM *storage.StorageManager
 	// Params holds the values of the statement's placeholders (Parameter
 	// expressions), the same in every subquery. A slot the plan types
-	// (lqp.ParamTypes) holds a value of that type when bound over the wire;
-	// one it leaves untyped — a bare `SELECT $1`, `$1 = $2` — holds what the
-	// client's text looked like (int, else float, else string).
+	// (lqp.ParamTypes) holds a value of that type, converted at bind; one it
+	// leaves untyped — a bare `SELECT $1`, `$1 = $2` — the value as bound
+	// (over the wire, what text looked like: int, else float, else string).
 	Params []types.Value
 	// Outer holds the values of OuterRef expressions: the correlated values
 	// a subquery plan runs with, bound per outer row; nil at the top.

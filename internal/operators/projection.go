@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"strings"
 
 	"hyrise/internal/expression"
@@ -89,7 +90,10 @@ func (op *Projection) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.T
 					errs[ci] = err
 					return
 				}
-				segments[i] = segmentFromVector(vec, op.Types[i])
+				if segments[i], err = segmentFromVector(vec, op.Types[i]); err != nil {
+					errs[ci] = err
+					return
+				}
 			}
 			outChunks[ci] = storage.NewChunk(segments, nil)
 		}
@@ -112,79 +116,32 @@ func (op *Projection) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.T
 	return storage.NewReferenceTable(op.outputDefs(), nonEmpty), nil
 }
 
-// segmentFromVector turns an evaluation result into a value segment,
-// coercing to the declared output type.
-func segmentFromVector(v *expression.Vector, want types.DataType) storage.Segment {
-	switch want {
-	case types.TypeInt64:
-		switch v.DT {
-		case types.TypeInt64:
-			return storage.ValueSegmentFromSlice(v.I, nullsOrNil(v))
-		case types.TypeBool:
-			out := make([]int64, v.N)
-			for i, b := range v.B {
-				if b {
-					out[i] = 1
-				}
-			}
-			return storage.ValueSegmentFromSlice(out, nullsOrNil(v))
-		case types.TypeFloat64:
-			out := make([]int64, v.N)
-			for i, f := range v.F {
-				out[i] = int64(f)
-			}
-			return storage.ValueSegmentFromSlice(out, nullsOrNil(v))
-		default:
-			return storage.ValueSegmentFromSlice(make([]int64, v.N), allTrue(v.N))
-		}
-	case types.TypeFloat64:
-		switch v.DT {
-		case types.TypeFloat64:
-			return storage.ValueSegmentFromSlice(v.F, nullsOrNil(v))
-		case types.TypeInt64:
-			out := make([]float64, v.N)
-			for i, x := range v.I {
-				out[i] = float64(x)
-			}
-			return storage.ValueSegmentFromSlice(out, nullsOrNil(v))
-		default:
-			return storage.ValueSegmentFromSlice(make([]float64, v.N), allTrue(v.N))
-		}
-	case types.TypeString:
-		if v.DT == types.TypeString {
-			return storage.ValueSegmentFromSlice(v.S, nullsOrNil(v))
-		}
-		out := make([]string, v.N)
-		nulls := make([]bool, v.N)
-		for i := 0; i < v.N; i++ {
-			val := v.ValueAt(i)
-			if val.IsNull() {
-				nulls[i] = true
-				continue
-			}
-			out[i] = val.String()
-		}
-		return storage.ValueSegmentFromSlice(out, nulls)
+// segmentFromVector stores an evaluation result as a value segment of the
+// declared type: a vector of that type, a BOOL as 0/1, all NULLs. A column
+// declared NULL (an untyped placeholder) takes its vector's type. The plan
+// and bind typed everything else: any other vector is an error.
+func segmentFromVector(v *expression.Vector, want types.DataType) (storage.Segment, error) {
+	if v.DT == types.TypeBool {
+		v = expression.NewIntVector(expression.BoolInts(v.B), v.Nulls)
+	}
+	switch {
+	case want == types.TypeBool || want == types.TypeNull && v.DT == types.TypeNull:
+		want = types.TypeInt64
+	case want == types.TypeNull:
+		want = v.DT
+	}
+	if v.DT == types.TypeNull {
+		v = expression.NullVector(want, v.N)
+	}
+	switch {
+	case v.DT != want:
+		return nil, fmt.Errorf("operators: a %s vector in a %s column", v.DT, want)
+	case want == types.TypeFloat64:
+		return storage.ValueSegmentFromSlice(v.F, nullsOrNil(v)), nil
+	case want == types.TypeString:
+		return storage.ValueSegmentFromSlice(v.S, nullsOrNil(v)), nil
 	default:
-		// Unknown type (e.g. untyped NULL column): render dynamically.
-		switch v.DT {
-		case types.TypeInt64:
-			return storage.ValueSegmentFromSlice(v.I, nullsOrNil(v))
-		case types.TypeFloat64:
-			return storage.ValueSegmentFromSlice(v.F, nullsOrNil(v))
-		case types.TypeString:
-			return storage.ValueSegmentFromSlice(v.S, nullsOrNil(v))
-		case types.TypeBool:
-			out := make([]int64, v.N)
-			for i, b := range v.B {
-				if b {
-					out[i] = 1
-				}
-			}
-			return storage.ValueSegmentFromSlice(out, nullsOrNil(v))
-		default:
-			return storage.ValueSegmentFromSlice(make([]int64, v.N), allTrue(v.N))
-		}
+		return storage.ValueSegmentFromSlice(v.I, nullsOrNil(v)), nil
 	}
 }
 
@@ -194,14 +151,6 @@ func nullsOrNil(v *expression.Vector) []bool {
 	}
 	out := make([]bool, v.N)
 	copy(out, v.Nulls)
-	return out
-}
-
-func allTrue(n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = true
-	}
 	return out
 }
 

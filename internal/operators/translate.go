@@ -143,7 +143,7 @@ func (t *Translator) translate(node lqp.Node) (Operator, error) {
 		return t.translateJoin(n)
 
 	case *lqp.InsertNode:
-		return &Insert{TableName: n.TableName, Columns: n.Columns, Rows: n.Rows}, nil
+		return &Insert{TableName: n.Table.Name(), Rows: n.Rows}, nil
 
 	case *lqp.DeleteNode:
 		in, err := t.Translate(n.Inputs()[0])

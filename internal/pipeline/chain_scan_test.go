@@ -171,9 +171,9 @@ func TestDiffChainScan(t *testing.T) {
 		{Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128},
 	}
 	variants := map[string]func(*Config){
-		"serial": func(cfg *Config) { cfg.ParallelMode = operators.ParallelSerial },
+		"serial": func(cfg *Config) { cfg.parallel = operators.ParallelSerial },
 		"forced": func(cfg *Config) {
-			cfg.ParallelMode = operators.ParallelForce
+			cfg.parallel = operators.ParallelForce
 			cfg.UseScheduler, cfg.SchedulerWorkers = true, 4
 		},
 		"dynamic": func(cfg *Config) { cfg.DynamicAccess = true },
@@ -253,7 +253,7 @@ func TestUngroupedAggregateOverEncodedTable(t *testing.T) {
 func TestDiffChainScanVisibility(t *testing.T) {
 	for _, mode := range []operators.ParallelMode{operators.ParallelSerial, operators.ParallelForce} {
 		cfg := DefaultConfig()
-		cfg.ParallelMode = mode
+		cfg.parallel = mode
 		e := NewEngine(cfg, nil)
 		t.Cleanup(e.Close)
 		reader, writer, fresh := e.NewSession(), e.NewSession(), e.NewSession()
@@ -300,7 +300,7 @@ func TestDiffChainScanVisibility(t *testing.T) {
 // visibility rung reads MVCC columns safely beside commits.
 func TestDiffChainScanReaderBesideWriter(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ParallelMode = operators.ParallelForce
+	cfg.parallel = operators.ParallelForce
 	cfg.UseScheduler, cfg.SchedulerWorkers = true, 4
 	e := NewEngine(cfg, nil)
 	t.Cleanup(e.Close)

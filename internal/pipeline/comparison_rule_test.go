@@ -27,7 +27,7 @@ func comparisonEngines(t *testing.T, sm *storage.StorageManager) map[string]*Eng
 		"dynamic":     func(cfg *Config) { cfg.DynamicAccess = true },
 		"unoptimized": func(cfg *Config) { cfg.UseOptimizer = false },
 		"parallel": func(cfg *Config) {
-			cfg.ParallelMode, cfg.UseScheduler, cfg.SchedulerWorkers = operators.ParallelForce, true, 4
+			cfg.parallel, cfg.UseScheduler, cfg.SchedulerWorkers = operators.ParallelForce, true, 4
 		},
 	} {
 		cfg := DefaultConfig()

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/operators"
+	"hyrise/internal/storage"
+	"hyrise/internal/tpch"
 )
 
 // TestRightAndFullOuterJoinSQL covers the new join modes end to end:
@@ -77,18 +80,65 @@ func TestParallelModesAgreeOverSQL(t *testing.T) {
 	}
 
 	serialCfg := DefaultConfig()
-	serialCfg.ParallelMode = operators.ParallelSerial
+	serialCfg.parallel = operators.ParallelSerial
 	want := run(serialCfg)
 
 	radixCfg := DefaultConfig()
 	radixCfg.UseScheduler = true
 	radixCfg.SchedulerWorkers = 4
-	radixCfg.ParallelMode = operators.ParallelForce
+	radixCfg.parallel = operators.ParallelForce
 	got := run(radixCfg)
 
 	for i := range queries {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("query %q: forced-parallel rows differ\ngot:  %v\nwant: %v", queries[i], got[i], want[i])
 		}
+	}
+}
+
+// BenchmarkMicroTPCHQ3 times TPC-H Q3 at SF 0.01 (dictionary-encoded, 10 000
+// rows a chunk) with every operator pinned serial and forced parallel. It
+// lives here because only this package may pin the modes (Config.parallel);
+// the CI benchmark gate runs it with the microbenchmarks of
+// internal/benchmark.
+func BenchmarkMicroTPCHQ3(b *testing.B) {
+	const sf = 0.01
+	q3 := tpch.Queries(sf)[3]
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"serial", func() Config {
+			cfg := DefaultConfig()
+			cfg.parallel = operators.ParallelSerial
+			return cfg
+		}},
+		{"radix", func() Config {
+			cfg := DefaultConfig()
+			cfg.UseScheduler = true
+			cfg.parallel = operators.ParallelForce
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := tc.cfg()
+			sm := storage.NewStorageManager()
+			if err := tpch.Generate(sm, tpch.Config{ScaleFactor: sf, ChunkSize: 10_000, UseMvcc: cfg.UseMvcc, Seed: 42}); err != nil {
+				b.Fatal(err)
+			}
+			if err := tpch.EncodeAndFilter(sm, &encoding.Spec{Encoding: encoding.Dictionary, Compression: encoding.FixedSizeByteAligned}); err != nil {
+				b.Fatal(err)
+			}
+			e := NewEngine(cfg, sm)
+			b.Cleanup(e.Close)
+			s := e.NewSession()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.ExecuteOne(q3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -84,12 +84,11 @@ type Config struct {
 	// SnapshotInterval, when > 0 and DataDir is set, checkpoints in the
 	// background at this cadence, truncating the WAL each time.
 	SnapshotInterval time.Duration
-	// ParallelMode overrides the engine's own serial-vs-parallel decisions
-	// (operators.ParallelAuto, the zero value) for every operator at once:
-	// ParallelSerial keeps scans, sorts, hash joins and aggregate merges on
-	// one task, ParallelForce fans all of them out regardless of input size.
-	// Tests and benchmarks only — results are identical in every mode.
-	ParallelMode operators.ParallelMode
+	// parallel overrides the engine's own serial-vs-parallel decisions
+	// (operators.ParallelAuto, the zero value) for every operator at once. A
+	// test seam: only this package's tests and benchmarks set it, and results
+	// are identical in every mode.
+	parallel operators.ParallelMode
 }
 
 // DefaultConfig enables everything except the scheduler, mirroring the
@@ -524,8 +523,9 @@ func (s *Session) execute(ctx context.Context, ps *PreparedStatement, params []t
 	if ps.Empty() {
 		return nil, fmt.Errorf("pipeline: cannot execute an empty statement")
 	}
-	if len(params) != ps.NumParams {
-		return nil, fmt.Errorf("pipeline: bind supplies %d parameters, but the statement requires %d", len(params), ps.NumParams)
+	params, err := ps.Bind(params)
+	if err != nil {
+		return nil, err
 	}
 	ctx, finish := s.beginQuery(ctx, ps)
 	defer finish()
@@ -780,6 +780,9 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 			return nil, err
 		}
 	}
+	if params, err = ps.Bind(params); err != nil { // ps may be new since execute
+		return nil, err
+	}
 
 	tx := s.tx
 	autoCommit := false
@@ -799,7 +802,7 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	ectx.Waits = engine.metrics.waits
 	ectx.Active = s.activeQ
 	ectx.LockWait = engine.cfg.LockWaitTimeout
-	ectx.Parallel = engine.cfg.ParallelMode
+	ectx.Parallel = engine.cfg.parallel
 	// The estimator feeds the scan cost gate. Peek never pays a table's first
 	// statistics build: a table the optimizer has not planned yields nil.
 	ectx.Estimator = engine.stats.Peek

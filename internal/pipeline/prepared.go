@@ -226,6 +226,31 @@ func (e *Engine) prepare(lazy *PreparedStatement, timing *Timing) (*PreparedStat
 	return &ps, nil
 }
 
+// Bind checks that params fill the statement's slots and converts each value
+// to its slot's type (ParamTypes) by the assignment rule, Vector.As: FLOAT
+// 2.0 binds to an INT slot as 2, FLOAT 2.5 fails (expression.ErrInvalidValue).
+// An untyped slot keeps the value; matching types allocate nothing.
+func (ps *PreparedStatement) Bind(params []types.Value) ([]types.Value, error) {
+	if len(params) != ps.NumParams {
+		return nil, fmt.Errorf("pipeline: bind supplies %d parameters, but the statement requires %d", len(params), ps.NumParams)
+	}
+	bound := params
+	for i, v := range params {
+		if i >= len(ps.ParamTypes) || v.Type == ps.ParamTypes[i] || v.IsNull() || ps.ParamTypes[i] == types.TypeNull {
+			continue
+		}
+		vec, err := expression.ConstVector(v, 1).As(ps.ParamTypes[i])
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: parameter $%d: %w", i+1, err)
+		}
+		if &bound[0] == &params[0] { // the caller's values stay as they are
+			bound = append([]types.Value(nil), params...)
+		}
+		bound[i] = vec.ValueAt(0)
+	}
+	return bound, nil
+}
+
 // ExecutePreparedStatement runs a handle with the given parameter values: a
 // prepared one replays its plan (no lexing, no parsing, no planning).
 func (s *Session) ExecutePreparedStatement(ctx context.Context, ps *PreparedStatement, params []types.Value) (*Result, error) {

@@ -101,7 +101,7 @@ func TestDiffPruningParity(t *testing.T) {
 
 func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 	cfg := DefaultConfig()
-	cfg.ParallelMode = mode
+	cfg.parallel = mode
 	sm := storage.NewStorageManager()
 	attachPruneFilters(t, newPruneTable(t, sm, "t", cfg.UseMvcc))
 	e := NewEngine(cfg, sm)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hyrise/internal/expression"
 	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
 	"hyrise/internal/rowengine"
@@ -297,12 +298,12 @@ func TestRouteRejectsMistypedExpressions(t *testing.T) {
 		sql  string
 		want error
 	}{
-		{"SELECT a FROM t WHERE s = 1", lqp.ErrUndefinedFunction},
-		{"SELECT a FROM t WHERE s IN (1)", lqp.ErrUndefinedFunction},
-		{"SELECT a FROM t WHERE a IN (SELECT s FROM t)", lqp.ErrUndefinedFunction},
-		{"SELECT a FROM t WHERE a LIKE 'x'", lqp.ErrUndefinedFunction},
-		{"SELECT CASE WHEN a > 5 THEN a ELSE s END FROM t", lqp.ErrDatatypeMismatch},
-		{"SELECT sum(a > 0) FROM t", lqp.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE s = 1", expression.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE s IN (1)", expression.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE a IN (SELECT s FROM t)", expression.ErrUndefinedFunction},
+		{"SELECT a FROM t WHERE a LIKE 'x'", expression.ErrUndefinedFunction},
+		{"SELECT CASE WHEN a > 5 THEN a ELSE s END FROM t", expression.ErrDatatypeMismatch},
+		{"SELECT sum(a > 0) FROM t", expression.ErrUndefinedFunction},
 	}
 	for _, table := range []string{"empty", "full"} {
 		if table == "full" {
@@ -637,5 +638,171 @@ func TestRoutesWithoutStatementCache(t *testing.T) {
 	}
 	if size := metric(t, e, "plan_cache_size"); size != 0 {
 		t.Errorf("plan_cache_size = %d with PlanCacheSize 0", size)
+	}
+}
+
+// TestRouteConvertsBoundValues: a bound value takes its slot's type when it is
+// bound, by the assignment rule, on every entry point — a text handle
+// (Statements, prepared inside its first execution), PrepareStatement and the
+// named facade. FLOAT 2.5 in an INT slot is refused, never truncated (`$1 + 1`
+// answered 3 and the CASE 2 before); FLOAT 2.0 binds as INT 2; an INT widens
+// into a FLOAT slot; NULL and untyped slots keep the value.
+func TestRouteConvertsBoundValues(t *testing.T) {
+	routes := map[string]func(e *Engine, s *Session, sql string, args []types.Value) (*Result, error){
+		"text": func(_ *Engine, s *Session, sql string, args []types.Value) (*Result, error) {
+			handles, err := s.Statements(sql)
+			if err != nil {
+				return nil, err
+			}
+			return s.ExecutePreparedStatement(context.Background(), handles[0], args)
+		},
+		"prepared": func(_ *Engine, s *Session, sql string, args []types.Value) (*Result, error) {
+			ps, err := s.PrepareStatement(sql)
+			if err != nil {
+				return nil, err
+			}
+			return s.ExecutePreparedStatement(context.Background(), ps, args)
+		},
+		"named": func(e *Engine, s *Session, sql string, args []types.Value) (*Result, error) {
+			if err := e.Prepare("stmt", sql); err != nil {
+				return nil, err
+			}
+			return s.ExecutePrepared("stmt", args)
+		},
+	}
+	const (
+		plusOne = "SELECT $1 + 1 FROM t"
+		caseArm = "SELECT CASE WHEN a > 0 THEN $1 ELSE 2 END FROM t"
+		where   = "SELECT a FROM t WHERE a = $1"
+	)
+	refused := []types.Value(nil)
+	cases := []struct {
+		sql  string
+		arg  types.Value
+		want []types.Value // the first column; nil = refused
+	}{
+		{plusOne, types.Float(2.5), refused},
+		{caseArm, types.Float(2.5), refused},
+		{where, types.Float(2.5), refused},
+		{where, types.Str("1"), refused},
+		{plusOne, types.Float(2.0), []types.Value{types.Int(3)}},
+		{caseArm, types.Float(7.0), []types.Value{types.Int(7)}},
+		{where, types.Float(1.0), []types.Value{types.Int(1)}},
+		{"SELECT f + $1 FROM t", types.Int(1), []types.Value{types.Float(2.5)}},
+		{"SELECT s FROM t WHERE s = $1", types.Int(7), []types.Value{}}, // '7'
+		{plusOne, types.NullValue, []types.Value{types.NullValue}},
+		{"SELECT $1", types.Float(2.5), []types.Value{types.Float(2.5)}},
+		{"SELECT $1", types.Str("x"), []types.Value{types.Str("x")}},
+	}
+	errs := map[int]string{} // case -> the error text of the first route
+	for name, run := range routes {
+		e := NewEngine(DefaultConfig(), storage.NewStorageManager())
+		t.Cleanup(e.Close)
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE t (a INT, f FLOAT, s VARCHAR(10))")
+		mustExec(t, s, "INSERT INTO t VALUES (1, 1.5, 'x')")
+		for i, c := range cases {
+			res, err := run(e, s, c.sql, []types.Value{c.arg})
+			got := []types.Value{}
+			if err == nil {
+				for _, row := range ValueRows(res.Table) {
+					got = append(got, row[0])
+				}
+			}
+			if c.want == nil {
+				if !errors.Is(err, expression.ErrInvalidValue) {
+					t.Errorf("%s: %q with %v = %v, %v; want ErrInvalidValue", name, c.sql, c.arg, got, err)
+				} else if first, ok := errs[i]; ok && err.Error() != first {
+					t.Errorf("%s: %q with %v: error %q, another route %q", name, c.sql, c.arg, err, first)
+				} else {
+					errs[i] = err.Error()
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %q with %v: %v", name, c.sql, c.arg, err)
+				continue
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: %q with %v = %v, want %v", name, c.sql, c.arg, got, c.want)
+			}
+		}
+	}
+
+	// Binding converts once and only where a type differs: a value of its
+	// slot's type allocates nothing.
+	e := NewEngine(DefaultConfig(), storage.NewStorageManager())
+	t.Cleanup(e.Close)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE t (a INT, f FLOAT, s VARCHAR(10))")
+	ps, err := s.PrepareStatement("SELECT a FROM t WHERE a = $1 AND f < $2 AND s = $3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []types.Value{types.Int(1), types.Float(2), types.Str("x")}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ps.Bind(params) }); allocs != 0 {
+		t.Errorf("Bind of matching types: %.0f allocs, want 0", allocs)
+	}
+	bound, err := ps.Bind([]types.Value{types.Float(1), types.Int(2), types.Str("x")})
+	if err != nil || bound[0] != types.Int(1) || bound[1] != types.Float(2) {
+		t.Errorf("Bind(1.0, 2, 'x') = %v, %v; want INT 1, FLOAT 2", bound, err)
+	}
+}
+
+// TestRouteRejectsMistypedAssignments: INSERT values and UPDATE SET
+// expressions are typed against their columns when the statement is
+// prepared, with PostgreSQL's errors, on an empty table and on a full one
+// (UPDATE t SET a = s passed on an empty table and failed in storage on a
+// full one before; a column named twice was accepted).
+func TestRouteRejectsMistypedAssignments(t *testing.T) {
+	s := NewEngine(DefaultConfig(), storage.NewStorageManager()).NewSession()
+	mustExec(t, s, "CREATE TABLE t (a INT, f FLOAT, s VARCHAR(10))")
+	cases := []struct {
+		sql  string
+		want error
+	}{
+		{"INSERT INTO t (a) VALUES ('z')", lqp.ErrAssignmentMismatch},
+		{"INSERT INTO t (a) VALUES (1 > 0)", lqp.ErrAssignmentMismatch},
+		{"UPDATE t SET a = s", lqp.ErrAssignmentMismatch},
+		{"INSERT INTO t (a, a) VALUES (2, 3)", lqp.ErrDuplicateColumn},
+		{"UPDATE t SET a = 1, a = 2", lqp.ErrMultipleAssignments},
+		{"INSERT INTO t (zz) VALUES (1)", lqp.ErrColumnNotFound},
+		{"UPDATE t SET zz = 1", lqp.ErrColumnNotFound},
+		{"INSERT INTO t (a) VALUES (1, 2)", lqp.ErrInsertArity},
+		{"INSERT INTO t (a, f) VALUES (1)", lqp.ErrInsertArity},
+		{"INSERT INTO t VALUES (1, 2.5)", lqp.ErrInsertArity},
+	}
+	for _, table := range []string{"empty", "full"} {
+		if table == "full" {
+			mustExec(t, s, "INSERT INTO t VALUES (1, 1.5, 'x'), (NULL, NULL, NULL)")
+		}
+		for _, c := range cases {
+			_, err := s.PrepareStatement(c.sql)
+			if !errors.Is(err, c.want) {
+				t.Errorf("prepare %q over the %s table: error %v, want %v", c.sql, table, err, c.want)
+			}
+		}
+		if got := mustExec(t, s, "SELECT count(*) FROM t").Table.GetValue(0, types.RowID{}).I; got != map[string]int64{"empty": 0, "full": 2}[table] {
+			t.Errorf("%s table holds %d rows after the refused statements", table, got)
+		}
+	}
+
+	// Accepted as before, storing what was stored: INT into FLOAT, INT into
+	// VARCHAR, integral FLOAT into INT. A FLOAT that is not integral is
+	// refused when its row is written, never rounded or truncated.
+	mustExec(t, s, "CREATE TABLE ok (a INT, f FLOAT, s VARCHAR(10))")
+	mustExec(t, s, "INSERT INTO ok VALUES (2.0, 2, 1)")
+	mustExec(t, s, "UPDATE ok SET f = a + 1, s = a * 2")
+	want := []types.Value{types.Int(2), types.Float(3), types.Str("4")}
+	if rows := ValueRows(mustExec(t, s, "SELECT a, f, s FROM ok").Table); len(rows) != 1 || !reflect.DeepEqual(rows[0], want) {
+		t.Errorf("ok = %v, want %v", rows, want)
+	}
+	for _, sql := range []string{"INSERT INTO ok (a) VALUES (2.5)", "UPDATE ok SET a = f + 0.5"} {
+		if _, err := s.PrepareStatement(sql); err != nil {
+			t.Errorf("prepare %q: %v", sql, err)
+		}
+		if _, err := s.ExecuteOne(sql); !errors.Is(err, expression.ErrInvalidValue) {
+			t.Errorf("%q: err = %v, want ErrInvalidValue", sql, err)
+		}
 	}
 }

@@ -40,7 +40,7 @@ func TestDiffSortNaN(t *testing.T) {
 	engines := map[string]*Engine{}
 	for name, mode := range map[string]operators.ParallelMode{"serial": operators.ParallelSerial, "forced": operators.ParallelForce} {
 		cfg := DefaultConfig()
-		cfg.UseMvcc, cfg.ParallelMode = false, mode
+		cfg.UseMvcc, cfg.parallel = false, mode
 		cfg.UseScheduler, cfg.SchedulerWorkers = mode == operators.ParallelForce, 4
 		engines[name] = NewEngine(cfg, sm)
 		t.Cleanup(engines[name].Close)

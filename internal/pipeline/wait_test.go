@@ -59,7 +59,7 @@ func TestWaitSpansRadixJoinConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseScheduler = true
 	cfg.SchedulerWorkers = 4
-	cfg.ParallelMode = operators.ParallelForce
+	cfg.parallel = operators.ParallelForce
 	e, _ := newObserveEngine(t, cfg, 300)
 
 	const sessions = 4

@@ -72,8 +72,8 @@ func (c *clientConn) protoError(code, msg string) {
 
 // handleParse validates and prepares a statement at Parse time — syntax
 // errors, unknown tables, and multi-statement strings are reported here, not
-// deferred to Execute. Client-declared parameter type OIDs override the
-// engine's inference.
+// deferred to Execute. Client-declared parameter type OIDs choose only how
+// Bind decodes the bytes; the plan's slot types decide the values' types.
 func (c *clientConn) handleParse(payload []byte) {
 	name, rest := splitCString(payload)
 	sql, rest := splitCString(rest)
@@ -174,6 +174,10 @@ func (c *clientConn) handleBind(payload []byte) {
 			return
 		}
 		vals[i] = v
+	}
+	if vals, err = st.ps.Bind(vals); err != nil {
+		c.protoError(sqlStateFor(err), err.Error())
+		return
 	}
 	c.portals[bind.portal] = &portal{stmt: st, params: vals, resultFmts: bind.resultFmts}
 	c.w.writeMessage('2', nil) // BindComplete
@@ -474,11 +478,6 @@ func decodeBinaryParam(raw []byte, dt types.DataType, oid uint32) (types.Value, 
 		}
 	default:
 		return types.NullValue, fmt.Errorf("unsupported binary parameter type OID %d", oid)
-	}
-	// A binary int bound to a float column (or vice versa) is widened so the
-	// scan compares values of the column's type.
-	if dt == types.TypeFloat64 && v.Type == types.TypeInt64 {
-		v = types.Float(float64(v.I))
 	}
 	return v, nil
 }

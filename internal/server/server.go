@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyrise/internal/expression"
 	"hyrise/internal/lqp"
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
@@ -771,6 +772,8 @@ const (
 	codeDatatypeMismatch          = "42804" // datatype_mismatch (CASE branches with no common type)
 	codeUndefinedFunction         = "42883" // undefined_function (no operator or function for the operand types)
 	codeUndefinedColumn           = "42703" // undefined_column
+	codeDuplicateColumn           = "42701" // duplicate_column (INSERT naming a column twice)
+	codeSyntaxError               = "42601" // syntax_error (INSERT arity, UPDATE setting a column twice)
 )
 
 // sqlStateFor maps a statement error to its SQLSTATE: canceled and
@@ -786,9 +789,15 @@ func sqlStateFor(err error) string {
 		return codeReadOnly
 	case errors.Is(err, errPoolStopped):
 		return codeAdminShutdown
-	case errors.Is(err, lqp.ErrDatatypeMismatch):
+	case errors.Is(err, expression.ErrDatatypeMismatch) || errors.Is(err, lqp.ErrAssignmentMismatch):
 		return codeDatatypeMismatch
-	case errors.Is(err, lqp.ErrUndefinedFunction):
+	case errors.Is(err, lqp.ErrDuplicateColumn):
+		return codeDuplicateColumn
+	case errors.Is(err, lqp.ErrInsertArity) || errors.Is(err, lqp.ErrMultipleAssignments):
+		return codeSyntaxError
+	case errors.Is(err, expression.ErrInvalidValue):
+		return codeInvalidTextRepresentation
+	case errors.Is(err, expression.ErrUndefinedFunction):
 		return codeUndefinedFunction
 	case errors.Is(err, lqp.ErrColumnNotFound):
 		return codeUndefinedColumn

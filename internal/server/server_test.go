@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hyrise/internal/pgclient"
 	"hyrise/internal/pipeline"
 )
 
@@ -344,6 +345,81 @@ func TestProtocolMistypedCaseKeepsServing(t *testing.T) {
 		if code := errorCode(append(append([]byte{'Q'}, sql...), 0)); code != want {
 			t.Errorf("%s: SQLSTATE %q, want %s", sql, code, want)
 		}
+	}
+}
+
+// TestProtocolBindConvertsToSlotType: a client's Parse OIDs choose how Bind
+// decodes a parameter's bytes, the plan's slot decides its type. A binary
+// float8 2.5 bound to an INT slot is refused at Bind with 22P02, as the text
+// '2.5' is (it was truncated to 2 before: `$1 + 1` answered 3, the CASE 2);
+// 2.0 binds as 2. The assignment rule's plan errors carry PostgreSQL's
+// SQLSTATEs, and the connection keeps serving.
+func TestProtocolBindConvertsToSlotType(t *testing.T) {
+	addr, _, _ := startServerWith(t, nil)
+	c := confClient(t, addr)
+	mustSimple(t, c, "CREATE TABLE t (a INT, f FLOAT, s VARCHAR(10))")
+	mustSimple(t, c, "INSERT INTO t VALUES (1, 1.5, 'x')")
+	const float8 = 701
+	for _, st := range []struct{ name, sql, one string }{ // one: the answer to 1.0
+		{"plus", "SELECT $1 + 1 FROM t", "2"},
+		{"case", "SELECT CASE WHEN a > 0 THEN $1 ELSE 2 END FROM t", "1"},
+		{"eq", "SELECT a + 2 FROM t WHERE a = $1", "3"},
+	} {
+		if _, err := c.Prepare(st.name, st.sql, []uint32{float8}); err != nil {
+			t.Fatalf("%s: %v", st.sql, err)
+		}
+		for _, p := range []pgclient.Param{pgclient.BinaryFloat8(2.5), pgclient.Text("2.5"), pgclient.BinaryFloat8(1.5)} {
+			if res, err := c.Exec(st.name, []pgclient.Param{p}, nil); err == nil || pgErr(t, err).Code != codeInvalidTextRepresentation {
+				t.Errorf("%s with %v: %v, %v; want SQLSTATE %s", st.sql, p, res, err, codeInvalidTextRepresentation)
+			}
+		}
+		res, err := c.Exec(st.name, []pgclient.Param{pgclient.BinaryFloat8(1.0)}, nil)
+		if err != nil || len(res.Rows) != 1 || string(res.Rows[0][0]) != st.one {
+			t.Errorf("%s with 1.0: %v, %v; want %s", st.sql, res, err, st.one)
+		}
+	}
+	// The error answers the Bind: no BindComplete comes first.
+	bind := []byte("\x00plus\x00\x00\x01\x00\x01\x00\x01")
+	bind = append(binary.BigEndian.AppendUint32(bind, 8), pgclient.BinaryFloat8(2.5).Data...)
+	bind = append(bind, 0, 0)
+	for _, m := range []struct {
+		typ     byte
+		payload []byte
+	}{{'B', bind}, {'E', []byte{0, 0, 0, 0, 0}}, {'S', nil}} {
+		if err := c.Raw(m.typ, m.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []byte
+	for {
+		typ, _, err := c.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen = append(seen, typ); typ == 'Z' {
+			break
+		}
+	}
+	if string(seen) != "EZ" {
+		t.Errorf("Bind of float8 2.5 into an INT slot answered %q, want an ErrorResponse then ReadyForQuery", seen)
+	}
+
+	for sql, want := range map[string]string{
+		"INSERT INTO t (a) VALUES ('z')":     codeDatatypeMismatch,
+		"UPDATE t SET a = s":                 codeDatatypeMismatch,
+		"INSERT INTO t (a, a) VALUES (2, 3)": codeDuplicateColumn,
+		"INSERT INTO t (a) VALUES (1, 2)":    codeSyntaxError,
+		"UPDATE t SET a = 1, a = 2":          codeSyntaxError,
+		"INSERT INTO t (zz) VALUES (1)":      codeUndefinedColumn,
+		"UPDATE t SET zz = 1":                codeUndefinedColumn,
+		"INSERT INTO t (a) VALUES (2.5)":     codeInvalidTextRepresentation,
+	} {
+		if _, err := c.SimpleQuery(sql); err == nil || pgErr(t, err).Code != want {
+			t.Errorf("%s: %v, want SQLSTATE %s", sql, err, want)
+		}
+	}
+	if res, err := c.SimpleQuery("SELECT 1"); err != nil || string(res[0].Rows[0][0]) != "1" {
+		t.Fatalf("SELECT 1 afterwards: %v, %v", res, err)
 	}
 }
 
