@@ -27,8 +27,12 @@ type Context struct {
 	// ExecScalarSubquery runs a (possibly correlated) scalar subquery with
 	// the given correlated values and returns its single value.
 	ExecScalarSubquery func(sub *Subquery, outer []types.Value) (types.Value, error)
-	// ExecInSubquery returns the value set produced by an IN subquery.
-	ExecInSubquery func(sub *Subquery, outer []types.Value) (*ValueSet, error)
+	// ExecInSubquery answers `probe IN (subquery)` for each row of probe,
+	// with the given correlated values, as a BOOL vector: TRUE where a
+	// subquery row equals the probe row; FALSE where the subquery is empty;
+	// NULL where nothing matches and the probe row or some subquery row is
+	// NULL; FALSE otherwise. x.Negate is left to the caller.
+	ExecInSubquery func(x *In, outer []types.Value, probe *Vector) (*Vector, error)
 	// ExecExistsSubquery reports whether the subquery yields any row.
 	ExecExistsSubquery func(sub *Subquery, outer []types.Value) (bool, error)
 }
@@ -545,9 +549,9 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 		return nil, err
 	}
 	n := ctx.N
+	var out *Vector
 	if x.Subquery == nil {
-		// x IN (e1, e2, …) is x = e1 OR x = e2 OR …, NOT IN its negation.
-		var out *Vector
+		// x IN (e1, e2, …) is x = e1 OR x = e2 OR ….
 		for _, e := range x.List {
 			v, err := Evaluate(e, ctx)
 			if err != nil {
@@ -558,51 +562,39 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 			}
 			out = v
 		}
-		if x.Negate {
-			return not(out), nil
-		}
-		return out, nil
+	} else if out, err = inSubquery(x, child, ctx); err != nil {
+		return nil, err
 	}
+	if x.Negate { // NOT IN is IN's negation
+		return not(out), nil
+	}
+	return out, nil
+}
 
+// inSubquery asks the executor once per chunk for an uncorrelated subquery
+// and once per row, with that row's correlated values, for a correlated one.
+func inSubquery(x *In, child *Vector, ctx *Context) (*Vector, error) {
 	if ctx.ExecInSubquery == nil {
 		return nil, fmt.Errorf("expression: no IN-subquery executor installed")
 	}
 	outer, err := outerRows(x.Subquery, ctx)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case outer == nil:
+		return ctx.ExecInSubquery(x, nil, child)
 	}
-	out := make([]bool, n)
-	var nulls []bool
-	var sharedSet *ValueSet
-	if outer == nil {
-		sharedSet, err = ctx.ExecInSubquery(x.Subquery, nil)
+	out := NewBoolVector(make([]bool, ctx.N), nil)
+	for i, tuple := range outer {
+		r, err := ctx.ExecInSubquery(x, tuple, child.slice(i, i+1))
 		if err != nil {
 			return nil, err
 		}
-	}
-	for i := 0; i < n; i++ {
-		cv := child.ValueAt(i)
-		if cv.IsNull() {
-			nulls = nullAt(nulls, n, i)
-			continue
-		}
-		set := sharedSet
-		if set == nil {
-			set, err = ctx.ExecInSubquery(x.Subquery, outer[i])
-			if err != nil {
-				return nil, err
-			}
-		}
-		switch {
-		case set.Contains(cv):
-			out[i] = !x.Negate
-		case set.HasNull:
-			nulls = nullAt(nulls, n, i)
-		default:
-			out[i] = x.Negate
+		if out.B[i] = r.B[0]; r.IsNullAt(0) {
+			out.Nulls = nullAt(out.Nulls, ctx.N, i)
 		}
 	}
-	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
+	return out, nil
 }
 
 func evalExists(x *Exists, ctx *Context) (*Vector, error) {

@@ -463,10 +463,12 @@ func TestSubqueryEvaluation(t *testing.T) {
 	}
 
 	// IN subquery.
-	ctx.ExecInSubquery = func(s *Subquery, params []types.Value) (*ValueSet, error) {
-		set := NewValueSet()
-		set.Add(types.Int(2))
-		return set, nil
+	ctx.ExecInSubquery = func(x *In, params []types.Value, probe *Vector) (*Vector, error) {
+		out := make([]bool, probe.N)
+		for i, v := range probe.I {
+			out[i] = v == 2
+		}
+		return NewBoolVector(out, nil), nil
 	}
 	v, err = Evaluate(&In{Child: col(0), Subquery: sub}, ctx)
 	if err != nil || v.B[0] || !v.B[1] || v.B[2] {
@@ -499,26 +501,6 @@ func TestSubqueryEvaluation(t *testing.T) {
 	}
 	if _, err := Evaluate(&Exists{Subquery: sub}, bare); err == nil {
 		t.Error("EXISTS without executor should fail")
-	}
-}
-
-func TestValueSet(t *testing.T) {
-	s := NewValueSet()
-	s.Add(types.Int(5))
-	s.Add(types.Str("x"))
-	s.Add(types.Float(2.5))
-	s.Add(types.NullValue)
-	if !s.Contains(types.Int(5)) || !s.Contains(types.Float(5.0)) {
-		t.Error("numeric coercion in Contains failed")
-	}
-	if !s.Contains(types.Str("x")) || s.Contains(types.Str("y")) {
-		t.Error("string membership wrong")
-	}
-	if !s.Contains(types.Float(2.5)) || s.Contains(types.Int(2)) {
-		t.Error("float membership wrong")
-	}
-	if !s.HasNull || s.Len() != 3 {
-		t.Errorf("HasNull=%v Len=%d", s.HasNull, s.Len())
 	}
 }
 

@@ -64,6 +64,25 @@ func (v *Vector) ValueAt(i int) types.Value {
 	}
 }
 
+// slice returns rows [lo, hi) of v; it shares v's storage.
+func (v *Vector) slice(lo, hi int) *Vector {
+	out := &Vector{DT: v.DT, N: hi - lo}
+	switch v.DT {
+	case types.TypeInt64:
+		out.I = v.I[lo:hi]
+	case types.TypeFloat64:
+		out.F = v.F[lo:hi]
+	case types.TypeString:
+		out.S = v.S[lo:hi]
+	case types.TypeBool:
+		out.B = v.B[lo:hi]
+	}
+	if v.Nulls != nil {
+		out.Nulls = v.Nulls[lo:hi]
+	}
+	return out
+}
+
 // ConstVector broadcasts a single value to n rows.
 func ConstVector(val types.Value, n int) *Vector {
 	switch val.Type {
@@ -197,64 +216,3 @@ func materialize[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset) 
 	}
 	return encoding.MaterializePositions[T](seg, pos)
 }
-
-// ValueSet is the materialized result of an IN-subquery: typed hash sets
-// plus a NULL marker for correct three-valued NOT IN semantics.
-type ValueSet struct {
-	Ints    map[int64]struct{}
-	Floats  map[float64]struct{}
-	Strs    map[string]struct{}
-	HasNull bool
-}
-
-// NewValueSet creates an empty set.
-func NewValueSet() *ValueSet {
-	return &ValueSet{
-		Ints:   make(map[int64]struct{}),
-		Floats: make(map[float64]struct{}),
-		Strs:   make(map[string]struct{}),
-	}
-}
-
-// Add inserts a value; a BOOL goes in as 0/1, the way its column stores it.
-func (s *ValueSet) Add(v types.Value) {
-	switch v.Type {
-	case types.TypeInt64, types.TypeBool:
-		s.Ints[v.I] = struct{}{}
-	case types.TypeFloat64:
-		s.Floats[v.F] = struct{}{}
-	case types.TypeString:
-		s.Strs[v.S] = struct{}{}
-	default:
-		s.HasNull = true
-	}
-}
-
-// Contains reports membership with numeric coercion; a BOOL probes as 0/1.
-func (s *ValueSet) Contains(v types.Value) bool {
-	switch v.Type {
-	case types.TypeInt64, types.TypeBool:
-		if _, ok := s.Ints[v.I]; ok {
-			return true
-		}
-		_, ok := s.Floats[float64(v.I)]
-		return ok
-	case types.TypeFloat64:
-		if _, ok := s.Floats[v.F]; ok {
-			return true
-		}
-		if v.F == float64(int64(v.F)) {
-			_, ok := s.Ints[int64(v.F)]
-			return ok
-		}
-		return false
-	case types.TypeString:
-		_, ok := s.Strs[v.S]
-		return ok
-	default:
-		return false
-	}
-}
-
-// Len returns the number of stored non-NULL values.
-func (s *ValueSet) Len() int { return len(s.Ints) + len(s.Floats) + len(s.Strs) }

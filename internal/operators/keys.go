@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
@@ -14,19 +15,19 @@ import (
 // This file holds the only key logic of the package: how the rows of a set of
 // typed key vectors hash, when two of them are equal, and the table that maps
 // a key to a dense id. Hash join, its radix partitioner, GROUP BY, the sharded
-// aggregate merge, COUNT(DISTINCT) and the sort-merge join all go through it,
-// so a key is never boxed into a types.Value or rendered to a string: type
-// and representation are resolved once per vector, never per value (paper
-// §2.3).
+// aggregate merge, COUNT(DISTINCT), the sort-merge join and the IN subquery's
+// set (subquery.go) all go through it, so a key is never boxed into a
+// types.Value or rendered to a string: type and representation are resolved
+// once per vector, never per value (paper §2.3).
 //
 // Equality is the grouping rule of types.Order: values of one type compare by
 // value; -0.0 equals +0.0 and NaN equals NaN (one group); NULL equals NULL —
 // GROUP BY and DISTINCT want that; values of different types are never equal.
-// The join follows the predicate rule instead, under which NULL and NaN equal
-// nothing: it drops such keys before they reach a table (keyNeverJoins), so a
-// table never compares them. An int column that meets a float
-// column is cast to float once per vector (joinKeys, concatKeys), which is what the
-// engine's `=` does for such a pair.
+// The join and the IN subquery follow the predicate rule instead, under which
+// NULL and NaN equal nothing: they drop such keys before they reach a table
+// (keyNeverJoins), so a table never compares them. An int column that meets a
+// float column is cast to float once per vector (joinKeys, concatKeys), which
+// is what the engine's `=` does for such a pair.
 
 // keySeed keys the string hash. Hash values only place rows in partitions,
 // shards and slots; every consumer restores its output order from row
@@ -239,7 +240,8 @@ func exprType(e expression.Expression) types.DataType {
 
 // concatKeys builds one key column of type dt and total rows from vectors
 // laid end to end; with sel, only rows sel[i] of vector i are taken. A vector
-// is of type dt, all NULL, or INT in a FLOAT column and cast; any other is an
+// is of type dt, all NULL (of any type: a column the plan types NULL is
+// stored as some type), or INT in a FLOAT column and cast; any other is an
 // error. A column of type NULL is all NULL. A single vector that already is
 // the column is returned as it is.
 func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, total int) (*expression.Vector, error) {
@@ -257,7 +259,7 @@ func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, tot
 		if sel != nil {
 			rows, n = sel[i], len(sel[i])
 		}
-		if v.DT == types.TypeNull { // every row NULL
+		if v.DT == types.TypeNull || v.DT != dt && v.Nulls != nil && !slices.Contains(v.Nulls, false) { // every row NULL
 			v = expression.NullVector(dt, v.N)
 		}
 		switch {

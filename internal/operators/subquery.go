@@ -3,7 +3,6 @@ package operators
 import (
 	"fmt"
 
-	"hyrise/internal/encoding"
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -20,7 +19,7 @@ import (
 
 type subqueryResult struct {
 	scalar types.Value
-	set    *expression.ValueSet
+	in     *inSet
 	exists bool
 	err    error
 }
@@ -61,11 +60,14 @@ func (ctx *ExecContext) installSubqueryExecutors(ec *expression.Context) {
 		})
 		return r.scalar, r.err
 	}
-	ec.ExecInSubquery = func(sub *expression.Subquery, outer []types.Value) (*expression.ValueSet, error) {
-		r := ctx.memoSubquery('i', sub, outer, func(t *storage.Table, r *subqueryResult) {
-			r.set, r.err = valueSetFromTable(t)
+	ec.ExecInSubquery = func(x *expression.In, outer []types.Value, probe *expression.Vector) (*expression.Vector, error) {
+		r := ctx.memoSubquery('i', x.Subquery, outer, func(t *storage.Table, r *subqueryResult) {
+			r.in, r.err = inSetFromTable(ctx, x, t)
 		})
-		return r.set, r.err
+		if r.err != nil {
+			return nil, r.err
+		}
+		return r.in.probe(probe)
 	}
 	ec.ExecExistsSubquery = func(sub *expression.Subquery, outer []types.Value) (bool, error) {
 		r := ctx.memoSubquery('e', sub, outer, func(t *storage.Table, r *subqueryResult) {
@@ -95,47 +97,62 @@ func scalarFromTable(t *storage.Table) (types.Value, error) {
 	return types.NullValue, nil
 }
 
-// valueSetFromTable collects the first column into a membership set.
-func valueSetFromTable(t *storage.Table) (*expression.ValueSet, error) {
+// inSet is the result of an IN subquery: its first column in the type the
+// IN compares in, the common type of the IN's child and the subquery, with
+// the rows that can equal a probe in a key table.
+type inSet struct {
+	dt      types.DataType
+	table   *keyTable // the rows that are neither NULL nor NaN
+	empty   bool
+	hasNull bool
+}
+
+// inSetFromTable reads the first column of t, the result of x's subquery, as
+// the plan types it (a BOOL stored as 0/1 reads as BOOL) and files its rows.
+func inSetFromTable(ctx *ExecContext, x *expression.In, t *storage.Table) (*inSet, error) {
 	if t.ColumnCount() < 1 {
 		return nil, fmt.Errorf("operators: IN subquery with no columns")
 	}
-	set := expression.NewValueSet()
-	for ci := 0; ci < t.ChunkCount(); ci++ {
-		c := t.GetChunk(types.ChunkID(ci))
-		if c.Size() == 0 {
-			continue
-		}
-		seg := c.GetSegment(0)
-		switch seg.DataType() {
-		case types.TypeInt64:
-			vals, nulls := encoding.Materialize[int64](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Ints[v] = struct{}{}
-			}
-		case types.TypeFloat64:
-			vals, nulls := encoding.Materialize[float64](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Floats[v] = struct{}{}
-			}
-		case types.TypeString:
-			vals, nulls := encoding.Materialize[string](seg)
-			for i, v := range vals {
-				if nulls != nil && nulls[i] {
-					set.HasNull = true
-					continue
-				}
-				set.Strs[v] = struct{}{}
-			}
+	dt, _ := types.CommonType(exprType(x.Child), x.Subquery.DT)
+	vecs, err := evalKeys(ctx, t, []expression.Expression{&expression.BoundColumn{Index: 0, DT: x.Subquery.DT}})
+	if err != nil {
+		return nil, err
+	}
+	col, err := concatKeys(vecs[0], nil, dt, t.RowCount())
+	if err != nil {
+		return nil, err
+	}
+	keys := []*expression.Vector{col}
+	s := &inSet{dt: dt, table: newKeyTable(keys, col.N), empty: col.N == 0}
+	for r, h := range hashRows(keys, 0, col.N) {
+		if keyNeverJoins(keys, r) {
+			s.hasNull = s.hasNull || col.IsNullAt(r)
+		} else {
+			s.table.findOrAdd(h, r)
 		}
 	}
-	return set, nil
+	return s, nil
+}
+
+// probe answers `v IN (the set)` row by row, as ExecInSubquery specifies.
+func (s *inSet) probe(v *expression.Vector) (*expression.Vector, error) {
+	out := expression.NewBoolVector(make([]bool, v.N), make([]bool, v.N))
+	if s.empty {
+		return out, nil
+	}
+	key, err := concatKeys([]*expression.Vector{v}, nil, s.dt, v.N)
+	if err != nil {
+		return nil, err
+	}
+	keys := []*expression.Vector{key}
+	for r, h := range hashRows(keys, 0, v.N) {
+		if !keyNeverJoins(keys, r) {
+			if e, _ := s.table.lookup(h, keys, r); e >= 0 {
+				out.B[r] = true
+				continue
+			}
+		}
+		out.Nulls[r] = s.hasNull || key.IsNullAt(r)
+	}
+	return out, nil
 }

@@ -365,10 +365,10 @@ func scanOpOf(op expression.ComparisonOp) (encoding.ScanOp, bool) {
 // scanOperand resolves a scan operand to a concrete value: a literal
 // directly, a statement placeholder through the execution's parameters, a
 // correlated column through the outer row's values. Encoded scans compare
-// against raw codes of the column's type, so a value of a different type (say
-// a text value probing an int column) reports false and the predicate
-// degrades to the vectorized fallback, which coerces per the usual comparison
-// rules.
+// against raw codes of the column's type, so a value of a different type (an
+// outer reference of another numeric type, say a float probing an int
+// column) reports false and the predicate degrades to the vectorized
+// fallback, which compares the two in their common type.
 func scanOperand(e expression.Expression, ctx *ExecContext, dt types.DataType) (types.Value, bool) {
 	var slots []types.Value
 	var id int

@@ -34,7 +34,7 @@ type Engine struct {
 	// resolve schemas and statistics.
 	columnar *storage.StorageManager
 	opt      *optimizer.Optimizer
-	subCache map[string]any
+	subCache map[string][][]types.Value
 }
 
 // NewFromStorage copies every table of a columnar catalog into row-major
@@ -83,7 +83,7 @@ func (e *Engine) Query(sql string) ([][]types.Value, []string, error) {
 		return nil, nil, err
 	}
 	// The subquery memo keys by node address: valid for one plan only.
-	e.subCache = make(map[string]any)
+	e.subCache = make(map[string][][]types.Value)
 	rows, err := e.exec(plan, nil)
 	if err != nil {
 		return nil, nil, err
@@ -250,13 +250,23 @@ func (e *Engine) execJoin(n *lqp.JoinNode, outer []types.Value) ([][]types.Value
 	// right rows matched.
 	var candidates func(l []types.Value) ([]int, error)
 	if hasEqui {
+		// An int key that meets a float key is a float, as in `=`.
+		floatKey := make([]bool, len(leftKeys))
+		for k := range floatKey {
+			l, _ := expression.InferType(leftKeys[k])
+			r, _ := expression.InferType(rightKeys[k])
+			floatKey[k] = l == types.TypeFloat64 || r == types.TypeFloat64
+		}
 		// A NULL or NaN key equals nothing (the predicate rule): no match.
 		keyOf := func(row []types.Value, keys []expression.Expression) (string, bool, error) {
 			var sb strings.Builder
-			for _, k := range keys {
-				kv, err := e.evalRow(k, row, outer)
+			for k, key := range keys {
+				kv, err := e.evalRow(key, row, outer)
 				if err != nil || kv.IsNull() || (kv.Type == types.TypeFloat64 && math.IsNaN(kv.F)) {
 					return "", false, err
+				}
+				if floatKey[k] && kv.Type == types.TypeInt64 {
+					kv = types.Float(float64(kv.I))
 				}
 				writeKey(&sb, kv)
 			}
@@ -572,65 +582,67 @@ func (e *Engine) rowContext(row []types.Value, outer []types.Value) *expression.
 		},
 	}
 	ec.ExecScalarSubquery = func(sub *expression.Subquery, ps []types.Value) (types.Value, error) {
-		key := fmt.Sprintf("s:%p:%s", sub, expression.OuterKey(ps))
-		if v, ok := e.subCache[key]; ok {
-			return v.(types.Value), nil
-		}
-		plan, ok := sub.Plan.(lqp.Node)
-		if !ok {
-			return types.NullValue, fmt.Errorf("rowengine: subquery plan is %T", sub.Plan)
-		}
-		rows, err := e.exec(plan, ps)
-		if err != nil {
+		rows, err := e.subRows(sub, ps)
+		switch {
+		case err != nil:
 			return types.NullValue, err
-		}
-		out := types.NullValue
-		if len(rows) == 1 && len(rows[0]) > 0 {
-			out = rows[0][0]
-		} else if len(rows) > 1 {
+		case len(rows) > 1:
 			return types.NullValue, fmt.Errorf("rowengine: scalar subquery returned %d rows", len(rows))
+		case len(rows) == 1:
+			return rows[0][0], nil
 		}
-		e.subCache[key] = out
-		return out, nil
+		return types.NullValue, nil
 	}
-	ec.ExecInSubquery = func(sub *expression.Subquery, ps []types.Value) (*expression.ValueSet, error) {
-		key := fmt.Sprintf("i:%p:%s", sub, expression.OuterKey(ps))
-		if v, ok := e.subCache[key]; ok {
-			return v.(*expression.ValueSet), nil
-		}
-		plan, ok := sub.Plan.(lqp.Node)
-		if !ok {
-			return nil, fmt.Errorf("rowengine: subquery plan is %T", sub.Plan)
-		}
-		rows, err := e.exec(plan, ps)
+	// x IN (subquery) is x = s1 OR x = s2 OR … over the subquery's rows:
+	// one `=` per row, no set, and FALSE over no rows.
+	ec.ExecInSubquery = func(x *expression.In, ps []types.Value, probe *expression.Vector) (*expression.Vector, error) {
+		rows, err := e.subRows(x.Subquery, ps)
 		if err != nil {
 			return nil, err
 		}
-		set := expression.NewValueSet()
-		for _, r := range rows {
-			if len(r) > 0 {
-				set.Add(r[0])
+		eq := &expression.Comparison{
+			Op:    expression.Eq,
+			Left:  &expression.BoundColumn{Index: 0, DT: probe.DT},
+			Right: &expression.BoundColumn{Index: 1, DT: x.Subquery.DT},
+		}
+		out := expression.NewBoolVector(make([]bool, probe.N), make([]bool, probe.N))
+		for i := range out.B {
+			for _, r := range rows {
+				v, err := e.evalRow(eq, []types.Value{probe.ValueAt(i), r[0]}, nil)
+				if err != nil {
+					return nil, err
+				}
+				if v.IsNull() {
+					out.Nulls[i] = true
+				} else if v.AsBool() {
+					out.B[i], out.Nulls[i] = true, false
+					break
+				}
 			}
 		}
-		e.subCache[key] = set
-		return set, nil
-	}
-	ec.ExecExistsSubquery = func(sub *expression.Subquery, ps []types.Value) (bool, error) {
-		key := fmt.Sprintf("e:%p:%s", sub, expression.OuterKey(ps))
-		if v, ok := e.subCache[key]; ok {
-			return v.(bool), nil
-		}
-		plan, ok := sub.Plan.(lqp.Node)
-		if !ok {
-			return false, fmt.Errorf("rowengine: subquery plan is %T", sub.Plan)
-		}
-		rows, err := e.exec(plan, ps)
-		if err != nil {
-			return false, err
-		}
-		out := len(rows) > 0
-		e.subCache[key] = out
 		return out, nil
 	}
+	ec.ExecExistsSubquery = func(sub *expression.Subquery, ps []types.Value) (bool, error) {
+		rows, err := e.subRows(sub, ps)
+		return len(rows) > 0, err
+	}
 	return ec
+}
+
+// subRows runs a subquery's plan for one tuple of correlated values, once per
+// statement.
+func (e *Engine) subRows(sub *expression.Subquery, ps []types.Value) ([][]types.Value, error) {
+	key := fmt.Sprintf("%p:%s", sub, expression.OuterKey(ps))
+	if rows, ok := e.subCache[key]; ok {
+		return rows, nil
+	}
+	plan, ok := sub.Plan.(lqp.Node)
+	if !ok {
+		return nil, fmt.Errorf("rowengine: subquery plan is %T", sub.Plan)
+	}
+	rows, err := e.exec(plan, ps)
+	if err == nil {
+		e.subCache[key] = rows
+	}
+	return rows, err
 }
