@@ -35,64 +35,6 @@ func (s Summary[T]) SplitNaN() (Summary[T], int) {
 	return Summary[T]{Values: s.Values[:last], Counts: s.Counts[:last], Nulls: s.Nulls}, s.Counts[last]
 }
 
-// Project maps the values through a non-decreasing f; values f maps to one
-// become one value holding the rows of all of them.
-func Project[T, U types.Ordered](s Summary[T], f func(T) U) Summary[U] {
-	out := Summary[U]{Values: make([]U, 0, len(s.Values)), Counts: make([]int, 0, len(s.Values)), Nulls: s.Nulls}
-	for i, v := range s.Values {
-		u := f(v)
-		if n := len(out.Values); n > 0 && compareTotal(out.Values[n-1], u) == 0 {
-			out.Counts[n-1] += s.Counts[i]
-			continue
-		}
-		out.Values, out.Counts = append(out.Values, u), append(out.Counts, s.Counts[i])
-	}
-	return out
-}
-
-// Merge is the summary of the rows of all of sums together, merged pairwise
-// in rounds so that every value is moved log(len(sums)) times.
-func Merge[T types.Ordered](sums []Summary[T]) Summary[T] {
-	if len(sums) == 0 {
-		return Summary[T]{}
-	}
-	sums = slices.Clone(sums)
-	for len(sums) > 1 {
-		half := sums[:0]
-		for i := 0; i < len(sums); i += 2 {
-			if i+1 == len(sums) {
-				half = append(half, sums[i])
-			} else {
-				half = append(half, merge(sums[i], sums[i+1]))
-			}
-		}
-		sums = half
-	}
-	return sums[0]
-}
-
-func merge[T types.Ordered](a, b Summary[T]) Summary[T] {
-	n := len(a.Values) + len(b.Values)
-	out := Summary[T]{Values: make([]T, 0, n), Counts: make([]int, 0, n), Nulls: a.Nulls + b.Nulls}
-	i, j := 0, 0
-	for i < len(a.Values) && j < len(b.Values) {
-		switch c := compareTotal(a.Values[i], b.Values[j]); {
-		case c < 0:
-			out.Values, out.Counts = append(out.Values, a.Values[i]), append(out.Counts, a.Counts[i])
-			i++
-		case c > 0:
-			out.Values, out.Counts = append(out.Values, b.Values[j]), append(out.Counts, b.Counts[j])
-			j++
-		default:
-			out.Values, out.Counts = append(out.Values, a.Values[i]), append(out.Counts, a.Counts[i]+b.Counts[j])
-			i, j = i+1, j+1
-		}
-	}
-	out.Values = append(append(out.Values, a.Values[i:]...), b.Values[j:]...)
-	out.Counts = append(append(out.Counts, a.Counts[i:]...), b.Counts[j:]...)
-	return out
-}
-
 // Summarize summarizes a whole segment: a dictionary segment by one counting
 // pass over its codes, a run-length segment by its runs, any other by grouping
 // its values. T must match the segment's data type.

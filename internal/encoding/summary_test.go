@@ -139,8 +139,8 @@ func sameSummary[T types.Ordered](a, b Summary[T]) bool {
 }
 
 // TestStatsSegmentSummary, part (a): the summary of a segment equals
-// the row-by-row reference in every layout, for whole segments, for a range of
-// rows, and merged with a second segment.
+// the row-by-row reference in every layout, for whole segments and for a range
+// of rows.
 func TestStatsSegmentSummary(t *testing.T) {
 	runSummaryDiff(t, intPools)
 	runSummaryDiff(t, floatPools)
@@ -166,22 +166,8 @@ func runSummaryDiff[T types.Ordered](t *testing.T, pools []summaryPool[T]) {
 			if !sameSummary(gotPart, wantPart) {
 				t.Errorf("%s: rows [%d, %d): summary %v, reference %v", name, lo, hi, gotPart, wantPart)
 			}
-			// Part + whole, merged, hold every row of both.
-			both := refSummary[T](storage.ValueSegmentFromSlice(
-				append(append([]T{}, p.values...), p.values[lo:hi]...),
-				appendNulls(p.nulls, nulls)))
-			if got := Merge([]Summary[T]{Summarize[T](seg), gotPart}); !sameSummary(got, both) {
-				t.Errorf("%s: merged summary %v, reference %v", name, got, both)
-			}
 		}
 	}
-}
-
-func appendNulls(a, b []bool) []bool {
-	if a == nil {
-		return nil
-	}
-	return append(append([]bool{}, a...), b...)
 }
 
 // TestStatsEncodeDictionaryNaN: a NaN in a float column used to leave the

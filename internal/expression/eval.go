@@ -149,7 +149,7 @@ func mergeNulls(a, b []bool, n int) []bool {
 }
 
 // evalBinary evaluates a binary operator's operands and applies its kernel.
-func evalBinary[Op any](op Op, left, right Expression, ctx *Context, kernel func(Op, *Vector, *Vector, int) *Vector) (*Vector, error) {
+func evalBinary[Op any](op Op, left, right Expression, ctx *Context, kernel func(Op, *Vector, *Vector, int) (*Vector, error)) (*Vector, error) {
 	l, err := Evaluate(left, ctx)
 	if err != nil {
 		return nil, err
@@ -158,22 +158,22 @@ func evalBinary[Op any](op Op, left, right Expression, ctx *Context, kernel func
 	if err != nil {
 		return nil, err
 	}
-	return kernel(op, l, r, ctx.N), nil
+	return kernel(op, l, r, ctx.N)
 }
 
 // calculate is the kernel of `l op r` (+, -, *, /, %) over n rows.
-func calculate(op ArithmeticOp, l, r *Vector, n int) *Vector {
+func calculate(op ArithmeticOp, l, r *Vector, n int) (*Vector, error) {
 	if l.DT == types.TypeNull || r.DT == types.TypeNull {
-		return ConstVector(types.NullValue, n)
+		return ConstVector(types.NullValue, n), nil
 	}
 	nulls := mergeNulls(l.Nulls, r.Nulls, n)
 	// Integer arithmetic stays integral; mixed promotes to float.
 	if l.DT == types.TypeInt64 && r.DT == types.TypeInt64 {
 		out, nulls := arithmetic(op, l.I, r.I, nulls, func(a, b int64) int64 { return a % b })
-		return NewIntVector(out, nulls)
+		return NewIntVector(out, nulls), nil
 	}
 	out, nulls := arithmetic(op, l.Floats(), r.Floats(), nulls, math.Mod)
-	return NewFloatVector(out, nulls)
+	return NewFloatVector(out, nulls), nil
 }
 
 // arithmetic sets out[i] to `l[i] op r[i]` on every row that is not NULL,
@@ -215,26 +215,28 @@ func nullAt(nulls []bool, n, i int) []bool {
 }
 
 // compare is the kernel of `l op r` over n rows whose operands the plan
-// typed: both VARCHAR, both BOOL or both numeric.
-func compare(op ComparisonOp, l, r *Vector, n int) *Vector {
+// typed: both VARCHAR, both BOOL or both numeric. Only LIKE fails, on a
+// pattern that ends in a lone escape.
+func compare(op ComparisonOp, l, r *Vector, n int) (*Vector, error) {
 	out := make([]bool, n)
 	if l.DT == types.TypeNull || r.DT == types.TypeNull {
-		return &Vector{DT: types.TypeBool, B: out, Nulls: allNulls(n), N: n}
+		return &Vector{DT: types.TypeBool, B: out, Nulls: allNulls(n), N: n}, nil
 	}
 	nulls := mergeNulls(l.Nulls, r.Nulls, n)
 	switch {
 	case op == Like || op == NotLike:
-		// The pattern is almost always constant; compile once per distinct
-		// pattern in this vector.
+		// The pattern is almost always constant; compile once per run of
+		// one pattern in this vector.
 		var m *LikeMatcher
-		var lastPattern string
 		for i := range out {
 			if nulls != nil && nulls[i] {
 				continue
 			}
-			if m == nil || r.S[i] != lastPattern {
-				lastPattern = r.S[i]
-				m = CompileLike(lastPattern)
+			if m == nil || r.S[i] != m.pattern {
+				var err error
+				if m, err = CompileLike(r.S[i]); err != nil {
+					return nil, err
+				}
 			}
 			out[i] = m.Match(l.S[i]) != (op == NotLike)
 		}
@@ -247,7 +249,7 @@ func compare(op ComparisonOp, l, r *Vector, n int) *Vector {
 	default:
 		compareRows(op, l.Floats(), r.Floats(), nulls, out)
 	}
-	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}
+	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
 }
 
 // compareRows sets out[i] to `l[i] op r[i]` on every row that is not NULL,
@@ -295,7 +297,7 @@ func allNulls(n int) []bool {
 }
 
 // logical is the kernel of three-valued `l op r` over n rows.
-func logical(op LogicalOp, l, r *Vector, n int) *Vector {
+func logical(op LogicalOp, l, r *Vector, n int) (*Vector, error) {
 	out := make([]bool, n)
 	var nulls []bool
 	for i := 0; i < n; i++ {
@@ -323,7 +325,7 @@ func logical(op LogicalOp, l, r *Vector, n int) *Vector {
 			}
 		}
 	}
-	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}
+	return &Vector{DT: types.TypeBool, B: out, Nulls: nulls, N: n}, nil
 }
 
 // not is the kernel of three-valued NOT.
@@ -557,8 +559,9 @@ func evalIn(x *In, ctx *Context) (*Vector, error) {
 			if err != nil {
 				return nil, err
 			}
-			if v = compare(Eq, child, v, n); out != nil {
-				v = logical(Or, out, v, n)
+			v, _ = compare(Eq, child, v, n) // neither = nor OR fails
+			if out != nil {
+				v, _ = logical(Or, out, v, n)
 			}
 			out = v
 		}

@@ -1,12 +1,19 @@
 package expression
 
-import "strings"
+import (
+	"errors"
+	"strings"
+)
+
+// ErrInvalidEscape: a LIKE pattern ends in a lone escape character.
+var ErrInvalidEscape = errors.New("LIKE pattern must not end with escape character")
 
 // LikeMatcher matches SQL LIKE patterns ('%' = any sequence, '_' = any
-// single byte). Patterns are compiled once and reused across rows; the
-// common shapes (prefix%, %suffix%, %infix%, exact) take fast paths over
-// plain string functions, everything else uses a greedy two-pointer match
-// with backtracking on the last '%'.
+// single byte, '\' escapes the byte after it, which then matches itself, as
+// PostgreSQL's default escape does). Patterns are compiled once and reused
+// across rows; the common shapes (prefix%, %suffix%, %infix%, exact) without
+// an escape take fast paths over plain string functions, everything else uses
+// a greedy two-pointer match with backtracking on the last '%'.
 type LikeMatcher struct {
 	pattern string
 	kind    likeKind
@@ -22,16 +29,19 @@ const (
 	likeSuffix                   // %abc
 	likeContains                 // %abc%
 	likeChain                    // %a%b%c% (only % wildcards, anchored free)
-	likeGeneric                  // anything with '_'
+	likeGeneric                  // anything with '_' or '\'
 )
 
-// CompileLike prepares a matcher for the pattern.
-func CompileLike(pattern string) *LikeMatcher {
+// CompileLike prepares a matcher for the pattern; a pattern that ends in a
+// lone '\' is refused (ErrInvalidEscape).
+func CompileLike(pattern string) (*LikeMatcher, error) {
 	m := &LikeMatcher{pattern: pattern}
-	hasUnderscore := strings.ContainsRune(pattern, '_')
-	if hasUnderscore {
+	if strings.ContainsAny(pattern, `_\`) {
+		if trailing := len(pattern) - len(strings.TrimRight(pattern, `\`)); trailing%2 == 1 {
+			return nil, ErrInvalidEscape
+		}
 		m.kind = likeGeneric
-		return m
+		return m, nil
 	}
 	switch {
 	case !strings.ContainsRune(pattern, '%'):
@@ -52,7 +62,7 @@ func CompileLike(pattern string) *LikeMatcher {
 	default:
 		m.kind = likeGeneric
 	}
-	return m
+	return m, nil
 }
 
 func splitNonEmpty(pattern string) []string {
@@ -95,7 +105,7 @@ func (m *LikeMatcher) Match(s string) bool {
 
 // likeGenericMatch is the classic greedy wildcard matcher: advance through
 // both strings; on mismatch, backtrack to one past the position the last
-// '%' matched.
+// '%' matched. p does not end in a lone '\' (CompileLike).
 func likeGenericMatch(s, p string) bool {
 	si, pi := 0, 0
 	starP, starS := -1, 0
@@ -107,7 +117,10 @@ func likeGenericMatch(s, p string) bool {
 		case pi < len(p) && p[pi] == '%':
 			starP, starS = pi, si
 			pi++
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+		case pi < len(p) && p[pi] == '\\' && p[pi+1] == s[si]:
+			si++
+			pi += 2
+		case pi < len(p) && p[pi] != '\\' && (p[pi] == '_' || p[pi] == s[si]):
 			si++
 			pi++
 		case starP >= 0:

@@ -1,11 +1,25 @@
 package expression
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
+
+// mustLike compiles a pattern CompileLike accepts.
+func mustLike(p string) *LikeMatcher {
+	m, err := CompileLike(p)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // refLikeMatch is the reference LIKE matcher the compiled paths are checked
 // against: a direct recursive transcription of the semantics ('%' matches
-// any byte sequence, '_' exactly one byte), memoized on (si, pi) so patterns
-// with many '%'s stay polynomial.
+// any byte sequence, '_' exactly one byte, '\' makes the byte after it match
+// itself), memoized on (si, pi) so patterns with many '%'s stay polynomial.
+// p does not end in a lone '\'.
 func refLikeMatch(s, p string) bool {
 	memo := make(map[[2]int]bool)
 	var match func(si, pi int) bool
@@ -25,6 +39,8 @@ func refLikeMatch(s, p string) bool {
 			}
 		case '_':
 			v = si < len(s) && match(si+1, pi+1)
+		case '\\':
+			v = si < len(s) && s[si] == p[pi+1] && match(si+1, pi+2)
 		default:
 			v = si < len(s) && s[si] == p[pi] && match(si+1, pi+1)
 		}
@@ -35,12 +51,13 @@ func refLikeMatch(s, p string) bool {
 }
 
 // TestLikeExhaustiveSmallAlphabet enumerates every pattern over
-// {a, b, %, _} up to length 4 against every string over {a, b} up to
-// length 5 and cross-checks the compiled matcher (fast paths included) and
-// the generic fallback against the reference matcher.
+// {a, b, %, _, \} up to length 4 against every string over {a, b, %, \} up
+// to length 5 and cross-checks the compiled matcher (fast paths included) and
+// the generic fallback against the reference matcher. A pattern that ends in
+// a lone '\' must be refused, and only such a pattern.
 func TestLikeExhaustiveSmallAlphabet(t *testing.T) {
-	patAlpha := []byte{'a', 'b', '%', '_'}
-	strAlpha := []byte{'a', 'b', '%'} // literal '%' in the haystack must not pair with a pattern wildcard
+	patAlpha := []byte{'a', 'b', '%', '_', '\\'}
+	strAlpha := []byte{'a', 'b', '%', '\\'} // literal '%' and '\' in the haystack must pair only with escapes
 
 	var enumerate func(alpha []byte, maxLen int) []string
 	enumerate = func(alpha []byte, maxLen int) []string {
@@ -62,7 +79,17 @@ func TestLikeExhaustiveSmallAlphabet(t *testing.T) {
 	patterns := enumerate(patAlpha, 4)
 	strs := enumerate(strAlpha, 5)
 	for _, p := range patterns {
-		m := CompileLike(p)
+		trailing := len(p) - len(strings.TrimRight(p, `\`))
+		m, err := CompileLike(p)
+		if (err != nil) != (trailing%2 == 1) {
+			t.Fatalf("CompileLike(%q) error %v, want one exactly for a lone trailing escape", p, err)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrInvalidEscape) {
+				t.Fatalf("CompileLike(%q) error %v, want ErrInvalidEscape", p, err)
+			}
+			continue
+		}
 		for _, s := range strs {
 			want := refLikeMatch(s, p)
 			if got := m.Match(s); got != want {
@@ -86,6 +113,7 @@ func FuzzLike(f *testing.F) {
 		{"abc", "_b_"}, {"abc", "%_%"}, {"", "_"}, {"x", "%%"},
 		{"日本語", "日%語"}, {"a\x00b", "a_b"},
 		{"%0", "%"}, {"a%b", "a%b"}, {"%", "_"},
+		{"a%c", `a\%c`}, {"abc", `a\%c`}, {`a\c`, `a\\c`}, {"a_", `%\_`}, {"a", `a\`},
 	}
 	for _, seed := range seeds {
 		f.Add(seed[0], seed[1])
@@ -94,8 +122,14 @@ func FuzzLike(f *testing.F) {
 		if len(s) > 256 || len(p) > 64 {
 			return
 		}
+		if _, err := CompileLike(p); err != nil {
+			if !strings.HasSuffix(p, `\`) {
+				t.Errorf("CompileLike(%q): %v", p, err)
+			}
+			return
+		}
 		want := refLikeMatch(s, p)
-		if got := CompileLike(p).Match(s); got != want {
+		if got := mustLike(p).Match(s); got != want {
 			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", p, s, got, want)
 		}
 		if got := likeGenericMatch(s, p); got != want {
@@ -103,7 +137,7 @@ func FuzzLike(f *testing.F) {
 		}
 		// A compiled matcher must be reusable: the second call through the
 		// same matcher must agree with the first.
-		m := CompileLike(p)
+		m := mustLike(p)
 		if m.Match(s) != m.Match(s) {
 			t.Errorf("CompileLike(%q).Match(%q) is not idempotent", p, s)
 		}
@@ -125,11 +159,50 @@ func TestLikeChainNonGreedyRegression(t *testing.T) {
 		{"xbyxaz", "%a%b%", false},
 	}
 	for _, c := range cases {
-		if got := CompileLike(c.p).Match(c.s); got != c.want {
+		if got := mustLike(c.p).Match(c.s); got != c.want {
 			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", c.p, c.s, got, c.want)
 		}
 		if got := refLikeMatch(c.s, c.p); got != c.want {
 			t.Errorf("reference disagrees on (%q, %q): got %v, want %v — fix the test", c.s, c.p, got, c.want)
+		}
+	}
+}
+
+// TestLikeEscape: '\' is LIKE's default escape, as in PostgreSQL: an escaped
+// '%', '_' or '\' matches itself, any other escaped byte matches itself too,
+// and a pattern may not end in a lone '\'.
+func TestLikeEscape(t *testing.T) {
+	cases := []struct {
+		s, p string
+		want bool
+	}{
+		{"a%c", `a\%c`, true},
+		{"abc", `a\%c`, false},
+		{"a_c", `a\_c`, true},
+		{"abc", `a\_c`, false},
+		{`a\c`, `a\\c`, true},
+		{"ac", `a\\c`, false},
+		{"abc", `\a%`, true},
+		{"100%", `%\%`, true},
+		{"100", `%\%`, false},
+		{"x%y%z", `%\%%\%%`, true},
+		{"x%yz", `%\%%\%%`, false},
+	}
+	for _, c := range cases {
+		m := mustLike(c.p)
+		if m.kind != likeGeneric {
+			t.Errorf("CompileLike(%q).kind = %d, want the generic matcher for a pattern with an escape", c.p, m.kind)
+		}
+		if got := m.Match(c.s); got != c.want {
+			t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", c.p, c.s, got, c.want)
+		}
+		if got := refLikeMatch(c.s, c.p); got != c.want {
+			t.Errorf("reference disagrees on (%q, %q): got %v, want %v — fix the test", c.s, c.p, got, c.want)
+		}
+	}
+	for _, p := range []string{`\`, `a\`, `a\\\`, `%\`} {
+		if _, err := CompileLike(p); !errors.Is(err, ErrInvalidEscape) {
+			t.Errorf("CompileLike(%q) error %v, want ErrInvalidEscape", p, err)
 		}
 	}
 }
@@ -154,7 +227,7 @@ func TestLikeKindSelection(t *testing.T) {
 		{"%a_b%", likeGeneric},
 	}
 	for _, c := range cases {
-		if got := CompileLike(c.p).kind; got != c.kind {
+		if got := mustLike(c.p).kind; got != c.kind {
 			t.Errorf("CompileLike(%q).kind = %d, want %d", c.p, got, c.kind)
 		}
 	}

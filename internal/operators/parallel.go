@@ -179,10 +179,14 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 		return 1
 	}
 	ts := ctx.Estimator(input)
-	if ts == nil || int(simple.column) >= len(ts.Columns) {
+	if ts == nil {
 		return 1
 	}
 	col := simple.column
+	cs := ts.Column(col)
+	if cs == nil {
+		return 1
+	}
 	pr := &simple.pred
 	switch pr.Op {
 	case encoding.ScanEq:
@@ -190,18 +194,13 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 	case encoding.ScanNe:
 		return ts.EstimateNotEquals(col, pr.Value)
 	case encoding.ScanIsNull:
-		if cs := ts.Columns[col]; cs != nil {
-			return cs.NullFraction()
-		}
+		return cs.NullFraction()
 	case encoding.ScanIsNotNull:
-		if cs := ts.Columns[col]; cs != nil {
-			return 1 - cs.NullFraction()
-		}
+		return 1 - cs.NullFraction()
 	default: // <, <=, >, >=, BETWEEN
 		lo, hi, _ := scanInterval(pr)
 		return ts.EstimateRange(col, lo, hi)
 	}
-	return 1
 }
 
 // scanCost is the scan's one selectivity estimate per operator run and what

@@ -65,8 +65,8 @@ func columnOrigin(node lqp.Node, index int) (*lqp.StoredTableNode, types.ColumnI
 	return nil, 0, false
 }
 
-// tableStats fetches statistics for a stored table node: built on the
-// table's first use, kept current by the cache from then on.
+// tableStats fetches statistics for a stored table node: a column's are
+// built on its first use, kept current by the cache from then on.
 func (e *Estimator) tableStats(n *lqp.StoredTableNode) *statistics.TableStatistics {
 	if e.Stats == nil || n.Table == nil {
 		return nil
@@ -117,8 +117,8 @@ func (e *Estimator) Selectivity(pred expression.Expression, input lqp.Node) floa
 	case *expression.IsNull:
 		nulls := defaultEqSelectivity
 		if col, ok := p.Child.(*expression.BoundColumn); ok {
-			if st, id, ok := e.originStats(input, col.Index); ok && st.Columns[id] != nil {
-				nulls = st.Columns[id].NullFraction()
+			if st, id, ok := e.originStats(input, col.Index); ok && st.Column(id) != nil {
+				nulls = st.Column(id).NullFraction()
 			}
 		}
 		if p.Negate {
@@ -240,7 +240,7 @@ func (e *Estimator) Cardinality(node lqp.Node) float64 {
 		for _, g := range n.GroupBy {
 			if bc, ok := g.(*expression.BoundColumn); ok {
 				if st, id, ok := e.originStats(n.Inputs()[0], bc.Index); ok {
-					ndv *= math.Max(1, st.Columns[id].DistinctCount)
+					ndv *= math.Max(1, st.Column(id).DistinctCount)
 					continue
 				}
 			}
@@ -304,7 +304,7 @@ func (e *Estimator) equiNdv(n *lqp.JoinNode, a, b, nLeft int) float64 {
 			localIdx = idx - nLeft
 		}
 		if st, id, ok := e.originStats(side, localIdx); ok {
-			return math.Max(1, st.Columns[id].DistinctCount)
+			return math.Max(1, st.Column(id).DistinctCount)
 		}
 		return 100
 	}

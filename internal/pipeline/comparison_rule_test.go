@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"hyrise/internal/encoding"
+	"hyrise/internal/expression"
 	"hyrise/internal/filter"
 	"hyrise/internal/operators"
 	"hyrise/internal/rowengine"
@@ -411,6 +413,58 @@ func TestDiffExpressionTypes(t *testing.T) {
 			if got, want := agree(t, engines, oracle, "SELECT id, "+pair[0]+" FROM t"), agree(t, engines, oracle, "SELECT id, "+pair[1]+" FROM t"); got != want {
 				t.Errorf("%s reads %s, its OR form %s", pair[0], got, want)
 			}
+		}
+	}
+}
+
+// TestDiffIntMinimumAndLikeEscape: the INT minimum is a literal, in a
+// comparison and in an IN list, and '\' is LIKE's default escape; a pattern
+// that ends in a lone '\' fails with ErrInvalidEscape. Every engine and the
+// row engine give PostgreSQL's answers.
+func TestDiffIntMinimumAndLikeEscape(t *testing.T) {
+	table := storage.NewTable("m", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64}, {Name: "i", Type: types.TypeInt64}, {Name: "s", Type: types.TypeString},
+	}, 4, false)
+	for id, r := range []struct {
+		i int64
+		s string
+	}{{math.MinInt64, "a%c"}, {1, "abc"}, {math.MaxInt64, `a\c`}, {-1, "a_c"}, {math.MinInt64 + 1, "100%"}} {
+		if _, err := table.AppendRow([]types.Value{types.Int(int64(id)), types.Int(r.i), types.Str(r.s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sm := storage.NewStorageManager()
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	engines := comparisonEngines(t, sm)
+	oracle := rowengine.NewFromStorage(sm)
+	for sql, want := range map[string]string{
+		"SELECT id FROM m WHERE i = -9223372036854775808 ORDER BY id":           "0",
+		"SELECT id FROM m WHERE i IN (1, -9223372036854775808) ORDER BY id":     "0 1",
+		"SELECT id FROM m WHERE i > -9223372036854775808 AND i < 0 ORDER BY id": "3 4",
+		"SELECT id, -9223372036854775808 - i FROM m WHERE id = 0":               "0|0",
+		`SELECT id, s LIKE 'a\%c', s LIKE 'a%c' FROM m ORDER BY id`:             "0|TRUE|TRUE 1|FALSE|TRUE 2|FALSE|TRUE 3|FALSE|TRUE 4|FALSE|FALSE",
+		`SELECT id FROM m WHERE s LIKE '%\_%' ORDER BY id`:                      "3",
+		`SELECT id FROM m WHERE s LIKE 'a\\c' ORDER BY id`:                      "2",
+		`SELECT id FROM m WHERE s NOT LIKE '%\%' ORDER BY id`:                   "0 1 2 3",
+	} {
+		agree(t, engines, oracle, sql)
+		var got []string
+		for _, r := range rows(t, engines["default"].NewSession(), sql) {
+			got = append(got, strings.Join(r, "|"))
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s = %q, want %q", sql, strings.Join(got, " "), want)
+		}
+	}
+	sql := `SELECT id FROM m WHERE s LIKE 'a\'`
+	if _, _, err := oracle.Query(sql); !errors.Is(err, expression.ErrInvalidEscape) {
+		t.Errorf("rowengine %s: error %v, want ErrInvalidEscape", sql, err)
+	}
+	for name, e := range engines {
+		if _, err := e.NewSession().ExecuteOne(sql); !errors.Is(err, expression.ErrInvalidEscape) {
+			t.Errorf("%s %s: error %v, want ErrInvalidEscape", name, sql, err)
 		}
 	}
 }

@@ -233,7 +233,7 @@ func TestStatsAdvisorsSkipValuelessColumns(t *testing.T) {
 	table.SealTail()
 	_ = e.StorageManager().AddTable(storage.NewTable("nothing", []storage.ColumnDefinition{{Name: "x", Type: types.TypeInt64}}, 500, false))
 
-	if cs := e.Statistics().Get(table).Columns[1]; !cs.Empty() || cs.Min != 0 || cs.Max != 0 {
+	if cs := e.Statistics().Get(table).Column(1); !cs.Empty() || cs.Min != 0 || cs.Max != 0 {
 		t.Fatalf("all-NULL column statistics: %+v", cs)
 	}
 	idx := &IndexSelectionPlugin{}

@@ -100,7 +100,7 @@ func (p *IndexSelectionPlugin) Advise() error {
 		}
 		ts := stats.Get(t)
 		for col, def := range t.ColumnDefinitions() {
-			cs := ts.Columns[col]
+			cs := ts.Column(types.ColumnID(col))
 			if cs == nil || cs.DistinctCount == 0 {
 				continue
 			}
@@ -261,7 +261,7 @@ func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 		if err != nil {
 			continue
 		}
-		if stats.Get(t).Columns[col].Empty() {
+		if stats.Get(t).Column(col).Empty() {
 			continue // no rows, or only NULLs: nothing a scan could be faster on
 		}
 		var want encoding.Spec

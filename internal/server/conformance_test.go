@@ -197,6 +197,21 @@ func TestConformanceBadParameterRejected(t *testing.T) {
 	}
 }
 
+// TestConformanceLikeEscape: '\' is LIKE's default escape, and a pattern
+// that ends in a lone one fails with 22025 invalid_escape_sequence.
+func TestConformanceLikeEscape(t *testing.T) {
+	_, _, c := confSetup(t)
+	res, err := c.SimpleQuery(`SELECT 'a%c' LIKE 'a\%c', 'abc' LIKE 'a\%c'`)
+	if err != nil || len(res) != 1 || len(res[0].Rows) != 1 ||
+		string(res[0].Rows[0][0]) != "t" || string(res[0].Rows[0][1]) != "f" {
+		t.Fatalf("escaped %% = %v %v, want t and f", res, err)
+	}
+	_, err = c.SimpleQuery(`SELECT name FROM conf WHERE name LIKE 'a\'`)
+	if pe := pgErr(t, err); pe.Code != "22025" {
+		t.Fatalf("code = %s, want 22025", pe.Code)
+	}
+}
+
 func TestConformanceParseErrorsReportedAtParseTime(t *testing.T) {
 	_, _, c := confSetup(t)
 	cases := map[string]string{

@@ -757,6 +757,7 @@ const (
 	codeDuplicateStatement        = "42P05" // duplicate_prepared_statement
 	codeDuplicateCursor           = "42P03" // duplicate_cursor (named portal redefined)
 	codeInvalidTextRepresentation = "22P02" // invalid_text_representation (bad parameter)
+	codeInvalidEscapeSequence     = "22025" // invalid_escape_sequence (a LIKE pattern ending in a lone '\')
 	codeDatatypeMismatch          = "42804" // datatype_mismatch (CASE branches with no common type, a condition not BOOL)
 	codeUndefinedFunction         = "42883" // undefined_function (no operator or function for the operand types)
 	codeUndefinedColumn           = "42703" // undefined_column
@@ -785,6 +786,8 @@ func sqlStateFor(err error) string {
 		return codeSyntaxError
 	case errors.Is(err, expression.ErrInvalidValue):
 		return codeInvalidTextRepresentation
+	case errors.Is(err, expression.ErrInvalidEscape):
+		return codeInvalidEscapeSequence
 	case errors.Is(err, expression.ErrUndefinedFunction):
 		return codeUndefinedFunction
 	case errors.Is(err, lqp.ErrColumnNotFound):

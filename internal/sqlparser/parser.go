@@ -622,6 +622,14 @@ func (p *parser) parseMultiplicative() (expression.Expression, error) {
 
 func (p *parser) parseUnary() (expression.Expression, error) {
 	if p.acceptOp("-") {
+		// As in PostgreSQL, the minus of an integer literal belongs to it:
+		// -9223372036854775808 is the INT minimum.
+		if t := p.peek(); t.kind == tokNumber && !strings.ContainsAny(t.text, ".eE") {
+			if n, err := strconv.ParseInt("-"+t.text, 10, 64); err == nil {
+				p.i++
+				return expression.NewLiteral(types.Int(n)), nil
+			}
+		}
 		child, err := p.parseUnary()
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -343,6 +344,27 @@ func TestParseLiteralsAndNegation(t *testing.T) {
 	}
 	if _, ok := s.Items[6].Expr.(*expression.Negation); !ok {
 		t.Error("column negation should stay a Negation node")
+	}
+}
+
+// TestParseIntMinimumLiteral: the minus of an integer literal belongs to the
+// constant, so the INT minimum is a literal, also in an IN list, while its
+// magnitude alone is still out of range.
+func TestParseIntMinimumLiteral(t *testing.T) {
+	s := mustSelect(t, "SELECT -9223372036854775808, - 9223372036854775807, a IN (1, -9223372036854775808) FROM t")
+	for i, want := range []int64{math.MinInt64, -math.MaxInt64} {
+		if lit, ok := s.Items[i].Expr.(*expression.Literal); !ok || lit.Value.Type != types.TypeInt64 || lit.Value.I != want {
+			t.Errorf("item %d = %v, want the INT literal %d", i, s.Items[i].Expr, want)
+		}
+	}
+	in := s.Items[2].Expr.(*expression.In)
+	if lit, ok := in.List[1].(*expression.Literal); !ok || lit.Value.I != math.MinInt64 {
+		t.Errorf("IN list item = %v, want the INT minimum", in.List[1])
+	}
+	for _, sql := range []string{"SELECT 9223372036854775808", "SELECT -(9223372036854775808)", "SELECT -9223372036854775809"} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("%s parsed, want an out-of-range number", sql)
+		}
 	}
 }
 

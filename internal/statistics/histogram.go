@@ -6,6 +6,7 @@ package statistics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"hyrise/internal/encoding"
@@ -50,88 +51,184 @@ type Histogram struct {
 	total   float64
 }
 
-// BuildHistogram builds a histogram of the given type with at most binCount
-// bins from the ascending distinct values of a column and the rows of each.
-func BuildHistogram(kind HistogramType, distinct []float64, counts []int, binCount int) *Histogram {
-	h := &Histogram{kind: kind}
-	if len(distinct) == 0 {
-		return h
-	}
-	if binCount < 1 {
-		binCount = 1
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	h.total = float64(total)
-
-	appendBin := func(lo, hi float64, rows, dist int) {
-		if dist == 0 {
-			return
-		}
-		h.binLo = append(h.binLo, lo)
-		h.binHi = append(h.binHi, hi)
-		h.binRows = append(h.binRows, float64(rows))
-		h.binDist = append(h.binDist, float64(dist))
-	}
-
-	switch kind {
-	case EqualWidth:
-		minV, maxV := distinct[0], distinct[len(distinct)-1]
-		width := (maxV - minV) / float64(binCount)
-		if width == 0 {
-			appendBin(minV, maxV, total, len(distinct))
-			break
-		}
-		i := 0
-		for b := 0; b < binCount; b++ {
-			edge := minV + width*float64(b+1)
-			if b == binCount-1 {
-				edge = math.Inf(1)
-			}
-			start := i
-			rows := 0
-			for i < len(distinct) && (distinct[i] < edge || b == binCount-1) {
-				rows += counts[i]
-				i++
-			}
-			if i > start {
-				appendBin(distinct[start], distinct[i-1], rows, i-start)
-			}
-		}
-	case EqualDistinctCount:
-		perBin := (len(distinct) + binCount - 1) / binCount
-		for i := 0; i < len(distinct); i += perBin {
-			j := min(i+perBin, len(distinct))
-			rows := 0
-			for _, c := range counts[i:j] {
-				rows += c
-			}
-			appendBin(distinct[i], distinct[j-1], rows, j-i)
-		}
-	default: // EqualHeight
-		targetRows := (total + binCount - 1) / binCount
-		i := 0
-		for i < len(distinct) {
-			start := i
-			rows := 0
-			for i < len(distinct) && (rows < targetRows || i == start) {
-				rows += counts[i]
-				i++
-			}
-			appendBin(distinct[start], distinct[i-1], rows, i-start)
-		}
-	}
-	return h
-}
-
 // HistogramOf builds the histogram of one summary: its values embedded in the
 // estimation domain, without NaN, which no comparison matches.
 func HistogramOf[T types.Ordered](kind HistogramType, sum encoding.Summary[T], binCount int) *Histogram {
 	sum, _ = sum.SplitNaN()
-	domain := toDomain(sum)
-	return BuildHistogram(kind, domain.Values, domain.Counts, binCount)
+	h, _, _ := mergedHistogram(kind, []encoding.Summary[T]{sum}, binCount)
+	return h
+}
+
+// mergedHistogram lays a histogram with at most binCount bins over the rows of
+// runs, summaries without NaN, as it merges them: no merged or projected copy
+// is made. It returns the number of distinct values of T and of the estimation
+// domain, where ints beyond 2^53 and strings sharing seven bytes are one.
+func mergedHistogram[T types.Ordered](kind HistogramType, runs []encoding.Summary[T], binCount int) (h *Histogram, distinct, domain int) {
+	b := binner{h: &Histogram{kind: kind}, bins: max(binCount, 1)}
+	for _, r := range runs {
+		for _, c := range r.Counts {
+			b.total += c
+		}
+	}
+	b.h.total = float64(b.total)
+	b.target = (b.total + b.bins - 1) / b.bins
+	if kind != EqualHeight { // the layout needs the number or the range of the values first
+		count := binner{}
+		stream(slices.Clone(runs), &count)
+		b.perBin = (count.distinct + b.bins - 1) / b.bins
+		b.minV, b.width = count.lo, (count.hi-count.lo)/float64(b.bins)
+	}
+	distinct = stream(runs, &b)
+	return b.h, distinct, b.distinct
+}
+
+// stream merges runs, which it consumes, and feeds their distinct values to b
+// in the estimation domain, 256 at a time. It returns how many there are.
+func stream[T types.Ordered](runs []encoding.Summary[T], b *binner) (distinct int) {
+	m := merger[T]{runs: slices.DeleteFunc(runs, func(r encoding.Summary[T]) bool { return len(r.Values) == 0 })}
+	m.play()
+	var vals [256]T
+	var rows [256]int
+	var domain [256]float64
+	for len(m.runs) > 0 {
+		n := 0
+		for ; n < len(vals) && len(m.runs) > 0; n++ {
+			w := m.tree[0]
+			vals[n], rows[n] = w.v, m.runs[w.run].Counts[0]
+			for m.take(); len(m.runs) > 0 && m.tree[0].v == w.v; m.take() {
+				rows[n] += m.runs[m.tree[0].run].Counts[0]
+			}
+		}
+		domainOf(vals[:n], domain[:n])
+		for i, d := range domain[:n] {
+			b.add(d, rows[i])
+		}
+		distinct += n
+	}
+	b.close()
+	return distinct
+}
+
+// domainOf writes ValueToDomain of each of vals to out.
+func domainOf[T types.Ordered](vals []T, out []float64) {
+	switch vs := any(vals).(type) {
+	case []int64:
+		for i, v := range vs {
+			out[i] = float64(v)
+		}
+	case []float64:
+		copy(out, vs)
+	case []string:
+		for i, v := range vs {
+			out[i] = StringToDomain(v)
+		}
+	}
+}
+
+// merger takes the values of several runs — summaries in ascending order
+// without NaN — in ascending order through a loser tree over the runs' next
+// values: one comparison per level of the tree for each value taken, against
+// the value the node holds. Equal values of several runs are taken one after
+// the other.
+type merger[T types.Ordered] struct {
+	runs []encoding.Summary[T] // the values of each run not yet taken; none empty
+	// tree[0] is the run with the smallest next value; tree[n], for the node
+	// n of the tree whose leaves k+r are the k runs r, the run that lost the
+	// match at n. Each comes with its next value.
+	tree []head[T]
+}
+
+type head[T types.Ordered] struct {
+	v   T
+	run int
+}
+
+// play lays the tree out afresh over the runs, bottom-up.
+func (m *merger[T]) play() {
+	k := len(m.runs)
+	win := make([]head[T], 2*k) // the winner of each node
+	for r, run := range m.runs {
+		win[k+r] = head[T]{run.Values[0], r}
+	}
+	m.tree = append(m.tree[:0], make([]head[T], max(k, 1))...)
+	for n := k - 1; n > 0; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if b.v < a.v {
+			a, b = b, a
+		}
+		win[n], m.tree[n] = a, b
+	}
+	if k > 0 {
+		m.tree[0] = win[1]
+	}
+}
+
+// take advances the winning run by one value and replays its matches; a run
+// that runs out leaves the tree, which is laid out again without it.
+func (m *merger[T]) take() {
+	w := m.tree[0].run
+	r := &m.runs[w]
+	if r.Values, r.Counts = r.Values[1:], r.Counts[1:]; len(r.Values) == 0 {
+		m.runs = slices.Delete(m.runs, w, w+1)
+		m.play()
+		return
+	}
+	up := head[T]{r.Values[0], w}
+	for n := (w + len(m.runs)) / 2; n > 0; n /= 2 {
+		if l := m.tree[n]; l.v < up.v {
+			m.tree[n], up = up, l
+		}
+	}
+	m.tree[0] = up
+}
+
+// binner lays a histogram's bins over a column's ascending values as they are
+// fed, a value equal to the last one adding to its rows. A bin closes before
+// the value that would overfill it: at target rows (EqualHeight), perBin values
+// (EqualDistinctCount) or the next of bins edges width apart from minV
+// (EqualWidth). Without a histogram it counts the values, all in one open bin.
+type binner struct {
+	h                   *Histogram
+	bins, total, target int
+	perBin, bin         int // bin: the EqualWidth bin that is open
+	minV, width         float64
+	lo, hi              float64 // the open bin
+	rows, dist          int
+	distinct            int // values fed
+}
+
+func (b *binner) add(v float64, rows int) {
+	if b.dist > 0 && v == b.hi {
+		b.rows += rows
+		return
+	}
+	b.distinct++
+	switch {
+	case b.h == nil:
+	case b.h.kind == EqualWidth:
+		for b.width != 0 && b.bin < b.bins-1 && !(v < b.minV+b.width*float64(b.bin+1)) {
+			b.close()
+			b.bin++
+		}
+	case b.h.kind == EqualDistinctCount && b.dist == b.perBin,
+		b.h.kind == EqualHeight && b.dist > 0 && b.rows >= b.target:
+		b.close()
+	}
+	if b.dist == 0 {
+		b.lo = v
+	}
+	b.hi, b.rows, b.dist = v, b.rows+rows, b.dist+1
+}
+
+// close appends the open bin, if it holds a value, to the histogram.
+func (b *binner) close() {
+	if b.dist == 0 || b.h == nil {
+		return
+	}
+	h := b.h
+	h.binLo, h.binHi = append(h.binLo, b.lo), append(h.binHi, b.hi)
+	h.binRows, h.binDist = append(h.binRows, float64(b.rows)), append(h.binDist, float64(b.dist))
+	b.rows, b.dist = 0, 0
 }
 
 // Kind returns the histogram's bin-splitting strategy.

@@ -118,9 +118,9 @@ func compareWithFresh(t *testing.T, table *storage.Table, folded, fresh *TableSt
 	if folded.RowCount != fresh.RowCount || folded.RowCount != float64(table.RowCount()) {
 		t.Fatalf("RowCount folded %v fresh %v table %d", folded.RowCount, fresh.RowCount, table.RowCount())
 	}
-	for col, f := range folded.Columns {
+	for col, f := range allColumns(folded) {
 		name, bound := foldColumns[col].def.Name, foldColumns[col].q
-		g := fresh.Columns[col]
+		g := fresh.Column(types.ColumnID(col))
 		if f.RowCount != g.RowCount || f.NullCount != g.NullCount || f.Min != g.Min || f.Max != g.Max ||
 			f.Hist.total != g.Hist.total {
 			t.Fatalf("%s: folded rows=%v nulls=%v min=%v max=%v total=%v, fresh rows=%v nulls=%v min=%v max=%v total=%v",
@@ -152,6 +152,16 @@ func compareWithFresh(t *testing.T, table *storage.Table, folded, fresh *TableSt
 	}
 }
 
+// allColumns returns the statistics of every column of ts, building the
+// missing ones.
+func allColumns(ts *TableStatistics) []*ColumnStatistics {
+	out := make([]*ColumnStatistics, len(ts.columns))
+	for col := range out {
+		out[col] = ts.Column(types.ColumnID(col))
+	}
+	return out
+}
+
 func randomRow(table *storage.Table, r *rand.Rand) types.RowID {
 	c := r.Intn(table.ChunkCount())
 	return types.RowID{Chunk: types.ChunkID(c), Offset: types.ChunkOffset(r.Intn(table.GetChunk(types.ChunkID(c)).Size()))}
@@ -172,15 +182,17 @@ func consistent(cs *ColumnStatistics) error {
 
 // TestStatsCacheStalenessRule pins the one rule of Cache.lookup: nothing below a
 // bin's worth of new rows, a fold from there on, a rebuild at double the rows.
+// Builds are counted per column: each of the table's columns is asked for.
 func TestStatsCacheStalenessRule(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	table := newFoldTable(t, r, 6400)
+	columns := int64(len(foldColumns))
 	cache := NewCache(EqualHeight)
 	if cache.Peek(table) != nil {
 		t.Fatal("Peek built statistics for a table never planned")
 	}
 	s1 := cache.Get(table)
-	if !reflect.DeepEqual(s1, BuildTableStatistics(table, EqualHeight)) {
+	if !reflect.DeepEqual(allColumns(s1), allColumns(BuildTableStatistics(table, EqualHeight))) {
 		t.Fatal("first lookup differs from BuildTableStatistics")
 	}
 	if cache.Get(table) != s1 || cache.Peek(table) != s1 {
@@ -196,21 +208,21 @@ func TestStatsCacheStalenessRule(t *testing.T) {
 	if s2 == s1 || s2.RowCount != 6500 || s1.RowCount != 6400 {
 		t.Errorf("after 100 rows: RowCount %v (stored one now %v), want a new 6500-row entry", s2.RowCount, s1.RowCount)
 	}
-	if b, f := cache.fullBuilds.Value(), cache.foldedRows.Value(); b != 1 || f != 100 {
-		t.Errorf("after the fold: full builds %d folded rows %d, want 1 and 100", b, f)
+	if b, f := cache.fullBuilds.Value(), cache.foldedRows.Value(); b != columns || f != 100 {
+		t.Errorf("after the fold: full builds %d folded rows %d, want %d (one per column) and 100", b, f, columns)
 	}
 
 	appendFoldRows(t, table, r, 6300) // 12800 rows: folded == built, still a fold
-	if s := cache.Get(table); s.RowCount != 12800 || cache.fullBuilds.Value() != 1 {
-		t.Errorf("at double the rows: RowCount %v full builds %d, want 12800 and 1", s.RowCount, cache.fullBuilds.Value())
+	if s := cache.Get(table); s.RowCount != 12800 || cache.fullBuilds.Value() != columns {
+		t.Errorf("at double the rows: RowCount %v full builds %d, want 12800 and %d", s.RowCount, cache.fullBuilds.Value(), columns)
 	}
 	appendFoldRows(t, table, r, 200) // one bin's worth past double
-	s3 := cache.Get(table)
-	if cache.fullBuilds.Value() != 2 || !reflect.DeepEqual(s3, BuildTableStatistics(table, EqualHeight)) {
-		t.Errorf("past double the rows: full builds %d, want a second build equal to a fresh one", cache.fullBuilds.Value())
+	s3 := allColumns(cache.Get(table))
+	if cache.fullBuilds.Value() != 2*columns || !reflect.DeepEqual(s3, allColumns(BuildTableStatistics(table, EqualHeight))) {
+		t.Errorf("past double the rows: full builds %d, want a second build of each column equal to a fresh one", cache.fullBuilds.Value())
 	}
-	if got := cache.maintainNS.Count(); got != 4 {
-		t.Errorf("maintain_ns observations = %d, want 4 (two builds, two folds)", got)
+	if got, want := cache.maintainNS.Count(), 2*columns+2; got != want {
+		t.Errorf("maintain_ns observations = %d, want %d (two builds of each column, two folds)", got, want)
 	}
 }
 
@@ -222,7 +234,7 @@ func TestStatsEmptyColumnRange(t *testing.T) {
 		{Name: "gone", Type: types.TypeInt64, Nullable: true},
 	}
 	table := storage.NewTable("t", defs, 100, false)
-	for _, cs := range BuildTableStatistics(table, EqualHeight).Columns {
+	for _, cs := range allColumns(BuildTableStatistics(table, EqualHeight)) {
 		if cs.Min != 0 || cs.Max != 0 || !cs.Empty() {
 			t.Errorf("empty table: Min %v Max %v Empty %v", cs.Min, cs.Max, cs.Empty())
 		}
@@ -234,10 +246,10 @@ func TestStatsEmptyColumnRange(t *testing.T) {
 	}
 	parts, at, rows := rowsSince(table, mark{})
 	ts := buildStatistics(defs, parts, rows, EqualHeight)
-	if gone := ts.Columns[1]; gone.Min != 0 || gone.Max != 0 || !gone.Empty() || gone.NullCount != 50 {
+	if gone := ts.Column(1); gone.Min != 0 || gone.Max != 0 || !gone.Empty() || gone.NullCount != 50 {
 		t.Errorf("all-NULL column: %+v", gone)
 	}
-	if id := ts.Columns[0]; id.Min != 10 || id.Max != 59 || id.Empty() {
+	if id := ts.Column(0); id.Min != 10 || id.Max != 59 || id.Empty() {
 		t.Errorf("id column: %+v", id)
 	}
 	if _, err := table.AppendRow([]types.Value{types.Int(5), types.Int(-3)}); err != nil {
@@ -245,11 +257,11 @@ func TestStatsEmptyColumnRange(t *testing.T) {
 	}
 	parts, _, rows = rowsSince(table, at)
 	ts = ts.fold(parts, rows)
-	if gone := ts.Columns[1]; gone.Min != -3 || gone.Max != -3 || gone.Empty() || gone.DistinctCount != 1 {
+	if gone := ts.Column(1); gone.Min != -3 || gone.Max != -3 || gone.Empty() || gone.DistinctCount != 1 {
 		t.Errorf("all-NULL column after its first value: %+v", gone)
 	}
-	if !reflect.DeepEqual(ts.Columns[1].Hist.binRows, []float64{1}) {
-		t.Errorf("first value must open a bin: %+v", ts.Columns[1].Hist)
+	if !reflect.DeepEqual(ts.Column(1).Hist.binRows, []float64{1}) {
+		t.Errorf("first value must open a bin: %+v", ts.Column(1).Hist)
 	}
 }
 
@@ -291,7 +303,7 @@ func TestStatsLookupUnderConcurrentAppends(t *testing.T) {
 				if ts.RowCount > float64(table.RowCount()) {
 					t.Errorf("statistics cover %v rows, table has %d", ts.RowCount, table.RowCount())
 				}
-				for col, cs := range ts.Columns {
+				for col, cs := range allColumns(ts) {
 					if cs.RowCount != ts.RowCount {
 						t.Errorf("%s: column rows %v, table rows %v", foldColumns[col].def.Name, cs.RowCount, ts.RowCount)
 					}

@@ -6,22 +6,100 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hyrise/internal/encoding"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
 // histogramOf builds a histogram from a value → rows map.
 func histogramOf(kind HistogramType, counts map[float64]int, binCount int) *Histogram {
-	distinct := make([]float64, 0, len(counts))
+	distinct, rows := sortedCounts(counts)
+	return HistogramOf(kind, encoding.Summary[float64]{Values: distinct, Counts: rows}, binCount)
+}
+
+// sortedCounts lists the values of a value → rows map in ascending order, and
+// the rows of each.
+func sortedCounts(counts map[float64]int) (distinct []float64, rows []int) {
+	distinct = make([]float64, 0, len(counts))
 	for v := range counts {
 		distinct = append(distinct, v)
 	}
 	sort.Float64s(distinct)
-	rows := make([]int, len(distinct))
+	rows = make([]int, len(distinct))
 	for i, v := range distinct {
 		rows[i] = counts[v]
 	}
-	return BuildHistogram(kind, distinct, rows, binCount)
+	return distinct, rows
+}
+
+// refHistogram lays at most binCount bins over a column's materialized
+// ascending distinct values and the rows of each: the reference the row path
+// builds with, against which the streaming builder is compared.
+func refHistogram(kind HistogramType, counts map[float64]int, binCount int) *Histogram {
+	distinct, rows := sortedCounts(counts)
+	h := &Histogram{kind: kind}
+	if len(distinct) == 0 {
+		return h
+	}
+	if binCount < 1 {
+		binCount = 1
+	}
+	total := 0
+	for _, c := range rows {
+		total += c
+	}
+	h.total = float64(total)
+
+	appendBin := func(lo, hi float64, rows, dist int) {
+		h.binLo = append(h.binLo, lo)
+		h.binHi = append(h.binHi, hi)
+		h.binRows = append(h.binRows, float64(rows))
+		h.binDist = append(h.binDist, float64(dist))
+	}
+	binRows := func(i, j int) (n int) {
+		for _, c := range rows[i:j] {
+			n += c
+		}
+		return n
+	}
+	switch kind {
+	case EqualWidth:
+		minV, maxV := distinct[0], distinct[len(distinct)-1]
+		width := (maxV - minV) / float64(binCount)
+		if width == 0 {
+			appendBin(minV, maxV, total, len(distinct))
+			break
+		}
+		i := 0
+		for b := 0; b < binCount; b++ {
+			edge := minV + width*float64(b+1)
+			start := i
+			for i < len(distinct) && (distinct[i] < edge || b == binCount-1) {
+				i++
+			}
+			if i > start {
+				appendBin(distinct[start], distinct[i-1], binRows(start, i), i-start)
+			}
+		}
+	case EqualDistinctCount:
+		perBin := (len(distinct) + binCount - 1) / binCount
+		for i := 0; i < len(distinct); i += perBin {
+			j := min(i+perBin, len(distinct))
+			appendBin(distinct[i], distinct[j-1], binRows(i, j), j-i)
+		}
+	default: // EqualHeight
+		targetRows := (total + binCount - 1) / binCount
+		i := 0
+		for i < len(distinct) {
+			start, n := i, 0
+			for i < len(distinct) && (n < targetRows || i == start) {
+				n += rows[i]
+				i++
+			}
+			appendBin(distinct[start], distinct[i-1], n, i-start)
+		}
+	}
+	return h
 }
 
 func uniformCounts(n, copies int) map[float64]int {
@@ -183,11 +261,11 @@ func TestBuildTableStatistics(t *testing.T) {
 	if ts.RowCount != 1000 {
 		t.Fatalf("RowCount = %f", ts.RowCount)
 	}
-	id := ts.Columns[0]
+	id := ts.Column(0)
 	if id.DistinctCount != 1000 || id.NullCount != 0 || id.Min != 0 || id.Max != 999 {
 		t.Errorf("id stats = %+v", id)
 	}
-	price := ts.Columns[1]
+	price := ts.Column(1)
 	// price = i%50, but every multiple of 10 is NULL (i%10==0 covers exactly
 	// the residues 0,10,20,30,40), leaving 45 distinct non-NULL values.
 	if price.DistinctCount != 45 {
@@ -196,7 +274,7 @@ func TestBuildTableStatistics(t *testing.T) {
 	if got := price.NullFraction(); math.Abs(got-0.1) > 0.01 {
 		t.Errorf("price null fraction = %f", got)
 	}
-	status := ts.Columns[2]
+	status := ts.Column(2)
 	if status.DistinctCount != 3 {
 		t.Errorf("status distinct = %f", status.DistinctCount)
 	}

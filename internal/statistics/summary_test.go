@@ -38,7 +38,7 @@ func rowColumn(seg storage.Segment, lo, hi int, counts map[float64]int, exact ma
 }
 
 func rowStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows int, kind HistogramType) *TableStatistics {
-	ts := &TableStatistics{RowCount: float64(rows), Columns: make([]*ColumnStatistics, len(defs))}
+	ts := &TableStatistics{RowCount: float64(rows), columns: make([]*ColumnStatistics, len(defs))}
 	for col, def := range defs {
 		counts, exact := make(map[float64]int), make(map[string]struct{})
 		nulls, nans := 0, 0
@@ -53,10 +53,10 @@ func rowStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows int,
 		cs := &ColumnStatistics{
 			Type: def.Type, RowCount: ts.RowCount, NullCount: float64(nulls),
 			DistinctCount: float64(distinct + min(nans, 1)),
-			Hist:          histogramOf(kind, counts, DefaultHistogramBins),
+			Hist:          refHistogram(kind, counts, DefaultHistogramBins),
 		}
 		cs.Min, cs.Max = cs.Hist.bounds()
-		ts.Columns[col] = cs
+		ts.columns[col] = cs
 	}
 	return ts
 }
@@ -64,8 +64,8 @@ func rowStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows int,
 // rowFold folds parts into ts part by part, each part's values in ascending
 // order, read row by row.
 func rowFold(ts *TableStatistics, parts []chunkRows, rows int) *TableStatistics {
-	out := &TableStatistics{RowCount: ts.RowCount + float64(rows), Columns: make([]*ColumnStatistics, len(ts.Columns))}
-	for col, old := range ts.Columns {
+	out := &TableStatistics{RowCount: ts.RowCount + float64(rows), columns: make([]*ColumnStatistics, len(ts.columns))}
+	for col, old := range ts.columns {
 		cs := *old
 		cs.Hist = old.Hist.clone()
 		for _, p := range parts {
@@ -85,7 +85,7 @@ func rowFold(ts *TableStatistics, parts []chunkRows, rows int) *TableStatistics 
 		}
 		cs.RowCount = out.RowCount
 		cs.Min, cs.Max = cs.Hist.bounds()
-		out.Columns[col] = &cs
+		out.columns[col] = &cs
 	}
 	return out
 }
@@ -149,8 +149,10 @@ func TestStatsSegmentSummary(t *testing.T) {
 		if got, want := built.fold(parts, rows), rowFold(built, parts, rows); !reflect.DeepEqual(got, want) {
 			t.Errorf("awkward: fold of summaries differs from the row path")
 		}
-		if n := summarized(parts); n != 1 {
-			t.Errorf("awkward: %d of the fold's chunks read off their encoding, want 1 (chunk 2)", n)
+		for col := range defs {
+			if n := summarized(parts, col); n != 1 {
+				t.Errorf("awkward: %d of the fold's chunks read off their encoding in column %d, want 1 (chunk 2)", n, col)
+			}
 		}
 	}
 }
@@ -174,7 +176,7 @@ func TestStatsNaN(t *testing.T) {
 		if err := encoding.EncodeTable(table, &spec, nil); err != nil {
 			t.Fatal(err)
 		}
-		cs := BuildTableStatistics(table, EqualHeight).Columns[0]
+		cs := BuildTableStatistics(table, EqualHeight).Column(0)
 		if cs.DistinctCount != 11 || cs.Min != 0 || cs.Max != 9 || cs.Hist.total != 75 || cs.NullCount != 0 {
 			t.Errorf("%s: distinct %v range [%v, %v] histogram rows %v, want 11 values (ten numbers and NaN) in [0, 9] over 75 rows",
 				spec, cs.DistinctCount, cs.Min, cs.Max, cs.Hist.total)
@@ -183,8 +185,8 @@ func TestStatsNaN(t *testing.T) {
 }
 
 // TestSummarizedChunksCounter: statistics.summarized_chunks counts the chunks
-// a build or fold read off their encoding, so a slow first plan over
-// unencoded chunks shows as builds without it.
+// of a column a build or fold read off their encoding, so a slow first plan
+// over unencoded chunks shows as builds without it.
 func TestSummarizedChunksCounter(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	table := newFoldTable(t, r, 1000) // three sealed chunks of 256 rows and a tail
@@ -196,9 +198,9 @@ func TestSummarizedChunksCounter(t *testing.T) {
 	reg := observe.NewRegistry()
 	cache := NewCache(EqualHeight)
 	cache.Instrument(reg)
-	cache.Get(table)
+	cache.Get(table).Column(0)
 	if got := reg.Counter("statistics.summarized_chunks").Value(); got != 2 {
-		t.Errorf("statistics.summarized_chunks = %d after a build over two dictionary chunks, a frame-of-reference one and a tail, want 2", got)
+		t.Errorf("statistics.summarized_chunks = %d after a column build over two dictionary chunks, a frame-of-reference one and a tail, want 2", got)
 	}
 }
 

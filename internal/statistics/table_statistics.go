@@ -2,6 +2,7 @@ package statistics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,12 +37,42 @@ func (c *ColumnStatistics) NullFraction() float64 {
 // Min, Max and the histogram describe nothing.
 func (c *ColumnStatistics) Empty() bool { return c.NullCount == c.RowCount }
 
-// TableStatistics summarizes a table. Statistics are built lazily by the
-// optimizer, cached per table and kept current by Cache. A stored value is
-// never modified.
+// TableStatistics summarizes a table. The cache's statistics are built
+// lazily, a column the first time it is asked for, and kept current by Cache;
+// a column, once built, is never modified.
 type TableStatistics struct {
 	RowCount float64
-	Columns  []*ColumnStatistics
+
+	mu      sync.Mutex
+	columns []*ColumnStatistics // nil: not built yet, by cache
+	cache   *Cache
+	table   *storage.Table
+	mark    mark // the statistics cover the rows of table below it
+	built   int  // the rows the cache's entry started from
+}
+
+// Column returns the statistics of column col, building them over the rows
+// the statistics cover if they are missing; nil for a column the table does
+// not have. Planners asking for one entry's columns build them in turn.
+func (ts *TableStatistics) Column(col types.ColumnID) *ColumnStatistics {
+	if int(col) >= len(ts.columns) {
+		return nil
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if ts.columns[col] == nil {
+		c, start := ts.cache, time.Now()
+		parts, _, _ := rowsSince(ts.table, mark{})
+		parts = parts[:min(len(parts), ts.mark.chunk+1)]
+		if n := len(parts); n > 0 {
+			parts[n-1].hi = min(parts[n-1].hi, ts.mark.offset)
+		}
+		ts.columns[col] = buildColumn(ts.table.ColumnDefinitions()[col].Type, parts, int(col), ts.RowCount, c.kind)
+		c.fullBuilds.Inc()
+		c.summarized.Add(summarized(parts, int(col)))
+		c.maintainNS.Observe(time.Since(start).Nanoseconds())
+	}
+	return ts.columns[col]
 }
 
 // ValueToDomain maps a dynamic value into the float64 estimation domain.
@@ -89,17 +120,13 @@ func rowsSince(t *storage.Table, from mark) (parts []chunkRows, to mark, rows in
 	return parts, to, rows
 }
 
-// summarized counts the parts that are read without a pass over their rows:
-// whole chunks of dictionary and run-length segments, whose summaries come off
+// summarized counts the parts whose column col is read without a pass over
+// its rows: whole dictionary and run-length segments, whose summaries come off
 // the dictionary or the runs. Frame-of-reference is decoded and grouped.
-func summarized(parts []chunkRows) (n int64) {
+func summarized(parts []chunkRows, col int) (n int64) {
 	for _, p := range parts {
-		encoded := p.lo == 0 && p.hi > 0
-		for _, seg := range p.segs {
-			spec, _ := encoding.SpecOf(seg)
-			encoded = encoded && (spec.Encoding == encoding.Dictionary || spec.Encoding == encoding.RunLength)
-		}
-		if encoded {
+		spec, _ := encoding.SpecOf(p.segs[col])
+		if p.lo == 0 && p.hi > 0 && (spec.Encoding == encoding.Dictionary || spec.Encoding == encoding.RunLength) {
 			n++
 		}
 	}
@@ -119,20 +146,6 @@ func summaries[T types.Ordered](parts []chunkRows, col int) (sums []encoding.Sum
 	return sums, nulls, nans
 }
 
-// toDomain embeds a summary in the float64 estimation domain (ValueToDomain
-// for every value): ints beyond 2^53 and strings that share their first seven
-// bytes become one value there.
-func toDomain[T types.Ordered](sum encoding.Summary[T]) encoding.Summary[float64] {
-	switch s := any(sum).(type) {
-	case encoding.Summary[int64]:
-		return encoding.Project(s, func(v int64) float64 { return float64(v) })
-	case encoding.Summary[string]:
-		return encoding.Project(s, StringToDomain)
-	default:
-		return s.(encoding.Summary[float64])
-	}
-}
-
 // BuildTableStatistics scans a data table and builds statistics for every
 // column using the given histogram type.
 func BuildTableStatistics(t *storage.Table, kind HistogramType) *TableStatistics {
@@ -141,58 +154,59 @@ func BuildTableStatistics(t *storage.Table, kind HistogramType) *TableStatistics
 }
 
 func buildStatistics(defs []storage.ColumnDefinition, parts []chunkRows, rows int, kind HistogramType) *TableStatistics {
-	ts := &TableStatistics{
-		RowCount: float64(rows),
-		Columns:  make([]*ColumnStatistics, len(defs)),
-	}
+	ts := &TableStatistics{RowCount: float64(rows), columns: make([]*ColumnStatistics, len(defs))}
 	for col, def := range defs {
-		var cs *ColumnStatistics
-		switch def.Type {
-		case types.TypeInt64:
-			cs = buildColumn[int64](parts, col, kind)
-		case types.TypeFloat64:
-			cs = buildColumn[float64](parts, col, kind)
-		case types.TypeString:
-			cs = buildColumn[string](parts, col, kind)
-		}
-		cs.Type, cs.RowCount = def.Type, ts.RowCount
-		cs.Min, cs.Max = cs.Hist.bounds()
-		ts.Columns[col] = cs
+		ts.columns[col] = buildColumn(def.Type, parts, col, ts.RowCount, kind)
 	}
 	return ts
 }
 
-// buildColumn merges the parts' summaries into the column's distinct values
-// and lays the histogram over them: the work is per distinct value of a
-// chunk, not per row.
-func buildColumn[T types.Ordered](parts []chunkRows, col int, kind HistogramType) *ColumnStatistics {
-	sums, nulls, nans := summaries[T](parts, col)
-	all := encoding.Merge(sums)
-	domain := toDomain(all)
-	distinct := len(domain.Values)
-	if _, ok := any(all).(encoding.Summary[string]); ok {
-		// The domain collapses long shared prefixes; strings are counted
-		// as themselves.
-		distinct = len(all.Values)
+// buildColumn builds the statistics of column col over the rows of parts.
+func buildColumn(dt types.DataType, parts []chunkRows, col int, rows float64, kind HistogramType) *ColumnStatistics {
+	switch dt {
+	case types.TypeInt64:
+		return columnOf[int64](parts, col, rows, kind)
+	case types.TypeFloat64:
+		return columnOf[float64](parts, col, rows, kind)
 	}
-	return &ColumnStatistics{
+	return columnOf[string](parts, col, rows, kind)
+}
+
+// columnOf merges the parts' summaries into the histogram's bins: the work is
+// per distinct value of a chunk, not per row. Strings are counted as
+// themselves, other values as the estimation domain sees them.
+func columnOf[T types.Ordered](parts []chunkRows, col int, rows float64, kind HistogramType) *ColumnStatistics {
+	sums, nulls, nans := summaries[T](parts, col)
+	hist, distinct, domain := mergedHistogram(kind, sums, DefaultHistogramBins)
+	if _, ok := any(sums).([]encoding.Summary[string]); !ok {
+		distinct = domain
+	}
+	cs := &ColumnStatistics{
+		Type:          types.Native[T](),
+		RowCount:      rows,
 		NullCount:     float64(nulls),
 		DistinctCount: float64(distinct + min(nans, 1)), // NaN is one value, in no bin
-		Hist:          BuildHistogram(kind, domain.Values, domain.Counts, DefaultHistogramBins),
+		Hist:          hist,
 	}
+	cs.Min, cs.Max = hist.bounds()
+	return cs
 }
 
 // fold returns a copy of ts that also covers the appended rows in parts,
-// added part by part, each part's distinct values in ascending order. Row,
-// NULL and bin row counts, Min and Max come out as a fresh build's would;
-// distinct counts grow only for values outside every bin, so a new value
-// inside an existing bin is not seen as new until the next full build.
+// added part by part, each part's distinct values in ascending order, to every
+// built column; a missing column stays missing. Row, NULL and bin row counts,
+// Min and Max come out as a fresh build's would; distinct counts grow only for
+// values outside every bin, so a new value inside an existing bin is not seen
+// as new until the next full build.
 func (ts *TableStatistics) fold(parts []chunkRows, rows int) *TableStatistics {
-	out := &TableStatistics{
-		RowCount: ts.RowCount + float64(rows),
-		Columns:  make([]*ColumnStatistics, len(ts.Columns)),
-	}
-	for col, old := range ts.Columns {
+	out := &TableStatistics{RowCount: ts.RowCount + float64(rows), built: ts.built}
+	ts.mu.Lock()
+	out.columns = slices.Clone(ts.columns)
+	ts.mu.Unlock()
+	for col, old := range out.columns {
+		if old == nil {
+			continue
+		}
 		cs := *old
 		cs.Hist = old.Hist.clone()
 		switch cs.Type {
@@ -205,7 +219,7 @@ func (ts *TableStatistics) fold(parts []chunkRows, rows int) *TableStatistics {
 		}
 		cs.RowCount = out.RowCount
 		cs.Min, cs.Max = cs.Hist.bounds()
-		out.Columns[col] = &cs
+		out.columns[col] = &cs
 	}
 	return out
 }
@@ -214,9 +228,10 @@ func foldColumn[T types.Ordered](cs *ColumnStatistics, parts []chunkRows, col in
 	sums, nulls, _ := summaries[T](parts, col)
 	cs.NullCount += float64(nulls)
 	for _, sum := range sums {
-		domain := toDomain(sum)
-		for i, v := range domain.Values {
-			if cs.Hist.add(v, domain.Counts[i]) {
+		domain := make([]float64, len(sum.Values))
+		domainOf(sum.Values, domain)
+		for i, v := range domain {
+			if cs.Hist.add(v, sum.Counts[i]) {
 				cs.DistinctCount++
 			}
 		}
@@ -225,7 +240,7 @@ func foldColumn[T types.Ordered](cs *ColumnStatistics, parts []chunkRows, col in
 
 // EstimateEquals estimates the selectivity (0..1) of column = v.
 func (ts *TableStatistics) EstimateEquals(col types.ColumnID, v types.Value) float64 {
-	cs := ts.Columns[col]
+	cs := ts.Column(col)
 	if ts.RowCount == 0 || cs == nil {
 		return 0
 	}
@@ -238,7 +253,7 @@ func (ts *TableStatistics) EstimateEquals(col types.ColumnID, v types.Value) flo
 
 // EstimateRange estimates the selectivity of lo <= column <= hi (nil = open).
 func (ts *TableStatistics) EstimateRange(col types.ColumnID, lo, hi *types.Value) float64 {
-	cs := ts.Columns[col]
+	cs := ts.Column(col)
 	if ts.RowCount == 0 || cs == nil {
 		return 0
 	}
@@ -262,7 +277,7 @@ func (ts *TableStatistics) EstimateRange(col types.ColumnID, lo, hi *types.Value
 
 // EstimateNotEquals estimates the selectivity of column <> v.
 func (ts *TableStatistics) EstimateNotEquals(col types.ColumnID, v types.Value) float64 {
-	cs := ts.Columns[col]
+	cs := ts.Column(col)
 	if cs == nil || ts.RowCount == 0 {
 		return 1
 	}
@@ -282,9 +297,10 @@ func clampSel(s float64) float64 {
 // Cache keeps the TableStatistics of every planned table current without
 // rescanning it: an entry remembers the mark of the rows it covers, and a
 // lookup after writes folds only the rows past the mark into a copy of it.
+// A column no plan asks for is never read.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[*storage.Table]cacheEntry
+	entries map[*storage.Table]*TableStatistics
 	kind    HistogramType
 
 	fullBuilds *observe.Counter
@@ -293,17 +309,10 @@ type Cache struct {
 	maintainNS *observe.Histogram
 }
 
-// cacheEntry is immutable once stored; maintenance stores a new one.
-type cacheEntry struct {
-	stats *TableStatistics
-	mark  mark // stats cover exactly the rows below it (stats.RowCount of them)
-	built int  // rows the histograms' bins were laid out from
-}
-
 // NewCache creates a statistics cache using the given histogram type.
 func NewCache(kind HistogramType) *Cache {
 	return &Cache{
-		entries:    make(map[*storage.Table]cacheEntry),
+		entries:    make(map[*storage.Table]*TableStatistics),
 		kind:       kind,
 		fullBuilds: &observe.Counter{},
 		foldedRows: &observe.Counter{},
@@ -312,10 +321,10 @@ func NewCache(kind HistogramType) *Cache {
 	}
 }
 
-// Instrument publishes the cache's maintenance work in r: full builds, rows
-// folded, the chunks of either that were read off their encoding instead of
-// row by row, and the time of each build or fold. Call it before the first
-// lookup.
+// Instrument publishes the cache's maintenance work in r: columns built, rows
+// folded, the chunks of a column either read off their encoding instead of
+// row by row, and the time of each column build or fold. Call it before the
+// first lookup.
 func (c *Cache) Instrument(r *observe.Registry) {
 	c.fullBuilds = r.Counter("statistics.full_builds")
 	c.foldedRows = r.Counter("statistics.folded_rows")
@@ -323,52 +332,58 @@ func (c *Cache) Instrument(r *observe.Registry) {
 	c.maintainNS = r.Histogram("statistics.maintain_ns")
 }
 
-// Get returns the statistics of a table, building them on first use.
+// Get returns the statistics of a table, whose columns are built on first use.
 func (c *Cache) Get(t *storage.Table) *TableStatistics { return c.lookup(t, true) }
 
-// Peek is Get for a caller that must not pay a table's first build (the
-// executor's cost gates): it returns nil for a table never planned.
+// Peek is Get for a caller that must not make a table's entry (the executor's
+// cost gates): it returns nil for a table never planned. A column of a planned
+// table is still built when the caller first asks for it.
 func (c *Cache) Peek(t *storage.Table) *TableStatistics { return c.lookup(t, false) }
 
 // lookup holds the cache's one staleness rule. Rows written since the entry
 // was stored are ignored while they are fewer than one histogram bin's share
-// of the rows it covers, then folded in; once the rows folded outnumber the
-// rows the bins were laid out from, the table is rebuilt — so a table is
-// fully scanned O(log rows) times and each appended row is read O(1) times.
-// The work runs outside the cache lock, so one table's maintenance never
-// stalls a lookup of another; sessions racing on the same table each do it
-// and the last store wins — every entry is consistent in itself.
+// of the rows it covers, then folded into its built columns; once the rows
+// folded outnumber the rows the entry started from, the entry starts afresh
+// with no column built — so a column is fully scanned O(log rows) times and
+// each appended row is read O(1) times per column. The work runs outside the
+// cache lock, so one table's maintenance never stalls a lookup of another;
+// sessions racing on the same table each do it and the last store wins —
+// every entry is consistent in itself.
 func (c *Cache) lookup(t *storage.Table, build bool) *TableStatistics {
 	c.mu.Lock()
-	e, ok := c.entries[t]
+	ts, ok := c.entries[t]
 	c.mu.Unlock()
 	if !ok && !build {
 		return nil
 	}
 	rows := t.RowCount()
 	if ok {
-		covered := int(e.stats.RowCount)
+		covered := int(ts.RowCount)
 		if unfolded := rows - covered; unfolded == 0 || unfolded*DefaultHistogramBins < covered {
-			return e.stats
+			return ts
 		}
 	}
-	start := time.Now()
-	if !ok || rows-e.built > e.built {
-		parts, to, n := rowsSince(t, mark{})
-		e = cacheEntry{stats: buildStatistics(t.ColumnDefinitions(), parts, n, c.kind), mark: to, built: n}
-		c.fullBuilds.Inc()
-		c.summarized.Add(summarized(parts))
+	if !ok || rows-ts.built > ts.built {
+		_, to, n := rowsSince(t, mark{})
+		ts = &TableStatistics{RowCount: float64(n), columns: make([]*ColumnStatistics, len(t.ColumnDefinitions())), mark: to, built: n}
 	} else {
-		parts, to, n := rowsSince(t, e.mark)
-		e = cacheEntry{stats: e.stats.fold(parts, n), mark: to, built: e.built}
+		start := time.Now()
+		parts, to, n := rowsSince(t, ts.mark)
+		ts = ts.fold(parts, n)
+		ts.mark = to
+		for col, cs := range ts.columns {
+			if cs != nil {
+				c.summarized.Add(summarized(parts, col))
+			}
+		}
 		c.foldedRows.Add(int64(n))
-		c.summarized.Add(summarized(parts))
+		c.maintainNS.Observe(time.Since(start).Nanoseconds())
 	}
-	c.maintainNS.Observe(time.Since(start).Nanoseconds())
+	ts.cache, ts.table = c, t
 	c.mu.Lock()
-	c.entries[t] = e
+	c.entries[t] = ts
 	c.mu.Unlock()
-	return e.stats
+	return ts
 }
 
 // Retain drops the statistics of every table not in live. Entries are keyed
