@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"sort"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
@@ -31,16 +30,29 @@ func (j *SortMergeJoin) Name() string {
 	return fmt.Sprintf("SortMergeJoin(%s, %s = %s)", j.Mode, j.LeftKey, j.RightKey)
 }
 
-// Run implements Operator: both sides' typed key vectors are sorted (NULL and
-// NaN keys never join and are left out) and merged.
+// Run implements Operator: both sides' typed key vectors are sorted by the
+// engine's row sort (sortRows; NULL and NaN keys never join and are left out)
+// and merged.
 func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	leftT, rightT := inputs[0], inputs[1]
 	left, right, err := joinKeys(ctx, leftT, rightT, []expression.Expression{j.LeftKey}, []expression.Expression{j.RightKey})
 	if err != nil {
 		return nil, err
 	}
-	lk, rk := left.keys[0], right.keys[0]
-	leftOrder, rightOrder := sortedKeyOrder(lk), sortedKeyOrder(rk)
+	// Each side's rows that can join, ordered by key: equal keys in row order.
+	var orders [2][]int32
+	for s, key := range [2][]*expression.Vector{left.keys, right.keys} {
+		orders[s] = make([]int32, 0, key[0].N)
+		for r := 0; r < key[0].N; r++ {
+			if !keyNeverJoins(key, r) {
+				orders[s] = append(orders[s], int32(r))
+			}
+		}
+		if err := sortRows(ctx, j, key, []bool{false}, orders[s]); err != nil {
+			return nil, err
+		}
+	}
+	lk, rk, leftOrder, rightOrder := left.keys[0], right.keys[0], orders[0], orders[1]
 	if len(leftOrder) > 0 && len(rightOrder) > 0 && lk.DT != rk.DT {
 		return nil, fmt.Errorf("operators: incomparable join keys %s and %s", lk.DT, rk.DT)
 	}
@@ -54,21 +66,17 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 		case c > 0:
 			ri++
 		default:
-			// Find the extent of the equal-key blocks on both sides.
-			lEnd := li + 1
-			for lEnd < len(leftOrder) && compareKey(lk, int(leftOrder[lEnd]), lk, int(leftOrder[li])) == 0 {
-				lEnd++
-			}
+			// Every left row of this key pairs with the right block of it.
 			rEnd := ri + 1
 			for rEnd < len(rightOrder) && compareKey(rk, int(rightOrder[rEnd]), rk, int(rightOrder[ri])) == 0 {
 				rEnd++
 			}
-			for a := li; a < lEnd; a++ {
-				for b := ri; b < rEnd; b++ {
-					ps.append(leftOrder[a], rightOrder[b])
+			for ; li < len(leftOrder) && compareKey(lk, int(leftOrder[li]), rk, int(rightOrder[ri])) == 0; li++ {
+				for _, r := range rightOrder[ri:rEnd] {
+					ps.append(leftOrder[li], r)
 				}
 			}
-			li, ri = lEnd, rEnd
+			ri = rEnd
 		}
 	}
 
@@ -77,21 +85,6 @@ func (j *SortMergeJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage
 		return nil, err
 	}
 	return j.finish(left.rows, right.rows, ps), nil
-}
-
-// sortedKeyOrder returns the rows of a key column that can join ordered by
-// value, equal values in row order.
-func sortedKeyOrder(v *expression.Vector) []int32 {
-	order, cols := make([]int32, 0, v.N), []*expression.Vector{v}
-	for r := 0; r < v.N; r++ {
-		if !keyNeverJoins(cols, r) {
-			order = append(order, int32(r))
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return compareKey(v, int(order[a]), v, int(order[b])) < 0
-	})
-	return order
 }
 
 // nljBlockSize bounds the candidate-pair batches of the nested-loop join.

@@ -174,8 +174,17 @@ func TestDiffJoinAgainstReference(t *testing.T) {
 					t.Fatalf("hash join differs from reference\ngot:  %v\nwant: %v", sorted, want)
 				}
 
-				smj := runWith("sortmerge", NewExecContext(nil, nil, nil),
-					NewSortMergeJoin(mode, tableOp(l), tableOp(r), col(0, types.TypeInt64), col(0, types.TypeInt64), nil))
+				sortMerge := func(name string, ctx *ExecContext) []string {
+					t.Helper()
+					return runWith(name, ctx, NewSortMergeJoin(mode, tableOp(l), tableOp(r), col(0, types.TypeInt64), col(0, types.TypeInt64), nil))
+				}
+				smj := sortMerge("sortmerge", NewExecContext(nil, nil, nil))
+				fanned := NewExecContext(nil, sched, nil)
+				fanned.Parallel = ParallelForce
+				// Both sides' sorts fan out to 4 runs: the order must not move.
+				if par := sortMerge("sortmerge parallel", fanned); !reflect.DeepEqual(par, smj) {
+					t.Fatalf("parallel sort-merge join: order differs from serial\nparallel: %v\nserial:   %v", par, smj)
+				}
 				sort.Strings(smj)
 				if !reflect.DeepEqual(smj, want) {
 					t.Fatalf("sort-merge join differs from reference\ngot:  %v\nwant: %v", smj, want)

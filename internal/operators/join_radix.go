@@ -19,10 +19,6 @@ import (
 // partition, and the final pair merge restores global probe order, so every
 // partition count emits exactly the pair sequence of a single build/probe.
 
-// radixCancelStride is how many probe rows a partition task processes
-// between cancellation checks.
-const radixCancelStride = 4096
-
 // joinBuckets is one morsel of one side, scattered by hash partition:
 // hash[p] holds the key hashes of the morsel's rows in partition p and idx[p]
 // their global row indices (into the side's rows and key columns), ascending.
@@ -56,7 +52,7 @@ func partitionKeys(ctx *ExecContext, side joinSide, parts int) ([]joinBuckets, e
 				b.idx[p] = make([]int32, 0, (hi-lo)/parts+64)
 			}
 			for i, h := range hashRows(side.keys, lo, hi) {
-				if i%radixCancelStride == 0 && ctx.Err() != nil {
+				if i%cancelStride == 0 && ctx.Err() != nil {
 					return
 				}
 				if keyNeverJoins(side.keys, lo+i) {
@@ -119,7 +115,7 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts 
 			for _, pr := range probeB {
 				hash, idx := pr.hash[p], pr.idx[p]
 				for i, li := range idx {
-					if i%radixCancelStride == 0 && ctx.Err() != nil {
+					if i%cancelStride == 0 && ctx.Err() != nil {
 						return
 					}
 					for ri := ht.matches(hash[i], probe.keys, int(li)); ri >= 0; ri = next[ri] {

@@ -83,9 +83,10 @@ type ExecContext struct {
 	// sort, hash join, aggregate merge). Tests and benchmarks only; the zero
 	// value lets the engine decide.
 	Parallel ParallelMode
-	// Estimator, when non-nil, returns cached table statistics for the
-	// parallelism cost gates (nil result = unknown table). It must be cheap:
-	// a cache lookup, never a statistics build.
+	// Estimator, when non-nil, returns a table's statistics for the cost
+	// gates (statistics.Cache.Peek): nil for a table that has no entry yet,
+	// and it makes none; a column of a table that has one is built once, the
+	// first time anyone asks for it, a gate included.
 	Estimator Estimator
 
 	// morselRows, when > 0, replaces the morselRows constant; in-package

@@ -85,6 +85,10 @@ const (
 	// maxMergeShards caps the aggregate merge fan-out: every shard scans all
 	// partials, so shards beyond the core count only add passes.
 	maxMergeShards = 64
+	// cancelStride is how many rows or groups a fanned-out task — a join
+	// partition's probe, a merge shard, a sort merge — handles between
+	// cancellation checks.
+	cancelStride = 4096
 )
 
 // decideParallel is the engine's one serial-vs-parallel gate: an operator
@@ -265,7 +269,7 @@ func (ctx *ExecContext) noteScan(op Operator, scan *chunkScan, parallel bool, mo
 }
 
 // noteSortParallel files a parallel sort's run count and wall time spent in
-// the parallel phase (run sorting + k-way merge).
+// the parallel phase (run sorts + merge rounds).
 func (ctx *ExecContext) noteSortParallel(op Operator, runs int, wallNS int64) {
 	if m := ctx.Metrics; m != nil {
 		m.SortRuns.Add(int64(runs))

@@ -3,6 +3,7 @@ package operators
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,7 +39,11 @@ func diffTables(t *testing.T, sm *storage.StorageManager) []*storage.Table {
 		{Name: "k", Type: types.TypeInt64},
 		{Name: "s", Type: types.TypeString, Nullable: true},
 		{Name: "allnull", Type: types.TypeFloat64, Nullable: true},
+		{Name: "f", Type: types.TypeFloat64},
 	}
+	// f cycles through NaN, both zeros and repeats, so float ties and the
+	// NaN-first rule meet at run edges.
+	floats := []float64{math.NaN(), 0, 1.5, math.Copysign(0, -1), -2, 1.5, math.NaN()}
 	rng := rand.New(rand.NewSource(7))
 	build := func(name string, chunkSize, n int, dupes int) *storage.Table {
 		rows := make([][]types.Value, n)
@@ -51,7 +56,7 @@ func diffTables(t *testing.T, sm *storage.StorageManager) []*storage.Table {
 			if dupes > 0 {
 				k = int64(rng.Intn(dupes))
 			}
-			rows[i] = []types.Value{types.Int(k), s, types.NullValue}
+			rows[i] = []types.Value{types.Int(k), s, types.NullValue, types.Float(floats[i%len(floats)])}
 		}
 		return makeTable(t, sm, name, defs, chunkSize, rows)
 	}
@@ -124,19 +129,29 @@ func TestDiffParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDiffParallelSortMatchesSerial runs every sort with one run and with
+// 2, 3, 5 and 8 runs — odd run counts leave a run out of a merge round, and
+// runs differ in length — and wants the one-run order row for row.
 func TestDiffParallelSortMatchesSerial(t *testing.T) {
 	sm := storage.NewStorageManager()
 	tables := diffTables(t, sm)
-	sched := scheduler.New(4)
-	defer sched.Shutdown()
 
 	keySets := map[string][]SortKey{
 		// Heavy ties: stability is the whole test — equal keys must keep
-		// their original relative order, exactly like sort.SliceStable.
+		// their original relative order, exactly like one stable sort.
 		"dupes_asc":  {{Expr: col(0, types.TypeInt64)}},
 		"dupes_desc": {{Expr: col(0, types.TypeInt64), Desc: true}},
 		"two_keys":   {{Expr: col(1, types.TypeString)}, {Expr: col(0, types.TypeInt64), Desc: true}},
 		"null_key":   {{Expr: col(2, types.TypeFloat64)}, {Expr: col(0, types.TypeInt64)}},
+		"nan_zeros":  {{Expr: col(3, types.TypeFloat64)}},
+		"nan_desc":   {{Expr: col(3, types.TypeFloat64), Desc: true}, {Expr: col(1, types.TypeString)}},
+		"all_equal":  {{Expr: lit(types.Int(7))}},
+	}
+	var scheds []scheduler.Scheduler
+	for _, workers := range []int{2, 3, 5, 8} {
+		sched := scheduler.New(workers)
+		defer sched.Shutdown()
+		scheds = append(scheds, sched)
 	}
 	for _, table := range tables {
 		for name, keys := range keySets {
@@ -147,13 +162,15 @@ func TestDiffParallelSortMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := Execute(NewSort(&GetTable{TableName: table.Name()}, keys), parallelCtx(sm, sched))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(tableRows(serial), tableRows(par)) {
-					t.Fatalf("parallel sort diverged from serial:\nserial: %v\nparallel: %v",
-						tableRows(serial), tableRows(par))
+				for _, sched := range scheds {
+					par, err := Execute(NewSort(&GetTable{TableName: table.Name()}, keys), parallelCtx(sm, sched))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(tableRows(serial), tableRows(par)) {
+						t.Fatalf("%d workers: parallel sort diverged from serial:\nserial: %v\nparallel: %v",
+							sched.WorkerCount(), tableRows(serial), tableRows(par))
+					}
 				}
 			})
 		}

@@ -27,9 +27,10 @@ type Rule interface {
 type Optimizer struct {
 	Rules []Rule
 	Est   *Estimator
-	// MaxPasses bounds the fixpoint iteration of iterative rules.
-	MaxPasses int
 }
+
+// maxPasses bounds the fixpoint iteration of iterative rules.
+const maxPasses = 5
 
 // NewDefault builds the default optimization pipeline (cf. paper: eight
 // rules at the time of writing; we implement the named ones — predicate
@@ -47,8 +48,7 @@ func NewDefault(stats *statistics.Cache) *Optimizer {
 			&PredicateReorderingRule{},
 			&BetweenCompositionRule{},
 		},
-		Est:       NewEstimator(stats),
-		MaxPasses: 5,
+		Est: NewEstimator(stats),
 	}
 }
 
@@ -64,10 +64,6 @@ func (o *Optimizer) Optimize(root lqp.Node) (lqp.Node, error) {
 const maxSubqueryDepth = 8
 
 func (o *Optimizer) optimize(root lqp.Node, depth int) (lqp.Node, error) {
-	maxPasses := o.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 5
-	}
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, r := range o.Rules {

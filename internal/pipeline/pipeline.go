@@ -812,8 +812,9 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	ectx.Active = s.activeQ
 	ectx.LockWait = engine.cfg.LockWaitTimeout
 	ectx.Parallel = engine.cfg.parallel
-	// The estimator feeds the scan cost gate. Peek never pays a table's first
-	// statistics build: a table the optimizer has not planned yields nil.
+	// The estimator feeds the scan cost gate. Peek makes no table's entry (a
+	// table the optimizer has not estimated yields nil), but the gate's first
+	// question about a column of a table that has one builds that column.
 	ectx.Estimator = engine.stats.Peek
 	if tx != nil {
 		tx.SetWaitObserver(engine.waitObserver(s.activeQ, trace))

@@ -33,9 +33,10 @@ type IndexSelectionPlugin struct {
 	mu      sync.Mutex
 	engine  *pipeline.Engine
 	created []string // "table.column" descriptors, for inspection
-	// MaxIndexes bounds how many columns get indexed per Advise run.
-	MaxIndexes int
 }
+
+// maxIndexes bounds how many columns get indexed per Advise run.
+const maxIndexes = 8
 
 // Name implements Plugin.
 func (p *IndexSelectionPlugin) Name() string { return "index_selection" }
@@ -49,9 +50,6 @@ func (p *IndexSelectionPlugin) Description() string {
 func (p *IndexSelectionPlugin) Start(engine *pipeline.Engine) error {
 	p.mu.Lock()
 	p.engine = engine
-	if p.MaxIndexes == 0 {
-		p.MaxIndexes = 8
-	}
 	p.mu.Unlock()
 	return p.Advise()
 }
@@ -80,7 +78,6 @@ type indexCandidate struct {
 func (p *IndexSelectionPlugin) Advise() error {
 	p.mu.Lock()
 	engine := p.engine
-	budget := p.MaxIndexes
 	p.mu.Unlock()
 	if engine == nil {
 		return fmt.Errorf("plugin: not started")
@@ -118,7 +115,7 @@ func (p *IndexSelectionPlugin) Advise() error {
 
 	built := 0
 	for _, cand := range candidates {
-		if built >= budget {
+		if built >= maxIndexes {
 			break
 		}
 		if err := p.buildIndex(cand); err != nil {
@@ -153,11 +150,12 @@ type EncodingAdvisorPlugin struct {
 	mu      sync.Mutex
 	engine  *pipeline.Engine
 	applied map[string]string // "table.column" -> encoding name
-	// MinScans is the number of observed segment scans a column needs
-	// before AdviseFromWorkload will consider re-encoding it (default 8);
-	// below that the workload signal is noise.
-	MinScans int64
 }
+
+// minScans is the number of observed segment scans a column needs before
+// AdviseFromWorkload will consider re-encoding it; below that the workload
+// signal is noise.
+const minScans = 8
 
 // Name implements Plugin.
 func (p *EncodingAdvisorPlugin) Name() string { return "encoding_advisor" }
@@ -172,9 +170,6 @@ func (p *EncodingAdvisorPlugin) Start(engine *pipeline.Engine) error {
 	p.mu.Lock()
 	p.engine = engine
 	p.applied = make(map[string]string)
-	if p.MinScans == 0 {
-		p.MinScans = 8
-	}
 	p.mu.Unlock()
 	return p.Advise()
 }
@@ -239,13 +234,9 @@ func (p *EncodingAdvisorPlugin) Advise() error {
 func (p *EncodingAdvisorPlugin) AdviseFromWorkload() error {
 	p.mu.Lock()
 	engine := p.engine
-	minScans := p.MinScans
 	p.mu.Unlock()
 	if engine == nil {
 		return fmt.Errorf("plugin: not started")
-	}
-	if minScans <= 0 {
-		minScans = 8
 	}
 	sm := engine.StorageManager()
 	stats := engine.Statistics()

@@ -63,7 +63,7 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 	}
 
 	// Synthetic workload: rangy is hammered with point probes, pointy with
-	// range predicates; cold stays under the MinScans threshold.
+	// range predicates; cold stays under the minScans threshold.
 	stats := e.ScanStats()
 	for i := 0; i < 20; i++ {
 		stats.Column("wl", "rangy").Record(observe.ScanPathEncoded, true, rows, 1)
@@ -84,7 +84,7 @@ func TestEncodingAdvisorFromWorkload(t *testing.T) {
 		t.Errorf("pointy re-encoding = %q, want frame-of-reference (range-heavy workload over a dense domain)", re["wl.pointy"])
 	}
 	if re["wl.cold"] != applied["wl.cold"] {
-		t.Errorf("cold was re-encoded (%q -> %q) despite %d < MinScans observations", applied["wl.cold"], re["wl.cold"], 3)
+		t.Errorf("cold was re-encoded (%q -> %q) despite %d < minScans observations", applied["wl.cold"], re["wl.cold"], 3)
 	}
 
 	// The segments were physically swapped.

@@ -212,6 +212,36 @@ func TestConformanceLikeEscape(t *testing.T) {
 	}
 }
 
+// TestConformanceIntOverflow: an INT result or SUM that is no INT fails with
+// 22003 numeric_value_out_of_range, over the simple and the extended protocol.
+func TestConformanceIntOverflow(t *testing.T) {
+	_, _, c := confSetup(t)
+	mustSimple(t, c, "CREATE TABLE ovf (a INT)")
+	mustSimple(t, c, "INSERT INTO ovf VALUES (1), (2)")
+	for _, sql := range []string{
+		"SELECT -9223372036854775807 - a - a FROM ovf WHERE a = 1",
+		"SELECT sum(a * 4611686018427387904) FROM ovf",
+		"SELECT sum(a + 4611686018427387903) FROM ovf",
+	} {
+		_, err := c.SimpleQuery(sql)
+		if pe := pgErr(t, err); pe.Code != "22003" || pe.Message != "bigint out of range" {
+			t.Fatalf("%s: %s %q, want 22003 %q", sql, pe.Code, pe.Message, "bigint out of range")
+		}
+	}
+	if _, err := c.Prepare("neg", "SELECT -a FROM ovf WHERE a = $1", nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Exec("neg", []pgclient.Param{pgclient.Text("1")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSimple(t, c, "INSERT INTO ovf VALUES (-9223372036854775808)")
+	_, err = c.Exec("neg", []pgclient.Param{pgclient.Text("-9223372036854775808")}, nil)
+	if pe := pgErr(t, err); pe.Code != "22003" {
+		t.Fatalf("-a of the INT minimum: %s, want 22003", pe.Code)
+	}
+}
+
 func TestConformanceParseErrorsReportedAtParseTime(t *testing.T) {
 	_, _, c := confSetup(t)
 	cases := map[string]string{

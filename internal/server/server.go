@@ -758,6 +758,7 @@ const (
 	codeDuplicateCursor           = "42P03" // duplicate_cursor (named portal redefined)
 	codeInvalidTextRepresentation = "22P02" // invalid_text_representation (bad parameter)
 	codeInvalidEscapeSequence     = "22025" // invalid_escape_sequence (a LIKE pattern ending in a lone '\')
+	codeNumericOutOfRange         = "22003" // numeric_value_out_of_range (an INT result or SUM that is no INT)
 	codeDatatypeMismatch          = "42804" // datatype_mismatch (CASE branches with no common type, a condition not BOOL)
 	codeUndefinedFunction         = "42883" // undefined_function (no operator or function for the operand types)
 	codeUndefinedColumn           = "42703" // undefined_column
@@ -788,6 +789,8 @@ func sqlStateFor(err error) string {
 		return codeInvalidTextRepresentation
 	case errors.Is(err, expression.ErrInvalidEscape):
 		return codeInvalidEscapeSequence
+	case errors.Is(err, expression.ErrOutOfRange):
+		return codeNumericOutOfRange
 	case errors.Is(err, expression.ErrUndefinedFunction):
 		return codeUndefinedFunction
 	case errors.Is(err, lqp.ErrColumnNotFound):

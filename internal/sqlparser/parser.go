@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -635,10 +636,10 @@ func (p *parser) parseUnary() (expression.Expression, error) {
 			return nil, err
 		}
 		if lit, ok := child.(*expression.Literal); ok {
-			switch lit.Value.Type {
-			case types.TypeInt64:
+			switch {
+			case lit.Value.Type == types.TypeInt64 && lit.Value.I != math.MinInt64: // -(INT minimum) fails at run time
 				return expression.NewLiteral(types.Int(-lit.Value.I)), nil
-			case types.TypeFloat64:
+			case lit.Value.Type == types.TypeFloat64:
 				return expression.NewLiteral(types.Float(-lit.Value.F)), nil
 			}
 		}

@@ -336,8 +336,9 @@ func (c *Cache) Instrument(r *observe.Registry) {
 func (c *Cache) Get(t *storage.Table) *TableStatistics { return c.lookup(t, true) }
 
 // Peek is Get for a caller that must not make a table's entry (the executor's
-// cost gates): it returns nil for a table never planned. A column of a planned
-// table is still built when the caller first asks for it.
+// cost gates): it returns nil for a table that has none. For a table that has
+// one it is Get — the entry is kept current, and a column is built once, the
+// first time any caller asks for it.
 func (c *Cache) Peek(t *storage.Table) *TableStatistics { return c.lookup(t, false) }
 
 // lookup holds the cache's one staleness rule. Rows written since the entry
