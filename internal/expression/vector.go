@@ -64,21 +64,21 @@ func (v *Vector) ValueAt(i int) types.Value {
 	}
 }
 
-// slice returns rows [lo, hi) of v; it shares v's storage.
-func (v *Vector) slice(lo, hi int) *Vector {
-	out := &Vector{DT: v.DT, N: hi - lo}
-	switch v.DT {
-	case types.TypeInt64:
-		out.I = v.I[lo:hi]
-	case types.TypeFloat64:
-		out.F = v.F[lo:hi]
-	case types.TypeString:
-		out.S = v.S[lo:hi]
-	case types.TypeBool:
-		out.B = v.B[lo:hi]
+// Gather returns v's rows at the given indices, in their order, as a new
+// vector.
+func (v *Vector) Gather(rows []int32) *Vector {
+	return &Vector{DT: v.DT, I: pick(v.I, rows), F: pick(v.F, rows), S: pick(v.S, rows), B: pick(v.B, rows),
+		Nulls: pick(v.Nulls, rows), N: len(rows)}
+}
+
+// pick returns s's elements at the given indices; nil stays nil.
+func pick[T any](s []T, rows []int32) []T {
+	if s == nil {
+		return nil
 	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
+	out := make([]T, len(rows))
+	for j, i := range rows {
+		out[j] = s[i]
 	}
 	return out
 }

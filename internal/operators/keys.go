@@ -239,26 +239,20 @@ func exprType(e expression.Expression) types.DataType {
 }
 
 // concatKeys builds one key column of type dt and total rows from vectors
-// laid end to end; with sel, only rows sel[i] of vector i are taken. A vector
-// is of type dt, all NULL (of any type: a column the plan types NULL is
-// stored as some type), or INT in a FLOAT column and cast; any other is an
-// error. A column of type NULL is all NULL. A single vector that already is
-// the column is returned as it is.
-func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, total int) (*expression.Vector, error) {
+// laid end to end. A vector is of type dt, all NULL (of any type: a column the
+// plan types NULL is stored as some type), or INT in a FLOAT column and cast;
+// any other is an error. A column of type NULL is all NULL. A single vector
+// that already is the column is returned as it is.
+func concatKeys(vecs []*expression.Vector, dt types.DataType, total int) (*expression.Vector, error) {
 	switch {
 	case dt == types.TypeNull:
 		return expression.NullVector(dt, total), nil
-	case len(vecs) == 1 && sel == nil && vecs[0].DT == dt:
+	case len(vecs) == 1 && vecs[0].DT == dt:
 		return vecs[0], nil
 	}
 	out := &expression.Vector{DT: dt, N: total}
 	off := 0
-	for i, v := range vecs {
-		var rows []int32
-		n := v.N
-		if sel != nil {
-			rows, n = sel[i], len(sel[i])
-		}
+	for _, v := range vecs {
 		if v.DT == types.TypeNull || v.DT != dt && v.Nulls != nil && !slices.Contains(v.Nulls, false) { // every row NULL
 			v = expression.NullVector(dt, v.N)
 		}
@@ -266,40 +260,29 @@ func concatKeys(vecs []*expression.Vector, sel [][]int32, dt types.DataType, tot
 		case v.DT != dt && (v.DT != types.TypeInt64 || dt != types.TypeFloat64):
 			return nil, fmt.Errorf("operators: a %s vector in a %s key column", v.DT, dt)
 		case dt == types.TypeInt64:
-			out.I = takeRows(out.I, total, off, v.I, rows)
+			out.I = place(out.I, total, off, v.I)
 		case dt == types.TypeFloat64:
-			out.F = takeRows(out.F, total, off, v.Floats(), rows)
+			out.F = place(out.F, total, off, v.Floats())
 		case dt == types.TypeString:
-			out.S = takeRows(out.S, total, off, v.S, rows)
+			out.S = place(out.S, total, off, v.S)
 		case dt == types.TypeBool:
-			out.B = takeRows(out.B, total, off, v.B, rows)
+			out.B = place(out.B, total, off, v.B)
 		}
 		if v.Nulls != nil {
-			out.Nulls = takeRows(out.Nulls, total, off, v.Nulls, rows)
+			out.Nulls = place(out.Nulls, total, off, v.Nulls)
 		}
-		off += n
+		off += v.N
 	}
 	return out, nil
 }
 
-// selectRows gathers the given rows of v into a new column.
-func selectRows(v *expression.Vector, rows []int32) *expression.Vector {
-	out, _ := concatKeys([]*expression.Vector{v}, [][]int32{rows}, v.DT, len(rows)) // of its own type
-	return out
-}
-
-// takeRows copies src — only its rows, when rows is non-nil — into dst from
-// off on; dst, total long, is allocated on first use.
-func takeRows[T any](dst []T, total, off int, src []T, rows []int32) []T {
+// place copies src into dst from off on; dst, total long, is allocated on
+// first use.
+func place[T any](dst []T, total, off int, src []T) []T {
 	if dst == nil {
 		dst = make([]T, total)
 	}
-	if rows == nil {
-		copy(dst[off:], src)
-	}
-	for i, r := range rows {
-		dst[off+i] = src[r]
-	}
+	copy(dst[off:], src)
 	return dst
 }
 
@@ -369,10 +352,10 @@ func joinKeys(ctx *ExecContext, leftT, rightT *storage.Table, leftKeys, rightKey
 		if dt, ok := types.CommonType(ldt, rdt); ok {
 			ldt, rdt = dt, dt
 		}
-		if left.keys[k], err = concatKeys(lv[k], nil, ldt, left.rows.Len()); err != nil {
+		if left.keys[k], err = concatKeys(lv[k], ldt, left.rows.Len()); err != nil {
 			return left, right, err
 		}
-		if right.keys[k], err = concatKeys(rv[k], nil, rdt, right.rows.Len()); err != nil {
+		if right.keys[k], err = concatKeys(rv[k], rdt, right.rows.Len()); err != nil {
 			return left, right, err
 		}
 	}

@@ -118,7 +118,7 @@ func inSetFromTable(ctx *ExecContext, x *expression.In, t *storage.Table) (*inSe
 	if err != nil {
 		return nil, err
 	}
-	col, err := concatKeys(vecs[0], nil, dt, t.RowCount())
+	col, err := concatKeys(vecs[0], dt, t.RowCount())
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (s *inSet) probe(v *expression.Vector) (*expression.Vector, error) {
 	if s.empty {
 		return out, nil
 	}
-	key, err := concatKeys([]*expression.Vector{v}, nil, s.dt, v.N)
+	key, err := concatKeys([]*expression.Vector{v}, s.dt, v.N)
 	if err != nil {
 		return nil, err
 	}

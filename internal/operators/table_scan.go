@@ -123,17 +123,18 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 
 // chunkScan is the per-chunk pass of a predicate chain: prune by zone and
 // filters → first conjunct by the ladder (binary search over an ascending
-// column → index probe → encoded scan → typed scan over unencoded values →
-// vectorized expression evaluation over materialized columns; each chunk
-// takes the first rung that applies to it) → every further
-// conjunct evaluated over the surviving offsets only → visibility over those
-// same offsets, block by block (concurrency.VisibleOffsets). Visibility comes
-// last because it reads state no filter, index or encoding summarizes: every
-// conjunct before it shrinks the rows it looks at, and none depends on it. The
-// prune rung is the engine's only pruning site (paper §2.4): it runs per
-// execution, so it sees a prepared statement's bound values and filters
-// attached after the plan was cached, and the scan always reads the stored
-// table itself, whose chunk ids DML writes into its redo records. Everything a
+// column → index probe → encoded scan → typed scan over unencoded values;
+// each chunk takes the first rung that applies to it) → visibility, block by
+// block (concurrency.VisibleOffsets) → every conjunct left, the first one too
+// where no rung applied, by vectorized expression evaluation over the
+// surviving offsets only. Visibility comes before any expression evaluation
+// because evaluation can fail on a row's value (an INT overflow), and a row
+// the transaction cannot see must not fail its statement; the rungs before it
+// compare values and fail on none. The prune rung is the engine's only
+// pruning site (paper §2.4): it runs per execution, so it sees a prepared
+// statement's bound values and filters attached after the plan was cached,
+// and the scan always reads the stored table itself, whose chunk ids DML
+// writes into its redo records. Everything a
 // chunk needs is resolved once per operator run; run is safe to call from
 // concurrent tasks on distinct chunks.
 type chunkScan struct {
@@ -205,53 +206,53 @@ func (s *chunkScan) run(ci int, c *storage.Chunk) ([]types.ChunkOffset, error) {
 		}
 	}
 	var offsets []types.ChunkOffset
-	if len(s.preds) == 0 {
+	k0 := 0 // the first conjunct left to the evaluator
+	if matches, ok := s.ladder(c, n); ok {
+		offsets, k0 = matches, 1
+		s.after[0].Add(int64(len(matches)))
+	} else {
 		offsets = identityOffsets(n)
-	}
-	for k, pred := range s.preds {
-		var err error
-		if k == 0 {
-			offsets, err = s.ladder(c, n)
-		} else {
-			offsets, err = s.eval(c, pred, offsets)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.after[k].Add(int64(len(offsets)))
-		if len(offsets) == 0 {
-			return nil, nil
-		}
 	}
 	if mvcc := c.MvccData(); s.visible && mvcc != nil {
 		survivors := len(offsets)
 		offsets = concurrency.VisibleOffsets(mvcc, offsets, s.ctx.Tx.TID(), s.ctx.Tx.Snapshot())
 		s.invisible.Add(int64(survivors - len(offsets)))
 	}
+	for k := k0; k < len(s.preds) && len(offsets) > 0; k++ {
+		rows, at := len(offsets), offsets
+		if k == 0 && rows == n && c.IsImmutable() && c.Size() == n {
+			at = nil // the fallback rung over a sealed chunk reads whole segments
+		}
+		var err error
+		if offsets, err = s.eval(c, s.preds[k], at); err != nil {
+			return nil, err
+		}
+		if k == 0 && s.simple != nil {
+			s.record(s.simple, observe.ScanPathFallback, rows, len(offsets))
+		}
+		s.after[k].Add(int64(len(offsets)))
+	}
 	return offsets, nil
 }
 
 // ladder answers the chain's first conjunct over the whole chunk by the first
-// rung that applies.
-func (s *chunkScan) ladder(c *storage.Chunk, n int) ([]types.ChunkOffset, error) {
-	if s.simple != nil && !s.ctx.DynamicAccess {
-		if matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe); ok {
-			noteScanPath(s.ctx, kind, enc)
-			switch kind {
-			case observe.ScanPathSorted:
-				s.sorted.Add(1)
-			case observe.ScanPathIndex:
-				s.probed.Add(1)
-			}
-			s.record(s.simple, kind, n, len(matches))
-			return matches, nil
+// rung that applies; ok is false when none does and evaluation must.
+func (s *chunkScan) ladder(c *storage.Chunk, n int) (matches []types.ChunkOffset, ok bool) {
+	if s.simple == nil || s.ctx.DynamicAccess {
+		return nil, false
+	}
+	matches, enc, kind, ok := scanChunkSpecialized(c, s.simple, s.probe)
+	if ok {
+		noteScanPath(s.ctx, kind, enc)
+		switch kind {
+		case observe.ScanPathSorted:
+			s.sorted.Add(1)
+		case observe.ScanPathIndex:
+			s.probed.Add(1)
 		}
+		s.record(s.simple, kind, n, len(matches))
 	}
-	matches, err := s.eval(c, s.preds[0], nil)
-	if err == nil && s.simple != nil {
-		s.record(s.simple, observe.ScanPathFallback, n, len(matches))
-	}
-	return matches, err
+	return matches, ok
 }
 
 // eval is the fallback rung and the rung of every conjunct after the first:

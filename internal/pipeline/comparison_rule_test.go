@@ -16,6 +16,17 @@ import (
 	"hyrise/internal/types"
 )
 
+// engineConfigs are the engine configurations comparisonEngines serves, each
+// one setting away from DefaultConfig.
+var engineConfigs = map[string]func(*Config){
+	"default":     func(*Config) {},
+	"dynamic":     func(cfg *Config) { cfg.DynamicAccess = true },
+	"unoptimized": func(cfg *Config) { cfg.UseOptimizer = false },
+	"parallel": func(cfg *Config) {
+		cfg.parallel, cfg.UseScheduler, cfg.SchedulerWorkers = operators.ParallelForce, true, 4
+	},
+}
+
 // comparisonEngines serves one catalog under every configuration that takes
 // a different route to a comparison: the default engine (scan kernels, hash
 // join, typed aggregates), DynamicAccess (the evaluator scans every chunk),
@@ -24,14 +35,7 @@ import (
 func comparisonEngines(t *testing.T, sm *storage.StorageManager) map[string]*Engine {
 	t.Helper()
 	engines := map[string]*Engine{}
-	for name, set := range map[string]func(*Config){
-		"default":     func(*Config) {},
-		"dynamic":     func(cfg *Config) { cfg.DynamicAccess = true },
-		"unoptimized": func(cfg *Config) { cfg.UseOptimizer = false },
-		"parallel": func(cfg *Config) {
-			cfg.parallel, cfg.UseScheduler, cfg.SchedulerWorkers = operators.ParallelForce, true, 4
-		},
-	} {
+	for name, set := range engineConfigs {
 		cfg := DefaultConfig()
 		cfg.UseMvcc = false
 		set(&cfg)
