@@ -884,3 +884,28 @@ func BenchmarkMicroExpression(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMicroGenerate measures tpch.Generate at SF 0.02 in 10 000-row
+// chunks, the tpch_power load: bare into a catalog without a Sealer (the
+// chunks only turn immutable), engine into an engine's catalog, whose Sealer
+// encodes every chunk and attaches its filters as the load publishes it.
+func BenchmarkMicroGenerate(b *testing.B) {
+	cfg := tpch.Config{ScaleFactor: 0.02, ChunkSize: 10_000, UseMvcc: true, Seed: 42}
+	for _, engine := range []bool{false, true} {
+		b.Run(map[bool]string{false: "bare", true: "engine"}[engine], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sm := storage.NewStorageManager()
+				if engine {
+					e := pipeline.NewEngine(pipeline.DefaultConfig(), sm)
+					b.Cleanup(e.Close)
+				}
+				b.StartTimer()
+				if err := tpch.Generate(sm, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

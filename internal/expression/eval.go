@@ -241,6 +241,10 @@ func AddInt(lo int64, hi int32, x int64) (int64, int32) {
 	return s, hi
 }
 
+// IntSum is the exact INT sum hi·2^64 + lo that AddInt keeps, as a FLOAT:
+// what AVG over INT divides by its count.
+func IntSum(lo int64, hi int32) float64 { return float64(hi)*0x1p64 + float64(lo) }
+
 // nullAt marks row i of an n-row null map, allocating the map on first use.
 func nullAt(nulls []bool, n, i int) []bool {
 	if nulls == nil {

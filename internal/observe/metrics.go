@@ -224,6 +224,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// PublishCounter and PublishHistogram install a handle a component keeps
+// under name, replacing what the name held: a component shared by several
+// registries (the statistics cache of the engines over one catalog) shows its
+// one counter in each.
+func (r *Registry) PublishCounter(name string, c *Counter) {
+	r.mu.Lock()
+	r.counters[name] = c
+	r.mu.Unlock()
+}
+
+func (r *Registry) PublishHistogram(name string, h *Histogram) {
+	r.mu.Lock()
+	r.histograms[name] = h
+	r.mu.Unlock()
+}
+
 // RegisterFunc registers a pull-style gauge whose value is computed at
 // snapshot time. Re-registering a name replaces the function.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {

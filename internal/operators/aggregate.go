@@ -49,8 +49,9 @@ func (op *Aggregate) Inputs() []Operator { return []Operator{op.input} }
 // value. count is the rows the aggregate saw (COUNT(*) counts NULLs, the
 // others skip them). MIN and MAX keep the row of the group's current extreme
 // — a row of the chunk's argument while the chunk runs, a row of the merged
-// extreme column (mergedGroups) after it. SUM over INT is exact:
-// sumHi·2^64 + sumInt (expression.AddInt).
+// extreme column (mergedGroups) after it. SUM and AVG over INT are exact:
+// sumHi·2^64 + sumInt (expression.AddInt), and sum stays 0; over FLOAT, sum
+// is the running sum.
 type aggState struct {
 	sum    float64
 	sumInt int64
@@ -456,7 +457,6 @@ func updateColumn(states []aggState, stride int, agg *expression.Aggregate, arg 
 					continue
 				}
 				st := &states[int(g)*stride]
-				st.sum += float64(arg.I[row])
 				st.sumInt, st.sumHi = expression.AddInt(st.sumInt, st.sumHi, arg.I[row])
 				st.count++
 			}
@@ -545,7 +545,7 @@ func (op *Aggregate) aggColumn(i int, m mergedGroups) (*expression.Vector, error
 				return nil, expression.ErrOutOfRange
 			}
 		case expression.AggAvg:
-			floats[g], nulls[g] = st.sum/float64(st.count), st.count == 0
+			floats[g], nulls[g] = (st.sum+expression.IntSum(st.sumInt, st.sumHi))/float64(st.count), st.count == 0
 		default: // the counts
 			ints[g] = st.count
 		}

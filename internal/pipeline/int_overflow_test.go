@@ -16,7 +16,8 @@ import (
 // expression.ErrOutOfRange (22003 on the wire), in every engine configuration
 // and in the row engine. `+`, `-`, `*`, INT_MIN / -1 and unary minus of
 // INT_MIN fail; a SUM fails only when its total is no INT, whatever its
-// running sum passes through, and is exact beyond 2^53. Only rows that count
+// running sum passes through, and is exact beyond 2^53. AVG over INT divides
+// that exact sum, and answers where the SUM fails. Only rows that count
 // fail: a CASE branch runs on the rows that take it, and a scan evaluates no
 // expression on a row its transaction cannot see (deleted, an updated row's
 // old version, another transaction's uncommitted insert).
@@ -42,6 +43,15 @@ func TestDiffIntOverflow(t *testing.T) {
 	}
 	table.SealTail()
 	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	means := storage.NewTable("m", []storage.ColumnDefinition{{Name: "k", Type: types.TypeInt64}, {Name: "a", Type: types.TypeInt64}}, 2, false)
+	for k, a := range []int64{1 << 62, 1, -1 << 62, math.MaxInt64, math.MaxInt64} {
+		if _, err := means.AppendRow([]types.Value{types.Int(int64(k)), types.Int(a)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sm.AddTable(means); err != nil {
 		t.Fatal(err)
 	}
 	engines := comparisonEngines(t, sm)
@@ -75,6 +85,8 @@ func TestDiffIntOverflow(t *testing.T) {
 		"SELECT sum(b) FROM o WHERE a <= 3":                                                     "[1]",
 		"SELECT sum(b) FROM o WHERE a >= 4":                                                     "[-9205357638345293822]",
 		"SELECT sum(b), avg(b) FROM o WHERE a = 4 OR a = 5":                                     "[18014398509481986|9.0072e+15]",
+		"SELECT avg(a) FROM m WHERE k < 3":                                                      "[0.333333]",
+		"SELECT avg(a) FROM m WHERE k >= 3":                                                     "[9.22337e+18]",
 		"SELECT a % 2, sum(b) FROM o WHERE a < 7 GROUP BY a % 2":                                "[0|9007199254740994 1|9007199254740993]",
 		"SELECT CASE WHEN a = 1 THEN a * 4611686018427387904 ELSE 0 END FROM o WHERE a <= 2":    "[0 4611686018427387904]",
 		"SELECT CASE WHEN b <> -9223372036854775808 THEN -b END FROM o":                         "[-1 -9007199254740993 -9007199254740993 -9223372036854775807 9223372036854775807 NULL NULL]",

@@ -188,7 +188,7 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		cfg:       cfg,
 		sm:        sm,
 		tm:        concurrency.NewTransactionManager(),
-		stats:     statistics.NewCache(cfg.HistogramType),
+		stats:     statistics.CacheFor(sm, cfg.HistogramType),
 		stmtCache: cache.NewLRU[string, *PreparedStatement](cfg.PlanCacheSize),
 		prepared:  make(map[string]*PreparedStatement),
 	}

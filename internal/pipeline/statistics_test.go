@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hyrise/internal/statistics"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 // TestStatsBuildsAreLogarithmic: 10 000 single-row INSERTs, each followed
@@ -53,5 +55,48 @@ func TestStatsBuildsAreLogarithmic(t *testing.T) {
 	}
 	if ts := e.Statistics().Peek(table); ts == nil || ts.RowCount < inserts-inserts/statistics.DefaultHistogramBins {
 		t.Errorf("statistics after the run = %+v, want at most one bin's worth of %d rows behind", ts, inserts)
+	}
+}
+
+// TestStatsSharedByEnginesOnOneCatalog: engines over one catalog and histogram
+// kind share one statistics cache, so a column one of them built is not built
+// again for the other, and the builds show in each engine's metrics. An
+// engine with another histogram kind keeps a cache of its own.
+func TestStatsSharedByEnginesOnOneCatalog(t *testing.T) {
+	serial := NewEngine(DefaultConfig(), nil)
+	defer serial.Close()
+	cfg := DefaultConfig()
+	cfg.UseScheduler, cfg.SchedulerWorkers = true, 2
+	sched := NewEngine(cfg, serial.StorageManager())
+	defer sched.Close()
+	if serial.Statistics() != sched.Statistics() {
+		t.Fatal("two engines over one catalog hold two statistics caches")
+	}
+	kv := storage.NewTable("kv", []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "v", Type: types.TypeInt64}}, 0, false)
+	for i := range int64(3) {
+		if _, err := kv.AppendRow([]types.Value{types.Int(i + 1), types.Int(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := serial.StorageManager().AddTable(kv); err != nil {
+		t.Fatal(err)
+	}
+	const query = "SELECT v FROM kv WHERE id >= 2 AND v >= 0" // two predicates: both columns are estimated
+	for _, e := range []*Engine{serial, sched, serial} {
+		if res := mustExec(t, e.NewSession(), query); res.Table.RowCount() != 2 {
+			t.Fatalf("%s: %d rows, want 2", query, res.Table.RowCount())
+		}
+	}
+	for name, e := range map[string]*Engine{"serial": serial, "scheduler": sched} {
+		if builds, _ := e.Metrics().Get("statistics.full_builds"); builds != 2 {
+			t.Errorf("%s engine: statistics.full_builds = %d, want 2: each column once", name, builds)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.HistogramType = statistics.EqualWidth
+	other := NewEngine(cfg, serial.StorageManager())
+	defer other.Close()
+	if other.Statistics() == serial.Statistics() {
+		t.Error("engines with different histogram kinds share a statistics cache")
 	}
 }

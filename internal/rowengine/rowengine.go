@@ -427,8 +427,8 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, outer []types.Value) ([][]t
 	}
 	type state struct {
 		keys     []types.Value
-		sums     []float64
-		intSums  []int64 // SUM over INT, exact: wraps·2^64 + intSums
+		sums     []float64 // SUM and AVG over FLOAT
+		intSums  []int64   // SUM and AVG over INT, exact: wraps·2^64 + intSums
 		wraps    []int32
 		counts   []int64               // non-NULL values seen; all rows for COUNT(*)
 		extremes []types.Value         // the MIN or MAX so far
@@ -483,9 +483,10 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, outer []types.Value) ([][]t
 				writeKey(&dk, v)
 				st.distinct[i][dk.String()] = struct{}{}
 			case expression.AggSum, expression.AggAvg:
-				st.sums[i] += v.AsFloat()
 				if v.Type == types.TypeInt64 {
 					st.intSums[i], st.wraps[i] = expression.AddInt(st.intSums[i], st.wraps[i], v.I)
+				} else {
+					st.sums[i] += v.AsFloat()
 				}
 			case expression.AggMin, expression.AggMax:
 				if c := types.Order(v, st.extremes[i]); st.counts[i] == 1 || c < 0 && agg.Fn == expression.AggMin || c > 0 && agg.Fn == expression.AggMax {
@@ -514,7 +515,7 @@ func (e *Engine) execAggregate(n *lqp.AggregateNode, outer []types.Value) ([][]t
 			case st.counts[i] == 0:
 				row = append(row, types.NullValue)
 			case agg.Fn == expression.AggAvg:
-				row = append(row, types.Float(st.sums[i]/float64(st.counts[i])))
+				row = append(row, types.Float((st.sums[i]+expression.IntSum(st.intSums[i], st.wraps[i]))/float64(st.counts[i])))
 			case agg.Fn != expression.AggSum:
 				row = append(row, st.extremes[i])
 			case schema[len(st.keys)+i].DT != types.TypeInt64:

@@ -321,15 +321,26 @@ func NewCache(kind HistogramType) *Cache {
 	}
 }
 
+// cacheKey is the slot of a catalog's statistics cache for one histogram kind
+// (StorageManager.Shared).
+type cacheKey struct{ kind HistogramType }
+
+// CacheFor returns the catalog's statistics cache for the histogram kind,
+// making it on first use: the engines over one catalog share it, so a column
+// is built once, whichever of them plans with it first.
+func CacheFor(sm *storage.StorageManager, kind HistogramType) *Cache {
+	return sm.Shared(cacheKey{kind}, func() any { return NewCache(kind) }).(*Cache)
+}
+
 // Instrument publishes the cache's maintenance work in r: columns built, rows
 // folded, the chunks of a column either read off their encoding instead of
-// row by row, and the time of each column build or fold. Call it before the
-// first lookup.
+// row by row, and the time of each column build or fold. A cache shared by
+// several engines shows the same counts in each of their registries.
 func (c *Cache) Instrument(r *observe.Registry) {
-	c.fullBuilds = r.Counter("statistics.full_builds")
-	c.foldedRows = r.Counter("statistics.folded_rows")
-	c.summarized = r.Counter("statistics.summarized_chunks")
-	c.maintainNS = r.Histogram("statistics.maintain_ns")
+	r.PublishCounter("statistics.full_builds", c.fullBuilds)
+	r.PublishCounter("statistics.folded_rows", c.foldedRows)
+	r.PublishCounter("statistics.summarized_chunks", c.summarized)
+	r.PublishHistogram("statistics.maintain_ns", c.maintainNS)
 }
 
 // Get returns the statistics of a table, whose columns are built on first use.

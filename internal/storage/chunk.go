@@ -476,8 +476,8 @@ func (c *Chunk) IsImmutable() bool { return c.immutable.Load() }
 func (c *Chunk) Finalize() { c.immutable.Store(true) }
 
 // SealNS returns the nanoseconds the catalog's Sealer spent on the chunk when
-// it filled up: what the append that completed it paid. 0 for a chunk that
-// was loaded, restored, or is still mutable.
+// it filled up or its load published it. 0 for a chunk that was restored, is
+// still mutable, or belongs to no catalog with a Sealer.
 func (c *Chunk) SealNS() int64 { return c.sealNS.Load() }
 
 // AddIndex attaches a secondary index to the chunk.

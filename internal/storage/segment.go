@@ -97,6 +97,15 @@ func growTo[E any](xs []E, limit int) []E {
 
 func (s *ValueSegment[T]) growLimit(capacity int) { s.limit = capacity }
 
+// reserve gives an empty segment room for n rows up front: a bulk load that
+// knows its size.
+func (s *ValueSegment[T]) reserve(n int) {
+	s.values = make([]T, 0, n)
+	if s.nullable {
+		s.nulls = make([]bool, 0, n)
+	}
+}
+
 // Clipped returns the segment as a sealed chunk keeps it: its rows without
 // spare capacity, and NULL flags only if some row is NULL (it stays
 // Nullable). An array without spare capacity is shared, not copied.

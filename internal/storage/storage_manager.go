@@ -16,8 +16,10 @@ import (
 // Sealer finishes a chunk of a registered table at the moment it has become
 // immutable: it may replace segments by encoded ones and attach filters. The
 // encodings live above this package, so the engine supplies the function
-// (StorageManager.SetSealer); it runs in the goroutine whose write completed
-// the chunk.
+// (StorageManager.SetSealer). It runs in the goroutine whose write completed
+// the chunk or, for a bulk load (Loader), before the chunk is published, on
+// a goroutine of its own beside the seals of other chunks: it must be safe
+// for concurrent use on different chunks.
 type Sealer func(c *Chunk)
 
 // MetaTableProvider materializes a virtual system table on demand. Each
@@ -36,6 +38,8 @@ type StorageManager struct {
 	sealer Sealer
 
 	chunksSealed, sealNS atomic.Int64
+
+	shared map[any]any // Shared's slots
 
 	// epoch counts catalog mutations (table/view add/drop). Cached plans
 	// embed table pointers; consumers record the epoch at build time and
@@ -78,8 +82,25 @@ func (sm *StorageManager) seal(c *Chunk) {
 	sm.sealNS.Add(ns)
 }
 
+// Shared returns the value the catalog keeps under key, made by newValue on
+// first use: what the components over one catalog share, whose packages this
+// one cannot name (the engines' statistics cache).
+func (sm *StorageManager) Shared(key any, newValue func() any) any {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	v, ok := sm.shared[key]
+	if !ok {
+		if sm.shared == nil {
+			sm.shared = map[any]any{}
+		}
+		v = newValue()
+		sm.shared[key] = v
+	}
+	return v
+}
+
 // SealStats returns how many chunks the Sealer has finished and the
-// nanoseconds their appenders spent in it.
+// nanoseconds it spent on them.
 func (sm *StorageManager) SealStats() (chunks, ns int64) {
 	return sm.chunksSealed.Load(), sm.sealNS.Load()
 }
@@ -235,9 +256,10 @@ func (sm *StorageManager) DropView(name string) error {
 
 // LoadCSV bulk-loads delimiter-separated values into a new table with the
 // given schema and registers it. Empty fields in nullable columns load as
-// NULL. The table is registered first, so its chunks seal as they fill, and
-// the tail seals when the input ends; a load that fails is dropped again. This
-// backs the benchmark runner's "provide your own .csv" feature (paper §2.10).
+// NULL. The table is registered first and filled by a Loader, so each chunk
+// is published sealed, the last one when the input ends; a load that fails is
+// dropped again. This backs the benchmark runner's "provide your own .csv"
+// feature (paper §2.10).
 func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Reader, delim rune, chunkSize int, useMvcc bool) (_ *Table, err error) {
 	table := NewTable(name, defs, chunkSize, useMvcc)
 	if err := sm.AddTable(table); err != nil {
@@ -248,6 +270,8 @@ func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Rea
 			_ = sm.DropTable(name) // registered above; the load's error is the one to report
 		}
 	}()
+	l := NewLoader(table, 0)
+	defer l.Close()
 	cr := csv.NewReader(r)
 	cr.Comma = delim
 	cr.ReuseRecord = true
@@ -268,16 +292,23 @@ func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Rea
 				row[i] = types.NullValue
 				continue
 			}
-			v, err := types.ParseValue(defs[i].Type, field)
-			if err != nil {
+			if row[i], err = types.ParseValue(defs[i].Type, field); err != nil {
 				return nil, fmt.Errorf("storage: csv field %d: %w", i, err)
 			}
-			row[i] = v
 		}
-		if _, err := table.AppendRow(row); err != nil {
-			return nil, err
+		for _, v := range row {
+			switch {
+			case v.IsNull():
+				l.Null()
+			case v.Type == types.TypeInt64:
+				l.Int(v.I)
+			case v.Type == types.TypeFloat64:
+				l.Float(v.F)
+			default:
+				l.Str(v.S)
+			}
 		}
+		l.EndRow()
 	}
-	table.SealTail()
 	return table, nil
 }

@@ -136,8 +136,8 @@ func (t *Table) Chunks() []*Chunk {
 	return out
 }
 
-// AppendChunk attaches a pre-built chunk (snapshot restore, reference
-// tables). A data table summarizes the chunk's columns into zones here, once;
+// AppendChunk attaches a pre-built chunk (snapshot restore, bulk loads,
+// reference tables). A data table summarizes the chunk's columns into zones here, once;
 // from then on they are kept up with every write. The value segments of a
 // mutable chunk (a restored tail) grow toward the chunk size from here, as a
 // fresh chunk's do.
@@ -406,8 +406,9 @@ func (t *Table) placeholderRow() []types.Value {
 	return vals
 }
 
-// SealTail seals the last chunk though it is not full: the end of a bulk load,
-// whose full chunks sealed as they filled. On a table outside any catalog, or
+// SealTail seals the last chunk though it is not full: the end of a load by
+// AppendRow, whose full chunks sealed as they filled (a Loader's Close does
+// this for its own last chunk). On a table outside any catalog, or
 // in one without a Sealer, the chunk only becomes immutable. Nothing happens
 // when that chunk is sealed already.
 func (t *Table) SealTail() {

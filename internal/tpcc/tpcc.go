@@ -97,104 +97,107 @@ func schema() []table {
 }
 
 // Generate creates, registers and populates the nine TPC-C tables. It loads
-// like LoadCSV: registered first, each chunk seals as it fills and each tail
-// when the load ends, so the catalog's Sealer picks every loaded chunk's
-// encoding.
+// like LoadCSV: each table is registered first and filled by a
+// storage.Loader, which publishes every chunk sealed by the catalog's Sealer,
+// the last one when the load ends.
 func Generate(sm *storage.StorageManager, cfg Config) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tables := make(map[string]*storage.Table)
+	districts := cfg.Warehouses * cfg.DistrictsPerWarehouse
+	orders := districts * cfg.InitialOrders
+	rows := map[string]int{
+		"warehouse": cfg.Warehouses, "district": districts, "customer": districts * cfg.CustomersPerDistrict,
+		"orders": orders, "new_order": districts * (cfg.InitialOrders - cfg.InitialOrders*2/3),
+		"order_line": orders * 10, "item": cfg.Items, "stock": cfg.Warehouses * cfg.Items,
+	}
+	loaders := make(map[string]*storage.Loader)
 	for _, t := range schema() {
-		tables[t.name] = storage.NewTable(t.name, t.defs, cfg.ChunkSize, true)
-		if err := sm.AddTable(tables[t.name]); err != nil {
+		table := storage.NewTable(t.name, t.defs, cfg.ChunkSize, true)
+		if err := sm.AddTable(table); err != nil {
 			return err
 		}
+		loaders[t.name] = storage.NewLoader(table, rows[t.name])
 	}
-	add := func(name string, vals ...types.Value) error {
-		_, err := tables[name].AppendRow(vals)
-		return err
-	}
+	item, warehouse, stock, district := loaders["item"], loaders["warehouse"], loaders["stock"], loaders["district"]
+	customer, order, orderLine, newOrder := loaders["customer"], loaders["orders"], loaders["order_line"], loaders["new_order"]
 
 	for i := 1; i <= cfg.Items; i++ {
-		if err := add("item",
-			types.Int(int64(i)),
-			types.Str(fmt.Sprintf("item-%06d", i)),
-			types.Float(float64(100+rng.Intn(9900))/100),
-			types.Str(randData(rng)),
-		); err != nil {
-			return err
-		}
+		item.Int(int64(i))
+		item.Str(fmt.Sprintf("item-%06d", i))
+		item.Float(float64(100+rng.Intn(9900)) / 100)
+		item.Str(randData(rng))
+		item.EndRow()
 	}
 
 	for w := 1; w <= cfg.Warehouses; w++ {
-		if err := add("warehouse",
-			types.Int(int64(w)), types.Str(fmt.Sprintf("wh-%02d", w)),
-			types.Float(float64(rng.Intn(2000))/10000), types.Float(300_000),
-		); err != nil {
-			return err
-		}
+		warehouse.Int(int64(w))
+		warehouse.Str(fmt.Sprintf("wh-%02d", w))
+		warehouse.Float(float64(rng.Intn(2000)) / 10000)
+		warehouse.Float(300_000)
+		warehouse.EndRow()
 		for i := 1; i <= cfg.Items; i++ {
-			if err := add("stock",
-				types.Int(int64(i)), types.Int(int64(w)),
-				types.Int(int64(10+rng.Intn(91))), types.Float(0), types.Int(0),
-			); err != nil {
-				return err
-			}
+			stock.Int(int64(i))
+			stock.Int(int64(w))
+			stock.Int(int64(10 + rng.Intn(91)))
+			stock.Float(0)
+			stock.Int(0)
+			stock.EndRow()
 		}
 		for d := 1; d <= cfg.DistrictsPerWarehouse; d++ {
-			if err := add("district",
-				types.Int(int64(d)), types.Int(int64(w)),
-				types.Str(fmt.Sprintf("dist-%02d-%02d", w, d)),
-				types.Float(float64(rng.Intn(2000))/10000), types.Float(30_000),
-				types.Int(int64(cfg.InitialOrders+1)),
-			); err != nil {
-				return err
-			}
+			district.Int(int64(d))
+			district.Int(int64(w))
+			district.Str(fmt.Sprintf("dist-%02d-%02d", w, d))
+			district.Float(float64(rng.Intn(2000)) / 10000)
+			district.Float(30_000)
+			district.Int(int64(cfg.InitialOrders + 1))
+			district.EndRow()
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
 				credit := "GC"
 				if rng.Intn(10) == 0 {
 					credit = "BC"
 				}
-				if err := add("customer",
-					types.Int(int64(c)), types.Int(int64(d)), types.Int(int64(w)),
-					types.Str(lastName(rng.Intn(1000))),
-					types.Str(credit), types.Float(-10), types.Float(10), types.Int(1),
-				); err != nil {
-					return err
-				}
+				customer.Int(int64(c))
+				customer.Int(int64(d))
+				customer.Int(int64(w))
+				customer.Str(lastName(rng.Intn(1000)))
+				customer.Str(credit)
+				customer.Float(-10)
+				customer.Float(10)
+				customer.Int(1)
+				customer.EndRow()
 			}
 			for o := 1; o <= cfg.InitialOrders; o++ {
 				olCnt := 5 + rng.Intn(11)
-				if err := add("orders",
-					types.Int(int64(o)), types.Int(int64(d)), types.Int(int64(w)),
-					types.Int(int64(1+rng.Intn(cfg.CustomersPerDistrict))),
-					types.Int(int64(olCnt)), types.Int(int64(1+rng.Intn(10))),
-					types.Str("2024-01-01"),
-				); err != nil {
-					return err
-				}
+				order.Int(int64(o))
+				order.Int(int64(d))
+				order.Int(int64(w))
+				order.Int(int64(1 + rng.Intn(cfg.CustomersPerDistrict)))
+				order.Int(int64(olCnt))
+				order.Int(int64(1 + rng.Intn(10)))
+				order.Str("2024-01-01")
+				order.EndRow()
 				for ol := 1; ol <= olCnt; ol++ {
-					if err := add("order_line",
-						types.Int(int64(o)), types.Int(int64(d)), types.Int(int64(w)),
-						types.Int(int64(ol)), types.Int(int64(1+rng.Intn(cfg.Items))),
-						types.Float(5), types.Float(float64(rng.Intn(999900))/100),
-					); err != nil {
-						return err
-					}
+					orderLine.Int(int64(o))
+					orderLine.Int(int64(d))
+					orderLine.Int(int64(w))
+					orderLine.Int(int64(ol))
+					orderLine.Int(int64(1 + rng.Intn(cfg.Items)))
+					orderLine.Float(5)
+					orderLine.Float(float64(rng.Intn(999900)) / 100)
+					orderLine.EndRow()
 				}
 				// The last third of the initial orders is undelivered.
 				if o > cfg.InitialOrders*2/3 {
-					if err := add("new_order",
-						types.Int(int64(o)), types.Int(int64(d)), types.Int(int64(w)),
-					); err != nil {
-						return err
-					}
+					newOrder.Int(int64(o))
+					newOrder.Int(int64(d))
+					newOrder.Int(int64(w))
+					newOrder.EndRow()
 				}
 			}
 		}
 	}
 	for _, def := range schema() {
-		tables[def.name].SealTail()
-		concurrency.MarkTableLoaded(tables[def.name])
+		loaders[def.name].Close()
+		concurrency.MarkTableLoaded(loaders[def.name].Table())
 	}
 	return nil
 }

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"time"
 
 	"hyrise/internal/concurrency"
@@ -97,9 +99,18 @@ var epochDate = time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
 
 const orderDateRangeDays = 2406 // 1992-01-01 .. 1998-08-02
 
-func dateString(daysSinceEpoch int) string {
-	return epochDate.AddDate(0, 0, daysSinceEpoch).Format("2006-01-02")
-}
+// dateStrings holds the ISO dates of the TPC-H date domain, from the epoch
+// to the last receipt date (an order date, plus 121 days to ship, plus 30 to
+// arrive).
+var dateStrings = sync.OnceValue(func() []string {
+	out := make([]string, orderDateRangeDays+1)
+	for d := range out {
+		out[d] = epochDate.AddDate(0, 0, d).Format("2006-01-02")
+	}
+	return out
+})
+
+func dateString(daysSinceEpoch int) string { return dateStrings()[daysSinceEpoch] }
 
 // Sizes reports the row counts for a scale factor.
 type Sizes struct {
@@ -145,9 +156,10 @@ type Config struct {
 }
 
 // Generate creates, registers and populates the eight TPC-H tables. It loads
-// like tpcc.Generate and LoadCSV: registered first, each chunk seals as it
-// fills and each tail when its table is done. A catalog without a Sealer
-// (storage.NewStorageManager) keeps them immutable and unencoded.
+// like tpcc.Generate and LoadCSV: each table is registered first and filled
+// by a storage.Loader, which publishes every chunk sealed, the last one when
+// the table is done. A catalog without a Sealer (storage.NewStorageManager)
+// gets them immutable and unencoded.
 func Generate(sm *storage.StorageManager, cfg Config) error {
 	if cfg.ScaleFactor <= 0 {
 		cfg.ScaleFactor = 0.01
@@ -164,6 +176,7 @@ func Generate(sm *storage.StorageManager, cfg Config) error {
 		g.generatePartSupp,
 		g.generateOrdersAndLineitem,
 	}
+	defer g.loads.Wait()
 	for _, step := range steps {
 		step()
 		if g.err != nil {
@@ -177,7 +190,8 @@ type generator struct {
 	cfg   Config
 	sizes Sizes
 	sm    *storage.StorageManager
-	err   error // the first error ends the load
+	err   error          // the first error ends the load
+	loads sync.WaitGroup // tables whose last chunks are still being published
 }
 
 // skewed draws from [1, n] with a Zipf-ish distribution when cfg.Skew is
@@ -209,40 +223,38 @@ func (g *generator) rng(table string) *rand.Rand {
 }
 
 // newTable registers a table before its first row, so the catalog's Sealer
-// seals each of its chunks as it fills.
-func (g *generator) newTable(name string, defs []storage.ColumnDefinition) *storage.Table {
+// seals each of its chunks, and returns the loader that fills it with about
+// rows rows.
+func (g *generator) newTable(name string, rows int, defs []storage.ColumnDefinition) *storage.Loader {
 	t := storage.NewTable(name, defs, g.cfg.ChunkSize, g.cfg.UseMvcc)
 	if g.err == nil {
 		g.err = g.sm.AddTable(t)
 	}
-	return t
+	return storage.NewLoader(t, rows)
 }
 
-// appendRow appends one row unless the load has failed already.
-func (g *generator) appendRow(t *storage.Table, vals ...types.Value) {
-	if g.err == nil {
-		_, g.err = t.AppendRow(vals)
-	}
-}
-
-// finish ends a table's load: the tail seals, then every row is committed.
-func (g *generator) finish(t *storage.Table) {
-	t.SealTail()
-	if g.cfg.UseMvcc {
-		concurrency.MarkTableLoaded(t)
-	}
-}
-
-func comment(rng *rand.Rand, minWords, maxWords int) string {
-	n := minWords + rng.Intn(maxWords-minWords+1)
-	out := make([]byte, 0, n*8)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			out = append(out, ' ')
+// finish ends a table's load beside the next table's: the last chunk is
+// sealed and published, then every row is committed. Generate returns once
+// every table's load has ended.
+func (g *generator) finish(l *storage.Loader) {
+	g.loads.Add(1)
+	go func() {
+		defer g.loads.Done()
+		l.Close()
+		if g.cfg.UseMvcc {
+			concurrency.MarkTableLoaded(l.Table())
 		}
-		out = append(out, commentWords[rng.Intn(len(commentWords))]...)
+	}()
+}
+
+// comment draws minWords to maxWords (at most 30) filler words.
+func comment(rng *rand.Rand, minWords, maxWords int) string {
+	var buf [30]string
+	words := buf[:minWords+rng.Intn(maxWords-minWords+1)]
+	for i := range words {
+		words[i] = commentWords[rng.Intn(len(commentWords))]
 	}
-	return string(out)
+	return strings.Join(words, " ")
 }
 
 func phone(rng *rand.Rand, nationKey int) string {
@@ -266,39 +278,41 @@ func partSuppSupplier(partKey, i, supplierCount int) int {
 }
 
 func (g *generator) generateRegion() {
-	t := g.newTable("region", []storage.ColumnDefinition{
+	l := g.newTable("region", len(regions), []storage.ColumnDefinition{
 		{Name: "r_regionkey", Type: types.TypeInt64},
 		{Name: "r_name", Type: types.TypeString},
 		{Name: "r_comment", Type: types.TypeString},
 	})
 	for i, r := range regions {
-		g.appendRow(t,
-			types.Int(int64(i)), types.Str(r.name), types.Str(r.comment),
-		)
+		l.Int(int64(i))
+		l.Str(r.name)
+		l.Str(r.comment)
+		l.EndRow()
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generateNation() {
 	rng := g.rng("nation")
-	t := g.newTable("nation", []storage.ColumnDefinition{
+	l := g.newTable("nation", len(nations), []storage.ColumnDefinition{
 		{Name: "n_nationkey", Type: types.TypeInt64},
 		{Name: "n_name", Type: types.TypeString},
 		{Name: "n_regionkey", Type: types.TypeInt64},
 		{Name: "n_comment", Type: types.TypeString},
 	})
 	for i, n := range nations {
-		g.appendRow(t,
-			types.Int(int64(i)), types.Str(n.name), types.Int(int64(n.region)),
-			types.Str(comment(rng, 6, 15)),
-		)
+		l.Int(int64(i))
+		l.Str(n.name)
+		l.Int(int64(n.region))
+		l.Str(comment(rng, 6, 15))
+		l.EndRow()
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generateSupplier() {
 	rng := g.rng("supplier")
-	t := g.newTable("supplier", []storage.ColumnDefinition{
+	l := g.newTable("supplier", g.sizes.Supplier, []storage.ColumnDefinition{
 		{Name: "s_suppkey", Type: types.TypeInt64},
 		{Name: "s_name", Type: types.TypeString},
 		{Name: "s_address", Type: types.TypeString},
@@ -318,22 +332,21 @@ func (g *generator) generateSupplier() {
 		case 1:
 			c = c + " Customer Recommends " + comment(rng, 2, 4)
 		}
-		g.appendRow(t,
-			types.Int(int64(k)),
-			types.Str(fmt.Sprintf("Supplier#%09d", k)),
-			types.Str(comment(rng, 2, 4)),
-			types.Int(int64(nation)),
-			types.Str(phone(rng, nation)),
-			types.Float(acctbal(rng)),
-			types.Str(c),
-		)
+		l.Int(int64(k))
+		l.Str(fmt.Sprintf("Supplier#%09d", k))
+		l.Str(comment(rng, 2, 4))
+		l.Int(int64(nation))
+		l.Str(phone(rng, nation))
+		l.Float(acctbal(rng))
+		l.Str(c)
+		l.EndRow()
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generateCustomer() {
 	rng := g.rng("customer")
-	t := g.newTable("customer", []storage.ColumnDefinition{
+	l := g.newTable("customer", g.sizes.Customer, []storage.ColumnDefinition{
 		{Name: "c_custkey", Type: types.TypeInt64},
 		{Name: "c_name", Type: types.TypeString},
 		{Name: "c_address", Type: types.TypeString},
@@ -345,23 +358,22 @@ func (g *generator) generateCustomer() {
 	})
 	for k := 1; k <= g.sizes.Customer; k++ {
 		nation := rng.Intn(len(nations))
-		g.appendRow(t,
-			types.Int(int64(k)),
-			types.Str(fmt.Sprintf("Customer#%09d", k)),
-			types.Str(comment(rng, 2, 4)),
-			types.Int(int64(nation)),
-			types.Str(phone(rng, nation)),
-			types.Float(acctbal(rng)),
-			types.Str(mktSegments[rng.Intn(len(mktSegments))]),
-			types.Str(comment(rng, 10, 20)),
-		)
+		l.Int(int64(k))
+		l.Str(fmt.Sprintf("Customer#%09d", k))
+		l.Str(comment(rng, 2, 4))
+		l.Int(int64(nation))
+		l.Str(phone(rng, nation))
+		l.Float(acctbal(rng))
+		l.Str(mktSegments[rng.Intn(len(mktSegments))])
+		l.Str(comment(rng, 10, 20))
+		l.EndRow()
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generatePart() {
 	rng := g.rng("part")
-	t := g.newTable("part", []storage.ColumnDefinition{
+	l := g.newTable("part", g.sizes.Part, []storage.ColumnDefinition{
 		{Name: "p_partkey", Type: types.TypeInt64},
 		{Name: "p_name", Type: types.TypeString},
 		{Name: "p_mfgr", Type: types.TypeString},
@@ -382,24 +394,23 @@ func (g *generator) generatePart() {
 			typeSyllable3[rng.Intn(len(typeSyllable3))]
 		container := containerSyllable1[rng.Intn(len(containerSyllable1))] + " " +
 			containerSyllable2[rng.Intn(len(containerSyllable2))]
-		g.appendRow(t,
-			types.Int(int64(k)),
-			types.Str(name),
-			types.Str(fmt.Sprintf("Manufacturer#%d", m)),
-			types.Str(fmt.Sprintf("Brand#%d%d", m, 1+rng.Intn(5))),
-			types.Str(ptype),
-			types.Int(int64(1+rng.Intn(50))),
-			types.Str(container),
-			types.Float(retailPrice(k)),
-			types.Str(comment(rng, 3, 8)),
-		)
+		l.Int(int64(k))
+		l.Str(name)
+		l.Str(fmt.Sprintf("Manufacturer#%d", m))
+		l.Str(fmt.Sprintf("Brand#%d%d", m, 1+rng.Intn(5)))
+		l.Str(ptype)
+		l.Int(int64(1 + rng.Intn(50)))
+		l.Str(container)
+		l.Float(retailPrice(k))
+		l.Str(comment(rng, 3, 8))
+		l.EndRow()
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generatePartSupp() {
 	rng := g.rng("partsupp")
-	t := g.newTable("partsupp", []storage.ColumnDefinition{
+	l := g.newTable("partsupp", g.sizes.PartSupp, []storage.ColumnDefinition{
 		{Name: "ps_partkey", Type: types.TypeInt64},
 		{Name: "ps_suppkey", Type: types.TypeInt64},
 		{Name: "ps_availqty", Type: types.TypeInt64},
@@ -409,21 +420,20 @@ func (g *generator) generatePartSupp() {
 	for pk := 1; pk <= g.sizes.Part; pk++ {
 		for i := 0; i < suppliersPerPart; i++ {
 			sk := partSuppSupplier(pk, i, g.sizes.Supplier)
-			g.appendRow(t,
-				types.Int(int64(pk)),
-				types.Int(int64(sk)),
-				types.Int(int64(1+rng.Intn(9999))),
-				types.Float(float64(100+rng.Intn(99901))/100),
-				types.Str(comment(rng, 10, 30)),
-			)
+			l.Int(int64(pk))
+			l.Int(int64(sk))
+			l.Int(int64(1 + rng.Intn(9999)))
+			l.Float(float64(100+rng.Intn(99901)) / 100)
+			l.Str(comment(rng, 10, 30))
+			l.EndRow()
 		}
 	}
-	g.finish(t)
+	g.finish(l)
 }
 
 func (g *generator) generateOrdersAndLineitem() {
 	rng := g.rng("orders")
-	orders := g.newTable("orders", []storage.ColumnDefinition{
+	orders := g.newTable("orders", g.sizes.Orders, []storage.ColumnDefinition{
 		{Name: "o_orderkey", Type: types.TypeInt64},
 		{Name: "o_custkey", Type: types.TypeInt64},
 		{Name: "o_orderstatus", Type: types.TypeString},
@@ -434,7 +444,7 @@ func (g *generator) generateOrdersAndLineitem() {
 		{Name: "o_shippriority", Type: types.TypeInt64},
 		{Name: "o_comment", Type: types.TypeString},
 	})
-	lineitem := g.newTable("lineitem", []storage.ColumnDefinition{
+	lineitem := g.newTable("lineitem", g.sizes.Orders*(1+maxLinesPerOrder)/2, []storage.ColumnDefinition{
 		{Name: "l_orderkey", Type: types.TypeInt64},
 		{Name: "l_partkey", Type: types.TypeInt64},
 		{Name: "l_suppkey", Type: types.TypeInt64},
@@ -509,24 +519,23 @@ func (g *generator) generateOrdersAndLineitem() {
 			}
 			totalPrice += price * (1 + tax) * (1 - discount)
 
-			g.appendRow(lineitem,
-				types.Int(int64(ok)),
-				types.Int(int64(partKey)),
-				types.Int(int64(suppKey)),
-				types.Int(int64(line)),
-				types.Float(qty),
-				types.Float(price),
-				types.Float(discount),
-				types.Float(tax),
-				types.Str(returnFlag),
-				types.Str(lineStatus),
-				types.Str(dateString(shipDays)),
-				types.Str(dateString(commitDays)),
-				types.Str(dateString(receiptDays)),
-				types.Str(shipInstructs[rng.Intn(len(shipInstructs))]),
-				types.Str(shipModes[rng.Intn(len(shipModes))]),
-				types.Str(comment(rng, 4, 10)),
-			)
+			lineitem.Int(int64(ok))
+			lineitem.Int(int64(partKey))
+			lineitem.Int(int64(suppKey))
+			lineitem.Int(int64(line))
+			lineitem.Float(qty)
+			lineitem.Float(price)
+			lineitem.Float(discount)
+			lineitem.Float(tax)
+			lineitem.Str(returnFlag)
+			lineitem.Str(lineStatus)
+			lineitem.Str(dateString(shipDays))
+			lineitem.Str(dateString(commitDays))
+			lineitem.Str(dateString(receiptDays))
+			lineitem.Str(shipInstructs[rng.Intn(len(shipInstructs))])
+			lineitem.Str(shipModes[rng.Intn(len(shipModes))])
+			lineitem.Str(comment(rng, 4, 10))
+			lineitem.EndRow()
 		}
 
 		status := "P"
@@ -539,17 +548,16 @@ func (g *generator) generateOrdersAndLineitem() {
 		if rng.Intn(100) == 0 {
 			oComment += " special packages wake requests "
 		}
-		g.appendRow(orders,
-			types.Int(int64(ok)),
-			types.Int(int64(custkey)),
-			types.Str(status),
-			types.Float(totalPrice),
-			types.Str(orderDate),
-			types.Str(orderPriorities[rng.Intn(len(orderPriorities))]),
-			types.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(clerks))),
-			types.Int(0),
-			types.Str(oComment),
-		)
+		orders.Int(int64(ok))
+		orders.Int(int64(custkey))
+		orders.Str(status)
+		orders.Float(totalPrice)
+		orders.Str(orderDate)
+		orders.Str(orderPriorities[rng.Intn(len(orderPriorities))])
+		orders.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(clerks)))
+		orders.Int(0)
+		orders.Str(oComment)
+		orders.EndRow()
 	}
 	g.finish(orders)
 	g.finish(lineitem)
