@@ -3,6 +3,7 @@ package benchmark
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -602,7 +603,9 @@ func comment(rng *rand.Rand) string {
 // near-unique TPC-H-style text that becomes a dictionary whose values are
 // FSST-packed: a symbol table built and every value compressed; decimal_float
 // is cents, exact decimals that become frame-of-reference over their integers
-// (unique_float fails that test on its first value).
+// (unique_float fails that test on its first 2048 rows); decimal_patched is
+// cents of up to 100 000.00 of which every third is one ulp past its value,
+// a patch: frame-of-reference bytes plus 12 B a patch under the plain floats.
 func BenchmarkMicroSeal(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
 	column := func(def storage.ColumnDefinition, value func(i int) types.Value) *storage.Table {
@@ -625,6 +628,13 @@ func BenchmarkMicroSeal(b *testing.B) {
 		{"constant_string", column(storage.ColumnDefinition{Name: "tag", Type: types.TypeString, Nullable: true}, func(int) types.Value { return types.Str("load") }), encoding.RunLength},
 		{"comment_string", column(storage.ColumnDefinition{Name: "comment", Type: types.TypeString}, func(int) types.Value { return types.Str(comment(rng)) }), encoding.Dictionary},
 		{"decimal_float", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(float64(rng.Intn(100_000)) / 100) }), encoding.FrameOfReference},
+		{"decimal_patched", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64}, func(i int) types.Value {
+			v := float64(rng.Intn(10_000_000)) / 100
+			if i%3 == 2 {
+				v = math.Nextafter(v, math.Inf(1))
+			}
+			return types.Float(v)
+		}), encoding.FrameOfReference},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {

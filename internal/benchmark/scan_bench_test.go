@@ -1,6 +1,7 @@
 package benchmark
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func BenchmarkMicroScanDict(b *testing.B) {
 // 16), whose straddling blocks compare 64 codes at a time as they unpack.
 // decimal is the same column as cents, a float64 column of exact decimals: its
 // float bounds become an interval of its integers once, then the same blocks
-// run.
+// run. decimal_patched is that column with every tenth value inexact.
 func BenchmarkMicroScanFoR(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	values := make([]int64, scanBenchRows)
@@ -128,6 +129,25 @@ func BenchmarkMicroScanFoR(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var ok bool
 			dst, _, ok = dec.ScanEncoded(centsPred, dst[:0])
+			if !ok || len(dst) == 0 {
+				b.Fatal("encoded decimal scan failed")
+			}
+		}
+	})
+	// Every tenth value one ulp past its cents: no exponent makes those
+	// exact, so they are patches, and the scan tests them by value and merges
+	// them into the kernel's offsets.
+	for i := 9; i < len(cents); i += 10 {
+		cents[i] = math.Nextafter(cents[i], math.Inf(1))
+	}
+	patched, exact := encoding.EncodeDecimal(cents, nil, encoding.FixedSizeByteAligned)
+	if !exact || encoding.ValueCompression(patched) != "decimal(2)+100000" {
+		b.Fatal("every tenth cent is not a patch")
+	}
+	b.Run("decimal_patched", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var ok bool
+			dst, _, ok = patched.ScanEncoded(centsPred, dst[:0])
 			if !ok || len(dst) == 0 {
 				b.Fatal("encoded decimal scan failed")
 			}

@@ -60,11 +60,12 @@ type layout struct {
 	maxes    []uint64 // FrameOfReference: the largest offset of each 128-row block
 	ints     []int64  // what FrameOfReference encodes (forInts); nil where it does not apply
 	exp      uint8    // the exponent of a decimal column's ints
+	patches  patches  // a decimal column's inexact rows
 }
 
 func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	var l layout
-	l.ints, l.exp = forInts(values, nulls)
+	l.ints, l.exp, l.patches = forInts(values, nulls)
 	strs, _ := any(values).([]string)
 	prevNull := false
 	for i, v := range values {
@@ -165,7 +166,7 @@ func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) (Sizes
 	if l.ints != nil {
 		frames := (n + forBlockSize - 1) / forBlockSize
 		codes, vector := codeBytes(int(n), l.maxes)
-		s[FrameOfReference], v[FrameOfReference] = frames*8+codes, vector
+		s[FrameOfReference], v[FrameOfReference] = frames*8+codes+patchBytes*int64(len(l.patches.rows)), vector
 		if l.anyNull {
 			s[FrameOfReference] += n
 		}
@@ -218,7 +219,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	want, sizes, vectors, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, Vectors{}, layout{}
 	if spec != nil {
 		if want = *spec; want.Encoding == FrameOfReference {
-			l.ints, l.exp = forInts(values, nulls)
+			l.ints, l.exp, l.patches = forInts(values, nulls)
 		}
 	} else {
 		l = layoutOf(values, nulls)
@@ -248,7 +249,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	}
 	switch _, isFloat := any(values).([]float64); {
 	case want.Encoding == FrameOfReference && l.ints != nil && isFloat:
-		return &DecimalSegment{ints: encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), exp: l.exp}, sum
+		return &DecimalSegment{ints: encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), exp: l.exp, patches: l.patches}, sum
 	case want.Encoding == FrameOfReference && l.ints != nil:
 		return encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), sum
 	case want.Encoding == RunLength:

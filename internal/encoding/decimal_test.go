@@ -16,9 +16,9 @@ import (
 // column left unencoded: every ScanOp, ScanSorted, Gather and Materialize give
 // the same offsets and bits, and Zone, SummarizeRows and a snapshot round trip
 // the same values — for probes that are exact decimals, between two codes,
-// NaN, ±Inf, -0, ints and past ±2^53. A column holding a value that no
-// exponent makes exact is refused by the encoder, the size model and an
-// explicit FrameOfReference spec.
+// NaN, ±Inf, -0, ints and past ±2^53. A value that no exponent makes exact is
+// a patch; a column whose patches cost as much as its plain array is refused
+// by the encoder, the size model and an explicit FrameOfReference spec.
 func TestDiffDecimalFrameOfReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n = 5000
@@ -73,10 +73,13 @@ func TestDiffDecimalFrameOfReference(t *testing.T) {
 	}
 	for name, v := range map[string]float64{"0.1+0.2": pointThree, "-0": math.Copysign(0, -1), "NaN": math.NaN(),
 		"+Inf": math.Inf(1), "-Inf": math.Inf(-1), "subnormal": math.SmallestNonzeroFloat64, "past 2^53": top + 2} {
-		plain := storage.ValueSegmentFromSlice([]float64{1.25, v, 2.5}, nil)
+		if seg, ok := EncodeDecimal([]float64{1.25, v, 2.5}, nil, FixedSizeByteAligned); !ok || ValueCompression(seg) != "decimal(2)+1" {
+			t.Errorf("%s: beside two exact decimals, not one patch", name)
+		}
+		plain := storage.ValueSegmentFromSlice([]float64{v, 1.25, v}, nil) // 24 B of patches, 24 B of floats
 		sizes, _ := SizesOf(plain)
 		if _, ok := EncodeDecimal(plain.Values(), nil, FixedSizeByteAligned); ok || sizes[FrameOfReference] != 0 {
-			t.Errorf("%s: taken for an exact decimal", name)
+			t.Errorf("%s: taken for a decimal column", name)
 		}
 		if sealed, _ := Seal(plain, false, &Spec{Encoding: FrameOfReference}); !isDictionary(sealed) {
 			t.Errorf("%s: FrameOfReference sealed %T, want the Dictionary it falls back to", name, sealed)
@@ -164,4 +167,180 @@ func diffDecimal(t *testing.T, name string, seg storage.Segment, plain *storage.
 			t.Errorf("%s: the summary of rows %v differs from the unencoded column's", name, r)
 		}
 	}
+}
+
+// TestDiffPatchedDecimal holds decimal segments with patches against the same
+// column left unencoded, bit for bit: Get, ValueAt, DecodeAll, Gather (in any
+// order, twice over, into slots), every ScanOp, ScanSorted, Zone and SummarizeRows, over
+// either code vector and after a snapshot round trip. The columns hold NaN
+// (two payloads), ±Inf, -0, subnormals, ±(2^53-1) and ±(2^53+2) among cents
+// and NULLs; none, one patch per 2048-row block, or all rows but one patched.
+func TestDiffPatchedDecimal(t *testing.T) {
+	const n = 5000
+	top := float64(maxDecimal)
+	cents := func(i int) float64 { return float64(i*7919%100_000-20_000) / 100 }
+	awkward := []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64, 0x1p-1030,
+		top - 1, -(top - 1), top + 2, -(top + 2), pointThree, 1e300}
+	for _, c := range []struct {
+		name    string
+		values  []float64
+		nulls   []bool
+		patches int  // the encoder's, -1 where it refuses the column
+		force   bool // patch every inexact row at exponent 2, whatever the price
+	}{
+		{"no patches", generate(n, cents), nullsEvery(n, 11), 0, false},
+		{"awkward values", generate(n, func(i int) float64 {
+			if i%97 == 3 {
+				return awkward[i/97%len(awkward)]
+			}
+			return cents(i)
+		}), nullsEvery(n, 13), 48, false},
+		{"one patch per block", generate(n, func(i int) float64 {
+			if i%forBlockSize == 7 {
+				return math.Nextafter(float64(i/forBlockSize+1), math.Inf(1))
+			}
+			return cents(i)
+		}), nil, 3, false},
+		{"ascending with patches", generate(n, func(i int) float64 {
+			if v := float64(i) / 100; i%500 != 499 {
+				return v
+			}
+			return math.Nextafter(float64(i)/100, math.Inf(1))
+		}), nil, 10, false},
+		{"all rows but one patched", generate(n, func(i int) float64 {
+			if i == n/2 {
+				return 12.5
+			}
+			return math.Nextafter(float64(i+1), math.Inf(1))
+		}), nullsEvery(n, 7), -1, true},
+	} {
+		plain := storage.ValueSegmentFromSlice(c.values, c.nulls)
+		probes := append([]float64{-1e300, -200, -0.5, 0, 12.5, 12.49, 199.99, 800}, awkward...)
+		for _, i := range []int{0, 487, 499, 1499, 2047, 2048, 2055, 2999, 3337, 4103, 4999} {
+			probes = append(probes, c.values[i], math.Nextafter(c.values[i], math.Inf(1)), math.Nextafter(c.values[i], math.Inf(-1)))
+		}
+		for _, comp := range []VectorCompressionType{FixedSizeByteAligned, BitPacked128} {
+			name := c.name + "/" + comp.String()
+			seg, ok := EncodeDecimal(c.values, c.nulls, comp)
+			if ok != (c.patches >= 0) || ok && len(seg.patches.rows) != c.patches {
+				t.Fatalf("%s: encoded %v with %d patches, want %d", name, ok, func() int {
+					if seg == nil {
+						return -1
+					}
+					return len(seg.patches.rows)
+				}(), c.patches)
+			}
+			if c.force {
+				ints, p := decimalsAt(c.values, c.nulls, 2)
+				seg = &DecimalSegment{ints: EncodeFrameOfReference(ints, c.nulls, comp), exp: 2, patches: p}
+			}
+			if want := fmt.Sprintf("decimal(%d)+%d", seg.exp, len(seg.patches.rows)); len(seg.patches.rows) == 0 && ValueCompression(seg) != fmt.Sprintf("decimal(%d)", seg.exp) ||
+				len(seg.patches.rows) > 0 && ValueCompression(seg) != want {
+				t.Errorf("%s: value compression %s", name, ValueCompression(seg))
+			}
+			buf, _ := AppendSegment(nil, seg)
+			if tag := buf[0]; (tag == segDecimalPatched) != (len(seg.patches.rows) > 0) || (tag != segDecimal && tag != segDecimalPatched) {
+				t.Errorf("%s: written under tag %d", name, tag)
+			}
+			restored := roundTrip(t, seg)
+			if again, _ := AppendSegment(nil, restored); !bytes.Equal(again, buf) {
+				t.Errorf("%s: the restored segment serializes differently", name)
+			}
+			diffPatched(t, name, seg, plain, probes)
+			diffPatched(t, name+" restored", restored.(*DecimalSegment), plain, probes)
+		}
+	}
+}
+
+// diffPatched compares seg with plain, the column it holds, on every read.
+func diffPatched(t *testing.T, name string, seg *DecimalSegment, plain *storage.ValueSegment[float64], probes []float64) {
+	t.Helper()
+	values, nulls := plain.Values(), plain.Nulls()
+	same := func(what string, i int, got float64, gotNull bool) {
+		t.Helper()
+		if null := nulls != nil && nulls[i]; gotNull != null || (!null && math.Float64bits(got) != math.Float64bits(values[i])) {
+			t.Fatalf("%s: %s row %d = %v (NULL %v), want %v (NULL %v)", name, what, i, got, gotNull, values[i], null)
+		}
+	}
+	for i := range values {
+		v, null := seg.Get(types.ChunkOffset(i))
+		same("Get", i, v, null)
+		x := seg.ValueAt(types.ChunkOffset(i))
+		same("ValueAt", i, x.F, x.IsNull())
+		if seg.IsNullAt(types.ChunkOffset(i)) != null {
+			t.Fatalf("%s: IsNullAt row %d", name, i)
+		}
+	}
+	all, allNulls := seg.DecodeAll()
+	for i := range values {
+		same("DecodeAll", i, all[i], allNulls != nil && allNulls[i])
+	}
+	rng := rand.New(rand.NewSource(int64(len(values))))
+	twice := make([]types.ChunkOffset, 0, 2*len(values)) // ascending, each row two times
+	for i := range values {
+		twice = append(twice, types.ChunkOffset(i), types.ChunkOffset(i))
+	}
+	for _, pos := range [][]types.ChunkOffset{reversed(len(values)), sample(rng, len(values), 3), sample(rng, len(values), len(values)), twice} {
+		out, outNulls := MaterializePositions[float64](seg, pos)
+		slots := make([]int32, len(pos))
+		for i := range slots {
+			slots[i] = int32(len(pos) - 1 - i)
+		}
+		into, intoNulls := make([]float64, len(pos)), make([]bool, len(pos))
+		gather(seg, pos, slots, into, intoNulls)
+		for i, p := range pos {
+			same("Gather", int(p), out[i], outNulls[i])
+			same("Gather into slots", int(p), into[slots[i]], intoNulls[slots[i]])
+		}
+	}
+
+	ascends := true
+	for i, v := range values {
+		ascends = ascends && (nulls == nil || !nulls[i]) && v == v && (i == 0 || v >= values[i-1])
+	}
+	for _, d := range diffPredicates(probes) {
+		p := d.scanPredicate()
+		want, _ := ScanValues(p, values, nulls, nil)
+		got, path, ok := seg.ScanEncoded(p, nil)
+		if !ok || path != PathFrameOfReference || !slices.Equal(got, want) {
+			t.Fatalf("%s: %s: ok %v path %s, %d offsets, unencoded %d (got %v, want %v)", name, d.name, ok, path, len(got), len(want), clip(got), clip(want))
+		}
+		if f1, l1, ok1 := ScanSorted(seg, p); ascends {
+			f2, l2, ok2 := ScanSorted(plain, p)
+			if ok1 != ok2 || l1-f1 != l2-f2 || (l1 > f1 && f1 != f2) {
+				t.Fatalf("%s: ScanSorted %s = [%d, %d) %v, unencoded [%d, %d) %v", name, d.name, f1, l1, ok1, f2, l2, ok2)
+			}
+		}
+	}
+	checkZone(t, name, seg, values, nulls)
+	for _, r := range [][2]int{{0, len(values)}, {len(values) / 3, 2 * len(values) / 3}} {
+		if !sameSummary(SummarizeRows[float64](seg, r[0], r[1]), SummarizeRows[float64](plain, r[0], r[1])) {
+			t.Errorf("%s: the summary of rows %v differs from the unencoded column's", name, r)
+		}
+	}
+}
+
+// reversed is the offsets n-1 down to 0.
+func reversed(n int) []types.ChunkOffset {
+	pos := make([]types.ChunkOffset, n)
+	for i := range pos {
+		pos[i] = types.ChunkOffset(n - 1 - i)
+	}
+	return pos
+}
+
+// sample is k offsets below n: ascending with gaps when k < n, else shuffled.
+func sample(rng *rand.Rand, n, k int) []types.ChunkOffset {
+	var pos []types.ChunkOffset
+	if k < n {
+		for i := 0; i < n; i += k {
+			pos = append(pos, types.ChunkOffset(i+rng.Intn(k)%(n-i)))
+		}
+		return pos
+	}
+	for _, p := range rng.Perm(n) {
+		pos = append(pos, types.ChunkOffset(p))
+	}
+	return pos
 }

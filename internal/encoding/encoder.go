@@ -99,7 +99,7 @@ func SpecOf(seg storage.Segment) (Spec, bool) {
 // ValueCompression names what a segment does to its values beyond its
 // encoding: "FSST" for a string dictionary packed with a symbol table,
 // "decimal(e)" for a float64 column stored as the integers n of its values
-// n / 10^e, else "none".
+// n / 10^e, "decimal(e)+p" for one with p patches, else "none".
 func ValueCompression(seg storage.Segment) string {
 	switch s := seg.(type) {
 	case *DictionarySegment[string]:
@@ -107,6 +107,9 @@ func ValueCompression(seg storage.Segment) string {
 			return "FSST"
 		}
 	case *DecimalSegment:
+		if p := len(s.patches.rows); p > 0 {
+			return fmt.Sprintf("decimal(%d)+%d", s.exp, p)
+		}
 		return fmt.Sprintf("decimal(%d)", s.exp)
 	}
 	return "none"

@@ -16,7 +16,7 @@ import (
 // domain up to int64 overflow territory to stress the frame-of-reference
 // offset arithmetic. The predicate is decoded from (opByte, probe, lo, hi).
 // The same integers divided by 100 are the column again, as cents: a decimal
-// segment wherever every value is exact, scanned against the float reference.
+// segment, its inexact values patches, scanned against the float reference.
 func FuzzEncodedScan(f *testing.F) {
 	// Seeds follow TPC-H column shapes: l_quantity (1..50, duplicate-heavy),
 	// l_shipdate (dense day numbers), l_orderkey (sparse, wide stride),
@@ -56,6 +56,17 @@ func FuzzEncodedScan(f *testing.F) {
 	f.Add(past53, uint8(0), int64(1<<53), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
 	f.Add(past53, uint8(3), int64(1<<53), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
 	f.Add(past53, uint8(1), int64(-(1 << 53)), int64(-(1 << 53)), int64(1<<53), int64(1<<53+1))
+	// As cents, small multiples of 2^47 are exact decimals and every 37th
+	// value, 126·2^47 / 100, is a patch: a decimal segment with patches.
+	patched := make([]byte, 300)
+	for i := range patched {
+		patched[i] = byte(i % 5)
+		if i%37 == 3 {
+			patched[i] = 126
+		}
+	}
+	f.Add(patched, uint8(6), int64(0), int64(1<<48), int64(127<<47), int64(1<<47))
+	f.Add(patched, uint8(1), int64(126<<47), int64(0), int64(0), int64(1<<47))
 
 	f.Fuzz(func(t *testing.T, data []byte, opByte uint8, probe, lo, hi, stride int64) {
 		if len(data) > 1<<14 {
@@ -127,7 +138,8 @@ func FuzzEncodedScan(f *testing.F) {
 			t.Fatalf("ScanValues: op=%v float probe=%v: got %v, want %v", op, fprobe, clip(got), clip(fwant))
 		}
 
-		// The same integers as cents: a decimal segment wherever all are exact.
+		// The same integers as cents: a decimal segment unless its patches cost as
+		// much as the floats.
 		cents := make([]float64, len(values))
 		for i, v := range values {
 			cents[i] = float64(v) / 100

@@ -39,6 +39,7 @@ const (
 	segFrameOfReference
 	segDictStringFSST // a string dictionary packed with its symbol table (fsst.go)
 	segDecimal        // a decimal column's exponent, then its integers as segFrameOfReference's body
+	segDecimalPatched // segDecimal's fields, then the patches: their offsets (uvarints) and values (float64s)
 )
 
 // UintVector tags.
@@ -504,7 +505,15 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 	case *FrameOfReferenceSegment:
 		return appendFrameOfReference(append(dst, segFrameOfReference), s), nil
 	case *DecimalSegment:
-		return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints), nil
+		if len(s.patches.rows) == 0 {
+			return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints), nil
+		}
+		dst = appendFrameOfReference(append(dst, segDecimalPatched, s.exp), s.ints)
+		dst = binary.AppendUvarint(dst, uint64(len(s.patches.rows)))
+		for _, r := range s.patches.rows {
+			dst = binary.AppendUvarint(dst, uint64(r))
+		}
+		return appendFloat64s(dst, s.patches.vals), nil
 	default:
 		return nil, fmt.Errorf("encoding: cannot serialize segment of type %T", seg)
 	}
@@ -569,17 +578,17 @@ func (r *Reader) Segment() storage.Segment {
 		seg = restoreDictionary(r, &DictionarySegment[string]{strs: r.fsstPacked()})
 	case segRunLengthInt64:
 		n, ends, nulls := r.runLengthMeta()
-		seg = &RunLengthSegment[int64]{n: n, ends: ends, nulls: nulls, values: r.int64s()}
+		seg = restoreRunLength(r, &RunLengthSegment[int64]{n: n, ends: ends, nulls: nulls, values: r.int64s()})
 	case segRunLengthFloat64:
 		n, ends, nulls := r.runLengthMeta()
-		seg = &RunLengthSegment[float64]{n: n, ends: ends, nulls: nulls, values: r.float64s()}
+		seg = restoreRunLength(r, &RunLengthSegment[float64]{n: n, ends: ends, nulls: nulls, values: r.float64s()})
 	case segRunLengthString:
 		n, ends, nulls := r.runLengthMeta()
-		seg = &RunLengthSegment[string]{n: n, ends: ends, nulls: nulls, values: r.strings_()}
+		seg = restoreRunLength(r, &RunLengthSegment[string]{n: n, ends: ends, nulls: nulls, values: r.strings_()})
 	case segFrameOfReference:
 		seg = r.frameOfReference()
-	case segDecimal:
-		seg = r.decimal()
+	case segDecimal, segDecimalPatched:
+		seg = r.decimal(tag == segDecimalPatched)
 	default:
 		r.Fail(fmt.Sprintf("unknown segment tag %d", tag))
 	}
@@ -609,8 +618,9 @@ func (r *Reader) frameOfReference() *FrameOfReferenceSegment {
 
 // decimal reads what AppendSegment wrote of a DecimalSegment. An exponent past
 // 18, or a block whose integers leave [-2^53, 2^53], fails the read: a value
-// decodes exactly only inside both.
-func (r *Reader) decimal() *DecimalSegment {
+// decodes exactly only inside both. So do patch offsets that do not ascend
+// strictly, lie past the rows or on a NULL row.
+func (r *Reader) decimal(patched bool) *DecimalSegment {
 	exp := r.Byte()
 	ints := r.frameOfReference()
 	if r.err != nil {
@@ -625,7 +635,26 @@ func (r *Reader) decimal() *DecimalSegment {
 		r.Fail("decimal exponent past 18 or integers past 2^53")
 		return nil
 	}
-	return &DecimalSegment{ints: ints, exp: exp}
+	s := &DecimalSegment{ints: ints, exp: exp}
+	if !patched {
+		return s
+	}
+	n := r.length("patches")
+	for i := 0; i < n && r.err == nil; i++ {
+		row := r.Uvarint()
+		if row >= uint64(ints.n) || (i > 0 && row <= uint64(s.patches.rows[i-1])) || ints.IsNullAt(types.ChunkOffset(row)) {
+			r.Fail("patch offsets do not ascend within the non-NULL rows")
+			return nil
+		}
+		s.patches.rows = append(s.patches.rows, types.ChunkOffset(row))
+	}
+	if s.patches.vals = r.float64s(); r.err == nil && len(s.patches.vals) != n {
+		r.Fail("patch values do not match their offsets")
+	}
+	if r.err != nil {
+		return nil
+	}
+	return s
 }
 
 func (r *Reader) runLengthMeta() (int, []types.ChunkOffset, []bool) {
@@ -639,6 +668,19 @@ func (r *Reader) runLengthMeta() (int, []types.ChunkOffset, []bool) {
 		ends = append(ends, types.ChunkOffset(r.Uvarint()))
 	}
 	return n, ends, r.Bools()
+}
+
+// restoreRunLength fails the read of runs whose last rows do not ascend to the
+// segment's last, or that do not match their values and NULL flags.
+func restoreRunLength[T types.Ordered](r *Reader, s *RunLengthSegment[T]) *RunLengthSegment[T] {
+	ok := len(s.values) == len(s.ends) && (s.nulls == nil || len(s.nulls) == len(s.ends)) && (len(s.ends) > 0) == (s.n > 0)
+	for i, e := range s.ends {
+		ok = ok && int(e) < s.n && (i == 0 || e > s.ends[i-1]) && (i < len(s.ends)-1 || int(e) == s.n-1)
+	}
+	if !ok {
+		r.Fail("run ends do not match the rows, values or NULL flags")
+	}
+	return s
 }
 
 // valueSegmentFromParts rebuilds a value segment preserving nullability: a

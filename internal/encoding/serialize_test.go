@@ -190,6 +190,32 @@ func TestCorruptDictionaryFailsDecode(t *testing.T) {
 	}
 }
 
+// TestCorruptRunLengthFailsDecode: runs whose ends do not ascend to the last
+// row, or that do not match their values or NULL flags, used to decode and
+// panic on their first read; restore rejects them.
+func TestCorruptRunLengthFailsDecode(t *testing.T) {
+	for name, seg := range map[string]storage.Segment{
+		"fewer values":      &RunLengthSegment[string]{n: 4, ends: []types.ChunkOffset{1, 3}, values: []string{"a"}},
+		"fewer NULL flags":  &RunLengthSegment[int64]{n: 4, ends: []types.ChunkOffset{1, 3}, values: []int64{1, 2}, nulls: []bool{false}},
+		"ends descend":      &RunLengthSegment[float64]{n: 4, ends: []types.ChunkOffset{3, 1}, values: []float64{1, 2}},
+		"short of the rows": &RunLengthSegment[int64]{n: 4, ends: []types.ChunkOffset{0, 2}, values: []int64{1, 2}},
+		"past the rows":     &RunLengthSegment[int64]{n: 4, ends: []types.ChunkOffset{1, 4}, values: []int64{1, 2}},
+		"rows without runs": &RunLengthSegment[string]{n: 4},
+	} {
+		buf, err := AppendSegment(nil, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !decodeFails(buf) {
+			t.Errorf("%s: decodes without an error", name)
+		}
+	}
+	buf, _ := AppendSegment(nil, EncodeRunLength([]string{"a", "a", "b"}, []bool{false, false, true}))
+	if decodeFails(buf) {
+		t.Error("a valid run-length segment fails to decode")
+	}
+}
+
 // TestCorruptDecimalFailsDecode: restore refuses an exponent past 18, integers
 // past ±2^53 (neither decodes exactly) and frame-of-reference blocks that do
 // not match the row count, and no single-byte corruption or truncation of a
@@ -227,6 +253,41 @@ func TestCorruptDecimalFailsDecode(t *testing.T) {
 		}
 		readAll(t, buf[:i])
 	}
+}
+
+// TestCorruptPatchesFailDecode: patch offsets that are unsorted, duplicated,
+// past the rows or on a NULL row, or offsets without as many values, fail the
+// read of a patched decimal; no corruption of a valid one panics.
+func TestCorruptPatchesFailDecode(t *testing.T) {
+	valid, ok := EncodeDecimal([]float64{1.25, math.NaN(), -7.5, 0, 12.5, math.Copysign(0, -1), 3.75, 2.5, 0.5, 6.25},
+		[]bool{false, false, false, true, false, false, false, false, false, false}, FixedSizeByteAligned)
+	if !ok || ValueCompression(valid) != "decimal(2)+2" {
+		t.Fatalf("sealed %v as %s, want two patches", ok, ValueCompression(valid))
+	}
+	for name, rows := range map[string][]types.ChunkOffset{"unsorted": {5, 1}, "duplicated": {1, 1}, "past the rows": {1, 10}, "on a NULL row": {1, 3}} {
+		seg := &DecimalSegment{ints: valid.ints, exp: valid.exp, patches: patches{rows: rows, vals: valid.patches.vals}}
+		if buf, _ := AppendSegment(nil, seg); !decodeFails(buf) {
+			t.Errorf("%s: decodes without an error", name)
+		}
+	}
+	seg := &DecimalSegment{ints: valid.ints, exp: valid.exp, patches: patches{rows: valid.patches.rows, vals: valid.patches.vals[:1]}}
+	if buf, _ := AppendSegment(nil, seg); !decodeFails(buf) {
+		t.Error("two offsets with one value decode without an error")
+	}
+	buf, _ := AppendSegment(nil, valid)
+	for i := range buf {
+		for _, b := range []byte{0, 1, 9, 0x13, 0x7F, 0xFF, buf[i] ^ 1} {
+			corrupt := append([]byte{}, buf...)
+			corrupt[i] = b
+			readAll(t, corrupt)
+		}
+		readAll(t, buf[:i])
+	}
+}
+
+func decodeFails(buf []byte) bool {
+	_, _, err := DecodeSegment(buf)
+	return err != nil
 }
 
 // readAll decodes buf and, if that succeeds, reads every row of the segment.

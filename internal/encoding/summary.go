@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 
@@ -220,6 +221,11 @@ func radixSort(keys []uint64, rows []uint32) []uint32 {
 // that small stays in cache and beats the radix sort's passes over the rows.
 const smallGroups = 256
 
+// groupSample is how many rows hashGroups reads before it makes room for the
+// distinct values it expects: those it has, and new ones in the other rows at
+// the rate the second half of the sample brought them.
+const groupSample = 1024
+
 // hashGroups is groupValues by a map: one map operation per row, then one
 // typed sort over the distinct values only. It gives up (ok false) at the
 // (limit+1)-th distinct value.
@@ -230,9 +236,20 @@ func hashGroups[T types.Ordered](values []T, nulls []bool, codes []uint64, limit
 		idOf  = make(map[T]int)
 		nan   T
 		nanID = -1 // NaN is no map key and is not sorted with the numbers
+		half  int  // the distinct values in the first half of the sample
 	)
 	const null = ^uint64(0)
 	for i, v := range values {
+		switch i {
+		case groupSample / 2:
+			half = len(rows)
+		case groupSample:
+			if room := min(limit, len(rows)+(len(rows)-half)*(len(values)-i)/(groupSample/2)); room > len(rows) {
+				grown := make(map[T]int, room)
+				maps.Copy(grown, idOf)
+				idOf, vals, rows = grown, slices.Grow(vals, room-len(vals)), slices.Grow(rows, room-len(rows))
+			}
+		}
 		if nulls != nil && nulls[i] {
 			sum.Nulls++
 			if codes != nil {

@@ -105,7 +105,10 @@ func ScanSorted(seg storage.Segment, p ScanPredicate) (first, last int, ok bool)
 		return first, last, ok
 	case *DecimalSegment:
 		rng, ok := intervalOf[float64](p)
-		if ok {
+		switch {
+		case ok && len(s.patches.rows) > 0: // the placeholders do not ascend
+			first, last = searchSorted(rng, s.Len(), func(i int) float64 { v, _ := s.Get(types.ChunkOffset(i)); return v })
+		case ok:
 			lo, hi := s.codes(rng)
 			first, last = s.ints.sorted(scanRange[int64]{hasLo: true, loInc: true, lo: lo, hasHi: true, hiInc: true, hi: hi})
 		}

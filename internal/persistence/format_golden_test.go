@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hyrise/internal/concurrency"
@@ -201,6 +202,48 @@ func decimalCatalog(tb testing.TB) *storage.StorageManager {
 	return sm
 }
 
+// patchedCatalog is decimalCatalog with patches: every 17th price is one ulp
+// past its cents, and NaN, -0 and +Inf stand in three rows, so both sealed
+// chunks hold decimal(2) segments with patches.
+func patchedCatalog(tb testing.TB) *storage.StorageManager {
+	tb.Helper()
+	t := storage.NewTable("readings", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "price", Type: types.TypeFloat64, Nullable: true},
+	}, 100, false)
+	for n := range 250 {
+		v := float64(n*7919%20_000-10_000) / 100
+		if n%17 == 5 {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		price := types.Float([]float64{v, math.NaN(), math.Copysign(0, -1), math.Inf(1)}[max(0, n%90-86)])
+		if n%13 == 0 {
+			price = types.NullValue
+		}
+		if _, err := t.AppendRow([]types.Value{types.Int(int64(n)), price}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for ci, sp := range []*encoding.Spec{nil, {Encoding: encoding.FrameOfReference, Compression: encoding.BitPacked128}} {
+		c := t.GetChunk(types.ChunkID(ci))
+		for col := range c.ColumnCount() {
+			id := types.ColumnID(col)
+			seg, zone := c.SegmentWithZone(id)
+			sealed, _ := encoding.Seal(seg, zone.Ascending >= seg.Len(), sp)
+			c.ReplaceSegment(id, sealed)
+		}
+		filter.AttachDefaults(c)
+		if got := encoding.ValueCompression(c.GetSegment(1)); !strings.HasPrefix(got, "decimal(2)+") {
+			tb.Fatalf("chunk %d: price sealed with value compression %s, want decimal(2) with patches", ci, got)
+		}
+	}
+	sm := storage.NewStorageManager()
+	if err := sm.AddTable(t); err != nil {
+		tb.Fatal(err)
+	}
+	return sm
+}
+
 // commitOps returns n inserts of five values each — every WAL value tag, with
 // extremes, NaN, -0, the empty string and NUL among them — at consecutive
 // rows of "t".
@@ -374,8 +417,8 @@ func TestDiffRestoreByteAlignedGoldens(t *testing.T) {
 }
 
 // TestDiffFormatGolden holds the bytes the durability formats write to files
-// under testdata/: snapshots of codecCatalog, of decimalCatalog and of an
-// empty catalog, the
+// under testdata/: snapshots of codecCatalog, of decimalCatalog, of
+// patchedCatalog and of an empty catalog, the
 // snapshot and log a fixed commit sequence leaves in its data directory, and
 // the log of one bare commit batch of every value tag. Rerun with
 // -update-golden only for a deliberate format change.
@@ -386,6 +429,9 @@ func TestDiffFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got["decimal.snap"], err = encodeSnapshot(decimalCatalog(t), 12345, 678); err != nil {
+		t.Fatal(err)
+	}
+	if got["decimal_patched.snap"], err = encodeSnapshot(patchedCatalog(t), 12345, 678); err != nil {
 		t.Fatal(err)
 	}
 	if got["empty.snap"], err = encodeSnapshot(storage.NewStorageManager(), 0, 0); err != nil {

@@ -13,10 +13,11 @@ import (
 // adds the magic and recomputes the trailing CRC, so mutations reach the body
 // decoder. Nothing may panic: the decode errors or loads, a loaded catalog's
 // rows read back, and the catalog encodes and decodes again without error.
-// The seeds are the images of codecCatalog and decimalCatalog, which hold
-// every segment tag, MVCC bitmaps and a view, and the empty catalog's.
+// The seeds are the images of codecCatalog, decimalCatalog and
+// patchedCatalog, which hold every segment tag, MVCC bitmaps and a view, and
+// the empty catalog's.
 func FuzzSnapshot(f *testing.F) {
-	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager()} {
+	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager(), patchedCatalog(f)} {
 		img, err := encodeSnapshot(sm, 12345, 678)
 		if err != nil {
 			f.Fatal(err)

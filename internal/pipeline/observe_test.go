@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"hyrise/internal/concurrency"
 	"hyrise/internal/observe"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
 
-// newObserveEngine builds an engine with a populated table large enough that
-// execution dominates the stage breakdown.
+// newObserveEngine builds an engine with a populated table, filled by one
+// transaction of single-row INSERTs.
 func newObserveEngine(t *testing.T, cfg Config, rows int) (*Engine, *Session) {
 	t.Helper()
 	e := NewEngine(cfg, nil)
@@ -28,6 +29,27 @@ func newObserveEngine(t *testing.T, cfg Config, rows int) (*Engine, *Session) {
 	return e, s
 }
 
+// newLoadedObserveEngine is newObserveEngine's table bulk-loaded, sealed chunk
+// by chunk: large enough that execution dominates the stage breakdown.
+func newLoadedObserveEngine(t *testing.T, rows int) *Session {
+	t.Helper()
+	e, s := newObserveEngine(t, DefaultConfig(), 0)
+	table, err := e.StorageManager().GetTable("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := storage.NewLoader(table, rows)
+	for i := range rows {
+		l.Int(int64(i))
+		l.Int(int64(i % 7))
+		l.Str("row" + strconv.Itoa(i))
+		l.EndRow()
+	}
+	l.Close()
+	concurrency.MarkTableLoaded(table)
+	return s
+}
+
 func metric(t *testing.T, e *Engine, name string) int64 {
 	t.Helper()
 	v, ok := e.Metrics().Get(name)
@@ -38,7 +60,7 @@ func metric(t *testing.T, e *Engine, name string) int64 {
 }
 
 func TestExplainAnnotatedPlan(t *testing.T) {
-	_, s := newObserveEngine(t, DefaultConfig(), 500)
+	s := newLoadedObserveEngine(t, 100_000) // about 5 ms a statement
 	ex, err := s.Explain("SELECT grp, COUNT(*) FROM obs WHERE id >= 100 GROUP BY grp")
 	if err != nil {
 		t.Fatal(err)

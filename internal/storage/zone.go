@@ -108,8 +108,8 @@ func (z *Zone) overwritten(row int, v types.Value) {
 	z.Ascending = min(z.Ascending, row)
 }
 
-// zoneOfValues is the typed pass over an unencoded column.
-func zoneOfValues[T types.Ordered](vals []T, nulls []bool) Zone {
+// ZoneOf is the typed pass over an unencoded column (nulls may be nil).
+func ZoneOf[T types.Ordered](vals []T, nulls []bool) Zone {
 	var z Zone
 	lo, hi := ends[T](&z)
 	for i, v := range vals {
@@ -140,11 +140,11 @@ func zonesOf(segments []Segment) []Zone {
 	for i, seg := range segments {
 		switch s := seg.(type) {
 		case *ValueSegment[int64]:
-			zones[i] = zoneOfValues(s.values, s.nulls)
+			zones[i] = ZoneOf(s.values, s.nulls)
 		case *ValueSegment[float64]:
-			zones[i] = zoneOfValues(s.values, s.nulls)
+			zones[i] = ZoneOf(s.values, s.nulls)
 		case *ValueSegment[string]:
-			zones[i] = zoneOfValues(s.values, s.nulls)
+			zones[i] = ZoneOf(s.values, s.nulls)
 		case ZonedSegment:
 			zones[i] = s.Zone()
 		default:
