@@ -126,10 +126,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "attached %d in-process read replica(s); routing SELECTs at the commit barrier\n", *replicas)
 	}
 
-	srv := server.New(engine)
-	if *replicas > 0 {
-		srv.SetReadRouter(db)
-	}
+	srv := db.NewServer()
 	if *slowLog || *slowTrace {
 		srv.EnableSlowQueryLog(os.Stderr, *slowThr)
 	}

@@ -112,11 +112,6 @@ func (db *Database) ExecuteContext(ctx context.Context, sql string) (*Result, er
 	return db.session.ExecuteOneContext(ctx, sql)
 }
 
-// QueryContext is Query with cooperative cancellation (see ExecuteContext).
-func (db *Database) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.session.ExecuteOneContext(ctx, sql)
-}
-
 // Rows renders a result as strings (convenience for examples and tools).
 func Rows(res *Result) [][]string { return pipeline.RowStrings(res.Table) }
 
@@ -159,22 +154,6 @@ type ExplainResult = pipeline.ExplainResult
 // the debug endpoint when Config.DebugAddr is set.
 func (db *Database) Metrics() *observe.Registry { return db.engine.Metrics() }
 
-// SetTraceSink installs fn to receive a trace for every planned statement;
-// nil uninstalls it.
-func (db *Database) SetTraceSink(fn func(*observe.Trace)) { db.engine.SetTraceSink(fn) }
-
-// ActiveQueries snapshots the statements currently in flight across all
-// sessions — the meta_active_queries table in Go form.
-func (db *Database) ActiveQueries() []observe.ActiveQueryInfo { return db.engine.ActiveQueries() }
-
-// CancelQuery cancels the in-flight statement with the given id (also
-// callable as SELECT cancel_query(id)); it reports whether the id was live.
-func (db *Database) CancelQuery(id int64) bool { return db.engine.CancelQuery(id) }
-
-// StatementStats snapshots the pg_stat_statements-style per-fingerprint
-// statement statistics — the meta_statement_stats table in Go form.
-func (db *Database) StatementStats() []observe.StatementStatRow { return db.engine.StatementStats() }
-
 // Plugins exposes the plugin manager (paper §3).
 func (db *Database) Plugins() *plugin.Manager { return db.plugins }
 
@@ -212,23 +191,12 @@ func (db *Database) LoadCSV(name string, defs []storage.ColumnDefinition, r io.R
 	return nil
 }
 
-// Serve starts a PostgreSQL-wire-protocol server on addr (blocking). Use
-// psql or any PostgreSQL driver to connect (paper §2.5). When read replicas
-// are attached (AttachReplica), eligible SELECTs are routed to them at the
-// commit barrier.
-func (db *Database) Serve(addr string) error {
-	srv := db.NewServer()
-	if _, err := srv.Listen(addr); err != nil {
-		return err
-	}
-	return srv.Serve()
-}
-
-// NewServer creates (without starting) a wire-protocol server over this
-// database, for callers that need the production knobs: the bounded executor
-// pool (server.EnableExecutorPool), admission control, the slow-query log,
-// and graceful drain (server.Shutdown). Read routing is wired automatically
-// when replicas are attached.
+// NewServer creates (without starting) a PostgreSQL-wire-protocol server over
+// this database (paper §2.5): Listen, then Serve, and Shutdown to drain. The
+// server's methods set the production knobs: the bounded executor pool
+// (EnableExecutorPool), admission control, the slow-query log. When read
+// replicas are attached (AttachReplica), eligible SELECTs are routed to them
+// at the commit barrier.
 func (db *Database) NewServer() *server.Server {
 	srv := server.New(db.engine)
 	db.repl.mu.Lock()

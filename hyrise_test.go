@@ -1,11 +1,15 @@
 package hyrise
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"hyrise/internal/benchmark"
+	"hyrise/internal/pgclient"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -60,6 +64,103 @@ func TestFacadePreparedAndPlans(t *testing.T) {
 	if !strings.Contains(unopt, "StoredTable") || !strings.Contains(opt, "Predicate") || !strings.Contains(pqp, "TableScan") {
 		t.Errorf("plans:\n%s\n%s\n%s", unopt, opt, pqp)
 	}
+	// Every planned statement kind prints its plans without running.
+	for sql, want := range map[string][2]string{
+		"SELECT 1":                       {"DummyTable", "DummyTable"},
+		"INSERT INTO p VALUES (4)":       {"Insert(p, 1 rows)", "Insert(p, 1 rows)"},
+		"UPDATE p SET v = 2 WHERE v = 1": {"Update(p)", "Update(p)"},
+		"DELETE FROM p WHERE v = 1":      {"Delete(p)", "Delete(p)"},
+	} {
+		unopt, opt, pqp, err := db.Plans(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if !strings.Contains(unopt, want[0]) || !strings.Contains(opt, want[0]) || !strings.Contains(pqp, want[1]) {
+			t.Errorf("%s plans:\n%s\n%s\n%s", sql, unopt, opt, pqp)
+		}
+	}
+	if got := Rows(mustQuery(t, db, "SELECT v FROM p ORDER BY v")); !reflect.DeepEqual(got, [][]string{{"1"}, {"5"}, {"9"}}) {
+		t.Errorf("printing plans changed the table: %v", got)
+	}
+}
+
+func mustQuery(t *testing.T, db *Database, sql string) *Result {
+	t.Helper()
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return res
+}
+
+// TestFacadeExecuteContext: a statement under a live context runs; under a
+// canceled one it fails with context.Canceled and its writes roll back.
+func TestFacadeExecuteContext(t *testing.T) {
+	db := Open(DefaultConfig())
+	defer db.Close()
+	if _, err := db.ExecuteContext(context.Background(), "CREATE TABLE c (a INT NOT NULL); INSERT INTO c VALUES (1), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.ExecuteContext(ctx, "INSERT INTO c VALUES (3)"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("INSERT under a canceled context: %v, want context.Canceled", err)
+	}
+	if got := Rows(mustQuery(t, db, "SELECT count(*) FROM c")); got[0][0] != "2" {
+		t.Errorf("count after the canceled INSERT = %v, want 2", got)
+	}
+}
+
+// TestFacadeExplainAndMetrics: Explain runs the statement and annotates its
+// plan; the statement shows in the registry Metrics returns.
+func TestFacadeExplainAndMetrics(t *testing.T) {
+	db := Open(DefaultConfig())
+	defer db.Close()
+	if _, err := db.Execute("CREATE TABLE e (a INT NOT NULL); INSERT INTO e VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := db.Metrics().Get("statements_executed")
+	ex, err := db.Explain("SELECT a FROM e WHERE a > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Rows(ex.Result)) != 2 || !strings.Contains(ex.Text, "TableScan") {
+		t.Errorf("explain rows %v, text:\n%s", Rows(ex.Result), ex.Text)
+	}
+	if after, _ := db.Metrics().Get("statements_executed"); after != before+1 {
+		t.Errorf("statements_executed %d → %d, want one more", before, after)
+	}
+}
+
+// TestFacadeServerOverTCP: a server from NewServer answers a PostgreSQL client
+// over loopback TCP and drains on Shutdown.
+func TestFacadeServerOverTCP(t *testing.T) {
+	db := Open(DefaultConfig())
+	defer db.Close()
+	if _, err := db.Execute("CREATE TABLE s (a INT NOT NULL); INSERT INTO s VALUES (4), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	srv := db.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	conn, err := pgclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := conn.SimpleQuery("SELECT a FROM s ORDER BY a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || len(res[0].Rows) != 2 || string(res[0].Rows[0][0]) != "2" || string(res[0].Rows[1][0]) != "4" {
+		t.Errorf("result over the wire: %+v", res)
+	}
+	_ = conn.Close()
+	srv.Shutdown(5 * time.Second)
+	<-served
 }
 
 func TestFacadeSessionsAreIsolated(t *testing.T) {

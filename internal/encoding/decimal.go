@@ -303,31 +303,46 @@ func (s *DecimalSegment) ScanEncoded(p ScanPredicate, dst []types.ChunkOffset) (
 }
 
 // patch replaces the patched rows among the offsets dst[from:], which the
-// kernel read by their placeholders, with those whose values match: one merge
-// of the two ascending lists, written past the end and moved back.
+// kernel read by their placeholders, with those whose values match: the
+// patched rows are dropped in place, dst grows once by the matching patches,
+// and the two ascending lists merge from the back.
 func (s *DecimalSegment) patch(dst []types.ChunkOffset, from int, match func(float64) bool) []types.ChunkOffset {
-	rows := s.patches.rows
+	rows, vals := s.patches.rows, s.patches.vals
 	if len(rows) == 0 {
 		return dst
 	}
-	end := len(dst)
-	start, _ := slices.BinarySearch(dst[from:end], rows[0])
+	start, _ := slices.BinarySearch(dst[from:], rows[0])
 	start += from
-	for i, j := start, 0; i < end || j < len(rows); {
-		if j == len(rows) || (i < end && dst[i] < rows[j]) {
-			dst = append(dst, dst[i])
-			i++
+	kept, j := start, 0
+	for _, o := range dst[start:] {
+		for j < len(rows) && rows[j] < o {
+			j++
+		}
+		if j == len(rows) || rows[j] != o {
+			dst[kept] = o
+			kept++
+		}
+	}
+	matched := 0
+	for _, v := range vals {
+		if match(v) {
+			matched++
+		}
+	}
+	dst = slices.Grow(dst[:kept], matched)[:kept+matched]
+	i, w := kept-1, kept+matched-1
+	for j := len(rows) - 1; j >= 0; j-- {
+		if !match(vals[j]) {
 			continue
 		}
-		if i < end && dst[i] == rows[j] {
-			i++
+		for ; i >= start && dst[i] > rows[j]; i-- {
+			dst[w] = dst[i]
+			w--
 		}
-		if match(s.patches.vals[j]) {
-			dst = append(dst, rows[j])
-		}
-		j++
+		dst[w] = rows[j]
+		w--
 	}
-	return append(dst[:start], dst[end:]...)
+	return dst
 }
 
 // codes translates an interval of values into the closed interval [lo, hi] of

@@ -57,10 +57,29 @@ func (k JoinKind) String() string {
 	}
 }
 
+// leaf is embedded by the nodes that have no inputs.
+type leaf struct{}
+
+// Inputs implements Node.
+func (leaf) Inputs() []Node { return nil }
+
+// SetInput implements Node; a leaf has no input to replace.
+func (leaf) SetInput(int, Node) { panic("lqp: a leaf node has no inputs") }
+
+// unary is embedded by the nodes that have one input.
+type unary struct{ input Node }
+
+// Inputs implements Node.
+func (u *unary) Inputs() []Node { return []Node{u.input} }
+
+// SetInput implements Node.
+func (u *unary) SetInput(_ int, in Node) { u.input = in }
+
 // --- leaf nodes ------------------------------------------------------------
 
 // StoredTableNode reads a stored table.
 type StoredTableNode struct {
+	leaf
 	TableName string
 	Alias     string
 	Table     *storage.Table
@@ -81,12 +100,6 @@ func NewStoredTableNode(t *storage.Table, alias string) *StoredTableNode {
 	return &StoredTableNode{TableName: t.Name(), Alias: alias, Table: t, schema: schema}
 }
 
-// Inputs implements Node.
-func (n *StoredTableNode) Inputs() []Node { return nil }
-
-// SetInput implements Node.
-func (n *StoredTableNode) SetInput(int, Node) { panic("lqp: stored table has no inputs") }
-
 // Schema implements Node.
 func (n *StoredTableNode) Schema() Schema { return n.schema }
 
@@ -101,13 +114,7 @@ func (n *StoredTableNode) String() string {
 
 // DummyTableNode produces a single row with no columns (SELECT without
 // FROM).
-type DummyTableNode struct{}
-
-// Inputs implements Node.
-func (n *DummyTableNode) Inputs() []Node { return nil }
-
-// SetInput implements Node.
-func (n *DummyTableNode) SetInput(int, Node) { panic("lqp: dummy table has no inputs") }
+type DummyTableNode struct{ leaf }
 
 // Schema implements Node.
 func (n *DummyTableNode) Schema() Schema { return nil }
@@ -120,17 +127,11 @@ func (n *DummyTableNode) String() string { return "DummyTable" }
 // ValidateNode filters rows by MVCC visibility (paper §2.8). Inserted into
 // every plan over MVCC tables unless concurrency control is disabled.
 type ValidateNode struct {
-	input Node
+	unary
 }
 
 // NewValidateNode wraps a child with MVCC validation.
-func NewValidateNode(in Node) *ValidateNode { return &ValidateNode{input: in} }
-
-// Inputs implements Node.
-func (n *ValidateNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *ValidateNode) SetInput(i int, in Node) { n.input = in }
+func NewValidateNode(in Node) *ValidateNode { return &ValidateNode{unary: unary{in}} }
 
 // Schema implements Node.
 func (n *ValidateNode) Schema() Schema { return n.input.Schema() }
@@ -142,19 +143,13 @@ func (n *ValidateNode) String() string { return "Validate" }
 // index the input schema.
 type PredicateNode struct {
 	Predicate expression.Expression
-	input     Node
+	unary
 }
 
 // NewPredicateNode builds a filter.
 func NewPredicateNode(in Node, pred expression.Expression) *PredicateNode {
-	return &PredicateNode{Predicate: pred, input: in}
+	return &PredicateNode{Predicate: pred, unary: unary{in}}
 }
-
-// Inputs implements Node.
-func (n *PredicateNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *PredicateNode) SetInput(i int, in Node) { n.input = in }
 
 // Schema implements Node.
 func (n *PredicateNode) Schema() Schema { return n.input.Schema() }
@@ -165,16 +160,16 @@ func (n *PredicateNode) String() string { return "Predicate(" + n.Predicate.Stri
 // ProjectionNode computes expressions over its input. Names are the output
 // column names (aliases or canonical renderings).
 type ProjectionNode struct {
-	Exprs  []expression.Expression
-	Names  []string
-	input  Node
+	Exprs []expression.Expression
+	Names []string
+	unary
 	schema Schema
 }
 
 // NewProjectionNode builds a projection; output types are inferred from the
 // input schema.
 func NewProjectionNode(in Node, exprs []expression.Expression, names []string) *ProjectionNode {
-	n := &ProjectionNode{Exprs: exprs, Names: names, input: in}
+	n := &ProjectionNode{Exprs: exprs, Names: names, unary: unary{in}}
 	n.recomputeSchema()
 	return n
 }
@@ -197,9 +192,6 @@ func (n *ProjectionNode) recomputeSchema() {
 	}
 	n.schema = schema
 }
-
-// Inputs implements Node.
-func (n *ProjectionNode) Inputs() []Node { return []Node{n.input} }
 
 // SetInput implements Node.
 func (n *ProjectionNode) SetInput(i int, in Node) {
@@ -225,14 +217,14 @@ type AggregateNode struct {
 	GroupBy    []expression.Expression
 	Aggregates []*expression.Aggregate
 	// Names holds output names: len(GroupBy)+len(Aggregates) entries.
-	Names  []string
-	input  Node
+	Names []string
+	unary
 	schema Schema
 }
 
 // NewAggregateNode builds an aggregation.
 func NewAggregateNode(in Node, groupBy []expression.Expression, aggs []*expression.Aggregate, names []string) *AggregateNode {
-	n := &AggregateNode{GroupBy: groupBy, Aggregates: aggs, Names: names, input: in}
+	n := &AggregateNode{GroupBy: groupBy, Aggregates: aggs, Names: names, unary: unary{in}}
 	n.recomputeSchema()
 	return n
 }
@@ -255,9 +247,6 @@ func (n *AggregateNode) recomputeSchema() {
 	}
 	n.schema = schema
 }
-
-// Inputs implements Node.
-func (n *AggregateNode) Inputs() []Node { return []Node{n.input} }
 
 // SetInput implements Node.
 func (n *AggregateNode) SetInput(i int, in Node) {
@@ -288,18 +277,12 @@ type SortKey struct {
 
 // SortNode orders its input.
 type SortNode struct {
-	Keys  []SortKey
-	input Node
+	Keys []SortKey
+	unary
 }
 
 // NewSortNode builds a sort.
-func NewSortNode(in Node, keys []SortKey) *SortNode { return &SortNode{Keys: keys, input: in} }
-
-// Inputs implements Node.
-func (n *SortNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *SortNode) SetInput(i int, in Node) { n.input = in }
+func NewSortNode(in Node, keys []SortKey) *SortNode { return &SortNode{Keys: keys, unary: unary{in}} }
 
 // Schema implements Node.
 func (n *SortNode) Schema() Schema { return n.input.Schema() }
@@ -318,18 +301,12 @@ func (n *SortNode) String() string {
 
 // LimitNode caps the row count.
 type LimitNode struct {
-	N     int64
-	input Node
+	N int64
+	unary
 }
 
 // NewLimitNode builds a limit.
-func NewLimitNode(in Node, n int64) *LimitNode { return &LimitNode{N: n, input: in} }
-
-// Inputs implements Node.
-func (n *LimitNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *LimitNode) SetInput(i int, in Node) { n.input = in }
+func NewLimitNode(in Node, n int64) *LimitNode { return &LimitNode{N: n, unary: unary{in}} }
 
 // Schema implements Node.
 func (n *LimitNode) Schema() Schema { return n.input.Schema() }
@@ -341,17 +318,14 @@ func (n *LimitNode) String() string { return fmt.Sprintf("Limit(%d)", n.N) }
 // and optionally the column names.
 type AliasNode struct {
 	Qualifier string
-	input     Node
-	schema    Schema
+	unary
+	schema Schema
 }
 
 // NewAliasNode wraps a derived table under its alias.
 func NewAliasNode(in Node, qualifier string) *AliasNode {
-	return &AliasNode{Qualifier: strings.ToLower(qualifier), input: in, schema: in.Schema().WithQualifier(strings.ToLower(qualifier))}
+	return &AliasNode{Qualifier: strings.ToLower(qualifier), unary: unary{in}, schema: in.Schema().WithQualifier(strings.ToLower(qualifier))}
 }
-
-// Inputs implements Node.
-func (n *AliasNode) Inputs() []Node { return []Node{n.input} }
 
 // SetInput implements Node.
 func (n *AliasNode) SetInput(i int, in Node) {
@@ -443,15 +417,10 @@ func (n *JoinNode) String() string {
 
 // InsertNode inserts rows into a table: a value per column in table order.
 type InsertNode struct {
+	leaf
 	Rows  [][]expression.Expression
 	Table *storage.Table // the target, resolved at translation
 }
-
-// Inputs implements Node.
-func (n *InsertNode) Inputs() []Node { return nil }
-
-// SetInput implements Node.
-func (n *InsertNode) SetInput(int, Node) { panic("lqp: insert has no inputs") }
 
 // Schema implements Node.
 func (n *InsertNode) Schema() Schema { return nil }
@@ -465,19 +434,13 @@ func (n *InsertNode) String() string {
 // over exactly the target table (reference output).
 type DeleteNode struct {
 	TableName string
-	input     Node
+	unary
 }
 
 // NewDeleteNode builds a delete.
 func NewDeleteNode(table string, in Node) *DeleteNode {
-	return &DeleteNode{TableName: table, input: in}
+	return &DeleteNode{TableName: table, unary: unary{in}}
 }
-
-// Inputs implements Node.
-func (n *DeleteNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *DeleteNode) SetInput(i int, in Node) { n.input = in }
 
 // Schema implements Node.
 func (n *DeleteNode) Schema() Schema { return nil }
@@ -492,19 +455,13 @@ type UpdateNode struct {
 	// SetColumns[i] receives SetExprs[i], evaluated over the child's rows.
 	SetColumns []int
 	SetExprs   []expression.Expression
-	input      Node
+	unary
 }
 
 // NewUpdateNode builds an update.
 func NewUpdateNode(table string, cols []int, exprs []expression.Expression, in Node) *UpdateNode {
-	return &UpdateNode{TableName: table, SetColumns: cols, SetExprs: exprs, input: in}
+	return &UpdateNode{TableName: table, SetColumns: cols, SetExprs: exprs, unary: unary{in}}
 }
-
-// Inputs implements Node.
-func (n *UpdateNode) Inputs() []Node { return []Node{n.input} }
-
-// SetInput implements Node.
-func (n *UpdateNode) SetInput(i int, in Node) { n.input = in }
 
 // Schema implements Node.
 func (n *UpdateNode) Schema() Schema { return nil }

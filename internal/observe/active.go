@@ -59,9 +59,6 @@ type ActiveQuery struct {
 // ID returns the query id (the argument to cancel_query).
 func (q *ActiveQuery) ID() int64 { return q.id }
 
-// Fingerprint returns the normalized statement text.
-func (q *ActiveQuery) Fingerprint() string { return q.fingerprint }
-
 // SetState publishes the statement's lifecycle state. Nil-safe so callers
 // can hold a possibly-nil handle without checking.
 func (q *ActiveQuery) SetState(s QueryState) {

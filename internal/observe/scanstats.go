@@ -88,15 +88,6 @@ type ColumnScanSnapshot struct {
 	RowsOut       int64
 }
 
-// Selectivity returns matched/scanned rows (1 when nothing was scanned —
-// the conservative "predicate kept everything" reading).
-func (s ColumnScanSnapshot) Selectivity() float64 {
-	if s.RowsIn == 0 {
-		return 1
-	}
-	return float64(s.RowsOut) / float64(s.RowsIn)
-}
-
 // FallbackRatio returns the fraction of scans that had to materialize.
 func (s ColumnScanSnapshot) FallbackRatio() float64 {
 	if s.Scans == 0 {

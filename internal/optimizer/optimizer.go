@@ -13,8 +13,6 @@ import (
 
 // Rule is one rewrite over the LQP.
 type Rule interface {
-	// Name identifies the rule.
-	Name() string
 	// Apply rewrites the plan and returns the (possibly new) root and
 	// whether anything changed.
 	Apply(root lqp.Node, est *Estimator) (lqp.Node, bool, error)

@@ -11,9 +11,6 @@ import (
 // substitution of constant expressions").
 type ExpressionReductionRule struct{}
 
-// Name implements Rule.
-func (r *ExpressionReductionRule) Name() string { return "ExpressionReduction" }
-
 // Iterative implements Rule.
 func (r *ExpressionReductionRule) Iterative() bool { return false }
 
@@ -178,9 +175,6 @@ func boolLiteral(e expression.Expression) (bool, bool) {
 // conjunct independently.
 type PredicateSplitUpRule struct{}
 
-// Name implements Rule.
-func (r *PredicateSplitUpRule) Name() string { return "PredicateSplitUp" }
-
 // Iterative implements Rule.
 func (r *PredicateSplitUpRule) Iterative() bool { return true }
 
@@ -218,9 +212,6 @@ func (r *PredicateSplitUpRule) Apply(root lqp.Node, est *Estimator) (lqp.Node, b
 // predicates into a single BETWEEN, which scans evaluate in one pass
 // (one of Hyrise's small structural rules).
 type BetweenCompositionRule struct{}
-
-// Name implements Rule.
-func (r *BetweenCompositionRule) Name() string { return "BetweenComposition" }
 
 // Iterative implements Rule.
 func (r *BetweenCompositionRule) Iterative() bool { return false }

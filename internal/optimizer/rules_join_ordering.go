@@ -19,9 +19,6 @@ type JoinOrderingRule struct{}
 // dpccpMaxVertices bounds the exact enumeration.
 const dpccpMaxVertices = 10
 
-// Name implements Rule.
-func (r *JoinOrderingRule) Name() string { return "JoinOrdering(DPccp)" }
-
 // Iterative implements Rule.
 func (r *JoinOrderingRule) Iterative() bool { return false }
 
@@ -181,24 +178,6 @@ func (r *joinRegion) neighbors(s uint64) uint64 {
 		}
 	}
 	return out
-}
-
-// connected reports whether the vertex set is connected under the predicate
-// graph (cross edges do not exist; single vertices are connected).
-func (r *joinRegion) connected(s uint64) bool {
-	if s == 0 {
-		return false
-	}
-	start := uint64(1) << uint(bits.TrailingZeros64(s))
-	reached := start
-	for {
-		grow := r.neighbors(reached) & s
-		if grow == 0 || reached|grow == reached {
-			break
-		}
-		reached |= grow
-	}
-	return reached == s
 }
 
 // dpccp implements the csg-cmp-pair enumeration. Disconnected regions are

@@ -14,9 +14,6 @@ import (
 // comma-style queries.
 type PredicatePushdownRule struct{}
 
-// Name implements Rule.
-func (r *PredicatePushdownRule) Name() string { return "PredicatePushdown" }
-
 // Iterative implements Rule.
 func (r *PredicatePushdownRule) Iterative() bool { return true }
 

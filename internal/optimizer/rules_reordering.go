@@ -11,9 +11,6 @@ import (
 // statistics-driven rules).
 type PredicateReorderingRule struct{}
 
-// Name implements Rule.
-func (r *PredicateReorderingRule) Name() string { return "PredicateReordering" }
-
 // Iterative implements Rule.
 func (r *PredicateReorderingRule) Iterative() bool { return false }
 

@@ -24,9 +24,6 @@ import (
 // always correct.
 type SubqueryToJoinRule struct{}
 
-// Name implements Rule.
-func (r *SubqueryToJoinRule) Name() string { return "SubqueryToJoin" }
-
 // Iterative implements Rule.
 func (r *SubqueryToJoinRule) Iterative() bool { return true }
 

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"hyrise/internal/concurrency"
+	"hyrise/internal/observe"
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
 )
@@ -123,4 +127,55 @@ func TestCheckpointStreams(t *testing.T) {
 		t.Fatalf("a checkpoint of a %d-byte image allocated %d bytes, want under twice the image", st.Size(), grew)
 	}
 	t.Logf("a checkpoint of a %d-byte image allocated %d bytes", st.Size(), grew)
+}
+
+// TestSnapshotIntervalCheckpoints: with Options.SnapshotInterval set, the
+// manager checkpoints on its own beside committing writers: snapshots are
+// counted, the log's start moves past the commits they cover, Close returns
+// only once the loop has exited (it waits for it) and no checkpoint follows
+// it, and a reopen restores every committed row.
+func TestSnapshotIntervalCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	sm, tm := storage.NewStorageManager(), concurrency.NewTransactionManager()
+	reg := observe.NewRegistry()
+	const interval = 2 * time.Millisecond
+	m, err := Open(sm, tm, Options{Dir: dir, Mode: SyncCommit, SnapshotInterval: interval, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := storage.NewTable("t", testDefs(), 4, true)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LogCreateTable(table); err != nil {
+		t.Fatal(err)
+	}
+	snapshots := reg.Counter("snapshot.count")
+	start := m.WALStartLSN()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; snapshots.Value() < 2 || m.WALStartLSN() <= start; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d commits: %d snapshots, log start %d (was %d)", i, snapshots.Value(), m.WALStartLSN(), start)
+		}
+		insertTx(t, tm, table, [][]types.Value{{types.Int(int64(i)), types.Str("r"), types.Float(float64(i))}})
+	}
+	want := visibleRows(tm, table)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := snapshots.Value()
+	time.Sleep(10 * interval)
+	if got := snapshots.Value(); got != n {
+		t.Fatalf("%d checkpoints after Close", got-n)
+	}
+
+	sm2, tm2, m2 := openTestManager(t, dir, SyncCommit)
+	defer m2.Close()
+	got, err := sm2.GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := visibleRows(tm2, got); !reflect.DeepEqual(g, want) {
+		t.Fatalf("reopened %d rows, want %d", len(g), len(want))
+	}
 }

@@ -12,6 +12,7 @@ package pgclient
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,13 +183,15 @@ func (c *Conn) SimpleQuery(sql string) ([]*Result, error) {
 		}
 		switch t {
 		case 'T':
-			ensure().Fields = parseRowDescription(payload)
+			ensure().Fields, err = parseRowDescription(payload)
 		case 'D':
 			r := ensure()
-			r.Rows = append(r.Rows, parseDataRow(payload))
+			var row [][]byte
+			row, err = parseDataRow(payload)
+			r.Rows = append(r.Rows, row)
 		case 'C':
 			r := ensure()
-			r.Tag = cString(payload)
+			r.Tag, err = cString(payload)
 			results = append(results, r)
 			cur = nil
 		case 'I':
@@ -205,6 +208,11 @@ func (c *Conn) SimpleQuery(sql string) ([]*Result, error) {
 				c.TxStatus = payload[0]
 			}
 			return results, firstEr
+		default:
+			err = unexpected(t)
+		}
+		if err != nil {
+			return results, err
 		}
 	}
 }
@@ -238,12 +246,9 @@ func (c *Conn) Prepare(name, sql string, paramOIDs []uint32) (*Stmt, error) {
 		switch t {
 		case '1': // ParseComplete
 		case 't':
-			n := int(binary.BigEndian.Uint16(payload[:2]))
-			for i := 0; i < n; i++ {
-				st.ParamOIDs = append(st.ParamOIDs, binary.BigEndian.Uint32(payload[2+4*i:]))
-			}
+			st.ParamOIDs, err = parseParameterDescription(payload)
 		case 'T':
-			st.Fields = parseRowDescription(payload)
+			st.Fields, err = parseRowDescription(payload)
 		case 'n': // NoData
 		case 'E':
 			if firstEr == nil {
@@ -257,6 +262,11 @@ func (c *Conn) Prepare(name, sql string, paramOIDs []uint32) (*Stmt, error) {
 				return nil, firstEr
 			}
 			return st, nil
+		default:
+			err = unexpected(t)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -393,12 +403,14 @@ func (c *Conn) collectExec() (*Result, error) {
 		switch t {
 		case '2': // BindComplete
 		case 'T':
-			res.Fields = parseRowDescription(payload)
+			res.Fields, err = parseRowDescription(payload)
 		case 'n': // NoData
 		case 'D':
-			res.Rows = append(res.Rows, parseDataRow(payload))
+			var row [][]byte
+			row, err = parseDataRow(payload)
+			res.Rows = append(res.Rows, row)
 		case 'C':
-			res.Tag = cString(payload)
+			res.Tag, err = cString(payload)
 		case 'I':
 			res.Empty = true
 		case 's':
@@ -415,6 +427,11 @@ func (c *Conn) collectExec() (*Result, error) {
 				return nil, firstEr
 			}
 			return res, nil
+		default:
+			err = unexpected(t)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -432,9 +449,15 @@ func (c *Conn) collectPortalRun() (*Result, error) {
 		switch t {
 		case '2':
 		case 'D':
-			res.Rows = append(res.Rows, parseDataRow(payload))
+			var row [][]byte
+			if row, err = parseDataRow(payload); err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, row)
 		case 'C':
-			res.Tag = cString(payload)
+			if res.Tag, err = cString(payload); err != nil {
+				return nil, err
+			}
 			return res, nil
 		case 's':
 			res.Suspended = true
@@ -444,10 +467,15 @@ func (c *Conn) collectPortalRun() (*Result, error) {
 			return res, nil
 		case 'E':
 			return nil, parseError(payload)
+		default:
+			return nil, unexpected(t)
 		}
 	}
 }
 
+// readMessage reads one backend message. A payload already buffered is read
+// in one allocation; a longer one grows as its bytes arrive, so a peer's length
+// alone allocates nothing.
 func (c *Conn) readMessage() (byte, []byte, error) {
 	header := make([]byte, 5)
 	if _, err := io.ReadFull(c.r, header); err != nil {
@@ -455,14 +483,28 @@ func (c *Conn) readMessage() (byte, []byte, error) {
 	}
 	length := int(binary.BigEndian.Uint32(header[1:])) - 4
 	if length < 0 {
-		return 0, nil, errors.New("pgclient: negative message length")
+		return 0, nil, errors.New("pgclient: message length below 4")
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
+	if length <= c.r.Buffered() {
+		payload := make([]byte, length)
+		_, _ = io.ReadFull(c.r, payload) // buffered: cannot fail
+		return header[0], payload, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(c.r, int64(length)))
+	if err != nil {
 		return 0, nil, err
+	}
+	if len(payload) < length {
+		return 0, nil, fmt.Errorf("pgclient: message %q ends after %d of %d bytes: %w", header[0], len(payload), length, io.ErrUnexpectedEOF)
 	}
 	return header[0], payload, nil
 }
+
+// unexpected is the error for a message the exchange does not allow.
+func unexpected(t byte) error { return fmt.Errorf("pgclient: unexpected message %q", t) }
+
+// errTruncated is the error for a payload that ends inside a field.
+var errTruncated = errors.New("pgclient: truncated message")
 
 func (c *Conn) writeMessage(msgType byte, payload []byte) {
 	header := make([]byte, 5)
@@ -472,56 +514,73 @@ func (c *Conn) writeMessage(msgType byte, payload []byte) {
 	_, _ = c.w.Write(payload)
 }
 
-func parseRowDescription(payload []byte) []Field {
+func parseParameterDescription(payload []byte) ([]uint32, error) {
 	if len(payload) < 2 {
-		return nil
+		return nil, errTruncated
 	}
-	n := int(binary.BigEndian.Uint16(payload[:2]))
+	n := int(binary.BigEndian.Uint16(payload))
+	if len(payload) != 2+4*n {
+		return nil, errTruncated
+	}
+	oids := make([]uint32, n)
+	for i := range oids {
+		oids[i] = binary.BigEndian.Uint32(payload[2+4*i:])
+	}
+	return oids, nil
+}
+
+func parseRowDescription(payload []byte) ([]Field, error) {
+	if len(payload) < 2 {
+		return nil, errTruncated
+	}
+	n := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
-	fields := make([]Field, 0, n)
-	for i := 0; i < n && len(rest) > 0; i++ {
-		var name string
-		name, rest = splitCString(rest)
-		if len(rest) < 18 {
-			break
+	fields := make([]Field, 0, min(n, len(rest)/19)) // a field takes at least 19 bytes
+	for i := 0; i < n; i++ {
+		name, tail, err := splitCString(rest)
+		if err != nil {
+			return nil, err
+		}
+		if len(tail) < 18 {
+			return nil, errTruncated
 		}
 		fields = append(fields, Field{
 			Name:   name,
-			OID:    binary.BigEndian.Uint32(rest[6:10]),
-			Len:    int16(binary.BigEndian.Uint16(rest[10:12])),
-			Format: int16(binary.BigEndian.Uint16(rest[16:18])),
+			OID:    binary.BigEndian.Uint32(tail[6:10]),
+			Len:    int16(binary.BigEndian.Uint16(tail[10:12])),
+			Format: int16(binary.BigEndian.Uint16(tail[16:18])),
 		})
-		rest = rest[18:]
+		rest = tail[18:]
 	}
-	return fields
+	return fields, nil
 }
 
-func parseDataRow(payload []byte) [][]byte {
+// parseDataRow returns the row's columns as slices of payload, which no
+// later read reuses.
+func parseDataRow(payload []byte) ([][]byte, error) {
 	if len(payload) < 2 {
-		return nil
+		return nil, errTruncated
 	}
-	n := int(binary.BigEndian.Uint16(payload[:2]))
+	n := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
-	row := make([][]byte, 0, n)
+	row := make([][]byte, 0, min(n, len(rest)/4)) // a column takes at least 4 bytes
 	for i := 0; i < n; i++ {
 		if len(rest) < 4 {
-			break
+			return nil, errTruncated
 		}
-		length := int32(binary.BigEndian.Uint32(rest[:4]))
+		length := int32(binary.BigEndian.Uint32(rest))
 		rest = rest[4:]
 		if length < 0 {
 			row = append(row, nil)
 			continue
 		}
-		if len(rest) < int(length) {
-			break
+		if int64(length) > int64(len(rest)) {
+			return nil, fmt.Errorf("pgclient: column %d claims %d bytes, %d left: %w", i, length, len(rest), errTruncated)
 		}
-		col := make([]byte, length)
-		copy(col, rest[:length])
-		row = append(row, col)
+		row = append(row, rest[:length:length])
 		rest = rest[length:]
 	}
-	return row
+	return row, nil
 }
 
 func parseError(payload []byte) *PgError {
@@ -529,8 +588,11 @@ func parseError(payload []byte) *PgError {
 	rest := payload
 	for len(rest) > 0 && rest[0] != 0 {
 		field := rest[0]
-		var val string
-		val, rest = splitCString(rest[1:])
+		val, tail, err := splitCString(rest[1:])
+		if err != nil {
+			break // an unterminated field ends the fields read
+		}
+		rest = tail
 		switch field {
 		case 'S':
 			e.Severity = val
@@ -543,16 +605,16 @@ func parseError(payload []byte) *PgError {
 	return e
 }
 
-func cString(b []byte) string {
-	s, _ := splitCString(b)
-	return s
+func cString(b []byte) (string, error) {
+	s, _, err := splitCString(b)
+	return s, err
 }
 
-func splitCString(b []byte) (string, []byte) {
-	for i, x := range b {
-		if x == 0 {
-			return string(b[:i]), b[i+1:]
-		}
+// splitCString splits a NUL-terminated string off the front of b.
+func splitCString(b []byte) (string, []byte, error) {
+	i := bytes.IndexByte(b, 0)
+	if i < 0 {
+		return "", nil, errors.New("pgclient: string without its NUL terminator")
 	}
-	return string(b), nil
+	return string(b[:i]), b[i+1:], nil
 }

@@ -376,6 +376,21 @@ func TestMvccDisabledMode(t *testing.T) {
 	if _, err := s.ExecuteOne("BEGIN"); err == nil {
 		t.Error("transactions without MVCC should fail")
 	}
+
+	// Over a catalog whose tables keep MVCC columns, an engine without MVCC
+	// inserts outside any transaction: the row is stamped committed at the
+	// beginning of time, so an MVCC engine over the same catalog sees it.
+	mvcc := NewEngine(DefaultConfig(), nil)
+	t.Cleanup(mvcc.Close)
+	ms := mvcc.NewSession()
+	mustExec(t, ms, "CREATE TABLE m (a INT NOT NULL)")
+	mustExec(t, ms, "INSERT INTO m VALUES (1)")
+	plain := NewEngine(cfg, mvcc.StorageManager())
+	t.Cleanup(plain.Close)
+	mustExec(t, plain.NewSession(), "INSERT INTO m VALUES (2)")
+	if got := sortedFlat(t, ms, "SELECT a FROM m"); !reflect.DeepEqual(got, []string{"1", "2"}) {
+		t.Errorf("the MVCC engine reads %v, want [1 2]", got)
+	}
 }
 
 func TestPlanCache(t *testing.T) {
@@ -495,9 +510,13 @@ func TestWriteWriteConflictThroughSQL(t *testing.T) {
 func TestSortMergeJoinConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JoinImpl = 1 // PreferSortMergeJoin
-	_, s := newTestEngine(t, cfg)
-	got := sortedFlat(t, s, "SELECT e_name, d_name FROM emp JOIN dept ON e_dept = d_id WHERE e_salary > 140")
+	e, s := newTestEngine(t, cfg)
+	const sql = "SELECT e_name, d_name FROM emp JOIN dept ON e_dept = d_id WHERE e_salary > 140"
+	got := sortedFlat(t, s, sql)
 	if !reflect.DeepEqual(got, []string{"fay|eng"}) {
 		t.Errorf("sort-merge join result: %v", got)
+	}
+	if _, _, pqp, err := e.Plans(sql); err != nil || !strings.Contains(pqp, "SortMergeJoin(") {
+		t.Errorf("the plan joins without SortMergeJoin (%v):\n%s", err, pqp)
 	}
 }

@@ -18,10 +18,6 @@ import (
 // Plugin is the interface every plugin implements. Plugins are singletons:
 // the manager ensures one live instance per name (paper §3.1).
 type Plugin interface {
-	// Name identifies the plugin.
-	Name() string
-	// Description explains what the plugin does.
-	Description() string
 	// Start is called with the engine when the plugin is loaded.
 	Start(engine *pipeline.Engine) error
 	// Stop is called when the plugin is unloaded.

@@ -17,8 +17,6 @@ type testPlugin struct {
 	failStart        bool
 }
 
-func (p *testPlugin) Name() string        { return "test" }
-func (p *testPlugin) Description() string { return "test plugin" }
 func (p *testPlugin) Start(*pipeline.Engine) error {
 	if p.failStart {
 		return fmt.Errorf("boom")
@@ -167,6 +165,13 @@ func TestIndexSelectionPlugin(t *testing.T) {
 		if got := idx.Range(&v, &v, false, false); len(got) != 1 || got[0] != 0 {
 			t.Errorf("chunk %d: lookup of %v = %v, want offset 0", ci, v, got)
 		}
+	}
+	// Unloading stops the plugin; the indexes it built stay attached.
+	if err := m.Unload("index_selection"); err != nil {
+		t.Fatal(err)
+	}
+	if table.GetChunk(0).GetIndex(idCol) == nil {
+		t.Error("unload dropped the index on chunk 0")
 	}
 }
 

@@ -38,14 +38,6 @@ type IndexSelectionPlugin struct {
 // maxIndexes bounds how many columns get indexed per Advise run.
 const maxIndexes = 8
 
-// Name implements Plugin.
-func (p *IndexSelectionPlugin) Name() string { return "index_selection" }
-
-// Description implements Plugin.
-func (p *IndexSelectionPlugin) Description() string {
-	return "self-driving index selection: creates per-chunk indexes on selective columns"
-}
-
 // Start implements Plugin.
 func (p *IndexSelectionPlugin) Start(engine *pipeline.Engine) error {
 	p.mu.Lock()
@@ -156,14 +148,6 @@ type EncodingAdvisorPlugin struct {
 // AdviseFromWorkload will consider re-encoding it; below that the workload
 // signal is noise.
 const minScans = 8
-
-// Name implements Plugin.
-func (p *EncodingAdvisorPlugin) Name() string { return "encoding_advisor" }
-
-// Description implements Plugin.
-func (p *EncodingAdvisorPlugin) Description() string {
-	return "self-driving encoding selection: chooses per-column encodings from statistics"
-}
 
 // Start implements Plugin.
 func (p *EncodingAdvisorPlugin) Start(engine *pipeline.Engine) error {

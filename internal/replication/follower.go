@@ -429,10 +429,3 @@ func (f *Follower) AppliedLSN() int64 {
 	defer f.mu.Unlock()
 	return f.appliedLSN
 }
-
-// AppliedCID returns the follower's commit barrier.
-func (f *Follower) AppliedCID() types.CommitID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.appliedCID
-}

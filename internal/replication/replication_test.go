@@ -184,7 +184,7 @@ func waitCaughtUp(t *testing.T, s *primaryStack, f *Follower) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := f.WaitForCommit(ctx, s.tm.LastCommitID()); err != nil {
-		t.Fatalf("follower never reached commit %d (at %d): %v", s.tm.LastCommitID(), f.AppliedCID(), err)
+		t.Fatalf("follower never reached commit %d (at LSN %d): %v", s.tm.LastCommitID(), f.AppliedLSN(), err)
 	}
 }
 

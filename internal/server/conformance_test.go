@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -519,6 +520,19 @@ func TestGracefulDrainIdleConnection(t *testing.T) {
 	addr, srv, _ := startServerWith(t, nil)
 	c := confClient(t, addr)
 	mustSimple(t, c, "SELECT 1")
+	// ReadyForQuery reaches the client before the connection's goroutine marks
+	// itself idle; wait for that, so the drain finds it parked in its read.
+	for idle := false; !idle; {
+		srv.mu.Lock()
+		idle = true
+		for _, st := range srv.conns {
+			st.mu.Lock()
+			idle = idle && !st.busy
+			st.mu.Unlock()
+		}
+		srv.mu.Unlock()
+		runtime.Gosched()
+	}
 
 	done := make(chan struct{})
 	go func() {

@@ -88,9 +88,6 @@ func NewReferenceTable(defs []ColumnDefinition, chunks []*Chunk) *Table {
 // Name returns the table name ("" for intermediates).
 func (t *Table) Name() string { return t.name }
 
-// Type returns whether the table owns data or references.
-func (t *Table) Type() TableType { return t.tableType }
-
 // UsesMvcc reports whether chunks carry MVCC columns.
 func (t *Table) UsesMvcc() bool { return t.useMvcc }
 

@@ -131,14 +131,6 @@ func (db *Database) Follower() *replication.Follower {
 	return db.repl.follower
 }
 
-// Replication exposes the WAL shipper of a primary database (nil until
-// ServeReplication or AttachReplica is called).
-func (db *Database) Replication() *replication.Primary {
-	db.repl.mu.Lock()
-	defer db.repl.mu.Unlock()
-	return db.repl.primary
-}
-
 // Promote converts a replica into a standalone read-write database: the
 // stream stops, the transaction manager adopts fresh transaction ids past
 // everything replayed, writes are accepted, and (when durable) a checkpoint

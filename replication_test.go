@@ -286,6 +286,37 @@ func TestOpenReplicaOverTCP(t *testing.T) {
 	if len(st) != 1 || st[0].Role != "replica" || st[0].Peer != addr {
 		t.Fatalf("ReplicationStatus = %+v", st)
 	}
+
+	// Repoint re-targets the replica at another primary over TCP: it
+	// bootstraps from that primary's state and names it as its peer. The
+	// other primary commits more often, so its barrier lies past the first's.
+	other, err := OpenErr(durableConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for _, sql := range []string{"CREATE TABLE t (a INT NOT NULL)", "INSERT INTO t VALUES (8)", "INSERT INTO t VALUES (9)", "INSERT INTO t VALUES (10)"} {
+		if _, err := other.Execute(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	otherAddr, err := other.ServeReplication("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Repoint(otherAddr); err != nil {
+		t.Fatal(err)
+	}
+	waitBarrier(t, other, replica)
+	if got := mustRows(t, replica, "SELECT a FROM t ORDER BY a"); !reflect.DeepEqual(got, [][]string{{"8"}, {"9"}, {"10"}}) {
+		t.Fatalf("re-pointed replica rows = %v", got)
+	}
+	if st := replica.ReplicationStatus(); len(st) != 1 || st[0].Peer != otherAddr {
+		t.Fatalf("ReplicationStatus after Repoint = %+v", st)
+	}
+	if err := db.Repoint(otherAddr); err == nil {
+		t.Fatal("a primary accepted Repoint")
+	}
 }
 
 // TestCrashRecoveryPrunedDML pins the chunk ids that DML writes into its redo
