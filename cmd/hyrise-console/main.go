@@ -26,9 +26,9 @@ import (
 	"strconv"
 	"strings"
 
+	"hyrise"
 	"hyrise/internal/pipeline"
 	"hyrise/internal/plugin"
-	"hyrise/internal/tpch"
 )
 
 func main() {
@@ -37,19 +37,18 @@ func main() {
 	syncMode := flag.String("sync", "commit", "WAL sync mode: commit, batch, off")
 	flag.Parse()
 
-	cfg := pipeline.DefaultConfig()
+	cfg := hyrise.DefaultConfig()
 	cfg.StatementTimeout = *stmtTimeout
 	cfg.DataDir = *dataDir
 	cfg.SyncMode = *syncMode
-	engine, err := pipeline.NewEngineErr(cfg, nil)
+	db, err := hyrise.OpenErr(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	defer engine.Close()
-	session := engine.NewSession()
-	plugins := plugin.NewManager(engine)
-	defer plugins.UnloadAll()
+	defer db.Close()
+	session := db.Session()
+	defer session.Close()
 
 	timing := false
 	in := bufio.NewScanner(os.Stdin)
@@ -66,7 +65,7 @@ func main() {
 			continue
 		}
 		if strings.HasPrefix(line, "\\") {
-			if quit := metaCommand(line, engine, session, plugins, &timing); quit {
+			if quit := metaCommand(line, db, session, &timing); quit {
 				return
 			}
 			continue
@@ -82,7 +81,7 @@ func main() {
 	}
 }
 
-func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session, plugins *plugin.Manager, timing *bool) bool {
+func metaCommand(line string, db *hyrise.Database, session *pipeline.Session, timing *bool) bool {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "\\q", "\\quit", "\\exit":
@@ -91,8 +90,8 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 		fmt.Println(`\generate tpch <sf>, \tables, \visualize <sql>, \explain <sql>, \metrics,
 \replication, \timing on|off, \plugins, \load <name>, \unload <name>, \q`)
 	case "\\tables":
-		for _, name := range engine.StorageManager().TableNames() {
-			t, _ := engine.StorageManager().GetTable(name)
+		for _, name := range db.StorageManager().TableNames() {
+			t, _ := db.StorageManager().GetTable(name)
 			fmt.Printf("  %-12s %10d rows, %d chunks\n", name, t.RowCount(), t.ChunkCount())
 		}
 	case "\\generate":
@@ -106,7 +105,7 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 			break
 		}
 		fmt.Printf("generating TPC-H at scale factor %g...\n", sf)
-		if err := tpch.Generate(engine.StorageManager(), tpch.Config{ScaleFactor: sf, UseMvcc: engine.Config().UseMvcc, Seed: 42}); err != nil {
+		if err := db.GenerateTPCH(sf, 0); err != nil {
 			fmt.Println("error:", err)
 			break
 		}
@@ -117,7 +116,7 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 			fmt.Println("usage: \\visualize <sql>")
 			break
 		}
-		unopt, opt, pqp, err := engine.Plans(sql)
+		unopt, opt, pqp, err := db.Plans(sql)
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -148,7 +147,7 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 		}
 		printResult(res, false)
 	case "\\metrics":
-		for _, m := range engine.Metrics().Snapshot() {
+		for _, m := range db.Metrics().Snapshot() {
 			fmt.Printf("  %-32s %-10s %d\n", m.Name, m.Kind, m.Value)
 		}
 	case "\\timing":
@@ -156,13 +155,13 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 		fmt.Println("timing:", *timing)
 	case "\\plugins":
 		fmt.Println("available:", strings.Join(plugin.Available(), ", "))
-		fmt.Println("loaded:   ", strings.Join(plugins.Loaded(), ", "))
+		fmt.Println("loaded:   ", strings.Join(db.Plugins().Loaded(), ", "))
 	case "\\load":
 		if len(fields) < 2 {
 			fmt.Println("usage: \\load <plugin>")
 			break
 		}
-		if err := plugins.Load(fields[1]); err != nil {
+		if err := db.Plugins().Load(fields[1]); err != nil {
 			fmt.Println("error:", err)
 		} else {
 			fmt.Println("loaded", fields[1])
@@ -172,7 +171,7 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 			fmt.Println("usage: \\unload <plugin>")
 			break
 		}
-		if err := plugins.Unload(fields[1]); err != nil {
+		if err := db.Plugins().Unload(fields[1]); err != nil {
 			fmt.Println("error:", err)
 		} else {
 			fmt.Println("unloaded", fields[1])
@@ -183,9 +182,9 @@ func metaCommand(line string, engine *pipeline.Engine, session *pipeline.Session
 	return false
 }
 
-func printResult(res *pipeline.Result, timing bool) {
+func printResult(res *hyrise.Result, timing bool) {
 	if res.Table != nil && len(res.Columns) > 0 {
-		rows := pipeline.RowStrings(res.Table)
+		rows := hyrise.Rows(res)
 		fmt.Println(strings.Join(res.Columns, " | "))
 		for i, row := range rows {
 			if i >= 50 {

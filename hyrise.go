@@ -67,17 +67,20 @@ func Open(cfg Config) *Database {
 
 // OpenErr creates a database with the given configuration. With
 // Config.DataDir set, the latest snapshot is restored and the write-ahead
-// log replayed before OpenErr returns.
+// log replayed before OpenErr returns. The database registers its
+// meta_replication table.
 func OpenErr(cfg Config) (*Database, error) {
 	engine, err := pipeline.NewEngineErr(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Database{
+	db := &Database{
 		engine:  engine,
 		session: engine.NewSession(),
 		plugins: plugin.NewManager(engine),
-	}, nil
+	}
+	engine.StorageManager().RegisterMetaTable("meta_replication", db.metaReplication)
+	return db, nil
 }
 
 // Checkpoint snapshots all tables and views to Config.DataDir and truncates

@@ -345,27 +345,10 @@ func recordSpan(tr *observe.Trace, op Operator, d time.Duration, inputs []*stora
 	tr.RecordOp(op, op.Name(), d, rowsIn, rowsOut)
 }
 
-// PlanString renders a PQP tree for the console's visualize command.
-func PlanString(root Operator) string {
-	var sb []byte
-	var walk func(op Operator, depth int)
-	walk = func(op Operator, depth int) {
-		for i := 0; i < depth; i++ {
-			sb = append(sb, ' ', ' ')
-		}
-		sb = append(sb, op.Name()...)
-		sb = append(sb, '\n')
-		for _, in := range op.Inputs() {
-			walk(in, depth+1)
-		}
-	}
-	walk(root, 0)
-	return string(sb)
-}
-
-// AnnotatedPlanString renders a PQP tree with the trace's per-operator
-// measurements — the EXPLAIN ANALYZE output format.
-func AnnotatedPlanString(root Operator, tr *observe.Trace) string {
+// PlanString renders a PQP tree, one operator a line, inputs indented below
+// it: the console's \visualize. With a trace, each line carries the
+// operator's measurements — the EXPLAIN ANALYZE output format.
+func PlanString(root Operator, tr *observe.Trace) string {
 	var b strings.Builder
 	var walk func(op Operator, depth int)
 	walk = func(op Operator, depth int) {
@@ -373,32 +356,34 @@ func AnnotatedPlanString(root Operator, tr *observe.Trace) string {
 			b.WriteString("  ")
 		}
 		b.WriteString(op.Name())
-		if sp := tr.Op(op); sp != nil {
-			b.WriteString("  [time=")
-			b.WriteString(sp.Duration.String())
-			if len(op.Inputs()) > 0 {
-				fmt.Fprintf(&b, ", in=%d rows", sp.RowsIn)
-			}
-			fmt.Fprintf(&b, ", out=%d rows", sp.RowsOut)
-			if sp.ChunksPruned > 0 {
-				fmt.Fprintf(&b, ", pruned=%d chunks", sp.ChunksPruned)
-			}
-			if sp.Calls > 1 {
-				fmt.Fprintf(&b, ", calls=%d", sp.Calls)
-			}
-			if len(sp.Attrs) > 0 {
-				names := make([]string, 0, len(sp.Attrs))
-				for k := range sp.Attrs {
-					names = append(names, k)
+		if tr != nil {
+			if sp := tr.Op(op); sp != nil {
+				b.WriteString("  [time=")
+				b.WriteString(sp.Duration.String())
+				if len(op.Inputs()) > 0 {
+					fmt.Fprintf(&b, ", in=%d rows", sp.RowsIn)
 				}
-				sort.Strings(names)
-				for _, k := range names {
-					fmt.Fprintf(&b, ", %s=%d", k, sp.Attrs[k])
+				fmt.Fprintf(&b, ", out=%d rows", sp.RowsOut)
+				if sp.ChunksPruned > 0 {
+					fmt.Fprintf(&b, ", pruned=%d chunks", sp.ChunksPruned)
 				}
+				if sp.Calls > 1 {
+					fmt.Fprintf(&b, ", calls=%d", sp.Calls)
+				}
+				if len(sp.Attrs) > 0 {
+					names := make([]string, 0, len(sp.Attrs))
+					for k := range sp.Attrs {
+						names = append(names, k)
+					}
+					sort.Strings(names)
+					for _, k := range names {
+						fmt.Fprintf(&b, ", %s=%d", k, sp.Attrs[k])
+					}
+				}
+				b.WriteByte(']')
+			} else {
+				b.WriteString("  [not executed]")
 			}
-			b.WriteByte(']')
-		} else {
-			b.WriteString("  [not executed]")
 		}
 		b.WriteByte('\n')
 		for _, in := range op.Inputs() {

@@ -181,7 +181,7 @@ func TestTranslateChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := PlanString(op), "TableScan("+lt.String()+" AND "+ge.String()+" AND visible)\n  GetTable(t)\n"; got != want {
+	if got, want := PlanString(op, nil), "TableScan("+lt.String()+" AND "+ge.String()+" AND visible)\n  GetTable(t)\n"; got != want {
 		t.Errorf("plan =\n%swant\n%s", got, want)
 	}
 
@@ -818,7 +818,7 @@ func TestExecuteErrorPropagation(t *testing.T) {
 
 func TestPlanString(t *testing.T) {
 	scan := NewTableScan(&GetTable{TableName: "t"}, eq(col(0, types.TypeInt64), lit(types.Int(1))))
-	s := PlanString(NewLimit(scan, 5))
+	s := PlanString(NewLimit(scan, 5), nil)
 	if len(s) == 0 || s[0:5] != "Limit" {
 		t.Errorf("PlanString = %q", s)
 	}

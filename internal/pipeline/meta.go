@@ -22,8 +22,6 @@ func (e *Engine) registerMetaTables() {
 	e.sm.RegisterMetaTable("meta_active_queries", e.buildMetaActiveQueries)
 	e.sm.RegisterMetaTable("meta_statement_stats", e.buildMetaStatementStats)
 	e.sm.RegisterMetaTable("meta_column_scans", e.buildMetaColumnScans)
-	e.sm.RegisterMetaTable("meta_replication", e.buildMetaReplication)
-	e.sm.RegisterMetaTable("meta_executor_pool", e.buildMetaExecutorPool)
 }
 
 // buildMetaColumnScans snapshots the per-column scan workload statistics:
@@ -47,9 +45,9 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 		{Name: "rows_in", Type: types.TypeInt64},
 		{Name: "rows_out", Type: types.TypeInt64},
 	}
-	out := storage.NewTable("meta_column_scans", defs, 0, false)
+	var rows [][]types.Value
 	for _, s := range e.scanStats.Snapshot() {
-		if _, err := out.AppendRow([]types.Value{
+		rows = append(rows, []types.Value{
 			types.Str(s.Table),
 			types.Str(s.Column),
 			types.Int(s.Scans),
@@ -63,11 +61,9 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 			types.Int(s.Ranges),
 			types.Int(s.RowsIn),
 			types.Int(s.RowsOut),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_column_scans", defs, rows)
 }
 
 // buildMetaTables snapshots one row per base table: schema shape and memory
@@ -84,7 +80,7 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 		{Name: "mvcc_bytes", Type: types.TypeInt64},
 		{Name: "metadata_bytes", Type: types.TypeInt64},
 	}
-	out := storage.NewTable("meta_tables", defs, 0, false)
+	var rows [][]types.Value
 	for _, name := range e.sm.TableNames() {
 		t, err := e.sm.GetTable(name)
 		if err != nil {
@@ -97,7 +93,7 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 				mvcc += m.MemoryUsage()
 			}
 		}
-		if _, err := out.AppendRow([]types.Value{
+		rows = append(rows, []types.Value{
 			types.Str(t.Name()),
 			types.Int(int64(t.RowCount())),
 			types.Int(int64(t.ChunkCount())),
@@ -106,11 +102,9 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 			types.Int(data),
 			types.Int(mvcc),
 			types.Int(metadata - mvcc),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_tables", defs, rows)
 }
 
 // buildMetaSegments snapshots one row per table x chunk x column: the
@@ -139,7 +133,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 		{Name: "value_compression", Type: types.TypeString},
 		{Name: "vector_compression", Type: types.TypeString},
 	}
-	out := storage.NewTable("meta_segments", defs, 0, false)
+	var rows [][]types.Value
 	for _, name := range e.sm.TableNames() {
 		t, err := e.sm.GetTable(name)
 		if err != nil {
@@ -164,7 +158,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 				if spec.Encoding == encoding.Dictionary || spec.Encoding == encoding.FrameOfReference {
 					vector = spec.Compression.String()
 				}
-				if _, err := out.AppendRow([]types.Value{
+				rows = append(rows, []types.Value{
 					types.Str(t.Name()),
 					types.Int(int64(ci)),
 					types.Int(int64(col)),
@@ -176,13 +170,11 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					zoneMin, zoneMax, types.Str(ascending),
 					types.Str(encoding.ValueCompression(seg)),
 					types.Str(vector),
-				}); err != nil {
-					return nil, err
-				}
+				})
 			}
 		}
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_segments", defs, rows)
 }
 
 // buildMetaActiveQueries snapshots the live-query registry: one row per
@@ -199,9 +191,9 @@ func (e *Engine) buildMetaActiveQueries() (*storage.Table, error) {
 		{Name: "sql", Type: types.TypeString},
 		{Name: "fingerprint", Type: types.TypeString},
 	}
-	out := storage.NewTable("meta_active_queries", defs, 0, false)
+	var rows [][]types.Value
 	for _, q := range e.active.Snapshot() {
-		if _, err := out.AppendRow([]types.Value{
+		rows = append(rows, []types.Value{
 			types.Int(q.ID),
 			types.Int(q.SessionID),
 			types.Int(q.BackendPID),
@@ -210,11 +202,9 @@ func (e *Engine) buildMetaActiveQueries() (*storage.Table, error) {
 			types.Int(q.Rows),
 			types.Str(q.SQL),
 			types.Str(q.Fingerprint),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_active_queries", defs, rows)
 }
 
 // buildMetaStatementStats snapshots the per-fingerprint statement
@@ -232,9 +222,9 @@ func (e *Engine) buildMetaStatementStats() (*storage.Table, error) {
 		{Name: "p95_us", Type: types.TypeInt64},
 		{Name: "max_us", Type: types.TypeInt64},
 	}
-	out := storage.NewTable("meta_statement_stats", defs, 0, false)
+	var rows [][]types.Value
 	for _, row := range e.stmtStats.Snapshot() {
-		if _, err := out.AppendRow([]types.Value{
+		rows = append(rows, []types.Value{
 			types.Str(row.Query),
 			types.Int(row.Calls),
 			types.Int(row.Errors),
@@ -244,11 +234,9 @@ func (e *Engine) buildMetaStatementStats() (*storage.Table, error) {
 			types.Int(row.MeanNS / 1000),
 			types.Int(row.P95NS / 1000),
 			types.Int(row.MaxNS / 1000),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_statement_stats", defs, rows)
 }
 
 // buildMetaMetrics snapshots the metrics registry: one row per metric, with
@@ -259,15 +247,13 @@ func (e *Engine) buildMetaMetrics() (*storage.Table, error) {
 		{Name: "kind", Type: types.TypeString},
 		{Name: "value", Type: types.TypeInt64},
 	}
-	out := storage.NewTable("meta_metrics", defs, 0, false)
+	var rows [][]types.Value
 	for _, m := range e.registry.Snapshot() {
-		if _, err := out.AppendRow([]types.Value{
+		rows = append(rows, []types.Value{
 			types.Str(m.Name),
 			types.Str(m.Kind),
 			types.Int(m.Value),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return out, nil
+	return storage.NewTableFromRows("meta_metrics", defs, rows)
 }

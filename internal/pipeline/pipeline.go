@@ -131,15 +131,9 @@ type Engine struct {
 	sessionIDs atomic.Int64
 
 	// Replication wiring (see replication.go): a read-only engine rejects
-	// writes and DDL; promoteFn backs SELECT promote_replica(); replRows
-	// feeds the meta_replication table.
+	// writes and DDL; promoteFn backs SELECT promote_replica().
 	readOnly  atomic.Bool
 	promoteFn atomic.Pointer[func() error]
-	replRows  atomic.Pointer[func() []ReplicationRow]
-
-	// Executor-pool wiring (see the server package): poolRows feeds the
-	// meta_executor_pool table when a wire server installs its pool.
-	poolRows atomic.Pointer[func() []PoolRow]
 
 	mu       sync.Mutex
 	prepared map[string]*PreparedStatement // Engine.Prepare's names
@@ -640,12 +634,18 @@ func (s *Session) execCancelQuery(arg expression.Expression, params []types.Valu
 	if s.engine.CancelQuery(v.ValueAt(0).I) { // an INT: typed at prepare
 		hit = 1
 	}
-	defs := []storage.ColumnDefinition{{Name: "cancel_query", Type: types.TypeInt64}}
-	out := storage.NewTable("cancel_query", defs, 0, false)
-	if _, err := out.AppendRow([]types.Value{types.Int(hit)}); err != nil {
+	return controlResult("cancel_query", hit)
+}
+
+// controlResult is a control function's answer: one INT column named after
+// the function, one row.
+func controlResult(name string, v int64) (*Result, error) {
+	defs := []storage.ColumnDefinition{{Name: name, Type: types.TypeInt64}}
+	out, err := storage.NewTableFromRows(name, defs, [][]types.Value{{types.Int(v)}})
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Table: out, Columns: []string{"cancel_query"}, Tag: "SELECT"}, nil
+	return &Result{Table: out, Columns: []string{name}, Tag: "SELECT"}, nil
 }
 
 func (s *Session) executeTransactionStatement(st *sqlparser.TransactionStatement) (*Result, error) {
@@ -841,7 +841,7 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 		}
 	}
 	if trace != nil {
-		trace.SetPlanText(operators.AnnotatedPlanString(plan.root, trace))
+		trace.SetPlanText(operators.PlanString(plan.root, trace))
 	}
 
 	res := &Result{Table: out, Columns: plan.columns, Tag: ps.Tag, Timing: timing}
@@ -942,7 +942,7 @@ func (e *Engine) Plans(sql string) (logicalUnoptimized, logicalOptimized string,
 	if err != nil {
 		return art.unoptimized, art.optimized, "", err
 	}
-	return art.unoptimized, art.optimized, operators.PlanString(plan.root), nil
+	return art.unoptimized, art.optimized, operators.PlanString(plan.root, nil), nil
 }
 
 // ExplainResult is the outcome of an EXPLAIN ANALYZE-style execution: the

@@ -294,67 +294,9 @@ func statementTag(stmt sqlparser.Statement) string {
 	}
 }
 
-// --- executor pool meta table ----------------------------------------------
-
-// PoolRow is one row of the meta_executor_pool table: a per-queue snapshot
-// of the wire server's bounded executor pool.
-type PoolRow struct {
-	Queue     string // "read" | "write" | "slow"
-	Workers   int64
-	Depth     int64 // statements waiting in the queue now
-	Capacity  int64
-	Submitted int64
-	Executed  int64
-	Rejected  int64
-	WaitNS    int64 // cumulative queue-wait nanoseconds
-}
-
 // StatementMeanNS reports the mean recorded latency of a statement
 // fingerprint, 0 when unseen. The server's executor pool uses it to route
 // historically slow statements to a dedicated queue.
 func (e *Engine) StatementMeanNS(fingerprint string) int64 {
 	return e.stmtStats.MeanNS(fingerprint)
-}
-
-// SetPoolRows installs the provider behind meta_executor_pool; nil
-// uninstalls it (the table is then empty — no pool is serving).
-func (e *Engine) SetPoolRows(fn func() []PoolRow) {
-	if fn == nil {
-		e.poolRows.Store(nil)
-		return
-	}
-	e.poolRows.Store(&fn)
-}
-
-// buildMetaExecutorPool snapshots the wire server's executor pool:
-// `SELECT * FROM meta_executor_pool`.
-func (e *Engine) buildMetaExecutorPool() (*storage.Table, error) {
-	defs := []storage.ColumnDefinition{
-		{Name: "queue", Type: types.TypeString},
-		{Name: "workers", Type: types.TypeInt64},
-		{Name: "depth", Type: types.TypeInt64},
-		{Name: "capacity", Type: types.TypeInt64},
-		{Name: "submitted", Type: types.TypeInt64},
-		{Name: "executed", Type: types.TypeInt64},
-		{Name: "rejected", Type: types.TypeInt64},
-		{Name: "wait_ns", Type: types.TypeInt64},
-	}
-	out := storage.NewTable("meta_executor_pool", defs, 0, false)
-	if fn := e.poolRows.Load(); fn != nil {
-		for _, r := range (*fn)() {
-			if _, err := out.AppendRow([]types.Value{
-				types.Str(r.Queue),
-				types.Int(r.Workers),
-				types.Int(r.Depth),
-				types.Int(r.Capacity),
-				types.Int(r.Submitted),
-				types.Int(r.Executed),
-				types.Int(r.Rejected),
-				types.Int(r.WaitNS),
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

@@ -238,7 +238,7 @@ func TestPreparedSubqueryKeepsPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps.plan == nil || !strings.Contains(operators.PlanString(ps.plan.root), "HashJoin(Semi") {
+		if ps.plan == nil || !strings.Contains(operators.PlanString(ps.plan.root, nil), "HashJoin(Semi") {
 			t.Fatalf("%s: no parameterized semi-join plan", sql)
 		}
 		if len(ps.Columns) != 1 || ps.Columns[0] != "name" || ps.ParamTypes[0] != types.TypeFloat64 {

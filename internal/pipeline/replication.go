@@ -6,15 +6,13 @@ import (
 
 	"hyrise/internal/persistence"
 	"hyrise/internal/sqlparser"
-	"hyrise/internal/storage"
-	"hyrise/internal/types"
 )
 
 // This file is the engine's replication surface: read-only enforcement for
-// follower engines, the promote_replica() control function,
-// and the meta_replication virtual table. The replication machinery itself
-// lives in internal/replication; the facade wires the two together. (What the
-// pgwire server may route to a replica is PreparedStatement.RoutableRead.)
+// follower engines and the promote_replica() control function. The
+// replication machinery itself lives in internal/replication; the facade wires
+// the two together and registers the meta_replication table. (What the pgwire
+// server may route to a replica is PreparedStatement.RoutableRead.)
 
 // ErrReadOnly marks statements rejected because the engine serves a read
 // replica. The pgwire server maps it to SQLSTATE 25006
@@ -41,67 +39,6 @@ func (e *Engine) SetPromoteFunc(fn func() error) {
 		return
 	}
 	e.promoteFn.Store(&fn)
-}
-
-// ReplicationRow is one row of the meta_replication table. A primary reports
-// one row per connected follower; a follower reports one row about itself.
-type ReplicationRow struct {
-	Role       string // "primary" | "replica"
-	Peer       string // transport endpoint of the other side
-	State      string
-	AppliedLSN int64 // follower apply position (acked position on a primary)
-	EndLSN     int64 // primary log end as last known
-	AppliedCID int64
-	PrimaryCID int64
-	LagBytes   int64
-	LagNS      int64
-}
-
-// SetReplicationRows installs the provider behind meta_replication; nil
-// uninstalls it (the table then reports a single standalone row).
-func (e *Engine) SetReplicationRows(fn func() []ReplicationRow) {
-	if fn == nil {
-		e.replRows.Store(nil)
-		return
-	}
-	e.replRows.Store(&fn)
-}
-
-// buildMetaReplication snapshots the replication topology as a relational
-// table: `SELECT * FROM meta_replication` (console: \replication).
-func (e *Engine) buildMetaReplication() (*storage.Table, error) {
-	defs := []storage.ColumnDefinition{
-		{Name: "role", Type: types.TypeString},
-		{Name: "peer", Type: types.TypeString},
-		{Name: "state", Type: types.TypeString},
-		{Name: "applied_lsn", Type: types.TypeInt64},
-		{Name: "end_lsn", Type: types.TypeInt64},
-		{Name: "applied_cid", Type: types.TypeInt64},
-		{Name: "primary_cid", Type: types.TypeInt64},
-		{Name: "lag_bytes", Type: types.TypeInt64},
-		{Name: "lag_ns", Type: types.TypeInt64},
-	}
-	out := storage.NewTable("meta_replication", defs, 0, false)
-	rows := []ReplicationRow{{Role: "standalone", State: "none"}}
-	if fn := e.replRows.Load(); fn != nil {
-		rows = (*fn)()
-	}
-	for _, r := range rows {
-		if _, err := out.AppendRow([]types.Value{
-			types.Str(r.Role),
-			types.Str(r.Peer),
-			types.Str(r.State),
-			types.Int(r.AppliedLSN),
-			types.Int(r.EndLSN),
-			types.Int(r.AppliedCID),
-			types.Int(r.PrimaryCID),
-			types.Int(r.LagBytes),
-			types.Int(r.LagNS),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // writeStatementName names statements a read-only engine must reject;
@@ -138,10 +75,5 @@ func (s *Session) execPromoteReplica() (*Result, error) {
 		}
 		hit = 1
 	}
-	defs := []storage.ColumnDefinition{{Name: "promote_replica", Type: types.TypeInt64}}
-	out := storage.NewTable("promote_replica", defs, 0, false)
-	if _, err := out.AppendRow([]types.Value{types.Int(hit)}); err != nil {
-		return nil, err
-	}
-	return &Result{Table: out, Columns: []string{"promote_replica"}, Tag: "SELECT"}, nil
+	return controlResult("promote_replica", hit)
 }

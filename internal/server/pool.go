@@ -18,6 +18,8 @@ import (
 
 	"hyrise/internal/observe"
 	"hyrise/internal/pipeline"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 // errPoolStopped reports a statement refused because the server is shutting
@@ -101,7 +103,6 @@ func (s *Server) EnableExecutorPool(workers, queueDepth int, slowAfter time.Dura
 		}
 	}
 	s.pool.Store(p)
-	s.engine.SetPoolRows(p.rows)
 }
 
 func (p *executorPool) worker(q *execQueue) {
@@ -163,22 +164,37 @@ func (p *executorPool) stop() {
 	p.wg.Wait()
 }
 
-// rows snapshots the pool for the meta_executor_pool table.
-func (p *executorPool) rows() []pipeline.PoolRow {
-	out := make([]pipeline.PoolRow, 0, len(p.queues))
-	for _, q := range p.queues {
-		out = append(out, pipeline.PoolRow{
-			Queue:     q.name,
-			Workers:   int64(q.workers),
-			Depth:     int64(len(q.tasks)),
-			Capacity:  int64(cap(q.tasks)),
-			Submitted: q.submitted.Load(),
-			Executed:  q.executed.Load(),
-			Rejected:  q.rejected.Load(),
-			WaitNS:    q.waitNS.Load(),
-		})
+// poolColumns are meta_executor_pool's columns: one row per queue.
+var poolColumns = []storage.ColumnDefinition{
+	{Name: "queue", Type: types.TypeString}, // "read" | "write" | "slow"
+	{Name: "workers", Type: types.TypeInt64},
+	{Name: "depth", Type: types.TypeInt64}, // statements waiting in the queue now
+	{Name: "capacity", Type: types.TypeInt64},
+	{Name: "submitted", Type: types.TypeInt64},
+	{Name: "executed", Type: types.TypeInt64},
+	{Name: "rejected", Type: types.TypeInt64},
+	{Name: "wait_ns", Type: types.TypeInt64}, // cumulative queue-wait nanoseconds
+}
+
+// metaExecutorPool snapshots the executor pool: `SELECT * FROM
+// meta_executor_pool`, empty until EnableExecutorPool runs.
+func (s *Server) metaExecutorPool() (*storage.Table, error) {
+	var rows [][]types.Value
+	if p := s.pool.Load(); p != nil {
+		for _, q := range p.queues {
+			rows = append(rows, []types.Value{
+				types.Str(q.name),
+				types.Int(int64(q.workers)),
+				types.Int(int64(len(q.tasks))),
+				types.Int(int64(cap(q.tasks))),
+				types.Int(q.submitted.Load()),
+				types.Int(q.executed.Load()),
+				types.Int(q.rejected.Load()),
+				types.Int(q.waitNS.Load()),
+			})
+		}
 	}
-	return out
+	return storage.NewTableFromRows("meta_executor_pool", poolColumns, rows)
 }
 
 // runOnPool executes fn through the pool, or inline when no pool is

@@ -119,10 +119,11 @@ func (b *backend) fire() {
 	}
 }
 
-// New creates a server over an engine.
+// New creates a server over an engine and registers the server's
+// meta_executor_pool table in the engine's catalog.
 func New(engine *pipeline.Engine) *Server {
 	r := engine.Metrics()
-	return &Server{
+	s := &Server{
 		engine:          engine,
 		conns:           make(map[net.Conn]*connState),
 		backends:        make(map[uint32]*backend),
@@ -134,6 +135,8 @@ func New(engine *pipeline.Engine) *Server {
 		routedReads:     r.Counter("server_routed_reads"),
 		admissionWaitNS: r.Histogram(observe.WaitAdmission.MetricName()),
 	}
+	engine.StorageManager().RegisterMetaTable("meta_executor_pool", s.metaExecutorPool)
+	return s
 }
 
 // SetReadRouter installs (or, with nil, removes) the read router. With a

@@ -10,6 +10,8 @@ import (
 
 	"hyrise/internal/pipeline"
 	"hyrise/internal/replication"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 // replicaPair is a durable primary engine shipping to an in-memory follower
@@ -50,14 +52,15 @@ func newReplicaPair(t *testing.T) *replicaPair {
 		follower.SetReadOnly(false)
 		return nil
 	})
-	follower.SetReplicationRows(func() []pipeline.ReplicationRow {
+	follower.StorageManager().RegisterMetaTable("meta_replication", func() (*storage.Table, error) {
 		st := applier.Status()
-		return []pipeline.ReplicationRow{{
-			Role: "replica", Peer: "in-process", State: string(st.State),
-			AppliedLSN: st.AppliedLSN, EndLSN: st.PrimaryEnd,
-			AppliedCID: int64(st.AppliedCID), PrimaryCID: int64(st.PrimaryCID),
-			LagBytes: st.LagBytes, LagNS: st.LagNS,
-		}}
+		defs := []storage.ColumnDefinition{
+			{Name: "role", Type: types.TypeString},
+			{Name: "state", Type: types.TypeString},
+			{Name: "applied_lsn", Type: types.TypeInt64},
+		}
+		row := []types.Value{types.Str("replica"), types.Str(string(st.State)), types.Int(st.AppliedLSN)}
+		return storage.NewTableFromRows("meta_replication", defs, [][]types.Value{row})
 	})
 	applier.Start()
 	return &replicaPair{primary: primary, follower: follower, shipper: shipper, applier: applier}

@@ -72,6 +72,18 @@ func NewTable(name string, defs []ColumnDefinition, targetChunkSize int, useMvcc
 	return t
 }
 
+// NewTableFromRows builds a table without MVCC columns holding the rows: the
+// snapshot of a meta table, the one-row result of a control function.
+func NewTableFromRows(name string, defs []ColumnDefinition, rows [][]types.Value) (*Table, error) {
+	t := NewTable(name, defs, 0, false)
+	for _, row := range rows {
+		if _, err := t.AppendRow(row); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
 // NewReferenceTable creates a table whose chunks hold reference segments.
 // Reference tables are operator outputs; they have no chunk size limit and
 // no MVCC data. The invariants of reference columns are checked here, once

@@ -11,6 +11,8 @@ import (
 
 	"hyrise/internal/pipeline"
 	"hyrise/internal/replication"
+	"hyrise/internal/storage"
+	"hyrise/internal/types"
 )
 
 // Replication facade: a durable primary ships its WAL (and snapshots for
@@ -53,7 +55,6 @@ func (db *Database) primaryShipper() (*replication.Primary, error) {
 		return nil, errors.New("hyrise: replication requires a durable primary (set Config.DataDir)")
 	}
 	db.repl.primary = replication.NewPrimary(pm, db.engine.TransactionManager(), db.engine.Metrics())
-	db.engine.SetReplicationRows(db.replicationRows)
 	return db.repl.primary, nil
 }
 
@@ -104,7 +105,7 @@ func OpenReplica(cfg Config, primaryAddr string) (*Database, error) {
 }
 
 // newReplica builds the follower database: a read-only engine plus the
-// streaming applier, with promote_replica() and meta_replication wired.
+// streaming applier, with promote_replica() wired.
 func newReplica(cfg Config, dial func() (io.ReadWriteCloser, error), peer string) (*Database, error) {
 	cfg.UseMvcc = true // replicated rows carry MVCC begin/end stamps
 	rdb, err := OpenErr(cfg)
@@ -117,7 +118,6 @@ func newReplica(cfg Config, dial func() (io.ReadWriteCloser, error), peer string
 	rdb.repl.primaryPeer = peer
 	engine.SetReadOnly(true)
 	engine.SetPromoteFunc(rdb.Promote)
-	engine.SetReplicationRows(rdb.replicationRows)
 	f.Start()
 	return rdb, nil
 }
@@ -247,23 +247,60 @@ func (db *Database) AcquireRead(ctx context.Context) (*pipeline.Engine, bool) {
 	return nil, false
 }
 
-// ReplicationStatus reports the database's replication topology — the
-// meta_replication table in Go form.
-func (db *Database) ReplicationStatus() []pipeline.ReplicationRow {
-	return db.replicationRows()
+// ReplicationRow is one row of the meta_replication table. A primary reports
+// one row per connected follower; a follower reports one row about itself; a
+// database that is neither reports one standalone row.
+type ReplicationRow struct {
+	Role       string // "standalone" | "primary" | "replica"
+	Peer       string // transport endpoint of the other side
+	State      string
+	AppliedLSN int64 // follower apply position (acked position on a primary)
+	EndLSN     int64 // primary log end as last known
+	AppliedCID int64
+	PrimaryCID int64
+	LagBytes   int64
+	LagNS      int64
 }
 
-// replicationRows feeds meta_replication: a replica reports one row about
-// itself; a primary reports one row per connected follower (or a single
-// followerless row so the role is still visible).
-func (db *Database) replicationRows() []pipeline.ReplicationRow {
+// replicationColumns are meta_replication's columns, one per ReplicationRow
+// field.
+var replicationColumns = []storage.ColumnDefinition{
+	{Name: "role", Type: types.TypeString},
+	{Name: "peer", Type: types.TypeString},
+	{Name: "state", Type: types.TypeString},
+	{Name: "applied_lsn", Type: types.TypeInt64},
+	{Name: "end_lsn", Type: types.TypeInt64},
+	{Name: "applied_cid", Type: types.TypeInt64},
+	{Name: "primary_cid", Type: types.TypeInt64},
+	{Name: "lag_bytes", Type: types.TypeInt64},
+	{Name: "lag_ns", Type: types.TypeInt64},
+}
+
+// metaReplication snapshots the replication topology as a relational table:
+// `SELECT * FROM meta_replication` (console: \replication).
+func (db *Database) metaReplication() (*storage.Table, error) {
+	var rows [][]types.Value
+	for _, r := range db.ReplicationStatus() {
+		rows = append(rows, []types.Value{
+			types.Str(r.Role), types.Str(r.Peer), types.Str(r.State),
+			types.Int(r.AppliedLSN), types.Int(r.EndLSN),
+			types.Int(r.AppliedCID), types.Int(r.PrimaryCID),
+			types.Int(r.LagBytes), types.Int(r.LagNS),
+		})
+	}
+	return storage.NewTableFromRows("meta_replication", replicationColumns, rows)
+}
+
+// ReplicationStatus reports the database's replication topology — the
+// meta_replication table in Go form.
+func (db *Database) ReplicationStatus() []ReplicationRow {
 	db.repl.mu.Lock()
 	p, f, peer := db.repl.primary, db.repl.follower, db.repl.primaryPeer
 	db.repl.mu.Unlock()
-	var rows []pipeline.ReplicationRow
+	var rows []ReplicationRow
 	if f != nil {
 		st := f.Status()
-		rows = append(rows, pipeline.ReplicationRow{
+		rows = append(rows, ReplicationRow{
 			Role:       "replica",
 			Peer:       peer,
 			State:      string(st.State),
@@ -284,7 +321,7 @@ func (db *Database) replicationRows() []pipeline.ReplicationRow {
 			if lag < 0 {
 				lag = 0
 			}
-			rows = append(rows, pipeline.ReplicationRow{
+			rows = append(rows, ReplicationRow{
 				Role:       "primary",
 				Peer:       fi.Peer,
 				State:      fi.State,
@@ -296,13 +333,16 @@ func (db *Database) replicationRows() []pipeline.ReplicationRow {
 			})
 		}
 		if len(followers) == 0 {
-			rows = append(rows, pipeline.ReplicationRow{
+			rows = append(rows, ReplicationRow{
 				Role:       "primary",
 				State:      "no-followers",
 				EndLSN:     end,
 				PrimaryCID: cid,
 			})
 		}
+	}
+	if len(rows) == 0 {
+		rows = append(rows, ReplicationRow{Role: "standalone", State: "none"})
 	}
 	return rows
 }
