@@ -19,8 +19,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hyrise"
 	"hyrise/internal/pgclient"
-	"hyrise/internal/pipeline"
 	"hyrise/internal/server"
 )
 
@@ -43,16 +43,12 @@ func main() {
 	target := *addr
 	var srv *server.Server
 	if target == "" {
-		engine := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
-		defer engine.Close()
-		srv = server.New(engine)
-		srv.EnableExecutorPool(*workers, 0, server.DefaultSlowQueueThreshold)
-		actual, err := srv.Listen("127.0.0.1:0")
+		db, s, actual, err := selfHost(*workers)
 		if err != nil {
-			fail("listen: %v", err)
+			fail("self-host: %v", err)
 		}
-		go func() { _ = srv.Serve() }()
-		target = actual
+		defer db.Close()
+		srv, target = s, actual
 		fmt.Fprintf(os.Stderr, "self-hosted server on %s (pool: %d read workers)\n", actual, *workers)
 	}
 
@@ -170,4 +166,24 @@ func main() {
 	if protoErrs.Load() > 0 {
 		os.Exit(1)
 	}
+}
+
+// selfHost opens an in-memory database through the facade, like
+// hyrise-server does, and serves it on a free loopback port with a bounded
+// executor pool of the given read workers. The caller drains the server and
+// closes the database.
+func selfHost(workers int) (*hyrise.Database, *server.Server, string, error) {
+	db, err := hyrise.OpenErr(hyrise.DefaultConfig())
+	if err != nil {
+		return nil, nil, "", err
+	}
+	srv := db.NewServer()
+	srv.EnableExecutorPool(workers, 0, server.DefaultSlowQueueThreshold)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		db.Close()
+		return nil, nil, "", err
+	}
+	go func() { _ = srv.Serve() }()
+	return db, srv, addr, nil
 }

@@ -78,6 +78,15 @@ func (q *ActiveQuery) AddRows(n int64) {
 	}
 }
 
+// Cancel kills the statement by canceling its context: cancel_query and the
+// wire protocol's CancelRequest both end here. Nil-safe; a no-op once the
+// statement has finished.
+func (q *ActiveQuery) Cancel() {
+	if q != nil {
+		q.cancel()
+	}
+}
+
 // Finish deregisters the query and releases its cancel context. Idempotent.
 func (q *ActiveQuery) Finish() {
 	if q == nil {
@@ -115,10 +124,10 @@ func NewActiveRegistry() *ActiveRegistry {
 	return &ActiveRegistry{queries: make(map[int64]*ActiveQuery)}
 }
 
-// Begin registers an in-flight statement and returns its handle plus a
-// derived context that dies when the query is canceled through the registry
-// (cancel_query) — composing with whatever cancellation ctx already carries.
-// The caller must call Finish on the handle when the statement completes.
+// Begin registers an in-flight statement and returns its handle plus the
+// statement's one cancel context: derived from ctx, it dies when the handle
+// is canceled (cancel_query, a wire CancelRequest). The caller must call
+// Finish on the handle when the statement completes.
 func (r *ActiveRegistry) Begin(ctx context.Context, sessionID, backendPID int64, sql, fingerprint string) (*ActiveQuery, context.Context) {
 	qctx, cancel := context.WithCancel(ctx)
 	q := &ActiveQuery{
@@ -154,7 +163,7 @@ func (r *ActiveRegistry) Cancel(id int64) bool {
 	if q == nil {
 		return false
 	}
-	q.cancel()
+	q.Cancel()
 	return true
 }
 

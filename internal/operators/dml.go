@@ -12,7 +12,8 @@ import (
 
 // Insert appends literal rows to a stored table. Within a transaction, the
 // rows are stamped with the transaction id and become visible at commit;
-// without MVCC they are visible immediately.
+// without MVCC they are visible immediately. Like Update and Delete, it
+// returns no table: its count is ExecContext.RowsAffected.
 type Insert struct {
 	TableName string
 	Rows      [][]expression.Expression // in table order, nil = NULL (lqp.InsertNode)
@@ -36,8 +37,7 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 	if len(op.Rows) > 0 && len(op.Rows[0]) != len(defs) { // a DDL since the plan
 		return nil, fmt.Errorf("operators: table %q changed since the statement was planned", op.TableName)
 	}
-	ec := &expression.Context{N: 1, Params: ctx.Params}
-	ctx.installSubqueryExecutors(ec)
+	var ec *expression.Context // for the cells that need evaluating
 	inserted := 0
 	for _, row := range op.Rows {
 		if err := ctx.Err(); err != nil {
@@ -45,8 +45,16 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		}
 		vals := make([]types.Value, len(defs))
 		for i, e := range row {
+			if v, ok := insertValue(e, ctx.Params); ok && v.Type == defs[i].Type {
+				vals[i] = v // Vector.As is the identity here
+				continue
+			}
 			if e == nil {
 				continue // the zero Value is NULL
+			}
+			if ec == nil {
+				ec = &expression.Context{N: 1, Params: ctx.Params}
+				ctx.installSubqueryExecutors(ec)
 			}
 			vec, err := expression.Evaluate(e, ec)
 			if err == nil {
@@ -73,7 +81,22 @@ func (op *Insert) Run(ctx *ExecContext, _ []*storage.Table) (*storage.Table, err
 		}
 		inserted++
 	}
-	return intCellTable("rows", inserted), nil
+	ctx.affected = int64(inserted)
+	return nil, nil
+}
+
+// insertValue reads an INSERT cell that needs no evaluation: a bound
+// parameter or a literal.
+func insertValue(e expression.Expression, params []types.Value) (types.Value, bool) {
+	switch x := e.(type) {
+	case *expression.Parameter:
+		if x.ID < len(params) {
+			return params[x.ID], true
+		}
+	case *expression.Literal:
+		return x.Value, true
+	}
+	return types.Value{}, false
 }
 
 // noteSeal puts on a DML span what its appends paid beyond appending: the row
@@ -127,7 +150,8 @@ func (op *Delete) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 		}
 		ctx.Tx.LogDelete(op.TableName, r.rid)
 	}
-	return intCellTable("rows", len(refs)), nil
+	ctx.affected = int64(len(refs))
+	return nil, nil
 }
 
 // Update is delete + reinsert: for every input row, the original values are
@@ -219,7 +243,8 @@ func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table
 			updated++
 		}
 	}
-	return intCellTable("rows", updated), nil
+	ctx.affected = int64(updated)
+	return nil, nil
 }
 
 type baseRow struct {
@@ -247,14 +272,4 @@ func collectBaseRows(t *storage.Table) ([]baseRow, error) {
 		}
 	}
 	return out, nil
-}
-
-// intCellTable is a single-cell table, one immutable chunk over one value:
-// the number of affected rows a DML statement returns, DummyTable's row.
-func intCellTable(name string, n int) *storage.Table {
-	t := storage.NewTable("", []storage.ColumnDefinition{{Name: name, Type: types.TypeInt64}}, 1, false)
-	c := storage.NewChunk([]storage.Segment{storage.ValueSegmentFromSlice([]int64{int64(n)}, nil)}, nil)
-	c.Finalize()
-	t.AppendChunk(c)
-	return t
 }

@@ -3,12 +3,14 @@
 // from an optimized LQP by the LQP-to-PQP translator. Operators follow the
 // operator-at-a-time model: each computes its full output table — usually a
 // reference table of positions, avoiding materialization — before its
-// successors run. The scheduler executes the PQP as a task DAG (§2.9).
+// successors run. A multi-worker scheduler executes the PQP as a task DAG
+// (§2.9); without one, the operators run inline in post-order.
 package operators
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,6 +95,9 @@ type ExecContext struct {
 	// tests shrink it so that small fixtures split into several morsels.
 	morselRows int
 
+	// affected is what the plan's DML root reports (RowsAffected).
+	affected int64
+
 	// subqueries memoizes subquery executions by plan and correlated values,
 	// so that a correlated subquery runs once per distinct outer tuple. One
 	// memo serves a statement execution: a child context points at its
@@ -115,6 +120,10 @@ func (ctx *ExecContext) Err() error {
 	}
 	return ctx.Ctx.Err()
 }
+
+// RowsAffected reports the rows the plan's INSERT, UPDATE or DELETE wrote:
+// its result, since a DML root returns no table.
+func (ctx *ExecContext) RowsAffected() int64 { return ctx.affected }
 
 // child derives a context for a subquery invocation: the statement's
 // parameters pass down unchanged, the correlated values bind as Outer. The
@@ -206,141 +215,182 @@ func (ctx *ExecContext) noteAggregateMerge(op Operator, shards, groups int, merg
 	}
 }
 
-// Execute runs a physical plan: every operator becomes a task whose
-// dependencies are its inputs; tasks run through the context's scheduler
-// (or inline without one) and the root's output is returned.
+// Execute runs a physical plan and returns the root's output. A DML root
+// returns no table: its count is RowsAffected.
+//
+// The plan is walked once into a post-order slice of nodes — each operator
+// once, however many parents share it — and every node runs the same step:
+// its operator runs when all of its inputs ran, and is skipped otherwise. On
+// the inline route (no scheduler, or a single-worker one) the steps run in
+// slice order on the calling goroutine; a multi-worker scheduler gets one
+// task per node, each depending on its inputs' tasks.
 //
 // Error surfacing is deterministic: only operators that fail themselves
-// record an error (input failures propagate as a flag, never as a synthetic
-// error), and among several failures the deepest operator wins, with plan
-// order as the tie-break. The selection happens at task time against static
-// (depth, order) keys, so the same failing plan reports the same root cause
-// regardless of scheduler interleaving.
+// record an error (an input that did not run skips its consumers, never as a
+// synthetic error), and among several failures the deepest operator wins,
+// with plan order as the tie-break. The selection happens at step time
+// against static (depth, order) keys, so the same failing plan reports the
+// same root cause regardless of scheduler interleaving.
 func Execute(root Operator, ctx *ExecContext) (*storage.Table, error) {
-	results := make(map[Operator]*storage.Table)
-	failed := make(map[Operator]bool)
-	var mu sync.Mutex
-	var rootErr error
-	var rootErrDepth, rootErrOrder int
-
-	var tasks []*scheduler.Task
-	taskOf := make(map[Operator]*scheduler.Task)
-	nextOrder := 0
-
-	var build func(op Operator, depth int) *scheduler.Task
-	build = func(op Operator, depth int) *scheduler.Task {
-		if t, ok := taskOf[op]; ok {
-			return t
+	r := &planRun{ctx: ctx}
+	r.nodes, r.edges = r.nodeBuf[:0], r.edgeBuf[:0]
+	r.add(root, 0)
+	r.tables = slices.Grow(r.tableBuf[:0], len(r.edges))[:len(r.edges)]
+	if s := ctx.Scheduler; s == nil || s.WorkerCount() <= 1 {
+		for i := range r.nodes {
+			r.step(i)
 		}
-		inputs := op.Inputs()
-		opDepth, opOrder := depth, nextOrder
-		nextOrder++
-		t := scheduler.NewTask(func() {
-			inTables := make([]*storage.Table, len(inputs))
-			mu.Lock()
-			bad := false
-			for i, in := range inputs {
-				if failed[in] {
-					bad = true
-					break
-				}
-				inTables[i] = results[in]
-			}
-			mu.Unlock()
-			if bad {
-				mu.Lock()
-				failed[op] = true
-				mu.Unlock()
-				return
-			}
-			// Cooperative cancellation: a dead statement context stops the
-			// plan before this operator starts. The cause (context.Canceled
-			// or DeadlineExceeded) propagates like an operator failure.
-			if err := ctx.Err(); err != nil {
-				mu.Lock()
-				failed[op] = true
-				if rootErr == nil {
-					rootErr, rootErrDepth, rootErrOrder = err, opDepth, opOrder
-				}
-				mu.Unlock()
-				return
-			}
-			ctx.Active.SetState(observe.StateExecuting)
-			var t0 time.Time
-			if ctx.Trace != nil {
-				t0 = time.Now()
-			}
-			out, err := op.Run(ctx, inTables)
-			if ctx.Trace != nil && err == nil {
-				recordSpan(ctx.Trace, op, time.Since(t0), inTables, out)
-			}
-			if ctx.Metrics != nil {
-				ctx.Metrics.OperatorsExecuted.Inc()
-			}
-			mu.Lock()
-			if err != nil {
-				failed[op] = true
-				if rootErr == nil || opDepth > rootErrDepth ||
-					(opDepth == rootErrDepth && opOrder < rootErrOrder) {
-					rootErr, rootErrDepth, rootErrOrder = err, opDepth, opOrder
-				}
-			} else {
-				results[op] = out
-			}
-			mu.Unlock()
-		})
+	} else {
+		r.schedule(s)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	top := &r.nodes[len(r.nodes)-1]
+	if !top.ran {
+		// Skipped by the scheduler: the context died while it was queued.
+		return nil, ctx.Err()
+	}
+	if top.out != nil {
+		ctx.Active.AddRows(int64(top.out.RowCount()))
+	} else {
+		ctx.Active.AddRows(ctx.affected)
+	}
+	return top.out, nil
+}
+
+// planNode is one operator of a planRun. Its inputs are
+// planRun.edges[in0:in0+nIn], indices of earlier nodes.
+type planNode struct {
+	op           Operator
+	in0, nIn     int
+	depth, order int // the error selection's keys: depth and preorder
+	out          *storage.Table
+	ran          bool // Run returned without error; out may still be nil (DML)
+}
+
+// planRun is one execution of a plan: its nodes in post-order, so every
+// node's inputs come before it and the root is last.
+type planRun struct {
+	ctx    *ExecContext
+	nodes  []planNode
+	edges  []int            // the nodes' inputs, one run per node
+	tables []*storage.Table // the nodes' input tables, laid out like edges
+	orders int              // operators numbered so far, in preorder
+
+	// A plan of up to four operators needs no allocation beyond the run.
+	nodeBuf  [4]planNode
+	edgeBuf  [4]int
+	tableBuf [4]*storage.Table
+
+	mu                 sync.Mutex // guards the error: tasks may fail at once
+	err                error
+	errDepth, errOrder int
+}
+
+// add appends op and the inputs it does not share with an earlier node, in
+// post-order, and returns op's index.
+func (r *planRun) add(op Operator, depth int) int {
+	for i := range r.nodes {
+		if r.nodes[i].op == op {
+			return i
+		}
+	}
+	order := r.orders
+	r.orders++
+	inputs := op.Inputs()
+	ids := make([]int, 0, 4)
+	for _, in := range inputs {
+		ids = append(ids, r.add(in, depth+1))
+	}
+	r.nodes = append(r.nodes, planNode{op: op, in0: len(r.edges), nIn: len(ids), depth: depth, order: order})
+	r.edges = append(r.edges, ids...)
+	return len(r.nodes) - 1
+}
+
+// step runs node i's operator when all of its inputs ran. A dead statement
+// context stops the plan before the operator starts; its cause
+// (context.Canceled or DeadlineExceeded) is reported like an operator
+// failure.
+func (r *planRun) step(i int) {
+	n := &r.nodes[i]
+	ctx := r.ctx
+	inputs := r.tables[n.in0 : n.in0+n.nIn]
+	for k, j := range r.edges[n.in0 : n.in0+n.nIn] {
+		if !r.nodes[j].ran {
+			return
+		}
+		inputs[k] = r.nodes[j].out
+	}
+	if err := ctx.Err(); err != nil {
+		r.fail(n, err, false)
+		return
+	}
+	ctx.Active.SetState(observe.StateExecuting)
+	var t0 time.Time
+	if ctx.Trace != nil {
+		t0 = time.Now()
+	}
+	out, err := n.op.Run(ctx, inputs)
+	if ctx.Metrics != nil {
+		ctx.Metrics.OperatorsExecuted.Inc()
+	}
+	if err != nil {
+		r.fail(n, err, true)
+		return
+	}
+	if ctx.Trace != nil {
+		rowsOut := ctx.affected
+		if out != nil {
+			rowsOut = int64(out.RowCount())
+		}
+		recordSpan(ctx.Trace, n.op, time.Since(t0), inputs, rowsOut)
+	}
+	n.out, n.ran = out, true
+}
+
+// fail records node n's error: the first one, or with deepest set the
+// deepest in plan order.
+func (r *planRun) fail(n *planNode, err error, deepest bool) {
+	r.mu.Lock()
+	if r.err == nil || deepest && (n.depth > r.errDepth || n.depth == r.errDepth && n.order < r.errOrder) {
+		r.err, r.errDepth, r.errOrder = err, n.depth, n.order
+	}
+	r.mu.Unlock()
+}
+
+// schedule runs the steps as scheduler tasks, one per node, and waits for
+// the root's. A task whose context has died is skipped; its node is left
+// not ran.
+func (r *planRun) schedule(s scheduler.Scheduler) {
+	ctx := r.ctx
+	tasks := make([]*scheduler.Task, len(r.nodes))
+	for i := range r.nodes {
+		t := scheduler.NewTask(func() { r.step(i) })
 		if ctx.Ctx != nil {
 			t.WithContext(ctx.Ctx)
 		}
 		if ctx.Waits != nil || ctx.Trace != nil {
 			t.ObserveQueueWait(func(ns int64) { ctx.noteWait(observe.WaitSchedulerQueue, ns) })
 		}
-		taskOf[op] = t
-		for _, in := range inputs {
-			t.DependsOn(build(in, depth+1))
+		n := &r.nodes[i]
+		for _, j := range r.edges[n.in0 : n.in0+n.nIn] {
+			t.DependsOn(tasks[j])
 		}
-		tasks = append(tasks, t)
-		return t
-	}
-	rootTask := build(root, 0)
-
-	sched := ctx.Scheduler
-	if sched == nil {
-		sched = scheduler.NewImmediateScheduler()
+		tasks[i] = t
 	}
 	ctx.Active.SetState(observe.StateQueued)
-	sched.Schedule(tasks...)
-	rootTask.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if rootErr != nil {
-		return nil, rootErr
-	}
-	// Tasks skipped by the scheduler (context died while queued) record no
-	// error of their own; report the cancellation cause instead of an empty
-	// result.
-	if results[root] == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if out := results[root]; out != nil {
-		ctx.Active.AddRows(int64(out.RowCount()))
-	}
-	return results[root], nil
+	s.Schedule(tasks...)
+	tasks[len(tasks)-1].Wait()
 }
 
 // recordSpan files one operator execution into the trace.
-func recordSpan(tr *observe.Trace, op Operator, d time.Duration, inputs []*storage.Table, out *storage.Table) {
-	var rowsIn, rowsOut int64
+func recordSpan(tr *observe.Trace, op Operator, d time.Duration, inputs []*storage.Table, rowsOut int64) {
+	var rowsIn int64
 	for _, in := range inputs {
 		if in != nil {
 			rowsIn += int64(in.RowCount())
 		}
-	}
-	if out != nil {
-		rowsOut = int64(out.RowCount())
 	}
 	tr.RecordOp(op, op.Name(), d, rowsIn, rowsOut)
 }

@@ -106,6 +106,13 @@ type Conn struct {
 	// TxStatus is the last ReadyForQuery status byte: 'I' idle, 'T' in
 	// transaction, 'E' failed transaction.
 	TxStatus byte
+
+	// Kept per connection, so that a message costs no allocation of its
+	// own: the header read last, the header written last, and the Bind and
+	// Execute payloads. Received payloads stay fresh — results keep slices
+	// of them.
+	readHdr, writeHdr [5]byte
+	out               []byte
 }
 
 // Dial connects and completes the startup handshake.
@@ -358,7 +365,7 @@ func DecodeError(payload []byte) *PgError { return parseError(payload) }
 // --- internals --------------------------------------------------------------
 
 func (c *Conn) sendBind(portal, stmt string, params []Param, resultFormats []int16) {
-	var p []byte
+	p := c.out[:0]
 	p = append(p, portal...)
 	p = append(p, 0)
 	p = append(p, stmt...)
@@ -380,14 +387,15 @@ func (c *Conn) sendBind(portal, stmt string, params []Param, resultFormats []int
 	for _, f := range resultFormats {
 		p = binary.BigEndian.AppendUint16(p, uint16(f))
 	}
+	c.out = p
 	c.writeMessage('B', p)
 }
 
 func (c *Conn) sendExecute(portal string, maxRows int32) {
-	var p []byte
-	p = append(p, portal...)
+	p := append(c.out[:0], portal...)
 	p = append(p, 0)
 	p = binary.BigEndian.AppendUint32(p, uint32(maxRows))
+	c.out = p
 	c.writeMessage('E', p)
 }
 
@@ -477,7 +485,7 @@ func (c *Conn) collectPortalRun() (*Result, error) {
 // in one allocation; a longer one grows as its bytes arrive, so a peer's length
 // alone allocates nothing.
 func (c *Conn) readMessage() (byte, []byte, error) {
-	header := make([]byte, 5)
+	header := c.readHdr[:]
 	if _, err := io.ReadFull(c.r, header); err != nil {
 		return 0, nil, err
 	}
@@ -507,10 +515,9 @@ func unexpected(t byte) error { return fmt.Errorf("pgclient: unexpected message 
 var errTruncated = errors.New("pgclient: truncated message")
 
 func (c *Conn) writeMessage(msgType byte, payload []byte) {
-	header := make([]byte, 5)
-	header[0] = msgType
-	binary.BigEndian.PutUint32(header[1:], uint32(len(payload)+4))
-	_, _ = c.w.Write(header)
+	c.writeHdr[0] = msgType
+	binary.BigEndian.PutUint32(c.writeHdr[1:], uint32(len(payload)+4))
+	_, _ = c.w.Write(c.writeHdr[:])
 	_, _ = c.w.Write(payload)
 }
 

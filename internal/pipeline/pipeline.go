@@ -112,6 +112,7 @@ type Engine struct {
 	tm    *concurrency.TransactionManager
 	sched scheduler.Scheduler
 	stats *statistics.Cache
+	peek  operators.Estimator // stats.Peek, bound once
 	opt   *optimizer.Optimizer
 
 	// stmtCache is the one statement cache (paper §2.6): prepared handles
@@ -187,6 +188,7 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 		prepared:  make(map[string]*PreparedStatement),
 	}
 	e.opt = optimizer.NewDefault(e.stats)
+	e.peek = e.stats.Peek
 	if cfg.UseScheduler {
 		e.sched = scheduler.New(cfg.SchedulerWorkers)
 	} else {
@@ -334,7 +336,7 @@ func (e *Engine) Close() {
 
 // Result is the outcome of one statement.
 type Result struct {
-	// Table holds the rows (nil for DDL/transaction statements).
+	// Table holds the rows (nil for DML, DDL and transaction statements).
 	Table *storage.Table
 	// Columns are the output column names.
 	Columns []string
@@ -391,18 +393,28 @@ func (s *Session) SetBackendPID(pid int64) { s.backendPID = pid }
 // slow-query log uses it to attach EXPLAIN ANALYZE output.
 func (s *Session) LastTrace() *observe.Trace { return s.lastTrace }
 
-// beginQuery registers the statement in the live-query registry and returns
-// a derived context that Engine.CancelQuery kills, plus a finish callback.
-func (s *Session) beginQuery(ctx context.Context, ps *PreparedStatement) (context.Context, func()) {
+// Begin opens ps's one cancel context ahead of its execution: ps enters the
+// live-query registry — meta_active_queries lists it and cancel_query
+// reaches it — and the returned handle's Cancel fires the same context. The
+// session's next statement runs under it, so a caller that makes the
+// statement wait before it runs (the wire server's executor-pool queue) can
+// cancel it while it waits; that caller passes the returned context on and
+// calls End when the statement is over. A statement nobody began opens its
+// own.
+func (s *Session) Begin(ctx context.Context, ps *PreparedStatement) (*observe.ActiveQuery, context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	q, qctx := s.engine.active.Begin(ctx, s.id, s.backendPID, ps.SQL, ps.Fingerprint)
 	s.activeQ = q
-	return qctx, func() {
-		q.Finish()
-		s.activeQ = nil
-	}
+	return q, qctx
+}
+
+// End closes the statement Begin opened: it leaves the registry and its
+// context is released.
+func (s *Session) End() {
+	s.activeQ.Finish()
+	s.activeQ = nil
 }
 
 // ActiveQueries snapshots the statements currently in flight across all
@@ -527,8 +539,10 @@ func (s *Session) execute(ctx context.Context, ps *PreparedStatement, params []t
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := s.beginQuery(ctx, ps)
-	defer finish()
+	if s.activeQ == nil { // nobody began it: it opens its own cancel context
+		_, ctx = s.Begin(ctx, ps)
+		defer s.End()
+	}
 	// Read-only enforcement for replica engines: writes and DDL fail fast,
 	// before planning, touching no state. promote_replica() — the one "write"
 	// a replica accepts — is a SELECT and passes.
@@ -815,7 +829,7 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	// The estimator feeds the scan cost gate. Peek makes no table's entry (a
 	// table the optimizer has not estimated yields nil), but the gate's first
 	// question about a column of a table that has one builds that column.
-	ectx.Estimator = engine.stats.Peek
+	ectx.Estimator = engine.peek
 	if tx != nil {
 		tx.SetWaitObserver(engine.waitObserver(s.activeQ, trace))
 	}
@@ -844,11 +858,7 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 		trace.SetPlanText(operators.PlanString(plan.root, trace))
 	}
 
-	res := &Result{Table: out, Columns: plan.columns, Tag: ps.Tag, Timing: timing}
-	if isDMLStatement(ps.Stmt) && out != nil && out.RowCount() > 0 {
-		res.RowsAffected = out.GetValue(0, types.RowID{}).I
-	}
-	return res, nil
+	return &Result{Table: out, Columns: plan.columns, RowsAffected: ectx.RowsAffected(), Tag: ps.Tag, Timing: timing}, nil
 }
 
 // recordStages files the pipeline stage timings into a trace. Build stages

@@ -305,3 +305,65 @@ func TestMaxConnectionsAdmissionControl(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestCancelRequestWhileQueued cancels a statement that waits for room in a
+// full executor-pool queue: the read queue's one worker runs a slow join, a
+// second statement fills the one-deep queue, and a third blocks on it. A
+// CancelRequest for the third answers 57014, the statement never runs — it
+// leaves no meta_statement_stats row — and the queue counts it as rejected.
+func TestCancelRequestWhileQueued(t *testing.T) {
+	addr, srv, e := startServerWith(t, func(s *Server) { s.EnableExecutorPool(1, 1, time.Hour) })
+	addSlowTable(t, e)
+	read := srv.pool.Load().byName["read"]
+
+	run := func(sql string) (*pgclient.Conn, <-chan error) {
+		c := confClient(t, addr)
+		done := make(chan error, 1)
+		go func() { _, err := c.SimpleQuery(sql); done <- err }()
+		return c, done
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	slow, slowDone := run(slowQuery)
+	waitFor("the slow join to hold the worker", func() bool { return read.submitted.Load() == 1 && len(read.tasks) == 0 })
+	_, queuedDone := run("SELECT count(*) FROM big WHERE id < 3")
+	waitFor("the second statement to fill the queue", func() bool { return len(read.tasks) == 1 })
+	victim, victimDone := run("SELECT s FROM big WHERE id = 7 ORDER BY s")
+	waitFor("the third statement to reach the full queue", func() bool { return read.submitted.Load() == 3 })
+	time.Sleep(20 * time.Millisecond) // from the counter to the blocked send
+
+	sendCancelRequest(t, addr, victim.BackendPID, victim.SecretKey)
+	select {
+	case err := <-victimDone:
+		if err == nil || pgErr(t, err).Code != codeQueryCanceled {
+			t.Fatalf("queued statement after CancelRequest: %v, want SQLSTATE %s", err, codeQueryCanceled)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a CancelRequest did not release the statement waiting in the full queue")
+	}
+	if got := read.rejected.Load(); got != 1 {
+		t.Errorf("read queue rejected = %d, want 1", got)
+	}
+
+	sendCancelRequest(t, addr, slow.BackendPID, slow.SecretKey)
+	<-slowDone
+	if err := <-queuedDone; err != nil {
+		t.Fatalf("the statement queued behind the slow join: %v", err)
+	}
+	res, err := victim.SimpleQuery("SELECT rejected FROM meta_executor_pool WHERE queue = 'read'")
+	if err != nil || len(res) != 1 || len(res[0].Rows) != 1 || string(res[0].Rows[0][0]) != "1" {
+		t.Fatalf("meta_executor_pool read rejected: %+v, %v; want 1", res, err)
+	}
+	for _, row := range e.StatementStats() {
+		if strings.Contains(row.Query, "ORDER BY") {
+			t.Errorf("the canceled statement ran: %+v", row)
+		}
+	}
+}

@@ -9,9 +9,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 
 	"hyrise/internal/pipeline"
 	"hyrise/internal/types"
@@ -53,6 +55,12 @@ type clientConn struct {
 
 	stmts   map[string]*preparedStmt
 	portals map[string]*portal
+
+	// bind and unnamed are the Bind scratch every Bind of the connection
+	// reuses: the decoded message, and the unnamed portal — a later Bind to
+	// it replaces it anyway.
+	bind    bindMessage
+	unnamed portal
 
 	// syncErr is set when an extended-protocol message fails. While set, all
 	// messages except Sync and Terminate are read and discarded, per the
@@ -128,12 +136,12 @@ func (c *clientConn) handleParse(payload []byte) {
 // according to their format codes (text or binary) and the statement's
 // parameter types, and recording the requested result formats.
 func (c *clientConn) handleBind(payload []byte) {
-	bind, err := parseBind(payload)
-	if err != nil {
+	bind := &c.bind
+	if err := parseBind(payload, bind); err != nil {
 		c.protoError(codeProtocolViolation, err.Error())
 		return
 	}
-	st, ok := c.stmts[bind.stmt]
+	st, ok := c.stmts[string(bind.stmt)]
 	if !ok {
 		c.protoError(codeInvalidStatementName,
 			fmt.Sprintf("prepared statement %q does not exist", bind.stmt))
@@ -160,7 +168,11 @@ func (c *clientConn) handleBind(payload []byte) {
 			len(bind.resultFmts), n))
 		return
 	}
-	vals := make([]types.Value, len(bind.params))
+	p := &c.unnamed
+	if bind.portal != "" {
+		p = &portal{}
+	}
+	*p = portal{stmt: st, params: p.params[:0], resultFmts: append(p.resultFmts[:0], bind.resultFmts...)}
 	for i, raw := range bind.params {
 		format := formatFor(bind.paramFmts, i)
 		v, err := decodeParam(raw, format, st.paramTypes[i], st.paramOIDs[i])
@@ -169,13 +181,14 @@ func (c *clientConn) handleBind(payload []byte) {
 				fmt.Sprintf("parameter $%d: %v", i+1, err))
 			return
 		}
-		vals[i] = v
+		p.params = append(p.params, v)
 	}
-	if vals, err = st.ps.Bind(vals); err != nil {
+	var err error
+	if p.params, err = st.ps.Bind(p.params); err != nil {
 		c.protoError(sqlStateFor(err), err.Error())
 		return
 	}
-	c.portals[bind.portal] = &portal{stmt: st, params: vals, resultFmts: bind.resultFmts}
+	c.portals[bind.portal] = p
 	c.w.writeMessage('2', nil) // BindComplete
 }
 
@@ -304,7 +317,7 @@ func (c *clientConn) handleSync() {
 	if c.session.InTransaction() {
 		delete(c.portals, "")
 	} else {
-		c.portals = map[string]*portal{}
+		clear(c.portals)
 	}
 	c.w.writeReady(c.session)
 }
@@ -312,47 +325,50 @@ func (c *clientConn) handleSync() {
 // --- bind parsing -----------------------------------------------------------
 
 // bindMessage is the decoded wire form of Bind: parameter format codes,
-// raw parameter bytes (nil = NULL), and result-column format codes.
+// raw parameter bytes (nil = NULL), and result-column format codes. stmt and
+// params are slices of the message's payload.
 type bindMessage struct {
-	portal, stmt string
-	paramFmts    []int16
-	params       [][]byte
-	resultFmts   []int16
+	portal     string
+	stmt       []byte
+	paramFmts  []int16
+	params     [][]byte
+	resultFmts []int16
 }
 
-func parseBind(payload []byte) (bindMessage, error) {
-	var m bindMessage
+// parseBind decodes a Bind payload into m, reusing m's slices.
+func parseBind(payload []byte, m *bindMessage) error {
+	m.paramFmts, m.params, m.resultFmts = m.paramFmts[:0], m.params[:0], m.resultFmts[:0]
 	var rest []byte
 	m.portal, rest = splitCString(payload)
-	m.stmt, rest = splitCString(rest)
+	m.stmt, rest, _ = bytes.Cut(rest, []byte{0})
 	if len(rest) < 2 {
-		return m, fmt.Errorf("malformed Bind message")
+		return fmt.Errorf("malformed Bind message")
 	}
 	nFmts := int(binary.BigEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if len(rest) < 2*nFmts {
-		return m, fmt.Errorf("Bind message truncated in parameter formats")
+		return fmt.Errorf("Bind message truncated in parameter formats")
 	}
 	for i := 0; i < nFmts; i++ {
 		f := int16(binary.BigEndian.Uint16(rest[2*i : 2*i+2]))
 		if f != 0 && f != 1 {
-			return m, fmt.Errorf("invalid parameter format code %d", f)
+			return fmt.Errorf("invalid parameter format code %d", f)
 		}
 		m.paramFmts = append(m.paramFmts, f)
 	}
 	rest = rest[2*nFmts:]
 	if len(rest) < 2 {
-		return m, fmt.Errorf("malformed Bind message")
+		return fmt.Errorf("malformed Bind message")
 	}
 	nParams := int(binary.BigEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if len(m.paramFmts) > 1 && len(m.paramFmts) != nParams {
-		return m, fmt.Errorf("bind message has %d parameter formats but %d parameters",
+		return fmt.Errorf("bind message has %d parameter formats but %d parameters",
 			len(m.paramFmts), nParams)
 	}
 	for i := 0; i < nParams; i++ {
 		if len(rest) < 4 {
-			return m, fmt.Errorf("Bind message truncated in parameters")
+			return fmt.Errorf("Bind message truncated in parameters")
 		}
 		length := int32(binary.BigEndian.Uint32(rest[:4]))
 		rest = rest[4:]
@@ -361,27 +377,27 @@ func parseBind(payload []byte) (bindMessage, error) {
 			continue
 		}
 		if len(rest) < int(length) {
-			return m, fmt.Errorf("Bind message truncated in parameter body")
+			return fmt.Errorf("Bind message truncated in parameter body")
 		}
 		m.params = append(m.params, rest[:length])
 		rest = rest[length:]
 	}
 	if len(rest) < 2 {
-		return m, fmt.Errorf("malformed Bind message")
+		return fmt.Errorf("malformed Bind message")
 	}
 	nResults := int(binary.BigEndian.Uint16(rest[:2]))
 	rest = rest[2:]
 	if len(rest) < 2*nResults {
-		return m, fmt.Errorf("Bind message truncated in result formats")
+		return fmt.Errorf("Bind message truncated in result formats")
 	}
 	for i := 0; i < nResults; i++ {
 		f := int16(binary.BigEndian.Uint16(rest[2*i : 2*i+2]))
 		if f != 0 && f != 1 {
-			return m, fmt.Errorf("invalid result format code %d", f)
+			return fmt.Errorf("invalid result format code %d", f)
 		}
 		m.resultFmts = append(m.resultFmts, f)
 	}
-	return m, nil
+	return nil
 }
 
 // formatFor resolves the per-index format code: an empty list means all
@@ -521,25 +537,22 @@ func (w *wire) writeParameterDescription(oids []uint32) {
 // reporting the format each column will use on the wire (text when fmts is
 // empty).
 func (w *wire) writeRowDescriptionCols(names []string, dts []types.DataType, fmts []int16) {
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(names)))
-	payload = append(payload, n...)
+	b := binary.BigEndian.AppendUint16(w.out[:0], uint16(len(names)))
 	for i, name := range names {
-		payload = append(payload, []byte(name)...)
-		payload = append(payload, 0)
-		field := make([]byte, 18)
+		b = append(append(b, name...), 0)
 		dt := types.TypeString
 		if i < len(dts) {
 			dt = dts[i]
 		}
-		binary.BigEndian.PutUint32(field[6:10], oidForType(dt))
-		binary.BigEndian.PutUint16(field[10:12], typlenFor(dt))
-		binary.BigEndian.PutUint32(field[12:16], 0xFFFFFFFF) // typmod -1
-		binary.BigEndian.PutUint16(field[16:18], uint16(formatFor(fmts, i)))
-		payload = append(payload, field...)
+		b = binary.BigEndian.AppendUint32(b, 0) // table OID
+		b = binary.BigEndian.AppendUint16(b, 0) // column number
+		b = binary.BigEndian.AppendUint32(b, oidForType(dt))
+		b = binary.BigEndian.AppendUint16(b, typlenFor(dt))
+		b = binary.BigEndian.AppendUint32(b, 0xFFFFFFFF) // typmod -1
+		b = binary.BigEndian.AppendUint16(b, uint16(formatFor(fmts, i)))
 	}
-	w.writeMessage('T', payload)
+	w.out = b
+	w.writeMessage('T', b)
 }
 
 // typlenFor reports the wire type length: fixed 8 bytes for int8/float8,
@@ -558,49 +571,53 @@ func typlenFor(dt types.DataType) uint16 {
 // writeDataRowFormats emits one DataRow honoring per-column result formats:
 // binary int8/float8 big-endian encodings where requested, text otherwise.
 func (w *wire) writeDataRowFormats(row []types.Value, fmts []int16) {
-	var payload []byte
-	n := make([]byte, 2)
-	binary.BigEndian.PutUint16(n, uint16(len(row)))
-	payload = append(payload, n...)
+	b := binary.BigEndian.AppendUint16(w.out[:0], uint16(len(row)))
 	for i, v := range row {
 		if v.IsNull() {
-			null := make([]byte, 4)
-			binary.BigEndian.PutUint32(null, 0xFFFFFFFF)
-			payload = append(payload, null...)
+			b = binary.BigEndian.AppendUint32(b, 0xFFFFFFFF)
 			continue
 		}
-		var data []byte
+		at := len(b)
+		b = append(b, 0, 0, 0, 0) // the length, set below
 		switch {
 		case formatFor(fmts, i) == 1:
-			data = binaryEncodeValue(v)
+			b = appendBinaryValue(b, v)
 		case v.Type == types.TypeBool:
-			data = []byte{"ft"[v.I]}
+			b = append(b, "ft"[v.I])
 		default:
-			data = []byte(v.String())
+			b = appendText(b, v)
 		}
-		length := make([]byte, 4)
-		binary.BigEndian.PutUint32(length, uint32(len(data)))
-		payload = append(payload, length...)
-		payload = append(payload, data...)
+		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
-	w.writeMessage('D', payload)
+	w.out = b
+	w.writeMessage('D', b)
 }
 
-// binaryEncodeValue renders a value in its wire binary format: int8 and
+// appendBinaryValue appends a value in its wire binary format: int8 and
 // float8 as 8 bytes big-endian, bool as one byte, strings as raw bytes.
-func binaryEncodeValue(v types.Value) []byte {
+func appendBinaryValue(b []byte, v types.Value) []byte {
 	switch v.Type {
 	case types.TypeBool:
-		return []byte{byte(v.I)}
+		return append(b, byte(v.I))
 	case types.TypeInt64:
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, uint64(v.I))
-		return out
+		return binary.BigEndian.AppendUint64(b, uint64(v.I))
 	case types.TypeFloat64:
-		out := make([]byte, 8)
-		binary.BigEndian.PutUint64(out, math.Float64bits(v.F))
-		return out
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.F))
 	default:
-		return []byte(v.String())
+		return appendText(b, v)
+	}
+}
+
+// appendText appends v.String().
+func appendText(b []byte, v types.Value) []byte {
+	switch v.Type {
+	case types.TypeInt64:
+		return strconv.AppendInt(b, v.I, 10)
+	case types.TypeFloat64:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case types.TypeString:
+		return append(b, v.S...)
+	default:
+		return append(b, v.String()...)
 	}
 }

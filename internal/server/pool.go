@@ -197,32 +197,33 @@ func (s *Server) metaExecutorPool() (*storage.Table, error) {
 	return storage.NewTableFromRows("meta_executor_pool", poolColumns, rows)
 }
 
-// runOnPool executes fn through the pool, or inline when no pool is
-// installed or the statement bypasses queueing (empty class).
-func (s *Server) runOnPool(ctx context.Context, class string, fn func()) error {
-	p := s.pool.Load()
-	if p == nil || class == "" {
-		fn()
-		return nil
+// execute runs ps on session on a worker of the class queue and waits for
+// it. A statement canceled while it waits for room in the queue never runs.
+func (p *executorPool) execute(ctx context.Context, class string, session *pipeline.Session, ps *pipeline.PreparedStatement, params []types.Value) (*pipeline.Result, error) {
+	var res *pipeline.Result
+	var err error
+	if runErr := p.submit(ctx, class, func() { res, err = session.ExecutePreparedStatement(ctx, ps, params) }); runErr != nil {
+		return nil, runErr
 	}
-	return p.submit(ctx, class, fn)
+	return res, err
 }
 
-// execClass picks the queue for a statement. Transaction control and any
-// statement inside an explicit transaction bypass the pool: a session
-// holding a transaction must never wait behind statements that may need its
-// locks. SELECTs go to the read queue unless their fingerprint's mean
-// latency crosses the slow threshold; everything else is a write.
-func (s *Server) execClass(session *pipeline.Session, tag, fingerprint string) string {
-	if session.InTransaction() {
+// execClass picks p's queue for a statement; "" runs it on the connection
+// goroutine, as it does every statement without a pool (nil p).
+// Transaction control and any statement inside an explicit transaction
+// bypass the pool: a session holding a transaction must never wait behind
+// statements that may need its locks. SELECTs go to the read queue unless
+// their fingerprint's mean latency crosses the slow threshold; everything
+// else is a write.
+func (s *Server) execClass(p *executorPool, session *pipeline.Session, tag, fingerprint string) string {
+	if p == nil || session.InTransaction() {
 		return ""
 	}
 	switch tag {
 	case "BEGIN", "COMMIT", "ROLLBACK":
 		return ""
 	case "SELECT":
-		p := s.pool.Load()
-		if p != nil && fingerprint != "" &&
+		if fingerprint != "" &&
 			s.engine.StatementMeanNS(fingerprint) >= p.slowAfter.Nanoseconds() {
 			return "slow"
 		}

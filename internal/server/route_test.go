@@ -303,3 +303,41 @@ func TestProtocolPreparedSurvivesDDL(t *testing.T) {
 		}
 	}
 }
+
+// TestProtocolPointRoundTripAllocates pins, in allocations of the whole
+// process — pgclient and the server on loopback — what one prepared point
+// statement costs a round trip: an INSERT inside a transaction, and a
+// SELECT by key with a binary parameter and binary results.
+func TestProtocolPointRoundTripAllocates(t *testing.T) {
+	addr, _, _ := startServerWith(t, nil)
+	c := confClient(t, addr)
+	mustSimple(t, c, "CREATE TABLE kv (id INT NOT NULL, tag VARCHAR(20), val FLOAT)")
+	if _, err := c.Prepare("ins", "INSERT INTO kv VALUES ($1, $2, $3)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Prepare("sel", "SELECT id, val FROM kv WHERE id = $1", nil); err != nil {
+		t.Fatal(err)
+	}
+	mustSimple(t, c, "BEGIN")
+	id := int64(0)
+	insert := testing.AllocsPerRun(200, func() {
+		id++
+		res, err := c.Exec("ins", []pgclient.Param{pgclient.BinaryInt8(id), pgclient.Text("load"), pgclient.BinaryFloat8(1.5)}, nil)
+		if err != nil || res.Tag != "INSERT 0 1" {
+			t.Fatalf("insert %d: %+v, %v", id, res, err)
+		}
+	})
+	mustSimple(t, c, "COMMIT")
+	sel := testing.AllocsPerRun(200, func() {
+		res, err := c.Exec("sel", []pgclient.Param{pgclient.BinaryInt8(7)}, []int16{1, 1})
+		if err != nil || len(res.Rows) != 1 || pgclient.DecodeInt8(res.Rows[0][0]) != 7 || pgclient.DecodeFloat8(res.Rows[0][1]) != 1.5 {
+			t.Fatalf("select: %+v, %v", res, err)
+		}
+	})
+	// 92 and 156 while every message allocated its header and payload on
+	// both sides, every Bind its portal and scratch, and every statement two
+	// nested cancel contexts, a task DAG and a count table.
+	if insert > 14 || sel > 71 {
+		t.Errorf("allocations per round trip: INSERT in a transaction %.0f, want <= 14; binary point SELECT %.0f, want <= 71", insert, sel)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,33 +91,33 @@ type Server struct {
 }
 
 // backend is the cancellation state of one admitted connection: the
-// (pid, secret) pair sent as BackendKeyData, and — while a statement runs —
-// the cancel function of that statement's context.
+// (pid, secret) pair sent as BackendKeyData, and — while a statement runs or
+// waits to — that statement's live-query registry handle, the one that
+// cancel_query fires too.
 type backend struct {
 	pid    uint32
 	secret uint32
 
-	mu     sync.Mutex
-	cancel context.CancelFunc // non-nil only while a statement is in flight
+	mu sync.Mutex
+	q  *observe.ActiveQuery // non-nil only while a statement is in flight
 }
 
-// setCancel installs the in-flight statement's cancel function.
-func (b *backend) setCancel(fn context.CancelFunc) {
+// setQuery points the connection's CancelRequest at the in-flight
+// statement; nil closes the window.
+func (b *backend) setQuery(q *observe.ActiveQuery) {
 	b.mu.Lock()
-	b.cancel = fn
+	b.q = q
 	b.mu.Unlock()
 }
 
-// fire invokes the in-flight statement's cancel function, if any. Firing
-// between statements is a harmless no-op, matching PostgreSQL ("the
-// cancellation signal may arrive too late to have any effect").
+// fire cancels the in-flight statement, if any. Firing between statements
+// is a harmless no-op, matching PostgreSQL ("the cancellation signal may
+// arrive too late to have any effect").
 func (b *backend) fire() {
 	b.mu.Lock()
-	fn := b.cancel
+	q := b.q
 	b.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	q.Cancel()
 }
 
 // New creates a server over an engine and registers the server's
@@ -308,9 +309,18 @@ const (
 	cancelRequestCode = 80877102
 )
 
+// wire is one connection's framing. It keeps what every message would
+// otherwise allocate: the length word read last, the payload read last —
+// the next message reuses it, so a handler copies what it keeps — the
+// header written last and the payload being built.
 type wire struct {
 	r *bufio.Reader
 	w *bufio.Writer
+
+	word [4]byte
+	in   []byte
+	hdr  [5]byte
+	out  []byte
 }
 
 func (s *Server) handle(conn net.Conn, st *connState) {
@@ -566,16 +576,17 @@ func (s *Server) cancelBackend(pid, secret uint32) {
 	b.fire()
 }
 
-// statementContext opens the cancellation window for one statement: the
-// returned context dies when a matching CancelRequest arrives; done() closes
-// the window (late cancels become no-ops) and releases the context.
-func statementContext(b *backend) (ctx context.Context, done func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	b.setCancel(cancel)
-	return ctx, func() {
-		b.setCancel(nil)
-		cancel()
-	}
+// begin opens ps's one cancel context on session (pipeline.Session.Begin)
+// and points the connection's CancelRequest at it; end closes it.
+func (c *clientConn) begin(session *pipeline.Session, ps *pipeline.PreparedStatement) (*observe.ActiveQuery, context.Context) {
+	q, ctx := session.Begin(context.Background(), ps)
+	c.b.setQuery(q)
+	return q, ctx
+}
+
+func (c *clientConn) end(session *pipeline.Session) {
+	c.b.setQuery(nil)
+	session.End()
 }
 
 // simpleQuery answers a Query message: every statement of the text runs in
@@ -595,9 +606,11 @@ func (c *clientConn) runSimple(sql string) error {
 	}
 	exec := c.session
 	if router := c.srv.readRouter(); router != nil && !c.session.InTransaction() && allRoutable(handles) {
-		ctx, done := statementContext(c.b)
+		// The wait for a caught-up replica is the first statement's, and
+		// cancelable like it.
+		_, ctx := c.begin(c.session, handles[0])
 		eng, ok := router.AcquireRead(ctx)
-		done()
+		c.end(c.session)
 		if ok {
 			// Handles belong to the engine that made them: the replica
 			// resolves the text against its own catalog and cache.
@@ -647,20 +660,22 @@ func allRoutable(handles []*pipeline.PreparedStatement) bool {
 }
 
 // execute runs one statement handle for the connection, simple and extended
-// protocol alike: it picks the executor-pool class, opens the cancellation
-// window, waits for a pool worker to run the statement on session, and feeds
-// the slow-query log.
+// protocol alike: it opens the statement's cancel context, runs it on
+// session — on a pool worker of its class when the server has an executor
+// pool, on the connection goroutine otherwise — and feeds the slow-query
+// log.
 func (c *clientConn) execute(session *pipeline.Session, ps *pipeline.PreparedStatement, params []types.Value) (*pipeline.Result, error) {
-	ctx, done := statementContext(c.b)
-	defer done()
+	q, ctx := c.begin(session, ps)
+	defer c.end(session)
 	start := time.Now()
 	var res *pipeline.Result
 	var err error
-	runErr := c.srv.runOnPool(ctx, c.srv.execClass(c.session, ps.Tag, ps.Fingerprint), func() {
+	p := c.srv.pool.Load()
+	if class := c.srv.execClass(p, c.session, ps.Tag, ps.Fingerprint); class != "" {
+		q.SetState(observe.StateQueued)
+		res, err = p.execute(ctx, class, session, ps, params)
+	} else {
 		res, err = session.ExecutePreparedStatement(ctx, ps, params)
-	})
-	if runErr != nil {
-		return nil, runErr
 	}
 	if err != nil {
 		return nil, err
@@ -676,18 +691,18 @@ func (c *clientConn) execute(session *pipeline.Session, ps *pipeline.PreparedSta
 // --- message IO ------------------------------------------------------------------
 
 func (w *wire) readInt32() (int32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(w.r, buf[:]); err != nil {
+	if _, err := io.ReadFull(w.r, w.word[:]); err != nil {
 		return 0, err
 	}
-	return int32(binary.BigEndian.Uint32(buf[:])), nil
+	return int32(binary.BigEndian.Uint32(w.word[:])), nil
 }
 
 // maxMessageLength bounds a frontend message, length word included, as
 // PostgreSQL does.
 const maxMessageLength = 1 << 30
 
-// readMessage reads one frontend message. A length word outside [4,
+// readMessage reads one frontend message into the connection's payload
+// buffer, which the next message overwrites. A length word outside [4,
 // maxMessageLength] cannot frame the stream: it is answered with 08P01 and
 // ends the connection.
 func (w *wire) readMessage() (byte, []byte, error) {
@@ -714,16 +729,18 @@ func (w *wire) readMessage() (byte, []byte, error) {
 		}
 		return msgType, payload, err
 	}
-	payload := make([]byte, n)
+	if int64(cap(w.in)) < n {
+		w.in = make([]byte, n)
+	}
+	payload := w.in[:n]
 	_, err = io.ReadFull(w.r, payload)
 	return msgType, payload, err
 }
 
 func (w *wire) writeMessage(msgType byte, payload []byte) {
-	header := make([]byte, 5)
-	header[0] = msgType
-	binary.BigEndian.PutUint32(header[1:], uint32(len(payload)+4))
-	_, _ = w.w.Write(header)
+	w.hdr[0] = msgType
+	binary.BigEndian.PutUint32(w.hdr[1:], uint32(len(payload)+4))
+	_, _ = w.w.Write(w.hdr[:])
 	_, _ = w.w.Write(payload)
 }
 
@@ -735,7 +752,8 @@ func (w *wire) writeParameterStatus(key, value string) {
 }
 
 func (w *wire) writeReadyIdle() {
-	w.writeMessage('Z', []byte{'I'})
+	w.out = append(w.out[:0], 'I')
+	w.writeMessage('Z', w.out)
 }
 
 func (w *wire) writeReady(session *pipeline.Session) {
@@ -743,7 +761,8 @@ func (w *wire) writeReady(session *pipeline.Session) {
 	if session.InTransaction() {
 		state = 'T'
 	}
-	w.writeMessage('Z', []byte{state})
+	w.out = append(w.out[:0], state)
+	w.writeMessage('Z', w.out)
 	_ = w.w.Flush()
 }
 
@@ -820,21 +839,19 @@ func errorResponse(severity, code, msg string) []byte {
 // writeCompletion emits CommandComplete for a statement that returned
 // selected rows, or — selected < 0 — none: DML reports the rows it affected.
 func (w *wire) writeCompletion(tag string, affected int64, selected int) {
+	b := w.out[:0]
 	switch {
 	case selected >= 0:
-		w.writeCommandComplete(fmt.Sprintf("SELECT %d", selected))
+		b = strconv.AppendInt(append(b, "SELECT "...), int64(selected), 10)
 	case tag == "INSERT":
-		w.writeCommandComplete(fmt.Sprintf("INSERT 0 %d", affected))
+		b = strconv.AppendInt(append(b, "INSERT 0 "...), affected, 10)
 	case tag == "UPDATE" || tag == "DELETE":
-		w.writeCommandComplete(fmt.Sprintf("%s %d", tag, affected))
+		b = strconv.AppendInt(append(append(b, tag...), ' '), affected, 10)
 	default:
-		w.writeCommandComplete(tag)
+		b = append(b, tag...)
 	}
-}
-
-func (w *wire) writeCommandComplete(tag string) {
-	payload := append([]byte(tag), 0)
-	w.writeMessage('C', payload)
+	w.out = append(b, 0)
+	w.writeMessage('C', w.out)
 }
 
 // --- payload parsing ----------------------------------------------------------------
