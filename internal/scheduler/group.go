@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"runtime"
 )
 
 // TaskGroup fans closures out as scheduler tasks and waits for the whole
@@ -45,14 +46,22 @@ func (g *TaskGroup) Go(fns ...func()) {
 // This is the one inline path of intra-operator parallelism: without a
 // multi-worker scheduler, or with a single closure, nothing is worth a queue
 // round trip and the closures run on the caller in submission order,
-// stopping once the context dies.
+// stopping once the context dies. Between two closures the caller yields its
+// P. A chunk loop never blocks, and with few Ps the runtime's GC runs its
+// mark worker only when a P reschedules; without the yield a GC cycle that
+// starts inside an operator stays in its mark phase until the runtime
+// preempts the loop (~10 ms), everything the operator allocates meanwhile is
+// marked live, and the next heap goal doubles.
 func (g *TaskGroup) Wait() error {
 	jobs := g.jobs
 	g.jobs = nil
 	if g.sched == nil || g.sched.WorkerCount() <= 1 || len(jobs) == 1 {
-		for _, job := range jobs {
+		for i, job := range jobs {
 			if g.err() != nil {
 				break
+			}
+			if i > 0 {
+				runtime.Gosched()
 			}
 			job()
 		}

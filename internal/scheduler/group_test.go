@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,4 +123,24 @@ func makeJobs(n int, counter *atomic.Int64) []func() {
 		jobs[i] = func() { counter.Add(1) }
 	}
 	return jobs
+}
+
+// TestTaskGroupInlineYieldsBetweenClosures pins the yield of the inline
+// path: on one P, a goroutine that became runnable before Wait runs before
+// the group's last closure, though no closure blocks. Two yields precede it,
+// so the run queue's periodic fairness pick cannot hand the P back to the
+// caller both times.
+func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var other atomic.Bool
+	var sawOther bool
+	g := NewTaskGroup(context.Background(), nil)
+	g.Go(func() {}, func() {}, func() { sawOther = other.Load() })
+	go other.Store(true)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !sawOther {
+		t.Fatal("a runnable goroutine did not run between the inline closures")
+	}
 }
