@@ -293,3 +293,34 @@ func TestDiffFrozenVisibility(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeQueueOrdersWithoutAllocating: the typed heap pops its blocks by
+// ascending commit id, and once its array has grown a push and a pop
+// allocate nothing.
+func TestFreezeQueueOrdersWithoutAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q freezeQueue
+	var want []types.CommitID
+	for i := 0; i < 500; i++ {
+		at := types.CommitID(rng.Intn(100))
+		q.push(queuedBlock{at: at})
+		want = append(want, at)
+	}
+	slices.Sort(want)
+	for i, w := range want {
+		if got := q.pop().at; got != w {
+			t.Fatalf("pop %d: at = %d, want %d", i, got, w)
+		}
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d blocks left after popping all", len(q))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.push(queuedBlock{at: 7})
+		q.push(queuedBlock{at: 3})
+		q.pop()
+		q.pop()
+	}); allocs != 0 {
+		t.Errorf("a push and a pop allocate %.0f, want 0", allocs)
+	}
+}

@@ -7,7 +7,6 @@
 package concurrency
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -122,13 +121,46 @@ type queuedBlock struct {
 	at types.CommitID
 }
 
+// freezeQueue is a binary min-heap by at. It is typed, not a container/heap,
+// whose Push and Pop box every element: a write would allocate for each.
 type freezeQueue []queuedBlock
 
-func (q freezeQueue) Len() int           { return len(q) }
-func (q freezeQueue) Less(i, j int) bool { return q[i].at < q[j].at }
-func (q freezeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *freezeQueue) Push(x any)        { *q = append(*q, x.(queuedBlock)) }
-func (q *freezeQueue) Pop() any          { old := *q; *q = old[:len(old)-1]; return old[len(old)-1] }
+func (q *freezeQueue) push(b queuedBlock) {
+	h := append(*q, b)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes and returns the block with the smallest at.
+func (q *freezeQueue) pop() queuedBlock {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], queuedBlock{} // the vacated cell keeps no chunk alive
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].at < h[c].at {
+			c = r
+		}
+		if h[i].at <= h[c].at {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
+}
 
 // Instrument publishes in r the blocks whose begin arrays froze
 // (mvcc_frozen_blocks) and how many commits the oldest live snapshot trails
@@ -181,7 +213,7 @@ func (tm *TransactionManager) end(tc *TransactionContext, cid types.CommitID) {
 	var ready []blockRef
 	mark := tm.lowWaterMarkLocked()
 	for len(tm.queue) > 0 && tm.queue[0].at <= mark {
-		b := heap.Pop(&tm.queue).(queuedBlock)
+		b := tm.queue.pop()
 		delete(tm.queued, b.blockRef)
 		ready = append(ready, b.blockRef)
 	}
@@ -202,7 +234,7 @@ func (tm *TransactionManager) end(tc *TransactionContext, cid types.CommitID) {
 func (tm *TransactionManager) queueLocked(b blockRef, at types.CommitID) {
 	if !tm.queued[b] {
 		tm.queued[b] = true
-		heap.Push(&tm.queue, queuedBlock{b, at})
+		tm.queue.push(queuedBlock{b, at})
 	}
 }
 

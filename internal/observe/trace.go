@@ -2,6 +2,7 @@ package observe
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -40,6 +41,9 @@ type OpSpan struct {
 	// partition count and build/probe nanoseconds). Nil when the operator
 	// recorded none.
 	Attrs map[string]int64
+	// Labels carries operator-specific choices (e.g. the side a hash join
+	// built); nil when the operator made none.
+	Labels map[string]string
 }
 
 // Trace is the record of one query execution: per-stage wall times plus
@@ -219,6 +223,26 @@ func (t *Trace) AddOpAttr(key any, name string, delta int64) {
 	t.mu.Unlock()
 }
 
+// SetOpLabel records a named choice onto the operator's span, from inside
+// Run like AddOpAttr; a later call under the same name replaces it.
+func (t *Trace) SetOpLabel(key any, name, value string) {
+	t.mu.Lock()
+	sp := t.span(key)
+	if sp.Labels == nil {
+		sp.Labels = make(map[string]string)
+	}
+	sp.Labels[name] = value
+	t.mu.Unlock()
+}
+
+// copySpan copies a span with maps of its own.
+func copySpan(sp *OpSpan) OpSpan {
+	cp := *sp
+	cp.Attrs = maps.Clone(sp.Attrs)
+	cp.Labels = maps.Clone(sp.Labels)
+	return cp
+}
+
 // Op returns a copy of the span recorded under key, or nil if the operator
 // never executed.
 func (t *Trace) Op(key any) *OpSpan {
@@ -228,11 +252,7 @@ func (t *Trace) Op(key any) *OpSpan {
 	if !ok {
 		return nil
 	}
-	cp := *sp
-	cp.Attrs = make(map[string]int64, len(sp.Attrs))
-	for k, v := range sp.Attrs {
-		cp.Attrs[k] = v
-	}
+	cp := copySpan(sp)
 	return &cp
 }
 
@@ -241,12 +261,7 @@ func (t *Trace) OpSpans() []OpSpan {
 	t.mu.Lock()
 	out := make([]OpSpan, 0, len(t.ops))
 	for _, sp := range t.ops {
-		cp := *sp
-		cp.Attrs = make(map[string]int64, len(sp.Attrs))
-		for k, v := range sp.Attrs {
-			cp.Attrs[k] = v
-		}
-		out = append(out, cp)
+		out = append(out, copySpan(sp))
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

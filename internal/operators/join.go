@@ -89,8 +89,8 @@ func (j *joinCommon) filterResiduals(ctx *ExecContext, left, right *storage.Tabl
 	return out, nil
 }
 
-// HashJoin is the equi-join: it builds a hash table over the right input's
-// keys and probes it with the left input (cf. paper §2.1: joins are
+// HashJoin is the equi-join: it builds a hash table over the keys of its
+// smaller input and probes it with the other one (cf. paper §2.1: joins are
 // implemented as sort-merge, hash, or nested-loop joins, chosen per plan).
 // Composite keys (several equi predicates, e.g. TPC-H Q9's
 // lineitem-partsupp join) hash as one tuple.
@@ -150,22 +150,29 @@ func (j *HashJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Tabl
 // run joins over parts hash partitions (a power of two): the typed key
 // vectors of both sides are hashed and scattered by partition
 // (partitionKeys), then each partition builds and probes its own key table
-// (radixJoinPairs). Every partition count emits the pairs in the same order,
-// so results are bit-for-bit equal.
+// (radixJoinPairs). The build side is the input with fewer rows (the right
+// one on a tie), decided here from the row counts. Either way and for every
+// partition count the pairs come out in the same order — left row
+// ascending, its right rows ascending — so results are bit-for-bit equal.
 func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int) (*storage.Table, error) {
-	probe, build, err := joinKeys(ctx, leftT, rightT, j.LeftKeys, j.RightKeys)
+	left, right, err := joinKeys(ctx, leftT, rightT, j.LeftKeys, j.RightKeys)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := radixJoinPairs(ctx, j, build, probe, parts)
+	buildLeft := left.rows.Len() < right.rows.Len()
+	build, probe := right, left
+	if buildLeft {
+		build, probe = left, right
+	}
+	ps, err := radixJoinPairs(ctx, j, build, probe, parts, buildLeft)
 	if err != nil {
 		return nil, err
 	}
-	ps, err = j.filterResiduals(ctx, probe.rows, build.rows, ps)
+	ps, err = j.filterResiduals(ctx, left.rows, right.rows, ps)
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(probe.rows, build.rows, ps), nil
+	return j.finish(left.rows, right.rows, ps), nil
 }
 
 // finish translates the surviving pairs into the mode-specific output: the

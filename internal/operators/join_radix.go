@@ -16,8 +16,9 @@ import (
 // partitioning for multiprocessing", applied to the join hot path.
 //
 // Determinism: partitioning keeps rows in global row order within each
-// partition, and the final pair merge restores global probe order, so every
-// partition count emits exactly the pair sequence of a single build/probe.
+// partition, and the final pair sort restores left-major order, so every
+// partition count and either build side emit exactly the pair sequence of a
+// single build on the right input probed with the left one.
 
 // joinBuckets is one morsel of one side, scattered by hash partition:
 // hash[p] holds the key hashes of the morsel's rows in partition p and idx[p]
@@ -35,8 +36,8 @@ type joinBuckets struct {
 //
 // The buckets come back in morsel order and each morsel covers a contiguous
 // row range, so walking them in order visits every partition's rows in
-// ascending global row order — the invariant mergePairSets needs to restore
-// probe order.
+// ascending global row order — the invariant the build chains and the probe
+// order rest on.
 func partitionKeys(ctx *ExecContext, side joinSide, parts int) ([]joinBuckets, error) {
 	total, target := side.rows.Len(), ctx.morselTargetRows()
 	shift := 64 - bits.TrailingZeros(uint(parts)) // parts == 1: every hash >> 64 is 0
@@ -79,9 +80,12 @@ func partitionRows(side []joinBuckets, p int) int {
 }
 
 // radixJoinPairs partitions both sides and runs build+probe, one task per
-// partition, and returns the candidate pairs in global probe order: a probe
-// row's matches are the build rows of its key's chain, ascending.
-func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts int) (pairSet, error) {
+// partition, and returns the candidate pairs in left-major order: a left
+// row's matches are its right rows, ascending. Each partition emits its
+// pairs in probe order, a probe row's matches being the build rows of its
+// key's chain, ascending; with the left side built (buildLeft) the pairs
+// come back with their sides swapped and are sorted by left row.
+func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts int, buildLeft bool) (pairSet, error) {
 	buildB, err := partitionKeys(ctx, build, parts)
 	if err != nil {
 		return pairSet{}, err
@@ -114,16 +118,19 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts 
 			var out pairSet
 			for _, pr := range probeB {
 				hash, idx := pr.hash[p], pr.idx[p]
-				for i, li := range idx {
+				for i, pi := range idx {
 					if i%cancelStride == 0 && ctx.Err() != nil {
 						return
 					}
-					for ri := ht.matches(hash[i], probe.keys, int(li)); ri >= 0; ri = next[ri] {
-						out.append(li, ri)
+					for bi := ht.matches(hash[i], probe.keys, int(pi)); bi >= 0; bi = next[bi] {
+						out.append(pi, bi)
 					}
 				}
 			}
 			probeNS.Add(time.Since(t1).Nanoseconds())
+			if buildLeft {
+				out.leftIdx, out.rightIdx = out.rightIdx, out.leftIdx
+			}
 			results[p] = out
 		}
 	}
@@ -131,20 +138,26 @@ func radixJoinPairs(ctx *ExecContext, j *HashJoin, build, probe joinSide, parts 
 	if err := ctx.Err(); err != nil {
 		return pairSet{}, err
 	}
-	ps := mergePairSets(results, probe.rows.Len())
-	ctx.noteJoinPhases(j, parts, build.rows.Len(), len(ps.leftIdx), buildNS.Load(), probeNS.Load())
+	ps := results[0]
+	if len(results) > 1 || buildLeft {
+		left := probe
+		if buildLeft {
+			left = build
+		}
+		ps = sortPairsByLeft(results, left.rows.Len())
+	}
+	ctx.noteJoinPhases(j, parts, buildLeft, build.rows.Len(), len(ps.leftIdx), buildNS.Load(), probeNS.Load())
 	return ps, nil
 }
 
-// mergePairSets interleaves the per-partition pairs back into global probe
-// order. Each partition's pairs are already ascending in leftIdx and every
-// left row lives in exactly one partition, so giving each left row its run of
-// slots (a count and a prefix sum over the nLeft probe rows) and copying the
-// partitions in reproduces the single-partition pair sequence exactly.
-func mergePairSets(results []pairSet, nLeft int) pairSet {
-	if len(results) == 1 {
-		return results[0]
-	}
+// sortPairsByLeft orders the pairs of every partition by left row with one
+// stable counting sort: a count and a prefix sum over the nLeft left rows
+// give each left row its run of slots, and the partitions are copied in.
+// Every left row lives in exactly one partition (its key's), so the right
+// rows of a left row keep the order its partition emitted them in, which is
+// ascending either way: a left probe row walks its ascending build chain,
+// and a right probe side is visited in row order.
+func sortPairsByLeft(results []pairSet, nLeft int) pairSet {
 	slot := make([]int, nLeft+1) // slot[li]: where left row li's next pair goes
 	for _, r := range results {
 		for _, li := range r.leftIdx {
@@ -154,12 +167,12 @@ func mergePairSets(results []pairSet, nLeft int) pairSet {
 	for li := 0; li < nLeft; li++ {
 		slot[li+1] += slot[li]
 	}
-	merged := pairSet{leftIdx: make([]int32, slot[nLeft]), rightIdx: make([]int32, slot[nLeft])}
+	sorted := pairSet{leftIdx: make([]int32, slot[nLeft]), rightIdx: make([]int32, slot[nLeft])}
 	for _, r := range results {
 		for i, li := range r.leftIdx {
-			merged.leftIdx[slot[li]], merged.rightIdx[slot[li]] = li, r.rightIdx[i]
+			sorted.leftIdx[slot[li]], sorted.rightIdx[slot[li]] = li, r.rightIdx[i]
 			slot[li]++
 		}
 	}
-	return merged
+	return sorted
 }

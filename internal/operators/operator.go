@@ -186,14 +186,20 @@ func (ctx *ExecContext) runJobs(jobs []func()) {
 
 // noteJoinPhases files a hash join's partition count and build/probe wall
 // nanoseconds into the metrics registry and the trace span (if any); the span
-// also gets the build side's rows and the candidate pairs the probe found.
-func (ctx *ExecContext) noteJoinPhases(op Operator, partitions, buildRows, pairs int, buildNS, probeNS int64) {
+// also gets the side that was built, its rows and the candidate pairs the
+// probe found.
+func (ctx *ExecContext) noteJoinPhases(op Operator, partitions int, buildLeft bool, buildRows, pairs int, buildNS, probeNS int64) {
 	if m := ctx.Metrics; m != nil {
 		m.JoinPartitions.Add(int64(partitions))
 		m.JoinBuildNS.Add(buildNS)
 		m.JoinProbeNS.Add(probeNS)
 	}
 	if tr := ctx.Trace; tr != nil {
+		side := "right"
+		if buildLeft {
+			side = "left"
+		}
+		tr.SetOpLabel(op, "build", side)
 		tr.AddOpAttr(op, "partitions", int64(partitions))
 		tr.AddOpAttr(op, "build_rows", int64(buildRows))
 		tr.AddOpAttr(op, "pairs", int64(pairs))
@@ -420,13 +426,18 @@ func PlanString(root Operator, tr *observe.Trace) string {
 				if sp.Calls > 1 {
 					fmt.Fprintf(&b, ", calls=%d", sp.Calls)
 				}
-				if len(sp.Attrs) > 0 {
-					names := make([]string, 0, len(sp.Attrs))
-					for k := range sp.Attrs {
-						names = append(names, k)
-					}
-					sort.Strings(names)
-					for _, k := range names {
+				names := make([]string, 0, len(sp.Attrs)+len(sp.Labels))
+				for k := range sp.Attrs {
+					names = append(names, k)
+				}
+				for k := range sp.Labels {
+					names = append(names, k)
+				}
+				sort.Strings(names)
+				for _, k := range names {
+					if v, ok := sp.Labels[k]; ok {
+						fmt.Fprintf(&b, ", %s=%s", k, v)
+					} else {
 						fmt.Fprintf(&b, ", %s=%d", k, sp.Attrs[k])
 					}
 				}

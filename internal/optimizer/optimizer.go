@@ -33,8 +33,10 @@ const maxPasses = 5
 // NewDefault builds the default optimization pipeline (cf. paper: eight
 // rules at the time of writing; we implement the named ones — predicate
 // pushdown, join ordering via DPccp — plus the supporting rewrites they
-// depend on; chunk pruning, a rule in the paper, happens in the scan that
-// reads the chunks, see operators.TableScan).
+// depend on, and semi-join placement, which moves the semi- and anti-joins
+// of IN and EXISTS below the joins ordering produced, onto the smallest
+// subtree they filter; chunk pruning, a rule in the paper, happens in the
+// scan that reads the chunks, see operators.TableScan).
 func NewDefault(stats *statistics.Cache) *Optimizer {
 	return &Optimizer{
 		Rules: []Rule{
@@ -43,6 +45,7 @@ func NewDefault(stats *statistics.Cache) *Optimizer {
 			&PredicateSplitUpRule{},
 			&PredicatePushdownRule{},
 			&JoinOrderingRule{},
+			&SemiJoinPlacementRule{},
 			&PredicateReorderingRule{},
 			&BetweenCompositionRule{},
 		},

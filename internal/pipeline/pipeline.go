@@ -373,11 +373,19 @@ type Session struct {
 	backendPID int64
 	activeQ    *observe.ActiveQuery
 	lastTrace  *observe.Trace
+	// onWait is the wait observer every statement installs on its
+	// transaction. It is built once and reads the statement's query and
+	// trace (waitTrace) only when a wait begins, so a statement that never
+	// waits pays nothing for it.
+	onWait    func(observe.WaitKind) func()
+	waitTrace *observe.Trace
 }
 
 // NewSession opens a session.
 func (e *Engine) NewSession() *Session {
-	return &Session{engine: e, id: e.sessionIDs.Add(1)}
+	s := &Session{engine: e, id: e.sessionIDs.Add(1)}
+	s.onWait = func(kind observe.WaitKind) func() { return e.beginWait(kind, s.activeQ, s.waitTrace) }
+	return s
 }
 
 // ID returns the engine-assigned session number (shown in
@@ -443,26 +451,24 @@ func (e *Engine) EnsureTraceSink() {
 	}
 }
 
-// waitObserver builds the begin/end pair the transaction layer fires around
-// blocked spans (WAL group-commit sync, MVCC conflict retries): the active
-// query flips to waiting for the duration, and the measured nanoseconds land
-// in the global wait histograms and — when tracing — on the statement trace,
-// so EXPLAIN ANALYZE and the wait.* metrics always agree.
-func (e *Engine) waitObserver(q *observe.ActiveQuery, trace *observe.Trace) func(observe.WaitKind) func() {
-	return func(kind observe.WaitKind) func() {
-		q.SetState(observe.StateWaiting)
-		start := time.Now()
-		return func() {
-			ns := time.Since(start).Nanoseconds()
-			if ns < 1 {
-				ns = 1
-			}
-			e.metrics.waits.Observe(kind, ns)
-			if trace != nil {
-				trace.AddWait(kind, time.Duration(ns))
-			}
-			q.SetState(observe.StateExecuting)
+// beginWait is the transaction layer's callback around a blocked span (WAL
+// group-commit sync, MVCC conflict retries): the active query flips to
+// waiting until the returned end runs, and the measured nanoseconds land in
+// the global wait histograms and — when tracing — on the statement trace, so
+// EXPLAIN ANALYZE and the wait.* metrics always agree.
+func (e *Engine) beginWait(kind observe.WaitKind, q *observe.ActiveQuery, trace *observe.Trace) func() {
+	q.SetState(observe.StateWaiting)
+	start := time.Now()
+	return func() {
+		ns := time.Since(start).Nanoseconds()
+		if ns < 1 {
+			ns = 1
 		}
+		e.metrics.waits.Observe(kind, ns)
+		if trace != nil {
+			trace.AddWait(kind, time.Duration(ns))
+		}
+		q.SetState(observe.StateExecuting)
 	}
 }
 
@@ -677,10 +683,11 @@ func (s *Session) executeTransactionStatement(st *sqlparser.TransactionStatement
 		if s.tx == nil {
 			return nil, fmt.Errorf("pipeline: no transaction open")
 		}
-		// Re-point the wait observer at the COMMIT statement itself: the WAL
-		// group-commit sync blocks here, not in the statement that installed
-		// the observer last.
-		s.tx.SetWaitObserver(s.engine.waitObserver(s.activeQ, nil))
+		// The WAL group-commit sync blocks here, so the wait belongs to the
+		// COMMIT statement itself (untraced), not to the statement that ran
+		// last in the transaction.
+		s.waitTrace = nil
+		s.tx.SetWaitObserver(s.onWait)
 		err := s.tx.Commit()
 		s.tx = nil
 		if err != nil {
@@ -831,7 +838,8 @@ func (s *Session) executePlan(ctx context.Context, ps *PreparedStatement, params
 	// question about a column of a table that has one builds that column.
 	ectx.Estimator = engine.peek
 	if tx != nil {
-		tx.SetWaitObserver(engine.waitObserver(s.activeQ, trace))
+		s.waitTrace = trace
+		tx.SetWaitObserver(s.onWait)
 	}
 	out, err := operators.Execute(plan.root, ectx)
 	timing.Execute = time.Since(execStart)

@@ -144,3 +144,27 @@ func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
 		t.Fatal("a runnable goroutine did not run between the inline closures")
 	}
 }
+
+// TestTaskGroupPoolYieldsBetweenTasks pins the same yield on the worker-pool
+// path: on one P, with the workers parked, a goroutine that became runnable
+// before Wait runs before the group's last task, though no task blocks. The
+// caller helps drain the queue (await) and the woken workers pop after it;
+// each yields after every task it runs, so the goroutine gets the P before
+// three tasks have gone by.
+func TestTaskGroupPoolYieldsBetweenTasks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New(2)
+	defer s.Shutdown()
+	time.Sleep(time.Millisecond) // both workers run once and park
+	var other atomic.Bool
+	var sawOther atomic.Bool
+	g := NewTaskGroup(context.Background(), s)
+	g.Go(func() {}, func() {}, func() {}, func() { sawOther.Store(other.Load()) })
+	go other.Store(true)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !sawOther.Load() {
+		t.Fatal("a runnable goroutine did not run between the pool's tasks")
+	}
+}

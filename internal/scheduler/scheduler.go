@@ -266,6 +266,10 @@ func New(workers int) *QueueScheduler {
 	return s
 }
 
+// worker pops and runs tasks until Shutdown. After each task it yields its
+// P, as TaskGroup.Wait's inline path does between closures: a worker that
+// finds the next task at once never blocks, and with few Ps the GC's mark
+// worker would otherwise wait for the runtime to preempt it.
 func (s *QueueScheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -282,6 +286,7 @@ func (s *QueueScheduler) worker() {
 			}
 		}
 		t.run()
+		runtime.Gosched()
 	}
 }
 
@@ -327,11 +332,12 @@ func (s *QueueScheduler) enqueueReady(t *Task) {
 }
 
 // await helps drain the queue until t is done, parking like a worker while
-// the queue is empty.
+// the queue is empty and yielding like one after each task it runs.
 func (s *QueueScheduler) await(t *Task) {
 	for !t.IsDone() {
 		if next := s.pop(); next != nil {
 			next.run()
+			runtime.Gosched()
 			continue
 		}
 		select {
