@@ -44,7 +44,7 @@ func TestFiguresPrintTheirTables(t *testing.T) {
 		{"fig7", 2, "capacity", 6, `^\d+ .*x +` + number},
 		{"fig7mem", 1, "capacity", 6, `^\d+ .*` + percent},
 		{"jit", 1, "query", 3, ratio},
-		{"sched", 1, "configuration", 5, ratio},
+		{"sched", 1, "configuration", 4, ratio},
 		{"cache", 1, "", 2, `^cache o(n|ff) +200 reps: .* hits/misses \d+/\d+$`},
 		{"ablation", 2, "configuration", 0, ratio}, // 6 encodings, then 2 joins
 	} {

@@ -82,7 +82,10 @@ func Context(e *pipeline.Engine, extra map[string]string) map[string]string {
 		cfg := e.Config()
 		ctx["optimizer"] = fmt.Sprint(cfg.UseOptimizer)
 		ctx["mvcc"] = fmt.Sprint(cfg.UseMvcc)
-		ctx["scheduler"] = schedulerName(cfg)
+		ctx["scheduler"] = "Immediate"
+		if e.Scheduler() != nil {
+			ctx["scheduler"] = "Queue"
+		}
 		ctx["workers"] = fmt.Sprint(e.Scheduler().WorkerCount())
 		ctx["plan_cache"] = fmt.Sprint(cfg.PlanCacheSize)
 		ctx["join_impl"] = joinName(cfg)
@@ -92,13 +95,6 @@ func Context(e *pipeline.Engine, extra map[string]string) map[string]string {
 		ctx[k] = v
 	}
 	return ctx
-}
-
-func schedulerName(cfg pipeline.Config) string {
-	if cfg.UseScheduler {
-		return "Queue"
-	}
-	return "Immediate"
 }
 
 func joinName(cfg pipeline.Config) string {

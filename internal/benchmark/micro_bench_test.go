@@ -91,7 +91,7 @@ func BenchmarkMicroJoin(b *testing.B) {
 	cases := []struct {
 		name  string
 		mode  operators.ParallelMode
-		sched scheduler.Scheduler
+		sched *scheduler.Scheduler
 		l, r  *storage.Table
 		keys  []expression.Expression
 	}{
@@ -182,7 +182,7 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	cases := []struct {
 		name  string
 		mode  operators.ParallelMode
-		sched scheduler.Scheduler
+		sched *scheduler.Scheduler
 		table *storage.Table
 		aggs  []*expression.Aggregate
 	}{

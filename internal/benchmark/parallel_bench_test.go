@@ -57,7 +57,7 @@ func BenchmarkMicroScanParallel(b *testing.B) {
 	cases := []struct {
 		name  string
 		mode  operators.ParallelMode
-		sched scheduler.Scheduler
+		sched *scheduler.Scheduler
 	}{
 		{"serial", operators.ParallelSerial, nil},
 		{"parallel", operators.ParallelForce, sched},
@@ -89,7 +89,7 @@ func BenchmarkMicroSort(b *testing.B) {
 	cases := []struct {
 		name  string
 		mode  operators.ParallelMode
-		sched scheduler.Scheduler
+		sched *scheduler.Scheduler
 	}{
 		{"serial", operators.ParallelSerial, nil},
 		{"parallel", operators.ParallelForce, sched},
@@ -127,8 +127,8 @@ func spin(d time.Duration) {
 // BenchmarkMicroFanOut measures what a fan-out of two jobs costs end to end
 // when the workers are parked: the caller works alone for a millisecond (an
 // operator's serial phase), then hands two spin jobs of the named length to
-// a task group on a 2-worker scheduler. The reported ns/op is the mean
-// duration of the group's Go and Wait only; with both jobs running at once it is one job's
+// scheduler.Run on a 2-worker scheduler. The reported ns/op is the mean
+// duration of that call only; with both jobs running at once it is one job's
 // length plus the wake-up, and every microsecond a worker takes to notice
 // the second job shows. It needs two Ps to mean that, so it sets GOMAXPROCS
 // to 2 whatever the lane's value is.
@@ -154,9 +154,7 @@ func BenchmarkMicroFanOut(b *testing.B) {
 			for i := 0; i < b.N*fanOutRounds; i++ {
 				spin(time.Millisecond)
 				t0 := time.Now()
-				g := scheduler.NewTaskGroup(context.Background(), sched)
-				g.Go(jobs...)
-				if err := g.Wait(); err != nil {
+				if err := scheduler.Run(context.Background(), sched, nil, jobs...); err != nil {
 					b.Fatal(err)
 				}
 				inGroup += time.Since(t0)

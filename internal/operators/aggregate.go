@@ -97,7 +97,7 @@ type chunkGroups struct {
 }
 
 // Run implements Operator: per-chunk partial aggregation (parallel under a
-// multi-worker scheduler), then an order-independent merge — sequential for
+// scheduler), then an order-independent merge — sequential for
 // few groups, hash-sharded parallel once decideParallel says so.
 // The two-phase shape is what makes chunked tables an "inherent
 // partitioning" for multiprocessing (paper §2.2).

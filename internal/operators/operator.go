@@ -3,7 +3,7 @@
 // from an optimized LQP by the LQP-to-PQP translator. Operators follow the
 // operator-at-a-time model: each computes its full output table — usually a
 // reference table of positions, avoiding materialization — before its
-// successors run. A multi-worker scheduler executes the PQP as a task DAG
+// successors run. A scheduler executes the PQP as a task DAG
 // (§2.9); without one, the operators run inline in post-order.
 package operators
 
@@ -46,7 +46,7 @@ type ExecContext struct {
 	Tx *concurrency.TransactionContext
 	// Scheduler runs operator tasks and intra-operator jobs; nil means
 	// immediate inline execution.
-	Scheduler scheduler.Scheduler
+	Scheduler *scheduler.Scheduler
 	// SM resolves table names (GetTable, DML).
 	SM *storage.StorageManager
 	// Params holds the values of the statement's placeholders (Parameter
@@ -107,7 +107,7 @@ type ExecContext struct {
 }
 
 // NewExecContext creates an execution context.
-func NewExecContext(sm *storage.StorageManager, sched scheduler.Scheduler, tx *concurrency.TransactionContext) *ExecContext {
+func NewExecContext(sm *storage.StorageManager, sched *scheduler.Scheduler, tx *concurrency.TransactionContext) *ExecContext {
 	return &ExecContext{SM: sm, Scheduler: sched, Tx: tx}
 }
 
@@ -169,19 +169,18 @@ func (ctx *ExecContext) noteWait(kind observe.WaitKind, ns int64) {
 	}
 }
 
-// runJobs executes the closures as one task group: in parallel on a
-// multi-worker scheduler, inline otherwise (scheduler.TaskGroup.Wait). Jobs
-// not yet started when the statement context dies are skipped — this is the
-// chunk-granularity cancellation point of every parallel operator (scan,
-// join, aggregate, projection); callers must check ctx.Err() after runJobs
-// returns and surface it.
+// runJobs executes the closures as one group: in parallel on the scheduler,
+// inline without one (scheduler.Run). Jobs not yet started when the
+// statement context dies are skipped — this is the chunk-granularity
+// cancellation point of every parallel operator (scan, join, aggregate,
+// projection); callers must check ctx.Err() after runJobs returns and
+// surface it, so Run's copy of that error is dropped.
 func (ctx *ExecContext) runJobs(jobs []func()) {
-	g := scheduler.NewTaskGroup(ctx.Ctx, ctx.Scheduler)
+	var onQueueWait func(ns int64)
 	if ctx.Waits != nil || ctx.Trace != nil {
-		g.SetQueueWaitObserver(func(ns int64) { ctx.noteWait(observe.WaitSchedulerQueue, ns) })
+		onQueueWait = func(ns int64) { ctx.noteWait(observe.WaitSchedulerQueue, ns) }
 	}
-	g.Go(jobs...)
-	_ = g.Wait()
+	_ = scheduler.Run(ctx.Ctx, ctx.Scheduler, onQueueWait, jobs...)
 }
 
 // noteJoinPhases files a hash join's partition count and build/probe wall
@@ -226,10 +225,9 @@ func (ctx *ExecContext) noteAggregateMerge(op Operator, shards, groups int, merg
 //
 // The plan is walked once into a post-order slice of nodes — each operator
 // once, however many parents share it — and every node runs the same step:
-// its operator runs when all of its inputs ran, and is skipped otherwise. On
-// the inline route (no scheduler, or a single-worker one) the steps run in
-// slice order on the calling goroutine; a multi-worker scheduler gets one
-// task per node, each depending on its inputs' tasks.
+// its operator runs when all of its inputs ran, and is skipped otherwise.
+// Without a scheduler the steps run in slice order on the calling goroutine;
+// a scheduler gets one task per node, each depending on its inputs' tasks.
 //
 // Error surfacing is deterministic: only operators that fail themselves
 // record an error (an input that did not run skips its consumers, never as a
@@ -242,7 +240,7 @@ func Execute(root Operator, ctx *ExecContext) (*storage.Table, error) {
 	r.nodes, r.edges = r.nodeBuf[:0], r.edgeBuf[:0]
 	r.add(root, 0)
 	r.tables = slices.Grow(r.tableBuf[:0], len(r.edges))[:len(r.edges)]
-	if s := ctx.Scheduler; s == nil || s.WorkerCount() <= 1 {
+	if s := ctx.Scheduler; s == nil {
 		for i := range r.nodes {
 			r.step(i)
 		}
@@ -368,7 +366,7 @@ func (r *planRun) fail(n *planNode, err error, deepest bool) {
 // schedule runs the steps as scheduler tasks, one per node, and waits for
 // the root's. A task whose context has died is skipped; its node is left
 // not ran.
-func (r *planRun) schedule(s scheduler.Scheduler) {
+func (r *planRun) schedule(s *scheduler.Scheduler) {
 	ctx := r.ctx
 	tasks := make([]*scheduler.Task, len(r.nodes))
 	for i := range r.nodes {

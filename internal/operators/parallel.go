@@ -28,8 +28,8 @@ const (
 	ParallelAuto ParallelMode = iota
 	// ParallelSerial keeps every operator on its single-task path.
 	ParallelSerial
-	// ParallelForce fans every operator out regardless of input size (under
-	// an inline scheduler the tasks just run one after another).
+	// ParallelForce fans every operator out regardless of input size (without
+	// a scheduler the tasks just run one after another).
 	ParallelForce
 )
 
@@ -92,9 +92,9 @@ const (
 )
 
 // decideParallel is the engine's one serial-vs-parallel gate: an operator
-// fans out when a multi-worker scheduler is attached and its size estimate
-// reaches the operator's entry in parallelMinRows. ctx.Parallel overrides the
-// answer for every operator alike.
+// fans out when a scheduler is attached and its size estimate reaches the
+// operator's entry in parallelMinRows. ctx.Parallel overrides the answer for
+// every operator alike.
 func (ctx *ExecContext) decideParallel(op parallelOp, estRows int) bool {
 	switch ctx.Parallel {
 	case ParallelSerial:
@@ -102,22 +102,14 @@ func (ctx *ExecContext) decideParallel(op parallelOp, estRows int) bool {
 	case ParallelForce:
 		return true
 	}
-	return ctx.workers() > 1 && estRows >= parallelMinRows[op]
-}
-
-// workers is the scheduler's worker count (1 without a scheduler).
-func (ctx *ExecContext) workers() int {
-	if ctx.Scheduler == nil {
-		return 1
-	}
-	return ctx.Scheduler.WorkerCount()
+	return ctx.Scheduler != nil && estRows >= parallelMinRows[op]
 }
 
 // fanOut is how many tasks a fanned-out operator splits into: one per
 // scheduler worker, at least 2 so forced-parallel paths still exercise their
-// split/merge logic under an inline scheduler.
+// split/merge logic without a scheduler.
 func (ctx *ExecContext) fanOut() int {
-	return max(ctx.workers(), 2)
+	return max(ctx.Scheduler.WorkerCount(), 2)
 }
 
 // joinFanOut is the radix partition count (a power of two, for hash masking).
@@ -211,11 +203,10 @@ func (ctx *ExecContext) estimateScanSelectivity(input *storage.Table, simple *si
 // it is needed for: the size estimate for decideParallel — input rows ×
 // estimated selectivity, floored — the estimated qualifying rows for the
 // trace, and the selectivity itself, which opens or closes the index rung.
-// When nothing can depend on it (override set or no multi-worker scheduler,
-// and no chunk of the input indexed) the estimator is not consulted and
-// estRows is -1.
+// When nothing can depend on it (override set or no scheduler, and no chunk
+// of the input indexed) the estimator is not consulted and estRows is -1.
 func (ctx *ExecContext) scanCost(input *storage.Table, simple *simplePredicate, indexed bool) (cost int, estRows int64, sel float64) {
-	if !indexed && (ctx.Parallel != ParallelAuto || ctx.workers() <= 1) {
+	if !indexed && (ctx.Parallel != ParallelAuto || ctx.Scheduler == nil) {
 		return 0, -1, 1
 	}
 	total := input.RowCount()

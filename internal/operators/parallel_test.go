@@ -23,7 +23,7 @@ import (
 
 // parallelCtx builds an ExecContext forced onto the parallel path with tiny
 // morsels, so even small fixtures fan out across several tasks.
-func parallelCtx(sm *storage.StorageManager, sched scheduler.Scheduler) *ExecContext {
+func parallelCtx(sm *storage.StorageManager, sched *scheduler.Scheduler) *ExecContext {
 	ctx := NewExecContext(sm, sched, nil)
 	ctx.Parallel = ParallelForce
 	ctx.morselRows = 7 // coalesces a few 5-row chunks per morsel
@@ -147,7 +147,7 @@ func TestDiffParallelSortMatchesSerial(t *testing.T) {
 		"nan_desc":   {{Expr: col(3, types.TypeFloat64), Desc: true}, {Expr: col(1, types.TypeString)}},
 		"all_equal":  {{Expr: lit(types.Int(7))}},
 	}
-	var scheds []scheduler.Scheduler
+	var scheds []*scheduler.Scheduler
 	for _, workers := range []int{2, 3, 5, 8} {
 		sched := scheduler.New(workers)
 		defer sched.Shutdown()
@@ -242,7 +242,7 @@ func TestDiffDecideParallel(t *testing.T) {
 		}
 		cases := []struct {
 			name  string
-			sched scheduler.Scheduler
+			sched *scheduler.Scheduler
 			mode  ParallelMode
 			est   int
 			want  bool
@@ -271,7 +271,7 @@ func TestDiffDecideParallel(t *testing.T) {
 	sched5 := scheduler.New(5)
 	defer sched5.Shutdown()
 	for _, tc := range []struct {
-		sched                scheduler.Scheduler
+		sched                *scheduler.Scheduler
 		fanOut, join, shards int
 	}{
 		{nil, 2, 2, 2},
@@ -281,7 +281,7 @@ func TestDiffDecideParallel(t *testing.T) {
 	} {
 		ctx := NewExecContext(nil, tc.sched, nil)
 		if ctx.fanOut() != tc.fanOut || ctx.joinFanOut() != tc.join || ctx.mergeFanOut() != tc.shards {
-			t.Errorf("workers=%d: fanOut/join/merge = %d/%d/%d, want %d/%d/%d", ctx.workers(),
+			t.Errorf("workers=%d: fanOut/join/merge = %d/%d/%d, want %d/%d/%d", ctx.Scheduler.WorkerCount(),
 				ctx.fanOut(), ctx.joinFanOut(), ctx.mergeFanOut(), tc.fanOut, tc.join, tc.shards)
 		}
 	}

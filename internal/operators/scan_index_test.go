@@ -256,7 +256,7 @@ func TestDiffIndexRungEstimatesOnce(t *testing.T) {
 		name  string
 		table string
 		pred  expression.Expression
-		sched scheduler.Scheduler
+		sched *scheduler.Scheduler
 		mode  ParallelMode
 		want  int
 	}{

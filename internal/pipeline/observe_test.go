@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -268,18 +269,56 @@ func TestPlanCacheMetrics(t *testing.T) {
 	}
 }
 
+// TestSchedulerMetrics: the scheduler off and a one-worker scheduler are the
+// same engine — no scheduler, no goroutine, one worker and no task in the
+// scheduler_* metrics — and answer what a 2-worker pool answers, whose tasks
+// the metrics count.
 func TestSchedulerMetrics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseScheduler = true
-	cfg.SchedulerWorkers = 2
-	e, s := newObserveEngine(t, cfg, 20)
-	base := metric(t, e, "scheduler_tasks_run")
-	mustExec(t, s, "SELECT * FROM obs WHERE id > 5")
-	if got := metric(t, e, "scheduler_tasks_run"); got <= base {
-		t.Errorf("scheduler_tasks_run did not advance (%d -> %d)", base, got)
-	}
-	if metric(t, e, "scheduler_workers") != 2 {
-		t.Errorf("scheduler_workers = %d, want 2", metric(t, e, "scheduler_workers"))
+	const query = "SELECT * FROM obs WHERE id > 5 ORDER BY id"
+	var pooled [][]string
+	for _, tc := range []struct {
+		name         string
+		useScheduler bool
+		workers      int
+	}{
+		{"2 workers", true, 2}, // first: the inline engines must answer its rows
+		{"off", false, 0},
+		{"1 worker", true, 1},
+	} {
+		cfg := DefaultConfig()
+		cfg.UseScheduler, cfg.SchedulerWorkers = tc.useScheduler, tc.workers
+		before := runtime.NumGoroutine()
+		e := NewEngine(cfg, nil)
+		started := runtime.NumGoroutine() - before
+		s := e.NewSession()
+		mustExec(t, s, "CREATE TABLE obs (id INT NOT NULL, grp INT NOT NULL, label VARCHAR(20))")
+		values := make([]string, 20)
+		for i := range values {
+			values[i] = fmt.Sprintf("(%d, %d, 'row%d')", i, i%7, i)
+		}
+		mustExec(t, s, "INSERT INTO obs VALUES "+strings.Join(values, ", "))
+		base := metric(t, e, "scheduler_tasks_run")
+		got := rows(t, s, query)
+		ran, depth := metric(t, e, "scheduler_tasks_run"), metric(t, e, "scheduler_queue_depth")
+		workers := metric(t, e, "scheduler_workers")
+		if tc.workers == 2 {
+			pooled = got
+			if e.Scheduler() == nil || workers != 2 || ran <= base {
+				t.Errorf("%s: scheduler %v, scheduler_workers %d, scheduler_tasks_run %d -> %d; want a pool of 2 that ran the plan",
+					tc.name, e.Scheduler(), workers, base, ran)
+			}
+		} else {
+			if e.Scheduler() != nil || started > 0 {
+				t.Errorf("%s: scheduler %v, %d goroutine(s) started; want no scheduler", tc.name, e.Scheduler(), started)
+			}
+			if workers != 1 || ran != 0 || depth != 0 {
+				t.Errorf("%s: scheduler_workers %d, scheduler_tasks_run %d, scheduler_queue_depth %d; want 1, 0, 0", tc.name, workers, ran, depth)
+			}
+			if !reflect.DeepEqual(got, pooled) {
+				t.Errorf("%s: %v, want the 2-worker engine's %v", tc.name, got, pooled)
+			}
+		}
+		e.Close()
 	}
 }
 

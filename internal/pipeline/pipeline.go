@@ -44,7 +44,8 @@ type Config struct {
 	// UseScheduler runs operator tasks on the worker-pool scheduler;
 	// without it, tasks execute immediately in the calling goroutine.
 	UseScheduler bool
-	// SchedulerWorkers is the scheduler's worker count (0 = one per CPU).
+	// SchedulerWorkers is the scheduler's worker count (0 = one per CPU);
+	// with one worker, tasks execute in the calling goroutine too.
 	SchedulerWorkers int
 	// PlanCacheSize bounds the physical plan cache (0 disables caching).
 	PlanCacheSize int
@@ -110,7 +111,7 @@ type Engine struct {
 	cfg   Config
 	sm    *storage.StorageManager
 	tm    *concurrency.TransactionManager
-	sched scheduler.Scheduler
+	sched *scheduler.Scheduler
 	stats *statistics.Cache
 	peek  operators.Estimator // stats.Peek, bound once
 	opt   *optimizer.Optimizer
@@ -191,8 +192,6 @@ func NewEngineErr(cfg Config, sm *storage.StorageManager) (*Engine, error) {
 	e.peek = e.stats.Peek
 	if cfg.UseScheduler {
 		e.sched = scheduler.New(cfg.SchedulerWorkers)
-	} else {
-		e.sched = scheduler.NewImmediateScheduler()
 	}
 	e.initObservability()
 	// Before recovery: replayed chunks seal like appended ones.
@@ -283,8 +282,9 @@ func (e *Engine) StorageManager() *storage.StorageManager { return e.sm }
 // TransactionManager exposes MVCC control.
 func (e *Engine) TransactionManager() *concurrency.TransactionManager { return e.tm }
 
-// Scheduler exposes the task scheduler.
-func (e *Engine) Scheduler() scheduler.Scheduler { return e.sched }
+// Scheduler exposes the task scheduler: nil when plans run inline (no
+// scheduler, or one worker).
+func (e *Engine) Scheduler() *scheduler.Scheduler { return e.sched }
 
 // Statistics exposes the statistics cache.
 func (e *Engine) Statistics() *statistics.Cache { return e.stats }

@@ -10,11 +10,11 @@ import (
 
 func TestTaskGroupInlineFallback(t *testing.T) {
 	var ran atomic.Int64
-	g := NewTaskGroup(context.Background(), nil)
-	for i := 0; i < 10; i++ {
-		g.Go(func() { ran.Add(1) })
+	jobs := make([]func(), 10)
+	for i := range jobs {
+		jobs[i] = func() { ran.Add(1) }
 	}
-	if err := g.Wait(); err != nil {
+	if err := Run(context.Background(), nil, nil, jobs...); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 10 {
@@ -26,9 +26,7 @@ func TestTaskGroupOnScheduler(t *testing.T) {
 	s := New(4)
 	defer s.Shutdown()
 	var ran atomic.Int64
-	g := NewTaskGroup(context.Background(), s)
-	g.Go(makeJobs(100, &ran)...)
-	if err := g.Wait(); err != nil {
+	if err := Run(context.Background(), s, nil, makeJobs(100, &ran)...); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 100 {
@@ -38,9 +36,8 @@ func TestTaskGroupOnScheduler(t *testing.T) {
 
 func TestTaskGroupNilContext(t *testing.T) {
 	var ran atomic.Int64
-	g := NewTaskGroup(nil, nil)
-	g.Go(func() { ran.Add(1) })
-	if err := g.Wait(); err != nil {
+	var never context.Context // nil: never canceled
+	if err := Run(never, nil, nil, func() { ran.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 1 {
@@ -49,8 +46,8 @@ func TestTaskGroupNilContext(t *testing.T) {
 }
 
 // TestTaskGroupCancellationSkipsButCompletes is the no-deadlock contract:
-// when the context dies mid-group, remaining tasks are skipped yet Wait
-// still returns (with the context error), and no closure runs afterwards.
+// when the context dies mid-group, remaining tasks are skipped yet Run still
+// returns (with the context error), and no closure runs afterwards.
 func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
 	s := New(2)
 	defer s.Shutdown()
@@ -59,61 +56,43 @@ func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
 	release := make(chan struct{})
 	var ran atomic.Int64
 
-	g := NewTaskGroup(ctx, s)
-	g.Go(func() {
+	jobs := []func(){func() {
 		<-release // holds a worker until the context is canceled
-	})
+	}}
 	for i := 0; i < 50; i++ {
-		g.Go(func() { ran.Add(1) })
+		jobs = append(jobs, func() { ran.Add(1) })
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- g.Wait() }()
+	go func() { done <- Run(ctx, s, nil, jobs...) }()
 	cancel()
 	close(release)
 
 	select {
 	case err := <-done:
 		if err != context.Canceled {
-			t.Fatalf("Wait() = %v, want context.Canceled", err)
+			t.Fatalf("Run() = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Wait did not return after cancellation")
+		t.Fatal("Run did not return after cancellation")
 	}
 }
 
 func TestTaskGroupInlineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	g := NewTaskGroup(ctx, nil)
-	g.Go(func() {
+	jobs := []func(){func() {
 		ran.Add(1)
 		cancel() // later inline jobs must be skipped
-	})
+	}}
 	for i := 0; i < 5; i++ {
-		g.Go(func() { ran.Add(1) })
+		jobs = append(jobs, func() { ran.Add(1) })
 	}
-	if err := g.Wait(); err != context.Canceled {
-		t.Fatalf("Wait() = %v, want context.Canceled", err)
+	if err := Run(ctx, nil, nil, jobs...); err != context.Canceled {
+		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
 	if ran.Load() != 1 {
 		t.Fatalf("ran %d jobs after cancel, want 1", ran.Load())
-	}
-}
-
-func TestTaskGroupReusableAfterWait(t *testing.T) {
-	var ran atomic.Int64
-	g := NewTaskGroup(context.Background(), nil)
-	g.Go(func() { ran.Add(1) })
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	g.Go(func() { ran.Add(1) })
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 2 {
-		t.Fatalf("ran %d jobs across two waits, want 2", ran.Load())
 	}
 }
 
@@ -126,7 +105,7 @@ func makeJobs(n int, counter *atomic.Int64) []func() {
 }
 
 // TestTaskGroupInlineYieldsBetweenClosures pins the yield of the inline
-// path: on one P, a goroutine that became runnable before Wait runs before
+// path: on one P, a goroutine that became runnable before Run runs before
 // the group's last closure, though no closure blocks. Two yields precede it,
 // so the run queue's periodic fairness pick cannot hand the P back to the
 // caller both times.
@@ -134,10 +113,9 @@ func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var other atomic.Bool
 	var sawOther bool
-	g := NewTaskGroup(context.Background(), nil)
-	g.Go(func() {}, func() {}, func() { sawOther = other.Load() })
+	jobs := []func(){func() {}, func() {}, func() { sawOther = other.Load() }}
 	go other.Store(true)
-	if err := g.Wait(); err != nil {
+	if err := Run(context.Background(), nil, nil, jobs...); err != nil {
 		t.Fatal(err)
 	}
 	if !sawOther {
@@ -147,7 +125,7 @@ func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
 
 // TestTaskGroupPoolYieldsBetweenTasks pins the same yield on the worker-pool
 // path: on one P, with the workers parked, a goroutine that became runnable
-// before Wait runs before the group's last task, though no task blocks. The
+// before Run runs before the group's last task, though no task blocks. The
 // caller helps drain the queue (await) and the woken workers pop after it;
 // each yields after every task it runs, so the goroutine gets the P before
 // three tasks have gone by.
@@ -158,10 +136,9 @@ func TestTaskGroupPoolYieldsBetweenTasks(t *testing.T) {
 	time.Sleep(time.Millisecond) // both workers run once and park
 	var other atomic.Bool
 	var sawOther atomic.Bool
-	g := NewTaskGroup(context.Background(), s)
-	g.Go(func() {}, func() {}, func() {}, func() { sawOther.Store(other.Load()) })
+	jobs := []func(){func() {}, func() {}, func() {}, func() { sawOther.Store(other.Load()) }}
 	go other.Store(true)
-	if err := g.Wait(); err != nil {
+	if err := Run(context.Background(), s, nil, jobs...); err != nil {
 		t.Fatal(err)
 	}
 	if !sawOther.Load() {

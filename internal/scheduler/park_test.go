@@ -30,7 +30,7 @@ func awaitDone(t *testing.T, what string, tasks ...*Task) {
 func TestParkedWorkersWake(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprint(workers), func(t *testing.T) {
-			s := New(workers)
+			s := start(workers)
 			defer s.Shutdown()
 			for round := 0; round < 10000; round++ {
 				if round%500 == 0 {
@@ -53,7 +53,7 @@ func TestParkedWorkersWake(t *testing.T) {
 // waiter parks before the worker so that it is first in line for the token,
 // and the awaited task is hand-made so that it completes without a push.
 func TestHelperLeavesQueueToWorkers(t *testing.T) {
-	s := New(1)
+	s := start(1)
 	defer s.Shutdown()
 	for round := 0; round < 100; round++ {
 		started, gate := make(chan struct{}), make(chan struct{})
@@ -89,7 +89,7 @@ func TestHelperLeavesQueueToWorkers(t *testing.T) {
 func TestNestedFanOutBusyWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprint(workers), func(t *testing.T) {
-			s := New(workers)
+			s := start(workers)
 			defer s.Shutdown()
 			var leaves atomic.Int32
 			var fanOut func(depth int) func()

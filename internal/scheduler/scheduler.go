@@ -4,9 +4,9 @@
 // tasks and are enqueued only once their dependencies are fulfilled. One
 // worker runs per core; all of them take from one FIFO ready queue and park
 // while it is empty. Placing workers on cores and balancing work between
-// them is left to the Go runtime, which can pin neither (DESIGN.md S11). The
-// scheduler can be replaced by immediate execution (tasks run inline, still
-// guaranteeing progress) to measure its own cost.
+// them is left to the Go runtime, which can pin neither (DESIGN.md S11).
+// Without a scheduler — a nil *Scheduler, which is what New returns for one
+// worker — plans and job groups run inline on the calling goroutine.
 package scheduler
 
 import (
@@ -34,12 +34,11 @@ type Task struct {
 	// predecessors plus one for "not scheduled yet". Exactly one decrement
 	// reaches zero — Schedule's or the last predecessor's — and that one
 	// hands the task to the scheduler, so a task is queued, and run, once.
-	pending      atomic.Int32
-	mu           sync.Mutex
-	successors   []*Task
-	predecessors []*Task
-	done         chan struct{}
-	sched        Scheduler // set by Schedule
+	pending    atomic.Int32
+	mu         sync.Mutex
+	successors []*Task
+	done       chan struct{}
+	sched      *Scheduler // set by Schedule
 }
 
 // NewTask wraps a closure (modeled after std::thread's constructor, paper:
@@ -59,9 +58,9 @@ func NewTask(fn func()) *Task {
 func (t *Task) WithContext(ctx context.Context) *Task { t.ctx = ctx; return t }
 
 // ObserveQueueWait registers a callback that receives the time (ns) the task
-// spent sitting in the ready queue before it was picked up. Inline execution
-// (immediate scheduler, a group's inline path) reports nothing. Must be set
-// before the task is scheduled.
+// spent sitting in the ready queue before it was picked up. Run's inline
+// route has no queue and reports nothing. Must be set before the task is
+// scheduled.
 func (t *Task) ObserveQueueWait(fn func(ns int64)) *Task {
 	t.onQueueWait = fn
 	return t
@@ -71,9 +70,6 @@ func (t *Task) ObserveQueueWait(fn func(ns int64)) *Task {
 // task is scheduled.
 func (t *Task) DependsOn(pred *Task) {
 	t.pending.Add(1)
-	t.mu.Lock()
-	t.predecessors = append(t.predecessors, pred)
-	t.mu.Unlock()
 	pred.mu.Lock()
 	pred.successors = append(pred.successors, t)
 	pred.mu.Unlock()
@@ -112,7 +108,7 @@ func (t *Task) release() {
 // propagates so dependent tasks and waiters make progress.
 func (t *Task) run() {
 	if t.ctx != nil && t.ctx.Err() != nil {
-		t.sched.noteTaskSkipped()
+		t.sched.skipped.Add(1)
 	} else {
 		if t.onQueueWait != nil && !t.enqueuedAt.IsZero() {
 			ns := time.Since(t.enqueuedAt).Nanoseconds()
@@ -124,7 +120,7 @@ func (t *Task) run() {
 		if t.fn != nil {
 			t.fn()
 		}
-		t.sched.noteTaskRun()
+		t.sched.ran.Add(1)
 	}
 	close(t.done)
 	// "Once a task finishes, it iterates over its list of successors and
@@ -146,35 +142,9 @@ type Stats struct {
 	// them up; their closures never ran.
 	TasksSkipped int64
 	// QueueDepth is the number of tasks currently waiting in the ready queue
-	// (always 0 for immediate execution).
+	// (always 0 without a scheduler).
 	QueueDepth int64
 }
-
-// Scheduler executes tasks.
-type Scheduler interface {
-	// Schedule submits tasks; tasks with open dependencies start once those
-	// finish.
-	Schedule(tasks ...*Task)
-	// WorkerCount returns the number of workers (1 for immediate).
-	WorkerCount() int
-	// Stats reports tasks run and current queue depth.
-	Stats() Stats
-	// Shutdown stops all workers after the queue drains.
-	Shutdown()
-
-	enqueueReady(t *Task)
-	// await runs queued tasks on the calling goroutine until t is done or
-	// the scheduler has nothing the caller could run.
-	await(t *Task)
-	noteTaskRun()
-	noteTaskSkipped()
-}
-
-// taskCounts is the tasks-run / tasks-skipped half of Stats.
-type taskCounts struct{ run, skipped atomic.Int64 }
-
-func (c *taskCounts) noteTaskRun()     { c.run.Add(1) }
-func (c *taskCounts) noteTaskSkipped() { c.skipped.Add(1) }
 
 // WaitAll waits for all given tasks.
 func WaitAll(tasks []*Task) {
@@ -183,55 +153,13 @@ func WaitAll(tasks []*Task) {
 	}
 }
 
-// --- immediate execution ------------------------------------------------------
-
-// ImmediateScheduler executes tasks synchronously on the calling goroutine.
-// When a task has unfinished predecessors, those are executed first (paper:
-// "when schedule is called on a task, it is either directly executed or,
-// if it has predecessors, their predecessors are executed first").
-type ImmediateScheduler struct{ taskCounts }
-
-// NewImmediateScheduler creates the inline scheduler.
-func NewImmediateScheduler() *ImmediateScheduler { return &ImmediateScheduler{} }
-
-// Schedule implements Scheduler.
-func (s *ImmediateScheduler) Schedule(tasks ...*Task) {
-	for _, t := range tasks {
-		if t.sched != nil {
-			continue // already run as a predecessor of an earlier task
-		}
-		t.mu.Lock()
-		preds := append([]*Task(nil), t.predecessors...)
-		t.mu.Unlock()
-		s.Schedule(preds...)
-		t.sched = s
-		t.release()
-	}
-}
-
-// WorkerCount implements Scheduler.
-func (s *ImmediateScheduler) WorkerCount() int { return 1 }
-
-// Stats implements Scheduler.
-func (s *ImmediateScheduler) Stats() Stats {
-	return Stats{TasksRun: s.run.Load(), TasksSkipped: s.skipped.Load()}
-}
-
-// Shutdown implements Scheduler.
-func (s *ImmediateScheduler) Shutdown() {}
-
-func (s *ImmediateScheduler) enqueueReady(t *Task) { t.run() }
-
-func (s *ImmediateScheduler) await(*Task) {}
-
-// --- queue scheduler ------------------------------------------------------------
-
-// QueueScheduler runs a fixed number of worker goroutines over one FIFO ready
+// Scheduler runs a fixed number of worker goroutines over one FIFO ready
 // queue. Nobody polls: a goroutine with nothing to run — an idle worker, or a
 // Wait whose task runs elsewhere — parks on the wake channel, and every push
 // leaves a token there that wakes one of them.
-type QueueScheduler struct {
-	taskCounts
+type Scheduler struct {
+	ran, skipped atomic.Int64 // tasks run and skipped, for Stats
+
 	mu    sync.Mutex
 	queue []*Task
 	// wake carries one token per push: handed to a parked goroutine if there
@@ -249,12 +177,22 @@ type QueueScheduler struct {
 }
 
 // New creates a scheduler with the given number of workers; workers <= 0
-// selects one per CPU core.
-func New(workers int) *QueueScheduler {
+// selects one per CPU core. One worker has nothing to run in parallel, so
+// New returns nil for it: no scheduler, and everything runs inline.
+func New(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	s := &QueueScheduler{
+	if workers == 1 {
+		return nil
+	}
+	return start(workers)
+}
+
+// start launches the worker goroutines. New never starts one worker; tests
+// do, as the tightest case for a lost wake-up.
+func start(workers int) *Scheduler {
+	s := &Scheduler{
 		workers: workers,
 		wake:    make(chan struct{}, workers),
 		quit:    make(chan struct{}),
@@ -267,10 +205,10 @@ func New(workers int) *QueueScheduler {
 }
 
 // worker pops and runs tasks until Shutdown. After each task it yields its
-// P, as TaskGroup.Wait's inline path does between closures: a worker that
-// finds the next task at once never blocks, and with few Ps the GC's mark
-// worker would otherwise wait for the runtime to preempt it.
-func (s *QueueScheduler) worker() {
+// P, as Run's inline route does between jobs: a worker that finds the next
+// task at once never blocks, and with few Ps the GC's mark worker would
+// otherwise wait for the runtime to preempt it.
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		t := s.pop()
@@ -290,7 +228,7 @@ func (s *QueueScheduler) worker() {
 	}
 }
 
-func (s *QueueScheduler) pop() *Task {
+func (s *Scheduler) pop() *Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.queue) == 0 {
@@ -303,23 +241,23 @@ func (s *QueueScheduler) pop() *Task {
 }
 
 // signal leaves a wake-up token unless the buffer is full.
-func (s *QueueScheduler) signal() {
+func (s *Scheduler) signal() {
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
 }
 
-// Schedule implements Scheduler: ready tasks are enqueued immediately;
-// blocked tasks are enqueued by their last dependency to finish.
-func (s *QueueScheduler) Schedule(tasks ...*Task) {
+// Schedule submits tasks: ready tasks are enqueued immediately, blocked
+// tasks by their last dependency to finish. s must not be nil.
+func (s *Scheduler) Schedule(tasks ...*Task) {
 	for _, t := range tasks {
 		t.sched = s
 		t.release()
 	}
 }
 
-func (s *QueueScheduler) enqueueReady(t *Task) {
+func (s *Scheduler) enqueueReady(t *Task) {
 	// Stamp for queue-wait attribution; the queue mutex orders this write
 	// against the popping goroutine's read.
 	if t.onQueueWait != nil {
@@ -333,7 +271,7 @@ func (s *QueueScheduler) enqueueReady(t *Task) {
 
 // await helps drain the queue until t is done, parking like a worker while
 // the queue is empty and yielding like one after each task it runs.
-func (s *QueueScheduler) await(t *Task) {
+func (s *Scheduler) await(t *Task) {
 	for !t.IsDone() {
 		if next := s.pop(); next != nil {
 			next.run()
@@ -352,19 +290,32 @@ func (s *QueueScheduler) await(t *Task) {
 	}
 }
 
-// WorkerCount implements Scheduler.
-func (s *QueueScheduler) WorkerCount() int { return s.workers }
+// WorkerCount returns the number of workers: 1 without a scheduler.
+func (s *Scheduler) WorkerCount() int {
+	if s == nil {
+		return 1
+	}
+	return s.workers
+}
 
-// Stats implements Scheduler.
-func (s *QueueScheduler) Stats() Stats {
+// Stats reports tasks run and the current queue depth: zero without a
+// scheduler.
+func (s *Scheduler) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	s.mu.Lock()
 	depth := len(s.queue)
 	s.mu.Unlock()
-	return Stats{TasksRun: s.run.Load(), TasksSkipped: s.skipped.Load(), QueueDepth: int64(depth)}
+	return Stats{TasksRun: s.ran.Load(), TasksSkipped: s.skipped.Load(), QueueDepth: int64(depth)}
 }
 
-// Shutdown implements Scheduler: workers exit once the queue is drained.
-func (s *QueueScheduler) Shutdown() {
+// Shutdown stops the workers once the queue is drained; without a
+// scheduler there is nothing to stop.
+func (s *Scheduler) Shutdown() {
+	if s == nil {
+		return
+	}
 	s.stop.Do(func() { close(s.quit) })
 	s.wg.Wait()
 }

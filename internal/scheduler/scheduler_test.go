@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-func schedulers() map[string]func() Scheduler {
-	return map[string]func() Scheduler{
-		"immediate": func() Scheduler { return NewImmediateScheduler() },
-		"queue":     func() Scheduler { return New(4) },
+func schedulers() map[string]func() *Scheduler {
+	return map[string]func() *Scheduler{
+		"queue": func() *Scheduler { return New(4) },
 	}
 }
 
@@ -87,17 +86,17 @@ func TestDiamondDependency(t *testing.T) {
 	}
 }
 
-// TestRunGroup runs one-shot groups (NewTaskGroup, Go, Wait) on every
-// scheduler.
+// TestRunGroup runs one-shot groups (Run) with immediate execution (no
+// scheduler) and on every scheduler.
 func TestRunGroup(t *testing.T) {
-	for name, mk := range schedulers() {
+	mks := schedulers()
+	mks["immediate"] = func() *Scheduler { return nil }
+	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
 			defer s.Shutdown()
 			run := func(jobs ...func()) error {
-				g := NewTaskGroup(context.Background(), s)
-				g.Go(jobs...)
-				return g.Wait()
+				return Run(context.Background(), s, nil, jobs...)
 			}
 			var sum atomic.Int64
 			jobs := make([]func(), 10)
@@ -139,9 +138,12 @@ func TestWorkerCounts(t *testing.T) {
 	if d.WorkerCount() != runtime.NumCPU() {
 		t.Errorf("default workers=%d, want one per CPU (%d)", d.WorkerCount(), runtime.NumCPU())
 	}
-	if NewImmediateScheduler().WorkerCount() != 1 {
-		t.Error("immediate worker count should be 1")
+	// One worker is no scheduler, and no scheduler counts as one worker.
+	var none *Scheduler
+	if New(1) != none || none.WorkerCount() != 1 || none.Stats() != (Stats{}) {
+		t.Errorf("New(1) = %v with %d worker(s) and stats %+v, want nil, 1 and zero", New(1), none.WorkerCount(), none.Stats())
 	}
+	none.Shutdown()
 }
 
 func TestManyTasksStress(t *testing.T) {
@@ -166,9 +168,8 @@ func TestManyTasksStress(t *testing.T) {
 func TestStatsCountTasks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		s    Scheduler
+		s    *Scheduler
 	}{
-		{"immediate", NewImmediateScheduler()},
 		{"queue", New(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,14 +226,6 @@ func TestQueueWaitObserver(t *testing.T) {
 	})
 	s.Schedule(skipped)
 	skipped.Wait()
-
-	// The immediate scheduler runs inline and records no queue time.
-	im := NewImmediateScheduler()
-	inline := NewTask(func() {}).ObserveQueueWait(func(ns int64) {
-		t.Error("immediate scheduler reported a queue wait")
-	})
-	im.Schedule(inline)
-	inline.Wait()
 }
 
 func TestTaskGroupQueueWaitObserver(t *testing.T) {
@@ -240,12 +233,12 @@ func TestTaskGroupQueueWaitObserver(t *testing.T) {
 	defer s.Shutdown()
 
 	var fired atomic.Int64
-	g := NewTaskGroup(context.Background(), s)
-	g.SetQueueWaitObserver(func(ns int64) { fired.Add(1) })
-	for i := 0; i < 8; i++ {
-		g.Go(func() {})
+	observe := func(ns int64) { fired.Add(1) }
+	jobs := make([]func(), 8)
+	for i := range jobs {
+		jobs[i] = func() {}
 	}
-	if err := g.Wait(); err != nil {
+	if err := Run(context.Background(), s, observe, jobs...); err != nil {
 		t.Fatal(err)
 	}
 	if fired.Load() != 8 {
@@ -254,10 +247,7 @@ func TestTaskGroupQueueWaitObserver(t *testing.T) {
 
 	// The inline fallback (nil scheduler) bypasses the queues entirely.
 	fired.Store(0)
-	gi := NewTaskGroup(context.Background(), nil)
-	gi.SetQueueWaitObserver(func(ns int64) { fired.Add(1) })
-	gi.Go(func() {})
-	if err := gi.Wait(); err != nil {
+	if err := Run(context.Background(), nil, observe, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if fired.Load() != 0 {

@@ -106,31 +106,8 @@ func TestStressRandomCancellation(t *testing.T) {
 	}
 }
 
-// TestImmediateSchedulerSkipsDeadContext covers the inline scheduler's skip
-// path: the closure must not run, but the task still completes.
-func TestImmediateSchedulerSkipsDeadContext(t *testing.T) {
-	s := NewImmediateScheduler()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	ran := false
-	task := NewTask(func() { ran = true }).WithContext(ctx)
-	s.Schedule(task)
-	task.Wait()
-
-	if ran {
-		t.Error("closure ran despite dead context")
-	}
-	if !task.IsDone() {
-		t.Error("skipped task did not complete")
-	}
-	if st := s.Stats(); st.TasksSkipped != 1 || st.TasksRun != 0 {
-		t.Errorf("stats = %+v, want 1 skipped / 0 run", st)
-	}
-}
-
 // TestRunGroupSkipsRemainingJobs verifies the operators' one-shot group: once
-// ctx dies, queued jobs are skipped but Wait still returns.
+// ctx dies, queued jobs are skipped but Run still returns.
 func TestRunGroupSkipsRemainingJobs(t *testing.T) {
 	s := New(2)
 	defer s.Shutdown()
@@ -152,10 +129,8 @@ func TestRunGroupSkipsRemainingJobs(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	g := NewTaskGroup(ctx, s)
-	g.Go(jobs...)
-	if err := g.Wait(); err != context.Canceled {
-		t.Errorf("Wait = %v, want context.Canceled", err)
+	if err := Run(ctx, s, nil, jobs...); err != context.Canceled {
+		t.Errorf("Run = %v, want context.Canceled", err)
 	}
 
 	// Job 0 ran and a few more may have started before the cancel landed,
