@@ -2,7 +2,9 @@
 // protocol front end: N clients run a mixed read/write workload through the
 // extended query protocol (prepared statements, binary parameters) and the
 // simple protocol, then the server is drained gracefully. It exits non-zero
-// on any protocol error, making it usable as a CI smoke test:
+// on any protocol error, and, self-hosted, unless the executor pool's read
+// and write classes both executed statements and rejected none, making it
+// usable as a CI smoke test:
 //
 //	hyrise-loadgen -clients 8 -duration 3s
 //
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +33,7 @@ func main() {
 		clients    = flag.Int("clients", 8, "concurrent client connections")
 		duration   = flag.Duration("duration", 3*time.Second, "load duration")
 		writeRatio = flag.Float64("write-ratio", 0.25, "fraction of operations that are INSERTs")
-		workers    = flag.Int("workers", 4, "executor pool read workers for the self-hosted server")
+		workers    = flag.Int("workers", 4, "executor pool read slots for the self-hosted server")
 		drainWait  = flag.Duration("drain-timeout", 5*time.Second, "graceful drain deadline for the self-hosted server")
 	)
 	flag.Parse()
@@ -49,7 +52,7 @@ func main() {
 		}
 		defer db.Close()
 		srv, target = s, actual
-		fmt.Fprintf(os.Stderr, "self-hosted server on %s (pool: %d read workers)\n", actual, *workers)
+		fmt.Fprintf(os.Stderr, "self-hosted server on %s (pool: %d read slots)\n", actual, *workers)
 	}
 
 	setup, err := pgclient.Dial(target)
@@ -130,11 +133,26 @@ func main() {
 		float64(ops.Load())/elapsed.Seconds(), protoErrs.Load())
 
 	if srv != nil {
-		if pool, err := setup.SimpleQuery("SELECT queue, executed, rejected, wait_ns FROM meta_executor_pool"); err == nil && len(pool) > 0 {
-			for _, row := range pool[0].Rows {
-				fmt.Printf("pool queue=%s executed=%s rejected=%s wait_ns=%s\n",
-					row[0], row[1], row[2], row[3])
+		pool, err := setup.SimpleQuery("SELECT queue, executed, rejected, wait_ns FROM meta_executor_pool")
+		if err != nil || len(pool) != 1 {
+			fail("meta_executor_pool: %v", err)
+		}
+		// The read and write classes both ran statements, every statement
+		// the clients issued ran in some class, and none was turned away.
+		executed := map[string]int64{}
+		var total int64
+		for _, row := range pool[0].Rows {
+			fmt.Printf("pool queue=%s executed=%s rejected=%s wait_ns=%s\n",
+				row[0], row[1], row[2], row[3])
+			if string(row[2]) != "0" {
+				fail("pool: the %s class rejected %s statements", row[0], row[2])
 			}
+			n, _ := strconv.ParseInt(string(row[1]), 10, 64)
+			executed[string(row[0])] = n
+			total += n
+		}
+		if executed["read"] == 0 || executed["write"] == 0 || total < ops.Load() {
+			fail("pool: executed %v, want reads and writes, %d in all", executed, ops.Load())
 		}
 		// Graceful drain: the idle setup connection must get a clean FATAL
 		// 57P01, and Shutdown must return within the deadline.
@@ -170,7 +188,7 @@ func main() {
 
 // selfHost opens an in-memory database through the facade, like
 // hyrise-server does, and serves it on a free loopback port with a bounded
-// executor pool of the given read workers. The caller drains the server and
+// executor pool of the given read slots. The caller drains the server and
 // closes the database.
 func selfHost(workers int) (*hyrise.Database, *server.Server, string, error) {
 	db, err := hyrise.OpenErr(hyrise.DefaultConfig())
@@ -178,7 +196,7 @@ func selfHost(workers int) (*hyrise.Database, *server.Server, string, error) {
 		return nil, nil, "", err
 	}
 	srv := db.NewServer()
-	srv.EnableExecutorPool(workers, 0, server.DefaultSlowQueueThreshold)
+	srv.EnableExecutorPool(workers, server.DefaultSlowQueueThreshold)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		db.Close()

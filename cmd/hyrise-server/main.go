@@ -47,9 +47,8 @@ func main() {
 		replAddr    = flag.String("replication-addr", "", "serve WAL shipping to followers on this address (requires -data-dir)")
 		replicaOf   = flag.String("replica-of", "", "run as a read-only replica of the primary at this replication address")
 		replicas    = flag.Int("replicas", 0, "attach this many in-process read replicas and route SELECTs to them (requires -data-dir)")
-		workers     = flag.Int("workers", 0, "bounded executor pool: this many read workers, half as many write workers (0 = execute on connection goroutines)")
-		queueDepth  = flag.Int("queue-depth", 0, "per-class executor queue depth; a full queue blocks the submitting connection (0 = 4x workers)")
-		slowQueue   = flag.Duration("slow-queue-threshold", server.DefaultSlowQueueThreshold, "route statements whose mean latency exceeds this to the slow queue")
+		workers     = flag.Int("workers", 0, "bounded executor pool: this many reads at once, half as many writes; a full class makes the statement wait (0 = unbounded)")
+		slowQueue   = flag.Duration("slow-queue-threshold", server.DefaultSlowQueueThreshold, "route statements whose mean latency exceeds this to the slow class")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM/SIGINT, let in-flight statements finish for up to this long before force-closing")
 	)
 	flag.Parse()
@@ -140,8 +139,8 @@ func main() {
 		srv.SetAdmissionWait(*admitWait)
 	}
 	if *workers > 0 {
-		srv.EnableExecutorPool(*workers, *queueDepth, *slowQueue)
-		fmt.Fprintf(os.Stderr, "executor pool: %d read workers, per-class queues (meta_executor_pool)\n", *workers)
+		srv.EnableExecutorPool(*workers, *slowQueue)
+		fmt.Fprintf(os.Stderr, "executor pool: %d read slots, per-class slots (meta_executor_pool)\n", *workers)
 	}
 	actual, err := srv.Listen(*addr)
 	if err != nil {

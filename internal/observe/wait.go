@@ -26,7 +26,7 @@ const (
 	// server is at max-connections (bounded by the admission-wait setting).
 	WaitAdmission
 	// WaitExecutorQueue is time a statement spends queued for an executor
-	// pool worker before execution starts (pgwire backpressure).
+	// pool slot before execution starts (pgwire backpressure).
 	WaitExecutorQueue
 
 	// NumWaitKinds is the number of wait kinds (for fixed-size aggregation).

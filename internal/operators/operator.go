@@ -174,10 +174,11 @@ func (ctx *ExecContext) noteWait(kind observe.WaitKind, ns int64) {
 // statement context dies are skipped — this is the chunk-granularity
 // cancellation point of every parallel operator (scan, join, aggregate,
 // projection); callers must check ctx.Err() after runJobs returns and
-// surface it, so Run's copy of that error is dropped.
+// surface it, so Run's copy of that error is dropped. The queue-wait
+// observer is built only for a scheduler: the inline route never calls it.
 func (ctx *ExecContext) runJobs(jobs []func()) {
 	var onQueueWait func(ns int64)
-	if ctx.Waits != nil || ctx.Trace != nil {
+	if ctx.Scheduler != nil && (ctx.Waits != nil || ctx.Trace != nil) {
 		onQueueWait = func(ns int64) { ctx.noteWait(observe.WaitSchedulerQueue, ns) }
 	}
 	_ = scheduler.Run(ctx.Ctx, ctx.Scheduler, onQueueWait, jobs...)

@@ -18,11 +18,13 @@ import (
 // storage layer's chunk locks and atomic MVCC cells.
 type Applier struct {
 	sm *storage.StorageManager
-	// onCommit, when non-nil, fires after each commit record's operations
-	// have been applied and its row versions stamped. A replication follower
-	// publishes the commit id here, so readers advance to the new commit
-	// barrier only once it is fully materialized.
-	onCommit func(cid types.CommitID)
+	// onCommit, when non-nil, fires in ApplyFrames after each commit
+	// record's operations have been applied and its row versions stamped,
+	// with the offset just past the commit's frame in the applied buffer. A
+	// replication follower publishes the commit id and its log position
+	// here, so readers advance to the new commit barrier only once it is
+	// fully materialized, and see the position with it.
+	onCommit func(cid types.CommitID, end int)
 
 	pending []*record
 	maxCID  types.CommitID
@@ -30,7 +32,7 @@ type Applier struct {
 }
 
 // NewApplier creates an applier over a catalog. onCommit may be nil.
-func NewApplier(sm *storage.StorageManager, onCommit func(types.CommitID)) *Applier {
+func NewApplier(sm *storage.StorageManager, onCommit func(cid types.CommitID, end int)) *Applier {
 	return &Applier{sm: sm, onCommit: onCommit}
 }
 
@@ -62,9 +64,6 @@ func (a *Applier) apply(rec *record) error {
 			if err := a.applyOp(op, rec.cid); err != nil {
 				return err
 			}
-		}
-		if a.onCommit != nil {
-			a.onCommit(rec.cid)
 		}
 		return nil
 	case recCreateTable:
@@ -139,6 +138,9 @@ func (a *Applier) ApplyFrames(buf []byte) error {
 		}
 		if err := a.apply(rec); err != nil {
 			return err
+		}
+		if rec.kind == recCommit && a.onCommit != nil {
+			a.onCommit(rec.cid, len(buf)-r.Len())
 		}
 	}
 	return nil

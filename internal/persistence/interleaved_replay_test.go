@@ -136,7 +136,7 @@ func TestDiffReplayCommitsOutOfOffsetOrder(t *testing.T) {
 	t.Run("replication follower", func(t *testing.T) {
 		sm2 := storage.NewStorageManager()
 		tm2 := concurrency.NewTransactionManager()
-		applier := NewApplier(sm2, tm2.PublishCommitID)
+		applier := NewApplier(sm2, func(cid types.CommitID, _ int) { tm2.PublishCommitID(cid) })
 		var lsn int64
 		for {
 			data, next, err := m.ReadWAL(lsn, 64)

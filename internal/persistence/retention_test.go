@@ -101,7 +101,7 @@ func TestReadWALStreamApplier(t *testing.T) {
 
 	sm2 := storage.NewStorageManager()
 	tm2 := concurrency.NewTransactionManager()
-	applier := NewApplier(sm2, tm2.PublishCommitID)
+	applier := NewApplier(sm2, func(cid types.CommitID, _ int) { tm2.PublishCommitID(cid) })
 
 	// Tiny read quota forces many round trips and exercises the
 	// whole-frames-only trim at every boundary.

@@ -52,6 +52,9 @@ type Follower struct {
 	bootstrapped bool
 	bootstraps   int64
 	waitCh       chan struct{}
+	// batchLSN is where the WAL batch being applied starts; only the
+	// streaming goroutine, which runs onCommit, touches it.
+	batchLSN int64
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -87,12 +90,18 @@ func NewFollower(sm *storage.StorageManager, tm *concurrency.TransactionManager,
 }
 
 // onCommit runs inside ApplyFrames after one commit's rows are fully
-// stamped: publish the commit id (advancing the read barrier) and wake
-// barrier waiters.
-func (f *Follower) onCommit(cid types.CommitID) {
+// stamped, end bytes into the batch: publish the commit id (advancing the
+// read barrier) and the log position past it, then wake barrier waiters —
+// a reader they release sees both.
+func (f *Follower) onCommit(cid types.CommitID, end int) {
 	f.tm.PublishCommitID(cid)
+	lsn := f.batchLSN + int64(end)
+	if f.appliedLSNGauge != nil {
+		f.appliedLSNGauge.Set(lsn)
+	}
 	f.mu.Lock()
 	f.appliedCID = cid
+	f.appliedLSN = lsn
 	close(f.waitCh)
 	f.waitCh = make(chan struct{})
 	f.mu.Unlock()
@@ -203,12 +212,13 @@ func (f *Follower) streamOnce() error {
 			if startLSN != applied {
 				return fmt.Errorf("replication: batch starts at %d, follower at %d", startLSN, applied)
 			}
+			f.batchLSN = startLSN
 			if err := f.applier.ApplyFrames(frames); err != nil {
 				return err
 			}
+			applied = startLSN + int64(len(frames))
 			f.mu.Lock()
-			f.appliedLSN += int64(len(frames))
-			applied = f.appliedLSN
+			f.appliedLSN = applied
 			f.mu.Unlock()
 			f.setState(StateStreaming)
 			if f.appliedLSNGauge != nil {

@@ -2,13 +2,18 @@ package replication
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
+	"hyrise/internal/concurrency"
+	"hyrise/internal/observe"
 	"hyrise/internal/persistence"
+	"hyrise/internal/types"
 )
 
 // scriptConn is a transport that reads a fixed script and swallows writes.
@@ -132,4 +137,56 @@ func FuzzReplicationMessages(f *testing.F) {
 		st := &followerState{}
 		_ = s.p.serve(scriptConn{bytes.NewReader(messages(toPrimary))}, st)
 	})
+}
+
+// TestCommitsInOneBatchPublishTheirLSN applies one WAL batch holding three
+// commits. A reader that WaitForCommit releases for a commit must already
+// see the log position past that commit, in AppliedLSN and in the
+// replication.applied_lsn gauge, not the position before the batch: the
+// follower used to advance both only once the whole batch was applied.
+func TestCommitsInOneBatchPublishTheirLSN(t *testing.T) {
+	s := newPrimaryStack(t)
+	table := s.createTable(t, "t")
+	for i := 0; i < 3; i++ {
+		s.insert(t, table, int64(i), "batched")
+	}
+	start := s.pm.WALStartLSN()
+	data, next, err := s.pm.ReadWAL(start, 1<<20)
+	if err != nil || next != s.pm.WALEndLSN() {
+		t.Fatalf("ReadWAL = %d bytes up to %d, %v; want the whole log up to %d", len(data), next, err, s.pm.WALEndLSN())
+	}
+	script := frame(nil, msgWAL, append(u64s(start), data...))
+
+	reg := observe.NewRegistry()
+	f := NewFollower(newCatalog(), concurrency.NewTransactionManager(), reg,
+		func() (io.ReadWriteCloser, error) { return scriptConn{bytes.NewReader(script)}, nil })
+	f.appliedLSN = start
+	var seen []int64
+	f.applier = persistence.NewApplier(f.sm, func(cid types.CommitID, end int) {
+		f.onCommit(cid, end)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := f.WaitForCommit(ctx, cid); err != nil {
+			t.Fatalf("commit %d: %v", cid, err)
+		}
+		lsn := f.Status().AppliedLSN
+		if gauge, _ := reg.Get("replication.applied_lsn"); gauge != lsn {
+			t.Errorf("commit %d: replication.applied_lsn = %d, AppliedLSN = %d", cid, gauge, lsn)
+		}
+		seen = append(seen, lsn)
+	})
+	if err := f.streamOnce(); !errors.Is(err, io.EOF) {
+		t.Fatalf("session ended with %v, want EOF after the batch", err)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("saw %d commits, want 3", len(seen))
+	}
+	for i, lsn := range seen {
+		if lsn <= start || (i > 0 && lsn <= seen[i-1]) || lsn > next {
+			t.Fatalf("LSNs seen at the commits = %v, want them past %d, rising, up to %d", seen, start, next)
+		}
+	}
+	if seen[2] != next || f.AppliedLSN() != next {
+		t.Errorf("last commit at %d, follower at %d; want both at the batch end %d", seen[2], f.AppliedLSN(), next)
+	}
 }

@@ -306,15 +306,16 @@ func TestMaxConnectionsAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestCancelRequestWhileQueued cancels a statement that waits for room in a
-// full executor-pool queue: the read queue's one worker runs a slow join, a
-// second statement fills the one-deep queue, and a third blocks on it. A
-// CancelRequest for the third answers 57014, the statement never runs — it
-// leaves no meta_statement_stats row — and the queue counts it as rejected.
+// TestCancelRequestWhileQueued cancels a statement that waits for a slot of
+// a full executor-pool class: a slow join holds the read class's one slot,
+// and a second and a third statement wait behind it. A CancelRequest for the
+// third answers 57014, the statement never runs — it leaves no
+// meta_statement_stats row — and the class counts it as rejected; the
+// second still runs once the slot frees.
 func TestCancelRequestWhileQueued(t *testing.T) {
-	addr, srv, e := startServerWith(t, func(s *Server) { s.EnableExecutorPool(1, 1, time.Hour) })
+	addr, srv, e := startServerWith(t, func(s *Server) { s.EnableExecutorPool(1, time.Hour) })
 	addSlowTable(t, e)
-	read := srv.pool.Load().byName["read"]
+	read := srv.pool.Load().read
 
 	run := func(sql string) (*pgclient.Conn, <-chan error) {
 		c := confClient(t, addr)
@@ -332,12 +333,11 @@ func TestCancelRequestWhileQueued(t *testing.T) {
 	}
 
 	slow, slowDone := run(slowQuery)
-	waitFor("the slow join to hold the worker", func() bool { return read.submitted.Load() == 1 && len(read.tasks) == 0 })
+	waitFor("the slow join to hold the slot", func() bool { return read.submitted.Load() == 1 && len(read.held) == 1 })
 	_, queuedDone := run("SELECT count(*) FROM big WHERE id < 3")
-	waitFor("the second statement to fill the queue", func() bool { return len(read.tasks) == 1 })
+	waitFor("the second statement to wait", func() bool { return read.waiting.Load() == 1 })
 	victim, victimDone := run("SELECT s FROM big WHERE id = 7 ORDER BY s")
-	waitFor("the third statement to reach the full queue", func() bool { return read.submitted.Load() == 3 })
-	time.Sleep(20 * time.Millisecond) // from the counter to the blocked send
+	waitFor("the third statement to wait", func() bool { return read.waiting.Load() == 2 })
 
 	sendCancelRequest(t, addr, victim.BackendPID, victim.SecretKey)
 	select {
@@ -346,16 +346,16 @@ func TestCancelRequestWhileQueued(t *testing.T) {
 			t.Fatalf("queued statement after CancelRequest: %v, want SQLSTATE %s", err, codeQueryCanceled)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a CancelRequest did not release the statement waiting in the full queue")
+		t.Fatal("a CancelRequest did not release the statement waiting for a slot")
 	}
 	if got := read.rejected.Load(); got != 1 {
-		t.Errorf("read queue rejected = %d, want 1", got)
+		t.Errorf("read class rejected = %d, want 1", got)
 	}
 
 	sendCancelRequest(t, addr, slow.BackendPID, slow.SecretKey)
 	<-slowDone
 	if err := <-queuedDone; err != nil {
-		t.Fatalf("the statement queued behind the slow join: %v", err)
+		t.Fatalf("the statement waiting behind the slow join: %v", err)
 	}
 	res, err := victim.SimpleQuery("SELECT rejected FROM meta_executor_pool WHERE queue = 'read'")
 	if err != nil || len(res) != 1 || len(res[0].Rows) != 1 || string(res[0].Rows[0][0]) != "1" {

@@ -448,7 +448,7 @@ func TestConformancePreparedDML(t *testing.T) {
 
 func TestExecutorPoolServesConcurrentClients(t *testing.T) {
 	addr, _, e := startServerWith(t, func(s *Server) {
-		s.EnableExecutorPool(2, 2, time.Hour)
+		s.EnableExecutorPool(2, time.Hour)
 	})
 	setup := confClient(t, addr)
 	mustSimple(t, setup, "CREATE TABLE pool_t (v INT NOT NULL)")

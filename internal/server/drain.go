@@ -65,15 +65,12 @@ func (st *connState) requestClose() {
 // Shutdown drains the server: the listener closes immediately, idle
 // connections are disconnected with 57P01, busy connections may finish their
 // current statement, and any connection still alive after timeout is
-// force-closed. A timeout <= 0 waits indefinitely. The executor pool stops
-// after the last connection is gone.
+// force-closed. A timeout <= 0 waits indefinitely. A connection still
+// waiting for a session slot is refused at once.
 func (s *Server) Shutdown(timeout time.Duration) {
 	s.mu.Lock()
 	alreadyClosed := s.closed
-	s.closed = true
-	if s.listener != nil {
-		_ = s.listener.Close()
-	}
+	s.stopLocked()
 	states := make([]*connState, 0, len(s.conns))
 	for _, st := range s.conns {
 		states = append(states, st)
@@ -106,9 +103,6 @@ func (s *Server) Shutdown(timeout time.Duration) {
 		}
 		s.mu.Unlock()
 		<-done
-	}
-	if p := s.pool.Load(); p != nil {
-		p.stop()
 	}
 }
 

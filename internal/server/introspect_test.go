@@ -118,20 +118,12 @@ func TestSlowQueryLogTrace(t *testing.T) {
 }
 
 // startAdmissionServer builds a 1-slot server with the given wait budget.
-func startAdmissionServer(t *testing.T, wait time.Duration) (string, *pipeline.Engine) {
+func startAdmissionServer(t *testing.T, wait time.Duration) (string, *Server, *pipeline.Engine) {
 	t.Helper()
-	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
-	t.Cleanup(e.Close)
-	srv := New(e)
-	srv.SetMaxConnections(1)
-	srv.SetAdmissionWait(wait)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve() }()
-	t.Cleanup(srv.Close)
-	return addr, e
+	return startServerWith(t, func(s *Server) {
+		s.SetMaxConnections(1)
+		s.SetAdmissionWait(wait)
+	})
 }
 
 // startupAttempt opens a raw connection, sends the startup packet, and
@@ -161,7 +153,7 @@ func startupAttempt(t *testing.T, addr string) (byte, []byte) {
 // to be admitted instead of refused — with the wait recorded in the
 // wait.admission_ns histogram.
 func TestAdmissionWaitAdmitsWhenSlotFrees(t *testing.T) {
-	addr, e := startAdmissionServer(t, 5*time.Second)
+	addr, _, e := startAdmissionServer(t, 5*time.Second)
 
 	c1 := dial(t, addr)
 	if res := c1.simpleQuery(t, "SELECT 1 AS one"); res.err != "" {
@@ -189,7 +181,7 @@ func TestAdmissionWaitAdmitsWhenSlotFrees(t *testing.T) {
 // TestAdmissionWaitTimesOut keeps the slot occupied past the wait budget:
 // the waiter is still refused with 53300, and the fruitless wait is recorded.
 func TestAdmissionWaitTimesOut(t *testing.T) {
-	addr, e := startAdmissionServer(t, 60*time.Millisecond)
+	addr, _, e := startAdmissionServer(t, 60*time.Millisecond)
 
 	c1 := dial(t, addr)
 	if res := c1.simpleQuery(t, "SELECT 1 AS one"); res.err != "" {
@@ -210,5 +202,34 @@ func TestAdmissionWaitTimesOut(t *testing.T) {
 	}
 	if cnt, ok := e.Metrics().Get("wait.admission_ns_count"); !ok || cnt < 1 {
 		t.Errorf("wait.admission_ns_count = %d, %v — timed-out wait not recorded", cnt, ok)
+	}
+}
+
+// TestAdmissionWaitEndsOnShutdown: a connection waiting for a session slot
+// when a drain starts is turned away at once with an ErrorResponse — not
+// admitted into the draining server when the drain closes the idle session
+// that held the slot — and Shutdown returns.
+func TestAdmissionWaitEndsOnShutdown(t *testing.T) {
+	addr, srv, _ := startAdmissionServer(t, time.Minute)
+	c1 := dial(t, addr)
+	if res := c1.simpleQuery(t, "SELECT 1 AS one"); res.err != "" {
+		t.Fatalf("admitted session: %s", res.err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for deadline := time.Now().Add(10 * time.Second); srv.sessions.waiting.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		srv.Shutdown(time.Minute)
+	}()
+
+	if msgType, _ := startupAttempt(t, addr); msgType != 'E' {
+		t.Fatalf("waiter got %c during a drain, want ErrorResponse", msgType)
+	}
+	select {
+	case <-drained:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Shutdown did not return")
 	}
 }

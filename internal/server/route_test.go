@@ -338,8 +338,9 @@ func TestProtocolPointRoundTripAllocates(t *testing.T) {
 	// both sides, every Bind its portal and scratch, and every statement two
 	// nested cancel contexts, a task DAG and a count table; 14 and 71 while
 	// every statement built its own wait observer; 70 while every fan-out
-	// built a task group and a slice of its jobs.
-	if insert > 13 || sel > 68 {
-		t.Errorf("allocations per round trip: INSERT in a transaction %.0f, want <= 13; binary point SELECT %.0f, want <= 68", insert, sel)
+	// built a task group and a slice of its jobs; 68 while it also built a
+	// scheduler queue-wait observer that the inline route never calls.
+	if insert > 13 || sel > 66 {
+		t.Errorf("allocations per round trip: INSERT in a transaction %.0f, want <= 13; binary point SELECT %.0f, want <= 66", insert, sel)
 	}
 }

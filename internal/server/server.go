@@ -50,8 +50,8 @@ type Server struct {
 	routerMu sync.Mutex
 	router   ReadRouter
 
-	// pool, when set, executes statements on bounded per-class worker queues
-	// instead of the connection goroutine (back-pressure under load).
+	// pool, when set, bounds the statements of each class that run at once
+	// (back-pressure under load).
 	pool atomic.Pointer[executorPool]
 
 	mu       sync.Mutex
@@ -59,9 +59,9 @@ type Server struct {
 	conns    map[net.Conn]*connState
 	wg       sync.WaitGroup
 	closed   bool
-	maxConns int // admission limit on concurrent sessions (0 = unlimited)
-	sessions int // sessions currently admitted
-	// admissionWait, when > 0, makes a saturated server poll for a freed
+	stopping chan struct{} // closed with closed: ends admission waits
+	sessions *slots        // one slot per admitted session; nil = unlimited
+	// admissionWait, when > 0, makes a saturated server wait for a freed
 	// session slot for up to this long before refusing with 53300.
 	admissionWait time.Duration
 
@@ -127,6 +127,7 @@ func New(engine *pipeline.Engine) *Server {
 	s := &Server{
 		engine:          engine,
 		conns:           make(map[net.Conn]*connState),
+		stopping:        make(chan struct{}),
 		backends:        make(map[uint32]*backend),
 		connsTotal:      r.Counter("server_connections_total"),
 		connsActive:     r.Gauge("server_connections_active"),
@@ -165,14 +166,17 @@ func (s *Server) readRouter() ReadRouter {
 // is saturated.
 func (s *Server) SetMaxConnections(n int) {
 	s.mu.Lock()
-	s.maxConns = n
+	s.sessions = nil
+	if n > 0 {
+		s.sessions = newSlots(n, s.stopping)
+	}
 	s.mu.Unlock()
 }
 
 // SetAdmissionWait makes a saturated server wait up to d for a session slot
-// to free before refusing a new connection with 53300. The blocked time is
-// recorded in the wait.admission_ns histogram whether or not a slot opened.
-// 0 (the default) refuses immediately.
+// to free before refusing a new connection with 53300; a freed slot admits a
+// waiter at once. The blocked time is recorded in the wait.admission_ns
+// histogram whether or not a slot opened. 0 (the default) refuses at once.
 func (s *Server) SetAdmissionWait(d time.Duration) {
 	s.mu.Lock()
 	s.admissionWait = d
@@ -287,17 +291,23 @@ func (s *Server) Serve() error {
 // Close stops accepting and closes all connections.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		_ = s.listener.Close()
-	}
+	s.stopLocked()
 	for c := range s.conns {
 		_ = c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if p := s.pool.Load(); p != nil {
-		p.stop()
+}
+
+// stopLocked closes the listener, refuses new connections and ends the
+// admission waits; s.mu is held.
+func (s *Server) stopLocked() {
+	if !s.closed {
+		s.closed = true
+		close(s.stopping)
+	}
+	if s.listener != nil {
+		_ = s.listener.Close()
 	}
 }
 
@@ -343,13 +353,16 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 
 	// Admission control: refuse connections beyond the cap with a proper
 	// "53300 too_many_connections" error instead of accepting and stalling.
-	if !s.admit() {
+	sessions, ok := s.admit()
+	if !ok {
 		s.connsRejected.Inc()
 		w.writeErrorCode(codeTooManyConnections, "sorry, too many clients already")
 		_ = w.w.Flush()
 		return
 	}
-	defer s.releaseSession()
+	if sessions != nil {
+		defer sessions.release()
+	}
 
 	b := s.registerBackend()
 	defer s.unregisterBackend(b.pid)
@@ -499,49 +512,24 @@ func (s *Server) finishStartup(w *wire, b *backend) error {
 	return w.w.Flush()
 }
 
-// admit reserves a session slot; false means the server is full. With an
-// admission wait configured, a saturated server polls for a freed slot until
-// the wait budget runs out, recording the blocked time either way.
-func (s *Server) admit() bool {
-	if s.tryAdmit() {
-		return true
-	}
+// admit takes a session slot when sessions are capped, waiting up to the
+// admission budget for one to free, and returns the set to release it to;
+// false means the server is full. A wait is recorded whether or not it
+// ended with a slot.
+func (s *Server) admit() (*slots, bool) {
 	s.mu.Lock()
-	maxWait := s.admissionWait
+	sessions, budget := s.sessions, s.admissionWait
 	s.mu.Unlock()
-	if maxWait <= 0 {
-		return false
+	if sessions == nil {
+		return nil, true
 	}
-	start := time.Now()
-	deadline := start.Add(maxWait)
-	admitted := false
-	for time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		if s.tryAdmit() {
-			admitted = true
-			break
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	wait, err := sessions.acquire(ctx)
+	if wait > 0 || err != nil {
+		s.admissionWaitNS.Observe(wait.Nanoseconds())
 	}
-	s.admissionWaitNS.Observe(time.Since(start).Nanoseconds())
-	return admitted
-}
-
-// tryAdmit attempts to reserve a session slot without waiting.
-func (s *Server) tryAdmit() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maxConns > 0 && s.sessions >= s.maxConns {
-		return false
-	}
-	s.sessions++
-	return true
-}
-
-// releaseSession returns an admitted session's slot.
-func (s *Server) releaseSession() {
-	s.mu.Lock()
-	s.sessions--
-	s.mu.Unlock()
+	return sessions, err == nil
 }
 
 // registerBackend issues a fresh (pid, secret) pair and registers it for
@@ -659,24 +647,26 @@ func allRoutable(handles []*pipeline.PreparedStatement) bool {
 	return true
 }
 
-// execute runs one statement handle for the connection, simple and extended
-// protocol alike: it opens the statement's cancel context, runs it on
-// session — on a pool worker of its class when the server has an executor
-// pool, on the connection goroutine otherwise — and feeds the slow-query
-// log.
+// execute runs one statement handle on session for the connection, simple
+// and extended protocol alike, on the connection goroutine: it opens the
+// statement's cancel context, takes a slot of the statement's class when the
+// server has an executor pool — queued, and cancelable, while it waits — and
+// feeds the slow-query log.
 func (c *clientConn) execute(session *pipeline.Session, ps *pipeline.PreparedStatement, params []types.Value) (*pipeline.Result, error) {
 	q, ctx := c.begin(session, ps)
 	defer c.end(session)
 	start := time.Now()
-	var res *pipeline.Result
-	var err error
 	p := c.srv.pool.Load()
-	if class := c.srv.execClass(p, c.session, ps.Tag, ps.Fingerprint); class != "" {
+	if class := p.class(c.srv.engine, c.session, ps.Tag, ps.Fingerprint); class != nil {
 		q.SetState(observe.StateQueued)
-		res, err = p.execute(ctx, class, session, ps, params)
-	} else {
-		res, err = session.ExecutePreparedStatement(ctx, ps, params)
+		wait, err := class.acquire(ctx)
+		p.queueWait.Observe(wait.Nanoseconds())
+		if err != nil {
+			return nil, err
+		}
+		defer class.release()
 	}
+	res, err := session.ExecutePreparedStatement(ctx, ps, params)
 	if err != nil {
 		return nil, err
 	}
@@ -799,8 +789,6 @@ func sqlStateFor(err error) string {
 		return codeQueryCanceled
 	case errors.Is(err, pipeline.ErrReadOnly):
 		return codeReadOnly
-	case errors.Is(err, errPoolStopped):
-		return codeAdminShutdown
 	case errors.Is(err, expression.ErrDatatypeMismatch) || errors.Is(err, expression.ErrNotBoolean) || errors.Is(err, lqp.ErrAssignmentMismatch):
 		return codeDatatypeMismatch
 	case errors.Is(err, lqp.ErrDuplicateColumn):

@@ -28,8 +28,8 @@ var metaColumns = map[string][]string{
 		"range_predicates INT", "rows_in INT", "rows_out INT"},
 	"meta_replication": {"role VARCHAR", "peer VARCHAR", "state VARCHAR", "applied_lsn INT",
 		"end_lsn INT", "applied_cid INT", "primary_cid INT", "lag_bytes INT", "lag_ns INT"},
-	"meta_executor_pool": {"queue VARCHAR", "workers INT", "depth INT", "capacity INT",
-		"submitted INT", "executed INT", "rejected INT", "wait_ns INT"},
+	"meta_executor_pool": {"queue VARCHAR", "slots INT", "waiting INT", "submitted INT",
+		"executed INT", "rejected INT", "wait_ns INT"},
 }
 
 // wireTypes names the pgwire type OIDs of the meta tables' SQL types.
@@ -107,7 +107,7 @@ func TestRouteMetaTables(t *testing.T) {
 			defer db.Close()
 			srv := db.NewServer()
 			if pool {
-				srv.EnableExecutorPool(2, 0, 0)
+				srv.EnableExecutorPool(2, 0)
 			}
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
