@@ -168,8 +168,8 @@ var dictionary = encoding.Spec{Encoding: encoding.Dictionary, Compression: encod
 
 // newTPCHEngine is the one TPC-H setup: generate (seed 42, MVCC columns as
 // cfg says) into a catalog without a Sealer, seal every chunk once with spec
-// and the default pruning filters, and open the engine over it. A nil spec
-// leaves the tables as generated — unencoded, no filters.
+// and the bins of its numeric columns, and open the engine over it. A nil spec
+// leaves the tables as generated — unencoded, no bins.
 func newTPCHEngine(cfg pipeline.Config, gen tpch.Config, spec *encoding.Spec) (*pipeline.Engine, error) {
 	gen.UseMvcc, gen.Seed = cfg.UseMvcc, 42
 	sm := storage.NewStorageManager()

@@ -161,8 +161,8 @@ func (db *Database) Metrics() *observe.Registry { return db.engine.Metrics() }
 func (db *Database) Plugins() *plugin.Manager { return db.plugins }
 
 // GenerateTPCH generates and registers the eight TPC-H tables at the given
-// scale factor; their chunks seal by the size model with default pruning
-// filters as they fill — the benchmark binaries' one-step setup (paper §2.10).
+// scale factor; their chunks seal by the size model, with the bins of their
+// numeric columns, as they fill — the benchmark binaries' one-step setup (paper §2.10).
 func (db *Database) GenerateTPCH(scaleFactor float64, chunkSize int) error {
 	return db.GenerateTPCHOpts(tpch.Config{ScaleFactor: scaleFactor, ChunkSize: chunkSize})
 }

@@ -336,14 +336,14 @@ func BenchmarkMicroStatsAfterWrite(b *testing.B) {
 	}
 }
 
-// loadFilterRounds is how many copies of the table get filters in one
+// loadFilterRounds is how many copies of the table get bins in one
 // benchmark op (same reason as statementRouteOps): one copy takes ~4 ms.
 const loadFilterRounds = 16
 
 // BenchmarkMicroLoad measures the three passes the load → first-plan path
 // makes over a table, on lineitem (SF 0.02, 12 chunks of 10 000 rows): encode
-// dictionary-encodes the value segments, filters attaches the default pruning
-// filters to the encoded chunks, statistics is one engine's first build over
+// dictionary-encodes the value segments, filters gives the encoded chunks
+// their bins, statistics is one engine's first build over
 // them. sized_filters and sized_statistics do the same over lineitem sealed by
 // the size model (filter.Seal(c, nil)), whose frame-of-reference and unencoded
 // columns are summarized by grouping their rows. encode and filters change the
@@ -898,7 +898,7 @@ func BenchmarkMicroExpression(b *testing.B) {
 // BenchmarkMicroGenerate measures tpch.Generate at SF 0.02 in 10 000-row
 // chunks, the tpch_power load: bare into a catalog without a Sealer (the
 // chunks only turn immutable), engine into an engine's catalog, whose Sealer
-// encodes every chunk and attaches its filters as the load publishes it.
+// encodes every chunk and derives its bins as the load publishes it.
 func BenchmarkMicroGenerate(b *testing.B) {
 	cfg := tpch.Config{ScaleFactor: 0.02, ChunkSize: 10_000, UseMvcc: true, Seed: 42}
 	for _, engine := range []bool{false, true} {

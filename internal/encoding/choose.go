@@ -196,8 +196,8 @@ func dictionaryBytes[T types.Ordered](sum Summary[T], n int, maxes []uint64) (in
 // size model's pick for a nil spec, else the spec's (FrameOfReference falls back
 // to Dictionary off int64 and decimal float64 columns; Unencoded keeps a value
 // segment itself; encoded input is decoded first) — and returns it with the
-// column's Summary, a Summary[T] of its data type, which the caller builds the
-// pruning filter from. The Summary is built once and is the dictionary if
+// column's Summary, a Summary[T] of its data type, which the caller derives the
+// range filter's bins from. The Summary is built once and is the dictionary if
 // Dictionary wins; it costs no hashing and no sort when the column ascends over
 // the whole chunk (its zone says so), and is read off the runs when the spec or
 // the run count alone settles on RunLength. A string dictionary the size model

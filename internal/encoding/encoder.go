@@ -120,7 +120,7 @@ func ValueCompression(seg storage.Segment) string {
 // perColumn names one, the column's own (paper §2.2: "Some segments of a
 // chunk might stay unencoded, others dictionary-encoded, and further segments
 // run length-encoded"). Without any spec it skips the chunks the catalog's
-// Sealer finished. It attaches no filters: filter.Seal does both. Its one
+// Sealer finished. It derives no bins: filter.Seal does both. Its one
 // caller outside tests is bench/htap.go's fill-first load.
 func EncodeTable(t *storage.Table, def *Spec, perColumn map[types.ColumnID]Spec) error {
 	t.SealTail()

@@ -12,7 +12,7 @@ import (
 
 // Summary is what the load → first-plan path reads of a segment: its distinct
 // non-NULL values in ascending order, the rows holding each, and its NULLs.
-// Dictionary encoding, the pruning filters and the optimizer's statistics are
+// Dictionary encoding, the range filter's bins and the optimizer's statistics are
 // all derived from it, so none of them looks at a row.
 //
 // Floats have one total order here: -0 and +0 are one value (either may stand

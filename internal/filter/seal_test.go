@@ -116,9 +116,9 @@ func sameValue(a, b types.Value) bool {
 }
 
 // TestDiffSpecSealIsTheEncoder: a loader's seal — Seal with one of Fig. 7's
-// specs — builds exactly the segment that spec's encoder builds and the filter
-// AttachDefaultFilters then attaches to it: the same bytes, the same rows, the
-// same bins, over the awkward pools, ascending and shuffled.
+// specs — builds exactly the segment that spec's encoder builds and the bins
+// AttachDefaultFilters then derives from it: the same bytes, the same rows, the
+// same zone, over the awkward pools, ascending and shuffled.
 func TestDiffSpecSealIsTheEncoder(t *testing.T) {
 	specs := []encoding.Spec{
 		{Encoding: encoding.Unencoded},
@@ -166,8 +166,10 @@ func TestDiffSpecSealIsTheEncoder(t *testing.T) {
 							t.Fatalf("%s: chunk %d column %s row %d = %#v, the encoder's %#v", name, ci, p.def.Name, r, g, w)
 						}
 					}
-					if g, w := c.Filters(id), e.Filters(id); !reflect.DeepEqual(g, w) {
-						t.Errorf("%s: chunk %d column %s filters %v, after the encoder %v", name, ci, p.def.Name, g, w)
+					g, _ := c.Zone(id)
+					w, _ := e.Zone(id)
+					if !reflect.DeepEqual(g, w) {
+						t.Errorf("%s: chunk %d column %s zone %+v, after the encoder %+v", name, ci, p.def.Name, g, w)
 					}
 				}
 			}

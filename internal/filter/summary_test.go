@@ -13,14 +13,14 @@ import (
 	"hyrise/internal/types"
 )
 
-// The per-row constructor the range histogram had before it read a segment's
+// The per-row constructor the range filter had before it read a segment's
 // summary, kept as the oracle: every row through ValueAt, bins from a value →
 // rows map. NaN rows are outside the bins by the rule the summary states.
 
 func isNaN(v types.Value) bool { return v.Type == types.TypeFloat64 && math.IsNaN(v.F) }
 
-// rowBins are the bins the range histogram kept before it became an adapter
-// over statistics.Histogram, built the per-row way, with its two prune rules.
+// rowBins are the bins of the range filter built the per-row way, with its two
+// prune rules.
 type rowBins struct{ min, max []float64 }
 
 func rowRangeHistogram(seg storage.Segment, bins int) rowBins {
@@ -165,8 +165,9 @@ func drawSegment[T types.Ordered](c diffColumn, r *rand.Rand) storage.Segment {
 	return seg
 }
 
-// TestStatsSegmentSummary, part (b): filters read off a segment's
-// summary are the filters the per-row constructors build, in every layout.
+// TestStatsSegmentSummary, part (b): the bins read off a segment's summary
+// are the bins the per-row constructor lays, in every layout, and the zone
+// excludes what its bounds or those bins exclude.
 func TestStatsSegmentSummary(t *testing.T) {
 	for _, c := range diffColumns {
 		for layout, seg := range c.layouts(t) {
@@ -174,15 +175,22 @@ func TestStatsSegmentSummary(t *testing.T) {
 			probes := append(append([]types.Value{types.NullValue, types.Str("x")}, c.domain...), c.absent...)
 			if seg.DataType().IsNumeric() {
 				for _, bins := range []int{1, 7, DefaultRangeHistBins} {
-					got, want := rangeHist(seg, 3, bins), rowRangeHistogram(seg, bins)
-					if g, w := got.MemoryUsage(), int64(len(want.min))*32+64; g != w {
-						t.Errorf("%s: %d-bin histogram reports %d bytes, per-row bins %d", name, bins, g, w)
+					got, want := sealedZone(seg, bins), rowRangeHistogram(seg, bins)
+					if len(got.Bins) != len(want.min) {
+						t.Fatalf("%s: %d bins, per-row %d", name, len(got.Bins), len(want.min))
 					}
+					for i, b := range got.Bins {
+						if b != [2]float64{want.min[i], want.max[i]} {
+							t.Errorf("%s: %d bins: bin %d is %v, per-row [%v %v]", name, bins, i, b, want.min[i], want.max[i])
+						}
+					}
+					bounds := got
+					bounds.Bins = nil
 					for i, p := range probes {
 						for _, q := range probes[i:] {
 							for _, r := range [][2]*types.Value{{&p, &q}, {&q, &p}, {&p, nil}, {nil, &p}, {nil, nil}} {
-								if g, w := got.CanPruneRange(r[0], r[1]), want.canPruneRange(r[0], r[1]); g != w {
-									t.Errorf("%s: %d bins prune [%v, %v]: %v, per-row bins %v", name, bins, r[0], r[1], g, w)
+								if g, w := got.Excludes(r[0], r[1]), bounds.Excludes(r[0], r[1]) || want.canPruneRange(r[0], r[1]); g != w {
+									t.Errorf("%s: %d bins exclude [%v, %v]: %v, bounds or per-row bins %v", name, bins, r[0], r[1], g, w)
 								}
 							}
 						}
@@ -195,8 +203,8 @@ func TestStatsSegmentSummary(t *testing.T) {
 
 // TestStatsRangeHistogramNaN: one NaN among more distinct values than bins used to
 // become the first bin's lower edge, after which `= 0` and `BETWEEN 0 AND 1`
-// pruned a chunk that holds such rows. (The bounds a NaN must not widen are
-// the chunk zone's now: operators.TestDiffPruningWithNaN.)
+// pruned a chunk that holds such rows. (The bounds a NaN must not widen:
+// operators.TestDiffPruningWithNaN.)
 func TestStatsRangeHistogramNaN(t *testing.T) {
 	vals := []float64{math.NaN()}
 	for i := 0; i < 70; i++ {
@@ -206,16 +214,16 @@ func TestStatsRangeHistogramNaN(t *testing.T) {
 		"Unencoded":  storage.ValueSegmentFromSlice(vals, nil),
 		"Dictionary": encoding.EncodeDictionary(vals, nil, encoding.FixedSizeByteAligned),
 	} {
-		h := rangeHist(seg, 0, DefaultRangeHistBins)
+		z := sealedZone(seg, DefaultRangeHistBins)
 		zero, one, far := types.Float(0), types.Float(1), types.Float(1000)
-		if prunesEquals(h, zero) || h.CanPruneRange(&zero, &one) || h.CanPruneRange(nil, &zero) {
-			t.Errorf("%s: histogram prunes a predicate that matches rows", name)
+		if excludesEquals(z, zero) || z.Excludes(&zero, &one) || z.Excludes(nil, &zero) {
+			t.Errorf("%s: the zone excludes a predicate that matches rows", name)
 		}
-		if !prunesEquals(h, far) || !h.CanPruneRange(&far, nil) {
-			t.Errorf("%s: histogram keeps a chunk no row of which is >= 1000", name)
+		if !excludesEquals(z, far) || !z.Excludes(&far, nil) {
+			t.Errorf("%s: the zone keeps a chunk no row of which is >= 1000", name)
 		}
-		if rows := h.bins.EstimateRange(math.Inf(-1), math.Inf(1)); rows != 70 {
-			t.Errorf("%s: histogram covers %v rows, want the 70 numbers", name, rows)
+		if n := len(z.Bins); n == 0 || z.Bins[0][0] != 0 || z.Bins[n-1][1] != 69 {
+			t.Errorf("%s: bins %v, want them to span the 70 numbers 0..69", name, z.Bins)
 		}
 	}
 }
@@ -225,17 +233,17 @@ func TestStatsRangeHistogramNaN(t *testing.T) {
 func TestRangeHistogramInfinities(t *testing.T) {
 	c := types.Float(5)
 	for _, inf := range []float64{math.Inf(-1), math.Inf(1)} {
-		h := rangeHist(storage.ValueSegmentFromSlice([]float64{inf, inf}, nil), 0, DefaultRangeHistBins)
-		below, above := h.CanPruneRange(nil, &c), h.CanPruneRange(&c, nil)
-		if below != (inf > 0) || above != (inf < 0) || h.CanPruneRange(nil, nil) || prunesEquals(h, types.Float(inf)) {
-			t.Errorf("only %v: prunes x <= 5: %v, x >= 5: %v", inf, below, above)
+		z := sealedZone(storage.ValueSegmentFromSlice([]float64{inf, inf}, nil), DefaultRangeHistBins)
+		below, above := z.Excludes(nil, &c), z.Excludes(&c, nil)
+		if below != (inf > 0) || above != (inf < 0) || z.Excludes(nil, nil) || excludesEquals(z, types.Float(inf)) {
+			t.Errorf("only %v: excludes x <= 5: %v, x >= 5: %v", inf, below, above)
 		}
 	}
 }
 
-// TestAttachDefaultFiltersFillsGaps: a chunk that was handed one filter by
-// hand used to be skipped whole; every numeric column gets the range histogram
-// it lacks, once — and no column a copy of the bounds its zone already holds.
+// TestAttachDefaultFiltersFillsGaps: a chunk one column of which was given
+// bins by hand used to be skipped whole; every numeric column gets the bins it
+// lacks, once, the hand-set ones stay — and no string column gets any.
 func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	defs := []storage.ColumnDefinition{
 		{Name: "n", Type: types.TypeInt64},
@@ -250,19 +258,15 @@ func TestAttachDefaultFiltersFillsGaps(t *testing.T) {
 	}
 	table.SealTail()
 	c := table.GetChunk(0)
-	c.AddFilter(rangeHist(c.GetSegment(1), 1, DefaultRangeHistBins))
+	byHand := [][2]float64{{0, 3}}
+	c.SetBins(1, byHand)
 	for pass := 0; pass < 2; pass++ {
 		if err := AttachDefaultFilters(table); err != nil {
 			t.Fatal(err)
 		}
-		for col, want := range [][]string{{"RangeHist"}, {"RangeHist"}, nil} {
-			var got []string
-			for _, f := range c.Filters(types.ColumnID(col)) {
-				got = append(got, f.FilterType())
-			}
-			sort.Strings(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("pass %d: column %d carries %v, want %v", pass, col, got, want)
+		for col, want := range [][][2]float64{{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, byHand, nil} {
+			if z, _ := c.Zone(types.ColumnID(col)); !reflect.DeepEqual(z.Bins, want) {
+				t.Errorf("pass %d: column %d carries bins %v, want %v", pass, col, z.Bins, want)
 			}
 		}
 	}

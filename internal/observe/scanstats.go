@@ -11,8 +11,8 @@ import (
 type ScanPathKind uint8
 
 const (
-	// ScanPathPruned: the segment was skipped because the chunk's zone or one
-	// of its filters proved that no row matches.
+	// ScanPathPruned: the segment was skipped because the chunk's zone (its
+	// bounds or its bins) proved that no row matches.
 	ScanPathPruned ScanPathKind = iota
 	// ScanPathSorted: the column ascends over the whole chunk and the
 	// predicate was answered by binary search.

@@ -33,7 +33,7 @@ type OpSpan struct {
 	// pruned chunks are not input.
 	RowsIn, RowsOut int64
 	// ChunksPruned is the number of input chunks the operator skipped because
-	// the chunk's zone or a filter ruled them out (TableScan only), and
+	// the chunk's zone ruled them out (TableScan only), and
 	// PrunedChunkIDs says which, in no particular order.
 	ChunksPruned   int64
 	PrunedChunkIDs []int

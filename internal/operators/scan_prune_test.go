@@ -125,9 +125,9 @@ func TestDiffTableScanMinMaxPrune(t *testing.T) {
 }
 
 // TestDiffPruningWithNaN: a float chunk holding a NaN beside more distinct values
-// than a range histogram has bins used to get NaN as its first bin edge, and
+// than the range filter has bins used to get NaN as its first bin edge, and
 // `= 0`, `< 1` and `BETWEEN 0 AND 1` then pruned the chunk although it holds
-// such rows. With and without filters, encoded and not, a scan returns the
+// such rows. With and without bins, encoded and not, a scan returns the
 // same rows — the numbers the predicate selects, never the NaN.
 func TestDiffPruningWithNaN(t *testing.T) {
 	defs := []storage.ColumnDefinition{{Name: "f", Type: types.TypeFloat64}}
@@ -162,7 +162,7 @@ func TestDiffPruningWithNaN(t *testing.T) {
 					t.Fatal(err)
 				}
 				if out.RowCount() != want[name] {
-					t.Errorf("%s, filters %v: f %s returned %d rows, want %d", enc, filtered, name, out.RowCount(), want[name])
+					t.Errorf("%s, bins %v: f %s returned %d rows, want %d", enc, filtered, name, out.RowCount(), want[name])
 				}
 				if pruned := m.ScanSegmentsPruned.Value(); pruned != 0 && want[name] > 0 {
 					t.Errorf("%s: f %s pruned a chunk that holds matching rows", enc, name)

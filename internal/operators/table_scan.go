@@ -121,8 +121,8 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 	return buildReferenceTable(input, rowsPerChunk), nil
 }
 
-// chunkScan is the per-chunk pass of a predicate chain: prune by zone and
-// filters → first conjunct by the ladder (binary search over an ascending
+// chunkScan is the per-chunk pass of a predicate chain: prune by the zone →
+// first conjunct by the ladder (binary search over an ascending
 // column → index probe → encoded scan → typed scan over unencoded values;
 // each chunk takes the first rung that applies to it) → visibility, block by
 // block (concurrency.VisibleOffsets) → every conjunct left, the first one too
@@ -132,7 +132,7 @@ func scanMorsels(ctx *ExecContext, input *storage.Table, chunks []*storage.Chunk
 // the transaction cannot see must not fail its statement; the rungs before it
 // compare values and fail on none. The prune rung is the engine's only
 // pruning site (paper §2.4): it runs per execution, so it sees a prepared
-// statement's bound values and filters attached after the plan was cached,
+// statement's bound values and bins set after the plan was cached,
 // and the scan always reads the stored table itself, whose chunk ids DML
 // writes into its redo records. Everything a
 // chunk needs is resolved once per operator run; run is safe to call from
@@ -314,7 +314,7 @@ type simplePredicate struct {
 // scanInterval is the closed interval [lo, hi] a scan predicate confines its
 // column to (nil = open end; `=` has lo == hi). ok is false for <> and
 // IS [NOT] NULL, which bound nothing. Exclusive bounds count as inclusive:
-// what reads the interval (filters, index ranges, histograms) may keep too
+// what reads the interval (zones, index ranges, histograms) may keep too
 // much, never too little.
 func scanInterval(pr *encoding.ScanPredicate) (lo, hi *types.Value, ok bool) {
 	switch pr.Op {
@@ -500,20 +500,13 @@ func countDecodedSegments(ctx *ExecContext, c *storage.Chunk, ec *expression.Con
 }
 
 // pruneChunkScan asks the chunk's zone — every chunk of a stored table has
-// one, the mutable tail included — and then its filters (the range histogram)
+// one, the mutable tail included; a sealed one holds the range filter's bins —
 // whether the predicate's interval provably holds zero rows of the chunk, in
 // which case no segment of it is touched.
 func pruneChunkScan(c *storage.Chunk, p *simplePredicate) bool {
 	lo, hi, _ := scanInterval(&p.pred)
-	if z, ok := c.Zone(p.column); ok && z.Excludes(lo, hi) {
-		return true
-	}
-	for _, f := range c.Filters(p.column) {
-		if f.CanPruneRange(lo, hi) {
-			return true
-		}
-	}
-	return false
+	z, ok := c.Zone(p.column)
+	return ok && z.Excludes(lo, hi)
 }
 
 // scanChunkSpecialized runs the sorted, index and per-encoding fast paths

@@ -53,7 +53,7 @@ func codecRow(n int) []types.Value {
 // writes: nullable value segments, plain and FSST-packed string dictionaries
 // over both code vectors, int and float dictionaries, run-length segments, and
 // frame-of-reference over both code vectors. Chunks come in all three states
-// (mutable, immutable, immutable with filters), MVCC bitmaps hold uncommitted
+// (mutable, immutable, immutable with bins), MVCC bitmaps hold uncommitted
 // and deleted rows, and there is a view.
 func codecCatalog(tb testing.TB) *storage.StorageManager {
 	tb.Helper()
@@ -97,7 +97,7 @@ func codecCatalog(tb testing.TB) *storage.StorageManager {
 				}
 			}
 			if !c.IsImmutable() || (shape.name == "plain" && ci == 1) {
-				continue // the tail stays mutable; plain's chunk 1 immutable without filters
+				continue // the tail stays mutable; plain's chunk 1 immutable without bins
 			}
 			for col, sp := range shape.specs {
 				id := types.ColumnID(col)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hyrise/internal/concurrency"
@@ -446,4 +447,60 @@ func TestSealedColumnWithoutNullKeepsNoFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("restored", restored.GetChunk(0))
+}
+
+// TestCrashRestoredChunkKeepsGaps: a chunk snapshotted with its bins (state 2)
+// comes back with the zone it had, bins included — restore derives them before
+// the table takes the chunk in, and that pass keeps them — so `c = 481`, which
+// every chunk's bounds admit, prunes the chunks whose bins leave a gap there,
+// the same ones on both sides: chunks 2, 4, 5, 7 and 9, as the equals-gap case
+// of pipeline's pruning_parity.json, whose column c this is.
+func TestCrashRestoredChunkKeepsGaps(t *testing.T) {
+	sm := storage.NewStorageManager()
+	table := storage.NewTable("t", []storage.ColumnDefinition{{Name: "c", Type: types.TypeInt64}}, 100, false)
+	for i := int64(0); i < 1200; i++ {
+		if _, err := table.AppendRow([]types.Value{types.Int(i * 37 % 1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table.SealTail()
+	if err := filter.AttachDefaultFilters(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	img, err := encodeSnapshot(sm, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredSM := storage.NewStorageManager()
+	if _, _, err := DecodeSnapshot(img, restoredSM); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoredSM.GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := types.Int(481)
+	var pruned, restoredPruned []int
+	for ci, c := range table.Chunks() {
+		z, _ := c.Zone(0)
+		rz, ok := restored.GetChunk(types.ChunkID(ci)).Zone(0)
+		if !ok || !reflect.DeepEqual(rz, z) {
+			t.Fatalf("chunk %d: restored zone %+v, the primary's %+v", ci, rz, z)
+		}
+		if bounds := (storage.Zone{Min: z.Min, Max: z.Max}); bounds.Excludes(&v, &v) {
+			t.Fatalf("chunk %d: the bounds %v..%v exclude c = 481 by themselves", ci, z.Min, z.Max)
+		}
+		if z.Excludes(&v, &v) {
+			pruned = append(pruned, ci)
+		}
+		if rz.Excludes(&v, &v) {
+			restoredPruned = append(restoredPruned, ci)
+		}
+	}
+	if want := []int{2, 4, 5, 7, 9}; !reflect.DeepEqual(pruned, want) || !reflect.DeepEqual(restoredPruned, want) {
+		t.Errorf("c = 481 prunes chunks %v restored, %v on the primary; want %v on both", restoredPruned, pruned, want)
+	}
 }

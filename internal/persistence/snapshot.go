@@ -23,7 +23,7 @@ import (
 // trailing little-endian CRC32 over the body. Segments are serialized in
 // whatever physical form they currently have (value, dictionary, run-length,
 // frame-of-reference), so an encoded immutable chunk restores encoded, and
-// with the default filters it had.
+// with the bins it had.
 //
 // Every chunk body is prefixed with its byte length, which lets recovery
 // decode chunks in parallel: the chunk boundaries can be sliced out without
@@ -92,13 +92,13 @@ func writeSnapshot(w io.Writer, sm *storage.StorageManager, lsn int64, lastCID t
 	return werr
 }
 
-// The state byte a chunk body starts with. Restore re-attaches the default
-// filters of a chunk that had them (filter.AttachDefaults) from its segments as
-// persisted: it never re-encodes.
+// The state byte a chunk body starts with. Restore derives the bins of a chunk
+// that had them (filter.AttachDefaults) from its segments as persisted: it
+// never re-encodes.
 const (
 	chunkMutable byte = iota
 	chunkImmutable
-	chunkFiltered // immutable, with its default filters
+	chunkFiltered // immutable, with its bins
 )
 
 // appendChunk appends one chunk body (state byte, row count, segments, MVCC

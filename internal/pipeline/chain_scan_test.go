@@ -147,7 +147,7 @@ func randomChains(n int) []chainQuery {
 
 // TestDiffChainScan cross-checks the one-pass chain scan against the
 // row engine: random conjunctive chains over every encoding/compression pair,
-// with and without filters and indexes to prune and probe by, serial, fanned
+// with and without bins and indexes to prune and probe by, serial, fanned
 // out on a scheduler, and on the dynamic access path. The engine runs with
 // MVCC on, so every chain also takes the visibility rung (all rows committed).
 func TestDiffChainScan(t *testing.T) {

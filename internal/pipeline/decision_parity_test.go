@@ -124,7 +124,7 @@ func TestDiffTPCHScanRungParity(t *testing.T) {
 const tpchParitySF = 0.01
 
 // newTPCHParityEngine is the dataset both parity goldens were recorded on:
-// SF 0.01, 10000-row chunks, default encodings with filters, a 4-worker
+// SF 0.01, 10000-row chunks, default encodings with bins, a 4-worker
 // scheduler, everything else at defaults.
 func newTPCHParityEngine(t *testing.T) (*Engine, *Session) {
 	t.Helper()

@@ -68,7 +68,7 @@ func (e *Engine) buildMetaColumnScans() (*storage.Table, error) {
 
 // buildMetaTables snapshots one row per base table: schema shape and memory
 // footprint — values, the MVCC columns, and the rest of what chunks carry
-// (zones, filters, indexes).
+// (zones, indexes).
 func (e *Engine) buildMetaTables() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},

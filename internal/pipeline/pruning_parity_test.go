@@ -21,8 +21,8 @@ const pruneRows, pruneChunkRows = 1200, 100
 // pruneRow is row i of the pruning fixture: id ascends (chunks hold disjoint
 // ranges), k is clustered in overlapping bands, g cycles through three bands
 // chunk by chunk, and c strides over 0..999 inside every chunk, so that its
-// zone spans nearly the whole domain everywhere and only the gaps between a
-// range histogram's bins tell which chunks lack a given c.
+// zone's bounds span nearly the whole domain everywhere and only the gaps
+// between its bins tell which chunks lack a given c.
 func pruneRow(i int64) []types.Value {
 	return []types.Value{
 		types.Int(i),
@@ -32,7 +32,7 @@ func pruneRow(i int64) []types.Value {
 	}
 }
 
-// newPruneTable loads the fixture rows into sealed chunks, without filters.
+// newPruneTable loads the fixture rows into sealed chunks, without bins.
 func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvcc bool) *storage.Table {
 	t.Helper()
 	table := storage.NewTable(name, []storage.ColumnDefinition{
@@ -54,8 +54,7 @@ func newPruneTable(t *testing.T, sm *storage.StorageManager, name string, useMvc
 	return table
 }
 
-// attachPruneFilters gives every column of every chunk the default filter: a
-// range histogram (the bounds are the chunk's zone).
+// attachPruneFilters gives every column of every chunk its bins.
 func attachPruneFilters(t *testing.T, table *storage.Table) {
 	t.Helper()
 	if err := filter.AttachDefaultFilters(table); err != nil {
@@ -64,7 +63,7 @@ func attachPruneFilters(t *testing.T, table *storage.Table) {
 }
 
 // prunedChunks lists, in order, the chunks the trace's operators say their
-// prune rung skipped — by zone or by filter.
+// prune rung skipped — by the zone's bounds or its bins.
 func prunedChunks(tr *observe.Trace) []int {
 	ids := []int{}
 	for _, sp := range tr.OpSpans() {
@@ -87,7 +86,7 @@ func prunedBySpans(tr *observe.Trace) int {
 // testdata/pruning_parity.json — recorded at the commit where an optimizer
 // rule still decided it at plan time (there the logged sets were also checked
 // to equal the chunk list that rule left on the stored-table node), except
-// equals-gap, which a range histogram's gaps alone decide. The scan
+// equals-gap, which the gaps between the bins alone decide. The scan
 // ladder's prune rung must skip exactly those chunks, serial or fanned out,
 // also for predicates that sit further up the predicate chain than the scan
 // that reads the table, and a prepared `k < $1` must skip what its literal
@@ -173,9 +172,10 @@ func testPruningParity(t *testing.T, mode operators.ParallelMode) {
 	}
 }
 
-// TestDiffPruningSeesLateFilters: a filter attached after a statement's plan was
-// cached prunes on the statement's next execution — the advisor loop of
-// ROADMAP item 2(b) attaches filters to tables that are already being queried.
+// TestDiffPruningSeesLateFilters: a chunk sealed without bins, as
+// encoding.EncodeTable leaves one, that gets them from AttachDefaultFilters
+// after a statement's plan was cached prunes by them on the statement's next
+// execution.
 func TestDiffPruningSeesLateFilters(t *testing.T) {
 	cfg := DefaultConfig()
 	sm := storage.NewStorageManager()
@@ -196,25 +196,25 @@ func TestDiffPruningSeesLateFilters(t *testing.T) {
 	// The zones the rows left behind rule out chunks 3-11 (id < 250); c strides
 	// over its whole domain in every chunk, so bounds say nothing about it.
 	if n := prunedBySpans(run()); n != 9 {
-		t.Fatalf("pruned %d chunks of a table without filters, want the 9 its zones exclude", n)
+		t.Fatalf("pruned %d chunks of a table without bins, want the 9 its bounds exclude", n)
 	}
 	if err := filter.AttachDefaultFilters(table); err != nil {
 		t.Fatal(err)
 	}
-	// Of chunks 0-2, chunk 2's c histogram has 481 in a gap between its bins.
+	// Of chunks 0-2, chunk 2's c has 481 in a gap between its bins.
 	tr := run()
 	if !tr.CacheHit {
 		t.Fatal("second execution planned again; the case needs the cached plan")
 	}
 	if got := prunedChunks(tr); !reflect.DeepEqual(got, []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
-		t.Errorf("cached plan pruned chunks %v after filters were attached, want 2-11", got)
+		t.Errorf("cached plan pruned chunks %v after the bins were set, want 2-11", got)
 	}
 }
 
 // TestDiffPruneTelemetry: the rows of pruned chunks count nowhere as
 // examined — not in the scan's span, not in rows_scanned — and the chunks show
 // up on the TableScan line of EXPLAIN ANALYZE, in scan.segments_pruned and in
-// meta_column_scans under the column whose filter ruled them out. The one span
+// meta_column_scans under the column whose zone ruled them out. The one span
 // of the chain also says how many rows each conjunct left and how many
 // visibility hid.
 func TestDiffPruneTelemetry(t *testing.T) {
@@ -265,7 +265,7 @@ func TestDiffPruneTelemetry(t *testing.T) {
 		t.Errorf("scan.segments_pruned moved by %d, want 10", got)
 	}
 	res := mustExec(t, s, "SELECT column_name, scans, pruned FROM meta_column_scans WHERE table_name = 't' ORDER BY column_name")
-	// The scan asks its own predicate's filters first: g < 50 rules out eight
+	// The scan asks its own predicate's zone first: g < 50 rules out eight
 	// chunks, id >= 400 two of the other four (chunks 0 and 3).
 	want := [][]string{{"g", "10", "8"}, {"id", "2", "2"}}
 	if got := RowStrings(res.Table); !reflect.DeepEqual(got, want) {

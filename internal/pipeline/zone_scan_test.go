@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hyrise/internal/encoding"
-	"hyrise/internal/filter"
 	"hyrise/internal/storage"
 	"hyrise/internal/tpch"
 	"hyrise/internal/types"
@@ -136,9 +135,9 @@ func TestDiffPointReadersOnGrowingTail(t *testing.T) {
 	}
 }
 
-// TestDiffOneSourceOfBounds: after the TPC-H load path has encoded the tables and
-// attached the default filters, no chunk holds a min-max filter — the bounds
-// are its zones', and every column of every chunk has one.
+// TestDiffOneSourceOfBounds: after the TPC-H load path has sealed the tables,
+// every column of every chunk has a zone, and the bins of the range filter
+// are in the zones of the numeric columns and of no other.
 func TestDiffOneSourceOfBounds(t *testing.T) {
 	sm := storage.NewStorageManager()
 	if err := tpch.Generate(sm, tpch.Config{ScaleFactor: 0.002, ChunkSize: 1000, Seed: 42}); err != nil {
@@ -147,7 +146,7 @@ func TestDiffOneSourceOfBounds(t *testing.T) {
 	if err := tpch.EncodeAndFilter(sm, tpch.DefaultEncoding()); err != nil {
 		t.Fatal(err)
 	}
-	histograms := 0
+	binned := 0
 	for _, name := range sm.TableNames() {
 		table, err := sm.GetTable(name)
 		if err != nil {
@@ -155,22 +154,21 @@ func TestDiffOneSourceOfBounds(t *testing.T) {
 		}
 		for ci, c := range table.Chunks() {
 			for col := 0; col < c.ColumnCount(); col++ {
-				for _, f := range c.Filters(types.ColumnID(col)) {
-					switch f.(type) {
-					case *filter.RangeHistogram:
-						histograms++
-					default:
-						t.Errorf("%s chunk %d: default filters include a %s", name, ci, f.FilterType())
-					}
-				}
+				seg := c.GetSegment(types.ColumnID(col))
 				z, ok := c.Zone(types.ColumnID(col))
-				if spec, _ := encoding.SpecOf(c.GetSegment(types.ColumnID(col))); !ok || (c.Size() > 0 && z.Min.IsNull()) {
+				if spec, _ := encoding.SpecOf(seg); !ok || (c.Size() > 0 && z.Min.IsNull()) {
 					t.Errorf("%s chunk %d column %d (%v): zone %+v, present=%v", name, ci, col, spec, z, ok)
+				}
+				if (z.Bins != nil) != seg.DataType().IsNumeric() {
+					t.Errorf("%s chunk %d column %d (%v): bins %v", name, ci, col, seg.DataType(), z.Bins)
+				}
+				if z.Bins != nil {
+					binned++
 				}
 			}
 		}
 	}
-	if histograms == 0 {
-		t.Error("no range histogram was attached")
+	if binned == 0 {
+		t.Error("no column was given bins")
 	}
 }

@@ -122,7 +122,7 @@ func mvccBytes(table *storage.Table) (n int64) {
 }
 
 // sameSeals reports that the follower has sealed exactly the chunks the
-// primary has, into the same encodings and with the same filters. These tests
+// primary has, into the same encodings and with the same bins. These tests
 // commit one transaction at a time, so at the commit barrier no chunk of the
 // follower waits on a placeholder: a full chunk is sealed on both sides — by
 // the write that filled it, or restored from the image as its seal left it —
@@ -141,15 +141,15 @@ func sameSeals(follower, primary *storage.Table) bool {
 }
 
 // sealOf describes what sealing made of a chunk: immutable or not, and per
-// column the encoding, the value compression and the filters.
+// column the encoding, the value compression and the range filter's bins.
 func sealOf(c *storage.Chunk) string {
 	s := fmt.Sprint(c.IsImmutable())
 	for col := 0; col < c.ColumnCount(); col++ {
 		id := types.ColumnID(col)
 		spec, _ := encoding.SpecOf(c.GetSegment(id))
 		s += " | " + spec.String() + " " + encoding.ValueCompression(c.GetSegment(id))
-		for _, f := range c.Filters(id) {
-			s += fmt.Sprintf(" %T", f)
+		if z, _ := c.Zone(id); z.Bins != nil {
+			s += fmt.Sprintf(" bins %v", z.Bins)
 		}
 	}
 	return s

@@ -1,6 +1,6 @@
 // Package statistics implements the optimizer's auxiliary statistics
-// (paper §2.1/§2.4): per-column histograms (equal-height, equal-width,
-// equal-distinct-count), distinct counts, null fractions, and the
+// (paper §2.1/§2.4): per-column histograms (equal-height, equal-width),
+// distinct counts, null fractions, and the
 // table-level statistics objects the cardinality estimator consumes.
 package statistics
 
@@ -21,8 +21,6 @@ const (
 	EqualHeight HistogramType = iota
 	// EqualWidth bins cover equal value ranges.
 	EqualWidth
-	// EqualDistinctCount bins hold equal numbers of distinct values.
-	EqualDistinctCount
 )
 
 // String names the histogram type.
@@ -32,8 +30,6 @@ func (t HistogramType) String() string {
 		return "EqualHeight"
 	case EqualWidth:
 		return "EqualWidth"
-	case EqualDistinctCount:
-		return "EqualDistinctCount"
 	default:
 		return "?"
 	}
@@ -51,14 +47,6 @@ type Histogram struct {
 	total   float64
 }
 
-// HistogramOf builds the histogram of one summary: its values embedded in the
-// estimation domain, without NaN, which no comparison matches.
-func HistogramOf[T types.Ordered](kind HistogramType, sum encoding.Summary[T], binCount int) *Histogram {
-	sum, _ = sum.SplitNaN()
-	h, _, _ := mergedHistogram(kind, []encoding.Summary[T]{sum}, binCount)
-	return h
-}
-
 // mergedHistogram lays a histogram with at most binCount bins over the rows of
 // runs, summaries without NaN, as it merges them: no merged or projected copy
 // is made. It returns the number of distinct values of T and of the estimation
@@ -72,10 +60,9 @@ func mergedHistogram[T types.Ordered](kind HistogramType, runs []encoding.Summar
 	}
 	b.h.total = float64(b.total)
 	b.target = (b.total + b.bins - 1) / b.bins
-	if kind != EqualHeight { // the layout needs the number or the range of the values first
+	if kind == EqualWidth { // the layout needs the range of the values first
 		count := binner{}
 		stream(slices.Clone(runs), &count)
-		b.perBin = (count.distinct + b.bins - 1) / b.bins
 		b.minV, b.width = count.lo, (count.hi-count.lo)/float64(b.bins)
 	}
 	distinct = stream(runs, &b)
@@ -184,13 +171,13 @@ func (m *merger[T]) take() {
 
 // binner lays a histogram's bins over a column's ascending values as they are
 // fed, a value equal to the last one adding to its rows. A bin closes before
-// the value that would overfill it: at target rows (EqualHeight), perBin values
-// (EqualDistinctCount) or the next of bins edges width apart from minV
-// (EqualWidth). Without a histogram it counts the values, all in one open bin.
+// the value that would overfill it: at target rows (EqualHeight) or the next of
+// bins edges width apart from minV (EqualWidth). Without a histogram it counts
+// the values, all in one open bin.
 type binner struct {
 	h                   *Histogram
 	bins, total, target int
-	perBin, bin         int // bin: the EqualWidth bin that is open
+	bin                 int // the EqualWidth bin that is open
 	minV, width         float64
 	lo, hi              float64 // the open bin
 	rows, dist          int
@@ -210,8 +197,7 @@ func (b *binner) add(v float64, rows int) {
 			b.close()
 			b.bin++
 		}
-	case b.h.kind == EqualDistinctCount && b.dist == b.perBin,
-		b.h.kind == EqualHeight && b.dist > 0 && b.rows >= b.target:
+	case b.h.kind == EqualHeight && b.dist > 0 && b.rows >= b.target:
 		b.close()
 	}
 	if b.dist == 0 {
@@ -230,12 +216,6 @@ func (b *binner) close() {
 	h.binRows, h.binDist = append(h.binRows, float64(b.rows)), append(h.binDist, float64(b.dist))
 	b.rows, b.dist = 0, 0
 }
-
-// Kind returns the histogram's bin-splitting strategy.
-func (h *Histogram) Kind() HistogramType { return h.kind }
-
-// BinCount returns the number of bins.
-func (h *Histogram) BinCount() int { return len(h.binLo) }
 
 // bounds returns the smallest and largest value the histogram covers: bin
 // edges are values that occur, so these are the column's exact Min and Max.
@@ -282,17 +262,6 @@ func (h *Histogram) add(v float64, rows int) (fresh bool) {
 	h.binRows[i] += float64(rows)
 	h.total += float64(rows)
 	return fresh
-}
-
-// Overlaps reports whether some bin holds a value in [lo, hi]. Bin edges are
-// values that occur, so a range that overlaps no bin matches no row.
-func (h *Histogram) Overlaps(lo, hi float64) bool {
-	for i := range h.binLo {
-		if h.binHi[i] >= lo && h.binLo[i] <= hi {
-			return true
-		}
-	}
-	return false
 }
 
 // EstimateEquals estimates the rows equal to v (uniformity within bins).

@@ -93,7 +93,7 @@ func qError(a, b float64) float64 {
 // TestStatsFoldMatchesRebuild folds seeded random append sequences batch by batch
 // and compares every intermediate result with a fresh build of the same rows.
 func TestStatsFoldMatchesRebuild(t *testing.T) {
-	for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
+	for _, kind := range []HistogramType{EqualHeight, EqualWidth} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))

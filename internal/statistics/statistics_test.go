@@ -14,7 +14,8 @@ import (
 // histogramOf builds a histogram from a value → rows map.
 func histogramOf(kind HistogramType, counts map[float64]int, binCount int) *Histogram {
 	distinct, rows := sortedCounts(counts)
-	return HistogramOf(kind, encoding.Summary[float64]{Values: distinct, Counts: rows}, binCount)
+	h, _, _ := mergedHistogram(kind, []encoding.Summary[float64]{{Values: distinct, Counts: rows}}, binCount)
+	return h
 }
 
 // sortedCounts lists the values of a value → rows map in ascending order, and
@@ -81,12 +82,6 @@ func refHistogram(kind HistogramType, counts map[float64]int, binCount int) *His
 				appendBin(distinct[start], distinct[i-1], binRows(start, i), i-start)
 			}
 		}
-	case EqualDistinctCount:
-		perBin := (len(distinct) + binCount - 1) / binCount
-		for i := 0; i < len(distinct); i += perBin {
-			j := min(i+perBin, len(distinct))
-			appendBin(distinct[i], distinct[j-1], binRows(i, j), j-i)
-		}
 	default: // EqualHeight
 		targetRows := (total + binCount - 1) / binCount
 		i := 0
@@ -112,13 +107,13 @@ func uniformCounts(n, copies int) map[float64]int {
 
 func TestHistogramTypesBasics(t *testing.T) {
 	counts := uniformCounts(100, 10) // 0..99, 10 rows each, 1000 rows
-	for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
+	for _, kind := range []HistogramType{EqualHeight, EqualWidth} {
 		h := histogramOf(kind, counts, 10)
-		if h.Kind() != kind {
+		if h.kind != kind {
 			t.Errorf("%v: Kind wrong", kind)
 		}
-		if h.BinCount() < 5 || h.BinCount() > 20 {
-			t.Errorf("%v: BinCount = %d", kind, h.BinCount())
+		if len(h.binLo) < 5 || len(h.binLo) > 20 {
+			t.Errorf("%v: %d bins", kind, len(h.binLo))
 		}
 		if h.total != 1000 {
 			t.Errorf("%v: total = %f", kind, h.total)
@@ -158,21 +153,20 @@ func TestHistogramSkewedData(t *testing.T) {
 
 func TestHistogramSingleValueAndEmpty(t *testing.T) {
 	h := histogramOf(EqualWidth, map[float64]int{7: 42}, 8)
-	if h.BinCount() != 1 {
-		t.Errorf("BinCount = %d", h.BinCount())
+	if len(h.binLo) != 1 {
+		t.Errorf("%d bins", len(h.binLo))
 	}
 	if got := h.EstimateEquals(7); got != 42 {
 		t.Errorf("EstimateEquals(7) = %f", got)
 	}
 	empty := histogramOf(EqualHeight, nil, 8)
-	if empty.BinCount() != 0 || empty.EstimateEquals(1) != 0 || empty.EstimateRange(0, 1) != 0 {
+	if len(empty.binLo) != 0 || empty.EstimateEquals(1) != 0 || empty.EstimateRange(0, 1) != 0 {
 		t.Error("empty histogram should estimate 0")
 	}
 }
 
 func TestHistogramNameStrings(t *testing.T) {
-	if EqualHeight.String() != "EqualHeight" || EqualWidth.String() != "EqualWidth" ||
-		EqualDistinctCount.String() != "EqualDistinctCount" || HistogramType(9).String() != "?" {
+	if EqualHeight.String() != "EqualHeight" || EqualWidth.String() != "EqualWidth" || HistogramType(9).String() != "?" {
 		t.Error("names wrong")
 	}
 }
@@ -180,7 +174,7 @@ func TestHistogramNameStrings(t *testing.T) {
 // Property: full-range estimates equal the true total for all histogram
 // types, and equals-estimates are non-negative.
 func TestHistogramMassConservationProperty(t *testing.T) {
-	for _, kind := range []HistogramType{EqualHeight, EqualWidth, EqualDistinctCount} {
+	for _, kind := range []HistogramType{EqualHeight, EqualWidth} {
 		kind := kind
 		f := func(raw []uint8, bins uint8) bool {
 			counts := make(map[float64]int)

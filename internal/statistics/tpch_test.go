@@ -27,7 +27,7 @@ func TestStatsSegmentSummaryTPCH(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []statistics.HistogramType{statistics.EqualHeight, statistics.EqualWidth, statistics.EqualDistinctCount} {
+			for _, kind := range []statistics.HistogramType{statistics.EqualHeight, statistics.EqualWidth} {
 				want := statistics.RowTableStatistics(table, kind)
 				if got := statistics.BuildTableStatistics(table, kind); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s (%v, %s): statistics from summaries differ from the row path", name, spec, kind)

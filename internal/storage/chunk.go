@@ -284,35 +284,18 @@ type ChunkIndex interface {
 	MemoryUsage() int64
 }
 
-// ChunkFilter is the minimal interface for per-chunk pruning filters
-// (implemented in internal/filter: the range histogram). CanPruneRange may
-// only return true if the predicate definitely matches no row of the chunk
-// (no false pruning).
-type ChunkFilter interface {
-	// FilterType names the implementation ("RangeHist").
-	FilterType() string
-	// ColumnID returns the filtered column.
-	ColumnID() types.ColumnID
-	// CanPruneRange reports that no row falls in [lo, hi]; nil bounds open,
-	// lo == hi for an equality.
-	CanPruneRange(lo, hi *types.Value) bool
-	// MemoryUsage returns the estimated heap footprint in bytes.
-	MemoryUsage() int64
-}
-
 // Chunk is a horizontal partition of a table holding one segment per
 // column. Chunks are append-only while mutable and become immutable when
 // they reach their target size; only immutable chunks carry encodings,
-// indexes, and filters.
+// indexes, and the bins of their zones.
 type Chunk struct {
 	segments []Segment
 	mvcc     *MvccData
 
-	mu        sync.RWMutex // guards segments replacement, zones, indexes, filters
+	mu        sync.RWMutex // guards segments replacement, zones, indexes
 	immutable atomic.Bool
 	zones     []Zone // one per column; nil for chunks outside a stored table
 	indexes   []ChunkIndex
-	filters   []ChunkFilter
 
 	// rowCount is maintained explicitly because appends to the individual
 	// value segments happen under the table's append lock.
@@ -502,31 +485,23 @@ func (c *Chunk) GetIndex(col types.ColumnID) ChunkIndex {
 	return nil
 }
 
-// AddFilter attaches a pruning filter to the chunk.
-func (c *Chunk) AddFilter(f ChunkFilter) {
+// SetBins gives the column's zone its bins (Zone.Bins). A chunk installed
+// whole (snapshot restore) that has no zones yet gets them from its segments
+// first, so Table.AppendChunk keeps them.
+func (c *Chunk) SetBins(col types.ColumnID, bins [][2]float64) {
 	if !c.IsImmutable() {
-		panic("storage: filters may only be added to immutable chunks")
+		panic("storage: bins may only be set on immutable chunks")
 	}
 	c.mu.Lock()
-	c.filters = append(c.filters, f)
-	c.mu.Unlock()
-}
-
-// Filters returns the filters of the given column.
-func (c *Chunk) Filters(col types.ColumnID) []ChunkFilter {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []ChunkFilter
-	for _, f := range c.filters {
-		if f.ColumnID() == col {
-			out = append(out, f)
-		}
+	defer c.mu.Unlock()
+	if c.zones == nil {
+		c.zones = zonesOf(c.segments)
 	}
-	return out
+	c.zones[col].Bins = bins
 }
 
 // MemoryUsage returns the heap footprint of the chunk, split into data and
-// metadata (MVCC columns, indexes, filters, bookkeeping). The metadata share
+// metadata (MVCC columns, indexes, zones, bookkeeping). The metadata share
 // is what §2.2 of the paper argues becomes negligible for large chunks.
 func (c *Chunk) MemoryUsage() (data, metadata int64) {
 	c.mu.RLock()
@@ -539,9 +514,6 @@ func (c *Chunk) MemoryUsage() (data, metadata int64) {
 	}
 	for _, idx := range c.indexes {
 		metadata += idx.MemoryUsage()
-	}
-	for _, f := range c.filters {
-		metadata += f.MemoryUsage()
 	}
 	for _, z := range c.zones {
 		metadata += z.memoryUsage()

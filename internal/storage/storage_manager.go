@@ -14,7 +14,7 @@ import (
 )
 
 // Sealer finishes a chunk of a registered table at the moment it has become
-// immutable: it may replace segments by encoded ones and attach filters. The
+// immutable: it may replace segments by encoded ones and set its zones' bins. The
 // encodings live above this package, so the engine supplies the function
 // (StorageManager.SetSealer). It runs in the goroutine whose write completed
 // the chunk or, for a bulk load (Loader), before the chunk is published, on

@@ -268,17 +268,16 @@ func TestChunkIndexFilterAttachment(t *testing.T) {
 	if c.GetIndex(0) != nil {
 		t.Error("GetIndex(0) should be nil")
 	}
-	ff := fakeFilter{col: 0}
-	c.AddFilter(ff)
-	if got := c.Filters(0); len(got) != 1 {
-		t.Errorf("Filters(0) = %d entries", len(got))
+	_, before := c.MemoryUsage()
+	c.SetBins(0, [][2]float64{{1, 1}})
+	if z, _ := c.Zone(0); len(z.Bins) != 1 {
+		t.Errorf("zone 0 holds bins %v, want the one set", z.Bins)
 	}
-	if got := c.Filters(1); len(got) != 0 {
-		t.Error("Filters(1) should be empty")
+	if z, _ := c.Zone(1); z.Bins != nil {
+		t.Error("zone 1 should hold no bins")
 	}
-	_, meta := c.MemoryUsage()
-	if meta < 100 {
-		t.Errorf("metadata usage = %d, want >= 100", meta)
+	if _, meta := c.MemoryUsage(); meta != before+16 {
+		t.Errorf("metadata usage = %d with one bin, %d without", meta, before)
 	}
 }
 
@@ -287,13 +286,6 @@ type fakeIndex struct{ col types.ColumnID }
 func (f fakeIndex) ColumnID() types.ColumnID                                 { return f.col }
 func (f fakeIndex) Range(lo, hi *types.Value, _, _ bool) []types.ChunkOffset { return nil }
 func (f fakeIndex) MemoryUsage() int64                                       { return 10 }
-
-type fakeFilter struct{ col types.ColumnID }
-
-func (f fakeFilter) FilterType() string                     { return "fake" }
-func (f fakeFilter) ColumnID() types.ColumnID               { return f.col }
-func (f fakeFilter) CanPruneRange(lo, hi *types.Value) bool { return false }
-func (f fakeFilter) MemoryUsage() int64                     { return 10 }
 
 func TestStorageManagerCatalog(t *testing.T) {
 	sm := NewStorageManager()

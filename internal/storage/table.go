@@ -257,7 +257,7 @@ func (t *Table) takeSeal(c *Chunk) bool {
 }
 
 // seal makes a chunk immutable and, on a registered table, hands it to the
-// catalog's Sealer, which may encode its segments and attach filters: the
+// catalog's Sealer, which may encode its segments and set their bins: the
 // chunk's values are frozen from here on, only its MVCC columns still change.
 // It runs in the goroutine whose write completed the chunk, outside the append
 // lock, once per chunk, and releases the seal lock that write took.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"unsafe"
 
 	"hyrise/internal/types"
@@ -8,11 +9,12 @@ import (
 
 // Zone is what a chunk of a stored table knows about one column without
 // reading it (paper §2.4: the access aids a chunk carries): the bounds of its
-// values and how far the column ascends. A zone is written where the values
-// are written and nowhere else — Chunk.appendRow folds each new value in,
-// Chunk.overwriteRow widens the bounds and cuts the run back — so it holds on
-// the mutable tail, under out-of-order log replay and on replicas, and
-// re-encoding a segment (ReplaceSegment) leaves it alone. Chunks installed
+// values, how far the column ascends and, once a seal has summarized a
+// numeric column, the bins of its range filter. Bounds and run are written
+// where the values are written and nowhere else — Chunk.appendRow folds each
+// new value in, Chunk.overwriteRow widens the bounds and cuts the run back —
+// so they hold on the mutable tail, under out-of-order log replay and on
+// replicas, and re-encoding a segment (ReplaceSegment) leaves the zone alone. Chunks installed
 // whole (snapshot restore) get theirs from one pass in Table.AppendChunk;
 // operator outputs (NewChunk without a table) carry none.
 type Zone struct {
@@ -24,6 +26,12 @@ type Zone struct {
 	// Ascending is the length of the leading run of comparable, non-decreasing
 	// rows: a predicate over rows [0, Ascending) is two binary searches.
 	Ascending int
+	// Bins are the range filter (paper §2.4, after adaptive range filters):
+	// sorted, disjoint closed intervals of the float domain, each bounded by
+	// values the column holds, that together hold every comparable value, so
+	// the gaps between them hold none. nil until the chunk's seal derives
+	// them (Chunk.SetBins), non-nil and empty when there is no such value.
+	Bins [][2]float64
 }
 
 // ZonedSegment is implemented by the encoded segments: each derives its zone
@@ -35,9 +43,10 @@ type ZonedSegment interface {
 }
 
 // Excludes reports that no row of the zone's column lies in [lo, hi] (nil =
-// open end). NULL and NaN rows are in no interval, so a zone without bounds
-// excludes every interval; operands the bounds cannot be compared with
-// exclude nothing.
+// open end): the interval ends outside the bounds or, for numeric operands,
+// falls into a gap between the bins. NULL and NaN rows are in no interval, so
+// a zone without bounds excludes every interval; operands the bounds cannot
+// be compared with exclude nothing.
 func (z Zone) Excludes(lo, hi *types.Value) bool {
 	if z.Min.IsNull() {
 		return true
@@ -52,13 +61,31 @@ func (z Zone) Excludes(lo, hi *types.Value) bool {
 			return true
 		}
 	}
-	return false
+	if z.Bins == nil || lo != nil && !lo.Type.IsNumeric() || hi != nil && !hi.Type.IsNumeric() {
+		return false
+	}
+	loF, hiF := math.Inf(-1), math.Inf(1)
+	if lo != nil {
+		loF = lo.AsFloat()
+	}
+	if hi != nil {
+		hiF = hi.AsFloat()
+	}
+	// The first bin that reaches loF is the only one that can start by hiF; a
+	// NaN operand reaches or starts by none.
+	for _, b := range z.Bins {
+		if b[1] >= loF {
+			return !(b[0] <= hiF)
+		}
+	}
+	return true
 }
 
-// memoryUsage is the zone's heap footprint: the struct plus the two strings
-// it keeps alive once the segment they came from has been re-encoded.
+// memoryUsage is the zone's heap footprint: the struct, the two strings it
+// keeps alive once the segment they came from has been re-encoded, and the
+// bins.
 func (z Zone) memoryUsage() int64 {
-	return int64(unsafe.Sizeof(z)) + int64(len(z.Min.S)+len(z.Max.S))
+	return int64(unsafe.Sizeof(z)) + int64(len(z.Min.S)+len(z.Max.S)) + 16*int64(len(z.Bins))
 }
 
 // include widens the bounds by v and reports whether v is comparable and no

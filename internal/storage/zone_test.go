@@ -111,9 +111,9 @@ func TestDiffZoneWrittenWithRows(t *testing.T) {
 }
 
 // TestDiffZoneExcludes is the prune rule: an interval is excluded when it lies
-// wholly outside the bounds, a column without a comparable value excludes
-// every interval, and operands the bounds cannot be compared with exclude
-// nothing.
+// wholly outside the bounds or, for numeric operands, in a gap between the
+// bins, a column without a comparable value excludes every interval, and
+// operands the bounds cannot be compared with exclude nothing.
 func TestDiffZoneExcludes(t *testing.T) {
 	v := func(i int64) *types.Value { x := types.Int(i); return &x }
 	z := Zone{Min: types.Int(2), Max: types.Int(9)}
@@ -144,6 +144,14 @@ func TestDiffZoneExcludes(t *testing.T) {
 	}
 	if !(Zone{}).Excludes(nil, nil) || !(Zone{}).Excludes(v(0), v(0)) {
 		t.Error("a column without a comparable value matches no interval")
+	}
+	z.Bins = [][2]float64{{2, 3}, {8, 9}}
+	four, seven := types.Float(4), types.Float(7.5)
+	if !z.Excludes(v(4), v(7)) || !z.Excludes(&four, &seven) || z.Excludes(v(3), v(8)) || z.Excludes(nil, v(2)) {
+		t.Error("the gap between the bins prunes wrongly")
+	}
+	if z.Excludes(&text, nil) || z.Excludes(nil, nil) {
+		t.Error("the bins exclude an unbounded or non-numeric interval")
 	}
 	s := Zone{Min: types.Str("bravo"), Max: types.Str("delta")}
 	alpha, charlie := types.Str("alpha"), types.Str("charlie")

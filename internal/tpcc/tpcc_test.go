@@ -188,7 +188,7 @@ func TestConcurrentTerminals(t *testing.T) {
 // TestGenerateSealsWhatItLoads: Generate registers its tables before it fills
 // them, so on an engine — whose catalog seals the chunks of registered tables
 // as they fill — every chunk it loads, the tails included, is sealed once by
-// the size model and carries its numeric columns' range histograms; what the
+// the size model and carries its numeric columns' bins; what the
 // terminals append afterwards seals like any other insert.
 func TestGenerateSealsWhatItLoads(t *testing.T) {
 	e := pipeline.NewEngine(pipeline.DefaultConfig(), nil)
@@ -217,17 +217,8 @@ func TestGenerateSealsWhatItLoads(t *testing.T) {
 				if spec, _ := encoding.SpecOf(c.GetSegment(id)); spec.Encoding != encoding.Unencoded {
 					encoded++
 				}
-				hists, want := 0, 1 // one per numeric column
-				for _, f := range c.Filters(id) {
-					if f.FilterType() == "RangeHist" {
-						hists++
-					}
-				}
-				if def.Type == types.TypeString {
-					want = 0
-				}
-				if hists != want {
-					t.Errorf("%s chunk %d column %s: %d range histograms, want %d", name, ci, def.Name, hists, want)
+				if z, _ := c.Zone(id); (z.Bins != nil) != def.Type.IsNumeric() {
+					t.Errorf("%s chunk %d column %s: bins %v, want them on numeric columns only", name, ci, def.Name, z.Bins)
 				}
 			}
 		}

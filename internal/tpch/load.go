@@ -13,9 +13,10 @@ import (
 func DefaultEncoding() *encoding.Spec { return nil }
 
 // EncodeAndFilter seals every chunk of every TPC-H table (filter.Seal: the
-// spec's encoding, or the size model's for nil, and the default pruning
-// filters). A nil spec skips the chunks the catalog's Sealer already
+// spec's encoding, or the size model's for nil, and the bins of the numeric
+// columns). A nil spec skips the chunks the catalog's Sealer already
 // finished; hyrise-bench passes its spec over a catalog without a Sealer.
+// ROADMAP 1(h) deletes the nil-spec branch with its last caller, bench/tpch.go.
 func EncodeAndFilter(sm *storage.StorageManager, spec *encoding.Spec) error {
 	for _, name := range TableNames() {
 		t, err := sm.GetTable(name)

@@ -604,7 +604,7 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 
 // TestCrashRestoreKeepsSeals: a chunk restored from a snapshot is the chunk its
 // seal left — a recovered copy and a replica bootstrapped from the snapshot
-// hold, chunk for chunk, the encodings, the value compression and the filters
+// hold, chunk for chunk, the encodings, the value compression and the bins
 // the primary holds, for the chunks a CSV load sealed, the chunks INSERTs
 // sealed before the checkpoint, and the chunk the log seals after it. A full
 // chunk's tags are long enough for FSST to pay, a two-row one's are not; every
@@ -657,9 +657,9 @@ func TestCrashRestoreKeepsSeals(t *testing.T) {
 	defer recovered.Close()
 
 	want := seals(t, db)
-	if len(want) != 5 || !strings.Contains(want[1], "RangeHistogram") || !strings.Contains(want[3], "RangeHistogram") ||
+	if len(want) != 5 || !strings.Contains(want[1], "bins") || !strings.Contains(want[3], "bins") ||
 		!strings.Contains(want[0], "FSST") || strings.Contains(want[1], "FSST") {
-		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with filters, full ones packed", want)
+		t.Fatalf("primary chunks: %q, want five, the load's and the inserts' sealed with bins, full ones packed", want)
 	}
 	for _, w := range want {
 		if !strings.Contains(w, "decimal(") {
@@ -688,7 +688,7 @@ func queryRows(t *testing.T, side *Database, sql string) [][]string {
 }
 
 // seals describes each chunk of table t as its seal left it: immutable or
-// not, and per column the encoding, the value compression and the filters.
+// not, and per column the encoding, the value compression and the bins.
 func seals(t *testing.T, side *Database) []string {
 	t.Helper()
 	table, err := side.StorageManager().GetTable("t")
@@ -702,8 +702,8 @@ func seals(t *testing.T, side *Database) []string {
 			id := types.ColumnID(col)
 			spec, _ := encoding.SpecOf(c.GetSegment(id))
 			s += " | " + spec.String() + " " + encoding.ValueCompression(c.GetSegment(id))
-			for _, f := range c.Filters(id) {
-				s += fmt.Sprintf(" %T", f)
+			if z, _ := c.Zone(id); z.Bins != nil {
+				s += fmt.Sprintf(" bins %v", z.Bins)
 			}
 		}
 		out = append(out, s)
