@@ -603,9 +603,11 @@ func comment(rng *rand.Rand) string {
 // near-unique TPC-H-style text that becomes a dictionary whose values are
 // FSST-packed: a symbol table built and every value compressed; decimal_float
 // is cents, exact decimals that become frame-of-reference over their integers
-// (unique_float fails that test on its first 2048 rows); decimal_patched is
+// (unique_float fails that test on its first 2048 rows); decimal_corrected is
 // cents of up to 100 000.00 of which every third is one ulp past its value,
-// a patch: frame-of-reference bytes plus 12 B a patch under the plain floats.
+// corrected by two bits of every integer; decimal_patched is the same cents
+// with every third 1000 ulps past its value, which no correction covers, a
+// patch: frame-of-reference bytes plus 12 B a patch under the plain floats.
 func BenchmarkMicroSeal(b *testing.B) {
 	rng := rand.New(rand.NewSource(30))
 	column := func(def storage.ColumnDefinition, value func(i int) types.Value) *storage.Table {
@@ -629,6 +631,13 @@ func BenchmarkMicroSeal(b *testing.B) {
 		{"comment_string", column(storage.ColumnDefinition{Name: "comment", Type: types.TypeString}, func(int) types.Value { return types.Str(comment(rng)) }), encoding.Dictionary},
 		{"decimal_float", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64, Nullable: true}, func(int) types.Value { return types.Float(float64(rng.Intn(100_000)) / 100) }), encoding.FrameOfReference},
 		{"decimal_patched", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64}, func(i int) types.Value {
+			v := float64(rng.Intn(10_000_000)) / 100
+			if i%3 == 2 {
+				v = math.Float64frombits(math.Float64bits(v) + 1000)
+			}
+			return types.Float(v)
+		}), encoding.FrameOfReference},
+		{"decimal_corrected", column(storage.ColumnDefinition{Name: "price", Type: types.TypeFloat64}, func(i int) types.Value {
 			v := float64(rng.Intn(10_000_000)) / 100
 			if i%3 == 2 {
 				v = math.Nextafter(v, math.Inf(1))
@@ -667,6 +676,8 @@ func BenchmarkMicroSeal(b *testing.B) {
 // the int64 dictionary over bit-packed codes (15 bits where byte-aligned ones
 // take 16) gathered at three in four rows in ascending order, as a scan's
 // output is: each 64-code group those rows touch is unpacked once.
+// decimal_corrected, decimal_patched and decimal_floats gather prices the way
+// a TPC-H scan of l_extendedprice's output does (see below).
 func BenchmarkMicroDictGather(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	strs, ints := make([]string, sealRows), make([]int64, sealRows)
@@ -722,6 +733,53 @@ func BenchmarkMicroDictGather(b *testing.B) {
 			seg.Gather(ascending, nil, out, nulls)
 		}
 	})
+	// A 10 000-row chunk of l_extendedprice-style prices (retail price times
+	// quantity over 10), gathered at 98 in 100 rows in ascending order: as
+	// floats, as a decimal whose inexact prices (a step or two off their
+	// cents, three in ten) are corrected, and as one with as many patches
+	// (those prices 1000 steps off instead).
+	const prices = 10_000
+	exact, near, far := make([]float64, prices), make([]float64, prices), make([]float64, prices)
+	for i := range prices {
+		k := rng.Intn(4_000)
+		exact[i] = float64(90_000+(k/10)%20_001+100*(k%1_000)) / 100 * float64(1+rng.Intn(50)) / 10
+		near[i], far[i] = exact[i], exact[i]
+		if v := math.Round(exact[i]*1000) / 1000; v != exact[i] {
+			far[i] = math.Float64frombits(math.Float64bits(v) + 1000)
+		}
+	}
+	var some []types.ChunkOffset
+	for p := range prices {
+		if p%50 != 49 {
+			some = append(some, types.ChunkOffset(p))
+		}
+	}
+	out := make([]float64, len(some))
+	b.Run("decimal_floats", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, p := range some {
+				out[j] = exact[p]
+			}
+		}
+	})
+	for _, c := range []struct {
+		name   string
+		values []float64
+	}{{"decimal_corrected", near}, {"decimal_patched", far}} {
+		b.Run(c.name, func(b *testing.B) {
+			seg, ok := encoding.EncodeDecimal(c.values, nil, encoding.BitPacked128)
+			if form := encoding.ValueCompression(seg); !ok || strings.Contains(form, "~") != (c.name == "decimal_corrected") {
+				b.Fatalf("the prices sealed as %s", form)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seg.Gather(some, nil, out, nulls)
+			}
+		})
+	}
 }
 
 // BenchmarkMicroAppendSealed measures AppendRow amortized over the seals it

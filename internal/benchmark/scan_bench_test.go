@@ -3,6 +3,7 @@ package benchmark
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyrise/internal/encoding"
@@ -80,7 +81,8 @@ func scanDst(b *testing.B) []types.ChunkOffset {
 // 16), whose straddling blocks compare 64 codes at a time as they unpack.
 // decimal is the same column as cents, a float64 column of exact decimals: its
 // float bounds become an interval of its integers once, then the same blocks
-// run. decimal_patched is that column with every tenth value inexact.
+// run. decimal_corrected is that column with every tenth value a step past
+// its cents, decimal_patched with every tenth value 1000 steps past them.
 func BenchmarkMicroScanFoR(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	values := make([]int64, scanBenchRows)
@@ -145,13 +147,31 @@ func BenchmarkMicroScanFoR(b *testing.B) {
 			}
 		}
 	})
-	// Every tenth value one ulp past its cents: no exponent makes those
-	// exact, so they are patches, and the scan tests them by value and merges
-	// them into the kernel's offsets.
+	// Every tenth value a step past its cents: two bits of each integer
+	// correct them, and the kernel runs as over exact cents.
+	near, far := slices.Clone(cents), slices.Clone(cents)
 	for i := 9; i < len(cents); i += 10 {
-		cents[i] = math.Nextafter(cents[i], math.Inf(1))
+		near[i] = math.Nextafter(cents[i], math.Inf(1))
+		far[i] = math.Float64frombits(math.Float64bits(cents[i]) + 1000)
 	}
-	patched, exact := encoding.EncodeDecimal(cents, nil, encoding.FixedSizeByteAligned)
+	corrected, exact := encoding.EncodeDecimal(near, nil, encoding.FixedSizeByteAligned)
+	if !exact || encoding.ValueCompression(corrected) != "decimal(2)~2" {
+		b.Fatal("every tenth cent is not corrected")
+	}
+	b.Run("decimal_corrected", func(b *testing.B) {
+		dst := scanDst(b)
+		for i := 0; i < b.N; i++ {
+			var ok bool
+			dst, _, ok = corrected.ScanEncoded(centsPred, dst[:0])
+			if !ok || len(dst) == 0 {
+				b.Fatal("encoded decimal scan failed")
+			}
+		}
+	})
+	// Every tenth value 1000 steps past its cents, which no correction
+	// width covers: those are patches, and the scan tests them by value and
+	// merges them into the kernel's offsets.
+	patched, exact := encoding.EncodeDecimal(far, nil, encoding.FixedSizeByteAligned)
 	if !exact || encoding.ValueCompression(patched) != "decimal(2)+100000" {
 		b.Fatal("every tenth cent is not a patch")
 	}

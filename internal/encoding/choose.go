@@ -58,14 +58,12 @@ type layout struct {
 	runBytes int64 // bytes of string data the runs' values hold
 	anyNull  bool
 	maxes    []uint64 // FrameOfReference: the largest offset of each 128-row block
-	ints     []int64  // what FrameOfReference encodes (forInts); nil where it does not apply
-	exp      uint8    // the exponent of a decimal column's ints
-	patches  patches  // a decimal column's inexact rows
+	decimals          // what FrameOfReference encodes (forInts); nil ints where it does not apply
 }
 
 func layoutOf[T types.Ordered](values []T, nulls []bool) layout {
 	var l layout
-	l.ints, l.exp, l.patches = forInts(values, nulls)
+	l.decimals = forInts(values, nulls)
 	strs, _ := any(values).([]string)
 	prevNull := false
 	for i, v := range values {
@@ -219,7 +217,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	want, sizes, vectors, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, Vectors{}, layout{}
 	if spec != nil {
 		if want = *spec; want.Encoding == FrameOfReference {
-			l.ints, l.exp, l.patches = forInts(values, nulls)
+			l.decimals = forInts(values, nulls)
 		}
 	} else {
 		l = layoutOf(values, nulls)
@@ -249,7 +247,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	}
 	switch _, isFloat := any(values).([]float64); {
 	case want.Encoding == FrameOfReference && l.ints != nil && isFloat:
-		return &DecimalSegment{ints: encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), exp: l.exp, patches: l.patches}, sum
+		return &DecimalSegment{ints: encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), exp: l.exp, bits: l.bits, patches: l.patches}, sum
 	case want.Encoding == FrameOfReference && l.ints != nil:
 		return encodeFrameOfReference(l.ints, nulls, want.Compression, l.maxes), sum
 	case want.Encoding == RunLength:

@@ -99,7 +99,8 @@ func SpecOf(seg storage.Segment) (Spec, bool) {
 // ValueCompression names what a segment does to its values beyond its
 // encoding: "FSST" for a string dictionary packed with a symbol table,
 // "decimal(e)" for a float64 column stored as the integers n of its values
-// n / 10^e, "decimal(e)+p" for one with p patches, else "none".
+// n / 10^e, "decimal(e)~b" for one whose values are corrected by b bits of
+// each integer, and a suffix "+p" for one with p patches, else "none".
 func ValueCompression(seg storage.Segment) string {
 	switch s := seg.(type) {
 	case *DictionarySegment[string]:
@@ -107,10 +108,14 @@ func ValueCompression(seg storage.Segment) string {
 			return "FSST"
 		}
 	case *DecimalSegment:
-		if p := len(s.patches.rows); p > 0 {
-			return fmt.Sprintf("decimal(%d)+%d", s.exp, p)
+		name := fmt.Sprintf("decimal(%d)", s.exp)
+		if s.bits > 0 {
+			name += fmt.Sprintf("~%d", s.bits)
 		}
-		return fmt.Sprintf("decimal(%d)", s.exp)
+		if p := len(s.patches.rows); p > 0 {
+			name += fmt.Sprintf("+%d", p)
+		}
+		return name
 	}
 	return "none"
 }

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math"
 	"slices"
 
 	"hyrise/internal/storage"
@@ -102,6 +103,18 @@ func (s *FrameOfReferenceSegment) initBlockStats(maxes []uint64) {
 			}
 		}
 	}
+}
+
+// bounds returns the least and the largest stored non-NULL value, lo > hi
+// without one.
+func (s *FrameOfReferenceSegment) bounds() (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for b, frame := range s.frames {
+		if s.blockNonNull[b] > 0 {
+			lo, hi = min(lo, frame), max(hi, frame+int64(s.blockMax[b]))
+		}
+	}
+	return lo, hi
 }
 
 // Get returns the value and null flag at offset i.

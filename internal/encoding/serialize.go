@@ -37,9 +37,10 @@ const (
 	segRunLengthFloat64
 	segRunLengthString
 	segFrameOfReference
-	segDictStringFSST // a string dictionary packed with its symbol table (fsst.go)
-	segDecimal        // a decimal column's exponent, then its integers as segFrameOfReference's body
-	segDecimalPatched // segDecimal's fields, then the patches: their offsets (uvarints) and values (float64s)
+	segDictStringFSST   // a string dictionary packed with its symbol table (fsst.go)
+	segDecimal          // a decimal column's exponent, then its integers as segFrameOfReference's body
+	segDecimalPatched   // segDecimal's fields, then the patches: their offsets (uvarints) and values (float64s)
+	segDecimalCorrected // a decimal column's exponent and correction width, then segDecimalPatched's integers and patches
 )
 
 // UintVector tags.
@@ -505,10 +506,14 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 	case *FrameOfReferenceSegment:
 		return appendFrameOfReference(append(dst, segFrameOfReference), s), nil
 	case *DecimalSegment:
-		if len(s.patches.rows) == 0 {
+		switch {
+		case s.bits > 0:
+			dst = appendFrameOfReference(append(dst, segDecimalCorrected, s.exp, s.bits), s.ints)
+		case len(s.patches.rows) == 0:
 			return appendFrameOfReference(append(dst, segDecimal, s.exp), s.ints), nil
+		default:
+			dst = appendFrameOfReference(append(dst, segDecimalPatched, s.exp), s.ints)
 		}
-		dst = appendFrameOfReference(append(dst, segDecimalPatched, s.exp), s.ints)
 		dst = binary.AppendUvarint(dst, uint64(len(s.patches.rows)))
 		for _, r := range s.patches.rows {
 			dst = binary.AppendUvarint(dst, uint64(r))
@@ -587,8 +592,8 @@ func (r *Reader) Segment() storage.Segment {
 		seg = restoreRunLength(r, &RunLengthSegment[string]{n: n, ends: ends, nulls: nulls, values: r.strings_()})
 	case segFrameOfReference:
 		seg = r.frameOfReference()
-	case segDecimal, segDecimalPatched:
-		seg = r.decimal(tag == segDecimalPatched)
+	case segDecimal, segDecimalPatched, segDecimalCorrected:
+		seg = r.decimal(tag)
 	default:
 		r.Fail(fmt.Sprintf("unknown segment tag %d", tag))
 	}
@@ -617,26 +622,31 @@ func (r *Reader) frameOfReference() *FrameOfReferenceSegment {
 }
 
 // decimal reads what AppendSegment wrote of a DecimalSegment. An exponent past
-// 18, or a block whose integers leave [-2^53, 2^53], fails the read: a value
-// decodes exactly only inside both. So do patch offsets that do not ascend
-// strictly, lie past the rows or on a NULL row.
-func (r *Reader) decimal(patched bool) *DecimalSegment {
-	exp := r.Byte()
+// 18, a correction width past maxCorrection, a block whose integers decode
+// outside [-2^53, 2^53], or integers that are not ordered fail the read: a
+// value decodes exactly, and a scan finds it, only inside all four. So do
+// patch offsets that do not ascend strictly, lie past the rows or on a NULL row.
+func (r *Reader) decimal(tag byte) *DecimalSegment {
+	exp, bits := r.Byte(), byte(0)
+	if tag == segDecimalCorrected {
+		bits = r.Byte()
+	}
 	ints := r.frameOfReference()
 	if r.err != nil {
 		return nil
 	}
-	bad := int(exp) >= len(pow10)
+	bad := int(exp) >= len(pow10) || bits > maxCorrection
+	least, most := int64(-maxDecimal)<<bits, int64(maxDecimal)<<bits|(1<<bits-1) // the integers of ±2^53
 	for b, frame := range ints.frames {
 		top := ints.blockMax[b]
-		bad = bad || ints.blockNonNull[b] > 0 && (frame < -maxDecimal || frame > maxDecimal || top > 2*maxDecimal || frame+int64(top) > maxDecimal)
+		bad = bad || ints.blockNonNull[b] > 0 && (frame < least || frame > most || top > uint64(most-least) || frame+int64(top) > most)
 	}
-	if bad {
-		r.Fail("decimal exponent past 18 or integers past 2^53")
+	if lo, hi := ints.bounds(); bad || !ordered(exp, bits, lo, hi) {
+		r.Fail("decimal exponent past 18, correction width past 4, integers past 2^53 or out of order")
 		return nil
 	}
-	s := &DecimalSegment{ints: ints, exp: exp}
-	if !patched {
+	s := &DecimalSegment{ints: ints, exp: exp, bits: bits}
+	if tag == segDecimal {
 		return s
 	}
 	n := r.length("patches")

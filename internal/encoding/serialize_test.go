@@ -257,8 +257,31 @@ func TestCorruptDecimalFailsDecode(t *testing.T) {
 
 // TestCorruptPatchesFailDecode: patch offsets that are unsorted, duplicated,
 // past the rows or on a NULL row, or offsets without as many values, fail the
-// read of a patched decimal; no corruption of a valid one panics.
+// read of a patched decimal; so do, under the corrected tag, a correction width
+// past 4, an exponent past 18, integers whose decimals lie past ±2^53 and
+// integers that do not decode in order. No corruption of a valid patched or
+// corrected decimal panics.
 func TestCorruptPatchesFailDecode(t *testing.T) {
+	corrected, ok := EncodeDecimal([]float64{step(1.25, 1), math.NaN(), -7.5, 0, 12.5, step(-2.5, -1), 3.75, 2.5, 0.5, step(6.25, -2)},
+		[]bool{false, false, false, true, false, false, false, false, false, false}, BitPacked128)
+	if !ok || ValueCompression(corrected) != "decimal(2)~2+1" {
+		t.Fatalf("sealed %v as %s, want corrections and a patch", ok, ValueCompression(corrected))
+	}
+	for name, seg := range map[string]*DecimalSegment{
+		"width 5":      {ints: corrected.ints, exp: 2, bits: 5, patches: corrected.patches},
+		"exponent 19":  {ints: corrected.ints, exp: 19, bits: 2, patches: corrected.patches},
+		"above 2^53":   {ints: EncodeFrameOfReference([]int64{0, (maxDecimal + 1) << 2}, nil, FixedSizeByteAligned), exp: 2, bits: 2},
+		"below -2^53":  {ints: EncodeFrameOfReference([]int64{(-maxDecimal - 1) << 2, 0}, nil, BitPacked128), exp: 2, bits: 2},
+		"out of order": {ints: EncodeFrameOfReference([]int64{0, (maxDecimal / 2) << 2}, nil, FixedSizeByteAligned), bits: 2}, // integers near 2^52 are one step apart
+	} {
+		if buf, _ := AppendSegment(nil, seg); buf[0] != segDecimalCorrected || !decodeFails(buf) {
+			t.Errorf("%s: decodes without an error", name)
+		}
+	}
+	if buf, _ := AppendSegment(nil, &DecimalSegment{ints: EncodeFrameOfReference([]int64{0, (maxDecimal / 8) << 1}, nil, FixedSizeByteAligned), bits: 1}); decodeFails(buf) {
+		t.Error("integers below 2^50, 4 steps apart, do not decode at width 1")
+	}
+
 	valid, ok := EncodeDecimal([]float64{1.25, math.NaN(), -7.5, 0, 12.5, math.Copysign(0, -1), 3.75, 2.5, 0.5, 6.25},
 		[]bool{false, false, false, true, false, false, false, false, false, false}, FixedSizeByteAligned)
 	if !ok || ValueCompression(valid) != "decimal(2)+2" {
@@ -274,14 +297,16 @@ func TestCorruptPatchesFailDecode(t *testing.T) {
 	if buf, _ := AppendSegment(nil, seg); !decodeFails(buf) {
 		t.Error("two offsets with one value decode without an error")
 	}
-	buf, _ := AppendSegment(nil, valid)
-	for i := range buf {
-		for _, b := range []byte{0, 1, 9, 0x13, 0x7F, 0xFF, buf[i] ^ 1} {
-			corrupt := append([]byte{}, buf...)
-			corrupt[i] = b
-			readAll(t, corrupt)
+	for _, seg := range []*DecimalSegment{valid, corrected} {
+		buf, _ := AppendSegment(nil, seg)
+		for i := range buf {
+			for _, b := range []byte{0, 1, 9, 0x13, 0x7F, 0xFF, buf[i] ^ 1} {
+				corrupt := append([]byte{}, buf...)
+				corrupt[i] = b
+				readAll(t, corrupt)
+			}
+			readAll(t, buf[:i])
 		}
-		readAll(t, buf[:i])
 	}
 }
 

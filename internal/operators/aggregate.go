@@ -21,13 +21,13 @@ type Aggregate struct {
 	Aggs    []*expression.Aggregate
 	Names   []string
 	Types   []types.DataType
-	input   Operator
+	inputs  []Operator // the one input, held as Inputs returns it
 }
 
 // NewAggregate builds the operator; names/types cover group-by columns then
 // aggregates.
 func NewAggregate(in Operator, groupBy []expression.Expression, aggs []*expression.Aggregate, names []string, dts []types.DataType) *Aggregate {
-	return &Aggregate{GroupBy: groupBy, Aggs: aggs, Names: names, Types: dts, input: in}
+	return &Aggregate{GroupBy: groupBy, Aggs: aggs, Names: names, Types: dts, inputs: []Operator{in}}
 }
 
 // Name implements Operator.
@@ -43,7 +43,7 @@ func (op *Aggregate) Name() string {
 }
 
 // Inputs implements Operator.
-func (op *Aggregate) Inputs() []Operator { return []Operator{op.input} }
+func (op *Aggregate) Inputs() []Operator { return op.inputs }
 
 // aggState accumulates one aggregate for one group: 32 bytes, no boxed
 // value. count is the rows the aggregate saw (COUNT(*) counts NULLs, the

@@ -116,17 +116,19 @@ func (ctx *ExecContext) noteSeal(op Operator, table *storage.Table, rid types.Ro
 // fashion as invalidations and reinsertions" (paper §2.8).
 type Delete struct {
 	TableName string
-	input     Operator
+	inputs    []Operator // the one input, held as Inputs returns it
 }
 
 // NewDelete builds a delete.
-func NewDelete(table string, in Operator) *Delete { return &Delete{TableName: table, input: in} }
+func NewDelete(table string, in Operator) *Delete {
+	return &Delete{TableName: table, inputs: []Operator{in}}
+}
 
 // Name implements Operator.
 func (op *Delete) Name() string { return "Delete(" + op.TableName + ")" }
 
 // Inputs implements Operator.
-func (op *Delete) Inputs() []Operator { return []Operator{op.input} }
+func (op *Delete) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator.
 func (op *Delete) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
@@ -161,19 +163,19 @@ type Update struct {
 	TableName  string
 	SetColumns []int // lqp.UpdateNode's
 	SetExprs   []expression.Expression
-	input      Operator
+	inputs     []Operator // the one input, held as Inputs returns it
 }
 
 // NewUpdate builds an update.
 func NewUpdate(table string, cols []int, exprs []expression.Expression, in Operator) *Update {
-	return &Update{TableName: table, SetColumns: cols, SetExprs: exprs, input: in}
+	return &Update{TableName: table, SetColumns: cols, SetExprs: exprs, inputs: []Operator{in}}
 }
 
 // Name implements Operator.
 func (op *Update) Name() string { return "Update(" + op.TableName + ")" }
 
 // Inputs implements Operator.
-func (op *Update) Inputs() []Operator { return []Operator{op.input} }
+func (op *Update) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator.
 func (op *Update) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {

@@ -59,12 +59,11 @@ func (m JoinMode) nullExtendsRight() bool { return m == JoinModeLeft || m == Joi
 type joinCommon struct {
 	Mode      JoinMode
 	Residuals []expression.Expression
-	left      Operator
-	right     Operator
+	inputs    []Operator // left, right, held as Inputs returns them
 }
 
 // Inputs implements Operator.
-func (j *joinCommon) Inputs() []Operator { return []Operator{j.left, j.right} }
+func (j *joinCommon) Inputs() []Operator { return j.inputs }
 
 // filterResiduals evaluates the residual predicates over candidate pairs
 // and returns the surviving ones (ps itself when there is nothing to
@@ -108,7 +107,7 @@ func NewHashJoin(mode JoinMode, left, right Operator, leftKey, rightKey expressi
 // NewMultiKeyHashJoin builds a hash join over composite keys.
 func NewMultiKeyHashJoin(mode JoinMode, left, right Operator, leftKeys, rightKeys []expression.Expression, residuals []expression.Expression) *HashJoin {
 	return &HashJoin{
-		joinCommon: joinCommon{Mode: mode, Residuals: residuals, left: left, right: right},
+		joinCommon: joinCommon{Mode: mode, Residuals: residuals, inputs: []Operator{left, right}},
 		LeftKeys:   leftKeys,
 		RightKeys:  rightKeys,
 	}

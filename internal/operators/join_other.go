@@ -19,7 +19,7 @@ type SortMergeJoin struct {
 // NewSortMergeJoin builds a sort-merge join.
 func NewSortMergeJoin(mode JoinMode, left, right Operator, leftKey, rightKey expression.Expression, residuals []expression.Expression) *SortMergeJoin {
 	return &SortMergeJoin{
-		joinCommon: joinCommon{Mode: mode, Residuals: residuals, left: left, right: right},
+		joinCommon: joinCommon{Mode: mode, Residuals: residuals, inputs: []Operator{left, right}},
 		LeftKey:    leftKey,
 		RightKey:   rightKey,
 	}
@@ -99,7 +99,7 @@ type NestedLoopJoin struct {
 
 // NewNestedLoopJoin builds a nested-loop join.
 func NewNestedLoopJoin(mode JoinMode, left, right Operator, predicates []expression.Expression) *NestedLoopJoin {
-	return &NestedLoopJoin{joinCommon{Mode: mode, Residuals: predicates, left: left, right: right}}
+	return &NestedLoopJoin{joinCommon{Mode: mode, Residuals: predicates, inputs: []Operator{left, right}}}
 }
 
 // Name implements Operator.

@@ -14,16 +14,16 @@ import (
 // reference to it) is reused instead of copied — so projections that only
 // shuffle or drop columns stay positional (paper §2.6).
 type Projection struct {
-	Exprs []expression.Expression
-	Names []string
-	Types []types.DataType
-	input Operator
+	Exprs  []expression.Expression
+	Names  []string
+	Types  []types.DataType
+	inputs []Operator // the one input, held as Inputs returns it
 }
 
 // NewProjection builds a projection with the given output names and types
 // (taken from the LQP schema at translation time).
 func NewProjection(in Operator, exprs []expression.Expression, names []string, dts []types.DataType) *Projection {
-	return &Projection{Exprs: exprs, Names: names, Types: dts, input: in}
+	return &Projection{Exprs: exprs, Names: names, Types: dts, inputs: []Operator{in}}
 }
 
 // Name implements Operator.
@@ -36,7 +36,7 @@ func (op *Projection) Name() string {
 }
 
 // Inputs implements Operator.
-func (op *Projection) Inputs() []Operator { return []Operator{op.input} }
+func (op *Projection) Inputs() []Operator { return op.inputs }
 
 // outputDefs computes the output schema.
 func (op *Projection) outputDefs() []storage.ColumnDefinition {
@@ -153,18 +153,20 @@ func nullsOrNil(v *expression.Vector) []bool {
 
 // Alias renames output columns without touching data.
 type Alias struct {
-	Names []string
-	input Operator
+	Names  []string
+	inputs []Operator // the one input, held as Inputs returns it
 }
 
 // NewAlias builds a rename.
-func NewAlias(in Operator, names []string) *Alias { return &Alias{Names: names, input: in} }
+func NewAlias(in Operator, names []string) *Alias {
+	return &Alias{Names: names, inputs: []Operator{in}}
+}
 
 // Name implements Operator.
 func (op *Alias) Name() string { return "Alias(" + strings.Join(op.Names, ", ") + ")" }
 
 // Inputs implements Operator.
-func (op *Alias) Inputs() []Operator { return []Operator{op.input} }
+func (op *Alias) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator.
 func (op *Alias) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {

@@ -21,12 +21,12 @@ type SortKey struct {
 // of the input (one reference chunk), so no data is copied. NULLs sort last
 // ascending and first descending (PostgreSQL defaults).
 type Sort struct {
-	Keys  []SortKey
-	input Operator
+	Keys   []SortKey
+	inputs []Operator // the one input, held as Inputs returns it
 }
 
 // NewSort builds a sort.
-func NewSort(in Operator, keys []SortKey) *Sort { return &Sort{Keys: keys, input: in} }
+func NewSort(in Operator, keys []SortKey) *Sort { return &Sort{Keys: keys, inputs: []Operator{in}} }
 
 // Name implements Operator.
 func (op *Sort) Name() string {
@@ -41,7 +41,7 @@ func (op *Sort) Name() string {
 }
 
 // Inputs implements Operator.
-func (op *Sort) Inputs() []Operator { return []Operator{op.input} }
+func (op *Sort) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator. The keys are evaluated into one typed vector each
 // (keys.go) and sortRows orders the row numbers by them.
@@ -159,18 +159,18 @@ func mergeRuns(ctx *ExecContext, out, left, right []int32, cmp func(a, b int32) 
 
 // Limit keeps the first N rows of its input.
 type Limit struct {
-	N     int64
-	input Operator
+	N      int64
+	inputs []Operator // the one input, held as Inputs returns it
 }
 
 // NewLimit builds a limit.
-func NewLimit(in Operator, n int64) *Limit { return &Limit{N: n, input: in} }
+func NewLimit(in Operator, n int64) *Limit { return &Limit{N: n, inputs: []Operator{in}} }
 
 // Name implements Operator.
 func (op *Limit) Name() string { return fmt.Sprintf("Limit(%d)", op.N) }
 
 // Inputs implements Operator.
-func (op *Limit) Inputs() []Operator { return []Operator{op.input} }
+func (op *Limit) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator.
 func (op *Limit) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {

@@ -36,12 +36,12 @@ type TableScan struct {
 	// visible drops, last, the rows the context's transaction must not see
 	// (paper §2.8) — where the chain held a ValidateNode.
 	visible bool
-	input   Operator
+	inputs  []Operator // the one input, held as Inputs returns it
 }
 
 // NewTableScan builds a scan of preds, in that order.
 func NewTableScan(in Operator, preds ...expression.Expression) *TableScan {
-	return &TableScan{preds: preds, input: in}
+	return &TableScan{preds: preds, inputs: []Operator{in}}
 }
 
 // Name implements Operator.
@@ -57,7 +57,7 @@ func (op *TableScan) Name() string {
 }
 
 // Inputs implements Operator.
-func (op *TableScan) Inputs() []Operator { return []Operator{op.input} }
+func (op *TableScan) Inputs() []Operator { return op.inputs }
 
 // Run implements Operator: the chunk list is split into morsels (runs of
 // consecutive chunks, see morselRanges) and each morsel runs the scan ladder

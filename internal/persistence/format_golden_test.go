@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hyrise/internal/concurrency"
@@ -202,9 +201,11 @@ func decimalCatalog(tb testing.TB) *storage.StorageManager {
 	return sm
 }
 
-// patchedCatalog is decimalCatalog with patches: every 17th price is one ulp
-// past its cents, and NaN, -0 and +Inf stand in three rows, so both sealed
-// chunks hold decimal(2) segments with patches.
+// patchedCatalog is decimalCatalog with corrections and patches: every 17th
+// price is one ulp past its cents, and NaN, -0 and +Inf stand in three rows,
+// so both sealed chunks hold decimal(2) segments corrected by 2 bits, with
+// those three rows patched. (decimal_patched.snap holds the same rows as it
+// was written before corrections: the ulps patched too.)
 func patchedCatalog(tb testing.TB) *storage.StorageManager {
 	tb.Helper()
 	t := storage.NewTable("readings", []storage.ColumnDefinition{
@@ -233,8 +234,8 @@ func patchedCatalog(tb testing.TB) *storage.StorageManager {
 			c.ReplaceSegment(id, sealed)
 		}
 		filter.AttachDefaults(c)
-		if got := encoding.ValueCompression(c.GetSegment(1)); !strings.HasPrefix(got, "decimal(2)+") {
-			tb.Fatalf("chunk %d: price sealed with value compression %s, want decimal(2) with patches", ci, got)
+		if got := encoding.ValueCompression(c.GetSegment(1)); got != "decimal(2)~2+3" {
+			tb.Fatalf("chunk %d: price sealed with value compression %s, want decimal(2)~2+3", ci, got)
 		}
 	}
 	sm := storage.NewStorageManager()
@@ -375,10 +376,12 @@ func codecSequence(tb testing.TB, dir string) {
 // TestDiffRestoreByteAlignedGoldens: catalog.fsba.snap and decimal.fsba.snap
 // were written when the size model priced byte-aligned codes only, so the
 // columns it sealed hold FSBA code vectors where codecCatalog and
-// decimalCatalog now bit-pack them. They stay restorable and hold the same
-// rows, cell for cell, bit for bit.
+// decimalCatalog now bit-pack them; decimal_patched.snap was written before
+// corrections, so its decimals patch the rows patchedCatalog now corrects.
+// They stay restorable and hold the same rows, cell for cell, bit for bit.
 func TestDiffRestoreByteAlignedGoldens(t *testing.T) {
-	for file, build := range map[string]func(testing.TB) *storage.StorageManager{"catalog.fsba.snap": codecCatalog, "decimal.fsba.snap": decimalCatalog} {
+	for file, build := range map[string]func(testing.TB) *storage.StorageManager{"catalog.fsba.snap": codecCatalog, "decimal.fsba.snap": decimalCatalog,
+		"decimal_patched.snap": patchedCatalog} {
 		img, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
@@ -418,7 +421,7 @@ func TestDiffRestoreByteAlignedGoldens(t *testing.T) {
 
 // TestDiffFormatGolden holds the bytes the durability formats write to files
 // under testdata/: snapshots of codecCatalog, of decimalCatalog, of
-// patchedCatalog and of an empty catalog, the
+// patchedCatalog (decimal_corrected.snap) and of an empty catalog, the
 // snapshot and log a fixed commit sequence leaves in its data directory, and
 // the log of one bare commit batch of every value tag. Rerun with
 // -update-golden only for a deliberate format change.
@@ -431,7 +434,7 @@ func TestDiffFormatGolden(t *testing.T) {
 	if got["decimal.snap"], err = encodeSnapshot(decimalCatalog(t), 12345, 678); err != nil {
 		t.Fatal(err)
 	}
-	if got["decimal_patched.snap"], err = encodeSnapshot(patchedCatalog(t), 12345, 678); err != nil {
+	if got["decimal_corrected.snap"], err = encodeSnapshot(patchedCatalog(t), 12345, 678); err != nil {
 		t.Fatal(err)
 	}
 	if got["empty.snap"], err = encodeSnapshot(storage.NewStorageManager(), 0, 0); err != nil {

@@ -3,6 +3,8 @@ package persistence
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hyrise/internal/storage"
@@ -14,8 +16,9 @@ import (
 // decoder. Nothing may panic: the decode errors or loads, a loaded catalog's
 // rows read back, and the catalog encodes and decodes again without error.
 // The seeds are the images of codecCatalog, decimalCatalog and
-// patchedCatalog, which hold every segment tag, MVCC bitmaps and a view, and
-// the empty catalog's.
+// patchedCatalog (corrected decimals), which hold every segment tag but the
+// patched decimal's, MVCC bitmaps and a view, the empty catalog's, and
+// decimal_patched.snap, which holds that one.
 func FuzzSnapshot(f *testing.F) {
 	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager(), patchedCatalog(f)} {
 		img, err := encodeSnapshot(sm, 12345, 678)
@@ -24,6 +27,11 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		f.Add(img[len(snapMagic) : len(img)-4])
 	}
+	img, err := os.ReadFile(filepath.Join("testdata", "decimal_patched.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img[len(snapMagic) : len(img)-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		img := binary.LittleEndian.AppendUint32(append([]byte(snapMagic), body...), crc32.ChecksumIEEE(body))
 		sm := storage.NewStorageManager()

@@ -462,7 +462,7 @@ func TestRoutePreparedInsertAllocates(t *testing.T) {
 	// server's cancel context was the parent of the registry's; 14 while the
 	// freeze queue boxed each block it pushed and popped and each statement
 	// built its own wait observer; 11 now (the parameter slice above
-	// included).
+	// included; an Insert has no input slice to build).
 	if allocs > 11 {
 		t.Errorf("a prepared one-row INSERT allocates %.0f, want <= 11", allocs)
 	}
