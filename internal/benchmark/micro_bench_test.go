@@ -494,12 +494,12 @@ const visibilityScans = 20
 // BenchmarkMicroVisibility measures the scan's visibility rung alone: `SELECT
 // count(*)` over 200 000 rows (no conjunct, so every offset reaches the rung)
 // in each state an MVCC block can be in. loaded: bulk-loaded rows, every block
-// three scalars, the rung asks no row. inserted: rows a transaction inserted
+// two scalars, the rung asks no row. inserted: rows a transaction inserted
 // and committed; its end froze their begin arrays back to scalars.
 // inserted_pinned: the same, while an older transaction stays open, so every
 // block keeps its begin array and every row is asked. one_invalidated_per_block:
 // loaded rows of which every 256th was deleted, so every block holds an end
-// and a tid array — the most a delete can cost the rows around it.
+// array — the most a delete can cost the rows around it.
 func BenchmarkMicroVisibility(b *testing.B) {
 	states := []struct {
 		name           string

@@ -1,9 +1,9 @@
 // Package concurrency implements Hyrise's multi-version concurrency control
 // (paper §2.8): transactions carry a begin commit id (their snapshot) and
 // receive an end commit id when they commit; updates are insert-only with
-// invalidations; write-write conflicts are detected by atomically claiming a
-// row's transaction id — if two transactions try to set the transaction id
-// of a single row, only one succeeds and the other has to abort.
+// invalidations; write-write conflicts are detected by one CAS of a row's end
+// cell — if two transactions try to claim one row, only one succeeds and the
+// other has to abort.
 package concurrency
 
 import (
@@ -378,10 +378,10 @@ func (tc *TransactionContext) TID() types.TransactionID { return tc.tid }
 func (tc *TransactionContext) Snapshot() types.CommitID { return tc.snapshot }
 
 // RegisterInsert records a freshly appended row: its begin cell names the
-// transaction (types.InsertedBy), so the row is visible to this transaction
+// transaction (types.HeldBy), so the row is visible to this transaction
 // only, until commit assigns the begin commit id.
 func (tc *TransactionContext) RegisterInsert(chunk *storage.Chunk, row types.ChunkOffset) {
-	chunk.MvccData().SetBegin(row, types.InsertedBy(tc.tid))
+	chunk.MvccData().SetBegin(row, types.HeldBy(tc.tid))
 	tc.mu.Lock()
 	tc.inserts = append(tc.inserts, rowRef{chunk, row})
 	tc.mu.Unlock()
@@ -395,20 +395,18 @@ func (tc *TransactionContext) TryInvalidate(chunk *storage.Chunk, row types.Chun
 	if mvcc == nil {
 		return fmt.Errorf("concurrency: table has no MVCC data")
 	}
-	if mvcc.Begin(row) == types.InsertedBy(tc.tid) {
+	if mvcc.Begin(row) == types.HeldBy(tc.tid) {
 		// Deleting a row this transaction inserted: hide it immediately —
 		// no other transaction can see it anyway.
 		mvcc.SetEnd(row, 0)
 		return nil
 	}
-	if !mvcc.ClaimTID(row, tc.tid) {
-		return fmt.Errorf("%w: row held by transaction %d", ErrConflict, mvcc.TID(row))
-	}
-	// Re-check visibility after the claim: a committed delete may have
-	// slipped in between validation and the claim.
-	if mvcc.End(row) != types.MaxCommitID {
-		mvcc.ReleaseTID(row, tc.tid)
-		return fmt.Errorf("%w: row already invalidated", ErrConflict)
+	// One word says whether the row is still valid and who holds it.
+	if end, ok := mvcc.Claim(row, tc.tid); !ok {
+		if end.Committed() {
+			return fmt.Errorf("%w: row already invalidated", ErrConflict)
+		}
+		return fmt.Errorf("%w: row held by transaction %d", ErrConflict, end.Owner())
 	}
 	tc.mu.Lock()
 	tc.invalidations = append(tc.invalidations, rowRef{chunk, row})
@@ -438,7 +436,7 @@ func (tc *TransactionContext) TryInvalidateWait(ctx context.Context, chunk *stor
 	deadline := time.Now().Add(maxWait)
 	backoff := 50 * time.Microsecond
 	for {
-		if mvcc.End(row) != types.MaxCommitID {
+		if mvcc.End(row).Committed() {
 			// The holder committed its delete: permanently invalidated.
 			return err
 		}
@@ -528,9 +526,7 @@ func (tc *TransactionContext) Commit() error {
 		r.chunk.MvccData().SetBegin(r.row, cid)
 	}
 	for _, r := range tc.invalidations {
-		mvcc := r.chunk.MvccData()
-		mvcc.SetEnd(r.row, cid)
-		mvcc.ReleaseTID(r.row, tc.tid)
+		r.chunk.MvccData().SetEnd(r.row, cid) // over the claim's mark
 	}
 	if wait == nil {
 		// Immediately visible; otherwise the log publishes the commit id
@@ -579,7 +575,7 @@ func (tc *TransactionContext) rollbackLocked() {
 		r.chunk.MvccData().SetBegin(r.row, types.MaxCommitID) // nobody's, never visible
 	}
 	for _, r := range tc.invalidations {
-		r.chunk.MvccData().ReleaseTID(r.row, tc.tid)
+		r.chunk.MvccData().Release(r.row, tc.tid)
 	}
 	tc.phase = RolledBack
 	tc.tm.aborted.Add(1)
@@ -596,10 +592,11 @@ func visibleIn(mvcc storage.MvccBlock, row types.ChunkOffset, tid types.Transact
 	if begin := mvcc.Begin(row); begin > snapshot {
 		// Not committed as of the snapshot: visible only as this transaction's
 		// own insert, unless self-deleted.
-		return tid != 0 && begin == types.InsertedBy(tid) && mvcc.End(row) == types.MaxCommitID
+		return tid != 0 && begin == types.HeldBy(tid) && mvcc.End(row) == types.MaxCommitID
 	}
-	// Committed rows this transaction has claimed are its own pending deletes.
-	return mvcc.End(row) > snapshot && (tid == 0 || mvcc.TID(row) != tid)
+	// A pending delete (a mark above every snapshot) hides the row from its owner.
+	end := mvcc.End(row)
+	return end > snapshot && end != types.HeldBy(tid)
 }
 
 // VisibleOffsets keeps, in place, the offsets (ascending) of the rows visible

@@ -3,6 +3,8 @@ package concurrency
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,9 +133,15 @@ func TestWriteWriteConflict(t *testing.T) {
 	if err := a.TryInvalidate(chunk, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.TryInvalidate(chunk, 0); err != nil {
+		t.Fatalf("re-claim by the holder: %v", err)
+	}
 	err := b.TryInvalidate(chunk, 0)
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("want conflict, got %v", err)
+	}
+	if want := fmt.Sprintf("held by transaction %d", a.TID()); !strings.Contains(err.Error(), want) {
+		t.Errorf("conflict %q does not name the holder (%q)", err, want)
 	}
 	b.Rollback()
 	// After a rolls back, the claim is released and b2 can delete.
@@ -160,7 +168,7 @@ func TestDeleteAlreadyInvalidatedConflicts(t *testing.T) {
 	}
 	// reader validated row 0 earlier; its late delete must conflict.
 	err := reader.TryInvalidate(chunk, 0)
-	if !errors.Is(err, ErrConflict) {
+	if !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), "already invalidated") {
 		t.Fatalf("want conflict on already-invalidated row, got %v", err)
 	}
 }

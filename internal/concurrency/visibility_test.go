@@ -157,6 +157,12 @@ func TestDiffVisibilityFastPath(t *testing.T) {
 	untouched := 0
 	for ci, c := range table.Chunks() {
 		mvcc, n := c.MvccData(), c.Size()
+		for o := types.ChunkOffset(0); int(o) < n; o++ {
+			// A pending delete is its owner's mark in the row's end cell.
+			if h := history[types.RowID{Chunk: types.ChunkID(ci), Offset: o}]; h.claimedBy != 0 && mvcc.End(o) != types.HeldBy(h.claimedBy) {
+				t.Fatalf("row %d/%d: claimed by %d, end holds %d", ci, o, h.claimedBy, mvcc.End(o))
+			}
+		}
 		for lo := 0; lo < n; lo += storage.MvccBlockRows {
 			if mvcc.Block(types.ChunkOffset(lo)).AllVisible(tm.LastCommitID()) {
 				untouched++

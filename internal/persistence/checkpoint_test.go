@@ -2,6 +2,7 @@ package persistence
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -178,4 +179,84 @@ func TestSnapshotIntervalCheckpoints(t *testing.T) {
 	if g := visibleRows(tm2, got); !reflect.DeepEqual(g, want) {
 		t.Fatalf("reopened %d rows, want %d", len(g), len(want))
 	}
+}
+
+// TestCheckpointKeepsClaimedRows: a row an open DELETE or UPDATE has claimed
+// holds its claimer's mark in its end cell, which is not MaxCommitID; a
+// checkpoint taken meanwhile must still write the row as live. The restored
+// image and a replica bootstrapped from the checkpoint file hold both rows
+// with their old values, and not the UPDATE's uncommitted new version.
+func TestCheckpointKeepsClaimedRows(t *testing.T) {
+	dir := t.TempDir()
+	sm, tm, m := openTestManager(t, dir, SyncCommit)
+	table := storage.NewTable("t", testDefs(), 0, true)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LogCreateTable(table); err != nil {
+		t.Fatal(err)
+	}
+	insertTx(t, tm, table, [][]types.Value{
+		{types.Int(1), types.Str("a"), types.Float(1)},
+		{types.Int(2), types.Str("b"), types.Float(2)},
+		{types.Int(3), types.Str("c"), types.Float(3)},
+	})
+	want := visibleRows(tm, table)
+
+	chunk := table.GetChunk(0)
+	del, upd := tm.New(), tm.New()
+	if err := del.TryInvalidate(chunk, 0); err != nil {
+		t.Fatal(err)
+	}
+	del.LogDelete("t", types.RowID{Offset: 0})
+	if err := upd.TryInvalidate(chunk, 1); err != nil {
+		t.Fatal(err)
+	}
+	upd.LogDelete("t", types.RowID{Offset: 1})
+	newer := []types.Value{types.Int(2), types.Str("b2"), types.Float(20)}
+	rid, err := table.AppendRow(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd.RegisterInsert(table.GetChunk(rid.Chunk), rid.Offset)
+	upd.LogInsert("t", rid, newer)
+	if mvcc := chunk.MvccData(); mvcc.End(0) != types.HeldBy(del.TID()) || mvcc.End(1) != types.HeldBy(upd.TID()) {
+		t.Fatalf("the claims are not in the end cells: %d, %d", mvcc.End(0), mvcc.End(1))
+	}
+
+	check := func(what string, tm *concurrency.TransactionManager, sm *storage.StorageManager) {
+		t.Helper()
+		got, err := sm.GetTable("t")
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rows := visibleRows(tm, got); !rowsEqual(rows, want) {
+			t.Errorf("%s holds %v, want %v", what, rows, want)
+		}
+	}
+	f, _, err := m.OpenCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := storage.NewStorageManager()
+	_, cid, err := DecodeSnapshot(buf, replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaTM := concurrency.NewTransactionManager()
+	replicaTM.RecoverState(cid, 0)
+	check("the replica", replicaTM, replica)
+
+	// The claims are still open when the primary stops.
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sm2, tm2, m2 := openTestManager(t, dir, SyncCommit)
+	defer m2.Close()
+	check("the restored image", tm2, sm2)
 }

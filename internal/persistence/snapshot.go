@@ -128,7 +128,7 @@ func appendChunk(dst []byte, c *storage.Chunk) ([]byte, error) {
 	for i := 0; i < rows; i++ {
 		off := types.ChunkOffset(i)
 		committed[i] = mvcc.Begin(off).Committed()
-		deleted[i] = mvcc.End(off) != types.MaxCommitID
+		deleted[i] = mvcc.End(off).Committed() // a claim still open keeps the row
 	}
 	return encoding.AppendBools(encoding.AppendBools(append(dst, 1), committed), deleted), nil
 }

@@ -350,12 +350,12 @@ func TestFreezeWaitsForOpenTransaction(t *testing.T) {
 			}
 			// Directory (13 groups of a 100 000-row chunk) + one group of headers +
 			// three begin arrays, while the reader's snapshot trails one commit.
-			if mvcc, lag := footprint(); mvcc != 104+1536+3*2048 || lag != 1 {
+			if mvcc, lag := footprint(); mvcc != 104+1024+3*2048 || lag != 1 {
 				t.Fatalf("pinned: mvcc_bytes %d, txn_low_water_lag %d", mvcc, lag)
 			}
 			mustExec(t, reader, end)
 			mustExec(t, writer, "SELECT 1")
-			if mvcc, lag := footprint(); mvcc != 104+1536+2048 || lag != 0 {
+			if mvcc, lag := footprint(); mvcc != 104+1024+2048 || lag != 0 {
 				t.Errorf("after %s: mvcc_bytes %d, want the tail block's array alone; txn_low_water_lag %d", end, mvcc, lag)
 			}
 			if n, _ := e.Metrics().Get("mvcc_frozen_blocks"); n != 2 {
@@ -379,9 +379,9 @@ func TestMetaTablesSQL(t *testing.T) {
 	}
 
 	// Where the memory went: the 25 inserted rows sit in one MVCC block, which
-	// holds a begin array (2 KiB) for them; a DELETE adds that block's end and
-	// tid arrays and nothing else; the three shares add up to the table's
-	// footprint.
+	// holds a begin array (2 KiB) for them; a DELETE adds that block's end
+	// array, which holds its claim, and nothing else; the three shares add up
+	// to the table's footprint.
 	const footprint = "SELECT mvcc_bytes, metadata_bytes, data_bytes FROM meta_tables WHERE table_name = 'obs'"
 	before := rows(t, s, footprint)[0]
 	mustExec(t, s, "DELETE FROM obs WHERE id = 3")
@@ -396,8 +396,8 @@ func TestMetaTablesSQL(t *testing.T) {
 	if mvcc := num(before[0]); mvcc < 2048 || mvcc >= 2*2048 {
 		t.Errorf("mvcc_bytes after 25 inserts = %d, want one 2 KiB array plus block headers", mvcc)
 	}
-	if grew := num(after[0]) - num(before[0]); grew != 2*2048 || after[1] != before[1] || after[2] != before[2] {
-		t.Errorf("a DELETE moved mvcc/metadata/data bytes %v -> %v, want mvcc_bytes + 4096 alone", before, after)
+	if grew := num(after[0]) - num(before[0]); grew != 2048 || after[1] != before[1] || after[2] != before[2] {
+		t.Errorf("a DELETE moved mvcc/metadata/data bytes %v -> %v, want mvcc_bytes + 2048 alone", before, after)
 	}
 	obs, err := s.engine.StorageManager().GetTable("obs")
 	if err != nil {

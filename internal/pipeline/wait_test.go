@@ -1,8 +1,12 @@
 package pipeline
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,5 +198,77 @@ func TestLockWaitTimeoutStillConflicts(t *testing.T) {
 	mustExec(t, holder, "ROLLBACK")
 	if cnt := metric(t, e, "wait.mvcc_conflict_ns_count"); cnt < 1 {
 		t.Errorf("timed-out lock wait not recorded: count = %d", cnt)
+	}
+}
+
+// TestLostUpdateRetriesConflicts: sessions increment one counter row in
+// explicit transactions and retry those that conflict. The counter ends at
+// the number of commits, whether a conflict aborts at once or waits for the
+// holder first, and a conflict's message says "conflict" (what TPC-C's
+// terminals retry on) and names the transaction holding the row.
+func TestLostUpdateRetriesConflicts(t *testing.T) {
+	const sessions, txns = 4, 250
+	const update = "UPDATE ctr SET n = n + 1 WHERE id = 1"
+	heldBy := regexp.MustCompile(`conflict: row held by transaction (\d+)`)
+	for _, wait := range []time.Duration{0, 20 * time.Millisecond} {
+		t.Run("lock_wait="+wait.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LockWaitTimeout = wait
+			e := NewEngine(cfg, nil)
+			t.Cleanup(e.Close)
+			first, second := e.NewSession(), e.NewSession()
+			mustExec(t, first, "CREATE TABLE ctr (id INT NOT NULL, n INT NOT NULL)")
+			mustExec(t, first, "INSERT INTO ctr VALUES (1, 0), (2, 0)")
+
+			// One conflict for certain: the loser's message names the holder.
+			mustExec(t, first, "BEGIN")
+			mustExec(t, first, update)
+			_, err := second.ExecuteOne(update)
+			if want := fmt.Sprintf("conflict: row held by transaction %d", first.tx.TID()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("a second writer of a held row got %v, want %q", err, want)
+			}
+			mustExec(t, first, "COMMIT")
+
+			var conflicts atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < sessions; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := e.NewSession()
+					for done := 0; done < txns; {
+						if _, err := s.ExecuteOne("BEGIN"); err != nil {
+							t.Error(err)
+							return
+						}
+						own := s.tx.TID()
+						if _, err := s.ExecuteOne(update); err != nil {
+							// A conflict rolls the transaction back: retry it.
+							if !strings.Contains(err.Error(), "conflict") {
+								t.Errorf("update: %v", err)
+								return
+							}
+							if m := heldBy.FindStringSubmatch(err.Error()); m != nil {
+								if holder, _ := strconv.ParseUint(m[1], 10, 64); holder == 0 || holder == uint64(own) {
+									t.Errorf("transaction %d: conflict %q names no other holder", own, err)
+								}
+							}
+							conflicts.Add(1)
+							continue
+						}
+						if _, err := s.ExecuteOne("COMMIT"); err != nil {
+							t.Error(err)
+							return
+						}
+						done++
+					}
+				}()
+			}
+			wg.Wait()
+			if got, want := rows(t, first, "SELECT id, n FROM ctr ORDER BY id"), [][]string{{"1", fmt.Sprint(1 + sessions*txns)}, {"2", "0"}}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("after %d commits: %v, want %v", 1+sessions*txns, got, want)
+			}
+			t.Logf("%d conflicts retried", conflicts.Load())
+		})
 	}
 }

@@ -20,15 +20,14 @@ const (
 	mvccGroupShift = 13
 )
 
-// The three MVCC columns, and what a row nobody has committed, invalidated or
-// claimed holds in each.
+// The two MVCC columns. A row nobody has committed, invalidated or claimed
+// holds mvccFresh in both.
 const (
 	mvccBegin = iota
 	mvccEnd
-	mvccTID
 )
 
-var mvccFresh = [...]uint64{mvccBegin: uint64(types.MaxCommitID), mvccEnd: uint64(types.MaxCommitID), mvccTID: 0}
+const mvccFresh = uint64(types.MaxCommitID)
 
 type mvccCells [MvccBlockRows]atomic.Uint64
 
@@ -56,18 +55,18 @@ func (c *mvccColumn) materialize() *mvccCells {
 	return c.cells.Load()
 }
 
-type mvccBlock [3]mvccColumn
+type mvccBlock [2]mvccColumn
 
 type mvccGroup [1 << (mvccGroupShift - mvccBlockShift)]mvccBlock
 
 // MvccData holds the per-chunk concurrency-control columns (paper §2.8): for
-// every row a begin commit id, an end commit id, and the id of the transaction
-// currently claiming the row. A column costs nothing while all rows of a block
-// agree — fresh, bulk-loaded and restored blocks are three scalars — and 8 B
-// per row from the first store that differs: begin in blocks that take
-// inserts (an uncommitted insert keeps its owner there, types.InsertedBy) until
-// the low-water mark passes them (Chunk.FreezeBegin), end in blocks that hold
-// an invalidated row, tid in blocks a DELETE or UPDATE has claimed a row of.
+// every row a begin commit id and an end commit id; an uncommitted insert or
+// invalidation holds its owner's mark (types.HeldBy) in the cell its commit
+// will stamp, so a claim on a row is its end cell. A column costs nothing
+// while all rows of a block agree — fresh, bulk-loaded and restored blocks are
+// two scalars — and 8 B per row from the first store that differs: begin in
+// blocks that take inserts until the low-water mark passes them
+// (Chunk.FreezeBegin), end in blocks a DELETE or UPDATE has claimed a row of.
 // Cells are read and written atomically, readers never block writers and never
 // allocate.
 type MvccData struct {
@@ -99,7 +98,7 @@ func (m *MvccData) blockForWrite(i types.ChunkOffset) *mvccBlock {
 		g := new(mvccGroup)
 		for b := range g {
 			for c := range g[b] {
-				g[b][c].scalar.Store(mvccFresh[c])
+				g[b][c].scalar.Store(mvccFresh)
 			}
 		}
 		slot.CompareAndSwap(nil, g)
@@ -109,7 +108,7 @@ func (m *MvccData) blockForWrite(i types.ChunkOffset) *mvccBlock {
 
 func (v MvccBlock) load(col int, i types.ChunkOffset) uint64 {
 	if v.b == nil {
-		return mvccFresh[col]
+		return mvccFresh
 	}
 	if cells := v.b[col].cells.Load(); cells != nil {
 		return cells[i&(MvccBlockRows-1)].Load()
@@ -117,22 +116,19 @@ func (v MvccBlock) load(col int, i types.ChunkOffset) uint64 {
 	return v.b[col].scalar.Load()
 }
 
-// Begin, End and TID are MvccData's, with the block already looked up.
+// Begin and End are MvccData's, with the block already looked up.
 func (v MvccBlock) Begin(i types.ChunkOffset) types.CommitID {
 	return types.CommitID(v.load(mvccBegin, i))
 }
 func (v MvccBlock) End(i types.ChunkOffset) types.CommitID { return types.CommitID(v.load(mvccEnd, i)) }
-func (v MvccBlock) TID(i types.ChunkOffset) types.TransactionID {
-	return types.TransactionID(v.load(mvccTID, i))
-}
 
 // AllVisible reports whether the block can answer for all its rows that they
 // are visible at snapshot: one begin commit id at or below it for the whole
-// block, no row ever invalidated, none ever claimed (only begin is ever
-// stamped, so an end or tid column without an array is fresh).
+// block, no row ever invalidated or claimed (only begin is ever stamped, so an
+// end column without an array is fresh).
 func (v MvccBlock) AllVisible(snapshot types.CommitID) bool {
 	b := v.b
-	return b != nil && b[mvccBegin].cells.Load() == nil && b[mvccEnd].cells.Load() == nil && b[mvccTID].cells.Load() == nil &&
+	return b != nil && b[mvccBegin].cells.Load() == nil && b[mvccEnd].cells.Load() == nil &&
 		types.CommitID(b[mvccBegin].scalar.Load()) <= snapshot
 }
 
@@ -189,8 +185,8 @@ func (m *MvccData) StampBegin(n int, cid types.CommitID) {
 // compares the same way as the row's own id. The scalar is stored before the
 // array is dropped, so a lock-free reader sees one form or the other; no store
 // can race the drop, since every born row is committed and no row is born into
-// the block any more. End and tid arrays stay: a claim CASes into the array it
-// loaded, so dropping one could lose it. frozen reports that this call dropped
+// the block any more. End arrays stay: a claim CASes into the array it loaded,
+// so dropping one could lose it. frozen reports that this call dropped
 // the array; above is the largest committed begin past mark that kept it, 0
 // when nothing would (the block froze, holds no array, or holds a row that is
 // uncommitted, rolled back or unborn).
@@ -229,22 +225,24 @@ func (m *MvccData) SetEnd(i types.ChunkOffset, cid types.CommitID) {
 	m.store(mvccEnd, i, uint64(cid))
 }
 
-// TID returns the transaction id currently holding the row (0 = none).
-func (m *MvccData) TID(i types.ChunkOffset) types.TransactionID { return m.Block(i).TID(i) }
-
-// ClaimTID atomically claims the row for tid if it is unclaimed or already
-// held by tid. It returns false on a write-write conflict (paper §2.8: "if
-// two transactions concurrently try to set the transaction id of a single
-// row, only one can succeed and the other has to abort").
-func (m *MvccData) ClaimTID(i types.ChunkOffset, tid types.TransactionID) bool {
-	cell := m.cell(mvccTID, i)
-	return cell.CompareAndSwap(0, uint64(tid)) || cell.Load() == uint64(tid)
+// Claim CASes the row's end from MaxCommitID to tid's mark (types.HeldBy), or
+// finds tid's mark there; otherwise it returns the end that refused it and
+// the caller aborts (paper §2.8: "if two transactions concurrently try to set
+// the transaction id of a single row, only one can succeed").
+func (m *MvccData) Claim(i types.ChunkOffset, tid types.TransactionID) (end types.CommitID, ok bool) {
+	cell, mark := m.cell(mvccEnd, i), uint64(types.HeldBy(tid))
+	for !cell.CompareAndSwap(mvccFresh, mark) {
+		if v := cell.Load(); v != mvccFresh { // else released since the CAS: try again
+			return types.CommitID(v), v == mark
+		}
+	}
+	return types.HeldBy(tid), true
 }
 
-// ReleaseTID clears the row's transaction id if held by tid.
-func (m *MvccData) ReleaseTID(i types.ChunkOffset, tid types.TransactionID) {
-	if tid != 0 && m.TID(i) == tid {
-		m.cell(mvccTID, i).CompareAndSwap(uint64(tid), 0)
+// Release gives tid's claim on the row back: its end returns to MaxCommitID.
+func (m *MvccData) Release(i types.ChunkOffset, tid types.TransactionID) {
+	if mark := types.HeldBy(tid); m.End(i) == mark {
+		m.cell(mvccEnd, i).CompareAndSwap(uint64(mark), mvccFresh)
 	}
 }
 
@@ -557,8 +555,8 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 func (c *Chunk) appendRow(vals []types.Value) error {
 	if c.mvcc != nil {
 		// A row is born uncommitted, which only a block that was stamped as a
-		// whole (StampBegin) does not say of it already; end and tid are never
-		// stamped, so their cells are fresh wherever nobody stored.
+		// whole (StampBegin) does not say of it already; end is never stamped,
+		// so its cells are fresh wherever nobody stored.
 		c.mvcc.SetBegin(types.ChunkOffset(c.Size()), types.MaxCommitID)
 	}
 	c.mu.Lock()

@@ -228,27 +228,30 @@ func TestMvccDataClaims(t *testing.T) {
 	if m.Begin(0) != types.MaxCommitID || m.End(0) != types.MaxCommitID {
 		t.Error("fresh rows must have MaxCommitID begin/end")
 	}
-	if !m.ClaimTID(1, 77) {
+	if _, ok := m.Claim(1, 77); !ok {
 		t.Error("first claim should succeed")
 	}
-	if !m.ClaimTID(1, 77) {
+	if _, ok := m.Claim(1, 77); !ok {
 		t.Error("re-claim by owner should succeed")
 	}
-	if m.ClaimTID(1, 88) {
-		t.Error("claim by other transaction should fail")
+	if end, ok := m.Claim(1, 88); ok || end.Owner() != 77 {
+		t.Errorf("claim by other transaction should fail and name the holder: %v, holder %d", ok, end.Owner())
 	}
-	m.ReleaseTID(1, 88) // wrong owner: no-op
-	if m.TID(1) != 77 {
-		t.Error("release by non-owner must not clear tid")
+	m.Release(1, 88) // wrong owner: no-op
+	if m.End(1) != types.HeldBy(77) {
+		t.Error("release by non-owner must not clear the claim")
 	}
-	m.ReleaseTID(1, 77)
-	if m.TID(1) != 0 {
-		t.Error("release by owner must clear tid")
+	m.Release(1, 77)
+	if m.End(1) != types.MaxCommitID {
+		t.Error("release by owner must clear the claim")
 	}
 	m.SetBegin(2, 5)
 	m.SetEnd(2, 9)
 	if m.Begin(2) != 5 || m.End(2) != 9 {
 		t.Error("begin/end roundtrip failed")
+	}
+	if end, ok := m.Claim(2, 77); ok || end != 9 {
+		t.Errorf("claim of an invalidated row = %d, %v; want its end 9, refused", end, ok)
 	}
 }
 

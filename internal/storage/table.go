@@ -381,7 +381,7 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 // placeholderBegin is the begin commit id of a placeholder row: inserted, but
 // by no transaction (transaction ids start at 1), so it is invisible to
 // everyone and cannot be mistaken for a row whose values are real.
-var placeholderBegin = types.InsertedBy(0)
+var placeholderBegin = types.HeldBy(0)
 
 // padChunk appends placeholder rows until the chunk holds size rows.
 // Placeholders stand in for rows whose transaction has not been replayed

@@ -312,12 +312,15 @@ type TransactionID uint64
 // MaxCommitID marks "not yet committed / not yet invalidated".
 const MaxCommitID = CommitID(math.MaxUint64)
 
-// InsertedBy is the begin commit id of a row transaction tid has inserted and
-// not committed yet: the top bit, which no assigned commit id reaches, plus the
-// owner — an uncommitted insert needs no cell of its own to say whose it is.
+// HeldBy marks a row's begin (an insert) or end (a claim to invalidate it) as
+// transaction tid's, not committed yet: the top bit, which no assigned commit
+// id reaches, plus the owner, so no cell of its own says whose it is.
 // MaxCommitID is the same state without an owner.
-func InsertedBy(tid TransactionID) CommitID { return CommitID(1<<63 | uint64(tid)) }
+func HeldBy(tid TransactionID) CommitID { return CommitID(1<<63 | uint64(tid)) }
+
+// Owner returns the transaction a HeldBy mark names.
+func (c CommitID) Owner() TransactionID { return TransactionID(c &^ (1 << 63)) }
 
 // Committed reports whether c is a commit id some commit assigned, as opposed
-// to MaxCommitID or an InsertedBy mark.
+// to MaxCommitID or a HeldBy mark.
 func (c CommitID) Committed() bool { return c>>63 == 0 }
