@@ -694,8 +694,8 @@ func restoreRunLength[T types.Ordered](r *Reader, s *RunLengthSegment[T]) *RunLe
 }
 
 // valueSegmentFromParts rebuilds a value segment preserving nullability: a
-// nullable column with no NULLs yet must stay appendable with NULLs, so it
-// gets a zeroed (non-nil) null bitmap.
+// nullable column written without NULL flags stays nullable, without them;
+// Table.AppendChunk drops the all-false flags a restored tail is written with.
 func valueSegmentFromParts[T types.Ordered](r *Reader, values []T, nulls []bool, nullable bool) *storage.ValueSegment[T] {
 	if nulls != nil && len(nulls) != len(values) {
 		r.Fail("null bitmap length does not match value count")

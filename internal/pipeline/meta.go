@@ -112,11 +112,13 @@ func (e *Engine) buildMetaTables() (*storage.Table, error) {
 // (paper §2.3: encodings are chosen per segment, not per column) and the zone
 // the chunk keeps for the column: its bounds (NULL while no row holds a
 // comparable value) and whether the column ascends through the whole chunk,
-// which is what lets a scan binary-search it. value_compression is 'FSST' for
-// a string dictionary whose values are packed with a symbol table, 'decimal(e)'
-// for a float column stored as the integers n of its values n / 10^e, else
-// 'none'; vector_compression names the vector a Dictionary's or a
-// FrameOfReference's codes are in, 'FSBA' or 'SIMD-BP128', else 'none'.
+// which is what lets a scan binary-search it. size_bytes is what the chunk
+// holds for the segment, spare room of a mutable tail included, so a table's
+// segments add up to its meta_tables data_bytes. value_compression is 'FSST'
+// for a string dictionary whose values are packed with a symbol table,
+// 'decimal(e)' for a float column stored as the integers n of its values
+// n / 10^e, else 'none'; vector_compression names the vector a Dictionary's or
+// a FrameOfReference's codes are in, 'FSBA' or 'SIMD-BP128', else 'none'.
 func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 	defs := []storage.ColumnDefinition{
 		{Name: "table_name", Type: types.TypeString},
@@ -166,7 +168,7 @@ func (e *Engine) buildMetaSegments() (*storage.Table, error) {
 					types.Str(cols[col].Type.String()),
 					types.Str(spec.Encoding.String()),
 					types.Int(int64(seg.Len())),
-					types.Int(seg.MemoryUsage()),
+					types.Int(chunk.SegmentMemoryUsage(types.ColumnID(col))),
 					zoneMin, zoneMax, types.Str(ascending),
 					types.Str(encoding.ValueCompression(seg)),
 					types.Str(vector),

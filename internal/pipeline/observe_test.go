@@ -511,9 +511,11 @@ func TestSealedChunkFromSQL(t *testing.T) {
 		// Cents: one frame + 100 17-bit offsets of 100·val in 27 words
 		// (byte-aligned: 408).
 		{"0", "val", "FrameOfReference", "229", "decimal(2)", "SIMD-BP128"},
-		{"1", "id", "Unencoded", "8", "none", "none"}, // the one row so far
-		{"1", "tag", "Unencoded", "21", "none", "none"},
-		{"1", "val", "Unencoded", "9", "none", "none"},
+		// The one row so far, in the arrays the chunk holds for 16: 16 values
+		// (string headers plus the 4 bytes of 'load'), no NULL flags.
+		{"1", "id", "Unencoded", "128", "none", "none"},
+		{"1", "tag", "Unencoded", "260", "none", "none"},
+		{"1", "val", "Unencoded", "128", "none", "none"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("meta_segments of kv = %v, want %v", got, want)
@@ -528,5 +530,43 @@ func TestSealedChunkFromSQL(t *testing.T) {
 	}
 	if got := rows(t, s, "SELECT id, tag, val FROM kv WHERE id = 42"); !reflect.DeepEqual(got, [][]string{{"42", "load", fmt.Sprint(float64(42*7919%1000) + 0.25)}}) {
 		t.Errorf("point read in the sealed chunk = %v", got)
+	}
+}
+
+// TestMetaSegmentsAddUpToDataBytes: meta_segments reports the bytes a chunk
+// holds for each column — a growing tail's spare room and NULL flags included
+// — so a table's size_bytes add up to its meta_tables data_bytes, over sealed
+// chunks, a tail between two growths and a column whose first NULL is in the
+// tail.
+func TestMetaSegmentsAddUpToDataBytes(t *testing.T) {
+	e := NewEngine(DefaultConfig(), nil)
+	t.Cleanup(e.Close)
+	kv := storage.NewTable("kv", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString, Nullable: true}, {Name: "val", Type: types.TypeFloat64, Nullable: true},
+	}, 100, true)
+	if err := e.StorageManager().AddTable(kv); err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	for id := 0; id < 240; id++ {
+		val := fmt.Sprint(id, ".5")
+		if id >= 220 && id%2 == 0 {
+			val = "NULL"
+		}
+		mustExec(t, s, fmt.Sprintf("INSERT INTO kv VALUES (%d, 't%d', %s)", id, id%7, val))
+	}
+	if kv.ChunkCount() != 3 || !kv.GetChunk(1).IsImmutable() || kv.GetChunk(2).IsImmutable() {
+		t.Fatalf("%d chunks, want two sealed and a growing tail", kv.ChunkCount())
+	}
+	data, _ := kv.MemoryUsage()
+	got := rows(t, s, "SELECT sum(size_bytes) FROM meta_segments WHERE table_name = 'kv'")
+	tables := rows(t, s, "SELECT data_bytes FROM meta_tables WHERE table_name = 'kv'")
+	if want := fmt.Sprint(data); !reflect.DeepEqual(got, [][]string{{want}}) || !reflect.DeepEqual(tables, [][]string{{want}}) {
+		t.Errorf("kv's meta_segments add up to %v bytes, meta_tables says %v, the table holds %s", got, tables, want)
+	}
+	// The tail: 40 rows in arrays of 64, the float column's flags from row 220.
+	tail := rows(t, s, "SELECT column_name, rows, size_bytes FROM meta_segments WHERE table_name = 'kv' AND chunk_id = 2 ORDER BY column_id")
+	if want := [][]string{{"id", "40", "512"}, {"tag", "40", "1104"}, {"val", "40", fmt.Sprint(64 * 9)}}; !reflect.DeepEqual(tail, want) {
+		t.Errorf("meta_segments of kv's tail = %v, want %v", tail, want)
 	}
 }

@@ -375,60 +375,43 @@ func (c *Chunk) Zone(col types.ColumnID) (z Zone, ok bool) {
 // segmentView is GetSegment under the caller's read lock.
 func (c *Chunk) segmentView(col types.ColumnID) Segment {
 	c.viewed.Store(true)
-	seg := c.segments[col]
-	if c.immutable.Load() {
-		return seg
+	return c.viewOf(c.segments[col], int(c.rowCount.Load()), false)
+}
+
+// viewOf is the segment as a reader of size rows gets it: a value segment as
+// its view (ValueSegment.view), any other as is.
+func (c *Chunk) viewOf(seg Segment, size int, flags bool) Segment {
+	if vs, ok := seg.(interface{ view(int, bool, bool) Segment }); ok {
+		return vs.view(size, c.immutable.Load(), flags)
 	}
-	size := int(c.rowCount.Load())
-	switch vs := seg.(type) {
-	case *ValueSegment[int64]:
-		return vs.snapshot(size)
-	case *ValueSegment[float64]:
-		return vs.snapshot(size)
-	case *ValueSegment[string]:
-		return vs.snapshot(size)
-	default:
-		return seg
-	}
+	return seg
 }
 
 // SnapshotSegments returns every segment truncated to one consistent row
-// count, taken under a single lock acquisition. Serialization (snapshots)
-// uses it so all columns of a mutable chunk are captured at the same row
-// boundary even while appends continue.
-func (c *Chunk) SnapshotSegments() ([]Segment, int) {
+// count, taken under a single lock acquisition, so all columns of a mutable
+// chunk are captured at the same row boundary even while appends continue.
+func (c *Chunk) SnapshotSegments() ([]Segment, int) { return c.snapshotSegments(false) }
+
+func (c *Chunk) snapshotSegments(flags bool) ([]Segment, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.viewed.Store(true)
 	size := int(c.rowCount.Load())
-	immutable := c.immutable.Load()
 	out := make([]Segment, len(c.segments))
 	for i, seg := range c.segments {
-		if !immutable {
-			switch vs := seg.(type) {
-			case *ValueSegment[int64]:
-				out[i] = vs.snapshot(size)
-				continue
-			case *ValueSegment[float64]:
-				out[i] = vs.snapshot(size)
-				continue
-			case *ValueSegment[string]:
-				out[i] = vs.snapshot(size)
-				continue
-			}
-		}
-		out[i] = seg
+		out[i] = c.viewOf(seg, size, flags)
 	}
 	return out, size
 }
 
 // SealedSnapshot is SnapshotSegments for a snapshot writer, which waits for a
 // seal under way: the chunk is captured before its seal or after it, never
-// halfway, and immutable says which.
+// halfway, and immutable says which. A nullable value segment that was
+// appended to comes with NULL flags, all false while it holds no NULL.
 func (c *Chunk) SealedSnapshot() (segs []Segment, rows int, immutable bool) {
 	c.sealing.Lock()
 	defer c.sealing.Unlock()
-	segs, rows = c.SnapshotSegments()
+	segs, rows = c.snapshotSegments(true)
 	return segs, rows, c.IsImmutable()
 }
 
@@ -496,6 +479,16 @@ func (c *Chunk) SetBins(col types.ColumnID, bins [][2]float64) {
 		c.zones = zonesOf(c.segments)
 	}
 	c.zones[col].Bins = bins
+}
+
+// SegmentMemoryUsage returns the heap footprint of the column's segment as the
+// chunk holds it: on a mutable chunk its arrays with their spare room, which
+// a view of its rows does not count. Over the columns it sums to the data
+// MemoryUsage reports.
+func (c *Chunk) SegmentMemoryUsage(col types.ColumnID) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.segments[col].MemoryUsage()
 }
 
 // MemoryUsage returns the heap footprint of the chunk, split into data and

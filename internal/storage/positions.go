@@ -161,8 +161,10 @@ type posGroup struct {
 // reference points at a reference (chains are one level deep). A table
 // without chunks stores what little it has: positions into it are NullRowID.
 func groupColumns(nCols int, chunks []*Chunk) []posGroup {
-	var groups []posGroup
-	var lists []*Positions // per group its list in the first chunk, nil for the stored columns
+	// The first group's columns take the halves of one array; with all columns
+	// in one group (a stored table, or one list) that is all they need.
+	ids := make([]types.ColumnID, 2*nCols)
+	groups := make([]posGroup, 0, 1)
 	for col := 0; col < nCols; col++ {
 		pos, base, refCol := (*Positions)(nil), (*Table)(nil), types.ColumnID(col)
 		if len(chunks) > 0 {
@@ -170,10 +172,12 @@ func groupColumns(nCols int, chunks []*Chunk) []posGroup {
 				pos, base, refCol = ref.pos, ref.pos.table, ref.column
 			}
 		}
-		gi := slices.Index(lists, pos)
+		gi := slices.IndexFunc(groups, func(g posGroup) bool { return g.base == base && (base == nil || chunks[0].positions(g) == pos) })
 		if gi < 0 {
-			gi, lists = len(groups), append(lists, pos)
-			groups = append(groups, posGroup{base, make([]types.ColumnID, 0, nCols), make([]types.ColumnID, 0, nCols)})
+			gi, groups = len(groups), append(groups, posGroup{base: base})
+			if gi == 0 {
+				groups[0].cols, groups[0].refCols = ids[:0:nCols], ids[nCols:nCols]
+			}
 		}
 		groups[gi].cols, groups[gi].refCols = append(groups[gi].cols, types.ColumnID(col)), append(groups[gi].refCols, refCol)
 	}

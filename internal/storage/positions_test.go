@@ -85,6 +85,16 @@ func TestReferenceTableGroups(t *testing.T) {
 	if total != 3*8 {
 		t.Errorf("three segments over one 3-row list report %d bytes, want the list once (24)", total)
 	}
+	chunks := scan.Chunks()
+	if n := testing.AllocsPerRun(100, func() { groupColumns(3, chunks) }); n != 2 {
+		t.Errorf("columns over one list: grouping them allocates %.0f times, want 2 (the group, one array of column ids)", n)
+	}
+	left, right := ChunkPositions(table, 0, []types.ChunkOffset{0}), ChunkPositions(table, 0, []types.ChunkOffset{1})
+	selfJoin := []*Chunk{NewChunk([]Segment{NewReferenceSegment(left, 0), NewReferenceSegment(right, 2), NewReferenceSegment(left, 1)}, nil)}
+	want := []posGroup{{table, []types.ColumnID{0, 2}, []types.ColumnID{0, 1}}, {table, []types.ColumnID{1}, []types.ColumnID{2}}}
+	if got := groupColumns(3, selfJoin); !reflect.DeepEqual(got, want) {
+		t.Errorf("columns over two lists into one table grouped as %v, want %v", got, want)
+	}
 
 	mustPanic := func(name string, build func()) {
 		t.Helper()

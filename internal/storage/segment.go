@@ -38,21 +38,18 @@ type Segment interface {
 // applied only after the chunk becomes immutable.
 type ValueSegment[T types.Ordered] struct {
 	values   []T
-	nulls    []bool // nil when the column is NOT NULL
+	nulls    []bool // nil until a row is NULL; then as long as values
 	nullable bool
-	limit    int // the rows Append doubles toward (growTo); 0 leaves growth to append
+	limit    int // the rows Append grows toward (growTo); 0 leaves growth to append
 }
 
 // NewValueSegment creates an empty value segment that will hold up to
-// capacity rows. It allocates nothing: Append doubles the arrays, from 16 rows,
-// and never past capacity, so a chunk costs the rows it has and a full one
+// capacity rows. It allocates nothing: Append grows the arrays by two thirds
+// (growTo), never past capacity, and a nullable column gets its NULL flags with
+// its first NULL, so a chunk costs about the rows it has and a full one
 // carries no slack.
 func NewValueSegment[T types.Ordered](capacity int, nullable bool) *ValueSegment[T] {
-	vs := &ValueSegment[T]{nullable: nullable, limit: capacity}
-	if nullable {
-		vs.nulls = []bool{}
-	}
-	return vs
+	return &ValueSegment[T]{nullable: nullable, limit: capacity}
 }
 
 // ValueSegmentFromSlice wraps an existing slice (not copied) in a segment.
@@ -69,42 +66,47 @@ func (s *ValueSegment[T]) Append(v T, null bool) {
 	if null && !s.nullable {
 		panic("storage: NULL appended to non-nullable segment")
 	}
-	if len(s.values) == cap(s.values) || s.nullable && len(s.nulls) == cap(s.nulls) {
-		s.grow()
+	if len(s.values) == cap(s.values) {
+		s.values = growTo(s.values, s.limit)
+	}
+	if s.nulls == nil && null {
+		s.nulls = make([]bool, len(s.values), cap(s.values))
+	} else if s.nulls != nil && len(s.nulls) == cap(s.nulls) {
+		s.nulls = growTo(s.nulls, s.limit)
 	}
 	s.values = append(s.values, v)
-	if s.nullable {
+	if s.nulls != nil {
 		s.nulls = append(s.nulls, null)
 	}
 }
 
-// grow makes room for one more row below limit.
-func (s *ValueSegment[T]) grow() {
-	s.values = growTo(s.values, s.limit)
-	if s.nullable {
-		s.nulls = growTo(s.nulls, s.limit)
-	}
-}
-
 // growTo returns xs with room for one more element when it is full below
-// limit: twice the length (16 at first), at most limit.
+// limit: below 256 twice the length (16 at first), from there two thirds more;
+// never past limit, and exactly that much, so cap is what the heap holds.
 func growTo[E any](xs []E, limit int) []E {
-	if n := len(xs); n == cap(xs) && n < limit {
-		return append(make([]E, 0, min(limit, max(16, 2*n))), xs...)
+	n := len(xs)
+	if n < cap(xs) || n >= limit {
+		return xs
 	}
-	return xs
+	grown := max(16, 2*n)
+	if n >= 256 {
+		grown = n + 2*n/3
+	}
+	return append(make([]E, 0, min(limit, grown)), xs...)
 }
 
-func (s *ValueSegment[T]) growLimit(capacity int) { s.limit = capacity }
+// growLimit lets a restored tail grow toward the chunk size; flags that mark
+// no NULL go, as a fresh chunk would not have them yet.
+func (s *ValueSegment[T]) growLimit(capacity int) {
+	s.limit = capacity
+	if !slices.Contains(s.nulls, true) {
+		s.nulls = nil
+	}
+}
 
 // reserve gives an empty segment room for n rows up front: a bulk load that
 // knows its size.
-func (s *ValueSegment[T]) reserve(n int) {
-	s.values = make([]T, 0, n)
-	if s.nullable {
-		s.nulls = make([]bool, 0, n)
-	}
-}
+func (s *ValueSegment[T]) reserve(n int) { s.values = make([]T, 0, n) }
 
 // Clipped returns the segment as a sealed chunk keeps it: its rows without
 // spare capacity, and NULL flags only if some row is NULL (it stays
@@ -128,28 +130,31 @@ func exact[E any](xs []E) []E {
 // Values exposes the underlying data slice for tight loops and encoders.
 func (s *ValueSegment[T]) Values() []T { return s.values }
 
-// Nulls exposes the null flags (nil if the column is NOT NULL).
+// Nulls exposes the null flags (nil if no row is NULL).
 func (s *ValueSegment[T]) Nulls() []bool { return s.nulls }
 
 // Nullable reports whether the segment may contain NULLs.
 func (s *ValueSegment[T]) Nullable() bool { return s.nullable }
 
-// snapshot returns a read-only view of the first size rows. The caller
-// must hold the owning chunk's lock; the returned segment stays valid even
-// if later appends reallocate the underlying slices.
-func (s *ValueSegment[T]) snapshot(size int) *ValueSegment[T] {
-	if size > len(s.values) {
-		size = len(s.values)
+// view returns a read-only view of the first size rows. The caller must hold
+// the owning chunk's lock; the view stays valid even if later appends
+// reallocate the underlying slices or give the column its first NULL flags.
+// A sealed segment no longer changes and is its own view. flags gives a
+// nullable column that was appended to (limit > 0, not Clipped) and holds no
+// NULL all-false flags: the form in which a snapshot writes it.
+func (s *ValueSegment[T]) view(size int, sealed, flags bool) Segment {
+	flags = flags && s.nulls == nil && s.nullable && s.limit > 0
+	if sealed && !flags {
+		return s
 	}
-	view := &ValueSegment[T]{values: s.values[:size:size], nullable: s.nullable}
+	size = min(size, len(s.values))
+	v := &ValueSegment[T]{values: s.values[:size:size], nullable: s.nullable}
 	if s.nulls != nil {
-		n := size
-		if n > len(s.nulls) {
-			n = len(s.nulls)
-		}
-		view.nulls = s.nulls[:n:n]
+		v.nulls = s.nulls[:size:size]
+	} else if flags {
+		v.nulls = make([]bool, size)
 	}
-	return view
+	return v
 }
 
 // Get returns the value and null flag at i (static access path).
@@ -253,7 +258,8 @@ func (s *ReferenceSegment) MemoryUsage() int64 {
 }
 
 // with returns the segment with row i set to (v, null): s itself when fresh
-// is false, else a copy over new backing arrays of the same capacity.
+// is false, else a copy over new backing arrays of the same capacity. A NULL
+// gives a column without flags its flags.
 func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *ValueSegment[T] {
 	if fresh {
 		cp := &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), nullable: s.nullable, limit: s.limit}
@@ -261,6 +267,9 @@ func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *Valu
 			cp.nulls = append(make([]bool, 0, cap(s.nulls)), s.nulls...)
 		}
 		s = cp
+	}
+	if s.nulls == nil && null {
+		s.nulls = make([]bool, len(s.values), cap(s.values))
 	}
 	s.values[i] = v
 	if s.nulls != nil {

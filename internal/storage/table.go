@@ -149,7 +149,7 @@ func (t *Table) Chunks() []*Chunk {
 // reference tables). A data table summarizes the chunk's columns into zones here, once;
 // from then on they are kept up with every write. The value segments of a
 // mutable chunk (a restored tail) grow toward the chunk size from here, as a
-// fresh chunk's do.
+// fresh chunk's do, and keep NULL flags only if some row is NULL.
 func (t *Table) AppendChunk(c *Chunk) {
 	if t.tableType == DataTable && c.zones == nil {
 		c.zones = zonesOf(c.segments)
