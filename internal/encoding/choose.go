@@ -124,10 +124,10 @@ func SizesOf(seg storage.Segment) (Sizes, Vectors) {
 }
 
 func sizesOf[T types.Ordered](seg storage.Segment) (Sizes, Vectors) {
-	plain := plainOf[T](seg)
-	s, v := layoutSizes(plain, layoutOf(plain.Values(), plain.Nulls()))
-	codes := make([]uint64, plain.Len())
-	sum := groupValues(plain.Values(), plain.Nulls(), codes)
+	values, nulls := Materialize[T](seg)
+	s, v := layoutSizes(values, layoutOf(values, nulls))
+	codes := make([]uint64, len(values))
+	sum := groupValues(values, nulls, codes)
 	s[Dictionary], v[Dictionary] = dictionaryBytes(sum, len(codes), blockMaxima(codes))
 	if strs, ok := any(sum.Values).([]string); ok && s.Choose() == Dictionary {
 		raw := packStrings(strs) // what Seal packs once Dictionary has won
@@ -136,27 +136,41 @@ func sizesOf[T types.Ordered](seg storage.Segment) (Sizes, Vectors) {
 	return s, v
 }
 
-// plainOf is seg as a value segment: itself, or its rows decoded.
-func plainOf[T types.Ordered](seg storage.Segment) *storage.ValueSegment[T] {
-	if plain, ok := seg.(*storage.ValueSegment[T]); ok {
-		return plain
+// unencodedOf is the rows as a sealed chunk keeps them unencoded (Clipped): an
+// unencoded seg's own arrays, else values and nulls laid out anew — strings
+// always in a StringSegment.
+func unencodedOf[T types.Ordered](seg storage.Segment, values []T, nulls []bool) storage.Segment {
+	if s, ok := seg.(*storage.StringSegment); ok {
+		return s.Clipped()
 	}
-	return storage.ValueSegmentFromSlice[T](Materialize[T](seg))
+	if strs, ok := any(values).([]string); ok {
+		return storage.StringSegmentOf(strs, nulls)
+	}
+	if s, ok := seg.(*storage.ValueSegment[T]); ok {
+		return s.Clipped()
+	}
+	return storage.ValueSegmentFromSlice(values, nulls).Clipped()
 }
 
 // layoutSizes fills in everything but Dictionary, which needs the distinct
-// values. Unencoded is the bytes of the rows alone, NULL flags only if some row
-// is NULL: what seal keeps of a value segment (Clipped).
-func layoutSizes[T types.Ordered](seg *storage.ValueSegment[T], l layout) (Sizes, Vectors) {
+// values. Unencoded is what seal keeps of the rows unencoded (unencodedOf):
+// 8 bytes a number, a string's entry and its 4-byte offset, and a NULL flag a
+// row only if some row is NULL.
+func layoutSizes[T types.Ordered](values []T, l layout) (Sizes, Vectors) {
 	var zero T
-	n := int64(seg.Len())
+	n := int64(len(values))
 	var s Sizes
 	var v Vectors
-	var nulls []bool
-	if l.anyNull {
-		nulls = slices.Clip(seg.Nulls())
+	s[Unencoded] = 8 * n
+	if strs, ok := any(values).([]string); ok {
+		s[Unencoded] = 4 * n
+		for _, str := range strs {
+			s[Unencoded] += int64(storage.StringEntrySize(len(str)))
+		}
 	}
-	s[Unencoded] = storage.ValueSegmentFromSlice(slices.Clip(seg.Values()), nulls).MemoryUsage()
+	if l.anyNull {
+		s[Unencoded] += n
+	}
 	s[RunLength] = int64(l.runs)*(int64(unsafe.Sizeof(zero))+4) + l.runBytes
 	if l.anyNull {
 		s[RunLength] += int64(l.runs)
@@ -212,8 +226,7 @@ func Seal(seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, any
 }
 
 func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (storage.Segment, Summary[T]) {
-	plain := plainOf[T](seg)
-	values, nulls := plain.Values(), plain.Nulls()
+	values, nulls := Materialize[T](seg)
 	want, sizes, vectors, l := Spec{Compression: FixedSizeByteAligned}, Sizes{}, Vectors{}, layout{}
 	if spec != nil {
 		if want = *spec; want.Encoding == FrameOfReference {
@@ -221,7 +234,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 		}
 	} else {
 		l = layoutOf(values, nulls)
-		sizes, vectors = layoutSizes(plain, l)
+		sizes, vectors = layoutSizes(values, l)
 		sizes[Dictionary], _ = codeBytes(len(values), nil) // a lower bound: no values, every code 0
 		want.Encoding = sizes.Choose()
 	}
@@ -253,7 +266,7 @@ func seal[T types.Ordered](seg storage.Segment, ascending bool, spec *Spec) (sto
 	case want.Encoding == RunLength:
 		return EncodeRunLength(values, nulls), sum
 	case want.Encoding == Unencoded:
-		return plain.Clipped(), sum
+		return unencodedOf(seg, values, nulls), sum
 	}
 	d := newDictionary(sum.Values, packCodes(codes, want.Compression, maxes))
 	if spec == nil {

@@ -27,6 +27,26 @@ func nullsEvery(n, every int) []bool {
 	return nulls
 }
 
+// appendValue appends a row to a chunk's unencoded column of T.
+func appendValue[T types.Ordered](seg storage.Segment, v T, null bool) {
+	switch s := seg.(type) {
+	case *storage.ValueSegment[T]:
+		s.Append(v, null)
+	case *storage.StringSegment:
+		if err := s.Append(any(v).(string), null); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// clippedOf is the Clipped form of a chunk's unencoded column of T.
+func clippedOf[T types.Ordered](seg storage.Segment) storage.Segment {
+	if s, ok := seg.(*storage.StringSegment); ok {
+		return s.Clipped()
+	}
+	return seg.(*storage.ValueSegment[T]).Clipped()
+}
+
 func generate[T types.Ordered](n int, f func(i int) T) []T {
 	out := make([]T, n)
 	for i := range out {
@@ -49,11 +69,11 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Spec]
 	if full {
 		c.capacity = len(c.values)
 	}
-	seg := storage.NewValueSegment[T](c.capacity, c.nulls != nil)
+	seg := storage.NewValueSegmentOfType(types.Native[T](), c.capacity, c.nulls != nil)
 	ascending := len(c.values) > 0
 	for i, v := range c.values {
 		null := c.nulls != nil && c.nulls[i]
-		seg.Append(v, null)
+		appendValue(seg, v, null)
 		ascending = ascending && !null && v == v && (i == 0 || v >= c.values[i-1])
 	}
 	codes := make([]uint64, len(c.values))
@@ -62,8 +82,8 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Spec]
 	encoders := map[EncodingType]Spec{
 		Unencoded: {Encoding: Unencoded}, Dictionary: {Encoding: Dictionary}, RunLength: {Encoding: RunLength}, FrameOfReference: {Encoding: FrameOfReference},
 	}
-	if full && seg.Clipped().MemoryUsage() != sizes[Unencoded] {
-		t.Errorf("%s: Unencoded predicted %d, the full chunk's clipped segment uses %d", c.name, sizes[Unencoded], seg.Clipped().MemoryUsage())
+	if clipped := clippedOf[T](seg); full && clipped.MemoryUsage() != sizes[Unencoded] {
+		t.Errorf("%s: Unencoded predicted %d, the full chunk's clipped segment uses %d", c.name, sizes[Unencoded], clipped.MemoryUsage())
 	}
 	smallest, vectors := Unencoded, map[EncodingType]VectorCompressionType{}
 	for e, spec := range encoders {
@@ -119,7 +139,7 @@ func checkSizeModel[T types.Ordered](t *testing.T, c sealCase[T], seen map[Spec]
 		if spec.Encoding != chosen || spec.Compression != vectors[chosen] {
 			t.Errorf("%s (ascending=%v): sealed as %s, the model chooses %s over %s", c.name, asc, spec, chosen, vectors[chosen])
 		}
-		if plain, ok := sealed.(*storage.ValueSegment[T]); ok && full && &plain.Values()[0] != &seg.Values()[0] {
+		if plain, ok := sealed.(*storage.ValueSegment[T]); ok && full && &plain.Values()[0] != &seg.(*storage.ValueSegment[T]).Values()[0] {
 			t.Errorf("%s: an unencoded seal of a full chunk must keep its values", c.name)
 		}
 		if sealed.MemoryUsage() != sizes[chosen] {
@@ -191,8 +211,8 @@ func TestDiffChooseIsSmallest(t *testing.T) {
 		{name: "constant string", values: generate(n, func(int) string { return "load" })},
 		{name: "tags", values: generate(n, func(int) string { return fmt.Sprintf("tag%02d", rng.Intn(12)) })},
 		{name: "unique strings", values: generate(n, func(i int) string { return fmt.Sprintf("payload-%06d", i) })},
-		// 47 bytes each: a 4-byte end and 2-byte code per row still beat a
-		// 16-byte header.
+		// 47 bytes each: an end and a code per row still beat an entry's
+		// 1-byte length and 4-byte offset.
 		{name: "unique long strings", values: generate(n, func(i int) string { return fmt.Sprintf("%06d %040x", i, rng.Int63()) })},
 		// More values than 16-bit codes hold.
 		{name: "70000 distinct strings", values: generate(70_000, func(i int) string { return fmt.Sprintf("k%06d", (i*7919)%70_000) })},

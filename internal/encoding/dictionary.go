@@ -199,7 +199,11 @@ func newDictionary[T types.Ordered](dict []T, av UintVector) *DictionarySegment[
 // one for their ends before packEnds packs them.
 func packStrings(strs []string) packedStrings {
 	ends, lasts := stringEnds(strs, true)
-	return packedStrings{blob: strings.Join(strs, ""), ends: packEnds(ends, lasts)}
+	blob := strings.Join(strs, "")
+	if len(strs) == 1 { // Join returns a lone string itself: it may lie in a tail's blob
+		blob = strings.Clone(blob)
+	}
+	return packedStrings{blob: blob, ends: packEnds(ends, lasts)}
 }
 
 // stringEnds is where each of strs ends when they are laid end to end (nil

@@ -77,7 +77,7 @@ func (s Spec) String() string {
 // advisor uses it to skip re-encoding segments already in the target shape.
 func SpecOf(seg storage.Segment) (Spec, bool) {
 	switch s := seg.(type) {
-	case *storage.ValueSegment[int64], *storage.ValueSegment[float64], *storage.ValueSegment[string]:
+	case *storage.ValueSegment[int64], *storage.ValueSegment[float64], *storage.StringSegment:
 		return Spec{Encoding: Unencoded}, true
 	case *DictionarySegment[int64]:
 		return Spec{Encoding: Dictionary, Compression: compressionOf(s.av)}, true

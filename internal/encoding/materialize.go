@@ -218,13 +218,16 @@ func (s *RunLengthSegment[T]) Gather(pos []types.ChunkOffset, slots []int32, out
 }
 
 // Materialize decodes a full segment into a typed slice plus null flags
-// (nil when no NULLs). For value segments this is zero-copy: the returned
-// slices alias the segment and must not be mutated. T must match the
-// segment's data type.
+// (nil when no NULLs). For unencoded segments this copies no value: a value
+// segment's slices are returned themselves, a string segment's strings are
+// substrings of its blob, its flags its own; none of it may be mutated. T must
+// match the segment's data type.
 func Materialize[T types.Ordered](seg storage.Segment) ([]T, []bool) {
 	switch s := seg.(type) {
 	case *storage.ValueSegment[T]:
 		return s.Values(), s.Nulls()
+	case *storage.StringSegment:
+		return any(s.Strings(0, s.Len())).([]T), s.Nulls()
 	case *DictionarySegment[T]:
 		return s.DecodeAll()
 	case *RunLengthSegment[T]:
@@ -271,6 +274,16 @@ func gather[T types.Ordered](seg storage.Segment, pos []types.ChunkOffset, slots
 				continue
 			}
 			out[i] = vals[p]
+		}
+	case *storage.StringSegment:
+		strs, segNulls := any(out).([]string), s.Nulls()
+		for i, p := range pos {
+			i = slotOf(slots, i)
+			if segNulls != nil && segNulls[p] {
+				nulls[i] = true
+				continue
+			}
+			strs[i] = s.At(int(p))
 		}
 	case *DictionarySegment[T]:
 		s.Gather(pos, slots, out, nulls)

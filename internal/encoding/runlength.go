@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"sort"
+	"strings"
 
 	"hyrise/internal/storage"
 	"hyrise/internal/types"
@@ -43,6 +44,11 @@ func EncodeRunLength[T types.Ordered](values []T, nulls []bool) *RunLengthSegmen
 	}
 	if anyNull {
 		s.nulls = runNulls
+	}
+	if strs, ok := any(s.values).([]string); ok { // not substrings of the tail's blob
+		for i, v := range strs {
+			strs[i] = strings.Clone(v)
+		}
 	}
 	return s
 }

@@ -328,6 +328,37 @@ func ScanValues[T types.Ordered](p ScanPredicate, vals []T, nulls []bool, dst []
 	return dst, true
 }
 
+// ScanStrings is ScanValues over a string segment, each row compared where its
+// entry lies in the blob: no value is copied and nothing is allocated but the
+// matches.
+func ScanStrings(p ScanPredicate, s *storage.StringSegment, dst []types.ChunkOffset) ([]types.ChunkOffset, bool) {
+	nulls := s.Nulls()
+	switch p.Op {
+	case ScanIsNull:
+		return ScanValues[string](p, nil, nulls, dst)
+	case ScanIsNotNull:
+		for i := range s.Len() {
+			if nulls == nil || !nulls[i] {
+				dst = append(dst, types.ChunkOffset(i))
+			}
+		}
+		return dst, true
+	}
+	rng, ne, isNe, ok := scanBounds[string](p)
+	if !ok {
+		return dst, false
+	}
+	for i := range s.Len() {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if v := s.At(i); isNe && v != ne || !isNe && rng.match(v) {
+			dst = append(dst, types.ChunkOffset(i))
+		}
+	}
+	return dst, true
+}
+
 // --- dictionary ---------------------------------------------------------
 
 // ScanEncoded implements ScannableSegment. The predicate is translated once

@@ -468,10 +468,10 @@ func AppendSegment(dst []byte, seg storage.Segment) ([]byte, error) {
 		dst = append(dst, segValueFloat64)
 		dst = appendValueSegmentMeta(dst, s.Nullable(), s.Nulls())
 		return appendFloat64s(dst, s.Values()), nil
-	case *storage.ValueSegment[string]:
+	case *storage.StringSegment: // its entries are AppendString's: the blob, in row order
 		dst = append(dst, segValueString)
 		dst = appendValueSegmentMeta(dst, s.Nullable(), s.Nulls())
-		return appendStrings(dst, s.Values()), nil
+		return s.AppendEntries(binary.AppendUvarint(dst, uint64(s.Len()))), nil
 	case *DictionarySegment[int64]:
 		dst = append(dst, segDictInt64)
 		dst = appendInt64s(dst, s.dict)
@@ -572,7 +572,7 @@ func (r *Reader) Segment() storage.Segment {
 		seg = valueSegmentFromParts(r, r.float64s(), nulls, nullable)
 	case segValueString:
 		nullable, nulls := r.Byte() == 1, r.Bools()
-		seg = valueSegmentFromParts(r, r.strings_(), nulls, nullable)
+		seg = r.stringSegment(nulls, nullable)
 	case segDictInt64:
 		seg = restoreDictionary(r, &DictionarySegment[int64]{dict: r.int64s()})
 	case segDictFloat64:
@@ -709,6 +709,25 @@ func valueSegmentFromParts[T types.Ordered](r *Reader, values []T, nulls []bool,
 		nulls = nil
 	}
 	return storage.ValueSegmentFromSlice(values, nulls)
+}
+
+// stringSegment reads a string value segment's entries into one blob and its
+// offsets in one pass, with valueSegmentFromParts's rule for the flags.
+func (r *Reader) stringSegment(nulls []bool, nullable bool) *storage.StringSegment {
+	n := r.length("string slice")
+	if r.err != nil {
+		return nil
+	}
+	if !nullable {
+		nulls = nil
+	}
+	s, rest, err := storage.ReadStringEntries(r.buf, n, nulls, nullable)
+	if err != nil {
+		r.Fail(err.Error())
+		return nil
+	}
+	r.buf = rest
+	return s
 }
 
 // restoreDictionary completes a dictionary segment whose values s holds with the

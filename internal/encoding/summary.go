@@ -55,6 +55,12 @@ func SummarizeRows[T types.Ordered](seg storage.Segment, lo, hi int) Summary[T] 
 			nulls = nulls[lo:hi]
 		}
 		return groupValues(vals, nulls, nil)
+	case *storage.StringSegment:
+		nulls := s.Nulls()
+		if nulls != nil {
+			nulls = nulls[lo:hi]
+		}
+		return groupValues(any(s.Strings(lo, hi)).([]T), nulls, nil)
 	case *DictionarySegment[T]:
 		if whole {
 			return s.summary()

@@ -140,6 +140,8 @@ func scanSorted[T types.Ordered](seg storage.Segment, p ScanPredicate) (first, l
 	case *storage.ValueSegment[T]:
 		vals := s.Values()
 		first, last = searchSorted(rng, len(vals), func(i int) T { return vals[i] })
+	case *storage.StringSegment:
+		first, last = searchSorted(any(rng).(scanRange[string]), s.Len(), s.At)
 	case *DictionarySegment[T]:
 		start, end := s.idRange(rng)
 		n := s.av.Len()

@@ -404,6 +404,9 @@ func evalCase(x *Case, ctx *Context) (*Vector, error) {
 		if len(rows) == 0 {
 			return nil
 		}
+		if lit, ok := branch.(*Literal); ok && fillConst(res, lit.Value, rows) {
+			return nil
+		}
 		v, err := Evaluate(branch, ctx.at(rows))
 		if err == nil {
 			v, err = v.As(dt)
@@ -435,7 +438,7 @@ func evalCase(x *Case, ctx *Context) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		var take []int32
+		take := make([]int32, 0, len(open))
 		rest := open[:0]
 		for j, i := range open {
 			if cond[j] {
@@ -455,6 +458,31 @@ func evalCase(x *Case, ctx *Context) (*Vector, error) {
 		}
 	}
 	return res, nil
+}
+
+// fillConst writes a literal branch into res's rows without a vector: a NULL
+// (the rows stay NULL), a value of res's type or an INT into FLOAT. Any other
+// literal reports false and goes through As.
+func fillConst(res *Vector, lit types.Value, rows []int32) bool {
+	if lit.Type == types.TypeInt64 && res.DT == types.TypeFloat64 {
+		lit = types.Float(float64(lit.I))
+	}
+	if lit.Type != res.DT || lit.Type == types.TypeNull {
+		return lit.Type == types.TypeNull || res.DT == types.TypeNull
+	}
+	for _, r := range rows {
+		switch res.Nulls[r] = false; res.DT {
+		case types.TypeInt64:
+			res.I[r] = lit.I
+		case types.TypeFloat64:
+			res.F[r] = lit.F
+		case types.TypeString:
+			res.S[r] = lit.S
+		case types.TypeBool:
+			res.B[r] = lit.AsBool()
+		}
+	}
+	return true
 }
 
 // at is ctx over its rows at the ascending indices rows; all of them is ctx.

@@ -421,7 +421,7 @@ func (c *Case) String() string {
 
 // Children implements Expression.
 func (c *Case) Children() []Expression {
-	var out []Expression
+	out := make([]Expression, 0, 2*len(c.Whens)+1)
 	for _, w := range c.Whens {
 		out = append(out, w.When, w.Then)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -92,6 +93,8 @@ func encodeAs[T types.Ordered](seg storage.Segment, spec encoding.Spec) storage.
 	values, nulls := encoding.Materialize[T](seg)
 	floats, isFloat := any(values).([]float64)
 	switch ints, ok := any(values).([]int64); {
+	case spec.Encoding == encoding.Unencoded && !isFloat && !ok:
+		return storage.StringSegmentOf(any(values).([]string), nulls)
 	case spec.Encoding == encoding.Unencoded:
 		if nulls != nil {
 			nulls = append(make([]bool, 0, len(nulls)), nulls...)
@@ -175,4 +178,53 @@ func TestDiffSpecSealIsTheEncoder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSealedChunkKeepsNoTailBlob: a chunk a Loader filled and the Sealer
+// sealed keeps none of the loader's blobs alive — no zone bound, dictionary
+// value or run value is a substring of them — so after a collection the heap
+// holds about what the table reports, not the 20 MB of string entries the
+// load wrote.
+func TestSealedChunkKeepsNoTailBlob(t *testing.T) {
+	sm := storage.NewStorageManager()
+	sm.SetSealer(func(c *storage.Chunk) { Seal(c, nil) })
+	table := storage.NewTable("t", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64},
+		{Name: "few", Type: types.TypeString, Nullable: true}, // four values: a dictionary
+		{Name: "one", Type: types.TypeString},                 // one value: a run
+	}, 10_000, false)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	few := make([]string, 4)
+	for i := range few {
+		few[i] = fmt.Sprintf("%d%0999d", i, 0)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l := storage.NewLoader(table, 10_000)
+	for i := range 10_000 {
+		l.Int(int64(i))
+		if i%9 == 4 {
+			l.Null()
+		} else {
+			l.Str(few[i%4])
+		}
+		l.Str(few[3])
+		l.EndRow()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := table.GetChunk(0); table.ChunkCount() != 1 || !c.IsImmutable() {
+		t.Fatalf("%d chunks, want one sealed chunk", table.ChunkCount())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	data, meta := table.MemoryUsage()
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > data+meta+2<<20 {
+		t.Errorf("the heap grew by %d bytes over the load, the table holds %d: a tail blob stayed reachable", grown, data+meta)
+	}
+	runtime.KeepAlive(table)
 }

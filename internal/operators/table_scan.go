@@ -546,8 +546,8 @@ func scanChunkSpecialized(c *storage.Chunk, p *simplePredicate, probe bool) (mat
 		if out, vok := encoding.ScanValues(p.pred, s.Values(), s.Nulls(), nil); vok {
 			return out, 0, observe.ScanPathUnencoded, true
 		}
-	case *storage.ValueSegment[string]:
-		if out, vok := encoding.ScanValues(p.pred, s.Values(), s.Nulls(), nil); vok {
+	case *storage.StringSegment:
+		if out, vok := encoding.ScanStrings(p.pred, s, nil); vok {
 			return out, 0, observe.ScanPathUnencoded, true
 		}
 	}

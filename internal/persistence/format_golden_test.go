@@ -142,7 +142,7 @@ func codecCatalog(tb testing.TB) *storage.StorageManager {
 	for _, want := range []string{
 		"*storage.ValueSegment[int64] Unencoded none",
 		"*storage.ValueSegment[float64] Unencoded none",
-		"*storage.ValueSegment[string] Unencoded none",
+		"*storage.StringSegment Unencoded none",
 		"*encoding.DictionarySegment[int64] Dictionary (FSBA) none",
 		"*encoding.DictionarySegment[int64] Dictionary (SIMD-BP128) none",
 		"*encoding.DictionarySegment[float64] Dictionary (FSBA) none",

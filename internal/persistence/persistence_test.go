@@ -385,8 +385,8 @@ func TestCrashRestoredTailGrowsWithinCapacity(t *testing.T) {
 			values, nulls = cap(s.Values()), cap(s.Nulls())
 		case *storage.ValueSegment[float64]:
 			values, nulls = cap(s.Values()), cap(s.Nulls())
-		case *storage.ValueSegment[string]:
-			values, nulls = cap(s.Values()), cap(s.Nulls())
+		case *storage.StringSegment:
+			values, nulls = cap(s.Offsets()), cap(s.Nulls())
 		}
 		if values != capacity || nulls != 0 {
 			t.Errorf("column %s (nullable=%v) holds room for %d values and %d null flags, want %d and 0", def.Name, def.Nullable, values, nulls, capacity)

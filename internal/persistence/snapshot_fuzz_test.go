@@ -17,10 +17,11 @@ import (
 // rows read back, and the catalog encodes and decodes again without error.
 // The seeds are the images of codecCatalog, decimalCatalog and
 // patchedCatalog (corrected decimals), which hold every segment tag but the
-// patched decimal's, MVCC bitmaps and a view, the empty catalog's, and
-// decimal_patched.snap, which holds that one.
+// patched decimal's, MVCC bitmaps and a view, the empty catalog's, a string
+// tail whose replayed placeholder left a dead entry in its blob, and
+// decimal_patched.snap, which holds the patched decimal.
 func FuzzSnapshot(f *testing.F) {
-	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager(), patchedCatalog(f)} {
+	for _, sm := range []*storage.StorageManager{codecCatalog(f), decimalCatalog(f), storage.NewStorageManager(), patchedCatalog(f), filledTailCatalog(f)} {
 		img, err := encodeSnapshot(sm, 12345, 678)
 		if err != nil {
 			f.Fatal(err)
@@ -58,4 +59,26 @@ func FuzzSnapshot(f *testing.F) {
 			t.Fatalf("a loaded catalog's image does not decode: %v", err)
 		}
 	})
+}
+
+// filledTailCatalog holds a mutable string tail whose rows 0 to 2 were
+// placeholders and row 1 was filled by replay: its blob holds the
+// placeholder's dead entry, which the snapshot leaves behind.
+func filledTailCatalog(tb testing.TB) *storage.StorageManager {
+	sm := storage.NewStorageManager()
+	table := storage.NewTable("tail", []storage.ColumnDefinition{
+		{Name: "id", Type: types.TypeInt64}, {Name: "s", Type: types.TypeString, Nullable: true},
+	}, 64, true)
+	if err := sm.AddTable(table); err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range []struct {
+		off int
+		s   types.Value
+	}{{3, types.Str("three")}, {1, types.Str("one, replayed")}, {4, types.NullValue}} {
+		if _, err := table.RestoreRowAt(types.RowID{Offset: types.ChunkOffset(r.off)}, []types.Value{types.Int(int64(r.off)), r.s}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sm
 }

@@ -512,9 +512,9 @@ func TestSealedChunkFromSQL(t *testing.T) {
 		// (byte-aligned: 408).
 		{"0", "val", "FrameOfReference", "229", "decimal(2)", "SIMD-BP128"},
 		// The one row so far, in the arrays the chunk holds for 16: 16 values
-		// (string headers plus the 4 bytes of 'load'), no NULL flags.
+		// (4-byte offsets plus the 5-byte entry of 'load'), no NULL flags.
 		{"1", "id", "Unencoded", "128", "none", "none"},
-		{"1", "tag", "Unencoded", "260", "none", "none"},
+		{"1", "tag", "Unencoded", "69", "none", "none"},
 		{"1", "val", "Unencoded", "128", "none", "none"},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -564,9 +564,10 @@ func TestMetaSegmentsAddUpToDataBytes(t *testing.T) {
 	if want := fmt.Sprint(data); !reflect.DeepEqual(got, [][]string{{want}}) || !reflect.DeepEqual(tables, [][]string{{want}}) {
 		t.Errorf("kv's meta_segments add up to %v bytes, meta_tables says %v, the table holds %s", got, tables, want)
 	}
-	// The tail: 40 rows in arrays of 64, the float column's flags from row 220.
+	// The tail: 40 rows in arrays of 64, the float column's flags from row 220,
+	// the tag column's 40 3-byte entries in a blob of 192, room for 64.
 	tail := rows(t, s, "SELECT column_name, rows, size_bytes FROM meta_segments WHERE table_name = 'kv' AND chunk_id = 2 ORDER BY column_id")
-	if want := [][]string{{"id", "40", "512"}, {"tag", "40", "1104"}, {"val", "40", fmt.Sprint(64 * 9)}}; !reflect.DeepEqual(tail, want) {
+	if want := [][]string{{"id", "40", "512"}, {"tag", "40", fmt.Sprint(64*4 + 64*3)}, {"val", "40", fmt.Sprint(64 * 9)}}; !reflect.DeepEqual(tail, want) {
 		t.Errorf("meta_segments of kv's tail = %v, want %v", tail, want)
 	}
 }

@@ -526,6 +526,9 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 	if c.IsImmutable() {
 		return fmt.Errorf("storage: cannot overwrite row %d of a sealed chunk", off)
 	}
+	if err := c.fits(vals); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fresh := c.viewed.Swap(false)
@@ -541,11 +544,27 @@ func (c *Chunk) overwriteRow(off types.ChunkOffset, vals []types.Value) error {
 	return nil
 }
 
+// fits checks that every string column can take its value of the row, so a
+// row goes in whole or not at all (StringSegment.fits).
+func (c *Chunk) fits(vals []types.Value) error {
+	for i, v := range vals {
+		if s, ok := c.segments[i].(*StringSegment); ok {
+			if err := s.fits(len(v.S)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // appendRow adds one row to the chunk's value segments and folds it into the
 // columns' zones. Caller must hold the table's append lock and have verified
 // capacity; the chunk lock is taken so concurrent readers snapshot consistent
 // segment states, zone included.
 func (c *Chunk) appendRow(vals []types.Value) error {
+	if err := c.fits(vals); err != nil {
+		return err
+	}
 	if c.mvcc != nil {
 		// A row is born uncommitted, which only a block that was stamped as a
 		// whole (StampBegin) does not say of it already; end is never stamped,
@@ -563,9 +582,13 @@ func (c *Chunk) appendRow(vals []types.Value) error {
 		case *ValueSegment[float64]:
 			z := &c.zones[i]
 			appendTo(s, z, &z.Min.F, &z.Max.F, row, v.AsFloat(), v.IsNull())
-		case *ValueSegment[string]:
-			z := &c.zones[i]
-			appendTo(s, z, &z.Min.S, &z.Max.S, row, v.S, v.IsNull())
+		case *StringSegment:
+			if err := s.Append(v.S, v.IsNull()); err != nil {
+				return err
+			}
+			if z := &c.zones[i]; !v.IsNull() && includeString(z, v.S) && z.Ascending == row {
+				z.Ascending++
+			}
 		default:
 			return fmt.Errorf("storage: cannot append to segment of type %T", s)
 		}

@@ -240,7 +240,7 @@ func TestCrashReplayedNullGetsFlags(t *testing.T) {
 		switch s := c.segments[col].(type) {
 		case *ValueSegment[float64]:
 			return s.nulls
-		case *ValueSegment[string]:
+		case *StringSegment:
 			return s.nulls
 		}
 		return nil

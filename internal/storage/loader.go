@@ -21,6 +21,9 @@ type Loader struct {
 	col    int    // the next value's column
 	rows   int    // the rows of c
 	expect int    // rows expected beyond the chunks opened so far
+	err    error  // the first value a chunk could not take
+	bytes  []int  // each string column's blob bytes in the last chunk taken
+	last   int    // the rows of that chunk
 
 	slots chan struct{} // one per chunk sealed or waiting to be published
 	prev  chan struct{} // closed once the last chunk handed off is published
@@ -29,7 +32,7 @@ type Loader struct {
 // NewLoader starts a bulk load of about expect rows (0 if unknown) into t, a
 // data table, registered with its catalog if its chunks are to be sealed.
 func NewLoader(t *Table, expect int) *Loader {
-	l := &Loader{t: t, expect: expect, slots: make(chan struct{}, runtime.GOMAXPROCS(0)), prev: make(chan struct{})}
+	l := &Loader{t: t, expect: expect, bytes: make([]int, len(t.defs)), slots: make(chan struct{}, runtime.GOMAXPROCS(0)), prev: make(chan struct{})}
 	close(l.prev)
 	return l
 }
@@ -38,10 +41,12 @@ func NewLoader(t *Table, expect int) *Loader {
 func (l *Loader) Table() *Table { return l.t }
 
 // Int, Float and Str append the current row's value of the next column, which
-// must have the type; Null appends a NULL to a nullable column.
+// must have the type; Null appends a NULL to a nullable column. A string the
+// chunk's column cannot take (StringSegment.Append) fails the load: Close
+// reports it, and no chunk is published from then on.
 func (l *Loader) Int(v int64)     { l.next().(*ValueSegment[int64]).Append(v, false) }
 func (l *Loader) Float(v float64) { l.next().(*ValueSegment[float64]).Append(v, false) }
-func (l *Loader) Str(v string)    { l.next().(*ValueSegment[string]).Append(v, false) }
+func (l *Loader) Str(v string)    { l.fail(l.next().(*StringSegment).Append(v, false)) }
 
 func (l *Loader) Null() {
 	switch s := l.next().(type) {
@@ -49,20 +54,28 @@ func (l *Loader) Null() {
 		s.Append(0, true)
 	case *ValueSegment[float64]:
 		s.Append(0, true)
-	case *ValueSegment[string]:
-		s.Append("", true)
+	case *StringSegment:
+		l.fail(s.Append("", true))
+	}
+}
+
+func (l *Loader) fail(err error) {
+	if l.err == nil {
+		l.err = err
 	}
 }
 
 // next returns the segment of the current row's next value. A chunk's first
 // value opens the chunk as the appends open one, its columns with room for
-// the rows still expected, up to a chunk.
+// the rows still expected, up to a chunk, a string column's blob for them at
+// the bytes a row took in the last chunk, and an eighth more: the next chunk's
+// rows differ.
 func (l *Loader) next() Segment {
 	if l.c == nil {
 		l.c = l.t.newMutableChunk()
 		if size := min(l.t.targetChunkSize, l.expect); size > 0 {
-			for _, seg := range l.c.segments {
-				seg.(interface{ reserve(int) }).reserve(size)
+			for i, seg := range l.c.segments {
+				seg.(interface{ reserve(int, int) }).reserve(size, l.bytes[i]*size/max(l.last, 1)*9/8)
 			}
 		}
 		l.expect -= l.t.targetChunkSize
@@ -77,22 +90,28 @@ func (l *Loader) EndRow() {
 		panic(fmt.Sprintf("storage: loaded row has %d values, table %q has %d columns", l.col, l.t.name, len(l.t.defs)))
 	}
 	l.col = 0
-	if l.rows++; l.rows == l.t.targetChunkSize {
+	if l.rows++; l.rows < l.t.targetChunkSize {
+		return
+	}
+	if l.err != nil {
+		l.take() // a failed load publishes nothing more
+	} else {
 		l.handOff()
 	}
 }
 
 // Close waits until every full chunk is published, then seals and publishes
-// the partial last one.
-func (l *Loader) Close() {
+// the partial last one. It returns the error that failed the load, if any.
+func (l *Loader) Close() error {
 	if l.col != 0 {
 		panic(fmt.Sprintf("storage: load of %q ends inside a row", l.t.name))
 	}
 	<-l.prev
-	if c := l.take(); c != nil {
+	if c := l.take(); c != nil && l.err == nil {
 		l.seal(c)
 		l.t.AppendChunk(c)
 	}
+	return l.err
 }
 
 // handOff passes the full chunk to a goroutine of its own, which seals it and
@@ -116,6 +135,12 @@ func (l *Loader) take() *Chunk {
 	c := l.c
 	if c != nil {
 		c.rowCount.Store(int64(l.rows))
+		for i, seg := range c.segments {
+			if s, ok := seg.(*StringSegment); ok {
+				l.bytes[i] = len(s.blob)
+			}
+		}
+		l.last = l.rows
 	}
 	l.c, l.rows = nil, 0
 	return c

@@ -34,14 +34,94 @@ type Segment interface {
 }
 
 // ValueSegment is the unencoded, mutable segment type backed by a plain
-// slice. Freshly appended chunks consist of value segments; encodings are
-// applied only after the chunk becomes immutable.
+// slice. Freshly appended chunks consist of value segments (a string column
+// of a StringSegment; a ValueSegment[string] only wraps an operator's output);
+// encodings are applied only after the chunk becomes immutable.
 type ValueSegment[T types.Ordered] struct {
-	values   []T
-	nulls    []bool // nil until a row is NULL; then as long as values
+	values []T
+	flags
+}
+
+// flags are an unencoded segment's NULL flags: nil until a row is NULL, then
+// one a row in an array that grows like the rows' (growTo).
+type flags struct {
+	nulls    []bool
 	nullable bool
 	limit    int // the rows Append grows toward (growTo); 0 leaves growth to append
 }
+
+// add appends a row's flag beside rows rows, in an array of room.
+func (f *flags) add(null bool, rows, room int) {
+	if null && !f.nullable {
+		panic("storage: NULL appended to non-nullable segment")
+	}
+	if f.nulls == nil && null {
+		f.nulls = make([]bool, rows, room)
+	} else if f.nulls != nil && len(f.nulls) == cap(f.nulls) {
+		f.nulls = growTo(f.nulls, f.limit)
+	}
+	if f.nulls != nil {
+		f.nulls = append(f.nulls, null)
+	}
+}
+
+// set writes row i's flag (into a copy when fresh); a NULL gives a column
+// without flags its flags for rows rows, in an array of room.
+func (f *flags) set(i types.ChunkOffset, null, fresh bool, rows, room int) {
+	if fresh && f.nulls != nil {
+		f.nulls = append(make([]bool, 0, cap(f.nulls)), f.nulls...)
+	}
+	if f.nulls == nil && null {
+		f.nulls = make([]bool, rows, room)
+	}
+	if f.nulls != nil {
+		f.nulls[i] = null
+	}
+}
+
+// growLimit lets a restored tail grow toward the chunk size; flags that mark
+// no NULL go, as a fresh chunk would not have them yet.
+func (f *flags) growLimit(capacity int) {
+	f.limit = capacity
+	if !slices.Contains(f.nulls, true) {
+		f.nulls = nil
+	}
+}
+
+// clipped is what a sealed chunk keeps: flags only if some row is NULL, without
+// spare capacity (the column stays Nullable).
+func (f flags) clipped() flags {
+	c := flags{nullable: f.nullable}
+	if slices.Contains(f.nulls, true) {
+		c.nulls = exact(f.nulls)
+	}
+	return c
+}
+
+// zeros reports that a snapshot writer (all) is given all-false flags: for a
+// nullable column that was appended to (limit > 0, not clipped) and holds no
+// NULL, the form in which a snapshot writes it.
+func (f flags) zeros(all bool) bool { return all && f.nulls == nil && f.nullable && f.limit > 0 }
+
+// viewOf is the flags of a view of the first size rows.
+func (f flags) viewOf(size int, all bool) flags {
+	v := flags{nullable: f.nullable}
+	if f.nulls != nil {
+		v.nulls = f.nulls[:size:size]
+	} else if f.zeros(all) {
+		v.nulls = make([]bool, size)
+	}
+	return v
+}
+
+// Nulls exposes the null flags (nil if no row is NULL).
+func (f flags) Nulls() []bool { return f.nulls }
+
+// Nullable reports whether the segment may contain NULLs.
+func (f flags) Nullable() bool { return f.nullable }
+
+// IsNullAt implements Segment.
+func (f flags) IsNullAt(i types.ChunkOffset) bool { return f.nulls != nil && f.nulls[i] }
 
 // NewValueSegment creates an empty value segment that will hold up to
 // capacity rows. It allocates nothing: Append grows the arrays by two thirds
@@ -49,7 +129,7 @@ type ValueSegment[T types.Ordered] struct {
 // its first NULL, so a chunk costs about the rows it has and a full one
 // carries no slack.
 func NewValueSegment[T types.Ordered](capacity int, nullable bool) *ValueSegment[T] {
-	return &ValueSegment[T]{nullable: nullable, limit: capacity}
+	return &ValueSegment[T]{flags: flags{nullable: nullable, limit: capacity}}
 }
 
 // ValueSegmentFromSlice wraps an existing slice (not copied) in a segment.
@@ -58,26 +138,16 @@ func ValueSegmentFromSlice[T types.Ordered](values []T, nulls []bool) *ValueSegm
 	if nulls != nil && len(nulls) != len(values) {
 		panic("storage: nulls length does not match values length")
 	}
-	return &ValueSegment[T]{values: values, nulls: nulls, nullable: nulls != nil}
+	return &ValueSegment[T]{values: values, flags: flags{nulls: nulls, nullable: nulls != nil}}
 }
 
 // Append adds a value to the end of the segment.
 func (s *ValueSegment[T]) Append(v T, null bool) {
-	if null && !s.nullable {
-		panic("storage: NULL appended to non-nullable segment")
-	}
 	if len(s.values) == cap(s.values) {
 		s.values = growTo(s.values, s.limit)
 	}
-	if s.nulls == nil && null {
-		s.nulls = make([]bool, len(s.values), cap(s.values))
-	} else if s.nulls != nil && len(s.nulls) == cap(s.nulls) {
-		s.nulls = growTo(s.nulls, s.limit)
-	}
+	s.add(null, len(s.values), cap(s.values))
 	s.values = append(s.values, v)
-	if s.nulls != nil {
-		s.nulls = append(s.nulls, null)
-	}
 }
 
 // growTo returns xs with room for one more element when it is full below
@@ -95,28 +165,15 @@ func growTo[E any](xs []E, limit int) []E {
 	return append(make([]E, 0, min(limit, grown)), xs...)
 }
 
-// growLimit lets a restored tail grow toward the chunk size; flags that mark
-// no NULL go, as a fresh chunk would not have them yet.
-func (s *ValueSegment[T]) growLimit(capacity int) {
-	s.limit = capacity
-	if !slices.Contains(s.nulls, true) {
-		s.nulls = nil
-	}
-}
-
 // reserve gives an empty segment room for n rows up front: a bulk load that
 // knows its size.
-func (s *ValueSegment[T]) reserve(n int) { s.values = make([]T, 0, n) }
+func (s *ValueSegment[T]) reserve(n, _ int) { s.values = make([]T, 0, n) }
 
 // Clipped returns the segment as a sealed chunk keeps it: its rows without
 // spare capacity, and NULL flags only if some row is NULL (it stays
 // Nullable). An array without spare capacity is shared, not copied.
 func (s *ValueSegment[T]) Clipped() *ValueSegment[T] {
-	cp := &ValueSegment[T]{values: exact(s.values), nullable: s.nullable}
-	if slices.Contains(s.nulls, true) {
-		cp.nulls = exact(s.nulls)
-	}
-	return cp
+	return &ValueSegment[T]{values: exact(s.values), flags: s.clipped()}
 }
 
 // exact is xs without spare capacity: xs itself, or a copy if it has some.
@@ -130,36 +187,22 @@ func exact[E any](xs []E) []E {
 // Values exposes the underlying data slice for tight loops and encoders.
 func (s *ValueSegment[T]) Values() []T { return s.values }
 
-// Nulls exposes the null flags (nil if no row is NULL).
-func (s *ValueSegment[T]) Nulls() []bool { return s.nulls }
-
-// Nullable reports whether the segment may contain NULLs.
-func (s *ValueSegment[T]) Nullable() bool { return s.nullable }
-
 // view returns a read-only view of the first size rows. The caller must hold
 // the owning chunk's lock; the view stays valid even if later appends
 // reallocate the underlying slices or give the column its first NULL flags.
-// A sealed segment no longer changes and is its own view. flags gives a
-// nullable column that was appended to (limit > 0, not Clipped) and holds no
-// NULL all-false flags: the form in which a snapshot writes it.
-func (s *ValueSegment[T]) view(size int, sealed, flags bool) Segment {
-	flags = flags && s.nulls == nil && s.nullable && s.limit > 0
-	if sealed && !flags {
+// A sealed segment no longer changes and is its own view. A snapshot writer
+// (all) gets a nullable tail's all-false flags (flags.zeros).
+func (s *ValueSegment[T]) view(size int, sealed, all bool) Segment {
+	if sealed && !s.zeros(all) {
 		return s
 	}
 	size = min(size, len(s.values))
-	v := &ValueSegment[T]{values: s.values[:size:size], nullable: s.nullable}
-	if s.nulls != nil {
-		v.nulls = s.nulls[:size:size]
-	} else if flags {
-		v.nulls = make([]bool, size)
-	}
-	return v
+	return &ValueSegment[T]{values: s.values[:size:size], flags: s.viewOf(size, all)}
 }
 
 // Get returns the value and null flag at i (static access path).
 func (s *ValueSegment[T]) Get(i types.ChunkOffset) (T, bool) {
-	if s.nulls != nil && s.nulls[i] {
+	if s.IsNullAt(i) {
 		var z T
 		return z, true
 	}
@@ -174,15 +217,10 @@ func (s *ValueSegment[T]) Len() int { return len(s.values) }
 
 // ValueAt implements Segment (dynamic path).
 func (s *ValueSegment[T]) ValueAt(i types.ChunkOffset) types.Value {
-	if s.nulls != nil && s.nulls[i] {
+	if s.IsNullAt(i) {
 		return types.NullValue
 	}
 	return types.FromNative(s.values[i])
-}
-
-// IsNullAt implements Segment.
-func (s *ValueSegment[T]) IsNullAt(i types.ChunkOffset) bool {
-	return s.nulls != nil && s.nulls[i]
 }
 
 // MemoryUsage implements Segment.
@@ -262,37 +300,31 @@ func (s *ReferenceSegment) MemoryUsage() int64 {
 // gives a column without flags its flags.
 func (s *ValueSegment[T]) with(i types.ChunkOffset, v T, null, fresh bool) *ValueSegment[T] {
 	if fresh {
-		cp := &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), nullable: s.nullable, limit: s.limit}
-		if s.nulls != nil {
-			cp.nulls = append(make([]bool, 0, cap(s.nulls)), s.nulls...)
-		}
-		s = cp
+		s = &ValueSegment[T]{values: append(make([]T, 0, cap(s.values)), s.values...), flags: s.flags}
 	}
-	if s.nulls == nil && null {
-		s.nulls = make([]bool, len(s.values), cap(s.values))
-	}
+	s.set(i, null, fresh, len(s.values), cap(s.values))
 	s.values[i] = v
-	if s.nulls != nil {
-		s.nulls[i] = null
-	}
 	return s
 }
 
-// valueSegmentWith is ValueSegment.with for the dynamic value v.
+// valueSegmentWith is ValueSegment.with (StringSegment.with) for the dynamic
+// value v.
 func valueSegmentWith(seg Segment, i types.ChunkOffset, v types.Value, fresh bool) (Segment, error) {
 	switch s := seg.(type) {
 	case *ValueSegment[int64]:
 		return s.with(i, v.AsInt(), v.IsNull(), fresh), nil
 	case *ValueSegment[float64]:
 		return s.with(i, v.AsFloat(), v.IsNull(), fresh), nil
-	case *ValueSegment[string]:
+	case *StringSegment:
 		return s.with(i, v.S, v.IsNull(), fresh), nil
 	default:
 		return nil, fmt.Errorf("storage: cannot overwrite a row of segment type %T", seg)
 	}
 }
 
-// NewValueSegmentOfType creates an empty value segment for the dynamic type.
+// NewValueSegmentOfType creates the empty unencoded segment a chunk of the
+// dynamic type starts with: a value segment for numbers, a StringSegment for
+// strings.
 func NewValueSegmentOfType(t types.DataType, capacity int, nullable bool) Segment {
 	switch t {
 	case types.TypeInt64:
@@ -300,7 +332,7 @@ func NewValueSegmentOfType(t types.DataType, capacity int, nullable bool) Segmen
 	case types.TypeFloat64:
 		return NewValueSegment[float64](capacity, nullable)
 	case types.TypeString:
-		return NewValueSegment[string](capacity, nullable)
+		return NewStringSegment(capacity, nullable)
 	default:
 		panic(fmt.Sprintf("storage: no segment for type %s", t))
 	}

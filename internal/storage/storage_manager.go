@@ -271,7 +271,11 @@ func (sm *StorageManager) LoadCSV(name string, defs []ColumnDefinition, r io.Rea
 		}
 	}()
 	l := NewLoader(table, 0)
-	defer l.Close()
+	defer func() {
+		if cerr := l.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
+	}()
 	cr := csv.NewReader(r)
 	cr.Comma = delim
 	cr.ReuseRecord = true

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"strings"
 	"unsafe"
 
 	"hyrise/internal/types"
@@ -82,8 +83,7 @@ func (z Zone) Excludes(lo, hi *types.Value) bool {
 }
 
 // memoryUsage is the zone's heap footprint: the struct, the two strings it
-// keeps alive once the segment they came from has been re-encoded, and the
-// bins.
+// holds copies of, and the bins.
 func (z Zone) memoryUsage() int64 {
 	return int64(unsafe.Sizeof(z)) + int64(len(z.Min.S)+len(z.Max.S)) + 16*int64(len(z.Bins))
 }
@@ -121,6 +121,19 @@ func appendTo[T types.Ordered](s *ValueSegment[T], z *Zone, lo, hi *T, row int, 
 	}
 }
 
+// includeString is include for a string the zone must not keep — it outlives
+// the caller's buffer and the tail's blob: a bound it moves is a copy of it,
+// one it meets is itself.
+func includeString(z *Zone, v string) bool {
+	switch {
+	case z.Min.Type == types.TypeNull || v < z.Min.S || v > z.Max.S:
+		v = strings.Clone(v)
+	case v == z.Max.S:
+		v = z.Max.S
+	}
+	return include(z, &z.Min.S, &z.Max.S, v)
+}
+
 // overwritten folds in the value that replaced row's: the bounds widen (the
 // old value stays inside them) and the run ends before the row at the latest.
 func (z *Zone) overwritten(row int, v types.Value) {
@@ -130,7 +143,7 @@ func (z *Zone) overwritten(row int, v types.Value) {
 	case types.TypeFloat64:
 		include(z, &z.Min.F, &z.Max.F, v.F)
 	case types.TypeString:
-		include(z, &z.Min.S, &z.Max.S, v.S)
+		includeString(z, v.S)
 	}
 	z.Ascending = min(z.Ascending, row)
 }
@@ -170,8 +183,8 @@ func zonesOf(segments []Segment) []Zone {
 			zones[i] = ZoneOf(s.values, s.nulls)
 		case *ValueSegment[float64]:
 			zones[i] = ZoneOf(s.values, s.nulls)
-		case *ValueSegment[string]:
-			zones[i] = ZoneOf(s.values, s.nulls)
+		case *StringSegment:
+			zones[i] = s.zone()
 		case ZonedSegment:
 			zones[i] = s.Zone()
 		default:

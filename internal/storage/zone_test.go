@@ -221,7 +221,7 @@ func TestDiffZoneSurvivesOverwriteAndReencode(t *testing.T) {
 		t.Errorf("ReplaceSegment changed the zone: %+v, was %+v", after, z)
 	}
 
-	loose := NewChunk([]Segment{ValueSegmentFromSlice([]int64{4, 6, 5}, nil), ValueSegmentFromSlice([]string{"x", "y", "z"}, nil)}, nil)
+	loose := NewChunk([]Segment{ValueSegmentFromSlice([]int64{4, 6, 5}, nil), StringSegmentOf([]string{"x", "y", "z"}, nil)}, nil)
 	if _, ok := loose.Zone(0); ok {
 		t.Error("a chunk outside any table carries a zone")
 	}

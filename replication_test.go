@@ -562,8 +562,8 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 		if n, _ := side.StorageManager().SealStats(); n != loaded+1 || !chunk.IsImmutable() || chunk.SealNS() <= 0 {
 			t.Errorf("%s: %d chunks sealed, chunk 1 immutable=%v seal_ns=%d: want it sealed exactly once", name, n-loaded, chunk.IsImmutable(), chunk.SealNS())
 		}
-		if _, plain := chunk.GetSegment(1).(*storage.ValueSegment[string]); plain {
-			t.Errorf("%s: the constant tag column of the sealed chunk is still a value segment", name)
+		if _, plain := chunk.GetSegment(1).(*storage.StringSegment); plain {
+			t.Errorf("%s: the constant tag column of the sealed chunk is still unencoded", name)
 		}
 	}
 
@@ -599,6 +599,72 @@ func TestCrashSealedChunkReplay(t *testing.T) {
 	waitBarrier(t, db, replica)
 	for name, side := range map[string]*Database{"primary": db, "replica": replica, "crash after the late commit": crashCopy()} {
 		check(name, side, "1", "2", "30", "31", "32", "100")
+	}
+}
+
+// TestStoredStringsAreStringSegments: no stored chunk holds a string column as
+// a value segment — not a growing tail, a column sealed Unencoded, a chunk
+// restored from a snapshot or a replica's chunk, bootstrapped or streamed.
+// Only an operator's output wraps a []string.
+func TestStoredStringsAreStringSegments(t *testing.T) {
+	cfg := durableConfig(t)
+	db, err := OpenErr(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defs := []storage.ColumnDefinition{{Name: "id", Type: types.TypeInt64}, {Name: "tag", Type: types.TypeString, Nullable: true}}
+	if err := db.LoadCSV("t", defs, strings.NewReader("1,a\n2,\n3,c\n4,d\n5,e\n"), 4); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := db.StorageManager().GetTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := encoding.EncodeTable(plain, &encoding.Spec{Encoding: encoding.Unencoded}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mustExecute(t, db, "CREATE TABLE kv (id INT NOT NULL, tag VARCHAR(20))")
+	mustExecute(t, db, "INSERT INTO kv VALUES (1, 'x'), (2, NULL), (3, 'z')")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := db.AttachReplica(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	mustExecute(t, db, "INSERT INTO kv VALUES (4, 'streamed')")
+	waitBarrier(t, db, replica)
+	restored := cfg
+	restored.DataDir = t.TempDir()
+	if err := os.CopyFS(restored.DataDir, os.DirFS(cfg.DataDir)); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenErr(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	for name, side := range map[string]*Database{"primary": db, "replica": replica, "restored": recovered} {
+		unencoded := 0
+		for _, table := range []string{"t", "kv"} {
+			tbl, err := side.StorageManager().GetTable(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range tbl.Chunks() {
+				switch c.GetSegment(1).(type) {
+				case *storage.ValueSegment[string]:
+					t.Errorf("%s: chunk %d of %s holds its strings in a value segment", name, ci, table)
+				case *storage.StringSegment:
+					unencoded++
+				}
+			}
+		}
+		if unencoded != 3 { // t's two chunks sealed Unencoded, kv's tail
+			t.Errorf("%s: %d string columns unencoded, want 3", name, unencoded)
+		}
 	}
 }
 
