@@ -333,12 +333,12 @@ type ExecMetrics struct {
 	RowsScanned *Counter
 	// OperatorsExecuted counts physical operator invocations.
 	OperatorsExecuted *Counter
-	// JoinPartitions accumulates the partition counts of radix-partitioned
-	// hash joins (serial joins add nothing).
+	// JoinPartitions accumulates the probe row ranges of hash joins: the
+	// fan-out of a parallel join, 1 for a serial one.
 	JoinPartitions *Counter
 	// JoinBuildNS / JoinProbeNS accumulate wall nanoseconds spent in the
-	// hash join's build and probe phases (summed across partitions, so
-	// parallel runs report total CPU work, not elapsed time).
+	// hash join's build (hashing the build side, filling its key table) and
+	// probe (all ranges) phases.
 	JoinBuildNS *Counter
 	JoinProbeNS *Counter
 	// AggregateMergeNS accumulates wall nanoseconds spent merging per-chunk

@@ -37,8 +37,8 @@ type OpSpan struct {
 	// PrunedChunkIDs says which, in no particular order.
 	ChunksPruned   int64
 	PrunedChunkIDs []int
-	// Attrs carries operator-specific measurements (e.g. the radix join's
-	// partition count and build/probe nanoseconds). Nil when the operator
+	// Attrs carries operator-specific measurements (e.g. the hash join's
+	// probe range count and build/probe nanoseconds). Nil when the operator
 	// recorded none.
 	Attrs map[string]int64
 	// Labels carries operator-specific choices (e.g. the side a hash join

@@ -2,7 +2,9 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"time"
 
 	"hyrise/internal/expression"
 	"hyrise/internal/storage"
@@ -134,36 +136,29 @@ func (ps *pairSet) append(li, ri int32) {
 	ps.rightIdx = append(ps.rightIdx, ri)
 }
 
-// Run implements Operator. decideParallel picks the partition count — 1
-// keeps build and probe on the calling task, more fans them out per radix
-// partition (join_radix.go) — and everything else is one path.
+// Run implements Operator. decideParallel picks how many row ranges the
+// probe side splits into — 1 keeps the join on the calling task, fanOut()
+// probes them as scheduler tasks — and everything else is one path.
 func (j *HashJoin) Run(ctx *ExecContext, inputs []*storage.Table) (*storage.Table, error) {
 	leftT, rightT := inputs[0], inputs[1]
-	parts := 1
+	ranges := 1
 	if ctx.decideParallel(opJoin, leftT.RowCount()+rightT.RowCount()) {
-		parts = ctx.joinFanOut()
+		ranges = ctx.fanOut()
 	}
-	return j.run(ctx, leftT, rightT, parts)
+	return j.run(ctx, leftT, rightT, ranges)
 }
 
-// run joins over parts hash partitions (a power of two): the typed key
-// vectors of both sides are hashed and scattered by partition
-// (partitionKeys), then each partition builds and probes its own key table
-// (radixJoinPairs). The build side is the input with fewer rows (the right
-// one on a tie), decided here from the row counts. Either way and for every
-// partition count the pairs come out in the same order — left row
-// ascending, its right rows ascending — so results are bit-for-bit equal.
-func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int) (*storage.Table, error) {
+// run joins with the probe side split into ranges row ranges. The build side
+// is the input with fewer rows (the right one on a tie), decided here from
+// the row counts. Either way and for every range count the pairs come out in
+// the same order — left row ascending, its right rows ascending — so results
+// are bit-for-bit equal.
+func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, ranges int) (*storage.Table, error) {
 	left, right, err := joinKeys(ctx, leftT, rightT, j.LeftKeys, j.RightKeys)
 	if err != nil {
 		return nil, err
 	}
-	buildLeft := left.rows.Len() < right.rows.Len()
-	build, probe := right, left
-	if buildLeft {
-		build, probe = left, right
-	}
-	ps, err := radixJoinPairs(ctx, j, build, probe, parts, buildLeft)
+	ps, err := j.pairs(ctx, left, right, ranges, left.rows.Len() < right.rows.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +167,121 @@ func (j *HashJoin) run(ctx *ExecContext, leftT, rightT *storage.Table, parts int
 		return nil, err
 	}
 	return j.finish(left.rows, right.rows, ps), nil
+}
+
+// pairs builds one key table over the build side (the left one if buildLeft)
+// and probes it with the other, and returns the candidate pairs in left-major
+// order: a left row's matches are its right rows, ascending. The build side
+// is hashed range by range as scheduler tasks, then one goroutine fills the
+// table in descending row order, which leaves every key's chain of build rows
+// ascending. Read-only from then on, the table is probed by all ranges at
+// once, each emitting its pairs in probe row order, a row's matches in chain
+// order. With the right side built the ranges are laid end to end; with the
+// left side built their pairs come back with the sides swapped and
+// sortPairsByLeft orders them. NULL- and NaN-key rows never join (they stay
+// visible to finish through the sides' rows).
+func (j *HashJoin) pairs(ctx *ExecContext, left, right joinSide, ranges int, buildLeft bool) (pairSet, error) {
+	build, probe := right, left
+	if buildLeft {
+		build, probe = left, right
+	}
+	t0 := time.Now()
+	n := build.rows.Len()
+	hashes := make([]uint64, n)
+	jobs := make([]func(), ranges)
+	for p := range jobs {
+		lo, hi := rowRange(p, ranges, n)
+		jobs[p] = func() { hashInto(hashes[lo:hi], build.keys, lo) }
+	}
+	ctx.runJobs(jobs)
+	ht := newKeyTable(build.keys, n)
+	ht.next = make([]int32, n)
+	for r := n - 1; r >= 0; r-- {
+		if (n-1-r)%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return pairSet{}, err
+			}
+		}
+		if !keyNeverJoins(build.keys, r) {
+			ht.insert(hashes[r], r)
+		}
+	}
+	t1 := time.Now()
+	results := make([]pairSet, ranges)
+	for p := range jobs {
+		lo, hi := rowRange(p, ranges, probe.rows.Len())
+		jobs[p] = func() { results[p] = ht.probe(ctx, probe.keys, lo, hi, buildLeft) }
+	}
+	ctx.runJobs(jobs)
+	if err := ctx.Err(); err != nil {
+		return pairSet{}, err
+	}
+	ps := results[0]
+	switch {
+	case buildLeft:
+		ps = sortPairsByLeft(results, left.rows.Len())
+	case ranges > 1:
+		l, r := make([][]int32, ranges), make([][]int32, ranges)
+		for p, res := range results {
+			l[p], r[p] = res.leftIdx, res.rightIdx
+		}
+		ps = pairSet{leftIdx: slices.Concat(l...), rightIdx: slices.Concat(r...)}
+	}
+	ctx.noteJoinPhases(j, ranges, buildLeft, n, len(ps.leftIdx), t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds())
+	return ps, nil
+}
+
+// rowRange is range p of n rows cut into parts contiguous ranges.
+func rowRange(p, parts, n int) (lo, hi int) {
+	return p * n / parts, (p + 1) * n / parts
+}
+
+// probe looks up rows [lo, hi) of keys, hashed cancelStride rows at a time,
+// and returns their pairs (probe row, build row) in probe row order, a row's
+// matches in chain order; swap puts the probe rows on the right.
+func (t *keyTable) probe(ctx *ExecContext, keys []*expression.Vector, lo, hi int, swap bool) pairSet {
+	var out pairSet
+	hashes := make([]uint64, min(cancelStride, hi-lo))
+	for b := lo; b < hi && ctx.Err() == nil; b += cancelStride {
+		for i, h := range hashInto(hashes[:min(cancelStride, hi-b)], keys, b) {
+			if keyNeverJoins(keys, b+i) {
+				continue
+			}
+			for m := t.matches(h, keys, b+i); m >= 0; m = t.next[m] {
+				out.append(int32(b+i), m)
+			}
+		}
+	}
+	if swap {
+		out.leftIdx, out.rightIdx = out.rightIdx, out.leftIdx
+	}
+	return out
+}
+
+// sortPairsByLeft orders the pairs of every range by left row with one stable
+// counting sort: a count and a prefix sum over the nLeft left rows give each
+// left row its run of slots, and the ranges are copied in, in range order.
+// A range holds the pairs of its right (probe) rows in row order, and the
+// ranges follow each other in row order, so every left row's right rows come
+// out ascending.
+func sortPairsByLeft(results []pairSet, nLeft int) pairSet {
+	slot := make([]int, nLeft+1) // slot[li]: where left row li's next pair goes
+	for _, r := range results {
+		for _, li := range r.leftIdx {
+			slot[li+1]++
+		}
+	}
+	for li := 0; li < nLeft; li++ {
+		slot[li+1] += slot[li]
+	}
+	sorted := pairSet{leftIdx: make([]int32, slot[nLeft]), rightIdx: make([]int32, slot[nLeft])}
+	for _, r := range results {
+		for i, li := range r.leftIdx {
+			sorted.leftIdx[slot[li]], sorted.rightIdx[slot[li]] = li, r.rightIdx[i]
+			slot[li]++
+		}
+	}
+	return sorted
 }
 
 // finish translates the surviving pairs into the mode-specific output: the

@@ -82,7 +82,7 @@ func TestDiffJoinBuildSide(t *testing.T) {
 							if side := ctx.Trace.Op(j).Labels["build"]; side != sz.side {
 								t.Fatalf("%d partitions: built the %s side, want %s", parts, side, sz.side)
 							}
-							want := rightBuildJoin(t, j, l, r, parts)
+							want := forcedBuildJoin(t, NewExecContext(nil, nil, nil), j, l, r, parts, false)
 							if g, w := tableRows(got), tableRows(want); !reflect.DeepEqual(g, w) {
 								t.Fatalf("%d partitions: output differs from a right-side build\ngot:  %v\nwant: %v", parts, g, w)
 							}
@@ -97,15 +97,15 @@ func TestDiffJoinBuildSide(t *testing.T) {
 	}
 }
 
-// rightBuildJoin is HashJoin.run with the build forced onto the right input.
-func rightBuildJoin(t *testing.T, j *HashJoin, l, r *storage.Table, parts int) *storage.Table {
+// forcedBuildJoin is HashJoin.run with the build forced onto the left input
+// (buildLeft) or the right one.
+func forcedBuildJoin(t *testing.T, ctx *ExecContext, j *HashJoin, l, r *storage.Table, parts int, buildLeft bool) *storage.Table {
 	t.Helper()
-	ctx := NewExecContext(nil, nil, nil)
 	left, right, err := joinKeys(ctx, l, r, j.LeftKeys, j.RightKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := radixJoinPairs(ctx, j, right, left, parts, false)
+	ps, err := j.pairs(ctx, left, right, parts, buildLeft)
 	if err != nil {
 		t.Fatal(err)
 	}

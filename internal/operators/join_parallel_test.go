@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,46 +202,93 @@ func TestDiffJoinAgainstReference(t *testing.T) {
 	}
 }
 
-// TestRadixJoinCancellation cancels a radix join mid-flight and verifies the
-// operator returns the context error and every scheduled task completes (no
-// deadlock: Shutdown would hang on stuck tasks, and WaitAll inside the join
-// would never return).
-func TestRadixJoinCancellation(t *testing.T) {
+// TestCancelHashJoin cancels a hash join at each point where it checks its
+// context, one run per check — among them the one-goroutine build's, every
+// cancelStride rows, and each probe block's — on one range without a
+// scheduler and on four ranges with one, building either side. Every run
+// returns context.Canceled and none hangs: a task left waiting would keep the
+// join from returning and Shutdown from finishing. On one range the join
+// also stops where it was canceled, the build included.
+func TestCancelHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 200000
-	rows := make([][]types.Value, n)
-	for i := range rows {
-		rows[i] = []types.Value{types.Int(int64(rng.Intn(1000))), types.Int(int64(i))}
+	rows := func(n int) [][]types.Value {
+		out := make([][]types.Value, n)
+		for i := range out {
+			out[i] = []types.Value{types.Int(int64(rng.Intn(1000))), types.Int(int64(i))}
+		}
+		return out
 	}
-	ds := joinDataset{name: "cancel", left: rows, right: rows}
-	l, r := joinInputTables(t, ds, 4096)
-
+	l, r := joinInputTables(t, joinDataset{name: "cancel", left: rows(4 * cancelStride), right: rows(3 * cancelStride)}, 4096)
+	j := NewHashJoin(JoinModeInner, tableOp(l), tableOp(r), col(0, types.TypeInt64), col(0, types.TypeInt64), nil)
+	left, right, err := joinKeys(NewExecContext(nil, nil, nil), l, r, j.LeftKeys, j.RightKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched := scheduler.New(4)
 	defer sched.Shutdown()
 
-	cctx, cancel := context.WithCancel(context.Background())
-	ctx := NewExecContext(nil, sched, nil)
-	ctx.Ctx = cctx
-	ctx.Parallel = ParallelForce
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := Execute(NewHashJoin(JoinModeInner, tableOp(l), tableOp(r), col(0, types.TypeInt64), col(0, types.TypeInt64), nil), ctx)
-		done <- err
-	}()
-	time.Sleep(2 * time.Millisecond) // let the join get going
-	cancel()
-
-	select {
-	case err := <-done:
-		// The race between cancel and completion is fine either way; what
-		// matters is that a loss surfaces context.Canceled, not a hang.
-		if err != nil && err != context.Canceled {
-			t.Fatalf("unexpected error: %v", err)
+	for _, tc := range []struct {
+		sched  *scheduler.Scheduler
+		ranges int
+	}{{nil, 1}, {sched, 4}} {
+		for _, buildLeft := range []bool{false, true} {
+			// join runs the join canceled at check at (never if at is 0) and
+			// returns how often it checked.
+			join := func(at int64) (int64, error) {
+				cctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cc := &cancelAtCheck{Context: cctx, cancel: cancel, at: at}
+				ctx := NewExecContext(nil, tc.sched, nil)
+				ctx.Ctx = cc
+				done := make(chan error, 1)
+				go func() {
+					_, err := j.pairs(ctx, left, right, tc.ranges, buildLeft)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					return cc.checks.Load(), err
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%d ranges, left built %v, canceled at check %d: no return", tc.ranges, buildLeft, at)
+					return 0, nil
+				}
+			}
+			// The build checks 3 or 4 times, the probe 4 or 3 blocks.
+			checks, err := join(0)
+			if err != nil || checks < 7 {
+				t.Fatalf("%d ranges, left built %v: %d checks, err = %v; want >= 7 checks, no error", tc.ranges, buildLeft, checks, err)
+			}
+			for at := int64(1); at <= checks; at++ {
+				n, err := join(at)
+				if err != context.Canceled {
+					t.Fatalf("%d ranges, left built %v, canceled at check %d of %d: err = %v, want context.Canceled",
+						tc.ranges, buildLeft, at, checks, err)
+				}
+				// On one range nothing runs beside the canceled loop: the
+				// join returns after at most two more checks, those that
+				// close a phase.
+				if tc.ranges == 1 && n > at+2 {
+					t.Fatalf("left built %v, canceled at check %d: went on to check %d", buildLeft, at, n)
+				}
+			}
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("join did not return after cancellation (deadlocked tasks?)")
 	}
+}
+
+// cancelAtCheck is a context that cancels itself at its at-th Err call (never
+// if at is 0) and counts the calls.
+type cancelAtCheck struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	checks atomic.Int64
+}
+
+func (c *cancelAtCheck) Err() error {
+	if c.checks.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // tableOp wraps a materialized table as an operator input.

@@ -14,11 +14,11 @@ import (
 
 // This file holds the only key logic of the package: how the rows of a set of
 // typed key vectors hash, when two of them are equal, and the table that maps
-// a key to a dense id. Hash join, its radix partitioner, GROUP BY, the sharded
-// aggregate merge, COUNT(DISTINCT), the sort-merge join and the IN subquery's
-// set (subquery.go) all go through it, so a key is never boxed into a
-// types.Value or rendered to a string: type and representation are resolved
-// once per vector, never per value (paper §2.3).
+// a key to a dense id. Hash join, GROUP BY, the sharded aggregate merge,
+// COUNT(DISTINCT), the sort-merge join and the IN subquery's set (subquery.go)
+// all go through it, so a key is never boxed into a types.Value or rendered
+// to a string: type and representation are resolved once per vector, never
+// per value (paper §2.3).
 //
 // Equality is the grouping rule of types.Order: values of one type compare by
 // value; -0.0 equals +0.0 and NaN equals NaN (one group); NULL equals NULL —
@@ -29,9 +29,9 @@ import (
 // float column is cast to float once per vector (joinKeys, concatKeys), which
 // is what the engine's `=` does for such a pair.
 
-// keySeed keys the string hash. Hash values only place rows in partitions,
-// shards and slots; every consumer restores its output order from row
-// ordinals, so results do not depend on it.
+// keySeed keys the string hash. Hash values only place rows in shards and
+// slots; every consumer restores its output order from row ordinals, so
+// results do not depend on it.
 var keySeed = maphash.MakeSeed()
 
 const (
@@ -40,9 +40,8 @@ const (
 )
 
 // hashMix folds one column value into a row hash. The multiply mixes upwards
-// and the shift folds the high half back down, so both the top bits (radix
-// partition, merge shard) and the low bits (table slot) depend on every input
-// bit.
+// and the shift folds the high half back down, so both the top bits (merge
+// shard) and the low bits (table slot) depend on every input bit.
 func hashMix(h, x uint64) uint64 {
 	h = (h ^ x) * 0xFF51AFD7ED558CCD
 	return h ^ h>>32
@@ -50,7 +49,12 @@ func hashMix(h, x uint64) uint64 {
 
 // hashRows hashes rows [lo, hi) of the key columns, one typed pass per column.
 func hashRows(cols []*expression.Vector, lo, hi int) []uint64 {
-	out := make([]uint64, hi-lo)
+	return hashInto(make([]uint64, hi-lo), cols, lo)
+}
+
+// hashInto is hashRows into out, which covers rows [lo, lo+len(out)).
+func hashInto(out []uint64, cols []*expression.Vector, lo int) []uint64 {
+	hi := lo + len(out)
 	for i := range out {
 		out[i] = hashInit
 	}

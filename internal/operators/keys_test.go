@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -213,25 +214,58 @@ func TestDiffKeyTable(t *testing.T) {
 	defer sched.Shutdown()
 	I, F, S := types.TypeInt64, types.TypeFloat64, types.TypeString
 
+	// keyRows are one-key rows holding keys, in order.
+	keyRows := func(keys ...types.Value) [][]types.Value {
+		rows := make([][]types.Value, len(keys))
+		for i, k := range keys {
+			rows[i] = []types.Value{k, types.Int(int64(i))}
+		}
+		return rows
+	}
+	// cutRun is 100 probe keys that are all 7 but the first and the last:
+	// every range boundary at 2 and 8 ranges falls inside the run.
+	cutRun := append(append([]types.Value{types.Int(1)}, slices.Repeat([]types.Value{types.Int(7)}, 98)...), types.Int(2))
+	nullNaN := slices.Repeat([]types.Value{types.NullValue, types.Float(math.NaN())}, 20)
 	joinCases := []struct {
 		name        string
 		left, right []types.DataType
+		// rows, if set, gives the inputs instead of 260 and 200 random rows.
+		rows func(rng *rand.Rand) (left, right [][]types.Value)
 	}{
-		{"int", []types.DataType{I}, []types.DataType{I}},
-		{"float", []types.DataType{F}, []types.DataType{F}},
-		{"string", []types.DataType{S}, []types.DataType{S}},
-		{"int=float", []types.DataType{I}, []types.DataType{F}},
-		{"float=int", []types.DataType{F}, []types.DataType{I}},
-		{"string,string", []types.DataType{S, S}, []types.DataType{S, S}},
-		{"int,string", []types.DataType{I, S}, []types.DataType{I, S}},
-		{"int=float,string,float=int", []types.DataType{I, S, F}, []types.DataType{F, S, I}},
-		{"string=int", []types.DataType{S}, []types.DataType{I}}, // never matches
+		{"int", []types.DataType{I}, []types.DataType{I}, nil},
+		{"float", []types.DataType{F}, []types.DataType{F}, nil},
+		{"string", []types.DataType{S}, []types.DataType{S}, nil},
+		{"int=float", []types.DataType{I}, []types.DataType{F}, nil},
+		{"float=int", []types.DataType{F}, []types.DataType{I}, nil},
+		{"string,string", []types.DataType{S, S}, []types.DataType{S, S}, nil},
+		{"int,string", []types.DataType{I, S}, []types.DataType{I, S}, nil},
+		{"int=float,string,float=int", []types.DataType{I, S, F}, []types.DataType{F, S, I}, nil},
+		{"string=int", []types.DataType{S}, []types.DataType{I}, nil}, // never matches
+		// Edges of the probe ranges; each side is built once below, so each
+		// side is probed once.
+		{"empty_side", []types.DataType{F}, []types.DataType{F}, func(rng *rand.Rand) ([][]types.Value, [][]types.Value) {
+			return nil, randomKeyRows(rng, 30, []types.DataType{F}, 7)
+		}},
+		{"fewer_rows_than_ranges", []types.DataType{I}, []types.DataType{I}, func(*rand.Rand) ([][]types.Value, [][]types.Value) {
+			return keyRows(types.Int(7), types.Int(1), types.Int(7)), keyRows(types.Int(7), types.Int(7))
+		}},
+		{"cut_run_of_equal_keys", []types.DataType{I}, []types.DataType{I}, func(*rand.Rand) ([][]types.Value, [][]types.Value) {
+			return keyRows(cutRun...), keyRows(types.Int(7), types.Int(2), types.NullValue, types.Int(7), types.Int(3))
+		}},
+		{"all_null_or_nan", []types.DataType{F}, []types.DataType{F}, func(rng *rand.Rand) ([][]types.Value, [][]types.Value) {
+			return randomKeyRows(rng, 200, []types.DataType{F}, 9), keyRows(nullNaN...)
+		}},
 	}
 	modes := append(allJoinModes(), JoinModeCross) // a keyed Cross join is an Inner join
 	for ci, jc := range joinCases {
 		rng := rand.New(rand.NewSource(int64(100 + ci)))
-		left := randomKeyRows(rng, 260, jc.left, 9)
-		right := randomKeyRows(rng, 200, jc.right, 7)
+		var left, right [][]types.Value
+		if jc.rows != nil {
+			left, right = jc.rows(rng)
+		} else {
+			left = randomKeyRows(rng, 260, jc.left, 9)
+			right = randomKeyRows(rng, 200, jc.right, 7)
+		}
 		l, r := keyedTable(t, "l", jc.left, left), keyedTable(t, "r", jc.right, right)
 		nKeys := len(jc.left)
 		for _, mode := range modes {
@@ -249,7 +283,8 @@ func TestDiffKeyTable(t *testing.T) {
 				}
 				// The reference lists pairs, then unmatched left rows, then
 				// unmatched right rows, each in row order — the sequence the
-				// hash join must emit for every partition count.
+				// hash join must emit for every partition count, whichever
+				// side it builds.
 				for _, parts := range []int{1, 2, 8} {
 					ctx := NewExecContext(nil, nil, nil)
 					if parts > 1 {
@@ -257,6 +292,12 @@ func TestDiffKeyTable(t *testing.T) {
 					}
 					if got := hashJoin(ctx, parts); !reflect.DeepEqual(got, want) {
 						t.Fatalf("hash join, %d partitions, differs from reference\ngot:  %q\nwant: %q", parts, got, want)
+					}
+					j := NewMultiKeyHashJoin(mode, tableOp(l), tableOp(r), keyCols(jc.left), keyCols(jc.right), nil)
+					for _, buildLeft := range []bool{false, true} {
+						if got := tableRows(forcedBuildJoin(t, ctx, j, l, r, parts, buildLeft)); !reflect.DeepEqual(got, want) {
+							t.Fatalf("hash join, %d partitions, left built %v, differs from reference\ngot:  %q\nwant: %q", parts, buildLeft, got, want)
+						}
 					}
 				}
 				if nKeys > 1 || mode == JoinModeCross {

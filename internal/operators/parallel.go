@@ -11,7 +11,7 @@ import (
 
 // This file holds every serial-vs-parallel decision of the engine (paper
 // §2.9): scans and sorts split their input into morsels — runs of consecutive
-// chunks — hash joins into radix partitions, and the aggregate merge into
+// chunks — hash joins into probe row ranges, and the aggregate merge into
 // hash shards, all dispatched as scheduler tasks. Whether an operator fans
 // out at all is decided in one place, decideParallel, from a size estimate
 // the operator derives from its input and the statistics it already has;
@@ -57,8 +57,8 @@ var parallelMinRows = [...]int{
 	// Input rows: splitting into runs only amortizes once the run sorts
 	// dominate the k-way merge that follows them.
 	opSort: 32768,
-	// Build plus probe rows: partitioning is one extra pass over both sides
-	// and only amortizes on larger inputs.
+	// Build plus probe rows: hashing both sides in ranges and probing from
+	// several tasks only amortizes task dispatch on larger inputs.
 	opJoin: 8192,
 	// Partial groups summed over all chunks: every shard walks all partials,
 	// so the fan-out wins only when hash-map inserts dominate that walk.
@@ -79,15 +79,11 @@ const (
 	// must be sorted back into offset order, which only beats a sequential
 	// scan of the segment when few rows qualify.
 	indexProbeMaxSelectivity = 0.01
-	// maxRadixPartitions caps the radix fan-out; beyond this, per-partition
-	// fixed costs (map allocation, task scheduling) dominate.
-	maxRadixPartitions = 256
 	// maxMergeShards caps the aggregate merge fan-out: every shard scans all
 	// partials, so shards beyond the core count only add passes.
 	maxMergeShards = 64
-	// cancelStride is how many rows or groups a fanned-out task — a join
-	// partition's probe, a merge shard, a sort merge — handles between
-	// cancellation checks.
+	// cancelStride is how many rows or groups a join's build or probe, a
+	// merge shard or a sort merge handles between cancellation checks.
 	cancelStride = 4096
 )
 
@@ -110,11 +106,6 @@ func (ctx *ExecContext) decideParallel(op parallelOp, estRows int) bool {
 // split/merge logic without a scheduler.
 func (ctx *ExecContext) fanOut() int {
 	return max(ctx.Scheduler.WorkerCount(), 2)
-}
-
-// joinFanOut is the radix partition count (a power of two, for hash masking).
-func (ctx *ExecContext) joinFanOut() int {
-	return nextPow2(min(ctx.fanOut(), maxRadixPartitions))
 }
 
 // mergeFanOut is the aggregate merge shard count (a power of two).

@@ -264,25 +264,25 @@ func TestDiffDecideParallel(t *testing.T) {
 		}
 	}
 
-	// Fan-out: one task per worker, at least 2, join and merge rounded up to
-	// a power of two and capped.
+	// Fan-out: one task per worker, at least 2, the merge rounded up to a
+	// power of two and capped.
 	sched300 := scheduler.New(300)
 	defer sched300.Shutdown()
 	sched5 := scheduler.New(5)
 	defer sched5.Shutdown()
 	for _, tc := range []struct {
-		sched                *scheduler.Scheduler
-		fanOut, join, shards int
+		sched          *scheduler.Scheduler
+		fanOut, shards int
 	}{
-		{nil, 2, 2, 2},
-		{sched4, 4, 4, 4},
-		{sched5, 5, 8, 8},
-		{sched300, 300, 256, 64},
+		{nil, 2, 2},
+		{sched4, 4, 4},
+		{sched5, 5, 8},
+		{sched300, 300, 64},
 	} {
 		ctx := NewExecContext(nil, tc.sched, nil)
-		if ctx.fanOut() != tc.fanOut || ctx.joinFanOut() != tc.join || ctx.mergeFanOut() != tc.shards {
-			t.Errorf("workers=%d: fanOut/join/merge = %d/%d/%d, want %d/%d/%d", ctx.Scheduler.WorkerCount(),
-				ctx.fanOut(), ctx.joinFanOut(), ctx.mergeFanOut(), tc.fanOut, tc.join, tc.shards)
+		if ctx.fanOut() != tc.fanOut || ctx.mergeFanOut() != tc.shards {
+			t.Errorf("workers=%d: fanOut/merge = %d/%d, want %d/%d", ctx.Scheduler.WorkerCount(),
+				ctx.fanOut(), ctx.mergeFanOut(), tc.fanOut, tc.shards)
 		}
 	}
 	if morselRows != 65536 {

@@ -31,7 +31,7 @@ var engineConfigs = map[string]func(*Config){
 // a different route to a comparison: the default engine (scan kernels, hash
 // join, typed aggregates), DynamicAccess (the evaluator scans every chunk),
 // no optimizer (joins are predicates over cross products) and ParallelForce
-// (radix-partitioned joins, sharded aggregate merges, run sorts).
+// (range-probed joins, sharded aggregate merges, run sorts).
 func comparisonEngines(t *testing.T, sm *storage.StorageManager) map[string]*Engine {
 	t.Helper()
 	engines := map[string]*Engine{}

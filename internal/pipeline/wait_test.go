@@ -55,11 +55,11 @@ func TestWaitSpansSchedulerQueue(t *testing.T) {
 	}
 }
 
-// TestWaitSpansRadixJoinConcurrent accumulates queue-wait spans from the
-// radix join's parallel partition tasks, with several sessions tracing
-// concurrently — the race check for scheduler workers recording onto traces
-// while session goroutines read them.
-func TestWaitSpansRadixJoinConcurrent(t *testing.T) {
+// TestWaitSpansParallelJoinConcurrent accumulates queue-wait spans from the
+// hash join's range tasks, with several sessions tracing concurrently — the
+// race check for scheduler workers recording onto traces while session
+// goroutines read them.
+func TestWaitSpansParallelJoinConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UseScheduler = true
 	cfg.SchedulerWorkers = 4

@@ -7,7 +7,7 @@ import (
 
 // Run runs jobs as one group and blocks until every one has completed, run
 // or skipped — the primitive behind intra-operator parallelism (per-chunk
-// scans, radix join partitions, sharded aggregate merges). It preserves the
+// scans, hash join ranges, sharded aggregate merges). It preserves the
 // scheduler's skip-on-dead-context semantics: jobs not yet started when ctx
 // (nil = never canceled) dies are skipped, but every job still completes, so
 // Run can never deadlock — exactly the contract operators rely on for

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestTaskGroupInlineFallback(t *testing.T) {
+func TestRunInlineFallback(t *testing.T) {
 	var ran atomic.Int64
 	jobs := make([]func(), 10)
 	for i := range jobs {
@@ -22,7 +22,7 @@ func TestTaskGroupInlineFallback(t *testing.T) {
 	}
 }
 
-func TestTaskGroupOnScheduler(t *testing.T) {
+func TestRunOnScheduler(t *testing.T) {
 	s := New(4)
 	defer s.Shutdown()
 	var ran atomic.Int64
@@ -34,7 +34,7 @@ func TestTaskGroupOnScheduler(t *testing.T) {
 	}
 }
 
-func TestTaskGroupNilContext(t *testing.T) {
+func TestRunNilContext(t *testing.T) {
 	var ran atomic.Int64
 	var never context.Context // nil: never canceled
 	if err := Run(never, nil, nil, func() { ran.Add(1) }); err != nil {
@@ -45,10 +45,10 @@ func TestTaskGroupNilContext(t *testing.T) {
 	}
 }
 
-// TestTaskGroupCancellationSkipsButCompletes is the no-deadlock contract:
+// TestRunCancellationSkipsButCompletes is the no-deadlock contract:
 // when the context dies mid-group, remaining tasks are skipped yet Run still
 // returns (with the context error), and no closure runs afterwards.
-func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
+func TestRunCancellationSkipsButCompletes(t *testing.T) {
 	s := New(2)
 	defer s.Shutdown()
 
@@ -78,7 +78,7 @@ func TestTaskGroupCancellationSkipsButCompletes(t *testing.T) {
 	}
 }
 
-func TestTaskGroupInlineCancellation(t *testing.T) {
+func TestRunInlineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	jobs := []func(){func() {
@@ -104,12 +104,12 @@ func makeJobs(n int, counter *atomic.Int64) []func() {
 	return jobs
 }
 
-// TestTaskGroupInlineYieldsBetweenClosures pins the yield of the inline
+// TestRunInlineYieldsBetweenClosures pins the yield of the inline
 // path: on one P, a goroutine that became runnable before Run runs before
 // the group's last closure, though no closure blocks. Two yields precede it,
 // so the run queue's periodic fairness pick cannot hand the P back to the
 // caller both times.
-func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
+func TestRunInlineYieldsBetweenClosures(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var other atomic.Bool
 	var sawOther bool
@@ -123,13 +123,13 @@ func TestTaskGroupInlineYieldsBetweenClosures(t *testing.T) {
 	}
 }
 
-// TestTaskGroupPoolYieldsBetweenTasks pins the same yield on the worker-pool
+// TestRunPoolYieldsBetweenTasks pins the same yield on the worker-pool
 // path: on one P, with the workers parked, a goroutine that became runnable
 // before Run runs before the group's last task, though no task blocks. The
 // caller helps drain the queue (await) and the woken workers pop after it;
 // each yields after every task it runs, so the goroutine gets the P before
 // three tasks have gone by.
-func TestTaskGroupPoolYieldsBetweenTasks(t *testing.T) {
+func TestRunPoolYieldsBetweenTasks(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := New(2)
 	defer s.Shutdown()

@@ -228,7 +228,7 @@ func TestQueueWaitObserver(t *testing.T) {
 	skipped.Wait()
 }
 
-func TestTaskGroupQueueWaitObserver(t *testing.T) {
+func TestRunQueueWaitObserver(t *testing.T) {
 	s := New(4)
 	defer s.Shutdown()
 

@@ -200,19 +200,8 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 	if t.tableType != DataTable {
 		return types.NullRowID, fmt.Errorf("storage: cannot append to reference table")
 	}
-	if len(vals) != len(t.defs) {
-		return types.NullRowID, fmt.Errorf("storage: row has %d values, table %q has %d columns", len(vals), t.name, len(t.defs))
-	}
-	for i, v := range vals {
-		if v.IsNull() {
-			if !t.defs[i].Nullable {
-				return types.NullRowID, fmt.Errorf("storage: NULL in non-nullable column %q", t.defs[i].Name)
-			}
-			continue
-		}
-		if v.Type != t.defs[i].Type {
-			return types.NullRowID, fmt.Errorf("storage: value type %s does not match column %q type %s", v.Type, t.defs[i].Name, t.defs[i].Type)
-		}
+	if err := t.checkRow("", vals); err != nil {
+		return types.NullRowID, err
 	}
 
 	t.appendMu.Lock()
@@ -243,6 +232,24 @@ func (t *Table) AppendRow(vals []types.Value) (types.RowID, error) {
 		t.seal(last)
 	}
 	return row, nil
+}
+
+// checkRow reports the first way vals does not fit the table's schema: the
+// value count, a NULL in a non-nullable column, a value of another type. op
+// ("" or "restore ") starts the message after the package name.
+func (t *Table) checkRow(op string, vals []types.Value) error {
+	if len(vals) != len(t.defs) {
+		return fmt.Errorf("storage: %srow has %d values, table %q has %d columns", op, len(vals), t.name, len(t.defs))
+	}
+	for i, v := range vals {
+		switch {
+		case v.IsNull() && !t.defs[i].Nullable:
+			return fmt.Errorf("storage: %sNULL in non-nullable column %q", op, t.defs[i].Name)
+		case !v.IsNull() && v.Type != t.defs[i].Type:
+			return fmt.Errorf("storage: %svalue type %s does not match column %q type %s", op, v.Type, t.defs[i].Name, t.defs[i].Type)
+		}
+	}
+	return nil
 }
 
 // takeSeal reports that a chunk is due for seal — full, and no replayed commit
@@ -303,22 +310,11 @@ func (t *Table) RestoreRowAt(row types.RowID, vals []types.Value) (existed bool,
 	if t.tableType != DataTable {
 		return false, fmt.Errorf("storage: cannot restore into reference table")
 	}
-	if len(vals) != len(t.defs) {
-		return false, fmt.Errorf("storage: restore row has %d values, table %q has %d columns", len(vals), t.name, len(t.defs))
+	if err := t.checkRow("restore ", vals); err != nil {
+		return false, err
 	}
 	if int(row.Offset) >= t.targetChunkSize {
 		return false, fmt.Errorf("storage: restore offset %d exceeds chunk capacity %d of table %q", row.Offset, t.targetChunkSize, t.name)
-	}
-	for i, v := range vals {
-		if v.IsNull() {
-			if !t.defs[i].Nullable {
-				return false, fmt.Errorf("storage: restore NULL in non-nullable column %q", t.defs[i].Name)
-			}
-			continue
-		}
-		if v.Type != t.defs[i].Type {
-			return false, fmt.Errorf("storage: restore value type %s does not match column %q type %s", v.Type, t.defs[i].Name, t.defs[i].Type)
-		}
 	}
 
 	// The chunks this row completes — its own, the one before it — seal once
