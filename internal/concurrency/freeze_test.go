@@ -127,12 +127,12 @@ type refRow struct{ begin, end types.CommitID }
 
 // TestDiffFrozenVisibility runs writers — inserts, deletes, updates, commits
 // and rollbacks — beside readers holding snapshots of varied ages, while the
-// ends of all of them freeze begin columns behind the low-water mark. After
+// ends of all of them freeze begin and end columns behind the low-water mark. After
 // every step a writer checks each reader it holds: VisibleOffsets over every
 // row, and the rows it keeps, equal what the dense reference — each row's
 // begin and end, recorded with the commit — shows that snapshot. At the end,
 // with no transaction live and one more ending, no complete block whose rows
-// are all committed keeps its begin array.
+// are all committed keeps its begin array, and no block its end array.
 func TestDiffFrozenVisibility(t *testing.T) {
 	const writers, steps = 4, 100
 	const chunkSize = 2*storage.MvccBlockRows + 100 // sealed chunks end in a partial block
@@ -290,6 +290,9 @@ func TestDiffFrozenVisibility(t *testing.T) {
 			if frozen, _ := c.FreezeBegin(types.ChunkOffset(lo), tm.LastCommitID()); committed && frozen {
 				t.Errorf("chunk %d block at %d: every row committed below the mark, and it still held its begin array", ci, lo)
 			}
+			if frozen, _ := c.MvccData().FreezeEnd(types.ChunkOffset(lo), tm.LastCommitID()); frozen {
+				t.Errorf("chunk %d block at %d: no transaction live, and it still held its end array", ci, lo)
+			}
 		}
 	}
 }
@@ -322,5 +325,59 @@ func TestFreezeQueueOrdersWithoutAllocating(t *testing.T) {
 		q.pop()
 	}); allocs != 0 {
 		t.Errorf("a push and a pop allocate %.0f, want 0", allocs)
+	}
+}
+
+// TestSelfDeleteRacesFreeze: a transaction inserts a row and deletes it while a
+// freezer loops on the row's block — giving it an end array by a claim and a
+// release of another row, then freezing it — and commits; the row is never
+// visible. A self-delete that stored into the array the freeze was dropping
+// would be lost, and the row would appear at commit.
+func TestSelfDeleteRacesFreeze(t *testing.T) {
+	tm := NewTransactionManager()
+	table := storage.NewTable("t", []storage.ColumnDefinition{{Name: "v", Type: types.TypeInt64}}, 1000, true)
+	if _, err := table.AppendRow([]types.Value{types.Int(0)}); err != nil {
+		t.Fatal(err)
+	}
+	MarkTableLoaded(table)
+	chunk := table.GetChunk(0)
+	m := chunk.MvccData()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		const other = types.TransactionID(1 << 40)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.Claim(0, other)
+			m.Release(0, other)
+			m.FreezeEnd(0, tm.LastCommitID())
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for round := 1; round < storage.MvccBlockRows; round++ {
+		tx := tm.New()
+		rid, err := table.AppendRow([]types.Value{types.Int(int64(round))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.RegisterInsert(chunk, rid.Offset)
+		if err := tx.TryInvalidate(chunk, rid.Offset); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if reader := tm.New(); Visible(m, rid.Offset, reader.TID(), reader.Snapshot()) {
+			t.Fatalf("round %d: the self-deleted row is visible after commit (end %d)", round, m.End(rid.Offset))
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package concurrency
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -100,24 +101,19 @@ type TransactionManager struct {
 	aborted   atomic.Int64
 
 	// lowMu guards the snapshots of the live transactions (snapshot → how
-	// many hold it) and the freeze queue: the blocks whose begin arrays wait
-	// for the low-water mark, a min-heap by the commit id the mark must reach,
-	// each block in it at most once (queued).
-	lowMu  sync.Mutex
-	live   map[types.CommitID]int
-	queue  freezeQueue
-	queued map[blockRef]bool
-	frozen *observe.Counter
+	// many hold it) and the freeze queue: the blocks whose begin or end arrays
+	// wait for the low-water mark, a min-heap by the commit id the mark must
+	// reach, each block in it at most once (queued).
+	lowMu          sync.Mutex
+	live           map[types.CommitID]int
+	queue          freezeQueue
+	queued         map[rowRef]bool
+	frozen, thawed *observe.Counter
 }
 
-// blockRef names an MVCC block by its chunk and first row.
-type blockRef struct {
-	chunk *storage.Chunk
-	row   types.ChunkOffset
-}
-
+// queuedBlock names an MVCC block by its first row.
 type queuedBlock struct {
-	blockRef
+	rowRef
 	at types.CommitID
 }
 
@@ -162,11 +158,12 @@ func (q *freezeQueue) pop() queuedBlock {
 	return top
 }
 
-// Instrument publishes in r the blocks whose begin arrays froze
-// (mvcc_frozen_blocks) and how many commits the oldest live snapshot trails
+// Instrument publishes in r the begin and end arrays that froze
+// (mvcc_frozen_blocks), the frozen ends a row claim turned back into arrays
+// (mvcc_thawed_blocks) and how many commits the oldest live snapshot trails
 // the last one (txn_low_water_lag). Call it before the first transaction.
 func (tm *TransactionManager) Instrument(r *observe.Registry) {
-	tm.frozen = r.Counter("mvcc_frozen_blocks")
+	tm.frozen, tm.thawed = r.Counter("mvcc_frozen_blocks"), r.Counter("mvcc_thawed_blocks")
 	// The mark first: the last commit id only grows, so the lag is never negative.
 	r.RegisterFunc("txn_low_water_lag", func() int64 { mark := tm.LowWaterMark(); return int64(tm.LastCommitID() - mark) })
 }
@@ -190,51 +187,58 @@ func (tm *TransactionManager) lowWaterMarkLocked() types.CommitID {
 }
 
 // end is every transaction's last step, taken once and outside commitMu: it
-// drops the transaction's snapshot, queues the blocks its commit stamped
-// (cid 0: none), and freezes the queued blocks the low-water mark has passed
-// (storage.Chunk.FreezeBegin). A block one of whose rows is committed above the
-// mark goes back into the queue under that id; one that holds a row that is
-// not committed leaves it, and the commit of that row queues it again — so the
-// queue never holds more than the blocks that hold begin arrays.
+// drops the transaction's snapshot, queues the blocks it wrote — at its commit
+// id cid, or at the last commit after a rollback (cid 0), so a block that only
+// released claims reached goes back to the fresh form — and freezes the queued
+// blocks the low-water mark has passed (storage.Chunk.FreezeBegin,
+// storage.MvccData.FreezeEnd). A block one of whose rows is committed above
+// the mark goes back into the queue under that id; one that holds a row that
+// is not committed leaves it, and the end of that row's writer queues it
+// again — so the queue never holds more than the blocks that hold arrays.
 func (tm *TransactionManager) end(tc *TransactionContext, cid types.CommitID) {
 	tm.lowMu.Lock()
 	if tm.live[tc.snapshot]--; tm.live[tc.snapshot] == 0 {
 		delete(tm.live, tc.snapshot)
 	}
-	if cid != 0 {
-		var last blockRef
-		for _, r := range tc.inserts {
-			if b := (blockRef{r.chunk, r.row &^ (storage.MvccBlockRows - 1)}); b != last {
-				tm.queueLocked(b, cid)
-				last = b
-			}
-		}
-	}
-	var ready []blockRef
+	at := cmp.Or(cid, tm.LastCommitID())
+	tm.queueLocked(tc.inserts, at)
+	tm.queueLocked(tc.invalidations, at)
+	var ready []rowRef
 	mark := tm.lowWaterMarkLocked()
 	for len(tm.queue) > 0 && tm.queue[0].at <= mark {
 		b := tm.queue.pop()
-		delete(tm.queued, b.blockRef)
-		ready = append(ready, b.blockRef)
+		delete(tm.queued, b.rowRef)
+		ready = append(ready, b.rowRef)
 	}
 	tm.lowMu.Unlock()
 	for _, b := range ready {
-		frozen, above := b.chunk.FreezeBegin(b.row, mark)
-		if frozen {
+		frozeBegin, aboveBegin := b.chunk.FreezeBegin(b.row, mark)
+		frozeEnd, aboveEnd := b.chunk.MvccData().FreezeEnd(b.row, mark)
+		if frozeBegin {
 			tm.frozen.Inc()
 		}
-		if above != 0 {
+		if frozeEnd {
+			tm.frozen.Inc()
+		}
+		// The earlier of the commits that kept an array, 0 if none did.
+		if above := cmp.Or(min(aboveBegin, aboveEnd), max(aboveBegin, aboveEnd)); above != 0 {
 			tm.lowMu.Lock()
-			tm.queueLocked(b, above)
+			tm.queueLocked([]rowRef{b}, above)
 			tm.lowMu.Unlock()
 		}
 	}
 }
 
-func (tm *TransactionManager) queueLocked(b blockRef, at types.CommitID) {
-	if !tm.queued[b] {
-		tm.queued[b] = true
-		tm.queue.push(queuedBlock{b, at})
+// queueLocked queues the blocks of rows, each at most once.
+func (tm *TransactionManager) queueLocked(rows []rowRef, at types.CommitID) {
+	var last rowRef
+	for _, r := range rows {
+		b := rowRef{r.chunk, r.row &^ (storage.MvccBlockRows - 1)}
+		if b != last && !tm.queued[b] {
+			tm.queued[b] = true
+			tm.queue.push(queuedBlock{b, at})
+		}
+		last = b
 	}
 }
 
@@ -308,7 +312,7 @@ func (tm *TransactionManager) Stats() (started, committed, aborted int64) {
 // NewTransactionManager creates a manager; commit id 0 is "the beginning of
 // time" (bulk-loaded rows are stamped with it and visible to everyone).
 func NewTransactionManager() *TransactionManager {
-	return &TransactionManager{live: map[types.CommitID]int{}, queued: map[blockRef]bool{}, frozen: new(observe.Counter)}
+	return &TransactionManager{live: map[types.CommitID]int{}, queued: map[rowRef]bool{}, frozen: new(observe.Counter), thawed: new(observe.Counter)}
 }
 
 // LastCommitID returns the most recently published commit id.
@@ -398,11 +402,17 @@ func (tc *TransactionContext) TryInvalidate(chunk *storage.Chunk, row types.Chun
 	if mvcc.Begin(row) == types.HeldBy(tc.tid) {
 		// Deleting a row this transaction inserted: hide it immediately —
 		// no other transaction can see it anyway.
-		mvcc.SetEnd(row, 0)
+		if _, thawed := mvcc.SwapEnd(row, types.MaxCommitID, 0); thawed {
+			tc.tm.thawed.Inc()
+		}
 		return nil
 	}
 	// One word says whether the row is still valid and who holds it.
-	if end, ok := mvcc.Claim(row, tc.tid); !ok {
+	end, ok, thawed := mvcc.Claim(row, tc.tid)
+	if thawed {
+		tc.tm.thawed.Inc()
+	}
+	if !ok {
 		if end.Committed() {
 			return fmt.Errorf("%w: row already invalidated", ErrConflict)
 		}

@@ -36,11 +36,14 @@ func (r rowHistory) visible(tid types.TransactionID, snapshot types.CommitID) bo
 // inserts, committed and pending deletes and recovery placeholders, and checks
 // for every reader (no transaction, each open one, a finished one, an
 // uninvolved one) at every snapshot that the block-wise rung keeps exactly the
-// rows per-row Visible keeps, and both exactly those the histories say.
+// rows per-row Visible keeps, and both exactly those the histories say. A
+// transaction at snapshot 0 stays open throughout: only a live transaction's
+// snapshot reads a block, and a frozen block answers for those alone.
 func TestDiffVisibilityFastPath(t *testing.T) {
 	const chunkSize = 5*storage.MvccBlockRows + 90
 	rng := rand.New(rand.NewSource(28))
 	tm := NewTransactionManager()
+	defer tm.New().Rollback()
 	table := storage.NewTable("t", []storage.ColumnDefinition{{Name: "v", Type: types.TypeInt64}}, chunkSize, true)
 	history := map[types.RowID]*rowHistory{}
 	appendRow := func() types.RowID {

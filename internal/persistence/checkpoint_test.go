@@ -260,3 +260,80 @@ func TestCheckpointKeepsClaimedRows(t *testing.T) {
 	defer m2.Close()
 	check("the restored image", tm2, sm2)
 }
+
+// TestCheckpointRestoresFrozenEnds: deletions in three blocks of a table freeze
+// below the low-water mark to one frozen end each, no array. The image
+// restored from the data directory and the one a replica decodes from the
+// checkpoint file hold the same rows and the same MVCC bytes: restore builds
+// the frozen ends directly.
+func TestCheckpointRestoresFrozenEnds(t *testing.T) {
+	dir := t.TempDir()
+	sm, tm, m := openTestManager(t, dir, SyncCommit)
+	table := storage.NewTable("t", testDefs(), 0, true)
+	if err := sm.AddTable(table); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LogCreateTable(table); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]types.Value, 3*storage.MvccBlockRows) // whole blocks: their begin arrays freeze too
+	for i := range rows {
+		rows[i] = []types.Value{types.Int(int64(i)), types.Str("r"), types.Float(float64(i))}
+	}
+	insertTx(t, tm, table, rows)
+	del := tm.New()
+	for _, o := range []types.ChunkOffset{5, storage.MvccBlockRows + 7, 3*storage.MvccBlockRows - 1} {
+		if err := del.TryInvalidate(table.GetChunk(0), o); err != nil {
+			t.Fatal(err)
+		}
+		del.LogDelete("t", types.RowID{Offset: o})
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := visibleRows(tm, table)
+	primary := table.GetChunk(0).MvccData().MemoryUsage()
+	headers := storage.NewMvccData(table.TargetChunkSize())
+	headers.StampBegin(1, 0) // the directory and one group of headers, no array
+	if primary != headers.MemoryUsage()+3*40 {
+		t.Fatalf("the primary's MVCC columns hold %d B, want headers %d + three frozen ends", primary, headers.MemoryUsage())
+	}
+
+	check := func(what string, tm *concurrency.TransactionManager, sm *storage.StorageManager) {
+		t.Helper()
+		got, err := sm.GetTable("t")
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rows := visibleRows(tm, got); !rowsEqual(rows, want) {
+			t.Errorf("%s holds %d rows, want %d", what, len(rows), len(want))
+		}
+		if b := got.GetChunk(0).MvccData().MemoryUsage(); b != primary {
+			t.Errorf("%s: MVCC columns hold %d B, the primary's %d", what, b, primary)
+		}
+	}
+	f, _, err := m.OpenCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := storage.NewStorageManager()
+	_, cid, err := DecodeSnapshot(buf, replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaTM := concurrency.NewTransactionManager()
+	replicaTM.RecoverState(cid, 0)
+	check("the replica", replicaTM, replica)
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sm2, tm2, m2 := openTestManager(t, dir, SyncCommit)
+	defer m2.Close()
+	check("the restored image", tm2, sm2)
+}

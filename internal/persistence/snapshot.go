@@ -305,18 +305,16 @@ func decodeChunk(r *encoding.Reader, defs []storage.ColumnDefinition, chunkSize 
 			capacity = chunkSize // mutable tail keeps growing after restore
 		}
 		// Committed and not deleted is the rule, stamped block-wise; only the
-		// blocks that hold an exception get cells.
+		// blocks that hold an uncommitted row get begin cells, and those that
+		// hold a deleted one a frozen end.
 		mvcc = storage.NewMvccData(capacity)
 		mvcc.StampBegin(rows, 0)
 		for i := 0; i < rows; i++ {
-			off := types.ChunkOffset(i)
 			if !committed[i] {
-				mvcc.SetBegin(off, types.MaxCommitID)
-			}
-			if deleted[i] {
-				mvcc.SetEnd(off, 0)
+				mvcc.SetBegin(types.ChunkOffset(i), types.MaxCommitID)
 			}
 		}
+		mvcc.StampEnd(deleted, 0)
 	}
 	if r.Err() != nil {
 		return nil, r.Err()

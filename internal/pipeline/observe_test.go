@@ -379,9 +379,10 @@ func TestMetaTablesSQL(t *testing.T) {
 	}
 
 	// Where the memory went: the 25 inserted rows sit in one MVCC block, which
-	// holds a begin array (2 KiB) for them; a DELETE adds that block's end
-	// array, which holds its claim, and nothing else; the three shares add up
-	// to the table's footprint.
+	// holds a begin array (2 KiB) for them; a DELETE claims its row in that
+	// block's end array, which freezes once the commit passes the low-water
+	// mark: 40 B of deletion bitmap and last commit id stay, and nothing else;
+	// the three shares add up to the table's footprint.
 	const footprint = "SELECT mvcc_bytes, metadata_bytes, data_bytes FROM meta_tables WHERE table_name = 'obs'"
 	before := rows(t, s, footprint)[0]
 	mustExec(t, s, "DELETE FROM obs WHERE id = 3")
@@ -396,8 +397,8 @@ func TestMetaTablesSQL(t *testing.T) {
 	if mvcc := num(before[0]); mvcc < 2048 || mvcc >= 2*2048 {
 		t.Errorf("mvcc_bytes after 25 inserts = %d, want one 2 KiB array plus block headers", mvcc)
 	}
-	if grew := num(after[0]) - num(before[0]); grew != 2048 || after[1] != before[1] || after[2] != before[2] {
-		t.Errorf("a DELETE moved mvcc/metadata/data bytes %v -> %v, want mvcc_bytes + 2048 alone", before, after)
+	if grew := num(after[0]) - num(before[0]); grew != 40 || after[1] != before[1] || after[2] != before[2] {
+		t.Errorf("a DELETE moved mvcc/metadata/data bytes %v -> %v, want mvcc_bytes + 40 alone", before, after)
 	}
 	obs, err := s.engine.StorageManager().GetTable("obs")
 	if err != nil {
@@ -423,6 +424,24 @@ func TestMetaTablesSQL(t *testing.T) {
 	want := [][]string{{"id", "0", "24", "yes"}, {"grp", "0", "6", "no"}, {"label", "row0", "row9", "no"}}
 	if !reflect.DeepEqual(zones, want) {
 		t.Errorf("meta_segments zones = %v, want %v", zones, want)
+	}
+
+	// An UPDATE of another row of the block thaws its end (a fresh array from
+	// the bitmap), claims there, and freezes it again at its commit: two bits.
+	counters := func() (frozen, thawed int64) {
+		frozen, _ = s.engine.Metrics().Get("mvcc_frozen_blocks")
+		thawed, _ = s.engine.Metrics().Get("mvcc_thawed_blocks")
+		return frozen, thawed
+	}
+	if frozen, thawed := counters(); frozen != 1 || thawed != 0 {
+		t.Errorf("after the DELETE: mvcc_frozen_blocks %d, mvcc_thawed_blocks %d; want 1, 0", frozen, thawed)
+	}
+	mustExec(t, s, "UPDATE obs SET grp = 99 WHERE id = 4")
+	if frozen, thawed := counters(); frozen != 2 || thawed != 1 {
+		t.Errorf("after the UPDATE: mvcc_frozen_blocks %d, mvcc_thawed_blocks %d; want 2, 1", frozen, thawed)
+	}
+	if got := rows(t, s, footprint)[0]; got[0] != after[0] {
+		t.Errorf("after the UPDATE mvcc_bytes = %s, want the DELETE's %s", got[0], after[0])
 	}
 }
 

@@ -205,7 +205,8 @@ func TestLockWaitTimeoutStillConflicts(t *testing.T) {
 // explicit transactions and retry those that conflict. The counter ends at
 // the number of commits, whether a conflict aborts at once or waits for the
 // holder first, and a conflict's message says "conflict" (what TPC-C's
-// terminals retry on) and names the transaction holding the row.
+// terminals retry on) and names the transaction holding the row. The
+// table's one block freezes its end array and thaws it again meanwhile.
 func TestLostUpdateRetriesConflicts(t *testing.T) {
 	const sessions, txns = 4, 250
 	const update = "UPDATE ctr SET n = n + 1 WHERE id = 1"
@@ -267,6 +268,9 @@ func TestLostUpdateRetriesConflicts(t *testing.T) {
 			wg.Wait()
 			if got, want := rows(t, first, "SELECT id, n FROM ctr ORDER BY id"), [][]string{{"1", fmt.Sprint(1 + sessions*txns)}, {"2", "0"}}; fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("after %d commits: %v, want %v", 1+sessions*txns, got, want)
+			}
+			if frozen, thawed := metric(t, e, "mvcc_frozen_blocks"), metric(t, e, "mvcc_thawed_blocks"); frozen == 0 || thawed == 0 {
+				t.Errorf("mvcc_frozen_blocks %d, mvcc_thawed_blocks %d: no freeze raced the claims", frozen, thawed)
 			}
 			t.Logf("%d conflicts retried", conflicts.Load())
 		})

@@ -20,42 +20,37 @@ const (
 	mvccGroupShift = 13
 )
 
-// The two MVCC columns. A row nobody has committed, invalidated or claimed
-// holds mvccFresh in both.
+// A row nobody has committed, invalidated or claimed holds mvccFresh in both
+// columns. A freeze puts mvccFrozen into fresh end cells (MvccData.FreezeEnd):
+// no claim expects it, and readers read it as mvccFresh.
 const (
-	mvccBegin = iota
-	mvccEnd
+	mvccFresh  = uint64(types.MaxCommitID)
+	mvccFrozen = mvccFresh - 1
 )
-
-const mvccFresh = uint64(types.MaxCommitID)
 
 type mvccCells [MvccBlockRows]atomic.Uint64
 
-// mvccColumn is one column of one block: every row holds scalar until a store
-// that differs from it materializes cells.
-type mvccColumn struct {
-	scalar atomic.Uint64
-	cells  atomic.Pointer[mvccCells]
+// frozenEnd is an end column the low-water mark has passed: the invalidated
+// rows of the block, each of which reads last, the largest of their commits.
+type frozenEnd struct {
+	deleted [MvccBlockRows / 64]uint64
+	last    uint64
 }
 
-// materialize installs the cell array, filled with the scalar. Concurrent
-// callers settle on one array by CAS and then store into that one, so no store
-// is lost; readers see either no array (and read the scalar every cell of the
-// array starts as) or the array.
-func (c *mvccColumn) materialize() *mvccCells {
-	cells := new(mvccCells)
-	if s := c.scalar.Load(); s != 0 {
-		for i := range cells {
-			cells[i].Store(s)
-		}
-	}
-	if c.cells.CompareAndSwap(nil, cells) {
-		return cells
-	}
-	return c.cells.Load()
+func (f *frozenEnd) has(i types.ChunkOffset) bool {
+	return f != nil && f.deleted[i>>6&(MvccBlockRows/64-1)]>>(i&63)&1 == 1
 }
 
-type mvccBlock [2]mvccColumn
+func (f *frozenEnd) set(i int) { f.deleted[i>>6] |= 1 << (i & 63) }
+
+// mvccBlock holds one block's columns, each an array from the first store that
+// differs from what its rows read without one: begin's scalar, or end's frozen
+// form (all fresh without one; only begin is ever stamped).
+type mvccBlock struct {
+	scalar     atomic.Uint64
+	begin, end atomic.Pointer[mvccCells]
+	frozen     atomic.Pointer[frozenEnd]
+}
 
 type mvccGroup [1 << (mvccGroupShift - mvccBlockShift)]mvccBlock
 
@@ -64,13 +59,15 @@ type mvccGroup [1 << (mvccGroupShift - mvccBlockShift)]mvccBlock
 // invalidation holds its owner's mark (types.HeldBy) in the cell its commit
 // will stamp, so a claim on a row is its end cell. A column costs nothing
 // while all rows of a block agree — fresh, bulk-loaded and restored blocks are
-// two scalars — and 8 B per row from the first store that differs: begin in
-// blocks that take inserts until the low-water mark passes them
-// (Chunk.FreezeBegin), end in blocks a DELETE or UPDATE has claimed a row of.
-// Cells are read and written atomically, readers never block writers and never
-// allocate.
+// headers only — and 8 B per row from the first store that differs until the
+// low-water mark passes the block's writes (Chunk.FreezeBegin, FreezeEnd).
+// Cells are read and written atomically, readers never block writers and
+// never allocate.
 type MvccData struct {
 	groups []atomic.Pointer[mvccGroup]
+	// forms is held by what gives a column another form: an install, and the
+	// freeze of an end array.
+	forms sync.Mutex
 }
 
 // NewMvccData prepares MVCC columns for up to capacity rows.
@@ -97,65 +94,63 @@ func (m *MvccData) blockForWrite(i types.ChunkOffset) *mvccBlock {
 	if slot.Load() == nil {
 		g := new(mvccGroup)
 		for b := range g {
-			for c := range g[b] {
-				g[b][c].scalar.Store(mvccFresh)
-			}
+			g[b].scalar.Store(mvccFresh)
 		}
 		slot.CompareAndSwap(nil, g)
 	}
 	return m.Block(i).b
 }
 
-func (v MvccBlock) load(col int, i types.ChunkOffset) uint64 {
-	if v.b == nil {
-		return mvccFresh
-	}
-	if cells := v.b[col].cells.Load(); cells != nil {
-		return cells[i&(MvccBlockRows-1)].Load()
-	}
-	return v.b[col].scalar.Load()
-}
-
 // Begin and End are MvccData's, with the block already looked up.
 func (v MvccBlock) Begin(i types.ChunkOffset) types.CommitID {
-	return types.CommitID(v.load(mvccBegin, i))
+	if v.b == nil {
+		return types.MaxCommitID
+	}
+	if cells := v.b.begin.Load(); cells != nil {
+		return types.CommitID(cells[i&(MvccBlockRows-1)].Load())
+	}
+	return types.CommitID(v.b.scalar.Load())
 }
-func (v MvccBlock) End(i types.ChunkOffset) types.CommitID { return types.CommitID(v.load(mvccEnd, i)) }
+func (v MvccBlock) End(i types.ChunkOffset) types.CommitID {
+	if v.b == nil {
+		return types.MaxCommitID
+	}
+	// The array first: a freeze publishes the frozen form before it drops it.
+	if cells := v.b.end.Load(); cells != nil {
+		if e := cells[i&(MvccBlockRows-1)].Load(); e != mvccFrozen {
+			return types.CommitID(e)
+		}
+	} else if f := v.b.frozen.Load(); f.has(i) {
+		return types.CommitID(f.last)
+	}
+	return types.MaxCommitID
+}
 
 // AllVisible reports whether the block can answer for all its rows that they
 // are visible at snapshot: one begin commit id at or below it for the whole
 // block, no row ever invalidated or claimed (only begin is ever stamped, so an
-// end column without an array is fresh).
+// end column without an array or a frozen form is fresh).
 func (v MvccBlock) AllVisible(snapshot types.CommitID) bool {
 	b := v.b
-	return b != nil && b[mvccBegin].cells.Load() == nil && b[mvccEnd].cells.Load() == nil &&
-		types.CommitID(b[mvccBegin].scalar.Load()) <= snapshot
-}
-
-// cell returns row i's cell of col, materializing the column in i's block.
-func (m *MvccData) cell(col int, i types.ChunkOffset) *atomic.Uint64 {
-	c := &m.blockForWrite(i)[col]
-	cells := c.cells.Load()
-	if cells == nil {
-		cells = c.materialize()
-	}
-	return &cells[i&(MvccBlockRows-1)]
-}
-
-// store writes v unless the row holds it already — which is what keeps a
-// column in scalar form under stores that agree with it.
-func (m *MvccData) store(col int, i types.ChunkOffset, v uint64) {
-	if m.Block(i).load(col, i) != v {
-		m.cell(col, i).Store(v)
-	}
+	return b != nil && b.begin.Load() == nil && b.end.Load() == nil && b.frozen.Load() == nil &&
+		types.CommitID(b.scalar.Load()) <= snapshot
 }
 
 // Begin returns the begin commit id of the row.
 func (m *MvccData) Begin(i types.ChunkOffset) types.CommitID { return m.Block(i).Begin(i) }
 
-// SetBegin stores the begin commit id of the row.
+// SetBegin stores the begin commit id of the row unless it holds it already —
+// which is what keeps a column in scalar form under stores that agree with it.
 func (m *MvccData) SetBegin(i types.ChunkOffset, cid types.CommitID) {
-	m.store(mvccBegin, i, uint64(cid))
+	if m.Begin(i) == cid {
+		return
+	}
+	b := m.blockForWrite(i)
+	cells := b.begin.Load()
+	if cells == nil {
+		cells, _ = m.install(&b.begin, MvccBlock{b}.Begin)
+	}
+	cells[i&(MvccBlockRows-1)].Store(uint64(cid))
 }
 
 // StampBegin stores cid as the begin commit id of rows [0, n), where n is the
@@ -165,15 +160,31 @@ func (m *MvccData) SetBegin(i types.ChunkOffset, cid types.CommitID) {
 // not run beside other stores to the chunk.
 func (m *MvccData) StampBegin(n int, cid types.CommitID) {
 	for lo := 0; lo < n; lo += MvccBlockRows {
-		c := &m.blockForWrite(types.ChunkOffset(lo))[mvccBegin]
-		cells := c.cells.Load()
+		b := m.blockForWrite(types.ChunkOffset(lo))
+		cells := b.begin.Load()
 		if cells == nil {
-			c.scalar.Store(uint64(cid))
+			b.scalar.Store(uint64(cid))
 			continue
 		}
 		for o := range cells[:min(MvccBlockRows, n-lo)] {
 			cells[o].Store(uint64(cid))
 		}
+	}
+}
+
+// StampEnd gives every block with a row deleted[row] calls invalidated a
+// frozen end at cid: what a restore does, since a snapshot keeps only whether
+// a row is deleted. Must not run beside other stores to the chunk.
+func (m *MvccData) StampEnd(deleted []bool, cid types.CommitID) {
+	for i, d := range deleted {
+		if !d {
+			continue
+		}
+		b := m.blockForWrite(types.ChunkOffset(i))
+		if b.frozen.Load() == nil {
+			b.frozen.Store(&frozenEnd{last: uint64(cid)})
+		}
+		b.frozen.Load().set(i & (MvccBlockRows - 1))
 	}
 }
 
@@ -185,11 +196,10 @@ func (m *MvccData) StampBegin(n int, cid types.CommitID) {
 // compares the same way as the row's own id. The scalar is stored before the
 // array is dropped, so a lock-free reader sees one form or the other; no store
 // can race the drop, since every born row is committed and no row is born into
-// the block any more. End arrays stay: a claim CASes into the array it loaded,
-// so dropping one could lose it. frozen reports that this call dropped
-// the array; above is the largest committed begin past mark that kept it, 0
-// when nothing would (the block froze, holds no array, or holds a row that is
-// uncommitted, rolled back or unborn).
+// the block any more. frozen reports that this call dropped the array; above
+// is the largest committed begin past mark that kept it, 0 when nothing would
+// (the block froze, holds no array, or holds a row that is uncommitted, rolled
+// back or unborn).
 func (c *Chunk) FreezeBegin(row types.ChunkOffset, mark types.CommitID) (frozen bool, above types.CommitID) {
 	sealed := c.IsImmutable() // first: then Size is final
 	born := min(MvccBlockRows, c.Size()-int(row&^(MvccBlockRows-1)))
@@ -197,8 +207,7 @@ func (c *Chunk) FreezeBegin(row types.ChunkOffset, mark types.CommitID) (frozen 
 	if b == nil || born < MvccBlockRows && !sealed {
 		return false, 0
 	}
-	col := &b[mvccBegin]
-	cells := col.cells.Load()
+	cells := b.begin.Load()
 	if cells == nil {
 		return false, 0
 	}
@@ -213,41 +222,130 @@ func (c *Chunk) FreezeBegin(row types.ChunkOffset, mark types.CommitID) (frozen 
 	if types.CommitID(last) > mark {
 		return false, types.CommitID(last)
 	}
-	col.scalar.Store(last)
-	return col.cells.CompareAndSwap(cells, nil), 0
+	b.scalar.Store(last)
+	return b.begin.CompareAndSwap(cells, nil), 0
+}
+
+// FreezeEnd gives the end array of row's block back once mark, the low-water
+// mark, has passed every invalidation in it, for a frozen end (none if no row
+// is invalidated). A claim CASes into the array it loaded, so the freeze first
+// CASes every fresh cell to mvccFrozen; meeting a held mark or a commit id
+// above mark, it puts them back and stops. Otherwise it publishes the frozen
+// end before it drops the array, so a lock-free reader sees one form or the
+// other. frozen reports the drop; above is the commit id past mark that kept it.
+func (m *MvccData) FreezeEnd(row types.ChunkOffset, mark types.CommitID) (frozen bool, above types.CommitID) {
+	m.forms.Lock()
+	defer m.forms.Unlock()
+	b := m.Block(row).b
+	if b == nil || b.end.Load() == nil {
+		return false, 0
+	}
+	cells, f := b.end.Load(), frozenEnd{}
+	for i := range cells {
+		if cells[i].CompareAndSwap(mvccFresh, mvccFrozen) {
+			continue
+		}
+		v := types.CommitID(cells[i].Load())
+		if !v.Committed() || v > mark {
+			for k := range cells[:i] {
+				cells[k].CompareAndSwap(mvccFrozen, mvccFresh)
+			}
+			if !v.Committed() {
+				v = 0
+			}
+			return false, v
+		}
+		f.set(i)
+		f.last = max(f.last, uint64(v))
+	}
+	var published *frozenEnd // none if no row is invalidated: the fresh form
+	if f.deleted != (frozenEnd{}).deleted {
+		published = new(frozenEnd)
+		*published = f
+	}
+	b.frozen.Store(published)
+	b.end.Store(nil)
+	return true, 0
 }
 
 // End returns the end (invalidation) commit id of the row.
 func (m *MvccData) End(i types.ChunkOffset) types.CommitID { return m.Block(i).End(i) }
 
-// SetEnd stores the end commit id of the row.
+// SetEnd stores the end commit id of the row by SwapEnd. A committed end must
+// not change while the block can freeze: a freeze leaves it where it is, so a
+// store over it could land in the array the freeze drops.
 func (m *MvccData) SetEnd(i types.ChunkOffset, cid types.CommitID) {
-	m.store(mvccEnd, i, uint64(cid))
+	for end := m.End(i); end != cid; end = m.End(i) {
+		m.SwapEnd(i, end, cid)
+	}
+}
+
+// SwapEnd moves the row's end from one commit id to another by CAS, the one
+// way an end changes, and returns the new one, or the end it found instead. A
+// block without an array gets one only if the row holds from — from its frozen
+// end, a thaw (thawed). A cell a freeze holds waits for the freeze to end.
+func (m *MvccData) SwapEnd(i types.ChunkOffset, from, to types.CommitID) (end types.CommitID, thawed bool) {
+	b := m.blockForWrite(i)
+	for {
+		cells := b.end.Load()
+		if cells == nil {
+			if end = (MvccBlock{b}).End(i); end != from {
+				return end, thawed
+			}
+			var installed bool
+			cells, installed = m.install(&b.end, MvccBlock{b}.End)
+			thawed = thawed || installed && b.frozen.Load() != nil
+		}
+		cell := &cells[i&(MvccBlockRows-1)]
+		if cell.CompareAndSwap(uint64(from), uint64(to)) {
+			return to, thawed
+		}
+		switch v := cell.Load(); v {
+		case uint64(from): // it moved and came back since the CAS
+		case mvccFrozen: // the freeze holds m.forms until it ends
+			m.forms.Lock()
+			m.forms.Unlock()
+		default:
+			return types.CommitID(v), thawed
+		}
+	}
+}
+
+// install gives col, a column of a block, its array unless it has one: each
+// cell filled with what read says of the row without it. Under m.forms, so an
+// install never lands on a form a freeze published meanwhile.
+func (m *MvccData) install(col *atomic.Pointer[mvccCells], read func(types.ChunkOffset) types.CommitID) (cells *mvccCells, installed bool) {
+	m.forms.Lock()
+	defer m.forms.Unlock()
+	if cells = col.Load(); cells != nil {
+		return cells, false
+	}
+	cells = new(mvccCells)
+	plain := (*[MvccBlockRows]uint64)(unsafe.Pointer(cells)) // unpublished: no atomic stores needed
+	for i := range plain {
+		plain[i] = uint64(read(types.ChunkOffset(i)))
+	}
+	col.Store(cells)
+	return cells, true
 }
 
 // Claim CASes the row's end from MaxCommitID to tid's mark (types.HeldBy), or
 // finds tid's mark there; otherwise it returns the end that refused it and
 // the caller aborts (paper §2.8: "if two transactions concurrently try to set
 // the transaction id of a single row, only one can succeed").
-func (m *MvccData) Claim(i types.ChunkOffset, tid types.TransactionID) (end types.CommitID, ok bool) {
-	cell, mark := m.cell(mvccEnd, i), uint64(types.HeldBy(tid))
-	for !cell.CompareAndSwap(mvccFresh, mark) {
-		if v := cell.Load(); v != mvccFresh { // else released since the CAS: try again
-			return types.CommitID(v), v == mark
-		}
-	}
-	return types.HeldBy(tid), true
+func (m *MvccData) Claim(i types.ChunkOffset, tid types.TransactionID) (end types.CommitID, ok, thawed bool) {
+	end, thawed = m.SwapEnd(i, types.MaxCommitID, types.HeldBy(tid))
+	return end, end == types.HeldBy(tid), thawed
 }
 
 // Release gives tid's claim on the row back: its end returns to MaxCommitID.
 func (m *MvccData) Release(i types.ChunkOffset, tid types.TransactionID) {
-	if mark := types.HeldBy(tid); m.End(i) == mark {
-		m.cell(mvccEnd, i).CompareAndSwap(uint64(mark), mvccFresh)
-	}
+	m.SwapEnd(i, types.HeldBy(tid), types.MaxCommitID)
 }
 
 // MemoryUsage returns the heap footprint of the MVCC columns: the directory,
-// the block headers of the groups stored into, and every materialized array.
+// the block headers of the groups stored into, every materialized array and
+// every frozen end.
 func (m *MvccData) MemoryUsage() int64 {
 	used := int64(len(m.groups)) * 8
 	for gi := range m.groups {
@@ -257,10 +355,13 @@ func (m *MvccData) MemoryUsage() int64 {
 		}
 		used += int64(unsafe.Sizeof(*g))
 		for b := range g {
-			for c := range g[b] {
-				if g[b][c].cells.Load() != nil {
+			for _, array := range []bool{g[b].begin.Load() != nil, g[b].end.Load() != nil} {
+				if array {
 					used += int64(unsafe.Sizeof(mvccCells{}))
 				}
+			}
+			if g[b].frozen.Load() != nil {
+				used += int64(unsafe.Sizeof(frozenEnd{}))
 			}
 		}
 	}

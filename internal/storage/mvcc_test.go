@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -19,13 +20,15 @@ func (d *denseMvcc) born() {
 }
 
 const (
-	mvccCellsBytes = int64(unsafe.Sizeof(mvccCells{}))
-	mvccGroupBytes = int64(unsafe.Sizeof(mvccGroup{}))
+	mvccCellsBytes                     = int64(unsafe.Sizeof(mvccCells{}))
+	mvccGroupBytes                     = int64(unsafe.Sizeof(mvccGroup{}))
+	frozenEndBytes                     = int64(unsafe.Sizeof(frozenEnd{}))
+	beginArrays, endArrays, frozenEnds = 0, 1, 2 // what mvccArrays counts
 )
 
-// mvccArrays counts the materialized arrays per column, which MemoryUsage must
-// account for and nothing else.
-func mvccArrays(m *MvccData) (arrays [2]int, groups int) {
+// mvccArrays counts the begin arrays, end arrays and frozen ends, which
+// MemoryUsage must account for and nothing else.
+func mvccArrays(m *MvccData) (arrays [3]int, groups int) {
 	for gi := range m.groups {
 		g := m.groups[gi].Load()
 		if g == nil {
@@ -33,8 +36,8 @@ func mvccArrays(m *MvccData) (arrays [2]int, groups int) {
 		}
 		groups++
 		for b := range g {
-			for c := range g[b] {
-				if g[b][c].cells.Load() != nil {
+			for c, held := range []bool{g[b].begin.Load() != nil, g[b].end.Load() != nil, g[b].frozen.Load() != nil} {
+				if held {
 					arrays[c]++
 				}
 			}
@@ -43,12 +46,39 @@ func mvccArrays(m *MvccData) (arrays [2]int, groups int) {
 	return arrays, groups
 }
 
+// freezeEndByReference is FreezeEnd by the dense reference: the cells of the
+// block of row i (unborn ones fresh) are scanned in order, a held mark stops the
+// freeze, a commit id above mark stops it and is returned; otherwise every
+// invalidated row reads the largest of their commits.
+func freezeEndByReference(end []uint64, i types.ChunkOffset, mark types.CommitID) (frozen bool, above types.CommitID) {
+	lo := int(i) &^ (MvccBlockRows - 1)
+	var last uint64
+	for k := lo; k < min(lo+MvccBlockRows, len(end)); k++ {
+		switch v := types.CommitID(end[k]); {
+		case v == types.MaxCommitID:
+		case !v.Committed():
+			return false, 0
+		case v > mark:
+			return false, v
+		default:
+			last = max(last, end[k])
+		}
+	}
+	for k := lo; k < min(lo+MvccBlockRows, len(end)); k++ {
+		if end[k] != uint64(types.MaxCommitID) {
+			end[k] = last
+		}
+	}
+	return true, 0
+}
+
 // TestDiffMvccColumns drives one chunk's MVCC columns and the dense reference
 // through the same random history — appends (also into blocks a range stamp
-// left in scalar form), single stores, claims and releases, range stamps over
-// everything born so far — across block and group borders and a partial last
-// block, and compares the cells each step could have reached; then, apart,
-// N goroutines materialize the same blocks at once.
+// left in scalar form), single stores, claims and releases, freezes of either
+// column, range stamps over everything born so far — across block and group
+// borders and a partial last block, and compares the cells each step could
+// have reached; then, apart, N goroutines materialize the same blocks at once,
+// and claims, releases and commits race a freezer.
 func TestDiffMvccColumns(t *testing.T) {
 	t.Run("history", func(t *testing.T) {
 		// 35 whole blocks and 40 rows of a 36th, in two groups.
@@ -94,7 +124,7 @@ func TestDiffMvccColumns(t *testing.T) {
 					lo = int(i) &^ (MvccBlockRows - 1)
 					hi = lo + MvccBlockRows
 				}
-				switch op := rng.Intn(13); {
+				switch op := rng.Intn(14); {
 				case op < 3:
 					lo = len(ref.begin)
 					appendRows(1 + rng.Intn(300))
@@ -116,7 +146,7 @@ func TestDiffMvccColumns(t *testing.T) {
 					if want {
 						ref.end[i] = mark
 					}
-					if end, ok := m.Claim(i, tid); ok != want || uint64(end) != ref.end[i] {
+					if end, ok, _ := m.Claim(i, tid); ok != want || uint64(end) != ref.end[i] {
 						t.Fatalf("seed %d step %d: Claim(%d, %d) = %d, %v; want %d, %v", seed, step, i, tid, end, ok, ref.end[i], want)
 					}
 					touched(i)
@@ -136,7 +166,7 @@ func TestDiffMvccColumns(t *testing.T) {
 					touched(i)
 					hi = min(hi, len(ref.begin))
 					b := m.Block(i).b
-					eligible := b != nil && b[mvccBegin].cells.Load() != nil && (hi-lo == MvccBlockRows || len(ref.begin) == capacity)
+					eligible := b != nil && b.begin.Load() != nil && (hi-lo == MvccBlockRows || len(ref.begin) == capacity)
 					largest := uint64(0)
 					for _, v := range ref.begin[lo:hi] {
 						eligible = eligible && types.CommitID(v).Committed()
@@ -154,6 +184,24 @@ func TestDiffMvccColumns(t *testing.T) {
 						for k := lo; k < hi; k++ {
 							ref.begin[k] = largest
 						}
+					}
+				case op < 13:
+					i, mark := pick(), types.CommitID(rng.Intn(5))
+					touched(i)
+					b := m.Block(i).b
+					wantFrozen, wantAbove := false, types.CommitID(0)
+					if b != nil && b.end.Load() != nil {
+						wantFrozen, wantAbove = freezeEndByReference(ref.end, i, mark)
+					}
+					if frozen, above := m.FreezeEnd(i, mark); frozen != wantFrozen || above != wantAbove {
+						t.Fatalf("seed %d step %d: FreezeEnd(%d, %d) = %v, %d; the reference %v, %d", seed, step, i, mark, frozen, above, wantFrozen, wantAbove)
+					}
+					invalidated := false
+					for _, v := range ref.end[lo:min(hi, len(ref.end))] {
+						invalidated = invalidated || v != uint64(types.MaxCommitID)
+					}
+					if a := m.Block(i).b; wantFrozen && (a.end.Load() != nil || (a.frozen.Load() != nil) != invalidated) {
+						t.Fatalf("seed %d step %d: block of row %d froze to the wrong form", seed, step, i)
 					}
 				default:
 					cid := uint64(rng.Intn(5))
@@ -188,7 +236,7 @@ func TestDiffMvccColumns(t *testing.T) {
 				}
 			}
 			arrays, groups := mvccArrays(m)
-			want := int64(len(m.groups))*8 + int64(groups)*mvccGroupBytes + int64(arrays[0]+arrays[1])*mvccCellsBytes
+			want := int64(len(m.groups))*8 + int64(groups)*mvccGroupBytes + int64(arrays[beginArrays]+arrays[endArrays])*mvccCellsBytes + int64(arrays[frozenEnds])*frozenEndBytes
 			if got := m.MemoryUsage(); got != want {
 				t.Errorf("seed %d: MemoryUsage = %d, want %d (%d groups, arrays %v)", seed, got, want, groups, arrays)
 			}
@@ -211,14 +259,14 @@ func TestDiffMvccColumns(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					<-start
-					_, claimed[w] = m.Claim(contended, types.TransactionID(w+1))
+					_, claimed[w], _ = m.Claim(contended, types.TransactionID(w+1))
 					// Even rows are invalidated, odd ones claimed, into the same arrays.
 					for i := w; i < 2*MvccBlockRows; i += workers {
 						o := types.ChunkOffset(i)
 						m.SetBegin(o, types.CommitID(10+i))
 						if i%2 == 0 {
 							m.SetEnd(o, types.CommitID(20+i))
-						} else if _, ok := m.Claim(o, types.TransactionID(w+1)); o != contended && !ok {
+						} else if _, ok, _ := m.Claim(o, types.TransactionID(w+1)); o != contended && !ok {
 							t.Errorf("round %d: uncontended claim of row %d failed", round, i)
 						}
 					}
@@ -249,12 +297,103 @@ func TestDiffMvccColumns(t *testing.T) {
 			}
 		}
 	})
+
+	// Workers claim rows of two blocks, release most claims and commit the
+	// rest (end 1), while a freezer freezes both blocks at mark 1 over and
+	// over. The reference is who holds each row and which are invalidated: a
+	// claim has one winner and reads as its mark until it ends, no read shows
+	// the freeze's sentinel, and at the end every row reads as the reference.
+	t.Run("freeze", func(t *testing.T) {
+		const workers, rounds, steps, rows = 4, 20, 400, 2 * MvccBlockRows
+		var frozen, thawed atomic.Int64
+		for round := 0; round < rounds; round++ {
+			m := NewMvccData(rows)
+			var holder [rows]atomic.Uint64
+			var invalidated [rows]atomic.Bool
+			stop := make(chan struct{})
+			var wg, freezer sync.WaitGroup
+			freezer.Add(1)
+			go func() {
+				defer freezer.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for lo := types.ChunkOffset(0); lo < rows; lo += MvccBlockRows {
+						if ok, _ := m.FreezeEnd(lo, 1); ok {
+							frozen.Add(1)
+						}
+					}
+				}
+			}()
+			for w := 1; w <= workers; w++ {
+				wg.Add(1)
+				go func(tid types.TransactionID, rng *rand.Rand) {
+					defer wg.Done()
+					mark := types.HeldBy(tid)
+					for step := 0; step < steps; step++ {
+						// The first 48 rows of either block: claims meet each other.
+						i := types.ChunkOffset(rng.Intn(2)*MvccBlockRows + rng.Intn(48))
+						if e := m.End(types.ChunkOffset(rng.Intn(rows))); uint64(e) == mvccFrozen {
+							t.Errorf("round %d: a read saw the freeze's sentinel", round)
+						}
+						end, ok, th := m.Claim(i, tid)
+						if th {
+							thawed.Add(1)
+						}
+						if !ok {
+							if end == mark || uint64(end) == mvccFrozen || end.Committed() && end != 1 {
+								t.Errorf("round %d: claim of row %d by %d refused with end %d", round, i, tid, end)
+							}
+							continue
+						}
+						if prev := holder[i].Swap(uint64(tid)); prev != 0 {
+							t.Errorf("round %d: %d and %d both hold row %d", round, prev, tid, i)
+						}
+						if got := m.End(i); got != mark {
+							t.Errorf("round %d: row %d claimed by %d reads end %d", round, i, tid, got)
+						}
+						if rng.Intn(32) == 0 {
+							invalidated[i].Store(true)
+							m.SetEnd(i, 1)
+							continue // nobody claims the row again
+						}
+						holder[i].Store(0)
+						m.Release(i, tid)
+					}
+				}(types.TransactionID(w), rand.New(rand.NewSource(int64(round*workers+w))))
+			}
+			wg.Wait()
+			close(stop)
+			freezer.Wait()
+			for lo := types.ChunkOffset(0); lo < rows; lo += MvccBlockRows {
+				m.FreezeEnd(lo, 1)
+			}
+			for i := types.ChunkOffset(0); i < rows; i++ {
+				want := types.MaxCommitID
+				if invalidated[i].Load() {
+					want = 1
+				}
+				if got := m.End(i); got != want {
+					t.Fatalf("round %d row %d: end %d after the freeze, want %d", round, i, got, want)
+				}
+			}
+			if arrays, _ := mvccArrays(m); arrays[endArrays] != 0 {
+				t.Fatalf("round %d: %d end arrays left with no claim held", round, arrays[endArrays])
+			}
+		}
+		if frozen.Load() == 0 || thawed.Load() == 0 {
+			t.Errorf("%d freezes, %d thaws: the race went unexercised", frozen.Load(), thawed.Load())
+		}
+	})
 }
 
 // TestFreezeBeginKeepsWhatReadersSee: a block's begin array goes back to one
 // scalar — its largest begin — only once every born row is committed at or
 // below the mark; a block rows are still born into never freezes, a sealed
-// chunk's partial last block does, and end arrays, claims in them, stay.
+// chunk's partial last block does, and its end array, claims in it, stays.
 func TestFreezeBeginKeepsWhatReadersSee(t *testing.T) {
 	table := NewTable("m", []ColumnDefinition{{Name: "id", Type: types.TypeInt64}}, 2*MvccBlockRows+40, true)
 	appendRows := func(n int) {
@@ -283,7 +422,7 @@ func TestFreezeBeginKeepsWhatReadersSee(t *testing.T) {
 	before := m.MemoryUsage()
 	freeze(0, 5, true, 0)
 	freeze(0, 5, false, 0)
-	if arrays, _ := mvccArrays(m); arrays != [2]int{1, 1} || m.MemoryUsage() != before-mvccCellsBytes {
+	if arrays, _ := mvccArrays(m); arrays != [3]int{1, 1, 0} || m.MemoryUsage() != before-mvccCellsBytes {
 		t.Errorf("after the freeze: arrays %v, MemoryUsage %d -> %d", arrays, before, m.MemoryUsage())
 	}
 	for o := types.ChunkOffset(0); o < MvccBlockRows; o++ {
@@ -320,8 +459,10 @@ func TestFreezeBeginKeepsWhatReadersSee(t *testing.T) {
 // TestMvccColumnsCostNothingUntilTouched pins when each array appears: none
 // for a new chunk, appended rows, a bulk-load stamp or any read; begin alone
 // where rows are inserted into a stamped block or stamped one by one; end only
-// in a block that holds an invalidated or claimed row. A group's headers are
-// two columns of 32 blocks, 1 KiB.
+// in a block that holds an invalidated or claimed row, until the mark passes
+// it: then a block whose claim was released costs nothing again, one with an
+// invalidated row its frozen end. A group's headers are two columns of 32
+// blocks, 1 KiB.
 func TestMvccColumnsCostNothingUntilTouched(t *testing.T) {
 	const rows = 3*MvccBlockRows + 40
 	table := NewTable("m", []ColumnDefinition{{Name: "id", Type: types.TypeInt64}}, 2<<mvccGroupShift, true)
@@ -354,7 +495,7 @@ func TestMvccColumnsCostNothingUntilTouched(t *testing.T) {
 	}
 
 	m.StampBegin(rows, 0)
-	if arrays, groups := mvccArrays(m); arrays != [2]int{} || groups != 1 || mvccGroupBytes != 1024 || m.MemoryUsage() != directory+mvccGroupBytes {
+	if arrays, groups := mvccArrays(m); arrays != [3]int{} || groups != 1 || mvccGroupBytes != 1024 || m.MemoryUsage() != directory+mvccGroupBytes {
 		t.Errorf("after the stamp: arrays %v in %d groups, MemoryUsage %d", arrays, groups, m.MemoryUsage())
 	}
 	if !m.Block(rows-1).AllVisible(0) || m.Block(1<<mvccGroupShift).AllVisible(0) {
@@ -365,16 +506,38 @@ func TestMvccColumnsCostNothingUntilTouched(t *testing.T) {
 	if o := appendRow(); m.Begin(o) != types.MaxCommitID || m.Begin(o-1) != 0 {
 		t.Errorf("row born into a loaded block: begin = %d, its neighbour's %d", m.Begin(o), m.Begin(o-1))
 	}
-	if arrays, _ := mvccArrays(m); arrays != [2]int{mvccBegin: 1} {
+	if arrays, _ := mvccArrays(m); arrays != [3]int{beginArrays: 1} {
 		t.Errorf("after an append into a loaded block: arrays %v, want one begin array", arrays)
 	}
 	m.SetEnd(5, 9)
 	m.Claim(MvccBlockRows+5, 3)
 	m.Release(MvccBlockRows+5, 3)
-	if arrays, _ := mvccArrays(m); arrays != [2]int{1, 2} {
+	if arrays, _ := mvccArrays(m); arrays != [3]int{1, 2, 0} {
 		t.Errorf("after one invalidation and one claim: arrays %v, want one begin and two end arrays", arrays)
 	}
 	if m.Block(5).AllVisible(20) || m.Block(MvccBlockRows+5).AllVisible(20) || !m.Block(2*MvccBlockRows).AllVisible(20) {
 		t.Error("only the untouched block may still answer for its rows")
+	}
+	before := m.MemoryUsage()
+	if frozen, above := m.FreezeEnd(5, 8); frozen || above != 9 {
+		t.Errorf("FreezeEnd below the invalidation at 9 = %v, %d; want its array kept, above 9", frozen, above)
+	}
+	for _, o := range []types.ChunkOffset{5, MvccBlockRows + 5} {
+		if frozen, _ := m.FreezeEnd(o, 9); !frozen {
+			t.Errorf("FreezeEnd(%d) past the mark kept its array", o)
+		}
+	}
+	if arrays, _ := mvccArrays(m); arrays != [3]int{1, 0, 1} || m.MemoryUsage() != before-2*mvccCellsBytes+frozenEndBytes || frozenEndBytes != 40 {
+		t.Errorf("after the freezes: arrays %v, MemoryUsage %d -> %d; want the released block's end to cost 0 B and the invalidated one's %d B",
+			arrays, before, m.MemoryUsage(), frozenEndBytes)
+	}
+	if m.End(5) != 9 || m.End(6) != types.MaxCommitID || m.End(MvccBlockRows+5) != types.MaxCommitID || !m.Block(MvccBlockRows+5).AllVisible(20) {
+		t.Error("the frozen ends read differently from the arrays they replaced")
+	}
+	if end, ok, thawed := m.Claim(5, 4); ok || thawed || end != 9 {
+		t.Errorf("claim of a frozen invalidated row = %d, %v, thawed %v; want 9, refused, no thaw", end, ok, thawed)
+	}
+	if _, ok, thawed := m.Claim(6, 4); !ok || !thawed || m.End(5) != 9 || m.End(6) != types.HeldBy(4) {
+		t.Errorf("claim of a frozen live row: ok %v, thawed %v, ends %d, %d", ok, thawed, m.End(5), m.End(6))
 	}
 }

@@ -228,13 +228,13 @@ func TestMvccDataClaims(t *testing.T) {
 	if m.Begin(0) != types.MaxCommitID || m.End(0) != types.MaxCommitID {
 		t.Error("fresh rows must have MaxCommitID begin/end")
 	}
-	if _, ok := m.Claim(1, 77); !ok {
+	if _, ok, _ := m.Claim(1, 77); !ok {
 		t.Error("first claim should succeed")
 	}
-	if _, ok := m.Claim(1, 77); !ok {
+	if _, ok, _ := m.Claim(1, 77); !ok {
 		t.Error("re-claim by owner should succeed")
 	}
-	if end, ok := m.Claim(1, 88); ok || end.Owner() != 77 {
+	if end, ok, _ := m.Claim(1, 88); ok || end.Owner() != 77 {
 		t.Errorf("claim by other transaction should fail and name the holder: %v, holder %d", ok, end.Owner())
 	}
 	m.Release(1, 88) // wrong owner: no-op
@@ -250,7 +250,7 @@ func TestMvccDataClaims(t *testing.T) {
 	if m.Begin(2) != 5 || m.End(2) != 9 {
 		t.Error("begin/end roundtrip failed")
 	}
-	if end, ok := m.Claim(2, 77); ok || end != 9 {
+	if end, ok, _ := m.Claim(2, 77); ok || end != 9 {
 		t.Errorf("claim of an invalidated row = %d, %v; want its end 9, refused", end, ok)
 	}
 }
